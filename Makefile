@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-smoke bench-columnar debug-smoke drift-smoke reopt-smoke overload-smoke serve-smoke fuzz chaos chaos-net check
+.PHONY: all build test race vet bench bench-test bench-smoke bench-columnar debug-smoke drift-smoke reopt-smoke overload-smoke serve-smoke fuzz chaos chaos-net check
 
 all: build
 
@@ -21,6 +21,15 @@ vet:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench/ (the repo benchmark, BENCHMARK.json) is its own module, so the root
+# build and test targets cannot see an engine change that breaks it:
+# bench/staged.go mirrors the engine's SELECT pipeline stage by stage against
+# exported signatures, and TestStagedMatchesEngine holds that mirror to the
+# engine's digests, sampling decisions, cache hits, logical clock and
+# simulated seconds (~12s). Part of `make check`; CI runs it there.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Telemetry must be free when nobody is looking: the disabled-path
 # benchmarks for the metrics registry, the phase tracer and the flight
@@ -110,4 +119,4 @@ chaos-net:
 		-run 'TestNetChaos|TestExactlyOnce|TestShutdown|TestStalledPeer|TestTornFrame|TestCloseMidRoundTrip|TestDrainingHealth|TestRetry|TestReconnect|TestFreshSession|TestConn|TestReadFrameDeadline|TestWriteFrameDeadline|TestServeChaosQuick' \
 		./internal/server/ ./internal/client/ ./internal/wire/ ./internal/faultinject/ ./internal/experiments/
 
-check: build vet test race serve-smoke
+check: build vet test race serve-smoke bench-test

@@ -1,0 +1,75 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"strings"
+
+	"repro/internal/experiments"
+)
+
+// The experiment registry: what -exp can name, and how a name is resolved.
+
+// Flags only one experiment reads; the table below closes over them.
+var (
+	gate    = flag.Int("gate", 4, "admission gate size for -exp overload (MaxConcurrent; queue depth is twice this)")
+	sessF   = flag.String("sessions", "1,2,4,8", "comma-separated session counts for -exp serve")
+	everyF  = flag.String("fault-every", "0,29,83", "comma-separated fault periods for -exp serve-chaos (0 = fault-free baseline)")
+	chunksF = flag.String("chunks", "", "comma-separated vectorized chunk sizes for -exp columnar (default 256,1024,4096,16384; the rowwise baseline always runs first)")
+)
+
+// experiment is one -exp choice. optIn experiments run only when named:
+// "all" skips them because they replay the stream several times or report
+// host-dependent wall clock.
+type experiment struct {
+	name  string
+	optIn bool
+	title string // printed, underlined, ahead of the experiment's output
+	fn    func(experiments.Options) error
+}
+
+// experimentTable is the single list of experiments: selection, the -exp
+// help text and the usage line in the package doc all derive from it.
+var experimentTable = []experiment{
+	{"table2", false, "Table 2: table sizes", table2},
+	{"table3", false, "Table 3: single-query compilation and execution times (§4.1)", table3},
+	{"fig3", false, "Figure 3: workload elapsed-time distribution (box plot data)", fig3},
+	{"fig4", false, "Figure 4: per-query elapsed time, workload statistics vs JITS", fig4},
+	{"fig5", false, "Figure 5: per-query elapsed time, general statistics vs JITS", fig5},
+	{"fig6", false, "Figure 6: sensitivity-analysis threshold sweep (avg time per query)", fig6},
+	{"oltp", false, "OLTP applicability check (§3.5): indexed point lookups", oltp},
+	{"parallel", false, "Parallel execution: wall-clock speedup of the morsel-driven executor", parallelSpeedup},
+	{"columnar", true, "Columnar execution: rowwise baseline vs vectorized chunks", func(o experiments.Options) error { return columnarSweep(o, *chunksF) }},
+	{"overload", true, "Overload: admission control under a concurrency sweep", func(o experiments.Options) error { return overload(o, *gate) }},
+	{"drift", true, "Drift: accuracy ledger vs. a mid-run distribution shift", drift},
+	{"reopt", true, "Re-optimization: recovering from bad plans at pipeline breakers", reopt},
+	{"serve", true, "Serve: session throughput with the plan cache off vs on", func(o experiments.Options) error { return serveExperiment(o, *sessF) }},
+	{"serve-chaos", true, "Serve chaos: fault class × fault rate × retry policy", func(o experiments.Options) error { return serveChaosExperiment(o, *everyF) }},
+}
+
+// expNames joins the experiment names in table order, optionally only the
+// opt-in ones.
+func expNames(sep string, optInOnly bool) string {
+	var names []string
+	for _, x := range experimentTable {
+		if x.optIn || !optInOnly {
+			names = append(names, x.name)
+		}
+	}
+	return strings.Join(names, sep)
+}
+
+// selectExperiments resolves an -exp value: "all" is every experiment that
+// is not opt-in, a name is that experiment, anything else is an error.
+func selectExperiments(name string) ([]experiment, error) {
+	var out []experiment
+	for _, x := range experimentTable {
+		if x.name == name || (name == "all" && !x.optIn) {
+			out = append(out, x)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q; valid: all, %s", name, expNames(", ", false))
+	}
+	return out, nil
+}

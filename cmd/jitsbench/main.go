@@ -96,7 +96,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: all, table2, table3, fig3, fig4, fig5, fig6, oltp, parallel, columnar, overload, drift, reopt (columnar, overload, drift and reopt are excluded from all)")
+		exp      = flag.String("exp", "all", "experiment: all, "+expNames(", ", false)+" ("+expNames(", ", true)+" are excluded from all)")
 		scale    = flag.Float64("scale", 0.01, "dataset scale factor (1.0 = paper sizes)")
 		queries  = flag.Int("queries", 840, "workload query count")
 		seed     = flag.Int64("seed", 42, "random seed")
@@ -107,23 +107,22 @@ func main() {
 		par      = flag.Int("parallelism", 1, "intra-query degree of parallelism (1 = serial operators)")
 		traceF   = flag.String("trace", "", `write phase-trace spans to this file ("-" for stderr)`)
 		metricsF = flag.Bool("metrics", false, "enable the metrics registry and print its exposition on exit")
-		gate     = flag.Int("gate", 4, "admission gate size for -exp overload (MaxConcurrent; queue depth is twice this)")
 		debugF   = flag.String("debug-addr", "", "start the embedded debug HTTP server on this address (port 0 picks a free port)")
 		lingerF  = flag.Duration("debug-linger", 0, "keep the process alive this long after the experiments finish (requires -debug-addr)")
 		serveF   = flag.String("serve", "", "serve SQL sessions on this address (port 0 picks a free port) instead of running experiments")
 		connectF = flag.String("connect", "", "connect an interactive SQL session to a running server at this address")
 		planCF   = flag.Int("plan-cache", -1, "compiled-plan cache size for -serve (0 disables, -1 selects the default size)")
-		sessF    = flag.String("sessions", "1,2,4,8", "comma-separated session counts for -exp serve")
 		faultsF  = flag.String("net-faults", "", `arm wire fault injection for -serve, e.g. "conn.reset:every=200;conn.latency:every=20,latency=2ms"`)
 		drainF   = flag.Duration("drain", 30*time.Second, "graceful-drain budget for -serve on SIGINT/SIGTERM")
-		everyF   = flag.String("fault-every", "0,29,83", "comma-separated fault periods for -exp serve-chaos (0 = fault-free baseline)")
-		chunksF  = flag.String("chunks", "", "comma-separated vectorized chunk sizes for -exp columnar (default 256,1024,4096,16384; the rowwise baseline always runs first)")
 	)
 	flag.Parse()
-	// JITS_FAULTS arms process-wide fault injection for experiment runs —
-	// e.g. JITS_FAULTS="estimator.misestimate:every=7,factor=16" skews every
-	// 7th cardinality estimate 16x, a chaos rehearsal for -exp reopt.
-	// (-serve has its own -net-faults flag for the conn.* points.)
+	selected, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "jitsbench:", err)
+		os.Exit(2)
+	}
+	// JITS_FAULTS arms process-wide fault injection (see the package doc);
+	// -serve has its own -net-faults flag for the conn.* points.
 	if spec := os.Getenv("JITS_FAULTS"); spec != "" {
 		if err := faultinject.ArmFromSpec(spec); err != nil {
 			fmt.Fprintln(os.Stderr, "jitsbench:", err)
@@ -212,48 +211,18 @@ func main() {
 	fmt.Printf("jitsbench: scale=%g queries=%d seed=%d smax=%g sample=%d pergroup=%v parallelism=%d\n\n",
 		opts.Scale, opts.Queries, opts.Seed, opts.SMax, opts.SampleSize, opts.PerGroupSampling, opts.Parallelism)
 
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
+	for _, x := range selected {
+		fmt.Printf("%s\n%s\n", x.title, strings.Repeat("=", len(x.title)))
 		start := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", name, err)
+		if err := x.fn(opts); err != nil {
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", x.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[%s completed in %s]\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	run("table2", func() error { return table2(opts) })
-	run("table3", func() error { return table3(opts) })
-	run("fig3", func() error { return fig3(opts) })
-	run("fig4", func() error { return fig4(opts) })
-	run("fig5", func() error { return fig5(opts) })
-	run("fig6", func() error { return fig6(opts) })
-	run("oltp", func() error { return oltp(opts) })
-	run("parallel", func() error { return parallelSpeedup(opts) })
-	if *exp == "columnar" { // opt-in: replays the stream once per config, wall-clock heavy
-		run("columnar", func() error { return columnarSweep(opts, *chunksF) })
-	}
-	if *exp == "overload" { // opt-in: wall-clock heavy, so "all" skips it
-		run("overload", func() error { return overload(opts, *gate) })
-	}
-	if *exp == "drift" { // opt-in: replays the stream twice (warm + shifted)
-		run("drift", func() error { return drift(opts) })
-	}
-	if *exp == "reopt" { // opt-in: replays the stream once per mode (three modes)
-		run("reopt", func() error { return reopt(opts) })
-	}
-	if *exp == "serve" { // opt-in for the same reason: real TCP wall clock
-		run("serve", func() error { return serveExperiment(opts, *sessF) })
-	}
-	if *exp == "serve-chaos" { // opt-in: injects real faults into real TCP
-		run("serve-chaos", func() error { return serveChaosExperiment(opts, *everyF) })
+		fmt.Printf("[%s completed in %s]\n\n", x.name, time.Since(start).Round(time.Millisecond))
 	}
 }
 
 func drift(opts experiments.Options) error {
-	header("Drift: accuracy ledger vs. a mid-run distribution shift")
 	rep, err := experiments.Drift(opts, experiments.DriftOptions{})
 	if err != nil {
 		return err
@@ -283,7 +252,6 @@ func drift(opts experiments.Options) error {
 }
 
 func reopt(opts experiments.Options) error {
-	header("Re-optimization: recovering from bad plans at pipeline breakers")
 	rep, err := experiments.Reopt(opts, experiments.ReoptOptions{})
 	if err != nil {
 		return err
@@ -308,11 +276,6 @@ func reopt(opts experiments.Options) error {
 	fmt.Println("lower terminal q-error than both static baselines — it repairs the catalog")
 	fmt.Println("plans mid-flight instead of paying JITS's compile-time sampling")
 	return nil
-}
-
-func header(title string) {
-	fmt.Println(title)
-	fmt.Println(strings.Repeat("=", len(title)))
 }
 
 // csvDir, when non-empty, receives one CSV per experiment.
@@ -342,7 +305,6 @@ func writeCSV(name string, headerRow []string, rows [][]string) {
 func f64(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
 
 func table2(opts experiments.Options) error {
-	header("Table 2: table sizes")
 	rows, err := experiments.Table2(opts)
 	if err != nil {
 		return err
@@ -356,7 +318,6 @@ func table2(opts experiments.Options) error {
 }
 
 func table3(opts experiments.Options) error {
-	header("Table 3: single-query compilation and execution times (§4.1)")
 	rows, err := experiments.Table3(opts)
 	if err != nil {
 		return err
@@ -380,7 +341,6 @@ func table3(opts experiments.Options) error {
 }
 
 func fig3(opts experiments.Options) error {
-	header("Figure 3: workload elapsed-time distribution (box plot data)")
 	res, err := experiments.Figure3(opts)
 	if err != nil {
 		return err
@@ -427,7 +387,6 @@ func printScatter(pts []experiments.ScatterPoint, sum experiments.ScatterSummary
 }
 
 func fig4(opts experiments.Options) error {
-	header("Figure 4: per-query elapsed time, workload statistics vs JITS")
 	pts, sum, err := experiments.Figure4(opts)
 	if err != nil {
 		return err
@@ -439,7 +398,6 @@ func fig4(opts experiments.Options) error {
 }
 
 func fig5(opts experiments.Options) error {
-	header("Figure 5: per-query elapsed time, general statistics vs JITS")
 	pts, sum, err := experiments.Figure5(opts)
 	if err != nil {
 		return err
@@ -450,7 +408,6 @@ func fig5(opts experiments.Options) error {
 }
 
 func fig6(opts experiments.Options) error {
-	header("Figure 6: sensitivity-analysis threshold sweep (avg time per query)")
 	pts, err := experiments.Figure6(opts, experiments.PaperSMaxValues())
 	if err != nil {
 		return err
@@ -470,7 +427,6 @@ func fig6(opts experiments.Options) error {
 }
 
 func oltp(opts experiments.Options) error {
-	header("OLTP applicability check (§3.5): indexed point lookups")
 	o := opts
 	if o.Queries > 200 {
 		o.Queries = 200
@@ -489,7 +445,6 @@ func oltp(opts experiments.Options) error {
 }
 
 func parallelSpeedup(opts experiments.Options) error {
-	header("Parallel execution: wall-clock speedup of the morsel-driven executor")
 	fmt.Printf("host: %d CPU(s), GOMAXPROCS=%d\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	if runtime.NumCPU() == 1 {
 		fmt.Println("note: single-CPU host — workers time-slice one core, so expect ~1.0x;")
@@ -525,7 +480,6 @@ func parallelSpeedup(opts experiments.Options) error {
 }
 
 func columnarSweep(opts experiments.Options, chunksSpec string) error {
-	header("Columnar execution: rowwise baseline vs vectorized chunks")
 	fmt.Printf("host: %d CPU(s), GOMAXPROCS=%d\n\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	workers := []int{1, 4}
 	if opts.Parallelism > 1 && opts.Parallelism != 4 {
@@ -570,7 +524,6 @@ func columnarSweep(opts experiments.Options, chunksSpec string) error {
 }
 
 func overload(opts experiments.Options, gateSize int) error {
-	header("Overload: admission control under a concurrency sweep")
 	fmt.Printf("gate: %d slots, queue depth %d, statement deadline 250ms\n\n", gateSize, 2*gateSize)
 	rows, err := experiments.Overload(opts, experiments.OverloadOptions{GateSize: gateSize})
 	if err != nil {

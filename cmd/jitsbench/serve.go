@@ -159,7 +159,6 @@ func connectMode(addr string) error {
 // serveExperiment (-exp serve) sweeps concurrent sessions × plan cache
 // off/on over a real server and writes serve.csv.
 func serveExperiment(opts experiments.Options, sessionList string) error {
-	header("Serve: session throughput with the plan cache off vs on")
 	counts, err := parseSessionCounts(sessionList)
 	if err != nil {
 		return err
@@ -206,7 +205,6 @@ func serveExperiment(opts experiments.Options, sessionList string) error {
 // period × retry policy over a real server with fault-injected connections
 // and writes serve_chaos.csv.
 func serveChaosExperiment(opts experiments.Options, everyList string) error {
-	header("Serve chaos: fault class × fault rate × retry policy")
 	everies, err := parseEveryCounts(everyList)
 	if err != nil {
 		return err

@@ -12,8 +12,8 @@ import (
 )
 
 // Cross-check property: the flight recorder and the estimator-accuracy
-// ledger are two consumers of the same feedback stream (engine.postExecute
-// feeds both in one loop), so over any workload they must agree — every
+// ledger are two consumers of the same feedback stream (the engine's observe
+// stage feeds both in one loop), so over any workload they must agree — every
 // feedback observation the recorder logged as an error factor is exactly
 // one ledger observation, and every ledger EWMA q-error lies inside the
 // range of symmetric q-errors the recorder saw. Re-optimization is armed so

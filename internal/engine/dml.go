@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/costmodel"
 	"repro/internal/qgm"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
@@ -22,7 +21,7 @@ func coerce(d value.Datum, kind value.Kind) value.Datum {
 
 // execInsert appends rows; the workload's update stream flows through here
 // and feeds the UDI counters the sensitivity analysis watches.
-func (e *Engine) execInsert(stmt *sqlparser.InsertStmt) (*Result, error) {
+func (e *Engine) execInsert(s *statement, stmt *sqlparser.InsertStmt) (*Result, error) {
 	tbl, ok := e.db.Table(stmt.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", stmt.Table)
@@ -41,7 +40,6 @@ func (e *Engine) execInsert(stmt *sqlparser.InsertStmt) (*Result, error) {
 		}
 	}
 
-	var meter costmodel.Meter
 	rows := make([][]value.Datum, 0, len(stmt.Rows))
 	for _, vals := range stmt.Rows {
 		row := make([]value.Datum, schema.NumColumns())
@@ -66,8 +64,8 @@ func (e *Engine) execInsert(stmt *sqlparser.InsertStmt) (*Result, error) {
 	if err := tbl.InsertBatch(rows); err != nil {
 		return nil, err
 	}
-	meter.Add(e.weights.RowOut * float64(len(rows)))
-	return e.dmlResult(len(rows), &meter), nil
+	s.meters.exec.Add(e.weights.RowOut * float64(len(rows)))
+	return s.dmlResult(len(rows)), nil
 }
 
 // resolveWhere compiles a DML WHERE conjunction against one table.
@@ -76,17 +74,20 @@ func resolveWhere(tbl *storage.Table, where []sqlparser.Expr) (func(row []value.
 	if err != nil {
 		return nil, err
 	}
-	return func(row []value.Datum) bool {
-		for _, p := range preds {
-			if !p.Matches(row) {
-				return false
-			}
-		}
-		return true
-	}, nil
+	return func(row []value.Datum) bool { return matchesAll(preds, row) }, nil
 }
 
-func (e *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (*Result, error) {
+// matchesAll reports whether row satisfies every predicate of a conjunction.
+func matchesAll(preds []qgm.Predicate, row []value.Datum) bool {
+	for _, p := range preds {
+		if !p.Matches(row) {
+			return false
+		}
+	}
+	return true
+}
+
+func (e *Engine) execUpdate(s *statement, stmt *sqlparser.UpdateStmt) (*Result, error) {
 	tbl, ok := e.db.Table(stmt.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", stmt.Table)
@@ -108,20 +109,19 @@ func (e *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var meter costmodel.Meter
-	meter.Add(e.weights.SeqRow * float64(tbl.RowCount()))
+	s.meters.exec.Add(e.weights.SeqRow * float64(tbl.RowCount()))
 	n, err := tbl.UpdateWhere(match, func(row []value.Datum) {
-		for _, s := range sets {
-			row[s.ord] = s.val
+		for _, set := range sets {
+			row[set.ord] = set.val
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return e.dmlResult(n, &meter), nil
+	return s.dmlResult(n), nil
 }
 
-func (e *Engine) execDelete(stmt *sqlparser.DeleteStmt) (*Result, error) {
+func (e *Engine) execDelete(s *statement, stmt *sqlparser.DeleteStmt) (*Result, error) {
 	tbl, ok := e.db.Table(stmt.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", stmt.Table)
@@ -130,10 +130,9 @@ func (e *Engine) execDelete(stmt *sqlparser.DeleteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var meter costmodel.Meter
-	meter.Add(e.weights.SeqRow * float64(tbl.RowCount()))
+	s.meters.exec.Add(e.weights.SeqRow * float64(tbl.RowCount()))
 	n := tbl.DeleteWhere(match)
-	return e.dmlResult(n, &meter), nil
+	return s.dmlResult(n), nil
 }
 
 func (e *Engine) execCreateTable(stmt *sqlparser.CreateTableStmt) (*Result, error) {
@@ -162,6 +161,8 @@ func (e *Engine) execCreateIndex(stmt *sqlparser.CreateIndexStmt) (*Result, erro
 	return &Result{}, nil
 }
 
-func (e *Engine) dmlResult(n int, meter *costmodel.Meter) *Result {
-	return &Result{RowsAffected: n, Metrics: buildMetrics(nil, meter)}
+// dmlResult reports a DML statement's affected rows; its work accrued on the
+// statement's execution meter.
+func (s *statement) dmlResult(n int) *Result {
+	return &Result{RowsAffected: n, Metrics: buildMetrics(&s.meters.compile, &s.meters.exec)}
 }

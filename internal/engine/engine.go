@@ -3,15 +3,25 @@
 // optimizer, the executor and the feedback loop into a single Exec call —
 // the equivalent of the paper's modified DB2 engine.
 //
-// Per SELECT statement the engine runs the paper's full pipeline:
+// Every statement is one statement value threaded through one pipeline of
+// explicit stages (statement.go; DESIGN.md §17):
 //
-//	parse → rewrite (QGM) → JITS Prepare (sensitivity analysis + sampling)
-//	      → optimize (QSS-aware estimation, join enumeration)
-//	      → execute (metered physical operators)
-//	      → feedback (actual vs. estimated selectivities → StatHistory)
+//	admit       governor gate + per-statement memory reservation
+//	probe cache normalized SQL + archive epoch → compiled plan, on a hit
+//	parse       SQL text → AST                        (skipped on a hit)
+//	begin       one logical-clock tick (the qid), flight record opened
+//	dispatch    by statement kind; for a SELECT:
+//	  compile   rewrite (QGM) → JITS Prepare (sensitivity analysis +
+//	            sampling) → optimize                  (skipped on a hit)
+//	  execute   metered physical operators, re-planning at checkpoints
+//	  observe   actual vs. estimated selectivities → StatHistory/archive,
+//	            accuracy ledger, flight record, corrections, migration
+//	finish      flight record captured, stamped and committed; instruments
 //
-// Compilation work (optimization and JITS statistics collection) and
-// execution work accrue on separate meters, so results report the same
+// A plan-cache hit, EXPLAIN and EXPLAIN ANALYZE are this same pipeline
+// skipping a stage, stopping early or rendering differently — never a second
+// code path. Compilation work (optimization and JITS statistics collection)
+// and execution work accrue on separate meters, so results report the same
 // compilation / execution / total split as the paper's Table 3.
 package engine
 
@@ -177,7 +187,7 @@ type Engine struct {
 	weights      costmodel.Weights
 	clock        int64
 	migrateEvery int
-	selectCount  int64
+	selectCount  atomic.Int64
 	tracer       *tracing.Tracer
 	recorder     *flightrec.Recorder
 	accuracy     *accuracy.Ledger
@@ -396,23 +406,11 @@ func (e *Engine) ExecWith(sql string, opts ExecOptions) (*Result, error) {
 	return e.ExecWithContext(context.Background(), sql, opts)
 }
 
-// execMode selects what execSelect does after compilation.
-type execMode uint8
-
-const (
-	// modeExecute runs the statement and returns its rows.
-	modeExecute execMode = iota
-	// modeExplain compiles only (including JITS collection) and returns the
-	// plan text as rows.
-	modeExplain
-	// modeExplainAnalyze runs the full pipeline and returns the plan text
-	// annotated with per-operator actuals as rows.
-	modeExplainAnalyze
-)
-
 // ExecWithContext parses and runs one SQL statement with per-query session
 // options under ctx. A statement timeout (ExecOptions.Timeout, falling back
-// to Config.StatementTimeout) is layered onto ctx as a deadline.
+// to Config.StatementTimeout) is layered onto ctx as a deadline. It is the
+// spine of the statement pipeline (see statement.go): admit → probe cache →
+// parse → begin → dispatch → finish.
 func (e *Engine) ExecWithContext(ctx context.Context, sql string, opts ExecOptions) (*Result, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -447,175 +445,131 @@ func (e *Engine) ExecWithContext(ctx context.Context, sql string, opts ExecOptio
 	// statement's outstanding charges) to the global pool.
 	mem := e.governor.NewReservation()
 	defer mem.Release()
-	dop := opts.Parallelism
-	if dop == 0 {
-		dop = e.parallelism
+	s := &statement{ctx: ctx, sql: sql, dop: opts.Parallelism, ticket: ticket, mem: mem, start: time.Now(), meters: new(meters)}
+	if s.dop == 0 {
+		s.dop = e.parallelism
 	}
-	start := time.Now()
-	// Plan-cache fast path: a hit executes the cached compiled plan without
-	// parsing, JITS preparation or optimization. Only executable SELECTs are
-	// ever stored, so SHOW/EXPLAIN/DML statements simply miss (their texts
-	// normalize to keys no Put writes). The key's epoch pins the statistics
-	// and data state the plan was compiled against.
-	var cacheKey string
-	var cacheEpoch uint64
-	if e.planCache != nil {
-		if key, nerr := sqlparser.Normalize(sql); nerr == nil {
-			epoch := e.archiveEpoch.Load()
-			if v, ok := e.planCache.Get(key, epoch); ok {
-				ent := v.(*cachedPlan)
-				ts := e.tick()
-				var rec *flightrec.Record
-				if e.recorder.Enabled() {
-					rec = e.recorder.Begin(ts, sql)
-					rec.Annotations = opts.Annotations
-					rec.ArchiveEpoch = epoch
-				}
-				stmtSelect.Inc()
-				res, err := e.execCachedSelect(ctx, key, ent, dop, ts, rec, mem)
-				wall := time.Since(start)
-				govern.ObserveStatementPeak(mem.Peak())
-				if rec != nil {
-					rec.Kind = "select"
-					rec.Wall = wall
-					rec.QueueWait = ticket.Wait()
-					rec.MemPeakBytes = mem.Peak()
-					if err != nil {
-						rec.Err = err.Error()
-					} else if res != nil {
-						rec.Rows = len(res.Rows)
-						rec.ExecSeconds = res.Metrics.ExecSeconds
-					}
-					e.recorder.Commit(rec)
-				}
-				if err != nil {
-					stmtErrors.Inc()
-					return nil, err
-				}
-				stmtWall.Observe(wall.Seconds())
-				return res, nil
-			}
-			cacheKey, cacheEpoch = key, epoch
+	e.probeCache(s)
+	var stmt sqlparser.Statement
+	if !s.hit {
+		// Parsing precedes statement-timestamp assignment, so its span carries
+		// qid 0 ("pre-statement").
+		parseSpan := e.tracer.Start(0, tracing.PhaseParse)
+		stmt, err = sqlparser.Parse(sql)
+		parseSpan.End()
+		if err != nil {
+			stmtErrors.Inc()
+			return nil, err
 		}
 	}
-	// Parsing precedes statement-timestamp assignment, so its span carries
-	// qid 0 ("pre-statement").
-	parseSpan := e.tracer.Start(0, tracing.PhaseParse)
-	stmt, err := sqlparser.Parse(sql)
-	parseSpan.End()
-	if err != nil {
-		stmtErrors.Inc()
-		return nil, err
+	// Begin: one logical-clock tick per statement, hit or parsed; the
+	// timestamp doubles as the statement's qid in traces and the flight
+	// recorder. Parse errors returned above, so they consume no tick.
+	s.ts = e.tick()
+	if s.rec = e.recorder.Begin(s.ts, sql); s.rec != nil {
+		s.rec.Annotations = opts.Annotations
+		s.rec.ArchiveEpoch = s.epoch
 	}
-	// One logical-clock tick per parsed statement; the timestamp doubles as
-	// the statement's qid in traces and the flight recorder. Parse errors do
-	// not consume a tick.
-	ts := e.tick()
-	var rec *flightrec.Record
-	if e.recorder.Enabled() {
-		rec = e.recorder.Begin(ts, sql)
-		rec.Annotations = opts.Annotations
-		rec.ArchiveEpoch = e.archiveEpoch.Load()
+	res, err := e.dispatch(s, stmt)
+	return e.finish(s, res, err)
+}
+
+// dispatch classifies the statement (kind label + counter) and runs it. A
+// plan-cache hit carries no AST: probeCache already filled the compiled
+// fields, and only executable SELECTs are ever cached.
+func (e *Engine) dispatch(s *statement, stmt sqlparser.Statement) (*Result, error) {
+	if s.hit {
+		s.classify("select", stmtSelect)
+		return e.execSelect(s, nil)
 	}
 	var res *Result
-	var kind string
-	switch s := stmt.(type) {
+	var err error
+	var dmlTable string
+	switch st := stmt.(type) {
 	case *sqlparser.SelectStmt:
-		kind = "select"
-		stmtSelect.Inc()
-		res, err = e.execSelect(ctx, s, sql, modeExecute, dop, ts, rec, mem, cacheKey, cacheEpoch)
+		s.classify("select", stmtSelect)
+		return e.execSelect(s, st)
 	case *sqlparser.ExplainStmt:
-		mode := modeExplain
-		if s.Analyze {
-			kind = "explain_analyze"
-			mode = modeExplainAnalyze
-			stmtExplainAnalyze.Inc()
+		if st.Analyze {
+			s.mode = modeExplainAnalyze
+			s.classify("explain_analyze", stmtExplainAnalyze)
 		} else {
-			kind = "explain"
-			stmtExplain.Inc()
+			s.mode = modeExplain
+			s.classify("explain", stmtExplain)
 		}
-		res, err = e.execSelect(ctx, s.Select, sql, mode, dop, ts, rec, mem, "", 0)
+		return e.execSelect(s, st.Select)
 	case *sqlparser.ShowStmt:
-		switch s.Kind {
+		switch st.Kind {
 		case sqlparser.ShowStats:
-			kind = "show_stats"
-			stmtShowStats.Inc()
-			res, err = e.execShowStats(ts)
+			s.classify("show_stats", stmtShowStats)
+			return e.execShowStats(s.ts)
 		case sqlparser.ShowQueries:
-			kind = "show_queries"
-			stmtShowQueries.Inc()
-			res, err = e.execShowQueries(s.Last)
+			s.classify("show_queries", stmtShowQueries)
+			return e.execShowQueries(st.Last)
 		case sqlparser.ShowMetrics:
-			kind = "show_metrics"
-			stmtShowMetrics.Inc()
-			res, err = e.execShowMetrics()
+			s.classify("show_metrics", stmtShowMetrics)
+			return e.execShowMetrics()
 		case sqlparser.ShowAccuracy:
-			kind = "show_accuracy"
-			stmtShowAccuracy.Inc()
-			res, err = e.execShowAccuracy(ts, s.Table)
+			s.classify("show_accuracy", stmtShowAccuracy)
+			return e.execShowAccuracy(s.ts, st.Table)
 		case sqlparser.ShowDrift:
-			kind = "show_drift"
-			stmtShowDrift.Inc()
-			res, err = e.execShowDrift(ts)
-		default:
-			err = fmt.Errorf("engine: unsupported SHOW %v", s.Kind)
+			s.classify("show_drift", stmtShowDrift)
+			return e.execShowDrift(s.ts)
 		}
+		return nil, fmt.Errorf("engine: unsupported SHOW %v", st.Kind)
 	case *sqlparser.ExplainHistoryStmt:
-		kind = "explain_history"
-		stmtExplainHistory.Inc()
-		res, err = e.execExplainHistory(s.QID)
+		s.classify("explain_history", stmtExplainHistory)
+		return e.execExplainHistory(st.QID)
 	case *sqlparser.InsertStmt:
-		kind = "dml"
-		stmtDML.Inc()
-		res, err = e.execInsert(s)
+		s.classify("dml", stmtDML)
+		dmlTable = st.Table
+		res, err = e.execInsert(s, st)
 	case *sqlparser.UpdateStmt:
-		kind = "dml"
-		stmtDML.Inc()
-		res, err = e.execUpdate(s)
+		s.classify("dml", stmtDML)
+		dmlTable = st.Table
+		res, err = e.execUpdate(s, st)
 	case *sqlparser.DeleteStmt:
-		kind = "dml"
-		stmtDML.Inc()
-		res, err = e.execDelete(s)
+		s.classify("dml", stmtDML)
+		dmlTable = st.Table
+		res, err = e.execDelete(s, st)
 	case *sqlparser.CreateTableStmt:
-		kind = "ddl"
-		stmtDDL.Inc()
-		res, err = e.execCreateTable(s)
+		s.classify("ddl", stmtDDL)
+		res, err = e.execCreateTable(st)
 	case *sqlparser.CreateIndexStmt:
-		kind = "ddl"
-		stmtDDL.Inc()
-		res, err = e.execCreateIndex(s)
+		s.classify("ddl", stmtDDL)
+		res, err = e.execCreateIndex(st)
 	default:
-		e.recorder.Abort(rec)
 		return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+	}
+	if err != nil {
+		return nil, err
 	}
 	// Data- or statistics-changing statements move the archive epoch, so no
 	// later statement can reuse a plan compiled against the old state.
-	if err == nil && (kind == "dml" || kind == "ddl") {
-		e.bumpArchiveEpoch()
-	}
+	e.bumpArchiveEpoch()
 	// DML churn ages the accuracy ledger's view of the table's statistics.
-	if err == nil && kind == "dml" && res != nil && res.RowsAffected > 0 && e.accuracy.Enabled() {
-		var table string
-		switch s := stmt.(type) {
-		case *sqlparser.InsertStmt:
-			table = s.Table
-		case *sqlparser.UpdateStmt:
-			table = s.Table
-		case *sqlparser.DeleteStmt:
-			table = s.Table
-		}
-		e.accuracy.RecordChurn(ts, table, int64(res.RowsAffected))
+	if dmlTable != "" && res.RowsAffected > 0 && e.accuracy.Enabled() {
+		e.accuracy.RecordChurn(s.ts, dmlTable, int64(res.RowsAffected))
 	}
-	wall := time.Since(start)
-	govern.ObserveStatementPeak(mem.Peak())
-	if rec != nil {
-		rec.Kind = kind
+	return res, nil
+}
+
+// finish is every statement's single exit: it stamps the flight record
+// (kind, wall, queue wait, memory peak, row counts, the simulated
+// compile/exec split from the very Metrics the caller receives) and commits
+// it, then settles the error and latency instruments.
+func (e *Engine) finish(s *statement, res *Result, err error) (*Result, error) {
+	wall := time.Since(s.start)
+	govern.ObserveStatementPeak(s.mem.Peak())
+	if rec := s.rec; rec != nil {
+		e.capture(s)
+		rec.Kind = s.kind
 		rec.Wall = wall
-		rec.QueueWait = ticket.Wait()
-		rec.MemPeakBytes = mem.Peak()
+		rec.QueueWait = s.ticket.Wait()
+		rec.MemPeakBytes = s.mem.Peak()
 		if err != nil {
 			rec.Err = err.Error()
-		} else if res != nil {
+		} else {
 			rec.Rows = len(res.Rows)
 			rec.RowsAffected = res.RowsAffected
 			rec.CompileSeconds = res.Metrics.CompileSeconds
@@ -660,16 +614,13 @@ func (s *staticSource) ColumnNDV(table, column string) (int64, bool) {
 // execution meters. Every statement path — SELECT, EXPLAIN, EXPLAIN ANALYZE,
 // DML, degraded compilation, timeout — reports through this single helper,
 // so the invariant TotalSeconds == CompileSeconds + ExecSeconds holds
-// everywhere (with a nil meter contributing zero).
+// everywhere (a meter nothing charged contributes zero).
 func buildMetrics(compile, exec *costmodel.Meter) Metrics {
-	var m Metrics
-	if compile != nil {
-		m.CompileUnits = compile.Units()
-		m.CompileSeconds = compile.Seconds()
-	}
-	if exec != nil {
-		m.ExecUnits = exec.Units()
-		m.ExecSeconds = exec.Seconds()
+	m := Metrics{
+		CompileUnits:   compile.Units(),
+		CompileSeconds: compile.Seconds(),
+		ExecUnits:      exec.Units(),
+		ExecSeconds:    exec.Seconds(),
 	}
 	m.TotalSeconds = m.CompileSeconds + m.ExecSeconds
 	return m
@@ -689,276 +640,21 @@ func planRows(text string) [][]value.Datum {
 // actuals per plan node, plus a degradation flag on scans whose JITS
 // collection fell back to catalog statistics.
 func analyzeAnnotator(stats *executor.ExecStats, prep *core.PrepareReport) optimizer.AnnotateFunc {
-	degraded := make(map[string]string)
-	if prep != nil {
-		for _, tr := range prep.Tables {
-			if tr.Degraded {
-				degraded[tr.Table] = tr.DegradeReason
-			}
-		}
-	}
 	return func(n optimizer.Node) (optimizer.Annotation, bool) {
 		st, ok := stats.Lookup(n)
 		if !ok {
 			return optimizer.Annotation{}, false
 		}
 		a := optimizer.Annotation{ActualRows: st.Rows, Units: st.Units, Wall: st.Wall}
-		if sc, isScan := n.(*optimizer.Scan); isScan {
-			if reason, deg := degraded[sc.Table]; deg {
-				a.Flags = "degraded: " + reason
+		if sc, isScan := n.(*optimizer.Scan); isScan && prep != nil {
+			for _, tr := range prep.Tables {
+				if tr.Degraded && tr.Table == sc.Table {
+					a.Flags = "degraded: " + tr.DegradeReason
+				}
 			}
 		}
 		return a, true
 	}
-}
-
-// execSelect runs the SELECT pipeline in one of three modes. modeExplain
-// compiles — including any JITS statistics collection, whose cost shows up
-// in the metrics — but does not execute: the result carries the plan text as
-// rows, one per line. modeExplainAnalyze runs the full pipeline (execution,
-// feedback, reactive corrections, migration) and returns the plan text
-// annotated with each operator's actual rows, metered units and wall time.
-func (e *Engine) execSelect(ctx context.Context, stmt *sqlparser.SelectStmt, sql string, mode execMode, dop int, ts int64, rec *flightrec.Record, mem *govern.Reservation, cacheKey string, cacheEpoch uint64) (*Result, error) {
-	var compileMeter, execMeter costmodel.Meter
-
-	q, err := qgm.Build(stmt, e)
-	if err != nil {
-		return nil, err
-	}
-	q.SQL = sql
-	blk := q.Blocks[0]
-
-	// JITS compile-time statistics collection. Prepare degrades rather than
-	// fails: on budget exhaustion, sampling faults or cancellation it
-	// reports fallback tables and the optimizer below transparently uses
-	// catalog statistics for them.
-	prepSpan := e.tracer.Start(ts, tracing.PhasePrepare)
-	qstats, prep, err := e.jits.PrepareBudgeted(ctx, q, e.db, ts, &compileMeter, e.weights, mem)
-	if prep != nil {
-		prepSpan.Attr("tables", len(prep.Tables)).Attr("units", fmt.Sprintf("%.0f", compileMeter.Units()))
-	}
-	prepSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	if rec != nil && prep != nil {
-		rec.Degraded = prep.Degraded
-		for _, tr := range prep.Tables {
-			rec.Tables = append(rec.Tables, flightrec.TableSample{
-				Table:      tr.Table,
-				Collected:  tr.Collected,
-				SampleRows: tr.SampleRows,
-				Degraded:   tr.Degraded,
-				Reason:     tr.DegradeReason,
-			})
-			if tr.Degraded {
-				rec.DegradeCauses = append(rec.DegradeCauses, tr.Table+": "+tr.DegradeReason)
-			}
-		}
-	}
-	if e.tracer.Enabled() && prep != nil {
-		for _, tr := range prep.Tables {
-			e.tracef("q%d jits %s collected=%v s1=%.3f s2=%.3f sample=%d groups=%d materialized=%d",
-				ts, tr.Table, tr.Collected, tr.Scores.S1, tr.Scores.S2,
-				tr.SampleRows, tr.GroupsEvaluated, tr.GroupsMaterialized)
-			if tr.Degraded {
-				e.tracef("q%d jits %s degraded: %s (catalog fallback)", ts, tr.Table, tr.DegradeReason)
-			}
-		}
-	}
-	var source optimizer.StatsSource
-	switch {
-	case qstats != nil:
-		source = qstats
-	case e.staticQSS != nil:
-		source = &staticSource{archive: e.staticQSS, ts: ts}
-	case e.reactiveQSS != nil:
-		source = &staticSource{archive: e.reactiveQSS, ts: ts}
-	}
-
-	octx := &optimizer.Context{
-		Est:     &optimizer.Estimator{Cat: e.cat, QSS: source},
-		Indexes: e.indexes,
-		Weights: e.weights,
-		Meter:   &compileMeter,
-	}
-
-	// EXPLAIN ANALYZE — and any executing statement the flight recorder is
-	// capturing — collects per-plan-node actuals from the executor; stats
-	// stays nil otherwise, keeping the normal path free of the per-operator
-	// meter and clock reads.
-	var stats *executor.ExecStats
-	if mode == modeExplainAnalyze || (rec != nil && mode != modeExplain) {
-		stats = executor.NewExecStats()
-	}
-
-	// Execute IN-subquery blocks first and lower each semi-join into an IN
-	// predicate on the outer block, so the outer optimization sees the
-	// materialized match set. Plan text is rendered after execution so the
-	// annotated (ANALYZE) and plain renderings share one code path.
-	optSpan := e.tracer.Start(ts, tracing.PhaseOptimize)
-	var subPlanNodes []optimizer.Node
-	var subActuals []executor.ScanActual
-	for _, sj := range blk.SemiJoins {
-		inner := q.Blocks[sj.Block]
-		innerPlan, err := optimizer.Optimize(inner, octx)
-		if err != nil {
-			optSpan.End()
-			return nil, err
-		}
-		subPlanNodes = append(subPlanNodes, innerPlan)
-		if mode == modeExplain {
-			continue
-		}
-		rt := &executor.Runtime{DB: e.db, Indexes: e.indexes, Weights: e.weights, Meter: &execMeter, Ctx: ctx, Parallelism: dop, Stats: stats, Mem: mem, RowOriented: e.rowOriented}
-		innerRes, err := executor.Execute(inner, innerPlan, rt)
-		if err != nil {
-			optSpan.End()
-			return nil, err
-		}
-		subActuals = append(subActuals, innerRes.Actuals...)
-		seen := make(map[value.Datum]bool, len(innerRes.Rows))
-		values := make([]value.Datum, 0, len(innerRes.Rows))
-		for _, row := range innerRes.Rows {
-			d := row[0]
-			if d.IsNull() || seen[d] {
-				continue
-			}
-			seen[d] = true
-			values = append(values, d)
-		}
-		blk.LocalPreds[sj.Slot] = append(blk.LocalPreds[sj.Slot], qgm.Predicate{
-			Slot: sj.Slot, Column: sj.Column, Ordinal: sj.Ordinal,
-			Op: qgm.OpIn, Values: values,
-		})
-	}
-
-	plan, err := optimizer.Optimize(blk, octx)
-	optSpan.Attr("units", fmt.Sprintf("%.0f", compileMeter.Units())).End()
-	if err != nil {
-		return nil, err
-	}
-
-	// renderPlan assembles the outer plan plus subquery sections, annotated
-	// when ann is non-nil.
-	renderPlan := func(ann optimizer.AnnotateFunc) string {
-		text := optimizer.ExplainAnnotated(plan, dop, ann)
-		for i, sp := range subPlanNodes {
-			text += fmt.Sprintf("Subquery %d:\n%s", i+1, optimizer.ExplainAnnotated(sp, dop, ann))
-		}
-		return text
-	}
-
-	if mode == modeExplain {
-		explain := renderPlan(nil)
-		if rec != nil {
-			rec.Plan = explain
-			if qstats != nil {
-				rec.ArchiveHits = qstats.ArchiveHits()
-				rec.ArchiveMisses = qstats.ArchiveMisses()
-			}
-		}
-		return &Result{
-			Columns: []string{"plan"},
-			Rows:    planRows(explain),
-			Plan:    explain,
-			Metrics: buildMetrics(&compileMeter, nil),
-			Prepare: prep,
-		}, nil
-	}
-
-	execSpan := e.tracer.Start(ts, tracing.PhaseExecute)
-	reoptState := e.newReoptState(blk)
-	rt := &executor.Runtime{DB: e.db, Indexes: e.indexes, Weights: e.weights, Meter: &execMeter, Ctx: ctx, Parallelism: dop, Stats: stats, Mem: mem, RowOriented: e.rowOriented, Reopt: reoptState}
-	res, plan, reopts, err := e.executeWithReopt(blk, plan, rt, octx, reoptState, ts, rec, nil)
-	if err != nil {
-		execSpan.End()
-		return nil, err
-	}
-	execSpan.Attr("rows", len(res.Rows)).Attr("units", fmt.Sprintf("%.0f", execMeter.Units())).End()
-	if rec != nil {
-		rec.Reopts = reopts
-	}
-
-	// Feedback, reactive corrections and migration cadence — shared with the
-	// plan-cache hit path. Superseded attempts' scan feedback (captured at
-	// their trigger points) merges with the final attempt's: the subtrees
-	// that produced it never re-executed, so the union double-counts nothing.
-	actuals := mergedActuals(reoptState, res.Actuals)
-	e.postExecute(ts, blk, append(subActuals, actuals...), actuals, rec)
-	e.tracef("q%d plan rows=%.1f cost=%.0f exec=%.4fs compile=%.4fs",
-		ts, plan.Rows(), plan.Cost(), execMeter.Seconds(), compileMeter.Seconds())
-
-	// Flight-recorder capture: the annotated plan (the same rendering
-	// EXPLAIN ANALYZE produces, replayed later by EXPLAIN HISTORY) and the
-	// per-operator estimate/actual pairs with their q-error.
-	if rec != nil {
-		rec.Plan = renderPlan(analyzeAnnotator(stats, prep))
-		if qstats != nil {
-			rec.ArchiveHits = qstats.ArchiveHits()
-			rec.ArchiveMisses = qstats.ArchiveMisses()
-		}
-		for _, root := range append([]optimizer.Node{plan}, subPlanNodes...) {
-			optimizer.Walk(root, func(n optimizer.Node) {
-				op := flightrec.OperatorStats{EstRows: n.Rows()}
-				switch t := n.(type) {
-				case *optimizer.Scan:
-					op.Op = t.Describe()
-				case *optimizer.Join:
-					op.Op = t.Describe()
-				case *optimizer.Materialized:
-					op.Op = t.Describe()
-				}
-				if st, ok := stats.Lookup(n); ok {
-					op.ActRows = st.Rows
-					op.QError = flightrec.QError(op.EstRows, op.ActRows)
-					if op.QError > rec.WorstQError {
-						rec.WorstQError = op.QError
-					}
-					switch n.(type) {
-					case *optimizer.Scan:
-						qerrorScan.Observe(op.QError)
-					case *optimizer.Join:
-						qerrorJoin.Observe(op.QError)
-					}
-				}
-				rec.Operators = append(rec.Operators, op)
-			})
-		}
-		observeAggQError(blk, plan, stats)
-	}
-
-	if mode == modeExplainAnalyze {
-		explain := renderPlan(analyzeAnnotator(stats, prep))
-		return &Result{
-			Columns: []string{"plan"},
-			Rows:    planRows(explain),
-			Plan:    explain,
-			Metrics: buildMetrics(&compileMeter, &execMeter),
-			Prepare: prep,
-		}, nil
-	}
-
-	// Store the compiled plan for reuse at this epoch. Statements with
-	// IN-subqueries are excluded: semi-join lowering folded the *executed*
-	// inner result into the outer block's predicates above, so their plan
-	// embeds data, not just shape, and must be recompiled per execution.
-	// Re-optimized statements are excluded too: the completed plan embeds
-	// Materialized leaves that resolve against this statement's checkpoint
-	// state, and the superseded original plan was just proven wrong — caching
-	// either would poison the cache.
-	if cacheKey != "" && len(blk.SemiJoins) == 0 && reopts == 0 {
-		e.planCache.Put(cacheKey, cacheEpoch, &cachedPlan{blk: blk, plan: plan, prep: prep})
-	}
-
-	return &Result{
-		Columns: res.Columns,
-		Rows:    res.Rows,
-		Plan:    renderPlan(nil),
-		Metrics: buildMetrics(&compileMeter, &execMeter),
-		Prepare: prep,
-		Reopts:  reopts,
-	}, nil
 }
 
 // RunstatsAll collects general (basic + distribution) statistics on every
@@ -1035,14 +731,7 @@ func (e *Engine) CollectWorkloadStats(sqls []string) error {
 			for _, g := range tc.Groups {
 				count := 0
 				for _, row := range rows {
-					match := true
-					for _, p := range g {
-						if !p.Matches(row) {
-							match = false
-							break
-						}
-					}
-					if match {
+					if matchesAll(g, row) {
 						count++
 					}
 				}
@@ -1061,8 +750,13 @@ func (e *Engine) WorkloadStatsArchive() *core.Archive { return e.staticQSS }
 
 // MigrateStats pushes archived 1-D QSS histograms into the catalog — the
 // periodic statistics-migration step.
-func (e *Engine) MigrateStats() int {
-	n := e.jits.MigrateToCatalog(e.tick())
+func (e *Engine) MigrateStats() int { return e.migrate(e.tick()) }
+
+// migrate runs the migration module at ts. Migrated histograms change the
+// catalog statistics future compilations cost against, so cached plans are
+// stale afterwards.
+func (e *Engine) migrate(ts int64) int {
+	n := e.jits.MigrateToCatalog(ts)
 	if n > 0 {
 		e.bumpArchiveEpoch()
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/accuracy"
@@ -24,13 +25,6 @@ func (e *Engine) execShowStats(ts int64) (*Result, error) {
 	snaps := e.jits.Archive().Snapshot()
 	rows := make([][]value.Datum, 0, len(snaps))
 	for _, s := range snaps {
-		colList := ""
-		for i, c := range s.Columns {
-			if i > 0 {
-				colList += ","
-			}
-			colList += c
-		}
 		// Staleness counts ticks since the histogram last absorbed a merge;
 		// a histogram restored from disk (UpdatedAt 0) is as stale as its
 		// last optimizer use suggests.
@@ -49,7 +43,7 @@ func (e *Engine) execShowStats(ts int64) (*Result, error) {
 		rows = append(rows, []value.Datum{
 			value.NewString(s.Key),
 			value.NewString(s.Table),
-			value.NewString(colList),
+			value.NewString(strings.Join(s.Columns, ",")),
 			value.NewInt(int64(s.Dims)),
 			value.NewInt(int64(s.Buckets)),
 			value.NewInt(int64(s.Merges)),

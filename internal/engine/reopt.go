@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/executor"
-	"repro/internal/flightrec"
 	"repro/internal/optimizer"
 	"repro/internal/qgm"
 	"repro/internal/tracing"
@@ -82,55 +81,75 @@ func (e *Engine) newReoptState(blk *qgm.Block) *executor.ReoptState {
 	return executor.NewReoptState(cfg.QErrorThreshold, cfg.MaxReopts)
 }
 
-// executeWithReopt runs plan to completion, re-entering the optimizer each
-// time a checkpoint triggers. It returns the final result, the plan that
-// actually completed (re-planned or original), and the trigger count.
-// onFirstTrigger runs once before the first re-plan — the cached-statement
-// path evicts the superseded cache entry there. A nil state degenerates to
-// one plain executor.Execute call.
-func (e *Engine) executeWithReopt(blk *qgm.Block, plan optimizer.Node, rt *executor.Runtime, octx *optimizer.Context, state *executor.ReoptState, ts int64, rec *flightrec.Record, onFirstTrigger func()) (*executor.Result, optimizer.Node, int, error) {
-	reopts := 0
+// execute is the pipeline's execution stage: it runs s.plan to completion
+// into s.out under the execute span, re-entering the optimizer each time a
+// checkpoint triggers; s.plan ends as the plan that actually completed
+// (re-planned or original) and s.reopts as the trigger count. With
+// re-optimization off (nil s.reopt) the loop is one plain executor.Execute.
+//
+// A cached plan can be *wrong* — compiled against estimates the data has
+// since outgrown within one epoch, or simply misestimated from the start —
+// so checkpoints arm on a plan-cache hit exactly as on a cold statement.
+// The first trigger on a hit evicts the cache entry (the plan just proved
+// itself stale; the next execution must recompile rather than re-walk the
+// same trap) and builds the re-planning context the skipped compile stage
+// never made. That estimator is catalog-only — no JITS sampling ran for this
+// execution — which is fine: the materialized intermediates carry exact
+// cardinalities, and they are what re-planning pivots on.
+func (e *Engine) execute(s *statement) error {
+	execSpan := e.tracer.Start(s.ts, tracing.PhaseExecute)
+	s.reopt = e.newReoptState(s.blk)
+	rt := e.runtime(s)
 	for {
-		res, err := executor.Execute(blk, plan, rt)
+		res, err := executor.Execute(s.blk, s.plan, rt)
 		var trig *executor.ReoptTriggered
-		if err == nil || state == nil || !errors.As(err, &trig) {
-			if state != nil {
-				reoptCheckpoints.Add(float64(state.Checkpoints()))
+		if err == nil || s.reopt == nil || !errors.As(err, &trig) {
+			if s.reopt != nil {
+				reoptCheckpoints.Add(float64(s.reopt.Checkpoints()))
 			}
-			return res, plan, reopts, err
+			if err == nil {
+				s.out = res
+				execSpan.Attr("rows", len(res.Rows)).Attr("units", fmt.Sprintf("%.0f", s.meters.exec.Units()))
+				if s.hit {
+					execSpan.Attr("plan_cache", "hit")
+				}
+			}
+			execSpan.End()
+			return err
 		}
 
-		reopts++
+		s.reopts++
 		switch trig.Cause {
 		case "scan":
 			reoptTriggerScan.Inc()
 		default:
 			reoptTriggerJoin.Inc()
 		}
-		if reopts == 1 && onFirstTrigger != nil {
-			onFirstTrigger()
+		if s.hit && s.reopts == 1 {
+			e.planCache.Remove(s.cacheKey)
+			s.octx = e.optimizerContext(s, nil)
 		}
-		if rec != nil {
-			rec.Annotations = append(rec.Annotations, fmt.Sprintf(
+		if s.rec != nil {
+			s.rec.Annotations = append(s.rec.Annotations, fmt.Sprintf(
 				"reopt: %s est=%.0f act=%.0f qerror=%.1f",
 				trig.NodeDesc, trig.EstRows, trig.ActRows, trig.QError))
 		}
 		e.tracef("q%d reopt #%d at %s est=%.0f act=%.0f qerror=%.1f",
-			ts, reopts, trig.NodeDesc, trig.EstRows, trig.ActRows, trig.QError)
+			s.ts, s.reopts, trig.NodeDesc, trig.EstRows, trig.ActRows, trig.QError)
 
 		start := time.Now()
-		span := e.tracer.Start(ts, tracing.PhaseReoptPlan)
-		newPlan, rerr := optimizer.ReOptimize(blk, octx, state.Leaves())
-		span.Attr("attempt", reopts).End()
+		span := e.tracer.Start(s.ts, tracing.PhaseReoptPlan)
+		newPlan, rerr := optimizer.ReOptimize(s.blk, s.octx, s.reopt.Leaves())
+		span.Attr("attempt", s.reopts).End()
 		reoptWall.Observe(time.Since(start).Seconds())
 		if rerr != nil {
 			// Re-planning failed — run the current plan to completion rather
 			// than failing a statement whose only problem is a bad estimate.
-			e.tracef("q%d reopt #%d failed: %v (continuing current plan)", ts, reopts, rerr)
-			state.DisableTriggers()
+			e.tracef("q%d reopt #%d failed: %v (continuing current plan)", s.ts, s.reopts, rerr)
+			s.reopt.DisableTriggers()
 			continue
 		}
-		plan = newPlan
+		s.plan = newPlan
 	}
 }
 

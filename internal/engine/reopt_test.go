@@ -189,10 +189,12 @@ func TestChaosMisestimateReopt(t *testing.T) {
 // TestReoptPlanCacheCanary is the stale-plan canary (mirroring the PR 6
 // epoch canary): a cached plan that triggers mid-query re-optimization must
 // not serve the next execution — the trigger evicts it, the re-planned
-// statement is never cached, and a recompile follows.
+// statement is never cached, and a recompile follows. The flight recorder is
+// on so every execution's record can be held to the Result the caller got:
+// a hit that re-plans does compile work, and the record must say so.
 func TestReoptPlanCacheCanary(t *testing.T) {
 	faultinject.Reset()
-	cfg := engine.Config{PlanCacheSize: 16}
+	cfg := engine.Config{PlanCacheSize: 16, FlightRecorderCapacity: 64}
 	e := engine.New(cfg)
 	if _, err := workload.Load(e, workload.Spec{Scale: 0.004, Seed: 42}); err != nil {
 		t.Fatal(err)
@@ -248,11 +250,27 @@ func TestReoptPlanCacheCanary(t *testing.T) {
 		t.Fatal("stale plan served after a re-optimization trigger — cache was poisoned")
 	}
 
-	// Identical answers throughout.
+	// Identical answers throughout, and each execution's flight record
+	// reports the same simulated split as its Result.
+	if trig.Metrics.CompileSeconds == 0 {
+		t.Fatal("re-planning a cached statement accrued no compile cost")
+	}
 	want := fingerprintRows(warm)
-	for name, res := range map[string]*engine.Result{"hit": hit, "trigger": trig, "after": after} {
-		if got := fingerprintRows(res); got != want {
-			t.Fatalf("%s execution diverged:\ngot:\n%s\nwant:\n%s", name, got, want)
+	recs := e.Recorder().Last(4)
+	for i, run := range []struct {
+		name string
+		res  *engine.Result
+	}{{"warm", warm}, {"hit", hit}, {"trigger", trig}, {"after", after}} {
+		if got := fingerprintRows(run.res); got != want {
+			t.Fatalf("%s execution diverged:\ngot:\n%s\nwant:\n%s", run.name, got, want)
+		}
+		rec := recs[i]
+		if rec.CompileSeconds != run.res.Metrics.CompileSeconds || rec.ExecSeconds != run.res.Metrics.ExecSeconds {
+			t.Errorf("%s execution: flight record compile_s=%v exec_s=%v, Result reports %v / %v",
+				run.name, rec.CompileSeconds, rec.ExecSeconds, run.res.Metrics.CompileSeconds, run.res.Metrics.ExecSeconds)
+		}
+		if rec.PlanCacheHit != run.res.PlanCacheHit {
+			t.Errorf("%s execution: flight record plan_cache_hit=%v, Result reports %v", run.name, rec.PlanCacheHit, run.res.PlanCacheHit)
 		}
 	}
 }

@@ -684,14 +684,7 @@ func (sess *session) annotations(req *wire.Request) []string {
 func (s *Server) dispatch(sess *session, req *wire.Request) *wire.Response {
 	switch req.Type {
 	case wire.ReqQuery:
-		sess.queries.Add(1)
-		opts := sess.execOpts()
-		opts.Annotations = sess.annotations(req)
-		res, err := s.eng.ExecWithContext(s.baseCtx, req.SQL, opts)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &wire.Response{Type: wire.RespResult, Result: encodeResult(res)}
+		return s.execSQL(sess, req, req.SQL)
 
 	case wire.ReqPrepare:
 		// Normalization doubles as validation (unlexable SQL fails here, not
@@ -719,14 +712,7 @@ func (s *Server) dispatch(sess *session, req *wire.Request) *wire.Response {
 				Code: wire.CodeBadRequest, Message: fmt.Sprintf("unknown stmt_id %d", req.StmtID),
 			}}
 		}
-		sess.queries.Add(1)
-		opts := sess.execOpts()
-		opts.Annotations = sess.annotations(req)
-		res, err := s.eng.ExecWithContext(s.baseCtx, sql, opts)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &wire.Response{Type: wire.RespResult, Result: encodeResult(res)}
+		return s.execSQL(sess, req, sql)
 
 	case wire.ReqOptions:
 		sess.mu.Lock()
@@ -752,6 +738,19 @@ func (s *Server) dispatch(sess *session, req *wire.Request) *wire.Response {
 			Code: wire.CodeBadRequest, Message: fmt.Sprintf("unknown request type %q", req.Type),
 		}}
 	}
+}
+
+// execSQL runs one statement — a query's text or a prepared handle's — under
+// the session's options and encodes the outcome.
+func (s *Server) execSQL(sess *session, req *wire.Request, sql string) *wire.Response {
+	sess.queries.Add(1)
+	opts := sess.execOpts()
+	opts.Annotations = sess.annotations(req)
+	res, err := s.eng.ExecWithContext(s.baseCtx, sql, opts)
+	if err != nil {
+		return errResponse(err)
+	}
+	return &wire.Response{Type: wire.RespResult, Result: encodeResult(res)}
 }
 
 func errResponse(err error) *wire.Response {

@@ -35,11 +35,14 @@ bench-test:
 # benchmarks for the metrics registry, the phase tracer and the flight
 # recorder next to the bare atomic-load baseline, plus the end-to-end
 # statement benchmark with the recorder on/off, all with -benchmem so an
-# unexpected allocation on a disabled path fails review at a glance. CI
+# unexpected allocation on a disabled path fails review at a glance. Last,
+# the result-frame codec (encode, decode, whole-frame round trip at 50, 500
+# and 5000 rows): its allocations per frame must not grow with the rows. CI
 # runs this target.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Disabled|AtomicLoadBaseline|NilTracer' -benchmem ./internal/metrics/ ./internal/tracing/ ./internal/flightrec/ ./internal/accuracy/
 	$(GO) test -run '^$$' -bench 'StatementRecorder|StatementLedger' -benchmem ./internal/engine/
+	$(GO) test -run '^$$' -bench 'ResultFrame' -benchmem ./internal/wire/
 
 # Columnar execution smoke: a small rowwise-vs-vectorized sweep through the
 # real jitsbench harness. The sweep itself cross-checks every configuration's
@@ -97,10 +100,13 @@ serve-smoke:
 		./internal/wire/ ./internal/server/ ./internal/client/ ./internal/plancache/ \
 		./internal/sqlparser/ ./internal/engine/ ./internal/experiments/
 
-# Short live run of the serial-vs-parallel differential fuzzer; the seed
-# corpus alone is replayed by every plain `make test`.
+# Short live runs of the serial-vs-parallel differential fuzzer and of the
+# two fuzzers of the wire's untrusted input (column-block decoder, frame
+# reader); the seed corpora alone are replayed by every plain `make test`.
 fuzz:
 	$(GO) test -run TestDifferential -fuzz=FuzzParallelSerial -fuzztime=30s ./internal/engine/
+	$(GO) test -run FuzzDecodeRows -fuzz=FuzzDecodeRows -fuzztime=20s ./internal/wire/
+	$(GO) test -run FuzzReadFrame -fuzz=FuzzReadFrame -fuzztime=20s ./internal/wire/
 
 # Chaos differential replay: the workload under deterministic injected
 # faults (scan errors, sampling failures, worker panics, latency+deadlines,

@@ -112,7 +112,11 @@ type Stats struct {
 
 // Result is one statement's outcome, decoded from the wire.
 type Result struct {
-	Columns        []string
+	Columns []string
+	// Rows are cut from one backing array, and each column's strings from
+	// one allocation (wire.DecodeRows): a retained row or cell keeps the
+	// whole result reachable, so copy what must outlive it. Appending to a
+	// row copies the row; it never writes into its neighbour.
 	Rows           [][]value.Datum
 	RowsAffected   int
 	Plan           string
@@ -467,6 +471,9 @@ func resultOrError(resp *wire.Response) (*Result, error) {
 	case wire.RespError:
 		return nil, &Error{Code: resp.Error.Code, Message: resp.Error.Message}
 	case wire.RespResult:
+		if resp.Result == nil {
+			return nil, errors.New("client: result frame without a result")
+		}
 		rows, err := wire.DecodeRows(resp.Result.Rows)
 		if err != nil {
 			return nil, err

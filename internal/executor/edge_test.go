@@ -22,7 +22,7 @@ func TestIndexPositionsAllOps(t *testing.T) {
 	}
 	counts := map[qgm.PredOp]int{}
 	for _, op := range []qgm.PredOp{qgm.OpEQ, qgm.OpLT, qgm.OpLE, qgm.OpGT, qgm.OpGE} {
-		pos, err := indexPositions(ix, mk(op))
+		pos, err := indexPositions(ix, ix.Table().Snapshot(), mk(op))
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
@@ -39,7 +39,7 @@ func TestIndexPositionsAllOps(t *testing.T) {
 		t.Errorf("partition: %v", counts)
 	}
 	// BETWEEN.
-	pos, err := indexPositions(ix, qgm.Predicate{
+	pos, err := indexPositions(ix, ix.Table().Snapshot(), qgm.Predicate{
 		Column: "year", Ordinal: 3, Op: qgm.OpBetween,
 		Lo: value.NewInt(1995), Hi: value.NewInt(1999),
 	})
@@ -47,7 +47,7 @@ func TestIndexPositionsAllOps(t *testing.T) {
 		t.Errorf("BETWEEN = %d, %v", len(pos), err)
 	}
 	// Non-sargable op errors.
-	if _, err := indexPositions(ix, qgm.Predicate{Column: "year", Op: qgm.OpNE, Value: value.NewInt(1999)}); err == nil {
+	if _, err := indexPositions(ix, ix.Table().Snapshot(), qgm.Predicate{Column: "year", Op: qgm.OpNE, Value: value.NewInt(1999)}); err == nil {
 		t.Error("NE must not be sargable")
 	}
 }

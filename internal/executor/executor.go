@@ -354,7 +354,7 @@ func (ex *executor) runScan(n *optimizer.Scan) (*relation, error) {
 		if !ok {
 			return nil, fmt.Errorf("executor: plan uses missing index %s.%s", n.Table, n.IndexColumn)
 		}
-		positions, err := indexPositions(ix, *n.IndexPred)
+		positions, err := indexPositions(ix, snap, *n.IndexPred)
 		if err != nil {
 			return nil, err
 		}
@@ -466,21 +466,22 @@ func (ex *executor) serialVectorScan(snap *storage.Snapshot, preds []qgm.Predica
 	return out, float64(examined), scanErr
 }
 
-// indexPositions converts a sargable predicate into an index range scan.
-func indexPositions(ix *index.Index, p qgm.Predicate) ([]int, error) {
+// indexPositions converts a sargable predicate into an index range scan of
+// snap, the table image the scan reads its rows from.
+func indexPositions(ix *index.Index, snap *storage.Snapshot, p qgm.Predicate) ([]int, error) {
 	switch p.Op {
 	case qgm.OpEQ:
-		return ix.Lookup(p.Value), nil
+		return ix.LookupAt(snap, p.Value), nil
 	case qgm.OpLT:
-		return ix.Range(index.Unbounded(), index.Bound{Value: p.Value}), nil
+		return ix.RangeAt(snap, index.Unbounded(), index.Bound{Value: p.Value}), nil
 	case qgm.OpLE:
-		return ix.Range(index.Unbounded(), index.Bound{Value: p.Value, Inclusive: true}), nil
+		return ix.RangeAt(snap, index.Unbounded(), index.Bound{Value: p.Value, Inclusive: true}), nil
 	case qgm.OpGT:
-		return ix.Range(index.Bound{Value: p.Value}, index.Unbounded()), nil
+		return ix.RangeAt(snap, index.Bound{Value: p.Value}, index.Unbounded()), nil
 	case qgm.OpGE:
-		return ix.Range(index.Bound{Value: p.Value, Inclusive: true}, index.Unbounded()), nil
+		return ix.RangeAt(snap, index.Bound{Value: p.Value, Inclusive: true}, index.Unbounded()), nil
 	case qgm.OpBetween:
-		return ix.Range(index.Bound{Value: p.Lo, Inclusive: true}, index.Bound{Value: p.Hi, Inclusive: true}), nil
+		return ix.RangeAt(snap, index.Bound{Value: p.Lo, Inclusive: true}, index.Bound{Value: p.Hi, Inclusive: true}), nil
 	default:
 		return nil, fmt.Errorf("executor: predicate %s is not sargable", p)
 	}
@@ -670,7 +671,7 @@ func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {
 			if key.IsNull() {
 				continue
 			}
-			for _, pos := range ix.Lookup(key) {
+			for _, pos := range ix.LookupAt(snap, key) {
 				irow, err := snap.Row(pos)
 				if err != nil {
 					return nil, err

@@ -421,7 +421,7 @@ func (ex *executor) parallelIndexNLProbe(left *relation, inner *optimizer.Scan, 
 			if key.IsNull() {
 				continue
 			}
-			for _, pos := range ix.Lookup(key) {
+			for _, pos := range ix.LookupAt(snap, key) {
 				irow, err := snap.Row(pos)
 				if err != nil {
 					return err

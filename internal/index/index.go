@@ -7,9 +7,11 @@
 // JITS improves by supplying fresh query-specific statistics.
 //
 // An index is a sorted array of (key, row position) pairs rebuilt lazily
-// whenever the underlying table's version changes. Positions returned by a
-// lookup are valid only until the table's next mutation; the engine executes
-// statements one at a time, so that contract holds throughout a query.
+// whenever the underlying table's version changes. Positions index the rows
+// of one table image: Lookup and Range answer for the table as it is now
+// and are valid until its next mutation; LookupAt and RangeAt answer for a
+// snapshot the caller holds, which is what a statement that runs beside
+// other sessions' DML needs — its scan reads that snapshot's rows.
 package index
 
 import (
@@ -67,16 +69,28 @@ func (ix *Index) Rebuilds() int {
 	return ix.rebuilds
 }
 
-// ensure rebuilds the sorted entries if the table changed. Caller must hold mu.
-func (ix *Index) ensure() {
-	// Version and rows come from one snapshot, so the recorded builtVersion
-	// always matches the data actually indexed (reading Version() and then
-	// scanning separately could attribute a newer version to older rows).
-	snap := ix.table.Snapshot()
+// entriesAt returns the sorted entries of snap's table image. Caller must
+// hold mu. The cached entries serve a snapshot of the version they were built
+// from; a newer snapshot rebuilds them. A snapshot older than the cache — a
+// statement still running on an image taken before another session's DML —
+// is indexed aside, so it neither reads positions of rows it cannot see nor
+// makes the sessions ahead of it rebuild back and forth.
+func (ix *Index) entriesAt(snap *storage.Snapshot) []entry {
 	if ix.built && snap.Version() == ix.builtVersion {
-		return
+		return ix.entries
 	}
-	ix.entries = ix.entries[:0]
+	if ix.built && snap.Version() < ix.builtVersion {
+		return ix.sorted(nil, snap)
+	}
+	ix.entries = ix.sorted(ix.entries[:0], snap)
+	ix.builtVersion = snap.Version()
+	ix.built = true
+	ix.rebuilds++
+	return ix.entries
+}
+
+// sorted appends snap's (key, position) pairs to entries in key order.
+func (ix *Index) sorted(entries []entry, snap *storage.Snapshot) []entry {
 	// Stream the indexed column's chunk vectors directly — the rebuild
 	// touches one column array, not materialized rows.
 	base := 0
@@ -84,29 +98,31 @@ func (ix *Index) ensure() {
 		ch := snap.Chunk(ci)
 		vec := ch.Col(ix.ordinal)
 		for i := 0; i < ch.Rows(); i++ {
-			ix.entries = append(ix.entries, entry{key: vec.Datum(i), row: base + i})
+			entries = append(entries, entry{key: vec.Datum(i), row: base + i})
 		}
 		base += ch.Rows()
 	}
-	sort.SliceStable(ix.entries, func(i, j int) bool {
-		c := ix.entries[i].key.Compare(ix.entries[j].key)
+	sort.SliceStable(entries, func(i, j int) bool {
+		c := entries[i].key.Compare(entries[j].key)
 		if c != 0 {
 			return c < 0
 		}
-		return ix.entries[i].row < ix.entries[j].row
+		return entries[i].row < entries[j].row
 	})
-	ix.builtVersion = snap.Version()
-	ix.built = true
-	ix.rebuilds++
+	return entries
 }
 
 // Lookup returns the positions of all rows whose key equals key, in row
-// order. NULL keys never match (SQL equality semantics).
-func (ix *Index) Lookup(key value.Datum) []int {
+// order, in the table as it is now. NULL keys never match (SQL equality
+// semantics).
+func (ix *Index) Lookup(key value.Datum) []int { return ix.LookupAt(ix.table.Snapshot(), key) }
+
+// LookupAt is Lookup in the table image snap holds.
+func (ix *Index) LookupAt(snap *storage.Snapshot, key value.Datum) []int {
 	if key.IsNull() {
 		return nil
 	}
-	return ix.Range(Bound{Value: key, Inclusive: true}, Bound{Value: key, Inclusive: true})
+	return ix.RangeAt(snap, Bound{Value: key, Inclusive: true}, Bound{Value: key, Inclusive: true})
 }
 
 // Bound is one end of a range scan. Unbounded ends use Unbounded().
@@ -122,22 +138,25 @@ func Unbounded() Bound { return Bound{open: true} }
 // IsUnbounded reports whether the bound is absent.
 func (b Bound) IsUnbounded() bool { return b.open }
 
-// Range returns positions of rows with lo ≤/< key ≤/< hi, in key order.
-// NULL keys are stored at the front of the index but are never returned:
-// SQL comparisons with NULL are not true.
-func (ix *Index) Range(lo, hi Bound) []int {
+// Range returns positions of rows with lo ≤/< key ≤/< hi, in key order, in
+// the table as it is now. NULL keys are stored at the front of the index
+// but are never returned: SQL comparisons with NULL are not true.
+func (ix *Index) Range(lo, hi Bound) []int { return ix.RangeAt(ix.table.Snapshot(), lo, hi) }
+
+// RangeAt is Range in the table image snap holds.
+func (ix *Index) RangeAt(snap *storage.Snapshot, lo, hi Bound) []int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.ensure()
+	entries := ix.entriesAt(snap)
 
-	n := len(ix.entries)
+	n := len(entries)
 	// Rows with NULL keys occupy a prefix (NULL sorts first); skip them.
-	firstNonNull := sort.Search(n, func(i int) bool { return !ix.entries[i].key.IsNull() })
+	firstNonNull := sort.Search(n, func(i int) bool { return !entries[i].key.IsNull() })
 
 	start := firstNonNull
 	if !lo.IsUnbounded() {
 		start = sort.Search(n, func(i int) bool {
-			c := ix.entries[i].key.Compare(lo.Value)
+			c := entries[i].key.Compare(lo.Value)
 			if lo.Inclusive {
 				return c >= 0
 			}
@@ -150,7 +169,7 @@ func (ix *Index) Range(lo, hi Bound) []int {
 	end := n
 	if !hi.IsUnbounded() {
 		end = sort.Search(n, func(i int) bool {
-			c := ix.entries[i].key.Compare(hi.Value)
+			c := entries[i].key.Compare(hi.Value)
 			if hi.Inclusive {
 				return c > 0
 			}
@@ -161,7 +180,7 @@ func (ix *Index) Range(lo, hi Bound) []int {
 		return nil
 	}
 	out := make([]int, 0, end-start)
-	for _, e := range ix.entries[start:end] {
+	for _, e := range entries[start:end] {
 		out = append(out, e.row)
 	}
 	return out
@@ -171,8 +190,7 @@ func (ix *Index) Range(lo, hi Bound) []int {
 func (ix *Index) Len() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.ensure()
-	return len(ix.entries)
+	return len(ix.entriesAt(ix.table.Snapshot()))
 }
 
 // Set is the database's index registry: table name → column name → index.

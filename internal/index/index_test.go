@@ -323,3 +323,48 @@ func TestBatchInsertTriggersStalenessRebuild(t *testing.T) {
 		t.Fatalf("Rebuilds = %d after clean lookup, want %d", got, builds+1)
 	}
 }
+
+// TestLookupAtStaleSnapshot: a statement holding a snapshot taken before
+// other sessions' DML must get positions of that snapshot's rows — never a
+// position past its end, never a row that moved — and must not wind the
+// cached index back for everyone else.
+func TestLookupAtStaleSnapshot(t *testing.T) {
+	tbl := intTable(t, 5, 3, 5, 1)
+	ix, err := New("ix", tbl, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := tbl.Snapshot()
+	if got := ix.LookupAt(old, value.NewInt(5)); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("LookupAt(old) = %v, want [0 2]", got)
+	}
+	// Another session deletes the 3 (the last row moves into its slot) and
+	// inserts two more, then uses the index: the cache moves ahead.
+	if n := tbl.DeleteWhere(func(row []value.Datum) bool { return row[0].Int() == 3 }); n != 1 {
+		t.Fatalf("deleted %d rows", n)
+	}
+	for _, v := range []int64{5, 5} {
+		if err := tbl.Insert([]value.Datum{value.NewInt(v), value.NewString("p")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ix.Lookup(value.NewInt(5)); len(got) != 4 {
+		t.Fatalf("Lookup(now) = %v, want 4 rows", got)
+	}
+	built := ix.Rebuilds()
+	got := ix.LookupAt(old, value.NewInt(5))
+	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("LookupAt(old) after DML = %v, want [0 2]", got)
+	}
+	for _, pos := range got {
+		if row, err := old.Row(pos); err != nil || row[0].Int() != 5 {
+			t.Fatalf("position %d in the old image: %v, %v", pos, row, err)
+		}
+	}
+	if ix.Rebuilds() != built {
+		t.Fatal("a stale snapshot rebuilt the shared index")
+	}
+	if got := ix.Lookup(value.NewInt(5)); len(got) != 4 || ix.Rebuilds() != built {
+		t.Fatalf("Lookup(now) = %v after a stale read, rebuilds %d -> %d", got, built, ix.Rebuilds())
+	}
+}

@@ -386,10 +386,10 @@ func TestExactlyOnceInDoubtResend(t *testing.T) {
 	cfg := serveConfig(0)
 	cfg.JITS.Enabled = false
 	eng, _ := loadedEngine(t, cfg, 0.002)
-	// Each frame is two writes (header, payload): writes 1-2 are the first
-	// session's welcome, write 3 is the INSERT response's header — torn
-	// after the engine has applied the row.
-	wrapper, writes := tearNthWrite(3)
+	// Each frame is one write: write 1 is the first session's welcome,
+	// write 2 is the INSERT response — torn after the engine has applied
+	// the row.
+	wrapper, writes := tearNthWrite(2)
 	srv := server.NewWith(eng, server.Config{ConnWrapper: wrapper})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -413,7 +413,7 @@ func TestExactlyOnceInDoubtResend(t *testing.T) {
 	if res.RowsAffected != 1 {
 		t.Fatalf("RowsAffected = %d, want 1", res.RowsAffected)
 	}
-	if writes.Load() < 4 {
+	if writes.Load() < 3 {
 		t.Fatalf("tear never happened (only %d writes)", writes.Load())
 	}
 	if got := counterValue("server_dedup_hits_total"); got != dedupBefore+1 {

@@ -25,7 +25,10 @@
 //     response) pairs. A client re-sending an in-doubt request under its
 //     original ID gets the cached response if the statement already ran —
 //     a DML can never double-apply across a reconnect — and a normal
-//     execution if it never ran.
+//     execution if it never ran. A remembered result holds its rows as the
+//     encoded column block, the bytes a re-send writes.
+//   - A result whose column block exceeds wire.MaxBlockBytes is answered
+//     with a typed error frame; the session stays usable.
 //
 // Shutdown(ctx) drains gracefully: stop accepting, let each session finish
 // the statement it is executing (responses included), then close. If the
@@ -121,6 +124,9 @@ type Config struct {
 type Server struct {
 	eng *engine.Engine
 	cfg Config
+	// maxBlock is wire.MaxBlockBytes; tests lower it to reach the
+	// oversize-result path without a 63 MiB result.
+	maxBlock int
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -255,6 +261,7 @@ func NewWith(eng *engine.Engine, cfg Config) *Server {
 	return &Server{
 		eng:      eng,
 		cfg:      cfg,
+		maxBlock: wire.MaxBlockBytes,
 		baseCtx:  ctx,
 		cancel:   cancel,
 		sessions: make(map[int64]*session),
@@ -750,7 +757,14 @@ func (s *Server) execSQL(sess *session, req *wire.Request, sql string) *wire.Res
 	if err != nil {
 		return errResponse(err)
 	}
-	return &wire.Response{Type: wire.RespResult, Result: encodeResult(res)}
+	wr := encodeResult(res)
+	if n := len(wr.Rows); n > s.maxBlock {
+		// A typed refusal on a session that lives on — and, remembered by
+		// the dedup ring, the answer a retry gets too — instead of a frame
+		// WriteFrame would reject after the fact.
+		return errResponse(fmt.Errorf("server: result of %d bytes exceeds frame limit", n))
+	}
+	return &wire.Response{Type: wire.RespResult, Result: wr}
 }
 
 func errResponse(err error) *wire.Response {

@@ -3,6 +3,7 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/debugserver"
 	"repro/internal/engine"
 	"repro/internal/server"
+	"repro/internal/value"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -226,9 +228,103 @@ func TestServeRawFrames(t *testing.T) {
 	}
 }
 
+// sameBits is datum identity down to the bit: == except that floats compare
+// by their IEEE-754 bits, so a NaN equals itself and −0 differs from 0.
+func sameBits(a, b value.Datum) bool {
+	if a.Kind() == value.KindFloat && b.Kind() == value.KindFloat {
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	}
+	return a == b
+}
+
+// TestServeOversizeResult: a result too large for one frame is answered
+// with a typed error on a session that stays usable — not a dropped
+// connection after the statement already ran — and a retry of the same
+// request hears the same answer from the dedup ring.
+func TestServeOversizeResult(t *testing.T) {
+	cfg := serveConfig(0)
+	cfg.JITS.SampleSize = 200
+	eng, _ := loadedEngine(t, cfg, 0.002)
+	srv, addr := startServer(t, eng)
+	srv.SetMaxBlock(256)
+
+	conn, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_, err = conn.Query(`SELECT c.id, c.make, c.price FROM car c`)
+	var werr *client.Error
+	if !errors.As(err, &werr) || werr.Code != wire.CodeError || !strings.Contains(werr.Message, "exceeds frame limit") {
+		t.Fatalf("oversize result: %v, want a typed frame-limit error", err)
+	}
+	small, err := conn.Query(`SELECT c.id FROM car c WHERE c.id = 1`)
+	if err != nil || len(small.Rows) != 1 {
+		t.Fatalf("session unusable after an oversize result: %v", err)
+	}
+	if st := conn.Stats(); st.Reconnects != 0 {
+		t.Fatalf("client reconnected %d times; the session should have survived", st.Reconnects)
+	}
+
+	// The raw protocol: the refusal is remembered under the request's ID.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	for attempt := 0; attempt < 2; attempt++ {
+		req := &wire.Request{Type: wire.ReqQuery, ID: 1, Retry: attempt, SQL: `SELECT c.id, c.make FROM car c`}
+		if err := wire.WriteFrame(nc, req); err != nil {
+			t.Fatal(err)
+		}
+		var resp wire.Response
+		if err := wire.ReadFrame(nc, &resp); err != nil {
+			t.Fatalf("attempt %d: connection dropped: %v", attempt, err)
+		}
+		if resp.Type != wire.RespError || resp.ID != 1 || resp.Error.Code != wire.CodeError {
+			t.Fatalf("attempt %d: %+v", attempt, resp)
+		}
+	}
+}
+
+// TestServeStringBytesExact: a string datum is served byte for byte. The
+// engine stores a non-UTF-8 literal as is; a JSON row codec rewrote its
+// invalid bytes to U+FFFD on the way out.
+func TestServeStringBytesExact(t *testing.T) {
+	cfg := serveConfig(0)
+	cfg.JITS.SampleSize = 200
+	eng, _ := loadedEngine(t, cfg, 0.002)
+	_, addr := startServer(t, eng)
+	// Request SQL travels as JSON, so the row goes in in-process.
+	const name = "a\xffb\xc3"
+	if _, err := eng.Exec("INSERT INTO owner VALUES (990002, '" + name + "', 'Ottawa', 'CA', 1000.0)"); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT o.id, o.name FROM owner o WHERE o.id = 990002`
+	direct, err := eng.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(direct.Rows) != 1 || direct.Rows[0][1].Str() != name {
+		t.Fatalf("embedded engine returned %v, want the literal's bytes", direct.Rows)
+	}
+	conn, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	served, err := conn.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(served.Rows) != 1 || served.Rows[0][1].Str() != name {
+		t.Fatalf("served %q, embedded %q", served.Rows, name)
+	}
+}
+
 // diffWire compares a served result against a direct engine result. The
-// wire value encoding is bit-exact (hex floats), so every cell must match
-// exactly — no tolerance.
+// column block carries raw float bits and raw string bytes, so every cell
+// must match exactly — no tolerance.
 func diffWire(direct *engine.Result, served *client.Result) string {
 	if got, want := strings.Join(served.Columns, ","), strings.Join(direct.Columns, ","); got != want {
 		return fmt.Sprintf("columns %q vs %q", got, want)
@@ -241,7 +337,7 @@ func diffWire(direct *engine.Result, served *client.Result) string {
 			return fmt.Sprintf("row %d: %d cols vs %d", i, len(served.Rows[i]), len(direct.Rows[i]))
 		}
 		for j := range direct.Rows[i] {
-			if wire.FromDatum(served.Rows[i][j]) != wire.FromDatum(direct.Rows[i][j]) {
+			if !sameBits(served.Rows[i][j], direct.Rows[i][j]) {
 				return fmt.Sprintf("row %d col %d: %v vs %v", i, j, served.Rows[i][j], direct.Rows[i][j])
 			}
 		}

@@ -1,0 +1,81 @@
+package wire
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"repro/internal/value"
+)
+
+// benchRows is a result of five mixed columns: two ints, a float, a string
+// and a float column with NULLs in it.
+func benchRows(n int) [][]value.Datum {
+	rows := make([][]value.Datum, n)
+	for i := range rows {
+		last := value.Null
+		if i%7 != 0 {
+			last = value.NewFloat(float64(i) / 3)
+		}
+		rows[i] = []value.Datum{
+			value.NewInt(int64(i)), value.NewInt(int64(1990 + i%30)), value.NewFloat(float64(i) * 1.25),
+			value.NewString(fmt.Sprintf("owner-%06d", i)), last,
+		}
+	}
+	return rows
+}
+
+// sink keeps the compiler from discarding a benchmarked call.
+var sink Rows
+
+// BenchmarkResultFrame prices the result path of one served statement:
+// rows to block, block to rows, and both through a whole frame. Bytes are
+// frame bytes, so MB/s compares across row counts.
+func BenchmarkResultFrame(b *testing.B) {
+	for _, n := range []int{50, 500, 5000} {
+		rows := benchRows(n)
+		res := &Result{Columns: []string{"id", "year", "price", "name", "score"}, Plan: "Scan(owner)"}
+		res.Rows = EncodeRows(rows)
+		var frame bytes.Buffer
+		if err := WriteFrame(&frame, &Response{Type: RespResult, ID: 1, Result: res}); err != nil {
+			b.Fatal(err)
+		}
+		size := int64(frame.Len())
+		b.Run(fmt.Sprintf("encode/rows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(size)
+			for i := 0; i < b.N; i++ {
+				sink = EncodeRows(rows)
+			}
+		})
+		b.Run(fmt.Sprintf("decode/rows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(size)
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeRows(res.Rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("roundtrip/rows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(size)
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				out := *res
+				out.Rows = EncodeRows(rows)
+				if err := WriteFrame(&buf, &Response{Type: RespResult, ID: 1, Result: &out}); err != nil {
+					b.Fatal(err)
+				}
+				var resp Response
+				if err := ReadFrame(&buf, &resp); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := DecodeRows(resp.Result.Rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

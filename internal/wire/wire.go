@@ -2,10 +2,18 @@
 // internal/server and internal/client so the two sides can never drift.
 //
 // Framing is length-prefixed: each frame is a 4-byte big-endian payload
-// length followed by that many bytes of JSON. A session is a sequence of
-// request frames answered in order by exactly one response frame each —
-// there is no pipelining, interleaving, or server push, which keeps both
-// ends trivially correct and makes the protocol easy to test byte-for-byte.
+// length followed by that many bytes — a JSON header and, behind a result
+// that has rows, a line feed and one binary column block:
+//
+//	| u32 length | JSON header | 0x0A | column block |
+//	             |<----------- length bytes ------->|
+//
+// Every other frame is the JSON alone. encoding/json never emits a raw line
+// feed, so the first one in a payload ends the header. A session is a
+// sequence of request frames answered in order by exactly one response
+// frame each — there is no pipelining, interleaving, or server push, which
+// keeps both ends trivially correct and makes the protocol easy to test
+// byte-for-byte.
 //
 // Request types:
 //
@@ -20,7 +28,7 @@
 // Response types:
 //
 //	welcome   {type, token, resumed}     hello acknowledgement + resume token
-//	result    {type, id, result}         rows/plan/metrics of a statement
+//	result    {type, id, result} + block  plan/metrics of a statement, rows behind
 //	prepared  {type, stmt_id}            prepared-statement handle
 //	ok        {type}                     options/close acknowledgement
 //	pong      {type}                     ping acknowledgement
@@ -43,22 +51,34 @@
 // the client side), as do engine-closed, server-draining and deadline
 // expiry.
 //
-// Result rows carry typed values. Floats are encoded as hexadecimal
-// strconv strings ('x' format), which round-trip float64 bit-exactly —
-// including values JSON numbers cannot carry (±Inf, NaN) — so a served
-// result is byte-identical to the same statement run in-process; the wire
-// differential harness pins that.
+// Result rows travel column by column, all integers big-endian:
+//
+//	block  = u32 rows | u32 cols | column × cols
+//	column = u8 tag | [tag 0: u8 kind × rows] | u64 × numbers | u32 × strings | string bytes
+//
+// A column's tag is the value.Kind every cell shares (1 int, 2 float,
+// 3 string), or 0 when the cells differ or are all NULL, and then one kind
+// byte per cell follows. In row order come the column's numbers (an int64,
+// or the 64 IEEE-754 bits of a float), then its strings' byte lengths, then
+// the strings' bytes in one run; a NULL cell takes no more room. A block
+// without columns carries one zero byte per row, so every cell and every
+// row a block declares is backed by at least one byte, and DecodeRows checks
+// the declaration against the length before it allocates. Floats and
+// strings are copied, not formatted, so a served result is bit-identical to
+// the same statement run in-process — NaN payloads, −0 and non-UTF-8 bytes
+// included; TestWireRowsProperty and the wire differential harness pin that.
 package wire
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
-	"strconv"
 	"time"
 
 	"repro/internal/engine"
@@ -69,6 +89,11 @@ import (
 // MaxFrameBytes bounds one frame's payload; a peer announcing more is
 // corrupt or hostile and the connection is dropped.
 const MaxFrameBytes = 64 << 20
+
+// MaxBlockBytes bounds a result's column block: the frame limit less the
+// room left for the JSON header in front of it. A server answers a larger
+// result with an error frame instead of a frame it cannot send.
+const MaxBlockBytes = MaxFrameBytes - 1<<20
 
 // Request frame types.
 const (
@@ -152,12 +177,12 @@ type Error struct {
 
 // Result is a statement outcome on the wire.
 type Result struct {
-	Columns        []string  `json:"columns,omitempty"`
-	Rows           [][]Value `json:"rows,omitempty"`
-	RowsAffected   int       `json:"rows_affected,omitempty"`
-	Plan           string    `json:"plan,omitempty"`
-	CompileSeconds float64   `json:"compile_s"`
-	ExecSeconds    float64   `json:"exec_s"`
+	Columns        []string `json:"columns,omitempty"`
+	Rows           Rows     `json:"-"` // the frame's column block
+	RowsAffected   int      `json:"rows_affected,omitempty"`
+	Plan           string   `json:"plan,omitempty"`
+	CompileSeconds float64  `json:"compile_s"`
+	ExecSeconds    float64  `json:"exec_s"`
 	// Degraded and DegradedTables surface the JITS graceful-degradation
 	// flags ("table: reason") so clients see exactly what an embedded
 	// caller would read from Result.Prepare.
@@ -167,123 +192,239 @@ type Result struct {
 	PlanCacheHit bool `json:"plan_cache_hit,omitempty"`
 }
 
-// Value is one typed datum on the wire. K is the value.Kind; exactly one
-// payload field is meaningful per kind.
-type Value struct {
-	K uint8  `json:"k"`
-	I int64  `json:"i,omitempty"`
-	F string `json:"f,omitempty"` // hex float (strconv 'x'): bit-exact round trip
-	S string `json:"s,omitempty"`
-}
+// Rows is a result's rows as one column block (layout in the package doc).
+// It rides behind the frame's JSON header, not inside it.
+type Rows []byte
 
-// FromDatum converts an engine datum to its wire form.
-func FromDatum(d value.Datum) Value {
-	switch d.Kind() {
-	case value.KindInt:
-		return Value{K: uint8(value.KindInt), I: d.Int()}
-	case value.KindFloat:
-		return Value{K: uint8(value.KindFloat), F: strconv.FormatFloat(d.Float(), 'x', -1, 64)}
-	case value.KindString:
-		return Value{K: uint8(value.KindString), S: d.Str()}
-	default:
-		return Value{K: uint8(value.KindNull)}
-	}
-}
+// tagPerCell marks a column whose cells do not all share one non-NULL kind:
+// a kind byte per cell follows the tag.
+const tagPerCell = byte(value.KindNull)
 
-// Datum converts a wire value back to an engine datum.
-func (v Value) Datum() (value.Datum, error) {
-	switch value.Kind(v.K) {
-	case value.KindNull:
-		return value.Null, nil
-	case value.KindInt:
-		return value.NewInt(v.I), nil
-	case value.KindFloat:
-		f, err := strconv.ParseFloat(v.F, 64)
-		if err != nil {
-			return value.Null, fmt.Errorf("wire: bad float %q: %w", v.F, err)
-		}
-		return value.NewFloat(f), nil
-	case value.KindString:
-		return value.NewString(v.S), nil
-	default:
-		return value.Null, fmt.Errorf("wire: unknown value kind %d", v.K)
-	}
-}
-
-// EncodeRows converts engine rows to wire rows.
-func EncodeRows(rows [][]value.Datum) [][]Value {
-	if rows == nil {
+// EncodeRows packs engine rows into a column block; no rows is no block.
+// Rows must all have the first row's width, as an engine result's do.
+func EncodeRows(rows [][]value.Datum) Rows {
+	if len(rows) == 0 {
 		return nil
 	}
-	out := make([][]Value, len(rows))
-	for i, row := range rows {
-		wr := make([]Value, len(row))
-		for j, d := range row {
-			wr[j] = FromDatum(d)
+	ncols := len(rows[0])
+	for _, r := range rows {
+		if len(r) != ncols {
+			panic("wire: EncodeRows on ragged rows")
 		}
-		out[i] = wr
 	}
-	return out
+	b := make([]byte, 0, 8+ncols+len(rows)*max(ncols*10, 1))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(rows)))
+	b = binary.BigEndian.AppendUint32(b, uint32(ncols))
+	if ncols == 0 {
+		return append(b, make([]byte, len(rows))...)
+	}
+	for j := 0; j < ncols; j++ {
+		tag := byte(rows[0][j].Kind())
+		strs := false
+		for _, r := range rows {
+			k := r[j].Kind()
+			if byte(k) != tag {
+				tag = tagPerCell
+			}
+			strs = strs || k == value.KindString
+		}
+		b = append(b, tag)
+		if tag == tagPerCell {
+			for _, r := range rows {
+				b = append(b, byte(r[j].Kind()))
+			}
+		}
+		for _, r := range rows {
+			switch d := r[j]; d.Kind() {
+			case value.KindInt:
+				b = binary.BigEndian.AppendUint64(b, uint64(d.Int()))
+			case value.KindFloat:
+				b = binary.BigEndian.AppendUint64(b, math.Float64bits(d.Float()))
+			}
+		}
+		if !strs {
+			continue
+		}
+		for _, r := range rows {
+			if d := r[j]; d.Kind() == value.KindString {
+				b = binary.BigEndian.AppendUint32(b, uint32(len(d.Str())))
+			}
+		}
+		for _, r := range rows {
+			if d := r[j]; d.Kind() == value.KindString {
+				b = append(b, d.Str()...)
+			}
+		}
+	}
+	return b
 }
 
-// DecodeRows converts wire rows back to engine rows.
-func DecodeRows(rows [][]Value) ([][]value.Datum, error) {
-	if rows == nil {
+// DecodeRows unpacks a column block from an untrusted peer. The rows are
+// slices of one backing array (capacity-limited, so appending to a row
+// copies it) and each column's strings share one allocation: retaining one
+// cell retains its column's strings, retaining one row retains them all.
+func DecodeRows(b Rows) ([][]value.Datum, error) {
+	if len(b) == 0 {
 		return nil, nil
 	}
-	out := make([][]value.Datum, len(rows))
-	for i, row := range rows {
-		dr := make([]value.Datum, len(row))
-		for j, v := range row {
-			d, err := v.Datum()
-			if err != nil {
-				return nil, err
-			}
-			dr[j] = d
+	if len(b) < 8 {
+		return nil, errTruncated
+	}
+	nrows, ncols := int(binary.BigEndian.Uint32(b)), int(binary.BigEndian.Uint32(b[4:]))
+	b = b[8:]
+	// No rows is no block; every declared cell, and every row, is backed by
+	// at least one byte.
+	if nrows == 0 || uint64(nrows)*uint64(ncols) > uint64(len(b)) || nrows > len(b) {
+		return nil, fmt.Errorf("wire: column block declares %d×%d cells in %d bytes", nrows, ncols, len(b))
+	}
+	if ncols == 0 {
+		b = b[nrows:]
+	}
+	cells := make([]value.Datum, nrows*ncols)
+	out := make([][]value.Datum, nrows)
+	for i := range out {
+		out[i] = cells[i*ncols : (i+1)*ncols : (i+1)*ncols]
+	}
+	for j := 0; j < ncols; j++ {
+		var err error
+		if b, err = decodeColumn(b, cells[j:], nrows, ncols); err != nil {
+			return nil, err
 		}
-		out[i] = dr
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("wire: %d bytes after the column block's last column", len(b))
 	}
 	return out, nil
 }
 
-// WriteFrame marshals v and writes one length-prefixed frame.
+var errTruncated = errors.New("wire: column block truncated")
+
+// decodeColumn reads one column off the front of b into cells[0],
+// cells[stride], … and returns what follows it.
+func decodeColumn(b []byte, cells []value.Datum, nrows, stride int) ([]byte, error) {
+	if len(b) == 0 {
+		return nil, errTruncated
+	}
+	tag, b := b[0], b[1:]
+	var kinds []byte // per-cell kinds; nil when the tag speaks for every cell
+	nums, strs := 0, 0
+	switch value.Kind(tag) {
+	case value.KindInt, value.KindFloat:
+		nums = nrows
+	case value.KindString:
+		strs = nrows
+	case value.Kind(tagPerCell):
+		if len(b) < nrows {
+			return nil, errTruncated
+		}
+		kinds, b = b[:nrows], b[nrows:]
+		for _, k := range kinds {
+			switch value.Kind(k) {
+			case value.KindNull:
+			case value.KindInt, value.KindFloat:
+				nums++
+			case value.KindString:
+				strs++
+			default:
+				return nil, fmt.Errorf("wire: unknown value kind %d", k)
+			}
+		}
+	default:
+		return nil, fmt.Errorf("wire: unknown value kind %d", tag)
+	}
+	if len(b) < nums*8+strs*4 {
+		return nil, errTruncated
+	}
+	num, lens, b := b[:nums*8], b[nums*8:nums*8+strs*4], b[nums*8+strs*4:]
+	total := uint64(0)
+	for i := 0; i < len(lens); i += 4 {
+		total += uint64(binary.BigEndian.Uint32(lens[i:]))
+	}
+	if total > uint64(len(b)) {
+		return nil, errTruncated
+	}
+	// One allocation holds the column's strings; the cells are cut from it.
+	text, b := string(b[:total]), b[total:]
+	for i := 0; i < nrows; i++ {
+		k := tag
+		if kinds != nil {
+			k = kinds[i]
+		}
+		switch value.Kind(k) {
+		case value.KindInt:
+			cells[i*stride], num = value.NewInt(int64(binary.BigEndian.Uint64(num))), num[8:]
+		case value.KindFloat:
+			cells[i*stride], num = value.NewFloat(math.Float64frombits(binary.BigEndian.Uint64(num))), num[8:]
+		case value.KindString:
+			n := binary.BigEndian.Uint32(lens)
+			cells[i*stride], lens, text = value.NewString(text[:n]), lens[4:], text[n:]
+		}
+	}
+	return b, nil
+}
+
+// WriteFrame writes v as one frame in a single Write: length prefix, JSON
+// header and, when v is a *Response whose result has rows, a line feed and
+// the column block.
 func WriteFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
+	hdr, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("wire: marshal: %w", err)
 	}
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
+	var block Rows
+	if resp, ok := v.(*Response); ok && resp.Result != nil {
+		block = resp.Result.Rows
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	n := len(hdr)
+	if len(block) > 0 {
+		n += 1 + len(block)
 	}
-	_, err = w.Write(payload)
+	if n > MaxFrameBytes {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+	}
+	frame := make([]byte, 4, 4+n)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	frame = append(frame, hdr...)
+	if len(block) > 0 {
+		frame = append(append(frame, '\n'), block...)
+	}
+	_, err = w.Write(frame)
 	return err
 }
 
 // ReadFrame reads one length-prefixed frame into v. io.EOF is returned
-// untouched when the peer closed cleanly between frames.
-func ReadFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// untouched when the peer closed cleanly between frames. A column block is
+// accepted only behind a *Response carrying a result, and is left aliasing
+// the frame's payload buffer.
+func ReadFrame(r io.Reader, v any) error { return readFrame(r, v, func() {}) }
+
+// readFrame is ReadFrame with a hook between header and payload, where
+// ReadFrameDeadline re-arms the connection's deadline.
+func readFrame(r io.Reader, v any, headerRead func()) error {
+	var prefix [4]byte
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return io.EOF
 		}
 		return fmt.Errorf("wire: read header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(prefix[:])
 	if n > MaxFrameBytes {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
+	headerRead()
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return fmt.Errorf("wire: read payload: %w", err)
 	}
-	if err := json.Unmarshal(payload, v); err != nil {
+	hdr, block, _ := bytes.Cut(payload, []byte{'\n'})
+	if err := json.Unmarshal(hdr, v); err != nil {
 		return fmt.Errorf("wire: unmarshal: %w", err)
+	}
+	if resp, ok := v.(*Response); ok && resp.Result != nil {
+		resp.Result.Rows = block
+	} else if len(block) > 0 {
+		return errors.New("wire: column block behind a frame that takes none")
 	}
 	return nil
 }
@@ -332,35 +473,16 @@ func BaseError(code string) error {
 // reaped by frame — without the two very different patience windows
 // collapsing into one knob.
 func ReadFrameDeadline(conn net.Conn, v any, idle, frame time.Duration) error {
-	var hdr [4]byte
-	if idle > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(idle))
-	} else {
-		_ = conn.SetReadDeadline(time.Time{})
+	_ = conn.SetReadDeadline(deadline(idle))
+	return readFrame(conn, v, func() { _ = conn.SetReadDeadline(deadline(frame)) })
+}
+
+// deadline turns a timeout into an absolute deadline; zero is none.
+func deadline(d time.Duration) time.Time {
+	if d > 0 {
+		return time.Now().Add(d)
 	}
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
-		}
-		return fmt.Errorf("wire: read header: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameBytes {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	if frame > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(frame))
-	} else {
-		_ = conn.SetReadDeadline(time.Time{})
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		return fmt.Errorf("wire: read payload: %w", err)
-	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return fmt.Errorf("wire: unmarshal: %w", err)
-	}
-	return nil
+	return time.Time{}
 }
 
 // WriteFrameDeadline writes one frame to conn, bounding the write by frame
@@ -368,10 +490,6 @@ func ReadFrameDeadline(conn net.Conn, v any, idle, frame time.Duration) error {
 // fills the kernel buffers; the deadline turns that silent stall into an
 // error the caller can act on.
 func WriteFrameDeadline(conn net.Conn, v any, frame time.Duration) error {
-	if frame > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(frame))
-	} else {
-		_ = conn.SetWriteDeadline(time.Time{})
-	}
+	_ = conn.SetWriteDeadline(deadline(frame))
 	return WriteFrame(conn, v)
 }

@@ -35,14 +35,18 @@ bench-test:
 # benchmarks for the metrics registry, the phase tracer and the flight
 # recorder next to the bare atomic-load baseline, plus the end-to-end
 # statement benchmark with the recorder on/off, all with -benchmem so an
-# unexpected allocation on a disabled path fails review at a glance. Last,
+# unexpected allocation on a disabled path fails review at a glance. Then
 # the result-frame codec (encode, decode, whole-frame round trip at 50, 500
-# and 5000 rows): its allocations per frame must not grow with the rows. CI
-# runs this target.
+# and 5000 rows): its allocations per frame must not grow with the rows.
+# Last, the index layer: one image advance per kind of DML at 43k and 430k
+# rows (a catch-up allocates nothing once warm; only first-build and the
+# 30 % rewrite sort everything) and a point probe with a native and with a
+# fallback bound. CI runs this target.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Disabled|AtomicLoadBaseline|NilTracer' -benchmem ./internal/metrics/ ./internal/tracing/ ./internal/flightrec/ ./internal/accuracy/
 	$(GO) test -run '^$$' -bench 'StatementRecorder|StatementLedger' -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'ResultFrame' -benchmem ./internal/wire/
+	$(GO) test -run '^$$' -bench 'IndexAdvance|Lookup10k' -benchmem -benchtime 0.3s ./internal/index/
 
 # Columnar execution smoke: a small rowwise-vs-vectorized sweep through the
 # real jitsbench harness. The sweep itself cross-checks every configuration's
@@ -100,13 +104,17 @@ serve-smoke:
 		./internal/wire/ ./internal/server/ ./internal/client/ ./internal/plancache/ \
 		./internal/sqlparser/ ./internal/engine/ ./internal/experiments/
 
-# Short live runs of the serial-vs-parallel differential fuzzer and of the
+# Short live runs of the serial-vs-parallel differential fuzzer, of the
 # two fuzzers of the wire's untrusted input (column-block decoder, frame
-# reader); the seed corpora alone are replayed by every plain `make test`.
+# reader) and of the index catch-up model (DML scripts against a naive scan;
+# an execution there is a whole script, so the fuzzer is told to spend a
+# second, not a minute, shrinking each input that found new coverage); the
+# seed corpora alone are replayed by every plain `make test`.
 fuzz:
 	$(GO) test -run TestDifferential -fuzz=FuzzParallelSerial -fuzztime=30s ./internal/engine/
 	$(GO) test -run FuzzDecodeRows -fuzz=FuzzDecodeRows -fuzztime=20s ./internal/wire/
 	$(GO) test -run FuzzReadFrame -fuzz=FuzzReadFrame -fuzztime=20s ./internal/wire/
+	$(GO) test -run FuzzIndexCatchUp -fuzz=FuzzIndexCatchUp -fuzztime=20s -fuzzminimizetime=1s ./internal/index/
 
 # Chaos differential replay: the workload under deterministic injected
 # faults (scan errors, sampling failures, worker panics, latency+deadlines,

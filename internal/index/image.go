@@ -1,0 +1,288 @@
+package index
+
+import (
+	"cmp"
+	"slices"
+	"sort"
+
+	"repro/internal/storage"
+	"repro/internal/value"
+)
+
+// rebuildFraction is the share of the table (1/rebuildFraction of its rows)
+// past which an advance stops diffing and re-sorts: removed plus added
+// entries above a quarter of the rows. It is a constant, not a knob, because
+// the result is the same either way and the cost is flat around it — the
+// merge is O(n) moves plus a sort of the delta, the rebuild a sort of
+// everything, and the two cross far above ¼; what the bound buys is a cap on
+// the scratch the delta lists hold (¼ of the image plus one chunk).
+const rebuildFraction = 4
+
+// image is the sorted image of one column of one table snapshot. Its one
+// implementation is typed[K]; the interface only erases the key type.
+type image interface {
+	// snapshot returns the table image the entries describe, nil before the
+	// first build.
+	snapshot() *storage.Snapshot
+	// advance brings the image to another snapshot of the same table —
+	// newer or older, the diff reads two immutable images — and reports how
+	// many entries it removed plus added, or full when it sorted everything
+	// instead.
+	advance(to *storage.Snapshot) (moved int, full bool)
+	// search returns the positions of rows with lo ≤/< key ≤/< hi in key
+	// order, ties by position; NULL keys never match.
+	search(lo, hi Bound) []int
+	// size counts the entries, NULL keys included.
+	size() int
+}
+
+// pair is one index entry. (key, row) is a total order — a row appears once
+// — so sorting needs no stability.
+type pair[K cmp.Ordered] struct {
+	key K
+	row int32
+}
+
+func comparePairs[K cmp.Ordered](a, b pair[K]) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.row, b.row)
+}
+
+// typed is the image for one key type. Keys are read straight from the
+// chunks' dense arrays; rows with a NULL key are kept apart from the sorted
+// entries, as a list of positions, because no probe ever returns them.
+type typed[K cmp.Ordered] struct {
+	ordinal int
+	keys    func(*storage.ColumnVec) []K // the column's dense array
+	native  func(value.Datum) (K, bool)  // a bound as a key, when comparing keys is comparing Datums
+	datum   func(K) value.Datum          // a key as a Datum, for every other bound
+
+	snap  *storage.Snapshot
+	nulls []int32   // positions of NULL keys, ascending
+	ents  []pair[K] // non-NULL keys, sorted by (key, row)
+
+	// Reused across advances: the merge targets that become nulls and ents,
+	// and the delta lists of the last diff.
+	spareNulls        []int32
+	spare             []pair[K]
+	nullsOut, nullsIn []int32
+	removed, added    []pair[K]
+}
+
+func newImage(kind value.Kind, ordinal int) image {
+	switch kind {
+	case value.KindInt:
+		return &typed[int64]{ordinal: ordinal, keys: (*storage.ColumnVec).Ints, datum: value.NewInt,
+			native: func(d value.Datum) (int64, bool) {
+				if d.Kind() != value.KindInt {
+					return 0, false
+				}
+				return d.Int(), true
+			}}
+	case value.KindFloat:
+		// Datum.Compare orders a float against an int bound as float64s too.
+		return &typed[float64]{ordinal: ordinal, keys: (*storage.ColumnVec).Floats, datum: value.NewFloat,
+			native: value.Datum.AsFloat}
+	default: // storage keeps every other kind in the string array
+		return &typed[string]{ordinal: ordinal, keys: (*storage.ColumnVec).Strs, datum: value.NewString,
+			native: func(d value.Datum) (string, bool) {
+				if d.Kind() != value.KindString {
+					return "", false
+				}
+				return d.Str(), true
+			}}
+	}
+}
+
+func (im *typed[K]) snapshot() *storage.Snapshot { return im.snap }
+
+func (im *typed[K]) size() int { return len(im.nulls) + len(im.ents) }
+
+// build sorts snap's keys from scratch.
+func (im *typed[K]) build(snap *storage.Snapshot) {
+	im.nulls, im.ents = im.nulls[:0], slices.Grow(im.ents[:0], snap.NumRows())
+	for ci := 0; ci < snap.NumChunks(); ci++ {
+		ch := snap.Chunk(ci)
+		im.nulls, im.ents = im.appendChunk(im.nulls, im.ents, ch, 0, ci*snap.ChunkSize())
+	}
+	slices.SortFunc(im.ents, comparePairs[K])
+	im.snap = snap
+}
+
+// appendChunk appends the entries of ch's rows from offset from on, base
+// being the position of the chunk's first row.
+func (im *typed[K]) appendChunk(nulls []int32, ents []pair[K], ch *storage.Chunk, from, base int) ([]int32, []pair[K]) {
+	vec := ch.Col(im.ordinal)
+	keys := im.keys(vec)
+	hasNulls := vec.HasNulls()
+	for i := from; i < len(keys); i++ {
+		if hasNulls && vec.Null(i) {
+			nulls = append(nulls, int32(base+i))
+		} else {
+			ents = append(ents, pair[K]{keys[i], int32(base + i)})
+		}
+	}
+	return nulls, ents
+}
+
+func (im *typed[K]) advance(to *storage.Snapshot) (moved int, full bool) {
+	if im.snap == nil || !im.diff(to) {
+		im.build(to)
+		return 0, true
+	}
+	im.snap = to
+	if n := len(im.nullsOut) + len(im.nullsIn); n > 0 {
+		moved += n
+		out := applyDelta(im.spareNulls[:0], im.nulls, im.nullsOut, im.nullsIn, cmp.Compare[int32])
+		im.nulls, im.spareNulls = out, im.nulls
+	}
+	if n := len(im.removed) + len(im.added); n > 0 {
+		moved += n
+		slices.SortFunc(im.removed, comparePairs[K])
+		slices.SortFunc(im.added, comparePairs[K])
+		out := applyDelta(im.spare[:0], im.ents, im.removed, im.added, comparePairs[K])
+		im.ents, im.spare = out, im.ents
+	}
+	return moved, false
+}
+
+// diff fills the delta lists with what changed on the indexed column from
+// the held snapshot to to, and reports false once that is more than
+// 1/rebuildFraction of to's rows. Chunks with the same pointer in both
+// snapshots are skipped: a chunk a snapshot captured is never written again
+// (storage.Chunk), so they hold the same rows.
+func (im *typed[K]) diff(to *storage.Snapshot) bool {
+	from := im.snap
+	im.nullsOut, im.nullsIn = im.nullsOut[:0], im.nullsIn[:0]
+	im.removed, im.added = im.removed[:0], im.added[:0]
+	limit := to.NumRows() / rebuildFraction
+	for ci := 0; ci < max(from.NumChunks(), to.NumChunks()); ci++ {
+		var oc, nc *storage.Chunk
+		if ci < from.NumChunks() {
+			oc = from.Chunk(ci)
+		}
+		if ci < to.NumChunks() {
+			nc = to.Chunk(ci)
+		}
+		if oc == nc {
+			continue
+		}
+		im.diffChunk(oc, nc, ci*to.ChunkSize())
+		if len(im.nullsOut)+len(im.nullsIn)+len(im.removed)+len(im.added) > limit {
+			return false
+		}
+	}
+	return true
+}
+
+// diffChunk compares two versions of one chunk (either may be nil: the chunk
+// was dropped, or is new) position by position on the indexed column.
+func (im *typed[K]) diffChunk(oc, nc *storage.Chunk, base int) {
+	common := 0
+	if oc != nil && nc != nil {
+		ov, nv := oc.Col(im.ordinal), nc.Col(im.ordinal)
+		ok, nk := im.keys(ov), im.keys(nv)
+		common = min(len(ok), len(nk))
+		hasNulls := ov.HasNulls() || nv.HasNulls()
+		for i := 0; i < common; i++ {
+			on, nn := hasNulls && ov.Null(i), hasNulls && nv.Null(i)
+			if on == nn && (on || ok[i] == nk[i]) {
+				continue
+			}
+			if on {
+				im.nullsOut = append(im.nullsOut, int32(base+i))
+			} else {
+				im.removed = append(im.removed, pair[K]{ok[i], int32(base + i)})
+			}
+			if nn {
+				im.nullsIn = append(im.nullsIn, int32(base+i))
+			} else {
+				im.added = append(im.added, pair[K]{nk[i], int32(base + i)})
+			}
+		}
+	}
+	if oc != nil {
+		im.nullsOut, im.removed = im.appendChunk(im.nullsOut, im.removed, oc, common, base)
+	}
+	if nc != nil {
+		im.nullsIn, im.added = im.appendChunk(im.nullsIn, im.added, nc, common, base)
+	}
+}
+
+// applyDelta appends old − removed + added to out, all sorted under
+// compare with removed ⊆ old, copying the runs between change points whole.
+func applyDelta[T any](out, old, removed, added []T, compare func(a, b T) int) []T {
+	out = slices.Grow(out, len(old)-len(removed)+len(added))
+	pos := 0
+	for len(removed) > 0 || len(added) > 0 {
+		if len(added) == 0 || len(removed) > 0 && compare(removed[0], added[0]) <= 0 {
+			at := seek(old, pos, removed[0], compare)
+			if at == len(old) || compare(old[at], removed[0]) != 0 {
+				panic("index: catch-up removes an entry the image does not hold")
+			}
+			out = append(out, old[pos:at]...)
+			pos = at + 1
+			removed = removed[1:]
+		} else {
+			at := seek(old, pos, added[0], compare)
+			out = append(append(out, old[pos:at]...), added[0])
+			pos = at
+			added = added[1:]
+		}
+	}
+	return append(out, old[pos:]...)
+}
+
+// seek returns the first index at or after from whose element is not below
+// x. It gallops before it bisects, so consecutive targets cost the log of
+// the distance between them, not of the slice.
+func seek[T any](s []T, from int, x T, compare func(a, b T) int) int {
+	lo, hi := from, len(s)
+	for step := 1; lo+step-1 < len(s); step <<= 1 {
+		if compare(s[lo+step-1], x) >= 0 {
+			hi = lo + step - 1
+			break
+		}
+		lo += step
+	}
+	i, _ := slices.BinarySearchFunc(s[lo:hi], x, compare)
+	return lo + i
+}
+
+func (im *typed[K]) search(lo, hi Bound) []int {
+	ents := im.ents
+	if !lo.IsUnbounded() {
+		ents = ents[im.seekBound(ents, lo.Value, !lo.Inclusive):]
+	}
+	if !hi.IsUnbounded() {
+		ents = ents[:im.seekBound(ents, hi.Value, hi.Inclusive)]
+	}
+	if len(ents) == 0 {
+		return nil
+	}
+	out := make([]int, len(ents))
+	for i, e := range ents {
+		out[i] = int(e.row)
+	}
+	return out
+}
+
+// seekBound returns the first position of ents whose key is above v or,
+// unless above, equal to it. A bound of the column's own kind is compared as
+// a key; any other (an int column probed with a float, a number against a
+// string, NULL) through Datum.Compare, whose order the keys' own order never
+// contradicts.
+func (im *typed[K]) seekBound(ents []pair[K], v value.Datum, above bool) int {
+	if k, ok := im.native(v); ok {
+		if above {
+			return sort.Search(len(ents), func(i int) bool { return ents[i].key > k })
+		}
+		return sort.Search(len(ents), func(i int) bool { return ents[i].key >= k })
+	}
+	return sort.Search(len(ents), func(i int) bool {
+		c := im.datum(ents[i].key).Compare(v)
+		return c > 0 || c == 0 && !above
+	})
+}

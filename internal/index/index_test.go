@@ -255,22 +255,6 @@ func TestRangeMatchesScanProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkLookup10k(b *testing.B) {
-	tbl := storage.NewTable("t", storage.MustSchema(storage.Column{Name: "k", Kind: value.KindInt}))
-	for i := 0; i < 10000; i++ {
-		_ = tbl.Insert([]value.Datum{value.NewInt(int64(i % 500))})
-	}
-	ix, err := New("ix", tbl, "k")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix.Lookup(value.NewInt(0)) // build
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.Lookup(value.NewInt(int64(i % 500)))
-	}
-}
-
 // Regression for the normalized version semantics: InsertBatch bumps the
 // table version once per batch (a staleness token, not a row count). The
 // index compares versions for inequality only, so one batch bump must be
@@ -364,7 +348,31 @@ func TestLookupAtStaleSnapshot(t *testing.T) {
 	if ix.Rebuilds() != built {
 		t.Fatal("a stale snapshot rebuilt the shared index")
 	}
+	// An index-NL join one version behind probes once per outer row: the old
+	// image is built aside once, not once per probe.
+	for i := 0; i < 100; i++ {
+		if got := ix.LookupAt(old, value.NewInt(5)); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+			t.Fatalf("probe %d of the old snapshot = %v, want [0 2]", i, got)
+		}
+	}
+	if st := ix.Stats(); st.Aside > 1 || st.Advances != built {
+		t.Fatalf("100 probes of one old snapshot: %d aside builds (want at most 1), advances %d -> %d", st.Aside, built, st.Advances)
+	}
 	if got := ix.Lookup(value.NewInt(5)); len(got) != 4 || ix.Rebuilds() != built {
 		t.Fatalf("Lookup(now) = %v after a stale read, rebuilds %d -> %d", got, built, ix.Rebuilds())
+	}
+	// Once the shared image advances, the aside one is let go, and an old
+	// snapshot asked for again is built again — still aside.
+	if err := tbl.Insert([]value.Datum{value.NewInt(5), value.NewString("p")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.Lookup(value.NewInt(5)); len(got) != 5 {
+		t.Fatalf("Lookup(now) = %v, want 5 rows", got)
+	}
+	if got := ix.LookupAt(old, value.NewInt(5)); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("LookupAt(old) after the image advanced = %v, want [0 2]", got)
+	}
+	if st := ix.Stats(); st.Aside != 2 || st.Advances != built+1 {
+		t.Fatalf("aside builds %d (want 2), advances %d (want %d)", st.Aside, st.Advances, built+1)
 	}
 }

@@ -189,9 +189,11 @@ func (v *ColumnVec) truncate(n int) {
 	default:
 		v.strs = v.strs[:n]
 	}
-	// Clear bitmap bits past n so a future append at n starts clean.
-	for i := n; i < len(v.nulls)*64; i++ {
-		v.nulls[i>>6] &^= 1 << (uint(i) & 63)
+	// Clear bitmap bits past n so a future append at n starts clean: the tail
+	// of n's word by mask, the words after it whole.
+	if w := n >> 6; w < len(v.nulls) {
+		v.nulls[w] &= 1<<(uint(n)&63) - 1
+		clear(v.nulls[w+1:])
 	}
 }
 
@@ -213,6 +215,12 @@ func (v *ColumnVec) clone() ColumnVec {
 // taken, and every subsequent mutation copies the chunk before writing
 // (copy-on-write), so snapshot readers never observe a half-applied change
 // and never take a lock while reading.
+//
+// The rule consumers may lean on: a chunk reachable from a Snapshot is never
+// written, so pointer equality of two chunks across snapshots of one table
+// implies content equality. A secondary index catches up to a newer snapshot
+// by skipping every chunk whose pointer did not change (internal/index);
+// TestSnapshotChunksNeverWritten pins the rule.
 type Chunk struct {
 	cols []ColumnVec
 	n    int

@@ -14,6 +14,11 @@ import (
 // scan run arbitrary user callbacks (including reentrant writes to the same
 // table) without holding any lock, and what lets parallel workers treat
 // morsels as chunk ranges of a consistent table image.
+//
+// A chunk reachable from a Snapshot is never written; pointer equality of
+// chunks across two snapshots of one table implies content equality (see
+// Chunk). Holding a Snapshot keeps the chunks it captured alive, including
+// ones the table has since replaced.
 type Snapshot struct {
 	name      string
 	schema    *Schema

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-test bench-smoke bench-columnar debug-smoke drift-smoke reopt-smoke overload-smoke serve-smoke fuzz chaos chaos-net check
+.PHONY: all build test race vet bench bench-test bench-smoke debug-smoke drift-smoke reopt-smoke overload-smoke serve-smoke fuzz chaos chaos-net check
 
 all: build
 
@@ -47,15 +47,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'StatementRecorder|StatementLedger' -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'ResultFrame' -benchmem ./internal/wire/
 	$(GO) test -run '^$$' -bench 'IndexAdvance|Lookup10k' -benchmem -benchtime 0.3s ./internal/index/
-
-# Columnar execution smoke: a small rowwise-vs-vectorized sweep through the
-# real jitsbench harness. The sweep itself cross-checks every configuration's
-# result fingerprints and simulated cost against the rowwise serial baseline,
-# so this doubles as a differential proof on real hardware. CI runs this
-# target; for the full before/after numbers see results/ and run
-# `jitsbench -exp columnar -scale 1.0`.
-bench-columnar:
-	$(GO) run ./cmd/jitsbench -exp columnar -scale 0.004 -queries 60 -sample 800
 
 # Drift-detection smoke: the accuracy ledger's unit proofs plus the
 # clock-injected quick drift run — warm a JITS engine, freeze collection,

@@ -15,7 +15,7 @@ var (
 	gate    = flag.Int("gate", 4, "admission gate size for -exp overload (MaxConcurrent; queue depth is twice this)")
 	sessF   = flag.String("sessions", "1,2,4,8", "comma-separated session counts for -exp serve")
 	everyF  = flag.String("fault-every", "0,29,83", "comma-separated fault periods for -exp serve-chaos (0 = fault-free baseline)")
-	chunksF = flag.String("chunks", "", "comma-separated vectorized chunk sizes for -exp columnar (default 256,1024,4096,16384; the rowwise baseline always runs first)")
+	chunksF = flag.String("chunks", "", "comma-separated storage chunk sizes for -exp parallel to sweep against the worker counts (default: the engine's default size only)")
 )
 
 // experiment is one -exp choice. optIn experiments run only when named:
@@ -38,8 +38,7 @@ var experimentTable = []experiment{
 	{"fig5", false, "Figure 5: per-query elapsed time, general statistics vs JITS", fig5},
 	{"fig6", false, "Figure 6: sensitivity-analysis threshold sweep (avg time per query)", fig6},
 	{"oltp", false, "OLTP applicability check (§3.5): indexed point lookups", oltp},
-	{"parallel", false, "Parallel execution: wall-clock speedup of the morsel-driven executor", parallelSpeedup},
-	{"columnar", true, "Columnar execution: rowwise baseline vs vectorized chunks", func(o experiments.Options) error { return columnarSweep(o, *chunksF) }},
+	{"parallel", false, "Parallel execution: wall-clock speedup of the morsel-driven executor", func(o experiments.Options) error { return parallelSpeedup(o, *chunksF) }},
 	{"overload", true, "Overload: admission control under a concurrency sweep", func(o experiments.Options) error { return overload(o, *gate) }},
 	{"drift", true, "Drift: accuracy ledger vs. a mid-run distribution shift", drift},
 	{"reopt", true, "Re-optimization: recovering from bad plans at pipeline breakers", reopt},

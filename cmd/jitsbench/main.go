@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	jitsbench [-exp all|table2|table3|fig3|fig4|fig5|fig6|oltp|parallel|columnar|overload|drift|reopt|serve|serve-chaos]
+//	jitsbench [-exp all|table2|table3|fig3|fig4|fig5|fig6|oltp|parallel|overload|drift|reopt|serve|serve-chaos]
 //	          [-scale 0.01] [-queries 840] [-seed 42] [-smax 0.5]
 //	          [-sample 2000] [-csv dir] [-pergroup] [-parallelism 1]
 //	          [-gate 4] [-trace file|-] [-metrics] [-debug-addr host:port]
 //	          [-debug-linger 0s] [-sessions 1,2,4,8] [-plan-cache -1]
-//	          [-fault-every 0,29,83]
+//	          [-fault-every 0,29,83] [-chunks 64,4096]
 //	jitsbench -serve host:port   [-scale ...] [-plan-cache ...] [-debug-addr ...]
 //	                             [-net-faults spec] [-drain 30s]
 //	jitsbench -connect host:port
@@ -22,7 +22,10 @@
 // experiment. Simulated timings are identical at any value (the morsel
 // executor charges the same work regardless of worker count), so the paper
 // tables are reproducible with parallelism on; only wall clock changes. The
-// "parallel" experiment measures that wall-clock speedup explicitly.
+// "parallel" experiment measures that wall-clock speedup explicitly, over
+// the default storage chunk size or, with -chunks, a chunk size × worker
+// count grid; every cell's results and simulated cost are cross-checked
+// against the first, and parallel_speedup.csv is written under -csv.
 //
 // -trace streams every engine's phase spans and optimizer decision lines
 // (parse → jits.prepare/jits.sample → optimize → execute → feedback →
@@ -30,13 +33,6 @@
 // process-wide metrics registry and prints its Prometheus-style text
 // exposition after the experiments finish. Both are off by default and cost
 // one atomic load per probe when off.
-//
-// The "columnar" experiment sweeps execution mode (rowwise baseline vs
-// vectorized) × storage chunk size (-chunks picks the sizes) × worker count
-// over the same query stream, cross-checking every configuration's results
-// and simulated cost against the rowwise serial baseline, and writes
-// columnar.csv under -csv. It replays the stream once per configuration, so
-// it is wall-clock heavy and excluded from "all"; run it explicitly.
 //
 // The "overload" experiment sweeps client concurrency against a governed
 // engine (admission gate of -gate slots, statement deadlines): it reports
@@ -84,6 +80,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -104,7 +101,7 @@ func main() {
 		sample   = flag.Int("sample", 2000, "JITS sample size")
 		perGroup = flag.Bool("pergroup", false, "charge sampling per candidate group (the paper prototype's cost profile)")
 		csvDirF  = flag.String("csv", "", "directory to also write figure data as CSV (created if missing)")
-		par      = flag.Int("parallelism", 1, "intra-query degree of parallelism (1 = serial operators)")
+		par      = flag.Int("parallelism", 1, "intra-query degree of parallelism (1 = serial: every operator runs inline)")
 		traceF   = flag.String("trace", "", `write phase-trace spans to this file ("-" for stderr)`)
 		metricsF = flag.Bool("metrics", false, "enable the metrics registry and print its exposition on exit")
 		debugF   = flag.String("debug-addr", "", "start the embedded debug HTTP server on this address (port 0 picks a free port)")
@@ -444,82 +441,45 @@ func oltp(opts experiments.Options) error {
 	return nil
 }
 
-func parallelSpeedup(opts experiments.Options) error {
+func parallelSpeedup(opts experiments.Options, chunksSpec string) error {
 	fmt.Printf("host: %d CPU(s), GOMAXPROCS=%d\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	if runtime.NumCPU() == 1 {
 		fmt.Println("note: single-CPU host — workers time-slice one core, so expect ~1.0x;")
-		fmt.Println("the result/cost-invariance checks below still run at every worker count")
+		fmt.Println("the result/cost-invariance checks below still run in every cell")
 	}
 	workers := []int{1, 2, 4}
-	if opts.Parallelism > 1 {
-		found := false
-		for _, w := range workers {
-			if w == opts.Parallelism {
-				found = true
-			}
-		}
-		if !found {
-			workers = append(workers, opts.Parallelism)
-		}
-	}
-	rows, err := experiments.ParallelSpeedup(opts, workers)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%8s %14s %10s %16s %8s\n", "workers", "wall (s)", "speedup", "simulated (s)", "queries")
-	var csvRows [][]string
-	for _, r := range rows {
-		fmt.Printf("%8d %14.3f %10.2fx %16.4f %8d\n", r.Workers, r.WallSeconds, r.Speedup, r.SimSeconds, r.Queries)
-		csvRows = append(csvRows, []string{strconv.Itoa(r.Workers), f64(r.WallSeconds), f64(r.Speedup), f64(r.SimSeconds), strconv.Itoa(r.Queries)})
-	}
-	writeCSV("parallel_speedup.csv", []string{"workers", "wall_s", "speedup", "simulated_s", "queries"}, csvRows)
-	fmt.Println("\nevery row replays the identical query stream with identical results and")
-	fmt.Println("identical simulated cost; with multiple cores available, wall clock")
-	fmt.Println("shrinks as workers are added, and nothing else changes")
-	return nil
-}
-
-func columnarSweep(opts experiments.Options, chunksSpec string) error {
-	fmt.Printf("host: %d CPU(s), GOMAXPROCS=%d\n\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	workers := []int{1, 4}
-	if opts.Parallelism > 1 && opts.Parallelism != 4 {
+	if opts.Parallelism > 1 && !slices.Contains(workers, opts.Parallelism) {
 		workers = append(workers, opts.Parallelism)
 	}
-	var configs []experiments.ColumnarConfig // nil = the default sweep
+	var chunks []int // nil = the default chunk size only
 	if chunksSpec != "" {
-		configs = []experiments.ColumnarConfig{{RowOriented: true}}
 		for _, f := range strings.Split(chunksSpec, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil || n <= 0 {
 				return fmt.Errorf("bad -chunks entry %q", f)
 			}
-			configs = append(configs, experiments.ColumnarConfig{ChunkSize: n})
+			chunks = append(chunks, n)
 		}
 	}
-	rows, err := experiments.ColumnarSweep(opts, configs, workers)
+	rows, err := experiments.ParallelSpeedup(opts, chunks, workers)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-11s %10s %8s %12s %9s %15s %8s\n",
-		"mode", "chunk", "workers", "wall (s)", "speedup", "simulated (s)", "queries")
+	fmt.Printf("%8s %8s %14s %10s %16s %8s\n", "chunk", "workers", "wall (s)", "speedup", "simulated (s)", "queries")
 	var csvRows [][]string
 	for _, r := range rows {
-		chunk := "-"
-		if r.Mode == "vectorized" {
+		chunk := "default"
+		if r.ChunkSize > 0 {
 			chunk = strconv.Itoa(r.ChunkSize)
 		}
-		fmt.Printf("%-11s %10s %8d %12.3f %8.2fx %15.4f %8d\n",
-			r.Mode, chunk, r.Workers, r.WallSeconds, r.Speedup, r.SimSeconds, r.Queries)
-		csvRows = append(csvRows, []string{
-			r.Mode, strconv.Itoa(r.ChunkSize), strconv.Itoa(r.Workers),
-			f64(r.WallSeconds), f64(r.Speedup), f64(r.SimSeconds), strconv.Itoa(r.Queries),
-		})
+		fmt.Printf("%8s %8d %14.3f %9.2fx %16.4f %8d\n", chunk, r.Workers, r.WallSeconds, r.Speedup, r.SimSeconds, r.Queries)
+		csvRows = append(csvRows, []string{strconv.Itoa(r.ChunkSize), strconv.Itoa(r.Workers), f64(r.WallSeconds), f64(r.Speedup), f64(r.SimSeconds), strconv.Itoa(r.Queries)})
 	}
-	writeCSV("columnar.csv", []string{"mode", "chunk_size", "workers", "wall_s", "speedup", "simulated_s", "queries"}, csvRows)
-	fmt.Println("\nevery configuration replays the identical query stream with identical")
-	fmt.Println("results and identical simulated cost; the vectorized rows should beat the")
-	fmt.Println("rowwise baseline on wall clock, and chunk size trades locality against")
-	fmt.Println("selection-vector overhead")
+	writeCSV("parallel_speedup.csv", []string{"chunk_size", "workers", "wall_s", "speedup", "simulated_s", "queries"}, csvRows)
+	fmt.Println("\nevery cell replays the identical query stream with identical results and")
+	fmt.Println("identical simulated cost; with multiple cores available, wall clock")
+	fmt.Println("shrinks as workers are added, chunk size trades locality against")
+	fmt.Println("selection-vector overhead, and nothing else changes")
 	return nil
 }
 

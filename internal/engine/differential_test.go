@@ -71,14 +71,21 @@ func diffResults(serial, parallel *engine.Result) string {
 }
 
 // TestDifferentialSerialVsParallel replays the paper workload — queries and
-// update batches, JITS enabled — through a serial and a parallel engine and
-// requires identical rows, plans and metered work on every query.
+// update batches, JITS enabled — through a serial engine and a dop-4 engine
+// on 64-row chunks and requires identical rows, plans and metered work on
+// every query: neither the partition nor the chunk geometry may show.
 func TestDifferentialSerialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential workload replay is slow")
 	}
 	mkEngine := func(dop int) (*engine.Engine, *workload.Dataset) {
 		cfg := engine.Config{Parallelism: dop}
+		if dop > 1 {
+			// Tiny chunks force every morsel across chunk boundaries, where
+			// selection vectors and fused aggregation could diverge from the
+			// serial engine's default-size chunks.
+			cfg.StorageChunkSize = 64
+		}
 		cfg.JITS.Enabled = true
 		cfg.JITS.SMax = 0.5
 		cfg.JITS.SampleSize = 800
@@ -153,8 +160,8 @@ var fuzzEnv struct {
 
 func fuzzEngines(t testing.TB) (*engine.Engine, *engine.Engine, *workload.Dataset) {
 	fuzzEnv.once.Do(func() {
-		build := func() (*engine.Engine, *workload.Dataset, error) {
-			e := engine.New(engine.Config{})
+		build := func(chunkSize int) (*engine.Engine, *workload.Dataset, error) {
+			e := engine.New(engine.Config{StorageChunkSize: chunkSize})
 			d, err := workload.Load(e, workload.Spec{Scale: 0.002, Seed: 42})
 			if err != nil {
 				return nil, nil, err
@@ -165,8 +172,8 @@ func fuzzEngines(t testing.TB) (*engine.Engine, *engine.Engine, *workload.Datase
 			return e, d, nil
 		}
 		var err1, err2 error
-		fuzzEnv.serial, fuzzEnv.data, err1 = build()
-		fuzzEnv.parallel, _, err2 = build()
+		fuzzEnv.serial, fuzzEnv.data, err1 = build(0)
+		fuzzEnv.parallel, _, err2 = build(64)
 		if err1 != nil {
 			fuzzEnv.err = err1
 		} else if err2 != nil {
@@ -180,7 +187,8 @@ func fuzzEngines(t testing.TB) (*engine.Engine, *engine.Engine, *workload.Datase
 }
 
 // FuzzParallelSerial generates workload queries from the fuzzed seed and
-// cross-checks serial against parallel execution at a fuzzed dop.
+// cross-checks the serial engine on default-size chunks against execution
+// at a fuzzed dop on 64-row chunks.
 // Run with: go test -run TestDifferential -fuzz=FuzzParallelSerial ./internal/engine/
 func FuzzParallelSerial(f *testing.F) {
 	// Seed corpus: a spread of query seeds and dops, including the

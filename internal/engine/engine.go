@@ -80,10 +80,10 @@ type Config struct {
 	// statements without external locking.
 	Trace io.Writer
 	// Parallelism is the default degree of intra-query parallelism for
-	// SELECT execution and JITS sample evaluation. Values <= 1 run the
-	// serial operators, which reproduce the paper's cost accounting
-	// exactly; higher values dispatch morsels to a worker pool without
-	// changing results or metered work. Per-query override: ExecWith.
+	// SELECT execution and JITS sample evaluation. Values <= 1 run every
+	// operator inline as a single morsel, which reproduces the paper's cost
+	// accounting exactly; higher values dispatch morsels to a worker pool
+	// without changing results or metered work. Per-query override: ExecWith.
 	Parallelism int
 	// StatementTimeout bounds every statement's wall-clock time; 0 means
 	// no deadline. Expiry cancels JITS sampling at the next table boundary
@@ -112,11 +112,6 @@ type Config struct {
 	// restore bumps the epoch and invalidates every cached plan, so a plan
 	// compiled against pre-update statistics is never reused afterwards.
 	PlanCacheSize int
-	// RowOrientedExec forces the executor's legacy row-at-a-time scan and
-	// aggregation paths instead of the vectorized chunk kernels. Results
-	// and metered work are identical; only wall-clock differs. It exists
-	// as the benchmark baseline and differential-testing foil.
-	RowOrientedExec bool
 	// StorageChunkSize overrides the rows-per-chunk capacity of the
 	// columnar storage layer for tables created by this engine; 0 keeps
 	// storage.DefaultChunkSize. Benchmarks sweep it.
@@ -193,7 +188,6 @@ type Engine struct {
 	accuracy     *accuracy.Ledger
 	governor     *govern.Governor
 	parallelism  int
-	rowOriented  bool
 	reoptCfg     ReoptConfig
 	stmtTimeout  time.Duration
 	closed       atomic.Bool
@@ -259,7 +253,6 @@ func New(cfg Config) *Engine {
 		accuracy:     ledger,
 		governor:     governor,
 		parallelism:  cfg.Parallelism,
-		rowOriented:  cfg.RowOrientedExec,
 		reoptCfg:     cfg.Reopt,
 		stmtTimeout:  cfg.StatementTimeout,
 		planCache:    plancache.New(cfg.PlanCacheSize),

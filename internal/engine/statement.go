@@ -241,7 +241,7 @@ func (e *Engine) runtime(s *statement) *executor.Runtime {
 	return &executor.Runtime{
 		DB: e.db, Indexes: e.indexes, Weights: e.weights,
 		Meter: &s.meters.exec, Ctx: s.ctx, Parallelism: s.dop,
-		Stats: s.stats, Mem: s.mem, RowOriented: e.rowOriented, Reopt: s.reopt,
+		Stats: s.stats, Mem: s.mem, Reopt: s.reopt,
 	}
 }
 

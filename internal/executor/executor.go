@@ -18,6 +18,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/costmodel"
@@ -43,10 +44,10 @@ type Runtime struct {
 	Ctx context.Context
 	// Parallelism is the degree of intra-query parallelism: the number of
 	// workers scans, hash joins and grouped aggregation may fan out to.
-	// Values <= 1 select the serial operators, which reproduce the paper's
-	// cost numbers exactly; higher values dispatch morsels to a worker pool
-	// while charging the meter the identical totals (the simulated work is
-	// the same — only the wall clock shrinks).
+	// Values <= 1 run every operator as a single inline morsel, which
+	// reproduces the paper's cost numbers exactly; higher values dispatch
+	// morsels to a worker pool while charging the meter the identical totals
+	// (the simulated work is the same — only the wall clock shrinks).
 	Parallelism int
 	// MorselSize overrides the number of rows per morsel; 0 selects
 	// DefaultMorselSize. Tests shrink it to exercise multi-morsel paths on
@@ -70,12 +71,6 @@ type Runtime struct {
 	// resolves optimizer.Materialized leaves on re-planned attempts. Nil
 	// (the default) costs one pointer check per pipeline breaker.
 	Reopt *ReoptState
-	// RowOriented forces the legacy row-at-a-time scan and aggregation paths
-	// instead of the vectorized chunk kernels. Results are identical and the
-	// meter charges are identical; only wall-clock differs. It exists as the
-	// benchmark baseline ("before" mode) and as a differential-testing foil
-	// for the vectorized operators.
-	RowOriented bool
 }
 
 // dop returns the effective degree of parallelism (always >= 1).
@@ -85,10 +80,6 @@ func (rt *Runtime) dop() int {
 	}
 	return rt.Parallelism
 }
-
-// ctx returns the statement context (possibly nil; callers treat nil as
-// background).
-func (rt *Runtime) ctx() context.Context { return rt.Ctx }
 
 // ctxErr reports the statement context's cancellation error, if any.
 func (rt *Runtime) ctxErr() error {
@@ -237,7 +228,7 @@ func Execute(blk *qgm.Block, plan optimizer.Node, rt *Runtime) (res *Result, err
 	// vectors feed group state directly, with no materialized relation in
 	// between. Meter charges are formula-identical to the unfused pipeline.
 	if scan, fusable := plan.(*optimizer.Scan); fusable &&
-		scan.IndexColumn == "" && !rt.RowOriented && blockAggregates(blk) {
+		scan.IndexColumn == "" && blockAggregates(blk) {
 		res, err = ex.runFusedAggScan(scan)
 		if err != nil {
 			return nil, err
@@ -329,9 +320,6 @@ func (ex *executor) runScan(n *optimizer.Scan) (*relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := faultinject.Hit(faultinject.StorageScan); err != nil {
-		return nil, fmt.Errorf("executor: scanning %s: %w", n.Table, err)
-	}
 	w := ex.rt.Weights
 	// One snapshot serves the whole scan: all morsels see the same table
 	// image, and no lock is held while operators run.
@@ -342,14 +330,12 @@ func (ex *executor) runScan(n *optimizer.Scan) (*relation, error) {
 		widths:  map[int]int{n.Slot: width},
 		width:   width,
 	}
-	base := float64(snap.NumRows())
 	examined := 0.0
-	// The vectorized paths charge the reservation per chunk with exact
-	// column-array sizes as they materialize; the row-oriented and index
-	// paths keep the historical per-row estimate charged at the end.
-	grown := false
 
 	if n.IndexColumn != "" {
+		if err := faultinject.Hit(faultinject.StorageScan); err != nil {
+			return nil, fmt.Errorf("executor: scanning %s: %w", n.Table, err)
+		}
 		ix, ok := ex.rt.Indexes.Find(n.Table, n.IndexColumn)
 		if !ok {
 			return nil, fmt.Errorf("executor: plan uses missing index %s.%s", n.Table, n.IndexColumn)
@@ -370,100 +356,89 @@ func (ex *executor) runScan(n *optimizer.Scan) (*relation, error) {
 			}
 		}
 		ex.rt.charge(w.IndexRow * examined)
-	} else if ex.rt.dop() > 1 && snap.NumRows() > ex.rt.morselSize() {
-		rows, exam, err := ex.parallelSeqScan(snap, n.Preds)
-		if err != nil {
-			return nil, err
-		}
-		rel.rows, examined = rows, exam
-		grown = !ex.rt.RowOriented
-		ex.rt.charge(w.SeqRow * examined)
-	} else if ex.rt.RowOriented {
-		// Legacy serial scan: decode every row, evaluate Matches row by row.
-		// Cancellation is honored every morselSize rows, the same granularity
-		// the parallel path checks at.
-		checkEvery := ex.rt.morselSize()
-		var scanErr error
-		snap.Scan(func(_ int, row []value.Datum) bool {
-			if int(examined)%checkEvery == 0 {
-				if scanErr = ex.rt.ctxErr(); scanErr != nil {
-					return false
-				}
-			}
-			examined++
-			if matchesAll(n.Preds, row) {
-				rel.rows = append(rel.rows, row)
-			}
-			return true
-		})
-		ex.rt.charge(w.SeqRow * examined)
-		if scanErr != nil {
-			return nil, scanErr
+		// Index fetches charge the reservation the per-row estimate; the
+		// sequential scan charges exact bytes chunk by chunk as it goes.
+		if err := ex.rt.growRows(len(rel.rows), rel.width); err != nil {
+			return nil, fmt.Errorf("executor: scan %s output: %w", n.Table, err)
 		}
 	} else {
-		rows, exam, scanErr := ex.serialVectorScan(snap, n.Preds)
-		rel.rows, examined = rows, exam
-		grown = true
+		var scanErr error
+		rel.rows, examined, scanErr = ex.seqScan(snap, n.Preds)
 		ex.rt.charge(w.SeqRow * examined)
 		if scanErr != nil {
 			return nil, scanErr
 		}
 	}
 	ex.rt.charge(w.RowOut * float64(len(rel.rows)))
-	if !grown {
-		if err := ex.rt.growRows(len(rel.rows), rel.width); err != nil {
-			return nil, fmt.Errorf("executor: scan %s output: %w", n.Table, err)
-		}
-	}
 
 	if len(n.Preds) > 0 {
 		ex.actuals = append(ex.actuals, ScanActual{
 			Slot: n.Slot, Table: n.Table, Alias: n.Alias,
-			BaseRows: base, Examined: examined, Matched: float64(len(rel.rows)),
+			BaseRows: float64(snap.NumRows()), Examined: examined, Matched: float64(len(rel.rows)),
 			Trace: n.Tr,
 		})
 	}
 	return rel, nil
 }
 
-// serialVectorScan runs the vectorized filter chunk by chunk over the
-// snapshot: build the selection vector on the dense column arrays, then
-// materialize only the surviving rows. The reservation is charged per chunk
-// with the exact bytes of the materialized rows. Cancellation is checked at
-// chunk boundaries.
-func (ex *executor) serialVectorScan(snap *storage.Snapshot, preds []qgm.Predicate) ([][]value.Datum, float64, error) {
-	f := compileFilter(preds, snap.Schema())
-	needBytes := ex.rt.Mem != nil
-	var out [][]value.Datum
-	examined := 0
-	var scanErr error
+// scanMorsel is the scan loop, the only one: rows [lo, hi) of the snapshot
+// chunk by chunk — cancellation check, the compiled filter over the dense
+// column arrays into a selection vector, survivors handed to emit. The
+// sequential scan materializes them; the fused agg-scan folds them into
+// group state. Each morsel probes the storage.scan fault point, so an
+// injected page-read error surfaces from any worker and drains the pool.
+// The examined count is valid on error too.
+func (ex *executor) scanMorsel(snap *storage.Snapshot, f *chunkFilter, lo, hi int, emit func(ch *storage.Chunk, sel []int) error) (examined int, err error) {
+	if err := faultinject.Hit(faultinject.StorageScan); err != nil {
+		return 0, fmt.Errorf("executor: scanning %s: %w", snap.Name(), err)
+	}
 	var sel []int
-	snap.Range(0, snap.NumRows(), func(ch *storage.Chunk, _, clo, chi int) bool {
-		if scanErr = ex.rt.ctxErr(); scanErr != nil {
+	snap.Range(lo, hi, func(ch *storage.Chunk, _, clo, chi int) bool {
+		if err = ex.rt.ctxErr(); err != nil {
 			return false
 		}
 		examined += chi - clo
-		sel = f.selectRange(ch, clo, chi, sel)
-		if len(sel) == 0 {
-			return true
+		if sel = f.selectRange(ch, clo, chi, sel); len(sel) > 0 {
+			err = emit(ch, sel)
 		}
-		var bytes int64
-		for _, i := range sel {
-			row := ch.AppendRowTo(make([]value.Datum, 0, ch.NumCols()), i)
-			out = append(out, row)
-			if needBytes {
-				bytes += govern.ExactRowBytes(row)
-			}
-		}
-		if needBytes {
-			if err := ex.rt.grow(bytes); err != nil {
-				scanErr = fmt.Errorf("executor: scan %s output: %w", snap.Name(), err)
-				return false
-			}
-		}
-		return true
+		return err == nil
 	})
-	return out, float64(examined), scanErr
+	return examined, err
+}
+
+// seqScan returns the rows of the snapshot that pass preds, in storage
+// order, plus the examined row count. All morsels share one snapshot, so
+// workers see a consistent table image without taking any lock. The
+// reservation is charged per chunk with the exact bytes of the rows
+// materialized from it (the total is the sum over matched rows under any
+// partition).
+func (ex *executor) seqScan(snap *storage.Snapshot, preds []qgm.Predicate) ([][]value.Datum, float64, error) {
+	f := compileFilter(preds, snap.Schema())
+	needBytes := ex.rt.Mem != nil
+	n := snap.NumRows()
+	buckets := make([][][]value.Datum, ex.rt.morselCount(n))
+	var examined atomic.Int64
+	err := ex.rt.forMorsels(n, func(m, lo, hi int) error {
+		var out [][]value.Datum
+		cnt, err := ex.scanMorsel(snap, f, lo, hi, func(ch *storage.Chunk, sel []int) error {
+			var bytes int64
+			for _, i := range sel {
+				row := ch.AppendRowTo(make([]value.Datum, 0, ch.NumCols()), i)
+				out = append(out, row)
+				if needBytes {
+					bytes += govern.ExactRowBytes(row)
+				}
+			}
+			if err := ex.rt.grow(bytes); err != nil {
+				return fmt.Errorf("executor: scan %s output: %w", snap.Name(), err)
+			}
+			return nil
+		})
+		buckets[m] = out
+		examined.Add(int64(cnt))
+		return err
+	})
+	return concatBuckets(buckets), float64(examined.Load()), err
 }
 
 // indexPositions converts a sargable predicate into an index range scan of
@@ -485,17 +460,6 @@ func indexPositions(ix *index.Index, snap *storage.Snapshot, p qgm.Predicate) ([
 	default:
 		return nil, fmt.Errorf("executor: predicate %s is not sargable", p)
 	}
-}
-
-// joinKey encodes the join-column values of a row; NULL keys return ok=false
-// (SQL: NULL joins nothing). Numerics are normalized so int 5 joins float
-// 5.0. Batch loops use appendJoinKeyTo directly to reuse one buffer.
-func joinKey(row []value.Datum, cols []int) (string, bool) {
-	buf, ok := appendJoinKeyTo(make([]byte, 0, 16*len(cols)), row, cols)
-	if !ok {
-		return "", false
-	}
-	return string(buf), true
 }
 
 func mergedRelation(left, right *relation) *relation {
@@ -564,46 +528,82 @@ func (ex *executor) runHashJoin(n *optimizer.Join) (*relation, error) {
 	// The build table references left rows rather than copying them, so its
 	// accounted cost is per-entry overhead — charged before building, which
 	// is where an under-budgeted join must stop.
-	if err := ex.rt.grow(hashEntryBytes * int64(len(left.rows))); err != nil {
+	nL, nR := len(left.rows), len(right.rows)
+	if err := ex.rt.grow(hashEntryBytes * int64(nL)); err != nil {
 		return nil, fmt.Errorf("executor: hash join build: %w", err)
 	}
 
-	if ex.rt.dop() > 1 && len(left.rows)+len(right.rows) > ex.rt.morselSize() {
-		if err := ex.parallelHashJoin(left, right, rel, lCols, rCols); err != nil {
-			return nil, err
+	// Build, step one: encode the left keys morsel by morsel. The build table
+	// is split by key hash into one partition per worker the build side can
+	// keep busy; a single partition computes no hash.
+	parts := min(ex.rt.morselCount(nL), ex.rt.dop())
+	partOf := func(key []byte) uint32 {
+		if parts == 1 {
+			return 0
 		}
-		ex.rt.charge(w.HashBuild * float64(len(left.rows)))
-		ex.rt.charge(w.HashProbe * float64(len(right.rows)))
-		ex.rt.charge(w.RowOut * float64(len(rel.rows)))
-		if err := ex.rt.growRows(len(rel.rows), rel.width); err != nil {
-			return nil, fmt.Errorf("executor: hash join output: %w", err)
+		return fnv1a(key) % uint32(parts)
+	}
+	const noPart = ^uint32(0) // NULL key: joins nothing
+	lKeys := make([]string, nL)
+	lPart := make([]uint32, nL)
+	if err := ex.rt.forMorsels(nL, func(_, lo, hi int) error {
+		var kb []byte
+		for i := lo; i < hi; i++ {
+			var ok bool
+			if kb, ok = appendJoinKeyTo(kb[:0], left.rows[i], lCols); ok {
+				lKeys[i] = string(kb)
+				lPart[i] = partOf(kb)
+			} else {
+				lPart[i] = noPart
+			}
 		}
-		return rel, nil
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
-	// Serial build and probe compute keys batch-wise into one reused buffer;
-	// only keys actually inserted into the build table allocate.
-	var kb []byte
-	table := make(map[string][]int, len(left.rows))
-	for i, row := range left.rows {
-		var ok bool
-		if kb, ok = appendJoinKeyTo(kb[:0], row, lCols); ok {
-			key := string(kb)
-			table[key] = append(table[key], i)
+	// Build, step two: one morsel per partition inserts the rows hashing to
+	// it. Bucket lists stay in left-row order because every key belongs to
+	// exactly one partition and each partition walks the left side in order.
+	tables := make([]map[string][]int, parts)
+	if err := runMorsels(ex.rt.Ctx, parts, ex.rt.dop(), 1, func(p, _, _ int) error {
+		tbl := make(map[string][]int)
+		for i, lp := range lPart {
+			if lp == uint32(p) {
+				tbl[lKeys[i]] = append(tbl[lKeys[i]], i)
+			}
 		}
+		tables[p] = tbl
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	ex.rt.charge(w.HashBuild * float64(len(left.rows)))
 
-	for _, rrow := range right.rows {
-		var ok bool
-		if kb, ok = appendJoinKeyTo(kb[:0], rrow, rCols); !ok {
-			continue
+	// Probe: right-side morsels look keys up in the now read-only partition
+	// maps. Probe keys are built in a reused buffer and never converted to a
+	// string unless they match.
+	buckets := make([][][]value.Datum, ex.rt.morselCount(nR))
+	if err := ex.rt.forMorsels(nR, func(m, lo, hi int) error {
+		var out [][]value.Datum
+		var kb []byte
+		for _, rrow := range right.rows[lo:hi] {
+			var ok bool
+			if kb, ok = appendJoinKeyTo(kb[:0], rrow, rCols); !ok {
+				continue
+			}
+			for _, li := range tables[partOf(kb)][string(kb)] {
+				out = append(out, concatRows(left.rows[li], rrow))
+			}
 		}
-		for _, li := range table[string(kb)] {
-			rel.rows = append(rel.rows, concatRows(left.rows[li], rrow))
-		}
+		buckets[m] = out
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	ex.rt.charge(w.HashProbe * float64(len(right.rows)))
+	rel.rows = concatBuckets(buckets)
+
+	ex.rt.charge(w.HashBuild * float64(nL))
+	ex.rt.charge(w.HashProbe * float64(nR))
 	ex.rt.charge(w.RowOut * float64(len(rel.rows)))
 	if err := ex.rt.growRows(len(rel.rows), rel.width); err != nil {
 		return nil, fmt.Errorf("executor: hash join output: %w", err)
@@ -656,31 +656,32 @@ func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {
 		return nil, fmt.Errorf("executor: no usable index for NL join into %s", inner.Table)
 	}
 
-	examined, matched := 0.0, 0.0
-	if ex.rt.dop() > 1 && len(left.rows) > ex.rt.morselSize() {
-		rows, exam, match, err := ex.parallelIndexNLProbe(left, inner, snap, ix, driving, n.Preds)
-		if err != nil {
-			return nil, err
-		}
-		rel.rows, examined, matched = rows, exam, match
-		ex.rt.charge(w.IndexProbe * float64(len(left.rows)))
-	} else {
-		for _, lrow := range left.rows {
+	// Probe: left-row morsels look their key up in the index and fetch the
+	// inner rows from the shared snapshot, a consistent image read lock-free.
+	// The probe is charged row by row: every addend is the same, so the
+	// meter's float total is the same under any partition and interleaving.
+	keyCol := left.col(driving.LeftSlot, driving.LeftOrd)
+	buckets := make([][][]value.Datum, ex.rt.morselCount(len(left.rows)))
+	var examinedN, matchedN atomic.Int64
+	if err := ex.rt.forMorsels(len(left.rows), func(m, lo, hi int) error {
+		var out [][]value.Datum
+		exam, match := 0, 0
+		for _, lrow := range left.rows[lo:hi] {
 			ex.rt.charge(w.IndexProbe)
-			key := lrow[left.col(driving.LeftSlot, driving.LeftOrd)]
+			key := lrow[keyCol]
 			if key.IsNull() {
 				continue
 			}
 			for _, pos := range ix.LookupAt(snap, key) {
 				irow, err := snap.Row(pos)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				examined++
+				exam++
 				if !matchesAll(inner.Preds, irow) {
 					continue
 				}
-				matched++
+				match++
 				// Residual join predicates.
 				okRow := true
 				for i := range n.Preds {
@@ -695,11 +696,19 @@ func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {
 					}
 				}
 				if okRow {
-					rel.rows = append(rel.rows, concatRows(lrow, irow))
+					out = append(out, concatRows(lrow, irow))
 				}
 			}
 		}
+		buckets[m] = out
+		examinedN.Add(int64(exam))
+		matchedN.Add(int64(match))
+		return nil
+	}); err != nil {
+		return nil, err
 	}
+	rel.rows = concatBuckets(buckets)
+	examined, matched := float64(examinedN.Load()), float64(matchedN.Load())
 	ex.rt.charge(w.IndexRow * examined)
 	ex.rt.charge(w.RowOut * float64(len(rel.rows)))
 	if err := ex.rt.growRows(len(rel.rows), rel.width); err != nil {
@@ -962,7 +971,7 @@ type aggState struct {
 }
 
 // merge folds another partial state for the same group and projection into
-// st; the parallel aggregation path combines per-worker partials with it.
+// st; mergeFrom combines per-morsel partials with it.
 func (st *aggState) merge(other *aggState) {
 	st.count += other.count
 	st.countCol += other.countCol
@@ -983,11 +992,10 @@ type group struct {
 	aggs []aggState
 }
 
-// groupAccumulator builds grouped aggregation state row by row. The serial
-// path runs one accumulator over the whole input; the parallel path runs one
-// per morsel and merges them in morsel order, which preserves the serial
-// first-appearance group order. The fused agg-scan absorbs selected chunk
-// rows directly (absorbChunk) without materializing the relation.
+// groupAccumulator builds grouped aggregation state row by row, one
+// accumulator per morsel, merged in morsel order (mergePartials). The fused
+// agg-scan absorbs selected chunk rows directly (absorbChunk) without
+// materializing the relation.
 type groupAccumulator struct {
 	blk    *qgm.Block
 	rel    *relation
@@ -1089,21 +1097,33 @@ func (ga *groupAccumulator) mergeFrom(other *groupAccumulator) {
 	}
 }
 
+// mergePartials folds per-morsel accumulators in morsel order, reproducing
+// the first-appearance group order and the integer aggregates of a single
+// accumulator over the whole input exactly; float SUM/AVG may differ by
+// rounding since partial sums associate differently. A single morsel's
+// accumulator is returned as is.
+func mergePartials(partials []*groupAccumulator) *groupAccumulator {
+	out := partials[0]
+	for _, p := range partials[1:] {
+		out.mergeFrom(p)
+	}
+	return out
+}
+
 func (ex *executor) aggregate(rel *relation) (*Result, error) {
-	var ga *groupAccumulator
-	if ex.rt.dop() > 1 && len(rel.rows) > ex.rt.morselSize() {
-		var err error
-		ga, err = ex.parallelAggregate(rel)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		ga = newGroupAccumulator(ex.blk, rel)
-		for _, row := range rel.rows {
+	n := len(rel.rows)
+	partials := make([]*groupAccumulator, ex.rt.morselCount(n))
+	if err := ex.rt.forMorsels(n, func(m, lo, hi int) error {
+		ga := newGroupAccumulator(ex.blk, rel)
+		for _, row := range rel.rows[lo:hi] {
 			ga.absorbRow(row)
 		}
+		partials[m] = ga
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	return ex.aggregateFinish(ga, len(rel.rows))
+	return ex.aggregateFinish(mergePartials(partials), n)
 }
 
 // aggregateFinish turns accumulated group state into the result rows,
@@ -1281,11 +1301,7 @@ func (ex *executor) orderResult(res *Result) error {
 		}
 		return false
 	}
-	if ex.rt.dop() > 1 && n > ex.rt.morselSize() {
-		parallelStableSort(res.Rows, ex.rt.dop(), less)
-	} else {
-		sort.SliceStable(res.Rows, func(i, j int) bool { return less(res.Rows[i], res.Rows[j]) })
-	}
+	parallelStableSort(res.Rows, ex.rt.dop(), less)
 
 	// Strip hidden sort columns.
 	visible := len(res.Columns)

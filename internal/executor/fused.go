@@ -6,16 +6,15 @@
 // SeqRow·examined + RowOut·matched at the scan, HashBuild·matched plus the
 // group-state reservation at the aggregate — so EXPLAIN ANALYZE actuals,
 // metered totals and the serial-vs-parallel differential all stay
-// byte-identical to the pre-fusion engine; only the intermediate row
-// buffer (and its wall-clock and memory cost) disappears.
+// byte-identical to the unfused pipeline (TestFusedAggMatchesUnfused); only
+// the intermediate row buffer (and its wall-clock and memory cost)
+// disappears.
 package executor
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/optimizer"
 	"repro/internal/storage"
 )
@@ -31,9 +30,6 @@ func (ex *executor) runFusedAggScan(n *optimizer.Scan) (*Result, error) {
 	tbl, err := ex.baseTable(n.Table)
 	if err != nil {
 		return nil, err
-	}
-	if err := faultinject.Hit(faultinject.StorageScan); err != nil {
-		return nil, fmt.Errorf("executor: scanning %s: %w", n.Table, err)
 	}
 	w := ex.rt.Weights
 	var before float64
@@ -56,31 +52,27 @@ func (ex *executor) runFusedAggScan(n *optimizer.Scan) (*Result, error) {
 	}
 	f := compileFilter(n.Preds, snap.Schema())
 
-	var ga *groupAccumulator
-	var examined, matched int64
-	if ex.rt.dop() > 1 && snap.NumRows() > ex.rt.morselSize() {
-		ga, examined, matched, err = ex.parallelFusedAgg(snap, rel, f)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		ga = newGroupAccumulator(ex.blk, rel)
-		var sel []int
-		var scanErr error
-		snap.Range(0, snap.NumRows(), func(ch *storage.Chunk, _, clo, chi int) bool {
-			if scanErr = ex.rt.ctxErr(); scanErr != nil {
-				return false
-			}
-			examined += int64(chi - clo)
-			sel = f.selectRange(ch, clo, chi, sel)
-			matched += int64(len(sel))
+	// One accumulator per morsel absorbs the survivors of its chunk
+	// sub-ranges; partials merge in morsel order.
+	rows := snap.NumRows()
+	partials := make([]*groupAccumulator, ex.rt.morselCount(rows))
+	var examinedN, matchedN atomic.Int64
+	if err := ex.rt.forMorsels(rows, func(m, lo, hi int) error {
+		ga := newGroupAccumulator(ex.blk, rel)
+		match := 0
+		cnt, err := ex.scanMorsel(snap, f, lo, hi, func(ch *storage.Chunk, sel []int) error {
+			match += len(sel)
 			ga.absorbChunk(ch, sel)
-			return true
+			return nil
 		})
-		if scanErr != nil {
-			return nil, scanErr
-		}
+		partials[m] = ga
+		examinedN.Add(int64(cnt))
+		matchedN.Add(int64(match))
+		return err
+	}); err != nil {
+		return nil, err
 	}
+	ga, examined, matched := mergePartials(partials), examinedN.Load(), matchedN.Load()
 
 	ex.rt.charge(w.SeqRow * float64(examined))
 	ex.rt.charge(w.RowOut * float64(matched))
@@ -103,46 +95,4 @@ func (ex *executor) runFusedAggScan(n *optimizer.Scan) (*Result, error) {
 		})
 	}
 	return ex.aggregateFinish(ga, int(matched))
-}
-
-// parallelFusedAgg fans the fused scan over morsels: each worker filters
-// its chunk sub-ranges and absorbs survivors into a per-morsel partial
-// accumulator; partials merge in morsel order, preserving the serial
-// first-appearance group order (float SUM/AVG may round differently, as
-// with the unfused parallel aggregate).
-func (ex *executor) parallelFusedAgg(snap *storage.Snapshot, rel *relation, f *chunkFilter) (*groupAccumulator, int64, int64, error) {
-	sz := ex.rt.morselSize()
-	n := snap.NumRows()
-	partials := make([]*groupAccumulator, morselCount(n, sz))
-	var examined, matched atomic.Int64
-	err := runMorsels(ex.rt.ctx(), n, ex.rt.dop(), sz, func(m, lo, hi int) error {
-		if err := faultinject.Hit(faultinject.StorageScan); err != nil {
-			return err
-		}
-		ga := newGroupAccumulator(ex.blk, rel)
-		var sel []int
-		cnt, match := 0, 0
-		snap.Range(lo, hi, func(ch *storage.Chunk, _, clo, chi int) bool {
-			cnt += chi - clo
-			sel = f.selectRange(ch, clo, chi, sel)
-			match += len(sel)
-			ga.absorbChunk(ch, sel)
-			return true
-		})
-		partials[m] = ga
-		examined.Add(int64(cnt))
-		matched.Add(int64(match))
-		return nil
-	})
-	if err != nil {
-		return nil, examined.Load(), matched.Load(), err
-	}
-	if len(partials) == 0 {
-		return newGroupAccumulator(ex.blk, rel), 0, 0, nil
-	}
-	out := partials[0]
-	for _, p := range partials[1:] {
-		out.mergeFrom(p)
-	}
-	return out, examined.Load(), matched.Load(), nil
 }

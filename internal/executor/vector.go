@@ -14,6 +14,8 @@
 package executor
 
 import (
+	"encoding/binary"
+	"math"
 	"strconv"
 
 	"repro/internal/qgm"
@@ -242,25 +244,51 @@ func (f *chunkFilter) selectRange(ch *storage.Chunk, lo, hi int, sel []int) []in
 
 // appendJoinKeyTo appends the encoded join key for row's cols, returning
 // ok=false on a NULL key column (SQL: NULL joins nothing). The encoding is
-// byte-identical to the historical fmt-based joinKey — "n<float>|" for
-// numerics (normalized so int 5 joins float 5.0), "s<str>|" for strings —
-// but appends into a reusable buffer instead of allocating a Builder.
+// injective — two keys are byte-equal exactly when every column pair is
+// equal — because each column is a tag plus a self-delimiting payload:
+//
+//	'n' + 8 bytes  a number exactly representable as a float64 (its bits,
+//	               -0 folded into +0), so int 5 joins float 5.0
+//	'i' + 8 bytes  an int64 no float64 represents (beyond ±2^53); it can
+//	               equal only the same int
+//	's' + uvarint length + bytes
+//
+// Fixed widths and the length prefix mean no separator is needed and no
+// string content can run into the next column. Equality here is exact
+// numeric equality, which is Datum.Equal wherever Equal is an equivalence;
+// Equal compares a mixed int/float pair as floats, so beyond ±2^53 it calls
+// distinct numbers equal and stops being transitive, which no key can follow.
 func appendJoinKeyTo(buf []byte, row []value.Datum, cols []int) ([]byte, bool) {
 	for _, c := range cols {
-		d := row[c]
-		if d.IsNull() {
+		switch d := row[c]; d.Kind() {
+		case value.KindNull:
 			return buf, false
+		case value.KindInt:
+			i := d.Int()
+			if f := float64(i); f < 1<<63 && int64(f) == i {
+				buf = appendFloatKey(buf, f)
+			} else {
+				buf = binary.BigEndian.AppendUint64(append(buf, 'i'), uint64(i))
+			}
+		case value.KindFloat:
+			buf = appendFloatKey(buf, d.Float())
+		default:
+			s := d.Str()
+			buf = binary.AppendUvarint(append(buf, 's'), uint64(len(s)))
+			buf = append(buf, s...)
 		}
-		if f, ok := d.AsFloat(); ok {
-			buf = append(buf, 'n')
-			buf = strconv.AppendFloat(buf, f, 'g', -1, 64)
-		} else {
-			buf = append(buf, 's')
-			buf = append(buf, d.Str()...)
-		}
-		buf = append(buf, '|')
 	}
 	return buf, true
+}
+
+func appendFloatKey(buf []byte, f float64) []byte {
+	switch {
+	case f == 0:
+		f = 0 // -0 == +0
+	case f != f:
+		f = math.NaN() // one NaN, whatever its payload
+	}
+	return binary.BigEndian.AppendUint64(append(buf, 'n'), math.Float64bits(f))
 }
 
 // appendGroupKeyDatum appends one datum's group-key encoding plus the '|'

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/qgm"
@@ -143,43 +142,71 @@ func TestCompiledFilterMatchesRowByRow(t *testing.T) {
 	}
 }
 
-// The join-key encoder must be byte-identical to the historical fmt-based
-// encoding ("n%v|" for numerics via AsFloat, "s%s|" for strings), including
-// the NULL-key rejection.
-func TestAppendJoinKeyMatchesFmt(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 500; trial++ {
-		ncols := rng.Intn(3) + 1
-		row := make([]value.Datum, ncols)
-		cols := make([]int, ncols)
-		for i := range row {
-			row[i] = randOperand(rng)
+// joinKeyPool holds the values a join key must tell apart or must not:
+// strings that spell the encoding's own tags and the old '|' separator,
+// int/float twins, both zeros, ints around 2^53 where float64 runs out of
+// integers, and the int64 extremes. Floats stay inside ±2^53: past it
+// Datum.Equal compares mixed int/float pairs lossily and is no longer
+// transitive, so it has no key.
+var joinKeyPool = []value.Datum{
+	value.Null,
+	value.NewString(""), value.NewString("a"), value.NewString("b"), value.NewString("c"),
+	value.NewString("a|sb"), value.NewString("b|sc"), value.NewString("|"), value.NewString("|s"),
+	value.NewString("'"), value.NewString("a'"), value.NewString("s"), value.NewString("n5|"),
+	value.NewString("5"), value.NewString("\x01a"),
+	value.NewInt(0), value.NewInt(5), value.NewInt(-5),
+	value.NewInt(1<<53 - 1), value.NewInt(1 << 53), value.NewInt(1<<53 + 1), value.NewInt(-(1<<53 + 1)),
+	value.NewInt(math.MaxInt64), value.NewInt(math.MaxInt64 - 1), value.NewInt(math.MinInt64),
+	value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)), value.NewFloat(5), value.NewFloat(-5),
+	value.NewFloat(0.5), value.NewFloat(1<<53 - 1), value.NewFloat(math.Inf(1)),
+}
+
+// Property: two rows get byte-equal join keys exactly when every key column
+// pair is Datum.Equal, and a row gets no key exactly when a key column is
+// NULL. One column is checked over every pair of the pool, two and three
+// columns over random tuples biased towards equal prefixes.
+func TestJoinKeyEqualIffDatumsEqual(t *testing.T) {
+	check := func(a, b []value.Datum) {
+		t.Helper()
+		cols := make([]int, len(a))
+		wantOK := [2]bool{true, true}
+		equal := true
+		for i := range a {
 			cols[i] = i
+			wantOK[0] = wantOK[0] && !a[i].IsNull()
+			wantOK[1] = wantOK[1] && !b[i].IsNull()
+			equal = equal && a[i].Equal(b[i])
 		}
-
-		var sb strings.Builder
-		wantOK := true
-		for _, c := range cols {
-			d := row[c]
-			if d.IsNull() {
-				wantOK = false
-				break
-			}
-			if f, ok := d.AsFloat(); ok {
-				fmt.Fprintf(&sb, "n%v|", f)
-			} else {
-				fmt.Fprintf(&sb, "s%s|", d.Str())
-			}
+		ka, okA := appendJoinKeyTo(nil, a, cols)
+		kb, okB := appendJoinKeyTo(nil, b, cols)
+		if okA != wantOK[0] || okB != wantOK[1] {
+			t.Fatalf("rows %v / %v: ok=%v/%v, want %v", a, b, okA, okB, wantOK)
 		}
-
-		got, ok := appendJoinKeyTo(nil, row, cols)
-		if ok != wantOK {
-			t.Fatalf("row %v: ok=%v, want %v", row, ok, wantOK)
-		}
-		if ok && string(got) != sb.String() {
-			t.Fatalf("row %v: key %q, want %q", row, got, sb.String())
+		if okA && okB && (string(ka) == string(kb)) != equal {
+			t.Fatalf("rows %v / %v: keys %q / %q, but Equal on every column = %v", a, b, ka, kb, equal)
 		}
 	}
+	for _, x := range joinKeyPool {
+		for _, y := range joinKeyPool {
+			check([]value.Datum{x}, []value.Datum{y})
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	pick := func() value.Datum { return joinKeyPool[rng.Intn(len(joinKeyPool))] }
+	for trial := 0; trial < 20000; trial++ {
+		n := rng.Intn(2) + 2
+		a, b := make([]value.Datum, n), make([]value.Datum, n)
+		for i := range a {
+			a[i], b[i] = pick(), pick()
+			if rng.Intn(2) == 0 {
+				b[i] = a[i]
+			}
+		}
+		check(a, b)
+	}
+	// The pair from the bug report: one '|'-joined spelling, two tuples.
+	check([]value.Datum{value.NewString("a|sb"), value.NewString("c")},
+		[]value.Datum{value.NewString("a"), value.NewString("b|sc")})
 }
 
 // The group-key encoder must be byte-identical to fmt.Sprintf("%s|", d)

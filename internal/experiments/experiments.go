@@ -514,71 +514,79 @@ func Figure6(opts Options, smaxes []float64) ([]SweepPoint, error) {
 
 // ---- Parallel speedup ----------------------------------------------------
 
-// SpeedupRow reports one degree of parallelism in the speedup experiment.
+// SpeedupRow reports one cell of the speedup sweep.
 type SpeedupRow struct {
+	ChunkSize   int // storage chunk size; 0 = storage.DefaultChunkSize
 	Workers     int
 	WallSeconds float64 // measured wall clock for the whole query stream
-	Speedup     float64 // serial wall clock / this row's wall clock
+	Speedup     float64 // first cell's wall clock / this cell's wall clock
 	SimSeconds  float64 // simulated cost-model total — identical in every row
 	Queries     int
 }
 
 // ParallelSpeedup replays the same JITS-enabled query stream once per
-// requested worker count and measures wall-clock time. The simulated
-// cost-model seconds and every query's result set must be identical across
-// rows — parallelism is a wall-clock knob, not a semantics knob — and the
-// function fails if any run diverges from the serial baseline.
-func ParallelSpeedup(opts Options, workers []int) ([]SpeedupRow, error) {
+// storage chunk size × worker count and measures wall-clock time. The first
+// cell — the first chunk size, serial — is the baseline, so workers must
+// start at 1; nil chunks means the default size only, nil workers 1, 2, 4.
+// The simulated cost-model seconds and every query's result set must be
+// identical across cells — parallelism and chunk geometry are wall-clock
+// knobs, not semantics knobs — and the function fails if any cell diverges
+// from the baseline.
+func ParallelSpeedup(opts Options, chunks, workers []int) ([]SpeedupRow, error) {
+	if len(chunks) == 0 {
+		chunks = []int{0}
+	}
 	if len(workers) == 0 {
 		workers = []int{1, 2, 4}
 	}
 	if workers[0] != 1 {
-		workers = append([]int{1}, workers...)
+		return nil, fmt.Errorf("experiments: speedup sweep needs dop 1 first as baseline, got %d", workers[0])
 	}
 	var out []SpeedupRow
 	var baseline []string
-	var baselineSim float64
-	for _, dop := range workers {
-		cfg := engine.Config{Parallelism: dop, JITS: opts.jitsConfig(), Trace: opts.Trace}
-		e := opts.newEngine(cfg)
-		d, err := workload.Load(e, workload.Spec{Scale: opts.Scale, Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		stmts := d.Queries(opts.Queries, opts.Seed+1)
-		fingerprints := make([]string, 0, len(stmts))
-		sim := 0.0
-		start := time.Now()
-		for _, s := range stmts {
-			res, err := e.Exec(s.SQL)
+	for _, chunk := range chunks {
+		for _, dop := range workers {
+			cfg := engine.Config{Parallelism: dop, JITS: opts.jitsConfig(), Trace: opts.Trace, StorageChunkSize: chunk}
+			e := opts.newEngine(cfg)
+			d, err := workload.Load(e, workload.Spec{Scale: opts.Scale, Seed: opts.Seed})
 			if err != nil {
-				return nil, fmt.Errorf("experiments: speedup at dop %d, %q: %w", dop, s.SQL, err)
+				return nil, err
 			}
-			sim += res.Metrics.TotalSeconds
-			fingerprints = append(fingerprints, fingerprintResult(res))
-		}
-		wall := time.Since(start).Seconds()
-		if dop == 1 {
-			baseline, baselineSim = fingerprints, sim
-		} else {
-			for i := range fingerprints {
-				if fingerprints[i] != baseline[i] {
-					return nil, fmt.Errorf("experiments: dop %d diverged from serial on query %d (%s)",
-						dop, i, stmts[i].SQL)
+			stmts := d.Queries(opts.Queries, opts.Seed+1)
+			fingerprints := make([]string, 0, len(stmts))
+			sim := 0.0
+			start := time.Now()
+			for _, s := range stmts {
+				res, err := e.Exec(s.SQL)
+				if err != nil {
+					return nil, fmt.Errorf("experiments: speedup at chunk %d dop %d, %q: %w", chunk, dop, s.SQL, err)
+				}
+				sim += res.Metrics.TotalSeconds
+				fingerprints = append(fingerprints, fingerprintResult(res))
+			}
+			row := SpeedupRow{
+				ChunkSize: chunk, Workers: dop, WallSeconds: time.Since(start).Seconds(),
+				Speedup: 1, SimSeconds: sim, Queries: len(stmts),
+			}
+			if baseline == nil {
+				baseline = fingerprints
+			} else {
+				for i := range fingerprints {
+					if fingerprints[i] != baseline[i] {
+						return nil, fmt.Errorf("experiments: chunk %d dop %d diverged from the baseline on query %d (%s)",
+							chunk, dop, i, stmts[i].SQL)
+					}
+				}
+				if base := out[0].SimSeconds; math.Abs(sim-base) > 1e-6*(1+base) {
+					return nil, fmt.Errorf("experiments: chunk %d dop %d simulated time %.6f != baseline %.6f",
+						chunk, dop, sim, base)
+				}
+				if row.WallSeconds > 0 {
+					row.Speedup = out[0].WallSeconds / row.WallSeconds
 				}
 			}
-			if diff := math.Abs(sim - baselineSim); diff > 1e-6*(1+baselineSim) {
-				return nil, fmt.Errorf("experiments: dop %d simulated time %.6f != serial %.6f",
-					dop, sim, baselineSim)
-			}
+			out = append(out, row)
 		}
-		row := SpeedupRow{Workers: dop, WallSeconds: wall, SimSeconds: sim, Queries: len(stmts)}
-		if len(out) > 0 && wall > 0 {
-			row.Speedup = out[0].WallSeconds / wall
-		} else {
-			row.Speedup = 1
-		}
-		out = append(out, row)
 	}
 	return out, nil
 }

@@ -254,3 +254,36 @@ func TestWorkloadDegradationColumn(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelSpeedupQuick runs a small sweep — a tiny and the default
+// chunk size, serial and dop 2 — relying on the sweep's built-in fingerprint
+// and simulated-cost cross-checks to fail on any divergence.
+func TestParallelSpeedupQuick(t *testing.T) {
+	opts := QuickOptions()
+	opts.Queries = 60
+	rows, err := ParallelSpeedup(opts, []int{64, 4096}, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(rows))
+	}
+	if rows[0].ChunkSize != 64 || rows[0].Workers != 1 || rows[0].Speedup != 1 {
+		t.Fatalf("baseline row malformed: %+v", rows[0])
+	}
+	for _, r := range rows {
+		if r.Queries != 60 {
+			t.Errorf("chunk %d dop %d ran %d queries, want 60", r.ChunkSize, r.Workers, r.Queries)
+		}
+		if r.SimSeconds <= 0 || r.WallSeconds <= 0 {
+			t.Errorf("chunk %d dop %d has non-positive timings: %+v", r.ChunkSize, r.Workers, r)
+		}
+		if r.SimSeconds != rows[0].SimSeconds {
+			t.Errorf("chunk %d dop %d simulated %v s, baseline %v s", r.ChunkSize, r.Workers, r.SimSeconds, rows[0].SimSeconds)
+		}
+	}
+	// A baseline that is not serial must be rejected.
+	if _, err := ParallelSpeedup(opts, nil, []int{2, 1}); err == nil {
+		t.Error("sweep without dop 1 first must fail")
+	}
+}

@@ -41,12 +41,19 @@ bench-test:
 # Last, the index layer: one image advance per kind of DML at 43k and 430k
 # rows (a catch-up allocates nothing once warm; only first-build and the
 # 30 % rewrite sort everything) and a point probe with a native and with a
-# fallback bound. CI runs this target.
+# fallback bound. Then JITS collection, one table's worth per layer: the
+# columnar draw (2000 of 43k rows, 8 columns), bitmap group evaluation (7
+# groups over 3 predicates), the NDV counter per column kind (0 allocs/op
+# once warm), and one archive merge at the shape measured on collect_all
+# (164 cells, 35 constraints, 20 of them re-observed boxes). CI runs this
+# target.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Disabled|AtomicLoadBaseline|NilTracer' -benchmem ./internal/metrics/ ./internal/tracing/ ./internal/flightrec/ ./internal/accuracy/
 	$(GO) test -run '^$$' -bench 'StatementRecorder|StatementLedger' -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'ResultFrame' -benchmem ./internal/wire/
 	$(GO) test -run '^$$' -bench 'IndexAdvance|Lookup10k' -benchmem -benchtime 0.3s ./internal/index/
+	$(GO) test -run '^$$' -bench 'SampleDraw|EvaluateGroups|ColumnNDV' -benchmem -benchtime 0.3s ./internal/sampling/
+	$(GO) test -run '^$$' -bench 'AddConstraintSteady' -benchmem -benchtime 0.3s ./internal/histogram/
 
 # Drift-detection smoke: the accuracy ledger's unit proofs plus the
 # clock-injected quick drift run — warm a JITS engine, freeze collection,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,8 +15,8 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/govern"
 	"repro/internal/index"
-	"repro/internal/qgm"
 	"repro/internal/metrics"
+	"repro/internal/qgm"
 	"repro/internal/sampling"
 	"repro/internal/storage"
 	"repro/internal/tracing"
@@ -454,7 +455,7 @@ func (j *JITS) PrepareBudgeted(ctx context.Context, q *qgm.Query, db *storage.Da
 				}
 				span := j.tracer.Start(ts, tracing.PhaseSample)
 				sampleStart := time.Now()
-				err := j.collectTable(ctx, tbl, name, tw.groups, size, qs, &tr, sens, ts, meter, w, res)
+				err := j.collectTable(ctx, tbl, name, tw.groups, size, qs, &tr, sens, ts, meter, w, res, span)
 				// The breaker watches real sampling wall time, success or
 				// not: a probe that errors slowly is still a slow probe.
 				j.breaker.RecordSampling(time.Since(sampleStart))
@@ -512,7 +513,7 @@ const minSampleRows = 64
 // cannot fit at all returns a wrapped govern.ErrMemoryBudget. The
 // reservation is returned when the sample is released: QSS live in the
 // archive, the sample itself is transient.
-func (j *JITS) collectTable(ctx context.Context, tbl *storage.Table, name string, groups [][]qgm.Predicate, size int, qs *QueryStats, tr *TableReport, sens *Sensitivity, ts int64, meter *costmodel.Meter, w costmodel.Weights, res *govern.Reservation) (err error) {
+func (j *JITS) collectTable(ctx context.Context, tbl *storage.Table, name string, groups [][]qgm.Predicate, size int, qs *QueryStats, tr *TableReport, sens *Sensitivity, ts int64, meter *costmodel.Meter, w costmodel.Weights, res *govern.Reservation, span *tracing.Span) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &panicError{val: p}
@@ -543,18 +544,25 @@ func (j *JITS) collectTable(ctx context.Context, tbl *storage.Table, name string
 		defer res.Shrink(reserved)
 	}
 
-	sample, err := j.sampler.Sample(ctx, tbl, size, meter, w, j.cfg.Parallelism)
+	sample, err := j.sampler.SampleColumns(ctx, tbl, size, meter, w, j.cfg.Parallelism)
 	if err != nil {
 		return err
 	}
+	rows := sample.Rows()
+	span.Lap("draw_us")
 	if j.cfg.PerGroupSampling && len(groups) > 1 {
 		// Prototype-faithful costing: every additional candidate
 		// group pays its own sampling query.
-		meter.Add(w.SampleRow * float64(len(sample)) * float64(len(groups)-1))
+		meter.Add(w.SampleRow * float64(rows) * float64(len(groups)-1))
 	}
-	sels := sampling.EvaluateGroupsParallel(sample, groups, meter, w, j.cfg.Parallelism)
-	floor := sampling.SelectivityFloor(len(sample))
-	domains := SampleDomains(tbl.Schema(), sample)
+	sels := sampling.EvaluateColumns(sample, groups, meter, w, j.cfg.Parallelism)
+	floor := sampling.SelectivityFloor(rows)
+	span.Lap("eval_us")
+
+	// Only the columns some candidate group references are ever looked up.
+	schema := tbl.Schema()
+	domains := columnDomains(schema, sample, qgm.GroupColumns(slices.Concat(groups...)))
+	span.Lap("domains_us")
 
 	card := int64(tbl.RowCount())
 	j.archive.SetCardinality(name, card, ts)
@@ -562,16 +570,12 @@ func (j *JITS) collectTable(ctx context.Context, tbl *storage.Table, name string
 
 	// Distinct-value estimates per column from the same sample
 	// (Duj1), refreshed into the archive for join estimation.
-	schema := tbl.Schema()
 	for c := 0; c < schema.NumColumns(); c++ {
-		colVals := make([]value.Datum, len(sample))
-		for ri, row := range sample {
-			colVals[ri] = row[c]
-		}
-		if ndv := sampling.EstimateNDV(colVals, int(card)); ndv > 0 {
+		if ndv := j.sampler.EstimateNDV(sample.Col(c), int(card)); ndv > 0 {
 			j.archive.SetColumnNDV(name, schema.Column(c).Name, ndv, ts)
 		}
 	}
+	span.Lap("ndv_us")
 
 	for gi, g := range groups {
 		sel := sels[gi]
@@ -590,31 +594,34 @@ func (j *JITS) collectTable(ctx context.Context, tbl *storage.Table, name string
 			}
 		}
 	}
-	tr.SampleRows = len(sample)
+	tr.SampleRows = rows
+	span.Lap("materialize_us")
 	return nil
 }
 
-// SampleDomains derives per-column domains (coordinate range + unit) from
-// the sample rows, for archive grid creation.
+// SampleDomains is columnDomains over row-shaped data, for every column of
+// the schema.
 func SampleDomains(schema *storage.Schema, sample [][]value.Datum) map[string]ColumnDomain {
-	out := make(map[string]ColumnDomain, schema.NumColumns())
+	return columnDomains(schema, storage.ChunkFromRows(sample), nil)
+}
+
+// columnDomains derives the domains (coordinate range + unit) of the named
+// columns — of every schema column when cols is nil — from a columnar
+// sample, for archive grid creation. A column with no observed value has no
+// domain: it is not gridable.
+func columnDomains(schema *storage.Schema, sample *storage.Chunk, cols []string) map[string]ColumnDomain {
+	out := make(map[string]ColumnDomain, len(cols))
+	if sample.Rows() == 0 {
+		return out
+	}
 	for c := 0; c < schema.NumColumns(); c++ {
 		col := schema.Column(c)
-		var min, max value.Datum
-		for _, row := range sample {
-			d := row[c]
-			if d.IsNull() {
-				continue
-			}
-			if min.IsNull() || d.Compare(min) < 0 {
-				min = d
-			}
-			if max.IsNull() || d.Compare(max) > 0 {
-				max = d
-			}
+		if cols != nil && !slices.Contains(cols, col.Name) {
+			continue
 		}
+		min, max := sample.Col(c).MinMax()
 		if min.IsNull() {
-			continue // no observed values: not gridable
+			continue
 		}
 		out[col.Name] = ColumnDomain{
 			Lo:   min.Coord(),

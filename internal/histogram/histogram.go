@@ -215,35 +215,64 @@ func overlap1D(a, b, lo, hi float64) float64 {
 	return (r - l) / w
 }
 
-// forEachCell walks every cell, passing its linear index and per-dim coords.
-func (h *Histogram) forEachCell(fn func(idx int, coord []int)) {
+// forEachBoxCell visits, in row-major order, the cells a box (already
+// clamped) overlaps: per dimension, the run of cells from the one holding
+// b.Lo[d] to the last one starting below b.Hi[d], found by binary search.
+// fn gets the cell's linear index and the fraction of its volume the box
+// covers — the product 1.0·f_0·f_1·… of the per-dimension 1-D fractions,
+// each computed once — which is 0 only where a fraction underflows. Every
+// cell it does not visit overlaps the box by exactly 0.
+func (h *Histogram) forEachBoxCell(b Box, fn func(idx int, w float64)) {
+	// Scratch on the stack for the usual one to four dimensions: per
+	// dimension the odometer, the run's length, its row-major stride and
+	// where its fractions start; then the prefix products and the fractions.
 	nd := h.Dims()
-	coord := make([]int, nd)
-	for idx := range h.mass {
-		fn(idx, coord)
-		for d := nd - 1; d >= 0; d-- {
+	var ibuf [16]int
+	var fbuf [64]float64
+	ints := ibuf[:]
+	if 4*nd > len(ints) {
+		ints = make([]int, 4*nd)
+	}
+	coord, count, stride, off := ints[:nd], ints[nd:2*nd], ints[2*nd:3*nd], ints[3*nd:]
+	fracs := append(fbuf[:0], make([]float64, nd+1)...)
+	idx, s := 0, 1
+	for d := nd - 1; d >= 0; d-- {
+		cd := h.cuts[d]
+		i0 := sort.SearchFloat64s(cd, b.Lo[d])
+		if i0 > 0 && (i0 == len(cd) || cd[i0] > b.Lo[d]) {
+			i0-- // the cell b.Lo[d] falls strictly inside
+		}
+		i1 := min(sort.SearchFloat64s(cd, b.Hi[d]), len(cd)-1)
+		if i1 <= i0 {
+			return
+		}
+		count[d], stride[d], off[d] = i1-i0, s, len(fracs)
+		for i := i0; i < i1; i++ {
+			fracs = append(fracs, overlap1D(cd[i], cd[i+1], b.Lo[d], b.Hi[d]))
+		}
+		idx += i0 * s
+		s *= len(cd) - 1
+	}
+	prefix := fracs[:nd+1] // prefix[d+1] = 1.0·f_0·…·f_d at coord
+	prefix[0] = 1.0
+	for d := 0; ; {
+		for ; d < nd; d++ {
+			prefix[d+1] = prefix[d] * fracs[off[d]+coord[d]]
+		}
+		fn(idx, prefix[nd])
+		for d = nd - 1; d >= 0; d-- {
 			coord[d]++
-			if coord[d] < h.cellsIn(d) {
+			idx += stride[d]
+			if coord[d] < count[d] {
 				break
 			}
+			idx -= coord[d] * stride[d]
 			coord[d] = 0
 		}
-	}
-}
-
-// cellOverlap returns the volume fraction of the cell at coord covered by
-// the (already clamped) box.
-func (h *Histogram) cellOverlap(coord []int, b Box) float64 {
-	w := 1.0
-	for d := 0; d < h.Dims(); d++ {
-		a, c := h.cuts[d][coord[d]], h.cuts[d][coord[d]+1]
-		f := overlap1D(a, c, b.Lo[d], b.Hi[d])
-		if f == 0 {
-			return 0
+		if d < 0 {
+			return
 		}
-		w *= f
 	}
-	return w
 }
 
 // EstimateBox returns the estimated fraction of rows inside the box,
@@ -258,9 +287,9 @@ func (h *Histogram) EstimateBox(b Box) (float64, error) {
 		return 0, nil
 	}
 	total := 0.0
-	h.forEachCell(func(idx int, coord []int) {
+	h.forEachBoxCell(cb, func(idx int, w float64) {
 		if m := h.mass[idx]; m > 0 {
-			total += m * h.cellOverlap(coord, cb)
+			total += m * w
 		}
 	})
 	if total > 1 {
@@ -278,8 +307,8 @@ func (h *Histogram) OldestTimestampIn(b Box) int64 {
 		return 0
 	}
 	oldest := int64(math.MaxInt64)
-	h.forEachCell(func(idx int, coord []int) {
-		if h.cellOverlap(coord, cb) > 0 && h.ts[idx] < oldest {
+	h.forEachBoxCell(cb, func(idx int, w float64) {
+		if w > 0 && h.ts[idx] < oldest {
 			oldest = h.ts[idx]
 		}
 	})
@@ -410,8 +439,8 @@ func (h *Histogram) AddConstraint(b Box, frac float64, ts int64) error {
 	h.refit()
 
 	// Stamp refreshed cells.
-	h.forEachCell(func(idx int, coord []int) {
-		if h.cellOverlap(coord, cb) > 0 && ts > h.ts[idx] {
+	h.forEachBoxCell(cb, func(idx int, w float64) {
+		if w > 0 && ts > h.ts[idx] {
 			h.ts[idx] = ts
 		}
 	})
@@ -445,31 +474,68 @@ func (h *Histogram) refit() {
 	}
 }
 
+// cellWeight is one cell of a constraint's box: its linear index and the
+// fraction of its volume the box covers.
+type cellWeight struct {
+	idx int
+	w   float64
+}
+
+// eachWeight calls fn for every cell index in [0, n), in order, with the
+// cell's weight in the index-sorted list cells, or 0 when it is not listed.
+func eachWeight(n int, cells []cellWeight, fn func(idx int, w float64)) {
+	for idx := 0; idx < n; idx++ {
+		w := 0.0
+		if len(cells) > 0 && cells[0].idx == idx {
+			w, cells = cells[0].w, cells[1:]
+		}
+		fn(idx, w)
+	}
+}
+
+// scale multiplies every element by s, four to a step: this loop over the
+// cells outside a box is where a fit spends its time.
+func scale(xs []float64, s float64) {
+	for ; len(xs) >= 4; xs = xs[4:] {
+		xs[0], xs[1], xs[2], xs[3] = xs[0]*s, xs[1]*s, xs[2]*s, xs[3]*s
+	}
+	for i := range xs {
+		xs[i] *= s
+	}
+}
+
 // runIPF performs one bounded IPF pass and returns the final maximum
-// constraint residual.
+// constraint residual. It is box-local: a constraint reads and rescales its
+// own cells through their weights, and every cell outside its box — weight
+// exactly 0 — adds nothing to a sum and takes the plain outside scale.
 func (h *Histogram) runIPF() float64 {
 	if len(h.constraints) == 0 {
 		return 0
 	}
-	// Precompute per-constraint cell overlaps once; cuts no longer change.
-	overlaps := make([][]float64, len(h.constraints))
+	// Each constraint's box cells, listed once; cuts no longer change.
+	// Constraint ci owns cells[start[ci]:start[ci+1]].
+	var cells []cellWeight
+	start := make([]int, len(h.constraints)+1)
 	for ci, c := range h.constraints {
-		w := make([]float64, len(h.mass))
-		h.forEachCell(func(idx int, coord []int) {
-			w[idx] = h.cellOverlap(coord, c.box)
+		h.forEachBoxCell(c.box, func(idx int, w float64) {
+			cells = append(cells, cellWeight{idx, w})
 		})
-		overlaps[ci] = w
+		start[ci+1] = len(cells)
 	}
-	volumes := h.cellVolumes()
+	insideOf := func(ci int) float64 {
+		inside := 0.0
+		for _, c := range cells[start[ci]:start[ci+1]] {
+			inside += h.mass[c.idx] * c.w
+		}
+		return inside
+	}
+	var volumes []float64 // only the seeding branches read them
 
 	for round := 0; round < ipfMaxRounds; round++ {
 		maxErr := 0.0
 		for ci, c := range h.constraints {
-			w := overlaps[ci]
-			inside := 0.0
-			for idx, m := range h.mass {
-				inside += m * w[idx]
-			}
+			box := cells[start[ci]:start[ci+1]]
+			inside := insideOf(ci)
 			target := c.frac
 			err := math.Abs(inside - target)
 			if err > maxErr {
@@ -483,15 +549,23 @@ func (h *Histogram) runIPF() float64 {
 			case inside > ipfTolerance && outside > ipfTolerance:
 				sIn := target / inside
 				sOut := (1 - target) / outside
-				for idx := range h.mass {
-					h.mass[idx] *= w[idx]*sIn + (1-w[idx])*sOut
+				rest := h.mass // cells not yet scaled
+				for _, bc := range box {
+					gap := bc.idx - (len(h.mass) - len(rest))
+					scale(rest[:gap], sOut)
+					rest[gap] *= bc.w*sIn + (1-bc.w)*sOut
+					rest = rest[gap+1:]
 				}
+				scale(rest, sOut)
 			case inside <= ipfTolerance && target > 0:
 				// No mass where the constraint needs some: seed the box
 				// uniformly by volume, scale the rest down.
+				if volumes == nil {
+					volumes = h.cellVolumes()
+				}
 				boxVol := 0.0
-				for idx := range h.mass {
-					boxVol += w[idx] * volumes[idx]
+				for _, bc := range box {
+					boxVol += bc.w * volumes[bc.idx]
 				}
 				if boxVol <= 0 {
 					continue
@@ -500,16 +574,19 @@ func (h *Histogram) runIPF() float64 {
 				if outside > ipfTolerance {
 					scaleOut = (1 - target) / outside
 				}
-				for idx := range h.mass {
-					h.mass[idx] = h.mass[idx]*(1-w[idx])*scaleOut + target*w[idx]*volumes[idx]/boxVol
-				}
+				eachWeight(len(h.mass), box, func(idx int, w float64) {
+					h.mass[idx] = h.mass[idx]*(1-w)*scaleOut + target*w*volumes[idx]/boxVol
+				})
 			case outside <= ipfTolerance && target < 1:
 				// All mass inside the box but some should be outside: seed
 				// the complement uniformly by volume.
-				outVol := 0.0
-				for idx := range h.mass {
-					outVol += (1 - w[idx]) * volumes[idx]
+				if volumes == nil {
+					volumes = h.cellVolumes()
 				}
+				outVol := 0.0
+				eachWeight(len(h.mass), box, func(idx int, w float64) {
+					outVol += (1 - w) * volumes[idx]
+				})
 				if outVol <= 0 {
 					continue
 				}
@@ -517,9 +594,9 @@ func (h *Histogram) runIPF() float64 {
 				if inside > ipfTolerance {
 					sIn = target / inside
 				}
-				for idx := range h.mass {
-					h.mass[idx] = h.mass[idx]*w[idx]*sIn + (1-target)*(1-w[idx])*volumes[idx]/outVol
-				}
+				eachWeight(len(h.mass), box, func(idx int, w float64) {
+					h.mass[idx] = h.mass[idx]*w*sIn + (1-target)*(1-w)*volumes[idx]/outVol
+				})
 			}
 		}
 		if maxErr <= ipfTolerance {
@@ -539,28 +616,26 @@ func (h *Histogram) runIPF() float64 {
 	// Report the final residual so refit can detect inconsistent systems.
 	residual := 0.0
 	for ci, c := range h.constraints {
-		w := overlaps[ci]
-		inside := 0.0
-		for idx, m := range h.mass {
-			inside += m * w[idx]
-		}
-		if err := math.Abs(inside - c.frac); err > residual {
+		if err := math.Abs(insideOf(ci) - c.frac); err > residual {
 			residual = err
 		}
 	}
 	return residual
 }
 
-// cellVolumes returns each cell's geometric volume.
+// cellVolumes returns each cell's geometric volume, the product 1.0·w_0·w_1·…
+// of its per-dimension widths.
 func (h *Histogram) cellVolumes() []float64 {
-	vols := make([]float64, len(h.mass))
-	h.forEachCell(func(idx int, coord []int) {
-		v := 1.0
-		for d := 0; d < h.Dims(); d++ {
-			v *= h.cuts[d][coord[d]+1] - h.cuts[d][coord[d]]
+	vols := []float64{1.0}
+	for _, cd := range h.cuts {
+		next := make([]float64, 0, len(vols)*(len(cd)-1))
+		for _, v := range vols {
+			for i := 1; i < len(cd); i++ {
+				next = append(next, v*(cd[i]-cd[i-1]))
+			}
 		}
-		vols[idx] = v
-	})
+		vols = next
+	}
 	return vols
 }
 
@@ -657,12 +732,13 @@ func (h *Histogram) Clone() *Histogram {
 func (h *Histogram) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "histogram(%s) %d cells\n", strings.Join(h.cols, ","), len(h.mass))
-	h.forEachCell(func(idx int, coord []int) {
-		parts := make([]string, h.Dims())
-		for d := 0; d < h.Dims(); d++ {
-			parts[d] = fmt.Sprintf("%s:[%g,%g)", h.cols[d], h.cuts[d][coord[d]], h.cuts[d][coord[d]+1])
+	strides, parts := h.strides(), make([]string, h.Dims())
+	for idx := range h.mass {
+		for d, cd := range h.cuts {
+			i := idx / strides[d] % h.cellsIn(d)
+			parts[d] = fmt.Sprintf("%s:[%g,%g)", h.cols[d], cd[i], cd[i+1])
 		}
 		fmt.Fprintf(&sb, "  %s mass=%.4f ts=%d\n", strings.Join(parts, " "), h.mass[idx], h.ts[idx])
-	})
+	}
 	return sb.String()
 }

@@ -2,6 +2,7 @@ package histogram
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -613,5 +614,49 @@ func BenchmarkEstimate2D(b *testing.B) {
 		if _, err := h.EstimateBox(box); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAddConstraintSteady is one archive merge at the shape measured
+// on the collect_all workload: a 164-cell 2-D grid holding 35 constraints,
+// 20 of them re-observations of a box already in the list whose fractions
+// disagree by sampling noise — so IPF runs all its rounds without
+// converging, and almost every (constraint, cell) pair does not overlap.
+func BenchmarkAddConstraintSteady(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	base, err := NewGrid([]string{"a", "b"}, []float64{0, 0}, []float64{2050, 4}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base.maxConstraints = 35
+	// 20 distinct boxes: narrow in a (two fresh cuts each: 41 cells), one of
+	// four unit bands in b. Fractions follow the uniform density, ±10 %.
+	boxes := make([]Box, 20)
+	frac := func(bx Box) float64 {
+		vol := (bx.Hi[0] - bx.Lo[0]) * (bx.Hi[1] - bx.Lo[1]) / (2050 * 4)
+		return vol * (0.9 + 0.2*rng.Float64())
+	}
+	ts := int64(0)
+	add := func(h *Histogram, bx Box) {
+		ts++
+		if err := h.AddConstraint(bx, frac(bx), ts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for k := range boxes {
+		lo := float64(100*k + 10)
+		boxes[k] = Box{Lo: []float64{lo, float64(k % 4)}, Hi: []float64{lo + 50, float64(k%4 + 1)}}
+		add(base, boxes[k])
+	}
+	for k := 0; k < 20; k++ { // the oldest 5 distinct boxes fall off the list
+		add(base, boxes[5+k%15])
+	}
+	if base.Buckets() != 164 || len(base.constraints) != 35 {
+		b.Fatalf("shape is %d cells, %d constraints; want 164, 35", base.Buckets(), len(base.constraints))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		add(base.Clone(), boxes[5+i%15])
 	}
 }

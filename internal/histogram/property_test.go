@@ -196,3 +196,356 @@ func TestEquiDepthBucketCardinality(t *testing.T) {
 		}
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Dense reference. These are the bodies forEachCell, runIPF, cellOverlap,
+// EstimateBox, OldestTimestampIn and AddConstraint had while every constraint walked
+// every cell of the grid: kept verbatim as the oracle the box-local
+// iterator must match bit for bit. The only additions are the three branch
+// counters, which prove the generator below reaches each IPF branch.
+
+type denseBranches struct{ scale, seedBox, seedComplement, dropped int }
+
+// forEachCell walks every cell, passing its linear index and per-dim coords.
+func (h *Histogram) forEachCell(fn func(idx int, coord []int)) {
+	nd := h.Dims()
+	coord := make([]int, nd)
+	for idx := range h.mass {
+		fn(idx, coord)
+		for d := nd - 1; d >= 0; d-- {
+			coord[d]++
+			if coord[d] < h.cellsIn(d) {
+				break
+			}
+			coord[d] = 0
+		}
+	}
+}
+
+func (h *Histogram) denseCellOverlap(coord []int, b Box) float64 {
+	w := 1.0
+	for d := 0; d < h.Dims(); d++ {
+		a, c := h.cuts[d][coord[d]], h.cuts[d][coord[d]+1]
+		f := overlap1D(a, c, b.Lo[d], b.Hi[d])
+		if f == 0 {
+			return 0
+		}
+		w *= f
+	}
+	return w
+}
+
+func (h *Histogram) denseEstimateBox(b Box) float64 {
+	cb, ok := h.clamp(b)
+	if !ok {
+		return 0
+	}
+	total := 0.0
+	h.forEachCell(func(idx int, coord []int) {
+		if m := h.mass[idx]; m > 0 {
+			total += m * h.denseCellOverlap(coord, cb)
+		}
+	})
+	if total > 1 {
+		total = 1
+	}
+	return total
+}
+
+func (h *Histogram) denseOldestTimestampIn(b Box) int64 {
+	cb, ok := h.clamp(b)
+	if !ok {
+		return 0
+	}
+	oldest := int64(math.MaxInt64)
+	h.forEachCell(func(idx int, coord []int) {
+		if h.denseCellOverlap(coord, cb) > 0 && h.ts[idx] < oldest {
+			oldest = h.ts[idx]
+		}
+	})
+	if oldest == math.MaxInt64 {
+		return 0
+	}
+	return oldest
+}
+
+func (h *Histogram) denseAddConstraint(b Box, frac float64, ts int64, br *denseBranches) {
+	h.extendDomain(b)
+	cb, ok := h.clamp(b)
+	if !ok {
+		return
+	}
+	for d := 0; d < h.Dims(); d++ {
+		h.insertCut(d, cb.Lo[d], ts)
+		h.insertCut(d, cb.Hi[d], ts)
+	}
+	h.constraints = append(h.constraints, constraint{box: cb, frac: frac, ts: ts})
+	if len(h.constraints) > h.maxConstraints {
+		h.constraints = h.constraints[len(h.constraints)-h.maxConstraints:]
+	}
+	for {
+		residual := h.denseRunIPF(br)
+		if residual <= ipfConflictTolerance || len(h.constraints) <= 1 {
+			break
+		}
+		h.constraints = h.constraints[1:]
+		br.dropped++
+	}
+	h.forEachCell(func(idx int, coord []int) {
+		if h.denseCellOverlap(coord, cb) > 0 && ts > h.ts[idx] {
+			h.ts[idx] = ts
+		}
+	})
+	h.Touch(ts)
+	h.merges++
+	if ts > h.updatedAt {
+		h.updatedAt = ts
+	}
+}
+
+func (h *Histogram) denseRunIPF(br *denseBranches) float64 {
+	if len(h.constraints) == 0 {
+		return 0
+	}
+	// Precompute per-constraint cell overlaps once; cuts no longer change.
+	overlaps := make([][]float64, len(h.constraints))
+	for ci, c := range h.constraints {
+		w := make([]float64, len(h.mass))
+		h.forEachCell(func(idx int, coord []int) {
+			w[idx] = h.denseCellOverlap(coord, c.box)
+		})
+		overlaps[ci] = w
+	}
+	volumes := h.cellVolumes()
+
+	for round := 0; round < ipfMaxRounds; round++ {
+		maxErr := 0.0
+		for ci, c := range h.constraints {
+			w := overlaps[ci]
+			inside := 0.0
+			for idx, m := range h.mass {
+				inside += m * w[idx]
+			}
+			target := c.frac
+			err := math.Abs(inside - target)
+			if err > maxErr {
+				maxErr = err
+			}
+			if err <= ipfTolerance {
+				continue
+			}
+			outside := 1 - inside
+			switch {
+			case inside > ipfTolerance && outside > ipfTolerance:
+				br.scale++
+				sIn := target / inside
+				sOut := (1 - target) / outside
+				for idx := range h.mass {
+					h.mass[idx] *= w[idx]*sIn + (1-w[idx])*sOut
+				}
+			case inside <= ipfTolerance && target > 0:
+				// No mass where the constraint needs some: seed the box
+				// uniformly by volume, scale the rest down.
+				boxVol := 0.0
+				for idx := range h.mass {
+					boxVol += w[idx] * volumes[idx]
+				}
+				if boxVol <= 0 {
+					continue
+				}
+				br.seedBox++
+				scaleOut := 0.0
+				if outside > ipfTolerance {
+					scaleOut = (1 - target) / outside
+				}
+				for idx := range h.mass {
+					h.mass[idx] = h.mass[idx]*(1-w[idx])*scaleOut + target*w[idx]*volumes[idx]/boxVol
+				}
+			case outside <= ipfTolerance && target < 1:
+				// All mass inside the box but some should be outside: seed
+				// the complement uniformly by volume.
+				outVol := 0.0
+				for idx := range h.mass {
+					outVol += (1 - w[idx]) * volumes[idx]
+				}
+				if outVol <= 0 {
+					continue
+				}
+				br.seedComplement++
+				sIn := 0.0
+				if inside > ipfTolerance {
+					sIn = target / inside
+				}
+				for idx := range h.mass {
+					h.mass[idx] = h.mass[idx]*w[idx]*sIn + (1-target)*(1-w[idx])*volumes[idx]/outVol
+				}
+			}
+		}
+		if maxErr <= ipfTolerance {
+			break
+		}
+	}
+	// Guard against drift: renormalize total mass to 1.
+	total := 0.0
+	for _, m := range h.mass {
+		total += m
+	}
+	if total > 0 && math.Abs(total-1) > 1e-12 {
+		for idx := range h.mass {
+			h.mass[idx] /= total
+		}
+	}
+	// Report the final residual so refit can detect inconsistent systems.
+	residual := 0.0
+	for ci, c := range h.constraints {
+		w := overlaps[ci]
+		inside := 0.0
+		for idx, m := range h.mass {
+			inside += m * w[idx]
+		}
+		if err := math.Abs(inside - c.frac); err > residual {
+			residual = err
+		}
+	}
+	return residual
+}
+
+// genBox draws a constraint or probe box whose shape varies by draw: inside
+// the domain, straddling an edge (finite, so AddConstraint extends the
+// domain), unbounded on a side, wholly outside, or a repeat of an earlier
+// box — the re-observed statistic that dominates real archives.
+func genBox(rng *rand.Rand, lo, hi []float64, earlier []Box) Box {
+	if len(earlier) > 0 && rng.Intn(3) == 0 {
+		return earlier[rng.Intn(len(earlier))]
+	}
+	b := Box{Lo: make([]float64, len(lo)), Hi: make([]float64, len(lo))}
+	for d := range lo {
+		span := hi[d] - lo[d]
+		a := lo[d] + rng.Float64()*span
+		c := lo[d] + rng.Float64()*span
+		if a > c {
+			a, c = c, a
+		}
+		if a == c {
+			c = a + span/100
+		}
+		switch rng.Intn(8) {
+		case 0: // straddles the low edge
+			a = lo[d] - rng.Float64()*span/4
+		case 1: // straddles the high edge
+			c = hi[d] + rng.Float64()*span/4
+		case 2: // unbounded below
+			a = math.Inf(-1)
+		case 3: // unbounded above
+			c = math.Inf(1)
+		case 4: // wholly outside the original domain
+			a, c = hi[d]+span, hi[d]+2*span
+		}
+		b.Lo[d], b.Hi[d] = a, c
+	}
+	return b
+}
+
+// genFrac draws an observed fraction; exact 0 and 1 are common enough to
+// drive IPF into both seeding branches.
+func genFrac(rng *rand.Rand) float64 {
+	switch rng.Intn(6) {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	default:
+		return rng.Float64()
+	}
+}
+
+// TestBoxLocalIPFMatchesDense: the box-local iterator is an optimisation of
+// the dense walk, not a different fit. For arbitrary 1-D, 2-D and 3-D grids
+// and constraint streams — cut budgets exhausted so boxes overlap cells
+// partially, both seeding branches, conflict-driven constraint dropping,
+// boxes outside or straddling the domain — every cell mass, every
+// timestamp, the retained constraint count, EstimateBox and
+// OldestTimestampIn are bit-identical to the dense reference after each
+// AddConstraint.
+func TestBoxLocalIPFMatchesDense(t *testing.T) {
+	var br denseBranches
+	partial, byDims := 0, map[int]int{}
+	for seed := int64(0); seed < propertySeeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dims := 1 + rng.Intn(3)
+		byDims[dims]++
+		cols := []string{"a", "b", "c"}[:dims]
+		lo := make([]float64, dims)
+		hi := make([]float64, dims)
+		for d := range lo {
+			lo[d] = rng.Float64() * 10
+			hi[d] = lo[d] + 1 + rng.Float64()*100
+		}
+		got, err := NewGrid(cols, lo, hi, 0)
+		if err != nil {
+			t.Fatalf("seed %d: NewGrid: %v", seed, err)
+		}
+		if rng.Intn(2) == 0 { // budgets that run out within a few constraints
+			got.maxCutsPerDim = 2 + rng.Intn(4)
+			got.maxCells = 4 + rng.Intn(24)
+			got.maxConstraints = 2 + rng.Intn(6)
+		}
+		want := got.Clone()
+
+		var boxes []Box
+		for k, nCons := 0, 1+rng.Intn(12); k < nCons; k++ {
+			b, frac, ts := genBox(rng, lo, hi, boxes), genFrac(rng), int64(k+1)
+			boxes = append(boxes, b)
+			if err := got.AddConstraint(b, frac, ts); err != nil {
+				t.Fatalf("seed %d: AddConstraint %d: %v", seed, k, err)
+			}
+			want.denseAddConstraint(b, frac, ts, &br)
+
+			if len(got.mass) != len(want.mass) || len(got.constraints) != len(want.constraints) {
+				t.Fatalf("seed %d step %d: %d cells / %d constraints, dense has %d / %d",
+					seed, k, len(got.mass), len(got.constraints), len(want.mass), len(want.constraints))
+			}
+			for idx := range want.mass {
+				if math.Float64bits(got.mass[idx]) != math.Float64bits(want.mass[idx]) {
+					t.Fatalf("seed %d step %d: cell %d mass %v, dense %v", seed, k, idx, got.mass[idx], want.mass[idx])
+				}
+				if got.ts[idx] != want.ts[idx] {
+					t.Fatalf("seed %d step %d: cell %d ts %d, dense %d", seed, k, idx, got.ts[idx], want.ts[idx])
+				}
+			}
+			for _, c := range want.constraints {
+				w := 0.0
+				want.forEachCell(func(_ int, coord []int) {
+					if f := want.denseCellOverlap(coord, c.box); f > 0 && f < 1 {
+						w = f
+					}
+				})
+				if w > 0 {
+					partial++
+				}
+			}
+			for p := 0; p < 4; p++ {
+				probe := genBox(rng, lo, hi, boxes)
+				est, err := got.EstimateBox(probe)
+				if err != nil {
+					t.Fatalf("seed %d: EstimateBox: %v", seed, err)
+				}
+				if dense := want.denseEstimateBox(probe); math.Float64bits(est) != math.Float64bits(dense) {
+					t.Fatalf("seed %d step %d: EstimateBox(%v) = %v, dense %v", seed, k, probe, est, dense)
+				}
+				if o, dense := got.OldestTimestampIn(probe), want.denseOldestTimestampIn(probe); o != dense {
+					t.Fatalf("seed %d step %d: OldestTimestampIn(%v) = %d, dense %d", seed, k, probe, o, dense)
+				}
+			}
+		}
+	}
+	t.Logf("grids by dims %v; dense branches %+v; %d constraint fits saw a partially covered cell", byDims, br, partial)
+	if br.scale == 0 || br.seedBox == 0 || br.seedComplement == 0 || br.dropped == 0 || partial == 0 {
+		t.Fatalf("generator missed an IPF path: %+v, partial overlaps %d", br, partial)
+	}
+	for dims := 1; dims <= 3; dims++ {
+		if byDims[dims] == 0 {
+			t.Fatalf("generator drew no %d-D grid", dims)
+		}
+	}
+}

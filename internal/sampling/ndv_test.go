@@ -4,8 +4,22 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/storage"
 	"repro/internal/value"
 )
+
+// estimateNDV runs the columnar estimator over a column given as datums.
+func estimateNDV(column []value.Datum, tableCard int) int64 {
+	rows := make([][]value.Datum, len(column))
+	for i, d := range column {
+		rows[i] = []value.Datum{d}
+	}
+	sample := storage.ChunkFromRows(rows)
+	if len(rows) == 0 {
+		sample = storage.NewDetachedChunk(storage.MustSchema(storage.Column{Name: "c", Kind: value.KindInt}), 0)
+	}
+	return New(1).EstimateNDV(sample.Col(0), tableCard)
+}
 
 func intColumn(vals ...int64) []value.Datum {
 	out := make([]value.Datum, len(vals))
@@ -17,29 +31,29 @@ func intColumn(vals ...int64) []value.Datum {
 
 func TestEstimateNDVExactOnFullScan(t *testing.T) {
 	col := intColumn(1, 2, 2, 3, 3, 3)
-	if got := EstimateNDV(col, 6); got != 3 {
+	if got := estimateNDV(col, 6); got != 3 {
 		t.Errorf("full-scan ndv = %d, want 3", got)
 	}
 	// A sample at least as large as the table is also exact.
-	if got := EstimateNDV(col, 4); got != 3 {
+	if got := estimateNDV(col, 4); got != 3 {
 		t.Errorf("oversized-sample ndv = %d, want 3", got)
 	}
 }
 
 func TestEstimateNDVEdgeCases(t *testing.T) {
-	if got := EstimateNDV(nil, 100); got != 0 {
+	if got := estimateNDV(nil, 100); got != 0 {
 		t.Errorf("empty column ndv = %d", got)
 	}
-	if got := EstimateNDV(intColumn(1, 2), 0); got != 0 {
+	if got := estimateNDV(intColumn(1, 2), 0); got != 0 {
 		t.Errorf("zero-card ndv = %d", got)
 	}
 	nulls := []value.Datum{value.Null, value.Null}
-	if got := EstimateNDV(nulls, 100); got != 0 {
+	if got := estimateNDV(nulls, 100); got != 0 {
 		t.Errorf("all-null ndv = %d", got)
 	}
 	// NULLs are ignored but non-nulls still counted.
 	mixed := []value.Datum{value.Null, value.NewInt(7), value.NewInt(7)}
-	if got := EstimateNDV(mixed, 2); got != 1 {
+	if got := estimateNDV(mixed, 2); got != 1 {
 		t.Errorf("mixed ndv = %d, want 1", got)
 	}
 }
@@ -51,7 +65,7 @@ func TestEstimateNDVKeyColumn(t *testing.T) {
 	for i := range col {
 		col[i] = value.NewInt(int64(i * 20)) // all distinct
 	}
-	got := EstimateNDV(col, card)
+	got := estimateNDV(col, card)
 	if got < int64(card)/2 {
 		t.Errorf("key ndv = %d, want close to %d", got, card)
 	}
@@ -68,7 +82,7 @@ func TestEstimateNDVLowCardinalityColumn(t *testing.T) {
 	for i := range col {
 		col[i] = value.NewInt(int64(rng.Intn(10)))
 	}
-	got := EstimateNDV(col, 100000)
+	got := estimateNDV(col, 100000)
 	if got < 10 || got > 15 {
 		t.Errorf("low-card ndv = %d, want ≈10", got)
 	}
@@ -85,7 +99,7 @@ func TestEstimateNDVMidCardinalityFK(t *testing.T) {
 	for i := range col {
 		col[i] = value.NewInt(int64(rng.Intn(truthDomain)))
 	}
-	got := EstimateNDV(col, 15000)
+	got := estimateNDV(col, 15000)
 	if got < int64(truthDomain)/2 || got > int64(truthDomain)*2 {
 		t.Errorf("fk ndv = %d, want within 2x of %d", got, truthDomain)
 	}
@@ -94,7 +108,7 @@ func TestEstimateNDVMidCardinalityFK(t *testing.T) {
 func TestEstimateNDVClampedToSampleDistinct(t *testing.T) {
 	// The estimate never drops below what the sample proves.
 	col := intColumn(1, 2, 3, 4, 5)
-	got := EstimateNDV(col, 1000000)
+	got := estimateNDV(col, 1000000)
 	if got < 5 {
 		t.Errorf("ndv = %d, below the observed distinct count", got)
 	}

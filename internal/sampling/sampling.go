@@ -13,6 +13,9 @@ package sampling
 
 import (
 	"context"
+	"hash/maphash"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -98,9 +101,12 @@ func forEachChunk(n, dop, chunkSize int, fn func(lo, hi int)) {
 }
 
 // Sampler draws deterministic pseudo-random samples; a fixed seed makes
-// whole experiment runs reproducible.
+// whole experiment runs reproducible. It owns the scratch its draws and NDV
+// counts reuse, so like its rng it serves one caller at a time.
 type Sampler struct {
-	rng *rand.Rand
+	rng      *rand.Rand
+	seen     []uint64 // one bit per table row; all clear between draws
+	distinct distinctCounter
 }
 
 // New returns a sampler seeded for reproducibility.
@@ -123,22 +129,39 @@ func EffectiveSampleRows(tableRows, size int) int {
 	return size
 }
 
-// Rows draws up to size rows from the table. Tables smaller than twice the
-// sample size are copied whole (cheaper than distinct-pick bookkeeping);
-// larger tables are sampled uniformly without replacement. The meter is
-// charged per sampled row — page-level sampling cost is proportional to the
-// sample, not the table, mirroring the paper's observation that collection
-// cost is independent of table size.
-func (s *Sampler) Rows(tbl *storage.Table, size int, meter *costmodel.Meter, w costmodel.Weights) [][]value.Datum {
-	return s.RowsParallel(tbl, size, meter, w, 1)
+// Sample is SampleColumns transposed into rows, for callers that want
+// row-shaped data; an empty sample is nil.
+func (s *Sampler) Sample(ctx context.Context, tbl *storage.Table, size int, meter *costmodel.Meter, w costmodel.Weights, dop int) ([][]value.Datum, error) {
+	sample, err := s.SampleColumns(ctx, tbl, size, meter, w, dop)
+	if err != nil || sample.Rows() == 0 {
+		return nil, err
+	}
+	rows := make([][]value.Datum, sample.Rows())
+	for i := range rows {
+		rows[i] = sample.AppendRowTo(make([]value.Datum, 0, sample.NumCols()), i)
+	}
+	return rows, nil
 }
 
-// Sample is the fault-aware sampling entry point JITS uses: it honors
-// cancellation and the sampling.rows fault point before touching the table,
-// then draws exactly what RowsParallel draws. A returned error means no
-// sample (and no RNG consumption), so the caller can degrade to catalog
-// statistics without perturbing later draws.
-func (s *Sampler) Sample(ctx context.Context, tbl *storage.Table, size int, meter *costmodel.Meter, w costmodel.Weights, dop int) ([][]value.Datum, error) {
+// SampleColumns draws up to size rows of the table into a detached columnar
+// chunk: typed arrays plus null bitmaps, one per schema column. Tables
+// smaller than twice the sample size are copied whole, in storage order
+// (cheaper than distinct-pick bookkeeping); larger tables are sampled
+// uniformly without replacement, in draw order. The meter is charged per
+// sampled row — page-level sampling cost is proportional to the sample, not
+// the table, mirroring the paper's observation that collection cost is
+// independent of table size.
+//
+// It honors cancellation and the sampling.rows fault point before touching
+// the table: a returned error means no sample and no RNG consumption, so
+// the caller can degrade to catalog statistics without perturbing later
+// draws. Pick positions are drawn serially from the sampler's rng — the
+// sample, its order and the meter charge are identical at any dop; only the
+// gather fans out. All reads go through one table snapshot: workers gather
+// from the same consistent image lock-free, the sample never aliases live
+// storage, and concurrent DML cannot shrink the table out from under a
+// drawn position.
+func (s *Sampler) SampleColumns(ctx context.Context, tbl *storage.Table, size int, meter *costmodel.Meter, w costmodel.Weights, dop int) (*storage.Chunk, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -147,117 +170,97 @@ func (s *Sampler) Sample(ctx context.Context, tbl *storage.Table, size int, mete
 	if err := faultinject.Hit(faultinject.SamplingRows); err != nil {
 		return nil, err
 	}
-	return s.RowsParallel(tbl, size, meter, w, dop), nil
-}
-
-// RowsParallel is Rows with the row fetches fanned out across up to dop
-// workers. The pseudo-random pick positions are still drawn serially from
-// the sampler's rng — the drawn sample, its order, and the meter charge are
-// identical to Rows at any dop; only the copying parallelizes. All fetches
-// go through one table snapshot: workers read the same consistent image
-// lock-free, every sampled row is freshly materialized (never an aliased
-// window into live storage), and concurrent DML cannot shrink the table out
-// from under a drawn position.
-func (s *Sampler) RowsParallel(tbl *storage.Table, size int, meter *costmodel.Meter, w costmodel.Weights, dop int) [][]value.Datum {
 	snap := tbl.Snapshot()
 	n := snap.NumRows()
-	if n == 0 || size <= 0 {
-		return nil
+	rows := EffectiveSampleRows(n, size)
+	var positions []int // nil gathers the whole table
+	if rows < n {
+		positions = s.draw(n, rows)
 	}
-	if EffectiveSampleRows(n, size) == n {
-		// Copy the table whole, morsel-parallel in storage order. Rows come
-		// straight off the snapshot's column arrays.
-		chunks := (n + evalMorselSize - 1) / evalMorselSize
-		buckets := make([][][]value.Datum, chunks)
-		forEachChunk(n, dop, evalMorselSize, func(lo, hi int) {
-			rows := make([][]value.Datum, 0, hi-lo)
-			snap.ScanRange(lo, hi, func(_ int, row []value.Datum) bool {
-				rows = append(rows, row)
-				return true
-			})
-			buckets[lo/evalMorselSize] = rows
-		})
-		var out [][]value.Datum
-		for _, b := range buckets {
-			out = append(out, b...)
-		}
-		meter.Add(w.SampleRow * float64(len(out)))
-		return out
+	out := storage.NewDetachedChunk(snap.Schema(), rows)
+	// evalMorselSize is a multiple of 64, as concurrent Gather ranges need.
+	forEachChunk(rows, dop, evalMorselSize, func(lo, hi int) {
+		snap.Gather(out, positions, lo, hi)
+	})
+	meter.Add(w.SampleRow * float64(rows))
+	return out, nil
+}
+
+// draw picks size distinct positions in [0, n), in rng order.
+func (s *Sampler) draw(n, size int) []int {
+	if words := (n + 63) / 64; len(s.seen) < words {
+		s.seen = make([]uint64, words)
 	}
-	picked := make(map[int]bool, size)
 	positions := make([]int, 0, size)
 	for len(positions) < size {
 		idx := s.rng.Intn(n)
-		if picked[idx] {
+		if s.seen[idx>>6]&(1<<(uint(idx)&63)) != 0 {
 			continue
 		}
-		picked[idx] = true
+		s.seen[idx>>6] |= 1 << (uint(idx) & 63)
 		positions = append(positions, idx)
 	}
-	out := make([][]value.Datum, len(positions))
-	forEachChunk(len(positions), dop, evalMorselSize, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			// Positions were drawn against the snapshot's row count, so the
-			// fetch cannot fail.
-			out[i], _ = snap.Row(positions[i])
-		}
-	})
-	meter.Add(w.SampleRow * float64(len(out)))
-	return out
+	for _, idx := range positions {
+		s.seen[idx>>6] = 0
+	}
+	return positions
 }
 
-// EvaluateGroups returns the observed selectivity of each predicate group
-// over the sample. Per-predicate match vectors are computed once and shared
-// across groups, so the cost is dominated by |sample| × |distinct
-// predicates|, not by the exponential group count. A nil sample yields all
-// zeros.
+// EvaluateGroups is EvaluateColumns over row-shaped data, serially.
 func EvaluateGroups(sample [][]value.Datum, groups [][]qgm.Predicate, meter *costmodel.Meter, w costmodel.Weights) []float64 {
-	return EvaluateGroupsParallel(sample, groups, meter, w, 1)
+	return EvaluateColumns(storage.ChunkFromRows(sample), groups, meter, w, 1)
 }
 
-// EvaluateGroupsParallel is EvaluateGroups with both phases fanned out
-// across up to dop workers: each distinct predicate's match vector is
-// computed by row-morsels, and the per-group conjunction counts run one
-// group per worker. Selectivities and meter totals are identical to the
-// serial evaluation at any dop (each worker charges a local sub-meter,
-// merged once), so compile-time statistics — and therefore plans — do not
-// depend on the degree of parallelism.
-func EvaluateGroupsParallel(sample [][]value.Datum, groups [][]qgm.Predicate, meter *costmodel.Meter, w costmodel.Weights, dop int) []float64 {
+// EvaluateColumns returns the observed selectivity of each predicate group
+// over the sample. Every distinct predicate is evaluated once, over its own
+// column, into a match bitmap; a group's selectivity is the popcount of the
+// AND of its predicates' bitmaps. The cost is therefore dominated by
+// |sample| × |distinct predicates|, not by the exponential group count. An
+// empty sample yields all zeros.
+//
+// Both phases fan out across up to dop workers, one predicate and one group
+// at a time. Selectivities and meter totals are identical at any dop (each
+// worker charges a local sub-meter, merged once), so compile-time
+// statistics — and therefore plans — do not depend on the degree of
+// parallelism.
+func EvaluateColumns(sample *storage.Chunk, groups [][]qgm.Predicate, meter *costmodel.Meter, w costmodel.Weights, dop int) []float64 {
 	out := make([]float64, len(groups))
-	if len(sample) == 0 {
+	n := sample.Rows()
+	if n == 0 {
 		return out
 	}
 
 	// Distinct predicates across all groups, in deterministic first-use
-	// order; each gets one shared match vector.
-	type predEntry struct {
-		pred qgm.Predicate
-		vec  []bool
-	}
+	// order; members[gi] lists group gi's predicates by that index.
 	index := make(map[string]int)
-	var entries []*predEntry
-	for _, group := range groups {
+	var preds []qgm.Predicate
+	members := make([][]int, len(groups))
+	for gi, group := range groups {
 		for _, p := range group {
 			k := p.String()
-			if _, ok := index[k]; !ok {
-				index[k] = len(entries)
-				entries = append(entries, &predEntry{pred: p})
+			pi, ok := index[k]
+			if !ok {
+				pi = len(preds)
+				index[k] = pi
+				preds = append(preds, p)
 			}
+			members[gi] = append(members[gi], pi)
 		}
 	}
+	words := (n + 63) / 64
+	matches := make([]uint64, len(preds)*words) // predicate pi owns [pi*words, (pi+1)*words)
 
-	// Phase 1: match vectors, one predicate per chunk (vectors are
-	// independent; rows within a vector stay sequential for locality).
-	forEachChunk(len(entries), dop, 1, func(lo, hi int) {
+	// Phase 1: match bitmaps, one predicate per chunk.
+	forEachChunk(len(preds), dop, 1, func(lo, hi int) {
 		sub := meter.Worker()
-		for ei := lo; ei < hi; ei++ {
-			e := entries[ei]
-			v := make([]bool, len(sample))
-			for i, row := range sample {
-				v[i] = e.pred.Matches(row)
+		for pi := lo; pi < hi; pi++ {
+			p, vec, bm := preds[pi], sample.Col(preds[pi].Ordinal), matches[pi*words:]
+			for i := 0; i < n; i++ {
+				if p.MatchesDatum(vec.Datum(i)) {
+					bm[i>>6] |= 1 << (uint(i) & 63)
+				}
 			}
-			e.vec = v
-			sub.Add(w.PredEval * float64(len(sample)))
+			sub.Add(w.PredEval * float64(n))
 		}
 		sub.Merge()
 	})
@@ -265,62 +268,116 @@ func EvaluateGroupsParallel(sample [][]value.Datum, groups [][]qgm.Predicate, me
 	// Phase 2: conjunction counts, one group per chunk.
 	forEachChunk(len(groups), dop, 1, func(lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
-			group := groups[gi]
-			if len(group) == 0 {
+			if len(members[gi]) == 0 {
 				out[gi] = 1
 				continue
 			}
-			vecs := make([][]bool, len(group))
-			for i, p := range group {
-				vecs[i] = entries[index[p.String()]].vec
-			}
 			count := 0
-		rows:
-			for i := range sample {
-				for _, v := range vecs {
-					if !v[i] {
-						continue rows
-					}
+			for wi := 0; wi < words; wi++ {
+				and := ^uint64(0)
+				for _, pi := range members[gi] {
+					and &= matches[pi*words+wi]
 				}
-				count++
+				count += bits.OnesCount64(and)
 			}
-			out[gi] = float64(count) / float64(len(sample))
+			out[gi] = float64(count) / float64(n)
 		}
 	})
 	return out
 }
 
-// EstimateNDV estimates a column's number of distinct values from a sample
-// of n rows out of a table of tableCard rows, using the Duj1 estimator of
-// Haas et al. (the one RUNSTATS-style sampled statistics collection uses):
+// distinctCounter counts the distinct values and the singletons of one
+// column vector in a reusable open-addressing table: no per-column copy and,
+// once the table has grown to the sample size, no allocation.
+type distinctCounter struct {
+	slots []distinctSlot
+	shift uint // 64 − log2(len(slots)): the top bits of the mixed key pick a slot
+	d, f1 int
+}
+
+type distinctSlot struct {
+	key   uint64 // the value's bits, or a string's hash
+	row   uint32 // first row holding the value; strings compare through it
+	count uint32 // 0 marks an empty slot
+}
+
+// reset empties the table and sizes it for up to rows values at load ≤ 1/2.
+func (t *distinctCounter) reset(rows int) {
+	size := 1 << bits.Len(uint(2*rows))
+	if cap(t.slots) < size {
+		t.slots = make([]distinctSlot, size)
+	}
+	t.slots = t.slots[:size]
+	clear(t.slots)
+	t.shift, t.d, t.f1 = uint(64-bits.TrailingZeros(uint(size))), 0, 0
+}
+
+// add counts one value: key identifies it exactly when strs is nil, and is
+// the hash of strs[row] otherwise.
+func (t *distinctCounter) add(key uint64, row int, strs []string) {
+	mask := uint64(len(t.slots) - 1)
+	for i := (key * 0x9E3779B97F4A7C15) >> t.shift; ; i = (i + 1) & mask {
+		sl := &t.slots[i]
+		switch {
+		case sl.count == 0:
+			*sl = distinctSlot{key: key, row: uint32(row), count: 1}
+			t.d++
+			t.f1++
+			return
+		case sl.key == key && (strs == nil || strs[sl.row] == strs[row]):
+			if sl.count == 1 {
+				t.f1--
+			}
+			sl.count++
+			return
+		}
+	}
+}
+
+var stringSeed = maphash.MakeSeed()
+
+// EstimateNDV estimates a column's number of distinct values from its
+// sampled vector out of a table of tableCard rows, using the Duj1 estimator
+// of Haas et al. (the one RUNSTATS-style sampled statistics collection
+// uses):
 //
 //	d̂ = d / (1 − (1−q)·f1/n)
 //
-// where d is the distinct count in the sample, f1 the number of values
-// appearing exactly once, and q = n/N the sampling fraction. NULLs in the
-// sample column are ignored. The result is clamped to [d, N].
-func EstimateNDV(column []value.Datum, tableCard int) int64 {
-	counts := make(map[value.Datum]int, len(column))
-	n := 0
-	for _, d := range column {
-		if d.IsNull() {
+// where n counts the sample's non-NULL values, d the distinct ones, f1
+// those appearing exactly once, and q = n/N is the sampling fraction. Two
+// values are the same when they are equal as Go map keys: −0 is +0, and
+// every NaN is a value of its own. The result is clamped to [d, N].
+func (s *Sampler) EstimateNDV(vec *storage.ColumnVec, tableCard int) int64 {
+	t := &s.distinct
+	t.reset(vec.Len())
+	n, nans, nulls := 0, 0, vec.HasNulls()
+	for i, rows := 0, vec.Len(); i < rows; i++ {
+		if nulls && vec.Null(i) {
 			continue
 		}
-		counts[d]++
 		n++
+		switch vec.Kind() {
+		case value.KindInt:
+			t.add(uint64(vec.Ints()[i]), i, nil)
+		case value.KindFloat:
+			switch f := vec.Floats()[i]; {
+			case f != f:
+				nans++
+			case f == 0:
+				t.add(0, i, nil) // −0 and +0 are one value
+			default:
+				t.add(math.Float64bits(f), i, nil)
+			}
+		default:
+			t.add(maphash.String(stringSeed, vec.Strs()[i]), i, vec.Strs())
+		}
 	}
-	d := int64(len(counts))
+	d, f1 := int64(t.d+nans), t.f1+nans
 	if d == 0 || tableCard <= 0 {
 		return 0
 	}
 	if n >= tableCard {
 		return d // full scan: exact
-	}
-	f1 := 0
-	for _, c := range counts {
-		if c == 1 {
-			f1++
-		}
 	}
 	q := float64(n) / float64(tableCard)
 	denom := 1 - (1-q)*float64(f1)/float64(n)

@@ -10,6 +10,7 @@
 package storage
 
 import (
+	"cmp"
 	"sync/atomic"
 
 	"repro/internal/value"
@@ -109,6 +110,48 @@ func (v *ColumnVec) Datum(i int) value.Datum {
 	}
 }
 
+// MinMax returns the vector's smallest and largest non-NULL value (NULL for
+// both when it has none), ordered as Datum.Compare orders them: a NaN
+// compares equal to everything, so it neither displaces a running extreme nor
+// is displaced as one, and of −0 and +0 the first seen stays.
+func (v *ColumnVec) MinMax() (min, max value.Datum) {
+	nulls := v.HasNulls()
+	first := 0 // first non-NULL row
+	for nulls && first < v.Len() && v.Null(first) {
+		first++
+	}
+	if first == v.Len() {
+		return value.Null, value.Null
+	}
+	switch v.kind {
+	case value.KindInt:
+		lo, hi := minMax(v.ints, v, nulls, first)
+		return value.NewInt(lo), value.NewInt(hi)
+	case value.KindFloat:
+		lo, hi := minMax(v.floats, v, nulls, first)
+		return value.NewFloat(lo), value.NewFloat(hi)
+	default:
+		lo, hi := minMax(v.strs, v, nulls, first)
+		return value.NewString(lo), value.NewString(hi)
+	}
+}
+
+func minMax[T cmp.Ordered](vals []T, v *ColumnVec, nulls bool, first int) (lo, hi T) {
+	lo, hi = vals[first], vals[first]
+	for i := first + 1; i < len(vals); i++ {
+		if nulls && v.Null(i) {
+			continue
+		}
+		if x := vals[i]; x < lo {
+			lo = x
+		}
+		if x := vals[i]; x > hi {
+			hi = x
+		}
+	}
+	return lo, hi
+}
+
 // SizeBytes returns the exact accounted size of the vector's column arrays:
 // the typed array, string payloads, and the null bitmap. This is the number
 // chunk-level reservations charge in place of per-row estimates.
@@ -197,6 +240,41 @@ func (v *ColumnVec) truncate(n int) {
 	}
 }
 
+// resize sets the vector's length to n (within its capacity); rows past the
+// old length are zero values, non-NULL.
+func (v *ColumnVec) resize(n int) {
+	switch v.kind {
+	case value.KindInt:
+		v.ints = v.ints[:n]
+	case value.KindFloat:
+		v.floats = v.floats[:n]
+	default:
+		v.strs = v.strs[:n]
+	}
+}
+
+func (v *ColumnVec) setNull(i int) { v.nulls[i>>6] |= 1 << (uint(i) & 63) }
+
+// copyFrom copies src's rows [lo, hi) over the rows starting at at, which
+// must still be non-NULL (a fresh detached chunk's rows are).
+func (v *ColumnVec) copyFrom(at int, src *ColumnVec, lo, hi int) {
+	switch v.kind {
+	case value.KindInt:
+		copy(v.ints[at:], src.ints[lo:hi])
+	case value.KindFloat:
+		copy(v.floats[at:], src.floats[lo:hi])
+	default:
+		copy(v.strs[at:], src.strs[lo:hi])
+	}
+	if src.HasNulls() {
+		for j := lo; j < hi; j++ {
+			if src.Null(j) {
+				v.setNull(at + j - lo)
+			}
+		}
+	}
+}
+
 func (v *ColumnVec) clone() ColumnVec {
 	out := ColumnVec{kind: v.kind, nulls: append([]uint64(nil), v.nulls...)}
 	switch v.kind {
@@ -235,6 +313,43 @@ func newChunk(schema *Schema, capacity int) *Chunk {
 	c := &Chunk{cols: make([]ColumnVec, schema.NumColumns())}
 	for i := range c.cols {
 		c.cols[i] = newColumnVec(schema.cols[i].Kind, capacity)
+	}
+	return c
+}
+
+// NewDetachedChunk returns a chunk of n zero-valued, non-NULL rows that no
+// table owns: the destination of Snapshot.Gather. Its creator may hand it
+// out as immutable once filled.
+func NewDetachedChunk(schema *Schema, n int) *Chunk {
+	c := newChunk(schema, n)
+	for i := range c.cols {
+		c.cols[i].resize(n)
+	}
+	c.n = n
+	return c
+}
+
+// ChunkFromRows builds a detached chunk out of row-shaped data. A column's
+// kind is that of its first non-NULL datum (string when it has none); rows
+// must agree on each column's kind, as table rows do.
+func ChunkFromRows(rows [][]value.Datum) *Chunk {
+	c := &Chunk{}
+	if len(rows) == 0 {
+		return c
+	}
+	c.cols = make([]ColumnVec, len(rows[0]))
+	for ci := range c.cols {
+		kind := value.KindString
+		for _, row := range rows {
+			if !row[ci].IsNull() {
+				kind = row[ci].Kind()
+				break
+			}
+		}
+		c.cols[ci] = newColumnVec(kind, len(rows))
+	}
+	for _, row := range rows {
+		c.appendRow(row)
 	}
 	return c
 }

@@ -89,6 +89,53 @@ func (s *Snapshot) Range(lo, hi int, fn func(ch *Chunk, base, clo, chi int) bool
 	}
 }
 
+// Gather fills rows [lo, hi) of the detached chunk dst: row i takes the
+// snapshot row positions[i], or snapshot row i itself when positions is nil
+// — a straight concatenation of the chunk vectors. This is the columnar
+// sampling primitive: a drawn sample stays typed arrays end to end. Calls
+// over disjoint ranges of one dst may run concurrently when every lo is a
+// multiple of 64 (two ranges must not share a null-bitmap word).
+func (s *Snapshot) Gather(dst *Chunk, positions []int, lo, hi int) {
+	if positions == nil {
+		s.Range(lo, hi, func(ch *Chunk, base, clo, chi int) bool {
+			for c := range dst.cols {
+				dst.cols[c].copyFrom(base+clo, &ch.cols[c], clo, chi)
+			}
+			return true
+		})
+		return
+	}
+	// Column by column, so each loop is one typed array read per row and the
+	// cache misses of a random draw overlap instead of queueing.
+	srcs := make([]*Chunk, hi-lo)
+	offs := make([]int, hi-lo)
+	for i, p := range positions[lo:hi] {
+		srcs[i], offs[i] = s.chunks[p/s.chunkSize], p%s.chunkSize
+	}
+	for c := range dst.cols {
+		out := &dst.cols[c]
+		switch out.kind {
+		case value.KindInt:
+			for i, ch := range srcs {
+				out.ints[lo+i] = ch.cols[c].ints[offs[i]]
+			}
+		case value.KindFloat:
+			for i, ch := range srcs {
+				out.floats[lo+i] = ch.cols[c].floats[offs[i]]
+			}
+		default:
+			for i, ch := range srcs {
+				out.strs[lo+i] = ch.cols[c].strs[offs[i]]
+			}
+		}
+		for i, ch := range srcs {
+			if ch.cols[c].Null(offs[i]) {
+				out.setNull(lo + i)
+			}
+		}
+	}
+}
+
 // Scan invokes fn for every row in storage order until fn returns false.
 // Each row is freshly materialized: callers may retain it without copying,
 // and no lock is held during fn, so a callback may freely mutate the table

@@ -112,6 +112,7 @@ type Span struct {
 	qid   int64
 	phase string
 	start time.Time
+	lap   time.Time // end of the previous Lap; the start before the first
 	attrs []string
 }
 
@@ -122,7 +123,8 @@ func (t *Tracer) Start(qid int64, phase string) *Span {
 	if !t.Enabled() && t.observer() == nil {
 		return nil
 	}
-	return &Span{t: t, qid: qid, phase: phase, start: time.Now()}
+	now := time.Now()
+	return &Span{t: t, qid: qid, phase: phase, start: now, lap: now}
 }
 
 // Attr attaches one key=value attribute to the span; values format with %v.
@@ -133,6 +135,19 @@ func (s *Span) Attr(key string, v any) *Span {
 	}
 	s.attrs = append(s.attrs, fmt.Sprintf("%s=%v", key, v))
 	return s
+}
+
+// Lap attaches the wall time since the previous Lap (since Start, for the
+// first) as a microsecond attribute, so a span's laps add up to the span. It
+// reads the clock only while trace output is on; on a nil span it is one
+// branch.
+func (s *Span) Lap(key string) {
+	if s == nil || !s.t.Enabled() {
+		return
+	}
+	now := time.Now()
+	s.Attr(key, float64(now.Sub(s.lap).Nanoseconds())/1e3)
+	s.lap = now
 }
 
 // End closes the span, emitting one line with the wall-clock duration and

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-test bench-smoke debug-smoke drift-smoke reopt-smoke overload-smoke serve-smoke fuzz chaos chaos-net check
+.PHONY: all build test race vet bench bench-test bench-pairs bench-smoke debug-smoke drift-smoke reopt-smoke overload-smoke serve-smoke fuzz chaos chaos-net check
 
 all: build
 
@@ -31,6 +31,20 @@ bench:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# Interleaved parent/change pairs of the repo benchmark, the protocol behind
+# every performance claim: REF (a git ref, extracted into a temporary tree)
+# against the working tree, N pairs of BENCHMARK.json's run length on one
+# WORKLOAD and SEED, which side runs first flipping every pair; prints both
+# medians with quartiles, their ratio and the pairs won per end-to-end
+# metric, and every run's value. An unknown workload or ref exits non-zero
+# before anything runs. About N × 1 min.
+#
+#   make bench-pairs REF=HEAD~1 WORKLOAD=paper_mixed N=10
+N ?= 10
+SEED ?= 1
+bench-pairs:
+	$(GO) run ./cmd/benchpairs -ref '$(REF)' -workload '$(WORKLOAD)' -n '$(N)' -seed '$(SEED)'
+
 # Telemetry must be free when nobody is looking: the disabled-path
 # benchmarks for the metrics registry, the phase tracer and the flight
 # recorder next to the bare atomic-load baseline, plus the end-to-end
@@ -45,8 +59,12 @@ bench-test:
 # columnar draw (2000 of 43k rows, 8 columns), bitmap group evaluation (7
 # groups over 3 predicates), the NDV counter per column kind (0 allocs/op
 # once warm), and one archive merge at the shape measured on collect_all
-# (164 cells, 35 constraints, 20 of them re-observed boxes). CI runs this
-# target.
+# (164 cells, 35 constraints, 20 of them re-observed boxes). Last, the
+# executor's own row: the six paper templates at scale 0.01 under the join
+# methods the optimizer picks among (bytes and allocations per execution are
+# what late materialization is held to; forced nested loops take 0.4 s an
+# execution and run under `go test -bench ExecuteTemplates` by hand). CI runs
+# this target.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Disabled|AtomicLoadBaseline|NilTracer' -benchmem ./internal/metrics/ ./internal/tracing/ ./internal/flightrec/ ./internal/accuracy/
 	$(GO) test -run '^$$' -bench 'StatementRecorder|StatementLedger' -benchmem ./internal/engine/
@@ -54,6 +72,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'IndexAdvance|Lookup10k' -benchmem -benchtime 0.3s ./internal/index/
 	$(GO) test -run '^$$' -bench 'SampleDraw|EvaluateGroups|ColumnNDV' -benchmem -benchtime 0.3s ./internal/sampling/
 	$(GO) test -run '^$$' -bench 'AddConstraintSteady' -benchmem -benchtime 0.3s ./internal/histogram/
+	$(GO) test -run '^$$' -bench 'ExecuteTemplates/.*/(scan|HashJoin|MergeJoin|IndexNLJoin)' -benchmem -benchtime 20x ./internal/executor/
 
 # Drift-detection smoke: the accuracy ledger's unit proofs plus the
 # clock-injected quick drift run — warm a JITS engine, freeze collection,

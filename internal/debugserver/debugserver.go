@@ -21,6 +21,7 @@ package debugserver
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -122,14 +123,21 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close shuts the server down, waiting briefly for in-flight requests.
+// Close shuts the server down, waiting briefly for in-flight requests. A
+// connection still open when the wait runs out — net/http counts one a client
+// opened but has not used yet as busy for five seconds — is closed under its
+// peer: Close returns with every listener and connection shut either way.
 func (s *Server) Close() error {
 	if s.srv == nil {
 		return nil
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	return s.srv.Shutdown(ctx)
+	err := s.srv.Shutdown(ctx)
+	if errors.Is(err, context.DeadlineExceeded) {
+		return s.srv.Close()
+	}
+	return err
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -1,0 +1,300 @@
+package engine_test
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/sqlparser"
+	"repro/internal/value"
+)
+
+// The oracle: a SELECT evaluated straight off the parsed statement by nested
+// loops over storage rows, sharing nothing with the engine beyond the parser
+// and the storage scan — no QGM, optimizer, index, predicate kernel, vector
+// or executor. It states the dialect's semantics from scratch: a comparison
+// with NULL is not true, NULL joins nothing, NULLs form one group and sort
+// first; numbers compare by value (an int against a float as float64s),
+// strings bytewise, any number before any string, and a NaN is neither below
+// nor above any number, which the dialect reads as equal to it; COUNT(*)
+// counts rows, COUNT(c) non-NULL values, SUM of ints is an int, of floats a
+// float, of nothing NULL, AVG is SUM/COUNT as a float, MIN and MAX skip
+// NULLs, an aggregate without GROUP BY over no rows is one row; −0 and +0
+// are one value wherever values are matched.
+type oracleRow struct {
+	out  []value.Datum // the projected row
+	keys []value.Datum // its ORDER BY key values
+}
+
+// oracleCmp is the three-way comparison that orders values: NULL first,
+// then numbers, then strings.
+func oracleCmp(a, b value.Datum) int {
+	rank := func(d value.Datum) int {
+		return [...]int{value.KindNull: 0, value.KindInt: 1, value.KindFloat: 1, value.KindString: 2}[d.Kind()]
+	}
+	switch {
+	case rank(a) != rank(b):
+		return cmp.Compare(rank(a), rank(b))
+	case a.Kind() == value.KindString:
+		return cmp.Compare(a.Str(), b.Str())
+	case a.Kind() == value.KindInt && b.Kind() == value.KindInt:
+		return cmp.Compare(a.Int(), b.Int())
+	}
+	af, _ := a.AsFloat()
+	bf, _ := b.AsFloat()
+	if af != af || bf != bf { // a NaN on either side (two NULLs compare as 0.0s)
+		return 0
+	}
+	return cmp.Compare(af, bf)
+}
+
+// oracleOps: which outcomes of oracleCmp (below, equal, above) satisfy an
+// operator.
+var oracleOps = map[sqlparser.CompareOp][3]bool{
+	sqlparser.OpEQ: {false, true, false}, sqlparser.OpNE: {true, false, true},
+	sqlparser.OpLT: {true, false, false}, sqlparser.OpLE: {true, true, false},
+	sqlparser.OpGT: {false, false, true}, sqlparser.OpGE: {false, true, true},
+}
+
+// oracleHolds evaluates `a op b`; anything compared with NULL is not true.
+func oracleHolds(a value.Datum, op sqlparser.CompareOp, b value.Datum) bool {
+	return !a.IsNull() && !b.IsNull() && oracleOps[op][oracleCmp(a, b)+1]
+}
+
+// oracleRowKey renders a row so that equal rows render equally: −0 as 0,
+// every NaN alike, ints and floats apart (5 is not 5.0 in a result).
+func oracleRowKey(row []value.Datum) string {
+	parts := make([]string, len(row))
+	for i, d := range row {
+		if parts[i] = d.String(); d.Kind() == value.KindFloat {
+			parts[i] = fmt.Sprintf("f%v", d.Float()+0)
+		}
+	}
+	return strings.Join(parts, "\x00")
+}
+
+// oracleSelect evaluates sql against the engine's tables as they are now.
+func oracleSelect(t testing.TB, e *engine.Engine, sql string) []oracleRow {
+	t.Helper()
+	sel := mustParseSelect(t, sql)
+	// Per FROM table: alias, column names, rows, offset in a joined row.
+	var aliases []string
+	var cols [][]string
+	var rows [][][]value.Datum
+	var offs []int
+	width := 0
+	for _, ref := range sel.From {
+		tbl, _ := e.DB().Table(ref.Table)
+		var names []string
+		for _, c := range tbl.Schema().Columns() {
+			names = append(names, c.Name)
+		}
+		var scanned [][]value.Datum
+		tbl.Snapshot().Scan(func(_ int, row []value.Datum) bool {
+			scanned = append(scanned, row)
+			return true
+		})
+		aliases, cols, rows, offs = append(aliases, ref.Alias), append(cols, names), append(rows, scanned), append(offs, width)
+		width += len(names)
+	}
+	// resolve returns a column's position in a joined row and its table.
+	resolve := func(ref sqlparser.ColumnRef) (pos, table int) {
+		pos = -1
+		for ti := range cols {
+			for ci, name := range cols[ti] {
+				if name == ref.Column && (ref.Qualifier == "" || ref.Qualifier == aliases[ti]) {
+					pos, table = offs[ti]+ci, ti
+				}
+			}
+		}
+		return pos, table // -1: no such column
+	}
+	// Each conjunct becomes a test on the joined row. One that reads a single
+	// table thins that table's rows before the loops start; one that compares
+	// two tables runs at the depth where the second of them is bound.
+	tests := make([][]func(row []value.Datum) bool, len(rows))
+	for _, expr := range sel.Where {
+		// col op[i] vals[i] for every i, or — IN — col = vals[i] for some i.
+		var col sqlparser.ColumnRef
+		var ops []sqlparser.CompareOp
+		var vals []value.Datum
+		switch x := expr.(type) {
+		case *sqlparser.Comparison:
+			if x.RightIsCol {
+				l, lt := resolve(x.Left)
+				r, rt := resolve(x.RightCol)
+				tests[max(lt, rt)] = append(tests[max(lt, rt)], func(row []value.Datum) bool { return oracleHolds(row[l], x.Op, row[r]) })
+				continue
+			}
+			col, ops, vals = x.Left, []sqlparser.CompareOp{x.Op}, []value.Datum{x.RightVal}
+		case *sqlparser.Between:
+			col, ops, vals = x.Col, []sqlparser.CompareOp{sqlparser.OpGE, sqlparser.OpLE}, []value.Datum{x.Lo, x.Hi}
+		case *sqlparser.InList:
+			col, vals = x.Col, x.Values
+		default:
+			t.Fatalf("oracle: unsupported predicate %T", expr)
+		}
+		c, depth := resolve(col)
+		some := ops == nil
+		test := func(row []value.Datum) bool {
+			for i, v := range vals {
+				op := sqlparser.OpEQ
+				if !some {
+					op = ops[i]
+				}
+				if oracleHolds(row[c], op, v) == some {
+					return some
+				}
+			}
+			return !some
+		}
+		scratch := make([]value.Datum, width)
+		rows[depth] = slices.DeleteFunc(rows[depth], func(r []value.Datum) bool {
+			copy(scratch[offs[depth]:], r)
+			return !test(scratch)
+		})
+	}
+	var joined [][]value.Datum
+	row := make([]value.Datum, width) // the loops bind tables into it left to right
+	var loop func(depth int)
+	loop = func(depth int) {
+		if depth == len(rows) {
+			joined = append(joined, append([]value.Datum(nil), row...))
+			return
+		}
+		for _, r := range rows[depth] {
+			copy(row[offs[depth]:], r)
+			if !slices.ContainsFunc(tests[depth], func(test func([]value.Datum) bool) bool { return !test(row) }) {
+				loop(depth + 1)
+			}
+		}
+	}
+	loop(0)
+	// Groups, in order of first appearance: under aggregation the joined rows
+	// that agree on the GROUP BY columns (one empty group when there is no
+	// GROUP BY and no row); otherwise every row is a group of its own.
+	aggregated := len(sel.GroupBy) > 0 || slices.ContainsFunc(sel.Projections, func(pe sqlparser.SelectExpr) bool {
+		return pe.Agg != sqlparser.AggNone
+	})
+	var groups [][][]value.Datum
+	byKey := map[string]int{}
+	for _, jr := range joined {
+		var key []value.Datum
+		for _, g := range sel.GroupBy {
+			pos, _ := resolve(g)
+			key = append(key, jr[pos])
+		}
+		gi, seen := byKey[oracleRowKey(key)]
+		if !seen || !aggregated {
+			gi = len(groups)
+			byKey[oracleRowKey(key)] = gi
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], jr)
+	}
+	if aggregated && len(sel.GroupBy) == 0 && len(groups) == 0 {
+		groups = [][][]value.Datum{nil}
+	}
+	// Output columns, SELECT * expanded, each a function of a group; an
+	// ORDER BY name is an output column's alias first, a table column second.
+	type output struct {
+		name string
+		agg  sqlparser.AggKind // AggNone: the column at pos of the group's rows
+		pos  int               // < 0: COUNT(*)
+	}
+	var outs []output
+	for _, pe := range sel.Projections {
+		if pe.Star && pe.Agg == sqlparser.AggNone {
+			for ti := range cols {
+				for ci, name := range cols[ti] {
+					outs = append(outs, output{aliases[ti] + "." + name, pe.Agg, offs[ti] + ci})
+				}
+			}
+			continue
+		}
+		oc := output{pe.Alias, pe.Agg, -1}
+		if !pe.Star {
+			oc.pos, _ = resolve(pe.Col)
+		}
+		if oc.name == "" && pe.Agg == sqlparser.AggNone {
+			oc.name = pe.Col.Column
+		}
+		outs = append(outs, oc)
+	}
+	var res []oracleRow
+	seen := map[string]bool{}
+	for _, group := range groups {
+		r := oracleRow{out: make([]value.Datum, len(outs))}
+		for i, oc := range outs {
+			if r.out[i] = oracleAggregate(oc.agg, oc.pos, group); oc.agg == sqlparser.AggNone {
+				r.out[i] = group[0][oc.pos]
+			}
+		}
+		for _, oi := range sel.OrderBy {
+			if i := slices.IndexFunc(outs, func(oc output) bool { return oi.Col.Qualifier == "" && oc.name == oi.Col.Column }); i >= 0 {
+				r.keys = append(r.keys, r.out[i])
+			} else {
+				pos, _ := resolve(oi.Col)
+				r.keys = append(r.keys, group[0][pos])
+			}
+		}
+		if k := oracleRowKey(r.out); !sel.Distinct || !seen[k] { // DISTINCT keeps first appearances
+			seen[k] = true
+			res = append(res, r)
+		}
+	}
+	sort.SliceStable(res, func(a, b int) bool {
+		for k, oi := range sel.OrderBy {
+			if c := oracleCmp(res[a].keys[k], res[b].keys[k]); c != 0 {
+				return (c > 0) == oi.Desc
+			}
+		}
+		return false
+	})
+	return res
+}
+
+// oracleAggregate computes one aggregate over a group's joined rows;
+// pos < 0 is COUNT(*).
+func oracleAggregate(agg sqlparser.AggKind, pos int, rows [][]value.Datum) value.Datum {
+	var vals []value.Datum
+	for _, row := range rows {
+		if pos >= 0 && !row[pos].IsNull() {
+			vals = append(vals, row[pos])
+		}
+	}
+	switch {
+	case pos < 0:
+		return value.NewInt(int64(len(rows)))
+	case agg == sqlparser.AggCount:
+		return value.NewInt(int64(len(vals)))
+	case len(vals) == 0:
+		return value.Null
+	case agg == sqlparser.AggMin || agg == sqlparser.AggMax:
+		best := vals[0]
+		for _, v := range vals[1:] {
+			if c := oracleCmp(v, best); (agg == sqlparser.AggMin && c < 0) || (agg == sqlparser.AggMax && c > 0) {
+				best = v
+			}
+		}
+		return best
+	}
+	isum, fsum, ints := int64(0), 0.0, true
+	for _, v := range vals { // the statements sum numbers only
+		f, _ := v.AsFloat()
+		fsum += f
+		if ints = ints && v.Kind() == value.KindInt; ints {
+			isum += v.Int()
+		}
+	}
+	if agg == sqlparser.AggAvg {
+		return value.NewFloat(fsum / float64(len(vals)))
+	} else if ints {
+		return value.NewInt(isum)
+	}
+	return value.NewFloat(fsum)
+}

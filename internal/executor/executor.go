@@ -16,8 +16,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -58,11 +58,11 @@ type Runtime struct {
 	// normal path: collection costs a meter read and a clock read per
 	// operator.
 	Stats *ExecStats
-	// Mem is the statement's memory reservation. Buffering operators (scan
-	// materialization, hash-join build, merge-join sort copies, aggregation
-	// state, ORDER BY scratch) charge it before allocating and fail with a
-	// wrapped govern.ErrMemoryBudget when the budget is exhausted. Nil (the
-	// default) disables accounting.
+	// Mem is the statement's memory reservation. Operators charge it what
+	// they hold — position vectors, a join's gathered key vectors and build
+	// table for the join's lifetime, aggregation state, ORDER BY scratch,
+	// the result cells — and fail with a wrapped govern.ErrMemoryBudget when
+	// the budget is exhausted. Nil (the default) disables accounting.
 	Mem *govern.Reservation
 	// Reopt, when non-nil, arms mid-query re-optimization: join-input
 	// materializations become checkpoints that register their relations in
@@ -115,17 +115,15 @@ func (rt *Runtime) shrink(bytes int64) {
 	rt.Mem.Shrink(bytes)
 }
 
-// growRows charges n materialized rows of the given column width.
-func (rt *Runtime) growRows(n, cols int) error {
-	return rt.grow(int64(n) * govern.EstimateRowBytes(cols))
-}
-
-// rowHeaderBytes is the accounted cost of referencing (not copying) a row:
-// one slice header. Merge-join sort copies and ORDER BY scratch charge it.
-const rowHeaderBytes = 24
-
-// hashEntryBytes is the accounted per-entry cost of a hash-join build table.
-const hashEntryBytes = 48
+// Accounted sizes of what operators hold. A row position is an int32; a
+// gathered key is one typed array slot (a string column's wider headers are
+// under-counted — budgets bound accounted bytes, see govern.EstimateRowBytes);
+// a build-table entry is a map slot plus its chain link.
+const (
+	posBytes       = 4
+	keyBytes       = 8
+	hashEntryBytes = 24
+)
 
 // NodeStats holds the runtime actuals of one plan operator. Units and Wall
 // are cumulative over the operator's subtree — the same convention the
@@ -197,16 +195,70 @@ type Result struct {
 	Actuals []ScanActual
 }
 
-// relation is an intermediate result: concatenated base-table rows with a
-// map from table slot to column offset.
+// relation is an intermediate result under late materialization: per table
+// slot the snapshot the slot was read from and one vector of row positions
+// in it, every vector n long. Row r of the relation is row pos[r] of snap
+// for each slot it covers (a nil snap = not covered). No value is copied
+// until an operator asks for a column.
+//
+// A relation is immutable once built, and it pins its snapshots: copy-on-
+// write keeps the chunks they captured unchanged under later DML, so
+// positions are only ever read against the image they were taken from —
+// which is what lets a reopt checkpoint keep a relation across attempts.
 type relation struct {
-	offsets map[int]int
-	widths  map[int]int
-	width   int
-	rows    [][]value.Datum
+	slots []slotRows // indexed by table slot
+	n     int
 }
 
-func (r *relation) col(slot, ordinal int) int { return r.offsets[slot] + ordinal }
+type slotRows struct {
+	snap *storage.Snapshot
+	pos  []int32
+}
+
+func (ex *executor) newRelation(n int) *relation {
+	return &relation{slots: make([]slotRows, len(ex.blk.Tables)), n: n}
+}
+
+// column gathers one column of relation rows [lo, hi) into a typed vector.
+func (r *relation) column(slot, ordinal, lo, hi int) *storage.ColumnVec {
+	return r.slots[slot].snap.GatherColumn(ordinal, r.slots[slot].pos[lo:hi])
+}
+
+// take gathers src at idx: one side's position vector of a join's output.
+// A nil idx is the identity.
+func take(src, idx []int32) []int32 {
+	if idx == nil {
+		return src
+	}
+	out := make([]int32, len(idx))
+	for i, j := range idx {
+		out[i] = src[j]
+	}
+	return out
+}
+
+// joined builds a join's output and charges its position vectors to the
+// reservation under the operator's label: output row i is row li[i] of left
+// beside row ri[i] of right (a nil ri: right's rows are already lined up).
+func (ex *executor) joined(label string, left, right *relation, li, ri []int32) (*relation, error) {
+	n := len(li)
+	out := ex.newRelation(n)
+	slots := 0
+	add := func(side *relation, idx []int32) {
+		for s, rows := range side.slots {
+			if rows.snap != nil {
+				out.slots[s] = slotRows{rows.snap, take(rows.pos, idx)}
+				slots++
+			}
+		}
+	}
+	add(left, li)
+	add(right, ri)
+	if err := ex.rt.grow(posBytes * int64(n) * int64(slots)); err != nil {
+		return nil, fmt.Errorf("executor: %s output: %w", label, err)
+	}
+	return out, nil
+}
 
 // Execute runs the plan and applies the block's finishing operators.
 //
@@ -224,24 +276,11 @@ func Execute(blk *qgm.Block, plan optimizer.Node, rt *Runtime) (res *Result, err
 		return nil, cerr
 	}
 	ex := &executor{blk: blk, rt: rt}
-	// Single-table aggregation fuses the scan into the accumulator: chunk
-	// vectors feed group state directly, with no materialized relation in
-	// between. Meter charges are formula-identical to the unfused pipeline.
-	if scan, fusable := plan.(*optimizer.Scan); fusable &&
-		scan.IndexColumn == "" && blockAggregates(blk) {
-		res, err = ex.runFusedAggScan(scan)
-		if err != nil {
-			return nil, err
-		}
-		res, err = ex.finishFrom(res)
-	} else {
-		rel, rerr := ex.run(plan)
-		if rerr != nil {
-			return nil, rerr
-		}
-		res, err = ex.finish(rel)
-	}
+	rel, err := ex.run(plan)
 	if err != nil {
+		return nil, err
+	}
+	if res, err = ex.finish(rel); err != nil {
 		return nil, err
 	}
 	res.Actuals = ex.actuals
@@ -276,7 +315,7 @@ func (ex *executor) run(node optimizer.Node) (*relation, error) {
 			after = ex.rt.Meter.Units()
 		}
 		st.nodes[node] = NodeStats{
-			Rows:  float64(len(rel.rows)),
+			Rows:  float64(rel.n),
 			Units: after - before,
 			Wall:  time.Since(start),
 		}
@@ -298,21 +337,29 @@ func (ex *executor) dispatch(node optimizer.Node) (*relation, error) {
 	}
 }
 
+// input runs a join input to completion and checkpoints it.
+func (ex *executor) input(node optimizer.Node) (*relation, error) {
+	rel, err := ex.run(node)
+	if err != nil {
+		return nil, err
+	}
+	return rel, ex.checkpoint(node, rel)
+}
+
+// inputs runs both sides of a join, left first.
+func (ex *executor) inputs(n *optimizer.Join) (left, right *relation, err error) {
+	if left, err = ex.input(n.Left); err == nil {
+		right, err = ex.input(n.Right)
+	}
+	return left, right, err
+}
+
 func (ex *executor) baseTable(name string) (*storage.Table, error) {
 	tbl, ok := ex.rt.DB.Table(name)
 	if !ok {
 		return nil, fmt.Errorf("executor: table %q does not exist", name)
 	}
 	return tbl, nil
-}
-
-func matchesAll(preds []qgm.Predicate, row []value.Datum) bool {
-	for _, p := range preds {
-		if !p.Matches(row) {
-			return false
-		}
-	}
-	return true
 }
 
 func (ex *executor) runScan(n *optimizer.Scan) (*relation, error) {
@@ -324,12 +371,10 @@ func (ex *executor) runScan(n *optimizer.Scan) (*relation, error) {
 	// One snapshot serves the whole scan: all morsels see the same table
 	// image, and no lock is held while operators run.
 	snap := tbl.Snapshot()
-	width := snap.Schema().NumColumns()
-	rel := &relation{
-		offsets: map[int]int{n.Slot: 0},
-		widths:  map[int]int{n.Slot: width},
-		width:   width,
+	if snap.NumRows() > math.MaxInt32 {
+		return nil, fmt.Errorf("executor: %s has %d rows, row positions are int32", n.Table, snap.NumRows())
 	}
+	var pos []int32
 	examined := 0.0
 
 	if n.IndexColumn != "" {
@@ -340,105 +385,85 @@ func (ex *executor) runScan(n *optimizer.Scan) (*relation, error) {
 		if !ok {
 			return nil, fmt.Errorf("executor: plan uses missing index %s.%s", n.Table, n.IndexColumn)
 		}
-		positions, err := indexPositions(ix, snap, *n.IndexPred)
+		fetched, err := indexPositions(ix, snap, *n.IndexPred)
 		if err != nil {
 			return nil, err
 		}
 		ex.rt.charge(w.IndexProbe)
-		for _, pos := range positions {
-			row, err := snap.Row(pos)
-			if err != nil {
-				return nil, err
-			}
-			examined++
-			if matchesAll(n.Preds, row) {
-				rel.rows = append(rel.rows, row)
+		matches := qgm.RowMatcher(n.Preds, snap)
+		for _, p := range fetched {
+			if matches(p) {
+				pos = append(pos, int32(p))
 			}
 		}
+		examined = float64(len(fetched))
 		ex.rt.charge(w.IndexRow * examined)
-		// Index fetches charge the reservation the per-row estimate; the
-		// sequential scan charges exact bytes chunk by chunk as it goes.
-		if err := ex.rt.growRows(len(rel.rows), rel.width); err != nil {
+		if err := ex.rt.grow(posBytes * int64(len(pos))); err != nil {
 			return nil, fmt.Errorf("executor: scan %s output: %w", n.Table, err)
 		}
 	} else {
 		var scanErr error
-		rel.rows, examined, scanErr = ex.seqScan(snap, n.Preds)
+		pos, examined, scanErr = ex.seqScan(snap, n.Preds, n.Rows())
 		ex.rt.charge(w.SeqRow * examined)
 		if scanErr != nil {
 			return nil, scanErr
 		}
 	}
-	ex.rt.charge(w.RowOut * float64(len(rel.rows)))
+	ex.rt.charge(w.RowOut * float64(len(pos)))
 
 	if len(n.Preds) > 0 {
 		ex.actuals = append(ex.actuals, ScanActual{
 			Slot: n.Slot, Table: n.Table, Alias: n.Alias,
-			BaseRows: float64(snap.NumRows()), Examined: examined, Matched: float64(len(rel.rows)),
+			BaseRows: float64(snap.NumRows()), Examined: examined, Matched: float64(len(pos)),
 			Trace: n.Tr,
 		})
 	}
+	rel := ex.newRelation(len(pos))
+	rel.slots[n.Slot] = slotRows{snap, pos}
 	return rel, nil
 }
 
-// scanMorsel is the scan loop, the only one: rows [lo, hi) of the snapshot
-// chunk by chunk — cancellation check, the compiled filter over the dense
-// column arrays into a selection vector, survivors handed to emit. The
-// sequential scan materializes them; the fused agg-scan folds them into
-// group state. Each morsel probes the storage.scan fault point, so an
-// injected page-read error surfaces from any worker and drains the pool.
-// The examined count is valid on error too.
-func (ex *executor) scanMorsel(snap *storage.Snapshot, f *chunkFilter, lo, hi int, emit func(ch *storage.Chunk, sel []int) error) (examined int, err error) {
-	if err := faultinject.Hit(faultinject.StorageScan); err != nil {
-		return 0, fmt.Errorf("executor: scanning %s: %w", snap.Name(), err)
-	}
-	var sel []int
-	snap.Range(lo, hi, func(ch *storage.Chunk, _, clo, chi int) bool {
-		if err = ex.rt.ctxErr(); err != nil {
-			return false
-		}
-		examined += chi - clo
-		if sel = f.selectRange(ch, clo, chi, sel); len(sel) > 0 {
-			err = emit(ch, sel)
-		}
-		return err == nil
-	})
-	return examined, err
-}
-
-// seqScan returns the rows of the snapshot that pass preds, in storage
-// order, plus the examined row count. All morsels share one snapshot, so
-// workers see a consistent table image without taking any lock. The
-// reservation is charged per chunk with the exact bytes of the rows
-// materialized from it (the total is the sum over matched rows under any
-// partition).
-func (ex *executor) seqScan(snap *storage.Snapshot, preds []qgm.Predicate) ([][]value.Datum, float64, error) {
-	f := compileFilter(preds, snap.Schema())
-	needBytes := ex.rt.Mem != nil
+// seqScan returns the positions of the snapshot's rows that pass preds, in
+// storage order, plus the examined row count (valid on error too). It is
+// the scan loop, the only one: each morsel probes the storage.scan fault
+// point — so an injected page-read error surfaces from any worker and drains
+// the pool — then walks its rows chunk by chunk: cancellation check, the
+// compiled predicates over the dense column arrays, the survivors' positions
+// charged to the reservation. All morsels share one snapshot, so workers see
+// a consistent table image without taking any lock. estRows, the plan's
+// estimate of the output, sizes each morsel's buffer so a good estimate
+// means no regrowth (a bad one only costs what append costs anyway).
+func (ex *executor) seqScan(snap *storage.Snapshot, preds []qgm.Predicate, estRows float64) ([]int32, float64, error) {
 	n := snap.NumRows()
-	buckets := make([][][]value.Datum, ex.rt.morselCount(n))
+	buckets := make([][]int32, ex.rt.morselCount(n))
 	var examined atomic.Int64
-	err := ex.rt.forMorsels(n, func(m, lo, hi int) error {
-		var out [][]value.Datum
-		cnt, err := ex.scanMorsel(snap, f, lo, hi, func(ch *storage.Chunk, sel []int) error {
-			var bytes int64
-			for _, i := range sel {
-				row := ch.AppendRowTo(make([]value.Datum, 0, ch.NumCols()), i)
-				out = append(out, row)
-				if needBytes {
-					bytes += govern.ExactRowBytes(row)
-				}
+	err := ex.rt.forMorsels(n, func(m, lo, hi int) (err error) {
+		if err := faultinject.Hit(faultinject.StorageScan); err != nil {
+			return fmt.Errorf("executor: scanning %s: %w", snap.Name(), err)
+		}
+		room := float64(hi - lo) // a NaN or runaway estimate falls back to the morsel
+		if want := 1.125*estRows*room/float64(max(n, 1)) + 16; want >= 0 && want < room {
+			room = want
+		}
+		out := make([]int32, 0, int(room))
+		cnt := 0
+		snap.Range(lo, hi, func(ch *storage.Chunk, base, clo, chi int) bool {
+			if err = ex.rt.ctxErr(); err != nil {
+				return false
 			}
-			if err := ex.rt.grow(bytes); err != nil {
-				return fmt.Errorf("executor: scan %s output: %w", snap.Name(), err)
+			cnt += chi - clo
+			before := len(out)
+			out = qgm.AppendMatches(out, preds, ch, clo, chi, base)
+			if err = ex.rt.grow(posBytes * int64(len(out)-before)); err != nil {
+				err = fmt.Errorf("executor: scan %s output: %w", snap.Name(), err)
 			}
-			return nil
+			return err == nil
 		})
 		buckets[m] = out
 		examined.Add(int64(cnt))
 		return err
 	})
-	return concatBuckets(buckets), float64(examined.Load()), err
+	return flatten(buckets), float64(examined.Load()), err
 }
 
 // indexPositions converts a sargable predicate into an index range scan of
@@ -462,29 +487,6 @@ func indexPositions(ix *index.Index, snap *storage.Snapshot, p qgm.Predicate) ([
 	}
 }
 
-func mergedRelation(left, right *relation) *relation {
-	rel := &relation{
-		offsets: make(map[int]int, len(left.offsets)+len(right.offsets)),
-		widths:  make(map[int]int, len(left.widths)+len(right.widths)),
-		width:   left.width + right.width,
-	}
-	for slot, off := range left.offsets {
-		rel.offsets[slot] = off
-		rel.widths[slot] = left.widths[slot]
-	}
-	for slot, off := range right.offsets {
-		rel.offsets[slot] = left.width + off
-		rel.widths[slot] = right.widths[slot]
-	}
-	return rel
-}
-
-func concatRows(l, r []value.Datum) []value.Datum {
-	out := make([]value.Datum, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
-}
-
 func (ex *executor) runJoin(n *optimizer.Join) (*relation, error) {
 	switch n.Method {
 	case optimizer.HashJoin:
@@ -500,115 +502,162 @@ func (ex *executor) runJoin(n *optimizer.Join) (*relation, error) {
 	}
 }
 
+// keyColumns gathers both sides' join-key columns, one vector per join
+// predicate and side, and charges them to the reservation; the caller
+// returns held bytes when the join is done.
+func (ex *executor) keyColumns(n *optimizer.Join, left, right *relation) (lv, rv []*storage.ColumnVec, held int64, err error) {
+	held = keyBytes * int64(len(n.Preds)) * int64(left.n+right.n)
+	if err := ex.rt.grow(held); err != nil {
+		return nil, nil, 0, fmt.Errorf("executor: %v keys: %w", n.Method, err)
+	}
+	for _, jp := range n.Preds {
+		lv = append(lv, left.column(jp.LeftSlot, jp.LeftOrd, 0, left.n))
+		rv = append(rv, right.column(jp.RightSlot, jp.RightOrd, 0, right.n))
+	}
+	return lv, rv, held, nil
+}
+
+// joinKeys is one side's join keys as int64s that are equal exactly when the
+// keys are; null marks the rows that join nothing (nil when there are none).
+type joinKeys struct {
+	k    []int64
+	null []bool
+}
+
+func (jk joinKeys) isNull(i int) bool { return jk.null != nil && jk.null[i] }
+
+// intKeys is the case every paper join takes: an int column is its own key
+// (on two int columns the injective encoding's equality is int64 equality).
+func intKeys(vec *storage.ColumnVec) joinKeys {
+	jk := joinKeys{k: vec.Ints()}
+	if vec.HasNulls() {
+		jk.null = make([]bool, len(jk.k))
+		for i := range jk.null {
+			jk.null[i] = vec.Null(i)
+		}
+	}
+	return jk
+}
+
+// encode fills rows [lo, hi) with the id of each row's encoded key: id
+// resolves the encoding (interning it on the build side, looking it up on
+// the probe side). A NULL key column or an unresolved key is a null.
+func (jk joinKeys) encode(vecs []*storage.ColumnVec, lo, hi int, id func(key []byte) (int32, bool)) {
+	var kb []byte
+	for i := lo; i < hi; i++ {
+		var ok bool
+		if kb, ok = appendJoinKeyTo(kb[:0], vecs, i); ok {
+			var v int32
+			v, ok = id(kb)
+			jk.k[i] = int64(v)
+		}
+		jk.null[i] = !ok
+	}
+}
+
 func (ex *executor) runHashJoin(n *optimizer.Join) (*relation, error) {
-	left, err := ex.run(n.Left)
+	left, right, err := ex.inputs(n)
 	if err != nil {
-		return nil, err
-	}
-	if err := ex.checkpoint(n.Left, left); err != nil {
-		return nil, err
-	}
-	right, err := ex.run(n.Right)
-	if err != nil {
-		return nil, err
-	}
-	if err := ex.checkpoint(n.Right, right); err != nil {
 		return nil, err
 	}
 	w := ex.rt.Weights
-	rel := mergedRelation(left, right)
-
-	lCols := make([]int, len(n.Preds))
-	rCols := make([]int, len(n.Preds))
-	for i, jp := range n.Preds {
-		lCols[i] = left.col(jp.LeftSlot, jp.LeftOrd)
-		rCols[i] = right.col(jp.RightSlot, jp.RightOrd)
+	nL, nR := left.n, right.n
+	// The build table is per-entry overhead over the gathered keys — charged
+	// before building, which is where an under-budgeted join must stop, and
+	// returned with the keys when the output positions are all that is left.
+	lv, rv, held, err := ex.keyColumns(n, left, right)
+	if err != nil {
+		return nil, err
 	}
-
-	// The build table references left rows rather than copying them, so its
-	// accounted cost is per-entry overhead — charged before building, which
-	// is where an under-budgeted join must stop.
-	nL, nR := len(left.rows), len(right.rows)
+	defer func() { ex.rt.shrink(held) }()
 	if err := ex.rt.grow(hashEntryBytes * int64(nL)); err != nil {
 		return nil, fmt.Errorf("executor: hash join build: %w", err)
 	}
+	held += hashEntryBytes * int64(nL)
 
-	// Build, step one: encode the left keys morsel by morsel. The build table
-	// is split by key hash into one partition per worker the build side can
-	// keep busy; a single partition computes no hash.
+	var lk, rk joinKeys
+	if len(lv) == 1 && lv[0].Kind() == value.KindInt && rv[0].Kind() == value.KindInt {
+		lk, rk = intKeys(lv[0]), intKeys(rv[0])
+	} else {
+		// Any other pairing joins on the injective encoding: build-side keys
+		// are interned in row order, probe-side keys looked up morsel by morsel
+		// in the then read-only table.
+		ids := newKeyTable()
+		lk = joinKeys{k: make([]int64, nL), null: make([]bool, nL)}
+		lk.encode(lv, 0, nL, func(key []byte) (int32, bool) {
+			id, _ := ids.intern(key)
+			return id, true
+		})
+		rk = joinKeys{k: make([]int64, nR), null: make([]bool, nR)}
+		if err := ex.rt.forMorsels(nR, func(_, lo, hi int) error {
+			rk.encode(rv, lo, hi, ids.find)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+	}
+
+	// Build: the table is split by key hash into one partition per worker
+	// the build side can keep busy (a single partition computes no hash), one
+	// morsel per partition. A partition maps a key to its first left row;
+	// next chains the rest. Walking the left side backwards leaves every
+	// chain in left-row order.
 	parts := min(ex.rt.morselCount(nL), ex.rt.dop())
-	partOf := func(key []byte) uint32 {
+	partOf := func(k int64) int {
 		if parts == 1 {
 			return 0
 		}
-		return fnv1a(key) % uint32(parts)
+		return int(uint64(k) * 0x9E3779B97F4A7C15 >> 33 % uint64(parts))
 	}
-	const noPart = ^uint32(0) // NULL key: joins nothing
-	lKeys := make([]string, nL)
-	lPart := make([]uint32, nL)
-	if err := ex.rt.forMorsels(nL, func(_, lo, hi int) error {
-		var kb []byte
-		for i := lo; i < hi; i++ {
-			var ok bool
-			if kb, ok = appendJoinKeyTo(kb[:0], left.rows[i], lCols); ok {
-				lKeys[i] = string(kb)
-				lPart[i] = partOf(kb)
-			} else {
-				lPart[i] = noPart
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Build, step two: one morsel per partition inserts the rows hashing to
-	// it. Bucket lists stay in left-row order because every key belongs to
-	// exactly one partition and each partition walks the left side in order.
-	tables := make([]map[string][]int, parts)
+	next := make([]int32, nL)
+	heads := make([]map[int64]int32, parts)
 	if err := runMorsels(ex.rt.Ctx, parts, ex.rt.dop(), 1, func(p, _, _ int) error {
-		tbl := make(map[string][]int)
-		for i, lp := range lPart {
-			if lp == uint32(p) {
-				tbl[lKeys[i]] = append(tbl[lKeys[i]], i)
-			}
-		}
-		tables[p] = tbl
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Probe: right-side morsels look keys up in the now read-only partition
-	// maps. Probe keys are built in a reused buffer and never converted to a
-	// string unless they match.
-	buckets := make([][][]value.Datum, ex.rt.morselCount(nR))
-	if err := ex.rt.forMorsels(nR, func(m, lo, hi int) error {
-		var out [][]value.Datum
-		var kb []byte
-		for _, rrow := range right.rows[lo:hi] {
-			var ok bool
-			if kb, ok = appendJoinKeyTo(kb[:0], rrow, rCols); !ok {
+		head := make(map[int64]int32, nL/parts)
+		for i := nL - 1; i >= 0; i-- {
+			k := lk.k[i]
+			if lk.isNull(i) || partOf(k) != p {
 				continue
 			}
-			for _, li := range tables[partOf(kb)][string(kb)] {
-				out = append(out, concatRows(left.rows[li], rrow))
+			if h, ok := head[k]; ok {
+				next[i] = h
+			} else {
+				next[i] = -1
 			}
+			head[k] = int32(i)
 		}
-		buckets[m] = out
+		heads[p] = head
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	rel.rows = concatBuckets(buckets)
+
+	// Probe: right-side morsels look keys up in the now read-only partitions
+	// and emit (left row, right row) pairs.
+	lb := make([][]int32, ex.rt.morselCount(nR))
+	rb := make([][]int32, len(lb))
+	if err := ex.rt.forMorsels(nR, func(m, lo, hi int) error {
+		var li, ri []int32
+		for j := lo; j < hi; j++ {
+			if rk.isNull(j) {
+				continue
+			}
+			if h, ok := heads[partOf(rk.k[j])][rk.k[j]]; ok {
+				for ; h >= 0; h = next[h] {
+					li, ri = append(li, h), append(ri, int32(j))
+				}
+			}
+		}
+		lb[m], rb[m] = li, ri
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	li, ri := flatten(lb), flatten(rb)
 
 	ex.rt.charge(w.HashBuild * float64(nL))
 	ex.rt.charge(w.HashProbe * float64(nR))
-	ex.rt.charge(w.RowOut * float64(len(rel.rows)))
-	if err := ex.rt.growRows(len(rel.rows), rel.width); err != nil {
-		return nil, fmt.Errorf("executor: hash join output: %w", err)
-	}
-	return rel, nil
+	ex.rt.charge(w.RowOut * float64(len(li)))
+	return ex.joined("hash join", left, right, li, ri)
 }
 
 func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {
@@ -616,11 +665,8 @@ func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {
 	if !ok {
 		return nil, fmt.Errorf("executor: index NL join requires a scan inner, got %T", n.Right)
 	}
-	left, err := ex.run(n.Left)
+	left, err := ex.input(n.Left)
 	if err != nil {
-		return nil, err
-	}
-	if err := ex.checkpoint(n.Left, left); err != nil {
 		return nil, err
 	}
 	tbl, err := ex.baseTable(inner.Table)
@@ -630,90 +676,79 @@ func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {
 	w := ex.rt.Weights
 	// One snapshot serves every probe into the inner table.
 	snap := tbl.Snapshot()
-	width := snap.Schema().NumColumns()
-	rightRel := &relation{
-		offsets: map[int]int{inner.Slot: 0},
-		widths:  map[int]int{inner.Slot: width},
-		width:   width,
-	}
-	rel := mergedRelation(left, rightRel)
 
 	// The driving predicate is the first join predicate with an index on
 	// the inner column; the rest are residual filters.
-	var driving *qgm.JoinPredicate
+	driving := -1
 	var ix *index.Index
-	for i := range n.Preds {
-		jp := n.Preds[i]
+	for i, jp := range n.Preds {
 		if jp.RightSlot != inner.Slot {
 			continue
 		}
 		if found, ok := ex.rt.Indexes.Find(inner.Table, jp.RightCol); ok {
-			driving, ix = &jp, found
+			driving, ix = i, found
 			break
 		}
 	}
-	if driving == nil {
+	if driving < 0 {
 		return nil, fmt.Errorf("executor: no usable index for NL join into %s", inner.Table)
 	}
+	held := keyBytes * int64(len(n.Preds)) * int64(left.n)
+	if err := ex.rt.grow(held); err != nil {
+		return nil, fmt.Errorf("executor: index NL join keys: %w", err)
+	}
+	defer ex.rt.shrink(held)
+	lv := make([]*storage.ColumnVec, len(n.Preds))
+	for i, jp := range n.Preds {
+		lv[i] = left.column(jp.LeftSlot, jp.LeftOrd, 0, left.n)
+	}
 
-	// Probe: left-row morsels look their key up in the index and fetch the
-	// inner rows from the shared snapshot, a consistent image read lock-free.
-	// The probe is charged row by row: every addend is the same, so the
-	// meter's float total is the same under any partition and interleaving.
-	keyCol := left.col(driving.LeftSlot, driving.LeftOrd)
-	buckets := make([][][]value.Datum, ex.rt.morselCount(len(left.rows)))
+	// Probe: left-row morsels look their key up in the index and test the
+	// inner rows in place in the shared snapshot, a consistent image read
+	// lock-free. The probe is charged row by row: every addend is the same,
+	// so the meter's float total is the same under any partition and
+	// interleaving.
+	lb := make([][]int32, ex.rt.morselCount(left.n))
+	ib := make([][]int32, len(lb))
 	var examinedN, matchedN atomic.Int64
-	if err := ex.rt.forMorsels(len(left.rows), func(m, lo, hi int) error {
-		var out [][]value.Datum
+	if err := ex.rt.forMorsels(left.n, func(m, lo, hi int) error {
+		var li, ip []int32
 		exam, match := 0, 0
-		for _, lrow := range left.rows[lo:hi] {
+		matches := qgm.RowMatcher(inner.Preds, snap)
+		for i := lo; i < hi; i++ {
 			ex.rt.charge(w.IndexProbe)
-			key := lrow[keyCol]
+			key := lv[driving].Datum(i)
 			if key.IsNull() {
 				continue
 			}
+		fetch:
 			for _, pos := range ix.LookupAt(snap, key) {
-				irow, err := snap.Row(pos)
-				if err != nil {
-					return err
-				}
 				exam++
-				if !matchesAll(inner.Preds, irow) {
+				if !matches(pos) {
 					continue
 				}
 				match++
-				// Residual join predicates.
-				okRow := true
-				for i := range n.Preds {
-					jp := n.Preds[i]
-					if jp == *driving {
-						continue
-					}
-					lv := lrow[left.col(jp.LeftSlot, jp.LeftOrd)]
-					if !lv.Equal(irow[jp.RightOrd]) {
-						okRow = false
-						break
+				for r, jp := range n.Preds { // residual join predicates
+					if r != driving && !lv[r].Datum(i).Equal(snap.Datum(pos, jp.RightOrd)) {
+						continue fetch
 					}
 				}
-				if okRow {
-					out = append(out, concatRows(lrow, irow))
-				}
+				li, ip = append(li, int32(i)), append(ip, int32(pos))
 			}
 		}
-		buckets[m] = out
+		lb[m], ib[m] = li, ip
 		examinedN.Add(int64(exam))
 		matchedN.Add(int64(match))
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	rel.rows = concatBuckets(buckets)
+	li := flatten(lb)
+	fetched := ex.newRelation(len(li))
+	fetched.slots[inner.Slot] = slotRows{snap, flatten(ib)}
 	examined, matched := float64(examinedN.Load()), float64(matchedN.Load())
 	ex.rt.charge(w.IndexRow * examined)
-	ex.rt.charge(w.RowOut * float64(len(rel.rows)))
-	if err := ex.rt.growRows(len(rel.rows), rel.width); err != nil {
-		return nil, fmt.Errorf("executor: index NL join output: %w", err)
-	}
+	ex.rt.charge(w.RowOut * float64(len(li)))
 
 	if len(inner.Preds) > 0 {
 		ex.actuals = append(ex.actuals, ScanActual{
@@ -723,72 +758,55 @@ func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {
 			Trace:       inner.Tr,
 		})
 	}
-	return rel, nil
+	return ex.joined("index NL join", left, fetched, li, nil)
 }
 
-// compareKeys orders two rows by their join-key columns; NULLs sort first
-// (they are filtered out before merging).
-func compareKeys(a []value.Datum, aCols []int, b []value.Datum, bCols []int) int {
-	for i := range aCols {
-		if c := a[aCols[i]].Compare(b[bCols[i]]); c != 0 {
+// compareKeys orders row i of a against row j of b by their key columns.
+func compareKeys(a []*storage.ColumnVec, i int32, b []*storage.ColumnVec, j int32) int {
+	for k := range a {
+		if c := a[k].Datum(int(i)).Compare(b[k].Datum(int(j))); c != 0 {
 			return c
 		}
 	}
 	return 0
 }
 
-func hasNullKey(row []value.Datum, cols []int) bool {
-	for _, c := range cols {
-		if row[c].IsNull() {
-			return true
+// keyedRows lists the rows whose key columns are all non-NULL (NULL joins
+// nothing), in row order.
+func keyedRows(vecs []*storage.ColumnVec, n int) []int32 {
+	rows := make([]int32, 0, n)
+rows:
+	for i := 0; i < n; i++ {
+		for _, v := range vecs {
+			if v.Null(i) {
+				continue rows
+			}
 		}
+		rows = append(rows, int32(i))
 	}
-	return false
+	return rows
 }
 
 func (ex *executor) runMergeJoin(n *optimizer.Join) (*relation, error) {
-	left, err := ex.run(n.Left)
+	left, right, err := ex.inputs(n)
 	if err != nil {
-		return nil, err
-	}
-	if err := ex.checkpoint(n.Left, left); err != nil {
-		return nil, err
-	}
-	right, err := ex.run(n.Right)
-	if err != nil {
-		return nil, err
-	}
-	if err := ex.checkpoint(n.Right, right); err != nil {
 		return nil, err
 	}
 	w := ex.rt.Weights
-	rel := mergedRelation(left, right)
+	lv, rv, held, err := ex.keyColumns(n, left, right)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { ex.rt.shrink(held) }()
 
-	lCols := make([]int, len(n.Preds))
-	rCols := make([]int, len(n.Preds))
-	for i, jp := range n.Preds {
-		lCols[i] = left.col(jp.LeftSlot, jp.LeftOrd)
-		rCols[i] = right.col(jp.RightSlot, jp.RightOrd)
-	}
-
-	// Drop NULL-key rows (they join nothing), then sort both sides.
-	lRows := make([][]value.Datum, 0, len(left.rows))
-	for _, r := range left.rows {
-		if !hasNullKey(r, lCols) {
-			lRows = append(lRows, r)
-		}
-	}
-	rRows := make([][]value.Datum, 0, len(right.rows))
-	for _, r := range right.rows {
-		if !hasNullKey(r, rCols) {
-			rRows = append(rRows, r)
-		}
-	}
-	// The sorted side copies are row references; charge their headers before
-	// sorting (and keep them charged — the merge reads both sides fully).
-	if err := ex.rt.grow(rowHeaderBytes * int64(len(lRows)+len(rRows))); err != nil {
+	// Drop NULL-key rows, then sort both sides' row lists; they are charged
+	// before sorting and stay charged while the merge reads them.
+	lRows, rRows := keyedRows(lv, left.n), keyedRows(rv, right.n)
+	sorted := posBytes * int64(len(lRows)+len(rRows))
+	if err := ex.rt.grow(sorted); err != nil {
 		return nil, fmt.Errorf("executor: merge join sort: %w", err)
 	}
+	held += sorted
 	sortCharge := func(n int) {
 		if n > 1 {
 			ex.rt.charge(w.SortRow * float64(n) * math.Log2(float64(n)))
@@ -796,168 +814,200 @@ func (ex *executor) runMergeJoin(n *optimizer.Join) (*relation, error) {
 	}
 	sortCharge(len(lRows))
 	sortCharge(len(rRows))
-	sort.SliceStable(lRows, func(i, j int) bool { return compareKeys(lRows[i], lCols, lRows[j], lCols) < 0 })
-	sort.SliceStable(rRows, func(i, j int) bool { return compareKeys(rRows[i], rCols, rRows[j], rCols) < 0 })
+	sort.SliceStable(lRows, func(i, j int) bool { return compareKeys(lv, lRows[i], lv, lRows[j]) < 0 })
+	sort.SliceStable(rRows, func(i, j int) bool { return compareKeys(rv, rRows[i], rv, rRows[j]) < 0 })
 
 	// Merge: advance groups of equal keys and emit the cross product of
 	// each matching group pair.
-	li, ri := 0, 0
-	for li < len(lRows) && ri < len(rRows) {
-		c := compareKeys(lRows[li], lCols, rRows[ri], rCols)
+	var li, ri []int32
+	l, r := 0, 0
+	for l < len(lRows) && r < len(rRows) {
+		c := compareKeys(lv, lRows[l], rv, rRows[r])
 		switch {
 		case c < 0:
-			li++
+			l++
 		case c > 0:
-			ri++
+			r++
 		default:
-			lEnd := li + 1
-			for lEnd < len(lRows) && compareKeys(lRows[lEnd], lCols, lRows[li], lCols) == 0 {
+			lEnd := l + 1
+			for lEnd < len(lRows) && compareKeys(lv, lRows[lEnd], lv, lRows[l]) == 0 {
 				lEnd++
 			}
-			rEnd := ri + 1
-			for rEnd < len(rRows) && compareKeys(rRows[rEnd], rCols, rRows[ri], rCols) == 0 {
+			rEnd := r + 1
+			for rEnd < len(rRows) && compareKeys(rv, rRows[rEnd], rv, rRows[r]) == 0 {
 				rEnd++
 			}
-			for i := li; i < lEnd; i++ {
-				for j := ri; j < rEnd; j++ {
-					rel.rows = append(rel.rows, concatRows(lRows[i], rRows[j]))
+			for _, i := range lRows[l:lEnd] {
+				for _, j := range rRows[r:rEnd] {
+					li, ri = append(li, i), append(ri, j)
 				}
 			}
-			li, ri = lEnd, rEnd
+			l, r = lEnd, rEnd
 		}
 	}
 	ex.rt.charge(w.SeqRow * float64(len(lRows)+len(rRows)))
-	ex.rt.charge(w.RowOut * float64(len(rel.rows)))
-	if err := ex.rt.growRows(len(rel.rows), rel.width); err != nil {
-		return nil, fmt.Errorf("executor: merge join output: %w", err)
-	}
-	return rel, nil
+	ex.rt.charge(w.RowOut * float64(len(li)))
+	return ex.joined("merge join", left, right, li, ri)
 }
 
 func (ex *executor) runNestedLoop(n *optimizer.Join) (*relation, error) {
-	left, err := ex.run(n.Left)
+	left, right, err := ex.inputs(n)
 	if err != nil {
-		return nil, err
-	}
-	if err := ex.checkpoint(n.Left, left); err != nil {
-		return nil, err
-	}
-	right, err := ex.run(n.Right)
-	if err != nil {
-		return nil, err
-	}
-	if err := ex.checkpoint(n.Right, right); err != nil {
 		return nil, err
 	}
 	w := ex.rt.Weights
-	rel := mergedRelation(left, right)
-	for _, lrow := range left.rows {
-		for _, rrow := range right.rows {
-			ok := true
-			for _, jp := range n.Preds {
-				if !lrow[left.col(jp.LeftSlot, jp.LeftOrd)].Equal(rrow[right.col(jp.RightSlot, jp.RightOrd)]) {
-					ok = false
-					break
+	lv, rv, held, err := ex.keyColumns(n, left, right)
+	if err != nil {
+		return nil, err
+	}
+	defer ex.rt.shrink(held)
+	var li, ri []int32
+	lkey := make([]value.Datum, len(lv))
+	for i := 0; i < left.n; i++ {
+		for k := range lv {
+			lkey[k] = lv[k].Datum(i)
+		}
+	pairs:
+		for j := 0; j < right.n; j++ {
+			for k := range rv {
+				if !lkey[k].Equal(rv[k].Datum(j)) {
+					continue pairs
 				}
 			}
-			if ok {
-				rel.rows = append(rel.rows, concatRows(lrow, rrow))
-			}
+			li, ri = append(li, int32(i)), append(ri, int32(j))
 		}
 	}
-	ex.rt.charge(w.HashProbe * float64(len(left.rows)) * float64(len(right.rows)))
-	ex.rt.charge(w.RowOut * float64(len(rel.rows)))
-	if err := ex.rt.growRows(len(rel.rows), rel.width); err != nil {
-		return nil, fmt.Errorf("executor: nested loop output: %w", err)
-	}
-	return rel, nil
+	ex.rt.charge(w.HashProbe * float64(left.n) * float64(right.n))
+	ex.rt.charge(w.RowOut * float64(len(li)))
+	return ex.joined("nested loop", left, right, li, ri)
 }
 
 // --- finishing: aggregation, distinct, order, limit, projection ----------
 
-// blockAggregates reports whether the block needs grouped aggregation (the
-// condition finish routes through aggregate, and Execute fuses into scans).
-func blockAggregates(blk *qgm.Block) bool {
-	for _, p := range blk.Projections {
-		if p.Agg != sqlparser.AggNone {
-			return true
-		}
-	}
-	return len(blk.GroupBy) > 0
+// column is one output or sort-key column before the result is carved: a
+// table column seen through the relation's row positions, or the datums
+// aggregation produced.
+type column interface{ Datum(i int) value.Datum }
+
+type datums []value.Datum
+
+func (d datums) Datum(i int) value.Datum { return d[i] }
+
+// rowsColumn is one column of a relation slot, read in place: finishing
+// touches each value a handful of times at most, so it gathers nothing.
+type rowsColumn struct {
+	slotRows
+	ordinal int
 }
 
+func (c rowsColumn) Datum(i int) value.Datum { return c.snap.Datum(int(c.pos[i]), c.ordinal) }
+
+// output is the block's result before DISTINCT, ORDER BY and LIMIT pick and
+// order its rows: n rows of named columns, plus the key columns of the ORDER
+// BY entries in their order.
+type output struct {
+	names []string
+	cols  []column
+	keys  []column
+	n     int
+}
+
+// finish turns the plan's relation into the result. Projection and
+// aggregation produce columns; DISTINCT, ORDER BY and LIMIT then work on
+// row numbers alone, and only the rows that survive are carved into cells.
 func (ex *executor) finish(rel *relation) (*Result, error) {
-	var res *Result
+	blk := ex.blk
+	var out *output
 	var err error
-	if blockAggregates(ex.blk) {
-		res, err = ex.aggregate(rel)
+	if blk.Aggregated() {
+		out, err = ex.aggregate(rel)
 	} else {
-		res, err = ex.project(rel)
+		out, err = ex.project(rel)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return ex.finishFrom(res)
-}
-
-// finishFrom applies the post-aggregation finishing operators — DISTINCT,
-// ORDER BY, LIMIT — shared by the regular pipeline and the fused agg-scan.
-func (ex *executor) finishFrom(res *Result) (*Result, error) {
-	blk := ex.blk
+	var rows []int32 // nil = all n rows in order
 	if blk.Distinct {
-		res.Rows = distinctRows(res.Rows)
+		rows = distinctRows(out)
 	}
 	if len(blk.OrderBy) > 0 {
-		if err := ex.orderResult(res); err != nil {
+		if rows, err = ex.orderRows(out, rows); err != nil {
 			return nil, err
 		}
 	}
-	if blk.Limit >= 0 && len(res.Rows) > blk.Limit {
-		res.Rows = res.Rows[:blk.Limit]
+	n := out.n
+	if rows != nil {
+		n = len(rows)
+	}
+	if blk.Limit >= 0 && n > blk.Limit {
+		n = blk.Limit
+	}
+	return ex.carve(out, rows, n)
+}
+
+// carve materializes the first n of the chosen rows — the one place values
+// are boxed — column by column into one rows × cols backing array, the shape
+// wire.DecodeRows returns.
+func (ex *executor) carve(out *output, rows []int32, n int) (*Result, error) {
+	width := len(out.cols)
+	if err := ex.rt.grow(int64(n) * govern.EstimateRowBytes(width)); err != nil {
+		return nil, fmt.Errorf("executor: result: %w", err)
+	}
+	cells := make([]value.Datum, n*width)
+	for j, col := range out.cols {
+		for r := 0; r < n; r++ {
+			i := r
+			if rows != nil {
+				i = int(rows[r])
+			}
+			cells[r*width+j] = col.Datum(i)
+		}
+	}
+	res := &Result{Columns: out.names, Rows: make([][]value.Datum, n)}
+	for r := range res.Rows {
+		res.Rows[r] = cells[r*width : (r+1)*width : (r+1)*width]
 	}
 	return res, nil
 }
 
-// project emits the non-aggregated projection; sort keys that reference
-// base columns are appended as hidden columns and stripped after ordering.
-func (ex *executor) project(rel *relation) (*Result, error) {
+// project lists the non-aggregated projection's columns and the ORDER BY
+// key columns: an alias key is the output column of that name, a base-column
+// key is read beside the projection and never becomes a result column. A
+// LIMIT with no DISTINCT or ORDER BY above it cuts the relation first.
+func (ex *executor) project(rel *relation) (*output, error) {
 	blk := ex.blk
-	type colRef struct{ slot, ord int }
-	var cols []colRef
-	var names []string
-
+	out := &output{n: rel.n}
+	if blk.Limit >= 0 && blk.Limit < rel.n && !blk.Distinct && len(blk.OrderBy) == 0 {
+		out.n = blk.Limit
+	}
+	out.names = make([]string, 0, len(blk.Projections))
+	out.cols = make([]column, 0, len(blk.Projections))
+	add := func(name string, slot, ordinal int) {
+		out.names = append(out.names, name)
+		out.cols = append(out.cols, rowsColumn{rel.slots[slot], ordinal})
+	}
 	for _, p := range blk.Projections {
-		if p.Star {
-			for slot, ti := range blk.Tables {
-				for o := 0; o < ti.Schema.NumColumns(); o++ {
-					cols = append(cols, colRef{slot, o})
-					names = append(names, ti.Alias+"."+ti.Schema.Column(o).Name)
-				}
-			}
+		if !p.Star {
+			add(p.Alias, p.Slot, p.Ordinal)
 			continue
 		}
-		cols = append(cols, colRef{p.Slot, p.Ordinal})
-		names = append(names, p.Alias)
+		for slot, ti := range blk.Tables {
+			for o := 0; o < ti.Schema.NumColumns(); o++ {
+				add(ti.Alias+"."+ti.Schema.Column(o).Name, slot, o)
+			}
+		}
 	}
-	// Hidden sort keys for ORDER BY on base columns not using aliases.
-	hidden := 0
 	for _, ok := range blk.OrderBy {
 		if ok.ByAlias == "" {
-			cols = append(cols, colRef{ok.Slot, ok.Ordinal})
-			names = append(names, fmt.Sprintf("__sort%d", hidden))
-			hidden++
+			out.keys = append(out.keys, rowsColumn{rel.slots[ok.Slot], ok.Ordinal})
+		} else if ci := slices.Index(out.names, ok.ByAlias); ci >= 0 {
+			out.keys = append(out.keys, out.cols[ci])
+		} else {
+			return nil, fmt.Errorf("executor: ORDER BY alias %q not found", ok.ByAlias)
 		}
 	}
-
-	out := make([][]value.Datum, len(rel.rows))
-	for i, row := range rel.rows {
-		pr := make([]value.Datum, len(cols))
-		for j, c := range cols {
-			pr[j] = row[rel.col(c.slot, c.ord)]
-		}
-		out[i] = pr
-	}
-	return &Result{Columns: names, Rows: out}, nil
+	return out, nil
 }
 
 type aggState struct {
@@ -992,89 +1042,83 @@ type group struct {
 	aggs []aggState
 }
 
-// groupAccumulator builds grouped aggregation state row by row, one
-// accumulator per morsel, merged in morsel order (mergePartials). The fused
-// agg-scan absorbs selected chunk rows directly (absorbChunk) without
-// materializing the relation.
-type groupAccumulator struct {
-	blk    *qgm.Block
-	rel    *relation
-	groups map[string]*group
-	order  []string // deterministic group order = first appearance
-	keyBuf []byte   // reused group-key encoding scratch
-}
-
-func newGroupAccumulator(blk *qgm.Block, rel *relation) *groupAccumulator {
-	return &groupAccumulator{blk: blk, rel: rel, groups: make(map[string]*group)}
-}
-
-func (ga *groupAccumulator) newGroup(keys []value.Datum) *group {
-	g := &group{keys: keys, aggs: make([]aggState, len(ga.blk.Projections))}
+func newGroup(keys []value.Datum, projections int) group {
+	g := group{keys: keys, aggs: make([]aggState, projections)}
 	for i := range g.aggs {
 		g.aggs[i].sumIsInt = true
-		g.aggs[i].min, g.aggs[i].max = value.Null, value.Null
 	}
 	return g
 }
 
-func (ga *groupAccumulator) absorbRow(row []value.Datum) {
-	ga.absorb(func(col int) value.Datum { return row[col] })
+// groupAccumulator builds grouped aggregation state, one accumulator per
+// morsel, merged in morsel order (mergePartials). Groups are numbered in
+// order of first appearance by the table their encoded keys intern into.
+type groupAccumulator struct {
+	blk    *qgm.Block
+	ids    *keyTable
+	groups []group
 }
 
-// absorbChunk folds the selected rows of one columnar chunk into the
-// accumulator, reading datums straight off the column vectors — the fused
-// agg-scan's row source, skipping row materialization entirely.
-func (ga *groupAccumulator) absorbChunk(ch *storage.Chunk, sel []int) {
-	for _, i := range sel {
-		ga.absorb(func(col int) value.Datum { return ch.DatumAt(i, col) })
-	}
+func newGroupAccumulator(blk *qgm.Block) *groupAccumulator {
+	return &groupAccumulator{blk: blk, ids: newKeyTable()}
 }
 
-// absorb is the single row-state transition both row sources share, so the
-// fused and materialized paths cannot drift apart.
-func (ga *groupAccumulator) absorb(get func(col int) value.Datum) {
-	kb := ga.keyBuf[:0]
-	keys := make([]value.Datum, len(ga.blk.GroupBy))
-	for i, gk := range ga.blk.GroupBy {
-		d := get(ga.rel.col(gk.Slot, gk.Ordinal))
-		keys[i] = d
-		kb = appendGroupKeyDatum(kb, d)
+// absorb folds relation rows [lo, hi) into the accumulator, reading only
+// the grouping and aggregate-argument columns, gathered for this range. A
+// row's group key is encoded straight off the vectors; its datums are built
+// only when the group is new.
+func (ga *groupAccumulator) absorb(rel *relation, lo, hi int) {
+	blk := ga.blk
+	keys := make([]*storage.ColumnVec, len(blk.GroupBy))
+	for i, gk := range blk.GroupBy {
+		keys[i] = rel.column(gk.Slot, gk.Ordinal, lo, hi)
 	}
-	ga.keyBuf = kb
-	g, ok := ga.groups[string(kb)]
-	if !ok {
-		key := string(kb)
-		g = ga.newGroup(keys)
-		ga.groups[key] = g
-		ga.order = append(ga.order, key)
+	args := make([]*storage.ColumnVec, len(blk.Projections))
+	for i, p := range blk.Projections {
+		if p.Agg != sqlparser.AggNone && !p.Star {
+			args[i] = rel.column(p.Slot, p.Ordinal, lo, hi)
+		}
 	}
-	for i, p := range ga.blk.Projections {
-		st := &g.aggs[i]
-		st.count++
-		if p.Agg == sqlparser.AggNone || p.Star {
-			continue
+	var kb []byte
+	for i := 0; i < hi-lo; i++ {
+		kb = kb[:0]
+		for _, kv := range keys {
+			kb = appendGroupKeyDatum(kb, kv.Datum(i))
 		}
-		d := get(ga.rel.col(p.Slot, p.Ordinal))
-		if d.IsNull() {
-			continue
+		id, fresh := ga.ids.intern(kb)
+		if fresh {
+			gk := make([]value.Datum, len(keys))
+			for k, kv := range keys {
+				gk[k] = kv.Datum(i)
+			}
+			ga.groups = append(ga.groups, newGroup(gk, len(args)))
 		}
-		st.countCol++
-		st.seen = true
-		if f, ok := d.AsFloat(); ok {
-			st.sum += f
-			if d.Kind() == value.KindInt {
-				st.sumInt += d.Int()
+		aggs := ga.groups[id].aggs
+		for p, arg := range args {
+			st := &aggs[p]
+			st.count++
+			if arg == nil || arg.Null(i) {
+				continue
+			}
+			d := arg.Datum(i)
+			st.countCol++
+			st.seen = true
+			if f, ok := d.AsFloat(); ok {
+				st.sum += f
+				if d.Kind() == value.KindInt {
+					st.sumInt += d.Int()
+				} else {
+					st.sumIsInt = false
+				}
 			} else {
 				st.sumIsInt = false
 			}
-		} else {
-			st.sumIsInt = false
-		}
-		if st.min.IsNull() || d.Compare(st.min) < 0 {
-			st.min = d
-		}
-		if st.max.IsNull() || d.Compare(st.max) > 0 {
-			st.max = d
+			if st.min.IsNull() || d.Compare(st.min) < 0 {
+				st.min = d
+			}
+			if st.max.IsNull() || d.Compare(st.max) > 0 {
+				st.max = d
+			}
 		}
 	}
 }
@@ -1083,16 +1127,14 @@ func (ga *groupAccumulator) absorb(get func(col int) value.Datum) {
 // appearance order: groups ga already holds merge state-wise, new groups
 // append in the partial's own order.
 func (ga *groupAccumulator) mergeFrom(other *groupAccumulator) {
-	for _, key := range other.order {
-		og := other.groups[key]
-		g, ok := ga.groups[key]
-		if !ok {
-			ga.groups[key] = og
-			ga.order = append(ga.order, key)
+	for oid, key := range other.ids.keys {
+		id, fresh := ga.ids.internString(key)
+		if fresh {
+			ga.groups = append(ga.groups, other.groups[oid])
 			continue
 		}
-		for i := range g.aggs {
-			g.aggs[i].merge(&og.aggs[i])
+		for i := range ga.groups[id].aggs {
+			ga.groups[id].aggs[i].merge(&other.groups[oid].aggs[i])
 		}
 	}
 }
@@ -1110,209 +1152,124 @@ func mergePartials(partials []*groupAccumulator) *groupAccumulator {
 	return out
 }
 
-func (ex *executor) aggregate(rel *relation) (*Result, error) {
-	n := len(rel.rows)
-	partials := make([]*groupAccumulator, ex.rt.morselCount(n))
-	if err := ex.rt.forMorsels(n, func(m, lo, hi int) error {
-		ga := newGroupAccumulator(ex.blk, rel)
-		for _, row := range rel.rows[lo:hi] {
-			ga.absorbRow(row)
-		}
-		partials[m] = ga
+// aggregate groups the relation morsel by morsel and turns the merged group
+// state into output columns, one row per group in first-appearance order.
+func (ex *executor) aggregate(rel *relation) (*output, error) {
+	blk := ex.blk
+	partials := make([]*groupAccumulator, ex.rt.morselCount(rel.n))
+	if err := ex.rt.forMorsels(rel.n, func(m, lo, hi int) error {
+		partials[m] = newGroupAccumulator(blk)
+		partials[m].absorb(rel, lo, hi)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return ex.aggregateFinish(mergePartials(partials), n)
-}
-
-// aggregateFinish turns accumulated group state into the result rows,
-// charging the same meter and reservation costs whether the state came from
-// a materialized relation or the fused agg-scan (inputRows is the absorbed
-// row count either way, so the charge formulas are identical).
-func (ex *executor) aggregateFinish(ga *groupAccumulator, inputRows int) (*Result, error) {
-	blk := ex.blk
-	w := ex.rt.Weights
-
-	nAgg := len(blk.Projections)
-	groups, orderKeys := ga.groups, ga.order
-	ex.rt.charge(w.HashBuild * float64(inputRows))
+	groups := mergePartials(partials).groups
+	ex.rt.charge(ex.rt.Weights.HashBuild * float64(rel.n))
 	// Aggregation state is charged after accumulation (operator-boundary
 	// enforcement: growth past the budget is bounded to this operator's
 	// grouped state, which is what the statement materializes from here on).
 	if err := ex.rt.grow(int64(len(groups)) * (64 + 96*int64(len(blk.Projections)))); err != nil {
 		return nil, fmt.Errorf("executor: aggregation state: %w", err)
 	}
-
 	// Global aggregate over empty input still yields one row.
 	if len(groups) == 0 && len(blk.GroupBy) == 0 {
-		g := &group{aggs: make([]aggState, nAgg)}
-		for i := range g.aggs {
-			g.aggs[i].min, g.aggs[i].max = value.Null, value.Null
-		}
-		groups[""] = g
-		orderKeys = append(orderKeys, "")
+		groups = []group{{aggs: make([]aggState, len(blk.Projections))}}
 	}
 
-	names := make([]string, len(blk.Projections))
+	out := &output{n: len(groups)}
 	for i, p := range blk.Projections {
-		names[i] = p.Alias
-	}
-
-	var rows [][]value.Datum
-	for _, key := range orderKeys {
-		g := groups[key]
-		out := make([]value.Datum, len(blk.Projections))
-		for i, p := range blk.Projections {
-			st := g.aggs[i]
+		col := make(datums, len(groups))
+		grouped := slices.IndexFunc(blk.GroupBy, func(gk qgm.GroupKey) bool {
+			return gk.Slot == p.Slot && gk.Ordinal == p.Ordinal
+		})
+		if p.Agg == sqlparser.AggNone && grouped < 0 {
+			return nil, fmt.Errorf("executor: projection %q is not grouped", p.Alias)
+		}
+		for r := range groups {
+			st := &groups[r].aggs[i]
 			switch {
 			case p.Agg == sqlparser.AggNone:
-				// A grouped column: find its value among the group keys.
-				found := false
-				for gi, gk := range blk.GroupBy {
-					if gk.Slot == p.Slot && gk.Ordinal == p.Ordinal {
-						out[i] = g.keys[gi]
-						found = true
-						break
-					}
-				}
-				if !found {
-					return nil, fmt.Errorf("executor: projection %q is not grouped", p.Alias)
-				}
+				col[r] = groups[r].keys[grouped]
+			case p.Agg == sqlparser.AggCount && p.Star:
+				col[r] = value.NewInt(st.count)
 			case p.Agg == sqlparser.AggCount:
-				if p.Star {
-					out[i] = value.NewInt(st.count)
-				} else {
-					out[i] = value.NewInt(st.countCol)
-				}
+				col[r] = value.NewInt(st.countCol)
+			case st.countCol == 0: // SUM/AVG/MIN/MAX of no value
+			case p.Agg == sqlparser.AggSum && st.sumIsInt:
+				col[r] = value.NewInt(st.sumInt)
 			case p.Agg == sqlparser.AggSum:
-				if st.countCol == 0 {
-					out[i] = value.Null
-				} else if st.sumIsInt {
-					out[i] = value.NewInt(st.sumInt)
-				} else {
-					out[i] = value.NewFloat(st.sum)
-				}
+				col[r] = value.NewFloat(st.sum)
 			case p.Agg == sqlparser.AggAvg:
-				if st.countCol == 0 {
-					out[i] = value.Null
-				} else {
-					out[i] = value.NewFloat(st.sum / float64(st.countCol))
-				}
+				col[r] = value.NewFloat(st.sum / float64(st.countCol))
 			case p.Agg == sqlparser.AggMin:
-				out[i] = st.min
+				col[r] = st.min
 			case p.Agg == sqlparser.AggMax:
-				out[i] = st.max
+				col[r] = st.max
 			}
 		}
-		rows = append(rows, out)
+		out.names, out.cols = append(out.names, p.Alias), append(out.cols, col)
 	}
-	return &Result{Columns: names, Rows: rows}, nil
-}
-
-func distinctRows(rows [][]value.Datum) [][]value.Datum {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	var kb []byte
-	for _, r := range rows {
-		kb = kb[:0]
-		for _, d := range r {
-			kb = appendGroupKeyDatum(kb, d)
-		}
-		if !seen[string(kb)] {
-			seen[string(kb)] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// orderResult sorts the result rows. Alias keys bind to output columns;
-// base-column keys bind to the hidden "__sortN" columns appended by project
-// (aggregated results only support alias / grouped-column keys). Hidden
-// columns are stripped afterwards.
-func (ex *executor) orderResult(res *Result) error {
-	blk := ex.blk
-	type sortKey struct {
-		col  int
-		desc bool
-	}
-	keys := make([]sortKey, 0, len(blk.OrderBy))
-	hidden := 0
-	colIndex := func(name string) int {
-		for i, c := range res.Columns {
-			if c == name {
-				return i
-			}
-		}
-		return -1
-	}
+	// ORDER BY over an aggregate: an alias key is that output column, a
+	// base-column key must be a grouped, projected column.
 	for _, ok := range blk.OrderBy {
-		if ok.ByAlias != "" {
-			ci := colIndex(ok.ByAlias)
+		ci := slices.Index(out.names, ok.ByAlias)
+		if ok.ByAlias == "" {
+			ci = slices.IndexFunc(blk.Projections, func(p qgm.Projection) bool {
+				return p.Agg == sqlparser.AggNone && p.Slot == ok.Slot && p.Ordinal == ok.Ordinal
+			})
 			if ci < 0 {
-				return fmt.Errorf("executor: ORDER BY alias %q not found", ok.ByAlias)
+				return nil, fmt.Errorf("executor: ORDER BY column is neither projected nor grouped")
 			}
-			keys = append(keys, sortKey{col: ci, desc: ok.Desc})
-			continue
+		} else if ci < 0 {
+			return nil, fmt.Errorf("executor: ORDER BY alias %q not found", ok.ByAlias)
 		}
-		ci := colIndex(fmt.Sprintf("__sort%d", hidden))
-		hidden++
-		if ci < 0 {
-			// Aggregated result: the base column must be a grouped,
-			// projected column.
-			found := false
-			for pi, p := range blk.Projections {
-				if p.Agg == sqlparser.AggNone && p.Slot == ok.Slot && p.Ordinal == ok.Ordinal {
-					keys = append(keys, sortKey{col: pi, desc: ok.Desc})
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("executor: ORDER BY column is neither projected nor grouped")
-			}
-			continue
-		}
-		keys = append(keys, sortKey{col: ci, desc: ok.Desc})
+		out.keys = append(out.keys, out.cols[ci])
 	}
+	return out, nil
+}
 
-	n := len(res.Rows)
-	if n > 1 {
-		ex.rt.charge(ex.rt.Weights.SortRow * float64(n) * math.Log2(float64(n)))
-		// Sort scratch (row headers) is transient: grown for the sort,
-		// returned right after.
-		scratch := rowHeaderBytes * int64(n)
-		if err := ex.rt.grow(scratch); err != nil {
-			return fmt.Errorf("executor: ORDER BY sort: %w", err)
+// distinctRows lists the first row of every distinct combination of output
+// values, in row order.
+func distinctRows(out *output) []int32 {
+	seen := newKeyTable()
+	rows := make([]int32, 0, out.n)
+	var kb []byte
+	for i := 0; i < out.n; i++ {
+		kb = kb[:0]
+		for _, col := range out.cols {
+			kb = appendGroupKeyDatum(kb, col.Datum(i))
 		}
-		defer ex.rt.shrink(scratch)
+		if _, fresh := seen.intern(kb); fresh {
+			rows = append(rows, int32(i))
+		}
 	}
-	less := func(a, b []value.Datum) bool {
-		for _, k := range keys {
-			c := a[k.col].Compare(b[k.col])
-			if c == 0 {
-				continue
+	return rows
+}
+
+// orderRows stably sorts the chosen rows (nil = all) by the ORDER BY keys.
+func (ex *executor) orderRows(out *output, rows []int32) ([]int32, error) {
+	if rows == nil {
+		rows = make([]int32, out.n)
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+	}
+	if n := len(rows); n > 1 {
+		ex.rt.charge(ex.rt.Weights.SortRow * float64(n) * math.Log2(float64(n)))
+	}
+	// The row list is what the sort holds; it is the statement's from here on.
+	if err := ex.rt.grow(posBytes * int64(len(rows))); err != nil {
+		return nil, fmt.Errorf("executor: ORDER BY sort: %w", err)
+	}
+	orderBy := ex.blk.OrderBy
+	parallelStableSort(rows, ex.rt.dop(), func(a, b int32) bool {
+		for k, key := range out.keys {
+			if c := key.Datum(int(a)).Compare(key.Datum(int(b))); c != 0 {
+				return (c > 0) == orderBy[k].Desc
 			}
-			if k.desc {
-				return c > 0
-			}
-			return c < 0
 		}
 		return false
-	}
-	parallelStableSort(res.Rows, ex.rt.dop(), less)
-
-	// Strip hidden sort columns.
-	visible := len(res.Columns)
-	for visible > 0 && strings.HasPrefix(res.Columns[visible-1], "__sort") {
-		visible--
-	}
-	if visible < len(res.Columns) {
-		res.Columns = res.Columns[:visible]
-		for i := range res.Rows {
-			res.Rows[i] = res.Rows[i][:visible]
-		}
-	}
-	return nil
+	})
+	return rows, nil
 }

@@ -1,6 +1,6 @@
 // Morsels. Every operator that walks an input — base-table scan, hash-join
-// build and probe, index nested-loop probe, grouped aggregation, the fused
-// agg-scan — has one body, written against a row range [lo, hi), and runs it
+// build and probe, index nested-loop probe, grouped aggregation — has one
+// body, written against a row range [lo, hi), and runs it
 // through Runtime.forMorsels, which asks Runtime.partition how the input
 // splits. A serial statement, or an input that fits one morsel, is a single
 // morsel run inline on the caller's goroutine: no goroutine, one output
@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/faultinject"
-	"repro/internal/value"
 )
 
 // DefaultMorselSize is the number of rows per morsel. Small enough that the
@@ -122,9 +121,9 @@ func runMorsels(ctx context.Context, n, dop, morselSize int, fn func(m, lo, hi i
 	return firstErr
 }
 
-// concatBuckets flattens per-morsel output buffers in morsel order; a single
-// morsel's buffer is the output, uncopied.
-func concatBuckets(buckets [][][]value.Datum) [][]value.Datum {
+// flatten concatenates per-morsel position buffers in morsel order; a
+// single morsel's buffer is the output, uncopied.
+func flatten(buckets [][]int32) []int32 {
 	if len(buckets) == 1 {
 		return buckets[0]
 	}
@@ -132,32 +131,23 @@ func concatBuckets(buckets [][][]value.Datum) [][]value.Datum {
 	for _, b := range buckets {
 		total += len(b)
 	}
-	out := make([][]value.Datum, 0, total)
+	out := make([]int32, 0, total)
 	for _, b := range buckets {
 		out = append(out, b...)
 	}
 	return out
 }
 
-// fnv1a hashes an encoded join key to a build partition.
-func fnv1a(key []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// parallelStableSort sorts rows in place with a parallel stable merge
-// sort: dop contiguous chunks are stable-sorted concurrently, then merged
-// pairwise (ties take the earlier chunk first, preserving stability). The
-// result is the unique stable order, byte-identical to sort.SliceStable.
+// parallelStableSort sorts rows (row numbers, in practice) in place with a
+// parallel stable merge sort: dop contiguous chunks are stable-sorted
+// concurrently, then merged pairwise (ties take the earlier chunk first,
+// preserving stability). The result is the unique stable order,
+// byte-identical to sort.SliceStable.
 //
 // A panic in the comparator (malformed plan) is captured in whichever
 // worker it strikes and re-raised on the caller's goroutine after the pool
 // has drained; Execute's top-level recover converts it into an error.
-func parallelStableSort(rows [][]value.Datum, dop int, less func(a, b []value.Datum) bool) {
+func parallelStableSort[T any](rows []T, dop int, less func(a, b T) bool) {
 	n := len(rows)
 	if dop > n/1024+1 {
 		dop = n/1024 + 1 // keep chunks big enough to beat the merge overhead
@@ -194,7 +184,7 @@ func parallelStableSort(rows [][]value.Datum, dop int, less func(a, b []value.Da
 		panic(panicVal)
 	}
 
-	src, dst := rows, make([][]value.Datum, n)
+	src, dst := rows, make([]T, n)
 	inRows := true
 	for len(bounds) > 2 {
 		newBounds := []int{0}
@@ -227,7 +217,7 @@ func parallelStableSort(rows [][]value.Datum, dop int, less func(a, b []value.Da
 }
 
 // mergeRuns stable-merges src[lo:mid] and src[mid:hi] into dst[lo:hi].
-func mergeRuns(dst, src [][]value.Datum, lo, mid, hi int, less func(a, b []value.Datum) bool) {
+func mergeRuns[T any](dst, src []T, lo, mid, hi int, less func(a, b T) bool) {
 	i, j := lo, mid
 	for k := lo; k < hi; k++ {
 		if i < mid && (j >= hi || !less(src[j], src[i])) {

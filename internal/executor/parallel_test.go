@@ -3,20 +3,13 @@ package executor
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/costmodel"
-	"repro/internal/index"
 	"repro/internal/optimizer"
 	"repro/internal/qgm"
 	"repro/internal/sqlparser"
-	"repro/internal/storage"
-	"repro/internal/value"
 )
 
 // runSQLWith optimizes and executes one SELECT under the given Runtime
@@ -190,144 +183,6 @@ func TestParallelAggregateGroupOrder(t *testing.T) {
 		if serial.Rows[i][0].Str() != par.Rows[i][0].Str() {
 			t.Fatalf("group order diverged at %d: %v vs %v (serial %v, parallel %v)",
 				i, serial.Rows[i][0], par.Rows[i][0], serial.Rows, par.Rows)
-		}
-	}
-}
-
-// TestFusedAggMatchesUnfused holds the fused agg-scan to the pipeline it
-// short-cuts. Execute fuses a single-table aggregation; running the same
-// plan through ex.run + ex.finish materializes the filtered relation and
-// aggregates it. Over randomized GROUP BY / filter blocks on 64-row chunks,
-// at dop 1 and 4, both must produce the same rows (bit for bit when serial;
-// float aggregates to rounding when partial sums associate per morsel), the
-// same meter total, the same ScanActuals and the same NodeStats for the scan.
-func TestFusedAggMatchesUnfused(t *testing.T) {
-	db := storage.NewDatabase()
-	db.SetChunkSize(64)
-	tbl, err := db.CreateTable("t", storage.MustSchema(
-		storage.Column{Name: "g", Kind: value.KindString},
-		storage.Column{Name: "h", Kind: value.KindInt},
-		storage.Column{Name: "x", Kind: value.KindInt},
-		storage.Column{Name: "f", Kind: value.KindFloat},
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(16))
-	words := []string{"a", "b", "cc", "d'd", ""}
-	orNull := func(d value.Datum) value.Datum {
-		if rng.Intn(9) == 0 {
-			return value.Null
-		}
-		return d
-	}
-	for i := 0; i < 1000; i++ {
-		if err := tbl.Insert([]value.Datum{
-			orNull(value.NewString(words[rng.Intn(len(words))])),
-			orNull(value.NewInt(int64(rng.Intn(7)))),
-			orNull(value.NewInt(int64(rng.Intn(2001) - 1000))),
-			orNull(value.NewFloat(float64(rng.Intn(4001)-2000) / 8)),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cat := catalog.New()
-	var cm costmodel.Meter
-	st, err := catalog.Runstats(tbl, 1, catalog.RunstatsOptions{}, &cm, costmodel.DefaultWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat.SetTableStats(st)
-	e := &env{db: db, cat: cat, indexes: index.NewSet()}
-
-	groupings := []string{"", "g", "h", "g, h"}
-	aggs := []string{"COUNT(*)", "COUNT(x)", "SUM(x)", "SUM(f)", "AVG(f)", "AVG(x)", "MIN(g)", "MAX(x)", "MIN(f)", "MAX(f)"}
-	filters := []func() string{
-		func() string { return fmt.Sprintf("x > %d", rng.Intn(2001)-1000) },
-		func() string { return fmt.Sprintf("h = %d", rng.Intn(8)) },
-		func() string { return fmt.Sprintf("g <> '%s'", words[rng.Intn(3)]) },
-		func() string { return fmt.Sprintf("f BETWEEN %d AND %d", rng.Intn(200)-250, rng.Intn(250)) },
-		func() string { return fmt.Sprintf("h IN (%d, %d)", rng.Intn(7), rng.Intn(7)) },
-		func() string { return "x > 5000" }, // empty input
-	}
-	for trial := 0; trial < 120; trial++ {
-		grouping := groupings[rng.Intn(len(groupings))]
-		cols := []string{}
-		if grouping != "" {
-			cols = append(cols, grouping)
-		}
-		for k := rng.Intn(3) + 1; k > 0; k-- {
-			cols = append(cols, fmt.Sprintf("%s AS a%d", aggs[rng.Intn(len(aggs))], k))
-		}
-		sql := "SELECT " + strings.Join(cols, ", ") + " FROM t"
-		var where []string
-		for k := rng.Intn(3); k > 0; k-- {
-			where = append(where, filters[rng.Intn(len(filters))]())
-		}
-		if len(where) > 0 {
-			sql += " WHERE " + strings.Join(where, " AND ")
-		}
-		if grouping != "" {
-			sql += " GROUP BY " + grouping
-		}
-
-		stmt, err := sqlparser.Parse(sql)
-		if err != nil {
-			t.Fatalf("%q: %v", sql, err)
-		}
-		q, err := qgm.Build(stmt.(*sqlparser.SelectStmt), e)
-		if err != nil {
-			t.Fatalf("%q: %v", sql, err)
-		}
-		blk := q.Blocks[0]
-		plan, err := optimizer.Optimize(blk, &optimizer.Context{
-			Est: &optimizer.Estimator{Cat: cat}, Indexes: e.indexes,
-			Weights: costmodel.DefaultWeights(), Meter: &cm,
-		})
-		if err != nil {
-			t.Fatalf("%q: %v", sql, err)
-		}
-		for _, dop := range []int{1, 4} {
-			runtime := func() *Runtime {
-				return &Runtime{
-					DB: db, Indexes: e.indexes, Weights: costmodel.DefaultWeights(),
-					Meter: new(costmodel.Meter), Stats: NewExecStats(), Parallelism: dop, MorselSize: 100,
-				}
-			}
-			frt := runtime()
-			fused, err := Execute(blk, plan, frt)
-			if err != nil {
-				t.Fatalf("%q dop %d fused: %v", sql, dop, err)
-			}
-			urt := runtime()
-			ex := &executor{blk: blk, rt: urt}
-			rel, err := ex.run(plan)
-			if err != nil {
-				t.Fatalf("%q dop %d unfused scan: %v", sql, dop, err)
-			}
-			unfused, err := ex.finish(rel)
-			if err != nil {
-				t.Fatalf("%q dop %d unfused finish: %v", sql, dop, err)
-			}
-
-			if dop == 1 {
-				if !reflect.DeepEqual(fused.Rows, unfused.Rows) {
-					t.Fatalf("%q: serial rows differ\nfused   %v\nunfused %v", sql, fused.Rows, unfused.Rows)
-				}
-			} else {
-				sameRows(t, unfused, fused)
-			}
-			if fu, uu := frt.Meter.Units(), urt.Meter.Units(); fu != uu {
-				t.Errorf("%q dop %d: fused charged %v units, unfused %v", sql, dop, fu, uu)
-			}
-			if !reflect.DeepEqual(fused.Actuals, ex.actuals) {
-				t.Errorf("%q dop %d: actuals fused %+v, unfused %+v", sql, dop, fused.Actuals, ex.actuals)
-			}
-			fs, fok := frt.Stats.Lookup(plan)
-			us, uok := urt.Stats.Lookup(plan)
-			if !fok || !uok || fs.Rows != us.Rows || fs.Units != us.Units {
-				t.Errorf("%q dop %d: scan NodeStats fused %+v (%v), unfused %+v (%v)", sql, dop, fs, fok, us, uok)
-			}
 		}
 	}
 }

@@ -9,10 +9,13 @@ import (
 )
 
 // Mid-query re-optimization (ROADMAP: "mid-query re-optimization ... at
-// pipeline breakers"). Every join input in this executor fully materializes
+// pipeline breakers"). Every join input in this executor runs to completion
 // before the join consumes it — a natural checkpoint. When a Runtime
-// carries a ReoptState, each checkpoint (a) registers the materialized
-// relation so a later re-plan can reuse it as an exact-cardinality leaf,
+// carries a ReoptState, each checkpoint (a) registers the input's relation
+// (snapshots + row positions, the representation every operator consumes, so
+// it pins exactly the table images it was read from and a re-planned attempt
+// reads the same rows whatever DML landed in between) so a later re-plan can
+// reuse it as an exact-cardinality leaf,
 // and (b) compares the subtree's observed cardinality against the plan's
 // estimate. If the q-error exceeds the configured threshold, execution
 // unwinds with a *ReoptTriggered error; the engine re-enters the optimizer
@@ -38,8 +41,8 @@ func (e *ReoptTriggered) Error() string {
 		e.NodeDesc, e.EstRows, e.ActRows, e.QError)
 }
 
-// matEntry is one checkpointed intermediate: the materialized relation of a
-// fully-executed subtree, keyed by the (sorted) slot set it covers.
+// matEntry is one checkpointed intermediate: the relation of a fully-
+// executed subtree, keyed by the (sorted) slot set it covers.
 type matEntry struct {
 	id      int
 	slots   []int
@@ -162,13 +165,13 @@ func (s *ReoptState) observe(ex *executor, node optimizer.Node, rel *relation) e
 	}
 	e.desc = describeNode(node)
 	e.rel = rel
-	e.actRows = float64(len(rel.rows))
+	e.actRows = float64(rel.n)
 	s.rels[e.id] = rel
 
 	if s.disabled || s.remaining <= 0 {
 		return nil
 	}
-	est, act := node.Rows(), float64(len(rel.rows))
+	est, act := node.Rows(), float64(rel.n)
 	q := qErrorOf(est, act)
 	if q <= s.threshold {
 		return nil

@@ -6,51 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/qgm"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
-
-func vecSchema(t *testing.T) *storage.Schema {
-	t.Helper()
-	s, err := storage.NewSchema(
-		storage.Column{Name: "i", Kind: value.KindInt},
-		storage.Column{Name: "f", Kind: value.KindFloat},
-		storage.Column{Name: "s", Kind: value.KindString},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// randDatum draws a value for column ord, with nulls, NaN/Inf floats, and
-// quote-bearing strings mixed in to hit every encoder and comparator edge.
-func randDatum(rng *rand.Rand, ord int) value.Datum {
-	if rng.Intn(8) == 0 {
-		return value.Null
-	}
-	switch ord {
-	case 0:
-		return value.NewInt(int64(rng.Intn(21) - 10))
-	case 1:
-		switch rng.Intn(10) {
-		case 0:
-			return value.NewFloat(math.NaN())
-		case 1:
-			return value.NewFloat(math.Inf(1))
-		case 2:
-			return value.NewFloat(math.Inf(-1))
-		case 3:
-			return value.NewFloat(0)
-		default:
-			return value.NewFloat(float64(rng.Intn(41)-20) / 4)
-		}
-	default:
-		words := []string{"a", "b", "cc", "d'd", "''", "", "zz", "m"}
-		return value.NewString(words[rng.Intn(len(words))])
-	}
-}
 
 // randOperand draws a predicate operand of any kind (deliberately including
 // kind mismatches and NULL, which must route to the generic fallback).
@@ -68,77 +26,6 @@ func randOperand(rng *rand.Rand) value.Datum {
 	default:
 		words := []string{"a", "b", "cc", "d'd", "zz"}
 		return value.NewString(words[rng.Intn(len(words))])
-	}
-}
-
-func randPredicate(rng *rand.Rand, schema *storage.Schema) qgm.Predicate {
-	ord := rng.Intn(3)
-	p := qgm.Predicate{Slot: 0, Column: schema.Column(ord).Name, Ordinal: ord}
-	switch rng.Intn(8) {
-	case 0:
-		p.Op = qgm.OpBetween
-		p.Lo, p.Hi = randOperand(rng), randOperand(rng)
-	case 1:
-		p.Op = qgm.OpIn
-		for k := rng.Intn(4); k >= 0; k-- {
-			p.Values = append(p.Values, randOperand(rng))
-		}
-	default:
-		p.Op = qgm.PredOp(rng.Intn(6)) // EQ..GE
-		p.Value = randOperand(rng)
-	}
-	return p
-}
-
-// Property: for every random chunk × random predicate conjunction, the
-// compiled vectorized filter must select exactly the offsets whose datums
-// satisfy MatchesDatum row by row — the typed fast paths may only skip
-// boxing, never change the answer.
-func TestCompiledFilterMatchesRowByRow(t *testing.T) {
-	schema := vecSchema(t)
-	for seed := int64(0); seed < 300; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tbl := storage.NewTableWithChunkSize("t", schema, 8)
-		nrows := rng.Intn(30)
-		for r := 0; r < nrows; r++ {
-			row := []value.Datum{randDatum(rng, 0), randDatum(rng, 1), randDatum(rng, 2)}
-			if err := tbl.Insert(row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		preds := make([]qgm.Predicate, rng.Intn(3)+1)
-		for i := range preds {
-			preds[i] = randPredicate(rng, schema)
-		}
-		f := compileFilter(preds, schema)
-
-		snap := tbl.Snapshot()
-		var sel []int
-		snap.Range(0, snap.NumRows(), func(ch *storage.Chunk, base, clo, chi int) bool {
-			sel = f.selectRange(ch, clo, chi, sel)
-			want := make([]int, 0, chi-clo)
-			for i := clo; i < chi; i++ {
-				ok := true
-				for _, p := range preds {
-					if !p.MatchesDatum(ch.Col(p.Ordinal).Datum(i)) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					want = append(want, i)
-				}
-			}
-			if len(sel) != len(want) {
-				t.Fatalf("seed %d base %d: selectRange picked %v, want %v (preds %v)", seed, base, sel, want, preds)
-			}
-			for k := range sel {
-				if sel[k] != want[k] {
-					t.Fatalf("seed %d base %d: selectRange picked %v, want %v (preds %v)", seed, base, sel, want, preds)
-				}
-			}
-			return true
-		})
 	}
 }
 
@@ -161,6 +48,16 @@ var joinKeyPool = []value.Datum{
 	value.NewFloat(0.5), value.NewFloat(1<<53 - 1), value.NewFloat(math.Inf(1)),
 }
 
+// keyColumns is one row as the one-row key vectors the join gathers.
+func keyColumns(row []value.Datum) []*storage.ColumnVec {
+	ch := storage.ChunkFromRows([][]value.Datum{row})
+	cols := make([]*storage.ColumnVec, len(row))
+	for i := range cols {
+		cols[i] = ch.Col(i)
+	}
+	return cols
+}
+
 // Property: two rows get byte-equal join keys exactly when every key column
 // pair is Datum.Equal, and a row gets no key exactly when a key column is
 // NULL. One column is checked over every pair of the pool, two and three
@@ -168,17 +65,15 @@ var joinKeyPool = []value.Datum{
 func TestJoinKeyEqualIffDatumsEqual(t *testing.T) {
 	check := func(a, b []value.Datum) {
 		t.Helper()
-		cols := make([]int, len(a))
 		wantOK := [2]bool{true, true}
 		equal := true
 		for i := range a {
-			cols[i] = i
 			wantOK[0] = wantOK[0] && !a[i].IsNull()
 			wantOK[1] = wantOK[1] && !b[i].IsNull()
 			equal = equal && a[i].Equal(b[i])
 		}
-		ka, okA := appendJoinKeyTo(nil, a, cols)
-		kb, okB := appendJoinKeyTo(nil, b, cols)
+		ka, okA := appendJoinKeyTo(nil, keyColumns(a), 0)
+		kb, okB := appendJoinKeyTo(nil, keyColumns(b), 0)
 		if okA != wantOK[0] || okB != wantOK[1] {
 			t.Fatalf("rows %v / %v: ok=%v/%v, want %v", a, b, okA, okB, wantOK)
 		}
@@ -211,7 +106,8 @@ func TestJoinKeyEqualIffDatumsEqual(t *testing.T) {
 
 // The group-key encoder must be byte-identical to fmt.Sprintf("%s|", d)
 // (Datum.String), covering NULL, ints, floats (incl. NaN/Inf), and strings
-// with embedded quotes.
+// with embedded quotes — except for −0, which is spelled like the +0 it
+// equals, so both zeros group together.
 func TestAppendGroupKeyMatchesFmt(t *testing.T) {
 	cases := []value.Datum{
 		value.Null,
@@ -223,6 +119,9 @@ func TestAppendGroupKeyMatchesFmt(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 300; i++ {
 		cases = append(cases, randOperand(rng))
+	}
+	if got := string(appendGroupKeyDatum(nil, value.NewFloat(math.Copysign(0, -1)))); got != "0|" {
+		t.Fatalf("−0 encoded %q, want %q", got, "0|")
 	}
 	for _, d := range cases {
 		want := fmt.Sprintf("%s|", d)

@@ -12,6 +12,7 @@
 package qgm
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -108,7 +109,7 @@ func (p Predicate) Matches(row []value.Datum) bool {
 }
 
 // MatchesDatum evaluates the predicate against the value of its column —
-// the scalar kernel the executor's vectorized filter calls per row when no
+// the scalar kernel the compiled form (filter.go) calls per row when no
 // typed fast path applies. Matches and MatchesDatum are the single source
 // of truth for predicate semantics; any specialized loop must agree with
 // them exactly.
@@ -465,6 +466,9 @@ func buildBlock(sel *sqlparser.SelectStmt, resolver SchemaResolver, q *Query, de
 		if err != nil {
 			return nil, err
 		}
+		if blk.Distinct && !projects(blk.Projections, s, o) {
+			return nil, fmt.Errorf("%w: %s is not", ErrDistinctOrderBy, oi.Col.Column)
+		}
 		blk.OrderBy = append(blk.OrderBy, OrderKey{Slot: s, Ordinal: o, Desc: oi.Desc})
 	}
 
@@ -500,6 +504,22 @@ func addLocal(blk *Block, seen map[string]bool, p Predicate) {
 	}
 	seen[key] = true
 	blk.LocalPreds[p.Slot] = append(blk.LocalPreds[p.Slot], p)
+}
+
+// ErrDistinctOrderBy rejects SELECT DISTINCT ordered by a column it does not
+// output: rows that differ only in that column collapse into one, which then
+// has no single place in the order (SQL forbids it for the same reason).
+var ErrDistinctOrderBy = errors.New("qgm: for SELECT DISTINCT, ORDER BY columns must appear in the select list")
+
+// projects reports whether the select list outputs column (slot, ordinal)
+// as it is: by name or under SELECT *.
+func projects(projs []Projection, slot, ordinal int) bool {
+	for _, p := range projs {
+		if p.Agg == sqlparser.AggNone && (p.Star || (p.Slot == slot && p.Ordinal == ordinal)) {
+			return true
+		}
+	}
+	return false
 }
 
 func hasAggregate(projs []Projection) bool {

@@ -213,8 +213,9 @@ func EvaluateGroups(sample [][]value.Datum, groups [][]qgm.Predicate, meter *cos
 
 // EvaluateColumns returns the observed selectivity of each predicate group
 // over the sample. Every distinct predicate is evaluated once, over its own
-// column, into a match bitmap; a group's selectivity is the popcount of the
-// AND of its predicates' bitmaps. The cost is therefore dominated by
+// column, by the compiled kernels the executor's scan runs
+// (qgm.AppendMatches), into a match bitmap; a group's selectivity is the
+// popcount of the AND of its predicates' bitmaps. The cost is dominated by
 // |sample| × |distinct predicates|, not by the exponential group count. An
 // empty sample yields all zeros.
 //
@@ -253,12 +254,12 @@ func EvaluateColumns(sample *storage.Chunk, groups [][]qgm.Predicate, meter *cos
 	// Phase 1: match bitmaps, one predicate per chunk.
 	forEachChunk(len(preds), dop, 1, func(lo, hi int) {
 		sub := meter.Worker()
+		sel := make([]int32, 0, n)
 		for pi := lo; pi < hi; pi++ {
-			p, vec, bm := preds[pi], sample.Col(preds[pi].Ordinal), matches[pi*words:]
-			for i := 0; i < n; i++ {
-				if p.MatchesDatum(vec.Datum(i)) {
-					bm[i>>6] |= 1 << (uint(i) & 63)
-				}
+			bm := matches[pi*words:]
+			sel = qgm.AppendMatches(sel[:0], preds[pi:pi+1], sample, 0, n, 0)
+			for _, i := range sel {
+				bm[i>>6] |= 1 << (uint(i) & 63)
 			}
 			sub.Add(w.PredEval * float64(n))
 		}

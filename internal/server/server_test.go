@@ -15,6 +15,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/debugserver"
 	"repro/internal/engine"
+	"repro/internal/qgm"
 	"repro/internal/server"
 	"repro/internal/value"
 	"repro/internal/wire"
@@ -134,6 +135,20 @@ func TestServeSmoke(t *testing.T) {
 	} else {
 		var se *client.Error
 		if !errors.As(err, &se) || se.Code != wire.CodeError {
+			t.Fatalf("unexpected error %v", err)
+		}
+	}
+	// A statement the query builder rejects with a typed error is a plain
+	// statement error on the wire, message intact, and the session lives on.
+	_, derr := eng.Exec(`SELECT DISTINCT o.city FROM owner o ORDER BY o.salary`)
+	if !errors.Is(derr, qgm.ErrDistinctOrderBy) || wire.CodeFor(derr) != wire.CodeError {
+		t.Fatalf("DISTINCT ordered by an unselected column: %v (code %s)", derr, wire.CodeFor(derr))
+	}
+	if _, err := conn.Query(`SELECT DISTINCT o.city FROM owner o ORDER BY o.salary`); err == nil {
+		t.Fatal("DISTINCT ordered by an unselected column succeeded over the wire")
+	} else {
+		var se *client.Error
+		if !errors.As(err, &se) || se.Code != wire.CodeError || !strings.Contains(se.Message, "ORDER BY columns must appear in the select list") {
 			t.Fatalf("unexpected error %v", err)
 		}
 	}

@@ -136,6 +136,56 @@ func (s *Snapshot) Gather(dst *Chunk, positions []int, lo, hi int) {
 	}
 }
 
+// GatherColumn returns one column at the given row positions as a detached
+// vector: entry i is the value of snapshot row positions[i]. It is how a
+// late-materialized operator reads the only columns it needs — join keys,
+// group keys, aggregate arguments — through the row positions a relation
+// carries. Positions may repeat and come in any order;
+// ascending runs (a scan's output) stay inside one chunk's arrays.
+func (s *Snapshot) GatherColumn(ordinal int, positions []int32) *ColumnVec {
+	out := newColumnVec(s.schema.cols[ordinal].Kind, len(positions))
+	out.resize(len(positions))
+	switch out.kind {
+	case value.KindInt:
+		gatherColumn(s, ordinal, positions, &out, out.ints, func(v *ColumnVec) []int64 { return v.ints })
+	case value.KindFloat:
+		gatherColumn(s, ordinal, positions, &out, out.floats, func(v *ColumnVec) []float64 { return v.floats })
+	default:
+		gatherColumn(s, ordinal, positions, &out, out.strs, func(v *ColumnVec) []string { return v.strs })
+	}
+	return &out
+}
+
+func gatherColumn[T any](s *Snapshot, ordinal int, positions []int32, out *ColumnVec, dst []T, arr func(*ColumnVec) []T) {
+	var (
+		src    []T
+		nulls  []uint64
+		lo, hi int // src holds snapshot rows [lo, hi)
+	)
+	for i, p := range positions {
+		at := int(p)
+		if at < lo || at >= hi {
+			ci := at / s.chunkSize
+			vec := &s.chunks[ci].cols[ordinal]
+			src, nulls = arr(vec), vec.nulls
+			lo = ci * s.chunkSize
+			hi = lo + len(src)
+		}
+		at -= lo
+		dst[i] = src[at]
+		if nulls[at>>6]&(1<<(uint(at)&63)) != 0 {
+			out.setNull(i)
+		}
+	}
+}
+
+// Datum decodes the single value at (row position, column ordinal): how an
+// operator reads a few values at arbitrary positions without gathering a
+// column.
+func (s *Snapshot) Datum(pos, ordinal int) value.Datum {
+	return s.chunks[pos/s.chunkSize].cols[ordinal].Datum(pos % s.chunkSize)
+}
+
 // Scan invokes fn for every row in storage order until fn returns false.
 // Each row is freshly materialized: callers may retain it without copying,
 // and no lock is held during fn, so a callback may freely mutate the table

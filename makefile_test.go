@@ -3,6 +3,7 @@ package repro
 import (
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -107,4 +108,27 @@ func testNames(t *testing.T, pattern string) []string {
 		t.Fatal(err)
 	}
 	return names
+}
+
+// TestBenchPairsRejectsBadArguments: `make bench-pairs` must fail loudly,
+// and before building or measuring anything, when the workload is not one of
+// BENCHMARK.json's or the ref is not a commit — a typo must not cost twenty
+// minutes of runs against the wrong thing, nor exit 0 having run nothing.
+func TestBenchPairsRejectsBadArguments(t *testing.T) {
+	if _, err := exec.LookPath("make"); err != nil {
+		t.Skip("no make on this host")
+	}
+	for _, tc := range []struct{ name, ref, workload, want string }{
+		{"unknown workload", "HEAD", "no_such_workload", "unknown workload"},
+		{"unknown ref", "no-such-ref", "paper_mixed", "unknown git ref"},
+		{"no ref", "", "paper_mixed", "-ref is required"},
+	} {
+		cmd := exec.Command("make", "--no-print-directory", "bench-pairs", "REF="+tc.ref, "WORKLOAD="+tc.workload, "N=1")
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Errorf("%s: make bench-pairs exited 0:\n%s", tc.name, out)
+		} else if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s: output does not say %q:\n%s", tc.name, tc.want, out)
+		}
+	}
 }

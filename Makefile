@@ -54,8 +54,9 @@ bench-pairs:
 # and 5000 rows): its allocations per frame must not grow with the rows.
 # Last, the index layer: one image advance per kind of DML at 43k and 430k
 # rows (a catch-up allocates nothing once warm; only first-build and the
-# 30 % rewrite sort everything) and a point probe with a native and with a
-# fallback bound. Then JITS collection, one table's worth per layer: the
+# 40 % rewrite sort everything; the delta-* pairs price merge against sort
+# around rebuildLimit, and run at 10k rows too under `-bench IndexAdvance`)
+# and a point probe with a native and with a fallback bound. Then JITS collection, one table's worth per layer: the
 # columnar draw (2000 of 43k rows, 8 columns), bitmap group evaluation (7
 # groups over 3 predicates), the NDV counter per column kind (0 allocs/op
 # once warm), and one archive merge at the shape measured on collect_all
@@ -63,16 +64,20 @@ bench-pairs:
 # executor's own row: the six paper templates at scale 0.01 under the join
 # methods the optimizer picks among (bytes and allocations per execution are
 # what late materialization is held to; forced nested loops take 0.4 s an
-# execution and run under `go test -bench ExecuteTemplates` by hand). CI runs
-# this target.
+# execution and run under `go test -bench ExecuteTemplates` by hand). Then the
+# write path through Engine.Exec on the 43k-row table, a snapshot taken before
+# every statement: UPDATE of one column of a sixth of the rows (bytes per
+# statement are one vector a touched chunk), DELETE of 5 %, and the multi-row
+# INSERT that puts them back. CI runs this target.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Disabled|AtomicLoadBaseline|NilTracer' -benchmem ./internal/metrics/ ./internal/tracing/ ./internal/flightrec/ ./internal/accuracy/
 	$(GO) test -run '^$$' -bench 'StatementRecorder|StatementLedger' -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'ResultFrame' -benchmem ./internal/wire/
-	$(GO) test -run '^$$' -bench 'IndexAdvance|Lookup10k' -benchmem -benchtime 0.3s ./internal/index/
+	$(GO) test -run '^$$' -bench 'IndexAdvance/rows=(43000|430000)|Lookup10k' -benchmem -benchtime 0.3s ./internal/index/
 	$(GO) test -run '^$$' -bench 'SampleDraw|EvaluateGroups|ColumnNDV' -benchmem -benchtime 0.3s ./internal/sampling/
 	$(GO) test -run '^$$' -bench 'AddConstraintSteady' -benchmem -benchtime 0.3s ./internal/histogram/
 	$(GO) test -run '^$$' -bench 'ExecuteTemplates/.*/(scan|HashJoin|MergeJoin|IndexNLJoin)' -benchmem -benchtime 20x ./internal/executor/
+	$(GO) test -run '^$$' -bench 'BenchmarkDML' -benchmem -benchtime 30x ./internal/engine/
 
 # Drift-detection smoke: the accuracy ledger's unit proofs plus the
 # clock-injected quick drift run — warm a JITS engine, freeze collection,

@@ -219,8 +219,8 @@ func TestPrepareDegradedKeepsUDI(t *testing.T) {
 	db := twoTableDB(t)
 	car, _ := db.Table("car")
 	if _, err := car.UpdateWhere(
-		func(r []value.Datum) bool { return r[0].Int() < 50 },
-		func(r []value.Datum) { r[2] = value.NewString("Lada") },
+		storage.MatchRows(func(r []value.Datum) bool { return r[0].Int() < 50 }),
+		[]storage.Assignment{{Ordinal: 2, Value: value.NewString("Lada")}},
 	); err != nil {
 		t.Fatal(err)
 	}

@@ -136,8 +136,8 @@ func TestPrepareResetsUDIAndFillsArchive(t *testing.T) {
 	db, car := correlatedDB(t)
 	// Dirty the table.
 	if _, err := car.UpdateWhere(
-		func(r []value.Datum) bool { return r[0].Int() < 100 },
-		func(r []value.Datum) { r[3] = value.NewInt(2020) },
+		storage.MatchRows(func(r []value.Datum) bool { return r[0].Int() < 100 }),
+		[]storage.Assignment{{Ordinal: 3, Value: value.NewInt(2020)}},
 	); err != nil {
 		t.Fatal(err)
 	}

@@ -40,13 +40,15 @@ func (e *Engine) execInsert(s *statement, stmt *sqlparser.InsertStmt) (*Result, 
 		}
 	}
 
+	ncols := schema.NumColumns()
+	cells := make([]value.Datum, len(stmt.Rows)*ncols) // every row's backing, in one piece
 	rows := make([][]value.Datum, 0, len(stmt.Rows))
-	for _, vals := range stmt.Rows {
-		row := make([]value.Datum, schema.NumColumns())
+	for r, vals := range stmt.Rows {
+		row := cells[r*ncols : (r+1)*ncols : (r+1)*ncols]
 		if ordinals == nil {
-			if len(vals) != schema.NumColumns() {
+			if len(vals) != ncols {
 				return nil, fmt.Errorf("engine: INSERT has %d values, table %s has %d columns",
-					len(vals), stmt.Table, schema.NumColumns())
+					len(vals), stmt.Table, ncols)
 			}
 			for i, v := range vals {
 				row[i] = coerce(v, schema.Column(i).Kind)
@@ -68,23 +70,16 @@ func (e *Engine) execInsert(s *statement, stmt *sqlparser.InsertStmt) (*Result, 
 	return s.dmlResult(len(rows)), nil
 }
 
-// resolveWhere compiles a DML WHERE conjunction against one table.
-func resolveWhere(tbl *storage.Table, where []sqlparser.Expr) (func(row []value.Datum) bool, error) {
+// whereMatcher compiles a DML WHERE conjunction against one table into the
+// matcher storage runs per chunk: the scan's predicate kernel.
+func whereMatcher(tbl *storage.Table, where []sqlparser.Expr) (storage.Matcher, error) {
 	preds, err := qgm.BuildLocalPredicates(tbl.Schema(), where)
 	if err != nil {
 		return nil, err
 	}
-	return func(row []value.Datum) bool { return matchesAll(preds, row) }, nil
-}
-
-// matchesAll reports whether row satisfies every predicate of a conjunction.
-func matchesAll(preds []qgm.Predicate, row []value.Datum) bool {
-	for _, p := range preds {
-		if !p.Matches(row) {
-			return false
-		}
-	}
-	return true
+	return func(dst []int32, ch *storage.Chunk) []int32 {
+		return qgm.AppendMatches(dst, preds, ch, 0, ch.Rows(), 0)
+	}, nil
 }
 
 func (e *Engine) execUpdate(s *statement, stmt *sqlparser.UpdateStmt) (*Result, error) {
@@ -93,28 +88,20 @@ func (e *Engine) execUpdate(s *statement, stmt *sqlparser.UpdateStmt) (*Result, 
 		return nil, fmt.Errorf("engine: table %q does not exist", stmt.Table)
 	}
 	schema := tbl.Schema()
-	type setOp struct {
-		ord int
-		val value.Datum
-	}
-	sets := make([]setOp, len(stmt.Assignments))
+	sets := make([]storage.Assignment, len(stmt.Assignments))
 	for i, a := range stmt.Assignments {
 		o, ok := schema.Ordinal(a.Column)
 		if !ok {
 			return nil, fmt.Errorf("engine: table %s has no column %q", stmt.Table, a.Column)
 		}
-		sets[i] = setOp{ord: o, val: coerce(a.Value, schema.Column(o).Kind)}
+		sets[i] = storage.Assignment{Ordinal: o, Value: coerce(a.Value, schema.Column(o).Kind)}
 	}
-	match, err := resolveWhere(tbl, stmt.Where)
+	match, err := whereMatcher(tbl, stmt.Where)
 	if err != nil {
 		return nil, err
 	}
 	s.meters.exec.Add(e.weights.SeqRow * float64(tbl.RowCount()))
-	n, err := tbl.UpdateWhere(match, func(row []value.Datum) {
-		for _, set := range sets {
-			row[set.ord] = set.val
-		}
-	})
+	n, err := tbl.UpdateWhere(match, sets)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +113,7 @@ func (e *Engine) execDelete(s *statement, stmt *sqlparser.DeleteStmt) (*Result, 
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", stmt.Table)
 	}
-	match, err := resolveWhere(tbl, stmt.Where)
+	match, err := whereMatcher(tbl, stmt.Where)
 	if err != nil {
 		return nil, err
 	}

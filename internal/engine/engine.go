@@ -695,7 +695,8 @@ func (e *Engine) CollectWorkloadStats(sqls []string) error {
 			if !ok {
 				continue
 			}
-			card := tbl.RowCount()
+			snap := tbl.Snapshot()
+			card := snap.NumRows()
 			archive.SetCardinality(tc.Table, int64(card), ts)
 			if card == 0 {
 				continue
@@ -703,7 +704,7 @@ func (e *Engine) CollectWorkloadStats(sqls []string) error {
 			// Exact evaluation by full scan; snapshot rows are freshly
 			// materialized, so they are retained without copying.
 			rows := make([][]value.Datum, 0, card)
-			tbl.Scan(func(_ int, row []value.Datum) bool {
+			snap.Scan(func(_ int, row []value.Datum) bool {
 				rows = append(rows, row)
 				return true
 			})
@@ -721,13 +722,14 @@ func (e *Engine) CollectWorkloadStats(sqls []string) error {
 					archive.SetColumnNDV(tc.Table, schema.Column(c).Name, int64(len(distinct)), ts)
 				}
 			}
+			var hits []int32
 			for _, g := range tc.Groups {
 				count := 0
-				for _, row := range rows {
-					if matchesAll(g, row) {
-						count++
-					}
-				}
+				snap.Range(0, card, func(ch *storage.Chunk, _, clo, chi int) bool {
+					hits = qgm.AppendMatches(hits[:0], g, ch, clo, chi, 0)
+					count += len(hits)
+					return true
+				})
 				archive.Materialize(tc.Table, g, float64(count)/float64(card), ts, domains)
 			}
 		}

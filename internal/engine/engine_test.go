@@ -126,6 +126,39 @@ func TestUpdateDelete(t *testing.T) {
 	}
 }
 
+// A SET value of the wrong type fails the statement whatever the data: with
+// no matching row, with one, with every row — and the table is as it was,
+// including the columns assigned before the bad one and the counters
+// statistics collection and the plan cache watch.
+func TestUpdateTypeErrorDoesNotDependOnData(t *testing.T) {
+	e := seedEngine(t, Config{})
+	tbl, _ := e.DB().Table("car")
+	version, udi := tbl.Version(), tbl.UDICounter()
+	var msgs []string
+	for _, where := range []string{` WHERE id = -5`, ` WHERE id = 7`, ` WHERE make = 'BMW'`, ``} {
+		_, err := e.Exec(`UPDATE car SET price = 1, year = 'x'` + where)
+		if err == nil {
+			t.Fatalf("UPDATE … SET year = 'x'%s stored a string in an INT column", where)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	for _, m := range msgs[1:] {
+		if m != msgs[0] {
+			t.Errorf("the error depends on the rows matched: %q vs %q", msgs[0], m)
+		}
+	}
+	if tbl.Version() != version || tbl.UDICounter() != udi {
+		t.Errorf("failed UPDATEs moved version %d → %d, UDI %+v → %+v", version, tbl.Version(), udi, tbl.UDICounter())
+	}
+	if res := mustExec(t, e, `SELECT COUNT(*) FROM car WHERE price = 1`); res.Rows[0][0].Int() != 0 {
+		t.Errorf("%v rows took the price assigned before the bad value", res.Rows[0][0])
+	}
+	// What SQL coerces still goes through: an integer into a FLOAT column, NULL anywhere.
+	if res := mustExec(t, e, `UPDATE car SET price = 1, year = NULL WHERE id = 7`); res.RowsAffected != 1 {
+		t.Errorf("affected = %d", res.RowsAffected)
+	}
+}
+
 func TestJoinQueryThroughEngine(t *testing.T) {
 	e := seedEngine(t, Config{})
 	res := mustExec(t, e, `SELECT o.name, c.model FROM car c, owner o

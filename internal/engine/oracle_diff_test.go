@@ -215,7 +215,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 	stmts := oracleStatements(t, ref)
 	want := make([][]oracleRow, len(stmts))
 	for i, sql := range stmts {
-		want[i] = oracleSelect(t, ref, sql)
+		want[i] = oracleSelect(t, engineTables(ref), sql)
 	}
 
 	for _, dop := range []int{1, 4} {

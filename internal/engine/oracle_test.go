@@ -77,8 +77,64 @@ func oracleRowKey(row []value.Datum) string {
 	return strings.Join(parts, "\x00")
 }
 
-// oracleSelect evaluates sql against the engine's tables as they are now.
-func oracleSelect(t testing.TB, e *engine.Engine, sql string) []oracleRow {
+// oracleSource hands the oracle a table: its column names and its rows in
+// storage order, in a slice the oracle may reorder. The read arm scans the
+// engine's storage; the write arm (oracle_write_test.go) reads the oracle's
+// own model.
+type oracleSource func(table string) (names []string, rows [][]value.Datum)
+
+// engineTables is the source that scans the engine's tables as they are now.
+func engineTables(e *engine.Engine) oracleSource {
+	return func(table string) (names []string, rows [][]value.Datum) {
+		tbl, _ := e.DB().Table(table)
+		for _, c := range tbl.Schema().Columns() {
+			names = append(names, c.Name)
+		}
+		tbl.Snapshot().Scan(func(_ int, row []value.Datum) bool {
+			rows = append(rows, row)
+			return true
+		})
+		return names, rows
+	}
+}
+
+// oracleLiteralTest reads a conjunct that compares one column with literals
+// — col op v, col BETWEEN lo AND hi, col IN (v, …) — as the column and a test
+// of its value; ok is false for a comparison of two columns.
+func oracleLiteralTest(t testing.TB, expr sqlparser.Expr) (col sqlparser.ColumnRef, test func(d value.Datum) bool, ok bool) {
+	// col ops[i] vals[i] for every i, or — IN — col = vals[i] for some i.
+	var ops []sqlparser.CompareOp
+	var vals []value.Datum
+	switch x := expr.(type) {
+	case *sqlparser.Comparison:
+		if x.RightIsCol {
+			return col, nil, false
+		}
+		col, ops, vals = x.Left, []sqlparser.CompareOp{x.Op}, []value.Datum{x.RightVal}
+	case *sqlparser.Between:
+		col, ops, vals = x.Col, []sqlparser.CompareOp{sqlparser.OpGE, sqlparser.OpLE}, []value.Datum{x.Lo, x.Hi}
+	case *sqlparser.InList:
+		col, vals = x.Col, x.Values
+	default:
+		t.Fatalf("oracle: unsupported predicate %T", expr)
+	}
+	some := ops == nil
+	return col, func(d value.Datum) bool {
+		for i, v := range vals {
+			op := sqlparser.OpEQ
+			if !some {
+				op = ops[i]
+			}
+			if oracleHolds(d, op, v) == some {
+				return some
+			}
+		}
+		return !some
+	}, true
+}
+
+// oracleSelect evaluates sql against the tables src hands out.
+func oracleSelect(t testing.TB, src oracleSource, sql string) []oracleRow {
 	t.Helper()
 	sel := mustParseSelect(t, sql)
 	// Per FROM table: alias, column names, rows, offset in a joined row.
@@ -88,16 +144,7 @@ func oracleSelect(t testing.TB, e *engine.Engine, sql string) []oracleRow {
 	var offs []int
 	width := 0
 	for _, ref := range sel.From {
-		tbl, _ := e.DB().Table(ref.Table)
-		var names []string
-		for _, c := range tbl.Schema().Columns() {
-			names = append(names, c.Name)
-		}
-		var scanned [][]value.Datum
-		tbl.Snapshot().Scan(func(_ int, row []value.Datum) bool {
-			scanned = append(scanned, row)
-			return true
-		})
+		names, scanned := src(ref.Table)
 		aliases, cols, rows, offs = append(aliases, ref.Alias), append(cols, names), append(rows, scanned), append(offs, width)
 		width += len(names)
 	}
@@ -118,45 +165,16 @@ func oracleSelect(t testing.TB, e *engine.Engine, sql string) []oracleRow {
 	// two tables runs at the depth where the second of them is bound.
 	tests := make([][]func(row []value.Datum) bool, len(rows))
 	for _, expr := range sel.Where {
-		// col op[i] vals[i] for every i, or — IN — col = vals[i] for some i.
-		var col sqlparser.ColumnRef
-		var ops []sqlparser.CompareOp
-		var vals []value.Datum
-		switch x := expr.(type) {
-		case *sqlparser.Comparison:
-			if x.RightIsCol {
-				l, lt := resolve(x.Left)
-				r, rt := resolve(x.RightCol)
-				tests[max(lt, rt)] = append(tests[max(lt, rt)], func(row []value.Datum) bool { return oracleHolds(row[l], x.Op, row[r]) })
-				continue
-			}
-			col, ops, vals = x.Left, []sqlparser.CompareOp{x.Op}, []value.Datum{x.RightVal}
-		case *sqlparser.Between:
-			col, ops, vals = x.Col, []sqlparser.CompareOp{sqlparser.OpGE, sqlparser.OpLE}, []value.Datum{x.Lo, x.Hi}
-		case *sqlparser.InList:
-			col, vals = x.Col, x.Values
-		default:
-			t.Fatalf("oracle: unsupported predicate %T", expr)
+		col, test, literal := oracleLiteralTest(t, expr)
+		if !literal {
+			x := expr.(*sqlparser.Comparison)
+			l, lt := resolve(x.Left)
+			r, rt := resolve(x.RightCol)
+			tests[max(lt, rt)] = append(tests[max(lt, rt)], func(row []value.Datum) bool { return oracleHolds(row[l], x.Op, row[r]) })
+			continue
 		}
 		c, depth := resolve(col)
-		some := ops == nil
-		test := func(row []value.Datum) bool {
-			for i, v := range vals {
-				op := sqlparser.OpEQ
-				if !some {
-					op = ops[i]
-				}
-				if oracleHolds(row[c], op, v) == some {
-					return some
-				}
-			}
-			return !some
-		}
-		scratch := make([]value.Datum, width)
-		rows[depth] = slices.DeleteFunc(rows[depth], func(r []value.Datum) bool {
-			copy(scratch[offs[depth]:], r)
-			return !test(scratch)
-		})
+		rows[depth] = slices.DeleteFunc(rows[depth], func(r []value.Datum) bool { return !test(r[c-offs[depth]]) })
 	}
 	var joined [][]value.Datum
 	row := make([]value.Datum, width) // the loops bind tables into it left to right

@@ -390,13 +390,14 @@ func (ex *executor) runScan(n *optimizer.Scan) (*relation, error) {
 			return nil, err
 		}
 		ex.rt.charge(w.IndexProbe)
+		examined = float64(len(fetched))
 		matches := qgm.RowMatcher(n.Preds, snap)
+		pos = fetched[:0] // the survivors, compacted in place
 		for _, p := range fetched {
-			if matches(p) {
-				pos = append(pos, int32(p))
+			if matches(int(p)) {
+				pos = append(pos, p)
 			}
 		}
-		examined = float64(len(fetched))
 		ex.rt.charge(w.IndexRow * examined)
 		if err := ex.rt.grow(posBytes * int64(len(pos))); err != nil {
 			return nil, fmt.Errorf("executor: scan %s output: %w", n.Table, err)
@@ -468,23 +469,25 @@ func (ex *executor) seqScan(snap *storage.Snapshot, preds []qgm.Predicate, estRo
 
 // indexPositions converts a sargable predicate into an index range scan of
 // snap, the table image the scan reads its rows from.
-func indexPositions(ix *index.Index, snap *storage.Snapshot, p qgm.Predicate) ([]int, error) {
+func indexPositions(ix *index.Index, snap *storage.Snapshot, p qgm.Predicate) ([]int32, error) {
+	lo, hi := index.Unbounded(), index.Unbounded()
 	switch p.Op {
 	case qgm.OpEQ:
-		return ix.LookupAt(snap, p.Value), nil
+		return ix.AppendLookupAt(nil, snap, p.Value), nil
 	case qgm.OpLT:
-		return ix.RangeAt(snap, index.Unbounded(), index.Bound{Value: p.Value}), nil
+		hi = index.Bound{Value: p.Value}
 	case qgm.OpLE:
-		return ix.RangeAt(snap, index.Unbounded(), index.Bound{Value: p.Value, Inclusive: true}), nil
+		hi = index.Bound{Value: p.Value, Inclusive: true}
 	case qgm.OpGT:
-		return ix.RangeAt(snap, index.Bound{Value: p.Value}, index.Unbounded()), nil
+		lo = index.Bound{Value: p.Value}
 	case qgm.OpGE:
-		return ix.RangeAt(snap, index.Bound{Value: p.Value, Inclusive: true}, index.Unbounded()), nil
+		lo = index.Bound{Value: p.Value, Inclusive: true}
 	case qgm.OpBetween:
-		return ix.RangeAt(snap, index.Bound{Value: p.Lo, Inclusive: true}, index.Bound{Value: p.Hi, Inclusive: true}), nil
+		lo, hi = index.Bound{Value: p.Lo, Inclusive: true}, index.Bound{Value: p.Hi, Inclusive: true}
 	default:
 		return nil, fmt.Errorf("executor: predicate %s is not sargable", p)
 	}
+	return ix.AppendRangeAt(nil, snap, lo, hi), nil
 }
 
 func (ex *executor) runJoin(n *optimizer.Join) (*relation, error) {
@@ -712,28 +715,25 @@ func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {
 	ib := make([][]int32, len(lb))
 	var examinedN, matchedN atomic.Int64
 	if err := ex.rt.forMorsels(left.n, func(m, lo, hi int) error {
-		var li, ip []int32
+		var li, ip, probe []int32
 		exam, match := 0, 0
 		matches := qgm.RowMatcher(inner.Preds, snap)
 		for i := lo; i < hi; i++ {
 			ex.rt.charge(w.IndexProbe)
-			key := lv[driving].Datum(i)
-			if key.IsNull() {
-				continue
-			}
+			probe = ix.AppendLookupAt(probe[:0], snap, lv[driving].Datum(i))
 		fetch:
-			for _, pos := range ix.LookupAt(snap, key) {
+			for _, pos := range probe {
 				exam++
-				if !matches(pos) {
+				if !matches(int(pos)) {
 					continue
 				}
 				match++
 				for r, jp := range n.Preds { // residual join predicates
-					if r != driving && !lv[r].Datum(i).Equal(snap.Datum(pos, jp.RightOrd)) {
+					if r != driving && !lv[r].Datum(i).Equal(snap.Datum(int(pos), jp.RightOrd)) {
 						continue fetch
 					}
 				}
-				li, ip = append(li, int32(i)), append(ip, int32(pos))
+				li, ip = append(li, int32(i)), append(ip, pos)
 			}
 		}
 		lb[m], ib[m] = li, ip

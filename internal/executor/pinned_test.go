@@ -11,6 +11,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/qgm"
 	"repro/internal/sqlparser"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -88,10 +89,9 @@ func TestRelationReadsItsPinnedImage(t *testing.T) {
 				t.Fatalf("%v dop %d: first attempt returned %v, want a reopt trigger after the scan of car", method, dop, err)
 			}
 			car, _ := e.db.Table("car")
-			car.DeleteWhere(func(row []value.Datum) bool { return row[0].Int()%2 == 0 })
-			if _, err := car.UpdateWhere(func([]value.Datum) bool { return true }, func(row []value.Datum) {
-				row[4] = value.NewFloat(-1)
-			}); err != nil {
+			car.DeleteWhere(storage.MatchRows(func(row []value.Datum) bool { return row[0].Int()%2 == 0 }))
+			if _, err := car.UpdateWhere(storage.MatchRows(func([]value.Datum) bool { return true }),
+				[]storage.Assignment{{Ordinal: 4, Value: value.NewFloat(-1)}}); err != nil {
 				t.Fatal(err)
 			}
 			leaves := resumed.Reopt.Leaves()
@@ -118,9 +118,10 @@ func TestRelationReadsItsPinnedImage(t *testing.T) {
 }
 
 // TestScanProjectsOneImageUnderDML runs under -race (make race): a writer
-// keeps rewriting two columns of every car row in one statement (year + n,
-// price − n) and deleting and re-inserting rows, while readers scan, join
-// and project. The projection gathers year and price one after the other,
+// keeps rewriting two columns of every priced car row in one statement
+// (statement n sets year 3000 + n and price −100 n, two vectors copied on
+// write one after the other) and deleting and re-inserting rows, while
+// readers scan, join and project. The projection gathers year and price one after the other,
 // long after the scan; if either read the live table instead of the pinned
 // snapshot, some row would show columns from two different versions (or the
 // race detector would see the writer under the reader).
@@ -128,7 +129,7 @@ func TestScanProjectsOneImageUnderDML(t *testing.T) {
 	e := newEnv(t)
 	car, _ := e.db.Table("car")
 	blk, scans := compileJoin(t, e, `SELECT c.id, c.year, c.price, o.id AS oid FROM car c, owner o WHERE c.ownerid = o.id`)
-	base := map[int64][2]float64{} // id → year + price/100 − id, constant under the writer
+	base := map[int64][2]float64{} // id → year and price before the writer's first statement
 	snap := car.Snapshot()
 	for i := 0; i < snap.NumRows(); i++ {
 		if p := snap.Datum(i, 4); !p.IsNull() {
@@ -147,22 +148,22 @@ func TestScanProjectsOneImageUnderDML(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := car.UpdateWhere(func(row []value.Datum) bool { return !row[4].IsNull() }, func(row []value.Datum) {
-				row[3] = value.NewInt(row[3].Int() + 1)
-				row[4] = value.NewFloat(row[4].Float() - 100)
+			if _, err := car.UpdateWhere(storage.MatchRows(func(row []value.Datum) bool { return !row[4].IsNull() }), []storage.Assignment{
+				{Ordinal: 3, Value: value.NewInt(3000 + n)},
+				{Ordinal: 4, Value: value.NewFloat(float64(-100 * n))},
 			}); err != nil {
 				t.Error(err)
 				return
 			}
 			if n%3 == 0 { // move rows around: delete one, append it back
 				var moved []value.Datum
-				car.DeleteWhere(func(row []value.Datum) bool {
+				car.DeleteWhere(storage.MatchRows(func(row []value.Datum) bool {
 					if moved == nil && row[0].Int()%7 == n%7 {
 						moved = append([]value.Datum(nil), row...)
 						return true
 					}
 					return false
-				})
+				}))
 				if moved != nil {
 					if err := car.Insert(moved); err != nil {
 						t.Error(err)
@@ -187,8 +188,17 @@ func TestScanProjectsOneImageUnderDML(t *testing.T) {
 				if row[2].IsNull() {
 					continue
 				}
+				// The version each column shows: n once statement n has written
+				// it, 0 while it still reads as loaded (years below 3000, prices
+				// above 0).
 				was := base[row[0].Int()]
-				dy, dp := row[1].Int()-int64(was[0]), int64(was[1]-row[2].Float())/100
+				dy, dp := row[1].Int()-3000, int64(-row[2].Float())/100
+				if row[1].Int() == int64(was[0]) {
+					dy = 0
+				}
+				if row[2].Float() == was[1] {
+					dp = 0
+				}
 				if dy != dp {
 					t.Fatalf("round %d %v: car %d shows year of version %d beside price of version %d", round, method, row[0].Int(), dy, dp)
 				}

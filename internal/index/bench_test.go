@@ -3,6 +3,7 @@ package index
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/storage"
@@ -43,21 +44,43 @@ func benchTable(b *testing.B, kind value.Kind, n int) *storage.Table {
 
 // BenchmarkIndexAdvance prices one move of an index image to a newer
 // snapshot, by what the DML in between did: 43k rows is the benchmark
-// dataset's largest table, 430k ten times that. Each iteration starts from
-// the same built image (restored off the clock into buffers a warm index
-// would be reusing) and advances it to the same snapshot, so the DML runs
-// once, in setup.
+// dataset's largest table, 430k ten times that, 10k its owner table. Each
+// iteration starts from the same built image (restored off the clock into
+// buffers a warm index would be reusing) and advances it to the same
+// snapshot, so the DML runs once, in setup.
+//
+// The delta-* scenarios are the measurement behind rebuildLimit: in-place
+// rewrites of ⅙, ¼, ⅜ and ½ of the keys — deltas (removed plus added entries)
+// of ⅓, ½, ¾ and 1 of the rows — each priced both ways, merged into the old
+// image and sorted from scratch.
 func BenchmarkIndexAdvance(b *testing.B) {
-	for _, n := range []int{43_000, 430_000} {
+	for _, n := range []int{10_000, 43_000, 430_000} {
 		b.Run(fmt.Sprintf("rows=%d/key=int", n), func(b *testing.B) { benchAdvance[int64](b, value.KindInt, n) })
 		b.Run(fmt.Sprintf("rows=%d/key=string", n), func(b *testing.B) { benchAdvance[string](b, value.KindString, n) })
 	}
 }
 
 func benchAdvance[K cmp.Ordered](b *testing.B, kind value.Kind, n int) {
-	update := func(tbl *storage.Table, pred func(id int64) bool, set func(row []value.Datum)) {
-		if _, err := tbl.UpdateWhere(func(row []value.Datum) bool { return pred(row[0].Int()) }, set); err != nil {
+	byID := func(pred func(id int64) bool) storage.Matcher {
+		return func(dst []int32, ch *storage.Chunk) []int32 {
+			for i, id := range ch.Col(0).Ints() {
+				if pred(id) {
+					dst = append(dst, int32(i))
+				}
+			}
+			return dst
+		}
+	}
+	update := func(tbl *storage.Table, pred func(id int64) bool, ordinal int, v value.Datum) {
+		if _, err := tbl.UpdateWhere(byID(pred), []storage.Assignment{{Ordinal: ordinal, Value: v}}); err != nil {
 			b.Fatal(err)
+		}
+	}
+	// rewrite gives the rows with id%den < num new keys scattered over the key
+	// space, 512 statements of one key each (an UPDATE assigns a constant).
+	rewrite := func(tbl *storage.Table, num, den int64) {
+		for j := int64(0); j < 512; j++ {
+			update(tbl, func(id int64) bool { return id%den < num && id/den%512 == j }, 1, benchKey(kind, j*977+1, n))
 		}
 	}
 	scenarios := []struct {
@@ -68,17 +91,14 @@ func benchAdvance[K cmp.Ordered](b *testing.B, kind value.Kind, n int) {
 		{"insert-1-row", false, func(tbl *storage.Table) error { return tbl.Insert(benchRows(kind, n, 1, n)[0]) }},
 		{"insert-4pct-batch", false, func(tbl *storage.Table) error { return tbl.InsertBatch(benchRows(kind, n, n/25, n)) }},
 		{"update-other-column-10pct", false, func(tbl *storage.Table) error {
-			update(tbl, func(id int64) bool { return id%10 == 0 }, func(row []value.Datum) { row[2] = value.NewInt(1) })
+			update(tbl, func(id int64) bool { return id%10 == 0 }, 2, value.NewInt(1))
 			return nil
 		}},
 		{"delete-2pct-with-swap", false, func(tbl *storage.Table) error {
-			tbl.DeleteWhere(func(row []value.Datum) bool { return row[0].Int()%50 == 7 })
+			tbl.DeleteWhere(byID(func(id int64) bool { return id%50 == 7 }))
 			return nil
 		}},
-		{"rewrite-30pct-fallback", true, func(tbl *storage.Table) error {
-			update(tbl, func(id int64) bool { return id%10 < 3 }, func(row []value.Datum) { row[1] = benchKey(kind, row[0].Int()+1, n) })
-			return nil
-		}},
+		{"rewrite-40pct-fallback", true, func(tbl *storage.Table) error { rewrite(tbl, 2, 5); return nil }},
 	}
 
 	b.Run("first-build", func(b *testing.B) {
@@ -89,28 +109,58 @@ func benchAdvance[K cmp.Ordered](b *testing.B, kind value.Kind, n int) {
 			newImage(kind, 1).advance(snap)
 		}
 	})
-	for _, sc := range scenarios {
-		b.Run(sc.name, func(b *testing.B) {
-			tbl := benchTable(b, kind, n)
-			built := newImage(kind, 1).(*typed[K])
-			built.build(tbl.Snapshot())
-			if err := sc.dml(tbl); err != nil {
-				b.Fatal(err)
-			}
-			after := tbl.Snapshot()
-			im := newImage(kind, 1).(*typed[K])
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+	// run times move(im, after) from the image built before dml ran; move
+	// reports whether it changed the entries, so that only then the image is
+	// restored (off the clock) for the next iteration.
+	run := func(b *testing.B, dml func(tbl *storage.Table) error, move func(im *typed[K], after *storage.Snapshot) bool) {
+		tbl := benchTable(b, kind, n)
+		built := newImage(kind, 1).(*typed[K])
+		built.build(tbl.Snapshot())
+		if err := dml(tbl); err != nil {
+			b.Fatal(err)
+		}
+		after := tbl.Snapshot()
+		im := newImage(kind, 1).(*typed[K])
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i, changed := 0, true; i < b.N; i++ {
+			if changed {
 				b.StopTimer()
-				im.snap = built.snap
 				im.nulls = append(im.nulls[:0], built.nulls...)
 				im.ents = append(im.ents[:0], built.ents...)
 				b.StartTimer()
-				if _, full := im.advance(after); full != sc.wantFull {
+			}
+			im.snap = built.snap
+			changed = move(im, after)
+		}
+	}
+	for _, sc := range scenarios {
+		b.Run(sc.name, func(b *testing.B) {
+			run(b, sc.dml, func(im *typed[K], after *storage.Snapshot) bool {
+				moved, _, full := im.advance(after)
+				if full != sc.wantFull {
 					b.Fatalf("full sort = %v, want %v", full, sc.wantFull)
 				}
-			}
+				return full || moved > 0
+			})
+		})
+	}
+	if n > 43_000 {
+		return
+	}
+	for _, d := range []struct {
+		name     string
+		num, den int64
+	}{{"delta-1of3", 1, 6}, {"delta-1of2", 1, 4}, {"delta-3of4", 3, 8}, {"delta-1of1", 1, 2}} {
+		dml := func(tbl *storage.Table) error { rewrite(tbl, d.num, d.den); return nil }
+		b.Run(d.name+"/merge", func(b *testing.B) {
+			run(b, dml, func(im *typed[K], after *storage.Snapshot) bool {
+				im.diff(after, math.MaxInt)
+				return im.merge(after) > 0
+			})
+		})
+		b.Run(d.name+"/sort", func(b *testing.B) {
+			run(b, dml, func(im *typed[K], after *storage.Snapshot) bool { im.build(after); return true })
 		})
 	}
 }

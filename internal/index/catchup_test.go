@@ -127,8 +127,8 @@ func (m *model) newRows(n int) [][]value.Datum {
 	return rows
 }
 
-func (m *model) update(pred func(row []value.Datum) bool, set func(row []value.Datum)) {
-	if _, err := m.tbl.UpdateWhere(pred, set); err != nil {
+func (m *model) update(pred func(row []value.Datum) bool, ordinal int, v value.Datum) {
+	if _, err := m.tbl.UpdateWhere(storage.MatchRows(pred), []storage.Assignment{{Ordinal: ordinal, Value: v}}); err != nil {
 		m.tb.Fatal(err)
 	}
 }
@@ -156,16 +156,14 @@ func (m *model) mutate() {
 			m.tb.Fatal(err)
 		}
 	case 2: // the indexed column
-		key := m.pickKey()
-		m.update(someIDs, func(row []value.Datum) { row[1] = key })
-	case 3: // another column: the index has nothing to move
-		m.update(someIDs, func(row []value.Datum) { row[2] = value.NewInt(row[2].Int() + 1) })
+		m.update(someIDs, 1, m.pickKey())
+	case 3: // another column: the index has nothing to move, or to read
+		m.update(someIDs, 2, value.NewInt(7+rem))
 	case 4: // to NULL, or every NULL to a key
 		if m.s.byte()&1 == 0 {
-			m.update(someIDs, func(row []value.Datum) { row[1] = value.Null })
+			m.update(someIDs, 1, value.Null)
 		} else {
-			key := m.domain[m.s.intn(len(m.domain))]
-			m.update(func(row []value.Datum) bool { return row[1].IsNull() }, func(row []value.Datum) { row[1] = key })
+			m.update(func(row []value.Datum) bool { return row[1].IsNull() }, 1, m.domain[m.s.intn(len(m.domain))])
 		}
 	case 5: // a run of rows at the head, in the middle or at the tail
 		if rows == 0 {
@@ -182,17 +180,16 @@ func (m *model) mutate() {
 			}
 			doomed[row[0].Int()] = true
 		}
-		m.tbl.DeleteWhere(func(row []value.Datum) bool { return doomed[row[0].Int()] })
+		m.tbl.DeleteWhere(storage.MatchRows(func(row []value.Datum) bool { return doomed[row[0].Int()] }))
 	case 6: // everything, then perhaps a refill
-		m.tbl.DeleteWhere(func([]value.Datum) bool { return true })
+		m.tbl.DeleteWhere(storage.MatchRows(func([]value.Datum) bool { return true }))
 		if n := m.s.intn(200); n > 0 {
 			if err := m.tbl.InsertBatch(m.newRows(n)); err != nil {
 				m.tb.Fatal(err)
 			}
 		}
 	case 7: // half the table at once: past the fallback threshold
-		key := m.pickKey()
-		m.update(func(row []value.Datum) bool { return row[0].Int()%2 == rem%2 }, func(row []value.Datum) { row[1] = key })
+		m.update(func(row []value.Datum) bool { return row[0].Int()%2 == rem%2 }, 1, m.pickKey())
 	case 8, 9: // hold the current image across what follows
 		if len(m.held) == modelMaxHeld {
 			m.held = m.held[1:]
@@ -358,9 +355,9 @@ func seqKey(kind value.Kind, id int64) value.Datum {
 	}
 }
 
-// TestCatchUpIsThePathTaken pins which way the shared image moves: a small
-// delta is merged in, DML on another column moves no entry at all, and only
-// a delta above a quarter of the table sorts everything again.
+// TestCatchUpIsThePathTaken pins which way the shared image moves: a delta
+// is merged in, DML on another column moves no entry and reads no chunk, and
+// only a delta above three quarters of the table sorts everything again.
 func TestCatchUpIsThePathTaken(t *testing.T) {
 	for _, kind := range []value.Kind{value.KindInt, value.KindFloat, value.KindString} {
 		tbl := seqTable(t, kind, 1000, 64)
@@ -406,26 +403,45 @@ func TestCatchUpIsThePathTaken(t *testing.T) {
 		use("three inserts", false, 3)
 
 		n, err := tbl.UpdateWhere(
-			func(row []value.Datum) bool { return row[0].Int()%3 == 0 },
-			func(row []value.Datum) { row[2] = value.NewInt(1) })
+			storage.MatchRows(func(row []value.Datum) bool { return row[0].Int()%3 == 0 }),
+			[]storage.Assignment{{Ordinal: 2, Value: value.NewInt(1)}})
 		if err != nil || n < 300 {
 			t.Fatalf("updated %d rows, %v", n, err)
 		}
 		use("an update of another column", false, 0)
+		if read := ix.Stats().LastRead; read != 0 {
+			t.Errorf("%v: an update of another column in every chunk made the index read %d chunks, want none", kind, read)
+		}
 
 		// 20 rows from the middle: each leaves one entry and, unless it was
 		// itself at the tail, brings the last row into its place.
-		if n := tbl.DeleteWhere(func(row []value.Datum) bool { id := row[0].Int(); return id >= 500 && id < 520 }); n != 20 {
+		if n := tbl.DeleteWhere(storage.MatchRows(func(row []value.Datum) bool { id := row[0].Int(); return id >= 500 && id < 520 })); n != 20 {
 			t.Fatalf("deleted %d rows", n)
 		}
 		use("a 2% delete", false, 60)
 
-		if _, err := tbl.UpdateWhere(
-			func(row []value.Datum) bool { return row[0].Int()%10 < 3 },
-			func(row []value.Datum) { row[1] = seqKey(kind, row[0].Int()+1) }); err != nil {
-			t.Fatal(err)
+		// A key changed in place removes one entry and adds one: rewriting
+		// 30 % of the rows is a delta of 60 %, still merged; 40 % is past
+		// the limit.
+		rewrite := func(under int64) (changed int) {
+			key := seqKey(kind, under)
+			tbl.Scan(func(_ int, row []value.Datum) bool {
+				if row[0].Int()%10 < under && row[1] != key {
+					changed++
+				}
+				return true
+			})
+			if _, err := tbl.UpdateWhere(
+				storage.MatchRows(func(row []value.Datum) bool { return row[0].Int()%10 < under }),
+				[]storage.Assignment{{Ordinal: 1, Value: key}}); err != nil {
+				t.Fatal(err)
+			}
+			return changed
 		}
-		use("a 30% rewrite", true, 0)
+		changed := rewrite(3)
+		use("a 30% rewrite", false, 2*changed)
+		rewrite(4)
+		use("a 40% rewrite", true, 0)
 	}
 }
 
@@ -475,12 +491,12 @@ func TestConcurrentProbesUnderDML(t *testing.T) {
 			}
 		case 1:
 			if _, err := tbl.UpdateWhere(
-				func(row []value.Datum) bool { return row[0].Int()%97 == int64(i%97) },
-				func(row []value.Datum) { row[1] = value.NewInt(int64(i % 1000)) }); err != nil {
+				storage.MatchRows(func(row []value.Datum) bool { return row[0].Int()%97 == int64(i%97) }),
+				[]storage.Assignment{{Ordinal: 1, Value: value.NewInt(int64(i % 1000))}}); err != nil {
 				t.Fatal(err)
 			}
 		case 2:
-			tbl.DeleteWhere(func(row []value.Datum) bool { return row[0].Int()%211 == int64(i%211) })
+			tbl.DeleteWhere(storage.MatchRows(func(row []value.Datum) bool { return row[0].Int()%211 == int64(i%211) }))
 		}
 	}
 }

@@ -9,14 +9,16 @@ import (
 	"repro/internal/value"
 )
 
-// rebuildFraction is the share of the table (1/rebuildFraction of its rows)
-// past which an advance stops diffing and re-sorts: removed plus added
-// entries above a quarter of the rows. It is a constant, not a knob, because
-// the result is the same either way and the cost is flat around it — the
-// merge is O(n) moves plus a sort of the delta, the rebuild a sort of
-// everything, and the two cross far above ¼; what the bound buys is a cap on
-// the scratch the delta lists hold (¼ of the image plus one chunk).
-const rebuildFraction = 4
+// rebuildLimit is the delta — removed plus added entries, so a key changed in
+// place counts twice — past which an advance stops diffing and re-sorts: ¾ of
+// the rows. It is a constant, not a knob, because the result is the same
+// either way, and it sits where the two costs were measured to cross
+// (BenchmarkIndexAdvance, delta-*): at 10k and 43k rows, int and string keys,
+// merging a delta of ⅓ of the rows takes 0.35–0.4 of a full sort, ½ 0.6–0.65,
+// ¾ 0.85–0.97, and a delta as long as the table 1.05–1.3 — the merge is O(n)
+// moves plus a sort of the delta, the rebuild a sort of everything. The bound
+// also caps the scratch the delta lists hold (¾ of an image plus one chunk).
+func rebuildLimit(rows int) int { return rows - rows/4 }
 
 // image is the sorted image of one column of one table snapshot. Its one
 // implementation is typed[K]; the interface only erases the key type.
@@ -26,12 +28,12 @@ type image interface {
 	snapshot() *storage.Snapshot
 	// advance brings the image to another snapshot of the same table —
 	// newer or older, the diff reads two immutable images — and reports how
-	// many entries it removed plus added, or full when it sorted everything
-	// instead.
-	advance(to *storage.Snapshot) (moved int, full bool)
-	// search returns the positions of rows with lo ≤/< key ≤/< hi in key
-	// order, ties by position; NULL keys never match.
-	search(lo, hi Bound) []int
+	// many entries it removed plus added and how many chunks it read to find
+	// them, or full when it sorted everything instead.
+	advance(to *storage.Snapshot) (moved, read int, full bool)
+	// search appends to dst the positions of rows with lo ≤/< key ≤/< hi in
+	// key order, ties by position; NULL keys never match.
+	search(dst []int32, lo, hi Bound) []int32
 	// size counts the entries, NULL keys included.
 	size() int
 }
@@ -104,17 +106,15 @@ func (im *typed[K]) size() int { return len(im.nulls) + len(im.ents) }
 func (im *typed[K]) build(snap *storage.Snapshot) {
 	im.nulls, im.ents = im.nulls[:0], slices.Grow(im.ents[:0], snap.NumRows())
 	for ci := 0; ci < snap.NumChunks(); ci++ {
-		ch := snap.Chunk(ci)
-		im.nulls, im.ents = im.appendChunk(im.nulls, im.ents, ch, 0, ci*snap.ChunkSize())
+		im.nulls, im.ents = im.appendVec(im.nulls, im.ents, snap.Chunk(ci).Col(im.ordinal), 0, ci*snap.ChunkSize())
 	}
 	slices.SortFunc(im.ents, comparePairs[K])
 	im.snap = snap
 }
 
-// appendChunk appends the entries of ch's rows from offset from on, base
-// being the position of the chunk's first row.
-func (im *typed[K]) appendChunk(nulls []int32, ents []pair[K], ch *storage.Chunk, from, base int) ([]int32, []pair[K]) {
-	vec := ch.Col(im.ordinal)
+// appendVec appends the entries of one chunk's rows from offset from on, vec
+// being the chunk's indexed column and base the position of its first row.
+func (im *typed[K]) appendVec(nulls []int32, ents []pair[K], vec *storage.ColumnVec, from, base int) ([]int32, []pair[K]) {
 	keys := im.keys(vec)
 	hasNulls := vec.HasNulls()
 	for i := from; i < len(keys); i++ {
@@ -127,11 +127,18 @@ func (im *typed[K]) appendChunk(nulls []int32, ents []pair[K], ch *storage.Chunk
 	return nulls, ents
 }
 
-func (im *typed[K]) advance(to *storage.Snapshot) (moved int, full bool) {
-	if im.snap == nil || !im.diff(to) {
-		im.build(to)
-		return 0, true
+func (im *typed[K]) advance(to *storage.Snapshot) (moved, read int, full bool) {
+	if im.snap != nil {
+		if read, ok := im.diff(to, rebuildLimit(to.NumRows())); ok {
+			return im.merge(to), read, false
+		}
 	}
+	im.build(to)
+	return 0, to.NumChunks(), true
+}
+
+// merge applies the delta lists diff filled and reports their length.
+func (im *typed[K]) merge(to *storage.Snapshot) (moved int) {
 	im.snap = to
 	if n := len(im.nullsOut) + len(im.nullsIn); n > 0 {
 		moved += n
@@ -145,44 +152,44 @@ func (im *typed[K]) advance(to *storage.Snapshot) (moved int, full bool) {
 		out := applyDelta(im.spare[:0], im.ents, im.removed, im.added, comparePairs[K])
 		im.ents, im.spare = out, im.ents
 	}
-	return moved, false
+	return moved
 }
 
 // diff fills the delta lists with what changed on the indexed column from
-// the held snapshot to to, and reports false once that is more than
-// 1/rebuildFraction of to's rows. Chunks with the same pointer in both
-// snapshots are skipped: a chunk a snapshot captured is never written again
-// (storage.Chunk), so they hold the same rows.
-func (im *typed[K]) diff(to *storage.Snapshot) bool {
+// the held snapshot to to, and reports how many chunks it compared, or false
+// once the delta is more than limit entries. A chunk whose indexed column is the same vector in both snapshots
+// is skipped without being read: a vector a snapshot captured is never
+// written again (storage.Chunk), so it holds the same keys — whatever the
+// DML in between did to the chunk's other columns.
+func (im *typed[K]) diff(to *storage.Snapshot, limit int) (read int, ok bool) {
 	from := im.snap
 	im.nullsOut, im.nullsIn = im.nullsOut[:0], im.nullsIn[:0]
 	im.removed, im.added = im.removed[:0], im.added[:0]
-	limit := to.NumRows() / rebuildFraction
 	for ci := 0; ci < max(from.NumChunks(), to.NumChunks()); ci++ {
-		var oc, nc *storage.Chunk
+		var ov, nv *storage.ColumnVec
 		if ci < from.NumChunks() {
-			oc = from.Chunk(ci)
+			ov = from.Chunk(ci).Col(im.ordinal)
 		}
 		if ci < to.NumChunks() {
-			nc = to.Chunk(ci)
+			nv = to.Chunk(ci).Col(im.ordinal)
 		}
-		if oc == nc {
+		if ov == nv {
 			continue
 		}
-		im.diffChunk(oc, nc, ci*to.ChunkSize())
+		read++
+		im.diffVec(ov, nv, ci*to.ChunkSize())
 		if len(im.nullsOut)+len(im.nullsIn)+len(im.removed)+len(im.added) > limit {
-			return false
+			return read, false
 		}
 	}
-	return true
+	return read, true
 }
 
-// diffChunk compares two versions of one chunk (either may be nil: the chunk
-// was dropped, or is new) position by position on the indexed column.
-func (im *typed[K]) diffChunk(oc, nc *storage.Chunk, base int) {
+// diffVec compares two versions of one chunk's indexed column (either may be
+// nil: the chunk was dropped, or is new) position by position.
+func (im *typed[K]) diffVec(ov, nv *storage.ColumnVec, base int) {
 	common := 0
-	if oc != nil && nc != nil {
-		ov, nv := oc.Col(im.ordinal), nc.Col(im.ordinal)
+	if ov != nil && nv != nil {
 		ok, nk := im.keys(ov), im.keys(nv)
 		common = min(len(ok), len(nk))
 		hasNulls := ov.HasNulls() || nv.HasNulls()
@@ -203,11 +210,11 @@ func (im *typed[K]) diffChunk(oc, nc *storage.Chunk, base int) {
 			}
 		}
 	}
-	if oc != nil {
-		im.nullsOut, im.removed = im.appendChunk(im.nullsOut, im.removed, oc, common, base)
+	if ov != nil {
+		im.nullsOut, im.removed = im.appendVec(im.nullsOut, im.removed, ov, common, base)
 	}
-	if nc != nil {
-		im.nullsIn, im.added = im.appendChunk(im.nullsIn, im.added, nc, common, base)
+	if nv != nil {
+		im.nullsIn, im.added = im.appendVec(im.nullsIn, im.added, nv, common, base)
 	}
 }
 
@@ -251,7 +258,7 @@ func seek[T any](s []T, from int, x T, compare func(a, b T) int) int {
 	return lo + i
 }
 
-func (im *typed[K]) search(lo, hi Bound) []int {
+func (im *typed[K]) search(dst []int32, lo, hi Bound) []int32 {
 	ents := im.ents
 	if !lo.IsUnbounded() {
 		ents = ents[im.seekBound(ents, lo.Value, !lo.Inclusive):]
@@ -259,14 +266,11 @@ func (im *typed[K]) search(lo, hi Bound) []int {
 	if !hi.IsUnbounded() {
 		ents = ents[:im.seekBound(ents, hi.Value, hi.Inclusive)]
 	}
-	if len(ents) == 0 {
-		return nil
+	dst = slices.Grow(dst, len(ents))
+	for _, e := range ents {
+		dst = append(dst, e.row)
 	}
-	out := make([]int, len(ents))
-	for i, e := range ents {
-		out[i] = int(e.row)
-	}
-	return out
+	return dst
 }
 
 // seekBound returns the first position of ents whose key is above v or,

@@ -12,15 +12,16 @@
 // — with the positions of NULL keys kept apart, since no probe returns them.
 // The image remembers the snapshot it describes. When a caller arrives with a
 // newer one, the image catches up instead of re-sorting: storage never
-// writes a chunk a snapshot has captured (copy-on-write), so chunks whose
-// pointer is the same in both snapshots hold the same rows and are skipped,
-// and the rest are compared position by position on the indexed column. The
-// removed and added entries that yields are sorted and applied to the old
-// image in one merge into a spare buffer the two images swap. An advance
-// therefore costs a scan of the changed chunks' one column, a sort of the
-// delta and a copy of the image — nothing but the scan when the DML did not
-// touch the indexed column. Only the first use, and a delta above a quarter
-// of the table, sort everything.
+// writes a column vector a snapshot has captured (copy-on-write, per column),
+// so a chunk whose indexed column is the same vector in both snapshots holds
+// the same keys and is skipped unread, and the rest are compared position by
+// position on that column. The removed and added entries that yields are
+// sorted and applied to the old image in one merge into a spare buffer the
+// two images swap. An advance therefore costs a scan of the indexed column in
+// the chunks where it was written, a sort of the delta and a copy of the
+// image — nothing at all when the DML did not touch the indexed column,
+// however many rows it rewrote. Only the first use, and a delta above three
+// quarters of the table (rebuildLimit), sort everything.
 //
 // Positions index the rows of one table image: Lookup and Range answer for
 // the table as it is now and are valid until its next mutation; LookupAt and
@@ -64,7 +65,9 @@ type Index struct {
 
 	// Counters of how images came to be; only Rebuilds is public, the split
 	// is for tests.
-	rebuilds, fullBuilds, asideBuilds, lastMoved int
+	rebuilds, fullBuilds, asideBuilds, lastMoved, lastRead int
+
+	scratch []int32 // Range's positions before they are widened
 }
 
 // New creates an index on table.column. The index is built lazily on first
@@ -125,10 +128,10 @@ func (ix *Index) imageAt(snap *storage.Snapshot) image {
 		}
 		return ix.aside
 	}
-	moved, full := ix.shared.advance(snap)
+	moved, read, full := ix.shared.advance(snap)
 	ix.aside = nil
 	ix.rebuilds++
-	ix.lastMoved = moved
+	ix.lastMoved, ix.lastRead = moved, read
 	if full {
 		ix.fullBuilds++
 	}
@@ -146,6 +149,15 @@ func (ix *Index) LookupAt(snap *storage.Snapshot, key value.Datum) []int {
 		return nil
 	}
 	return ix.RangeAt(snap, Bound{Value: key, Inclusive: true}, Bound{Value: key, Inclusive: true})
+}
+
+// AppendLookupAt is LookupAt into the caller's buffer: the positions are
+// appended to dst, which a caller probing once per row reuses.
+func (ix *Index) AppendLookupAt(dst []int32, snap *storage.Snapshot, key value.Datum) []int32 {
+	if key.IsNull() {
+		return dst
+	}
+	return ix.AppendRangeAt(dst, snap, Bound{Value: key, Inclusive: true}, Bound{Value: key, Inclusive: true})
 }
 
 // Bound is one end of a range scan. Unbounded ends use Unbounded().
@@ -170,7 +182,23 @@ func (ix *Index) Range(lo, hi Bound) []int { return ix.RangeAt(ix.table.Snapshot
 func (ix *Index) RangeAt(snap *storage.Snapshot, lo, hi Bound) []int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return ix.imageAt(snap).search(lo, hi)
+	ix.scratch = ix.imageAt(snap).search(ix.scratch[:0], lo, hi)
+	if len(ix.scratch) == 0 {
+		return nil
+	}
+	out := make([]int, len(ix.scratch))
+	for i, p := range ix.scratch {
+		out[i] = int(p)
+	}
+	return out
+}
+
+// AppendRangeAt is RangeAt into the caller's buffer, as the int32 positions
+// the image stores and the executor's relations carry.
+func (ix *Index) AppendRangeAt(dst []int32, snap *storage.Snapshot, lo, hi Bound) []int32 {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.imageAt(snap).search(dst, lo, hi)
 }
 
 // Len returns the number of indexed entries (including NULL keys).

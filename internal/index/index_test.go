@@ -153,7 +153,7 @@ func TestLazyRebuildOnMutation(t *testing.T) {
 		t.Errorf("Rebuilds = %d, want %d", ix.Rebuilds(), r0+1)
 	}
 	// Deletion invalidates positions; rebuilt index must still be correct.
-	tbl.DeleteWhere(func(r []value.Datum) bool { return r[0].Int() == 1 })
+	tbl.DeleteWhere(storage.MatchRows(func(r []value.Datum) bool { return r[0].Int() == 1 }))
 	if got := len(ix.Lookup(value.NewInt(1))); got != 0 {
 		t.Errorf("lookup of deleted key = %d rows", got)
 	}
@@ -324,7 +324,7 @@ func TestLookupAtStaleSnapshot(t *testing.T) {
 	}
 	// Another session deletes the 3 (the last row moves into its slot) and
 	// inserts two more, then uses the index: the cache moves ahead.
-	if n := tbl.DeleteWhere(func(row []value.Datum) bool { return row[0].Int() == 3 }); n != 1 {
+	if n := tbl.DeleteWhere(storage.MatchRows(func(row []value.Datum) bool { return row[0].Int() == 3 })); n != 1 {
 		t.Fatalf("deleted %d rows", n)
 	}
 	for _, v := range []int64{5, 5} {

@@ -6,8 +6,9 @@
 // column-kind/operand-kind pairings; any other pairing (kind mismatches,
 // NULL operands, IN lists) falls back to Predicate.MatchesDatum on the
 // decoded datum, so the compiled form is semantically identical to evaluating
-// Matches row by row — the fast paths only skip the per-row Datum boxing,
-// never change the answer.
+// MatchesDatum row by row — the fast paths only skip the per-row Datum boxing,
+// never change the answer. Reads and writes share it: a DML WHERE finds its
+// rows through AppendMatches, chunk by chunk under the table's write lock.
 //
 // The comparison fast paths reproduce value.Datum.Compare exactly by
 // computing the same three-way outcome (including Compare's quirk that an

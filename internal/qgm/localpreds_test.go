@@ -52,7 +52,7 @@ func TestBuildLocalPredicates(t *testing.T) {
 	// Evaluation works against schema-shaped rows.
 	row := []value.Datum{value.NewInt(2), value.NewString("Toyota"), value.NewInt(1995)}
 	for _, p := range preds {
-		if !p.Matches(row) {
+		if !p.MatchesDatum(row[p.Ordinal]) {
 			t.Errorf("%s should match", p)
 		}
 	}

@@ -102,17 +102,11 @@ func (p Predicate) String() string {
 	}
 }
 
-// Matches evaluates the predicate against a row of the instance's table.
-// Comparisons with NULL are false, per SQL.
-func (p Predicate) Matches(row []value.Datum) bool {
-	return p.MatchesDatum(row[p.Ordinal])
-}
-
 // MatchesDatum evaluates the predicate against the value of its column —
 // the scalar kernel the compiled form (filter.go) calls per row when no
-// typed fast path applies. Matches and MatchesDatum are the single source
-// of truth for predicate semantics; any specialized loop must agree with
-// them exactly.
+// typed fast path applies. Comparisons with NULL are false, per SQL. It is
+// the single source of truth for predicate semantics; any specialized loop
+// must agree with it exactly.
 func (p Predicate) MatchesDatum(d value.Datum) bool {
 	if d.IsNull() {
 		return false

@@ -167,7 +167,7 @@ func TestPredicateMatches(t *testing.T) {
 		{Predicate{Ordinal: 3, Op: OpIn, Values: []value.Datum{value.NewString("Corolla")}}, false},
 	}
 	for _, c := range cases {
-		if got := c.p.Matches(row); got != c.want {
+		if got := c.p.MatchesDatum(row[c.p.Ordinal]); got != c.want {
 			t.Errorf("%s Matches = %v, want %v", c.p, got, c.want)
 		}
 	}
@@ -177,12 +177,12 @@ func TestPredicateMatchesNull(t *testing.T) {
 	row := []value.Datum{value.Null}
 	for _, op := range []PredOp{OpEQ, OpNE, OpLT, OpLE, OpGT, OpGE} {
 		p := Predicate{Ordinal: 0, Op: op, Value: value.NewInt(1)}
-		if p.Matches(row) {
+		if p.MatchesDatum(row[p.Ordinal]) {
 			t.Errorf("NULL %s 1 must be false", op)
 		}
 	}
 	p := Predicate{Ordinal: 0, Op: OpEQ, Value: value.Null}
-	if p.Matches([]value.Datum{value.NewInt(1)}) {
+	if p.MatchesDatum(value.NewInt(1)) {
 		t.Error("1 = NULL must be false")
 	}
 }

@@ -99,7 +99,7 @@ func refEvaluateGroupsParallel(sample [][]value.Datum, groups [][]qgm.Predicate,
 			e := entries[ei]
 			v := make([]bool, len(sample))
 			for i, row := range sample {
-				v[i] = e.pred.Matches(row)
+				v[i] = e.pred.MatchesDatum(row[e.pred.Ordinal])
 			}
 			e.vec = v
 			sub.Add(w.PredEval * float64(len(sample)))
@@ -228,12 +228,12 @@ func adversarialTable(t *testing.T, rng *rand.Rand, n, chunkSize int) (*storage.
 	}
 	held := tbl.Snapshot()
 	if _, err := tbl.UpdateWhere(
-		func(row []value.Datum) bool { return row[0].Int()%7 == 0 },
-		func(row []value.Datum) { row[2], row[3] = value.NewFloat(math.NaN()), value.NewString("") },
+		storage.MatchRows(func(row []value.Datum) bool { return row[0].Int()%7 == 0 }),
+		[]storage.Assignment{{Ordinal: 2, Value: value.NewFloat(math.NaN())}, {Ordinal: 3, Value: value.NewString("")}},
 	); err != nil {
 		t.Fatal(err)
 	}
-	tbl.DeleteWhere(func(row []value.Datum) bool { return row[0].Int()%11 == 3 })
+	tbl.DeleteWhere(storage.MatchRows(func(row []value.Datum) bool { return row[0].Int()%11 == 3 }))
 	for i := 0; i < 5; i++ {
 		if err := tbl.Insert(adversarialRow(rng, n+i)); err != nil {
 			t.Fatal(err)
@@ -397,7 +397,7 @@ func TestColumnarSampleMatchesRowReference(t *testing.T) {
 						}
 
 						// The sample is detached: DML after the draw leaves it alone.
-						tbl.DeleteWhere(func(row []value.Datum) bool { return row[0].Int()%5 == int64(round) })
+						tbl.DeleteWhere(storage.MatchRows(func(row []value.Datum) bool { return row[0].Int()%5 == int64(round) }))
 						if err := sameRows(transposed(), want); err != nil {
 							t.Fatalf("%s round %d: sample moved under later DML: %v", name, round, err)
 						}

@@ -44,6 +44,27 @@ var keywords = map[string]bool{
 	"ACCURACY": true, "DRIFT": true, "FOR": true,
 }
 
+// isKeyword reports whether word, uppercased, is a keyword, without building
+// the uppercase string for the common word that is not one.
+func isKeyword(word string) bool {
+	const longest = len("DISTINCT")
+	var buf [longest]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= utf8.RuneSelf { // let strings.ToUpper decide what ſelect spells
+			return keywords[strings.ToUpper(word)]
+		}
+		if i == longest {
+			return false
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return keywords[string(buf[:len(word)])]
+}
+
 // lexError reports a scanning problem with its byte offset.
 type lexError struct {
 	pos int
@@ -54,43 +75,63 @@ func (e *lexError) Error() string {
 	return fmt.Sprintf("sql: lex error at offset %d: %s", e.pos, e.msg)
 }
 
-func lex(input string) ([]token, error) {
-	var toks []token
-	i := 0
-	n := len(input)
-	for i < n {
+// lexer scans one statement's text a token at a time. The parser and
+// Normalize pull from it — neither looks more than one token ahead — so a
+// 100 KB INSERT is never held as a token slice, and token text is a slice of
+// the input wherever the two are byte-identical (numbers, symbols, operators,
+// string literals without an escaped quote, words already in canonical case).
+type lexer struct {
+	input string
+	i     int
+	prev  token // the token before the one being scanned; the zero token at the start
+}
+
+// emit records t as the latest token and returns it.
+func (lx *lexer) emit(kind tokenKind, text string, pos int) (token, error) {
+	lx.prev = token{kind: kind, text: text, pos: pos}
+	return lx.prev, nil
+}
+
+// next returns the next token; at the end of the input, tokEOF, again and
+// again. After an error the lexer must not be used further.
+func (lx *lexer) next() (token, error) {
+	input, n := lx.input, len(lx.input)
+	for lx.i < n {
+		i := lx.i
 		c := input[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
+			lx.i++
 		case c == '-' && i+1 < n && input[i+1] == '-': // line comment
 			for i < n && input[i] != '\n' {
 				i++
 			}
+			lx.i = i
 		case c == '\'':
 			start := i
 			i++
-			var sb strings.Builder
-			closed := false
-			for i < n {
-				if input[i] == '\'' {
-					if i+1 < n && input[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
-						i += 2
-						continue
-					}
-					i++
-					closed = true
-					break
+			escaped := false
+			for ; ; i++ {
+				if i >= n {
+					return token{}, &lexError{pos: start, msg: "unterminated string literal"}
 				}
-				sb.WriteByte(input[i])
-				i++
+				if input[i] != '\'' {
+					continue
+				}
+				if i+1 < n && input[i+1] == '\'' { // escaped quote
+					escaped = true
+					i++
+					continue
+				}
+				break
 			}
-			if !closed {
-				return nil, &lexError{pos: start, msg: "unterminated string literal"}
+			lx.i = i + 1
+			text := input[start+1 : i]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
 			}
-			toks = append(toks, token{kind: tokString, text: sb.String(), pos: start})
-		case c >= '0' && c <= '9' || (c == '-' && i+1 < n && input[i+1] >= '0' && input[i+1] <= '9' && startsValue(toks)):
+			return lx.emit(tokString, text, start)
+		case c >= '0' && c <= '9' || (c == '-' && i+1 < n && input[i+1] >= '0' && input[i+1] <= '9' && startsValue(lx.prev)):
 			start := i
 			if c == '-' {
 				i++
@@ -117,12 +158,13 @@ func lex(input string) ([]token, error) {
 				}
 				break
 			}
-			toks = append(toks, token{kind: tokNumber, text: input[start:i], pos: start})
+			lx.i = i
+			return lx.emit(tokNumber, input[start:i], start)
 		case c >= utf8.RuneSelf || isIdentStart(rune(c)):
 			start := i
 			r, size := utf8.DecodeRuneInString(input[i:])
 			if !isIdentStart(r) {
-				return nil, &lexError{pos: start, msg: fmt.Sprintf("unexpected character %q", r)}
+				return token{}, &lexError{pos: start, msg: fmt.Sprintf("unexpected character %q", r)}
 			}
 			i += size
 			for i < n {
@@ -132,75 +174,65 @@ func lex(input string) ([]token, error) {
 				}
 				i += size
 			}
+			lx.i = i
 			word := input[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{kind: tokKeyword, text: upper, pos: start})
-			} else {
-				toks = append(toks, token{kind: tokIdent, text: strings.ToLower(word), pos: start})
+			if isKeyword(word) {
+				return lx.emit(tokKeyword, strings.ToUpper(word), start)
 			}
+			return lx.emit(tokIdent, strings.ToLower(word), start)
 		default:
 			start := i
 			switch c {
 			case '(', ')', ',', '.', ';', '*':
-				toks = append(toks, token{kind: tokSymbol, text: string(c), pos: start})
-				i++
+				lx.i++
+				return lx.emit(tokSymbol, input[i:i+1], start)
 			case '=':
-				toks = append(toks, token{kind: tokOp, text: "=", pos: start})
-				i++
+				lx.i++
+				return lx.emit(tokOp, "=", start)
 			case '<':
-				if i+1 < n && input[i+1] == '=' {
-					toks = append(toks, token{kind: tokOp, text: "<=", pos: start})
-					i += 2
-				} else if i+1 < n && input[i+1] == '>' {
-					toks = append(toks, token{kind: tokOp, text: "<>", pos: start})
-					i += 2
-				} else {
-					toks = append(toks, token{kind: tokOp, text: "<", pos: start})
-					i++
+				if i+1 < n && (input[i+1] == '=' || input[i+1] == '>') {
+					lx.i += 2
+					return lx.emit(tokOp, input[i:i+2], start)
 				}
+				lx.i++
+				return lx.emit(tokOp, "<", start)
 			case '>':
 				if i+1 < n && input[i+1] == '=' {
-					toks = append(toks, token{kind: tokOp, text: ">=", pos: start})
-					i += 2
-				} else {
-					toks = append(toks, token{kind: tokOp, text: ">", pos: start})
-					i++
+					lx.i += 2
+					return lx.emit(tokOp, ">=", start)
 				}
+				lx.i++
+				return lx.emit(tokOp, ">", start)
 			case '!':
 				if i+1 < n && input[i+1] == '=' {
-					toks = append(toks, token{kind: tokOp, text: "<>", pos: start})
-					i += 2
-				} else {
-					return nil, &lexError{pos: start, msg: "unexpected '!'"}
+					lx.i += 2
+					return lx.emit(tokOp, "<>", start)
 				}
+				return token{}, &lexError{pos: start, msg: "unexpected '!'"}
 			case '-':
 				// A '-' that is not a numeric sign: unsupported arithmetic.
-				return nil, &lexError{pos: start, msg: "unexpected '-' (arithmetic expressions are not supported)"}
+				return token{}, &lexError{pos: start, msg: "unexpected '-' (arithmetic expressions are not supported)"}
 			default:
-				return nil, &lexError{pos: start, msg: fmt.Sprintf("unexpected character %q", c)}
+				return token{}, &lexError{pos: start, msg: fmt.Sprintf("unexpected character %q", c)}
 			}
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, text: "", pos: n})
-	return toks, nil
+	return lx.emit(tokEOF, "", n)
 }
 
-// startsValue reports whether a '-' at the current position begins a negative
-// numeric literal: true after operators, commas, opening parens, and the
-// value-introducing keywords.
-func startsValue(toks []token) bool {
-	if len(toks) == 0 {
+// startsValue reports whether a '-' after prev begins a negative numeric
+// literal: true at the start of the input, after operators, commas, opening
+// parens, and the value-introducing keywords.
+func startsValue(prev token) bool {
+	switch prev.kind {
+	case tokEOF: // nothing scanned yet
 		return true
-	}
-	last := toks[len(toks)-1]
-	switch last.kind {
 	case tokOp:
 		return true
 	case tokSymbol:
-		return last.text == "(" || last.text == ","
+		return prev.text == "(" || prev.text == ","
 	case tokKeyword:
-		switch last.text {
+		switch prev.text {
 		case "BETWEEN", "AND", "IN", "VALUES", "SET", "LIMIT", "WHERE":
 			return true
 		}

@@ -1,9 +1,25 @@
 package sqlparser
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
+
+// lex drains the lexer: the whole token stream, EOF included.
+func lex(input string) ([]token, error) {
+	lx := lexer{input: input}
+	var toks []token
+	for {
+		t, err := lx.next()
+		if err != nil {
+			return nil, err
+		}
+		if toks = append(toks, t); t.kind == tokEOF {
+			return toks, nil
+		}
+	}
+}
 
 func TestLexComments(t *testing.T) {
 	toks, err := lex("SELECT -- trailing comment at EOF")
@@ -206,5 +222,76 @@ func TestCompareOpStrings(t *testing.T) {
 		if op.String() != s {
 			t.Errorf("op %d = %q, want %q", op, op.String(), s)
 		}
+	}
+}
+
+// A multi-row INSERT is scanned without a token slice and without copying
+// its literals: token text aliases the statement wherever the two are
+// byte-identical, so the lexer allocates nothing however long the text is.
+func TestLexInsertTextWithoutCopies(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO accidents (id, carid, driver, damage) VALUES ")
+	for i := 0; i < 2000; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString("(17, -4, 'Ada Lovelace', 1250.5)")
+	}
+	sql := sb.String()
+	tokens := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		lx := lexer{input: sql}
+		for tokens = 0; ; tokens++ {
+			tok, err := lx.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tok.kind == tokEOF {
+				break
+			}
+		}
+	})
+	if tokens != 13+2000*10-1 {
+		t.Errorf("scanned %d tokens", tokens)
+	}
+	if allocs != 0 {
+		t.Errorf("lexing %d bytes allocated %.0f times, want 0", len(sql), allocs)
+	}
+}
+
+// The parser pulls tokens as it goes, but input that does not lex is still
+// reported as that — with the lexer's offset — even when the parser would
+// have given up earlier in the text.
+func TestParseReportsLexErrorPastASyntaxError(t *testing.T) {
+	for sql, offset := range map[string]string{
+		"SELECT FROM car WHERE #":       "offset 22",
+		"INSERT car VALUES (1, 'open":   "offset 22",
+		"DELETE FROM car WHERE x = 1 @": "offset 28",
+	} {
+		_, err := Parse(sql)
+		var le *lexError
+		if !errors.As(err, &le) || !strings.Contains(err.Error(), offset) {
+			t.Errorf("Parse(%q) = %v, want a lex error at %s", sql, err, offset)
+		}
+	}
+}
+
+// Every keyword is recognized in any case (the lookup uppercases into a
+// buffer sized for the longest of them).
+func TestLexKeywordsInAnyCase(t *testing.T) {
+	for kw := range keywords {
+		for _, in := range []string{kw, strings.ToLower(kw), kw[:1] + strings.ToLower(kw[1:])} {
+			toks, err := lex(in)
+			if err != nil || toks[0].kind != tokKeyword || toks[0].text != kw {
+				t.Errorf("lex(%q) = %+v, %v, want keyword %s", in, toks, err, kw)
+			}
+		}
+		if toks, err := lex(kw + "x"); err != nil || toks[0].kind != tokIdent {
+			t.Errorf("lex(%q) = %+v, %v, want an identifier", kw+"x", toks, err)
+		}
+	}
+	// U+017F uppercases to S: strings.ToUpper's verdict stands.
+	if toks, err := lex("ſelect"); err != nil || toks[0].kind != tokKeyword || toks[0].text != "SELECT" {
+		t.Errorf("lex(ſelect) = %+v, %v", toks, err)
 	}
 }

@@ -3,8 +3,8 @@ package sqlparser
 import "strings"
 
 // Normalize returns the canonical text of one SQL statement, the form the
-// engine's plan cache uses as its key. It re-lexes the input and re-emits
-// the token stream joined by single spaces, with keywords uppercased and
+// engine's plan cache uses as its key. It lexes the input and re-emits the
+// token stream joined by single spaces, with keywords uppercased and
 // identifiers lowercased exactly as the lexer already canonicalizes them.
 // Consequently two statements that differ only in whitespace, comments, or
 // keyword/identifier case normalize identically, while any semantic
@@ -20,22 +20,31 @@ import "strings"
 // The error is the lexer's: input that cannot be tokenized cannot be
 // normalized (and would not parse either).
 func Normalize(sql string) (string, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return "", err
-	}
-	// Drop the EOF sentinel and any trailing semicolons.
-	end := len(toks) - 1
-	for end > 0 && toks[end-1].kind == tokSymbol && toks[end-1].text == ";" {
-		end--
-	}
+	lx := lexer{input: sql}
 	var sb strings.Builder
 	sb.Grow(len(sql))
-	for i := 0; i < end; i++ {
-		if i > 0 {
+	semis := 0 // semicolons seen since the last other token: trailing ones are dropped
+	for {
+		t, err := lx.next()
+		if err != nil {
+			return "", err
+		}
+		switch {
+		case t.kind == tokEOF:
+			return sb.String(), nil
+		case t.kind == tokSymbol && t.text == ";":
+			semis++
+			continue
+		}
+		for ; semis > 0; semis-- {
+			if sb.Len() > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteByte(';')
+		}
+		if sb.Len() > 0 {
 			sb.WriteByte(' ')
 		}
-		t := toks[i]
 		if t.kind == tokString {
 			sb.WriteByte('\'')
 			sb.WriteString(strings.ReplaceAll(t.text, "'", "''"))
@@ -44,5 +53,4 @@ func Normalize(sql string) (string, error) {
 		}
 		sb.WriteString(t.text)
 	}
-	return sb.String(), nil
 }

@@ -16,33 +16,51 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("sql: parse error at offset %d: %s", e.Pos, e.Msg)
 }
 
+// parser pulls tokens from the lexer with one token of lookahead.
 type parser struct {
-	toks []token
-	i    int
+	lx     lexer
+	tok    token // the lookahead
+	lexErr error // the lexer's error, once it has one; tok reads as EOF from then on
 }
 
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
 func Parse(input string) (Statement, error) {
-	toks, err := lex(input)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lx: lexer{input: input}}
+	p.advance()
 	stmt, err := p.parseStatement()
+	if err == nil {
+		if p.peek().kind == tokSymbol && p.peek().text == ";" {
+			p.next()
+		}
+		if p.peek().kind != tokEOF {
+			err = p.errorf("unexpected trailing input %q", p.peek().text)
+		}
+	}
+	// Input that does not lex is reported as that, wherever the parser gave
+	// up: scan what it left unread.
+	for p.lexErr == nil && p.tok.kind != tokEOF {
+		p.advance()
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	if p.peek().kind == tokSymbol && p.peek().text == ";" {
-		p.next()
-	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errorf("unexpected trailing input %q", p.peek().text)
 	}
 	return stmt, nil
 }
 
-func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	if p.tok, p.lexErr = p.lx.next(); p.lexErr != nil {
+		p.tok = token{kind: tokEOF, pos: len(p.lx.input)}
+	}
+}
+
+func (p *parser) peek() token { return p.tok }
+func (p *parser) next() token { t := p.tok; p.advance(); return t }
 func (p *parser) errorf(format string, args ...any) error {
 	return &ParseError{Pos: p.peek().pos, Msg: fmt.Sprintf(format, args...)}
 }

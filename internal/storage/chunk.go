@@ -39,8 +39,8 @@ type ColumnVec struct {
 	nulls  []uint64 // bit i set ⇒ row i is NULL
 }
 
-func newColumnVec(kind value.Kind, capacity int) ColumnVec {
-	v := ColumnVec{kind: kind, nulls: make([]uint64, (capacity+63)/64)}
+func newColumnVec(kind value.Kind, capacity int) *ColumnVec {
+	v := &ColumnVec{kind: kind, nulls: make([]uint64, (capacity+63)/64)}
 	switch kind {
 	case value.KindInt:
 		v.ints = make([]int64, 0, capacity)
@@ -275,8 +275,26 @@ func (v *ColumnVec) copyFrom(at int, src *ColumnVec, lo, hi int) {
 	}
 }
 
-func (v *ColumnVec) clone() ColumnVec {
-	out := ColumnVec{kind: v.kind, nulls: append([]uint64(nil), v.nulls...)}
+// copyCell overwrites row i with src's row j; the vectors are of one kind.
+func (v *ColumnVec) copyCell(i int, src *ColumnVec, j int) {
+	mask := uint64(1) << (uint(i) & 63)
+	if src.Null(j) {
+		v.nulls[i>>6] |= mask
+	} else {
+		v.nulls[i>>6] &^= mask
+	}
+	switch v.kind {
+	case value.KindInt:
+		v.ints[i] = src.ints[j]
+	case value.KindFloat:
+		v.floats[i] = src.floats[j]
+	default:
+		v.strs[i] = src.strs[j]
+	}
+}
+
+func (v *ColumnVec) clone() *ColumnVec {
+	out := &ColumnVec{kind: v.kind, nulls: append([]uint64(nil), v.nulls...)}
 	switch v.kind {
 	case value.KindInt:
 		out.ints = append(make([]int64, 0, cap(v.ints)), v.ints...)
@@ -288,29 +306,40 @@ func (v *ColumnVec) clone() ColumnVec {
 	return out
 }
 
-// Chunk is a fixed-capacity columnar slab of rows. Chunks referenced by a
-// Snapshot are immutable: the table marks them shared when a snapshot is
-// taken, and every subsequent mutation copies the chunk before writing
-// (copy-on-write), so snapshot readers never observe a half-applied change
-// and never take a lock while reading.
+// Chunk is a fixed-capacity columnar slab of rows: one column vector per
+// schema column. What a Snapshot can reach is immutable. The table marks a
+// chunk shared when a snapshot captures it, and a writer that finds the mark
+// replaces the chunk with a copy before it writes — a shallow copy, which
+// borrows every column vector, and then deep-copies only the vectors it is
+// about to write (copy-on-write per column). So snapshot readers never
+// observe a half-applied change and never take a lock while reading, and an
+// UPDATE of one column of a captured chunk copies that one vector.
 //
-// The rule consumers may lean on: a chunk reachable from a Snapshot is never
-// written, so pointer equality of two chunks across snapshots of one table
-// implies content equality. A secondary index catches up to a newer snapshot
-// by skipping every chunk whose pointer did not change (internal/index);
-// TestSnapshotChunksNeverWritten pins the rule.
+// The rule consumers may lean on, per column vector: a vector reachable from
+// a Snapshot is never written — not its values, its null bitmap or its
+// length — so pointer equality of two vectors across snapshots of one table
+// implies content equality (and pointer equality of two chunks implies it for
+// every column). A secondary index catches up to a newer snapshot by skipping
+// every chunk whose indexed column's vector did not change pointer
+// (internal/index); TestSnapshotChunksNeverWritten pins the rule.
 type Chunk struct {
-	cols []ColumnVec
+	cols []*ColumnVec
 	n    int
 	// shared is set (under the table's read lock) when a snapshot captures
 	// the chunk and read (under the write lock) by mutators deciding whether
-	// to copy-on-write. It is monotone within one chunk's lifetime: clones
+	// to copy-on-write. It is monotone within one chunk's lifetime: copies
 	// start unshared.
 	shared atomic.Bool
+	// owned[i] says cols[i] is this chunk's own; a vector that is not still
+	// belongs to the chunk this one was copied from and must be cloned before
+	// it is written. nil when the chunk owns every vector. Only the writer
+	// that made the copy reads or writes it, under the table's write lock,
+	// and only until the chunk is shared.
+	owned []bool
 }
 
 func newChunk(schema *Schema, capacity int) *Chunk {
-	c := &Chunk{cols: make([]ColumnVec, schema.NumColumns())}
+	c := &Chunk{cols: make([]*ColumnVec, schema.NumColumns())}
 	for i := range c.cols {
 		c.cols[i] = newColumnVec(schema.cols[i].Kind, capacity)
 	}
@@ -337,7 +366,7 @@ func ChunkFromRows(rows [][]value.Datum) *Chunk {
 	if len(rows) == 0 {
 		return c
 	}
-	c.cols = make([]ColumnVec, len(rows[0]))
+	c.cols = make([]*ColumnVec, len(rows[0]))
 	for ci := range c.cols {
 		kind := value.KindString
 		for _, row := range rows {
@@ -358,7 +387,7 @@ func ChunkFromRows(rows [][]value.Datum) *Chunk {
 func (c *Chunk) Rows() int { return c.n }
 
 // Col returns column ordinal's vector. Read-only for snapshot readers.
-func (c *Chunk) Col(ordinal int) *ColumnVec { return &c.cols[ordinal] }
+func (c *Chunk) Col(ordinal int) *ColumnVec { return c.cols[ordinal] }
 
 // NumCols returns the chunk's column count.
 func (c *Chunk) NumCols() int { return len(c.cols) }
@@ -376,6 +405,22 @@ func (c *Chunk) AppendRowTo(buf []value.Datum, i int) []value.Datum {
 	return buf
 }
 
+// MatchRows adapts a predicate over decoded rows to a Matcher. It boxes every
+// row of every chunk it is shown, which is what DML no longer does: it is for
+// tests and tools whose predicate is Go code. pred receives a reused scratch
+// row and must not retain it.
+func MatchRows(pred func(row []value.Datum) bool) Matcher {
+	var buf []value.Datum
+	return func(dst []int32, ch *Chunk) []int32 {
+		for i := 0; i < ch.n; i++ {
+			if buf = ch.AppendRowTo(buf[:0], i); pred(buf) {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+}
+
 // SizeBytes returns the exact accounted size of the chunk's column arrays.
 func (c *Chunk) SizeBytes() int64 {
 	var b int64
@@ -385,6 +430,9 @@ func (c *Chunk) SizeBytes() int64 {
 	return b
 }
 
+// The mutators below write vectors in place: the caller must own them (see
+// Table.writableCol and Table.writableAll).
+
 func (c *Chunk) appendRow(row []value.Datum) {
 	for i := range c.cols {
 		c.cols[i].append(row[i])
@@ -392,9 +440,10 @@ func (c *Chunk) appendRow(row []value.Datum) {
 	c.n++
 }
 
-func (c *Chunk) setRow(i int, row []value.Datum) {
+// copyRow overwrites row i with src's row j.
+func (c *Chunk) copyRow(i int, src *Chunk, j int) {
 	for ci := range c.cols {
-		c.cols[ci].set(i, row[ci])
+		c.cols[ci].copyCell(i, src.cols[ci], j)
 	}
 }
 
@@ -405,10 +454,29 @@ func (c *Chunk) truncate(n int) {
 	c.n = n
 }
 
-func (c *Chunk) clone() *Chunk {
-	out := &Chunk{cols: make([]ColumnVec, len(c.cols)), n: c.n}
-	for i := range c.cols {
-		out.cols[i] = c.cols[i].clone()
+// borrow returns a shallow copy of the chunk that shares every column vector
+// with it: what a writer puts in a shared chunk's place.
+func (c *Chunk) borrow() *Chunk {
+	return &Chunk{cols: append([]*ColumnVec(nil), c.cols...), n: c.n, owned: make([]bool, len(c.cols))}
+}
+
+// own returns column ordinal's vector for writing, cloning it first if it is
+// still the other chunk's.
+func (c *Chunk) own(ordinal int) *ColumnVec {
+	if c.owned != nil && !c.owned[ordinal] {
+		c.cols[ordinal] = c.cols[ordinal].clone()
+		c.owned[ordinal] = true
 	}
-	return out
+	return c.cols[ordinal]
+}
+
+// ownAll makes every vector the chunk's own.
+func (c *Chunk) ownAll() {
+	if c.owned == nil {
+		return
+	}
+	for i := range c.cols {
+		c.own(i)
+	}
+	c.owned = nil
 }

@@ -93,12 +93,12 @@ func TestConcurrentDMLDuringSlowScan(t *testing.T) {
 			t.Errorf("batch insert during scan: %v", err)
 		}
 		if _, err := tbl.UpdateWhere(
-			func(r []value.Datum) bool { return r[0].Int() == 100 },
-			func(r []value.Datum) { r[2] = value.NewFloat(9) },
+			MatchRows(func(r []value.Datum) bool { return r[0].Int() == 100 }),
+			[]Assignment{{Ordinal: 2, Value: value.NewFloat(9)}},
 		); err != nil {
 			t.Errorf("update during scan: %v", err)
 		}
-		tbl.DeleteWhere(func(r []value.Datum) bool { return r[0].Int() == 101 })
+		tbl.DeleteWhere(MatchRows(func(r []value.Datum) bool { return r[0].Int() == 101 }))
 	}()
 	select {
 	case <-dmlDone:
@@ -131,12 +131,12 @@ func TestRetainedScanRowsImmutableAfterDML(t *testing.T) {
 	}
 
 	if _, err := tbl.UpdateWhere(
-		func([]value.Datum) bool { return true },
-		func(r []value.Datum) { r[1] = value.NewString("mutated"); r[2] = value.NewFloat(-1) },
+		MatchRows(func([]value.Datum) bool { return true }),
+		[]Assignment{{Ordinal: 1, Value: value.NewString("mutated")}, {Ordinal: 2, Value: value.NewFloat(-1)}},
 	); err != nil {
 		t.Fatal(err)
 	}
-	tbl.DeleteWhere(func(r []value.Datum) bool { return r[0].Int()%2 == 0 })
+	tbl.DeleteWhere(MatchRows(func(r []value.Datum) bool { return r[0].Int()%2 == 0 }))
 	fillTable(t, tbl, 5)
 
 	for i := range retained {
@@ -153,13 +153,15 @@ func TestSnapshotIsolation(t *testing.T) {
 	fillTable(t, tbl, 9)
 	snap := tbl.Snapshot()
 
-	if _, err := tbl.UpdateWhere(
-		func([]value.Datum) bool { return true },
-		func(r []value.Datum) { r[0] = value.NewInt(r[0].Int() + 1000) },
-	); err != nil {
-		t.Fatal(err)
+	for id := int64(0); id < 9; id++ { // an UPDATE assigns constants: one statement a row
+		if _, err := tbl.UpdateWhere(
+			MatchRows(func(r []value.Datum) bool { return r[0].Int() == id }),
+			[]Assignment{{Ordinal: 0, Value: value.NewInt(id + 1000)}},
+		); err != nil {
+			t.Fatal(err)
+		}
 	}
-	tbl.DeleteWhere(func(r []value.Datum) bool { return r[0].Int() >= 1005 })
+	tbl.DeleteWhere(MatchRows(func(r []value.Datum) bool { return r[0].Int() >= 1005 }))
 	fillTable(t, tbl, 3)
 
 	if snap.NumRows() != 9 {
@@ -264,10 +266,10 @@ func TestDeleteThenScanRangesKeepInvariant(t *testing.T) {
 	fillTable(t, tbl, 3*cs+2) // 14 rows, 4 chunks
 
 	// Delete a scatter crossing chunk boundaries.
-	tbl.DeleteWhere(func(r []value.Datum) bool {
+	tbl.DeleteWhere(MatchRows(func(r []value.Datum) bool {
 		id := r[0].Int()
 		return id == 0 || id == 3 || id == 4 || id == 11 || id == 13
-	})
+	}))
 
 	snap := tbl.Snapshot()
 	if snap.NumRows() != 9 {
@@ -380,9 +382,7 @@ func TestChunkedStorageMatchesReferenceModel(t *testing.T) {
 				mod := int64(2 + rng.Intn(5))
 				bump := int64(rng.Intn(100))
 				pred := func(r []value.Datum) bool { return r[0].Int()%mod == 0 }
-				if _, err := tbl.UpdateWhere(pred, func(r []value.Datum) {
-					r[2] = value.NewFloat(float64(bump))
-				}); err != nil {
+				if _, err := tbl.UpdateWhere(MatchRows(pred), []Assignment{{Ordinal: 2, Value: value.NewFloat(float64(bump))}}); err != nil {
 					t.Fatal(err)
 				}
 				for _, r := range model {
@@ -393,7 +393,7 @@ func TestChunkedStorageMatchesReferenceModel(t *testing.T) {
 			case 3: // delete a random residue class, swap-delete in the model
 				mod := int64(2 + rng.Intn(6))
 				pred := func(r []value.Datum) bool { return r[0].Int()%mod == 1 }
-				tbl.DeleteWhere(pred)
+				tbl.DeleteWhere(MatchRows(pred))
 				for i := 0; i < len(model); {
 					if pred(model[i]) {
 						model[i] = model[len(model)-1]
@@ -449,11 +449,11 @@ func TestSnapshotReadersUnderConcurrentDML(t *testing.T) {
 					_ = tbl.Insert(mkRow(1000*w + i))
 				case 1:
 					_, _ = tbl.UpdateWhere(
-						func(r []value.Datum) bool { return r[0].Int()%7 == int64(w) },
-						func(r []value.Datum) { r[2] = value.NewFloat(float64(i)) },
+						MatchRows(func(r []value.Datum) bool { return r[0].Int()%7 == int64(w) }),
+						[]Assignment{{Ordinal: 2, Value: value.NewFloat(float64(i))}},
 					)
 				case 2:
-					tbl.DeleteWhere(func(r []value.Datum) bool { return r[0].Int() == int64(1000*w+i-30) })
+					tbl.DeleteWhere(MatchRows(func(r []value.Datum) bool { return r[0].Int() == int64(1000*w+i-30) }))
 				}
 			}
 		}(w)

@@ -67,100 +67,146 @@ func TestTruncateThenAppendKeepsNullBitmap(t *testing.T) {
 }
 
 // chunkImage is what a snapshot promises never changes: every chunk's
-// pointer, and a deep copy of its contents taken when the snapshot was.
+// pointer and every column vector's, and a deep copy of each vector's
+// contents taken when the snapshot was.
 type chunkImage struct {
 	snap   *Snapshot
-	copies []*Chunk
+	vecs   [][]*ColumnVec // vecs[chunk][column], as captured
+	copies [][]*ColumnVec
 }
 
 func captureImage(tbl *Table) chunkImage {
 	snap := tbl.Snapshot()
 	img := chunkImage{snap: snap}
 	for _, c := range snap.chunks {
-		img.copies = append(img.copies, c.clone())
+		vecs := append([]*ColumnVec(nil), c.cols...)
+		copies := make([]*ColumnVec, len(vecs))
+		for i, v := range vecs {
+			copies[i] = v.clone()
+		}
+		img.vecs, img.copies = append(img.vecs, vecs), append(img.copies, copies)
 	}
 	return img
 }
 
 func (img chunkImage) verify(t *testing.T, when string) {
 	t.Helper()
-	for i, c := range img.snap.chunks {
-		want := img.copies[i]
-		if c.n != want.n || !reflect.DeepEqual(c.cols, want.cols) {
-			t.Fatalf("%s: chunk %d of snapshot v%d was written after the snapshot captured it", when, i, img.snap.version)
+	for ci, c := range img.snap.chunks {
+		for ord, v := range c.cols {
+			if v != img.vecs[ci][ord] {
+				t.Fatalf("%s: chunk %d of snapshot v%d had column %d repointed after the snapshot captured it", when, ci, img.snap.version, ord)
+			}
+			// A clone keeps kind, values, bitmap and length (capacity aside):
+			// any write to the captured vector shows.
+			if want := img.copies[ci][ord]; v.Len() != want.Len() || !reflect.DeepEqual(v, want) {
+				t.Fatalf("%s: chunk %d column %d of snapshot v%d was written after the snapshot captured it", when, ci, ord, img.snap.version)
+			}
 		}
 	}
 }
 
 // TestSnapshotChunksNeverWritten pins the rule secondary indexes catch up
-// by: a chunk reachable from a Snapshot is never written, so a chunk DML did
-// not touch keeps its pointer in the next snapshot, a touched one gets a new
-// pointer, and pointer equality across snapshots implies content equality.
+// by, per column vector: a vector reachable from a Snapshot is never written.
+// So a chunk DML did not touch keeps its pointer in the next snapshot; a
+// touched one gets a new pointer but keeps the vectors of the columns the
+// DML did not write; and pointer equality of two vectors across snapshots
+// implies content equality — every held image is checked against the copy
+// taken with it, so a vector two images share has equalled both copies.
 func TestSnapshotChunksNeverWritten(t *testing.T) {
-	byID := func(ids ...int64) func(row []value.Datum) bool {
-		return func(row []value.Datum) bool {
+	byID := func(ids ...int64) Matcher {
+		return MatchRows(func(row []value.Datum) bool {
 			for _, id := range ids {
 				if row[0].Int() == id {
 					return true
 				}
 			}
 			return false
-		}
+		})
 	}
-	setName := func(row []value.Datum) { row[1] = value.NewString("changed") }
+	everyRow := MatchRows(func([]value.Datum) bool { return true })
+	setName := []Assignment{{Ordinal: 1, Value: value.NewString("changed")}}
 	// Ten rows in chunks of four: chunks hold rows 0-3, 4-7 and 8-9.
 	cases := []struct {
 		name string
 		dml  func(t *testing.T, tbl *Table)
 		// kept lists the chunk indexes whose pointer must survive into the
-		// next snapshot; every other chunk of that snapshot must be new.
+		// next snapshot; every other chunk of that snapshot must be new, and
+		// so must its vectors, except the columns keptCols lists for it.
 		kept       []int
+		keptCols   map[int][]int
 		wantChunks int
 	}{
 		{"Insert into the tail chunk", func(t *testing.T, tbl *Table) {
 			if err := tbl.Insert(mkRow(10)); err != nil {
 				t.Fatal(err)
 			}
-			// A second insert writes the unshared clone in place.
+			// A second insert writes the unshared copy in place.
 			if err := tbl.Insert(mkRow(11)); err != nil {
 				t.Fatal(err)
 			}
-		}, []int{0, 1}, 3},
+		}, []int{0, 1}, nil, 3},
 		{"InsertBatch across a chunk boundary", func(t *testing.T, tbl *Table) {
 			if err := tbl.InsertBatch([][]value.Datum{mkRow(10), mkRow(11), mkRow(12), mkRow(13)}); err != nil {
 				t.Fatal(err)
 			}
-		}, []int{0, 1}, 4},
+		}, []int{0, 1}, nil, 4},
 		{"UpdateWhere in the middle chunk", func(t *testing.T, tbl *Table) {
 			if n, err := tbl.UpdateWhere(byID(5), setName); n != 1 || err != nil {
 				t.Fatalf("updated %d rows, %v", n, err)
 			}
-		}, []int{0, 2}, 3},
+			// A second update writes the owned vector in place.
+			if n, err := tbl.UpdateWhere(byID(6), setName); n != 1 || err != nil {
+				t.Fatalf("updated %d rows, %v", n, err)
+			}
+		}, []int{0, 2}, map[int][]int{1: {0, 2}}, 3},
+		{"UpdateWhere of two columns, then a third, across chunks", func(t *testing.T, tbl *Table) {
+			sets := []Assignment{{Ordinal: 2, Value: value.Null}, {Ordinal: 1, Value: value.NewString("changed")}}
+			if n, err := tbl.UpdateWhere(byID(0, 9), sets); n != 2 || err != nil {
+				t.Fatalf("updated %d rows, %v", n, err)
+			}
+			// The copy of chunk 0 still borrows id: it is cloned now.
+			if n, err := tbl.UpdateWhere(byID(0), []Assignment{{Ordinal: 0, Value: value.NewInt(100)}}); n != 1 || err != nil {
+				t.Fatalf("updated %d rows, %v", n, err)
+			}
+		}, []int{1}, map[int][]int{2: {0}}, 3},
 		{"UpdateWhere matching nothing", func(t *testing.T, tbl *Table) {
 			if n, err := tbl.UpdateWhere(byID(99), setName); n != 0 || err != nil {
 				t.Fatalf("updated %d rows, %v", n, err)
 			}
-		}, []int{0, 1, 2}, 3},
+		}, []int{0, 1, 2}, nil, 3},
 		{"UpdateWhere rejected by the schema", func(t *testing.T, tbl *Table) {
-			if _, err := tbl.UpdateWhere(byID(5), func(row []value.Datum) { row[1] = value.NewInt(1) }); err == nil {
+			if _, err := tbl.UpdateWhere(byID(5), []Assignment{{Ordinal: 2, Value: value.NewFloat(1)}, {Ordinal: 1, Value: value.NewInt(1)}}); err == nil {
 				t.Fatal("a string column took an int")
 			}
-		}, []int{0, 1, 2}, 3},
+		}, []int{0, 1, 2}, nil, 3},
+		{"Insert into a chunk that borrows columns", func(t *testing.T, tbl *Table) {
+			if n, err := tbl.UpdateWhere(byID(8), setName); n != 1 || err != nil {
+				t.Fatalf("updated %d rows, %v", n, err)
+			}
+			if err := tbl.Insert(mkRow(10)); err != nil {
+				t.Fatal(err)
+			}
+		}, []int{0, 1}, nil, 3},
 		{"DeleteWhere with the last row swapped in", func(t *testing.T, tbl *Table) {
 			if n := tbl.DeleteWhere(byID(1)); n != 1 {
 				t.Fatalf("deleted %d rows", n)
 			}
-		}, []int{1}, 3},
+		}, []int{1}, nil, 3},
 		{"DeleteWhere popping the last chunk empty", func(t *testing.T, tbl *Table) {
 			if n := tbl.DeleteWhere(byID(8, 9)); n != 2 {
 				t.Fatalf("deleted %d rows", n)
 			}
-		}, []int{0, 1}, 2},
-		{"DeleteWhere of everything", func(t *testing.T, tbl *Table) {
-			if n := tbl.DeleteWhere(func([]value.Datum) bool { return true }); n != 10 {
+		}, []int{0, 1}, nil, 2},
+		{"DeleteWhere reading survivors out of a chunk it then drops", func(t *testing.T, tbl *Table) {
+			if n := tbl.DeleteWhere(byID(0, 1)); n != 2 {
 				t.Fatalf("deleted %d rows", n)
 			}
-		}, nil, 0},
+		}, []int{1}, nil, 2},
+		{"DeleteWhere of everything", func(t *testing.T, tbl *Table) {
+			if n := tbl.DeleteWhere(everyRow); n != 10 {
+				t.Fatalf("deleted %d rows", n)
+			}
+		}, nil, nil, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -182,6 +228,16 @@ func TestSnapshotChunksNeverWritten(t *testing.T) {
 				if same != kept[i] {
 					t.Errorf("chunk %d: same pointer as before = %v, want %v", i, same, kept[i])
 				}
+				for ord, v := range ch.cols {
+					same := i < len(before.vecs) && before.vecs[i][ord] == v
+					want := kept[i]
+					for _, k := range c.keptCols[i] {
+						want = want || k == ord
+					}
+					if same != want {
+						t.Errorf("chunk %d column %d: same vector as before = %v, want %v", i, ord, same, want)
+					}
+				}
 			}
 		})
 	}
@@ -196,8 +252,13 @@ func TestSnapshotChunksNeverWritten(t *testing.T) {
 			return tbl.InsertBatch([][]value.Datum{mkRow(11), mkRow(12), mkRow(13), mkRow(14), mkRow(15)})
 		},
 		func() error { _, err := tbl.UpdateWhere(byID(2, 6, 14), setName); return err },
+		func() error {
+			_, err := tbl.UpdateWhere(byID(2, 15), []Assignment{{Ordinal: 2, Value: value.Null}})
+			return err
+		},
 		func() error { tbl.DeleteWhere(byID(0, 7, 15)); return nil },
-		func() error { tbl.DeleteWhere(func([]value.Datum) bool { return true }); return nil },
+		func() error { _, err := tbl.UpdateWhere(everyRow, setName); return err },
+		func() error { tbl.DeleteWhere(everyRow); return nil },
 		func() error {
 			return tbl.InsertBatch([][]value.Datum{mkRow(20), mkRow(21), mkRow(22), mkRow(23), mkRow(24)})
 		},

@@ -9,16 +9,16 @@ import (
 // Snapshot is an immutable view of a table at one version. Taking a
 // snapshot briefly holds the table's read lock to copy the chunk pointer
 // list and mark every chunk shared; from then on all reads are lock-free —
-// mutations copy-on-write any shared chunk before touching it, so the
-// snapshot keeps seeing exactly the rows it captured. This is what lets a
-// scan run arbitrary user callbacks (including reentrant writes to the same
-// table) without holding any lock, and what lets parallel workers treat
-// morsels as chunk ranges of a consistent table image.
+// mutations replace a shared chunk and copy the column vectors they write
+// before touching them, so the snapshot keeps seeing exactly the rows it
+// captured. This is what lets a scan run arbitrary user callbacks (including
+// reentrant writes to the same table) without holding any lock, and what lets
+// parallel workers treat morsels as chunk ranges of a consistent table image.
 //
-// A chunk reachable from a Snapshot is never written; pointer equality of
-// chunks across two snapshots of one table implies content equality (see
-// Chunk). Holding a Snapshot keeps the chunks it captured alive, including
-// ones the table has since replaced.
+// A column vector reachable from a Snapshot is never written; pointer
+// equality of vectors (or of whole chunks) across two snapshots of one table
+// implies content equality (see Chunk). Holding a Snapshot keeps the vectors
+// it captured alive, including ones the table has since replaced.
 type Snapshot struct {
 	name      string
 	schema    *Schema
@@ -99,7 +99,7 @@ func (s *Snapshot) Gather(dst *Chunk, positions []int, lo, hi int) {
 	if positions == nil {
 		s.Range(lo, hi, func(ch *Chunk, base, clo, chi int) bool {
 			for c := range dst.cols {
-				dst.cols[c].copyFrom(base+clo, &ch.cols[c], clo, chi)
+				dst.cols[c].copyFrom(base+clo, ch.cols[c], clo, chi)
 			}
 			return true
 		})
@@ -113,7 +113,7 @@ func (s *Snapshot) Gather(dst *Chunk, positions []int, lo, hi int) {
 		srcs[i], offs[i] = s.chunks[p/s.chunkSize], p%s.chunkSize
 	}
 	for c := range dst.cols {
-		out := &dst.cols[c]
+		out := dst.cols[c]
 		switch out.kind {
 		case value.KindInt:
 			for i, ch := range srcs {
@@ -147,13 +147,13 @@ func (s *Snapshot) GatherColumn(ordinal int, positions []int32) *ColumnVec {
 	out.resize(len(positions))
 	switch out.kind {
 	case value.KindInt:
-		gatherColumn(s, ordinal, positions, &out, out.ints, func(v *ColumnVec) []int64 { return v.ints })
+		gatherColumn(s, ordinal, positions, out, out.ints, func(v *ColumnVec) []int64 { return v.ints })
 	case value.KindFloat:
-		gatherColumn(s, ordinal, positions, &out, out.floats, func(v *ColumnVec) []float64 { return v.floats })
+		gatherColumn(s, ordinal, positions, out, out.floats, func(v *ColumnVec) []float64 { return v.floats })
 	default:
-		gatherColumn(s, ordinal, positions, &out, out.strs, func(v *ColumnVec) []string { return v.strs })
+		gatherColumn(s, ordinal, positions, out, out.strs, func(v *ColumnVec) []string { return v.strs })
 	}
-	return &out
+	return out
 }
 
 func gatherColumn[T any](s *Snapshot, ordinal int, positions []int32, out *ColumnVec, dst []T, arr func(*ColumnVec) []T) {
@@ -166,7 +166,7 @@ func gatherColumn[T any](s *Snapshot, ordinal int, positions []int32, out *Colum
 		at := int(p)
 		if at < lo || at >= hi {
 			ci := at / s.chunkSize
-			vec := &s.chunks[ci].cols[ordinal]
+			vec := s.chunks[ci].cols[ordinal]
 			src, nulls = arr(vec), vec.nulls
 			lo = ci * s.chunkSize
 			hi = lo + len(src)
@@ -212,7 +212,7 @@ func (s *Snapshot) ScanRange(lo, hi int, fn func(rowIdx int, row []value.Datum) 
 func (s *Snapshot) ColumnValues(ordinal int) []value.Datum {
 	out := make([]value.Datum, 0, s.nrows)
 	for _, ch := range s.chunks {
-		vec := &ch.cols[ordinal]
+		vec := ch.cols[ordinal]
 		for i := 0; i < ch.n; i++ {
 			out = append(out, vec.Datum(i))
 		}

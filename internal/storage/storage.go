@@ -11,6 +11,14 @@
 // callbacks — a scan callback may even write to the same table — and every
 // row a scan hands out is freshly materialized, never an aliased window
 // into live storage.
+//
+// Writes are columnar too. Copy-on-write is per column vector: a writer that
+// meets a chunk a snapshot holds replaces it with a shallow copy and clones
+// only the vectors it writes, so `UPDATE … SET price` copies one vector of
+// each chunk it touches, and every other vector keeps its pointer — which is
+// how a secondary index knows it has nothing to do (see Chunk). UPDATE and
+// DELETE find their rows through a Matcher, one call per chunk over the dense
+// arrays, and never decode a row.
 package storage
 
 import (
@@ -95,6 +103,14 @@ func (u UDI) Total() int64 { return u.Updates + u.Deletes + u.Inserts }
 // the engine's plan-cache epoch) must therefore only compare versions for
 // inequality, never interpret the delta; the UDI counter is what counts
 // per-row activity. All methods are safe for concurrent use.
+//
+// DML contract: UpdateWhere and DeleteWhere take the table's write lock, ask
+// the Matcher for each chunk's target offsets, and write column vectors in
+// place after taking ownership of them (writableCol, writableAll). UPDATE
+// assigns constants, validated against the schema before the first write, and
+// owns only the columns it assigns; append, DELETE's compaction and truncation
+// own every column of the chunks they write. A statement either applies whole
+// or, on a validation error, not at all.
 type Table struct {
 	mu        sync.RWMutex
 	name      string
@@ -184,50 +200,82 @@ func (t *Table) checkRow(row []value.Datum) error {
 		return fmt.Errorf("storage: table %s expects %d columns, got %d", t.name, len(t.schema.cols), len(row))
 	}
 	for i, d := range row {
-		if d.IsNull() {
-			continue
-		}
-		if d.Kind() != t.schema.cols[i].Kind {
-			return fmt.Errorf("storage: table %s column %s expects %s, got %s",
-				t.name, t.schema.cols[i].Name, t.schema.cols[i].Kind, d.Kind())
+		if !t.fits(i, d) {
+			return t.kindError(i, d)
 		}
 	}
 	return nil
 }
 
-// writable returns chunk ci, copy-on-writing it first if a snapshot holds
-// it. Caller must hold the write lock.
+// fits reports whether d may be stored in column ordinal: NULL anywhere, any
+// other value in a column of its kind.
+func (t *Table) fits(ordinal int, d value.Datum) bool {
+	return d.IsNull() || d.Kind() == t.schema.cols[ordinal].Kind
+}
+
+func (t *Table) kindError(ordinal int, d value.Datum) error {
+	col := t.schema.cols[ordinal]
+	return fmt.Errorf("storage: table %s column %s expects %s, got %s", t.name, col.Name, col.Kind, d.Kind())
+}
+
+// writable returns chunk ci for writing: if a snapshot holds it, a shallow
+// copy that borrows every column vector takes its place first. The caller
+// still has to own the vectors it writes. Caller must hold the write lock.
 func (t *Table) writable(ci int) *Chunk {
 	c := t.chunks[ci]
 	if c.shared.Load() {
-		c = c.clone()
+		c = c.borrow()
 		t.chunks[ci] = c
 	}
 	return c
 }
 
-// appendLocked appends one validated row. Caller must hold the write lock.
-func (t *Table) appendLocked(row []value.Datum) {
-	last := len(t.chunks) - 1
-	if last < 0 || t.chunks[last].n >= t.chunkSize {
-		t.chunks = append(t.chunks, newChunk(t.schema, t.chunkSize))
-		last++
-	}
-	t.writable(last).appendRow(row)
-	t.nrows++
+// writableCol returns one column vector of chunk ci that no snapshot can
+// reach, cloning it the first time this writer touches it. Caller must hold
+// the write lock.
+func (t *Table) writableCol(ci, ordinal int) *ColumnVec {
+	return t.writable(ci).own(ordinal)
 }
 
-// popLocked removes the globally last row. Caller must hold the write lock
-// and the table must be non-empty.
-func (t *Table) popLocked() {
-	last := len(t.chunks) - 1
-	c := t.writable(last)
-	c.truncate(c.n - 1)
-	if c.n == 0 {
-		t.chunks[last] = nil
-		t.chunks = t.chunks[:last]
+// writableAll returns chunk ci with every vector owned, for writers of whole
+// rows. Caller must hold the write lock.
+func (t *Table) writableAll(ci int) *Chunk {
+	c := t.writable(ci)
+	c.ownAll()
+	return c
+}
+
+// appendLocked appends validated rows, taking the tail chunk for writing once
+// per chunk it fills. Caller must hold the write lock.
+func (t *Table) appendLocked(rows [][]value.Datum) {
+	for len(rows) > 0 {
+		last := len(t.chunks) - 1
+		if last < 0 || t.chunks[last].n >= t.chunkSize {
+			t.chunks = append(t.chunks, newChunk(t.schema, t.chunkSize))
+			last++
+		}
+		c := t.writableAll(last)
+		n := min(len(rows), t.chunkSize-c.n)
+		for _, row := range rows[:n] {
+			c.appendRow(row)
+		}
+		t.nrows += n
+		rows = rows[n:]
 	}
-	t.nrows--
+}
+
+// truncateLocked drops every row from position n on. Caller must hold the
+// write lock.
+func (t *Table) truncateLocked(n int) {
+	keep := (n + t.chunkSize - 1) / t.chunkSize
+	clear(t.chunks[keep:])
+	t.chunks = t.chunks[:keep]
+	if keep > 0 {
+		if tail := n - (keep-1)*t.chunkSize; tail < t.chunks[keep-1].n {
+			t.writableAll(keep - 1).truncate(tail)
+		}
+	}
+	t.nrows = n
 }
 
 // Insert appends one row after validating it against the schema. The row is
@@ -238,7 +286,7 @@ func (t *Table) Insert(row []value.Datum) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.appendLocked(row)
+	t.appendLocked([][]value.Datum{row})
 	t.version++
 	t.udi.Inserts++
 	return nil
@@ -258,9 +306,7 @@ func (t *Table) InsertBatch(rows [][]value.Datum) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, r := range rows {
-		t.appendLocked(r)
-	}
+	t.appendLocked(rows)
 	t.version++
 	t.udi.Inserts += int64(len(rows))
 	return nil
@@ -287,67 +333,91 @@ func (t *Table) Row(idx int) ([]value.Datum, error) {
 	return t.Snapshot().Row(idx)
 }
 
-// UpdateWhere applies set to every row matching pred and returns the number
-// of rows changed. pred and set receive a scratch decode of the row that is
-// reused between calls — they must not retain it; set mutates it in place
-// and the result is re-validated against the schema before being written
-// back, so a failed validation never leaves a corrupt row in storage.
-func (t *Table) UpdateWhere(pred func(row []value.Datum) bool, set func(row []value.Datum)) (int, error) {
+// Matcher finds the rows of one chunk a DML statement targets: it appends
+// their offsets within ch, ascending, to dst and returns the extended slice.
+// It runs under the table's write lock — it must only read ch, and must not
+// call back into the table. The engine builds one from its compiled
+// predicates (qgm.AppendMatches).
+type Matcher func(dst []int32, ch *Chunk) []int32
+
+// Assignment is one `SET column = value` of an UPDATE.
+type Assignment struct {
+	Ordinal int
+	Value   value.Datum
+}
+
+// UpdateWhere assigns sets, in order, to every row match selects and returns
+// the number of rows selected. The values are validated against the schema
+// before anything is written, so an error does not depend on the data: the
+// table, its version and its UDI counter are as they were, whether the
+// statement would have matched no row or all of them. Only the assigned
+// columns' vectors are written (and copied, where a snapshot holds them).
+func (t *Table) UpdateWhere(match Matcher, sets []Assignment) (int, error) {
+	for _, a := range sets {
+		if !t.fits(a.Ordinal, a.Value) {
+			return 0, t.kindError(a.Ordinal, a.Value)
+		}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	buf := make([]value.Datum, 0, len(t.schema.cols))
-	var retErr error
-outer:
-	for ci := 0; ci < len(t.chunks); ci++ {
-		for i := 0; i < t.chunks[ci].n; i++ {
-			buf = t.chunks[ci].AppendRowTo(buf[:0], i)
-			if !pred(buf) {
-				continue
-			}
-			set(buf)
-			if err := t.checkRow(buf); err != nil {
-				retErr = err
-				break outer
-			}
-			t.writable(ci).setRow(i, buf)
-			n++
+	var offs []int32
+	for ci := range t.chunks {
+		if offs = match(offs[:0], t.chunks[ci]); len(offs) == 0 {
+			continue
 		}
+		for _, a := range sets {
+			vec := t.writableCol(ci, a.Ordinal)
+			for _, off := range offs {
+				vec.set(int(off), a.Value)
+			}
+		}
+		n += len(offs)
 	}
 	if n > 0 {
 		t.version++
 		t.udi.Updates += int64(n)
 	}
-	return n, retErr
+	return n, nil
 }
 
-// DeleteWhere removes every row matching pred (order is not preserved; the
-// globally last row is swapped into the hole) and returns the number
-// removed. pred receives a reused scratch row — it must not retain it.
-func (t *Table) DeleteWhere(pred func(row []value.Datum) bool) int {
+// DeleteWhere removes every row match selects and returns the number removed.
+// Order is not preserved: holes are filled from the tail. The resulting order
+// is defined as that of visiting positions in ascending order and, at each
+// selected row, swapping the globally last row in and examining it again —
+// later plans and result digests depend on it — but it is reached without
+// visiting the survivors: with the selected positions in hand, each hole in
+// ascending order first drops the selected rows off the tail and then takes
+// the last survivor, so the work is one row copy per hole.
+func (t *Table) DeleteWhere(match Matcher) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	buf := make([]value.Datum, 0, len(t.schema.cols))
-	lastBuf := make([]value.Datum, 0, len(t.schema.cols))
-	for i := 0; i < t.nrows; {
-		ci, off := i/t.chunkSize, i%t.chunkSize
-		buf = t.chunks[ci].AppendRowTo(buf[:0], off)
-		if !pred(buf) {
-			i++
-			continue
+	var doomed []int32 // selected positions, ascending
+	for ci, ch := range t.chunks {
+		from := len(doomed)
+		doomed = match(doomed, ch)
+		for k := from; k < len(doomed); k++ {
+			doomed[k] += int32(ci * t.chunkSize)
 		}
-		lastIdx := t.nrows - 1
-		if i != lastIdx {
-			lci, loff := lastIdx/t.chunkSize, lastIdx%t.chunkSize
-			lastBuf = t.chunks[lci].AppendRowTo(lastBuf[:0], loff)
-			t.writable(ci).setRow(off, lastBuf)
-		}
-		t.popLocked()
-		n++
-		// Re-examine the swapped-in row at position i.
 	}
+	end := t.nrows // rows [end, nrows) are gone or moved
+	for lo, hi := 0, len(doomed); lo < hi; {
+		hole := int(doomed[lo])
+		lo++
+		for hi > lo && int(doomed[hi-1]) == end-1 {
+			hi--
+			end--
+		}
+		// The last row is now the hole itself or a survivor past it.
+		end--
+		if hole != end {
+			dst := t.writableAll(hole / t.chunkSize)
+			dst.copyRow(hole%t.chunkSize, t.chunks[end/t.chunkSize], end%t.chunkSize)
+		}
+	}
+	n := len(doomed)
 	if n > 0 {
+		t.truncateLocked(end)
 		t.version++
 		t.udi.Deletes += int64(n)
 	}

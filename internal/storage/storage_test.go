@@ -146,8 +146,8 @@ func TestUpdateWhere(t *testing.T) {
 		}
 	}
 	n, err := tbl.UpdateWhere(
-		func(r []value.Datum) bool { return r[0].Int()%2 == 0 },
-		func(r []value.Datum) { r[1] = value.NewString("even") },
+		MatchRows(func(r []value.Datum) bool { return r[0].Int()%2 == 0 }),
+		[]Assignment{{Ordinal: 1, Value: value.NewString("even")}},
 	)
 	if err != nil || n != 3 {
 		t.Fatalf("UpdateWhere = %d, %v", n, err)
@@ -171,7 +171,7 @@ func TestDeleteWhere(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n := tbl.DeleteWhere(func(r []value.Datum) bool { return r[0].Int() >= 5 })
+	n := tbl.DeleteWhere(MatchRows(func(r []value.Datum) bool { return r[0].Int() >= 5 }))
 	if n != 5 {
 		t.Fatalf("DeleteWhere removed %d, want 5", n)
 	}
@@ -195,7 +195,7 @@ func TestDeleteWhereAdjacentMatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := tbl.DeleteWhere(func([]value.Datum) bool { return true }); n != 7 {
+	if n := tbl.DeleteWhere(MatchRows(func([]value.Datum) bool { return true })); n != 7 {
 		t.Fatalf("deleted %d, want 7", n)
 	}
 	if tbl.RowCount() != 0 {
@@ -216,10 +216,10 @@ func TestUDICounterAndVersion(t *testing.T) {
 	if tbl.Version() == v0 {
 		t.Error("version must change after insert")
 	}
-	if _, err := tbl.UpdateWhere(func(r []value.Datum) bool { return r[0].Int() == 0 }, func(r []value.Datum) { r[2] = value.NewFloat(1) }); err != nil {
+	if _, err := tbl.UpdateWhere(MatchRows(func(r []value.Datum) bool { return r[0].Int() == 0 }), []Assignment{{Ordinal: 2, Value: value.NewFloat(1)}}); err != nil {
 		t.Fatal(err)
 	}
-	tbl.DeleteWhere(func(r []value.Datum) bool { return r[0].Int() == 3 })
+	tbl.DeleteWhere(MatchRows(func(r []value.Datum) bool { return r[0].Int() == 3 }))
 
 	udi := tbl.UDICounter()
 	if udi.Inserts != 4 || udi.Updates != 1 || udi.Deletes != 1 {
@@ -240,10 +240,10 @@ func TestNoOpMutationsDoNotBumpVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := tbl.Version()
-	if _, err := tbl.UpdateWhere(func([]value.Datum) bool { return false }, func([]value.Datum) {}); err != nil {
+	if _, err := tbl.UpdateWhere(MatchRows(func([]value.Datum) bool { return false }), []Assignment{{Ordinal: 2, Value: value.NewFloat(1)}}); err != nil {
 		t.Fatal(err)
 	}
-	tbl.DeleteWhere(func([]value.Datum) bool { return false })
+	tbl.DeleteWhere(MatchRows(func([]value.Datum) bool { return false }))
 	if tbl.Version() != v {
 		t.Error("no-op update/delete must not bump version")
 	}
@@ -328,7 +328,7 @@ func TestDeleteWhereProperty(t *testing.T) {
 				return false
 			}
 		}
-		removed := tbl.DeleteWhere(func(r []value.Datum) bool { return r[0].Int() < cut })
+		removed := tbl.DeleteWhere(MatchRows(func(r []value.Datum) bool { return r[0].Int() < cut }))
 		if removed+tbl.RowCount() != len(ids) {
 			return false
 		}

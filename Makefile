@@ -68,7 +68,10 @@ bench-pairs:
 # write path through Engine.Exec on the 43k-row table, a snapshot taken before
 # every statement: UPDATE of one column of a sixth of the rows (bytes per
 # statement are one vector a touched chunk), DELETE of 5 %, and the multi-row
-# INSERT that puts them back. CI runs this target.
+# INSERT that puts them back. Last, the order of values: Datum.Compare per
+# kind pairing (int, float, int against float, string) and the typed filter
+# kernels per row for every column kind × operand kind — what an order that is
+# total costs over one that was not. CI runs this target.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Disabled|AtomicLoadBaseline|NilTracer' -benchmem ./internal/metrics/ ./internal/tracing/ ./internal/flightrec/ ./internal/accuracy/
 	$(GO) test -run '^$$' -bench 'StatementRecorder|StatementLedger' -benchmem ./internal/engine/
@@ -78,6 +81,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'AddConstraintSteady' -benchmem -benchtime 0.3s ./internal/histogram/
 	$(GO) test -run '^$$' -bench 'ExecuteTemplates/.*/(scan|HashJoin|MergeJoin|IndexNLJoin)' -benchmem -benchtime 20x ./internal/executor/
 	$(GO) test -run '^$$' -bench 'BenchmarkDML' -benchmem -benchtime 30x ./internal/engine/
+	$(GO) test -run '^$$' -bench 'Compare|AppendMatches' -benchmem -benchtime 0.3s ./internal/value/ ./internal/qgm/
 
 # Drift-detection smoke: the accuracy ledger's unit proofs plus the
 # clock-injected quick drift run — warm a JITS engine, freeze collection,
@@ -126,14 +130,21 @@ serve-smoke:
 		./internal/wire/ ./internal/server/ ./internal/client/ ./internal/plancache/ \
 		./internal/sqlparser/ ./internal/engine/ ./internal/experiments/
 
-# Short live runs of the serial-vs-parallel differential fuzzer, of the
-# two fuzzers of the wire's untrusted input (column-block decoder, frame
-# reader) and of the index catch-up model (DML scripts against a naive scan;
-# an execution there is a whole script, so the fuzzer is told to spend a
-# second, not a minute, shrinking each input that found new coverage); the
-# seed corpora alone are replayed by every plain `make test`.
+# Short live runs of every fuzzer, the one list (CI's fuzz-smoke job runs
+# this target): the serial-vs-parallel differential, the parser's two (never
+# panics; Normalize round-trips), the order of values (three datums: a total
+# order, key-equal exactly when Compare is 0, typed compares agree), the two of
+# the wire's untrusted input (column-block decoder, frame reader) and the index
+# catch-up model (DML scripts against a naive scan; an execution there is a
+# whole script, so the fuzzer is told to spend a second, not a minute, shrinking
+# each input that found new coverage). The seed corpora alone are replayed by
+# every plain `make test`. `go test -fuzz=Name` exits 0 when Name matches
+# nothing; TestMakefileRunSelectorsMatch resolves every name below.
 fuzz:
 	$(GO) test -run TestDifferential -fuzz=FuzzParallelSerial -fuzztime=30s ./internal/engine/
+	$(GO) test -run FuzzParseNeverPanics -fuzz=FuzzParseNeverPanics -fuzztime=20s ./internal/sqlparser/
+	$(GO) test -run FuzzNormalizeRoundTrip -fuzz=FuzzNormalizeRoundTrip -fuzztime=20s ./internal/sqlparser/
+	$(GO) test -run FuzzValueOrder -fuzz=FuzzValueOrder -fuzztime=20s ./internal/value/
 	$(GO) test -run FuzzDecodeRows -fuzz=FuzzDecodeRows -fuzztime=20s ./internal/wire/
 	$(GO) test -run FuzzReadFrame -fuzz=FuzzReadFrame -fuzztime=20s ./internal/wire/
 	$(GO) test -run FuzzIndexCatchUp -fuzz=FuzzIndexCatchUp -fuzztime=20s -fuzzminimizetime=1s ./internal/index/

@@ -158,8 +158,11 @@ func Runstats(tbl *storage.Table, ts int64, opts RunstatsOptions, meter *costmod
 		CollectedAt: ts,
 	}
 
+	// freq counts a column's distinct values, listed in order of first
+	// appearance; index finds a value's entry by its equality key.
 	type colAcc struct {
-		counts map[value.Datum]int64
+		index  map[value.Key]int
+		freq   []FreqValue
 		coords []float64
 		nulls  int64
 		min    value.Datum
@@ -167,13 +170,15 @@ func Runstats(tbl *storage.Table, ts int64, opts RunstatsOptions, meter *costmod
 	}
 	accs := make([]colAcc, ncols)
 	for i := range accs {
-		accs[i] = colAcc{counts: make(map[value.Datum]int64), min: value.Null, max: value.Null}
+		accs[i].index = make(map[value.Key]int)
 	}
 
 	// Accumulate column-major over one snapshot: each column's pass streams
 	// the dense chunk vectors (no per-row materialization), producing the
 	// same per-column end state as the historical row-major scan — coords
-	// append in storage order within each column either way.
+	// append in storage order within each column either way. A value that is
+	// not finite (value.Datum.Finite) is counted, as a row and as a distinct
+	// value, and is no part of min, max or the histogram.
 	snap := tbl.Snapshot()
 	rows := snap.NumRows()
 	for c := 0; c < ncols; c++ {
@@ -187,7 +192,17 @@ func Runstats(tbl *storage.Table, ts int64, opts RunstatsOptions, meter *costmod
 					a.nulls++
 					continue
 				}
-				a.counts[d]++
+				k := d.Key()
+				at, ok := a.index[k]
+				if !ok {
+					at = len(a.freq)
+					a.index[k] = at
+					a.freq = append(a.freq, FreqValue{Value: d})
+				}
+				a.freq[at].Count++
+				if !d.Finite() {
+					continue
+				}
 				a.coords = append(a.coords, d.Coord())
 				if a.min.IsNull() || d.Compare(a.min) < 0 {
 					a.min = d
@@ -207,33 +222,20 @@ func Runstats(tbl *storage.Table, ts int64, opts RunstatsOptions, meter *costmod
 		cs := &ColumnStats{
 			Column:    col.Name,
 			Kind:      col.Kind,
-			NDV:       int64(len(a.counts)),
+			NDV:       int64(len(a.freq)),
 			NullCount: a.nulls,
 			Min:       a.min,
 			Max:       a.max,
 		}
 		// Most frequent values.
-		type kv struct {
-			d value.Datum
-			n int64
-		}
-		freq := make([]kv, 0, len(a.counts))
-		for d, n := range a.counts {
-			freq = append(freq, kv{d, n})
-		}
+		freq := a.freq
 		sort.Slice(freq, func(x, y int) bool {
-			if freq[x].n != freq[y].n {
-				return freq[x].n > freq[y].n
+			if freq[x].Count != freq[y].Count {
+				return freq[x].Count > freq[y].Count
 			}
-			return freq[x].d.Compare(freq[y].d) < 0 // deterministic ties
+			return freq[x].Value.Compare(freq[y].Value) < 0 // deterministic ties
 		})
-		top := opts.FrequentValues
-		if top > len(freq) {
-			top = len(freq)
-		}
-		for _, f := range freq[:top] {
-			cs.Freq = append(cs.Freq, FreqValue{Value: f.d, Count: f.n})
-		}
+		cs.Freq = append(cs.Freq, freq[:min(opts.FrequentValues, len(freq))]...)
 		// Distribution histogram over non-null coordinates.
 		if len(a.coords) > 0 {
 			h, err := histogram.BuildEquiDepth(col.Name, a.coords, opts.HistogramBuckets, cs.Unit(), ts)

@@ -139,6 +139,37 @@ func TestRunstatsAllNullColumn(t *testing.T) {
 	}
 }
 
+// TestRunstatsIgnoresWhatHasNoCoordinate: a NaN or an infinity is a row and
+// a distinct value (every NaN the same one, −0 the same as +0) and nothing
+// else — not the column's min or max, wherever it sits, and not a histogram
+// coordinate.
+func TestRunstatsIgnoresWhatHasNoCoordinate(t *testing.T) {
+	nan2 := math.Float64frombits(0x7FF8000000000001)
+	for _, fs := range [][]float64{
+		{math.NaN(), 1, 5, math.Inf(1), nan2, math.Copysign(0, -1), 0, math.Inf(-1), 5},
+		{5, math.Inf(-1), 0, 5, math.Copysign(0, -1), 1, math.Inf(1), math.NaN(), nan2},
+	} {
+		tbl := storage.NewTable("t", storage.MustSchema(storage.Column{Name: "f", Kind: value.KindFloat}))
+		for _, f := range fs {
+			if err := tbl.Insert([]value.Datum{value.NewFloat(f)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var meter costmodel.Meter
+		stats, err := Runstats(tbl, 0, RunstatsOptions{}, &meter, costmodel.DefaultWeights())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := stats.Columns["f"]
+		if f.NDV != 6 || f.Min.Float() != 0 || f.Max.Float() != 5 || stats.Cardinality != 9 {
+			t.Errorf("%v: NDV %d min %v max %v of %d rows; want 6 distinct (NaN, ±Inf, 0, 1, 5), 0, 5, 9", fs, f.NDV, f.Min, f.Max, stats.Cardinality)
+		}
+		if lo, hi := f.Hist.Domain(0); lo != 0 || !(hi > 5 && hi < 6) {
+			t.Errorf("%v: histogram over [%v, %v); want the finite values' [0, 5+unit)", fs, lo, hi)
+		}
+	}
+}
+
 func TestUnitFor(t *testing.T) {
 	if UnitFor(value.KindInt, value.NewInt(0), value.NewInt(100)) != 1 {
 		t.Error("int unit must be 1")

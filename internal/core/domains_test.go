@@ -21,8 +21,9 @@ import (
 )
 
 // refSampleDomains is the body SampleDomains had while a sample was
-// [][]value.Datum — Datum.Compare over every column of every row — kept
-// verbatim as the oracle for the typed min/max over column vectors.
+// [][]value.Datum — Datum.Compare over every column of every row — kept as
+// the oracle for the typed min/max over column vectors, with the rule of
+// what a domain ranges over (no NULL, NaN or ±Inf) restated in its own words.
 func refSampleDomains(schema *storage.Schema, sample [][]value.Datum) map[string]ColumnDomain {
 	out := make(map[string]ColumnDomain, schema.NumColumns())
 	for c := 0; c < schema.NumColumns(); c++ {
@@ -30,7 +31,7 @@ func refSampleDomains(schema *storage.Schema, sample [][]value.Datum) map[string
 		var min, max value.Datum
 		for _, row := range sample {
 			d := row[c]
-			if d.IsNull() {
+			if f, isNum := d.AsFloat(); d.IsNull() || isNum && (math.IsNaN(f) || math.IsInf(f, 0)) {
 				continue
 			}
 			if min.IsNull() || d.Compare(min) < 0 {
@@ -71,9 +72,9 @@ func sameDomains(got, want map[string]ColumnDomain) error {
 }
 
 // TestColumnDomainsMatchRowReference: typed min/max over the columnar sample
-// gives every ColumnDomain the Datum.Compare scan gave — with NaN (equal to
-// everything, so it sticks as an extreme only when it comes first), ±Inf,
-// −0 beside +0, empty strings, NULLs and an all-NULL column, on the
+// gives every ColumnDomain the Datum.Compare scan gives — with NaN and ±Inf
+// (counted nowhere in a domain), −0 beside +0, empty strings, NULLs and an
+// all-NULL column, on the
 // whole-table and the picked path at dop 1 and 4 — and restricting to group
 // columns only drops entries, never changes one.
 func TestColumnDomainsMatchRowReference(t *testing.T) {
@@ -131,6 +132,40 @@ func TestColumnDomainsMatchRowReference(t *testing.T) {
 			if err := sameDomains(only, want); err != nil {
 				t.Fatalf("seed %d dop %d: group columns only: %v", seed, dop, err)
 			}
+		}
+	}
+}
+
+// TestDomainsIgnoreRowOrder: statistics range over finite values
+// (value.Datum.Finite), so where in the sample a NaN or an infinity sits —
+// first, last, or alone — changes neither which columns have a domain nor the
+// domain. (A NaN first used to become the column's min and max and left it
+// memo-only; the same NaN later was ignored.)
+func TestDomainsIgnoreRowOrder(t *testing.T) {
+	schema := storage.MustSchema(
+		storage.Column{Name: "f", Kind: value.KindFloat},
+		storage.Column{Name: "nan", Kind: value.KindFloat},
+		storage.Column{Name: "i", Kind: value.KindInt},
+		storage.Column{Name: "s", Kind: value.KindString},
+	)
+	fs := []float64{math.NaN(), 2.5, math.Inf(1), -2.5, math.NaN(), 0, math.Inf(-1), 1}
+	rows := make([][]value.Datum, len(fs))
+	for i, f := range fs {
+		rows[i] = []value.Datum{value.NewFloat(f), value.NewFloat(math.NaN()), value.NewInt(int64(i) - 3), value.NewString(string(rune('a' + i)))}
+	}
+	rows[3][2], rows[5][3] = value.Null, value.Null
+	want := columnDomains(schema, storage.ChunkFromRows(rows), nil)
+	if d, ok := want["f"]; !ok || d.Lo != -2.5 || d.Hi != 2.5 || want["i"].Lo != -3 || want["i"].Hi != 4 {
+		t.Fatalf("domains %+v: f must span the finite values [-2.5, 2.5], i [-3, 4]", want)
+	}
+	if _, ok := want["nan"]; ok || len(want) != 3 {
+		t.Fatalf("domains %+v: a column of NaNs alone has no domain, the other three do", want)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		if err := sameDomains(columnDomains(schema, storage.ChunkFromRows(rows), nil), want); err != nil {
+			t.Fatalf("rows %v: %v", rows, err)
 		}
 	}
 }

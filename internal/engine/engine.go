@@ -712,10 +712,10 @@ func (e *Engine) CollectWorkloadStats(sqls []string) error {
 			domains := core.SampleDomains(tbl.Schema(), rows)
 			schema := tbl.Schema()
 			for c := 0; c < schema.NumColumns(); c++ {
-				distinct := make(map[value.Datum]bool, card)
+				distinct := make(map[value.Key]bool, card)
 				for _, row := range rows {
 					if !row[c].IsNull() {
-						distinct[row[c]] = true
+						distinct[row[c].Key()] = true
 					}
 				}
 				if len(distinct) > 0 {

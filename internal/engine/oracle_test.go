@@ -3,6 +3,8 @@ package engine_test
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/big"
 	"slices"
 	"sort"
 	"strings"
@@ -16,15 +18,18 @@ import (
 // The oracle: a SELECT evaluated straight off the parsed statement by nested
 // loops over storage rows, sharing nothing with the engine beyond the parser
 // and the storage scan — no QGM, optimizer, index, predicate kernel, vector
-// or executor. It states the dialect's semantics from scratch: a comparison
-// with NULL is not true, NULL joins nothing, NULLs form one group and sort
-// first; numbers compare by value (an int against a float as float64s),
-// strings bytewise, any number before any string, and a NaN is neither below
-// nor above any number, which the dialect reads as equal to it; COUNT(*)
-// counts rows, COUNT(c) non-NULL values, SUM of ints is an int, of floats a
-// float, of nothing NULL, AVG is SUM/COUNT as a float, MIN and MAX skip
-// NULLs, an aggregate without GROUP BY over no rows is one row; −0 and +0
-// are one value wherever values are matched.
+// or executor, and no call into value's Compare, Order or Key. It states the
+// dialect's semantics from scratch: a comparison with NULL is not true, NULL
+// joins nothing, NULLs form one group and sort first; any number sorts before
+// any string; numbers compare by their exact value (an int against a float as
+// the reals they are, through math/big, so 2^53+1 is above 2^53.0), −0 is +0,
+// and NaN is a number equal to itself and above every other — one value,
+// one group, one join key, last in ORDER BY, the MAX of a column that has it;
+// strings compare bytewise; col IN (SELECT …) holds when col equals some row
+// of the subquery; COUNT(*) counts rows, COUNT(c) non-NULL values, SUM of ints
+// is an int, of floats a float, of nothing NULL, AVG is SUM/COUNT as a float,
+// MIN and MAX skip NULLs, an aggregate without GROUP BY over no rows is one
+// row.
 type oracleRow struct {
 	out  []value.Datum // the projected row
 	keys []value.Datum // its ORDER BY key values
@@ -39,17 +44,41 @@ func oracleCmp(a, b value.Datum) int {
 	switch {
 	case rank(a) != rank(b):
 		return cmp.Compare(rank(a), rank(b))
+	case a.Kind() == value.KindNull:
+		return 0
 	case a.Kind() == value.KindString:
-		return cmp.Compare(a.Str(), b.Str())
+		return strings.Compare(a.Str(), b.Str())
+	}
+	// Two numbers. −Inf, the finite ones, +Inf, NaN — in that order, and two
+	// of one class other than finite are equal.
+	class := func(d value.Datum) int {
+		switch f, _ := d.AsFloat(); {
+		case d.Kind() == value.KindInt:
+			return 0
+		case math.IsNaN(f):
+			return 2
+		case math.IsInf(f, 0):
+			return int(math.Copysign(1, f))
+		default:
+			return 0
+		}
+	}
+	switch {
+	case class(a) != class(b) || class(a) != 0:
+		return cmp.Compare(class(a), class(b))
 	case a.Kind() == value.KindInt && b.Kind() == value.KindInt:
 		return cmp.Compare(a.Int(), b.Int())
+	case a.Kind() == value.KindFloat && b.Kind() == value.KindFloat:
+		return cmp.Compare(a.Float(), b.Float())
 	}
-	af, _ := a.AsFloat()
-	bf, _ := b.AsFloat()
-	if af != af || bf != bf { // a NaN on either side (two NULLs compare as 0.0s)
-		return 0
+	// An int against a finite float: as the exact rationals they are.
+	real := func(d value.Datum) *big.Rat {
+		if d.Kind() == value.KindInt {
+			return new(big.Rat).SetInt64(d.Int())
+		}
+		return new(big.Rat).SetFloat64(d.Float())
 	}
-	return cmp.Compare(af, bf)
+	return real(a).Cmp(real(b))
 }
 
 // oracleOps: which outcomes of oracleCmp (below, equal, above) satisfy an
@@ -66,7 +95,8 @@ func oracleHolds(a value.Datum, op sqlparser.CompareOp, b value.Datum) bool {
 }
 
 // oracleRowKey renders a row so that equal rows render equally: −0 as 0,
-// every NaN alike, ints and floats apart (5 is not 5.0 in a result).
+// every NaN alike, ints and floats apart (5 is not 5.0 in a result, and a
+// column holds one kind).
 func oracleRowKey(row []value.Datum) string {
 	parts := make([]string, len(row))
 	for i, d := range row {
@@ -98,10 +128,12 @@ func engineTables(e *engine.Engine) oracleSource {
 	}
 }
 
-// oracleLiteralTest reads a conjunct that compares one column with literals
-// — col op v, col BETWEEN lo AND hi, col IN (v, …) — as the column and a test
-// of its value; ok is false for a comparison of two columns.
-func oracleLiteralTest(t testing.TB, expr sqlparser.Expr) (col sqlparser.ColumnRef, test func(d value.Datum) bool, ok bool) {
+// oracleLiteralTest reads a conjunct that compares one column with values
+// known before the loops start — col op v, col BETWEEN lo AND hi, col IN
+// (v, …), col IN (SELECT …), the subquery evaluated here by the oracle itself
+// — as the column and a test of its value; ok is false for a comparison of
+// two columns.
+func oracleLiteralTest(t testing.TB, src oracleSource, expr sqlparser.Expr) (col sqlparser.ColumnRef, test func(d value.Datum) bool, ok bool) {
 	// col ops[i] vals[i] for every i, or — IN — col = vals[i] for some i.
 	var ops []sqlparser.CompareOp
 	var vals []value.Datum
@@ -115,6 +147,11 @@ func oracleLiteralTest(t testing.TB, expr sqlparser.Expr) (col sqlparser.ColumnR
 		col, ops, vals = x.Col, []sqlparser.CompareOp{sqlparser.OpGE, sqlparser.OpLE}, []value.Datum{x.Lo, x.Hi}
 	case *sqlparser.InList:
 		col, vals = x.Col, x.Values
+	case *sqlparser.InSubquery:
+		col = x.Col
+		for _, row := range oracleEval(t, src, x.Select) {
+			vals = append(vals, row.out[0])
+		}
 	default:
 		t.Fatalf("oracle: unsupported predicate %T", expr)
 	}
@@ -136,7 +173,11 @@ func oracleLiteralTest(t testing.TB, expr sqlparser.Expr) (col sqlparser.ColumnR
 // oracleSelect evaluates sql against the tables src hands out.
 func oracleSelect(t testing.TB, src oracleSource, sql string) []oracleRow {
 	t.Helper()
-	sel := mustParseSelect(t, sql)
+	return oracleEval(t, src, mustParseSelect(t, sql))
+}
+
+func oracleEval(t testing.TB, src oracleSource, sel *sqlparser.SelectStmt) []oracleRow {
+	t.Helper()
 	// Per FROM table: alias, column names, rows, offset in a joined row.
 	var aliases []string
 	var cols [][]string
@@ -165,7 +206,7 @@ func oracleSelect(t testing.TB, src oracleSource, sql string) []oracleRow {
 	// two tables runs at the depth where the second of them is bound.
 	tests := make([][]func(row []value.Datum) bool, len(rows))
 	for _, expr := range sel.Where {
-		col, test, literal := oracleLiteralTest(t, expr)
+		col, test, literal := oracleLiteralTest(t, src, expr)
 		if !literal {
 			x := expr.(*sqlparser.Comparison)
 			l, lt := resolve(x.Left)

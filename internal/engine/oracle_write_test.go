@@ -79,7 +79,7 @@ func (m *oracleModel) apply(t testing.TB, sql string) (int, error) {
 	holds := func(table string, where []sqlparser.Expr) func(row []value.Datum) bool {
 		var tests []func(row []value.Datum) bool
 		for _, expr := range where {
-			col, test, literal := oracleLiteralTest(t, expr)
+			col, test, literal := oracleLiteralTest(t, m.tables, expr)
 			ord, err := ordinal(table, col.Column)
 			if !literal || err != nil {
 				t.Fatalf("oracle: %q: a DML WHERE compares a column of its table with literals", sql)

@@ -211,14 +211,14 @@ func (e *Engine) optimize(s *statement, q *qgm.Query) error {
 			return err
 		}
 		s.subActuals = append(s.subActuals, innerRes.Actuals...)
-		seen := make(map[value.Datum]bool, len(innerRes.Rows))
+		seen := make(map[value.Key]bool, len(innerRes.Rows))
 		values := make([]value.Datum, 0, len(innerRes.Rows))
 		for _, row := range innerRes.Rows {
-			d := row[0]
-			if d.IsNull() || seen[d] {
+			d, k := row[0], row[0].Key()
+			if d.IsNull() || seen[k] {
 				continue
 			}
-			seen[d] = true
+			seen[k] = true
 			values = append(values, d)
 		}
 		s.blk.LocalPreds[sj.Slot] = append(s.blk.LocalPreds[sj.Slot], qgm.Predicate{

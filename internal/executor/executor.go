@@ -530,7 +530,7 @@ type joinKeys struct {
 func (jk joinKeys) isNull(i int) bool { return jk.null != nil && jk.null[i] }
 
 // intKeys is the case every paper join takes: an int column is its own key
-// (on two int columns the injective encoding's equality is int64 equality).
+// (two ints are equal under the order exactly when the int64s are).
 func intKeys(vec *storage.ColumnVec) joinKeys {
 	jk := joinKeys{k: vec.Ints()}
 	if vec.HasNulls() {
@@ -582,7 +582,7 @@ func (ex *executor) runHashJoin(n *optimizer.Join) (*relation, error) {
 	if len(lv) == 1 && lv[0].Kind() == value.KindInt && rv[0].Kind() == value.KindInt {
 		lk, rk = intKeys(lv[0]), intKeys(rv[0])
 	} else {
-		// Any other pairing joins on the injective encoding: build-side keys
+		// Any other pairing joins on the encoded keys: build-side keys
 		// are interned in row order, probe-side keys looked up morsel by morsel
 		// in the then read-only table.
 		ids := newKeyTable()
@@ -1083,7 +1083,7 @@ func (ga *groupAccumulator) absorb(rel *relation, lo, hi int) {
 	for i := 0; i < hi-lo; i++ {
 		kb = kb[:0]
 		for _, kv := range keys {
-			kb = appendGroupKeyDatum(kb, kv.Datum(i))
+			kb = kv.Datum(i).Key().AppendTo(kb)
 		}
 		id, fresh := ga.ids.intern(kb)
 		if fresh {
@@ -1238,7 +1238,7 @@ func distinctRows(out *output) []int32 {
 	for i := 0; i < out.n; i++ {
 		kb = kb[:0]
 		for _, col := range out.cols {
-			kb = appendGroupKeyDatum(kb, col.Datum(i))
+			kb = col.Datum(i).Key().AppendTo(kb)
 		}
 		if _, fresh := seen.intern(kb); fresh {
 			rows = append(rows, int32(i))

@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,31 +9,10 @@ import (
 	"repro/internal/value"
 )
 
-// randOperand draws a predicate operand of any kind (deliberately including
-// kind mismatches and NULL, which must route to the generic fallback).
-func randOperand(rng *rand.Rand) value.Datum {
-	switch rng.Intn(7) {
-	case 0:
-		return value.Null
-	case 1, 2:
-		return value.NewInt(int64(rng.Intn(21) - 10))
-	case 3, 4:
-		if rng.Intn(8) == 0 {
-			return value.NewFloat(math.NaN())
-		}
-		return value.NewFloat(float64(rng.Intn(41)-20) / 4)
-	default:
-		words := []string{"a", "b", "cc", "d'd", "zz"}
-		return value.NewString(words[rng.Intn(len(words))])
-	}
-}
-
 // joinKeyPool holds the values a join key must tell apart or must not:
 // strings that spell the encoding's own tags and the old '|' separator,
-// int/float twins, both zeros, ints around 2^53 where float64 runs out of
-// integers, and the int64 extremes. Floats stay inside ±2^53: past it
-// Datum.Equal compares mixed int/float pairs lossily and is no longer
-// transitive, so it has no key.
+// int/float twins, both zeros, NaN, and ints and floats around 2^53 and 2^63
+// where float64 runs out of integers and int64 out of range.
 var joinKeyPool = []value.Datum{
 	value.Null,
 	value.NewString(""), value.NewString("a"), value.NewString("b"), value.NewString("c"),
@@ -45,7 +23,9 @@ var joinKeyPool = []value.Datum{
 	value.NewInt(1<<53 - 1), value.NewInt(1 << 53), value.NewInt(1<<53 + 1), value.NewInt(-(1<<53 + 1)),
 	value.NewInt(math.MaxInt64), value.NewInt(math.MaxInt64 - 1), value.NewInt(math.MinInt64),
 	value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)), value.NewFloat(5), value.NewFloat(-5),
-	value.NewFloat(0.5), value.NewFloat(1<<53 - 1), value.NewFloat(math.Inf(1)),
+	value.NewFloat(0.5), value.NewFloat(1<<53 - 1), value.NewFloat(1 << 53), value.NewFloat(1<<53 + 2),
+	value.NewFloat(1 << 63), value.NewFloat(-(1 << 63)), value.NewFloat(math.Inf(1)),
+	value.NewFloat(math.NaN()), value.NewFloat(math.Float64frombits(0x7FF8000000000001)),
 }
 
 // keyColumns is one row as the one-row key vectors the join gathers.
@@ -58,10 +38,11 @@ func keyColumns(row []value.Datum) []*storage.ColumnVec {
 	return cols
 }
 
-// Property: two rows get byte-equal join keys exactly when every key column
-// pair is Datum.Equal, and a row gets no key exactly when a key column is
-// NULL. One column is checked over every pair of the pool, two and three
-// columns over random tuples biased towards equal prefixes.
+// Property: two rows get byte-equal join keys — the concatenated value.Keys
+// of their columns — exactly when every key column pair is Datum.Equal, and a
+// row gets no key exactly when a key column is NULL. One column is checked
+// over every pair of the pool, two and three columns over random tuples
+// biased towards equal prefixes.
 func TestJoinKeyEqualIffDatumsEqual(t *testing.T) {
 	check := func(a, b []value.Datum) {
 		t.Helper()
@@ -102,31 +83,4 @@ func TestJoinKeyEqualIffDatumsEqual(t *testing.T) {
 	// The pair from the bug report: one '|'-joined spelling, two tuples.
 	check([]value.Datum{value.NewString("a|sb"), value.NewString("c")},
 		[]value.Datum{value.NewString("a"), value.NewString("b|sc")})
-}
-
-// The group-key encoder must be byte-identical to fmt.Sprintf("%s|", d)
-// (Datum.String), covering NULL, ints, floats (incl. NaN/Inf), and strings
-// with embedded quotes — except for −0, which is spelled like the +0 it
-// equals, so both zeros group together.
-func TestAppendGroupKeyMatchesFmt(t *testing.T) {
-	cases := []value.Datum{
-		value.Null,
-		value.NewInt(0), value.NewInt(-7), value.NewInt(123456789),
-		value.NewFloat(0), value.NewFloat(-1.5), value.NewFloat(1e300),
-		value.NewFloat(math.NaN()), value.NewFloat(math.Inf(1)), value.NewFloat(math.Inf(-1)),
-		value.NewString(""), value.NewString("plain"), value.NewString("o'brien"), value.NewString("''"),
-	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 300; i++ {
-		cases = append(cases, randOperand(rng))
-	}
-	if got := string(appendGroupKeyDatum(nil, value.NewFloat(math.Copysign(0, -1)))); got != "0|" {
-		t.Fatalf("−0 encoded %q, want %q", got, "0|")
-	}
-	for _, d := range cases {
-		want := fmt.Sprintf("%s|", d)
-		if got := string(appendGroupKeyDatum(nil, d)); got != want {
-			t.Fatalf("datum %v: encoded %q, want %q", d, got, want)
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"testing"
@@ -60,7 +59,7 @@ func BenchmarkIndexAdvance(b *testing.B) {
 	}
 }
 
-func benchAdvance[K cmp.Ordered](b *testing.B, kind value.Kind, n int) {
+func benchAdvance[K value.Ordered](b *testing.B, kind value.Kind, n int) {
 	byID := func(pred func(id int64) bool) storage.Matcher {
 		return func(dst []int32, ch *storage.Chunk) []int32 {
 			for i, id := range ch.Col(0).Ints() {

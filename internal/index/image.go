@@ -38,15 +38,15 @@ type image interface {
 	size() int
 }
 
-// pair is one index entry. (key, row) is a total order — a row appears once
-// — so sorting needs no stability.
-type pair[K cmp.Ordered] struct {
+// pair is one index entry. (key, row), keys in the order of internal/value,
+// is a total order — a row appears once — so sorting needs no stability.
+type pair[K value.Ordered] struct {
 	key K
 	row int32
 }
 
-func comparePairs[K cmp.Ordered](a, b pair[K]) int {
-	if c := cmp.Compare(a.key, b.key); c != 0 {
+func comparePairs[K value.Ordered](a, b pair[K]) int {
+	if c := value.Order(a.key, b.key); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.row, b.row)
@@ -55,10 +55,11 @@ func comparePairs[K cmp.Ordered](a, b pair[K]) int {
 // typed is the image for one key type. Keys are read straight from the
 // chunks' dense arrays; rows with a NULL key are kept apart from the sorted
 // entries, as a list of positions, because no probe ever returns them.
-type typed[K cmp.Ordered] struct {
+type typed[K value.Ordered] struct {
+	kind    value.Kind // of the column, and of the bounds that compare as keys
 	ordinal int
 	keys    func(*storage.ColumnVec) []K // the column's dense array
-	native  func(value.Datum) (K, bool)  // a bound as a key, when comparing keys is comparing Datums
+	key     func(value.Datum) K          // a bound of the column's kind as a key
 	datum   func(K) value.Datum          // a key as a Datum, for every other bound
 
 	snap  *storage.Snapshot
@@ -76,25 +77,14 @@ type typed[K cmp.Ordered] struct {
 func newImage(kind value.Kind, ordinal int) image {
 	switch kind {
 	case value.KindInt:
-		return &typed[int64]{ordinal: ordinal, keys: (*storage.ColumnVec).Ints, datum: value.NewInt,
-			native: func(d value.Datum) (int64, bool) {
-				if d.Kind() != value.KindInt {
-					return 0, false
-				}
-				return d.Int(), true
-			}}
+		return &typed[int64]{kind: kind, ordinal: ordinal,
+			keys: (*storage.ColumnVec).Ints, key: value.Datum.Int, datum: value.NewInt}
 	case value.KindFloat:
-		// Datum.Compare orders a float against an int bound as float64s too.
-		return &typed[float64]{ordinal: ordinal, keys: (*storage.ColumnVec).Floats, datum: value.NewFloat,
-			native: value.Datum.AsFloat}
+		return &typed[float64]{kind: kind, ordinal: ordinal,
+			keys: (*storage.ColumnVec).Floats, key: value.Datum.Float, datum: value.NewFloat}
 	default: // storage keeps every other kind in the string array
-		return &typed[string]{ordinal: ordinal, keys: (*storage.ColumnVec).Strs, datum: value.NewString,
-			native: func(d value.Datum) (string, bool) {
-				if d.Kind() != value.KindString {
-					return "", false
-				}
-				return d.Str(), true
-			}}
+		return &typed[string]{kind: value.KindString, ordinal: ordinal,
+			keys: (*storage.ColumnVec).Strs, key: value.Datum.Str, datum: value.NewString}
 	}
 }
 
@@ -195,7 +185,7 @@ func (im *typed[K]) diffVec(ov, nv *storage.ColumnVec, base int) {
 		hasNulls := ov.HasNulls() || nv.HasNulls()
 		for i := 0; i < common; i++ {
 			on, nn := hasNulls && ov.Null(i), hasNulls && nv.Null(i)
-			if on == nn && (on || ok[i] == nk[i]) {
+			if on == nn && (on || value.Order(ok[i], nk[i]) == 0) {
 				continue
 			}
 			if on {
@@ -276,17 +266,12 @@ func (im *typed[K]) search(dst []int32, lo, hi Bound) []int32 {
 // seekBound returns the first position of ents whose key is above v or,
 // unless above, equal to it. A bound of the column's own kind is compared as
 // a key; any other (an int column probed with a float, a number against a
-// string, NULL) through Datum.Compare, whose order the keys' own order never
-// contradicts.
+// string, NULL) as a Datum. Both are the order the entries are sorted in.
 func (im *typed[K]) seekBound(ents []pair[K], v value.Datum, above bool) int {
-	if k, ok := im.native(v); ok {
-		if above {
-			return sort.Search(len(ents), func(i int) bool { return ents[i].key > k })
-		}
-		return sort.Search(len(ents), func(i int) bool { return ents[i].key >= k })
+	past := func(c int) bool { return c > 0 || c == 0 && !above }
+	if v.Kind() == im.kind {
+		k := im.key(v)
+		return sort.Search(len(ents), func(i int) bool { return past(value.Order(ents[i].key, k)) })
 	}
-	return sort.Search(len(ents), func(i int) bool {
-		c := im.datum(ents[i].key).Compare(v)
-		return c > 0 || c == 0 && !above
-	})
+	return sort.Search(len(ents), func(i int) bool { return past(im.datum(ents[i].key).Compare(v)) })
 }

@@ -5,20 +5,14 @@
 // against the column vector it meets into a typed loop for the common
 // column-kind/operand-kind pairings; any other pairing (kind mismatches,
 // NULL operands, IN lists) falls back to Predicate.MatchesDatum on the
-// decoded datum, so the compiled form is semantically identical to evaluating
-// MatchesDatum row by row — the fast paths only skip the per-row Datum boxing,
-// never change the answer. Reads and writes share it: a DML WHERE finds its
-// rows through AppendMatches, chunk by chunk under the table's write lock.
-//
-// The comparison fast paths reproduce value.Datum.Compare exactly by
-// computing the same three-way outcome (including Compare's quirk that an
-// incomparable float pair — NaN against anything — yields 0) and testing it
-// against a per-operator bitmask, one bit per outcome {-1, 0, +1}.
+// decoded datum. Both are the order of internal/value — the typed loops call
+// value.Order on the bare payloads where MatchesDatum calls Datum.Compare —
+// so the fast paths only skip the per-row Datum boxing, never change the
+// answer. Reads and writes share it: a DML WHERE finds its rows through
+// AppendMatches, chunk by chunk under the table's write lock.
 package qgm
 
 import (
-	"cmp"
-
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -47,53 +41,35 @@ func cmpMask(op PredOp) (uint8, bool) {
 	}
 }
 
-// cmp3 is Datum.Compare within one kind: for floats a NaN on either side
-// compares 0, which is what a chain of < and > yields (cmp.Compare would
-// order NaN first).
-func cmp3[T cmp.Ordered](a, b T) int8 {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func maskHit(mask uint8, c int8) bool { return mask&(1<<uint8(c+1)) != 0 }
+func maskHit(mask uint8, c int) bool { return mask&(1<<uint(c+1)) != 0 }
 
 // typedMatcher returns the predicate over one typed array when every operand
 // converts to the array's element type — a compare through the operator's
 // mask, or BETWEEN as two compares — and nil otherwise.
-func typedMatcher[T cmp.Ordered](p Predicate, xs []T, operand func(value.Datum) (T, bool)) func(i int) bool {
+func typedMatcher[T value.Ordered](p Predicate, xs []T, operand func(value.Datum) (T, bool)) func(i int) bool {
 	if mask, ok := cmpMask(p.Op); ok {
 		if v, ok := operand(p.Value); ok {
-			return func(i int) bool { return maskHit(mask, cmp3(xs[i], v)) }
+			return func(i int) bool { return maskHit(mask, value.Order(xs[i], v)) }
 		}
 	} else if p.Op == OpBetween {
 		lo, okLo := operand(p.Lo)
 		hi, okHi := operand(p.Hi)
 		if okLo && okHi {
-			return func(i int) bool { return cmp3(xs[i], lo) >= 0 && cmp3(xs[i], hi) <= 0 }
+			return func(i int) bool { return value.Order(xs[i], lo) >= 0 && value.Order(xs[i], hi) <= 0 }
 		}
 	}
 	return nil
 }
 
-// intAsFloatMatcher is an int column against float operands: Datum.Compare
-// widens the int, so the loop does.
-func intAsFloatMatcher(p Predicate, xs []int64) func(i int) bool {
+// intFloatMatcher is an int column against float operands, compared exactly.
+func intFloatMatcher(p Predicate, xs []int64) func(i int) bool {
 	if mask, ok := cmpMask(p.Op); ok && p.Value.Kind() == value.KindFloat {
 		v := p.Value.Float()
-		return func(i int) bool { return maskHit(mask, cmp3(float64(xs[i]), v)) }
+		return func(i int) bool { return maskHit(mask, value.OrderIntFloat(xs[i], v)) }
 	}
 	if p.Op == OpBetween && p.Lo.Kind() == value.KindFloat && p.Hi.Kind() == value.KindFloat {
 		lo, hi := p.Lo.Float(), p.Hi.Float()
-		return func(i int) bool {
-			x := float64(xs[i])
-			return cmp3(x, lo) >= 0 && cmp3(x, hi) <= 0
-		}
+		return func(i int) bool { return value.OrderIntFloat(xs[i], lo) >= 0 && value.OrderIntFloat(xs[i], hi) <= 0 }
 	}
 	return nil
 }
@@ -103,6 +79,13 @@ func intOperand(d value.Datum) (int64, bool) {
 		return d.Int(), true
 	}
 	return 0, false
+}
+
+// floatOperand is a float operand, or an int one that some float64 holds
+// exactly — the rest compare with no float as they do with the int.
+func floatOperand(d value.Datum) (float64, bool) {
+	f, ok := d.AsFloat()
+	return f, ok && d.Compare(value.NewFloat(f)) == 0
 }
 
 func strOperand(d value.Datum) (string, bool) {
@@ -116,19 +99,19 @@ func strOperand(d value.Datum) (string, bool) {
 // loop from the vector's own kind and the operand kinds (so table chunks and
 // detached sample chunks are served alike). The closure reads the
 // typed backing array directly; NULL rows never match (SQL comparison
-// semantics), checked only when the vector has nulls. An int column compares
-// with int operands exactly and with float operands as float64, a float
-// column with any numeric operands as float64, a string column with strings —
-// Datum.Compare's rules for those pairs; every other pairing is MatchesDatum.
+// semantics), checked only when the vector has nulls. An int column has a
+// loop for int operands and one for float operands, a float column for
+// numeric operands a float64 holds, a string column for strings; every other
+// pairing is MatchesDatum.
 func (p Predicate) matcher(vec *storage.ColumnVec) func(i int) bool {
 	var m func(i int) bool
 	switch vec.Kind() {
 	case value.KindInt:
 		if m = typedMatcher(p, vec.Ints(), intOperand); m == nil {
-			m = intAsFloatMatcher(p, vec.Ints())
+			m = intFloatMatcher(p, vec.Ints())
 		}
 	case value.KindFloat:
-		m = typedMatcher(p, vec.Floats(), value.Datum.AsFloat)
+		m = typedMatcher(p, vec.Floats(), floatOperand)
 	case value.KindString:
 		m = typedMatcher(p, vec.Strs(), strOperand)
 	}

@@ -13,7 +13,7 @@ import (
 	"repro/internal/value"
 )
 
-func vecSchema(t *testing.T) *storage.Schema {
+func vecSchema(t testing.TB) *storage.Schema {
 	t.Helper()
 	s, err := storage.NewSchema(
 		storage.Column{Name: "i", Kind: value.KindInt},
@@ -176,5 +176,51 @@ func TestCompiledFilterMatchesRowByRow(t *testing.T) {
 		if float64(matched)/float64(nrows) != got[0] {
 			t.Fatalf("seed %d: scan matched %d of %d rows, sampling says %v", seed, matched, nrows, got[0])
 		}
+	}
+}
+
+var matchSink []int32
+
+// BenchmarkAppendMatches prices the typed kernels per row: one predicate
+// over one 4096-row chunk for each column kind × operand kind with a loop of
+// its own, plus the pairing that has none (a string column against a number,
+// through MatchesDatum). The float and int-vs-float rows are where the
+// order's totality — NaN placed, an int against a float compared exactly —
+// costs its extra branch.
+func BenchmarkAppendMatches(b *testing.B) {
+	schema := vecSchema(b)
+	rng := rand.New(rand.NewSource(1))
+	rows := make([][]value.Datum, storage.DefaultChunkSize)
+	for i := range rows {
+		rows[i] = []value.Datum{
+			value.NewInt(int64(rng.Intn(1000))), value.NewFloat(float64(rng.Intn(4000)) / 4),
+			value.NewString([]string{"Toyota", "Honda", "BMW", "Audi", "Ford"}[rng.Intn(5)]),
+		}
+	}
+	tbl := storage.NewTable("t", schema)
+	if err := tbl.InsertBatch(rows); err != nil {
+		b.Fatal(err)
+	}
+	ch := tbl.Snapshot().Chunk(0)
+	for _, c := range []struct {
+		name string
+		pred qgm.Predicate
+	}{
+		{"int-col/int", qgm.Predicate{Ordinal: 0, Op: qgm.OpLT, Value: value.NewInt(500)}},
+		{"int-col/float", qgm.Predicate{Ordinal: 0, Op: qgm.OpLT, Value: value.NewFloat(499.5)}},
+		{"float-col/float", qgm.Predicate{Ordinal: 1, Op: qgm.OpLT, Value: value.NewFloat(499.5)}},
+		{"float-col/int", qgm.Predicate{Ordinal: 1, Op: qgm.OpLT, Value: value.NewInt(500)}},
+		{"float-col/between", qgm.Predicate{Ordinal: 1, Op: qgm.OpBetween, Lo: value.NewFloat(250), Hi: value.NewFloat(750)}},
+		{"string-col/eq", qgm.Predicate{Ordinal: 2, Op: qgm.OpEQ, Value: value.NewString("Honda")}},
+		{"string-col/int-fallback", qgm.Predicate{Ordinal: 2, Op: qgm.OpGT, Value: value.NewInt(3)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			preds := []qgm.Predicate{c.pred}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				matchSink = qgm.AppendMatches(matchSink[:0], preds, ch, 0, ch.Rows(), 0)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ch.Rows()), "ns/row")
+		})
 	}
 }

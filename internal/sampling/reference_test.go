@@ -135,12 +135,22 @@ func refEvaluateGroupsParallel(sample [][]value.Datum, groups [][]qgm.Predicate,
 	return out
 }
 
+// refEstimateNDV counts distinct values with a Go map: within one column Go's
+// == on a Datum is the order's equality but for floats, where every NaN is
+// one value here and −0 is +0.
 func refEstimateNDV(column []value.Datum, tableCard int) int64 {
 	counts := make(map[value.Datum]int, len(column))
 	n := 0
 	for _, d := range column {
 		if d.IsNull() {
 			continue
+		}
+		if d.Kind() == value.KindFloat {
+			if f := d.Float(); f != f {
+				d = value.NewString("NaN")
+			} else {
+				d = value.NewFloat(f + 0) // −0 + 0 = +0
+			}
 		}
 		counts[d]++
 		n++

@@ -13,8 +13,6 @@ package sampling
 
 import (
 	"context"
-	"hash/maphash"
-	"math"
 	"math/bits"
 	"math/rand"
 	"sync"
@@ -292,13 +290,13 @@ func EvaluateColumns(sample *storage.Chunk, groups [][]qgm.Predicate, meter *cos
 // once the table has grown to the sample size, no allocation.
 type distinctCounter struct {
 	slots []distinctSlot
-	shift uint // 64 − log2(len(slots)): the top bits of the mixed key pick a slot
+	shift uint // 64 − log2(len(slots)): the top bits of a hash pick a slot
 	d, f1 int
 }
 
 type distinctSlot struct {
-	key   uint64 // the value's bits, or a string's hash
-	row   uint32 // first row holding the value; strings compare through it
+	hash  uint64 // of the value's equality key
+	row   uint32 // first row holding the value
 	count uint32 // 0 marks an empty slot
 }
 
@@ -313,29 +311,37 @@ func (t *distinctCounter) reset(rows int) {
 	t.shift, t.d, t.f1 = uint(64-bits.TrailingZeros(uint(size))), 0, 0
 }
 
-// add counts one value: key identifies it exactly when strs is nil, and is
-// the hash of strs[row] otherwise.
-func (t *distinctCounter) add(key uint64, row int, strs []string) {
-	mask := uint64(len(t.slots) - 1)
-	for i := (key * 0x9E3779B97F4A7C15) >> t.shift; ; i = (i + 1) & mask {
-		sl := &t.slots[i]
-		switch {
-		case sl.count == 0:
-			*sl = distinctSlot{key: key, row: uint32(row), count: 1}
-			t.d++
-			t.f1++
-			return
-		case sl.key == key && (strs == nil || strs[sl.row] == strs[row]):
-			if sl.count == 1 {
-				t.f1--
+// countDistinct counts the non-NULL values of vec, vals being its dense array,
+// and returns how many there were. A value is hashed through its equality key
+// and confirmed against the slot's first row with the typed order: within one
+// kind both say the same.
+func countDistinct[T value.Ordered](t *distinctCounter, vec *storage.ColumnVec, vals []T, hash func(T) uint64) (n int) {
+	nulls, mask := vec.HasNulls(), uint64(len(t.slots)-1)
+	for row, x := range vals {
+		if nulls && vec.Null(row) {
+			continue
+		}
+		n++
+		h := hash(x)
+		for i := h >> t.shift; ; i = (i + 1) & mask {
+			sl := &t.slots[i]
+			if sl.count == 0 {
+				*sl = distinctSlot{hash: h, row: uint32(row), count: 1}
+				t.d++
+				t.f1++
+				break
 			}
-			sl.count++
-			return
+			if sl.hash == h && value.Order(vals[sl.row], x) == 0 {
+				if sl.count == 1 {
+					t.f1--
+				}
+				sl.count++
+				break
+			}
 		}
 	}
+	return n
 }
-
-var stringSeed = maphash.MakeSeed()
 
 // EstimateNDV estimates a column's number of distinct values from its
 // sampled vector out of a table of tableCard rows, using the Duj1 estimator
@@ -346,34 +352,21 @@ var stringSeed = maphash.MakeSeed()
 //
 // where n counts the sample's non-NULL values, d the distinct ones, f1
 // those appearing exactly once, and q = n/N is the sampling fraction. Two
-// values are the same when they are equal as Go map keys: −0 is +0, and
-// every NaN is a value of its own. The result is clamped to [d, N].
+// values are the same when their equality keys are (value.Key): −0 is +0 and
+// NaN is one value. The result is clamped to [d, N].
 func (s *Sampler) EstimateNDV(vec *storage.ColumnVec, tableCard int) int64 {
 	t := &s.distinct
 	t.reset(vec.Len())
-	n, nans, nulls := 0, 0, vec.HasNulls()
-	for i, rows := 0, vec.Len(); i < rows; i++ {
-		if nulls && vec.Null(i) {
-			continue
-		}
-		n++
-		switch vec.Kind() {
-		case value.KindInt:
-			t.add(uint64(vec.Ints()[i]), i, nil)
-		case value.KindFloat:
-			switch f := vec.Floats()[i]; {
-			case f != f:
-				nans++
-			case f == 0:
-				t.add(0, i, nil) // −0 and +0 are one value
-			default:
-				t.add(math.Float64bits(f), i, nil)
-			}
-		default:
-			t.add(maphash.String(stringSeed, vec.Strs()[i]), i, vec.Strs())
-		}
+	var n int
+	switch vec.Kind() {
+	case value.KindInt:
+		n = countDistinct(t, vec, vec.Ints(), func(x int64) uint64 { return value.NewInt(x).Key().Hash() })
+	case value.KindFloat:
+		n = countDistinct(t, vec, vec.Floats(), func(x float64) uint64 { return value.NewFloat(x).Key().Hash() })
+	default:
+		n = countDistinct(t, vec, vec.Strs(), func(x string) uint64 { return value.NewString(x).Key().Hash() })
 	}
-	d, f1 := int64(t.d+nans), t.f1+nans
+	d, f1 := int64(t.d), t.f1
 	if d == 0 || tableCard <= 0 {
 		return 0
 	}

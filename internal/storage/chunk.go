@@ -10,7 +10,6 @@
 package storage
 
 import (
-	"cmp"
 	"sync/atomic"
 
 	"repro/internal/value"
@@ -110,46 +109,38 @@ func (v *ColumnVec) Datum(i int) value.Datum {
 	}
 }
 
-// MinMax returns the vector's smallest and largest non-NULL value (NULL for
-// both when it has none), ordered as Datum.Compare orders them: a NaN
-// compares equal to everything, so it neither displaces a running extreme nor
-// is displaced as one, and of −0 and +0 the first seen stays.
+// MinMax returns the vector's smallest and largest finite value
+// (value.Datum.Finite: NULL, NaN and ±Inf have no place in a domain), NULL
+// for both when it has none.
 func (v *ColumnVec) MinMax() (min, max value.Datum) {
-	nulls := v.HasNulls()
-	first := 0 // first non-NULL row
-	for nulls && first < v.Len() && v.Null(first) {
-		first++
-	}
-	if first == v.Len() {
-		return value.Null, value.Null
-	}
 	switch v.kind {
 	case value.KindInt:
-		lo, hi := minMax(v.ints, v, nulls, first)
-		return value.NewInt(lo), value.NewInt(hi)
+		return minMax(v, v.ints, value.NewInt)
 	case value.KindFloat:
-		lo, hi := minMax(v.floats, v, nulls, first)
-		return value.NewFloat(lo), value.NewFloat(hi)
+		return minMax(v, v.floats, value.NewFloat)
 	default:
-		lo, hi := minMax(v.strs, v, nulls, first)
-		return value.NewString(lo), value.NewString(hi)
+		return minMax(v, v.strs, value.NewString)
 	}
 }
 
-func minMax[T cmp.Ordered](vals []T, v *ColumnVec, nulls bool, first int) (lo, hi T) {
-	lo, hi = vals[first], vals[first]
-	for i := first + 1; i < len(vals); i++ {
-		if nulls && v.Null(i) {
-			continue
-		}
-		if x := vals[i]; x < lo {
+func minMax[T value.Ordered](v *ColumnVec, vals []T, datum func(T) value.Datum) (min, max value.Datum) {
+	var lo, hi T
+	seen, nulls := false, v.HasNulls()
+	for i, x := range vals {
+		switch {
+		case nulls && v.Null(i) || !datum(x).Finite():
+		case !seen:
+			lo, hi, seen = x, x, true
+		case value.Order(x, lo) < 0:
 			lo = x
-		}
-		if x := vals[i]; x > hi {
+		case value.Order(x, hi) > 0:
 			hi = x
 		}
 	}
-	return lo, hi
+	if !seen {
+		return value.Null, value.Null
+	}
+	return datum(lo), datum(hi)
 }
 
 // SizeBytes returns the exact accounted size of the vector's column arrays:

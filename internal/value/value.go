@@ -3,9 +3,11 @@
 // optimizer estimates all traffic in Datum values.
 //
 // A Datum is a small immutable value of one of four kinds: NULL, 64-bit
-// integer, 64-bit float, or string. Datums are comparable with == (they
-// contain no pointers beside the string header) and therefore usable as map
-// keys, which the executor exploits for hash joins and grouping.
+// integer, 64-bit float, or string. How two datums compare — the one order
+// and the one equality every operator, index and statistic uses — is
+// order.go: Compare, the typed Order the dense-array loops call, and Key.
+// Go's own == on a Datum is not that equality (it tells 5 from 5.0 and a NaN
+// from itself); nothing keys a map on a Datum.
 //
 // For histogram interpolation the package provides an order-preserving
 // mapping from any datum to a float64 coordinate (Coord). Categorical and
@@ -26,8 +28,9 @@ import (
 // Kind enumerates the runtime type of a Datum.
 type Kind uint8
 
-// The supported datum kinds. KindNull sorts before every other kind;
-// numeric kinds (int, float) compare with each other numerically.
+// The supported datum kinds, in the order Compare puts them: NULL first,
+// then the two numeric kinds (which compare with each other by value), then
+// strings.
 const (
 	KindNull Kind = iota
 	KindInt
@@ -137,65 +140,6 @@ func (d Datum) String() string {
 	}
 }
 
-// Compare returns -1, 0 or +1 ordering d before, equal to, or after other.
-//
-// NULL sorts first. Int and float compare numerically with each other.
-// Strings compare lexicographically. Across incomparable kinds (number vs.
-// string) the kind order breaks the tie so that Compare is a total order,
-// which the sort operators and index structures rely on.
-func (d Datum) Compare(other Datum) int {
-	if d.kind == KindNull || other.kind == KindNull {
-		switch {
-		case d.kind == KindNull && other.kind == KindNull:
-			return 0
-		case d.kind == KindNull:
-			return -1
-		default:
-			return 1
-		}
-	}
-	dNum, dOK := d.AsFloat()
-	oNum, oOK := other.AsFloat()
-	switch {
-	case dOK && oOK:
-		// Exact path for int/int to dodge float rounding on huge values.
-		if d.kind == KindInt && other.kind == KindInt {
-			switch {
-			case d.i < other.i:
-				return -1
-			case d.i > other.i:
-				return 1
-			default:
-				return 0
-			}
-		}
-		switch {
-		case dNum < oNum:
-			return -1
-		case dNum > oNum:
-			return 1
-		default:
-			return 0
-		}
-	case !dOK && !oOK:
-		return strings.Compare(d.s, other.s)
-	case dOK: // number vs string: numbers first
-		return -1
-	default:
-		return 1
-	}
-}
-
-// Equal reports whether the datums compare equal. NULL equals nothing,
-// including NULL, matching SQL comparison semantics (use Compare for the
-// total order used by sorting, where NULLs group together).
-func (d Datum) Equal(other Datum) bool {
-	if d.kind == KindNull || other.kind == KindNull {
-		return false
-	}
-	return d.Compare(other) == 0
-}
-
 // Coord maps the datum onto the real line preserving order within its kind.
 //
 // Integers and floats map to their numeric value. Strings map through a
@@ -216,6 +160,15 @@ func (d Datum) Coord() float64 {
 	default:
 		return 0
 	}
+}
+
+// Finite reports whether the datum has a place on the coordinate line: it is
+// not NULL, NaN or ±Inf. Statistics — sampled column domains, catalog
+// min/max, histogram coordinates — range over finite values only; a value
+// that is not finite counts toward cardinality and, unless NULL, toward the
+// number of distinct values, and toward nothing else.
+func (d Datum) Finite() bool {
+	return d.kind != KindNull && (d.kind != KindFloat || d.f-d.f == 0)
 }
 
 // StringCoord is the order-preserving string→float mapping used by Coord.

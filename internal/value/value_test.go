@@ -268,13 +268,6 @@ func TestCoordMonotoneWithinKindProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkCompareInt(b *testing.B) {
-	x, y := NewInt(12345), NewInt(54321)
-	for i := 0; i < b.N; i++ {
-		_ = x.Compare(y)
-	}
-}
-
 func BenchmarkStringCoord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = StringCoord("Toyota Camry")

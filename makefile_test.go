@@ -13,6 +13,8 @@ import (
 var (
 	// runFlag matches a `go test -run` selector, quoted or bare.
 	runFlag = regexp.MustCompile(`-run\s+(?:'([^']*)'|(\S+))`)
+	// fuzzFlag matches a `go test -fuzz=` selector.
+	fuzzFlag = regexp.MustCompile(`-fuzz=(\S+)`)
 	// testFunc matches the declarations -run selects among.
 	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
 )
@@ -21,14 +23,16 @@ var (
 // `go test -run <a|b|c>` recipe in the Makefile selects tests by name, so a
 // renamed test silently drops out of its target. Each alternative of each
 // selector must still match at least one test function in the packages the
-// recipe lists.
+// recipe lists. A `-fuzz=Name` must match exactly one fuzz function there:
+// `go test` exits 0 without fuzzing anything when it matches none, and
+// refuses to fuzz when it matches several.
 func TestMakefileRunSelectorsMatch(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
 	}
 	recipes := strings.Split(strings.ReplaceAll(string(mk), "\\\n", " "), "\n")
-	selectors := 0
+	selectors, fuzzers := 0, 0
 	for _, line := range recipes {
 		m := runFlag.FindStringSubmatch(line)
 		if m == nil || !strings.HasPrefix(line, "\t") {
@@ -42,6 +46,23 @@ func TestMakefileRunSelectorsMatch(t *testing.T) {
 		for _, field := range strings.Fields(line) {
 			if strings.HasPrefix(field, "./") {
 				names = append(names, testNames(t, field)...)
+			}
+		}
+		if fz := fuzzFlag.FindStringSubmatch(line); fz != nil {
+			fuzzers++
+			re, err := regexp.Compile(fz[1])
+			if err != nil {
+				t.Errorf("-fuzz=%s does not compile: %v", fz[1], err)
+				continue
+			}
+			matches := 0
+			for _, name := range names {
+				if strings.HasPrefix(name, "Fuzz") && re.MatchString(name) {
+					matches++
+				}
+			}
+			if matches != 1 {
+				t.Errorf("Makefile recipe %q: -fuzz=%s matches %d fuzz functions in the listed packages, want exactly 1", strings.TrimSpace(line), fz[1], matches)
 			}
 		}
 		for _, alt := range strings.Split(selector, "|") {
@@ -63,10 +84,10 @@ func TestMakefileRunSelectorsMatch(t *testing.T) {
 			}
 		}
 	}
-	if selectors == 0 {
-		t.Fatal("found no -run selectors in the Makefile — the parser has rotted")
+	if selectors == 0 || fuzzers == 0 {
+		t.Fatal("found no -run or no -fuzz selectors in the Makefile — the parser has rotted")
 	}
-	t.Logf("%d -run alternatives checked", selectors)
+	t.Logf("%d -run alternatives and %d -fuzz names checked", selectors, fuzzers)
 }
 
 // testNames lists the test functions declared in a package directory, or in

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-test bench-pairs bench-smoke debug-smoke drift-smoke reopt-smoke overload-smoke serve-smoke fuzz chaos chaos-net check
+.PHONY: all build test race vet bench bench-test bench-pairs bench-smoke debug-smoke fuzz chaos check
 
 all: build
 
@@ -10,9 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
-# The morsel-driven executor's concurrency tests (shared meters, parallel
-# scans/joins/aggregation, concurrent DML) only prove anything under the
-# race detector; CI runs this target.
+# The whole suite under the race detector. The concurrency proofs only prove
+# anything here: the morsel runner (shared meters, parallel scans, joins,
+# aggregation, sampling), concurrent DML, the governor (admission, breaker,
+# memory budget), the SQL service and plan cache, network chaos with client
+# retries, and the re-optimization differential. CI runs this target once.
 race:
 	$(GO) test -race ./...
 
@@ -83,27 +85,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDML' -benchmem -benchtime 30x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'Compare|AppendMatches' -benchmem -benchtime 0.3s ./internal/value/ ./internal/qgm/
 
-# Drift-detection smoke: the accuracy ledger's unit proofs plus the
-# clock-injected quick drift run — warm a JITS engine, freeze collection,
-# shift one table's distribution mid-run, and assert the ledger flags
-# exactly that table as drifted. Pure Go, deterministic (logical-tick clock,
-# seeded workload). CI runs this target; for the committed sweep see
-# results/drift.csv and run `jitsbench -exp drift`.
-drift-smoke:
-	$(GO) test -count=1 -run 'TestLedger|TestDriftQuick' ./internal/accuracy/ ./internal/experiments/
-
-# Mid-query re-optimization proofs under the race detector: the 220-statement
-# reopt-on/off/serial differential at dop 1 and 4, the forced-misestimate
-# chaos pass (estimates skewed 16x, results must match the fault-free
-# baseline), the stale-plan cache canary, the recorder/ledger feedback
-# cross-check, and the three-mode experiment gate (reopt beats both static
-# baselines on simulated time and terminal q-error). CI runs this target; for
-# the committed numbers see results/reopt.csv and run `jitsbench -exp reopt`.
-reopt-smoke:
-	$(GO) test -race -count=1 \
-		-run 'TestReoptDifferential|TestChaosMisestimateReopt|TestReoptPlanCacheCanary|TestReoptShowQueries|TestFeedbackCrossCheck|TestReoptQuick|TestScaleIf' \
-		./internal/engine/ ./internal/experiments/ ./internal/faultinject/
-
 # End-to-end smoke of the embedded debug server: launches jitsbench with
 # -debug-addr on a free port and validates /metrics, /debug/health,
 # /debug/queries and /debug/archive with a pure-Go client (no curl). CI
@@ -111,33 +92,16 @@ reopt-smoke:
 debug-smoke:
 	$(GO) run ./cmd/debugsmoke
 
-# Resource-governor proofs under the race detector: admission shedding and
-# cancel-while-queued (engine + gate), memory-budget bounding, the sampling
-# circuit breaker end to end, the govern.pressure chaos storm, and the
-# overload experiment's accounting invariants. CI runs this target.
-overload-smoke:
-	$(GO) test -race -count=1 -run 'TestGate|TestBreaker|TestReservation|TestStatementMemoryBudget|TestSamplingShrinks|TestAdmissionOverload|TestCancelWhileQueued|TestBreakerTripsEndToEnd|TestChaosGovernPressure|TestOverloadQuick' \
-		./internal/govern/ ./internal/engine/ ./internal/experiments/
-
-# SQL service proofs under the race detector: the wire codec, the
-# multi-session server (smoke, raw frames, concurrent-session stress,
-# close-drains-governor), the plan cache (unit + property + engine
-# end-to-end: DML invalidation, normalization sharing), SQL normalization,
-# and the serving-throughput experiment. CI runs this target.
-serve-smoke:
-	$(GO) test -race -count=1 \
-		-run 'TestWire|TestServe|TestSession|TestServerClose|TestPlanCache|TestNormalize|TestShowQueriesQIDs' \
-		./internal/wire/ ./internal/server/ ./internal/client/ ./internal/plancache/ \
-		./internal/sqlparser/ ./internal/engine/ ./internal/experiments/
-
 # Short live runs of every fuzzer, the one list (CI's fuzz-smoke job runs
 # this target): the serial-vs-parallel differential, the parser's two (never
 # panics; Normalize round-trips), the order of values (three datums: a total
 # order, key-equal exactly when Compare is 0, typed compares agree), the two of
-# the wire's untrusted input (column-block decoder, frame reader) and the index
+# the wire's untrusted input (column-block decoder, frame reader), the index
 # catch-up model (DML scripts against a naive scan; an execution there is a
 # whole script, so the fuzzer is told to spend a second, not a minute, shrinking
-# each input that found new coverage). The seed corpora alone are replayed by
+# each input that found new coverage) and the archive file (LoadArchive never
+# panics and what it accepts answers lookups; its inputs are kilobytes of
+# base64, so it too shrinks for a second). The seed corpora alone are replayed by
 # every plain `make test`. `go test -fuzz=Name` exits 0 when Name matches
 # nothing; TestMakefileRunSelectorsMatch resolves every name below.
 fuzz:
@@ -148,6 +112,7 @@ fuzz:
 	$(GO) test -run FuzzDecodeRows -fuzz=FuzzDecodeRows -fuzztime=20s ./internal/wire/
 	$(GO) test -run FuzzReadFrame -fuzz=FuzzReadFrame -fuzztime=20s ./internal/wire/
 	$(GO) test -run FuzzIndexCatchUp -fuzz=FuzzIndexCatchUp -fuzztime=20s -fuzzminimizetime=1s ./internal/index/
+	$(GO) test -run FuzzLoadArchive -fuzz=FuzzLoadArchive -fuzztime=20s -fuzzminimizetime=1s ./internal/core/
 
 # Chaos differential replay: the workload under deterministic injected
 # faults (scan errors, sampling failures, worker panics, latency+deadlines,
@@ -156,14 +121,4 @@ fuzz:
 chaos:
 	$(GO) test -run Chaos -count=2 ./...
 
-# Network chaos under the race detector: the full workload replayed through
-# fault-injected connections (latency, stalls, torn writes, resets) with
-# client retries on, asserting byte-identical results against a fault-free
-# engine and zero double-applied DML; plus the exactly-once, drain, reap and
-# client-resilience proofs. CI runs this target.
-chaos-net:
-	$(GO) test -race -count=1 \
-		-run 'TestNetChaos|TestExactlyOnce|TestShutdown|TestStalledPeer|TestTornFrame|TestCloseMidRoundTrip|TestDrainingHealth|TestRetry|TestReconnect|TestFreshSession|TestConn|TestReadFrameDeadline|TestWriteFrameDeadline|TestServeChaosQuick' \
-		./internal/server/ ./internal/client/ ./internal/wire/ ./internal/faultinject/ ./internal/experiments/
-
-check: build vet test race serve-smoke bench-test
+check: build vet test race bench-test

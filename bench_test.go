@@ -176,7 +176,7 @@ func BenchmarkExtensionReactiveVsJITS(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices called out in DESIGN.md §6) ---------------
+// --- Ablations (design choices called out in DESIGN.md §9) ---------------
 
 // runJITSWorkload executes the standard workload with a tweaked JITS config
 // and returns total simulated compile and exec seconds.

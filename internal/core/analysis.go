@@ -17,11 +17,13 @@
 //     Migration back into the system catalog.
 //
 // The JITS coordinator type ties the modules together behind two calls the
-// engine makes per query: Prepare (before optimization) and Feedback (after
+// engine makes per query: PrepareBudgeted (before optimization) and Feedback (after
 // execution).
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/qgm"
 )
 
@@ -39,18 +41,6 @@ type TableCandidates struct {
 	Table  string
 	Alias  string
 	Groups [][]qgm.Predicate
-}
-
-// FullGroup returns the group containing every local predicate — the group
-// with the maximum number of predicates that Algorithm 3 scores.
-func (tc *TableCandidates) FullGroup() []qgm.Predicate {
-	var best []qgm.Predicate
-	for _, g := range tc.Groups {
-		if len(g) > len(best) {
-			best = g
-		}
-	}
-	return best
 }
 
 // AnalyzeQuery implements Algorithm 1: for every block and every table with
@@ -88,7 +78,7 @@ func allGroups(preds []qgm.Predicate) [][]qgm.Predicate {
 	groups := make([][]qgm.Predicate, 0, (1<<m)-1)
 	for size := 1; size <= m; size++ {
 		for mask := 1; mask < 1<<m; mask++ {
-			if popcount(mask) != size {
+			if bits.OnesCount(uint(mask)) != size {
 				continue
 			}
 			g := make([]qgm.Predicate, 0, size)
@@ -116,13 +106,4 @@ func reducedGroups(preds []qgm.Predicate) [][]qgm.Predicate {
 	}
 	groups = append(groups, append([]qgm.Predicate(nil), preds...))
 	return groups
-}
-
-func popcount(x int) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

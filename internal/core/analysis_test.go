@@ -71,8 +71,8 @@ func TestAnalyzePaperExample(t *testing.T) {
 			t.Error("groups not ordered smallest-first")
 		}
 	}
-	if got := len(tc.FullGroup()); got != 3 {
-		t.Errorf("FullGroup size = %d", got)
+	if got := len(maxGroup(tc.Groups)); got != 3 {
+		t.Errorf("full group size = %d", got)
 	}
 }
 

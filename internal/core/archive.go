@@ -2,8 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/catalog"
@@ -44,7 +44,6 @@ type memoEntry struct {
 }
 
 type gridEntry struct {
-	key   string // canonical colgrp key, e.g. "car(make,model)"
 	hist  *histogram.Histogram
 	cols  []string           // canonical order (sorted)
 	units map[string]float64 // per-column equality width
@@ -66,8 +65,8 @@ type ndvEntry struct {
 // implements the read side consumed by the optimizer through QueryStats.
 type Archive struct {
 	mu           sync.RWMutex
-	grids        map[string]*gridEntry // colgrp key → grid
-	memo         map[string]*memoEntry // predicate-group key → selectivity
+	grids        map[string]map[qgm.StatName]*gridEntry // table → column-group name → grid
+	memo         map[string]*memoEntry                  // predicate-group name → selectivity
 	cards        map[string]cardEntry
 	ndvs         map[string]ndvEntry // "table.column" → distinct-value estimate
 	budget       int                 // total grid buckets allowed
@@ -84,7 +83,7 @@ func NewArchive(budgetBuckets, memoCapacity int) *Archive {
 		memoCapacity = DefaultMemoCapacity
 	}
 	return &Archive{
-		grids:        make(map[string]*gridEntry),
+		grids:        make(map[string]map[qgm.StatName]*gridEntry),
 		memo:         make(map[string]*memoEntry),
 		cards:        make(map[string]cardEntry),
 		ndvs:         make(map[string]ndvEntry),
@@ -134,8 +133,10 @@ func (a *Archive) Buckets() int {
 
 func (a *Archive) bucketsLocked() int {
 	n := 0
-	for _, g := range a.grids {
-		n += g.hist.Buckets()
+	for _, grids := range a.grids {
+		for _, g := range grids {
+			n += g.hist.Buckets()
+		}
 	}
 	return n
 }
@@ -144,7 +145,20 @@ func (a *Archive) bucketsLocked() int {
 func (a *Archive) Histograms() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return len(a.grids)
+	n := 0
+	for _, grids := range a.grids {
+		n += len(grids)
+	}
+	return n
+}
+
+// putGridLocked files g under its table and column-group name.
+func (a *Archive) putGridLocked(name qgm.StatName, g *gridEntry) {
+	table := name.Table()
+	if a.grids[table] == nil {
+		a.grids[table] = make(map[qgm.StatName]*gridEntry)
+	}
+	a.grids[table][name] = g
 }
 
 // MemoEntries returns the number of memoized exact selectivities.
@@ -159,7 +173,7 @@ func (a *Archive) MemoEntries() int {
 func (a *Archive) HasStatistic(table string, cols []string) bool {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	_, ok := a.grids[qgm.ColumnGroupKey(table, cols)]
+	_, ok := a.grids[table][qgm.ColumnGroup(table, cols)]
 	return ok
 }
 
@@ -173,13 +187,9 @@ func boxForPreds(cols []string, preds []qgm.Predicate, units map[string]float64)
 	for d := range cols {
 		lo[d], hi[d] = histogram.FullRange()
 	}
-	colIdx := make(map[string]int, len(cols))
-	for d, c := range cols {
-		colIdx[c] = d
-	}
 	for _, p := range preds {
-		d, ok := colIdx[p.Column]
-		if !ok {
+		d := slices.Index(cols, p.Column)
+		if d < 0 {
 			return histogram.Box{}, false
 		}
 		unit := units[p.Column]
@@ -219,17 +229,17 @@ func boxForPreds(cols []string, preds []qgm.Predicate, units map[string]float64)
 
 // GroupSelectivity answers the optimizer: first from the exact-match memo,
 // then from the smallest grid histogram whose columns cover the group's
-// columns (unconstrained dimensions stay unbounded). The returned statKey
-// names the statistic used, for estimate provenance.
-func (a *Archive) GroupSelectivity(table string, preds []qgm.Predicate, ts int64) (float64, string, bool) {
+// columns (unconstrained dimensions stay unbounded). The returned name is
+// the statistic used, for estimate provenance.
+func (a *Archive) GroupSelectivity(table string, preds []qgm.Predicate, ts int64) (float64, qgm.StatName, bool) {
 	if len(preds) == 0 {
-		return 1, "", false
+		return 1, qgm.StatName{}, false
 	}
-	pk := qgm.PredicateGroupKey(table, preds)
+	pk := qgm.PredicateGroup(table, preds)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
-	if m, ok := a.memo[pk]; ok {
+	if m, ok := a.memo[pk.String()]; ok {
 		m.lastUsed = ts
 		mArchiveHits.Inc()
 		return m.sel, pk, true
@@ -239,36 +249,26 @@ func (a *Archive) GroupSelectivity(table string, preds []qgm.Predicate, ts int64
 	// Candidate grids: columns are a superset of the group's columns.
 	// Prefer the exact match, then the fewest extra dimensions.
 	var best *gridEntry
-	var bestKey string
-	for key, g := range a.grids {
-		if !coversTable(key, table) || !containsAll(g.cols, cols) {
+	var bestName qgm.StatName
+	for name, g := range a.grids[table] {
+		if !containsAll(g.cols, cols) {
 			continue
 		}
-		if best == nil || len(g.cols) < len(best.cols) || (len(g.cols) == len(best.cols) && key < bestKey) {
-			best, bestKey = g, key
+		if best == nil || len(g.cols) < len(best.cols) || (len(g.cols) == len(best.cols) && name.Compare(bestName) < 0) {
+			best, bestName = g, name
 		}
 	}
-	if best == nil {
-		mArchiveMisses.Inc()
-		return 0, "", false
+	if best != nil && best.canAnswer(preds) {
+		if box, ok := boxForPreds(best.cols, preds, best.units); ok {
+			if sel, err := best.hist.EstimateBox(box); err == nil {
+				best.hist.Touch(ts)
+				mArchiveHits.Inc()
+				return sel, bestName, true
+			}
+		}
 	}
-	box, ok := boxForPreds(best.cols, preds, best.units)
-	if !ok {
-		mArchiveMisses.Inc()
-		return 0, "", false
-	}
-	if !best.canAnswer(preds) {
-		mArchiveMisses.Inc()
-		return 0, "", false
-	}
-	sel, err := best.hist.EstimateBox(box)
-	if err != nil {
-		mArchiveMisses.Inc()
-		return 0, "", false
-	}
-	best.hist.Touch(ts)
-	mArchiveHits.Inc()
-	return sel, bestKey, true
+	mArchiveMisses.Inc()
+	return 0, qgm.StatName{}, false
 }
 
 // canAnswer reports whether the grid has real knowledge for the predicate
@@ -279,16 +279,12 @@ func (a *Archive) GroupSelectivity(table string, preds []qgm.Predicate, ts int64
 // (or the constant falls outside the observed domain, where 0 is exact
 // knowledge). Numeric equality and ranges interpolate meaningfully.
 func (g *gridEntry) canAnswer(preds []qgm.Predicate) bool {
-	colIdx := make(map[string]int, len(g.cols))
-	for d, c := range g.cols {
-		colIdx[c] = d
-	}
 	for _, p := range preds {
 		if p.Op != qgm.OpEQ || p.Value.Kind() != value.KindString {
 			continue
 		}
-		d, ok := colIdx[p.Column]
-		if !ok {
+		d := slices.Index(g.cols, p.Column)
+		if d < 0 {
 			return false
 		}
 		unit := g.units[p.Column]
@@ -305,17 +301,9 @@ func (g *gridEntry) canAnswer(preds []qgm.Predicate) bool {
 	return true
 }
 
-func coversTable(colgrpKey, table string) bool {
-	return len(colgrpKey) > len(table) && colgrpKey[:len(table)] == table && colgrpKey[len(table)] == '('
-}
-
 func containsAll(haystack, needles []string) bool {
-	set := make(map[string]bool, len(haystack))
-	for _, h := range haystack {
-		set[h] = true
-	}
 	for _, n := range needles {
-		if !set[n] {
+		if !slices.Contains(haystack, n) {
 			return false
 		}
 	}
@@ -356,8 +344,8 @@ func (a *Archive) Materialize(table string, preds []qgm.Predicate, sel float64, 
 		}
 	}
 	if gridable {
-		key := qgm.ColumnGroupKey(table, cols)
-		g, ok := a.grids[key]
+		name := qgm.ColumnGroup(table, cols)
+		g, ok := a.grids[table][name]
 		if !ok {
 			lo := make([]float64, len(cols))
 			hi := make([]float64, len(cols))
@@ -368,14 +356,14 @@ func (a *Archive) Materialize(table string, preds []qgm.Predicate, sel float64, 
 			}
 			hist, err := histogram.NewGrid(cols, lo, hi, ts)
 			if err == nil {
-				g = &gridEntry{key: key, hist: hist, cols: cols, units: units}
-				a.grids[key] = g
+				g = &gridEntry{hist: hist, cols: cols, units: units}
+				a.putGridLocked(name, g)
 			}
 		}
 		if g != nil {
 			if box, ok := boxForPreds(g.cols, preds, g.units); ok {
 				if err := g.hist.AddConstraint(box, clamp01(sel), ts); err == nil {
-					a.enforceBudgetLocked(key)
+					a.enforceBudgetLocked(name)
 					return g.hist.Buckets()
 				}
 			}
@@ -383,68 +371,47 @@ func (a *Archive) Materialize(table string, preds []qgm.Predicate, sel float64, 
 	}
 
 	// Memo fallback.
-	pk := qgm.PredicateGroupKey(table, preds)
-	a.memo[pk] = &memoEntry{sel: clamp01(sel), ts: ts, lastUsed: ts}
+	a.memo[qgm.PredicateGroupKey(table, preds)] = &memoEntry{sel: clamp01(sel), ts: ts, lastUsed: ts}
 	a.pruneMemoLocked()
 	return 1
 }
 
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
+func clamp01(x float64) float64 { return min(max(x, 0), 1) }
 
 // enforceBudgetLocked evicts histograms until the bucket budget holds:
 // nearly-uniform histograms go first (least informative), then strict LRU.
 // The histogram named by protect is evicted only as a last resort.
-func (a *Archive) enforceBudgetLocked(protect string) {
-	for a.bucketsLocked() > a.budget && len(a.grids) > 0 {
+func (a *Archive) enforceBudgetLocked(protect qgm.StatName) {
+	for a.bucketsLocked() > a.budget { // over a positive budget, so a grid exists
 		victim := a.pickVictimLocked(protect)
-		if victim == "" {
+		if victim.IsZero() {
 			victim = protect // last resort: the budget is smaller than one histogram
 		}
-		delete(a.grids, victim)
+		delete(a.grids[victim.Table()], victim)
 		if victim == protect {
 			return
 		}
 	}
 }
 
-func (a *Archive) pickVictimLocked(protect string) string {
-	type cand struct {
-		key     string
-		uniform bool
-		used    int64
-	}
-	var cands []cand
-	for key, g := range a.grids {
-		if key == protect {
-			continue
+// pickVictimLocked returns the first grid other than protect in eviction
+// order — uniform ones first, then least recently used, then by name — or the
+// zero name when protect is all there is.
+func (a *Archive) pickVictimLocked(protect qgm.StatName) (victim qgm.StatName) {
+	var uniform bool
+	var used int64
+	for _, grids := range a.grids {
+		for name, g := range grids {
+			if name == protect {
+				continue
+			}
+			u, at := g.hist.Uniformity() >= uniformEvictionThreshold, g.hist.LastUsed()
+			if victim.IsZero() || (u && !uniform) || (u == uniform && (at < used || (at == used && name.Compare(victim) < 0))) {
+				victim, uniform, used = name, u, at
+			}
 		}
-		cands = append(cands, cand{
-			key:     key,
-			uniform: g.hist.Uniformity() >= uniformEvictionThreshold,
-			used:    g.hist.LastUsed(),
-		})
 	}
-	if len(cands) == 0 {
-		return ""
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].uniform != cands[j].uniform {
-			return cands[i].uniform // uniform ones first
-		}
-		if cands[i].used != cands[j].used {
-			return cands[i].used < cands[j].used // then least recently used
-		}
-		return cands[i].key < cands[j].key
-	})
-	return cands[0].key
+	return victim
 }
 
 // pruneMemoLocked applies the LRU cap to the memo.
@@ -474,7 +441,7 @@ func (a *Archive) OldestTimestampFor(table string, preds []qgm.Predicate) int64 
 		return m.ts
 	}
 	cols := qgm.GroupColumns(preds)
-	g, ok := a.grids[qgm.ColumnGroupKey(table, cols)]
+	g, ok := a.grids[table][qgm.ColumnGroup(table, cols)]
 	if !ok {
 		return 0
 	}
@@ -486,15 +453,15 @@ func (a *Archive) OldestTimestampFor(table string, preds []qgm.Predicate) int64 
 }
 
 // AccuracyFor evaluates the paper's histogram-accuracy metric of the
-// archived statistic with the given column-group key against a predicate
+// archived statistic with the given column-group name against a predicate
 // group, for the sensitivity analysis. ok=false when the archive holds no
 // such grid. A grid that cannot answer the group (see canAnswer) scores 0:
 // the sensitivity analysis must never assume accuracy the optimizer could
 // not actually obtain.
-func (a *Archive) AccuracyFor(statKey, table string, preds []qgm.Predicate) (float64, bool) {
+func (a *Archive) AccuracyFor(stat qgm.StatName, preds []qgm.Predicate) (float64, bool) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	g, ok := a.grids[statKey]
+	g, ok := a.grids[stat.Table()][stat]
 	if !ok {
 		return 0, false
 	}
@@ -515,8 +482,8 @@ func (a *Archive) AccuracyFor(statKey, table string, preds []qgm.Predicate) (flo
 // StatSnapshot describes one archived grid histogram for introspection
 // (SHOW STATS, /debug/archive).
 type StatSnapshot struct {
-	Key       string   `json:"key"`   // canonical colgrp key, e.g. "car(make,model)"
-	Table     string   `json:"table"` // owning table parsed from the key
+	Key       string   `json:"key"`   // column-group name, e.g. "car(make,model)"
+	Table     string   `json:"table"` // owning table
 	Columns   []string `json:"columns"`
 	Dims      int      `json:"dims"`
 	Buckets   int      `json:"buckets"`
@@ -530,22 +497,20 @@ type StatSnapshot struct {
 func (a *Archive) Snapshot() []StatSnapshot {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	out := make([]StatSnapshot, 0, len(a.grids))
-	for key, g := range a.grids {
-		table := key
-		if i := strings.IndexByte(key, '('); i > 0 {
-			table = key[:i]
+	out := []StatSnapshot{}
+	for table, grids := range a.grids {
+		for name, g := range grids {
+			out = append(out, StatSnapshot{
+				Key:       name.String(),
+				Table:     table,
+				Columns:   append([]string(nil), g.cols...),
+				Dims:      g.hist.Dims(),
+				Buckets:   g.hist.Buckets(),
+				Merges:    g.hist.Merges(),
+				LastUsed:  g.hist.LastUsed(),
+				UpdatedAt: g.hist.UpdatedAt(),
+			})
 		}
-		out = append(out, StatSnapshot{
-			Key:       key,
-			Table:     table,
-			Columns:   append([]string(nil), g.cols...),
-			Dims:      g.hist.Dims(),
-			Buckets:   g.hist.Buckets(),
-			Merges:    g.hist.Merges(),
-			LastUsed:  g.hist.LastUsed(),
-			UpdatedAt: g.hist.UpdatedAt(),
-		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
@@ -561,29 +526,28 @@ func (a *Archive) MigrateToCatalog(cat *catalog.Catalog, ts int64) int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	migrated := 0
-	for _, g := range a.grids {
-		if len(g.cols) != 1 {
-			continue
-		}
-		table, col := splitColgrpKey1D(g.key)
-		if table == "" {
-			continue
-		}
-		stats, ok := cat.TableStats(table)
-		if !ok {
-			stats = &catalog.TableStats{Table: table, Columns: map[string]*catalog.ColumnStats{}, CollectedAt: ts}
-			if card, okc := a.cards[table]; okc {
-				stats.Cardinality = card.card
+	for table, grids := range a.grids {
+		for _, g := range grids {
+			if len(g.cols) != 1 {
+				continue
 			}
-			cat.SetTableStats(stats)
+			col := g.cols[0]
+			stats, ok := cat.TableStats(table)
+			if !ok {
+				stats = &catalog.TableStats{Table: table, Columns: map[string]*catalog.ColumnStats{}, CollectedAt: ts}
+				if card, okc := a.cards[table]; okc {
+					stats.Cardinality = card.card
+				}
+				cat.SetTableStats(stats)
+			}
+			cs, ok := stats.Columns[col]
+			if !ok {
+				cs = &catalog.ColumnStats{Column: col}
+				stats.Columns[col] = cs
+			}
+			cs.Hist = g.hist.Clone()
+			migrated++
 		}
-		cs, ok := stats.Columns[col]
-		if !ok {
-			cs = &catalog.ColumnStats{Column: col}
-			stats.Columns[col] = cs
-		}
-		cs.Hist = g.hist.Clone()
-		migrated++
 	}
 	for table, card := range a.cards {
 		if stats, ok := cat.TableStats(table); ok {
@@ -591,18 +555,4 @@ func (a *Archive) MigrateToCatalog(cat *catalog.Catalog, ts int64) int {
 		}
 	}
 	return migrated
-}
-
-func splitColgrpKey1D(key string) (table, col string) {
-	open := -1
-	for i := range key {
-		if key[i] == '(' {
-			open = i
-			break
-		}
-	}
-	if open <= 0 || key[len(key)-1] != ')' {
-		return "", ""
-	}
-	return key[:open], key[open+1 : len(key)-1]
 }

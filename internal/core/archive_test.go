@@ -47,7 +47,7 @@ func TestMaterializeAndLookupGrid(t *testing.T) {
 	if !ok || math.Abs(sel-0.4) > 1e-6 {
 		t.Errorf("sel = %v, %v", sel, ok)
 	}
-	if key != "car(year)" {
+	if key.String() != "car(year)" {
 		t.Errorf("key = %q", key)
 	}
 	// A different range on the same column interpolates from the same grid.
@@ -73,7 +73,7 @@ func TestMultiDimGridAndMarginal(t *testing.T) {
 	if !ok || math.Abs(sel-0.1) > 0.02 {
 		t.Errorf("joint sel = %v (%v), want ≈0.1", sel, ok)
 	}
-	if key != "car(make,model)" {
+	if key.String() != "car(make,model)" {
 		t.Errorf("key = %q", key)
 	}
 	// Marginal query on make alone answered from a covering grid: the 1-D
@@ -98,7 +98,7 @@ func TestMarginalFromSupersetGrid(t *testing.T) {
 	if !ok {
 		t.Fatal("marginal lookup failed")
 	}
-	if key != "t(a,b)" {
+	if key.String() != "t(a,b)" {
 		t.Errorf("key = %q", key)
 	}
 	if sel < 0.2 || sel > 0.9 {
@@ -119,7 +119,7 @@ func TestNonBoxableGoesToMemo(t *testing.T) {
 	if !ok || sel != 0.5 {
 		t.Errorf("memo sel = %v, %v", sel, ok)
 	}
-	if key != qgm.PredicateGroupKey("car", []qgm.Predicate{p}) {
+	if key != qgm.PredicateGroup("car", []qgm.Predicate{p}) {
 		t.Errorf("key = %q", key)
 	}
 	// A different IN list misses the memo.
@@ -235,16 +235,16 @@ func TestAccuracyFor(t *testing.T) {
 	domains := map[string]ColumnDomain{"year": intDomain(1990, 2010)}
 	a.Materialize("car", []qgm.Predicate{gtPred("year", 2000)}, 0.4, 1, domains)
 	// Same boundary: accuracy 1.
-	acc, ok := a.AccuracyFor("car(year)", "car", []qgm.Predicate{gtPred("year", 2000)})
+	acc, ok := a.AccuracyFor(name("car(year)"), []qgm.Predicate{gtPred("year", 2000)})
 	if !ok || math.Abs(acc-1) > 1e-9 {
 		t.Errorf("boundary accuracy = %v, %v", acc, ok)
 	}
 	// Mid-bucket: strictly lower.
-	acc2, ok := a.AccuracyFor("car(year)", "car", []qgm.Predicate{gtPred("year", 2005)})
+	acc2, ok := a.AccuracyFor(name("car(year)"), []qgm.Predicate{gtPred("year", 2005)})
 	if !ok || acc2 >= acc {
 		t.Errorf("mid-bucket accuracy = %v, want < %v", acc2, acc)
 	}
-	if _, ok := a.AccuracyFor("car(ghost)", "car", []qgm.Predicate{gtPred("year", 2000)}); ok {
+	if _, ok := a.AccuracyFor(name("car(ghost)"), []qgm.Predicate{gtPred("year", 2000)}); ok {
 		t.Error("unknown stat key must miss")
 	}
 }
@@ -294,17 +294,5 @@ func TestMigrateToCatalog(t *testing.T) {
 	cs := ts.Columns["year"]
 	if cs == nil || cs.Hist == nil {
 		t.Fatal("year histogram not migrated")
-	}
-}
-
-func TestSplitColgrpKey1D(t *testing.T) {
-	if tbl, col := splitColgrpKey1D("car(year)"); tbl != "car" || col != "year" {
-		t.Errorf("split = %q, %q", tbl, col)
-	}
-	if tbl, _ := splitColgrpKey1D("nonsense"); tbl != "" {
-		t.Errorf("split of garbage = %q", tbl)
-	}
-	if tbl, _ := splitColgrpKey1D("(x)"); tbl != "" {
-		t.Errorf("split of empty table = %q", tbl)
 	}
 }

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/costmodel"
 	"repro/internal/index"
@@ -47,43 +47,24 @@ const (
 // — the ε / 1−ε invocations of the magic-number analysis. Groups on known
 // tables flow through to the real source.
 type cnPinnedSource struct {
-	real    optimizer.StatsSource // may be nil
-	unknown map[string]bool       // tables whose statistics are unknown
-	pin     float64
+	optimizer.StatsSource                 // the real source: cardinalities, NDVs, known tables' groups
+	unknown               map[string]bool // tables whose statistics are unknown
+	pin                   float64
 }
 
-func (s *cnPinnedSource) GroupSelectivity(table string, preds []qgm.Predicate) (float64, string, bool) {
+// A pinned selectivity rests on no statistic: it answers under the zero name.
+// The plans it prices are probes, never executed, so the name reaches no
+// statlist the feedback loop records.
+func (s *cnPinnedSource) GroupSelectivity(table string, preds []qgm.Predicate) (float64, qgm.StatName, bool) {
 	if s.unknown[table] {
-		return s.pin, "cn-pinned", true
+		return s.pin, qgm.StatName{}, true
 	}
-	if s.real == nil {
-		return 0, "", false
-	}
-	return s.real.GroupSelectivity(table, preds)
-}
-
-func (s *cnPinnedSource) Cardinality(table string) (int64, bool) {
-	if s.real == nil {
-		return 0, false
-	}
-	return s.real.Cardinality(table)
-}
-
-func (s *cnPinnedSource) ColumnNDV(table, column string) (int64, bool) {
-	if s.real == nil {
-		return 0, false
-	}
-	return s.real.ColumnNDV(table, column)
+	return s.StatsSource.GroupSelectivity(table, preds)
 }
 
 // anyDefault reports whether an estimate was built on optimizer defaults.
-func anyDefault(statList []string) bool {
-	for _, s := range statList {
-		if strings.HasPrefix(s, "default(") {
-			return true
-		}
-	}
-	return false
+func anyDefault(statList []qgm.StatName) bool {
+	return slices.ContainsFunc(statList, func(s qgm.StatName) bool { return s.Kind() == qgm.StatDefault })
 }
 
 // cnDecide runs the magic-number analysis on one block and returns the
@@ -133,17 +114,13 @@ func (j *JITS) cnDecide(blk *qgm.Block, real optimizer.StatsSource, meter *costm
 
 	var collect []string
 	for round := 0; round < maxRounds && len(unknown) > 0; round++ {
-		lo, okLo := optimizeWith(&cnPinnedSource{real: real, unknown: unknown, pin: eps})
-		hi, okHi := optimizeWith(&cnPinnedSource{real: real, unknown: unknown, pin: 1 - eps})
+		lo, okLo := optimizeWith(&cnPinnedSource{StatsSource: real, unknown: unknown, pin: eps})
+		hi, okHi := optimizeWith(&cnPinnedSource{StatsSource: real, unknown: unknown, pin: 1 - eps})
 		if !okLo || !okHi {
 			break
 		}
 		cLo, cHi := lo.Cost(), hi.Cost()
-		maxC := cLo
-		if cHi > maxC {
-			maxC = cHi
-		}
-		if maxC <= 0 || (maxC-minF(cLo, cHi))/maxC <= threshold {
+		if maxC := max(cLo, cHi); maxC <= 0 || (maxC-min(cLo, cHi))/maxC <= threshold {
 			break // current statistics are sufficient
 		}
 		// Most important statistic: cost the plan under current statistics
@@ -173,13 +150,6 @@ func (j *JITS) cnDecide(blk *qgm.Block, real optimizer.StatsSource, meter *costm
 		delete(unknown, victim)
 	}
 	return collect
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // BindIndexes attaches the engine's index registry; the CN strategy's plan

@@ -35,7 +35,7 @@ func TestCNCollectsWhenPlansDiverge(t *testing.T) {
 	// diverge and CN demands collection.
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
 	var m costmodel.Meter
-	_, rep, err := j.Prepare(context.Background(), q, db, 1, &m, costmodel.DefaultWeights())
+	_, rep, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCNSkipsWhenStatisticsSufficient(t *testing.T) {
 	}
 	j.cat.SetTableStats(st)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
-	_, rep, err := j.Prepare(context.Background(), q, db, 2, &m, costmodel.DefaultWeights())
+	_, rep, err := j.PrepareBudgeted(context.Background(), q, db, 2, &m, costmodel.DefaultWeights(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCNChargesOptimizerProbes(t *testing.T) {
 	// Lightweight strategy compile charge for the same decision.
 	jLight := New(DefaultConfig(), feedback.NewHistory(), catalog.New())
 	var mLight costmodel.Meter
-	if _, _, err := jLight.Prepare(context.Background(), q, db, 1, &mLight, w); err != nil {
+	if _, _, err := jLight.PrepareBudgeted(context.Background(), q, db, 1, &mLight, w, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +82,7 @@ func TestCNChargesOptimizerProbes(t *testing.T) {
 	jCN := cnJITS(t, db2, DefaultConfig())
 	var mCN costmodel.Meter
 	q2 := buildQuery(t, db2, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
-	if _, _, err := jCN.Prepare(context.Background(), q2, db2, 1, &mCN, w); err != nil {
+	if _, _, err := jCN.PrepareBudgeted(context.Background(), q2, db2, 1, &mCN, w, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Both collect (sampling dominates), but CN additionally pays the plan
@@ -93,31 +93,32 @@ func TestCNChargesOptimizerProbes(t *testing.T) {
 }
 
 func TestCNPinnedSourceBehaviour(t *testing.T) {
+	// Behind the pins sits the real source — here one that knows nothing.
 	src := &cnPinnedSource{
-		real:    nil,
-		unknown: map[string]bool{"car": true},
-		pin:     0.01,
+		StatsSource: ArchiveStats(NewArchive(0, 0), 1),
+		unknown:     map[string]bool{"car": true},
+		pin:         0.01,
 	}
 	p := gtPred("year", 2000)
-	if sel, key, ok := src.GroupSelectivity("car", []qgm.Predicate{p}); !ok || sel != 0.01 || key != "cn-pinned" {
+	if sel, key, ok := src.GroupSelectivity("car", []qgm.Predicate{p}); !ok || sel != 0.01 || !key.IsZero() {
 		t.Errorf("pinned = %v %q %v", sel, key, ok)
 	}
 	if _, _, ok := src.GroupSelectivity("owner", []qgm.Predicate{p}); ok {
-		t.Error("known table with nil real source must miss")
+		t.Error("a known table is answered by the real source, which here must miss")
 	}
 	if _, ok := src.Cardinality("car"); ok {
-		t.Error("nil real source has no cardinalities")
+		t.Error("cardinalities come from the real source, which has none")
 	}
 	if _, ok := src.ColumnNDV("car", "year"); ok {
-		t.Error("nil real source has no NDVs")
+		t.Error("NDVs come from the real source, which has none")
 	}
 }
 
 func TestAnyDefault(t *testing.T) {
-	if anyDefault([]string{"car(make)", "car(year)"}) {
+	if anyDefault(names("car(make)", "car(year)")) {
 		t.Error("no defaults present")
 	}
-	if !anyDefault([]string{"car(make)", "default(car.year)"}) {
+	if !anyDefault(names("car(make)", "default(car.year)")) {
 		t.Error("default not detected")
 	}
 	if anyDefault(nil) {

@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/costmodel"
 	"repro/internal/faultinject"
 	"repro/internal/feedback"
+	"repro/internal/govern"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -71,7 +75,7 @@ func prepare(t *testing.T, ctx context.Context, j *JITS, db *storage.Database) (
 	t.Helper()
 	q := buildQuery(t, db, twoTableSQL)
 	var m costmodel.Meter
-	qs, rep, err := j.Prepare(ctx, q, db, 1, &m, costmodel.DefaultWeights())
+	qs, rep, err := j.PrepareBudgeted(ctx, q, db, 1, &m, costmodel.DefaultWeights(), nil)
 	if err != nil {
 		t.Fatalf("Prepare must degrade, not fail: %v", err)
 	}
@@ -246,5 +250,119 @@ func TestPrepareDegradedKeepsUDI(t *testing.T) {
 	}
 	if car.UDICounter().Total() != 0 {
 		t.Error("UDI not reset after successful recollection")
+	}
+}
+
+// TestDegradationIsOneEvent drives each cause a table can degrade for and
+// holds every place the event shows to the same count, cause and words: the
+// always-on DegradationCounts, the jits_degradation_total{cause} series, the
+// PrepareReport's fallback list and each TableReport's cause, reason and
+// "table: reason" note (the line engine.capture files in the flight record and
+// server.encodeResult sends as wire.Result.DegradedTables — the server's
+// TestServedDegradationNotesAgree holds those two to it).
+func TestDegradationIsOneEvent(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	arm := func(p faultinject.Point) func(*testing.T, *JITS) {
+		return func(t *testing.T, _ *JITS) {
+			if err := faultinject.Arm(p, faultinject.Spec{Every: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cases := []struct {
+		name     string
+		cause    costmodel.DegradeCause
+		cfg      Config
+		ctx      context.Context
+		setup    func(*testing.T, *JITS)
+		memBytes int64 // statement memory budget; 0 = no reservation
+		tables   []string
+		reason   string
+	}{
+		{name: "cancelled", cause: costmodel.DegradeCancelled, ctx: cancelled,
+			tables: []string{"car", "owner"}, reason: "cancelled: context canceled"},
+		{name: "row budget", cause: costmodel.DegradeBudgetExhausted, cfg: Config{SampleBudgetRows: 200},
+			tables: []string{"owner"}, reason: "sample-row budget exhausted"},
+		{name: "cost budget", cause: costmodel.DegradeBudgetExhausted, cfg: Config{SampleBudgetUnits: 1e-9},
+			tables: []string{"owner"}, reason: "cost budget exhausted"},
+		{name: "sampling error", cause: costmodel.DegradeSamplingError, setup: arm(faultinject.SamplingRows),
+			tables: []string{"car", "owner"}, reason: "sampling error: "},
+		{name: "worker panic", cause: costmodel.DegradePanic, cfg: Config{Parallelism: 4}, setup: arm(faultinject.WorkerPanic),
+			tables: []string{"car", "owner"}, reason: "recovered panic: "},
+		{name: "memory budget", cause: costmodel.DegradeMemoryBudget, memBytes: 1024,
+			tables: []string{"car", "owner"}, reason: "memory budget: sample of 100 rows does not fit reservation: "},
+		{name: "breaker open", cause: costmodel.DegradeBreakerOpen,
+			setup: func(_ *testing.T, j *JITS) {
+				b := govern.NewBreaker(govern.BreakerConfig{LatencyThreshold: time.Hour})
+				b.ForceOpen()
+				j.BindBreaker(b)
+			},
+			tables: []string{"car", "owner"}, reason: "sampling circuit breaker open (catalog-only mode)"},
+	}
+	seen := make(map[costmodel.DegradeCause]bool)
+	for _, tc := range cases {
+		seen[tc.cause] = true
+		t.Run(tc.name, func(t *testing.T) {
+			faultinject.Reset()
+			t.Cleanup(faultinject.Reset)
+			metrics.Enable()
+			t.Cleanup(metrics.Disable)
+			j := forcedJITS(tc.cfg)
+			if tc.setup != nil {
+				tc.setup(t, j)
+			}
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			var res *govern.Reservation
+			if tc.memBytes > 0 {
+				res = govern.New(govern.Config{StatementMemBudgetBytes: tc.memBytes}).NewReservation()
+			}
+			series := mDegradation.With(tc.cause.String())
+			before := series.Value()
+
+			db := twoTableDB(t)
+			var m costmodel.Meter
+			_, rep, err := j.PrepareBudgeted(ctx, buildQuery(t, db, twoTableSQL), db, 1, &m, costmodel.DefaultWeights(), res)
+			if err != nil {
+				t.Fatalf("must degrade, not fail: %v", err)
+			}
+
+			n := int64(len(tc.tables))
+			counts := j.DegradationCounts()
+			if counts.Of(tc.cause) != n || counts.Total() != n {
+				t.Errorf("DegradationCounts = %+v, want %d under %s and in total", counts, n, tc.cause)
+			}
+			if got := series.Value() - before; got != float64(n) {
+				t.Errorf("jits_degradation_total{cause=%q} moved by %v, want %d", tc.cause, got, n)
+			}
+			if !rep.Degraded || !slices.Equal(rep.FallbackTables, tc.tables) {
+				t.Errorf("report: degraded=%v fallback=%v, want %v", rep.Degraded, rep.FallbackTables, tc.tables)
+			}
+			for _, tr := range rep.Tables {
+				if !slices.Contains(tc.tables, tr.Table) {
+					if tr.Degraded || tr.DegradeCause != costmodel.DegradeNone || !tr.Collected {
+						t.Errorf("%s should have been collected: %+v", tr.Table, tr)
+					}
+					continue
+				}
+				if !tr.Degraded || tr.Collected || tr.DegradeCause != tc.cause || !strings.HasPrefix(tr.DegradeReason, tc.reason) {
+					t.Errorf("%s: report %+v, want cause %s and reason %q…", tr.Table, tr, tc.cause, tc.reason)
+				}
+				if note := tr.DegradeNote(); note != tr.Table+": "+tr.DegradeReason {
+					t.Errorf("note = %q", note)
+				}
+			}
+			if res.Used() != 0 {
+				t.Errorf("reservation still holds %d bytes", res.Used())
+			}
+		})
+	}
+	for _, cause := range costmodel.DegradeCauses() {
+		if !seen[cause] {
+			t.Errorf("cause %s has no case here", cause)
+		}
 	}
 }

@@ -188,7 +188,7 @@ func TestSampleSpanLapsSumToSpan(t *testing.T) {
 	var sum, wall float64
 	for attempt := int64(1); attempt <= 5; attempt++ {
 		out.Reset()
-		if _, _, err := j.Prepare(context.Background(), q, db, attempt, &m, costmodel.DefaultWeights()); err != nil {
+		if _, _, err := j.PrepareBudgeted(context.Background(), q, db, attempt, &m, costmodel.DefaultWeights(), nil); err != nil {
 			t.Fatal(err)
 		}
 		line := out.String()

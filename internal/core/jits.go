@@ -2,30 +2,23 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/costmodel"
 	"repro/internal/feedback"
 	"repro/internal/govern"
 	"repro/internal/index"
-	"repro/internal/metrics"
 	"repro/internal/qgm"
 	"repro/internal/sampling"
 	"repro/internal/storage"
 	"repro/internal/tracing"
-	"repro/internal/value"
 )
 
 // Config tunes the JITS framework.
 type Config struct {
-	// Enabled switches the whole framework; when false, Prepare returns a
+	// Enabled switches the whole framework; when false, PrepareBudgeted returns a
 	// nil QueryStats and the optimizer runs on general statistics alone.
 	Enabled bool
 	// SMax is the sensitivity-analysis threshold of §3.3: 0 collects all
@@ -68,13 +61,13 @@ type Config struct {
 	// and therefore plans are identical at any setting; values <= 1 run
 	// serially.
 	Parallelism int
-	// SampleBudgetRows caps the total rows sampled during one Prepare
+	// SampleBudgetRows caps the total rows sampled during one PrepareBudgeted
 	// across all of the statement's tables; 0 means unlimited. When the
 	// budget runs low the last table's sample shrinks to the remainder and
 	// later tables degrade to catalog statistics — the statement always
 	// compiles.
 	SampleBudgetRows int
-	// SampleBudgetUnits caps the simulated-cost units one Prepare may
+	// SampleBudgetUnits caps the simulated-cost units one PrepareBudgeted may
 	// charge to the compilation meter before further collection degrades
 	// to catalog statistics; 0 means unlimited.
 	SampleBudgetUnits float64
@@ -154,10 +147,10 @@ func New(cfg Config, history *feedback.History, cat *catalog.Catalog) *JITS {
 // (tracing.PhaseSample) emit through it. A nil tracer disables the spans.
 func (j *JITS) BindTracer(t *tracing.Tracer) { j.tracer = t }
 
-// BindBreaker attaches the governor's sampling circuit breaker. When the
-// breaker is open, Prepare skips compile-time sampling entirely (catalog-only
-// mode) and counts each skipped table as a breaker degradation. A nil
-// breaker (the default) never trips.
+// BindBreaker attaches the governor's sampling circuit breaker. While it is
+// open, PrepareBudgeted skips compile-time sampling (catalog-only mode) and
+// counts each skipped table as a breaker degradation. A nil breaker (the
+// default) never trips.
 func (j *JITS) BindBreaker(b *govern.Breaker) { j.breaker = b }
 
 // BindMergeObserver attaches an archive merge subscriber (the engine's
@@ -166,9 +159,7 @@ func (j *JITS) BindMergeObserver(o MergeObserver) { j.merges = o }
 
 // DegradationCounts snapshots the cumulative graceful-degradation counters:
 // how many tables fell back to catalog statistics, by cause.
-func (j *JITS) DegradationCounts() costmodel.DegradationCounts {
-	return j.degrade.Counts()
-}
+func (j *JITS) DegradationCounts() costmodel.DegradationCounts { return j.degrade.Counts() }
 
 // Config returns the active configuration.
 func (j *JITS) Config() Config { return j.cfg }
@@ -200,22 +191,30 @@ type QueryStats struct {
 	archiveMisses atomic.Int64
 }
 
+// ArchiveStats is the statistics source of a query that collects nothing
+// itself: the archive alone, read at logical time ts (the workload-statistics
+// and reactive baselines).
+func ArchiveStats(archive *Archive, ts int64) *QueryStats {
+	return &QueryStats{archive: archive, ts: ts}
+}
+
 // GroupSelectivity implements optimizer.StatsSource.
-func (qs *QueryStats) GroupSelectivity(table string, preds []qgm.Predicate) (float64, string, bool) {
+func (qs *QueryStats) GroupSelectivity(table string, preds []qgm.Predicate) (float64, qgm.StatName, bool) {
 	if len(preds) == 0 {
-		return 1, "", false
+		return 1, qgm.StatName{}, false
 	}
-	key := qgm.PredicateGroupKey(table, preds)
-	if sel, ok := qs.fresh[key]; ok {
-		return sel, qgm.ColumnGroupKey(table, qgm.GroupColumns(preds)), true
+	if len(qs.fresh) > 0 { // else spare rendering the group's name twice
+		if sel, ok := qs.fresh[qgm.PredicateGroupKey(table, preds)]; ok {
+			return sel, qgm.ColumnGroup(table, qgm.GroupColumns(preds)), true
+		}
 	}
-	sel, statKey, ok := qs.archive.GroupSelectivity(table, preds, qs.ts)
+	sel, stat, ok := qs.archive.GroupSelectivity(table, preds, qs.ts)
 	if ok {
 		qs.archiveHits.Add(1)
 	} else {
 		qs.archiveMisses.Add(1)
 	}
-	return sel, statKey, ok
+	return sel, stat, ok
 }
 
 // ArchiveHits reports how many of this query's selectivity lookups were
@@ -255,15 +254,19 @@ type TableReport struct {
 	GroupsEvaluated    int
 	GroupsMaterialized int
 	// Degraded is set when the sensitivity analysis wanted to collect
-	// statistics for this table but collection was abandoned (budget
-	// exhaustion, sampling error, cancellation, or a recovered panic) and
-	// the optimizer fell back to catalog statistics. DegradeReason says
-	// why.
+	// statistics for this table but collection was refused or abandoned and
+	// the optimizer fell back to catalog statistics. DegradeCause classifies
+	// why (it is DegradeNone otherwise), DegradeReason says it in words.
 	Degraded      bool
+	DegradeCause  costmodel.DegradeCause
 	DegradeReason string
 }
 
-// PrepareReport summarizes one Prepare call for experiments and logging.
+// DegradeNote renders a degraded table's "table: reason" note — the line the
+// flight record, the trace and the wire result carry.
+func (tr *TableReport) DegradeNote() string { return tr.Table + ": " + tr.DegradeReason }
+
+// PrepareReport summarizes one PrepareBudgeted call for experiments and logging.
 type PrepareReport struct {
 	Tables []TableReport
 	// Degraded is set when at least one table fell back to catalog
@@ -286,31 +289,19 @@ func (r *PrepareReport) CollectedTables() int {
 // DegradedTables counts tables that fell back to catalog statistics.
 func (r *PrepareReport) DegradedTables() int { return len(r.FallbackTables) }
 
-// Prepare runs the JITS compile-time pipeline for a query: Algorithm 1
-// (candidate groups), Algorithm 2/3 (which tables to sample), one-pass
-// sampling and group evaluation, Algorithm 4 (which statistics to
-// materialize into the archive), cardinality refresh, and UDI reset. The
-// meter is the *compilation* meter: everything charged here is the paper's
-// "JITS overhead" that shows up in compilation time.
+// PrepareBudgeted runs the JITS compile-time pipeline for a query
+// (collection.go): Algorithm 1 (candidate groups), Algorithm 2/3 (which
+// tables to sample), one-pass sampling and group evaluation, Algorithm 4
+// (which statistics to materialize), cardinality refresh, and UDI reset. The
+// meter is the *compilation* meter — what is charged here is the paper's
+// "JITS overhead" — and res the statement's memory reservation (nil disables
+// the accounting).
 //
-// Prepare degrades instead of failing: if a table's collection is cut short
-// by the sampling budgets (Config.SampleBudgetRows/SampleBudgetUnits), a
-// sampling error, a recovered panic, or ctx cancellation, that table is
-// reported in PrepareReport.FallbackTables, its UDI counters are left
-// intact (so the next query re-considers it), and the returned QueryStats
-// simply lacks its fresh entries — the optimizer transparently falls back
-// to archived/catalog statistics, mirroring the paper's rule that DB2
-// reverts to traditional processing whenever QSS cannot be collected. The
-// only errors Prepare returns are structural (unknown table).
-func (j *JITS) Prepare(ctx context.Context, q *qgm.Query, db *storage.Database, ts int64, meter *costmodel.Meter, w costmodel.Weights) (*QueryStats, *PrepareReport, error) {
-	return j.PrepareBudgeted(ctx, q, db, ts, meter, w, nil)
-}
-
-// PrepareBudgeted is Prepare with a per-statement memory reservation:
-// sampling buffers are charged against res (shrinking the sample to fit
-// where possible, degrading to catalog statistics where not) and the
-// governor's circuit breaker — when bound and open — short-circuits all
-// collection to catalog-only mode. A nil res disables memory accounting.
+// It degrades instead of failing: a table whose collection is refused or cut
+// short is reported in PrepareReport.FallbackTables, and the QueryStats simply
+// lacks its fresh entries — the paper's rule that DB2 reverts to traditional
+// processing whenever QSS cannot be collected. The only errors are structural
+// (unknown table).
 func (j *JITS) PrepareBudgeted(ctx context.Context, q *qgm.Query, db *storage.Database, ts int64, meter *costmodel.Meter, w costmodel.Weights, res *govern.Reservation) (*QueryStats, *PrepareReport, error) {
 	if !j.cfg.Enabled {
 		return nil, &PrepareReport{}, nil
@@ -321,316 +312,28 @@ func (j *JITS) PrepareBudgeted(ctx context.Context, q *qgm.Query, db *storage.Da
 	j.mu.Lock()
 	defer j.mu.Unlock()
 
-	qs := &QueryStats{
-		fresh:   make(map[string]float64),
-		cards:   make(map[string]int64),
-		archive: j.archive,
-		ts:      ts,
+	c := &collection{
+		j: j, ctx: ctx, ts: ts, meter: meter, w: w, res: res,
+		qs:   &QueryStats{fresh: map[string]float64{}, cards: map[string]int64{}, archive: j.archive, ts: ts},
+		prep: &PrepareReport{},
+		sens: &Sensitivity{History: j.history, Archive: j.archive, Cat: j.cat, SMax: j.cfg.SMax},
 	}
-	report := &PrepareReport{}
-	sens := &Sensitivity{History: j.history, Archive: j.archive, Cat: j.cat, SMax: j.cfg.SMax}
-
-	// Table statistics (row counts) are needed for *every* table involved
-	// in the query (§3.2), not only those with local predicates: refresh
-	// them from storage metadata — a cached catalog read, free at the cost
-	// model's granularity.
-	for _, blk := range q.Blocks {
-		for _, ti := range blk.Tables {
-			tbl, ok := db.Table(ti.Table)
-			if !ok {
-				return nil, nil, fmt.Errorf("jits: table %q not in database", ti.Table)
-			}
-			card := int64(tbl.RowCount())
-			qs.cards[ti.Table] = card
-			j.archive.SetCardinality(ti.Table, card, ts)
-		}
-	}
-
-	// The CN baseline decides the collection set up front by probing plans
-	// (after cardinalities are refreshed, which its costing consumes).
-	var cnSet map[string]bool
-	if j.cfg.Strategy == StrategyCN && !j.cfg.ForceCollect {
-		cnSet = make(map[string]bool)
-		for _, blk := range q.Blocks {
-			for _, name := range j.cnDecide(blk, qs, meter, w) {
-				cnSet[name] = true
-			}
-		}
-	}
-
-	candidates := AnalyzeQuery(q, j.cfg.MaxPredsPerTable)
-
-	// Instances of the same base table share one sample: merge their
-	// candidate groups (deduplicated by canonical key) per table name.
-	type tableWork struct {
-		table   string
-		aliases []string
-		groups  [][]qgm.Predicate
-		keys    map[string]bool
-	}
-	byTable := make(map[string]*tableWork)
-	var order []string
-	for _, tc := range candidates {
-		tw, ok := byTable[tc.Table]
-		if !ok {
-			tw = &tableWork{table: tc.Table, keys: make(map[string]bool)}
-			byTable[tc.Table] = tw
-			order = append(order, tc.Table)
-		}
-		tw.aliases = append(tw.aliases, tc.Alias)
-		for _, g := range tc.Groups {
-			key := qgm.PredicateGroupKey(tc.Table, g)
-			if !tw.keys[key] {
-				tw.keys[key] = true
-				tw.groups = append(tw.groups, g)
-			}
-		}
-	}
-	sort.Strings(order)
-
-	// Budget accounting for this statement's collection: rows drawn and
-	// simulated-cost units charged since Prepare began.
-	startUnits := meter.Units()
-	rowsUsed := 0
-
-	degrade := func(tr *TableReport, reason string, record func(), cause *metrics.Counter) {
-		tr.Collected = false
-		tr.Degraded = true
-		tr.DegradeReason = reason
-		report.Degraded = true
-		report.FallbackTables = append(report.FallbackTables, tr.Table)
-		record()
-		cause.Inc()
-	}
-
-	// The sampling breaker is consulted once per statement, lazily at the
-	// first table the sensitivity analysis wants to sample: under sustained
-	// overload the whole statement compiles catalog-only rather than
-	// half-sampled, and statements that would not have sampled anyway do not
-	// consume half-open probe permits.
-	breakerChecked := false
-	breakerAllows := true
-
-	for _, name := range order {
-		tw := byTable[name]
-		tbl, ok := db.Table(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("jits: table %q not in database", name)
-		}
-		udi := tbl.UDICounter().Total()
-		act := TableActivity{Table: name, Cardinality: int64(tbl.RowCount()), UDI: udi}
-
-		collect := j.cfg.ForceCollect
-		var scores Scores
-		if !collect {
-			if cnSet != nil {
-				collect = cnSet[name]
-			} else {
-				collect, scores = sens.ShouldCollectStats(act, tw.groups)
-			}
-		}
-		tr := TableReport{
-			Table: name, Alias: tw.aliases[0],
-			Collected: collect, Scores: scores,
-			GroupsEvaluated: len(tw.groups),
-		}
-		if collect && !breakerChecked {
-			breakerChecked = true
-			breakerAllows = j.breaker.Allow()
-		}
-		if collect {
-			switch {
-			case ctx.Err() != nil:
-				degrade(&tr, fmt.Sprintf("cancelled: %v", ctx.Err()), j.degrade.RecordCancellation, mDegradeCancelled)
-			case !breakerAllows:
-				degrade(&tr, "sampling circuit breaker open (catalog-only mode)", j.degrade.RecordBreakerOpen, mDegradeBreaker)
-			case j.cfg.SampleBudgetUnits > 0 && meter.Units()-startUnits >= j.cfg.SampleBudgetUnits:
-				degrade(&tr, "cost budget exhausted", j.degrade.RecordBudgetExhausted, mDegradeBudget)
-			case j.cfg.SampleBudgetRows > 0 && rowsUsed >= j.cfg.SampleBudgetRows:
-				degrade(&tr, "sample-row budget exhausted", j.degrade.RecordBudgetExhausted, mDegradeBudget)
-			default:
-				size := j.cfg.SampleSize
-				if j.cfg.SampleBudgetRows > 0 && rowsUsed+size > j.cfg.SampleBudgetRows {
-					size = j.cfg.SampleBudgetRows - rowsUsed
-				}
-				span := j.tracer.Start(ts, tracing.PhaseSample)
-				sampleStart := time.Now()
-				err := j.collectTable(ctx, tbl, name, tw.groups, size, qs, &tr, sens, ts, meter, w, res, span)
-				// The breaker watches real sampling wall time, success or
-				// not: a probe that errors slowly is still a slow probe.
-				j.breaker.RecordSampling(time.Since(sampleStart))
-				span.Attr("table", name).Attr("rows", tr.SampleRows).Attr("groups", len(tw.groups)).End()
-				if err != nil {
-					switch {
-					case ctx.Err() != nil:
-						degrade(&tr, fmt.Sprintf("cancelled: %v", err), j.degrade.RecordCancellation, mDegradeCancelled)
-					case errors.Is(err, govern.ErrMemoryBudget):
-						degrade(&tr, fmt.Sprintf("memory budget: %v", err), j.degrade.RecordMemoryBudget, mDegradeMemory)
-					case isRecoveredPanic(err):
-						degrade(&tr, err.Error(), j.degrade.RecordPanic, mDegradePanic)
-					default:
-						degrade(&tr, fmt.Sprintf("sampling error: %v", err), j.degrade.RecordSamplingError, mDegradeSampling)
-					}
-				} else {
-					rowsUsed += tr.SampleRows
-					mSampleRows.Add(float64(tr.SampleRows))
-					mTablesCollected.Inc()
-					// Collection succeeded: the UDI activity the sample
-					// reflects has been absorbed into fresh statistics.
-					tbl.ResetUDI()
-				}
-			}
-		}
-		report.Tables = append(report.Tables, tr)
-	}
-	return qs, report, nil
-}
-
-// panicError marks a collection panic recovered inside collectTable.
-type panicError struct{ val any }
-
-func (p *panicError) Error() string { return fmt.Sprintf("recovered panic: %v", p.val) }
-
-func isRecoveredPanic(err error) bool {
-	var pe *panicError
-	return errors.As(err, &pe)
-}
-
-// minSampleRows is the smallest sample the memory shrink-to-fit loop will
-// offer before giving up with a typed budget error: below this, estimates
-// are noise and catalog statistics are the better fallback.
-const minSampleRows = 64
-
-// collectTable samples one table and folds the observed selectivities, NDVs
-// and materialized histograms into qs, tr and the archive. Any panic in the
-// sampling/evaluation machinery (including injected worker panics) is
-// recovered into an error so the caller can degrade instead of crashing the
-// statement.
-//
-// When res is non-nil, the sample buffer is reserved before sampling: the
-// sample shrinks by halving (down to minSampleRows) until the reservation
-// fits — the sampling analogue of the Degraded path — and a sample that
-// cannot fit at all returns a wrapped govern.ErrMemoryBudget. The
-// reservation is returned when the sample is released: QSS live in the
-// archive, the sample itself is transient.
-func (j *JITS) collectTable(ctx context.Context, tbl *storage.Table, name string, groups [][]qgm.Predicate, size int, qs *QueryStats, tr *TableReport, sens *Sensitivity, ts int64, meter *costmodel.Meter, w costmodel.Weights, res *govern.Reservation, span *tracing.Span) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = &panicError{val: p}
-		}
-	}()
-
-	var reserved int64
-	if res != nil {
-		rowBytes := govern.EstimateRowBytes(tbl.Schema().NumColumns())
-		shrunk := false
-		for {
-			// Small tables are copied whole regardless of the nominal sample
-			// size — reserve for what the sampler will really materialize.
-			rows := sampling.EffectiveSampleRows(tbl.RowCount(), size)
-			want := int64(rows) * rowBytes
-			if growErr := res.Grow(want); growErr == nil {
-				reserved = want
-				break
-			} else if size/2 < minSampleRows {
-				return fmt.Errorf("sample of %d rows does not fit reservation: %w", size, growErr)
-			}
-			size /= 2
-			shrunk = true
-		}
-		if shrunk {
-			mSampleMemShrinks.Inc()
-		}
-		defer res.Shrink(reserved)
-	}
-
-	sample, err := j.sampler.SampleColumns(ctx, tbl, size, meter, w, j.cfg.Parallelism)
+	work, err := c.survey(q, db)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	rows := sample.Rows()
-	span.Lap("draw_us")
-	if j.cfg.PerGroupSampling && len(groups) > 1 {
-		// Prototype-faithful costing: every additional candidate
-		// group pays its own sampling query.
-		meter.Add(w.SampleRow * float64(rows) * float64(len(groups)-1))
-	}
-	sels := sampling.EvaluateColumns(sample, groups, meter, w, j.cfg.Parallelism)
-	floor := sampling.SelectivityFloor(rows)
-	span.Lap("eval_us")
-
-	// Only the columns some candidate group references are ever looked up.
-	schema := tbl.Schema()
-	domains := columnDomains(schema, sample, qgm.GroupColumns(slices.Concat(groups...)))
-	span.Lap("domains_us")
-
-	card := int64(tbl.RowCount())
-	j.archive.SetCardinality(name, card, ts)
-	qs.cards[name] = card
-
-	// Distinct-value estimates per column from the same sample
-	// (Duj1), refreshed into the archive for join estimation.
-	for c := 0; c < schema.NumColumns(); c++ {
-		if ndv := j.sampler.EstimateNDV(sample.Col(c), int(card)); ndv > 0 {
-			j.archive.SetColumnNDV(name, schema.Column(c).Name, ndv, ts)
-		}
-	}
-	span.Lap("ndv_us")
-
-	for gi, g := range groups {
-		sel := sels[gi]
-		if sel <= 0 {
-			sel = floor
-		}
-		qs.fresh[qgm.PredicateGroupKey(name, g)] = sel
-
-		materialize := j.cfg.ForceCollect || sens.ShouldMaterialize(name, g)
-		if materialize {
-			touched := j.archive.Materialize(name, g, sel, ts, domains)
-			meter.Add(w.HistUpdate * float64(touched))
-			tr.GroupsMaterialized++
-			if j.merges != nil {
-				j.merges.ObserveMerge(ts, name, qgm.ColumnGroupKey(name, qgm.GroupColumns(g)))
+	for _, tw := range work {
+		c.decide(tw)
+		var deg degradation
+		if tw.report.Collected {
+			size, reserved, refused := c.admit(tw)
+			if deg = refused; deg.cause == costmodel.DegradeNone {
+				deg = c.collect(tw, size, reserved)
 			}
 		}
+		c.report(tw, deg)
 	}
-	tr.SampleRows = rows
-	span.Lap("materialize_us")
-	return nil
-}
-
-// SampleDomains is columnDomains over row-shaped data, for every column of
-// the schema.
-func SampleDomains(schema *storage.Schema, sample [][]value.Datum) map[string]ColumnDomain {
-	return columnDomains(schema, storage.ChunkFromRows(sample), nil)
-}
-
-// columnDomains derives the domains (coordinate range + unit) of the named
-// columns — of every schema column when cols is nil — from a columnar
-// sample, for archive grid creation. A column with no observed value has no
-// domain: it is not gridable.
-func columnDomains(schema *storage.Schema, sample *storage.Chunk, cols []string) map[string]ColumnDomain {
-	out := make(map[string]ColumnDomain, len(cols))
-	if sample.Rows() == 0 {
-		return out
-	}
-	for c := 0; c < schema.NumColumns(); c++ {
-		col := schema.Column(c)
-		if cols != nil && !slices.Contains(cols, col.Name) {
-			continue
-		}
-		min, max := sample.Col(c).MinMax()
-		if min.IsNull() {
-			continue
-		}
-		out[col.Name] = ColumnDomain{
-			Lo:   min.Coord(),
-			Hi:   max.Coord(),
-			Unit: catalog.UnitFor(col.Kind, min, max),
-			Kind: col.Kind,
-		}
-	}
-	return out
+	return c.qs, c.prep, nil
 }
 
 // Observation is one post-execution comparison of estimated and actual
@@ -638,8 +341,8 @@ func columnDomains(schema *storage.Schema, sample *storage.Chunk, cols []string)
 // delivers.
 type Observation struct {
 	Table     string
-	ColGrp    string
-	StatList  []string
+	ColGrp    qgm.StatName
+	StatList  []qgm.StatName
 	EstSel    float64
 	ActualSel float64
 	BaseCard  int64
@@ -650,7 +353,7 @@ type Observation struct {
 // the engine's (LEO's), and JITS merely consumes it.
 func (j *JITS) Feedback(obs []Observation) {
 	for _, o := range obs {
-		if o.ColGrp == "" {
+		if o.ColGrp.IsZero() {
 			continue
 		}
 		ef := feedback.ErrorFactor(o.EstSel, o.ActualSel, o.BaseCard)

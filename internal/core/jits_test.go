@@ -77,7 +77,7 @@ func TestPrepareDisabled(t *testing.T) {
 	j := New(Config{Enabled: false}, feedback.NewHistory(), catalog.New())
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota'`)
 	var m costmodel.Meter
-	qs, rep, err := j.Prepare(context.Background(), q, db, 1, &m, costmodel.DefaultWeights())
+	qs, rep, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPrepareCollectsExactJointSelectivity(t *testing.T) {
 	j := New(cfg, feedback.NewHistory(), catalog.New())
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
 	var m costmodel.Meter
-	qs, rep, err := j.Prepare(context.Background(), q, db, 1, &m, costmodel.DefaultWeights())
+	qs, rep, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPrepareCollectsExactJointSelectivity(t *testing.T) {
 	if math.Abs(sel-0.4) > 0.05 {
 		t.Errorf("joint sel = %v, want ≈0.4", sel)
 	}
-	if key != "car(make,model)" {
+	if key.String() != "car(make,model)" {
 		t.Errorf("key = %q", key)
 	}
 	if card, ok := qs.Cardinality("car"); !ok || card != 5000 {
@@ -149,7 +149,7 @@ func TestPrepareResetsUDIAndFillsArchive(t *testing.T) {
 	j := New(cfg, feedback.NewHistory(), catalog.New())
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND year > 2000`)
 	var m costmodel.Meter
-	_, rep, err := j.Prepare(context.Background(), q, db, 1, &m, costmodel.DefaultWeights())
+	_, rep, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestArchiveReusedAcrossQueries(t *testing.T) {
 	// Query 1 materializes (make, model) stats.
 	q1 := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
 	var m costmodel.Meter
-	if _, _, err := j.Prepare(context.Background(), q1, db, 1, &m, costmodel.DefaultWeights()); err != nil {
+	if _, _, err := j.PrepareBudgeted(context.Background(), q1, db, 1, &m, costmodel.DefaultWeights(), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -211,18 +211,16 @@ func TestSensitivitySkipsFreshTables(t *testing.T) {
 
 	perfectFeedback := func() {
 		j.Feedback([]Observation{{
-			Table:  "car",
-			ColGrp: "car(make,model)",
-			StatList: []string{
-				"car(make,model)",
-			},
-			EstSel: 0.4, ActualSel: 0.4, BaseCard: 5000,
+			Table:    "car",
+			ColGrp:   name("car(make,model)"),
+			StatList: names("car(make,model)"),
+			EstSel:   0.4, ActualSel: 0.4, BaseCard: 5000,
 		}})
 	}
 
 	// First prepare: cold → collects; nothing materializes yet (empty
 	// history gives Algorithm 4 no usefulness evidence).
-	_, rep1, err := j.Prepare(context.Background(), q, db, 1, &m, w)
+	_, rep1, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +235,7 @@ func TestSensitivitySkipsFreshTables(t *testing.T) {
 	// Second prepare: the one-shot statistic is gone (never materialized),
 	// so its accuracy evidence is void → collect again; the recurring
 	// column group now bootstraps into the archive.
-	_, rep2, err := j.Prepare(context.Background(), q, db, 2, &m, w)
+	_, rep2, err := j.PrepareBudgeted(context.Background(), q, db, 2, &m, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +248,7 @@ func TestSensitivitySkipsFreshTables(t *testing.T) {
 	perfectFeedback()
 
 	// Third prepare: accurate archived statistics, no churn → skip.
-	_, rep3, err := j.Prepare(context.Background(), q, db, 3, &m, w)
+	_, rep3, err := j.PrepareBudgeted(context.Background(), q, db, 3, &m, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +265,7 @@ func TestSelfJoinSharesOneSample(t *testing.T) {
 	q := buildQuery(t, db, `SELECT c1.id FROM car c1, car c2
 		WHERE c1.id = c2.id AND c1.make = 'Toyota' AND c2.make = 'Honda'`)
 	var m costmodel.Meter
-	_, rep, err := j.Prepare(context.Background(), q, db, 1, &m, costmodel.DefaultWeights())
+	_, rep, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,13 +282,13 @@ func TestFeedbackRecordsHistory(t *testing.T) {
 	hist := feedback.NewHistory()
 	j := New(DefaultConfig(), hist, catalog.New())
 	j.Feedback([]Observation{
-		{Table: "car", ColGrp: "car(make)", StatList: []string{"car(make)"}, EstSel: 0.2, ActualSel: 0.4, BaseCard: 1000},
-		{Table: "car", ColGrp: "", StatList: nil, EstSel: 0.2, ActualSel: 0.4, BaseCard: 1000}, // skipped
+		{Table: "car", ColGrp: name("car(make)"), StatList: names("car(make)"), EstSel: 0.2, ActualSel: 0.4, BaseCard: 1000},
+		{Table: "car", StatList: nil, EstSel: 0.2, ActualSel: 0.4, BaseCard: 1000}, // skipped
 	})
 	if hist.Len() != 1 {
 		t.Fatalf("history = %d entries", hist.Len())
 	}
-	entries := hist.EntriesFor("car", "car(make)")
+	entries := hist.EntriesFor("car", name("car(make)"))
 	if math.Abs(entries[0].ErrorFactor-0.5) > 1e-9 {
 		t.Errorf("ef = %v, want 0.5", entries[0].ErrorFactor)
 	}
@@ -304,7 +302,7 @@ func TestMigrateToCatalogViaCoordinator(t *testing.T) {
 	j := New(cfg, feedback.NewHistory(), cat)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE year > 2000`)
 	var m costmodel.Meter
-	if _, _, err := j.Prepare(context.Background(), q, db, 1, &m, costmodel.DefaultWeights()); err != nil {
+	if _, _, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil); err != nil {
 		t.Fatal(err)
 	}
 	n := j.MigrateToCatalog(2)
@@ -337,7 +335,7 @@ func TestPrepareUnknownTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m costmodel.Meter
-	if _, _, err := j.Prepare(context.Background(), q, db, 1, &m, costmodel.DefaultWeights()); err == nil {
+	if _, _, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil); err == nil {
 		t.Error("prepare must fail for a missing table")
 	}
 }

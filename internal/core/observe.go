@@ -1,12 +1,12 @@
 package core
 
 import (
+	"repro/internal/costmodel"
 	"repro/internal/metrics"
 )
 
 // JITS instruments on the process-wide default registry, resolved once at
-// package init. The degradation causes mirror costmodel.Degradation's
-// counters so the text exposition and DegradationCounts always agree.
+// package init.
 var (
 	mSampleRows = metrics.Default().Counter(
 		"jits_sample_rows_total",
@@ -14,16 +14,18 @@ var (
 	mTablesCollected = metrics.Default().Counter(
 		"jits_tables_collected_total",
 		"Tables successfully sampled by JITS Prepare.")
-	mDegradation = metrics.Default().CounterVec(
-		"jits_degradation_total",
-		"Tables that fell back to catalog statistics, by cause.",
-		"cause")
-	mDegradeCancelled = mDegradation.With("cancelled")
-	mDegradeBudget    = mDegradation.With("budget_exhausted")
-	mDegradeSampling  = mDegradation.With("sampling_error")
-	mDegradePanic     = mDegradation.With("panic")
-	mDegradeMemory    = mDegradation.With("memory_budget")
-	mDegradeBreaker   = mDegradation.With("breaker_open")
+	// Every cause's series is exposed from the start, at zero; its label is
+	// the cause's own name, so the exposition and DegradationCounts agree.
+	mDegradation = func() *metrics.CounterVec {
+		vec := metrics.Default().CounterVec(
+			"jits_degradation_total",
+			"Tables that fell back to catalog statistics, by cause.",
+			"cause")
+		for _, cause := range costmodel.DegradeCauses() {
+			vec.With(cause.String())
+		}
+		return vec
+	}()
 	mSampleMemShrinks = metrics.Default().Counter(
 		"jits_sampling_mem_shrinks_total",
 		"Sampling passes that shrank their sample to fit the memory budget.")

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+	"strings"
 
 	"repro/internal/faultinject"
 	"repro/internal/histogram"
+	"repro/internal/qgm"
 )
 
 // Serialized archive state. In the paper's prototype the QSS archive lives
@@ -79,10 +82,12 @@ func (a *Archive) snapshot() archiveSnapshot {
 		Budget:       a.budget,
 		MemoCapacity: a.memoCapacity,
 	}
-	for key, g := range a.grids {
-		snap.Grids = append(snap.Grids, gridSnapshot{
-			Key: key, Cols: g.cols, Units: g.units, Hist: g.hist.Snapshot(),
-		})
+	for _, grids := range a.grids {
+		for name, g := range grids {
+			snap.Grids = append(snap.Grids, gridSnapshot{
+				Key: name.String(), Cols: g.cols, Units: g.units, Hist: g.hist.Snapshot(),
+			})
+		}
 	}
 	for key, m := range a.memo {
 		snap.Memo = append(snap.Memo, memoSnapshot{Key: key, Sel: m.sel, TS: m.ts, LastUsed: m.lastUsed})
@@ -93,6 +98,11 @@ func (a *Archive) snapshot() archiveSnapshot {
 	for key, n := range a.ndvs {
 		snap.NDVs = append(snap.NDVs, ndvSnapshot{Key: key, NDV: n.ndv, TS: n.ts})
 	}
+	// Sorted, so the same archive always saves to the same bytes.
+	slices.SortFunc(snap.Grids, func(x, y gridSnapshot) int { return strings.Compare(x.Key, y.Key) })
+	slices.SortFunc(snap.Memo, func(x, y memoSnapshot) int { return strings.Compare(x.Key, y.Key) })
+	slices.SortFunc(snap.Cards, func(x, y cardSnapshot) int { return strings.Compare(x.Table, y.Table) })
+	slices.SortFunc(snap.NDVs, func(x, y ndvSnapshot) int { return strings.Compare(x.Key, y.Key) })
 	return snap
 }
 
@@ -153,11 +163,15 @@ func LoadArchive(r io.Reader) (*Archive, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: grid %q: %w", gs.Key, err)
 		}
+		name, err := gridName(gs, h)
+		if err != nil {
+			return nil, fmt.Errorf("core: grid %q: %w", gs.Key, err)
+		}
 		units := gs.Units
 		if units == nil {
 			units = map[string]float64{}
 		}
-		a.grids[gs.Key] = &gridEntry{key: gs.Key, hist: h, cols: gs.Cols, units: units}
+		a.putGridLocked(name, &gridEntry{hist: h, cols: gs.Cols, units: units})
 	}
 	for _, ms := range snap.Memo {
 		a.memo[ms.Key] = &memoEntry{sel: ms.Sel, ts: ms.TS, lastUsed: ms.LastUsed}
@@ -169,6 +183,29 @@ func LoadArchive(r io.Reader) (*Archive, error) {
 		a.ndvs[ns.Key] = ndvEntry{ndv: ns.NDV, ts: ns.TS}
 	}
 	return a, nil
+}
+
+// gridName checks a loaded grid against itself — its key names its (sorted)
+// column list, its histogram has one dimension per column, its units name only
+// those columns — and returns the name it files under. Lookups box predicates
+// by position in Cols: a grid at odds with its histogram would index past it.
+func gridName(gs gridSnapshot, h *histogram.Histogram) (qgm.StatName, error) {
+	name, err := qgm.ParseStatName(gs.Key)
+	if err != nil {
+		return qgm.StatName{}, err
+	}
+	if name != qgm.ColumnGroup(name.Table(), gs.Cols) || !slices.IsSorted(gs.Cols) {
+		return qgm.StatName{}, fmt.Errorf("key does not name columns %v", gs.Cols)
+	}
+	if len(gs.Cols) != h.Dims() {
+		return qgm.StatName{}, fmt.Errorf("%d columns over a %d-dimensional histogram", len(gs.Cols), h.Dims())
+	}
+	for col := range gs.Units {
+		if !slices.Contains(gs.Cols, col) {
+			return qgm.StatName{}, fmt.Errorf("unit for column %q, which the grid does not have", col)
+		}
+	}
+	return name, nil
 }
 
 // SaveArchive writes the coordinator's archive (engine-facing convenience).

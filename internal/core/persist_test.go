@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 	"repro/internal/value"
 )
 
-func populatedArchive(t *testing.T) *Archive {
+func populatedArchive(t testing.TB) *Archive {
 	t.Helper()
 	a := NewArchive(1000, 100)
 	domains := map[string]ColumnDomain{
@@ -93,12 +94,69 @@ func TestLoadArchiveRejectsCorruption(t *testing.T) {
 		"wrong version": `{"version": 99}`,
 		"bad histogram": `{"version":1,"grids":[{"key":"t(a)","cols":["a"],"units":{"a":1},"hist":{"cols":["a"],"cuts":[[0]],"mass":[1],"ts":[0]}}]}`,
 		"bad mass":      `{"version":1,"grids":[{"key":"t(a)","cols":["a"],"units":{"a":1},"hist":{"cols":["a"],"cuts":[[0,1]],"mass":[5],"ts":[0]}}]}`,
+		// A grid must agree with itself: lookups box predicates by position
+		// in cols against the histogram's dimensions.
+		"key names other columns":   gridJSON("owner(zip)", `["make","year"]`, `{}`),
+		"cols wider than histogram": gridJSON("car(make,year)", `["make","year"]`, `{}`),
+		"cols out of order":         gridJSON("t(a)", `["b","a"]`, `{}`),
+		"unit outside cols":         gridJSON("t(a)", `["a"]`, `{"a":1,"b":1}`),
+		"key is a predicate group":  gridJSON("t{a > 1}", `["a"]`, `{}`),
+		"key has no table":          gridJSON("(a)", `["a"]`, `{}`),
 	}
 	for name, payload := range cases {
 		if _, err := LoadArchive(strings.NewReader(payload)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
+	// The control: the same one-dimensional histogram under a consistent
+	// envelope loads.
+	a, err := LoadArchive(strings.NewReader(gridJSON("t(a)", `["a"]`, `{"a":1}`)))
+	if err != nil || a.Histograms() != 1 {
+		t.Fatalf("consistent grid rejected: %v", err)
+	}
+}
+
+// gridJSON is a version-1 archive file holding one grid with the given
+// envelope over a valid one-dimensional histogram.
+func gridJSON(key, cols, units string) string {
+	return `{"version":1,"grids":[{"key":"` + key + `","cols":` + cols + `,"units":` + units +
+		`,"hist":{"cols":["a"],"cuts":[[0,1]],"mass":[1],"ts":[0]}}]}`
+}
+
+// FuzzLoadArchive: the archive file is the last decoder of bytes from outside
+// the process. LoadArchive never panics, and an archive it accepts answers the
+// optimizer's and the sensitivity analysis's questions about every grid it
+// holds — through the same boxing code a query takes — without panicking, and
+// saves again.
+func FuzzLoadArchive(f *testing.F) {
+	var saved bytes.Buffer
+	if err := populatedArchive(f).Save(&saved); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved.Bytes()) // a checksummed envelope; testdata/fuzz holds the version-1 seeds
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := LoadArchive(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, s := range a.Snapshot() {
+			var group []qgm.Predicate
+			for _, col := range s.Columns {
+				for _, p := range []qgm.Predicate{gtPred(col, 0), eqPred(col, "Toyota"),
+					{Column: col, Op: qgm.OpBetween, Lo: value.NewInt(-1), Hi: value.NewFloat(1e300)}} {
+					a.GroupSelectivity(s.Table, []qgm.Predicate{p}, 1)
+				}
+				group = append(group, gtPred(col, 0))
+			}
+			a.GroupSelectivity(s.Table, group, 2)
+			a.OldestTimestampFor(s.Table, group)
+			a.AccuracyFor(qgm.ColumnGroup(s.Table, s.Columns), group)
+			a.HasStatistic(s.Table, s.Columns)
+		}
+		if err := a.Save(io.Discard); err != nil {
+			t.Fatalf("a loaded archive does not save: %v", err)
+		}
+	})
 }
 
 func TestJITSRestoreArchive(t *testing.T) {

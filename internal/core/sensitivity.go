@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/catalog"
 	"repro/internal/feedback"
 	"repro/internal/qgm"
@@ -11,7 +13,7 @@ import (
 const (
 	scoreFloor = 0.001
 	scoreCeil  = 0.999
-	// accuracy assigned to a "default(...)" guess in a statlist: a default
+	// accuracy assigned to an optimizer default in a statlist: a default
 	// carries no information about the data, so estimates built on it never
 	// argue against collecting real statistics.
 	defaultStatAccuracy = 0.0
@@ -56,13 +58,13 @@ type Sensitivity struct {
 // reaches SMax.
 func (s *Sensitivity) ShouldCollectStats(act TableActivity, groups [][]qgm.Predicate) (bool, Scores) {
 	g := maxGroup(groups)
-	colgrp := qgm.ColumnGroupKey(act.Table, qgm.GroupColumns(g))
+	colgrp := qgm.ColumnGroup(act.Table, qgm.GroupColumns(g))
 
 	maxAcc := 0.0
 	for _, h := range s.History.EntriesFor(act.Table, colgrp) {
 		accu := feedback.Accuracy(h.ErrorFactor)
-		for _, statKey := range h.StatList {
-			accu *= s.statAccuracy(statKey, act.Table, g)
+		for _, stat := range h.StatList {
+			accu *= s.statAccuracy(stat, act.Table, g)
 		}
 		if accu > maxAcc {
 			maxAcc = accu
@@ -73,14 +75,9 @@ func (s *Sensitivity) ShouldCollectStats(act TableActivity, groups [][]qgm.Predi
 	var s2 float64
 	switch {
 	case act.Cardinality > 0:
-		s2 = float64(act.UDI) / float64(act.Cardinality)
-		if s2 > 1 {
-			s2 = 1
-		}
+		s2 = min(float64(act.UDI)/float64(act.Cardinality), 1)
 	case act.UDI > 0:
 		s2 = 1 // everything the table ever held changed
-	default:
-		s2 = 0
 	}
 
 	total := clampScore((s1 + s2) / 2)
@@ -92,25 +89,26 @@ func (s *Sensitivity) ShouldCollectStats(act TableActivity, groups [][]qgm.Predi
 // the statistic is a histogram (archive grid first, then catalog
 // distribution), a small constant for optimizer defaults, and a neutral
 // constant when the statistic can no longer be found.
-func (s *Sensitivity) statAccuracy(statKey, table string, g []qgm.Predicate) float64 {
-	if len(statKey) > 8 && statKey[:8] == "default(" {
+func (s *Sensitivity) statAccuracy(stat qgm.StatName, table string, g []qgm.Predicate) float64 {
+	if stat.Kind() == qgm.StatDefault {
 		return defaultStatAccuracy
 	}
 	if s.Archive != nil {
-		if acc, ok := s.Archive.AccuracyFor(statKey, table, g); ok {
+		if acc, ok := s.Archive.AccuracyFor(stat, g); ok {
 			return acc
 		}
 	}
-	// Catalog 1-D distribution: statKey "table(col)".
-	if s.Cat != nil {
-		if tbl, col := splitColgrpKey1D(statKey); tbl == table && col != "" {
-			if ts, ok := s.Cat.TableStats(table); ok {
-				if cs, ok := ts.Columns[col]; ok && cs.Hist != nil {
-					units := map[string]float64{col: cs.Unit()}
-					if box, ok := boxForPreds([]string{col}, filterPredsOnColumn(g, col), units); ok {
-						if acc, err := cs.Hist.Accuracy(box); err == nil {
-							return acc
-						}
+	// Catalog 1-D distribution: a column group whose body is one column
+	// (the body of a wider group names no catalog column).
+	if s.Cat != nil && stat.Kind() == qgm.StatColumnGroup && stat.Table() == table {
+		col := stat.Body()
+		if ts, ok := s.Cat.TableStats(table); ok {
+			if cs, ok := ts.Columns[col]; ok && cs.Hist != nil {
+				units := map[string]float64{col: cs.Unit()}
+				onCol := slices.DeleteFunc(slices.Clone(g), func(p qgm.Predicate) bool { return p.Column != col })
+				if box, ok := boxForPreds([]string{col}, onCol, units); ok {
+					if acc, err := cs.Hist.Accuracy(box); err == nil {
+						return acc
 					}
 				}
 			}
@@ -119,16 +117,8 @@ func (s *Sensitivity) statAccuracy(statKey, table string, g []qgm.Predicate) flo
 	return unknownStatAccuracy
 }
 
-func filterPredsOnColumn(g []qgm.Predicate, col string) []qgm.Predicate {
-	var out []qgm.Predicate
-	for _, p := range g {
-		if p.Column == col {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
+// maxGroup returns the group with the most predicates — the table's full
+// local group, the one Algorithm 3 scores.
 func maxGroup(groups [][]qgm.Predicate) []qgm.Predicate {
 	var best []qgm.Predicate
 	for _, g := range groups {
@@ -139,15 +129,7 @@ func maxGroup(groups [][]qgm.Predicate) []qgm.Predicate {
 	return best
 }
 
-func clampScore(x float64) float64 {
-	if x < scoreFloor {
-		return scoreFloor
-	}
-	if x > scoreCeil {
-		return scoreCeil
-	}
-	return x
-}
+func clampScore(x float64) float64 { return min(max(x, scoreFloor), scoreCeil) }
 
 // ShouldMaterialize is Algorithm 4: a collected statistic is worth storing
 // in the QSS archive when a histogram already exists on its column group
@@ -163,7 +145,7 @@ func (s *Sensitivity) ShouldMaterialize(table string, g []qgm.Predicate) bool {
 	if s.Archive != nil && s.Archive.HasStatistic(table, cols) {
 		return true
 	}
-	statKey := qgm.ColumnGroupKey(table, cols)
+	statKey := qgm.ColumnGroup(table, cols)
 	if len(s.History.EntriesFor(table, statKey)) > 0 {
 		return true // recurring target: bootstrap it into the archive
 	}

@@ -52,12 +52,12 @@ func TestSMaxEndpoints(t *testing.T) {
 func TestAccurateHistorySuppressesCollection(t *testing.T) {
 	s := newSensitivity(0.5)
 	g := []qgm.Predicate{gtPred("year", 2000)}
-	colgrp := qgm.ColumnGroupKey("car", []string{"year"})
+	colgrp := qgm.ColumnGroup("car", []string{"year"})
 	// The archive holds an accurate histogram whose boundary matches the
 	// group exactly, and history says estimates from it were perfect.
 	domains := map[string]ColumnDomain{"year": intDomain(1990, 2010)}
 	s.Archive.Materialize("car", g, 0.4, 1, domains)
-	s.History.Record("car", colgrp, []string{"car(year)"}, 1.0)
+	s.History.Record("car", colgrp, names("car(year)"), 1.0)
 
 	act := TableActivity{Table: "car", Cardinality: 1000, UDI: 0}
 	collect, scores := s.ShouldCollectStats(act, [][]qgm.Predicate{g})
@@ -75,11 +75,11 @@ func TestBadErrorFactorTriggersCollection(t *testing.T) {
 	// the *average* of the two signals.
 	s := newSensitivity(0.4)
 	g := []qgm.Predicate{gtPred("year", 2000)}
-	colgrp := qgm.ColumnGroupKey("car", []string{"year"})
+	colgrp := qgm.ColumnGroup("car", []string{"year"})
 	domains := map[string]ColumnDomain{"year": intDomain(1990, 2010)}
 	s.Archive.Materialize("car", g, 0.4, 1, domains)
 	// History: estimates from this stat were off by 5x.
-	s.History.Record("car", colgrp, []string{"car(year)"}, 5.0)
+	s.History.Record("car", colgrp, names("car(year)"), 5.0)
 	act := TableActivity{Table: "car", Cardinality: 1000, UDI: 0}
 	collect, scores := s.ShouldCollectStats(act, [][]qgm.Predicate{g})
 	if !collect {
@@ -91,10 +91,10 @@ func TestUDIActivityTriggersCollection(t *testing.T) {
 	// 90% churn with perfect statistics accuracy averages to 0.45.
 	s := newSensitivity(0.45)
 	g := []qgm.Predicate{gtPred("year", 2000)}
-	colgrp := qgm.ColumnGroupKey("car", []string{"year"})
+	colgrp := qgm.ColumnGroup("car", []string{"year"})
 	domains := map[string]ColumnDomain{"year": intDomain(1990, 2010)}
 	s.Archive.Materialize("car", g, 0.4, 1, domains)
-	s.History.Record("car", colgrp, []string{"car(year)"}, 1.0)
+	s.History.Record("car", colgrp, names("car(year)"), 1.0)
 	// Now 90% of the table churned.
 	act := TableActivity{Table: "car", Cardinality: 1000, UDI: 900}
 	collect, scores := s.ShouldCollectStats(act, [][]qgm.Predicate{g})
@@ -143,14 +143,14 @@ func TestStatAccuracyFromCatalogHistogram(t *testing.T) {
 	s.Cat.SetTableStats(st)
 
 	g := []qgm.Predicate{gtPred("year", 2000)}
-	acc := s.statAccuracy("car(year)", "car", g)
+	acc := s.statAccuracy(name("car(year)"), "car", g)
 	if acc <= 0.5 {
 		t.Errorf("catalog histogram accuracy = %v, want high (20 buckets over 20 values)", acc)
 	}
-	if got := s.statAccuracy("default(car.year)", "car", g); got != defaultStatAccuracy {
+	if got := s.statAccuracy(name("default(car.year)"), "car", g); got != defaultStatAccuracy {
 		t.Errorf("default accuracy = %v", got)
 	}
-	if got := s.statAccuracy("ghost(col)", "car", g); got != unknownStatAccuracy {
+	if got := s.statAccuracy(name("ghost(col)"), "car", g); got != unknownStatAccuracy {
 		t.Errorf("unknown accuracy = %v", got)
 	}
 }
@@ -173,11 +173,11 @@ func TestShouldMaterializeFromUsefulness(t *testing.T) {
 		t.Error("empty history must not materialize")
 	}
 	// The statistic car(year) has been used for most estimates, accurately.
-	statKey := qgm.ColumnGroupKey("car", []string{"year"})
+	statKey := "car(year)"
 	for i := 0; i < 9; i++ {
-		s.History.Record("car", "car(make,year)", []string{statKey, "car(make)"}, 1.0)
+		s.History.Record("car", name("car(make,year)"), names(statKey, "car(make)"), 1.0)
 	}
-	s.History.Record("car", "car(id)", []string{"car(id)"}, 1.0)
+	s.History.Record("car", name("car(id)"), names("car(id)"), 1.0)
 	if !s.ShouldMaterialize("car", g) {
 		t.Error("frequently-useful statistic must be materialized")
 	}
@@ -190,12 +190,12 @@ func TestShouldMaterializeFromUsefulness(t *testing.T) {
 func TestShouldMaterializeThresholdScaling(t *testing.T) {
 	// The same history that passes s_max = 0.3 fails s_max = 0.9.
 	histories := feedback.NewHistory()
-	statKey := qgm.ColumnGroupKey("car", []string{"year"})
+	statKey := "car(year)"
 	for i := 0; i < 5; i++ {
-		histories.Record("car", "car(make,year)", []string{statKey}, 1.0)
+		histories.Record("car", name("car(make,year)"), names(statKey), 1.0)
 	}
 	for i := 0; i < 5; i++ {
-		histories.Record("car", "car(id)", []string{"car(id)"}, 1.0)
+		histories.Record("car", name("car(id)"), names("car(id)"), 1.0)
 	}
 	g := []qgm.Predicate{gtPred("year", 2000)}
 	low := &Sensitivity{History: histories, Archive: NewArchive(0, 0), SMax: 0.3}

@@ -2,96 +2,102 @@ package costmodel
 
 import "sync/atomic"
 
-// Degradation counts the graceful-degradation events of a JITS instance:
-// every time statistics collection for a table was skipped or abandoned and
-// the optimizer fell back to catalog statistics. The counters are cumulative
-// over the engine's lifetime and safe for concurrent use, mirroring the
-// monitor counters a production optimizer would expose.
-type Degradation struct {
-	samplingErrors  atomic.Int64
-	budgetExhausted atomic.Int64
-	cancellations   atomic.Int64
-	panics          atomic.Int64
-	memoryBudget    atomic.Int64
-	breakerOpen     atomic.Int64
-	fallbackTables  atomic.Int64
+// DegradeCause says why JITS gave up collecting statistics for a table and
+// the optimizer fell back to catalog statistics. It is the one enumeration of
+// those reasons: it indexes the always-on counts behind DegradationCounts,
+// its String is the jits_degradation_total{cause} label and the /debug/health
+// key, and it stamps the table's report.
+type DegradeCause uint8
+
+const (
+	DegradeNone            DegradeCause = iota // the table did not degrade
+	DegradeCancelled                           // the statement's context was cancelled or its deadline expired
+	DegradeBudgetExhausted                     // the statement's row or cost budget for sampling was already spent
+	DegradeSamplingError                       // the sampling pass returned an error
+	DegradePanic                               // collection panicked and was recovered
+	DegradeMemoryBudget                        // the sample did not fit the memory reservation even after shrinking
+	DegradeBreakerOpen                         // the sampling circuit breaker was open (catalog-only mode under overload)
+
+	numDegradeCauses
+)
+
+var degradeCauseLabels = [numDegradeCauses]string{
+	DegradeCancelled:       "cancelled",
+	DegradeBudgetExhausted: "budget_exhausted",
+	DegradeSamplingError:   "sampling_error",
+	DegradePanic:           "panic",
+	DegradeMemoryBudget:    "memory_budget",
+	DegradeBreakerOpen:     "breaker_open",
 }
 
-// DegradationCounts is a point-in-time snapshot of a Degradation.
+// String returns the cause's metric label.
+func (c DegradeCause) String() string { return degradeCauseLabels[c] }
+
+// DegradeCauses lists every cause a table can degrade for.
+func DegradeCauses() []DegradeCause {
+	var out []DegradeCause
+	for c := DegradeNone + 1; c < numDegradeCauses; c++ {
+		out = append(out, c)
+	}
+	return out
+}
+
+// Degradation counts the graceful-degradation events of a JITS instance, by
+// cause. The counts are cumulative over the engine's lifetime and safe for
+// concurrent use, mirroring the monitor counters a production optimizer
+// would expose.
+type Degradation struct {
+	byCause [numDegradeCauses]atomic.Int64
+}
+
+// Record counts one table degraded for the given cause.
+func (d *Degradation) Record(c DegradeCause) { d.byCause[c].Add(1) }
+
+// DegradationCounts is a point-in-time snapshot of a Degradation: tables that
+// fell back to catalog statistics, per cause, and FallbackTables, their sum.
 type DegradationCounts struct {
-	// SamplingErrors counts tables whose sampling pass returned an error.
-	SamplingErrors int64
-	// BudgetExhausted counts tables skipped because the row or cost budget
-	// for the statement was already spent.
-	BudgetExhausted int64
-	// Cancellations counts tables skipped because the statement's context
-	// was cancelled or its deadline expired.
-	Cancellations int64
-	// Panics counts tables whose collection panicked and was recovered.
-	Panics int64
-	// MemoryBudget counts tables whose sample could not fit the statement's
-	// memory reservation even after shrinking.
-	MemoryBudget int64
-	// BreakerOpen counts tables skipped because the sampling circuit
-	// breaker was open (catalog-only mode under overload).
-	BreakerOpen int64
-	// FallbackTables counts every table that fell back to catalog
-	// statistics, whatever the reason (the sum of the classes above).
-	FallbackTables int64
+	SamplingErrors  int64 // the sampling pass returned an error
+	BudgetExhausted int64 // the statement's row or cost budget was already spent
+	Cancellations   int64 // the statement's context was cancelled or its deadline expired
+	Panics          int64 // collection panicked and was recovered
+	MemoryBudget    int64 // the sample could not fit the memory reservation even after shrinking
+	BreakerOpen     int64 // the sampling circuit breaker was open
+	FallbackTables  int64 // every table that fell back, whatever the reason (the sum of the above)
 }
 
 // Total returns the number of degradation events of any class.
 func (c DegradationCounts) Total() int64 { return c.FallbackTables }
 
-// RecordSamplingError counts one table degraded by a sampling failure.
-func (d *Degradation) RecordSamplingError() {
-	d.samplingErrors.Add(1)
-	d.fallbackTables.Add(1)
+// of is the field that counts cause; nil for DegradeNone.
+func (c *DegradationCounts) of(cause DegradeCause) *int64 {
+	return [numDegradeCauses]*int64{
+		DegradeCancelled:       &c.Cancellations,
+		DegradeBudgetExhausted: &c.BudgetExhausted,
+		DegradeSamplingError:   &c.SamplingErrors,
+		DegradePanic:           &c.Panics,
+		DegradeMemoryBudget:    &c.MemoryBudget,
+		DegradeBreakerOpen:     &c.BreakerOpen,
+	}[cause]
 }
 
-// RecordBudgetExhausted counts one table degraded by budget exhaustion.
-func (d *Degradation) RecordBudgetExhausted() {
-	d.budgetExhausted.Add(1)
-	d.fallbackTables.Add(1)
-}
-
-// RecordCancellation counts one table degraded by cancellation or deadline.
-func (d *Degradation) RecordCancellation() {
-	d.cancellations.Add(1)
-	d.fallbackTables.Add(1)
-}
-
-// RecordPanic counts one table degraded by a recovered collection panic.
-func (d *Degradation) RecordPanic() {
-	d.panics.Add(1)
-	d.fallbackTables.Add(1)
-}
-
-// RecordMemoryBudget counts one table degraded by memory-budget exhaustion.
-func (d *Degradation) RecordMemoryBudget() {
-	d.memoryBudget.Add(1)
-	d.fallbackTables.Add(1)
-}
-
-// RecordBreakerOpen counts one table skipped by the open sampling breaker.
-func (d *Degradation) RecordBreakerOpen() {
-	d.breakerOpen.Add(1)
-	d.fallbackTables.Add(1)
+// Of returns the count recorded for one cause.
+func (c DegradationCounts) Of(cause DegradeCause) int64 {
+	if n := c.of(cause); n != nil {
+		return *n
+	}
+	return 0
 }
 
 // Counts returns a snapshot of the counters. Safe to call concurrently with
-// the Record methods; a nil receiver snapshots to zero.
-func (d *Degradation) Counts() DegradationCounts {
+// Record; a nil receiver snapshots to zero.
+func (d *Degradation) Counts() (c DegradationCounts) {
 	if d == nil {
-		return DegradationCounts{}
+		return c
 	}
-	return DegradationCounts{
-		SamplingErrors:  d.samplingErrors.Load(),
-		BudgetExhausted: d.budgetExhausted.Load(),
-		Cancellations:   d.cancellations.Load(),
-		Panics:          d.panics.Load(),
-		MemoryBudget:    d.memoryBudget.Load(),
-		BreakerOpen:     d.breakerOpen.Load(),
-		FallbackTables:  d.fallbackTables.Load(),
+	for cause := DegradeNone + 1; cause < numDegradeCauses; cause++ {
+		n := d.byCause[cause].Load()
+		*c.of(cause) = n
+		c.FallbackTables += n
 	}
+	return c
 }

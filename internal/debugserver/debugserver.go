@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 )
@@ -257,22 +258,19 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	deg := eng.Degradation()
+	degradation := make(map[string]int64)
+	for _, cause := range costmodel.DegradeCauses() {
+		degradation[cause.String()] = deg.Of(cause)
+	}
 	// Drift is surfaced on health (counts only; /debug/accuracy has the
 	// rows) so a fleet dashboard sees stale statistics without another
 	// scrape target — but drifted stats alone never fail the probe: the
 	// node still serves correctly, just possibly with worse plans.
 	tracked, fresh, aging, drifted := eng.Accuracy().Counts()
 	writeJSONStatus(w, code, map[string]any{
-		"status": status,
-		"degradation": map[string]int64{
-			"cancelled":        deg.Cancellations,
-			"budget_exhausted": deg.BudgetExhausted,
-			"sampling_error":   deg.SamplingErrors,
-			"panic":            deg.Panics,
-			"memory_budget":    deg.MemoryBudget,
-			"breaker_open":     deg.BreakerOpen,
-		},
-		"governor": gov.Snapshot(),
+		"status":      status,
+		"degradation": degradation,
+		"governor":    gov.Snapshot(),
 		"drift": map[string]any{
 			"enabled": eng.Accuracy().Enabled(),
 			"tracked": tracked,

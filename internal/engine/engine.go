@@ -4,7 +4,7 @@
 // the equivalent of the paper's modified DB2 engine.
 //
 // Every statement is one statement value threaded through one pipeline of
-// explicit stages (statement.go; DESIGN.md §17):
+// explicit stages (statement.go; DESIGN.md §21):
 //
 //	admit       governor gate + per-statement memory reservation
 //	probe cache normalized SQL + archive epoch → compiled plan, on a hit
@@ -584,25 +584,6 @@ func (e *Engine) Degradation() costmodel.DegradationCounts {
 	return e.jits.DegradationCounts()
 }
 
-// staticSource adapts the precollected workload-statistics archive to the
-// optimizer's StatsSource interface.
-type staticSource struct {
-	archive *core.Archive
-	ts      int64
-}
-
-func (s *staticSource) GroupSelectivity(table string, preds []qgm.Predicate) (float64, string, bool) {
-	return s.archive.GroupSelectivity(table, preds, s.ts)
-}
-
-func (s *staticSource) Cardinality(table string) (int64, bool) {
-	return s.archive.Cardinality(table)
-}
-
-func (s *staticSource) ColumnNDV(table, column string) (int64, bool) {
-	return s.archive.ColumnNDV(table, column)
-}
-
 // buildMetrics assembles one statement's Metrics from its compile and
 // execution meters. Every statement path — SELECT, EXPLAIN, EXPLAIN ANALYZE,
 // DML, degraded compilation, timeout — reports through this single helper,
@@ -671,68 +652,27 @@ func (e *Engine) RunstatsAll() error {
 // predicate group occurring in the given workload — the paper's "workload
 // statistics" baseline: "if the workload information is available, it can
 // be analyzed and all the needed statistics can be collected beforehand".
-// The statistics are computed from the *current* data by full scans and
-// never refreshed, so subsequent updates silently stale them.
+// The statistics are computed from the *current* data, exactly
+// (core.WorkloadStatistics), and never refreshed, so subsequent updates
+// silently stale them.
 func (e *Engine) CollectWorkloadStats(sqls []string) error {
 	ts := e.tick()
-	archive := core.NewArchive(0, 0)
-	var m costmodel.Meter // setup cost, not charged to any query
+	var queries []*qgm.Query
 	for _, sql := range sqls {
+		// Workloads may contain DML; skip anything that is not a SELECT.
 		stmt, err := sqlparser.Parse(sql)
 		if err != nil {
-			continue // workloads may contain DML; skip anything unparsable as SELECT
-		}
-		sel, ok := stmt.(*sqlparser.SelectStmt)
-		if !ok {
 			continue
 		}
-		q, err := qgm.Build(sel, e)
-		if err != nil {
-			continue
-		}
-		for _, tc := range core.AnalyzeQuery(q, 0) {
-			tbl, ok := e.db.Table(tc.Table)
-			if !ok {
-				continue
-			}
-			snap := tbl.Snapshot()
-			card := snap.NumRows()
-			archive.SetCardinality(tc.Table, int64(card), ts)
-			if card == 0 {
-				continue
-			}
-			// Exact evaluation by full scan; snapshot rows are freshly
-			// materialized, so they are retained without copying.
-			rows := make([][]value.Datum, 0, card)
-			snap.Scan(func(_ int, row []value.Datum) bool {
-				rows = append(rows, row)
-				return true
-			})
-			m.Add(e.weights.SeqRow * float64(len(rows)))
-			domains := core.SampleDomains(tbl.Schema(), rows)
-			schema := tbl.Schema()
-			for c := 0; c < schema.NumColumns(); c++ {
-				distinct := make(map[value.Key]bool, card)
-				for _, row := range rows {
-					if !row[c].IsNull() {
-						distinct[row[c].Key()] = true
-					}
-				}
-				if len(distinct) > 0 {
-					archive.SetColumnNDV(tc.Table, schema.Column(c).Name, int64(len(distinct)), ts)
-				}
-			}
-			var hits []int32
-			for _, g := range tc.Groups {
-				count := 0
-				snap.Range(0, card, func(ch *storage.Chunk, _, clo, chi int) bool {
-					hits = qgm.AppendMatches(hits[:0], g, ch, clo, chi, 0)
-					count += len(hits)
-					return true
-				})
-				archive.Materialize(tc.Table, g, float64(count)/float64(card), ts, domains)
+		if sel, ok := stmt.(*sqlparser.SelectStmt); ok {
+			if q, err := qgm.Build(sel, e); err == nil {
+				queries = append(queries, q)
 			}
 		}
+	}
+	archive, err := core.WorkloadStatistics(e.db, queries, ts)
+	if err != nil {
+		return err
 	}
 	e.staticQSS = archive
 	e.bumpArchiveEpoch()

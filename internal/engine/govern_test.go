@@ -107,7 +107,7 @@ func TestSamplingShrinksToBudget(t *testing.T) {
 // TestAdmissionOverloadShedsTyped is the overload proof: with one admission
 // slot held and a one-deep queue occupied, the next arrival must be shed
 // immediately with the typed overload error, and the queued statement must
-// run to completion once the slot frees. Run under -race in overload-smoke.
+// run to completion once the slot frees. `make race` runs it under the detector.
 func TestAdmissionOverloadShedsTyped(t *testing.T) {
 	cfg := Config{}
 	cfg.Governor.MaxConcurrent = 1

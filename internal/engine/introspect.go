@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/accuracy"
 	"repro/internal/metrics"
+	"repro/internal/qgm"
 	"repro/internal/value"
 )
 
@@ -37,7 +38,7 @@ func (e *Engine) execShowStats(ts int64) (*Result, error) {
 			staleness = 0
 		}
 		ef := value.Null
-		if f, ok := e.history.LastErrorFactorFor(s.Key); ok {
+		if f, ok := e.history.LastErrorFactorFor(qgm.ColumnGroup(s.Table, s.Columns)); ok {
 			ef = value.NewFloat(f)
 		}
 		rows = append(rows, []value.Datum{

@@ -112,7 +112,7 @@ func (e *Engine) observe(s *statement) {
 		}
 		// A statistic crossing into drifted annotates the statement that
 		// tripped the detector. (A disabled ledger is one atomic load.)
-		if tr, ok := e.accuracy.ObserveFeedback(ts, a.Trace.Table, a.Trace.ColGrp, ef, int64(a.BaseRows)); ok && rec != nil {
+		if tr, ok := e.accuracy.ObserveFeedback(ts, a.Trace.Table, a.Trace.ColGrp.String(), ef, int64(a.BaseRows)); ok && rec != nil {
 			rec.Annotations = append(rec.Annotations,
 				fmt.Sprintf("accuracy: %s %s -> %s", tr.Key, tr.From, tr.To))
 		}
@@ -176,7 +176,7 @@ func (e *Engine) capture(s *statement) {
 				Reason:     tr.DegradeReason,
 			})
 			if tr.Degraded {
-				rec.DegradeCauses = append(rec.DegradeCauses, tr.Table+": "+tr.DegradeReason)
+				rec.DegradeCauses = append(rec.DegradeCauses, tr.DegradeNote())
 			}
 		}
 	}

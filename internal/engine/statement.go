@@ -158,7 +158,7 @@ func (e *Engine) compile(s *statement, sel *sqlparser.SelectStmt) error {
 				s.ts, tr.Table, tr.Collected, tr.Scores.S1, tr.Scores.S2,
 				tr.SampleRows, tr.GroupsEvaluated, tr.GroupsMaterialized)
 			if tr.Degraded {
-				e.tracef("q%d jits %s degraded: %s (catalog fallback)", s.ts, tr.Table, tr.DegradeReason)
+				e.tracef("q%d jits degraded: %s (catalog fallback)", s.ts, tr.DegradeNote())
 			}
 		}
 	}
@@ -167,9 +167,9 @@ func (e *Engine) compile(s *statement, sel *sqlparser.SelectStmt) error {
 	case qstats != nil:
 		source = qstats
 	case e.staticQSS != nil:
-		source = &staticSource{archive: e.staticQSS, ts: s.ts}
+		source = core.ArchiveStats(e.staticQSS, s.ts)
 	case e.reactiveQSS != nil:
-		source = &staticSource{archive: e.reactiveQSS, ts: s.ts}
+		source = core.ArchiveStats(e.reactiveQSS, s.ts)
 	}
 	s.octx = e.optimizerContext(s, source)
 

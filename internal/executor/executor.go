@@ -25,6 +25,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/govern"
 	"repro/internal/index"
+	"repro/internal/morsel"
 	"repro/internal/optimizer"
 	"repro/internal/qgm"
 	"repro/internal/sqlparser"
@@ -50,7 +51,7 @@ type Runtime struct {
 	// (the simulated work is the same — only the wall clock shrinks).
 	Parallelism int
 	// MorselSize overrides the number of rows per morsel; 0 selects
-	// DefaultMorselSize. Tests shrink it to exercise multi-morsel paths on
+	// morsel.DefaultSize. Tests shrink it to exercise multi-morsel paths on
 	// small tables.
 	MorselSize int
 	// Stats, when non-nil, collects per-plan-node runtime actuals (rows,
@@ -93,7 +94,7 @@ func (rt *Runtime) morselSize() int {
 	if rt.MorselSize > 0 {
 		return rt.MorselSize
 	}
-	return DefaultMorselSize
+	return morsel.DefaultSize
 }
 
 func (rt *Runtime) charge(units float64) {
@@ -614,7 +615,7 @@ func (ex *executor) runHashJoin(n *optimizer.Join) (*relation, error) {
 	}
 	next := make([]int32, nL)
 	heads := make([]map[int64]int32, parts)
-	if err := runMorsels(ex.rt.Ctx, parts, ex.rt.dop(), 1, func(p, _, _ int) error {
+	if err := ex.rt.runMorsels(parts, 1, func(p, _, _ int) error {
 		head := make(map[int64]int32, nL/parts)
 		for i := nL - 1; i >= 0; i-- {
 			k := lk.k[i]
@@ -1263,7 +1264,7 @@ func (ex *executor) orderRows(out *output, rows []int32) ([]int32, error) {
 		return nil, fmt.Errorf("executor: ORDER BY sort: %w", err)
 	}
 	orderBy := ex.blk.OrderBy
-	parallelStableSort(rows, ex.rt.dop(), func(a, b int32) bool {
+	err := parallelStableSort(ex.rt, rows, func(a, b int32) bool {
 		for k, key := range out.keys {
 			if c := key.Datum(int(a)).Compare(key.Datum(int(b))); c != 0 {
 				return (c > 0) == orderBy[k].Desc
@@ -1271,5 +1272,5 @@ func (ex *executor) orderRows(out *output, rows []int32) ([]int32, error) {
 		}
 		return false
 	})
-	return rows, nil
+	return rows, err
 }

@@ -1,9 +1,10 @@
 package executor
 
 import (
-	"context"
 	"fmt"
-	"sync"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -144,33 +145,6 @@ func TestParallelActualsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestRunMorselsCoversAllRows exercises the scheduler directly: every index
-// in [0, n) must be visited exactly once for a spread of sizes and dops,
-// including n smaller than one morsel and dop exceeding the morsel count.
-func TestRunMorselsCoversAllRows(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 16, 17, 1000} {
-		for _, dop := range []int{1, 2, 7, 32} {
-			var mu sync.Mutex
-			seen := make([]int, n)
-			if err := runMorsels(context.Background(), n, dop, 16, func(m, lo, hi int) error {
-				mu.Lock()
-				defer mu.Unlock()
-				for i := lo; i < hi; i++ {
-					seen[i]++
-				}
-				return nil
-			}); err != nil {
-				t.Fatalf("n=%d dop=%d: %v", n, dop, err)
-			}
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("n=%d dop=%d: index %d visited %d times", n, dop, i, c)
-				}
-			}
-		}
-	}
-}
-
 // TestParallelAggregateGroupOrder pins the first-appearance group-order
 // guarantee: with no ORDER BY, the parallel aggregation must emit groups in
 // the same order the serial accumulator discovers them (row order).
@@ -184,5 +158,34 @@ func TestParallelAggregateGroupOrder(t *testing.T) {
 			t.Fatalf("group order diverged at %d: %v vs %v (serial %v, parallel %v)",
 				i, serial.Rows[i][0], par.Rows[i][0], serial.Rows, par.Rows)
 		}
+	}
+}
+
+// TestParallelStableSortMatchesSliceStable: for chunk counts even and odd
+// (an odd run is carried through a merge round), the parallel sort yields the
+// unique stable order, and a comparator panic in a worker is an error.
+func TestParallelStableSortMatchesSliceStable(t *testing.T) {
+	type row struct{ key, seq int }
+	for _, n := range []int{0, 1, 1023, 1024, 3000, 5 * 1024, 7*1024 + 13} {
+		for _, dop := range []int{1, 2, 3, 5, 8} {
+			rows := make([]row, n)
+			for i := range rows {
+				rows[i] = row{key: (i * 7919) % 97, seq: i}
+			}
+			want := append([]row(nil), rows...)
+			sort.SliceStable(want, func(i, j int) bool { return want[i].key < want[j].key })
+			rt := &Runtime{Parallelism: dop}
+			if err := parallelStableSort(rt, rows, func(a, b row) bool { return a.key < b.key }); err != nil {
+				t.Fatalf("n=%d dop=%d: %v", n, dop, err)
+			}
+			if !slices.Equal(rows, want) {
+				t.Fatalf("n=%d dop=%d: order differs from sort.SliceStable", n, dop)
+			}
+		}
+	}
+	rows := make([]int, 4096)
+	err := parallelStableSort(&Runtime{Parallelism: 4}, rows, func(a, b int) bool { panic("bad comparator") })
+	if err == nil || !strings.Contains(err.Error(), "worker panic: bad comparator") {
+		t.Fatalf("err = %v, want the comparator's panic as an error", err)
 	}
 }

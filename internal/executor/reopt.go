@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/flightrec"
 	"repro/internal/optimizer"
 )
 
@@ -117,22 +118,6 @@ func slotKey(slots []int) string {
 	return string(b)
 }
 
-// qErrorOf mirrors flightrec.QError: the symmetric ratio of estimate and
-// actual, floored at 1 row so empty results do not divide by zero.
-func qErrorOf(est, act float64) float64 {
-	hi, lo := est, act
-	if hi < lo {
-		hi, lo = lo, hi
-	}
-	if lo < 1 {
-		lo = 1
-	}
-	if hi < 1 {
-		hi = 1
-	}
-	return hi / lo
-}
-
 // checkpoint is called by the join runners after each input materializes.
 // A nil state (re-optimization off) and Materialized leaves (exact by
 // construction, q-error 1) cost a pointer check.
@@ -172,7 +157,7 @@ func (s *ReoptState) observe(ex *executor, node optimizer.Node, rel *relation) e
 		return nil
 	}
 	est, act := node.Rows(), float64(rel.n)
-	q := qErrorOf(est, act)
+	q := flightrec.QError(est, act)
 	if q <= s.threshold {
 		return nil
 	}

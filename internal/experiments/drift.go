@@ -19,8 +19,7 @@ import (
 //
 // Everything is deterministic — seeded data, seeded queries, and a ledger
 // clocked by the engine's logical ticks — so the drifted-table set is a
-// stable assertion, not a tendency (TestDriftQuick pins it; `make
-// drift-smoke` runs that in CI).
+// stable assertion, not a tendency (TestDriftQuick pins it).
 
 // DriftOptions tune the drift experiment beyond the shared Options.
 type DriftOptions struct {

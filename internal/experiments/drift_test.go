@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// TestDriftQuick is the clock-injected fast drift run CI executes through
-// `make drift-smoke`: after the mid-run city boom, the accuracy ledger must
+// TestDriftQuick is the clock-injected fast drift run CI executes
+// (`make test`): after the mid-run city boom, the accuracy ledger must
 // flag the shifted table — and only the shifted table — as drifted. The
 // run is fully deterministic (seeded data and queries, logical-tick clock),
 // so the asserted set is exact, not probabilistic.

@@ -2,8 +2,8 @@ package experiments
 
 import "testing"
 
-// TestReoptQuick is the fast re-optimization run CI executes through `make
-// reopt-smoke`: over the identical workload stream, mid-query
+// TestReoptQuick is the fast re-optimization run CI executes (`make test`,
+// `make race`): over the identical workload stream, mid-query
 // re-optimization on top of plain catalog statistics must finish with less
 // simulated work AND a lower terminal q-error than both static baselines —
 // the catalog plans it repairs and the JITS plans that bought their

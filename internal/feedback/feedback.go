@@ -15,9 +15,12 @@ package feedback
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/qgm"
 )
 
 // ewmaAlpha is the weight of the newest observation when an entry's error
@@ -27,10 +30,10 @@ const ewmaAlpha = 0.5
 // Entry is one StatHistory record.
 type Entry struct {
 	Table       string
-	ColGrp      string   // canonical column-group key (qgm.ColumnGroupKey)
-	StatList    []string // canonical keys of the statistics used, sorted
-	Count       int64    // times this statlist estimated this group
-	ErrorFactor float64  // estimated/actual, exponentially averaged
+	ColGrp      qgm.StatName   // the column group estimated (qgm.ColumnGroup)
+	StatList    []qgm.StatName // the statistics used, ordered by name
+	Count       int64          // times this statlist estimated this group
+	ErrorFactor float64        // estimated/actual, exponentially averaged
 }
 
 // Accuracy converts an error factor into the paper's [0,1] accuracy scale:
@@ -52,10 +55,28 @@ type entryKey struct {
 	table, colgrp, stats string
 }
 
-func canonStats(statlist []string) (string, []string) {
-	s := append([]string(nil), statlist...)
-	sort.Strings(s)
-	return strings.Join(s, "|"), s
+// canonStats returns statlist ordered by name and that order's "|"-joined
+// text, the statlist part of an entry's identity.
+func canonStats(statlist []qgm.StatName) (string, []qgm.StatName) {
+	s := slices.Clone(statlist)
+	slices.SortFunc(s, qgm.StatName.Compare)
+	return joinStats(s), s
+}
+
+func joinStats(statlist []qgm.StatName) string {
+	size := len(statlist)
+	for _, n := range statlist {
+		size += len(n.String())
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i, n := range statlist {
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		b.WriteString(n.String())
+	}
+	return b.String()
 }
 
 // History is the StatHistory store. Safe for concurrent use.
@@ -73,7 +94,7 @@ func NewHistory() *History {
 // Record logs that statlist was used to estimate colgrp on table with the
 // given error factor (estimated/actual). Repeated observations accumulate
 // the count and exponentially average the error factor.
-func (h *History) Record(table, colgrp string, statlist []string, errorFactor float64) {
+func (h *History) Record(table string, colgrp qgm.StatName, statlist []qgm.StatName, errorFactor float64) {
 	// A non-finite error factor carries no usable signal and, once mixed
 	// into the EWMA, would poison the entry forever (NaN never decays out).
 	// ErrorFactor can no longer produce one, but Record is a public API.
@@ -83,7 +104,7 @@ func (h *History) Record(table, colgrp string, statlist []string, errorFactor fl
 	key, sorted := canonStats(statlist)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	k := entryKey{table: table, colgrp: colgrp, stats: key}
+	k := entryKey{table: table, colgrp: colgrp.String(), stats: key}
 	e, ok := h.entries[k]
 	if !ok {
 		e = &Entry{Table: table, ColGrp: colgrp, StatList: sorted, ErrorFactor: errorFactor}
@@ -97,7 +118,7 @@ func (h *History) Record(table, colgrp string, statlist []string, errorFactor fl
 
 // EntriesFor returns copies of the entries whose target is (table, colgrp) —
 // the H set of Algorithm 3.
-func (h *History) EntriesFor(table, colgrp string) []Entry {
+func (h *History) EntriesFor(table string, colgrp qgm.StatName) []Entry {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	var out []Entry
@@ -111,14 +132,14 @@ func (h *History) EntriesFor(table, colgrp string) []Entry {
 }
 
 // EntriesUsing returns copies of the entries whose statlist contains the
-// given statistic key — the H set of Algorithm 4.
-func (h *History) EntriesUsing(statKey string) []Entry {
+// given statistic — the H set of Algorithm 4.
+func (h *History) EntriesUsing(stat qgm.StatName) []Entry {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	var out []Entry
 	for _, e := range h.entries {
 		for _, s := range e.StatList {
-			if s == statKey {
+			if s == stat {
 				out = append(out, cloneEntry(e))
 				break
 			}
@@ -129,13 +150,13 @@ func (h *History) EntriesUsing(statKey string) []Entry {
 }
 
 // LastErrorFactorFor returns the EWMA error factor of the best-supported
-// history entry whose statlist contains the given statistic key (highest
+// history entry whose statlist contains the given statistic (highest
 // observation count, ties broken by the canonical entry order). The
 // introspection surface (SHOW STATS) uses it to report how honestly each
 // archived statistic has been estimating. ok is false when no entry uses
 // the statistic.
-func (h *History) LastErrorFactorFor(statKey string) (ef float64, ok bool) {
-	entries := h.EntriesUsing(statKey)
+func (h *History) LastErrorFactorFor(stat qgm.StatName) (ef float64, ok bool) {
+	entries := h.EntriesUsing(stat)
 	var best *Entry
 	for i := range entries {
 		if best == nil || entries[i].Count > best.Count {
@@ -173,7 +194,7 @@ func (h *History) Reset() {
 
 func cloneEntry(e *Entry) Entry {
 	c := *e
-	c.StatList = append([]string(nil), e.StatList...)
+	c.StatList = slices.Clone(e.StatList)
 	return c
 }
 
@@ -182,10 +203,10 @@ func sortEntries(es []Entry) {
 		if es[i].Table != es[j].Table {
 			return es[i].Table < es[j].Table
 		}
-		if es[i].ColGrp != es[j].ColGrp {
-			return es[i].ColGrp < es[j].ColGrp
+		if c := es[i].ColGrp.Compare(es[j].ColGrp); c != 0 {
+			return c < 0
 		}
-		return strings.Join(es[i].StatList, "|") < strings.Join(es[j].StatList, "|")
+		return joinStats(es[i].StatList) < joinStats(es[j].StatList)
 	})
 }
 

@@ -4,7 +4,26 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/qgm"
 )
+
+// name reads a statistic name from its text; names reads a statlist.
+func name(text string) qgm.StatName {
+	n, err := qgm.ParseStatName(text)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
+func names(texts ...string) []qgm.StatName {
+	out := make([]qgm.StatName, len(texts))
+	for i, text := range texts {
+		out[i] = name(text)
+	}
+	return out
+}
 
 func TestAccuracy(t *testing.T) {
 	cases := []struct {
@@ -41,35 +60,35 @@ func TestAccuracySymmetryProperty(t *testing.T) {
 func TestRecordAndLookup(t *testing.T) {
 	h := NewHistory()
 	// Mirror the paper's Table 1.
-	h.Record("t1", "t1(a,b,c)", []string{"t1(a,b)", "t1(c)"}, 0.4)
-	h.Record("t1", "t1(a,b,c)", []string{"t1(a)", "t1(b,c)"}, 0.7)
-	h.Record("t1", "t1(a,b,c)", []string{"t1(a,b,c)"}, 1.0)
-	h.Record("t1", "t1(a,b,d)", []string{"t1(a,b)", "t1(d)"}, 0.6)
+	h.Record("t1", name("t1(a,b,c)"), names("t1(a,b)", "t1(c)"), 0.4)
+	h.Record("t1", name("t1(a,b,c)"), names("t1(a)", "t1(b,c)"), 0.7)
+	h.Record("t1", name("t1(a,b,c)"), names("t1(a,b,c)"), 1.0)
+	h.Record("t1", name("t1(a,b,d)"), names("t1(a,b)", "t1(d)"), 0.6)
 
-	got := h.EntriesFor("t1", "t1(a,b,c)")
+	got := h.EntriesFor("t1", name("t1(a,b,c)"))
 	if len(got) != 3 {
 		t.Fatalf("EntriesFor = %d entries, want 3", len(got))
 	}
 	if h.TotalCount() != 4 || h.Len() != 4 {
 		t.Errorf("TotalCount=%d Len=%d", h.TotalCount(), h.Len())
 	}
-	using := h.EntriesUsing("t1(a,b)")
+	using := h.EntriesUsing(name("t1(a,b)"))
 	if len(using) != 2 {
 		t.Fatalf("EntriesUsing(t1(a,b)) = %d entries, want 2", len(using))
 	}
-	if len(h.EntriesUsing("t1(z)")) != 0 {
+	if len(h.EntriesUsing(name("t1(z)"))) != 0 {
 		t.Error("EntriesUsing of unknown stat must be empty")
 	}
-	if len(h.EntriesFor("t9", "t9(a)")) != 0 {
+	if len(h.EntriesFor("t9", name("t9(a)"))) != 0 {
 		t.Error("EntriesFor of unknown table must be empty")
 	}
 }
 
 func TestRecordMergesAndEWMA(t *testing.T) {
 	h := NewHistory()
-	h.Record("t", "t(a)", []string{"t(a)"}, 1.0)
-	h.Record("t", "t(a)", []string{"t(a)"}, 0.5)
-	got := h.EntriesFor("t", "t(a)")
+	h.Record("t", name("t(a)"), names("t(a)"), 1.0)
+	h.Record("t", name("t(a)"), names("t(a)"), 0.5)
+	got := h.EntriesFor("t", name("t(a)"))
 	if len(got) != 1 {
 		t.Fatalf("entries = %d, want 1 merged", len(got))
 	}
@@ -84,8 +103,8 @@ func TestRecordMergesAndEWMA(t *testing.T) {
 
 func TestStatListOrderInsensitive(t *testing.T) {
 	h := NewHistory()
-	h.Record("t", "t(a,b)", []string{"t(a)", "t(b)"}, 1.0)
-	h.Record("t", "t(a,b)", []string{"t(b)", "t(a)"}, 1.0)
+	h.Record("t", name("t(a,b)"), names("t(a)", "t(b)"), 1.0)
+	h.Record("t", name("t(a,b)"), names("t(b)", "t(a)"), 1.0)
 	if h.Len() != 1 {
 		t.Errorf("Len = %d, statlist order must not split entries", h.Len())
 	}
@@ -93,19 +112,19 @@ func TestStatListOrderInsensitive(t *testing.T) {
 
 func TestEntriesAreCopies(t *testing.T) {
 	h := NewHistory()
-	h.Record("t", "t(a)", []string{"t(a)"}, 1.0)
-	got := h.EntriesFor("t", "t(a)")
+	h.Record("t", name("t(a)"), names("t(a)"), 1.0)
+	got := h.EntriesFor("t", name("t(a)"))
 	got[0].ErrorFactor = 99
-	got[0].StatList[0] = "mutated"
-	again := h.EntriesFor("t", "t(a)")
-	if again[0].ErrorFactor == 99 || again[0].StatList[0] == "mutated" {
+	got[0].StatList[0] = name("t(mutated)")
+	again := h.EntriesFor("t", name("t(a)"))
+	if again[0].ErrorFactor == 99 || again[0].StatList[0] == name("t(mutated)") {
 		t.Error("lookup must return copies")
 	}
 }
 
 func TestReset(t *testing.T) {
 	h := NewHistory()
-	h.Record("t", "t(a)", []string{"t(a)"}, 1.0)
+	h.Record("t", name("t(a)"), names("t(a)"), 1.0)
 	h.Reset()
 	if h.Len() != 0 || h.TotalCount() != 0 {
 		t.Error("Reset failed")
@@ -180,14 +199,14 @@ func TestErrorFactorBoundedProperty(t *testing.T) {
 // history — once mixed into the EWMA it would never decay out.
 func TestRecordIgnoresNonFinite(t *testing.T) {
 	h := NewHistory()
-	h.Record("t", "t(a)", []string{"t(a)"}, math.NaN())
-	h.Record("t", "t(a)", []string{"t(a)"}, math.Inf(1))
+	h.Record("t", name("t(a)"), names("t(a)"), math.NaN())
+	h.Record("t", name("t(a)"), names("t(a)"), math.Inf(1))
 	if h.Len() != 0 || h.TotalCount() != 0 {
 		t.Fatalf("non-finite records entered history: len=%d total=%d", h.Len(), h.TotalCount())
 	}
-	h.Record("t", "t(a)", []string{"t(a)"}, 0.5)
-	h.Record("t", "t(a)", []string{"t(a)"}, math.NaN())
-	got := h.EntriesFor("t", "t(a)")
+	h.Record("t", name("t(a)"), names("t(a)"), 0.5)
+	h.Record("t", name("t(a)"), names("t(a)"), math.NaN())
+	got := h.EntriesFor("t", name("t(a)"))
 	if len(got) != 1 || got[0].Count != 1 || got[0].ErrorFactor != 0.5 {
 		t.Errorf("entry corrupted by non-finite record: %+v", got)
 	}
@@ -195,11 +214,11 @@ func TestRecordIgnoresNonFinite(t *testing.T) {
 
 func TestDeterministicOrdering(t *testing.T) {
 	h := NewHistory()
-	h.Record("t", "t(a)", []string{"t(b)"}, 1)
-	h.Record("t", "t(a)", []string{"t(a)"}, 1)
-	h.Record("t", "t(a)", []string{"t(c)"}, 1)
-	got := h.EntriesFor("t", "t(a)")
-	if got[0].StatList[0] != "t(a)" || got[1].StatList[0] != "t(b)" || got[2].StatList[0] != "t(c)" {
+	h.Record("t", name("t(a)"), names("t(b)"), 1)
+	h.Record("t", name("t(a)"), names("t(a)"), 1)
+	h.Record("t", name("t(a)"), names("t(c)"), 1)
+	got := h.EntriesFor("t", name("t(a)"))
+	if got[0].StatList[0] != name("t(a)") || got[1].StatList[0] != name("t(b)") || got[2].StatList[0] != name("t(c)") {
 		t.Errorf("entries not deterministically sorted: %+v", got)
 	}
 }

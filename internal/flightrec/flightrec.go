@@ -127,22 +127,16 @@ type Record struct {
 	Phases []PhaseTiming `json:"phases,omitempty"`
 }
 
-// QError is the standard cardinality-estimation quality metric:
-// max(est, act) / max(1, min(est, act)). A perfect estimate scores 1; the
-// max(1, ·) floor keeps sub-row estimates from exploding the ratio.
+// QError is the standard cardinality-estimation quality metric, the
+// symmetric ratio max(est, act) / min(est, act) with both sides floored at
+// one row: a perfect estimate scores 1, nothing scores below it, and neither
+// an empty result nor a sub-row estimate explodes the ratio.
 func QError(est, act float64) float64 {
-	hi, lo := est, act
-	if lo > hi {
+	hi, lo := max(est, 1), max(act, 1)
+	if hi < lo {
 		hi, lo = lo, hi
 	}
-	if lo < 0 {
-		lo = 0
-	}
-	den := lo
-	if den < 1 {
-		den = 1
-	}
-	return hi / den
+	return hi / lo
 }
 
 // Recorder is the ring buffer. Obtain one from New; the zero value is inert.

@@ -2,6 +2,7 @@ package flightrec
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,12 +18,28 @@ func TestQError(t *testing.T) {
 		{10, 100, 10},   // symmetric
 		{0.5, 100, 100}, // sub-row estimate floored to 1
 		{100, 0, 100},
-		{0, 0, 0},
+		{0, 0, 1},   // both sides floored at one row
+		{0.4, 0, 1}, // a sub-row estimate of an empty result is exact
+		{0.4, 0.9, 1},
 		{-3, 10, 10}, // negative clamps to the floor
 	}
 	for _, c := range cases {
 		if got := QError(c.est, c.act); got != c.want {
 			t.Errorf("QError(%v, %v) = %v, want %v", c.est, c.act, got, c.want)
+		}
+	}
+	// The property metrics.QErrorBuckets documents: at least 1 for any finite
+	// pair, symmetric, and exactly 1 on the diagonal.
+	grid := []float64{-1e9, -3, -0.5, 0, 1e-300, 0.4, 1, 1.5, 7, 1e6, 1e300, math.MaxFloat64}
+	for _, x := range grid {
+		if got := QError(x, x); got != 1 {
+			t.Errorf("QError(%v, %v) = %v, want 1", x, x, got)
+		}
+		for _, y := range grid {
+			q := QError(x, y)
+			if !(q >= 1) || q != QError(y, x) {
+				t.Errorf("QError(%v, %v) = %v, reversed %v: want symmetric and >= 1", x, y, q, QError(y, x))
+			}
 		}
 	}
 }

@@ -14,6 +14,8 @@ package optimizer
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/catalog"
@@ -39,9 +41,9 @@ const (
 // means the optimizer runs on general statistics alone.
 type StatsSource interface {
 	// GroupSelectivity returns the selectivity of the exact predicate group
-	// on table if the source knows it, along with the canonical key of the
-	// statistic that answered (for provenance).
-	GroupSelectivity(table string, preds []qgm.Predicate) (sel float64, statKey string, ok bool)
+	// on table if the source knows it, along with the name of the statistic
+	// that answered (for provenance).
+	GroupSelectivity(table string, preds []qgm.Predicate) (sel float64, stat qgm.StatName, ok bool)
 	// Cardinality returns a fresh table row count if the source has one.
 	Cardinality(table string) (int64, bool)
 	// ColumnNDV returns a fresh distinct-value estimate for a column if the
@@ -53,7 +55,7 @@ type StatsSource interface {
 // Estimate is a selectivity with provenance.
 type Estimate struct {
 	Sel      float64
-	StatList []string // canonical keys of the statistics combined
+	StatList []qgm.StatName // the statistics combined, ordered by name
 	// FromQSS reports whether any query-specific statistic contributed.
 	FromQSS bool
 }
@@ -112,13 +114,8 @@ func (e *Estimator) EstimateGroup(table string, preds []qgm.Predicate) Estimate 
 		est.Sel *= sel
 		est.StatList = append(est.StatList, key)
 	}
-	if est.Sel < 0 {
-		est.Sel = 0
-	}
-	if est.Sel > 1 {
-		est.Sel = 1
-	}
-	sort.Strings(est.StatList)
+	est.Sel = min(max(est.Sel, 0), 1)
+	slices.SortFunc(est.StatList, qgm.StatName.Compare)
 	return est
 }
 
@@ -126,16 +123,16 @@ func (e *Estimator) EstimateGroup(table string, preds []qgm.Predicate) Estimate 
 // selectivity the QSS source knows. Subset enumeration is exponential, so
 // groups beyond MaxSubsetPreds only try the full group; singles are handled
 // by the caller's fallback path (which itself asks the QSS source first).
-func (e *Estimator) largestKnownSubset(table string, remaining []qgm.Predicate) ([]qgm.Predicate, float64, string, bool) {
+func (e *Estimator) largestKnownSubset(table string, remaining []qgm.Predicate) ([]qgm.Predicate, float64, qgm.StatName, bool) {
 	n := len(remaining)
 	if n == 0 {
-		return nil, 0, "", false
+		return nil, 0, qgm.StatName{}, false
 	}
 	if sel, key, ok := e.QSS.GroupSelectivity(table, remaining); ok {
 		return remaining, sel, key, true
 	}
 	if n > MaxSubsetPreds {
-		return nil, 0, "", false
+		return nil, 0, qgm.StatName{}, false
 	}
 	// All proper subsets by descending size.
 	type cand struct {
@@ -144,7 +141,7 @@ func (e *Estimator) largestKnownSubset(table string, remaining []qgm.Predicate) 
 	}
 	cands := make([]cand, 0, 1<<n)
 	for mask := 1; mask < (1<<n)-1; mask++ {
-		cands = append(cands, cand{mask: mask, size: popcount(mask)})
+		cands = append(cands, cand{mask: mask, size: bits.OnesCount(uint(mask))})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].size != cands[j].size {
@@ -161,16 +158,7 @@ func (e *Estimator) largestKnownSubset(table string, remaining []qgm.Predicate) 
 			return sub, sel, key, true
 		}
 	}
-	return nil, 0, "", false
-}
-
-func popcount(x int) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	return nil, 0, qgm.StatName{}, false
 }
 
 func subsetByMask(preds []qgm.Predicate, mask int) []qgm.Predicate {
@@ -201,10 +189,10 @@ func removePreds(all, sub []qgm.Predicate) []qgm.Predicate {
 }
 
 // singleSelectivity estimates one predicate from catalog statistics,
-// returning the provenance key: the column-group key of the statistic used,
-// or a "default(...)" marker when the optimizer guessed.
-func (e *Estimator) singleSelectivity(table string, p qgm.Predicate) (float64, string) {
-	defaultKey := "default(" + table + "." + p.Column + ")"
+// returning its provenance: the column-group name of the statistic used, or
+// the default marker when the optimizer guessed.
+func (e *Estimator) singleSelectivity(table string, p qgm.Predicate) (float64, qgm.StatName) {
+	defaultKey := qgm.DefaultStat(table, p.Column)
 	var cs *catalog.ColumnStats
 	var card int64
 	if e.Cat != nil {
@@ -216,7 +204,7 @@ func (e *Estimator) singleSelectivity(table string, p qgm.Predicate) (float64, s
 	if cs == nil {
 		return defaultSelectivity(p), defaultKey
 	}
-	key := qgm.ColumnGroupKey(table, []string{p.Column})
+	key := qgm.ColumnGroup(table, []string{p.Column})
 	if card == 0 {
 		return 0, key
 	}

@@ -103,8 +103,8 @@ func TestColumnNDVPrecedence(t *testing.T) {
 
 type ndvQSS struct{ ndv int64 }
 
-func (s *ndvQSS) GroupSelectivity(string, []qgm.Predicate) (float64, string, bool) {
-	return 0, "", false
+func (s *ndvQSS) GroupSelectivity(string, []qgm.Predicate) (float64, qgm.StatName, bool) {
+	return 0, qgm.StatName{}, false
 }
 func (s *ndvQSS) Cardinality(string) (int64, bool)       { return 0, false }
 func (s *ndvQSS) ColumnNDV(string, string) (int64, bool) { return s.ndv, true }

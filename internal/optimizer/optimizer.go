@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/costmodel"
@@ -64,7 +65,7 @@ func (ctx *Context) bestAccessPath(blk *qgm.Block, slot int) *Scan {
 	trace := &Trace{
 		Table:    ti.Table,
 		Alias:    ti.Alias,
-		ColGrp:   qgm.ColumnGroupKey(ti.Table, qgm.GroupColumns(preds)),
+		ColGrp:   qgm.ColumnGroup(ti.Table, qgm.GroupColumns(preds)),
 		StatList: est.StatList,
 		EstSel:   est.Sel,
 		BaseCard: card,
@@ -242,7 +243,7 @@ func (ctx *Context) dpEnumerate(blk *qgm.Block, leaves []Node) (Node, error) {
 	}
 	fullMask := (1 << n) - 1
 	for mask := 1; mask <= fullMask; mask++ {
-		if best[mask] != nil || popcount(mask) < 2 {
+		if best[mask] != nil || bits.OnesCount(uint(mask)) < 2 {
 			continue
 		}
 		var cheapest Node
@@ -321,24 +322,6 @@ func (ctx *Context) greedyEnumerate(blk *qgm.Block, leaves []Node) (Node, error)
 		nodes = merged
 	}
 	return nodes[0], nil
-}
-
-// EstimationErrorSummary compares estimated and actual cardinalities along
-// a plan, returning the maximum q-error — handy for experiments that report
-// estimation quality.
-func EstimationErrorSummary(estimates, actuals []float64) float64 {
-	maxQ := 1.0
-	for i := range estimates {
-		if i >= len(actuals) {
-			break
-		}
-		e, a := math.Max(estimates[i], 0.5), math.Max(actuals[i], 0.5)
-		q := math.Max(e/a, a/e)
-		if q > maxQ {
-			maxQ = q
-		}
-	}
-	return maxQ
 }
 
 // CollectScans returns the scan leaves of a plan in deterministic

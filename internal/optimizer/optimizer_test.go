@@ -128,13 +128,13 @@ type fakeQSS struct {
 	cards map[string]int64
 }
 
-func (f *fakeQSS) GroupSelectivity(table string, preds []qgm.Predicate) (float64, string, bool) {
+func (f *fakeQSS) GroupSelectivity(table string, preds []qgm.Predicate) (float64, qgm.StatName, bool) {
 	key := qgm.PredicateGroupKey(table, preds)
 	s, ok := f.sels[key]
 	if !ok {
-		return 0, "", false
+		return 0, qgm.StatName{}, false
 	}
-	return s, qgm.ColumnGroupKey(table, qgm.GroupColumns(preds)), true
+	return s, qgm.ColumnGroup(table, qgm.GroupColumns(preds)), true
 }
 
 func (f *fakeQSS) Cardinality(table string) (int64, bool) {
@@ -173,7 +173,7 @@ func TestEqualityFromFrequentValues(t *testing.T) {
 	if est.FromQSS {
 		t.Error("estimate wrongly marked FromQSS")
 	}
-	if len(est.StatList) != 1 || est.StatList[0] != "car(make)" {
+	if len(est.StatList) != 1 || est.StatList[0].String() != "car(make)" {
 		t.Errorf("statlist = %v", est.StatList)
 	}
 }
@@ -242,7 +242,7 @@ func TestDefaultsWithoutStats(t *testing.T) {
 		t.Errorf("default between = %v", est.Sel)
 	}
 	est := e.EstimateGroup("t", []qgm.Predicate{eq})
-	if len(est.StatList) != 1 || !strings.HasPrefix(est.StatList[0], "default(") {
+	if len(est.StatList) != 1 || est.StatList[0].Kind() != qgm.StatDefault {
 		t.Errorf("statlist = %v", est.StatList)
 	}
 }
@@ -276,7 +276,7 @@ func TestQSSOverridesIndependence(t *testing.T) {
 	if !est.FromQSS {
 		t.Error("FromQSS not set")
 	}
-	if len(est.StatList) != 1 || est.StatList[0] != "car(make,year)" {
+	if len(est.StatList) != 1 || est.StatList[0].String() != "car(make,year)" {
 		t.Errorf("statlist = %v", est.StatList)
 	}
 }
@@ -335,7 +335,7 @@ func TestOptimizeSingleTableFullScan(t *testing.T) {
 	if meter.Units() == 0 {
 		t.Error("optimization charged nothing")
 	}
-	if scan.Tr == nil || scan.Tr.ColGrp != "car(make)" {
+	if scan.Tr == nil || scan.Tr.ColGrp.String() != "car(make)" {
 		t.Errorf("trace = %+v", scan.Tr)
 	}
 }
@@ -529,18 +529,6 @@ func TestExplainRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestEstimationErrorSummary(t *testing.T) {
-	if got := EstimationErrorSummary([]float64{100, 10}, []float64{100, 100}); got != 10 {
-		t.Errorf("q-error = %v, want 10", got)
-	}
-	if got := EstimationErrorSummary(nil, nil); got != 1 {
-		t.Errorf("empty q-error = %v", got)
-	}
-	if got := EstimationErrorSummary([]float64{0}, []float64{0}); got != 1 {
-		t.Errorf("zero q-error = %v (floor both sides)", got)
 	}
 }
 

@@ -87,12 +87,12 @@ func annotate(sb *strings.Builder, n Node, ann AnnotateFunc) {
 // Trace records the provenance of a scan's selectivity estimate so the
 // feedback loop can attribute estimation error to specific statistics.
 type Trace struct {
-	Table    string   // base table name
-	Alias    string   // instance alias
-	ColGrp   string   // canonical column-group key of the full local group
-	StatList []string // statistics combined for the estimate
-	EstSel   float64  // estimated selectivity of the full local group
-	BaseCard float64  // estimated base-table cardinality used
+	Table    string         // base table name
+	Alias    string         // instance alias
+	ColGrp   qgm.StatName   // column group of the full local group
+	StatList []qgm.StatName // statistics combined for the estimate
+	EstSel   float64        // estimated selectivity of the full local group
+	BaseCard float64        // estimated base-table cardinality used
 	FromQSS  bool
 }
 

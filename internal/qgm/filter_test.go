@@ -157,7 +157,10 @@ func TestCompiledFilterMatchesRowByRow(t *testing.T) {
 		for _, p := range preds {
 			groups = append(groups, []qgm.Predicate{p})
 		}
-		got := sampling.EvaluateColumns(sample, groups, &m, costmodel.DefaultWeights(), 1+int(seed%2))
+		got, err := sampling.EvaluateColumns(sample, groups, &m, costmodel.DefaultWeights(), 1+int(seed%2))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for gi, group := range groups {
 			want := 0
 			for i := 0; i < nrows; i++ {

@@ -597,16 +597,6 @@ func BuildLocalPredicates(schema *storage.Schema, exprs []sqlparser.Expr) ([]Pre
 	return out, nil
 }
 
-// ColumnGroupKey produces the canonical identity of a set of columns on one
-// table — the paper's "colgrp". Column names are sorted and joined, so the
-// key is order-insensitive: {make, model} and {model, make} are the same
-// group.
-func ColumnGroupKey(table string, columns []string) string {
-	cols := append([]string(nil), columns...)
-	sort.Strings(cols)
-	return table + "(" + strings.Join(cols, ",") + ")"
-}
-
 // GroupColumns extracts the distinct sorted column names of a predicate
 // group.
 func GroupColumns(preds []Predicate) []string {
@@ -620,18 +610,6 @@ func GroupColumns(preds []Predicate) []string {
 	}
 	sort.Strings(cols)
 	return cols
-}
-
-// PredicateGroupKey identifies a specific predicate group — columns,
-// operators and values — canonically (order-insensitive across predicates).
-// It keys the per-query selectivity cache filled by statistics collection.
-func PredicateGroupKey(table string, preds []Predicate) string {
-	parts := make([]string, len(preds))
-	for i, p := range preds {
-		parts[i] = p.String()
-	}
-	sort.Strings(parts)
-	return table + "{" + strings.Join(parts, " AND ") + "}"
 }
 
 // JoinGraph summarizes which slots are connected by join predicates;

@@ -19,6 +19,16 @@ import (
 // the oracle the columnar sample must equal — same rows in the same order,
 // same selectivities, same NDVs, same meter units to the last bit.
 
+// mustFanOut is fanOut for the reference bodies, which predate its error.
+func mustFanOut(n, dop, size int, fn func(lo, hi int)) {
+	if err := fanOut(n, dop, size, func(_, lo, hi int) error {
+		fn(lo, hi)
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+}
+
 func refRowsParallel(rng *rand.Rand, tbl *storage.Table, size int, meter *costmodel.Meter, w costmodel.Weights, dop int) [][]value.Datum {
 	snap := tbl.Snapshot()
 	n := snap.NumRows()
@@ -30,7 +40,7 @@ func refRowsParallel(rng *rand.Rand, tbl *storage.Table, size int, meter *costmo
 		// straight off the snapshot's column arrays.
 		chunks := (n + evalMorselSize - 1) / evalMorselSize
 		buckets := make([][][]value.Datum, chunks)
-		forEachChunk(n, dop, evalMorselSize, func(lo, hi int) {
+		mustFanOut(n, dop, evalMorselSize, func(lo, hi int) {
 			rows := make([][]value.Datum, 0, hi-lo)
 			snap.ScanRange(lo, hi, func(_ int, row []value.Datum) bool {
 				rows = append(rows, row)
@@ -56,7 +66,7 @@ func refRowsParallel(rng *rand.Rand, tbl *storage.Table, size int, meter *costmo
 		positions = append(positions, idx)
 	}
 	out := make([][]value.Datum, len(positions))
-	forEachChunk(len(positions), dop, evalMorselSize, func(lo, hi int) {
+	mustFanOut(len(positions), dop, evalMorselSize, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			// Positions were drawn against the snapshot's row count, so the
 			// fetch cannot fail.
@@ -93,7 +103,7 @@ func refEvaluateGroupsParallel(sample [][]value.Datum, groups [][]qgm.Predicate,
 
 	// Phase 1: match vectors, one predicate per chunk (vectors are
 	// independent; rows within a vector stay sequential for locality).
-	forEachChunk(len(entries), dop, 1, func(lo, hi int) {
+	mustFanOut(len(entries), dop, 1, func(lo, hi int) {
 		sub := meter.Worker()
 		for ei := lo; ei < hi; ei++ {
 			e := entries[ei]
@@ -108,7 +118,7 @@ func refEvaluateGroupsParallel(sample [][]value.Datum, groups [][]qgm.Predicate,
 	})
 
 	// Phase 2: conjunction counts, one group per chunk.
-	forEachChunk(len(groups), dop, 1, func(lo, hi int) {
+	mustFanOut(len(groups), dop, 1, func(lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
 			group := groups[gi]
 			if len(group) == 0 {
@@ -382,7 +392,10 @@ func TestColumnarSampleMatchesRowReference(t *testing.T) {
 						}
 
 						groups := adversarialGroups(rng)
-						got := EvaluateColumns(sample, groups, &gotMeter, w, dop)
+						got, err := EvaluateColumns(sample, groups, &gotMeter, w, dop)
+						if err != nil {
+							t.Fatal(err)
+						}
 						wantSels := refEvaluateGroupsParallel(want, groups, &wantMeter, w, dop)
 						for gi := range wantSels {
 							if math.Float64bits(got[gi]) != math.Float64bits(wantSels[gi]) {

@@ -15,11 +15,10 @@ import (
 	"context"
 	"math/bits"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/costmodel"
 	"repro/internal/faultinject"
+	"repro/internal/morsel"
 	"repro/internal/qgm"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -29,73 +28,16 @@ import (
 // parallel evaluation worker claims at a time.
 const evalMorselSize = 512
 
-// forEachChunk runs fn over [0, n) in fixed-size chunks across up to dop
-// workers, claiming chunks from an atomic cursor. fn must only write state
-// owned by its chunk. Serial (and deterministic in call order) at dop <= 1.
-//
-// A panic inside fn (or an injected worker panic) stops the remaining
-// workers, is re-raised on the caller's goroutine after every worker has
-// exited, and never leaks a goroutine; JITS.Prepare recovers it into a
-// degraded, catalog-fallback preparation.
-func forEachChunk(n, dop, chunkSize int, fn func(lo, hi int)) {
+// fanOut runs fn over [0, n) on the engine's one morsel runner, so sampling
+// passes the executor's two fault points per morsel and a worker panic comes
+// back as a *morsel.PanicError (JITS degrades the table on it). An empty
+// range runs and fires nothing. The runner gets no context: cancellation is
+// checked once, before a draw touches the table, never between its morsels.
+func fanOut(n, dop, size int, fn func(m, lo, hi int) error) error {
 	if n <= 0 {
-		return
+		return nil
 	}
-	run := func(lo, hi int) {
-		faultinject.SleepIf(faultinject.MorselLatency)
-		if err := faultinject.Hit(faultinject.WorkerPanic); err != nil {
-			panic(err)
-		}
-		fn(lo, hi)
-	}
-	chunks := (n + chunkSize - 1) / chunkSize
-	if dop > chunks {
-		dop = chunks
-	}
-	if dop <= 1 {
-		for c := 0; c < chunks; c++ {
-			hi := (c + 1) * chunkSize
-			if hi > n {
-				hi = n
-			}
-			run(c*chunkSize, hi)
-		}
-		return
-	}
-	var (
-		cursor    atomic.Int64
-		stop      atomic.Bool
-		wg        sync.WaitGroup
-		panicOnce sync.Once
-		panicVal  any
-	)
-	for w := 0; w < dop; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicOnce.Do(func() { panicVal = p })
-					stop.Store(true)
-				}
-			}()
-			for !stop.Load() {
-				c := int(cursor.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				hi := (c + 1) * chunkSize
-				if hi > n {
-					hi = n
-				}
-				run(c*chunkSize, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
+	return morsel.Run(nil, n, dop, size, fn)
 }
 
 // Sampler draws deterministic pseudo-random samples; a fixed seed makes
@@ -177,9 +119,12 @@ func (s *Sampler) SampleColumns(ctx context.Context, tbl *storage.Table, size in
 	}
 	out := storage.NewDetachedChunk(snap.Schema(), rows)
 	// evalMorselSize is a multiple of 64, as concurrent Gather ranges need.
-	forEachChunk(rows, dop, evalMorselSize, func(lo, hi int) {
+	if err := fanOut(rows, dop, evalMorselSize, func(_, lo, hi int) error {
 		snap.Gather(out, positions, lo, hi)
-	})
+		return nil
+	}); err != nil {
+		return nil, err
+	}
 	meter.Add(w.SampleRow * float64(rows))
 	return out, nil
 }
@@ -204,9 +149,14 @@ func (s *Sampler) draw(n, size int) []int {
 	return positions
 }
 
-// EvaluateGroups is EvaluateColumns over row-shaped data, serially.
+// EvaluateGroups is EvaluateColumns over row-shaped data, serially; having no
+// error to return, it re-raises a recovered morsel panic.
 func EvaluateGroups(sample [][]value.Datum, groups [][]qgm.Predicate, meter *costmodel.Meter, w costmodel.Weights) []float64 {
-	return EvaluateColumns(storage.ChunkFromRows(sample), groups, meter, w, 1)
+	sels, err := EvaluateColumns(storage.ChunkFromRows(sample), groups, meter, w, 1)
+	if err != nil {
+		panic(err)
+	}
+	return sels
 }
 
 // EvaluateColumns returns the observed selectivity of each predicate group
@@ -221,12 +171,12 @@ func EvaluateGroups(sample [][]value.Datum, groups [][]qgm.Predicate, meter *cos
 // at a time. Selectivities and meter totals are identical at any dop (each
 // worker charges a local sub-meter, merged once), so compile-time
 // statistics — and therefore plans — do not depend on the degree of
-// parallelism.
-func EvaluateColumns(sample *storage.Chunk, groups [][]qgm.Predicate, meter *costmodel.Meter, w costmodel.Weights, dop int) []float64 {
+// parallelism. The only error is a morsel panic (*morsel.PanicError).
+func EvaluateColumns(sample *storage.Chunk, groups [][]qgm.Predicate, meter *costmodel.Meter, w costmodel.Weights, dop int) ([]float64, error) {
 	out := make([]float64, len(groups))
 	n := sample.Rows()
 	if n == 0 {
-		return out
+		return out, nil
 	}
 
 	// Distinct predicates across all groups, in deterministic first-use
@@ -250,7 +200,7 @@ func EvaluateColumns(sample *storage.Chunk, groups [][]qgm.Predicate, meter *cos
 	matches := make([]uint64, len(preds)*words) // predicate pi owns [pi*words, (pi+1)*words)
 
 	// Phase 1: match bitmaps, one predicate per chunk.
-	forEachChunk(len(preds), dop, 1, func(lo, hi int) {
+	if err := fanOut(len(preds), dop, 1, func(_, lo, hi int) error {
 		sub := meter.Worker()
 		sel := make([]int32, 0, n)
 		for pi := lo; pi < hi; pi++ {
@@ -262,10 +212,13 @@ func EvaluateColumns(sample *storage.Chunk, groups [][]qgm.Predicate, meter *cos
 			sub.Add(w.PredEval * float64(n))
 		}
 		sub.Merge()
-	})
+		return nil
+	}); err != nil {
+		return nil, err
+	}
 
 	// Phase 2: conjunction counts, one group per chunk.
-	forEachChunk(len(groups), dop, 1, func(lo, hi int) {
+	err := fanOut(len(groups), dop, 1, func(_, lo, hi int) error {
 		for gi := lo; gi < hi; gi++ {
 			if len(members[gi]) == 0 {
 				out[gi] = 1
@@ -281,8 +234,9 @@ func EvaluateColumns(sample *storage.Chunk, groups [][]qgm.Predicate, meter *cos
 			}
 			out[gi] = float64(count) / float64(n)
 		}
+		return nil
 	})
-	return out
+	return out, err
 }
 
 // distinctCounter counts the distinct values and the singletons of one
@@ -343,21 +297,12 @@ func countDistinct[T value.Ordered](t *distinctCounter, vec *storage.ColumnVec, 
 	return n
 }
 
-// EstimateNDV estimates a column's number of distinct values from its
-// sampled vector out of a table of tableCard rows, using the Duj1 estimator
-// of Haas et al. (the one RUNSTATS-style sampled statistics collection
-// uses):
-//
-//	d̂ = d / (1 − (1−q)·f1/n)
-//
-// where n counts the sample's non-NULL values, d the distinct ones, f1
-// those appearing exactly once, and q = n/N is the sampling fraction. Two
-// values are the same when their equality keys are (value.Key): −0 is +0 and
-// NaN is one value. The result is clamped to [d, N].
-func (s *Sampler) EstimateNDV(vec *storage.ColumnVec, tableCard int) int64 {
+// distinctIn counts vec's non-NULL values (n), the distinct ones among them
+// (d) and those appearing exactly once (f1). Two values are the same when
+// their equality keys are (value.Key): −0 is +0 and NaN is one value.
+func (s *Sampler) distinctIn(vec *storage.ColumnVec) (n, d, f1 int) {
 	t := &s.distinct
 	t.reset(vec.Len())
-	var n int
 	switch vec.Kind() {
 	case value.KindInt:
 		n = countDistinct(t, vec, vec.Ints(), func(x int64) uint64 { return value.NewInt(x).Key().Hash() })
@@ -366,7 +311,29 @@ func (s *Sampler) EstimateNDV(vec *storage.ColumnVec, tableCard int) int64 {
 	default:
 		n = countDistinct(t, vec, vec.Strs(), func(x string) uint64 { return value.NewString(x).Key().Hash() })
 	}
-	d, f1 := int64(t.d), t.f1
+	return n, t.d, t.f1
+}
+
+// ExactNDV counts the distinct non-NULL values of a vector that holds its
+// whole column.
+func (s *Sampler) ExactNDV(vec *storage.ColumnVec) int64 {
+	_, d, _ := s.distinctIn(vec)
+	return int64(d)
+}
+
+// EstimateNDV estimates a column's number of distinct values from its
+// sampled vector out of a table of tableCard rows, using the Duj1 estimator
+// of Haas et al. (the one RUNSTATS-style sampled statistics collection
+// uses):
+//
+//	d̂ = d / (1 − (1−q)·f1/n)
+//
+// where n counts the sample's non-NULL values, d the distinct ones, f1
+// those appearing exactly once, and q = n/N is the sampling fraction. The
+// result is clamped to [d, N].
+func (s *Sampler) EstimateNDV(vec *storage.ColumnVec, tableCard int) int64 {
+	n, distinct, f1 := s.distinctIn(vec)
+	d := int64(distinct)
 	if d == 0 || tableCard <= 0 {
 		return 0
 	}

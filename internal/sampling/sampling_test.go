@@ -247,7 +247,7 @@ func BenchmarkEvaluateGroups(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EvaluateColumns(sample, groups, &m, w, 1)
+		_, _ = EvaluateColumns(sample, groups, &m, w, 1)
 	}
 }
 

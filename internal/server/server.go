@@ -790,7 +790,7 @@ func encodeResult(res *engine.Result) *wire.Result {
 		wr.Degraded = res.Prepare.Degraded
 		for _, tr := range res.Prepare.Tables {
 			if tr.Degraded {
-				wr.DegradedTables = append(wr.DegradedTables, tr.Table+": "+tr.DegradeReason)
+				wr.DegradedTables = append(wr.DegradedTables, tr.DegradeNote())
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/debugserver"
 	"repro/internal/engine"
+	"repro/internal/faultinject"
 	"repro/internal/qgm"
 	"repro/internal/server"
 	"repro/internal/value"
@@ -59,8 +61,7 @@ func startServer(t testing.TB, eng *engine.Engine) (*server.Server, string) {
 
 // TestServeSmoke exercises the full service surface over one session:
 // queries, prepared statements, session options, typed errors, the session
-// introspection snapshot and the /debug/sessions endpoint. Fast enough for
-// the serve-smoke CI target.
+// introspection snapshot and the /debug/sessions endpoint.
 func TestServeSmoke(t *testing.T) {
 	cfg := serveConfig(0)
 	cfg.JITS.SampleSize = 200
@@ -634,5 +635,76 @@ func TestServerCloseReleasesSlots(t *testing.T) {
 	}
 	if len(srv.Sessions()) != 0 {
 		t.Fatalf("sessions survived Close: %+v", srv.Sessions())
+	}
+}
+
+// TestServedDegradationNotesAgree: a degradation is one event with one
+// rendering. For a budget refusal and an injected sampling fault, the notes a
+// remote caller receives (wire.Result.DegradedTables), the notes the flight
+// record files (DegradeCauses) and the PrepareReport's own DegradeNote are
+// the same strings, and the scan line's EXPLAIN ANALYZE flag carries the same
+// reason.
+func TestServedDegradationNotesAgree(t *testing.T) {
+	const sql = `SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND c.make = 'Toyota' AND o.city = 'Ottawa'`
+	for _, tc := range []struct {
+		name  string
+		tune  func(*engine.Config)
+		fault faultinject.Point
+		want  []string // nil: compare the three renderings to each other only
+	}{
+		{name: "row budget", tune: func(c *engine.Config) { c.JITS.SampleBudgetRows = c.JITS.SampleSize },
+			want: []string{"owner: sample-row budget exhausted"}},
+		{name: "sampling fault", tune: func(*engine.Config) {}, fault: faultinject.SamplingRows},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faultinject.Reset()
+			t.Cleanup(faultinject.Reset)
+			cfg := serveConfig(0)
+			cfg.PlanCacheSize = 0
+			cfg.FlightRecorderCapacity = -1
+			cfg.JITS.SampleSize = 200
+			cfg.JITS.ForceCollect = true
+			tc.tune(&cfg)
+			eng, _ := loadedEngine(t, cfg, 0.002)
+			_, addr := startServer(t, eng)
+			conn, err := client.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if tc.fault != "" {
+				if err := faultinject.Arm(tc.fault, faultinject.Spec{Every: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			served, err := conn.Query("EXPLAIN ANALYZE " + sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faultinject.Reset()
+			if !served.Degraded || len(served.DegradedTables) == 0 {
+				t.Fatalf("served result not degraded: %+v", served)
+			}
+			if tc.want != nil && !slices.Equal(served.DegradedTables, tc.want) {
+				t.Errorf("wire notes = %q, want %q", served.DegradedTables, tc.want)
+			}
+			recs := eng.Recorder().Last(1)
+			if len(recs) != 1 || !slices.Equal(recs[0].DegradeCauses, served.DegradedTables) {
+				t.Errorf("flight record notes = %+v, wire notes = %q", recs, served.DegradedTables)
+			}
+			for _, note := range served.DegradedTables {
+				table, reason, _ := strings.Cut(note, ": ")
+				flagged := false
+				for _, line := range strings.Split(served.Plan, "\n") {
+					if strings.Contains(line, table+" as ") && strings.Contains(line, "[degraded: "+reason+"]") {
+						flagged = true
+					}
+				}
+				if !flagged {
+					t.Errorf("no scan of %s flagged [degraded: %s]:\n%s", table, reason, served.Plan)
+				}
+			}
+		})
 	}
 }

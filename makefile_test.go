@@ -19,11 +19,11 @@ var (
 	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
 )
 
-// TestMakefileRunSelectorsMatch keeps the smoke targets from rotting: every
-// `go test -run <a|b|c>` recipe in the Makefile selects tests by name, so a
-// renamed test silently drops out of its target. Each alternative of each
-// selector must still match at least one test function in the packages the
-// recipe lists. A `-fuzz=Name` must match exactly one fuzz function there:
+// TestMakefileRunSelectorsMatch keeps the Makefile's name selectors from
+// rotting: a `go test -run <a|b|c>` recipe (the fuzz and chaos targets)
+// selects tests by name, so a renamed test silently drops out of its target.
+// Each alternative of each selector must still match at least one test
+// function in the packages the recipe lists. A `-fuzz=Name` must match exactly one fuzz function there:
 // `go test` exits 0 without fuzzing anything when it matches none, and
 // refuses to fuzz when it matches several.
 func TestMakefileRunSelectorsMatch(t *testing.T) {

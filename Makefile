@@ -53,7 +53,10 @@ bench-pairs:
 # statement benchmark with the recorder on/off, all with -benchmem so an
 # unexpected allocation on a disabled path fails review at a glance. Then
 # the result-frame codec (encode, decode, whole-frame round trip at 50, 500
-# and 5000 rows): its allocations per frame must not grow with the rows.
+# and 5000 rows): its allocations per frame must not grow with the rows;
+# result/… is what the server runs, an unboxed scan result of an int-heavy
+# and a string-heavy shape written from its columns, next to boxing the same
+# result and encoding the rows.
 # Last, the index layer: one image advance per kind of DML at 43k and 430k
 # rows (a catch-up allocates nothing once warm; only first-build and the
 # 40 % rewrite sort everything; the delta-* pairs price merge against sort
@@ -66,7 +69,8 @@ bench-pairs:
 # executor's own row: the six paper templates at scale 0.01 under the join
 # methods the optimizer picks among (bytes and allocations per execution are
 # what late materialization is held to; forced nested loops take 0.4 s an
-# execution and run under `go test -bench ExecuteTemplates` by hand). Then the
+# execution and run under `go test -bench ExecuteTemplates` by hand), and the
+# two exits of one 5000-row scan: rows (boxed, Execute) and columns (Run). Then the
 # write path through Engine.Exec on the 43k-row table, a snapshot taken before
 # every statement: UPDATE of one column of a sixth of the rows (bytes per
 # statement are one vector a touched chunk), DELETE of 5 %, and the multi-row
@@ -81,7 +85,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'IndexAdvance/rows=(43000|430000)|Lookup10k' -benchmem -benchtime 0.3s ./internal/index/
 	$(GO) test -run '^$$' -bench 'SampleDraw|EvaluateGroups|ColumnNDV' -benchmem -benchtime 0.3s ./internal/sampling/
 	$(GO) test -run '^$$' -bench 'AddConstraintSteady' -benchmem -benchtime 0.3s ./internal/histogram/
-	$(GO) test -run '^$$' -bench 'ExecuteTemplates/.*/(scan|HashJoin|MergeJoin|IndexNLJoin)' -benchmem -benchtime 20x ./internal/executor/
+	$(GO) test -run '^$$' -bench 'ExecuteTemplates/.*/(scan|HashJoin|MergeJoin|IndexNLJoin)|Finish' -benchmem -benchtime 20x ./internal/executor/
 	$(GO) test -run '^$$' -bench 'BenchmarkDML' -benchmem -benchtime 30x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'Compare|AppendMatches' -benchmem -benchtime 0.3s ./internal/value/ ./internal/qgm/
 

@@ -157,8 +157,14 @@ type Metrics struct {
 
 // Result is the outcome of one Exec call.
 type Result struct {
-	Columns      []string
-	Rows         [][]value.Datum
+	Columns []string
+	// Rows is Out boxed into cells. The Exec family fills it at its exit;
+	// ExecUnboxed leaves it nil. Count rows with Len, which reads neither.
+	Rows [][]value.Datum
+	// Out is the result set with no value boxed (nil for a statement that has
+	// none): the executor's columns for a SELECT, the wrapped lines of an
+	// EXPLAIN or a SHOW. It is what the SQL service encodes.
+	Out          *executor.Columnar
 	RowsAffected int
 	Plan         string // EXPLAIN rendering of the chosen join tree
 	Metrics      Metrics
@@ -170,6 +176,9 @@ type Result struct {
 	// through; Plan renders the plan that actually completed.
 	Reopts int
 }
+
+// Len returns the number of rows in the result set.
+func (r *Result) Len() int { return r.Out.Len() }
 
 // Engine is the database instance.
 type Engine struct {
@@ -400,11 +409,24 @@ func (e *Engine) ExecWith(sql string, opts ExecOptions) (*Result, error) {
 }
 
 // ExecWithContext parses and runs one SQL statement with per-query session
-// options under ctx. A statement timeout (ExecOptions.Timeout, falling back
-// to Config.StatementTimeout) is layered onto ctx as a deadline. It is the
-// spine of the statement pipeline (see statement.go): admit → probe cache →
-// parse → begin → dispatch → finish.
+// options under ctx and boxes its result set into Result.Rows: ExecUnboxed
+// plus the one boxing an embedded caller asked for by calling it.
 func (e *Engine) ExecWithContext(ctx context.Context, sql string, opts ExecOptions) (*Result, error) {
+	res, err := e.ExecUnboxed(ctx, sql, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = res.Out.Rows()
+	return res, nil
+}
+
+// ExecUnboxed parses and runs one SQL statement with per-query session
+// options under ctx, leaving the result set as columns (Result.Out;
+// Result.Rows stays nil). A statement timeout (ExecOptions.Timeout, falling
+// back to Config.StatementTimeout) is layered onto ctx as a deadline. It is
+// the spine of the statement pipeline (see statement.go): admit → probe cache
+// → parse → begin → dispatch → finish.
+func (e *Engine) ExecUnboxed(ctx context.Context, sql string, opts ExecOptions) (*Result, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -563,7 +585,7 @@ func (e *Engine) finish(s *statement, res *Result, err error) (*Result, error) {
 		if err != nil {
 			rec.Err = err.Error()
 		} else {
-			rec.Rows = len(res.Rows)
+			rec.Rows = res.Len()
 			rec.RowsAffected = res.RowsAffected
 			rec.CompileSeconds = res.Metrics.CompileSeconds
 			rec.ExecSeconds = res.Metrics.ExecSeconds
@@ -598,6 +620,13 @@ func buildMetrics(compile, exec *costmodel.Meter) Metrics {
 	}
 	m.TotalSeconds = m.CompileSeconds + m.ExecSeconds
 	return m
+}
+
+// rowsResult is the result of a statement that builds its own rows — the
+// introspection statements, the EXPLAIN forms — in the shape every result
+// leaves the pipeline in: columns named, rows wrapped, nothing in Rows yet.
+func rowsResult(cols []string, rows [][]value.Datum) *Result {
+	return &Result{Columns: cols, Out: executor.FromRows(cols, rows)}
 }
 
 // planRows renders a plan text as one result row per line under a "plan"

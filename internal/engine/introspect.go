@@ -54,7 +54,7 @@ func (e *Engine) execShowStats(ts int64) (*Result, error) {
 			ef,
 		})
 	}
-	return &Result{Columns: cols, Rows: rows}, nil
+	return rowsResult(cols, rows), nil
 }
 
 // execShowQueries renders the flight recorder's retained records, oldest
@@ -97,7 +97,7 @@ func (e *Engine) execShowQueries(last int) (*Result, error) {
 			value.NewInt(int64(r.ArchiveEpoch)),
 		})
 	}
-	return &Result{Columns: cols, Rows: rows}, nil
+	return rowsResult(cols, rows), nil
 }
 
 // execShowMetrics snapshots the process-wide metrics registry as rows —
@@ -115,7 +115,7 @@ func (e *Engine) execShowMetrics() (*Result, error) {
 			value.NewFloat(s.Value),
 		})
 	}
-	return &Result{Columns: cols, Rows: rows}, nil
+	return rowsResult(cols, rows), nil
 }
 
 // accuracyRows renders ledger snapshot rows for SHOW ACCURACY / SHOW DRIFT.
@@ -156,13 +156,13 @@ var accuracyCols = []string{"stat", "table", "state", "observations", "ewma_qerr
 // with its freshness state, decayed q-error, drift evidence and churn.
 // table filters to one table's statistics; empty lists all.
 func (e *Engine) execShowAccuracy(ts int64, table string) (*Result, error) {
-	return &Result{Columns: accuracyCols, Rows: accuracyRows(ts, e.accuracy.Snapshot(table))}, nil
+	return rowsResult(accuracyCols, accuracyRows(ts, e.accuracy.Snapshot(table))), nil
 }
 
 // execShowDrift lists only the statistics currently in the drifted state —
 // the operator's "what went stale" view.
 func (e *Engine) execShowDrift(ts int64) (*Result, error) {
-	return &Result{Columns: accuracyCols, Rows: accuracyRows(ts, e.accuracy.Drifted())}, nil
+	return rowsResult(accuracyCols, accuracyRows(ts, e.accuracy.Drifted())), nil
 }
 
 // execExplainHistory replays the flight-recorded plan of statement qid with
@@ -175,9 +175,7 @@ func (e *Engine) execExplainHistory(qid int64) (*Result, error) {
 	if rec.Plan == "" {
 		return nil, fmt.Errorf("engine: statement q%d (%s) recorded no plan", qid, rec.Kind)
 	}
-	return &Result{
-		Columns: []string{"plan"},
-		Rows:    planRows(rec.Plan),
-		Plan:    rec.Plan,
-	}, nil
+	res := rowsResult([]string{"plan"}, planRows(rec.Plan))
+	res.Plan = rec.Plan
+	return res, nil
 }

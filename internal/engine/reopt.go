@@ -85,7 +85,7 @@ func (e *Engine) newReoptState(blk *qgm.Block) *executor.ReoptState {
 // into s.out under the execute span, re-entering the optimizer each time a
 // checkpoint triggers; s.plan ends as the plan that actually completed
 // (re-planned or original) and s.reopts as the trigger count. With
-// re-optimization off (nil s.reopt) the loop is one plain executor.Execute.
+// re-optimization off (nil s.reopt) the loop is one plain executor.Run.
 //
 // A cached plan can be *wrong* — compiled against estimates the data has
 // since outgrown within one epoch, or simply misestimated from the start —
@@ -101,7 +101,7 @@ func (e *Engine) execute(s *statement) error {
 	s.reopt = e.newReoptState(s.blk)
 	rt := e.runtime(s)
 	for {
-		res, err := executor.Execute(s.blk, s.plan, rt)
+		res, err := executor.Run(s.blk, s.plan, rt)
 		var trig *executor.ReoptTriggered
 		if err == nil || s.reopt == nil || !errors.As(err, &trig) {
 			if s.reopt != nil {
@@ -109,7 +109,7 @@ func (e *Engine) execute(s *statement) error {
 			}
 			if err == nil {
 				s.out = res
-				execSpan.Attr("rows", len(res.Rows)).Attr("units", fmt.Sprintf("%.0f", s.meters.exec.Units()))
+				execSpan.Attr("rows", res.Len()).Attr("units", fmt.Sprintf("%.0f", s.meters.exec.Units()))
 				if s.hit {
 					execSpan.Attr("plan_cache", "hit")
 				}

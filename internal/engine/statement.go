@@ -86,13 +86,13 @@ type statement struct {
 	reopt      *executor.ReoptState
 	reopts     int
 	subActuals []executor.ScanActual // IN-subquery scan feedback
-	out        *executor.Result
+	out        *executor.Columnar
 }
 
 // meters are a statement's two work accounts: compilation (JITS collection,
 // optimization, re-planning) and execution. They are their own allocation
 // because the executor runtime and the optimizer context keep pointers to
-// them; the statement value itself never leaves ExecWithContext's stack.
+// them; the statement value itself never leaves ExecUnboxed's stack.
 type meters struct{ compile, exec costmodel.Meter }
 
 // classify stamps the statement-kind label and counts it.
@@ -206,20 +206,18 @@ func (e *Engine) optimize(s *statement, q *qgm.Query) error {
 		if s.mode == modeExplain {
 			continue
 		}
-		innerRes, err := executor.Execute(inner, innerPlan, e.runtime(s))
+		innerRes, err := executor.Run(inner, innerPlan, e.runtime(s))
 		if err != nil {
 			return err
 		}
 		s.subActuals = append(s.subActuals, innerRes.Actuals...)
-		seen := make(map[value.Key]bool, len(innerRes.Rows))
-		values := make([]value.Datum, 0, len(innerRes.Rows))
-		for _, row := range innerRes.Rows {
-			d, k := row[0], row[0].Key()
-			if d.IsNull() || seen[k] {
-				continue
+		seen := make(map[value.Key]bool, innerRes.Len())
+		values := make([]value.Datum, 0, innerRes.Len())
+		for _, d := range innerRes.Cells(0, nil) {
+			if k := d.Key(); !d.IsNull() && !seen[k] {
+				seen[k] = true
+				values = append(values, d)
 			}
-			seen[k] = true
-			values = append(values, d)
 		}
 		s.blk.LocalPreds[sj.Slot] = append(s.blk.LocalPreds[sj.Slot], qgm.Predicate{
 			Slot: sj.Slot, Column: sj.Column, Ordinal: sj.Ordinal,
@@ -255,12 +253,12 @@ func (s *statement) renderPlan(ann optimizer.AnnotateFunc) string {
 	return text
 }
 
-// result renders the statement's outcome for its mode: rows for an executed
-// SELECT, the plan text as rows — annotated with actuals under ANALYZE — for
-// the EXPLAIN forms. A hit normally reports zero compile cost (the
-// amortization the cache buys; re-planning after a trigger is the exception)
-// and carries the compiling statement's PrepareReport, so degradation flags
-// are stable across reuse.
+// result renders the statement's outcome for its mode: the executor's columns
+// for an executed SELECT, the plan text as rows — annotated with actuals under
+// ANALYZE — for the EXPLAIN forms. Nothing is boxed here. A hit normally
+// reports zero compile cost (the amortization the cache buys; re-planning
+// after a trigger is the exception) and carries the compiling statement's
+// PrepareReport, so degradation flags are stable across reuse.
 func (s *statement) result() *Result {
 	var ann optimizer.AnnotateFunc
 	if s.mode == modeExplainAnalyze {
@@ -274,9 +272,10 @@ func (s *statement) result() *Result {
 		Reopts:       s.reopts,
 	}
 	if s.mode == modeExecute {
-		res.Columns, res.Rows = s.out.Columns, s.out.Rows
+		res.Columns, res.Out = s.out.Names, s.out
 	} else {
-		res.Columns, res.Rows = []string{"plan"}, planRows(res.Plan)
+		res.Columns = []string{"plan"}
+		res.Out = executor.FromRows(res.Columns, planRows(res.Plan))
 	}
 	return res
 }

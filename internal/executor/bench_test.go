@@ -45,27 +45,13 @@ func BenchmarkExecuteTemplates(b *testing.B) {
 		if strings.Contains(st.SQL, "GROUP BY") {
 			class += ",agg"
 		}
-		stmt, err := sqlparser.Parse(st.SQL)
-		if err != nil {
-			b.Fatal(err)
-		}
-		q, err := qgm.Build(stmt.(*sqlparser.SelectStmt), e)
-		if err != nil {
-			b.Fatal(err)
-		}
-		blk := q.Blocks[0]
+		blk := buildBlock(b, e, st.SQL)
 		methods := []optimizer.JoinMethod{optimizer.HashJoin, optimizer.MergeJoin, optimizer.IndexNLJoin, optimizer.NestedLoopJoin}
 		if len(blk.Tables) == 1 {
 			methods = methods[:1]
 		}
 		for _, method := range methods {
-			plan, err := optimizer.Optimize(blk, &optimizer.Context{
-				Est: &optimizer.Estimator{Cat: e.Catalog()}, Indexes: e.Indexes(),
-				Weights: e.Weights(), Meter: new(costmodel.Meter),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			plan := catalogPlan(b, e, blk)
 			name := "scan"
 			if len(blk.Tables) > 1 {
 				name = method.String()
@@ -93,6 +79,83 @@ func BenchmarkExecuteTemplates(b *testing.B) {
 	if len(seen) != 6 {
 		b.Fatalf("found %d templates, want 6: %v", len(seen), seen)
 	}
+}
+
+// buildBlock parses one SELECT and builds its outer block.
+func buildBlock(b *testing.B, e *engine.Engine, sql string) *qgm.Block {
+	b.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := qgm.Build(stmt.(*sqlparser.SelectStmt), e)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return q.Blocks[0]
+}
+
+// catalogPlan optimizes the block from catalog statistics.
+func catalogPlan(b *testing.B, e *engine.Engine, blk *qgm.Block) optimizer.Node {
+	b.Helper()
+	plan, err := optimizer.Optimize(blk, &optimizer.Context{
+		Est: &optimizer.Estimator{Cat: e.Catalog()}, Indexes: e.Indexes(),
+		Weights: e.Weights(), Meter: new(costmodel.Meter),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return plan
+}
+
+// BenchmarkFinish prices the two exits of one execution — a 5000-row, seven-
+// column range scan, the widest shape served_fetch fetches: rows boxes the
+// result (Execute, what an embedded caller gets), columns leaves it as row
+// positions behind named columns (Run, what the SQL service encodes). The
+// difference is the rows × cols array of cells; everything before it is the
+// same scan.
+//
+//	go test -run '^$' -bench Finish -benchmem ./internal/executor/
+func BenchmarkFinish(b *testing.B) {
+	e := engine.New(engine.Config{Parallelism: 1})
+	if _, err := workload.Load(e, workload.Spec{Scale: 0.01, Seed: 42}); err != nil {
+		b.Fatal(err)
+	}
+	if err := e.RunstatsAll(); err != nil {
+		b.Fatal(err)
+	}
+	blk := buildBlock(b, e, `SELECT id, ownerid, make, model, year, price, color FROM car WHERE id BETWEEN 1000 AND 5999`)
+	plan := catalogPlan(b, e, blk)
+	runtime := func() *executor.Runtime {
+		return &executor.Runtime{
+			DB: e.DB(), Indexes: e.Indexes(), Weights: e.Weights(),
+			Meter: new(costmodel.Meter), Parallelism: 1,
+		}
+	}
+	b.Run("rows", func(b *testing.B) {
+		b.ReportAllocs()
+		rows := 0
+		for i := 0; i < b.N; i++ {
+			res, err := executor.Execute(blk, plan, runtime())
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows = len(res.Rows)
+		}
+		b.ReportMetric(float64(rows), "rows")
+	})
+	b.Run("columns", func(b *testing.B) {
+		b.ReportAllocs()
+		rows := 0
+		for i := 0; i < b.N; i++ {
+			res, err := executor.Run(blk, plan, runtime())
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows = res.Len()
+		}
+		b.ReportMetric(float64(rows), "rows")
+	})
 }
 
 // forceJoins rewrites every join of the plan to method and reports whether

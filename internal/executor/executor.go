@@ -189,7 +189,8 @@ func (a ScanActual) ActualSelectivity() float64 {
 	return a.Matched / a.BaseRows
 }
 
-// Result is the outcome of executing a block.
+// Result is the outcome of executing a block, rows boxed: what Execute
+// returns. Run returns the same outcome as columns.
 type Result struct {
 	Columns []string
 	Rows    [][]value.Datum
@@ -222,7 +223,7 @@ func (ex *executor) newRelation(n int) *relation {
 
 // column gathers one column of relation rows [lo, hi) into a typed vector.
 func (r *relation) column(slot, ordinal, lo, hi int) *storage.ColumnVec {
-	return r.slots[slot].snap.GatherColumn(ordinal, r.slots[slot].pos[lo:hi])
+	return r.slots[slot].snap.GatherColumn(nil, ordinal, r.slots[slot].pos[lo:hi])
 }
 
 // take gathers src at idx: one side's position vector of a join's output.
@@ -261,13 +262,29 @@ func (ex *executor) joined(label string, left, right *relation, li, ri []int32) 
 	return out, nil
 }
 
-// Execute runs the plan and applies the block's finishing operators.
+// Execute is Run with the result boxed into rows: the exit for callers that
+// want cells rather than columns. Like Run it never panics.
+func Execute(blk *qgm.Block, plan optimizer.Node, rt *Runtime) (res *Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("executor: recovered panic: %v", p)
+		}
+	}()
+	out, err := Run(blk, plan, rt)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Columns: out.Names, Rows: out.Rows(), Actuals: out.Actuals}, nil
+}
+
+// Run runs the plan and applies the block's finishing operators; no value of
+// the result is boxed until the caller asks the Columnar for one.
 //
-// Execute never panics: any panic in an operator — a malformed plan hitting
+// Run never panics: any panic in an operator — a malformed plan hitting
 // a Datum accessor, a comparator blowing up inside a parallel sort worker,
 // an injected fault — is recovered (the parallel pools drain first, so no
 // goroutine outlives the call) and returned as an error.
-func Execute(blk *qgm.Block, plan optimizer.Node, rt *Runtime) (res *Result, err error) {
+func Run(blk *qgm.Block, plan optimizer.Node, rt *Runtime) (res *Columnar, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("executor: recovered panic: %v", p)
@@ -885,9 +902,8 @@ func (ex *executor) runNestedLoop(n *optimizer.Join) (*relation, error) {
 
 // --- finishing: aggregation, distinct, order, limit, projection ----------
 
-// column is one output or sort-key column before the result is carved: a
-// table column seen through the relation's row positions, or the datums
-// aggregation produced.
+// column is one output or sort-key column: a table column seen through the
+// relation's row positions, or the datums aggregation produced.
 type column interface{ Datum(i int) value.Datum }
 
 type datums []value.Datum
@@ -903,89 +919,60 @@ type rowsColumn struct {
 
 func (c rowsColumn) Datum(i int) value.Datum { return c.snap.Datum(int(c.pos[i]), c.ordinal) }
 
-// output is the block's result before DISTINCT, ORDER BY and LIMIT pick and
-// order its rows: n rows of named columns, plus the key columns of the ORDER
-// BY entries in their order.
-type output struct {
-	names []string
-	cols  []column
-	keys  []column
-	n     int
-}
-
 // finish turns the plan's relation into the result. Projection and
-// aggregation produce columns; DISTINCT, ORDER BY and LIMIT then work on
-// row numbers alone, and only the rows that survive are carved into cells.
-func (ex *executor) finish(rel *relation) (*Result, error) {
+// aggregation produce columns, and beside them the key columns of the ORDER
+// BY entries; DISTINCT, ORDER BY and LIMIT then work on row numbers alone.
+// The result is those columns and the rows that survived: its cells are
+// reserved here, at what they cost boxed, whether or not the caller ever
+// boxes them — a memory budget refuses the same statements whichever way the
+// result leaves.
+func (ex *executor) finish(rel *relation) (*Columnar, error) {
 	blk := ex.blk
-	var out *output
+	var out *Columnar
+	var keys []column
 	var err error
 	if blk.Aggregated() {
-		out, err = ex.aggregate(rel)
+		out, keys, err = ex.aggregate(rel)
 	} else {
-		out, err = ex.project(rel)
+		out, keys, err = ex.project(rel)
 	}
 	if err != nil {
 		return nil, err
 	}
-	var rows []int32 // nil = all n rows in order
 	if blk.Distinct {
-		rows = distinctRows(out)
+		out.rows = distinctRows(out)
 	}
 	if len(blk.OrderBy) > 0 {
-		if rows, err = ex.orderRows(out, rows); err != nil {
+		if out.rows, err = ex.orderRows(out, keys); err != nil {
 			return nil, err
 		}
 	}
-	n := out.n
-	if rows != nil {
-		n = len(rows)
+	if out.rows != nil {
+		out.n = len(out.rows)
 	}
-	if blk.Limit >= 0 && n > blk.Limit {
-		n = blk.Limit
+	if blk.Limit >= 0 && out.n > blk.Limit {
+		out.n = blk.Limit
 	}
-	return ex.carve(out, rows, n)
-}
-
-// carve materializes the first n of the chosen rows — the one place values
-// are boxed — column by column into one rows × cols backing array, the shape
-// wire.DecodeRows returns.
-func (ex *executor) carve(out *output, rows []int32, n int) (*Result, error) {
-	width := len(out.cols)
-	if err := ex.rt.grow(int64(n) * govern.EstimateRowBytes(width)); err != nil {
+	if err := ex.rt.grow(int64(out.n) * govern.EstimateRowBytes(len(out.cols))); err != nil {
 		return nil, fmt.Errorf("executor: result: %w", err)
 	}
-	cells := make([]value.Datum, n*width)
-	for j, col := range out.cols {
-		for r := 0; r < n; r++ {
-			i := r
-			if rows != nil {
-				i = int(rows[r])
-			}
-			cells[r*width+j] = col.Datum(i)
-		}
-	}
-	res := &Result{Columns: out.names, Rows: make([][]value.Datum, n)}
-	for r := range res.Rows {
-		res.Rows[r] = cells[r*width : (r+1)*width : (r+1)*width]
-	}
-	return res, nil
+	return out, nil
 }
 
 // project lists the non-aggregated projection's columns and the ORDER BY
 // key columns: an alias key is the output column of that name, a base-column
 // key is read beside the projection and never becomes a result column. A
 // LIMIT with no DISTINCT or ORDER BY above it cuts the relation first.
-func (ex *executor) project(rel *relation) (*output, error) {
+func (ex *executor) project(rel *relation) (*Columnar, []column, error) {
 	blk := ex.blk
-	out := &output{n: rel.n}
+	out := &Columnar{n: rel.n}
 	if blk.Limit >= 0 && blk.Limit < rel.n && !blk.Distinct && len(blk.OrderBy) == 0 {
 		out.n = blk.Limit
 	}
-	out.names = make([]string, 0, len(blk.Projections))
+	out.Names = make([]string, 0, len(blk.Projections))
 	out.cols = make([]column, 0, len(blk.Projections))
 	add := func(name string, slot, ordinal int) {
-		out.names = append(out.names, name)
+		out.Names = append(out.Names, name)
 		out.cols = append(out.cols, rowsColumn{rel.slots[slot], ordinal})
 	}
 	for _, p := range blk.Projections {
@@ -999,16 +986,17 @@ func (ex *executor) project(rel *relation) (*output, error) {
 			}
 		}
 	}
+	var keys []column
 	for _, ok := range blk.OrderBy {
 		if ok.ByAlias == "" {
-			out.keys = append(out.keys, rowsColumn{rel.slots[ok.Slot], ok.Ordinal})
-		} else if ci := slices.Index(out.names, ok.ByAlias); ci >= 0 {
-			out.keys = append(out.keys, out.cols[ci])
+			keys = append(keys, rowsColumn{rel.slots[ok.Slot], ok.Ordinal})
+		} else if ci := slices.Index(out.Names, ok.ByAlias); ci >= 0 {
+			keys = append(keys, out.cols[ci])
 		} else {
-			return nil, fmt.Errorf("executor: ORDER BY alias %q not found", ok.ByAlias)
+			return nil, nil, fmt.Errorf("executor: ORDER BY alias %q not found", ok.ByAlias)
 		}
 	}
-	return out, nil
+	return out, keys, nil
 }
 
 type aggState struct {
@@ -1155,7 +1143,7 @@ func mergePartials(partials []*groupAccumulator) *groupAccumulator {
 
 // aggregate groups the relation morsel by morsel and turns the merged group
 // state into output columns, one row per group in first-appearance order.
-func (ex *executor) aggregate(rel *relation) (*output, error) {
+func (ex *executor) aggregate(rel *relation) (*Columnar, []column, error) {
 	blk := ex.blk
 	partials := make([]*groupAccumulator, ex.rt.morselCount(rel.n))
 	if err := ex.rt.forMorsels(rel.n, func(m, lo, hi int) error {
@@ -1163,7 +1151,7 @@ func (ex *executor) aggregate(rel *relation) (*output, error) {
 		partials[m].absorb(rel, lo, hi)
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	groups := mergePartials(partials).groups
 	ex.rt.charge(ex.rt.Weights.HashBuild * float64(rel.n))
@@ -1171,21 +1159,21 @@ func (ex *executor) aggregate(rel *relation) (*output, error) {
 	// enforcement: growth past the budget is bounded to this operator's
 	// grouped state, which is what the statement materializes from here on).
 	if err := ex.rt.grow(int64(len(groups)) * (64 + 96*int64(len(blk.Projections)))); err != nil {
-		return nil, fmt.Errorf("executor: aggregation state: %w", err)
+		return nil, nil, fmt.Errorf("executor: aggregation state: %w", err)
 	}
 	// Global aggregate over empty input still yields one row.
 	if len(groups) == 0 && len(blk.GroupBy) == 0 {
 		groups = []group{{aggs: make([]aggState, len(blk.Projections))}}
 	}
 
-	out := &output{n: len(groups)}
+	out := &Columnar{n: len(groups)}
 	for i, p := range blk.Projections {
 		col := make(datums, len(groups))
 		grouped := slices.IndexFunc(blk.GroupBy, func(gk qgm.GroupKey) bool {
 			return gk.Slot == p.Slot && gk.Ordinal == p.Ordinal
 		})
 		if p.Agg == sqlparser.AggNone && grouped < 0 {
-			return nil, fmt.Errorf("executor: projection %q is not grouped", p.Alias)
+			return nil, nil, fmt.Errorf("executor: projection %q is not grouped", p.Alias)
 		}
 		for r := range groups {
 			st := &groups[r].aggs[i]
@@ -1209,30 +1197,31 @@ func (ex *executor) aggregate(rel *relation) (*output, error) {
 				col[r] = st.max
 			}
 		}
-		out.names, out.cols = append(out.names, p.Alias), append(out.cols, col)
+		out.Names, out.cols = append(out.Names, p.Alias), append(out.cols, col)
 	}
 	// ORDER BY over an aggregate: an alias key is that output column, a
 	// base-column key must be a grouped, projected column.
+	var keys []column
 	for _, ok := range blk.OrderBy {
-		ci := slices.Index(out.names, ok.ByAlias)
+		ci := slices.Index(out.Names, ok.ByAlias)
 		if ok.ByAlias == "" {
 			ci = slices.IndexFunc(blk.Projections, func(p qgm.Projection) bool {
 				return p.Agg == sqlparser.AggNone && p.Slot == ok.Slot && p.Ordinal == ok.Ordinal
 			})
 			if ci < 0 {
-				return nil, fmt.Errorf("executor: ORDER BY column is neither projected nor grouped")
+				return nil, nil, fmt.Errorf("executor: ORDER BY column is neither projected nor grouped")
 			}
 		} else if ci < 0 {
-			return nil, fmt.Errorf("executor: ORDER BY alias %q not found", ok.ByAlias)
+			return nil, nil, fmt.Errorf("executor: ORDER BY alias %q not found", ok.ByAlias)
 		}
-		out.keys = append(out.keys, out.cols[ci])
+		keys = append(keys, out.cols[ci])
 	}
-	return out, nil
+	return out, keys, nil
 }
 
 // distinctRows lists the first row of every distinct combination of output
 // values, in row order.
-func distinctRows(out *output) []int32 {
+func distinctRows(out *Columnar) []int32 {
 	seen := newKeyTable()
 	rows := make([]int32, 0, out.n)
 	var kb []byte
@@ -1249,7 +1238,8 @@ func distinctRows(out *output) []int32 {
 }
 
 // orderRows stably sorts the chosen rows (nil = all) by the ORDER BY keys.
-func (ex *executor) orderRows(out *output, rows []int32) ([]int32, error) {
+func (ex *executor) orderRows(out *Columnar, keys []column) ([]int32, error) {
+	rows := out.rows
 	if rows == nil {
 		rows = make([]int32, out.n)
 		for i := range rows {
@@ -1265,7 +1255,7 @@ func (ex *executor) orderRows(out *output, rows []int32) ([]int32, error) {
 	}
 	orderBy := ex.blk.OrderBy
 	err := parallelStableSort(ex.rt, rows, func(a, b int32) bool {
-		for k, key := range out.keys {
+		for k, key := range keys {
 			if c := key.Datum(int(a)).Compare(key.Datum(int(b))); c != 0 {
 				return (c > 0) == orderBy[k].Desc
 			}

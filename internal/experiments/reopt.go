@@ -127,7 +127,7 @@ func Reopt(opts Options, ro ReoptOptions) (*ReoptReport, error) {
 			res.ExecSeconds += r.Metrics.ExecSeconds
 			res.TotalSeconds += r.Metrics.TotalSeconds
 			res.Reopts += r.Reopts
-			rows = append(rows, len(r.Rows))
+			rows = append(rows, r.Len())
 		}
 		if baseRows == nil {
 			baseRows = rows

@@ -1,6 +1,6 @@
 // Package server is the multi-session SQL service: it listens on TCP,
 // speaks the internal/wire frame protocol, and multiplexes any number of
-// client sessions onto one embedded engine via engine.ExecWithContext.
+// client sessions onto one embedded engine via engine.ExecUnboxed.
 //
 // A session is one logical client conversation. It owns its per-session
 // execution options (parallelism, statement timeout), its prepared-statement
@@ -753,16 +753,16 @@ func (s *Server) execSQL(sess *session, req *wire.Request, sql string) *wire.Res
 	sess.queries.Add(1)
 	opts := sess.execOpts()
 	opts.Annotations = sess.annotations(req)
-	res, err := s.eng.ExecWithContext(s.baseCtx, sql, opts)
+	res, err := s.eng.ExecUnboxed(s.baseCtx, sql, opts)
 	if err != nil {
 		return errResponse(err)
 	}
-	wr := encodeResult(res)
-	if n := len(wr.Rows); n > s.maxBlock {
+	wr, err := encodeResult(res, s.maxBlock)
+	if err != nil {
 		// A typed refusal on a session that lives on — and, remembered by
 		// the dedup ring, the answer a retry gets too — instead of a frame
 		// WriteFrame would reject after the fact.
-		return errResponse(fmt.Errorf("server: result of %d bytes exceeds frame limit", n))
+		return errResponse(err)
 	}
 	return &wire.Response{Type: wire.RespResult, Result: wr}
 }
@@ -774,12 +774,18 @@ func errResponse(err error) *wire.Response {
 	}}
 }
 
-// encodeResult converts an engine result to its wire form, flattening the
-// PrepareReport to the degradation flags remote callers act on.
-func encodeResult(res *engine.Result) *wire.Result {
+// encodeResult converts an engine result to its wire form — the result set
+// straight from its columns, never boxed — flattening the PrepareReport to
+// the degradation flags remote callers act on. A result set whose column
+// block would pass maxBlock is refused before the block is built.
+func encodeResult(res *engine.Result, maxBlock int) (*wire.Result, error) {
+	block, size := wire.EncodeResult(res.Out, maxBlock)
+	if size > maxBlock {
+		return nil, fmt.Errorf("server: result of %d bytes exceeds frame limit", size)
+	}
 	wr := &wire.Result{
 		Columns:        res.Columns,
-		Rows:           wire.EncodeRows(res.Rows),
+		Rows:           block,
 		RowsAffected:   res.RowsAffected,
 		Plan:           res.Plan,
 		CompileSeconds: res.Metrics.CompileSeconds,
@@ -794,5 +800,5 @@ func encodeResult(res *engine.Result) *wire.Result {
 			}
 		}
 	}
-	return wr
+	return wr, nil
 }

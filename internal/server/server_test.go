@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -300,6 +301,32 @@ func TestServeOversizeResult(t *testing.T) {
 		if resp.Type != wire.RespError || resp.ID != 1 || resp.Error.Code != wire.CodeError {
 			t.Fatalf("attempt %d: %+v", attempt, resp)
 		}
+	}
+
+	// The refusal comes before the block exists: everything a refused
+	// statement allocates — execution, the encoder's sizing pass, the error
+	// frame, both ends of the connection — is a fraction of the block it was
+	// refused for (the same result boxed is several times the block).
+	const wide = `SELECT c.id, c.ownerid, c.make, c.model, c.year, c.price, c.color, c.id AS id2, c.make AS make2,
+		c.model AS model2, c.price AS price2, c.color AS color2, c.id AS id3, c.make AS make3, c.model AS model3,
+		c.price AS price3, c.color AS color3, c.year AS year3 FROM car c`
+	direct, err := eng.Exec(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := len(wire.EncodeRows(direct.Rows))
+	if _, err = conn.Query(wide); err == nil { // also warms the plan cache
+		t.Fatalf("a result of %d bytes passed a limit of 256", block)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = conn.Query(wide)
+	runtime.ReadMemStats(&after)
+	if !errors.As(err, &werr) || !strings.Contains(werr.Message, fmt.Sprintf("result of %d bytes exceeds frame limit", block)) {
+		t.Fatalf("refusal %v does not name the block's exact size %d", err, block)
+	}
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > uint64(block)/2 {
+		t.Errorf("refusing a result of %d bytes allocated %d bytes; the block was built first", block, spent)
 	}
 }
 
@@ -706,5 +733,103 @@ func TestServedDegradationNotesAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// lockedWriter serializes a trace sink the server's goroutines write and the
+// test's reads.
+type lockedWriter struct {
+	mu sync.Mutex
+	sb strings.Builder
+}
+
+func (w *lockedWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.sb.Write(p)
+}
+
+func (w *lockedWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.sb.String()
+}
+
+// TestServedRowCountsAgree: the served path never boxes a result, so nothing
+// on it may count rows off Result.Rows. One statement run embedded and served
+// files the same Rows in its flight record and the same rows attribute on its
+// execute span — the count the client then decodes.
+func TestServedRowCountsAgree(t *testing.T) {
+	var trace lockedWriter
+	cfg := serveConfig(0)
+	cfg.JITS.SampleSize = 200
+	cfg.FlightRecorderCapacity = -1
+	cfg.Trace = &trace
+	eng, _ := loadedEngine(t, cfg, 0.002)
+	_, addr := startServer(t, eng)
+	conn, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	// counts returns what the engine's latest statement recorded: the flight
+	// record's Rows and, for a statement that executed a plan, its execute
+	// span's rows attribute (-1 when it has no such span).
+	counts := func() (recorded, span int) {
+		t.Helper()
+		qid := eng.Now()
+		rec, ok := eng.Recorder().Get(qid)
+		if !ok {
+			t.Fatalf("no flight record for q%d", qid)
+		}
+		span = -1
+		for _, line := range strings.Split(trace.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, fmt.Sprintf("q%d span execute ", qid)); ok {
+				for _, attr := range strings.Fields(rest) {
+					if v, ok := strings.CutPrefix(attr, "rows="); ok {
+						fmt.Sscan(v, &span)
+					}
+				}
+			}
+		}
+		return rec.Rows, span
+	}
+	for _, tc := range []struct {
+		sql      string
+		executes bool // runs a plan, so it has an execute span
+	}{
+		{`SELECT c.id, c.make, c.price FROM car c WHERE c.id BETWEEN 10 AND 400`, true},
+		{`SELECT c.make, COUNT(*) AS n FROM car c GROUP BY c.make ORDER BY n DESC`, true},
+		{`SELECT DISTINCT o.city FROM owner o ORDER BY o.city LIMIT 7`, true},
+		{`SELECT c.id FROM car c WHERE c.id < 0`, true},
+		{`EXPLAIN ANALYZE SELECT c.id FROM car c WHERE c.year > 2000`, true},
+		{`EXPLAIN SELECT c.id FROM car c WHERE c.year > 2000`, false},
+		{`SHOW QUERIES LAST 5`, false},
+		{`INSERT INTO owner VALUES (990003, 'n', 'Ottawa', 'CA', 1.0)`, false},
+	} {
+		direct, err := eng.Exec(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		recDirect, spanDirect := counts()
+		served, err := conn.Query(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		recServed, spanServed := counts()
+		if recDirect != len(direct.Rows) || recServed != len(served.Rows) || direct.Len() != len(direct.Rows) {
+			t.Errorf("%s: flight records say %d embedded / %d served rows; results have %d / %d (Len %d)",
+				tc.sql, recDirect, recServed, len(direct.Rows), len(served.Rows), direct.Len())
+		}
+		if strings.HasPrefix(tc.sql, "SELECT") && recDirect != recServed {
+			t.Errorf("%s: %d rows recorded embedded, %d served", tc.sql, recDirect, recServed)
+		}
+		if (spanDirect >= 0) != tc.executes || (spanServed >= 0) != tc.executes {
+			t.Errorf("%s: execute span rows = %d embedded, %d served; executes = %v", tc.sql, spanDirect, spanServed, tc.executes)
+		}
+		if spanDirect != spanServed {
+			t.Errorf("%s: execute span counted %d rows embedded, %d served", tc.sql, spanDirect, spanServed)
+		}
 	}
 }

@@ -10,6 +10,8 @@
 package storage
 
 import (
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/value"
@@ -92,6 +94,15 @@ func (v *ColumnVec) HasNulls() bool {
 		}
 	}
 	return false
+}
+
+// NullCount returns the number of NULL rows.
+func (v *ColumnVec) NullCount() int {
+	n := 0
+	for _, w := range v.nulls {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // Datum decodes row i into a value.Datum (no allocation: Datum is a value).
@@ -242,6 +253,24 @@ func (v *ColumnVec) resize(n int) {
 	default:
 		v.strs = v.strs[:n]
 	}
+}
+
+// reset turns v into an n-row vector of the given kind with no NULLs, keeping
+// the arrays it already has. Its rows hold whatever they held: the caller
+// writes every one.
+func (v *ColumnVec) reset(kind value.Kind, n int) {
+	v.kind = kind
+	switch kind {
+	case value.KindInt:
+		v.ints = slices.Grow(v.ints[:0], n)[:n]
+	case value.KindFloat:
+		v.floats = slices.Grow(v.floats[:0], n)[:n]
+	default:
+		v.strs = slices.Grow(v.strs[:0], n)[:n]
+	}
+	words := (n + 63) / 64
+	v.nulls = slices.Grow(v.nulls[:0], words)[:words]
+	clear(v.nulls)
 }
 
 func (v *ColumnVec) setNull(i int) { v.nulls[i>>6] |= 1 << (uint(i) & 63) }

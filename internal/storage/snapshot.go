@@ -139,21 +139,28 @@ func (s *Snapshot) Gather(dst *Chunk, positions []int, lo, hi int) {
 // GatherColumn returns one column at the given row positions as a detached
 // vector: entry i is the value of snapshot row positions[i]. It is how a
 // late-materialized operator reads the only columns it needs — join keys,
-// group keys, aggregate arguments — through the row positions a relation
-// carries. Positions may repeat and come in any order;
-// ascending runs (a scan's output) stay inside one chunk's arrays.
-func (s *Snapshot) GatherColumn(ordinal int, positions []int32) *ColumnVec {
-	out := newColumnVec(s.schema.cols[ordinal].Kind, len(positions))
-	out.resize(len(positions))
-	switch out.kind {
-	case value.KindInt:
-		gatherColumn(s, ordinal, positions, out, out.ints, func(v *ColumnVec) []int64 { return v.ints })
-	case value.KindFloat:
-		gatherColumn(s, ordinal, positions, out, out.floats, func(v *ColumnVec) []float64 { return v.floats })
-	default:
-		gatherColumn(s, ordinal, positions, out, out.strs, func(v *ColumnVec) []string { return v.strs })
+// group keys, aggregate arguments, a result column on its way to the wire —
+// through the row positions a relation carries. Positions may repeat and come
+// in any order; ascending runs (a scan's output) stay inside one chunk's
+// arrays. A non-nil dst is overwritten and returned, its arrays reused: one
+// scratch vector can carry every column of a result in turn.
+func (s *Snapshot) GatherColumn(dst *ColumnVec, ordinal int, positions []int32) *ColumnVec {
+	kind := s.schema.cols[ordinal].Kind
+	if dst == nil {
+		dst = newColumnVec(kind, len(positions))
+		dst.resize(len(positions))
+	} else {
+		dst.reset(kind, len(positions))
 	}
-	return out
+	switch kind {
+	case value.KindInt:
+		gatherColumn(s, ordinal, positions, dst, dst.ints, func(v *ColumnVec) []int64 { return v.ints })
+	case value.KindFloat:
+		gatherColumn(s, ordinal, positions, dst, dst.floats, func(v *ColumnVec) []float64 { return v.floats })
+	default:
+		gatherColumn(s, ordinal, positions, dst, dst.strs, func(v *ColumnVec) []string { return v.strs })
+	}
+	return dst
 }
 
 func gatherColumn[T any](s *Snapshot, ordinal int, positions []int32, out *ColumnVec, dst []T, arr func(*ColumnVec) []T) {

@@ -67,6 +67,11 @@
 // strings are copied, not formatted, so a served result is bit-identical to
 // the same statement run in-process — NaN payloads, −0 and non-UTF-8 bytes
 // included; TestWireRowsProperty and the wire differential harness pin that.
+//
+// The server writes a block with EncodeResult, from the executor's unboxed
+// result: table columns as typed vectors, never as cells. EncodeRows is the
+// same writer for a caller that holds boxed rows, and DecodeRows the client's
+// way back to them.
 package wire
 
 import (
@@ -82,7 +87,9 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/executor"
 	"repro/internal/govern"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -200,58 +207,197 @@ type Rows []byte
 // a kind byte per cell follows the tag.
 const tagPerCell = byte(value.KindNull)
 
-// EncodeRows packs engine rows into a column block; no rows is no block.
-// Rows must all have the first row's width, as an engine result's do.
-func EncodeRows(rows [][]value.Datum) Rows {
-	if len(rows) == 0 {
-		return nil
+// EncodeResult packs a finished result into a column block without boxing a
+// table column: each is gathered through its row positions into one scratch
+// vector, and its numbers, string lengths and string bytes are written from
+// the typed arrays; kind bytes are spent only on a column with a NULL in it.
+// A column that exists only boxed — an aggregate's, EXPLAIN's and SHOW's —
+// is written from its cells. The block's exact size is computed first: a
+// result whose block would pass limit is refused, (nil, size), before a byte
+// of it is allocated, and any other block is allocated once. No rows is no
+// block.
+func EncodeResult(res *executor.Columnar, limit int) (block Rows, size int) {
+	n, ncols := res.Len(), res.NumCols()
+	if n == 0 {
+		return nil, 0
 	}
-	ncols := len(rows[0])
+	var vec storage.ColumnVec // the scratch every typed column is gathered into
+	var cells []value.Datum   // and the one every boxed column is copied into
+	size = 8
+	if ncols == 0 {
+		size += n
+	}
+	for j := 0; j < ncols; j++ {
+		if v := res.Vector(j, &vec); v != nil {
+			size += vectorShape(v).size(n)
+		} else {
+			cells = res.Cells(j, cells)
+			size += cellsShape(cells).size(n)
+		}
+	}
+	if size > limit {
+		return nil, size
+	}
+	b := make([]byte, 0, size)
+	b = binary.BigEndian.AppendUint32(b, uint32(n))
+	b = binary.BigEndian.AppendUint32(b, uint32(ncols))
+	if ncols == 0 {
+		return b[:size], size
+	}
+	for j := 0; j < ncols; j++ {
+		if v := res.Vector(j, &vec); v != nil {
+			b = appendVector(b, v)
+		} else {
+			cells = res.Cells(j, cells)
+			b = appendCells(b, cells)
+		}
+	}
+	if len(b) != size {
+		panic(fmt.Sprintf("wire: column block of %d bytes was sized at %d", len(b), size))
+	}
+	return b, size
+}
+
+// EncodeRows packs boxed rows into a column block: EncodeResult for callers
+// that hold cells. Rows must all have the first row's width, as an engine
+// result's do.
+func EncodeRows(rows [][]value.Datum) Rows {
 	for _, r := range rows {
-		if len(r) != ncols {
+		if len(r) != len(rows[0]) {
 			panic("wire: EncodeRows on ragged rows")
 		}
 	}
-	b := make([]byte, 0, 8+ncols+len(rows)*max(ncols*10, 1))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(rows)))
-	b = binary.BigEndian.AppendUint32(b, uint32(ncols))
-	if ncols == 0 {
-		return append(b, make([]byte, len(rows))...)
+	block, _ := EncodeResult(executor.FromRows(nil, rows), math.MaxInt)
+	return block
+}
+
+// shape is what one column puts in a block: its tag, how many numbers and
+// strings follow, and the strings' bytes.
+type shape struct {
+	tag                  byte
+	nums, strs, strBytes int
+}
+
+// size returns the column's bytes in a block of n rows.
+func (s shape) size(n int) int {
+	size := 1 + 8*s.nums + 4*s.strs + s.strBytes
+	if s.tag == tagPerCell {
+		size += n
 	}
-	for j := 0; j < ncols; j++ {
-		tag := byte(rows[0][j].Kind())
-		strs := false
-		for _, r := range rows {
-			k := r[j].Kind()
-			if byte(k) != tag {
-				tag = tagPerCell
-			}
-			strs = strs || k == value.KindString
+	return size
+}
+
+// vectorShape sizes a typed column: every cell is of the vector's kind or
+// NULL, and a NULL takes the tag away.
+func vectorShape(v *storage.ColumnVec) shape {
+	sh := shape{tag: byte(v.Kind())}
+	live := v.Len()
+	if nulls := v.NullCount(); nulls > 0 {
+		sh.tag, live = tagPerCell, live-nulls
+	}
+	if v.Kind() != value.KindString {
+		sh.nums = live
+		return sh
+	}
+	sh.strs = live
+	for i, s := range v.Strs() {
+		if sh.tag != tagPerCell || !v.Null(i) {
+			sh.strBytes += len(s)
 		}
-		b = append(b, tag)
-		if tag == tagPerCell {
-			for _, r := range rows {
-				b = append(b, byte(r[j].Kind()))
+	}
+	return sh
+}
+
+// appendVector writes a typed column.
+func appendVector(b []byte, v *storage.ColumnVec) []byte {
+	kind, nulls := v.Kind(), v.HasNulls()
+	if !nulls {
+		b = append(b, byte(kind))
+	} else {
+		b = append(b, tagPerCell)
+		for i, n := 0, v.Len(); i < n; i++ {
+			if v.Null(i) {
+				b = append(b, byte(value.KindNull))
+			} else {
+				b = append(b, byte(kind))
 			}
 		}
-		for _, r := range rows {
-			switch d := r[j]; d.Kind() {
+	}
+	switch kind {
+	case value.KindInt:
+		for i, x := range v.Ints() {
+			if !nulls || !v.Null(i) {
+				b = binary.BigEndian.AppendUint64(b, uint64(x))
+			}
+		}
+	case value.KindFloat:
+		for i, x := range v.Floats() {
+			if !nulls || !v.Null(i) {
+				b = binary.BigEndian.AppendUint64(b, math.Float64bits(x))
+			}
+		}
+	default:
+		for i, s := range v.Strs() {
+			if !nulls || !v.Null(i) {
+				b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+			}
+		}
+		for i, s := range v.Strs() {
+			if !nulls || !v.Null(i) {
+				b = append(b, s...)
+			}
+		}
+	}
+	return b
+}
+
+// cellsShape sizes a column of boxed cells, whose kinds may differ cell to
+// cell: the tag is the kind they all share, or tagPerCell.
+func cellsShape(cells []value.Datum) shape {
+	sh := shape{tag: byte(cells[0].Kind())}
+	for i := range cells {
+		d := &cells[i]
+		switch d.Kind() {
+		case value.KindInt, value.KindFloat:
+			sh.nums++
+		case value.KindString:
+			sh.strs++
+			sh.strBytes += len(d.Str())
+		}
+		if byte(d.Kind()) != sh.tag {
+			sh.tag = tagPerCell
+		}
+	}
+	return sh
+}
+
+// appendCells writes a column of boxed cells.
+func appendCells(b []byte, cells []value.Datum) []byte {
+	sh := cellsShape(cells)
+	b = append(b, sh.tag)
+	if sh.tag == tagPerCell {
+		for i := range cells {
+			b = append(b, byte(cells[i].Kind()))
+		}
+	}
+	if sh.nums > 0 {
+		for i := range cells {
+			switch d := &cells[i]; d.Kind() {
 			case value.KindInt:
 				b = binary.BigEndian.AppendUint64(b, uint64(d.Int()))
 			case value.KindFloat:
 				b = binary.BigEndian.AppendUint64(b, math.Float64bits(d.Float()))
 			}
 		}
-		if !strs {
-			continue
-		}
-		for _, r := range rows {
-			if d := r[j]; d.Kind() == value.KindString {
+	}
+	if sh.strs > 0 {
+		for i := range cells {
+			if d := &cells[i]; d.Kind() == value.KindString {
 				b = binary.BigEndian.AppendUint32(b, uint32(len(d.Str())))
 			}
 		}
-		for _, r := range rows {
-			if d := r[j]; d.Kind() == value.KindString {
+		for i := range cells {
+			if d := &cells[i]; d.Kind() == value.KindString {
 				b = append(b, d.Str()...)
 			}
 		}

@@ -65,7 +65,8 @@ bench-pairs:
 # columnar draw (2000 of 43k rows, 8 columns), bitmap group evaluation (7
 # groups over 3 predicates), the NDV counter per column kind (0 allocs/op
 # once warm), and one archive merge at the shape measured on collect_all
-# (164 cells, 35 constraints, 20 of them re-observed boxes). Last, the
+# (164 cells, 35 constraints, 20 of them re-observed boxes) and at the budget
+# ceiling (4096 cells, 48 constraints, 16 re-observed). Last, the
 # executor's own row: the six paper templates at scale 0.01 under the join
 # methods the optimizer picks among (bytes and allocations per execution are
 # what late materialization is held to; forced nested loops take 0.4 s an
@@ -103,9 +104,11 @@ debug-smoke:
 # the wire's untrusted input (column-block decoder, frame reader), the index
 # catch-up model (DML scripts against a naive scan; an execution there is a
 # whole script, so the fuzzer is told to spend a second, not a minute, shrinking
-# each input that found new coverage) and the archive file (LoadArchive never
-# panics and what it accepts answers lookups; its inputs are kilobytes of
-# base64, so it too shrinks for a second). The seed corpora alone are replayed by
+# each input that found new coverage), the archive file (LoadArchive never
+# panics, what it accepts answers lookups and survives one more fit; its inputs
+# are kilobytes of base64, so it too shrinks for a second) and a fit's
+# statistical invariants (AddConstraint scripts: masses finite, ≥ 0, summing to
+# 1, retained constraints met; a script again, so a second). The seed corpora alone are replayed by
 # every plain `make test`. `go test -fuzz=Name` exits 0 when Name matches
 # nothing; TestMakefileRunSelectorsMatch resolves every name below.
 fuzz:
@@ -117,6 +120,7 @@ fuzz:
 	$(GO) test -run FuzzReadFrame -fuzz=FuzzReadFrame -fuzztime=20s ./internal/wire/
 	$(GO) test -run FuzzIndexCatchUp -fuzz=FuzzIndexCatchUp -fuzztime=20s -fuzzminimizetime=1s ./internal/index/
 	$(GO) test -run FuzzLoadArchive -fuzz=FuzzLoadArchive -fuzztime=20s -fuzzminimizetime=1s ./internal/core/
+	$(GO) test -run FuzzAddConstraint -fuzz=FuzzAddConstraint -fuzztime=20s -fuzzminimizetime=1s ./internal/histogram/
 
 # Chaos differential replay: the workload under deterministic injected
 # faults (scan errors, sampling failures, worker panics, latency+deadlines,

@@ -173,13 +173,24 @@ func LoadArchive(r io.Reader) (*Archive, error) {
 		}
 		a.putGridLocked(name, &gridEntry{hist: h, cols: gs.Cols, units: units})
 	}
+	// The optimizer takes the numbers below as they are: a selectivity
+	// outside [0,1] or a negative count would become a negative estimate.
 	for _, ms := range snap.Memo {
+		if !(ms.Sel >= 0 && ms.Sel <= 1) {
+			return nil, fmt.Errorf("core: memo %q selectivity %g out of [0,1]", ms.Key, ms.Sel)
+		}
 		a.memo[ms.Key] = &memoEntry{sel: ms.Sel, ts: ms.TS, lastUsed: ms.LastUsed}
 	}
 	for _, cs := range snap.Cards {
+		if cs.Card < 0 {
+			return nil, fmt.Errorf("core: table %q cardinality %d is negative", cs.Table, cs.Card)
+		}
 		a.cards[cs.Table] = cardEntry{card: cs.Card, ts: cs.TS}
 	}
 	for _, ns := range snap.NDVs {
+		if ns.NDV < 0 {
+			return nil, fmt.Errorf("core: column %q NDV %d is negative", ns.Key, ns.NDV)
+		}
 		a.ndvs[ns.Key] = ndvEntry{ndv: ns.NDV, ts: ns.TS}
 	}
 	return a, nil

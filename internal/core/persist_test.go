@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/histogram"
 	"repro/internal/qgm"
 	"repro/internal/value"
 )
@@ -102,6 +103,12 @@ func TestLoadArchiveRejectsCorruption(t *testing.T) {
 		"unit outside cols":         gridJSON("t(a)", `["a"]`, `{"a":1,"b":1}`),
 		"key is a predicate group":  gridJSON("t{a > 1}", `["a"]`, `{}`),
 		"key has no table":          gridJSON("(a)", `["a"]`, `{}`),
+		// Numbers the next fit or the optimizer would take as they are.
+		"constraint fraction above 1": `{"version":1,"grids":[{"key":"t(a)","cols":["a"],"units":{"a":1},"hist":{"cols":["a"],"cuts":[[0,1]],"mass":[1],"ts":[0],` +
+			`"constraints":[{"lo":[0],"hi":[0.5],"frac":1.5,"ts":1}]}}]}`,
+		"memo selectivity above 1": `{"version":1,"memo":[{"key":"t{a > 1}","sel":1.5}]}`,
+		"negative cardinality":     `{"version":1,"cards":[{"table":"t","card":-9}]}`,
+		"negative NDV":             `{"version":1,"ndvs":[{"key":"t.a","ndv":-3}]}`,
 	}
 	for name, payload := range cases {
 		if _, err := LoadArchive(strings.NewReader(payload)); err == nil {
@@ -126,8 +133,9 @@ func gridJSON(key, cols, units string) string {
 // FuzzLoadArchive: the archive file is the last decoder of bytes from outside
 // the process. LoadArchive never panics, and an archive it accepts answers the
 // optimizer's and the sensitivity analysis's questions about every grid it
-// holds — through the same boxing code a query takes — without panicking, and
-// saves again.
+// holds — through the same boxing code a query takes — without panicking,
+// saves again, and takes one more observation into every grid with masses that
+// stay finite, non-negative and sum to 1: what it loaded cannot poison a fit.
 func FuzzLoadArchive(f *testing.F) {
 	var saved bytes.Buffer
 	if err := populatedArchive(f).Save(&saved); err != nil {
@@ -155,6 +163,33 @@ func FuzzLoadArchive(f *testing.F) {
 		}
 		if err := a.Save(io.Discard); err != nil {
 			t.Fatalf("a loaded archive does not save: %v", err)
+		}
+		for _, grids := range a.grids {
+			for name, g := range grids {
+				// The lower half of the domain (all of a dimension too narrow
+				// to halve): no extension, never empty.
+				box := histogram.FullBox(g.hist.Dims())
+				for d := range box.Lo {
+					lo, hi := g.hist.Domain(d)
+					if mid := lo + (hi-lo)/2; lo < mid {
+						hi = mid
+					}
+					box.Lo[d], box.Hi[d] = lo, hi
+				}
+				if err := g.hist.AddConstraint(box, 0.5, 3); err != nil {
+					t.Fatalf("grid %s: AddConstraint: %v", name, err)
+				}
+				total := 0.0
+				for i, m := range g.hist.Snapshot().Mass {
+					if !(m >= 0) || math.IsInf(m, 0) {
+						t.Fatalf("grid %s: cell %d has mass %g after a fit", name, i, m)
+					}
+					total += m
+				}
+				if math.Abs(total-1) > 1e-9 {
+					t.Fatalf("grid %s: masses sum to %v after a fit", name, total)
+				}
+			}
 		}
 	})
 }

@@ -164,7 +164,9 @@ func TestShowMetricsThroughExec(t *testing.T) {
 		t.Fatalf("SHOW METRICS columns = %s", got)
 	}
 	found := map[string]float64{}
+	names := map[string]bool{}
 	for _, row := range res.Rows {
+		names[row[0].Str()] = true
 		if row[0].Str() == "engine_statements_total" {
 			v, _ := row[2].AsFloat()
 			found[row[1].Str()] = v
@@ -172,6 +174,12 @@ func TestShowMetricsThroughExec(t *testing.T) {
 	}
 	if found[`kind="select"`] < 1 {
 		t.Fatalf("engine_statements_total{kind=\"select\"} = %v, want >= 1 (found: %v)", found[`kind="select"`], found)
+	}
+	// The archive's fits say whether they converged.
+	for _, name := range []string{"histogram_ipf_fits_total", "histogram_ipf_rounds_total", "histogram_ipf_unconverged_total"} {
+		if !names[name] {
+			t.Errorf("%s missing from SHOW METRICS", name)
+		}
 	}
 }
 

@@ -30,6 +30,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/metrics"
 )
 
 // Defaults bounding histogram growth; callers can override per histogram.
@@ -46,6 +48,20 @@ const (
 	// oldest constraints are forgotten until the system is consistent —
 	// ISOMER's approach to inconsistent feedback.
 	ipfConflictTolerance = 0.05
+)
+
+// IPF instruments on the process-wide default registry. A fit is one
+// bounded IPF pass; refit runs one more for every constraint it drops.
+var (
+	mIPFFits = metrics.Default().Counter(
+		"histogram_ipf_fits_total",
+		"Iterative proportional fitting passes run by histogram updates.")
+	mIPFRounds = metrics.Default().Counter(
+		"histogram_ipf_rounds_total",
+		"Rounds run by iterative proportional fitting, over all fits.")
+	mIPFUnconverged = metrics.Default().Counter(
+		"histogram_ipf_unconverged_total",
+		"Fits that ran every round without meeting every constraint to tolerance.")
 )
 
 // Box is an axis-aligned half-open region [Lo[d], Hi[d]) per dimension.
@@ -318,18 +334,32 @@ func (h *Histogram) OldestTimestampIn(b Box) int64 {
 	return oldest
 }
 
-// extendDomain widens a dimension's domain to include finite box ends that
-// fall outside it; the edge cell stretches and keeps its mass.
-func (h *Histogram) extendDomain(b Box) {
-	for d := 0; d < h.Dims(); d++ {
-		last := len(h.cuts[d]) - 1
-		if !math.IsInf(b.Lo[d], 0) && b.Lo[d] < h.cuts[d][0] {
-			h.cuts[d][0] = b.Lo[d]
+// extendDomain widens each dimension's domain to include the box's finite
+// ends that fall outside it — the edge cell stretches and keeps its mass —
+// and reports whether the box then overlaps the domain. A box that would
+// not, being empty in some dimension, carries no information and widens
+// nothing: a stretched edge cell would move what the retained constraints
+// estimate with no fit to restore them.
+func (h *Histogram) extendDomain(b Box) bool {
+	grown := func(d int) (lo, hi float64) {
+		lo, hi = h.Domain(d)
+		if !math.IsInf(b.Lo[d], 0) && b.Lo[d] < lo {
+			lo = b.Lo[d]
 		}
-		if !math.IsInf(b.Hi[d], 0) && b.Hi[d] > h.cuts[d][last] {
-			h.cuts[d][last] = b.Hi[d]
+		if !math.IsInf(b.Hi[d], 0) && b.Hi[d] > hi {
+			hi = b.Hi[d]
+		}
+		return lo, hi
+	}
+	for d := range h.cuts {
+		if lo, hi := grown(d); !(max(b.Lo[d], lo) < min(b.Hi[d], hi)) {
+			return false
 		}
 	}
+	for d, cd := range h.cuts {
+		cd[0], cd[len(cd)-1] = grown(d)
+	}
+	return true
 }
 
 // insertCut splits cells along dimension d at x (interior, not already a
@@ -423,11 +453,10 @@ func (h *Histogram) AddConstraint(b Box, frac float64, ts int64) error {
 	if frac < 0 || frac > 1 || math.IsNaN(frac) {
 		return fmt.Errorf("histogram: constraint fraction %g out of [0,1]", frac)
 	}
-	h.extendDomain(b)
-	cb, ok := h.clamp(b)
-	if !ok {
+	if !h.extendDomain(b) {
 		return nil // empty region carries no information
 	}
+	cb, _ := h.clamp(b) // not empty: extendDomain checked
 	for d := 0; d < h.Dims(); d++ {
 		h.insertCut(d, cb.Lo[d], ts)
 		h.insertCut(d, cb.Hi[d], ts)
@@ -493,21 +522,37 @@ func eachWeight(n int, cells []cellWeight, fn func(idx int, w float64)) {
 	}
 }
 
-// scale multiplies every element by s, four to a step: this loop over the
-// cells outside a box is where a fit spends its time.
-func scale(xs []float64, s float64) {
+// The range a pending outside factor may reach before it is folded into the
+// masses: wide enough that a fold is rare, narrow enough that no mass
+// scaled against it overflows or loses more than the bits it would anyway.
+const (
+	pendingMin = 0x1p-256
+	pendingMax = 0x1p256
+)
+
+// fold multiplies a pending outside factor g into every mass, four to a
+// step, and returns the factor left pending: 1.
+func (h *Histogram) fold(g float64) float64 {
+	if g == 1 {
+		return 1
+	}
+	xs := h.mass
 	for ; len(xs) >= 4; xs = xs[4:] {
-		xs[0], xs[1], xs[2], xs[3] = xs[0]*s, xs[1]*s, xs[2]*s, xs[3]*s
+		xs[0], xs[1], xs[2], xs[3] = xs[0]*g, xs[1]*g, xs[2]*g, xs[3]*g
 	}
 	for i := range xs {
-		xs[i] *= s
+		xs[i] *= g
 	}
+	return 1
 }
 
 // runIPF performs one bounded IPF pass and returns the final maximum
 // constraint residual. It is box-local: a constraint reads and rescales its
-// own cells through their weights, and every cell outside its box — weight
-// exactly 0 — adds nothing to a sum and takes the plain outside scale.
+// own cells through their weights. The outside scale every other cell takes
+// is not applied cell by cell but carried as one pending factor g — a cell's
+// true mass is g·mass[i] — so a constraint costs its box, not the grid. g is
+// folded into the masses at the end of every round, before a seeding branch
+// or an outside scale of 0, and whenever it leaves [pendingMin, pendingMax].
 func (h *Histogram) runIPF() float64 {
 	if len(h.constraints) == 0 {
 		return 0
@@ -531,11 +576,14 @@ func (h *Histogram) runIPF() float64 {
 	}
 	var volumes []float64 // only the seeding branches read them
 
-	for round := 0; round < ipfMaxRounds; round++ {
+	rounds, converged := 0, false
+	for rounds < ipfMaxRounds && !converged {
+		rounds++
 		maxErr := 0.0
+		g := 1.0
 		for ci, c := range h.constraints {
 			box := cells[start[ci]:start[ci+1]]
-			inside := insideOf(ci)
+			inside := g * insideOf(ci)
 			target := c.frac
 			err := math.Abs(inside - target)
 			if err > maxErr {
@@ -549,17 +597,27 @@ func (h *Histogram) runIPF() float64 {
 			case inside > ipfTolerance && outside > ipfTolerance:
 				sIn := target / inside
 				sOut := (1 - target) / outside
-				rest := h.mass // cells not yet scaled
-				for _, bc := range box {
-					gap := bc.idx - (len(h.mass) - len(rest))
-					scale(rest[:gap], sOut)
-					rest[gap] *= bc.w*sIn + (1-bc.w)*sOut
-					rest = rest[gap+1:]
+				if sOut == 0 {
+					// target is 1: an outside scale of 0 is not a factor g
+					// can carry. Fold, then scale every cell directly.
+					g = h.fold(g)
+					eachWeight(len(h.mass), box, func(idx int, w float64) {
+						h.mass[idx] *= w*sIn + (1-w)*sOut
+					})
+					break
 				}
-				scale(rest, sOut)
+				// Every cell takes sOut, carried in g; a box cell also takes
+				// the rest of its own factor, which is exactly 1 at weight 0.
+				for _, bc := range box {
+					h.mass[bc.idx] *= (bc.w*sIn + (1-bc.w)*sOut) / sOut
+				}
+				if g *= sOut; g < pendingMin || g > pendingMax {
+					g = h.fold(g)
+				}
 			case inside <= ipfTolerance && target > 0:
 				// No mass where the constraint needs some: seed the box
 				// uniformly by volume, scale the rest down.
+				g = h.fold(g)
 				if volumes == nil {
 					volumes = h.cellVolumes()
 				}
@@ -580,6 +638,7 @@ func (h *Histogram) runIPF() float64 {
 			case outside <= ipfTolerance && target < 1:
 				// All mass inside the box but some should be outside: seed
 				// the complement uniformly by volume.
+				g = h.fold(g)
 				if volumes == nil {
 					volumes = h.cellVolumes()
 				}
@@ -599,16 +658,23 @@ func (h *Histogram) runIPF() float64 {
 				})
 			}
 		}
-		if maxErr <= ipfTolerance {
-			break
-		}
+		h.fold(g)
+		converged = maxErr <= ipfTolerance
+	}
+	mIPFFits.Inc()
+	mIPFRounds.Add(float64(rounds))
+	if !converged {
+		mIPFUnconverged.Inc()
 	}
 	// Guard against drift: renormalize total mass to 1.
 	total := 0.0
 	for _, m := range h.mass {
 		total += m
 	}
-	if total > 0 && math.Abs(total-1) > 1e-12 {
+	switch {
+	case total == 0:
+		h.uniform()
+	case math.Abs(total-1) > 1e-12:
 		for idx := range h.mass {
 			h.mass[idx] /= total
 		}
@@ -621,6 +687,27 @@ func (h *Histogram) runIPF() float64 {
 		}
 	}
 	return residual
+}
+
+// uniform spreads the mass by cell volume (by cell where the volumes
+// underflow), the distribution a grid knows nothing about. A fit falls back to
+// it when it has scaled every mass to 0: a box covering every cell that claims
+// fewer rows than the grid holds has nowhere to put the rest, and once
+// rounding drift leaves a sliver of mass "outside" it, the scale step takes
+// the lot.
+func (h *Histogram) uniform() {
+	vols := h.cellVolumes()
+	total := 0.0
+	for _, v := range vols {
+		total += v
+	}
+	for idx, v := range vols {
+		if total > 0 {
+			h.mass[idx] = v / total
+		} else {
+			h.mass[idx] = 1 / float64(len(vols))
+		}
+	}
 }
 
 // cellVolumes returns each cell's geometric volume, the product 1.0·w_0·w_1·…

@@ -1,6 +1,7 @@
 package histogram
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -617,23 +618,45 @@ func BenchmarkEstimate2D(b *testing.B) {
 	}
 }
 
-// BenchmarkAddConstraintSteady is one archive merge at the shape measured
-// on the collect_all workload: a 164-cell 2-D grid holding 35 constraints,
-// 20 of them re-observations of a box already in the list whose fractions
-// disagree by sampling noise — so IPF runs all its rounds without
-// converging, and almost every (constraint, cell) pair does not overlap.
+// BenchmarkAddConstraintSteady is one archive merge into a grid whose list
+// holds re-observations of boxes already in it, their fractions disagreeing
+// by sampling noise — so IPF runs all its rounds without converging, and
+// almost every (constraint, cell) pair does not overlap. cells=164 is the
+// shape measured on the collect_all workload: a 2-D grid holding 35
+// constraints, 20 of them re-observed. cells=4096 is the budget ceiling:
+// DefaultMaxCells and DefaultMaxConstraints, a third of the 48 re-observed.
 func BenchmarkAddConstraintSteady(b *testing.B) {
+	for _, tc := range []steadyShape{
+		// a ∈ [0,2050): 41 cells; b: four unit bands, box k in band k%4.
+		{cells: 164, distinct: 20, constraints: 35, reobserved: 20, width: 2050, height: 4,
+			band: func(k int) float64 { return float64(k % 4) }},
+		// a ∈ [0,3160): 64 cells; b ∈ [0,64): box k in band 2k, 64 cells.
+		{cells: DefaultMaxCells, distinct: 32, constraints: DefaultMaxConstraints, reobserved: 16, width: 3160, height: 64,
+			band: func(k int) float64 { return float64(2 * k) }},
+	} {
+		b.Run(fmt.Sprintf("cells=%d", tc.cells), tc.run)
+	}
+}
+
+// steadyShape is a grid built from distinct boxes — 50 wide in a at 100k+10,
+// so two fresh cuts each, and one unit band in b — whose list then holds
+// constraints entries, reobserved of them repeats of a box still listed.
+// Fractions follow the uniform density, ±10 %.
+type steadyShape struct {
+	cells, distinct, constraints, reobserved int
+	width, height                            float64
+	band                                     func(k int) float64
+}
+
+func (s steadyShape) run(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	base, err := NewGrid([]string{"a", "b"}, []float64{0, 0}, []float64{2050, 4}, 0)
+	base, err := NewGrid([]string{"a", "b"}, []float64{0, 0}, []float64{s.width, s.height}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	base.maxConstraints = 35
-	// 20 distinct boxes: narrow in a (two fresh cuts each: 41 cells), one of
-	// four unit bands in b. Fractions follow the uniform density, ±10 %.
-	boxes := make([]Box, 20)
+	base.maxConstraints = s.constraints
 	frac := func(bx Box) float64 {
-		vol := (bx.Hi[0] - bx.Lo[0]) * (bx.Hi[1] - bx.Lo[1]) / (2050 * 4)
+		vol := (bx.Hi[0] - bx.Lo[0]) * (bx.Hi[1] - bx.Lo[1]) / (s.width * s.height)
 		return vol * (0.9 + 0.2*rng.Float64())
 	}
 	ts := int64(0)
@@ -643,20 +666,24 @@ func BenchmarkAddConstraintSteady(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	boxes := make([]Box, s.distinct)
 	for k := range boxes {
 		lo := float64(100*k + 10)
-		boxes[k] = Box{Lo: []float64{lo, float64(k % 4)}, Hi: []float64{lo + 50, float64(k%4 + 1)}}
+		boxes[k] = Box{Lo: []float64{lo, s.band(k)}, Hi: []float64{lo + 50, s.band(k) + 1}}
 		add(base, boxes[k])
 	}
-	for k := 0; k < 20; k++ { // the oldest 5 distinct boxes fall off the list
-		add(base, boxes[5+k%15])
+	// Re-observe, round robin, the distinct boxes that stay listed; the
+	// oldest others fall off the list.
+	kept := boxes[s.distinct-(s.constraints-s.reobserved):]
+	for k := 0; k < s.reobserved; k++ {
+		add(base, kept[k%len(kept)])
 	}
-	if base.Buckets() != 164 || len(base.constraints) != 35 {
-		b.Fatalf("shape is %d cells, %d constraints; want 164, 35", base.Buckets(), len(base.constraints))
+	if base.Buckets() != s.cells || len(base.constraints) != s.constraints {
+		b.Fatalf("shape is %d cells, %d constraints; want %d, %d", base.Buckets(), len(base.constraints), s.cells, s.constraints)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		add(base.Clone(), boxes[5+i%15])
+		add(base.Clone(), kept[i%len(kept)])
 	}
 }

@@ -200,11 +200,27 @@ func TestEquiDepthBucketCardinality(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Dense reference. These are the bodies forEachCell, runIPF, cellOverlap,
 // EstimateBox, OldestTimestampIn and AddConstraint had while every constraint walked
-// every cell of the grid: kept verbatim as the oracle the box-local
-// iterator must match bit for bit. The only additions are the three branch
-// counters, which prove the generator below reaches each IPF branch.
+// every cell of the grid: kept as the oracle the box-local iterator must
+// match bit for bit. runIPF is restated in the arithmetic of the pending
+// outside factor (true mass = g·mass[idx]): every cell takes the factor
+// (w·sIn + (1−w)·sOut)/sOut — exactly 1 where w = 0 — and g takes sOut, with
+// g folded into every mass at the same points as the box-local body. The
+// only other additions are the branch counters, which prove the generator
+// below reaches each IPF branch and each fold.
 
-type denseBranches struct{ scale, seedBox, seedComplement, dropped int }
+type denseBranches struct {
+	scale, seedBox, seedComplement, dropped int
+	foldTargetOne, foldRange                int // folds before an outside scale of 0, and of a g out of range
+	uniform                                 int // fits that lost every mass and fell back to uniform
+}
+
+// denseFold multiplies g into every mass and returns 1.
+func (h *Histogram) denseFold(g float64) float64 {
+	for idx := range h.mass {
+		h.mass[idx] *= g
+	}
+	return 1
+}
 
 // forEachCell walks every cell, passing its linear index and per-dim coords.
 func (h *Histogram) forEachCell(fn func(idx int, coord []int)) {
@@ -270,11 +286,10 @@ func (h *Histogram) denseOldestTimestampIn(b Box) int64 {
 }
 
 func (h *Histogram) denseAddConstraint(b Box, frac float64, ts int64, br *denseBranches) {
-	h.extendDomain(b)
-	cb, ok := h.clamp(b)
-	if !ok {
+	if !h.extendDomain(b) {
 		return
 	}
+	cb, _ := h.clamp(b)
 	for d := 0; d < h.Dims(); d++ {
 		h.insertCut(d, cb.Lo[d], ts)
 		h.insertCut(d, cb.Hi[d], ts)
@@ -320,12 +335,14 @@ func (h *Histogram) denseRunIPF(br *denseBranches) float64 {
 
 	for round := 0; round < ipfMaxRounds; round++ {
 		maxErr := 0.0
+		g := 1.0
 		for ci, c := range h.constraints {
 			w := overlaps[ci]
 			inside := 0.0
 			for idx, m := range h.mass {
 				inside += m * w[idx]
 			}
+			inside = g * inside
 			target := c.frac
 			err := math.Abs(inside - target)
 			if err > maxErr {
@@ -340,12 +357,26 @@ func (h *Histogram) denseRunIPF(br *denseBranches) float64 {
 				br.scale++
 				sIn := target / inside
 				sOut := (1 - target) / outside
+				if target == 1 {
+					br.foldTargetOne++
+					g = h.denseFold(g)
+					for idx := range h.mass {
+						h.mass[idx] *= w[idx]*sIn + (1-w[idx])*sOut
+					}
+					break
+				}
 				for idx := range h.mass {
-					h.mass[idx] *= w[idx]*sIn + (1-w[idx])*sOut
+					h.mass[idx] *= (w[idx]*sIn + (1-w[idx])*sOut) / sOut
+				}
+				g *= sOut
+				if g < pendingMin || g > pendingMax {
+					br.foldRange++
+					g = h.denseFold(g)
 				}
 			case inside <= ipfTolerance && target > 0:
 				// No mass where the constraint needs some: seed the box
 				// uniformly by volume, scale the rest down.
+				g = h.denseFold(g)
 				boxVol := 0.0
 				for idx := range h.mass {
 					boxVol += w[idx] * volumes[idx]
@@ -364,6 +395,7 @@ func (h *Histogram) denseRunIPF(br *denseBranches) float64 {
 			case outside <= ipfTolerance && target < 1:
 				// All mass inside the box but some should be outside: seed
 				// the complement uniformly by volume.
+				g = h.denseFold(g)
 				outVol := 0.0
 				for idx := range h.mass {
 					outVol += (1 - w[idx]) * volumes[idx]
@@ -381,6 +413,7 @@ func (h *Histogram) denseRunIPF(br *denseBranches) float64 {
 				}
 			}
 		}
+		h.denseFold(g)
 		if maxErr <= ipfTolerance {
 			break
 		}
@@ -390,7 +423,10 @@ func (h *Histogram) denseRunIPF(br *denseBranches) float64 {
 	for _, m := range h.mass {
 		total += m
 	}
-	if total > 0 && math.Abs(total-1) > 1e-12 {
+	if total == 0 {
+		br.uniform++
+		h.uniform()
+	} else if math.Abs(total-1) > 1e-12 {
 		for idx := range h.mass {
 			h.mass[idx] /= total
 		}
@@ -459,10 +495,46 @@ func genFrac(rng *rand.Rand) float64 {
 	}
 }
 
+// oscillating returns h reloaded, as from an archive file, with a constraint
+// list no fit can satisfy: a box and its complement along dimension 0, in
+// turn, each claiming all but δ of the rows (or only δ). Each step of a round
+// then scales the outside by about δ (or 1/δ), so the pending factor leaves
+// its range within the round — only a loaded list can do this, since refit
+// drops such a conflict the moment AddConstraint meets it.
+func oscillating(t *testing.T, rng *rand.Rand, h *Histogram) *Histogram {
+	t.Helper()
+	lo, hi := h.Domain(0)
+	x := lo + (0.25+0.5*rng.Float64())*(hi-lo)
+	h.insertCut(0, x, 0)
+	frac := 1 - 1e-8
+	if rng.Intn(2) == 0 {
+		frac = 1e-8
+	}
+	s := h.Snapshot()
+	for k, n := 0, 12+rng.Intn(6); k < n; k++ {
+		c := ConstraintSnapshot{Lo: make([]float64, h.Dims()), Hi: make([]float64, h.Dims()), Frac: frac}
+		for d := range c.Lo {
+			c.Lo[d], c.Hi[d] = h.Domain(d)
+		}
+		if k%2 == 0 {
+			c.Hi[0] = x
+		} else {
+			c.Lo[0] = x
+		}
+		s.Constraints = append(s.Constraints, c)
+	}
+	loaded, err := FromSnapshot(s)
+	if err != nil {
+		t.Fatalf("oscillating list does not load: %v", err)
+	}
+	return loaded
+}
+
 // TestBoxLocalIPFMatchesDense: the box-local iterator is an optimisation of
 // the dense walk, not a different fit. For arbitrary 1-D, 2-D and 3-D grids
 // and constraint streams — cut budgets exhausted so boxes overlap cells
-// partially, both seeding branches, conflict-driven constraint dropping,
+// partially, both seeding branches, an outside scale of 0 and a pending
+// factor out of range (both folds), conflict-driven constraint dropping,
 // boxes outside or straddling the domain — every cell mass, every
 // timestamp, the retained constraint count, EstimateBox and
 // OldestTimestampIn are bit-identical to the dense reference after each
@@ -489,6 +561,8 @@ func TestBoxLocalIPFMatchesDense(t *testing.T) {
 			got.maxCutsPerDim = 2 + rng.Intn(4)
 			got.maxCells = 4 + rng.Intn(24)
 			got.maxConstraints = 2 + rng.Intn(6)
+		} else if rng.Intn(5) == 0 {
+			got = oscillating(t, rng, got)
 		}
 		want := got.Clone()
 
@@ -540,7 +614,8 @@ func TestBoxLocalIPFMatchesDense(t *testing.T) {
 		}
 	}
 	t.Logf("grids by dims %v; dense branches %+v; %d constraint fits saw a partially covered cell", byDims, br, partial)
-	if br.scale == 0 || br.seedBox == 0 || br.seedComplement == 0 || br.dropped == 0 || partial == 0 {
+	if br.scale == 0 || br.seedBox == 0 || br.seedComplement == 0 || br.dropped == 0 ||
+		br.foldTargetOne == 0 || br.foldRange == 0 || partial == 0 {
 		t.Fatalf("generator missed an IPF path: %+v, partial overlaps %d", br, partial)
 	}
 	for dims := 1; dims <= 3; dims++ {

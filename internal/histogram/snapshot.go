@@ -66,7 +66,7 @@ func FromSnapshot(s Snapshot) (*Histogram, error) {
 	if !sort.StringsAreSorted(s.Cols) {
 		return nil, fmt.Errorf("histogram: snapshot columns not canonical: %v", s.Cols)
 	}
-	cells := 1
+	cells, volume := 1, 1.0
 	for d, cuts := range s.Cuts {
 		if len(cuts) < 2 {
 			return nil, fmt.Errorf("histogram: dimension %d has %d cuts", d, len(cuts))
@@ -82,6 +82,13 @@ func FromSnapshot(s Snapshot) (*Histogram, error) {
 			}
 		}
 		cells *= len(cuts) - 1
+		volume *= cuts[len(cuts)-1] - cuts[0]
+	}
+	// Cell widths and volumes enter every fit's overlap fractions and
+	// seeding, where an infinite one turns into NaN; the domain's bound them.
+	// (An infinite width times an underflowed product is NaN, hence <=.)
+	if !(volume <= math.MaxFloat64) {
+		return nil, fmt.Errorf("histogram: snapshot domain is too wide: volume %g", volume)
 	}
 	if len(s.Mass) != cells || len(s.TS) != cells {
 		return nil, fmt.Errorf("histogram: snapshot has %d cells, %d masses, %d timestamps",
@@ -89,8 +96,8 @@ func FromSnapshot(s Snapshot) (*Histogram, error) {
 	}
 	total := 0.0
 	for _, m := range s.Mass {
-		if m < -1e-9 || math.IsNaN(m) {
-			return nil, fmt.Errorf("histogram: negative or NaN mass in snapshot")
+		if !(m >= 0) || math.IsInf(m, 0) {
+			return nil, fmt.Errorf("histogram: negative or non-finite mass in snapshot")
 		}
 		total += m
 	}
@@ -120,9 +127,20 @@ func FromSnapshot(s Snapshot) (*Histogram, error) {
 	for d := range s.Cuts {
 		h.cuts[d] = append([]float64(nil), s.Cuts[d]...)
 	}
-	for _, c := range s.Constraints {
+	for i, c := range s.Constraints {
 		if len(c.Lo) != nd || len(c.Hi) != nd {
 			return nil, fmt.Errorf("histogram: constraint dims mismatch")
+		}
+		// The next fit scales by (1−frac)/outside: a fraction outside [0,1]
+		// makes masses negative. AddConstraint stores boxes clamped to the
+		// domain, so a retained box is finite and not empty.
+		if !(c.Frac >= 0 && c.Frac <= 1) {
+			return nil, fmt.Errorf("histogram: constraint %d fraction %g out of [0,1]", i, c.Frac)
+		}
+		for d := range c.Lo {
+			if !(c.Lo[d] < c.Hi[d]) || math.IsInf(c.Lo[d], 0) || math.IsInf(c.Hi[d], 0) {
+				return nil, fmt.Errorf("histogram: constraint %d box [%g,%g) in dimension %d is empty or not finite", i, c.Lo[d], c.Hi[d], d)
+			}
 		}
 		h.constraints = append(h.constraints, constraint{
 			box:  Box{Lo: append([]float64(nil), c.Lo...), Hi: append([]float64(nil), c.Hi...)},

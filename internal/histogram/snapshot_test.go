@@ -79,6 +79,24 @@ func TestFromSnapshotValidation(t *testing.T) {
 		"negative mass":   mutate(func(s *Snapshot) { s.Mass = []float64{-1} }),
 		"mass not 1":      mutate(func(s *Snapshot) { s.Mass = []float64{0.25} }),
 		"constraint dims": mutate(func(s *Snapshot) { s.Constraints = []ConstraintSnapshot{{Lo: []float64{1, 2}, Hi: []float64{3, 4}}} }),
+		"tiny negative mass": mutate(func(s *Snapshot) {
+			s.Cuts[0] = []float64{0, 5, 10}
+			s.Mass, s.TS = []float64{-1e-10, 1 + 1e-10}, []int64{0, 0}
+		}),
+		"infinite mass":   mutate(func(s *Snapshot) { s.Mass = []float64{math.Inf(1)} }),
+		"domain too wide": mutate(func(s *Snapshot) { s.Cuts[0] = []float64{-math.MaxFloat64, math.MaxFloat64} }),
+		"constraint frac": mutate(func(s *Snapshot) {
+			s.Constraints = []ConstraintSnapshot{{Lo: []float64{0}, Hi: []float64{5}, Frac: 1.5}}
+		}),
+		"constraint NaN frac": mutate(func(s *Snapshot) {
+			s.Constraints = []ConstraintSnapshot{{Lo: []float64{0}, Hi: []float64{5}, Frac: math.NaN()}}
+		}),
+		"constraint empty": mutate(func(s *Snapshot) {
+			s.Constraints = []ConstraintSnapshot{{Lo: []float64{5}, Hi: []float64{5}, Frac: 0.5}}
+		}),
+		"constraint infinite": mutate(func(s *Snapshot) {
+			s.Constraints = []ConstraintSnapshot{{Lo: []float64{0}, Hi: []float64{math.Inf(1)}, Frac: 0.5}}
+		}),
 	}
 	for name, s := range cases {
 		if _, err := FromSnapshot(s); err == nil {
@@ -87,6 +105,10 @@ func TestFromSnapshotValidation(t *testing.T) {
 	}
 	if _, err := FromSnapshot(good); err != nil {
 		t.Errorf("valid snapshot rejected: %v", err)
+	}
+	withConstraint := mutate(func(s *Snapshot) { s.Constraints = []ConstraintSnapshot{{Lo: []float64{0}, Hi: []float64{5}, Frac: 1}} })
+	if _, err := FromSnapshot(withConstraint); err != nil {
+		t.Errorf("valid constraint rejected: %v", err)
 	}
 }
 

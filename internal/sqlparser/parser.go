@@ -23,13 +23,14 @@ type parser struct {
 	lexErr error // the lexer's error, once it has one; tok reads as EOF from then on
 }
 
-// Parse parses a single SQL statement (a trailing semicolon is allowed).
+// Parse parses a single SQL statement (trailing semicolons are allowed, as
+// Normalize drops them all).
 func Parse(input string) (Statement, error) {
 	p := &parser{lx: lexer{input: input}}
 	p.advance()
 	stmt, err := p.parseStatement()
 	if err == nil {
-		if p.peek().kind == tokSymbol && p.peek().text == ";" {
+		for p.peek().kind == tokSymbol && p.peek().text == ";" {
 			p.next()
 		}
 		if p.peek().kind != tokEOF {

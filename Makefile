@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-test bench-pairs bench-smoke debug-smoke fuzz chaos check
+.PHONY: all build test race vet bench bench-test bench-pairs bench-smoke fuzz chaos check
 
 all: build
 
@@ -89,13 +89,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'ExecuteTemplates/.*/(scan|HashJoin|MergeJoin|IndexNLJoin)|Finish' -benchmem -benchtime 20x ./internal/executor/
 	$(GO) test -run '^$$' -bench 'BenchmarkDML' -benchmem -benchtime 30x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'Compare|AppendMatches' -benchmem -benchtime 0.3s ./internal/value/ ./internal/qgm/
-
-# End-to-end smoke of the embedded debug server: launches jitsbench with
-# -debug-addr on a free port and validates /metrics, /debug/health,
-# /debug/queries and /debug/archive with a pure-Go client (no curl). CI
-# runs this target.
-debug-smoke:
-	$(GO) run ./cmd/debugsmoke
 
 # Short live runs of every fuzzer, the one list (CI's fuzz-smoke job runs
 # this target): the serial-vs-parallel differential, the parser's two (never

@@ -10,13 +10,8 @@ import (
 
 // The experiment registry: what -exp can name, and how a name is resolved.
 
-// Flags only one experiment reads; the table below closes over them.
-var (
-	gate    = flag.Int("gate", 4, "admission gate size for -exp overload (MaxConcurrent; queue depth is twice this)")
-	sessF   = flag.String("sessions", "1,2,4,8", "comma-separated session counts for -exp serve")
-	everyF  = flag.String("fault-every", "0,29,83", "comma-separated fault periods for -exp serve-chaos (0 = fault-free baseline)")
-	chunksF = flag.String("chunks", "", "comma-separated storage chunk sizes for -exp parallel to sweep against the worker counts (default: the engine's default size only)")
-)
+// The one flag only one experiment reads; the table below closes over it.
+var chunksF = flag.String("chunks", "", "comma-separated storage chunk sizes for -exp parallel to sweep against the worker counts (default: the engine's default size only)")
 
 // experiment is one -exp choice. optIn experiments run only when named:
 // "all" skips them because they replay the stream several times or report
@@ -38,12 +33,9 @@ var experimentTable = []experiment{
 	{"fig5", false, "Figure 5: per-query elapsed time, general statistics vs JITS", fig5},
 	{"fig6", false, "Figure 6: sensitivity-analysis threshold sweep (avg time per query)", fig6},
 	{"oltp", false, "OLTP applicability check (§3.5): indexed point lookups", oltp},
-	{"parallel", false, "Parallel execution: wall-clock speedup of the morsel-driven executor", func(o experiments.Options) error { return parallelSpeedup(o, *chunksF) }},
-	{"overload", true, "Overload: admission control under a concurrency sweep", func(o experiments.Options) error { return overload(o, *gate) }},
+	{"parallel", true, "Parallel execution: wall-clock speedup of the morsel-driven executor", func(o experiments.Options) error { return parallelSpeedup(o, *chunksF) }},
 	{"drift", true, "Drift: accuracy ledger vs. a mid-run distribution shift", drift},
 	{"reopt", true, "Re-optimization: recovering from bad plans at pipeline breakers", reopt},
-	{"serve", true, "Serve: session throughput with the plan cache off vs on", func(o experiments.Options) error { return serveExperiment(o, *sessF) }},
-	{"serve-chaos", true, "Serve chaos: fault class × fault rate × retry policy", func(o experiments.Options) error { return serveChaosExperiment(o, *everyF) }},
 }
 
 // expNames joins the experiment names in table order, optionally only the

@@ -3,12 +3,11 @@
 //
 // Usage:
 //
-//	jitsbench [-exp all|table2|table3|fig3|fig4|fig5|fig6|oltp|parallel|overload|drift|reopt|serve|serve-chaos]
+//	jitsbench [-exp all|table2|table3|fig3|fig4|fig5|fig6|oltp|parallel|drift|reopt]
 //	          [-scale 0.01] [-queries 840] [-seed 42] [-smax 0.5]
 //	          [-sample 2000] [-csv dir] [-pergroup] [-parallelism 1]
-//	          [-gate 4] [-trace file|-] [-metrics] [-debug-addr host:port]
-//	          [-debug-linger 0s] [-sessions 1,2,4,8] [-plan-cache -1]
-//	          [-fault-every 0,29,83] [-chunks 64,4096]
+//	          [-trace file|-] [-metrics] [-debug-addr host:port]
+//	          [-debug-linger 0s] [-chunks 64,4096]
 //	jitsbench -serve host:port   [-scale ...] [-plan-cache ...] [-debug-addr ...]
 //	                             [-net-faults spec] [-drain 30s]
 //	jitsbench -connect host:port
@@ -27,18 +26,16 @@
 // count grid; every cell's results and simulated cost are cross-checked
 // against the first, and parallel_speedup.csv is written under -csv.
 //
+// "all" runs the paper's experiments, whose output is deterministic. The
+// parallel, drift and reopt experiments run only when named: they report
+// host-dependent wall clock or replay the stream several times.
+//
 // -trace streams every engine's phase spans and optimizer decision lines
 // (parse → jits.prepare/jits.sample → optimize → execute → feedback →
 // archive.merge) to a file, or to stderr with "-". -metrics enables the
 // process-wide metrics registry and prints its Prometheus-style text
 // exposition after the experiments finish. Both are off by default and cost
 // one atomic load per probe when off.
-//
-// The "overload" experiment sweeps client concurrency against a governed
-// engine (admission gate of -gate slots, statement deadlines): it reports
-// admitted/shed/degraded counts and client-visible p50/p99 latency per
-// level, writing overload.csv under -csv. It is excluded from "all" because
-// its wall-clock behavior is host-dependent; run it explicitly.
 //
 // -serve starts the multi-session SQL service (internal/server) on the
 // given address over a freshly loaded workload dataset and blocks until
@@ -49,12 +46,7 @@
 // using the JITS_FAULTS spec syntax over the conn.* points (e.g.
 // "conn.reset:every=200;conn.latency:every=20,latency=2ms") — a chaos
 // rehearsal against a live server. -connect opens an interactive
-// line-based SQL session against a running server. The "serve" experiment
-// sweeps -sessions concurrent client sessions × plan cache off/on against
-// a real server and writes serve.csv; the "serve-chaos" experiment sweeps
-// conn fault class × -fault-every period × client retry policy off/on over
-// fault-injected connections and writes serve_chaos.csv. Like "overload",
-// both are wall-clock dependent and excluded from "all".
+// line-based SQL session against a running server.
 //
 // The JITS_FAULTS environment variable arms deterministic fault injection
 // for experiment runs using the same spec syntax (internal/faultinject);
@@ -69,6 +61,10 @@
 // /metrics, /debug/archive and /debug/queries have live content while the
 // experiments run. -debug-linger keeps the process (and the server) alive
 // for that long after the experiments finish, for interactive poking.
+//
+// A flag that acts only in one mode (-debug-linger, -plan-cache,
+// -net-faults, -drain, -chunks) is an error without that mode, not a
+// silent no-op.
 package main
 
 import (
@@ -114,6 +110,13 @@ func main() {
 	)
 	flag.Parse()
 	selected, err := selectExperiments(*exp)
+	if err == nil {
+		err = checkModeFlags(map[string]bool{
+			"-debug-addr":   *debugF != "",
+			"-serve":        *serveF != "",
+			"-exp parallel": slices.ContainsFunc(selected, func(x experiment) bool { return x.name == "parallel" }),
+		})
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jitsbench:", err)
 		os.Exit(2)
@@ -217,6 +220,29 @@ func main() {
 		}
 		fmt.Printf("[%s completed in %s]\n\n", x.name, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// modeFlags are the flags that act only in one mode, each with that mode.
+var modeFlags = []struct{ flag, mode string }{
+	{"debug-linger", "-debug-addr"},
+	{"plan-cache", "-serve"},
+	{"net-faults", "-serve"},
+	{"drain", "-serve"},
+	{"chunks", "-exp parallel"},
+}
+
+// checkModeFlags rejects a flag set on the command line whose mode is not
+// in effect; active says which modes are.
+func checkModeFlags(active map[string]bool) error {
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		for _, m := range modeFlags {
+			if err == nil && f.Name == m.flag && !active[m.mode] {
+				err = fmt.Errorf("-%s has no effect without %s", m.flag, m.mode)
+			}
+		}
+	})
+	return err
 }
 
 func drift(opts experiments.Options) error {
@@ -480,34 +506,5 @@ func parallelSpeedup(opts experiments.Options, chunksSpec string) error {
 	fmt.Println("identical simulated cost; with multiple cores available, wall clock")
 	fmt.Println("shrinks as workers are added, chunk size trades locality against")
 	fmt.Println("selection-vector overhead, and nothing else changes")
-	return nil
-}
-
-func overload(opts experiments.Options, gateSize int) error {
-	fmt.Printf("gate: %d slots, queue depth %d, statement deadline 250ms\n\n", gateSize, 2*gateSize)
-	rows, err := experiments.Overload(opts, experiments.OverloadOptions{GateSize: gateSize})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%12s %10s %10s %8s %8s %10s %10s %10s\n",
-		"concurrency", "statements", "admitted", "shed", "errors", "degraded", "p50", "p99")
-	var csvRows [][]string
-	for _, r := range rows {
-		fmt.Printf("%12d %10d %10d %8d %8d %10d %10s %10s\n",
-			r.Concurrency, r.Statements, r.Admitted, r.Shed, r.Errors, r.Degraded,
-			r.P50.Round(time.Millisecond), r.P99.Round(time.Millisecond))
-		csvRows = append(csvRows, []string{
-			strconv.Itoa(r.Concurrency), strconv.Itoa(r.Statements),
-			strconv.Itoa(r.Admitted), strconv.Itoa(r.Shed), strconv.Itoa(r.Errors),
-			strconv.Itoa(r.Degraded),
-			f64(float64(r.P50) / float64(time.Millisecond)),
-			f64(float64(r.P99) / float64(time.Millisecond)),
-		})
-	}
-	writeCSV("overload.csv",
-		[]string{"concurrency", "statements", "admitted", "shed", "errors", "degraded", "p50_ms", "p99_ms"},
-		csvRows)
-	fmt.Println("\nexpected shape: past the gate size, added clients shift from admitted to")
-	fmt.Println("shed while p99 for admitted work stays bounded by the statement deadline")
 	return nil
 }

@@ -74,8 +74,10 @@ func TestMetricsEndpointServesExposition(t *testing.T) {
 	if !strings.HasPrefix(ctype, "text/plain") {
 		t.Fatalf("content type %q", ctype)
 	}
-	if !strings.Contains(string(body), "# TYPE engine_statements_total counter") {
-		t.Fatalf("exposition missing statement counter:\n%s", body)
+	for _, want := range []string{"# TYPE engine_statements_total counter", "# HELP "} {
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, body)
+		}
 	}
 }
 
@@ -102,7 +104,7 @@ func TestQueriesEndpoint(t *testing.T) {
 	if !got.Enabled || got.Total != 3 || len(got.Records) != 3 {
 		t.Fatalf("enabled=%v total=%d records=%d, want enabled, 3, 3", got.Enabled, got.Total, len(got.Records))
 	}
-	if got.Records[2].Kind != "select" || got.Records[2].SQL == "" {
+	if got.Records[2].Kind != "select" || got.Records[2].SQL == "" || got.Records[2].QID == 0 {
 		t.Fatalf("newest record %+v, want the SELECT", got.Records[2])
 	}
 	// ?last= caps the slice; a bad value is a 400.
@@ -146,7 +148,10 @@ func TestHealthEndpointTransitions(t *testing.T) {
 		Status      string           `json:"status"`
 		Degradation map[string]int64 `json:"degradation"`
 	}
-	_, _, body := get(t, base+"/debug/health")
+	_, ctype, body := get(t, base+"/debug/health")
+	if !strings.HasPrefix(ctype, "application/json") {
+		t.Fatalf("content type %q", ctype)
+	}
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,6 +193,57 @@ func TestCancelWhileQueuedIsNotOverload(t *testing.T) {
 		t.Fatalf("statement after cancelled waiter: %v", err)
 	}
 	waitSnapshot(t, e, "drained", func(s govern.Snapshot) bool { return s.InFlight == 0 && s.Queued == 0 })
+}
+
+// TestAdmissionAccountsEveryStatement is the overload accounting invariant:
+// whatever the interleaving, every statement is either admitted or shed —
+// admitted + shed = statements on the governor's own counters, shed exactly
+// the arrivals that saw ErrOverloaded — a lone client never sheds, and
+// eight clients at a two-slot gate leave nothing in flight or queued.
+func TestAdmissionAccountsEveryStatement(t *testing.T) {
+	cfg := Config{}
+	cfg.Governor.MaxConcurrent = 2
+	cfg.Governor.QueueDepth = 4
+	e := seedEngine(t, cfg)
+	stmts := make([]string, 40)
+	for i := range stmts {
+		stmts[i] = fmt.Sprintf(`SELECT c.make, COUNT(*) FROM car c, owner o WHERE c.ownerid = o.id AND o.salary > %d GROUP BY c.make`, 30000+100*i)
+	}
+
+	for _, clients := range []int{1, 8} {
+		before := e.Governor().Snapshot()
+		var next, shed atomic.Int64
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := next.Add(1) - 1; i < int64(len(stmts)); i = next.Add(1) - 1 {
+					_, err := e.Exec(stmts[i])
+					switch {
+					case errors.Is(err, govern.ErrOverloaded):
+						shed.Add(1)
+					case err != nil:
+						t.Errorf("admitted statement failed: %v", err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		after := e.Governor().Snapshot()
+		admitted, shedN := after.Admitted-before.Admitted, after.Shed-before.Shed
+		if admitted+shedN != int64(len(stmts)) || shedN != shed.Load() {
+			t.Fatalf("%d clients: admitted %d + shed %d != %d statements, or shed != %d ErrOverloaded returns",
+				clients, admitted, shedN, len(stmts), shed.Load())
+		}
+		if clients == 1 && shedN != 0 {
+			t.Fatalf("a lone client was shed %d times", shedN)
+		}
+		if after.InFlight != 0 || after.Queued != 0 {
+			t.Fatalf("%d clients: %d in flight, %d queued after every statement returned", clients, after.InFlight, after.Queued)
+		}
+		t.Logf("%d clients: admitted %d, shed %d", clients, admitted, shedN)
+	}
 }
 
 // TestBreakerTripsEndToEnd drives the full loop: slow sampling (injected

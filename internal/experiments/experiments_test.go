@@ -1,9 +1,12 @@
 package experiments
 
 import (
-	"repro/internal/faultinject"
-
+	"encoding/json"
+	"net/http"
 	"testing"
+
+	"repro/internal/debugserver"
+	"repro/internal/faultinject"
 )
 
 func TestTable2Ratios(t *testing.T) {
@@ -285,5 +288,48 @@ func TestParallelSpeedupQuick(t *testing.T) {
 	// A baseline that is not serial must be rejected.
 	if _, err := ParallelSpeedup(opts, nil, []int{2, 1}); err == nil {
 		t.Error("sweep without dop 1 first must fail")
+	}
+}
+
+// TestDebugServerSeesExperimentEngines is the wiring behind jitsbench
+// -debug-addr: a debug server attached through Options.OnEngine, with the
+// flight recorder on, serves the records of the statements an experiment ran.
+func TestDebugServerSeesExperimentEngines(t *testing.T) {
+	srv := debugserver.New(nil)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	opts := QuickOptions()
+	opts.Queries = 10
+	opts.FlightRecorder = -1
+	opts.OnEngine = srv.SetEngine
+	if _, err := OLTP(opts); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + addr + "/debug/queries")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Enabled bool `json:"enabled"`
+		Records []struct {
+			QID  int64  `json:"qid"`
+			SQL  string `json:"sql"`
+			Kind string `json:"kind"`
+		} `json:"records"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatalf("GET /debug/queries: status %d, %v", resp.StatusCode, err)
+	}
+	if !got.Enabled || len(got.Records) == 0 {
+		t.Fatalf("/debug/queries: enabled=%v with %d records, want the OLTP statements", got.Enabled, len(got.Records))
+	}
+	last := got.Records[len(got.Records)-1]
+	if last.QID == 0 || last.Kind != "select" || last.SQL == "" {
+		t.Fatalf("newest record %+v, want the last OLTP lookup", last)
 	}
 }

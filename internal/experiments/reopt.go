@@ -70,11 +70,11 @@ type ReoptReport struct {
 // and statistics choices may change plans, never answers).
 func Reopt(opts Options, ro ReoptOptions) (*ReoptReport, error) {
 	ro = ro.withDefaults()
-	// The flight recorder supplies the terminal q-error; size the ring to
-	// hold the whole stream.
-	if opts.FlightRecorder == 0 {
-		opts.FlightRecorder = 2*opts.Queries + 16
-	}
+	// The flight recorder supplies the terminal q-error, so its ring must
+	// hold the whole stream — the dataset DDL, every query and at most two
+	// update statements per eight queries — whatever ring the caller asked
+	// for: a smaller one averages the tail only.
+	opts.FlightRecorder = max(opts.FlightRecorder, 2*opts.Queries+16)
 
 	modes := []struct {
 		name  string

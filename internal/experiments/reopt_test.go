@@ -1,6 +1,29 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
+
+// TestReoptReportIgnoresRecorderSize: the terminal q-error is read from the
+// flight recorder, and jitsbench -debug-addr asks for the default 256-record
+// ring. Over a stream longer than that ring the report must still average
+// every query, exactly as with no ring requested.
+func TestReoptReportIgnoresRecorderSize(t *testing.T) {
+	opts := Options{Scale: 0.002, Queries: 300, Seed: 42, SMax: 0.5, SampleSize: 200}
+	want, err := Reopt(opts, ReoptOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.FlightRecorder = -1
+	got, err := Reopt(opts, ReoptOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("FlightRecorder -1 report:\n%+v\nwant (FlightRecorder 0):\n%+v", got.Modes, want.Modes)
+	}
+}
 
 // TestReoptQuick is the fast re-optimization run CI executes (`make test`,
 // `make race`): over the identical workload stream, mid-query

@@ -78,7 +78,11 @@ bench-pairs:
 # INSERT that puts them back. Last, the order of values: Datum.Compare per
 # kind pairing (int, float, int against float, string) and the typed filter
 # kernels per row for every column kind × operand kind — what an order that is
-# total costs over one that was not. CI runs this target.
+# total costs over one that was not. Last, the statement's text: naming a
+# predicate group (the memo and fresh-selectivity key), rendering a plan's
+# EXPLAIN text serial and under Gather, and one indexed point lookup through
+# ExecUnboxed on a plan-cache hit (the entry's text reused) and on a miss
+# (parse, QGM, JITS, optimize, one render). CI runs this target.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Disabled|AtomicLoadBaseline|NilTracer' -benchmem ./internal/metrics/ ./internal/tracing/ ./internal/flightrec/ ./internal/accuracy/
 	$(GO) test -run '^$$' -bench 'StatementRecorder|StatementLedger' -benchmem ./internal/engine/
@@ -89,6 +93,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'ExecuteTemplates/.*/(scan|HashJoin|MergeJoin|IndexNLJoin)|Finish' -benchmem -benchtime 20x ./internal/executor/
 	$(GO) test -run '^$$' -bench 'BenchmarkDML' -benchmem -benchtime 30x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'Compare|AppendMatches' -benchmem -benchtime 0.3s ./internal/value/ ./internal/qgm/
+	$(GO) test -run '^$$' -bench 'PredicateGroup|Explain' -benchmem -benchtime 0.3s ./internal/qgm/ ./internal/optimizer/
+	$(GO) test -run '^$$' -bench 'PointLookup' -benchmem -benchtime 0.3s ./internal/engine/
 
 # Short live runs of every fuzzer, the one list (CI's fuzz-smoke job runs
 # this target): the serial-vs-parallel differential, the parser's two (never
@@ -101,7 +107,9 @@ bench-smoke:
 # panics, what it accepts answers lookups and survives one more fit; its inputs
 # are kilobytes of base64, so it too shrinks for a second) and a fit's
 # statistical invariants (AddConstraint scripts: masses finite, ≥ 0, summing to
-# 1, retained constraints met; a script again, so a second). The seed corpora alone are replayed by
+# 1, retained constraints met; a script again, so a second) and predicate
+# text (AppendText and predicate-group names equal the fmt renderers they
+# replaced, byte for byte: archive files store those names). The seed corpora alone are replayed by
 # every plain `make test`. `go test -fuzz=Name` exits 0 when Name matches
 # nothing; TestMakefileRunSelectorsMatch resolves every name below.
 fuzz:
@@ -114,6 +122,7 @@ fuzz:
 	$(GO) test -run FuzzIndexCatchUp -fuzz=FuzzIndexCatchUp -fuzztime=20s -fuzzminimizetime=1s ./internal/index/
 	$(GO) test -run FuzzLoadArchive -fuzz=FuzzLoadArchive -fuzztime=20s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -run FuzzAddConstraint -fuzz=FuzzAddConstraint -fuzztime=20s -fuzzminimizetime=1s ./internal/histogram/
+	$(GO) test -run FuzzPredicateText -fuzz=FuzzPredicateText -fuzztime=20s ./internal/qgm/
 
 # Chaos differential replay: the workload under deterministic injected
 # faults (scan errors, sampling failures, worker panics, latency+deadlines,

@@ -198,7 +198,10 @@ func (c *collection) collect(tw *tableWork, size int, reserved int64) degradatio
 	c.res.Shrink(reserved)
 	// Success or not: a probe that errors slowly is still a slow probe.
 	c.j.breaker.RecordSampling(time.Since(start))
-	span.Attr("table", tr.Table).Attr("rows", tr.SampleRows).Attr("groups", len(tw.groups)).End()
+	if span != nil {
+		span.Attr("table", tr.Table).Attr("rows", tr.SampleRows).Attr("groups", len(tw.groups))
+	}
+	span.End()
 
 	if err == nil {
 		return degradation{}

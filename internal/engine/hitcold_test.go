@@ -3,6 +3,8 @@ package engine_test
 import (
 	"fmt"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -16,7 +18,10 @@ import (
 // observation produce must be identical — rows, plan, metered execution
 // units, and the flight record's operators, sampled tables, error factors,
 // worst q-error and degradation flag. Only the hit flag, the compile cost and
-// wall-clock phase timings may differ.
+// wall-clock phase timings may differ. A hit reuses the text its entry was
+// rendered with only at the dop it was rendered for: the first entry is also
+// run at dop 1, 4 and 1 again, each a hit whose plan must be the cold text
+// at that dop.
 func TestPlanCacheHitEqualsCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload replay is slow")
@@ -36,7 +41,7 @@ func TestPlanCacheHitEqualsCold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pairs := 0
+				pairs, dopWalked := 0, false
 				seen := make(map[string]bool)
 				for i, q := range d.Queries(64, 11) {
 					if seen[q.SQL] {
@@ -96,11 +101,98 @@ func TestPlanCacheHitEqualsCold(t *testing.T) {
 					if len(coldRec.Operators) == 0 || len(coldRec.Tables) == 0 {
 						t.Fatalf("query %d %q: cold record captured no operators/tables — the comparison tested nothing", i, q.SQL)
 					}
+					if !dopWalked {
+						dopWalked = true
+						for _, at := range []int{1, 4, 1} {
+							res, err := e.ExecWith(q.SQL, engine.ExecOptions{Parallelism: at})
+							if err != nil {
+								t.Fatalf("query %d %q at dop %d: %v", i, q.SQL, at, err)
+							}
+							if want := planAtDop(cold.Plan, dop, at); !res.PlanCacheHit || res.Plan != want {
+								t.Errorf("query %d %q at dop %d (hit %v): plan\n%s\nwant\n%s", i, q.SQL, at, res.PlanCacheHit, res.Plan, want)
+							}
+						}
+					}
 				}
 				if pairs < minPairs {
 					t.Fatalf("only %d cold/hit pairs compared, want at least %d", pairs, minPairs)
 				}
 			})
 		}
+	}
+}
+
+// planAtDop rewrites plan text rendered at dop from into the text rendered at
+// dop to: the outer plan and every "Subquery i:" section gain or lose their
+// Gather(workers=N) header and the two-space indent under it.
+func planAtDop(text string, from, to int) string {
+	header := fmt.Sprintf("Gather(workers=%d)\n", to)
+	var sb strings.Builder
+	if to > 1 {
+		sb.WriteString(header)
+	}
+	for _, line := range strings.SplitAfter(text, "\n") {
+		switch {
+		case line == "" || strings.HasPrefix(line, "Gather(workers="):
+		case strings.HasPrefix(line, "Subquery "):
+			sb.WriteString(line)
+			if to > 1 {
+				sb.WriteString(header)
+			}
+		default:
+			if from > 1 {
+				line = strings.TrimPrefix(line, "  ")
+			}
+			if to > 1 {
+				sb.WriteString("  ")
+			}
+			sb.WriteString(line)
+		}
+	}
+	return sb.String()
+}
+
+// actuals matches the EXPLAIN ANALYZE annotation at the end of a plan line.
+var actuals = regexp.MustCompile(`(?m) \(actual rows=[^)]*\)( \[[^\]]*\])?$`)
+
+// TestPlanCacheHitReoptReportsCompletedPlan: a hit whose cached plan triggers
+// re-optimization reports the completed plan — the text of the plan that
+// actually ran, Materialized leaves included — not the entry's text, and so
+// does its flight record.
+func TestPlanCacheHitReoptReportsCompletedPlan(t *testing.T) {
+	faultinject.Reset()
+	e := engine.New(engine.Config{PlanCacheSize: 16, FlightRecorderCapacity: 8})
+	if _, err := workload.Load(e, workload.Spec{Scale: 0.004, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunstatsAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Catalog statistics miss the make/model correlation: the cached plan's
+	// car estimate is far below its actual once re-optimization is armed.
+	const q = `SELECT COUNT(*) FROM car c, owner o, demographics d WHERE c.ownerid = o.id AND d.ownerid = o.id AND c.make = 'Honda' AND c.model = 'Civic'`
+	var hit *engine.Result
+	for range 2 {
+		var err error
+		if hit, err = e.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !hit.PlanCacheHit {
+		t.Fatal("repeat missed the cache")
+	}
+	e.SetReopt(engine.ReoptConfig{Enabled: true, QErrorThreshold: 2})
+	trig, err := e.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !trig.PlanCacheHit || trig.Reopts == 0 {
+		t.Fatalf("want a hit that re-optimizes; hit %v, reopts %d", trig.PlanCacheHit, trig.Reopts)
+	}
+	if trig.Plan == hit.Plan || !strings.Contains(trig.Plan, "Materialized#") {
+		t.Fatalf("re-optimized hit reported the cached plan:\n%s", trig.Plan)
+	}
+	if recorded := actuals.ReplaceAllString(e.Recorder().Last(1)[0].Plan, ""); recorded != trig.Plan {
+		t.Errorf("result plan\n%s\nflight record's plan without actuals\n%s", trig.Plan, recorded)
 	}
 }

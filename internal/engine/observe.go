@@ -116,8 +116,10 @@ func (e *Engine) observe(s *statement) {
 			rec.Annotations = append(rec.Annotations,
 				fmt.Sprintf("accuracy: %s %s -> %s", tr.Key, tr.From, tr.To))
 		}
-		e.tracef("q%d feedback %s est=%.5f actual=%.5f stats=%v",
-			ts, a.Trace.ColGrp, a.Trace.EstSel, a.ActualSelectivity(), a.Trace.StatList)
+		if e.tracer.Enabled() {
+			e.tracef("q%d feedback %s est=%.5f actual=%.5f stats=%v",
+				ts, a.Trace.ColGrp, a.Trace.EstSel, a.ActualSelectivity(), a.Trace.StatList)
+		}
 	}
 	e.jits.Feedback(obs)
 	fbSpan.Attr("observations", len(obs)).End()
@@ -146,10 +148,12 @@ func (e *Engine) observe(s *statement) {
 		mergeSpan.Attr("migrated", e.migrate(ts)).End()
 	}
 
-	if s.hit {
+	switch {
+	case !e.tracer.Enabled(): // spare boxing the arguments
+	case s.hit:
 		e.tracef("q%d plan rows=%.1f cost=%.0f exec=%.4fs plan_cache=hit",
 			ts, s.plan.Rows(), s.plan.Cost(), s.meters.exec.Seconds())
-	} else {
+	default:
 		e.tracef("q%d plan rows=%.1f cost=%.0f exec=%.4fs compile=%.4fs",
 			ts, s.plan.Rows(), s.plan.Cost(), s.meters.exec.Seconds(), s.meters.compile.Seconds())
 	}

@@ -13,7 +13,8 @@ import (
 // store after a successful cold execution.
 
 // cachedPlan is one plan-cache entry: everything execution needs from
-// compilation. All three fields are immutable after the compiling statement
+// compilation, and the plan's EXPLAIN text rendered once, at the compiling
+// statement's dop. Every field is immutable after the compiling statement
 // finishes — the executor never mutates the block or the plan tree, and the
 // prepare report is read-only — so concurrent sessions may execute the same
 // entry simultaneously.
@@ -21,6 +22,8 @@ type cachedPlan struct {
 	blk  *qgm.Block
 	plan optimizer.Node
 	prep *core.PrepareReport // JITS decisions of the compiling statement
+	text string              // Explain text of plan at dop
+	dop  int
 }
 
 // probeCache looks the statement up in the plan cache. On a hit it sets s.hit
@@ -47,6 +50,9 @@ func (e *Engine) probeCache(s *statement) {
 	}
 	ent := v.(*cachedPlan)
 	s.hit, s.blk, s.plan, s.prep = true, ent.blk, ent.plan, ent.prep
+	if ent.dop == s.dop {
+		s.planText = ent.text
+	}
 }
 
 // cachePlan stores a freshly compiled plan for reuse at the statement's
@@ -56,10 +62,12 @@ func (e *Engine) probeCache(s *statement) {
 // execution. Re-optimized statements are excluded too: the completed plan
 // embeds Materialized leaves that resolve against this statement's
 // checkpoint state, and the superseded original plan was just proven wrong —
-// caching either would poison the cache.
+// caching either would poison the cache. The plan's text is rendered here,
+// once, for this statement's result and every hit at the same dop.
 func (e *Engine) cachePlan(s *statement) {
 	if s.hit || s.mode != modeExecute || s.cacheKey == "" || len(s.blk.SemiJoins) > 0 || s.reopts > 0 {
 		return
 	}
-	e.planCache.Put(s.cacheKey, s.epoch, &cachedPlan{blk: s.blk, plan: s.plan, prep: s.prep})
+	s.planText = s.renderPlan(nil)
+	e.planCache.Put(s.cacheKey, s.epoch, &cachedPlan{blk: s.blk, plan: s.plan, prep: s.prep, text: s.planText, dop: s.dop})
 }

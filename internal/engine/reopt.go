@@ -109,9 +109,11 @@ func (e *Engine) execute(s *statement) error {
 			}
 			if err == nil {
 				s.out = res
-				execSpan.Attr("rows", res.Len()).Attr("units", fmt.Sprintf("%.0f", s.meters.exec.Units()))
-				if s.hit {
-					execSpan.Attr("plan_cache", "hit")
+				if execSpan != nil {
+					execSpan.Attr("rows", res.Len()).Attr("units", fmt.Sprintf("%.0f", s.meters.exec.Units()))
+					if s.hit {
+						execSpan.Attr("plan_cache", "hit")
+					}
 				}
 			}
 			execSpan.End()
@@ -149,7 +151,7 @@ func (e *Engine) execute(s *statement) error {
 			s.reopt.DisableTriggers()
 			continue
 		}
-		s.plan = newPlan
+		s.plan, s.planText = newPlan, ""
 	}
 }
 

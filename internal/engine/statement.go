@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -79,6 +80,10 @@ type statement struct {
 	prep     *core.PrepareReport // JITS decisions of the compiling statement
 	qstats   *core.QueryStats    // this statement's QSS; nil on a hit
 	octx     *optimizer.Context  // nil on a hit until a reopt trigger needs it
+	// planText is s.plan's EXPLAIN text at s.dop once rendered: by cachePlan,
+	// or by probeCache from an entry rendered at the same dop. A re-planned
+	// s.plan clears it.
+	planText string
 
 	// Execution state.
 	meters     *meters
@@ -144,7 +149,7 @@ func (e *Engine) compile(s *statement, sel *sqlparser.SelectStmt) error {
 	// catalog statistics for them.
 	prepSpan := e.tracer.Start(s.ts, tracing.PhasePrepare)
 	qstats, prep, err := e.jits.PrepareBudgeted(s.ctx, q, e.db, s.ts, &s.meters.compile, e.weights, s.mem)
-	if prep != nil {
+	if prepSpan != nil && prep != nil {
 		prepSpan.Attr("tables", len(prep.Tables)).Attr("units", fmt.Sprintf("%.0f", s.meters.compile.Units()))
 	}
 	prepSpan.End()
@@ -174,7 +179,7 @@ func (e *Engine) compile(s *statement, sel *sqlparser.SelectStmt) error {
 	s.octx = e.optimizerContext(s, source)
 
 	optSpan := e.tracer.Start(s.ts, tracing.PhaseOptimize)
-	if err = e.optimize(s, q); err == nil {
+	if err = e.optimize(s, q); err == nil && optSpan != nil {
 		optSpan.Attr("units", fmt.Sprintf("%.0f", s.meters.compile.Units()))
 	}
 	optSpan.End()
@@ -244,11 +249,14 @@ func (e *Engine) runtime(s *statement) *executor.Runtime {
 }
 
 // renderPlan assembles the outer plan plus subquery sections, annotated when
-// ann is non-nil.
+// ann is non-nil. The plain text, once rendered, is s.planText.
 func (s *statement) renderPlan(ann optimizer.AnnotateFunc) string {
+	if ann == nil && s.planText != "" {
+		return s.planText
+	}
 	text := optimizer.ExplainAnnotated(s.plan, s.dop, ann)
 	for i, sp := range s.subPlans {
-		text += fmt.Sprintf("Subquery %d:\n%s", i+1, optimizer.ExplainAnnotated(sp, s.dop, ann))
+		text += "Subquery " + strconv.Itoa(i+1) + ":\n" + optimizer.ExplainAnnotated(sp, s.dop, ann)
 	}
 	return text
 }

@@ -171,12 +171,14 @@ func subsetByMask(preds []qgm.Predicate, mask int) []qgm.Predicate {
 	return out
 }
 
+// removePreds drops from all every predicate that sub holds: same slot, same
+// text.
 func removePreds(all, sub []qgm.Predicate) []qgm.Predicate {
 	out := all[:0]
 	for _, p := range all {
 		found := false
 		for _, s := range sub {
-			if p.String() == s.String() && p.Slot == s.Slot {
+			if p.Slot == s.Slot && p.SameText(s) {
 				found = true
 				break
 			}

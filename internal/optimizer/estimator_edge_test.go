@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -165,5 +166,55 @@ func TestTableCardZeroRowTable(t *testing.T) {
 	est := e.EstimateGroup("empty", []qgm.Predicate{{Column: "x", Op: qgm.OpEQ, Value: value.NewInt(1)}})
 	if est.Sel != 0 {
 		t.Errorf("sel on empty table = %v", est.Sel)
+	}
+}
+
+// TestRemovePredsByTextAndSlot pins what removePreds removes: every predicate
+// of all whose slot and text equal one of sub's, so a = 1 and a = 1.0 are one
+// predicate, the same text on another slot is another, and an IN list in
+// another order is another. The expectation is the rule as first written,
+// p.String() == s.String() && p.Slot == s.Slot, kept here as the reference.
+func TestRemovePredsByTextAndSlot(t *testing.T) {
+	i, f, s := value.NewInt, value.NewFloat, value.NewString
+	eq := func(slot int, col string, v value.Datum) qgm.Predicate {
+		return qgm.Predicate{Slot: slot, Column: col, Op: qgm.OpEQ, Value: v}
+	}
+	between := qgm.Predicate{Column: "year", Op: qgm.OpBetween, Lo: i(1990), Hi: f(2000)}
+	in := qgm.Predicate{Column: "make", Op: qgm.OpIn, Values: []value.Datum{s("a"), s("b")}}
+	inSwapped := qgm.Predicate{Column: "make", Op: qgm.OpIn, Values: []value.Datum{s("b"), s("a")}}
+	all := []qgm.Predicate{
+		eq(0, "year", i(1)), eq(1, "year", i(1)), eq(0, "year", f(math.Copysign(0, -1))), eq(0, "make", s("1")),
+		between, in, eq(0, "year", f(1.5)),
+	}
+	sub := []qgm.Predicate{eq(0, "year", f(1)), eq(0, "year", i(0)), eq(0, "make", i(1)),
+		{Column: "year", Op: qgm.OpBetween, Lo: f(1990), Hi: i(2000)}, inSwapped}
+
+	reference := func(all, sub []qgm.Predicate) []string {
+		var out []string
+		for _, p := range all {
+			found := false
+			for _, q := range sub {
+				if p.String() == q.String() && p.Slot == q.Slot {
+					found = true
+				}
+			}
+			if !found {
+				out = append(out, p.String())
+			}
+		}
+		return out
+	}
+	want := reference(all, sub)
+	var got []string
+	for _, p := range removePreds(append([]qgm.Predicate(nil), all...), sub) {
+		got = append(got, p.String())
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("removePreds kept %q, want %q", got, want)
+	}
+	// The reference itself: 1.0 matched 1 on slot 0 only, the BETWEEN
+	// matched, -0.0 and the swapped IN list did not.
+	if len(want) != 5 || want[0] != "year = 1" || want[1] != "year = -0" {
+		t.Errorf("reference kept %q", want)
 	}
 }

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -589,3 +590,25 @@ func BenchmarkOptimizeFourTables(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExplain renders a two-table plan with local filters, serial and
+// under a Gather header — the text a statement ships in Result.Plan.
+func BenchmarkExplain(b *testing.B) {
+	tdb := newTestDB(b)
+	blk := buildBlock(b, tdb, `SELECT make FROM car c, owner o WHERE c.ownerid = o.id AND o.city = 'Ottawa' AND c.make = 'Toyota' AND c.year BETWEEN 1995 AND 2004`)
+	ctx, _ := newCtx(tdb)
+	plan, err := Optimize(blk, ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchPlanText = ExplainParallel(plan, workers)
+			}
+		})
+	}
+}
+
+var benchPlanText string

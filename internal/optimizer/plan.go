@@ -1,7 +1,7 @@
 package optimizer
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -78,9 +78,39 @@ func annotate(sb *strings.Builder, n Node, ann AnnotateFunc) {
 	if !ok {
 		return
 	}
-	fmt.Fprintf(sb, " (actual rows=%.0f units=%.0f wall=%s)", a.ActualRows, a.Units, a.Wall)
+	sb.WriteString(" (actual rows=")
+	writeFixed(sb, a.ActualRows, 0)
+	sb.WriteString(" units=")
+	writeFixed(sb, a.Units, 0)
+	sb.WriteString(" wall=")
+	sb.WriteString(a.Wall.String())
+	sb.WriteByte(')')
 	if a.Flags != "" {
-		fmt.Fprintf(sb, " [%s]", a.Flags)
+		sb.WriteString(" [")
+		sb.WriteString(a.Flags)
+		sb.WriteByte(']')
+	}
+}
+
+// writeFixed writes x with prec digits after the point, as %.<prec>f does.
+func writeFixed(sb *strings.Builder, x float64, prec int) {
+	var buf [32]byte
+	sb.Write(strconv.AppendFloat(buf[:0], x, 'f', prec, 64))
+}
+
+// writeRowsCost writes the " rows=%.1f cost=%.0f" columns every EXPLAIN line
+// carries.
+func writeRowsCost(sb *strings.Builder, rows, cost float64) {
+	sb.WriteString(" rows=")
+	writeFixed(sb, rows, 1)
+	sb.WriteString(" cost=")
+	writeFixed(sb, cost, 0)
+}
+
+// writeIndent writes an EXPLAIN line's indentation, two spaces a level.
+func writeIndent(sb *strings.Builder, indent int) {
+	for range indent {
+		sb.WriteString("  ")
 	}
 }
 
@@ -126,24 +156,40 @@ func (s *Scan) Slots() []int { return []int{s.Slot} }
 // Describe returns the operator's compact label as it appears at the start
 // of its EXPLAIN line, e.g. "TableScan car as c" or "IndexScan(make) car as c".
 func (s *Scan) Describe() string {
-	access := "TableScan"
+	var sb strings.Builder
+	s.describe(&sb)
+	return sb.String()
+}
+
+func (s *Scan) describe(sb *strings.Builder) {
 	if s.IndexColumn != "" {
-		access = fmt.Sprintf("IndexScan(%s)", s.IndexColumn)
+		sb.WriteString("IndexScan(")
+		sb.WriteString(s.IndexColumn)
+		sb.WriteByte(')')
+	} else {
+		sb.WriteString("TableScan")
 	}
-	return fmt.Sprintf("%s %s as %s", access, s.Table, s.Alias)
+	sb.WriteByte(' ')
+	sb.WriteString(s.Table)
+	sb.WriteString(" as ")
+	sb.WriteString(s.Alias)
 }
 
 func (s *Scan) explain(sb *strings.Builder, indent int, ann AnnotateFunc) {
-	pad := strings.Repeat("  ", indent)
-	fmt.Fprintf(sb, "%s%s", pad, s.Describe())
+	writeIndent(sb, indent)
+	s.describe(sb)
 	if len(s.Preds) > 0 {
-		parts := make([]string, len(s.Preds))
+		var buf [128]byte
+		sb.WriteString(" filter[")
 		for i, p := range s.Preds {
-			parts[i] = p.String()
+			if i > 0 {
+				sb.WriteString(" AND ")
+			}
+			sb.Write(p.AppendText(buf[:0]))
 		}
-		fmt.Fprintf(sb, " filter[%s]", strings.Join(parts, " AND "))
+		sb.WriteByte(']')
 	}
-	fmt.Fprintf(sb, " rows=%.1f cost=%.0f", s.EstRows, s.EstCost)
+	writeRowsCost(sb, s.EstRows, s.EstCost)
 	annotate(sb, s, ann)
 	sb.WriteByte('\n')
 }
@@ -175,12 +221,25 @@ func (m *Materialized) Slots() []int { return m.SlotList }
 // Describe returns the operator's compact label as it appears at the start
 // of its EXPLAIN line, e.g. "Materialized#1[HashJoin on[c.make = s.make]]".
 func (m *Materialized) Describe() string {
-	return fmt.Sprintf("Materialized#%d[%s]", m.ID, m.Desc)
+	var sb strings.Builder
+	m.describe(&sb)
+	return sb.String()
+}
+
+func (m *Materialized) describe(sb *strings.Builder) {
+	sb.WriteString("Materialized#")
+	sb.WriteString(strconv.Itoa(m.ID))
+	sb.WriteByte('[')
+	sb.WriteString(m.Desc)
+	sb.WriteByte(']')
 }
 
 func (m *Materialized) explain(sb *strings.Builder, indent int, ann AnnotateFunc) {
-	pad := strings.Repeat("  ", indent)
-	fmt.Fprintf(sb, "%s%s rows=%.1f cost=0", pad, m.Describe(), m.ActRows)
+	writeIndent(sb, indent)
+	m.describe(sb)
+	sb.WriteString(" rows=")
+	writeFixed(sb, m.ActRows, 1)
+	sb.WriteString(" cost=0")
 	annotate(sb, m, ann)
 	sb.WriteByte('\n')
 }
@@ -209,16 +268,28 @@ func (j *Join) Slots() []int {
 // Describe returns the operator's compact label as it appears at the start
 // of its EXPLAIN line, e.g. "HashJoin on[c.make = s.make]".
 func (j *Join) Describe() string {
-	parts := make([]string, len(j.Preds))
+	var sb strings.Builder
+	j.describe(&sb)
+	return sb.String()
+}
+
+func (j *Join) describe(sb *strings.Builder) {
+	var buf [64]byte
+	sb.WriteString(j.Method.String())
+	sb.WriteString(" on[")
 	for i, p := range j.Preds {
-		parts[i] = p.String()
+		if i > 0 {
+			sb.WriteString(" AND ")
+		}
+		sb.Write(p.AppendText(buf[:0]))
 	}
-	return fmt.Sprintf("%s on[%s]", j.Method, strings.Join(parts, " AND "))
+	sb.WriteByte(']')
 }
 
 func (j *Join) explain(sb *strings.Builder, indent int, ann AnnotateFunc) {
-	pad := strings.Repeat("  ", indent)
-	fmt.Fprintf(sb, "%s%s rows=%.1f cost=%.0f", pad, j.Describe(), j.EstRows, j.EstCost)
+	writeIndent(sb, indent)
+	j.describe(sb)
+	writeRowsCost(sb, j.EstRows, j.EstCost)
 	annotate(sb, j, ann)
 	sb.WriteByte('\n')
 	j.Left.explain(sb, indent+1, ann)
@@ -262,7 +333,9 @@ func ExplainAnnotated(n Node, workers int, ann AnnotateFunc) string {
 	var sb strings.Builder
 	indent := 0
 	if workers > 1 {
-		fmt.Fprintf(&sb, "Gather(workers=%d)\n", workers)
+		sb.WriteString("Gather(workers=")
+		sb.WriteString(strconv.Itoa(workers))
+		sb.WriteString(")\n")
 		indent = 1
 	}
 	n.explain(&sb, indent, ann)

@@ -12,9 +12,12 @@
 package qgm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/sqlparser"
@@ -88,18 +91,44 @@ type Predicate struct {
 
 // String renders the predicate for display and for group keys.
 func (p Predicate) String() string {
+	var buf [64]byte
+	return string(p.AppendText(buf[:0]))
+}
+
+// AppendText appends the predicate's text to dst: "col op value",
+// "col BETWEEN lo AND hi" or "col IN (v1,v2)". The text is a predicate's
+// identity — EXPLAIN filters, statistic names and the dedup of repeated
+// conjuncts all use it, so a = 1 and a = 1.0 are one predicate.
+func (p Predicate) AppendText(dst []byte) []byte {
+	dst = append(dst, p.Column...)
 	switch p.Op {
 	case OpBetween:
-		return fmt.Sprintf("%s BETWEEN %s AND %s", p.Column, p.Lo, p.Hi)
+		dst = append(dst, " BETWEEN "...)
+		dst = p.Lo.AppendText(dst)
+		dst = append(dst, " AND "...)
+		return p.Hi.AppendText(dst)
 	case OpIn:
-		parts := make([]string, len(p.Values))
+		dst = append(dst, " IN ("...)
 		for i, v := range p.Values {
-			parts[i] = v.String()
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = v.AppendText(dst)
 		}
-		return fmt.Sprintf("%s IN (%s)", p.Column, strings.Join(parts, ","))
+		return append(dst, ')')
 	default:
-		return fmt.Sprintf("%s %s %s", p.Column, p.Op, p.Value)
+		dst = append(dst, ' ')
+		dst = append(dst, p.Op.String()...)
+		dst = append(dst, ' ')
+		return p.Value.AppendText(dst)
 	}
+}
+
+// SameText reports whether p and o render to the same text, without
+// allocating for predicates of ordinary length.
+func (p Predicate) SameText(o Predicate) bool {
+	var a, b [128]byte
+	return bytes.Equal(p.AppendText(a[:0]), o.AppendText(b[:0]))
 }
 
 // MatchesDatum evaluates the predicate against the value of its column —
@@ -180,7 +209,20 @@ type JoinPredicate struct {
 
 // String renders the join predicate.
 func (j JoinPredicate) String() string {
-	return fmt.Sprintf("[%d].%s = [%d].%s", j.LeftSlot, j.LeftCol, j.RightSlot, j.RightCol)
+	var buf [64]byte
+	return string(j.AppendText(buf[:0]))
+}
+
+// AppendText appends the join predicate's text, "[0].a = [1].b", to dst.
+func (j JoinPredicate) AppendText(dst []byte) []byte {
+	dst = append(dst, '[')
+	dst = strconv.AppendInt(dst, int64(j.LeftSlot), 10)
+	dst = append(dst, "]."...)
+	dst = append(dst, j.LeftCol...)
+	dst = append(dst, " = ["...)
+	dst = strconv.AppendInt(dst, int64(j.RightSlot), 10)
+	dst = append(dst, "]."...)
+	return append(dst, j.RightCol...)
 }
 
 // Projection is one resolved output expression.
@@ -302,7 +344,6 @@ func buildBlock(sel *sqlparser.SelectStmt, resolver SchemaResolver, q *Query, de
 
 	// WHERE: split into local predicates (bucketed per slot) and join
 	// predicates. Duplicate conjuncts are dropped during rewrite.
-	seen := make(map[string]bool)
 	for _, e := range sel.Where {
 		switch x := e.(type) {
 		case *sqlparser.Comparison:
@@ -325,9 +366,7 @@ func buildBlock(sel *sqlparser.SelectStmt, resolver SchemaResolver, q *Query, de
 					LeftSlot: ls, LeftOrd: lo, LeftCol: blk.Tables[ls].Schema.Column(lo).Name,
 					RightSlot: rs, RightOrd: ro, RightCol: blk.Tables[rs].Schema.Column(ro).Name,
 				}
-				key := "J:" + jp.String()
-				if !seen[key] {
-					seen[key] = true
+				if !slices.Contains(blk.JoinPreds, jp) {
 					blk.JoinPreds = append(blk.JoinPreds, jp)
 				}
 				continue
@@ -344,7 +383,7 @@ func buildBlock(sel *sqlparser.SelectStmt, resolver SchemaResolver, q *Query, de
 				Slot: s, Column: blk.Tables[s].Schema.Column(o).Name, Ordinal: o,
 				Op: pop, Value: x.RightVal,
 			}
-			addLocal(blk, seen, p)
+			addLocal(blk, p)
 
 		case *sqlparser.Between:
 			s, o, err := resolve(x.Col)
@@ -355,7 +394,7 @@ func buildBlock(sel *sqlparser.SelectStmt, resolver SchemaResolver, q *Query, de
 				Slot: s, Column: blk.Tables[s].Schema.Column(o).Name, Ordinal: o,
 				Op: OpBetween, Lo: x.Lo, Hi: x.Hi,
 			}
-			addLocal(blk, seen, p)
+			addLocal(blk, p)
 
 		case *sqlparser.InList:
 			s, o, err := resolve(x.Col)
@@ -366,7 +405,7 @@ func buildBlock(sel *sqlparser.SelectStmt, resolver SchemaResolver, q *Query, de
 				Slot: s, Column: blk.Tables[s].Schema.Column(o).Name, Ordinal: o,
 				Op: OpIn, Values: x.Values,
 			}
-			addLocal(blk, seen, p)
+			addLocal(blk, p)
 
 		case *sqlparser.InSubquery:
 			if depth >= 1 {
@@ -491,12 +530,14 @@ func compareOpToPredOp(op sqlparser.CompareOp) (PredOp, error) {
 	}
 }
 
-func addLocal(blk *Block, seen map[string]bool, p Predicate) {
-	key := fmt.Sprintf("L:%d:%s", p.Slot, p)
-	if seen[key] {
-		return
+// addLocal keeps p unless its slot already holds a predicate with the same
+// text.
+func addLocal(blk *Block, p Predicate) {
+	for _, q := range blk.LocalPreds[p.Slot] {
+		if q.SameText(p) {
+			return
+		}
 	}
-	seen[key] = true
 	blk.LocalPreds[p.Slot] = append(blk.LocalPreds[p.Slot], p)
 }
 

@@ -328,3 +328,31 @@ func TestLimitAndDistinctCarryThrough(t *testing.T) {
 		t.Errorf("limit = %d, want -1", b.Limit)
 	}
 }
+
+// TestDuplicateConjunctsByText pins what counts as a repeated conjunct: the
+// same text on the same table instance. a = 1 and a = 1.0 render alike and
+// collapse, as does a repeated BETWEEN; 0 and -0.0, 1 and '1', and an IN list
+// in another order do not; a repeated join predicate collapses, its mirror
+// image does not.
+func TestDuplicateConjunctsByText(t *testing.T) {
+	b := build(t, `SELECT c.make FROM car c, owner o WHERE c.year = 1 AND c.year = 1.0
+		AND c.price BETWEEN 1 AND 2 AND c.price BETWEEN 1.0 AND 2
+		AND c.id = 0 AND c.id = -0.0 AND c.make = '1' AND c.make = 1
+		AND c.model IN ('a','b') AND c.model IN ('b','a') AND o.id = 0
+		AND c.ownerid = o.id AND c.ownerid = o.id AND o.id = c.ownerid`)
+	var got []string
+	for _, p := range b.LocalPreds[0] {
+		got = append(got, p.String())
+	}
+	want := []string{"year = 1", "price BETWEEN 1 AND 2", "id = 0", "id = -0", "make = '1'", "make = 1",
+		"model IN ('a','b')", "model IN ('b','a')"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Errorf("car locals:\n got %q\nwant %q", got, want)
+	}
+	if len(b.LocalPreds[1]) != 1 {
+		t.Errorf("owner locals = %v, want o.id = 0 (c.id = 0 is on another slot)", b.LocalPreds[1])
+	}
+	if len(b.JoinPreds) != 2 || b.JoinPreds[0].String() != "[0].ownerid = [1].id" || b.JoinPreds[1].String() != "[1].id = [0].ownerid" {
+		t.Errorf("join preds = %v", b.JoinPreds)
+	}
+}

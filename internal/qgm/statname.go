@@ -1,6 +1,7 @@
 package qgm
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -42,12 +43,37 @@ func ColumnGroup(table string, columns []string) StatName {
 // PredicateGroup names one specific predicate group — columns, operators
 // and values — order-insensitively across predicates.
 func PredicateGroup(table string, preds []Predicate) StatName {
-	parts := make([]string, len(preds))
-	for i, p := range preds {
-		parts[i] = p.String()
+	var buf [256]byte
+	return StatName{string(appendPredicateGroup(buf[:0], table, preds)), StatPredicateGroup, int32(len(table))}
+}
+
+// appendPredicateGroup appends the text of PredicateGroup(table, preds) to
+// dst. Each predicate is rendered once into dst's tail; the parts are sorted
+// as offsets into it, and the name is written after them and moved down over
+// them.
+func appendPredicateGroup(dst []byte, table string, preds []Predicate) []byte {
+	base := len(dst)
+	var partsBuf [8][2]int
+	parts := partsBuf[:0]
+	for _, p := range preds {
+		start := len(dst)
+		dst = p.AppendText(dst)
+		parts = append(parts, [2]int{start, len(dst)})
 	}
-	sort.Strings(parts)
-	return StatName{table + "{" + strings.Join(parts, " AND ") + "}", StatPredicateGroup, int32(len(table))}
+	slices.SortFunc(parts, func(a, b [2]int) int {
+		return bytes.Compare(dst[a[0]:a[1]], dst[b[0]:b[1]])
+	})
+	name := len(dst)
+	dst = append(dst, table...)
+	dst = append(dst, '{')
+	for i, pt := range parts {
+		if i > 0 {
+			dst = append(dst, " AND "...)
+		}
+		dst = append(dst, dst[pt[0]:pt[1]]...)
+	}
+	dst = append(dst, '}')
+	return append(dst[:base], dst[name:]...)
 }
 
 // DefaultStat names the optimizer's guess for one column.

@@ -126,17 +126,36 @@ func (d Datum) AsFloat() (v float64, ok bool) {
 
 // String renders the datum for display and plan explanation.
 func (d Datum) String() string {
+	var buf [32]byte
+	return string(d.AppendText(buf[:0]))
+}
+
+// AppendText appends the datum's display text to dst: NULL, the shortest
+// decimal of a number, a string in single quotes with quotes doubled.
+// Predicate text, plan text and statistic names are built from it.
+func (d Datum) AppendText(dst []byte) []byte {
 	switch d.kind {
 	case KindNull:
-		return "NULL"
+		return append(dst, "NULL"...)
 	case KindInt:
-		return strconv.FormatInt(d.i, 10)
+		return strconv.AppendInt(dst, d.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(d.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, d.f, 'g', -1, 64)
 	case KindString:
-		return "'" + strings.ReplaceAll(d.s, "'", "''") + "'"
+		dst = append(dst, '\'')
+		for s := d.s; ; {
+			i := strings.IndexByte(s, '\'')
+			if i < 0 {
+				dst = append(dst, s...)
+				break
+			}
+			dst = append(dst, s[:i+1]...)
+			dst = append(dst, '\'')
+			s = s[i+1:]
+		}
+		return append(dst, '\'')
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 

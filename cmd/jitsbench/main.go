@@ -246,7 +246,7 @@ func checkModeFlags(active map[string]bool) error {
 }
 
 func drift(opts experiments.Options) error {
-	rep, err := experiments.Drift(opts, experiments.DriftOptions{})
+	rep, err := experiments.Drift(opts)
 	if err != nil {
 		return err
 	}
@@ -275,7 +275,7 @@ func drift(opts experiments.Options) error {
 }
 
 func reopt(opts experiments.Options) error {
-	rep, err := experiments.Reopt(opts, experiments.ReoptOptions{})
+	rep, err := experiments.Reopt(opts)
 	if err != nil {
 		return err
 	}

@@ -62,63 +62,41 @@ func (s State) String() string {
 	}
 }
 
-// Config tunes the ledger. Zero values select defaults.
+// Config configures the ledger.
 type Config struct {
 	// Enabled switches the ledger on at construction.
 	Enabled bool
-	// HalfLifeTicks is the EWMA half-life, in logical ticks, for the
-	// decayed q-error and |log error-factor| means. Default 64.
-	HalfLifeTicks float64
-	// CUSUMSlack is the drift detector's slack k: the |log error-factor|
-	// magnitude considered in-control (no evidence accrues below it).
-	// Default ln 2 — estimates within 2x of actual are fine.
-	CUSUMSlack float64
-	// CUSUMThreshold is the detector's decision threshold h on the
-	// accumulated out-of-control evidence. Default 4 ln 2 — roughly two
-	// consecutive 4x misestimates, or four 2.8x ones.
-	CUSUMThreshold float64
-	// MinObservations gates drift: a statistic cannot be declared drifted
-	// before this many feedback observations. Default 4.
-	MinObservations uint64
-	// AgingAgeTicks flips fresh → aging once this many ticks pass since
-	// the last merge. Default 512.
-	AgingAgeTicks int64
-	// AgingChurnFraction flips fresh → aging once DML churn since the last
-	// merge exceeds this fraction of the table's base cardinality.
-	// Default 0.10.
-	AgingChurnFraction float64
-	// MaxStats bounds the ledger; once full, statistics never seen before
-	// are not tracked (existing entries keep updating). Default 4096.
-	MaxStats int
 }
 
-func (c Config) withDefaults() Config {
-	if c.HalfLifeTicks <= 0 {
-		c.HalfLifeTicks = 64
-	}
-	if c.CUSUMSlack <= 0 {
-		c.CUSUMSlack = math.Ln2
-	}
-	if c.CUSUMThreshold <= 0 {
-		c.CUSUMThreshold = 4 * math.Ln2
-	}
-	if c.MinObservations == 0 {
-		c.MinObservations = 4
-	}
-	if c.AgingAgeTicks <= 0 {
-		c.AgingAgeTicks = 512
-	}
-	if c.AgingChurnFraction <= 0 {
-		c.AgingChurnFraction = 0.10
-	}
-	if c.MaxStats <= 0 {
-		c.MaxStats = 4096
-	}
-	return c
-}
+// DefaultConfig returns the enabled configuration.
+func DefaultConfig() Config { return Config{Enabled: true} }
 
-// DefaultConfig returns the enabled configuration with default tuning.
-func DefaultConfig() Config { return Config{Enabled: true}.withDefaults() }
+// The ledger's fixed tuning.
+const (
+	// halfLifeTicks is the EWMA half-life, in logical ticks, for the
+	// decayed q-error and |log error-factor| means.
+	halfLifeTicks = 64
+	// cusumSlack is the drift detector's slack k: the |log error-factor|
+	// magnitude considered in-control (no evidence accrues below it) —
+	// estimates within 2x of actual are fine.
+	cusumSlack = math.Ln2
+	// cusumThreshold is the detector's decision threshold h on the
+	// accumulated out-of-control evidence: roughly two consecutive 4x
+	// misestimates, or four 2.8x ones.
+	cusumThreshold = 4 * math.Ln2
+	// minObservations gates drift: a statistic cannot be declared drifted
+	// before this many feedback observations.
+	minObservations = 4
+	// agingAgeTicks flips fresh → aging once this many ticks pass since the
+	// last merge.
+	agingAgeTicks = 512
+	// agingChurnFraction flips fresh → aging once DML churn since the last
+	// merge reaches this fraction of the table's base cardinality.
+	agingChurnFraction = 0.10
+	// maxTrackedStats bounds the ledger; once full, statistics never seen
+	// before are not tracked (existing entries keep updating).
+	maxTrackedStats = 4096
+)
 
 // Transition reports one state-machine edge, returned by the observation
 // probes so the engine can annotate the flight recorder.
@@ -136,11 +114,11 @@ type StatAccuracy struct {
 	Table           string    `json:"table"` // owning table
 	State           string    `json:"state"` // fresh | aging | drifted
 	Observations    uint64    `json:"observations"`
-	EWMAQError      float64   `json:"ewma_qerror"`  // time-decayed mean q-error
-	EWMALogEF       float64   `json:"ewma_log_ef"`  // time-decayed mean |log error-factor|
-	CUSUM           float64   `json:"cusum"`        // accumulated drift evidence
-	ChurnSinceMerge int64     `json:"churn_rows"`   // DML rows since last merge
-	LastMerge       int64     `json:"last_merge"`   // logical tick of last merge (or first tracking)
+	EWMAQError      float64   `json:"ewma_qerror"` // time-decayed mean q-error
+	EWMALogEF       float64   `json:"ewma_log_ef"` // time-decayed mean |log error-factor|
+	CUSUM           float64   `json:"cusum"`       // accumulated drift evidence
+	ChurnSinceMerge int64     `json:"churn_rows"`  // DML rows since last merge
+	LastMerge       int64     `json:"last_merge"`  // logical tick of last merge (or first tracking)
 	LastObserved    int64     `json:"last_observed"`
 	Merges          uint64    `json:"merges"`
 	DriftedAt       int64     `json:"drifted_at"` // tick of the drift transition, 0 if never
@@ -168,9 +146,9 @@ type statEntry struct {
 // probes are called from the statement hot path, so the disabled path is a
 // single atomic load.
 type Ledger struct {
-	enabled atomic.Bool
-	cfg     Config
-	bounds  []float64 // error-factor histogram bounds (shared, read-only)
+	enabled  atomic.Bool
+	maxStats int       // maxTrackedStats; the capacity test lowers it
+	bounds   []float64 // error-factor histogram bounds (shared, read-only)
 
 	mu     sync.Mutex
 	stats  map[string]*statEntry
@@ -179,11 +157,10 @@ type Ledger struct {
 
 // New constructs a ledger. It is usable (and free) while disabled.
 func New(cfg Config) *Ledger {
-	cfg = cfg.withDefaults()
 	l := &Ledger{
-		cfg:    cfg,
-		bounds: metrics.ErrorFactorBuckets(),
-		stats:  make(map[string]*statEntry),
+		maxStats: maxTrackedStats,
+		bounds:   metrics.ErrorFactorBuckets(),
+		stats:    make(map[string]*statEntry),
 	}
 	l.enabled.Store(cfg.Enabled)
 	return l
@@ -212,7 +189,7 @@ func (l *Ledger) entry(ts int64, table, key string) *statEntry {
 	if e, ok := l.stats[key]; ok {
 		return e
 	}
-	if len(l.stats) >= l.cfg.MaxStats {
+	if len(l.stats) >= l.maxStats {
 		return nil
 	}
 	e := &statEntry{
@@ -266,9 +243,9 @@ func (l *Ledger) ageCheck(ts int64, key string, e *statEntry) {
 	if e.state != StateFresh {
 		return
 	}
-	aged := ts-e.lastMerge > l.cfg.AgingAgeTicks
+	aged := ts-e.lastMerge > agingAgeTicks
 	churned := e.baseCard > 0 &&
-		float64(e.churnSinceMerge) >= l.cfg.AgingChurnFraction*float64(e.baseCard)
+		float64(e.churnSinceMerge) >= agingChurnFraction*float64(e.baseCard)
 	if aged || churned {
 		l.transition(ts, key, e, StateAging)
 	}
@@ -310,7 +287,7 @@ func (l *Ledger) ObserveFeedback(ts int64, table, key string, ef float64, baseCa
 	if gap < 0 {
 		gap = 0
 	}
-	alpha := 1 - math.Pow(0.5, float64(gap+1)/l.cfg.HalfLifeTicks)
+	alpha := 1 - math.Pow(0.5, float64(gap+1)/halfLifeTicks)
 	if e.obs == 0 {
 		e.ewmaQError, e.ewmaLogEF = qerr, absLogEF
 	} else {
@@ -326,7 +303,7 @@ func (l *Ledger) ObserveFeedback(ts int64, table, key string, ef float64, baseCa
 
 	// One-sided CUSUM on |log error-factor|: evidence accrues only above
 	// the slack k, so ordinary sampling noise never sums to a detection.
-	e.cusum += absLogEF - l.cfg.CUSUMSlack
+	e.cusum += absLogEF - cusumSlack
 	if e.cusum < 0 {
 		e.cusum = 0
 	}
@@ -335,7 +312,7 @@ func (l *Ledger) ObserveFeedback(ts int64, table, key string, ef float64, baseCa
 	// The state machine is strictly fresh → aging → drifted: CUSUM evidence
 	// alone never flips a fresh statistic (its estimates may simply have
 	// always been poor); churn or age must first make it suspect.
-	if e.state == StateAging && e.obs >= l.cfg.MinObservations && e.cusum >= l.cfg.CUSUMThreshold {
+	if e.state == StateAging && e.obs >= minObservations && e.cusum >= cusumThreshold {
 		return l.transition(ts, key, e, StateDrifted), true
 	}
 	return Transition{}, false

@@ -1,21 +1,11 @@
 package accuracy
 
 import (
-	"math"
 	"testing"
 )
 
-func newTestLedger() *Ledger {
-	return New(Config{
-		Enabled:            true,
-		HalfLifeTicks:      8,
-		CUSUMSlack:         math.Ln2,
-		CUSUMThreshold:     4 * math.Ln2,
-		MinObservations:    3,
-		AgingAgeTicks:      100,
-		AgingChurnFraction: 0.10,
-	})
-}
+// newTestLedger is an enabled ledger at the shipped tuning.
+func newTestLedger() *Ledger { return New(DefaultConfig()) }
 
 func TestLedgerStateMachineChurnThenDrift(t *testing.T) {
 	l := newTestLedger()
@@ -68,12 +58,15 @@ func TestLedgerMinObservationsGate(t *testing.T) {
 	l := newTestLedger()
 	l.ObserveFeedback(1, "car", "car(make)", 100, 1000)
 	l.RecordChurn(1, "car", 500) // aging: drift is now reachable
-	// One more gross misestimate exceeds the CUSUM threshold but not the
-	// observation floor: no drift yet.
-	if _, ok := l.ObserveFeedback(2, "car", "car(make)", 100, 1000); ok {
-		t.Fatal("drifted below MinObservations")
+	// Each further gross misestimate exceeds the CUSUM threshold on its
+	// own, but the observation floor holds drift back until observation
+	// minObservations (one a tick).
+	for ts := int64(2); ts < minObservations; ts++ {
+		if _, ok := l.ObserveFeedback(ts, "car", "car(make)", 100, 1000); ok {
+			t.Fatalf("drifted at %d observations, below minObservations", ts)
+		}
 	}
-	if _, ok := l.ObserveFeedback(3, "car", "car(make)", 100, 1000); !ok {
+	if _, ok := l.ObserveFeedback(minObservations, "car", "car(make)", 100, 1000); !ok {
 		t.Fatal("expected drift at the observation floor")
 	}
 }
@@ -97,13 +90,13 @@ func TestLedgerNoDriftWhileFresh(t *testing.T) {
 func TestLedgerAgeBasedAging(t *testing.T) {
 	l := newTestLedger()
 	l.ObserveMerge(1, "owner", "owner(country)")
-	l.Tick(50)
+	l.Tick(1 + agingAgeTicks)
 	if s := l.Snapshot("")[0]; s.State != "fresh" {
-		t.Fatalf("aged too early: %+v", s)
+		t.Fatalf("aged at exactly %d ticks: %+v", agingAgeTicks, s)
 	}
-	l.Tick(200)
+	l.Tick(2 + agingAgeTicks)
 	if s := l.Snapshot("")[0]; s.State != "aging" {
-		t.Fatalf("want aging after %d ticks, got %+v", 200, s)
+		t.Fatalf("want aging after %d ticks, got %+v", agingAgeTicks+1, s)
 	}
 }
 
@@ -113,7 +106,7 @@ func TestLedgerUnderestimatesCountSymmetrically(t *testing.T) {
 	l.RecordChurn(1, "owner", 500)
 	// Error factor 1/8 (underestimate) carries the same |log ef| evidence
 	// as 8 (overestimate).
-	for ts := int64(2); ts <= 3; ts++ {
+	for ts := int64(2); ts <= minObservations; ts++ {
 		l.ObserveFeedback(ts, "owner", "owner(salary)", 0.125, 1000)
 	}
 	if d := l.Drifted(); len(d) != 1 {
@@ -130,8 +123,9 @@ func TestLedgerSnapshotFilterAndCounts(t *testing.T) {
 	l.ObserveFeedback(1, "car", "car(make)", 1.0, 1000)
 	l.ObserveFeedback(2, "car", "car(make,model)", 16, 1000)
 	l.RecordChurn(2, "car", 500)
-	l.ObserveFeedback(3, "car", "car(make,model)", 16, 1000)
-	l.ObserveFeedback(4, "car", "car(make,model)", 16, 1000)
+	for ts := int64(3); ts <= minObservations+1; ts++ {
+		l.ObserveFeedback(ts, "car", "car(make,model)", 16, 1000)
+	}
 	if got := l.Snapshot("car"); len(got) != 2 {
 		t.Fatalf("Snapshot(car) = %+v", got)
 	}
@@ -143,7 +137,8 @@ func TestLedgerSnapshotFilterAndCounts(t *testing.T) {
 }
 
 func TestLedgerCapacityBound(t *testing.T) {
-	l := New(Config{Enabled: true, MaxStats: 2})
+	l := newTestLedger()
+	l.maxStats = 2
 	l.ObserveFeedback(1, "a", "a(x)", 2, 100)
 	l.ObserveFeedback(1, "b", "b(x)", 2, 100)
 	l.ObserveFeedback(1, "c", "c(x)", 2, 100) // over capacity: dropped

@@ -127,28 +127,11 @@ func (c *Catalog) Tables() []string {
 	return out
 }
 
-// RunstatsOptions tune collection.
-type RunstatsOptions struct {
-	HistogramBuckets int // default DefaultHistogramBuckets
-	FrequentValues   int // default DefaultFrequentValues
-}
-
-func (o RunstatsOptions) withDefaults() RunstatsOptions {
-	if o.HistogramBuckets <= 0 {
-		o.HistogramBuckets = DefaultHistogramBuckets
-	}
-	if o.FrequentValues <= 0 {
-		o.FrequentValues = DefaultFrequentValues
-	}
-	return o
-}
-
 // Runstats performs a full statistics collection pass over the table —
 // the traditional, decoupled-from-queries collection path. It charges the
 // meter per row per column and resets the table's UDI counter, as statistics
 // are now fresh.
-func Runstats(tbl *storage.Table, ts int64, opts RunstatsOptions, meter *costmodel.Meter, w costmodel.Weights) (*TableStats, error) {
-	opts = opts.withDefaults()
+func Runstats(tbl *storage.Table, ts int64, meter *costmodel.Meter, w costmodel.Weights) (*TableStats, error) {
 	schema := tbl.Schema()
 	ncols := schema.NumColumns()
 
@@ -235,10 +218,10 @@ func Runstats(tbl *storage.Table, ts int64, opts RunstatsOptions, meter *costmod
 			}
 			return freq[x].Value.Compare(freq[y].Value) < 0 // deterministic ties
 		})
-		cs.Freq = append(cs.Freq, freq[:min(opts.FrequentValues, len(freq))]...)
+		cs.Freq = append(cs.Freq, freq[:min(DefaultFrequentValues, len(freq))]...)
 		// Distribution histogram over non-null coordinates.
 		if len(a.coords) > 0 {
-			h, err := histogram.BuildEquiDepth(col.Name, a.coords, opts.HistogramBuckets, cs.Unit(), ts)
+			h, err := histogram.BuildEquiDepth(col.Name, a.coords, DefaultHistogramBuckets, cs.Unit(), ts)
 			if err != nil {
 				return nil, fmt.Errorf("catalog: building histogram for %s.%s: %w", tbl.Name(), col.Name, err)
 			}

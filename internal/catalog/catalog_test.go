@@ -40,7 +40,7 @@ func TestRunstatsBasics(t *testing.T) {
 	tbl := sampleTable(t)
 	var meter costmodel.Meter
 	w := costmodel.DefaultWeights()
-	stats, err := Runstats(tbl, 5, RunstatsOptions{}, &meter, w)
+	stats, err := Runstats(tbl, 5, &meter, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRunstatsBasics(t *testing.T) {
 func TestRunstatsHistogramQuality(t *testing.T) {
 	tbl := sampleTable(t)
 	var meter costmodel.Meter
-	stats, err := Runstats(tbl, 0, RunstatsOptions{HistogramBuckets: 10}, &meter, costmodel.DefaultWeights())
+	stats, err := Runstats(tbl, 0, &meter, costmodel.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRunstatsHistogramQuality(t *testing.T) {
 func TestRunstatsEmptyTable(t *testing.T) {
 	tbl := storage.NewTable("empty", storage.MustSchema(storage.Column{Name: "a", Kind: value.KindInt}))
 	var meter costmodel.Meter
-	stats, err := Runstats(tbl, 0, RunstatsOptions{}, &meter, costmodel.DefaultWeights())
+	stats, err := Runstats(tbl, 0, &meter, costmodel.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRunstatsAllNullColumn(t *testing.T) {
 		}
 	}
 	var meter costmodel.Meter
-	stats, err := Runstats(tbl, 0, RunstatsOptions{}, &meter, costmodel.DefaultWeights())
+	stats, err := Runstats(tbl, 0, &meter, costmodel.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestRunstatsIgnoresWhatHasNoCoordinate(t *testing.T) {
 			}
 		}
 		var meter costmodel.Meter
-		stats, err := Runstats(tbl, 0, RunstatsOptions{}, &meter, costmodel.DefaultWeights())
+		stats, err := Runstats(tbl, 0, &meter, costmodel.DefaultWeights())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestFrequentValueDeterministicOrder(t *testing.T) {
 		}
 	}
 	var meter costmodel.Meter
-	stats, err := Runstats(tbl, 0, RunstatsOptions{FrequentValues: 3}, &meter, costmodel.DefaultWeights())
+	stats, err := Runstats(tbl, 0, &meter, costmodel.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}

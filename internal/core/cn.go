@@ -35,11 +35,11 @@ const (
 )
 
 // CN magic-number analysis parameters (values from the reference's
-// experiments' spirit; configurable via Config).
+// experiments' spirit).
 const (
-	DefaultCNEpsilon   = 0.01
-	DefaultCNThreshold = 0.20 // plan costs within 20% ⇒ statistics sufficient
-	DefaultCNMaxRounds = 4
+	cnEpsilon   = 0.01
+	cnThreshold = 0.20 // plan costs within 20% ⇒ statistics sufficient
+	cnMaxRounds = 4
 )
 
 // cnPinnedSource wraps the archive-backed statistics source and pins the
@@ -72,19 +72,6 @@ func anyDefault(statList []qgm.StatName) bool {
 // enumerations charge the compilation meter — the cost the paper's §5
 // criticizes ("multiple calls to the optimizer for every statistic").
 func (j *JITS) cnDecide(blk *qgm.Block, real optimizer.StatsSource, meter *costmodel.Meter, w costmodel.Weights) []string {
-	eps := j.cfg.CNEpsilon
-	if eps <= 0 || eps >= 0.5 {
-		eps = DefaultCNEpsilon
-	}
-	threshold := j.cfg.CNThreshold
-	if threshold <= 0 {
-		threshold = DefaultCNThreshold
-	}
-	maxRounds := j.cfg.CNMaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultCNMaxRounds
-	}
-
 	// Unknown tables: the full local group's estimate rests on defaults.
 	est := &optimizer.Estimator{Cat: j.cat, QSS: real}
 	unknown := make(map[string]bool)
@@ -113,14 +100,14 @@ func (j *JITS) cnDecide(blk *qgm.Block, real optimizer.StatsSource, meter *costm
 	}
 
 	var collect []string
-	for round := 0; round < maxRounds && len(unknown) > 0; round++ {
-		lo, okLo := optimizeWith(&cnPinnedSource{StatsSource: real, unknown: unknown, pin: eps})
-		hi, okHi := optimizeWith(&cnPinnedSource{StatsSource: real, unknown: unknown, pin: 1 - eps})
+	for round := 0; round < cnMaxRounds && len(unknown) > 0; round++ {
+		lo, okLo := optimizeWith(&cnPinnedSource{StatsSource: real, unknown: unknown, pin: cnEpsilon})
+		hi, okHi := optimizeWith(&cnPinnedSource{StatsSource: real, unknown: unknown, pin: 1 - cnEpsilon})
 		if !okLo || !okHi {
 			break
 		}
 		cLo, cHi := lo.Cost(), hi.Cost()
-		if maxC := max(cLo, cHi); maxC <= 0 || (maxC-min(cLo, cHi))/maxC <= threshold {
+		if maxC := max(cLo, cHi); maxC <= 0 || (maxC-min(cLo, cHi))/maxC <= cnThreshold {
 			break // current statistics are sufficient
 		}
 		// Most important statistic: cost the plan under current statistics

@@ -51,7 +51,7 @@ func TestCNSkipsWhenStatisticsSufficient(t *testing.T) {
 	// Give the catalog full statistics: no unknown selectivities remain,
 	// the ε / 1−ε probes agree, and CN collects nothing.
 	var m costmodel.Meter
-	st, err := catalog.Runstats(car, 1, catalog.RunstatsOptions{}, &m, costmodel.DefaultWeights())
+	st, err := catalog.Runstats(car, 1, &m, costmodel.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func (c *collection) survey(q *qgm.Query, db *storage.Database) ([]*tableWork, e
 	byTable := make(map[string]*tableWork)
 	seen := make(map[string]bool) // predicate-group names, which carry their table
 	var work []*tableWork
-	for _, tc := range AnalyzeQuery(q, c.j.cfg.MaxPredsPerTable) {
+	for _, tc := range AnalyzeQuery(q, DefaultMaxPredsPerTable) {
 		tw, ok := byTable[tc.Table]
 		if !ok {
 			tbl, _ := db.Table(tc.Table) // every table of every block was found above

@@ -29,10 +29,6 @@ type Config struct {
 	SampleSize int
 	// SpaceBudgetBuckets bounds total archive histogram buckets.
 	SpaceBudgetBuckets int
-	// MemoCapacity bounds the exact-match selectivity memo.
-	MemoCapacity int
-	// MaxPredsPerTable caps Algorithm 1's group enumeration.
-	MaxPredsPerTable int
 	// ForceCollect bypasses the sensitivity analysis: every table with
 	// local predicates is sampled and every group materialized — the
 	// "sensitivity analysis turned off" mode of the paper's §4.1
@@ -42,11 +38,6 @@ type Config struct {
 	// lightweight Algorithms 2–3 (default) or the Chaudhuri–Narasayya
 	// magic-number analysis (StrategyCN) as a comparison baseline.
 	Strategy Strategy
-	// CNEpsilon, CNThreshold and CNMaxRounds tune StrategyCN; zero values
-	// select the defaults.
-	CNEpsilon   float64
-	CNThreshold float64
-	CNMaxRounds int
 	// PerGroupSampling emulates the paper's prototype, which "constructed
 	// and invoked sampling queries on-the-fly" per statistic: collection
 	// cost is charged once per candidate predicate group instead of once
@@ -59,7 +50,8 @@ type Config struct {
 	// Parallelism fans the sampling row fetches and predicate-group
 	// evaluation out across this many workers. Statistics, meter charges
 	// and therefore plans are identical at any setting; values <= 1 run
-	// serially.
+	// serially. The engine fills it from its Config.Parallelism; a
+	// statement's ExecOptions.Parallelism does not reach it.
 	Parallelism int
 	// SampleBudgetRows caps the total rows sampled during one PrepareBudgeted
 	// across all of the statement's tables; 0 means unlimited. When the
@@ -85,9 +77,6 @@ func (c Config) withDefaults() Config {
 	if c.SampleSize <= 0 {
 		c.SampleSize = 2000
 	}
-	if c.MaxPredsPerTable <= 0 {
-		c.MaxPredsPerTable = DefaultMaxPredsPerTable
-	}
 	return c
 }
 
@@ -99,8 +88,6 @@ func DefaultConfig() Config {
 		SMax:               0.5,
 		SampleSize:         2000,
 		SpaceBudgetBuckets: DefaultSpaceBudgetBuckets,
-		MemoCapacity:       DefaultMemoCapacity,
-		MaxPredsPerTable:   DefaultMaxPredsPerTable,
 		Seed:               1,
 	}
 }
@@ -136,7 +123,7 @@ func New(cfg Config, history *feedback.History, cat *catalog.Catalog) *JITS {
 	cfg = cfg.withDefaults()
 	return &JITS{
 		cfg:     cfg,
-		archive: NewArchive(cfg.SpaceBudgetBuckets, cfg.MemoCapacity),
+		archive: NewArchive(cfg.SpaceBudgetBuckets, DefaultMemoCapacity),
 		history: history,
 		cat:     cat,
 		sampler: sampling.New(cfg.Seed),

@@ -52,13 +52,13 @@ type ndvSnapshot struct {
 }
 
 type archiveSnapshot struct {
-	Version      int            `json:"version"`
-	Budget       int            `json:"budget"`
-	MemoCapacity int            `json:"memoCapacity"`
-	Grids        []gridSnapshot `json:"grids"`
-	Memo         []memoSnapshot `json:"memo"`
-	Cards        []cardSnapshot `json:"cards"`
-	NDVs         []ndvSnapshot  `json:"ndvs"`
+	Version int            `json:"version"`
+	Budget  int            `json:"budget"`
+	MemoCap int            `json:"memoCapacity"`
+	Grids   []gridSnapshot `json:"grids"`
+	Memo    []memoSnapshot `json:"memo"`
+	Cards   []cardSnapshot `json:"cards"`
+	NDVs    []ndvSnapshot  `json:"ndvs"`
 }
 
 const archiveSnapshotVersion = 1
@@ -78,9 +78,9 @@ func (a *Archive) snapshot() archiveSnapshot {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	snap := archiveSnapshot{
-		Version:      archiveSnapshotVersion,
-		Budget:       a.budget,
-		MemoCapacity: a.memoCapacity,
+		Version: archiveSnapshotVersion,
+		Budget:  a.budget,
+		MemoCap: a.memoCapacity,
 	}
 	for _, grids := range a.grids {
 		for name, g := range grids {
@@ -157,7 +157,7 @@ func LoadArchive(r io.Reader) (*Archive, error) {
 	if snap.Version != archiveSnapshotVersion {
 		return nil, fmt.Errorf("core: archive snapshot version %d not supported", snap.Version)
 	}
-	a := NewArchive(snap.Budget, snap.MemoCapacity)
+	a := NewArchive(snap.Budget, snap.MemoCap)
 	for _, gs := range snap.Grids {
 		h, err := histogram.FromSnapshot(gs.Hist)
 		if err != nil {

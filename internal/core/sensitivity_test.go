@@ -136,7 +136,7 @@ func TestStatAccuracyFromCatalogHistogram(t *testing.T) {
 		}
 	}
 	var m costmodel.Meter
-	st, err := catalog.Runstats(tbl, 1, catalog.RunstatsOptions{HistogramBuckets: 20}, &m, costmodel.DefaultWeights())
+	st, err := catalog.Runstats(tbl, 1, &m, costmodel.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,6 @@ type Config struct {
 	// JITS configures the just-in-time statistics framework; the zero
 	// value disables it (traditional processing).
 	JITS core.Config
-	// Weights override the cost model; zero value selects defaults.
-	Weights costmodel.Weights
 	// MigrateEvery, when positive, runs the statistics-migration module
 	// automatically after every N SELECT statements — the paper's
 	// "information in the QSS archive can be used to periodically update
@@ -80,17 +78,13 @@ type Config struct {
 	// statements without external locking.
 	Trace io.Writer
 	// Parallelism is the default degree of intra-query parallelism for
-	// SELECT execution and JITS sample evaluation. Values <= 1 run every
+	// SELECT execution, and the fixed degree of JITS sample evaluation
+	// (copied into JITS.Parallelism when that is 0). Values <= 1 run every
 	// operator inline as a single morsel, which reproduces the paper's cost
 	// accounting exactly; higher values dispatch morsels to a worker pool
-	// without changing results or metered work. Per-query override: ExecWith.
+	// without changing results or metered work. ExecOptions.Parallelism
+	// overrides execution only; sampling keeps the engine's degree.
 	Parallelism int
-	// StatementTimeout bounds every statement's wall-clock time; 0 means
-	// no deadline. Expiry cancels JITS sampling at the next table boundary
-	// (the statement still compiles, degraded to catalog statistics) and
-	// execution at the next morsel boundary (the statement errors with
-	// context.DeadlineExceeded). Per-query override: ExecOptions.Timeout.
-	StatementTimeout time.Duration
 	// FlightRecorderCapacity enables the statement flight recorder with a
 	// ring of that many records (SHOW QUERIES / EXPLAIN HISTORY read it).
 	// 0 leaves recording off — the recorder still exists, so it can be
@@ -134,10 +128,14 @@ type Config struct {
 // ExecOptions tune one Exec call — the per-query session knobs.
 type ExecOptions struct {
 	// Parallelism overrides the engine's default degree of parallelism for
-	// this statement; 0 keeps the engine default, 1 forces serial.
+	// this statement's execution; 0 keeps the engine default, 1 forces
+	// serial. JITS sampling keeps the engine's degree (Config.Parallelism).
 	Parallelism int
-	// Timeout overrides Config.StatementTimeout for this statement; 0
-	// keeps the engine default.
+	// Timeout bounds this statement's wall-clock time; 0 means no deadline.
+	// Expiry cancels JITS sampling at the next table boundary (the statement
+	// still compiles, degraded to catalog statistics) and execution at the
+	// next morsel boundary (the statement errors with
+	// context.DeadlineExceeded).
 	Timeout time.Duration
 	// Annotations are free-form labels attached to the statement's
 	// flight-recorder record (the SQL service tags statements that arrived
@@ -198,7 +196,6 @@ type Engine struct {
 	governor     *govern.Governor
 	parallelism  int
 	reoptCfg     ReoptConfig
-	stmtTimeout  time.Duration
 	closed       atomic.Bool
 	// planCache is nil when Config.PlanCacheSize is 0 (cache disabled).
 	planCache *plancache.Cache
@@ -217,10 +214,6 @@ type Engine struct {
 
 // New creates an empty engine.
 func New(cfg Config) *Engine {
-	w := cfg.Weights
-	if w == (costmodel.Weights{}) {
-		w = costmodel.DefaultWeights()
-	}
 	cat := catalog.New()
 	hist := feedback.NewHistory()
 	ixs := index.NewSet()
@@ -255,7 +248,7 @@ func New(cfg Config) *Engine {
 		indexes:      ixs,
 		history:      hist,
 		jits:         jits,
-		weights:      w,
+		weights:      costmodel.DefaultWeights(),
 		migrateEvery: cfg.MigrateEvery,
 		tracer:       tracer,
 		recorder:     recorder,
@@ -263,7 +256,6 @@ func New(cfg Config) *Engine {
 		governor:     governor,
 		parallelism:  cfg.Parallelism,
 		reoptCfg:     cfg.Reopt,
-		stmtTimeout:  cfg.StatementTimeout,
 		planCache:    plancache.New(cfg.PlanCacheSize),
 	}
 	e.db.SetChunkSize(cfg.StorageChunkSize)
@@ -288,7 +280,7 @@ func (e *Engine) History() *feedback.History { return e.history }
 // JITS exposes the framework coordinator (experiments tune s_max on it).
 func (e *Engine) JITS() *core.JITS { return e.jits }
 
-// Weights returns the active cost-model weights.
+// Weights returns the cost-model weights, costmodel.DefaultWeights.
 func (e *Engine) Weights() costmodel.Weights { return e.weights }
 
 // tick advances and returns the engine's logical clock. Every statement
@@ -422,10 +414,10 @@ func (e *Engine) ExecWithContext(ctx context.Context, sql string, opts ExecOptio
 
 // ExecUnboxed parses and runs one SQL statement with per-query session
 // options under ctx, leaving the result set as columns (Result.Out;
-// Result.Rows stays nil). A statement timeout (ExecOptions.Timeout, falling
-// back to Config.StatementTimeout) is layered onto ctx as a deadline. It is
-// the spine of the statement pipeline (see statement.go): admit → probe cache
-// → parse → begin → dispatch → finish.
+// Result.Rows stays nil). A statement timeout (ExecOptions.Timeout) is
+// layered onto ctx as a deadline. It is the spine of the statement pipeline
+// (see statement.go): admit → probe cache → parse → begin → dispatch →
+// finish.
 func (e *Engine) ExecUnboxed(ctx context.Context, sql string, opts ExecOptions) (*Result, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -433,13 +425,9 @@ func (e *Engine) ExecUnboxed(ctx context.Context, sql string, opts ExecOptions) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = e.stmtTimeout
-	}
-	if timeout > 0 {
+	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
@@ -667,7 +655,7 @@ func (e *Engine) RunstatsAll() error {
 	var m costmodel.Meter
 	for _, name := range e.db.TableNames() {
 		tbl, _ := e.db.Table(name)
-		stats, err := catalog.Runstats(tbl, ts, catalog.RunstatsOptions{}, &m, e.weights)
+		stats, err := catalog.Runstats(tbl, ts, &m, e.weights)
 		if err != nil {
 			return err
 		}

@@ -246,10 +246,11 @@ func TestAdmissionAccountsEveryStatement(t *testing.T) {
 	}
 }
 
-// TestBreakerTripsEndToEnd drives the full loop: slow sampling (injected
-// per-chunk latency) trips the breaker, later statements compile catalog-only
-// with the breaker degradation counted, and the state is visible through the
-// governor snapshot and the SHOW METRICS gauge.
+// TestBreakerTripsEndToEnd drives the full loop at the shipped breaker tuning:
+// slow sampling (injected per-chunk latency) trips the breaker, later
+// statements compile catalog-only with the breaker degradation counted, and
+// the state is visible through the governor snapshot and the SHOW METRICS
+// gauge.
 func TestBreakerTripsEndToEnd(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
@@ -259,32 +260,23 @@ func TestBreakerTripsEndToEnd(t *testing.T) {
 	cfg := Config{}
 	cfg.JITS = core.DefaultConfig()
 	cfg.JITS.SampleSize = 200
-	cfg.Governor.Breaker = govern.BreakerConfig{
-		LatencyThreshold: time.Millisecond,
-		Window:           4,
-		MinSamples:       2,
-		OpenFor:          time.Hour, // stays open for the rest of the test
-		HalfOpenProbes:   2,
-		GainFloor:        1e12, // feedback can never veto the trip here
-	}
+	cfg.JITS.ForceCollect = true // every statement samples its table
+	cfg.Governor.Breaker = govern.BreakerConfig{LatencyThreshold: time.Millisecond}
 	e := seedEngine(t, cfg)
+	// A frozen clock keeps the breaker open for the rest of the test once it
+	// trips.
+	frozen := time.Now()
+	e.Governor().SamplingBreaker().SetClock(func() time.Time { return frozen })
 
-	// Every sampling chunk sleeps 2ms — far over the 1ms threshold — so two
-	// sampled tables are enough to trip the breaker.
+	// Every sampling chunk sleeps 2ms — far over the 1ms threshold — so the
+	// breaker trips once its window holds its minimum of sampled tables.
 	if err := faultinject.Arm(faultinject.MorselLatency, faultinject.Spec{Every: 1, Latency: 2 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	slow := []string{
-		`SELECT id FROM car WHERE make = 'Toyota' AND year > 1999`,
-		`SELECT id FROM owner WHERE city = 'Ottawa' AND salary > 31000`,
-		`SELECT id FROM car WHERE make = 'Honda' AND price > 9000`,
-	}
-	for _, sql := range slow {
+	for year := 1990; year < 2010 && e.Governor().Snapshot().BreakerState != "open"; year++ {
+		sql := fmt.Sprintf(`SELECT id FROM car WHERE make = 'Toyota' AND year > %d`, year)
 		if _, err := e.Exec(sql); err != nil {
 			t.Fatalf("%s: %v", sql, err)
-		}
-		if e.Governor().Snapshot().BreakerState == "open" {
-			break
 		}
 	}
 	if got := e.Governor().Snapshot().BreakerState; got != "open" {

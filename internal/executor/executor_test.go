@@ -86,7 +86,7 @@ func newEnv(t testing.TB) *env {
 	var m costmodel.Meter
 	for _, name := range []string{"car", "owner"} {
 		tbl, _ := db.Table(name)
-		st, err := catalog.Runstats(tbl, 1, catalog.RunstatsOptions{}, &m, costmodel.DefaultWeights())
+		st, err := catalog.Runstats(tbl, 1, &m, costmodel.DefaultWeights())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestThreeWayJoinCorrectness(t *testing.T) {
 		}
 	}
 	var m costmodel.Meter
-	st, err := catalog.Runstats(acc, 1, catalog.RunstatsOptions{}, &m, costmodel.DefaultWeights())
+	st, err := catalog.Runstats(acc, 1, &m, costmodel.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}

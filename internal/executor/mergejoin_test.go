@@ -81,7 +81,7 @@ func addJoinTable(t *testing.T, e *env, name string, keyKinds []value.Kind, keys
 		}
 	}
 	var m costmodel.Meter
-	st, err := catalog.Runstats(tbl, 1, catalog.RunstatsOptions{}, &m, costmodel.DefaultWeights())
+	st, err := catalog.Runstats(tbl, 1, &m, costmodel.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,38 +21,8 @@ import (
 // clocked by the engine's logical ticks — so the drifted-table set is a
 // stable assertion, not a tendency (TestDriftQuick pins it).
 
-// DriftOptions tune the drift experiment beyond the shared Options.
-type DriftOptions struct {
-	// WarmQueries is the number of SELECTs before the shift (collection
-	// on). Default half of Options.Queries.
-	WarmQueries int
-	// ReplayQueries is the number of SELECTs after the shift (collection
-	// frozen). Default half of Options.Queries.
-	ReplayQueries int
-	// ShiftFraction is the fraction of owner rows the city boom relocates.
-	// Default 0.5.
-	ShiftFraction float64
-	// Accuracy overrides the ledger tuning; the zero value selects
-	// accuracy.DefaultConfig (enabled).
-	Accuracy accuracy.Config
-}
-
-func (o DriftOptions) withDefaults(opts Options) DriftOptions {
-	if o.WarmQueries <= 0 {
-		o.WarmQueries = opts.Queries / 2
-	}
-	if o.ReplayQueries <= 0 {
-		o.ReplayQueries = opts.Queries - opts.Queries/2
-	}
-	if o.ShiftFraction <= 0 || o.ShiftFraction > 1 {
-		o.ShiftFraction = 0.5
-	}
-	if o.Accuracy == (accuracy.Config{}) {
-		o.Accuracy = accuracy.DefaultConfig()
-	}
-	o.Accuracy.Enabled = true
-	return o
-}
+// driftShiftFraction is the fraction of owner rows the city boom relocates.
+const driftShiftFraction = 0.5
 
 // DriftStatRow is one ledger row sampled at a phase boundary — the CSV the
 // experiment commits is these rows for both phases.
@@ -82,14 +52,14 @@ type DriftReport struct {
 // Drift runs the drifting-workload experiment and reports the ledger's
 // verdict. The warm phase runs with s_max = 0 (collect everything) so the
 // archive — and therefore the ledger — tracks every predicate group the
-// workload exercises before the freeze.
-func Drift(opts Options, do DriftOptions) (*DriftReport, error) {
-	do = do.withDefaults(opts)
+// workload exercises before the freeze. Half of opts.Queries run before the
+// shift and the other half after it.
+func Drift(opts Options) (*DriftReport, error) {
 	cfg := engine.Config{
 		JITS:        opts.jitsConfig(),
 		Parallelism: opts.Parallelism,
 		Trace:       opts.Trace,
-		Accuracy:    do.Accuracy,
+		Accuracy:    accuracy.DefaultConfig(),
 	}
 	cfg.JITS.SMax = 0 // warm phase: archive every exercised predicate group
 	e := opts.newEngine(cfg)
@@ -108,7 +78,7 @@ func Drift(opts Options, do DriftOptions) (*DriftReport, error) {
 	}
 
 	// Phase 1 — warm: collection on, estimates track, everything fresh.
-	if err := run(d.Queries(do.WarmQueries, opts.Seed)); err != nil {
+	if err := run(d.Queries(opts.Queries/2, opts.Seed)); err != nil {
 		return nil, err
 	}
 	rep := &DriftReport{ShiftedTable: "owner"}
@@ -121,7 +91,7 @@ func Drift(opts Options, do DriftOptions) (*DriftReport, error) {
 	// The shift: relocate half the owner table. The UPDATE's churn is the
 	// ledger's first signal (fresh → aging); the stale estimates that
 	// follow are the second (→ drifted).
-	shift := d.CityBoom(do.ShiftFraction)
+	shift := d.CityBoom(driftShiftFraction)
 	rep.ShiftSQL = shift.SQL
 	if _, err := e.Exec(shift.SQL); err != nil {
 		return nil, err
@@ -129,7 +99,7 @@ func Drift(opts Options, do DriftOptions) (*DriftReport, error) {
 
 	// Phase 2 — replay against stale statistics. A different query seed
 	// keeps constants varied; the templates are identical.
-	if err := run(d.Queries(do.ReplayQueries, opts.Seed+1)); err != nil {
+	if err := run(d.Queries(opts.Queries-opts.Queries/2, opts.Seed+1)); err != nil {
 		return nil, err
 	}
 	rep.Rows = appendDriftRows(rep.Rows, "shifted", e)

@@ -12,7 +12,7 @@ import (
 func TestDriftQuick(t *testing.T) {
 	opts := QuickOptions()
 	opts.Queries = 160
-	rep, err := Drift(opts, DriftOptions{})
+	rep, err := Drift(opts)
 	if err != nil {
 		t.Fatalf("Drift: %v", err)
 	}

@@ -91,12 +91,6 @@ type Options struct {
 	OnEngine func(*engine.Engine)
 }
 
-// DefaultOptions mirrors the paper: the 840-query workload at 1/100 of the
-// paper's data volume.
-func DefaultOptions() Options {
-	return Options{Scale: 0.01, Queries: 840, Seed: 42, SMax: 0.5, SampleSize: 2000}
-}
-
 // QuickOptions is a smaller configuration for tests and smoke runs — long
 // enough for the JITS archive to amortize its collection overhead (the
 // paper's Figure 4 shows early queries paying, later queries winning).

@@ -25,27 +25,15 @@ import (
 // per-statement worst plan-node q-error, i.e. how wrong the plan that
 // actually completed still was.
 
-// ReoptOptions tune the re-optimization experiment beyond the shared
-// Options.
-type ReoptOptions struct {
-	// QErrorThreshold is the checkpoint trigger threshold for the reopt
-	// mode; values <= 0 select 3 (more eager than the engine default — the
-	// experiment wants to show recovery, not just catastrophe insurance).
-	QErrorThreshold float64
-	// MaxReopts caps re-planning attempts per statement; values <= 0
-	// select 3.
-	MaxReopts int
-}
-
-func (o ReoptOptions) withDefaults() ReoptOptions {
-	if o.QErrorThreshold <= 0 {
-		o.QErrorThreshold = 3
-	}
-	if o.MaxReopts <= 0 {
-		o.MaxReopts = 3
-	}
-	return o
-}
+// The reopt mode's re-optimization settings.
+const (
+	// reoptQErrorThreshold is the checkpoint trigger threshold: more eager
+	// than the engine default — the experiment wants to show recovery, not
+	// just catastrophe insurance.
+	reoptQErrorThreshold = 3
+	// reoptMaxReopts caps re-planning attempts per statement.
+	reoptMaxReopts = 3
+)
 
 // ReoptModeResult is one mode's totals over the workload stream.
 type ReoptModeResult struct {
@@ -68,8 +56,7 @@ type ReoptReport struct {
 // reports per-mode totals. Results are cross-checked: every mode must
 // return the same row counts the catalog baseline returned (re-optimization
 // and statistics choices may change plans, never answers).
-func Reopt(opts Options, ro ReoptOptions) (*ReoptReport, error) {
-	ro = ro.withDefaults()
+func Reopt(opts Options) (*ReoptReport, error) {
 	// The flight recorder supplies the terminal q-error, so its ring must
 	// hold the whole stream — the dataset DDL, every query and at most two
 	// update statements per eight queries — whatever ring the caller asked
@@ -95,8 +82,8 @@ func Reopt(opts Options, ro ReoptOptions) (*ReoptReport, error) {
 		if mode.reopt {
 			cfg.Reopt = engine.ReoptConfig{
 				Enabled:         true,
-				QErrorThreshold: ro.QErrorThreshold,
-				MaxReopts:       ro.MaxReopts,
+				QErrorThreshold: reoptQErrorThreshold,
+				MaxReopts:       reoptMaxReopts,
 			}
 		}
 		e := opts.newEngine(cfg)

@@ -11,12 +11,12 @@ import (
 // every query, exactly as with no ring requested.
 func TestReoptReportIgnoresRecorderSize(t *testing.T) {
 	opts := Options{Scale: 0.002, Queries: 300, Seed: 42, SMax: 0.5, SampleSize: 200}
-	want, err := Reopt(opts, ReoptOptions{})
+	want, err := Reopt(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.FlightRecorder = -1
-	got, err := Reopt(opts, ReoptOptions{})
+	got, err := Reopt(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestReoptReportIgnoresRecorderSize(t *testing.T) {
 // the deterministic cost-model units, so the comparisons are exact
 // assertions, not tendencies.
 func TestReoptQuick(t *testing.T) {
-	rep, err := Reopt(QuickOptions(), ReoptOptions{})
+	rep, err := Reopt(QuickOptions())
 	if err != nil {
 		t.Fatalf("Reopt: %v", err)
 	}

@@ -35,63 +35,37 @@ func (s BreakerState) String() string {
 // value disables it.
 type BreakerConfig struct {
 	// LatencyThreshold enables the breaker when > 0: the breaker trips when
-	// the rolling mean sampling latency exceeds it (and sampling is not
-	// clearly paying for itself — see GainFloor).
+	// the rolling mean sampling latency exceeds it.
 	LatencyThreshold time.Duration
-	// Window is the rolling window size over sampling latencies and
-	// feedback error factors. Default 16.
-	Window int
-	// MinSamples is how many latency observations the window needs before
-	// the breaker may trip. Default Window/2.
-	MinSamples int
-	// OpenFor is how long the breaker stays open before allowing half-open
-	// probes. Default 5s.
-	OpenFor time.Duration
-	// HalfOpenProbes is how many probe statements must sample fast before
-	// the breaker closes again. Default 2.
-	HalfOpenProbes int
-	// GainFloor guards against tripping while sampling is visibly earning
-	// its cost: if the rolling mean feedback error factor exceeds GainFloor
-	// (catalog estimates are badly off), slow sampling is tolerated and the
-	// breaker stays closed. Default 4.
-	GainFloor float64
 }
 
 func (c BreakerConfig) enabled() bool { return c.LatencyThreshold > 0 }
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window <= 0 {
-		c.Window = 16
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = c.Window / 2
-		if c.MinSamples < 1 {
-			c.MinSamples = 1
-		}
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = 5 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 2
-	}
-	if c.GainFloor <= 0 {
-		c.GainFloor = 4
-	}
-	return c
-}
+// The breaker's fixed tuning; LatencyThreshold is its one setting.
+const (
+	// breakerWindow is the rolling window over sampling latencies.
+	breakerWindow = 16
+	// breakerMinSamples is how many latency observations the window needs
+	// before the breaker may trip.
+	breakerMinSamples = breakerWindow / 2
+	// breakerOpenFor is how long the breaker stays open before allowing
+	// half-open probes.
+	breakerOpenFor = 5 * time.Second
+	// breakerHalfOpenProbes is how many probe statements must sample fast
+	// before the breaker closes again.
+	breakerHalfOpenProbes = 2
+)
 
 // Breaker is a closed→open→half-open circuit breaker over JITS compile-time
-// sampling. It watches two rolling signals: per-table sampling latency and
-// the feedback error factor (how wrong estimates were at runtime). Under
-// sustained slow sampling that is not buying better estimates, it opens and
-// JITS answers from catalog stats only (counted as degradation, never an
-// error). After OpenFor it admits HalfOpenProbes probe statements; if they
-// sample fast the breaker closes, if not it reopens.
+// sampling. It watches one rolling signal, per-table sampling latency. Under
+// sustained slow sampling it opens and JITS answers from catalog stats only
+// (counted as degradation, never an error). After breakerOpenFor it admits
+// breakerHalfOpenProbes probe statements; if they sample fast the breaker
+// closes, if not it reopens.
 //
 // All methods are nil-receiver safe: a nil breaker is permanently closed.
 type Breaker struct {
-	cfg BreakerConfig
+	threshold time.Duration
 
 	mu        sync.Mutex
 	state     BreakerState
@@ -99,7 +73,6 @@ type Breaker struct {
 	probes    int // successful half-open probes so far
 	inProbe   int // probe permits handed out and not yet reported
 	latencies ring
-	errFacs   ring
 
 	// now is injectable for deterministic state-machine tests.
 	now func() time.Time
@@ -125,26 +98,23 @@ func (r *ring) push(v float64) {
 	r.i = (r.i + 1) % len(r.buf)
 }
 
-func (r *ring) mean() (float64, bool) {
+func (r *ring) mean() float64 {
 	if r.n == 0 {
-		return 0, false
+		return 0
 	}
-	return r.sum / float64(r.n), true
+	return r.sum / float64(r.n)
 }
 
 func (r *ring) reset() {
 	r.n, r.i, r.sum = 0, 0, 0
 }
 
-// NewBreaker builds a breaker from cfg (defaults applied). Returns a closed
-// breaker; a zero-LatencyThreshold config should not reach here (Governor
-// leaves the breaker nil), but such a breaker simply never trips.
+// NewBreaker builds a closed breaker from cfg. Governor builds one only when
+// cfg.LatencyThreshold > 0.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	cfg = cfg.withDefaults()
 	return &Breaker{
-		cfg:       cfg,
-		latencies: ring{buf: make([]float64, cfg.Window)},
-		errFacs:   ring{buf: make([]float64, cfg.Window)},
+		threshold: cfg.LatencyThreshold,
+		latencies: ring{buf: make([]float64, breakerWindow)},
 		now:       time.Now,
 	}
 }
@@ -172,9 +142,9 @@ func (b *Breaker) State() BreakerState {
 }
 
 // Allow reports whether a statement may pay compile-time sampling cost.
-// Closed: yes. Open: no, until OpenFor elapses and the breaker moves to
-// half-open. Half-open: yes for up to HalfOpenProbes outstanding probes,
-// no for everyone else. A nil breaker always allows.
+// Closed: yes. Open: no, until breakerOpenFor elapses and the breaker moves
+// to half-open. Half-open: yes for up to breakerHalfOpenProbes outstanding
+// probes, no for everyone else. A nil breaker always allows.
 func (b *Breaker) Allow() bool {
 	if b == nil {
 		return true
@@ -186,7 +156,7 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed:
 		return true
 	case BreakerHalfOpen:
-		if b.inProbe+b.probes < b.cfg.HalfOpenProbes {
+		if b.inProbe+b.probes < breakerHalfOpenProbes {
 			b.inProbe++
 			mBreakerProbes.Inc()
 			return true
@@ -197,10 +167,10 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
-// maybeHalfOpenLocked applies the open→half-open transition once OpenFor has
-// elapsed. Caller holds b.mu.
+// maybeHalfOpenLocked applies the open→half-open transition once
+// breakerOpenFor has elapsed. Caller holds b.mu.
 func (b *Breaker) maybeHalfOpenLocked() {
-	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cfg.OpenFor {
+	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= breakerOpenFor {
 		b.setStateLocked(BreakerHalfOpen)
 		b.probes = 0
 		b.inProbe = 0
@@ -208,17 +178,15 @@ func (b *Breaker) maybeHalfOpenLocked() {
 }
 
 // RecordSampling feeds one sampling-pass latency (a statement's per-table
-// sampling wall time) into the breaker.
+// sampling wall time) into the breaker. Latency is the only signal the
+// breaker watches.
 //
 // Closed: pushes into the rolling window and trips to open when the window
-// has MinSamples, its mean exceeds LatencyThreshold, and the rolling mean
-// feedback error factor does not exceed GainFloor (sampling that is fixing
-// badly wrong estimates is worth being slow for; an empty error-factor
-// window counts as perfect estimates, so latency alone can trip).
+// has breakerMinSamples and its mean exceeds LatencyThreshold.
 //
 // Half-open: this is a probe reporting back. Latency at or under the
-// threshold is a success — after HalfOpenProbes successes the breaker
-// closes and both windows reset. Latency over the threshold reopens it.
+// threshold is a success — after breakerHalfOpenProbes successes the breaker
+// closes and the window resets. Latency over the threshold reopens it.
 func (b *Breaker) RecordSampling(d time.Duration) {
 	if b == nil {
 		return
@@ -229,43 +197,23 @@ func (b *Breaker) RecordSampling(d time.Duration) {
 	switch b.state {
 	case BreakerClosed:
 		b.latencies.push(d.Seconds())
-		if b.latencies.n < b.cfg.MinSamples {
-			return
+		if b.latencies.n >= breakerMinSamples && b.latencies.mean() > b.threshold.Seconds() {
+			b.tripLocked()
 		}
-		meanLat, _ := b.latencies.mean()
-		if meanLat <= b.cfg.LatencyThreshold.Seconds() {
-			return
-		}
-		if meanEF, ok := b.errFacs.mean(); ok && meanEF > b.cfg.GainFloor {
-			return
-		}
-		b.tripLocked()
 	case BreakerHalfOpen:
 		if b.inProbe > 0 {
 			b.inProbe--
 		}
-		if d <= b.cfg.LatencyThreshold {
+		if d <= b.threshold {
 			b.probes++
-			if b.probes >= b.cfg.HalfOpenProbes {
+			if b.probes >= breakerHalfOpenProbes {
 				b.setStateLocked(BreakerClosed)
 				b.latencies.reset()
-				b.errFacs.reset()
 			}
 		} else {
 			b.tripLocked()
 		}
 	}
-}
-
-// RecordErrorFactor feeds one feedback error factor (actual/estimated
-// cardinality ratio, >= 1) into the gain window.
-func (b *Breaker) RecordErrorFactor(f float64) {
-	if b == nil || f <= 0 {
-		return
-	}
-	b.mu.Lock()
-	b.errFacs.push(f)
-	b.mu.Unlock()
 }
 
 // ForceOpen trips the breaker immediately — an operator/test hook.

@@ -15,19 +15,10 @@ func newFakeClock() *fakeClock {
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func testBreakerConfig() BreakerConfig {
-	return BreakerConfig{
-		LatencyThreshold: 10 * time.Millisecond,
-		Window:           4,
-		MinSamples:       2,
-		OpenFor:          time.Second,
-		HalfOpenProbes:   2,
-	}
-}
-
+// newTestBreaker builds a breaker with the shipped tuning on a fake clock.
 func newTestBreaker(t *testing.T) (*Breaker, *fakeClock) {
 	t.Helper()
-	b := NewBreaker(testBreakerConfig())
+	b := NewBreaker(BreakerConfig{LatencyThreshold: 10 * time.Millisecond})
 	clk := newFakeClock()
 	b.SetClock(clk.now)
 	return b, clk
@@ -38,13 +29,15 @@ func TestBreakerTripsOnSlowSampling(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("fresh breaker denies sampling")
 	}
-	b.RecordSampling(50 * time.Millisecond)
+	for i := 1; i < breakerMinSamples; i++ {
+		b.RecordSampling(50 * time.Millisecond)
+	}
 	if got := b.State(); got != BreakerClosed {
-		t.Fatalf("tripped below MinSamples: state=%v", got)
+		t.Fatalf("tripped below breakerMinSamples: state=%v", got)
 	}
 	b.RecordSampling(50 * time.Millisecond)
 	if got := b.State(); got != BreakerOpen {
-		t.Fatalf("two slow samples: state=%v, want open", got)
+		t.Fatalf("%d slow samples: state=%v, want open", breakerMinSamples, got)
 	}
 	if b.Allow() {
 		t.Fatal("open breaker allows sampling")
@@ -53,34 +46,11 @@ func TestBreakerTripsOnSlowSampling(t *testing.T) {
 
 func TestBreakerFastSamplingStaysClosed(t *testing.T) {
 	b, _ := newTestBreaker(t)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 2*breakerWindow; i++ {
 		b.RecordSampling(time.Millisecond)
 	}
 	if got := b.State(); got != BreakerClosed {
 		t.Fatalf("fast sampling: state=%v, want closed", got)
-	}
-}
-
-func TestBreakerGainFloorGuardsTrip(t *testing.T) {
-	b, _ := newTestBreaker(t) // GainFloor defaults to 4
-	// Feedback says catalog estimates are badly off — sampling is earning
-	// its cost, so slow sampling must be tolerated.
-	for i := 0; i < 4; i++ {
-		b.RecordErrorFactor(50)
-	}
-	for i := 0; i < 8; i++ {
-		b.RecordSampling(50 * time.Millisecond)
-	}
-	if got := b.State(); got != BreakerClosed {
-		t.Fatalf("slow-but-valuable sampling tripped the breaker: state=%v", got)
-	}
-	// Once feedback says estimates are fine, the same latency trips it.
-	for i := 0; i < 4; i++ {
-		b.RecordErrorFactor(1)
-	}
-	b.RecordSampling(50 * time.Millisecond)
-	if got := b.State(); got != BreakerOpen {
-		t.Fatalf("slow low-gain sampling: state=%v, want open", got)
 	}
 }
 
@@ -91,46 +61,51 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 		t.Fatal("open breaker allows sampling")
 	}
 
-	clk.advance(999 * time.Millisecond)
+	clk.advance(breakerOpenFor - time.Millisecond)
 	if got := b.State(); got != BreakerOpen {
-		t.Fatalf("before OpenFor elapsed: state=%v, want open", got)
+		t.Fatalf("before breakerOpenFor elapsed: state=%v, want open", got)
 	}
 	clk.advance(time.Millisecond)
 	if got := b.State(); got != BreakerHalfOpen {
-		t.Fatalf("after OpenFor: state=%v, want half-open", got)
+		t.Fatalf("after breakerOpenFor: state=%v, want half-open", got)
 	}
 
-	// Exactly HalfOpenProbes permits, no more while they are outstanding.
-	if !b.Allow() || !b.Allow() {
-		t.Fatal("half-open breaker denied its probes")
+	// Exactly breakerHalfOpenProbes permits, no more while they are
+	// outstanding.
+	for i := 0; i < breakerHalfOpenProbes; i++ {
+		if !b.Allow() {
+			t.Fatalf("half-open breaker denied probe %d", i+1)
+		}
 	}
 	if b.Allow() {
 		t.Fatal("half-open breaker over-issued probe permits")
 	}
 
-	b.RecordSampling(time.Millisecond)
-	if got := b.State(); got != BreakerHalfOpen {
-		t.Fatalf("one good probe closed the breaker early: state=%v", got)
+	for i := 1; i < breakerHalfOpenProbes; i++ {
+		b.RecordSampling(time.Millisecond)
+		if got := b.State(); got != BreakerHalfOpen {
+			t.Fatalf("%d good probes closed the breaker early: state=%v", i, got)
+		}
 	}
 	b.RecordSampling(time.Millisecond)
 	if got := b.State(); got != BreakerClosed {
-		t.Fatalf("after %d good probes: state=%v, want closed", b.cfg.HalfOpenProbes, got)
+		t.Fatalf("after %d good probes: state=%v, want closed", breakerHalfOpenProbes, got)
 	}
 	if !b.Allow() {
 		t.Fatal("recovered breaker denies sampling")
 	}
-	// Recovery reset the windows: it takes MinSamples fresh slow samples to
-	// trip again, not one.
+	// Recovery reset the window: it takes breakerMinSamples fresh slow
+	// samples to trip again, not one.
 	b.RecordSampling(50 * time.Millisecond)
 	if got := b.State(); got != BreakerClosed {
-		t.Fatalf("windows not reset on recovery: state=%v", got)
+		t.Fatalf("window not reset on recovery: state=%v", got)
 	}
 }
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	b, clk := newTestBreaker(t)
 	b.ForceOpen()
-	clk.advance(time.Second)
+	clk.advance(breakerOpenFor)
 	if !b.Allow() {
 		t.Fatal("half-open breaker denied its probe")
 	}
@@ -138,12 +113,12 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("slow probe: state=%v, want open", got)
 	}
-	// The reopen restarts the OpenFor timer from the failed probe.
-	clk.advance(500 * time.Millisecond)
+	// The reopen restarts the breakerOpenFor timer from the failed probe.
+	clk.advance(breakerOpenFor / 2)
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("reopened breaker moved to half-open early: state=%v", got)
 	}
-	clk.advance(500 * time.Millisecond)
+	clk.advance(breakerOpenFor / 2)
 	if got := b.State(); got != BreakerHalfOpen {
 		t.Fatalf("reopened breaker never re-probed: state=%v", got)
 	}
@@ -158,7 +133,6 @@ func TestBreakerNilSafe(t *testing.T) {
 		t.Fatalf("nil breaker state=%v", got)
 	}
 	b.RecordSampling(time.Hour)
-	b.RecordErrorFactor(100)
 	b.ForceOpen()
 	b.SetClock(time.Now)
 }

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/value"
 )
 
 // ErrMemoryBudget is returned (wrapped) when a reservation cannot grow
@@ -256,20 +255,19 @@ var errGlobalPool = wrapBudget("global pool exhausted")
 // in practice operators charge from the driver goroutine only.
 type Reservation struct {
 	pool   *Pool
-	budget int64 // statement cap; 0 = unlimited. Shrunk under govern.pressure.
-	mu     muInt64
+	budget int64 // statement cap; 0 = unlimited
+	// shrunk, when non-zero, replaces budget: the govern.pressure fault
+	// shrinks the effective budget mid-statement. An atomic keeps Grow
+	// lock-free.
+	shrunk atomic.Int64
 	used   atomic.Int64
 	peak   atomic.Int64
 }
 
-// muInt64 holds the effective budget, which the govern.pressure fault can
-// shrink mid-statement. A plain atomic keeps Grow lock-free.
-type muInt64 struct{ v atomic.Int64 }
-
 // effectiveBudget returns the current statement cap (0 = unlimited),
 // accounting for pressure-induced shrinks.
 func (r *Reservation) effectiveBudget() int64 {
-	if shrunk := r.mu.v.Load(); shrunk != 0 {
+	if shrunk := r.shrunk.Load(); shrunk != 0 {
 		return shrunk
 	}
 	return r.budget
@@ -292,7 +290,7 @@ func (r *Reservation) Grow(n int64) error {
 			if cur < 1 {
 				cur = 1
 			}
-			r.mu.v.Store(cur)
+			r.shrunk.Store(cur)
 			mPressureShrinks.Inc()
 		}
 	}
@@ -379,28 +377,6 @@ func EstimateRowBytes(cols int) int64 {
 		cols = 0
 	}
 	return 48 + 40*int64(cols)
-}
-
-// datumBytes is the accounted in-memory size of one value.Datum struct:
-// kind tag + int64 + float64 + string header, padded.
-const datumBytes = 40
-
-// ExactRowBytes is the exact accounting cost of one materialized row:
-// slice header, per-column datum structs, and string payload bytes. The
-// columnar scan charges reservations per chunk with this (summed over the
-// chunk's output batch), replacing the per-row EstimateRowBytes guess with
-// what the batch really costs — string-heavy rows are no longer
-// under-counted, narrow integer rows no longer over-counted. Pre-sized
-// reservations made before the data is visible (e.g. sampling buffers)
-// still use EstimateRowBytes.
-func ExactRowBytes(row []value.Datum) int64 {
-	b := int64(24) + datumBytes*int64(len(row))
-	for _, d := range row {
-		if d.Kind() == value.KindString {
-			b += int64(len(d.Str()))
-		}
-	}
-	return b
 }
 
 func wrapBudget(detail string) error {

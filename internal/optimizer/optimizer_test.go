@@ -81,7 +81,7 @@ func newTestDB(t testing.TB) *testDB {
 	cat := catalog.New()
 	var m costmodel.Meter
 	for _, tbl := range []*storage.Table{car, owner} {
-		st, err := catalog.Runstats(tbl, 1, catalog.RunstatsOptions{}, &m, costmodel.DefaultWeights())
+		st, err := catalog.Runstats(tbl, 1, &m, costmodel.DefaultWeights())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,7 +428,7 @@ func TestOptimizeFourTableConnectedPlan(t *testing.T) {
 	}
 	var m costmodel.Meter
 	for _, tbl := range []*storage.Table{acc, demo} {
-		st, err := catalog.Runstats(tbl, 1, catalog.RunstatsOptions{}, &m, costmodel.DefaultWeights())
+		st, err := catalog.Runstats(tbl, 1, &m, costmodel.DefaultWeights())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -552,7 +552,7 @@ func TestGreedyEnumerateManyTables(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st, err := catalog.Runstats(tbl, 1, catalog.RunstatsOptions{}, &m, costmodel.DefaultWeights())
+		st, err := catalog.Runstats(tbl, 1, &m, costmodel.DefaultWeights())
 		if err != nil {
 			t.Fatal(err)
 		}

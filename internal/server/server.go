@@ -21,7 +21,7 @@
 //     for Config.ResumeWindow, and a new connection saying HELLO with the
 //     token reattaches to it: options, prepared statements, and the dedup
 //     cache survive the reconnect.
-//   - The dedup cache holds the last Config.DedupCacheSize (request ID →
+//   - The dedup cache holds the last DefaultDedupCacheSize (request ID →
 //     response) pairs. A client re-sending an in-doubt request under its
 //     original ID gets the cached response if the statement already ran —
 //     a DML can never double-apply across a reconnect — and a normal
@@ -78,9 +78,10 @@ var (
 		"Error frames sent, by wire error code.", "code")
 )
 
-// Defaults for the zero Config.
+// Session defaults.
 const (
-	// DefaultResumeWindow is how long a dropped session stays resumable.
+	// DefaultResumeWindow is how long a dropped session stays resumable
+	// under the zero Config.
 	DefaultResumeWindow = time.Minute
 	// DefaultDedupCacheSize is the per-session (request ID → response)
 	// cache depth. The protocol allows one outstanding request per
@@ -109,9 +110,6 @@ type Config struct {
 	// ResumeWindow is how long a dropped session's state is retained for
 	// resume; 0 selects DefaultResumeWindow, negative disables resume.
 	ResumeWindow time.Duration
-	// DedupCacheSize is the per-session dedup cache depth; 0 selects
-	// DefaultDedupCacheSize.
-	DedupCacheSize int
 	// ConnWrapper, when non-nil, wraps every accepted connection — the
 	// chaos suite injects deterministic network faults here
 	// (faultinject.WrapConn).
@@ -226,11 +224,11 @@ func (sess *session) cached(id uint64) *wire.Response {
 }
 
 // remember stores a response in the dedup ring, evicting the oldest entry
-// past cap.
-func (sess *session) remember(id uint64, resp *wire.Response, max int) {
+// past DefaultDedupCacheSize.
+func (sess *session) remember(id uint64, resp *wire.Response) {
 	sess.dedup = append(sess.dedup, dedupEntry{id: id, resp: resp})
-	if len(sess.dedup) > max {
-		sess.dedup = sess.dedup[len(sess.dedup)-max:]
+	if len(sess.dedup) > DefaultDedupCacheSize {
+		sess.dedup = sess.dedup[len(sess.dedup)-DefaultDedupCacheSize:]
 	}
 }
 
@@ -253,9 +251,6 @@ func New(eng *engine.Engine) *Server { return NewWith(eng, Config{}) }
 func NewWith(eng *engine.Engine, cfg Config) *Server {
 	if cfg.ResumeWindow == 0 {
 		cfg.ResumeWindow = DefaultResumeWindow
-	}
-	if cfg.DedupCacheSize <= 0 {
-		cfg.DedupCacheSize = DefaultDedupCacheSize
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
@@ -669,7 +664,7 @@ func (s *Server) dispatchDedup(sess *session, req *wire.Request) *wire.Response 
 	resp.ID = req.ID
 	if req.ID != 0 {
 		sess.lastReqID = req.ID
-		sess.remember(req.ID, resp, s.cfg.DedupCacheSize)
+		sess.remember(req.ID, resp)
 	}
 	return resp
 }

@@ -412,9 +412,6 @@ func (c *Chunk) Col(ordinal int) *ColumnVec { return c.cols[ordinal] }
 // NumCols returns the chunk's column count.
 func (c *Chunk) NumCols() int { return len(c.cols) }
 
-// DatumAt decodes the single value at (row, column ordinal).
-func (c *Chunk) DatumAt(row, ordinal int) value.Datum { return c.cols[ordinal].Datum(row) }
-
 // AppendRowTo appends row i's datums to buf and returns the extended slice;
 // with a nil buf it materializes a fresh row. Rows decoded from snapshot
 // chunks are freshly built and therefore safe to retain.

@@ -14,9 +14,10 @@
 // with every event — there is no wall clock anywhere in the ledger, so
 // drift tests are deterministic.
 //
-// Telemetry discipline: every public probe on a disabled ledger costs one
-// atomic load and nothing else (proven by BenchmarkDisabledLedgerObserve
-// next to the other disabled-path benchmarks in bench-smoke).
+// Telemetry discipline: whether the ledger records is fixed when it is
+// built, and every public probe on a disabled ledger costs one field load and
+// nothing else (proven by BenchmarkDisabledLedgerObserve next to the other
+// disabled-path benchmarks in bench-smoke).
 package accuracy
 
 import (
@@ -24,7 +25,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/tracing"
@@ -144,44 +144,32 @@ type statEntry struct {
 
 // Ledger is the accuracy ledger. One instance lives inside the engine; its
 // probes are called from the statement hot path, so the disabled path is a
-// single atomic load.
+// single field load.
 type Ledger struct {
-	enabled  atomic.Bool
-	maxStats int       // maxTrackedStats; the capacity test lowers it
-	bounds   []float64 // error-factor histogram bounds (shared, read-only)
+	enabled  bool
+	maxStats int             // maxTrackedStats; the capacity test lowers it
+	bounds   []float64       // error-factor histogram bounds (shared, read-only)
+	tracer   *tracing.Tracer // state transitions print through it; nil-safe
 
-	mu     sync.Mutex
-	stats  map[string]*statEntry
-	tracer *tracing.Tracer
+	mu    sync.Mutex
+	stats map[string]*statEntry
 }
 
-// New constructs a ledger. It is usable (and free) while disabled.
-func New(cfg Config) *Ledger {
-	l := &Ledger{
+// New constructs a ledger that records when cfg.Enabled and prints its state
+// transitions through tracer (nil: no trace). It is usable (and free) while
+// disabled.
+func New(cfg Config, tracer *tracing.Tracer) *Ledger {
+	return &Ledger{
+		enabled:  cfg.Enabled,
 		maxStats: maxTrackedStats,
 		bounds:   metrics.ErrorFactorBuckets(),
+		tracer:   tracer,
 		stats:    make(map[string]*statEntry),
 	}
-	l.enabled.Store(cfg.Enabled)
-	return l
 }
 
-// Enable turns the ledger on.
-func (l *Ledger) Enable() { l.enabled.Store(true) }
-
-// Disable turns the ledger off; tracked state is retained.
-func (l *Ledger) Disable() { l.enabled.Store(false) }
-
-// Enabled reports whether probes record. One atomic load.
-func (l *Ledger) Enabled() bool { return l != nil && l.enabled.Load() }
-
-// BindTracer attaches the engine's phase tracer; state transitions emit
-// structured trace lines through it.
-func (l *Ledger) BindTracer(t *tracing.Tracer) {
-	l.mu.Lock()
-	l.tracer = t
-	l.mu.Unlock()
-}
+// Enabled reports whether probes record. Nil-safe.
+func (l *Ledger) Enabled() bool { return l != nil && l.enabled }
 
 // entry returns the tracked statistic, creating it (fresh, merged "now")
 // unless the ledger is at capacity. Caller holds l.mu.
@@ -255,9 +243,9 @@ func (l *Ledger) ageCheck(ts int64, key string, e *statEntry) {
 // for the statistic identified by key (the column-group key the feedback
 // loop already uses, e.g. "owner(city)"). ef is the clamped error factor
 // est/actual from feedback.ErrorFactor. Returns the state transition this
-// observation caused, if any. One atomic load when disabled.
+// observation caused, if any. One field load when disabled.
 func (l *Ledger) ObserveFeedback(ts int64, table, key string, ef float64, baseCard int64) (Transition, bool) {
-	if l == nil || !l.enabled.Load() {
+	if l == nil || !l.enabled {
 		return Transition{}, false
 	}
 	if key == "" || ef <= 0 || math.IsNaN(ef) || math.IsInf(ef, 0) {
@@ -320,10 +308,10 @@ func (l *Ledger) ObserveFeedback(ts int64, table, key string, ef float64, baseCa
 
 // ObserveMerge records an archive merge (materialization) of the statistic:
 // the archive just absorbed fresh sample evidence, so the statistic resets
-// to fresh and its churn and drift evidence restart from zero. One atomic
+// to fresh and its churn and drift evidence restart from zero. One field
 // load when disabled.
 func (l *Ledger) ObserveMerge(ts int64, table, key string) {
-	if l == nil || !l.enabled.Load() {
+	if l == nil || !l.enabled {
 		return
 	}
 	if key == "" {
@@ -347,9 +335,9 @@ func (l *Ledger) ObserveMerge(ts int64, table, key string) {
 
 // RecordChurn charges rows of DML against every tracked statistic of the
 // table; enough accumulated churn flips fresh statistics to aging. One
-// atomic load when disabled.
+// field load when disabled.
 func (l *Ledger) RecordChurn(ts int64, table string, rows int64) {
-	if l == nil || !l.enabled.Load() {
+	if l == nil || !l.enabled {
 		return
 	}
 	if rows <= 0 {
@@ -369,9 +357,9 @@ func (l *Ledger) RecordChurn(ts int64, table string, rows int64) {
 
 // Tick runs the pure clock-age check against every tracked statistic —
 // called occasionally (it takes the lock) so statistics age out even on a
-// read-only workload. One atomic load when disabled.
+// read-only workload. One field load when disabled.
 func (l *Ledger) Tick(ts int64) {
-	if l == nil || !l.enabled.Load() {
+	if l == nil || !l.enabled {
 		return
 	}
 	l.mu.Lock()

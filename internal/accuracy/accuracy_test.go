@@ -5,7 +5,7 @@ import (
 )
 
 // newTestLedger is an enabled ledger at the shipped tuning.
-func newTestLedger() *Ledger { return New(DefaultConfig()) }
+func newTestLedger() *Ledger { return New(DefaultConfig(), nil) }
 
 func TestLedgerStateMachineChurnThenDrift(t *testing.T) {
 	l := newTestLedger()
@@ -153,7 +153,7 @@ func TestLedgerCapacityBound(t *testing.T) {
 }
 
 func TestLedgerDisabledRecordsNothing(t *testing.T) {
-	l := New(Config{Enabled: false})
+	l := New(Config{Enabled: false}, nil)
 	l.ObserveFeedback(1, "owner", "owner(city)", 100, 1000)
 	l.ObserveMerge(2, "owner", "owner(city)")
 	l.RecordChurn(3, "owner", 500)
@@ -190,10 +190,10 @@ func TestLedgerHistogramBuckets(t *testing.T) {
 }
 
 // BenchmarkDisabledLedgerObserve proves the telemetry discipline: a probe
-// on a disabled ledger is one atomic load, zero allocations. Runs in
+// on a disabled ledger is one field load, zero allocations. Runs in
 // bench-smoke next to the other disabled-path benchmarks.
 func BenchmarkDisabledLedgerObserve(b *testing.B) {
-	l := New(Config{Enabled: false})
+	l := New(Config{Enabled: false}, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l.ObserveFeedback(int64(i), "owner", "owner(city)", 2, 1000)
@@ -202,7 +202,7 @@ func BenchmarkDisabledLedgerObserve(b *testing.B) {
 
 // BenchmarkEnabledLedgerObserve is the enabled-path cost for comparison.
 func BenchmarkEnabledLedgerObserve(b *testing.B) {
-	l := New(DefaultConfig())
+	l := New(DefaultConfig(), nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l.ObserveFeedback(int64(i), "owner", "owner(city)", 1.1, 1000)

@@ -196,8 +196,9 @@ func (c *collection) collect(tw *tableWork, size int, reserved int64) degradatio
 	start := time.Now()
 	err := c.sample(tw, size, span)
 	c.res.Shrink(reserved)
+	tr.SampleWall = time.Since(start)
 	// Success or not: a probe that errors slowly is still a slow probe.
-	c.j.breaker.RecordSampling(time.Since(start))
+	c.j.breaker.RecordSampling(tr.SampleWall)
 	if span != nil {
 		span.Attr("table", tr.Table).Attr("rows", tr.SampleRows).Attr("groups", len(tw.groups))
 	}

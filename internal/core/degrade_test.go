@@ -22,7 +22,7 @@ import (
 // boundary to trip between them.
 func twoTableDB(t testing.TB) *storage.Database {
 	t.Helper()
-	db := storage.NewDatabase()
+	db := storage.NewDatabase(0)
 	car, err := db.CreateTable("car", storage.MustSchema(
 		storage.Column{Name: "id", Kind: value.KindInt},
 		storage.Column{Name: "ownerid", Kind: value.KindInt},
@@ -253,6 +253,20 @@ func TestPrepareDegradedKeepsUDI(t *testing.T) {
 	}
 }
 
+// trippedBreaker returns a breaker opened the way production opens one: slow
+// sampling passes until its window trips it.
+func trippedBreaker(t *testing.T) *govern.Breaker {
+	t.Helper()
+	b := govern.NewBreaker(govern.BreakerConfig{LatencyThreshold: time.Hour})
+	for i := 0; b.State() != govern.BreakerOpen; i++ {
+		if i == 64 {
+			t.Fatal("slow sampling never tripped the breaker")
+		}
+		b.RecordSampling(2 * time.Hour)
+	}
+	return b
+}
+
 // TestDegradationIsOneEvent drives each cause a table can degrade for and
 // holds every place the event shows to the same count, cause and words: the
 // always-on DegradationCounts, the jits_degradation_total{cause} series, the
@@ -293,11 +307,7 @@ func TestDegradationIsOneEvent(t *testing.T) {
 		{name: "memory budget", cause: costmodel.DegradeMemoryBudget, memBytes: 1024,
 			tables: []string{"car", "owner"}, reason: "memory budget: sample of 100 rows does not fit reservation: "},
 		{name: "breaker open", cause: costmodel.DegradeBreakerOpen,
-			setup: func(_ *testing.T, j *JITS) {
-				b := govern.NewBreaker(govern.BreakerConfig{LatencyThreshold: time.Hour})
-				b.ForceOpen()
-				j.BindBreaker(b)
-			},
+			setup:  func(t *testing.T, j *JITS) { j.BindBreaker(trippedBreaker(t)) },
 			tables: []string{"car", "owner"}, reason: "sampling circuit breaker open (catalog-only mode)"},
 	}
 	seen := make(map[costmodel.DegradeCause]bool)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/costmodel"
@@ -247,6 +248,10 @@ type TableReport struct {
 	Degraded      bool
 	DegradeCause  costmodel.DegradeCause
 	DegradeReason string
+	// SampleWall is the wall time of the table's sampling pass, whether or
+	// not it succeeded; zero when the table was not sampled. The engine
+	// records it as the statement's jits.sample phase.
+	SampleWall time.Duration
 }
 
 // DegradeNote renders a degraded table's "table: reason" note — the line the

@@ -19,7 +19,7 @@ import (
 // selectivities are exact.
 func correlatedDB(t testing.TB) (*storage.Database, *storage.Table) {
 	t.Helper()
-	db := storage.NewDatabase()
+	db := storage.NewDatabase(0)
 	car, err := db.CreateTable("car", storage.MustSchema(
 		storage.Column{Name: "id", Kind: value.KindInt},
 		storage.Column{Name: "make", Kind: value.KindString},

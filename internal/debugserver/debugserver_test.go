@@ -211,7 +211,14 @@ func TestHealthGovernorSection(t *testing.T) {
 		}
 	}
 
-	e.Governor().SamplingBreaker().ForceOpen()
+	// Slow sampling passes trip the breaker once its window holds enough.
+	br := e.Governor().SamplingBreaker()
+	for i := 0; br.State() != govern.BreakerOpen; i++ {
+		if i == 64 {
+			t.Fatal("slow sampling never tripped the breaker")
+		}
+		br.RecordSampling(time.Hour)
+	}
 	code, _, body = get(t, base+"/debug/health")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("open-breaker status %d, want 503", code)

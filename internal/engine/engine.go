@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -86,10 +85,9 @@ type Config struct {
 	// overrides execution only; sampling keeps the engine's degree.
 	Parallelism int
 	// FlightRecorderCapacity enables the statement flight recorder with a
-	// ring of that many records (SHOW QUERIES / EXPLAIN HISTORY read it).
-	// 0 leaves recording off — the recorder still exists, so it can be
-	// enabled later through Recorder(), but statements pay only one atomic
-	// load. Negative values select flightrec.DefaultCapacity.
+	// ring of that many records (SHOW QUERIES / EXPLAIN HISTORY read it);
+	// negative values select flightrec.DefaultCapacity. 0 leaves recording
+	// off for the engine's life, and statements then pay one length check.
 	FlightRecorderCapacity int
 	// Governor configures the resource governor: admission control
 	// (MaxConcurrent/QueueDepth), the engine-global memory pool, and the
@@ -115,13 +113,13 @@ type Config struct {
 	// cardinality against the plan's estimate, and when the q-error exceeds
 	// the threshold the engine re-plans the unexecuted remainder with the
 	// materialized intermediates as exact-cardinality leaves. The zero value
-	// disables it; SetReopt retunes a live engine.
+	// disables it.
 	Reopt ReoptConfig
 	// Accuracy configures the estimator-accuracy ledger (SHOW ACCURACY /
 	// SHOW DRIFT, /debug/accuracy): per-statistic EWMA q-error, DML churn
 	// and CUSUM drift detection over the feedback stream. The zero value
-	// leaves the ledger disabled; statements then pay one atomic load per
-	// probe. It can also be enabled later through Accuracy().
+	// leaves the ledger disabled for the engine's life; statements then pay
+	// one field load per probe.
 	Accuracy accuracy.Config
 }
 
@@ -180,14 +178,13 @@ func (r *Result) Len() int { return r.Out.Len() }
 
 // Engine is the database instance.
 type Engine struct {
-	mu           sync.Mutex
 	db           *storage.Database
 	cat          *catalog.Catalog
 	indexes      *index.Set
 	history      *feedback.History
 	jits         *core.JITS
 	weights      costmodel.Weights
-	clock        int64
+	clock        atomic.Int64 // the logical clock; tick advances it
 	migrateEvery int
 	selectCount  atomic.Int64
 	tracer       *tracing.Tracer
@@ -225,25 +222,18 @@ func New(cfg Config) *Engine {
 	jits.BindIndexes(ixs)
 	jits.BindTracer(tracer)
 	recorder := flightrec.New(cfg.FlightRecorderCapacity)
-	// The recorder observes tracer spans for per-phase timings; the observer
-	// is inert (one atomic load per span site) until the recorder is enabled.
-	tracer.SetObserver(recorder)
-	if cfg.FlightRecorderCapacity != 0 {
-		recorder.Enable()
-	}
 	if cfg.Governor.StatementMemBudgetBytes == 0 {
 		cfg.Governor.StatementMemBudgetBytes = cfg.JITS.MemBudgetBytes
 	}
 	governor := govern.New(cfg.Governor)
 	jits.BindBreaker(governor.SamplingBreaker())
-	// The accuracy ledger always exists (so it can be enabled later); while
-	// disabled every probe on it is one atomic load. It subscribes to
-	// archive merges through the JITS coordinator and shares the tracer.
-	ledger := accuracy.New(cfg.Accuracy)
-	ledger.BindTracer(tracer)
+	// The accuracy ledger always exists; while disabled every probe on it is
+	// one field load. It subscribes to archive merges through the JITS
+	// coordinator and shares the tracer.
+	ledger := accuracy.New(cfg.Accuracy, tracer)
 	jits.BindMergeObserver(ledger)
 	e := &Engine{
-		db:           storage.NewDatabase(),
+		db:           storage.NewDatabase(cfg.StorageChunkSize),
 		cat:          cat,
 		indexes:      ixs,
 		history:      hist,
@@ -255,10 +245,9 @@ func New(cfg Config) *Engine {
 		accuracy:     ledger,
 		governor:     governor,
 		parallelism:  cfg.Parallelism,
-		reoptCfg:     cfg.Reopt,
+		reoptCfg:     cfg.Reopt.withDefaults(),
 		planCache:    plancache.New(cfg.PlanCacheSize),
 	}
-	e.db.SetChunkSize(cfg.StorageChunkSize)
 	if cfg.ReactiveCorrections {
 		e.reactiveQSS = core.NewArchive(0, 0)
 	}
@@ -285,19 +274,10 @@ func (e *Engine) Weights() costmodel.Weights { return e.weights }
 
 // tick advances and returns the engine's logical clock. Every statement
 // gets a fresh timestamp; histogram buckets and statistics carry these.
-func (e *Engine) tick() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.clock++
-	return e.clock
-}
+func (e *Engine) tick() int64 { return e.clock.Add(1) }
 
 // Now returns the current logical time without advancing it.
-func (e *Engine) Now() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.clock
-}
+func (e *Engine) Now() int64 { return e.clock.Load() }
 
 // tracef writes one trace line when tracing is enabled. The tracer
 // serializes concurrent writers; before it existed, concurrent statements
@@ -311,13 +291,13 @@ func (e *Engine) tracef(format string, args ...any) {
 func (e *Engine) Tracer() *tracing.Tracer { return e.tracer }
 
 // Recorder exposes the statement flight recorder. Always non-nil; it records
-// only while enabled (Config.FlightRecorderCapacity != 0, or an explicit
-// Enable). Safe to read concurrently with statements and across Close.
+// only when Config.FlightRecorderCapacity is non-zero. Safe to read
+// concurrently with statements and across Close.
 func (e *Engine) Recorder() *flightrec.Recorder { return e.recorder }
 
 // Accuracy exposes the estimator-accuracy ledger. Always non-nil; it
-// records only while enabled (Config.Accuracy.Enabled, or an explicit
-// Enable). Safe to read concurrently with statements.
+// records only when Config.Accuracy.Enabled. Safe to read concurrently with
+// statements.
 func (e *Engine) Accuracy() *accuracy.Ledger { return e.accuracy }
 
 // Closed reports whether Close has been called (the debug server's health
@@ -455,11 +435,11 @@ func (e *Engine) ExecUnboxed(ctx context.Context, sql string, opts ExecOptions) 
 	e.probeCache(s)
 	var stmt sqlparser.Statement
 	if !s.hit {
-		// Parsing precedes statement-timestamp assignment, so its span carries
-		// qid 0 ("pre-statement").
-		parseSpan := e.tracer.Start(0, tracing.PhaseParse)
+		// Parsing precedes the statement's tick and record, so its span
+		// carries qid 0 ("pre-statement") and the record has no parse phase.
+		parse := e.phase(s, tracing.PhaseParse)
 		stmt, err = sqlparser.Parse(sql)
-		parseSpan.End()
+		parse.end()
 		if err != nil {
 			stmtErrors.Inc()
 			return nil, err

@@ -356,7 +356,7 @@ func TestQErrorPropertyMatchesExplainAnalyze(t *testing.T) {
 
 // TestFlightRecordCapturesJITSAndFeedback: the record of an executed SELECT
 // carries the JITS sampling outcome, archive traffic and feedback error
-// factors, and the phase timings routed from the tracer.
+// factors, and the phase timings the statement wrote with no trace on.
 func TestFlightRecordCapturesJITSAndFeedback(t *testing.T) {
 	e := recorderEngine(t)
 	sql := `SELECT id FROM car WHERE make = 'Toyota' AND year > 1995`

@@ -92,7 +92,7 @@ func (e *Engine) observe(s *statement) {
 	if len(s.subActuals) > 0 {
 		allActuals = append(s.subActuals, mainActuals...)
 	}
-	fbSpan := e.tracer.Start(ts, tracing.PhaseFeedback)
+	fb := e.phase(s, tracing.PhaseFeedback)
 	var obs []core.Observation
 	for _, a := range allActuals {
 		if a.Trace == nil || a.Conditioned {
@@ -122,7 +122,8 @@ func (e *Engine) observe(s *statement) {
 		}
 	}
 	e.jits.Feedback(obs)
-	fbSpan.Attr("observations", len(obs)).End()
+	fb.span.Attr("observations", len(obs))
+	fb.end()
 
 	// Reactive corrections (LEO baseline): record the *observed*
 	// selectivity of each local predicate group for future queries. Without
@@ -144,8 +145,9 @@ func (e *Engine) observe(s *statement) {
 
 	// Periodic statistics migration into the catalog.
 	if e.migrateEvery > 0 && e.selectCount.Add(1)%int64(e.migrateEvery) == 0 {
-		mergeSpan := e.tracer.Start(ts, tracing.PhaseArchiveMerge)
-		mergeSpan.Attr("migrated", e.migrate(ts)).End()
+		merge := e.phase(s, tracing.PhaseArchiveMerge)
+		merge.span.Attr("migrated", e.migrate(ts))
+		merge.end()
 	}
 
 	switch {

@@ -57,28 +57,16 @@ func (c ReoptConfig) withDefaults() ReoptConfig {
 	return c
 }
 
-// SetReopt replaces the engine's re-optimization configuration at runtime
-// (experiments and tests toggle it between statements).
-func (e *Engine) SetReopt(cfg ReoptConfig) {
-	e.mu.Lock()
-	e.reoptCfg = cfg
-	e.mu.Unlock()
-}
-
 // newReoptState returns a fresh per-statement checkpoint state, or nil when
 // re-optimization is off or the block's LIMIT makes row identity
 // plan-dependent (LIMIT without ORDER BY returns whichever rows the plan
 // reached first — re-planning mid-query would change the answer; LIMIT with
 // ORDER BY still breaks ties by plan-produced row order).
 func (e *Engine) newReoptState(blk *qgm.Block) *executor.ReoptState {
-	e.mu.Lock()
-	cfg := e.reoptCfg
-	e.mu.Unlock()
-	if !cfg.Enabled || blk.Limit >= 0 {
+	if !e.reoptCfg.Enabled || blk.Limit >= 0 {
 		return nil
 	}
-	cfg = cfg.withDefaults()
-	return executor.NewReoptState(cfg.QErrorThreshold, cfg.MaxReopts)
+	return executor.NewReoptState(e.reoptCfg.QErrorThreshold, e.reoptCfg.MaxReopts)
 }
 
 // execute is the pipeline's execution stage: it runs s.plan to completion
@@ -97,7 +85,7 @@ func (e *Engine) newReoptState(blk *qgm.Block) *executor.ReoptState {
 // execution — which is fine: the materialized intermediates carry exact
 // cardinalities, and they are what re-planning pivots on.
 func (e *Engine) execute(s *statement) error {
-	execSpan := e.tracer.Start(s.ts, tracing.PhaseExecute)
+	exec := e.phase(s, tracing.PhaseExecute)
 	s.reopt = e.newReoptState(s.blk)
 	rt := e.runtime(s)
 	for {
@@ -109,14 +97,14 @@ func (e *Engine) execute(s *statement) error {
 			}
 			if err == nil {
 				s.out = res
-				if execSpan != nil {
-					execSpan.Attr("rows", res.Len()).Attr("units", fmt.Sprintf("%.0f", s.meters.exec.Units()))
+				if exec.span != nil {
+					exec.span.Attr("rows", res.Len()).Attr("units", fmt.Sprintf("%.0f", s.meters.exec.Units()))
 					if s.hit {
-						execSpan.Attr("plan_cache", "hit")
+						exec.span.Attr("plan_cache", "hit")
 					}
 				}
 			}
-			execSpan.End()
+			exec.end()
 			return err
 		}
 
@@ -140,9 +128,10 @@ func (e *Engine) execute(s *statement) error {
 			s.ts, s.reopts, trig.NodeDesc, trig.EstRows, trig.ActRows, trig.QError)
 
 		start := time.Now()
-		span := e.tracer.Start(s.ts, tracing.PhaseReoptPlan)
+		replan := e.phase(s, tracing.PhaseReoptPlan)
 		newPlan, rerr := optimizer.ReOptimize(s.blk, s.octx, s.reopt.Leaves())
-		span.Attr("attempt", s.reopts).End()
+		replan.span.Attr("attempt", s.reopts)
+		replan.end()
 		reoptWall.Observe(time.Since(start).Seconds())
 		if rerr != nil {
 			// Re-planning failed — run the current plan to completion rather

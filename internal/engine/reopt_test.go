@@ -140,8 +140,7 @@ func TestChaosMisestimateReopt(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 
-	e, d := mkChaosEngine(t)
-	e.SetReopt(engine.ReoptConfig{Enabled: true}) // production defaults
+	e, d := mkChaosEngine(t, engine.ReoptConfig{Enabled: true}) // production defaults
 	if err := faultinject.Arm(faultinject.EstimatorMisestimate, faultinject.SeedSpec(chaosSeed, 2)); err != nil {
 		t.Fatal(err)
 	}

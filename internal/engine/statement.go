@@ -100,6 +100,33 @@ type statement struct {
 // them; the statement value itself never leaves ExecUnboxed's stack.
 type meters struct{ compile, exec costmodel.Meter }
 
+// phaseTimer times one stage of a statement: a trace span while tracing is
+// on, and a wall time the statement appends to its own flight record while it
+// is recorded. A statement that is neither traced nor recorded reads no clock.
+type phaseTimer struct {
+	rec   *flightrec.Record
+	name  string
+	start time.Time
+	span  *tracing.Span
+}
+
+// phase opens the named stage of s.
+func (e *Engine) phase(s *statement, name string) phaseTimer {
+	p := phaseTimer{rec: s.rec, name: name, span: e.tracer.Start(s.ts, name)}
+	if p.rec != nil {
+		p.start = time.Now()
+	}
+	return p
+}
+
+// end closes the stage.
+func (p *phaseTimer) end() {
+	if p.rec != nil {
+		p.rec.AddPhase(p.name, time.Since(p.start))
+	}
+	p.span.End()
+}
+
 // classify stamps the statement-kind label and counts it.
 func (s *statement) classify(kind string, counter *metrics.Counter) {
 	s.kind = kind
@@ -147,12 +174,20 @@ func (e *Engine) compile(s *statement, sel *sqlparser.SelectStmt) error {
 	// fails: on budget exhaustion, sampling faults or cancellation it
 	// reports fallback tables and the optimizer below transparently uses
 	// catalog statistics for them.
-	prepSpan := e.tracer.Start(s.ts, tracing.PhasePrepare)
+	prepare := e.phase(s, tracing.PhasePrepare)
 	qstats, prep, err := e.jits.PrepareBudgeted(s.ctx, q, e.db, s.ts, &s.meters.compile, e.weights, s.mem)
-	if prepSpan != nil && prep != nil {
-		prepSpan.Attr("tables", len(prep.Tables)).Attr("units", fmt.Sprintf("%.0f", s.meters.compile.Units()))
+	if prepare.span != nil && prep != nil {
+		prepare.span.Attr("tables", len(prep.Tables)).Attr("units", fmt.Sprintf("%.0f", s.meters.compile.Units()))
 	}
-	prepSpan.End()
+	if s.rec != nil && prep != nil {
+		// The sampling passes ran inside prepare, so they end before it does.
+		for _, tr := range prep.Tables {
+			if tr.SampleWall > 0 {
+				s.rec.AddPhase(tracing.PhaseSample, tr.SampleWall)
+			}
+		}
+	}
+	prepare.end()
 	if err != nil {
 		return err
 	}
@@ -178,11 +213,11 @@ func (e *Engine) compile(s *statement, sel *sqlparser.SelectStmt) error {
 	}
 	s.octx = e.optimizerContext(s, source)
 
-	optSpan := e.tracer.Start(s.ts, tracing.PhaseOptimize)
-	if err = e.optimize(s, q); err == nil && optSpan != nil {
-		optSpan.Attr("units", fmt.Sprintf("%.0f", s.meters.compile.Units()))
+	optimize := e.phase(s, tracing.PhaseOptimize)
+	if err = e.optimize(s, q); err == nil && optimize.span != nil {
+		optimize.span.Attr("units", fmt.Sprintf("%.0f", s.meters.compile.Units()))
 	}
-	optSpan.End()
+	optimize.end()
 	return err
 }
 

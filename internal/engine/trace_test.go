@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/flightrec"
 )
 
 // traceLineRe matches every line format the engine emits: free-form
@@ -102,5 +103,81 @@ func TestTracerSpansInPipelineOrder(t *testing.T) {
 	got = strings.TrimPrefix(got, "jits.sample,")
 	if got != strings.Join(want, ",") {
 		t.Errorf("span order = %v, want sample?,%v\ntrace:\n%s", phases, want, buf.String())
+	}
+}
+
+// TestRecordPhasesMatchTraceSpans: a statement writes its phase timings into
+// its own flight record, so the record lists exactly the phases the trace
+// prints for that qid, in the same order, and lists the same phases when no
+// trace is written at all. The stream covers sampling (jits.sample),
+// hair-trigger re-optimization (reopt.plan), statistics migration
+// (archive.merge), an EXPLAIN and a DML statement.
+func TestRecordPhasesMatchTraceSpans(t *testing.T) {
+	stream := []string{
+		`SELECT id FROM car WHERE make = 'Toyota' AND year > 1995`,
+		`SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND o.city = 'Ottawa' AND c.make = 'Honda'`,
+		`EXPLAIN SELECT id FROM owner WHERE city = 'Boston'`,
+		`UPDATE car SET year = 2001 WHERE make = 'BMW'`,
+		`SELECT make, COUNT(*) FROM car WHERE year > 1995 GROUP BY make`,
+		`SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND o.city = 'Toronto' AND c.model = 'Civic'`,
+	}
+	run := func(trace *bytes.Buffer) (*Engine, int64) {
+		cfg := Config{JITS: core.DefaultConfig(), FlightRecorderCapacity: -1, MigrateEvery: 2,
+			Reopt: ReoptConfig{Enabled: true, QErrorThreshold: 1.01}}
+		cfg.JITS.SampleSize = 50
+		if trace != nil {
+			cfg.Trace = trace
+		}
+		e := seedEngine(t, cfg)
+		first := e.Now() + 1
+		for _, sql := range stream {
+			mustExec(t, e, sql)
+		}
+		return e, first
+	}
+	phaseNames := func(rec flightrec.Record) []string {
+		var names []string
+		for _, p := range rec.Phases {
+			names = append(names, p.Phase)
+		}
+		return names
+	}
+	var buf bytes.Buffer
+	traced, first := run(&buf)
+	untraced, _ := run(nil)
+	spans := map[int64][]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		var qid int64
+		var phase string
+		if n, _ := fmt.Sscanf(line, "q%d span %s", &qid, &phase); n == 2 {
+			spans[qid] = append(spans[qid], phase)
+		}
+	}
+	seen := map[string]int{}
+	for qid := first; qid <= traced.Now(); qid++ {
+		rec, ok := traced.Recorder().Get(qid)
+		if !ok {
+			t.Fatalf("q%d: no flight record", qid)
+		}
+		got := strings.Join(phaseNames(rec), ",")
+		if want := strings.Join(spans[qid], ","); got != want {
+			t.Errorf("q%d %q: record phases %q, trace spans %q", qid, rec.SQL, got, want)
+		}
+		other, _ := untraced.Recorder().Get(qid)
+		if alone := strings.Join(phaseNames(other), ","); alone != got {
+			t.Errorf("q%d %q: record phases %q without a trace, %q with one", qid, rec.SQL, alone, got)
+		}
+		for _, p := range rec.Phases {
+			seen[p.Phase]++
+			if p.Wall < 0 {
+				t.Errorf("q%d: phase %s has negative wall %v", qid, p.Phase, p.Wall)
+			}
+		}
+	}
+	t.Logf("phases recorded over the stream: %v", seen)
+	for _, phase := range []string{"jits.sample", "jits.prepare", "optimize", "execute", "reopt.plan", "feedback", "archive.merge"} {
+		if seen[phase] == 0 {
+			t.Errorf("no statement recorded phase %s: %v", phase, seen)
+		}
 	}
 }

@@ -31,7 +31,7 @@ func (e *env) TableSchema(name string) (*storage.Schema, bool) {
 
 func newEnv(t testing.TB) *env {
 	t.Helper()
-	db := storage.NewDatabase()
+	db := storage.NewDatabase(0)
 	car, err := db.CreateTable("car", storage.MustSchema(
 		storage.Column{Name: "id", Kind: value.KindInt},
 		storage.Column{Name: "ownerid", Kind: value.KindInt},

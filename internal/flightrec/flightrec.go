@@ -3,24 +3,27 @@
 // per-operator estimated vs. actual cardinalities with their derived
 // q-error, the JITS decisions that shaped the plan (tables sampled, archive
 // hits/misses, degradation causes), the feedback error factors the statement
-// produced, and the per-phase wall timings emitted by the engine's tracer.
+// produced, and its per-phase wall timings.
 //
-// The recorder follows the repo's telemetry discipline: it must be free when
-// nobody is looking. Every probe (Begin, ObserveSpan, Commit) returns after
-// ONE atomic load while the recorder is disabled. When enabled, Commit is an
-// O(1) ring append under a short mutex; readers (SHOW QUERIES, the debug
-// server) take the same mutex and copy out, so concurrent readers never
-// observe a half-written record and never block writers for longer than one
-// slot copy. Memory is bounded by the ring capacity plus a small post-mortem
-// buffer: a statement that errors, or whose JITS preparation degraded (the
-// signature a chaos fault leaves), is snapshotted into the post-mortem ring
-// for later inspection even after the main ring has wrapped past it.
+// A record belongs to its statement from Begin to Commit: the statement
+// writes every field itself, phase timings included, so the recorder keeps no
+// registry of statements in flight. The recorder follows the repo's telemetry
+// discipline: it must be free when nobody is looking. Whether it records is
+// fixed when it is built (a zero capacity records nothing), and Begin and
+// Commit on such a recorder return after one length check. When recording,
+// Begin only allocates the record and Commit is an O(1) ring append under a
+// short mutex; readers (SHOW QUERIES, the debug server) take the same mutex
+// and copy out, so concurrent readers never observe a half-written record and
+// never block writers for longer than one slot copy. Memory is bounded by the
+// ring capacity plus a small post-mortem buffer: a statement that errors, or
+// whose JITS preparation degraded (the signature a chaos fault leaves), is
+// snapshotted into the post-mortem ring for later inspection even after the
+// main ring has wrapped past it.
 package flightrec
 
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -38,9 +41,9 @@ type OperatorStats struct {
 	QError  float64 `json:"q_error"`  // QError(EstRows, ActRows)
 }
 
-// PhaseTiming is one pipeline phase's wall-clock duration, as reported by
-// the engine's tracer spans (parse/jits.prepare/jits.sample/optimize/
-// execute/feedback/archive.merge).
+// PhaseTiming is one pipeline phase's wall-clock duration, as the statement
+// measured it (jits.sample/jits.prepare/optimize/execute/reopt.plan/
+// feedback/archive.merge, in the order they ended).
 type PhaseTiming struct {
 	Phase string        `json:"phase"`
 	Wall  time.Duration `json:"wall_ns"`
@@ -124,7 +127,14 @@ type Record struct {
 	// Err is the statement's error text; empty on success.
 	Err string `json:"error,omitempty"`
 
+	// Phases are the statement's stage wall times in the order the stages
+	// ended, appended by the statement itself (AddPhase).
 	Phases []PhaseTiming `json:"phases,omitempty"`
+}
+
+// AddPhase appends one phase's wall time, rounded to the microsecond.
+func (r *Record) AddPhase(phase string, wall time.Duration) {
+	r.Phases = append(r.Phases, PhaseTiming{Phase: phase, Wall: wall.Round(time.Microsecond)})
 }
 
 // QError is the standard cardinality-estimation quality metric, the
@@ -139,59 +149,38 @@ func QError(est, act float64) float64 {
 	return hi / lo
 }
 
-// Recorder is the ring buffer. Obtain one from New; the zero value is inert.
+// Recorder is the ring buffer. Obtain one from New; a nil Recorder, like a
+// zero-capacity one, records nothing.
 type Recorder struct {
-	enabled atomic.Bool
-
-	mu      sync.Mutex
-	ring    []*Record // capacity-sized circular buffer
-	next    int       // next slot to overwrite
-	filled  int       // number of live slots (≤ cap)
-	total   uint64    // records ever committed
-	pending map[int64]*Record
+	mu     sync.Mutex
+	ring   []*Record // capacity-sized circular buffer; empty when not recording
+	next   int       // next slot to overwrite
+	filled int       // number of live slots (≤ cap)
+	total  uint64    // records ever committed
 
 	pm       []*Record // post-mortem ring, same mechanics
 	pmNext   int
 	pmFilled int
-	pmCap    int
 }
 
-// New returns a disabled recorder with the given ring capacity (≤ 0 selects
-// DefaultCapacity).
+// New returns a recorder with a ring of capacity records: 0 builds one that
+// records nothing, a negative capacity selects DefaultCapacity.
 func New(capacity int) *Recorder {
-	if capacity <= 0 {
+	if capacity == 0 {
+		return &Recorder{}
+	}
+	if capacity < 0 {
 		capacity = DefaultCapacity
 	}
 	return &Recorder{
-		ring:    make([]*Record, capacity),
-		pending: make(map[int64]*Record),
-		pm:      make([]*Record, DefaultPostMortemCapacity),
-		pmCap:   DefaultPostMortemCapacity,
-	}
-}
-
-// Enable turns recording on.
-func (r *Recorder) Enable() {
-	if r != nil {
-		r.enabled.Store(true)
-	}
-}
-
-// Disable turns recording off. In-flight statements that already called
-// Begin still commit; new statements skip recording entirely.
-func (r *Recorder) Disable() {
-	if r != nil {
-		r.enabled.Store(false)
+		ring: make([]*Record, capacity),
+		pm:   make([]*Record, DefaultPostMortemCapacity),
 	}
 }
 
 // Enabled reports whether the recorder is capturing. Nil-safe; this is the
-// one-atomic-load fast path every probe takes first.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled.Load() }
-
-// Active implements tracing.SpanObserver's activity gate: tracer spans are
-// materialized for the recorder only while it is enabled.
-func (r *Recorder) Active() bool { return r.Enabled() }
+// one length check every probe takes first.
+func (r *Recorder) Enabled() bool { return r != nil && len(r.ring) > 0 }
 
 // Capacity returns the ring size.
 func (r *Recorder) Capacity() int {
@@ -201,33 +190,13 @@ func (r *Recorder) Capacity() int {
 	return len(r.ring)
 }
 
-// Begin opens a pending record for statement qid. The returned record is
-// owned by the calling statement until Commit; the recorder only touches it
-// from ObserveSpan, which appends phase timings. Returns nil when disabled.
+// Begin opens the record of statement qid. The calling statement owns it,
+// and fills it in, until Commit. Returns nil when the recorder is disabled.
 func (r *Recorder) Begin(qid int64, sql string) *Record {
 	if !r.Enabled() {
 		return nil
 	}
-	rec := &Record{QID: qid, SQL: sql, Start: time.Now()}
-	r.mu.Lock()
-	r.pending[qid] = rec
-	r.mu.Unlock()
-	return rec
-}
-
-// ObserveSpan implements tracing.SpanObserver: phase timings emitted by the
-// engine's tracer are routed to the statement's pending record by qid.
-// Spans for unknown statements (qid 0 parse spans, disabled statements) are
-// dropped.
-func (r *Recorder) ObserveSpan(qid int64, phase string, wall time.Duration) {
-	if !r.Enabled() || qid == 0 {
-		return
-	}
-	r.mu.Lock()
-	if rec, ok := r.pending[qid]; ok {
-		rec.Phases = append(rec.Phases, PhaseTiming{Phase: phase, Wall: wall})
-	}
-	r.mu.Unlock()
+	return &Record{QID: qid, SQL: sql, Start: time.Now()}
 }
 
 // Commit finalizes a record begun with Begin: it is pushed into the ring
@@ -235,12 +204,11 @@ func (r *Recorder) ObserveSpan(qid int64, phase string, wall time.Duration) {
 // post-mortem snapshot is retained in the bounded post-mortem buffer. A nil
 // record (disabled Begin) is ignored.
 func (r *Recorder) Commit(rec *Record) {
-	if r == nil || rec == nil {
+	if !r.Enabled() || rec == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.pending, rec.QID)
 	r.ring[r.next] = rec
 	r.next = (r.next + 1) % len(r.ring)
 	if r.filled < len(r.ring) {
@@ -249,22 +217,11 @@ func (r *Recorder) Commit(rec *Record) {
 	r.total++
 	if rec.Err != "" || rec.Degraded {
 		r.pm[r.pmNext] = rec
-		r.pmNext = (r.pmNext + 1) % r.pmCap
-		if r.pmFilled < r.pmCap {
+		r.pmNext = (r.pmNext + 1) % len(r.pm)
+		if r.pmFilled < len(r.pm) {
 			r.pmFilled++
 		}
 	}
-}
-
-// Abort drops a pending record without committing it (used if a statement's
-// bookkeeping is abandoned). Safe on nil records.
-func (r *Recorder) Abort(rec *Record) {
-	if r == nil || rec == nil {
-		return
-	}
-	r.mu.Lock()
-	delete(r.pending, rec.QID)
-	r.mu.Unlock()
 }
 
 // Total returns the number of records ever committed (including ones the
@@ -334,8 +291,7 @@ func (r *Recorder) PostMortems() []Record {
 	return copyRing(r.pm, r.pmNext, r.pmFilled, 0)
 }
 
-// Reset drops all live records, post-mortems and pending state; capacity and
-// the enabled flag are preserved.
+// Reset drops all live records and post-mortems; the capacity is preserved.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -350,7 +306,6 @@ func (r *Recorder) Reset() {
 	}
 	r.next, r.filled, r.total = 0, 0, 0
 	r.pmNext, r.pmFilled = 0, 0
-	r.pending = make(map[int64]*Record)
 }
 
 // copyRing copies the newest min(n, filled) records out of a circular

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -45,24 +44,26 @@ func TestQError(t *testing.T) {
 }
 
 func TestDisabledRecorderRecordsNothing(t *testing.T) {
-	r := New(8)
-	if r.Enabled() {
-		t.Fatal("new recorder should start disabled")
+	r := New(0)
+	if r.Enabled() || r.Capacity() != 0 {
+		t.Fatal("a zero-capacity recorder should be disabled")
 	}
 	if rec := r.Begin(1, "SELECT 1"); rec != nil {
 		t.Fatalf("Begin on a disabled recorder returned %+v, want nil", rec)
 	}
-	r.ObserveSpan(1, "execute", time.Millisecond)
 	r.Commit(nil)
-	if r.Len() != 0 || r.Total() != 0 {
+	r.Commit(&Record{QID: 2}) // a record from elsewhere is not kept either
+	if r.Len() != 0 || r.Total() != 0 || len(r.Last(0)) != 0 || len(r.PostMortems()) != 0 {
 		t.Fatalf("disabled recorder retained state: len=%d total=%d", r.Len(), r.Total())
+	}
+	if !New(-1).Enabled() || New(-1).Capacity() != DefaultCapacity {
+		t.Fatal("a negative capacity should select an enabled DefaultCapacity ring")
 	}
 	var nilRec *Recorder
 	if nilRec.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
 	nilRec.Commit(&Record{QID: 1})
-	nilRec.Abort(nil)
 	if got := nilRec.Last(5); got != nil {
 		t.Fatalf("nil recorder Last = %v, want nil", got)
 	}
@@ -70,7 +71,6 @@ func TestDisabledRecorderRecordsNothing(t *testing.T) {
 
 func TestRingWrapKeepsNewestOldestFirst(t *testing.T) {
 	r := New(4)
-	r.Enable()
 	for qid := int64(1); qid <= 10; qid++ {
 		rec := r.Begin(qid, fmt.Sprintf("SELECT %d", qid))
 		r.Commit(rec)
@@ -102,7 +102,6 @@ func TestRingWrapKeepsNewestOldestFirst(t *testing.T) {
 
 func TestGetFindsLiveAndMissesWrapped(t *testing.T) {
 	r := New(4)
-	r.Enable()
 	for qid := int64(1); qid <= 6; qid++ {
 		r.Commit(r.Begin(qid, "SELECT 1"))
 	}
@@ -115,38 +114,8 @@ func TestGetFindsLiveAndMissesWrapped(t *testing.T) {
 	}
 }
 
-func TestObserveSpanRoutesToPendingRecord(t *testing.T) {
-	r := New(4)
-	r.Enable()
-	rec := r.Begin(7, "SELECT 1")
-	r.ObserveSpan(7, "optimize", 2*time.Millisecond)
-	r.ObserveSpan(7, "execute", 5*time.Millisecond)
-	r.ObserveSpan(0, "parse", time.Millisecond)    // qid 0 dropped
-	r.ObserveSpan(99, "execute", time.Millisecond) // unknown qid dropped
-	r.Commit(rec)
-	got, ok := r.Get(7)
-	if !ok {
-		t.Fatal("record lost")
-	}
-	if len(got.Phases) != 2 || got.Phases[0].Phase != "optimize" || got.Phases[1].Phase != "execute" {
-		t.Fatalf("Phases = %+v, want [optimize execute]", got.Phases)
-	}
-}
-
-func TestAbortDropsPending(t *testing.T) {
-	r := New(4)
-	r.Enable()
-	rec := r.Begin(3, "BOGUS")
-	r.Abort(rec)
-	r.ObserveSpan(3, "execute", time.Millisecond) // must not resurrect it
-	if r.Len() != 0 || r.Total() != 0 {
-		t.Fatalf("aborted record leaked: len=%d total=%d", r.Len(), r.Total())
-	}
-}
-
 func TestPostMortemCapture(t *testing.T) {
 	r := New(4)
-	r.Enable()
 	ok1 := r.Begin(1, "SELECT 1")
 	r.Commit(ok1)
 	bad := r.Begin(2, "SELECT broken")
@@ -178,7 +147,6 @@ func TestPostMortemCapture(t *testing.T) {
 
 func TestPostMortemRingBounded(t *testing.T) {
 	r := New(4)
-	r.Enable()
 	n := DefaultPostMortemCapacity + 5
 	for qid := int64(1); qid <= int64(n); qid++ {
 		rec := r.Begin(qid, "SELECT broken")
@@ -196,7 +164,6 @@ func TestPostMortemRingBounded(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	r := New(4)
-	r.Enable()
 	bad := r.Begin(1, "SELECT broken")
 	bad.Err = "boom"
 	r.Commit(bad)
@@ -208,8 +175,7 @@ func TestReset(t *testing.T) {
 	if !r.Enabled() {
 		t.Fatal("Reset must preserve the enabled flag")
 	}
-	r.ObserveSpan(2, "execute", time.Millisecond) // old pending record is gone
-	r.Commit(pending)                             // committing a pre-reset record is harmless
+	r.Commit(pending) // committing a pre-reset record is harmless
 	if r.Len() != 1 {
 		t.Fatalf("Len after post-reset commit = %d, want 1", r.Len())
 	}
@@ -220,48 +186,28 @@ func TestReset(t *testing.T) {
 // invariant that every read snapshot is internally consistent.
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	r := New(16)
-	r.Enable()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	// One committing writer, so the strict oldest-first qid ordering of every
-	// snapshot is a valid invariant (with several committers the ring orders
-	// by commit time, not qid).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for id := int64(1); ; id++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			rec := r.Begin(id, "SELECT 1")
-			r.ObserveSpan(id, "execute", time.Microsecond)
-			if id%7 == 0 {
-				rec.Err = "injected"
-			}
-			r.Commit(rec)
-		}
-	}()
-	// Extra writers exercise Begin/ObserveSpan/Abort concurrently without
-	// committing, using a disjoint qid space.
-	for w := 0; w < 3; w++ {
+	// Writers commit from disjoint qid spaces, each filling in its own record
+	// the way a statement does; Last sorts by qid, so every snapshot is
+	// strictly oldest-first whatever the commit order.
+	for w := 0; w < 4; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var qid atomic.Int64
-			qid.Store(int64(1+w) << 40)
-			for {
+			for id := int64(w)<<40 + 1; ; id++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				id := qid.Add(1)
-				rec := r.Begin(id, "SELECT 2")
-				r.ObserveSpan(id, "optimize", time.Microsecond)
-				r.Abort(rec)
+				rec := r.Begin(id, "SELECT 1")
+				rec.AddPhase("execute", time.Microsecond)
+				if id%7 == 0 {
+					rec.Err = "injected"
+				}
+				r.Commit(rec)
 			}
 		}()
 	}
@@ -287,10 +233,10 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkDisabledRecorderBegin proves the disabled path is one atomic
-// load with zero allocations — the telemetry-free-when-disabled contract.
+// BenchmarkDisabledRecorderBegin proves the disabled path is one length
+// check with zero allocations — the telemetry-free-when-disabled contract.
 func BenchmarkDisabledRecorderBegin(b *testing.B) {
-	r := New(DefaultCapacity)
+	r := New(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if rec := r.Begin(int64(i), "SELECT 1"); rec != nil {
@@ -299,20 +245,9 @@ func BenchmarkDisabledRecorderBegin(b *testing.B) {
 	}
 }
 
-// BenchmarkDisabledRecorderObserveSpan is the span-site probe cost while
-// the recorder is disabled.
-func BenchmarkDisabledRecorderObserveSpan(b *testing.B) {
-	r := New(DefaultCapacity)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.ObserveSpan(int64(i), "execute", time.Microsecond)
-	}
-}
-
 // BenchmarkEnabledCommit is the O(1) ring-append cost when recording.
 func BenchmarkEnabledCommit(b *testing.B) {
 	r := New(DefaultCapacity)
-	r.Enable()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -216,16 +216,6 @@ func (b *Breaker) RecordSampling(d time.Duration) {
 	}
 }
 
-// ForceOpen trips the breaker immediately — an operator/test hook.
-func (b *Breaker) ForceOpen() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.tripLocked()
-	b.mu.Unlock()
-}
-
 // tripLocked moves to open and stamps the open time. Caller holds b.mu.
 func (b *Breaker) tripLocked() {
 	b.setStateLocked(BreakerOpen)

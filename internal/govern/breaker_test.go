@@ -24,6 +24,13 @@ func newTestBreaker(t *testing.T) (*Breaker, *fakeClock) {
 	return b, clk
 }
 
+// trip opens b the way production does: breakerMinSamples slow passes.
+func trip(b *Breaker) {
+	for i := 0; i < breakerMinSamples; i++ {
+		b.RecordSampling(time.Hour)
+	}
+}
+
 func TestBreakerTripsOnSlowSampling(t *testing.T) {
 	b, _ := newTestBreaker(t)
 	if !b.Allow() {
@@ -56,7 +63,7 @@ func TestBreakerFastSamplingStaysClosed(t *testing.T) {
 
 func TestBreakerHalfOpenRecovery(t *testing.T) {
 	b, clk := newTestBreaker(t)
-	b.ForceOpen()
+	trip(b)
 	if b.Allow() {
 		t.Fatal("open breaker allows sampling")
 	}
@@ -104,7 +111,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	b, clk := newTestBreaker(t)
-	b.ForceOpen()
+	trip(b)
 	clk.advance(breakerOpenFor)
 	if !b.Allow() {
 		t.Fatal("half-open breaker denied its probe")
@@ -133,7 +140,6 @@ func TestBreakerNilSafe(t *testing.T) {
 		t.Fatalf("nil breaker state=%v", got)
 	}
 	b.RecordSampling(time.Hour)
-	b.ForceOpen()
 	b.SetClock(time.Now)
 }
 

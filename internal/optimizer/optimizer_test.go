@@ -35,7 +35,7 @@ func (t *testDB) TableSchema(name string) (*storage.Schema, bool) {
 // full catalog statistics and an index on car.ownerid and owner.id.
 func newTestDB(t testing.TB) *testDB {
 	t.Helper()
-	db := storage.NewDatabase()
+	db := storage.NewDatabase(0)
 	car, err := db.CreateTable("car", storage.MustSchema(
 		storage.Column{Name: "id", Kind: value.KindInt},
 		storage.Column{Name: "ownerid", Kind: value.KindInt},

@@ -10,21 +10,14 @@ import (
 type Database struct {
 	mu        sync.RWMutex
 	tables    map[string]*Table
-	chunkSize int
+	chunkSize int // fixed at NewDatabase
 }
 
-// NewDatabase returns an empty database.
-func NewDatabase() *Database {
-	return &Database{tables: make(map[string]*Table)}
-}
-
-// SetChunkSize sets the rows-per-chunk capacity applied to tables created
-// afterwards (existing tables keep theirs); values < 1 restore the default.
-// Benchmarks sweep it; production leaves it alone.
-func (db *Database) SetChunkSize(n int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.chunkSize = n
+// NewDatabase returns an empty database whose tables hold chunkSize rows a
+// chunk; values < 1 select DefaultChunkSize. Benchmarks sweep it; production
+// leaves it at the default.
+func NewDatabase(chunkSize int) *Database {
+	return &Database{tables: make(map[string]*Table), chunkSize: chunkSize}
 }
 
 // CreateTable registers a new empty table.

@@ -263,7 +263,7 @@ func TestColumnValues(t *testing.T) {
 }
 
 func TestDatabaseLifecycle(t *testing.T) {
-	db := NewDatabase()
+	db := NewDatabase(0)
 	if _, err := db.CreateTable("cars", testSchema(t)); err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,11 @@
 // writer used to be written unsynchronized, which was a data race under
 // parallel statement streams.
 //
-// A nil or disabled Tracer costs one nil check plus at most one atomic load
-// per probe (the same discipline as faultinject and metrics);
-// BenchmarkDisabledSpan proves it and `make bench-smoke` runs it.
+// Whether a tracer writes is fixed when it is built: a nil or disabled Tracer
+// costs two nil checks per probe and reads no clock (the same discipline as
+// faultinject and metrics); BenchmarkDisabledSpan proves it and `make
+// bench-smoke` runs it. The tracer only prints: a statement's flight record
+// takes its phase timings from the statement itself, not from spans.
 package tracing
 
 import (
@@ -22,7 +24,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -39,60 +40,20 @@ const (
 	PhaseReoptPlan    = "reopt.plan"
 )
 
-// SpanObserver receives completed span timings in-process, independently of
-// the textual trace writer. The engine's flight recorder implements it to
-// capture per-phase wall timings without forcing trace output on. Active is
-// the cheap gate: while it returns false the tracer treats the observer as
-// absent and spans stay free.
-type SpanObserver interface {
-	Active() bool
-	ObserveSpan(qid int64, phase string, wall time.Duration)
-}
-
 // Tracer writes structured trace lines to one io.Writer. Safe for
 // concurrent use; a nil *Tracer is valid and disabled.
 type Tracer struct {
-	mu  sync.Mutex
-	w   io.Writer
-	on  atomic.Bool
-	obs atomic.Pointer[SpanObserver]
+	mu sync.Mutex
+	w  io.Writer // nil: disabled; never changes after New
 }
 
 // New returns a tracer writing to w; a nil w yields a disabled (but
 // non-nil) tracer, so callers never have to branch.
-func New(w io.Writer) *Tracer {
-	t := &Tracer{w: w}
-	t.on.Store(w != nil)
-	return t
-}
+func New(w io.Writer) *Tracer { return &Tracer{w: w} }
 
 // Enabled reports whether trace output is being produced. Nil-safe; this is
-// the one-atomic-load fast path every probe takes first.
-func (t *Tracer) Enabled() bool { return t != nil && t.on.Load() }
-
-// SetObserver installs (or, with nil, removes) the span observer. At most
-// one observer is supported; the engine wires its flight recorder here.
-func (t *Tracer) SetObserver(o SpanObserver) {
-	if t == nil {
-		return
-	}
-	if o == nil {
-		t.obs.Store(nil)
-		return
-	}
-	t.obs.Store(&o)
-}
-
-// observer returns the installed observer if it is currently active.
-func (t *Tracer) observer() SpanObserver {
-	if t == nil {
-		return nil
-	}
-	if p := t.obs.Load(); p != nil && (*p).Active() {
-		return *p
-	}
-	return nil
-}
+// the fast path every probe takes first.
+func (t *Tracer) Enabled() bool { return t != nil && t.w != nil }
 
 // Printf writes one trace line (a newline is appended). No-op when
 // disabled; serialized when enabled.
@@ -117,10 +78,9 @@ type Span struct {
 }
 
 // Start opens a span for statement qid in the given phase. Returns nil when
-// the tracer is disabled and no active observer is installed, which
-// downstream Attr/End calls tolerate.
+// the tracer is disabled, which downstream Attr/Lap/End calls tolerate.
 func (t *Tracer) Start(qid int64, phase string) *Span {
-	if !t.Enabled() && t.observer() == nil {
+	if !t.Enabled() {
 		return nil
 	}
 	now := time.Now()
@@ -138,11 +98,10 @@ func (s *Span) Attr(key string, v any) *Span {
 }
 
 // Lap attaches the wall time since the previous Lap (since Start, for the
-// first) as a microsecond attribute, so a span's laps add up to the span. It
-// reads the clock only while trace output is on; on a nil span it is one
-// branch.
+// first) as a microsecond attribute, so a span's laps add up to the span. On
+// a nil span it is one branch and reads no clock.
 func (s *Span) Lap(key string) {
-	if s == nil || !s.t.Enabled() {
+	if s == nil {
 		return
 	}
 	now := time.Now()
@@ -151,18 +110,12 @@ func (s *Span) Lap(key string) {
 }
 
 // End closes the span, emitting one line with the wall-clock duration and
-// any attached attributes, and delivering the timing to an active observer.
+// any attached attributes.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	wall := time.Since(s.start).Round(time.Microsecond)
-	if obs := s.t.observer(); obs != nil {
-		obs.ObserveSpan(s.qid, s.phase, wall)
-	}
-	if !s.t.Enabled() {
-		return
-	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "q%d span %s wall=%s", s.qid, s.phase, wall)
 	for _, a := range s.attrs {

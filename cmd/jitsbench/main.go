@@ -30,12 +30,15 @@
 // parallel, drift and reopt experiments run only when named: they report
 // host-dependent wall clock or replay the stream several times.
 //
-// -trace streams every engine's phase spans and optimizer decision lines
-// (parse → jits.prepare/jits.sample → optimize → execute → feedback →
-// archive.merge) to a file, or to stderr with "-". -metrics enables the
-// process-wide metrics registry and prints its Prometheus-style text
-// exposition after the experiments finish. Both are off by default and cost
-// one atomic load per probe when off.
+// -trace writes every statement's flight record, one JSON line each, to a
+// file, or to stderr with "-": its phase wall times (parse →
+// jits.sample/jits.prepare → optimize → execute → feedback →
+// archive.merge), the JITS decisions with their s1/s2 scores and sample
+// laps, the plan with per-operator actuals and the feedback observed — the
+// record /debug/queries serves. -metrics enables the process-wide metrics
+// registry and prints its Prometheus-style text exposition after the
+// experiments finish. Both are off by default and cost a check or an atomic
+// load per probe when off.
 //
 // -serve starts the multi-session SQL service (internal/server) on the
 // given address over a freshly loaded workload dataset and blocks until
@@ -98,7 +101,7 @@ func main() {
 		perGroup = flag.Bool("pergroup", false, "charge sampling per candidate group (the paper prototype's cost profile)")
 		csvDirF  = flag.String("csv", "", "directory to also write figure data as CSV (created if missing)")
 		par      = flag.Int("parallelism", 1, "intra-query degree of parallelism (1 = serial: every operator runs inline)")
-		traceF   = flag.String("trace", "", `write phase-trace spans to this file ("-" for stderr)`)
+		traceF   = flag.String("trace", "", `write every statement's flight record, one JSON line each, to this file ("-" for stderr)`)
 		metricsF = flag.Bool("metrics", false, "enable the metrics registry and print its exposition on exit")
 		debugF   = flag.String("debug-addr", "", "start the embedded debug HTTP server on this address (port 0 picks a free port)")
 		lingerF  = flag.Duration("debug-linger", 0, "keep the process alive this long after the experiments finish (requires -debug-addr)")

@@ -27,7 +27,6 @@ import (
 	"sync"
 
 	"repro/internal/metrics"
-	"repro/internal/tracing"
 )
 
 // State is the freshness state of one tracked statistic.
@@ -99,12 +98,17 @@ const (
 )
 
 // Transition reports one state-machine edge, returned by the observation
-// probes so the engine can annotate the flight recorder.
+// probes so the engine can annotate the flight recorder, with the detector's
+// evidence at the edge: CUSUM, observation count and DML rows since the last
+// merge.
 type Transition struct {
-	Key   string
-	Table string
-	From  State
-	To    State
+	Key          string
+	Table        string
+	From         State
+	To           State
+	CUSUM        float64
+	Observations uint64
+	ChurnRows    int64
 }
 
 // StatAccuracy is one ledger row as exposed by Snapshot — SHOW ACCURACY,
@@ -147,23 +151,20 @@ type statEntry struct {
 // single field load.
 type Ledger struct {
 	enabled  bool
-	maxStats int             // maxTrackedStats; the capacity test lowers it
-	bounds   []float64       // error-factor histogram bounds (shared, read-only)
-	tracer   *tracing.Tracer // state transitions print through it; nil-safe
+	maxStats int       // maxTrackedStats; the capacity test lowers it
+	bounds   []float64 // error-factor histogram bounds (shared, read-only)
 
 	mu    sync.Mutex
 	stats map[string]*statEntry
 }
 
-// New constructs a ledger that records when cfg.Enabled and prints its state
-// transitions through tracer (nil: no trace). It is usable (and free) while
-// disabled.
-func New(cfg Config, tracer *tracing.Tracer) *Ledger {
+// New constructs a ledger that records when cfg.Enabled. It is usable (and
+// free) while disabled.
+func New(cfg Config) *Ledger {
 	return &Ledger{
 		enabled:  cfg.Enabled,
 		maxStats: maxTrackedStats,
 		bounds:   metrics.ErrorFactorBuckets(),
-		tracer:   tracer,
 		stats:    make(map[string]*statEntry),
 	}
 }
@@ -192,10 +193,11 @@ func (l *Ledger) entry(ts int64, table, key string) *statEntry {
 	return e
 }
 
-// transition moves e to state to, emitting the trace line and metrics.
-// Caller holds l.mu. Returns the edge for flight-recorder annotation.
+// transition moves e to state to and counts it. Caller holds l.mu. Returns
+// the edge for flight-recorder annotation.
 func (l *Ledger) transition(ts int64, key string, e *statEntry, to State) Transition {
-	tr := Transition{Key: key, Table: e.table, From: e.state, To: to}
+	tr := Transition{Key: key, Table: e.table, From: e.state, To: to,
+		CUSUM: e.cusum, Observations: e.obs, ChurnRows: e.churnSinceMerge}
 	e.state = to
 	switch to {
 	case StateFresh:
@@ -207,10 +209,6 @@ func (l *Ledger) transition(ts int64, key string, e *statEntry, to State) Transi
 		e.driftedAt = ts
 	}
 	l.recountDrifted()
-	if l.tracer.Enabled() {
-		l.tracer.Printf("accuracy q%d stat=%s %s->%s cusum=%.2f obs=%d churn=%d",
-			ts, key, tr.From, tr.To, e.cusum, e.obs, e.churnSinceMerge)
-	}
 	return tr
 }
 

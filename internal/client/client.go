@@ -177,12 +177,6 @@ type Conn struct {
 // Dial opens a session to a server at addr with the zero Config.
 func Dial(addr string) (*Conn, error) { return DialWith(addr, Config{}) }
 
-// DialTimeout opens a session, bounding the connect (and every later
-// reconnect's dial) by d.
-func DialTimeout(addr string, d time.Duration) (*Conn, error) {
-	return DialWith(addr, Config{DialTimeout: d})
-}
-
 // DialWith opens a session with cfg.
 func DialWith(addr string, cfg Config) (*Conn, error) {
 	return DialContext(context.Background(), addr, cfg)

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/costmodel"
-	"repro/internal/index"
 	"repro/internal/optimizer"
 	"repro/internal/qgm"
 )
@@ -137,12 +136,4 @@ func (j *JITS) cnDecide(blk *qgm.Block, real optimizer.StatsSource, meter *costm
 		delete(unknown, victim)
 	}
 	return collect
-}
-
-// BindIndexes attaches the engine's index registry; the CN strategy's plan
-// enumerations need it. The engine calls this at construction.
-func (j *JITS) BindIndexes(ixs *index.Set) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.indexes = ixs
 }

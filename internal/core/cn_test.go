@@ -15,15 +15,13 @@ import (
 func cnJITS(t *testing.T, db *storage.Database, cfg Config) *JITS {
 	t.Helper()
 	cfg.Strategy = StrategyCN
-	j := New(cfg, feedback.NewHistory(), catalog.New())
 	ixs := index.NewSet()
 	if car, ok := db.Table("car"); ok {
 		if _, err := ixs.Create("ix_car_make", car, "make"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	j.BindIndexes(ixs)
-	return j
+	return New(cfg, feedback.NewHistory(), catalog.New(), ixs, nil, nil)
 }
 
 func TestCNCollectsWhenPlansDiverge(t *testing.T) {
@@ -72,7 +70,7 @@ func TestCNChargesOptimizerProbes(t *testing.T) {
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
 
 	// Lightweight strategy compile charge for the same decision.
-	jLight := New(DefaultConfig(), feedback.NewHistory(), catalog.New())
+	jLight := New(DefaultConfig(), feedback.NewHistory(), catalog.New(), nil, nil, nil)
 	var mLight costmodel.Meter
 	if _, _, err := jLight.PrepareBudgeted(context.Background(), q, db, 1, &mLight, w, nil); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/qgm"
 	"repro/internal/sampling"
 	"repro/internal/storage"
-	"repro/internal/tracing"
 	"repro/internal/value"
 )
 
@@ -187,22 +186,17 @@ func (c *collection) admit(tw *tableWork) (size int, reserved int64, deg degrada
 	}
 }
 
-// collect samples the admitted table under a jits.sample span and releases
-// the reservation (QSS live in the archive, the sample is transient); a
-// failed pass comes back as the degradation it amounts to.
+// collect samples the admitted table, timing the pass, and releases the
+// reservation (QSS live in the archive, the sample is transient); a failed
+// pass comes back as the degradation it amounts to.
 func (c *collection) collect(tw *tableWork, size int, reserved int64) degradation {
 	tr := &tw.report
-	span := c.j.tracer.Start(c.ts, tracing.PhaseSample)
 	start := time.Now()
-	err := c.sample(tw, size, span)
+	err := c.sample(tw, size, start)
 	c.res.Shrink(reserved)
 	tr.SampleWall = time.Since(start)
 	// Success or not: a probe that errors slowly is still a slow probe.
 	c.j.breaker.RecordSampling(tr.SampleWall)
-	if span != nil {
-		span.Attr("table", tr.Table).Attr("rows", tr.SampleRows).Attr("groups", len(tw.groups))
-	}
-	span.End()
 
 	if err == nil {
 		return degradation{}
@@ -217,10 +211,11 @@ func (c *collection) collect(tw *tableWork, size int, reserved int64) degradatio
 }
 
 // sample is collect's body — draw → evaluate → domains → NDV → materialize,
-// one lap of the span each. A panic anywhere in it is an error (the morsel
-// runner hands back its workers', this recovers the rest), so the table
-// degrades instead of crashing the statement.
-func (c *collection) sample(tw *tableWork, size int, span *tracing.Span) (err error) {
+// each timed into the report's Laps from start on, so the laps add up to the
+// pass. A panic anywhere in it is an error (the morsel runner hands back its
+// workers', this recovers the rest), so the table degrades instead of
+// crashing the statement.
+func (c *collection) sample(tw *tableWork, size int, start time.Time) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &morsel.PanicError{Val: p}
@@ -228,13 +223,17 @@ func (c *collection) sample(tw *tableWork, size int, span *tracing.Span) (err er
 	}()
 	j, cfg, tr, groups := c.j, &c.j.cfg, &tw.report, tw.groups
 	name, schema := tr.Table, tw.tbl.Schema()
+	lap := func(d *time.Duration) {
+		now := time.Now()
+		*d, start = now.Sub(start), now
+	}
 
 	sample, err := j.sampler.SampleColumns(c.ctx, tw.tbl, size, c.meter, c.w, cfg.Parallelism)
 	if err != nil {
 		return err
 	}
 	rows := sample.Rows()
-	span.Lap("draw_us")
+	lap(&tr.Laps.Draw)
 
 	if cfg.PerGroupSampling && len(groups) > 1 {
 		// Prototype-faithful costing: each further group pays its own query.
@@ -245,11 +244,11 @@ func (c *collection) sample(tw *tableWork, size int, span *tracing.Span) (err er
 		return err
 	}
 	floor := sampling.SelectivityFloor(rows)
-	span.Lap("eval_us")
+	lap(&tr.Laps.Eval)
 
 	// Only the columns some candidate group references are ever looked up.
 	domains := columnDomains(schema, sample, qgm.GroupColumns(slices.Concat(groups...)))
-	span.Lap("domains_us")
+	lap(&tr.Laps.Domains)
 
 	card := int64(tw.tbl.RowCount())
 	j.archive.SetCardinality(name, card, c.ts)
@@ -261,7 +260,7 @@ func (c *collection) sample(tw *tableWork, size int, span *tracing.Span) (err er
 			j.archive.SetColumnNDV(name, schema.Column(col).Name, ndv, c.ts)
 		}
 	}
-	span.Lap("ndv_us")
+	lap(&tr.Laps.NDV)
 
 	for gi, g := range groups {
 		sel := sels[gi]
@@ -280,7 +279,7 @@ func (c *collection) sample(tw *tableWork, size int, span *tracing.Span) (err er
 		}
 	}
 	tr.SampleRows = rows
-	span.Lap("materialize_us")
+	lap(&tr.Laps.Materialize)
 	return nil
 }
 

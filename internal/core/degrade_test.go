@@ -62,13 +62,13 @@ func twoTableDB(t testing.TB) *storage.Database {
 
 const twoTableSQL = `SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND c.make = 'Toyota' AND o.city = 'Ottawa'`
 
-func forcedJITS(cfg Config) *JITS {
+func forcedJITS(cfg Config, breaker *govern.Breaker) *JITS {
 	cfg.Enabled = true
 	cfg.ForceCollect = true
 	if cfg.SampleSize == 0 {
 		cfg.SampleSize = 200
 	}
-	return New(cfg, feedback.NewHistory(), catalog.New())
+	return New(cfg, feedback.NewHistory(), catalog.New(), nil, breaker, nil)
 }
 
 func prepare(t *testing.T, ctx context.Context, j *JITS, db *storage.Database) (*QueryStats, *PrepareReport) {
@@ -94,7 +94,7 @@ func degradedReasons(rep *PrepareReport) map[string]string {
 
 func TestPrepareRowBudgetDegradesLaterTables(t *testing.T) {
 	db := twoTableDB(t)
-	j := forcedJITS(Config{SampleSize: 200, SampleBudgetRows: 200})
+	j := forcedJITS(Config{SampleSize: 200, SampleBudgetRows: 200}, nil)
 	_, rep := prepare(t, context.Background(), j, db)
 	if rep.CollectedTables() != 1 {
 		t.Fatalf("collected = %d, want the first table only (report %+v)", rep.CollectedTables(), rep)
@@ -120,7 +120,7 @@ func TestPrepareRowBudgetTruncatesSample(t *testing.T) {
 	db := twoTableDB(t)
 	// Budget of 250 rows: the first table gets the full 200, the second
 	// gets the truncated remainder of 50 — partial statistics beat none.
-	j := forcedJITS(Config{SampleSize: 200, SampleBudgetRows: 250})
+	j := forcedJITS(Config{SampleSize: 200, SampleBudgetRows: 250}, nil)
 	_, rep := prepare(t, context.Background(), j, db)
 	if rep.Degraded || rep.CollectedTables() != 2 {
 		t.Fatalf("report = %+v, want both tables collected", rep)
@@ -132,7 +132,7 @@ func TestPrepareRowBudgetTruncatesSample(t *testing.T) {
 
 func TestPrepareUnitsBudgetDegradesLaterTables(t *testing.T) {
 	db := twoTableDB(t)
-	j := forcedJITS(Config{SampleBudgetUnits: 1e-9})
+	j := forcedJITS(Config{SampleBudgetUnits: 1e-9}, nil)
 	_, rep := prepare(t, context.Background(), j, db)
 	// The first table always runs (nothing is spent yet); the second trips
 	// the cost cap.
@@ -156,7 +156,7 @@ func TestPrepareSamplingFaultDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := twoTableDB(t)
-	j := forcedJITS(Config{})
+	j := forcedJITS(Config{}, nil)
 	qs, rep := prepare(t, context.Background(), j, db)
 	if rep.CollectedTables() != 0 || rep.DegradedTables() != 2 {
 		t.Fatalf("report = %+v, want both tables degraded", rep)
@@ -178,7 +178,7 @@ func TestPrepareCancelledContextDegrades(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	db := twoTableDB(t)
-	j := forcedJITS(Config{})
+	j := forcedJITS(Config{}, nil)
 	_, rep := prepare(t, ctx, j, db)
 	if rep.CollectedTables() != 0 || rep.DegradedTables() != 2 {
 		t.Fatalf("report = %+v, want both tables degraded", rep)
@@ -200,7 +200,7 @@ func TestPrepareWorkerPanicDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := twoTableDB(t)
-	j := forcedJITS(Config{Parallelism: 4})
+	j := forcedJITS(Config{Parallelism: 4}, nil)
 	_, rep := prepare(t, context.Background(), j, db)
 	if rep.CollectedTables() != 0 || rep.DegradedTables() != 2 {
 		t.Fatalf("report = %+v, want both tables degraded", rep)
@@ -235,7 +235,7 @@ func TestPrepareDegradedKeepsUDI(t *testing.T) {
 	if err := faultinject.Arm(faultinject.SamplingRows, faultinject.Spec{Every: 1, Limit: 1}); err != nil {
 		t.Fatal(err)
 	}
-	j := forcedJITS(Config{})
+	j := forcedJITS(Config{}, nil)
 	_, rep := prepare(t, context.Background(), j, db)
 	if rep.DegradedTables() == 0 {
 		t.Fatal("expected at least one degraded table")
@@ -277,8 +277,8 @@ func trippedBreaker(t *testing.T) *govern.Breaker {
 func TestDegradationIsOneEvent(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	arm := func(p faultinject.Point) func(*testing.T, *JITS) {
-		return func(t *testing.T, _ *JITS) {
+	arm := func(p faultinject.Point) func(*testing.T) {
+		return func(t *testing.T) {
 			if err := faultinject.Arm(p, faultinject.Spec{Every: 1}); err != nil {
 				t.Fatal(err)
 			}
@@ -289,7 +289,8 @@ func TestDegradationIsOneEvent(t *testing.T) {
 		cause    costmodel.DegradeCause
 		cfg      Config
 		ctx      context.Context
-		setup    func(*testing.T, *JITS)
+		setup    func(*testing.T)
+		tripped  bool  // the sampling circuit breaker starts open
 		memBytes int64 // statement memory budget; 0 = no reservation
 		tables   []string
 		reason   string
@@ -307,8 +308,8 @@ func TestDegradationIsOneEvent(t *testing.T) {
 		{name: "memory budget", cause: costmodel.DegradeMemoryBudget, memBytes: 1024,
 			tables: []string{"car", "owner"}, reason: "memory budget: sample of 100 rows does not fit reservation: "},
 		{name: "breaker open", cause: costmodel.DegradeBreakerOpen,
-			setup:  func(t *testing.T, j *JITS) { j.BindBreaker(trippedBreaker(t)) },
-			tables: []string{"car", "owner"}, reason: "sampling circuit breaker open (catalog-only mode)"},
+			tripped: true,
+			tables:  []string{"car", "owner"}, reason: "sampling circuit breaker open (catalog-only mode)"},
 	}
 	seen := make(map[costmodel.DegradeCause]bool)
 	for _, tc := range cases {
@@ -318,9 +319,13 @@ func TestDegradationIsOneEvent(t *testing.T) {
 			t.Cleanup(faultinject.Reset)
 			metrics.Enable()
 			t.Cleanup(metrics.Disable)
-			j := forcedJITS(tc.cfg)
+			var breaker *govern.Breaker
+			if tc.tripped {
+				breaker = trippedBreaker(t)
+			}
+			j := forcedJITS(tc.cfg, breaker)
 			if tc.setup != nil {
-				tc.setup(t, j)
+				tc.setup(t)
 			}
 			ctx := tc.ctx
 			if ctx == nil {

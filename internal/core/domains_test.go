@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"regexp"
-	"strconv"
 	"testing"
 	"time"
 
@@ -16,7 +13,6 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/sampling"
 	"repro/internal/storage"
-	"repro/internal/tracing"
 	"repro/internal/value"
 )
 
@@ -170,55 +166,38 @@ func TestDomainsIgnoreRowOrder(t *testing.T) {
 	}
 }
 
-var lapAttr = regexp.MustCompile(`(draw|eval|ndv|domains|materialize)_us=([0-9.e+-]+)`)
-
-// TestSampleSpanLapsSumToSpan: with trace output on, the jits.sample span
-// carries the five lap attributes and they account for the span (within 10 %;
-// what is left is the span's own start and end). Unbound or disabled, the
-// tracer reads no clock: the span is nil and Lap is one branch.
+// TestSampleSpanLapsSumToSpan: every sampled table's report carries the five
+// laps of its sampling pass, and they account for the pass's SampleWall
+// (within 10 %; what is left is the pass's own start and end).
 func TestSampleSpanLapsSumToSpan(t *testing.T) {
 	db, _ := correlatedDB(t)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry' AND year > 1995`)
-	var out bytes.Buffer
-	j := New(Config{Enabled: true, ForceCollect: true, SampleSize: 2000, Seed: 1}, feedback.NewHistory(), catalog.New())
-	j.BindTracer(tracing.New(&out))
+	j := New(Config{Enabled: true, ForceCollect: true, SampleSize: 2000, Seed: 1}, feedback.NewHistory(), catalog.New(), nil, nil, nil)
 	var m costmodel.Meter
-	// Best of a few: one scheduler hiccup between End's clock read and the
-	// last lap must not fail the build.
-	var sum, wall float64
+	// Best of a few: one scheduler hiccup between the last lap and the
+	// pass's closing clock read must not fail the build.
+	var sum, wall time.Duration
 	for attempt := int64(1); attempt <= 5; attempt++ {
-		out.Reset()
-		if _, _, err := j.PrepareBudgeted(context.Background(), q, db, attempt, &m, costmodel.DefaultWeights(), nil); err != nil {
-			t.Fatal(err)
-		}
-		line := out.String()
-		laps := lapAttr.FindAllStringSubmatch(line, -1)
-		if len(laps) != 5 {
-			t.Fatalf("span line %q carries %d lap attributes, want 5", line, len(laps))
-		}
-		sum = 0
-		for _, l := range laps {
-			us, err := strconv.ParseFloat(l[2], 64)
-			if err != nil {
-				t.Fatalf("attribute %q: %v", l[0], err)
-			}
-			sum += us
-		}
-		d, err := time.ParseDuration(regexp.MustCompile(`wall=(\S+)`).FindStringSubmatch(line)[1])
+		_, rep, err := j.PrepareBudgeted(context.Background(), q, db, attempt, &m, costmodel.DefaultWeights(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wall = float64(d.Nanoseconds()) / 1e3
-		if math.Abs(sum-wall) <= 0.1*wall {
+		if len(rep.Tables) != 1 || !rep.Tables[0].Collected {
+			t.Fatalf("report %+v, want car sampled", rep.Tables)
+		}
+		tr := rep.Tables[0]
+		l := tr.Laps
+		for name, d := range map[string]time.Duration{"draw": l.Draw, "eval": l.Eval, "domains": l.Domains, "ndv": l.NDV, "materialize": l.Materialize} {
+			if d <= 0 {
+				t.Fatalf("lap %s = %v, want positive: %+v", name, d, l)
+			}
+		}
+		sum, wall = l.Draw+l.Eval+l.Domains+l.NDV+l.Materialize, tr.SampleWall
+		if math.Abs(float64(sum-wall)) <= 0.1*float64(wall) {
 			break
 		}
 	}
-	if math.Abs(sum-wall) > 0.1*wall {
-		t.Fatalf("laps sum to %.1fµs, span wall is %.1fµs", sum, wall)
+	if math.Abs(float64(sum-wall)) > 0.1*float64(wall) {
+		t.Fatalf("laps sum to %v, the pass took %v", sum, wall)
 	}
-
-	var nilSpan *tracing.Span
-	nilSpan.Lap("draw_us") // must not panic
-	quiet := tracing.New(nil).Start(1, tracing.PhaseSample)
-	quiet.Lap("draw_us")
 }

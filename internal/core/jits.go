@@ -14,7 +14,6 @@ import (
 	"repro/internal/qgm"
 	"repro/internal/sampling"
 	"repro/internal/storage"
-	"repro/internal/tracing"
 )
 
 // Config tunes the JITS framework.
@@ -103,11 +102,10 @@ type JITS struct {
 	history *feedback.History
 	cat     *catalog.Catalog
 	sampler *sampling.Sampler
-	indexes *index.Set // bound by the engine; used by StrategyCN plan probes
+	indexes *index.Set // StrategyCN plan probes enumerate over it
 	degrade costmodel.Degradation
-	tracer  *tracing.Tracer // bound by the engine; nil-safe when unbound
-	breaker *govern.Breaker // bound by the engine; nil-safe when unbound
-	merges  MergeObserver   // bound by the engine; nil-safe when unbound
+	breaker *govern.Breaker // nil never trips
+	merges  MergeObserver   // nil: no merge events
 }
 
 // MergeObserver is notified whenever a quantified statistic is merged
@@ -118,9 +116,13 @@ type MergeObserver interface {
 	ObserveMerge(ts int64, table, key string)
 }
 
-// New builds a JITS coordinator sharing the engine's catalog and feedback
-// history.
-func New(cfg Config, history *feedback.History, cat *catalog.Catalog) *JITS {
+// New builds a JITS coordinator sharing the engine's catalog, feedback
+// history and index registry (the CN strategy's plan enumerations need it).
+// While breaker is open, PrepareBudgeted skips compile-time sampling
+// (catalog-only mode) and counts each skipped table as a breaker degradation;
+// a nil breaker never trips. merges subscribes to archive merges (the
+// engine's accuracy ledger); nil disables the events.
+func New(cfg Config, history *feedback.History, cat *catalog.Catalog, ixs *index.Set, breaker *govern.Breaker, merges MergeObserver) *JITS {
 	cfg = cfg.withDefaults()
 	return &JITS{
 		cfg:     cfg,
@@ -128,22 +130,11 @@ func New(cfg Config, history *feedback.History, cat *catalog.Catalog) *JITS {
 		history: history,
 		cat:     cat,
 		sampler: sampling.New(cfg.Seed),
+		indexes: ixs,
+		breaker: breaker,
+		merges:  merges,
 	}
 }
-
-// BindTracer attaches the engine's phase tracer; per-table sampling spans
-// (tracing.PhaseSample) emit through it. A nil tracer disables the spans.
-func (j *JITS) BindTracer(t *tracing.Tracer) { j.tracer = t }
-
-// BindBreaker attaches the governor's sampling circuit breaker. While it is
-// open, PrepareBudgeted skips compile-time sampling (catalog-only mode) and
-// counts each skipped table as a breaker degradation. A nil breaker (the
-// default) never trips.
-func (j *JITS) BindBreaker(b *govern.Breaker) { j.breaker = b }
-
-// BindMergeObserver attaches an archive merge subscriber (the engine's
-// accuracy ledger). A nil observer (the default) disables the events.
-func (j *JITS) BindMergeObserver(o MergeObserver) { j.merges = o }
 
 // DegradationCounts snapshots the cumulative graceful-degradation counters:
 // how many tables fell back to catalog statistics, by cause.
@@ -252,10 +243,20 @@ type TableReport struct {
 	// not it succeeded; zero when the table was not sampled. The engine
 	// records it as the statement's jits.sample phase.
 	SampleWall time.Duration
+	// Laps split SampleWall into the pass's steps, in order; a step the pass
+	// did not reach (it failed first) stays zero.
+	Laps SampleLaps
+}
+
+// SampleLaps are the wall times of one sampling pass's steps: draw the
+// sample, evaluate the candidate groups on it, derive the column domains,
+// estimate the NDVs, and materialize into the archive.
+type SampleLaps struct {
+	Draw, Eval, Domains, NDV, Materialize time.Duration
 }
 
 // DegradeNote renders a degraded table's "table: reason" note — the line the
-// flight record, the trace and the wire result carry.
+// flight record and the wire result carry.
 func (tr *TableReport) DegradeNote() string { return tr.Table + ": " + tr.DegradeReason }
 
 // PrepareReport summarizes one PrepareBudgeted call for experiments and logging.

@@ -74,7 +74,7 @@ func buildQuery(t testing.TB, db *storage.Database, sql string) *qgm.Query {
 
 func TestPrepareDisabled(t *testing.T) {
 	db, _ := correlatedDB(t)
-	j := New(Config{Enabled: false}, feedback.NewHistory(), catalog.New())
+	j := New(Config{Enabled: false}, feedback.NewHistory(), catalog.New(), nil, nil, nil)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota'`)
 	var m costmodel.Meter
 	qs, rep, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil)
@@ -96,7 +96,7 @@ func TestPrepareCollectsExactJointSelectivity(t *testing.T) {
 	db, _ := correlatedDB(t)
 	cfg := DefaultConfig()
 	cfg.ForceCollect = true
-	j := New(cfg, feedback.NewHistory(), catalog.New())
+	j := New(cfg, feedback.NewHistory(), catalog.New(), nil, nil, nil)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
 	var m costmodel.Meter
 	qs, rep, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil)
@@ -146,7 +146,7 @@ func TestPrepareResetsUDIAndFillsArchive(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.ForceCollect = true
-	j := New(cfg, feedback.NewHistory(), catalog.New())
+	j := New(cfg, feedback.NewHistory(), catalog.New(), nil, nil, nil)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND year > 2000`)
 	var m costmodel.Meter
 	_, rep, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil)
@@ -169,7 +169,7 @@ func TestArchiveReusedAcrossQueries(t *testing.T) {
 	db, _ := correlatedDB(t)
 	cfg := DefaultConfig()
 	cfg.ForceCollect = true
-	j := New(cfg, feedback.NewHistory(), catalog.New())
+	j := New(cfg, feedback.NewHistory(), catalog.New(), nil, nil, nil)
 
 	// Query 1 materializes (make, model) stats.
 	q1 := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
@@ -204,7 +204,7 @@ func TestSensitivitySkipsFreshTables(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SMax = 0.5
 	hist := feedback.NewHistory()
-	j := New(cfg, hist, catalog.New())
+	j := New(cfg, hist, catalog.New(), nil, nil, nil)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
 	var m costmodel.Meter
 	w := costmodel.DefaultWeights()
@@ -261,7 +261,7 @@ func TestSelfJoinSharesOneSample(t *testing.T) {
 	db, _ := correlatedDB(t)
 	cfg := DefaultConfig()
 	cfg.ForceCollect = true
-	j := New(cfg, feedback.NewHistory(), catalog.New())
+	j := New(cfg, feedback.NewHistory(), catalog.New(), nil, nil, nil)
 	q := buildQuery(t, db, `SELECT c1.id FROM car c1, car c2
 		WHERE c1.id = c2.id AND c1.make = 'Toyota' AND c2.make = 'Honda'`)
 	var m costmodel.Meter
@@ -280,7 +280,7 @@ func TestSelfJoinSharesOneSample(t *testing.T) {
 
 func TestFeedbackRecordsHistory(t *testing.T) {
 	hist := feedback.NewHistory()
-	j := New(DefaultConfig(), hist, catalog.New())
+	j := New(DefaultConfig(), hist, catalog.New(), nil, nil, nil)
 	j.Feedback([]Observation{
 		{Table: "car", ColGrp: name("car(make)"), StatList: names("car(make)"), EstSel: 0.2, ActualSel: 0.4, BaseCard: 1000},
 		{Table: "car", StatList: nil, EstSel: 0.2, ActualSel: 0.4, BaseCard: 1000}, // skipped
@@ -299,7 +299,7 @@ func TestMigrateToCatalogViaCoordinator(t *testing.T) {
 	cat := catalog.New()
 	cfg := DefaultConfig()
 	cfg.ForceCollect = true
-	j := New(cfg, feedback.NewHistory(), cat)
+	j := New(cfg, feedback.NewHistory(), cat, nil, nil, nil)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE year > 2000`)
 	var m costmodel.Meter
 	if _, _, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil); err != nil {
@@ -319,7 +319,7 @@ func TestMigrateToCatalogViaCoordinator(t *testing.T) {
 }
 
 func TestSetSMax(t *testing.T) {
-	j := New(DefaultConfig(), feedback.NewHistory(), catalog.New())
+	j := New(DefaultConfig(), feedback.NewHistory(), catalog.New(), nil, nil, nil)
 	j.SetSMax(0.7)
 	if j.cfg.SMax != 0.7 {
 		t.Errorf("SMax = %v", j.cfg.SMax)
@@ -328,7 +328,7 @@ func TestSetSMax(t *testing.T) {
 
 func TestPrepareUnknownTable(t *testing.T) {
 	db, _ := correlatedDB(t)
-	j := New(DefaultConfig(), feedback.NewHistory(), catalog.New())
+	j := New(DefaultConfig(), feedback.NewHistory(), catalog.New(), nil, nil, nil)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota'`)
 	// Sabotage: drop the table between rewrite and prepare.
 	if err := db.DropTable("car"); err != nil {

@@ -195,7 +195,7 @@ func FuzzLoadArchive(f *testing.F) {
 }
 
 func TestJITSRestoreArchive(t *testing.T) {
-	j := New(DefaultConfig(), nil, nil)
+	j := New(DefaultConfig(), nil, nil, nil, nil, nil)
 	a := populatedArchive(t)
 	j.RestoreArchive(a)
 	if j.Archive() != a {

@@ -138,7 +138,7 @@ func runChaosClass(t *testing.T, opts engine.ExecOptions, arm func()) (faultErrs
 	e, d := mkChaosEngine(t, engine.ReoptConfig{})
 	arm() // arm only after the data load so the dataset matches the baseline
 	for i, st := range d.Workload(chaosStmts, chaosSeed, true) {
-		res, err := e.ExecWithContext(context.Background(), st.SQL, opts)
+		res, err := e.ExecUnboxed(context.Background(), st.SQL, opts)
 		b := base[i]
 		if err != nil {
 			if !st.IsQuery {
@@ -147,6 +147,7 @@ func runChaosClass(t *testing.T, opts engine.ExecOptions, arm func()) (faultErrs
 			faultErrs++ // clean statement-level failure: tolerated
 			continue
 		}
+		res.Rows = res.Out.Rows()
 		if res.Prepare != nil && res.Prepare.Degraded {
 			degradedStmts++
 			if len(res.Prepare.FallbackTables) == 0 {

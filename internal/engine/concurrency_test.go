@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -69,7 +70,7 @@ func TestConcurrentParallelQueriesAndDML(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, err := e.ExecWith(queries[(w+i)%len(queries)], ExecOptions{Parallelism: 2 + w%3}); err != nil {
+				if _, err := e.ExecUnboxed(context.Background(), queries[(w+i)%len(queries)], ExecOptions{Parallelism: 2 + w%3}); err != nil {
 					errs <- err
 					return
 				}

@@ -52,9 +52,9 @@ func TestFeedbackCrossCheck(t *testing.T) {
 			recObs := 0
 			minQ, maxQ := math.Inf(1), math.Inf(-1)
 			for _, rec := range e.Recorder().Last(0) {
-				recObs += len(rec.ErrorFactors)
-				for _, ef := range rec.ErrorFactors {
-					q := math.Max(ef, 1/ef) // symmetric q-error of the ratio
+				recObs += len(rec.Feedback)
+				for _, fb := range rec.Feedback {
+					q := math.Max(fb.ErrorFactor, 1/fb.ErrorFactor) // symmetric q-error of the ratio
 					minQ = math.Min(minQ, q)
 					maxQ = math.Max(maxQ, q)
 				}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -202,14 +203,15 @@ func FuzzParallelSerial(f *testing.F) {
 		serialE, parallelE, d := fuzzEngines(t)
 		n := int(dop%7) + 2 // clamp to [2, 8]
 		for _, st := range d.Queries(3, int64(qseed)) {
-			sres, serr := serialE.ExecWith(st.SQL, engine.ExecOptions{Parallelism: 1})
-			pres, perr := parallelE.ExecWith(st.SQL, engine.ExecOptions{Parallelism: n})
+			sres, serr := serialE.ExecUnboxed(context.Background(), st.SQL, engine.ExecOptions{Parallelism: 1})
+			pres, perr := parallelE.ExecUnboxed(context.Background(), st.SQL, engine.ExecOptions{Parallelism: n})
 			if (serr == nil) != (perr == nil) {
 				t.Fatalf("%q: serial err %v, parallel err %v", st.SQL, serr, perr)
 			}
 			if serr != nil {
 				continue
 			}
+			sres.Rows, pres.Rows = sres.Out.Rows(), pres.Out.Rows()
 			if diff := diffResults(sres, pres); diff != "" {
 				t.Fatalf("%q at dop %d: %s", st.SQL, n, diff)
 			}

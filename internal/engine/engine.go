@@ -48,7 +48,6 @@ import (
 	"repro/internal/qgm"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
-	"repro/internal/tracing"
 	"repro/internal/value"
 )
 
@@ -69,12 +68,14 @@ type Config struct {
 	// query still suffers from the wrong estimate — the paper's critique.
 	// Only consulted when JITS collection is disabled.
 	ReactiveCorrections bool
-	// Trace, when non-nil, receives one line per notable per-query decision:
-	// JITS collection choices with their s1/s2 scores, the chosen plan's
-	// root, estimated-vs-actual selectivities observed by the feedback loop,
-	// and per-phase span timings. All writes are serialized through an
-	// internal tracing.Tracer, so the writer may be shared by concurrent
-	// statements without external locking.
+	// Trace, when non-nil, receives every statement's flight record as one
+	// JSON line when the statement finishes — the record /debug/queries
+	// serves: phase wall times, the JITS decisions with their s1/s2 scores
+	// and sample laps, the plan with per-operator actuals, and the feedback
+	// observed. It is a sink of the flight recorder independent of
+	// FlightRecorderCapacity. Each line is one Write under the recorder's
+	// mutex, so the writer may be shared by concurrent statements without
+	// external locking.
 	Trace io.Writer
 	// Parallelism is the default degree of intra-query parallelism for
 	// SELECT execution, and the fixed degree of JITS sample evaluation
@@ -86,8 +87,9 @@ type Config struct {
 	Parallelism int
 	// FlightRecorderCapacity enables the statement flight recorder with a
 	// ring of that many records (SHOW QUERIES / EXPLAIN HISTORY read it);
-	// negative values select flightrec.DefaultCapacity. 0 leaves recording
-	// off for the engine's life, and statements then pay one length check.
+	// negative values select flightrec.DefaultCapacity. 0 keeps no ring for
+	// the engine's life; with no Trace either, statements then pay two
+	// checks.
 	FlightRecorderCapacity int
 	// Governor configures the resource governor: admission control
 	// (MaxConcurrent/QueueDepth), the engine-global memory pool, and the
@@ -187,7 +189,6 @@ type Engine struct {
 	clock        atomic.Int64 // the logical clock; tick advances it
 	migrateEvery int
 	selectCount  atomic.Int64
-	tracer       *tracing.Tracer
 	recorder     *flightrec.Recorder
 	accuracy     *accuracy.Ledger
 	governor     *govern.Governor
@@ -217,31 +218,23 @@ func New(cfg Config) *Engine {
 	if cfg.JITS.Parallelism == 0 {
 		cfg.JITS.Parallelism = cfg.Parallelism
 	}
-	tracer := tracing.New(cfg.Trace)
-	jits := core.New(cfg.JITS, hist, cat)
-	jits.BindIndexes(ixs)
-	jits.BindTracer(tracer)
-	recorder := flightrec.New(cfg.FlightRecorderCapacity)
 	if cfg.Governor.StatementMemBudgetBytes == 0 {
 		cfg.Governor.StatementMemBudgetBytes = cfg.JITS.MemBudgetBytes
 	}
 	governor := govern.New(cfg.Governor)
-	jits.BindBreaker(governor.SamplingBreaker())
 	// The accuracy ledger always exists; while disabled every probe on it is
 	// one field load. It subscribes to archive merges through the JITS
-	// coordinator and shares the tracer.
-	ledger := accuracy.New(cfg.Accuracy, tracer)
-	jits.BindMergeObserver(ledger)
+	// coordinator.
+	ledger := accuracy.New(cfg.Accuracy)
 	e := &Engine{
 		db:           storage.NewDatabase(cfg.StorageChunkSize),
 		cat:          cat,
 		indexes:      ixs,
 		history:      hist,
-		jits:         jits,
+		jits:         core.New(cfg.JITS, hist, cat, ixs, governor.SamplingBreaker(), ledger),
 		weights:      costmodel.DefaultWeights(),
 		migrateEvery: cfg.MigrateEvery,
-		tracer:       tracer,
-		recorder:     recorder,
+		recorder:     flightrec.New(cfg.FlightRecorderCapacity, cfg.Trace),
 		accuracy:     ledger,
 		governor:     governor,
 		parallelism:  cfg.Parallelism,
@@ -279,20 +272,9 @@ func (e *Engine) tick() int64 { return e.clock.Add(1) }
 // Now returns the current logical time without advancing it.
 func (e *Engine) Now() int64 { return e.clock.Load() }
 
-// tracef writes one trace line when tracing is enabled. The tracer
-// serializes concurrent writers; before it existed, concurrent statements
-// interleaved partial lines (and raced) on the shared Config.Trace writer.
-func (e *Engine) tracef(format string, args ...any) {
-	e.tracer.Printf(format, args...)
-}
-
-// Tracer exposes the engine's phase tracer (tests and tools may emit their
-// own lines through it; it is always non-nil).
-func (e *Engine) Tracer() *tracing.Tracer { return e.tracer }
-
-// Recorder exposes the statement flight recorder. Always non-nil; it records
-// only when Config.FlightRecorderCapacity is non-zero. Safe to read
-// concurrently with statements and across Close.
+// Recorder exposes the statement flight recorder. Always non-nil; its ring
+// holds records only when Config.FlightRecorderCapacity is non-zero. Safe to
+// read concurrently with statements and across Close.
 func (e *Engine) Recorder() *flightrec.Recorder { return e.recorder }
 
 // Accuracy exposes the estimator-accuracy ledger. Always non-nil; it
@@ -362,29 +344,10 @@ func (e *Engine) Drain(ctx context.Context) error {
 }
 
 // Exec parses and runs one SQL statement at the engine's default degree of
-// parallelism.
+// parallelism and boxes its result set into Result.Rows: ExecUnboxed plus the
+// one boxing an embedded caller asked for by calling it.
 func (e *Engine) Exec(sql string) (*Result, error) {
-	return e.ExecWithContext(context.Background(), sql, ExecOptions{})
-}
-
-// ExecContext is Exec bounded by ctx: cancellation or deadline expiry stops
-// JITS sampling at the next per-table boundary (compilation degrades to
-// catalog statistics) and execution at the next morsel boundary (the
-// statement returns the context's error).
-func (e *Engine) ExecContext(ctx context.Context, sql string) (*Result, error) {
-	return e.ExecWithContext(ctx, sql, ExecOptions{})
-}
-
-// ExecWith parses and runs one SQL statement with per-query session options.
-func (e *Engine) ExecWith(sql string, opts ExecOptions) (*Result, error) {
-	return e.ExecWithContext(context.Background(), sql, opts)
-}
-
-// ExecWithContext parses and runs one SQL statement with per-query session
-// options under ctx and boxes its result set into Result.Rows: ExecUnboxed
-// plus the one boxing an embedded caller asked for by calling it.
-func (e *Engine) ExecWithContext(ctx context.Context, sql string, opts ExecOptions) (*Result, error) {
-	res, err := e.ExecUnboxed(ctx, sql, opts)
+	res, err := e.ExecUnboxed(context.Background(), sql, ExecOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -434,24 +397,34 @@ func (e *Engine) ExecUnboxed(ctx context.Context, sql string, opts ExecOptions) 
 	}
 	e.probeCache(s)
 	var stmt sqlparser.Statement
+	var parseWall time.Duration
 	if !s.hit {
-		// Parsing precedes the statement's tick and record, so its span
-		// carries qid 0 ("pre-statement") and the record has no parse phase.
-		parse := e.phase(s, tracing.PhaseParse)
+		// Parsing precedes the statement's tick and record, so its wall time
+		// is taken here — only when there is a record to put it in — and
+		// becomes the record's first phase below.
+		var parseStart time.Time
+		if e.recorder.Recording() {
+			parseStart = time.Now()
+		}
 		stmt, err = sqlparser.Parse(sql)
-		parse.end()
 		if err != nil {
 			stmtErrors.Inc()
 			return nil, err
 		}
+		if !parseStart.IsZero() {
+			parseWall = time.Since(parseStart)
+		}
 	}
 	// Begin: one logical-clock tick per statement, hit or parsed; the
-	// timestamp doubles as the statement's qid in traces and the flight
-	// recorder. Parse errors returned above, so they consume no tick.
+	// timestamp doubles as the statement's qid in the flight recorder. Parse
+	// errors returned above, so they consume no tick and leave no record.
 	s.ts = e.tick()
 	if s.rec = e.recorder.Begin(s.ts, sql); s.rec != nil {
 		s.rec.Annotations = opts.Annotations
 		s.rec.ArchiveEpoch = s.epoch
+		if !s.hit {
+			s.rec.AddPhase(flightrec.PhaseParse, parseWall)
+		}
 	}
 	res, err := e.dispatch(s, stmt)
 	return e.finish(s, res, err)

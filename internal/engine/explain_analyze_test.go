@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"regexp"
 	"strings"
@@ -53,7 +54,7 @@ func TestGoldenExplainAnalyze(t *testing.T) {
 			dop  int
 			want string
 		}{{1, c.serial}, {4, c.parallel}} {
-			res, err := e.ExecWith(c.sql, ExecOptions{Parallelism: mode.dop})
+			res, err := e.ExecUnboxed(context.Background(), c.sql, ExecOptions{Parallelism: mode.dop})
 			if err != nil {
 				t.Fatalf("%q at dop %d: %v", c.sql, mode.dop, err)
 			}
@@ -66,7 +67,7 @@ func TestGoldenExplainAnalyze(t *testing.T) {
 				t.Errorf("columns = %v, want [plan]", res.Columns)
 			}
 			var lines []string
-			for _, r := range res.Rows {
+			for _, r := range res.Out.Rows() {
 				lines = append(lines, r[0].Str())
 			}
 			if got := normalizeWall(strings.Join(lines, "\n") + "\n"); got != mode.want {

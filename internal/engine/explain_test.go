@@ -113,15 +113,31 @@ func TestPerGroupSamplingCharges(t *testing.T) {
 	}
 }
 
+// TestTraceOutput: a traced statement's line carries the JITS decision on
+// car with the s1/s2 scores it was made on, and the feedback observed on
+// car(make,model).
 func TestTraceOutput(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Config{JITS: core.DefaultConfig(), Trace: &buf}
 	e := seedEngine(t, cfg)
-	mustExec(t, e, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
-	out := buf.String()
-	for _, want := range []string{"jits car", "feedback car(make,model)", "plan rows="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q:\n%s", want, out)
-		}
+	buf.Reset()
+	res := mustExec(t, e, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
+	recs, _ := traceRecords(t, buf.Bytes())
+	if len(recs) != 1 || len(recs[0].Tables) != 1 || len(res.Prepare.Tables) != 1 {
+		t.Fatalf("want one record deciding one table, got %+v", recs)
+	}
+	car, want := recs[0].Tables[0], res.Prepare.Tables[0]
+	if car.Table != "car" || !car.Collected || car.S1 != want.Scores.S1 || car.S2 != want.Scores.S2 || car.S1+car.S2 == 0 {
+		t.Errorf("car decision %+v, want collected on s1=%v s2=%v", car, want.Scores.S1, want.Scores.S2)
+	}
+	if car.SampleRows == 0 || car.GroupsEvaluated == 0 || car.Draw <= 0 || car.Materialize <= 0 {
+		t.Errorf("car sample %+v: want rows, groups and laps", car)
+	}
+	found := false
+	for _, fb := range recs[0].Feedback {
+		found = found || (fb.Stat == "car(make,model)" && fb.ErrorFactor > 0 && fb.ActualSel > 0)
+	}
+	if !found {
+		t.Errorf("no feedback on car(make,model): %+v", recs[0].Feedback)
 	}
 }

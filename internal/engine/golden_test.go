@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -245,7 +246,7 @@ func TestGoldenParallelExplain(t *testing.T) {
 			dop  int
 			want string
 		}{{1, c.serial}, {4, c.parallel}} {
-			res, err := e.ExecWith(c.sql, ExecOptions{Parallelism: mode.dop})
+			res, err := e.ExecUnboxed(context.Background(), c.sql, ExecOptions{Parallelism: mode.dop})
 			if err != nil {
 				t.Fatalf("%q at dop %d: %v", c.sql, mode.dop, err)
 			}

@@ -169,7 +169,7 @@ func TestCancelWhileQueuedIsNotOverload(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	queuedErr := make(chan error, 1)
 	go func() {
-		_, err := e.ExecContext(ctx, `SELECT id FROM car WHERE make = 'Honda'`)
+		_, err := e.ExecUnboxed(ctx, `SELECT id FROM car WHERE make = 'Honda'`, ExecOptions{})
 		queuedErr <- err
 	}()
 	waitSnapshot(t, e, "one queued statement", func(s govern.Snapshot) bool { return s.Queued == 1 })

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"regexp"
@@ -87,7 +88,7 @@ func TestPlanCacheHitEqualsCold(t *testing.T) {
 						{"reopts", cold.Reopts, warm.Reopts},
 						{"record operators", coldRec.Operators, warmRec.Operators},
 						{"record tables", coldRec.Tables, warmRec.Tables},
-						{"record error factors", coldRec.ErrorFactors, warmRec.ErrorFactors},
+						{"record feedback", coldRec.Feedback, warmRec.Feedback},
 						{"record worst q-error", coldRec.WorstQError, warmRec.WorstQError},
 						{"record degraded", coldRec.Degraded, warmRec.Degraded},
 						{"record degrade causes", coldRec.DegradeCauses, warmRec.DegradeCauses},
@@ -104,7 +105,7 @@ func TestPlanCacheHitEqualsCold(t *testing.T) {
 					if !dopWalked {
 						dopWalked = true
 						for _, at := range []int{1, 4, 1} {
-							res, err := e.ExecWith(q.SQL, engine.ExecOptions{Parallelism: at})
+							res, err := e.ExecUnboxed(context.Background(), q.SQL, engine.ExecOptions{Parallelism: at})
 							if err != nil {
 								t.Fatalf("query %d %q at dop %d: %v", i, q.SQL, at, err)
 							}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 	"strconv"
@@ -306,7 +307,7 @@ func TestQErrorPropertyMatchesExplainAnalyze(t *testing.T) {
 	}
 	for _, dop := range []int{1, 4} {
 		for _, sql := range queries {
-			res, err := e.ExecWith(sql, ExecOptions{Parallelism: dop})
+			res, err := e.ExecUnboxed(context.Background(), sql, ExecOptions{Parallelism: dop})
 			if err != nil {
 				t.Fatalf("dop %d %q: %v", dop, sql, err)
 			}
@@ -376,8 +377,8 @@ func TestFlightRecordCapturesJITSAndFeedback(t *testing.T) {
 	if len(first.Tables) == 0 || !first.Tables[0].Collected {
 		t.Fatalf("first run recorded no collected table sample: %+v", first.Tables)
 	}
-	if len(first.ErrorFactors) == 0 {
-		t.Fatal("first run recorded no feedback error factors")
+	if len(first.Feedback) == 0 {
+		t.Fatal("first run recorded no feedback")
 	}
 	if second.ArchiveHits == 0 {
 		t.Fatalf("third identical run recorded no archive hits (misses=%d)", second.ArchiveMisses)

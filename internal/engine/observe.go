@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/executor"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/qgm"
-	"repro/internal/tracing"
 )
 
 // Statement-level instruments on the process-wide default registry. They are
@@ -79,7 +79,7 @@ var (
 // observe is the pipeline's feedback stage and the only place an executed
 // SELECT's actuals reach their consumers: the LEO-style feedback loop
 // (StatHistory → JITS archive), the accuracy ledger, the flight record's
-// error factors, reactive corrections when that baseline is enabled, and the
+// feedback, reactive corrections when that baseline is enabled, and the
 // periodic statistics-migration cadence. Each scan's error factor is computed
 // once and handed to both the record and the ledger, so the two cannot
 // disagree. Superseded reopt attempts' scan feedback (captured at their
@@ -92,7 +92,7 @@ func (e *Engine) observe(s *statement) {
 	if len(s.subActuals) > 0 {
 		allActuals = append(s.subActuals, mainActuals...)
 	}
-	fb := e.phase(s, tracing.PhaseFeedback)
+	fb := phase(s, flightrec.PhaseFeedback)
 	var obs []core.Observation
 	for _, a := range allActuals {
 		if a.Trace == nil || a.Conditioned {
@@ -108,21 +108,22 @@ func (e *Engine) observe(s *statement) {
 		})
 		ef := feedback.ErrorFactor(a.Trace.EstSel, a.ActualSelectivity(), int64(a.BaseRows))
 		if rec != nil {
-			rec.ErrorFactors = append(rec.ErrorFactors, ef)
+			rec.Feedback = append(rec.Feedback, flightrec.Feedback{
+				Stat:        a.Trace.ColGrp.String(),
+				EstSel:      a.Trace.EstSel,
+				ActualSel:   a.ActualSelectivity(),
+				ErrorFactor: ef,
+				StatList:    statNames(a.Trace.StatList),
+			})
 		}
 		// A statistic crossing into drifted annotates the statement that
 		// tripped the detector. (A disabled ledger is one atomic load.)
 		if tr, ok := e.accuracy.ObserveFeedback(ts, a.Trace.Table, a.Trace.ColGrp.String(), ef, int64(a.BaseRows)); ok && rec != nil {
-			rec.Annotations = append(rec.Annotations,
-				fmt.Sprintf("accuracy: %s %s -> %s", tr.Key, tr.From, tr.To))
-		}
-		if e.tracer.Enabled() {
-			e.tracef("q%d feedback %s est=%.5f actual=%.5f stats=%v",
-				ts, a.Trace.ColGrp, a.Trace.EstSel, a.ActualSelectivity(), a.Trace.StatList)
+			rec.Annotations = append(rec.Annotations, fmt.Sprintf("accuracy: %s %s -> %s cusum=%.2f obs=%d churn=%d",
+				tr.Key, tr.From, tr.To, tr.CUSUM, tr.Observations, tr.ChurnRows))
 		}
 	}
 	e.jits.Feedback(obs)
-	fb.span.Attr("observations", len(obs))
 	fb.end()
 
 	// Reactive corrections (LEO baseline): record the *observed*
@@ -145,20 +146,22 @@ func (e *Engine) observe(s *statement) {
 
 	// Periodic statistics migration into the catalog.
 	if e.migrateEvery > 0 && e.selectCount.Add(1)%int64(e.migrateEvery) == 0 {
-		merge := e.phase(s, tracing.PhaseArchiveMerge)
-		merge.span.Attr("migrated", e.migrate(ts))
+		merge := phase(s, flightrec.PhaseArchiveMerge)
+		migrated := e.migrate(ts)
 		merge.end()
+		if rec != nil {
+			rec.Annotations = append(rec.Annotations, "migrate: "+strconv.Itoa(migrated)+" histograms into the catalog")
+		}
 	}
+}
 
-	switch {
-	case !e.tracer.Enabled(): // spare boxing the arguments
-	case s.hit:
-		e.tracef("q%d plan rows=%.1f cost=%.0f exec=%.4fs plan_cache=hit",
-			ts, s.plan.Rows(), s.plan.Cost(), s.meters.exec.Seconds())
-	default:
-		e.tracef("q%d plan rows=%.1f cost=%.0f exec=%.4fs compile=%.4fs",
-			ts, s.plan.Rows(), s.plan.Cost(), s.meters.exec.Seconds(), s.meters.compile.Seconds())
+// statNames renders a statlist for the flight record.
+func statNames(list []qgm.StatName) []string {
+	names := make([]string, len(list))
+	for i, st := range list {
+		names[i] = st.String()
 	}
+	return names
 }
 
 // capture copies what the statement learned into its flight record — the one
@@ -175,11 +178,20 @@ func (e *Engine) capture(s *statement) {
 		rec.Degraded = s.prep.Degraded
 		for _, tr := range s.prep.Tables {
 			rec.Tables = append(rec.Tables, flightrec.TableSample{
-				Table:      tr.Table,
-				Collected:  tr.Collected,
-				SampleRows: tr.SampleRows,
-				Degraded:   tr.Degraded,
-				Reason:     tr.DegradeReason,
+				Table:              tr.Table,
+				Collected:          tr.Collected,
+				S1:                 tr.Scores.S1,
+				S2:                 tr.Scores.S2,
+				SampleRows:         tr.SampleRows,
+				GroupsEvaluated:    tr.GroupsEvaluated,
+				GroupsMaterialized: tr.GroupsMaterialized,
+				Degraded:           tr.Degraded,
+				Reason:             tr.DegradeReason,
+				Draw:               tr.Laps.Draw,
+				Eval:               tr.Laps.Eval,
+				Domains:            tr.Laps.Domains,
+				NDV:                tr.Laps.NDV,
+				Materialize:        tr.Laps.Materialize,
 			})
 			if tr.Degraded {
 				rec.DegradeCauses = append(rec.DegradeCauses, tr.DegradeNote())

@@ -17,7 +17,7 @@ import (
 var raceBuild bool
 
 // pointEngine is an oltp_point engine: default JITS at s_max 0.5, serial,
-// plan cache on, tracer and flight recorder off.
+// plan cache on, flight recorder and trace off.
 func pointEngine(tb testing.TB, scale float64, cacheSize int) (*engine.Engine, int) {
 	tb.Helper()
 	cfg := core.DefaultConfig()
@@ -68,21 +68,20 @@ func BenchmarkPointLookup(b *testing.B) {
 	})
 }
 
-// warmHitAllocs is what one warm-cache point lookup allocated when the plan
-// text moved into the cache entry and the span attributes behind a nil check
-// (25 on linux/amd64, go1.24; the parent allocated 52). A new allocation on
-// the hit path — a Sprintf, a rendered plan — fails here.
+// warmHitAllocs is what one warm-cache point lookup allocates with the plan
+// text kept in the cache entry (25 on linux/amd64, go1.24). A new allocation
+// on the hit path — a Sprintf, a rendered plan — fails here.
 const warmHitAllocs = 25
 
 // TestWarmPointLookupFormatsNothing holds the hit path to formatting nothing
-// while nobody looks: with the tracer and the flight recorder off, no
-// allocation made under ExecUnboxed passes through package tracing or fmt
+// while nobody looks: with the flight recorder and the trace off, no
+// allocation made under ExecUnboxed passes through package flightrec or fmt
 // (read from the heap profile at a sampling rate of one), and the allocation
 // count stays at warmHitAllocs.
 func TestWarmPointLookupFormatsNothing(t *testing.T) {
 	e, _ := pointEngine(t, 0.004, 256)
-	if e.Tracer().Enabled() || e.Recorder().Enabled() {
-		t.Fatal("tracer or flight recorder on")
+	if e.Recorder().Recording() {
+		t.Fatal("flight recorder or trace on")
 	}
 	ctx := context.Background()
 	sql := pointSQL(17)
@@ -117,7 +116,7 @@ func TestWarmPointLookupFormatsNothing(t *testing.T) {
 			f, more := frames.Next()
 			fns = append(fns, f.Function)
 			statement = statement || strings.HasPrefix(f.Function, "repro/internal/engine.(*Engine).ExecUnboxed")
-			formats = formats || strings.HasPrefix(f.Function, "repro/internal/tracing.") || strings.HasPrefix(f.Function, "fmt.")
+			formats = formats || strings.HasPrefix(f.Function, "repro/internal/flightrec.") || strings.HasPrefix(f.Function, "fmt.")
 			if !more {
 				break
 			}

@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"repro/internal/executor"
+	"repro/internal/flightrec"
 	"repro/internal/optimizer"
 	"repro/internal/qgm"
-	"repro/internal/tracing"
 )
 
 // Mid-query re-optimization (engine side). The executor checkpoints every
@@ -70,7 +70,7 @@ func (e *Engine) newReoptState(blk *qgm.Block) *executor.ReoptState {
 }
 
 // execute is the pipeline's execution stage: it runs s.plan to completion
-// into s.out under the execute span, re-entering the optimizer each time a
+// into s.out as the execute phase, re-entering the optimizer each time a
 // checkpoint triggers; s.plan ends as the plan that actually completed
 // (re-planned or original) and s.reopts as the trigger count. With
 // re-optimization off (nil s.reopt) the loop is one plain executor.Run.
@@ -85,7 +85,7 @@ func (e *Engine) newReoptState(blk *qgm.Block) *executor.ReoptState {
 // execution — which is fine: the materialized intermediates carry exact
 // cardinalities, and they are what re-planning pivots on.
 func (e *Engine) execute(s *statement) error {
-	exec := e.phase(s, tracing.PhaseExecute)
+	exec := phase(s, flightrec.PhaseExecute)
 	s.reopt = e.newReoptState(s.blk)
 	rt := e.runtime(s)
 	for {
@@ -97,12 +97,6 @@ func (e *Engine) execute(s *statement) error {
 			}
 			if err == nil {
 				s.out = res
-				if exec.span != nil {
-					exec.span.Attr("rows", res.Len()).Attr("units", fmt.Sprintf("%.0f", s.meters.exec.Units()))
-					if s.hit {
-						exec.span.Attr("plan_cache", "hit")
-					}
-				}
 			}
 			exec.end()
 			return err
@@ -124,19 +118,19 @@ func (e *Engine) execute(s *statement) error {
 				"reopt: %s est=%.0f act=%.0f qerror=%.1f",
 				trig.NodeDesc, trig.EstRows, trig.ActRows, trig.QError))
 		}
-		e.tracef("q%d reopt #%d at %s est=%.0f act=%.0f qerror=%.1f",
-			s.ts, s.reopts, trig.NodeDesc, trig.EstRows, trig.ActRows, trig.QError)
 
 		start := time.Now()
-		replan := e.phase(s, tracing.PhaseReoptPlan)
+		replan := phase(s, flightrec.PhaseReoptPlan)
 		newPlan, rerr := optimizer.ReOptimize(s.blk, s.octx, s.reopt.Leaves())
-		replan.span.Attr("attempt", s.reopts)
 		replan.end()
 		reoptWall.Observe(time.Since(start).Seconds())
 		if rerr != nil {
 			// Re-planning failed — run the current plan to completion rather
 			// than failing a statement whose only problem is a bad estimate.
-			e.tracef("q%d reopt #%d failed: %v (continuing current plan)", s.ts, s.reopts, rerr)
+			if s.rec != nil {
+				s.rec.Annotations = append(s.rec.Annotations, fmt.Sprintf(
+					"reopt: re-plan #%d failed, continuing current plan: %v", s.reopts, rerr))
+			}
 			s.reopt.DisableTriggers()
 			continue
 		}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/qgm"
 	"repro/internal/sqlparser"
-	"repro/internal/tracing"
 	"repro/internal/value"
 )
 
@@ -100,19 +98,17 @@ type statement struct {
 // them; the statement value itself never leaves ExecUnboxed's stack.
 type meters struct{ compile, exec costmodel.Meter }
 
-// phaseTimer times one stage of a statement: a trace span while tracing is
-// on, and a wall time the statement appends to its own flight record while it
-// is recorded. A statement that is neither traced nor recorded reads no clock.
+// phaseTimer times one stage of a statement into its flight record. A
+// statement that is not recorded reads no clock.
 type phaseTimer struct {
 	rec   *flightrec.Record
 	name  string
 	start time.Time
-	span  *tracing.Span
 }
 
 // phase opens the named stage of s.
-func (e *Engine) phase(s *statement, name string) phaseTimer {
-	p := phaseTimer{rec: s.rec, name: name, span: e.tracer.Start(s.ts, name)}
+func phase(s *statement, name string) phaseTimer {
+	p := phaseTimer{rec: s.rec, name: name}
 	if p.rec != nil {
 		p.start = time.Now()
 	}
@@ -124,7 +120,6 @@ func (p *phaseTimer) end() {
 	if p.rec != nil {
 		p.rec.AddPhase(p.name, time.Since(p.start))
 	}
-	p.span.End()
 }
 
 // classify stamps the statement-kind label and counts it.
@@ -174,16 +169,13 @@ func (e *Engine) compile(s *statement, sel *sqlparser.SelectStmt) error {
 	// fails: on budget exhaustion, sampling faults or cancellation it
 	// reports fallback tables and the optimizer below transparently uses
 	// catalog statistics for them.
-	prepare := e.phase(s, tracing.PhasePrepare)
+	prepare := phase(s, flightrec.PhasePrepare)
 	qstats, prep, err := e.jits.PrepareBudgeted(s.ctx, q, e.db, s.ts, &s.meters.compile, e.weights, s.mem)
-	if prepare.span != nil && prep != nil {
-		prepare.span.Attr("tables", len(prep.Tables)).Attr("units", fmt.Sprintf("%.0f", s.meters.compile.Units()))
-	}
 	if s.rec != nil && prep != nil {
 		// The sampling passes ran inside prepare, so they end before it does.
 		for _, tr := range prep.Tables {
 			if tr.SampleWall > 0 {
-				s.rec.AddPhase(tracing.PhaseSample, tr.SampleWall)
+				s.rec.AddPhase(flightrec.PhaseSample, tr.SampleWall)
 			}
 		}
 	}
@@ -192,16 +184,6 @@ func (e *Engine) compile(s *statement, sel *sqlparser.SelectStmt) error {
 		return err
 	}
 	s.qstats, s.prep = qstats, prep
-	if e.tracer.Enabled() && prep != nil {
-		for _, tr := range prep.Tables {
-			e.tracef("q%d jits %s collected=%v s1=%.3f s2=%.3f sample=%d groups=%d materialized=%d",
-				s.ts, tr.Table, tr.Collected, tr.Scores.S1, tr.Scores.S2,
-				tr.SampleRows, tr.GroupsEvaluated, tr.GroupsMaterialized)
-			if tr.Degraded {
-				e.tracef("q%d jits degraded: %s (catalog fallback)", s.ts, tr.DegradeNote())
-			}
-		}
-	}
 	var source optimizer.StatsSource
 	switch {
 	case qstats != nil:
@@ -213,10 +195,8 @@ func (e *Engine) compile(s *statement, sel *sqlparser.SelectStmt) error {
 	}
 	s.octx = e.optimizerContext(s, source)
 
-	optimize := e.phase(s, tracing.PhaseOptimize)
-	if err = e.optimize(s, q); err == nil && optimize.span != nil {
-		optimize.span.Attr("units", fmt.Sprintf("%.0f", s.meters.compile.Units()))
-	}
+	optimize := phase(s, flightrec.PhaseOptimize)
+	err = e.optimize(s, q)
 	optimize.end()
 	return err
 }

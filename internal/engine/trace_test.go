@@ -1,9 +1,9 @@
 package engine
 
 import (
+	"bufio"
 	"bytes"
-	"fmt"
-	"regexp"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -12,19 +12,41 @@ import (
 	"repro/internal/flightrec"
 )
 
-// traceLineRe matches every line format the engine emits: free-form
-// decision lines and structured phase spans, all prefixed with the
-// statement's logical timestamp.
-var traceLineRe = regexp.MustCompile(`^q\d+ (span|jits|feedback|plan) `)
+// traceRecords decodes a trace stream, one flight record per line. A line
+// that does not decode — torn, interleaved, or not a record — fails the test.
+func traceRecords(t *testing.T, trace []byte) ([]flightrec.Record, [][]byte) {
+	t.Helper()
+	var recs []flightrec.Record
+	var lines [][]byte
+	sc := bufio.NewScanner(bytes.NewReader(trace))
+	sc.Buffer(nil, 1<<24)
+	for sc.Scan() {
+		var rec flightrec.Record
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("trace line %d does not decode as a record: %v\n%s", len(recs)+1, err, sc.Bytes())
+		}
+		recs = append(recs, rec)
+		lines = append(lines, append([]byte(nil), sc.Bytes()...))
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return recs, lines
+}
 
-// TestConcurrentStatementsTraceSafely is the regression test for the
-// unsynchronized Config.Trace writes: the engine used to fmt.Fprintf
-// directly to the shared writer from every statement, which was a data race
-// (and interleaved partial lines) when statements ran concurrently. All
-// trace output now funnels through one mutex-guarded tracer, so this test —
-// many goroutines executing traced statements against one engine with one
-// shared buffer — must pass under -race and leave only whole, well-formed
-// lines behind.
+// phaseNames lists a record's phases in order.
+func phaseNames(rec flightrec.Record) string {
+	var names []string
+	for _, p := range rec.Phases {
+		names = append(names, p.Phase)
+	}
+	return strings.Join(names, ",")
+}
+
+// TestConcurrentStatementsTraceSafely: many goroutines executing statements
+// against one engine share one trace writer. Every line is a whole flight
+// record — the recorder writes each in one Write under its mutex — and every
+// statement writes exactly one, under its own qid. Run under -race.
 func TestConcurrentStatementsTraceSafely(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Config{JITS: core.DefaultConfig(), Trace: &buf}
@@ -52,67 +74,59 @@ func TestConcurrentStatementsTraceSafely(t *testing.T) {
 	}
 	wg.Wait()
 
-	out := buf.String()
-	if out == "" {
-		t.Fatal("no trace output produced")
+	recs, _ := traceRecords(t, buf.Bytes())
+	// Every tick here is a statement (the seed runs through Exec too).
+	if int64(len(recs)) != e.Now() {
+		t.Fatalf("%d trace lines for %d statements", len(recs), e.Now())
 	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	for i, line := range lines {
-		if !traceLineRe.MatchString(line) {
-			t.Fatalf("line %d is torn or malformed: %q", i, line)
+	seen := map[int64]bool{}
+	selects := 0
+	for _, rec := range recs {
+		if seen[rec.QID] {
+			t.Fatalf("q%d traced twice", rec.QID)
+		}
+		seen[rec.QID] = true
+		if rec.Kind == "select" {
+			selects++
 		}
 	}
-	// Every statement emits exactly one summary line; none may be lost.
-	summaries := 0
-	for _, line := range lines {
-		if strings.Contains(line, " plan rows=") {
-			summaries++
-		}
-	}
-	if summaries != goroutines*perG {
-		t.Errorf("plan summary lines = %d, want %d", summaries, goroutines*perG)
+	if selects != goroutines*perG {
+		t.Errorf("%d select records, want %d", selects, goroutines*perG)
 	}
 }
 
-// TestTracerSpansInPipelineOrder checks that a single traced statement
-// emits its phase spans in pipeline order — prepare and sample during
-// compilation, execute and feedback after — with the statement's qid on
-// every span.
+// TestTracerSpansInPipelineOrder: a traced statement's record lists its
+// phases in pipeline order — parse, sampling and prepare during compilation,
+// execute and feedback after — under the statement's qid.
 func TestTracerSpansInPipelineOrder(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Config{JITS: core.DefaultConfig(), Trace: &buf}
 	cfg.JITS.SampleSize = 50
 	e := seedEngine(t, cfg)
+	buf.Reset()
 	if _, err := e.Exec(`SELECT id FROM car WHERE make = 'Toyota'`); err != nil {
 		t.Fatal(err)
 	}
-	qid := e.Now()
-	var phases []string
-	for _, line := range strings.Split(buf.String(), "\n") {
-		prefix := fmt.Sprintf("q%d span ", qid)
-		rest, ok := strings.CutPrefix(line, prefix)
-		if !ok {
-			continue
-		}
-		phases = append(phases, strings.Fields(rest)[0])
+	recs, _ := traceRecords(t, buf.Bytes())
+	if len(recs) != 1 || recs[0].QID != e.Now() {
+		t.Fatalf("want one record for q%d, got %+v", e.Now(), recs)
 	}
-	want := []string{"jits.prepare", "optimize", "execute", "feedback"}
-	got := strings.Join(phases, ",")
-	// jits.sample nests inside jits.prepare and ends before it, so it
-	// appears first in emission order when collection happens.
-	got = strings.TrimPrefix(got, "jits.sample,")
-	if got != strings.Join(want, ",") {
-		t.Errorf("span order = %v, want sample?,%v\ntrace:\n%s", phases, want, buf.String())
+	// jits.sample nests inside jits.prepare and ends before it, so it comes
+	// first when collection happens.
+	got := strings.Replace(phaseNames(recs[0]), "parse,jits.sample,", "parse,", 1)
+	if want := "parse,jits.prepare,optimize,execute,feedback"; got != want {
+		t.Errorf("phases = %s, want %s (jits.sample optional after parse)", phaseNames(recs[0]), want)
 	}
 }
 
-// TestRecordPhasesMatchTraceSpans: a statement writes its phase timings into
-// its own flight record, so the record lists exactly the phases the trace
-// prints for that qid, in the same order, and lists the same phases when no
-// trace is written at all. The stream covers sampling (jits.sample),
+// TestTraceLinesAreRingRecords: the trace writer and the ring are two sinks
+// of one record. Over a stream that covers sampling (jits.sample),
 // hair-trigger re-optimization (reopt.plan), statistics migration
-// (archive.merge), an EXPLAIN and a DML statement.
-func TestRecordPhasesMatchTraceSpans(t *testing.T) {
+// (archive.merge), an EXPLAIN and a DML statement, each trace line is,
+// byte for byte, the record the ring holds for that qid; every pipeline
+// phase occurs somewhere in the stream; and an engine without a writer
+// records the same phases.
+func TestTraceLinesAreRingRecords(t *testing.T) {
 	stream := []string{
 		`SELECT id FROM car WHERE make = 'Toyota' AND year > 1995`,
 		`SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND o.city = 'Ottawa' AND c.make = 'Honda'`,
@@ -130,54 +144,79 @@ func TestRecordPhasesMatchTraceSpans(t *testing.T) {
 		}
 		e := seedEngine(t, cfg)
 		first := e.Now() + 1
+		if trace != nil {
+			trace.Reset()
+		}
 		for _, sql := range stream {
 			mustExec(t, e, sql)
 		}
 		return e, first
 	}
-	phaseNames := func(rec flightrec.Record) []string {
-		var names []string
-		for _, p := range rec.Phases {
-			names = append(names, p.Phase)
-		}
-		return names
-	}
 	var buf bytes.Buffer
 	traced, first := run(&buf)
 	untraced, _ := run(nil)
-	spans := map[int64][]string{}
-	for _, line := range strings.Split(buf.String(), "\n") {
-		var qid int64
-		var phase string
-		if n, _ := fmt.Sscanf(line, "q%d span %s", &qid, &phase); n == 2 {
-			spans[qid] = append(spans[qid], phase)
-		}
+	recs, lines := traceRecords(t, buf.Bytes())
+	if len(recs) != len(stream) {
+		t.Fatalf("%d trace lines for %d statements", len(recs), len(stream))
 	}
 	seen := map[string]int{}
-	for qid := first; qid <= traced.Now(); qid++ {
-		rec, ok := traced.Recorder().Get(qid)
+	for i, rec := range recs {
+		if want := first + int64(i); rec.QID != want {
+			t.Fatalf("line %d is q%d, want q%d", i+1, rec.QID, want)
+		}
+		ring, ok := traced.Recorder().Get(rec.QID)
 		if !ok {
-			t.Fatalf("q%d: no flight record", qid)
+			t.Fatalf("q%d: no ring record", rec.QID)
 		}
-		got := strings.Join(phaseNames(rec), ",")
-		if want := strings.Join(spans[qid], ","); got != want {
-			t.Errorf("q%d %q: record phases %q, trace spans %q", qid, rec.SQL, got, want)
+		if enc, err := json.Marshal(ring); err != nil || !bytes.Equal(enc, lines[i]) {
+			t.Errorf("q%d %q: trace line differs from the ring record (%v)\ntrace: %s\nring:  %s", rec.QID, rec.SQL, err, lines[i], enc)
 		}
-		other, _ := untraced.Recorder().Get(qid)
-		if alone := strings.Join(phaseNames(other), ","); alone != got {
-			t.Errorf("q%d %q: record phases %q without a trace, %q with one", qid, rec.SQL, alone, got)
+		other, _ := untraced.Recorder().Get(rec.QID)
+		if alone, got := phaseNames(other), phaseNames(rec); alone != got {
+			t.Errorf("q%d %q: record phases %q without a writer, %q with one", rec.QID, rec.SQL, alone, got)
 		}
 		for _, p := range rec.Phases {
 			seen[p.Phase]++
 			if p.Wall < 0 {
-				t.Errorf("q%d: phase %s has negative wall %v", qid, p.Phase, p.Wall)
+				t.Errorf("q%d: phase %s has negative wall %v", rec.QID, p.Phase, p.Wall)
 			}
 		}
 	}
 	t.Logf("phases recorded over the stream: %v", seen)
-	for _, phase := range []string{"jits.sample", "jits.prepare", "optimize", "execute", "reopt.plan", "feedback", "archive.merge"} {
+	for _, phase := range []string{flightrec.PhaseParse, flightrec.PhaseSample, flightrec.PhasePrepare, flightrec.PhaseOptimize,
+		flightrec.PhaseExecute, flightrec.PhaseReoptPlan, flightrec.PhaseFeedback, flightrec.PhaseArchiveMerge} {
 		if seen[phase] == 0 {
 			t.Errorf("no statement recorded phase %s: %v", phase, seen)
 		}
+	}
+}
+
+// TestTraceWithoutRing: a trace writer records on its own. With recorder
+// capacity 0 every statement still writes its one line, while SHOW QUERIES —
+// a reader of the ring only — reports the recorder off. A statement that
+// fails to parse takes no tick and leaves no line.
+func TestTraceWithoutRing(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := Config{JITS: core.DefaultConfig(), Trace: &buf}
+	cfg.JITS.SampleSize = 50
+	e := seedEngine(t, cfg)
+	mustExec(t, e, `SELECT id FROM car WHERE make = 'Honda'`)
+	before, lines := e.Now(), bytes.Count(buf.Bytes(), []byte("\n"))
+	if _, err := e.Exec(`SELEC id FROM car`); err == nil {
+		t.Fatal("a misspelt SELECT parsed")
+	}
+	if e.Now() != before || bytes.Count(buf.Bytes(), []byte("\n")) != lines {
+		t.Fatal("a statement that failed to parse ticked or wrote a trace line")
+	}
+	res := mustExec(t, e, `SHOW QUERIES`)
+	if len(res.Rows) != 0 || e.Recorder().Enabled() || e.Recorder().Len() != 0 {
+		t.Fatalf("SHOW QUERIES returned %d rows with no ring (enabled=%v len=%d)", len(res.Rows), e.Recorder().Enabled(), e.Recorder().Len())
+	}
+	recs, _ := traceRecords(t, buf.Bytes())
+	if int64(len(recs)) != e.Now() {
+		t.Fatalf("%d trace lines for %d statements", len(recs), e.Now())
+	}
+	if last := recs[len(recs)-1]; last.Kind != "show_queries" || last.QID != e.Now() {
+		t.Fatalf("last line is q%d %s, want the SHOW QUERIES", last.QID, last.Kind)
 	}
 }

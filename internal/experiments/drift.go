@@ -56,10 +56,8 @@ type DriftReport struct {
 // shift and the other half after it.
 func Drift(opts Options) (*DriftReport, error) {
 	cfg := engine.Config{
-		JITS:        opts.jitsConfig(),
-		Parallelism: opts.Parallelism,
-		Trace:       opts.Trace,
-		Accuracy:    accuracy.DefaultConfig(),
+		JITS:     opts.jitsConfig(),
+		Accuracy: accuracy.DefaultConfig(),
 	}
 	cfg.JITS.SMax = 0 // warm phase: archive every exercised predicate group
 	e := opts.newEngine(cfg)

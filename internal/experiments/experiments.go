@@ -71,14 +71,16 @@ type Options struct {
 	// PerGroupSampling charges collection per candidate group, emulating
 	// the paper's on-the-fly sampling queries (see core.Config).
 	PerGroupSampling bool
-	// Parallelism is the degree of intra-query parallelism. It changes
-	// wall-clock time only: the simulated cost-model timings — everything
-	// the experiment tables report — are identical at any value.
+	// Parallelism is the degree of intra-query parallelism of every engine
+	// an experiment constructs, except where the experiment sweeps it. It
+	// changes wall-clock time only: the simulated cost-model timings —
+	// everything the experiment tables report — are identical at any value.
 	Parallelism int
-	// Trace, when non-nil, receives every engine's phase spans and decision
-	// lines (see internal/tracing). All engines an experiment constructs
-	// share the writer; the tracer serializes lines, so the interleaved
-	// stream stays well-formed. jitsbench plumbs its -trace flag here.
+	// Trace, when non-nil, receives every statement's flight record as one
+	// JSON line (engine.Config.Trace). All engines an experiment constructs
+	// share the writer; each engine writes a record in one Write, so the
+	// interleaved stream stays one record a line. jitsbench plumbs its
+	// -trace flag here.
 	Trace io.Writer
 	// FlightRecorder, when non-zero, enables every constructed engine's
 	// statement flight recorder with a ring of that many records (negative
@@ -99,10 +101,14 @@ func QuickOptions() Options {
 }
 
 // newEngine constructs one experiment engine from cfg with the Options'
-// cross-cutting observability knobs applied — every experiment creates its
-// engines through here so the flight recorder and OnEngine hook reach all
-// of them.
+// cross-cutting knobs applied — every experiment creates its engines through
+// here so the degree of parallelism (unless cfg sets its own), the trace
+// writer, the flight recorder and the OnEngine hook reach all of them.
 func (o Options) newEngine(cfg engine.Config) *engine.Engine {
+	if cfg.Parallelism == 0 {
+		cfg.Parallelism = o.Parallelism
+	}
+	cfg.Trace = o.Trace
 	cfg.FlightRecorderCapacity = o.FlightRecorder
 	e := engine.New(cfg)
 	if o.OnEngine != nil {
@@ -132,7 +138,7 @@ type Table2Row struct {
 // Table2 generates the dataset and reports the table sizes next to the
 // paper's (Table 2); the ratios must match, the absolute counts are scaled.
 func Table2(opts Options) ([]Table2Row, error) {
-	e := opts.newEngine(engine.Config{Trace: opts.Trace})
+	e := opts.newEngine(engine.Config{})
 	d, err := workload.Load(e, workload.Spec{Scale: opts.Scale, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
@@ -179,7 +185,7 @@ func Table3(opts Options) ([]Table3Row, error) {
 	}
 	var out []Table3Row
 	for _, sc := range scenarios {
-		cfg := engine.Config{Parallelism: opts.Parallelism, Trace: opts.Trace}
+		cfg := engine.Config{}
 		if sc.jits {
 			cfg.JITS = opts.jitsConfig()
 			cfg.JITS.ForceCollect = true
@@ -226,7 +232,7 @@ type QueryTiming struct {
 // in one setting and returns per-query timings. The statement stream is
 // deterministic in the options, so every setting sees the identical stream.
 func RunWorkload(setting Setting, opts Options) ([]QueryTiming, error) {
-	cfg := engine.Config{Parallelism: opts.Parallelism, Trace: opts.Trace}
+	cfg := engine.Config{}
 	if setting == SettingJITS {
 		cfg.JITS = opts.jitsConfig()
 	}
@@ -426,10 +432,10 @@ func OLTP(opts Options) ([]OLTPResult, error) {
 		name  string
 		build func() engine.Config
 	}{
-		{"JITS disabled", func() engine.Config { return engine.Config{Trace: opts.Trace} }},
-		{"JITS + sensitivity", func() engine.Config { return engine.Config{JITS: opts.jitsConfig(), Trace: opts.Trace} }},
+		{"JITS disabled", func() engine.Config { return engine.Config{} }},
+		{"JITS + sensitivity", func() engine.Config { return engine.Config{JITS: opts.jitsConfig()} }},
 		{"JITS forced", func() engine.Config {
-			cfg := engine.Config{JITS: opts.jitsConfig(), Trace: opts.Trace}
+			cfg := engine.Config{JITS: opts.jitsConfig()}
 			cfg.JITS.ForceCollect = true
 			return cfg
 		}},
@@ -540,7 +546,7 @@ func ParallelSpeedup(opts Options, chunks, workers []int) ([]SpeedupRow, error) 
 	var baseline []string
 	for _, chunk := range chunks {
 		for _, dop := range workers {
-			cfg := engine.Config{Parallelism: dop, JITS: opts.jitsConfig(), Trace: opts.Trace, StorageChunkSize: chunk}
+			cfg := engine.Config{Parallelism: dop, JITS: opts.jitsConfig(), StorageChunkSize: chunk}
 			e := opts.newEngine(cfg)
 			d, err := workload.Load(e, workload.Spec{Scale: opts.Scale, Seed: opts.Seed})
 			if err != nil {

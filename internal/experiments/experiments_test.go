@@ -1,12 +1,18 @@
 package experiments
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/debugserver"
+	"repro/internal/engine"
 	"repro/internal/faultinject"
+	"repro/internal/flightrec"
 )
 
 func TestTable2Ratios(t *testing.T) {
@@ -216,6 +222,90 @@ func TestOLTPShape(t *testing.T) {
 	// forced collection.
 	if !(sensit.AvgCompile < forced.AvgCompile/2) {
 		t.Errorf("sensitivity compile %v should be well below forced %v", sensit.AvgCompile, forced.AvgCompile)
+	}
+}
+
+// TestOLTPRunsAtParallelism: Options.Parallelism reaches every engine the
+// OLTP experiment builds — a scan there explains under a Gather header — and,
+// parallelism changing wall clock only, the report equals the serial one.
+func TestOLTPRunsAtParallelism(t *testing.T) {
+	opts := QuickOptions()
+	opts.Queries = 20
+	serial, err := OLTP(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var engines []*engine.Engine
+	opts.Parallelism = 2
+	opts.OnEngine = func(e *engine.Engine) { engines = append(engines, e) }
+	parallel, err := OLTP(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(engines) != 3 {
+		t.Fatalf("OLTP built %d engines, want 3", len(engines))
+	}
+	for i, e := range engines {
+		res, err := e.Exec(`EXPLAIN SELECT id FROM car WHERE year > 1995`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(res.Plan, "Gather(workers=2)") {
+			t.Errorf("engine %d plans a scan serially at Parallelism 2:\n%s", i, res.Plan)
+		}
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("report at dop 2:\n%+v\nserial:\n%+v", parallel, serial)
+	}
+}
+
+// TestTracedExperimentMatchesUntraced is jitsbench -trace: with Options.Trace
+// set, every statement of every engine the experiment builds writes one
+// decodable flight record — qids 1..n per engine, in order — and the report
+// is the untraced one.
+func TestTracedExperimentMatchesUntraced(t *testing.T) {
+	opts := QuickOptions()
+	opts.Queries = 20
+	plain, err := OLTP(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	var engines []*engine.Engine
+	opts.Trace = &trace
+	opts.OnEngine = func(e *engine.Engine) { engines = append(engines, e) }
+	traced, err := OLTP(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, traced) {
+		t.Errorf("traced report:\n%+v\nuntraced:\n%+v", traced, plain)
+	}
+	var qids []int64
+	selects := 0
+	sc := bufio.NewScanner(&trace)
+	sc.Buffer(nil, 1<<24)
+	for sc.Scan() {
+		var rec flightrec.Record
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("trace line %d does not decode: %v\n%s", len(qids)+1, err, sc.Bytes())
+		}
+		qids = append(qids, rec.QID)
+		if rec.Kind == "select" {
+			selects++
+		}
+	}
+	var want []int64
+	for _, e := range engines {
+		for qid := int64(1); qid <= e.Now(); qid++ {
+			want = append(want, qid)
+		}
+	}
+	if !reflect.DeepEqual(qids, want) {
+		t.Errorf("trace qids %v, want 1..n for each of the %d engines %v", qids, len(engines), want)
+	}
+	if selects != 3*opts.Queries {
+		t.Errorf("%d select records, want %d", selects, 3*opts.Queries)
 	}
 }
 

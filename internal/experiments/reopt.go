@@ -75,7 +75,7 @@ func Reopt(opts Options) (*ReoptReport, error) {
 	rep := &ReoptReport{}
 	var baseRows []int
 	for _, mode := range modes {
-		cfg := engine.Config{Parallelism: opts.Parallelism, Trace: opts.Trace}
+		cfg := engine.Config{}
 		if mode.jits {
 			cfg.JITS = opts.jitsConfig()
 		}

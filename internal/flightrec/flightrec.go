@@ -1,27 +1,29 @@
-// Package flightrec is the engine's statement flight recorder: a fixed-size
-// ring buffer that captures, for every executed statement, the compact plan,
-// per-operator estimated vs. actual cardinalities with their derived
-// q-error, the JITS decisions that shaped the plan (tables sampled, archive
-// hits/misses, degradation causes), the feedback error factors the statement
-// produced, and its per-phase wall timings.
+// Package flightrec is the engine's statement flight recorder: for every
+// executed statement it builds one record holding the compact plan,
+// per-operator estimated vs. actual cardinalities with their derived q-error,
+// the JITS decisions that shaped the plan (tables sampled with their s1/s2
+// scores and sample laps, archive hits/misses, degradation causes), the
+// feedback the statement produced, and its per-phase wall timings.
 //
 // A record belongs to its statement from Begin to Commit: the statement
 // writes every field itself, phase timings included, so the recorder keeps no
-// registry of statements in flight. The recorder follows the repo's telemetry
-// discipline: it must be free when nobody is looking. Whether it records is
-// fixed when it is built (a zero capacity records nothing), and Begin and
-// Commit on such a recorder return after one length check. When recording,
-// Begin only allocates the record and Commit is an O(1) ring append under a
-// short mutex; readers (SHOW QUERIES, the debug server) take the same mutex
-// and copy out, so concurrent readers never observe a half-written record and
-// never block writers for longer than one slot copy. Memory is bounded by the
-// ring capacity plus a small post-mortem buffer: a statement that errors, or
-// whose JITS preparation degraded (the signature a chaos fault leaves), is
-// snapshotted into the post-mortem ring for later inspection even after the
-// main ring has wrapped past it.
+// registry of statements in flight. A committed record goes to two sinks,
+// each fixed when the recorder is built: a ring buffer that SHOW QUERIES and
+// the debug server read, and a trace writer that receives the record as one
+// JSON line. With neither, Begin and Commit return after two checks: the
+// recorder must be free when nobody is looking. Commit is an O(1) ring append
+// plus, with a writer, one Write, both under a short mutex, so concurrent
+// statements sharing the writer never interleave partial lines; readers take
+// the same mutex and copy out, so they never observe a half-written record.
+// Memory is bounded by the ring capacity plus a small post-mortem buffer: a
+// statement that errors, or whose JITS preparation degraded (the signature a
+// chaos fault leaves), is snapshotted into the post-mortem ring for later
+// inspection even after the main ring has wrapped past it.
 package flightrec
 
 import (
+	"encoding/json"
+	"io"
 	"sort"
 	"sync"
 	"time"
@@ -33,6 +35,18 @@ const (
 	DefaultPostMortemCapacity = 32
 )
 
+// Phase names of the statement pipeline, in execution order.
+const (
+	PhaseParse        = "parse"
+	PhasePrepare      = "jits.prepare"
+	PhaseSample       = "jits.sample"
+	PhaseOptimize     = "optimize"
+	PhaseExecute      = "execute"
+	PhaseFeedback     = "feedback"
+	PhaseArchiveMerge = "archive.merge"
+	PhaseReoptPlan    = "reopt.plan"
+)
+
 // OperatorStats is one plan operator's estimated vs. actual cardinality.
 type OperatorStats struct {
 	Op      string  `json:"op"`       // operator description, e.g. "TableScan car as c"
@@ -42,20 +56,43 @@ type OperatorStats struct {
 }
 
 // PhaseTiming is one pipeline phase's wall-clock duration, as the statement
-// measured it (jits.sample/jits.prepare/optimize/execute/reopt.plan/
-// feedback/archive.merge, in the order they ended).
+// measured it (parse first, then the Phase* stages in the order they ended).
 type PhaseTiming struct {
 	Phase string        `json:"phase"`
 	Wall  time.Duration `json:"wall_ns"`
 }
 
-// TableSample records one table's JITS collection outcome for a statement.
+// TableSample records one table's JITS collection outcome for a statement:
+// the sensitivity scores it was decided on (Algorithms 2-3), the groups it
+// evaluated and materialized, and, for a sampled table, the wall time of each
+// step of its sampling pass.
 type TableSample struct {
-	Table      string `json:"table"`
-	Collected  bool   `json:"collected"`
-	SampleRows int    `json:"sample_rows"`
-	Degraded   bool   `json:"degraded"`
-	Reason     string `json:"reason,omitempty"`
+	Table              string  `json:"table"`
+	Collected          bool    `json:"collected"`
+	S1                 float64 `json:"s1"`
+	S2                 float64 `json:"s2"`
+	SampleRows         int     `json:"sample_rows"`
+	GroupsEvaluated    int     `json:"groups_evaluated"`
+	GroupsMaterialized int     `json:"groups_materialized"`
+	Degraded           bool    `json:"degraded"`
+	Reason             string  `json:"reason,omitempty"`
+
+	Draw        time.Duration `json:"draw_ns,omitempty"`
+	Eval        time.Duration `json:"eval_ns,omitempty"`
+	Domains     time.Duration `json:"domains_ns,omitempty"`
+	NDV         time.Duration `json:"ndv_ns,omitempty"`
+	Materialize time.Duration `json:"materialize_ns,omitempty"`
+}
+
+// Feedback is one estimated-vs-actual selectivity the feedback loop observed
+// while the statement executed: the statistic the estimate was for, the
+// statistics combined into it, and the clamped error factor est/actual.
+type Feedback struct {
+	Stat        string   `json:"stat"`
+	EstSel      float64  `json:"est_sel"`
+	ActualSel   float64  `json:"actual_sel"`
+	ErrorFactor float64  `json:"error_factor"`
+	StatList    []string `json:"stat_list,omitempty"`
 }
 
 // Record is one statement's flight-recorder entry. A record is built by the
@@ -97,9 +134,9 @@ type Record struct {
 	Degraded      bool          `json:"degraded"`
 	DegradeCauses []string      `json:"degrade_causes,omitempty"`
 
-	// ErrorFactors are the feedback loop's estimated/actual error factors
-	// observed while this statement executed.
-	ErrorFactors []float64 `json:"error_factors,omitempty"`
+	// Feedback lists the feedback loop's observations, one per scan with a
+	// traced estimate.
+	Feedback []Feedback `json:"feedback,omitempty"`
 
 	// PlanCacheHit reports that the statement executed a compiled plan from
 	// the engine's plan cache (no parse/JITS-prepare/optimize phases ran).
@@ -117,11 +154,13 @@ type Record struct {
 	// to see how many stats-changing mutations the plan survived.
 	ArchiveEpoch uint64 `json:"archive_epoch"`
 
-	// Annotations are caller-supplied labels (engine.ExecOptions.Annotations);
-	// the SQL service tags statements that arrived through a client retry
-	// ("wire: retry attempt N") or on a resumed session ("wire: resumed
-	// session"), so a post-mortem shows which statements rode the recovery
-	// paths.
+	// Annotations are caller-supplied labels (engine.ExecOptions.Annotations)
+	// followed by the notes the statement adds itself. The SQL service tags
+	// statements that arrived through a client retry ("wire: retry attempt
+	// N") or on a resumed session ("wire: resumed session"); the engine notes
+	// each re-optimization and a failed re-plan ("reopt: ..."), a statistic
+	// the statement's feedback moved to drifted ("accuracy: ..."), and the
+	// histograms a migration moved into the catalog ("migrate: ...").
 	Annotations []string `json:"annotations,omitempty"`
 
 	// Err is the statement's error text; empty on success.
@@ -149,9 +188,11 @@ func QError(est, act float64) float64 {
 	return hi / lo
 }
 
-// Recorder is the ring buffer. Obtain one from New; a nil Recorder, like a
-// zero-capacity one, records nothing.
+// Recorder is the ring buffer and the trace writer. Obtain one from New; a
+// nil Recorder, like one with neither sink, records nothing.
 type Recorder struct {
+	w io.Writer // trace sink; nil when there is none, never changes after New
+
 	mu     sync.Mutex
 	ring   []*Record // capacity-sized circular buffer; empty when not recording
 	next   int       // next slot to overwrite
@@ -163,24 +204,28 @@ type Recorder struct {
 	pmFilled int
 }
 
-// New returns a recorder with a ring of capacity records: 0 builds one that
-// records nothing, a negative capacity selects DefaultCapacity.
-func New(capacity int) *Recorder {
-	if capacity == 0 {
-		return &Recorder{}
-	}
+// New returns a recorder with a ring of capacity records that also writes
+// every committed record to trace, when that is non-nil, as one JSON line. A
+// zero capacity keeps no ring; a negative one selects DefaultCapacity.
+func New(capacity int, trace io.Writer) *Recorder {
+	r := &Recorder{w: trace}
 	if capacity < 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{
-		ring: make([]*Record, capacity),
-		pm:   make([]*Record, DefaultPostMortemCapacity),
+	if capacity > 0 {
+		r.ring = make([]*Record, capacity)
+		r.pm = make([]*Record, DefaultPostMortemCapacity)
 	}
+	return r
 }
 
-// Enabled reports whether the recorder is capturing. Nil-safe; this is the
-// one length check every probe takes first.
+// Enabled reports whether the recorder keeps a ring for SHOW QUERIES and the
+// debug server to read. Nil-safe.
 func (r *Recorder) Enabled() bool { return r != nil && len(r.ring) > 0 }
+
+// Recording reports whether a committed record goes anywhere: to the ring or
+// to the trace writer. Nil-safe; this is the check every probe takes first.
+func (r *Recorder) Recording() bool { return r != nil && (len(r.ring) > 0 || r.w != nil) }
 
 // Capacity returns the ring size.
 func (r *Recorder) Capacity() int {
@@ -191,24 +236,36 @@ func (r *Recorder) Capacity() int {
 }
 
 // Begin opens the record of statement qid. The calling statement owns it,
-// and fills it in, until Commit. Returns nil when the recorder is disabled.
+// and fills it in, until Commit. Returns nil when the recorder has no sink.
 func (r *Recorder) Begin(qid int64, sql string) *Record {
-	if !r.Enabled() {
+	if !r.Recording() {
 		return nil
 	}
 	return &Record{QID: qid, SQL: sql, Start: time.Now()}
 }
 
-// Commit finalizes a record begun with Begin: it is pushed into the ring
-// (O(1)), and — when the statement errored or its preparation degraded — a
-// post-mortem snapshot is retained in the bounded post-mortem buffer. A nil
-// record (disabled Begin) is ignored.
+// Commit finalizes a record begun with Begin. With a trace writer, the record
+// is written to it as one JSON line in one Write. With a ring, it is pushed
+// into the ring (O(1)), and — when the statement errored or its preparation
+// degraded — a post-mortem snapshot is retained in the bounded post-mortem
+// buffer. A nil record (Begin without a sink) is ignored.
 func (r *Recorder) Commit(rec *Record) {
-	if !r.Enabled() || rec == nil {
+	if !r.Recording() || rec == nil {
 		return
+	}
+	var line []byte
+	if r.w != nil {
+		line = traceLine(rec)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if line != nil {
+		// A failed trace write loses the line, not the statement.
+		_, _ = r.w.Write(line)
+	}
+	if len(r.ring) == 0 {
+		return
+	}
 	r.ring[r.next] = rec
 	r.next = (r.next + 1) % len(r.ring)
 	if r.filled < len(r.ring) {
@@ -222,6 +279,16 @@ func (r *Recorder) Commit(rec *Record) {
 			r.pmFilled++
 		}
 	}
+}
+
+// traceLine renders rec as one JSON line. A record encoding/json refuses (a
+// non-finite float) still leaves a line: its identity and the reason.
+func traceLine(rec *Record) []byte {
+	line, err := json.Marshal(rec)
+	if err != nil {
+		line, _ = json.Marshal(Record{QID: rec.QID, SQL: rec.SQL, Kind: rec.Kind, Start: rec.Start, Err: "flightrec: " + err.Error()})
+	}
+	return append(line, '\n')
 }
 
 // Total returns the number of records ever committed (including ones the

@@ -1,8 +1,12 @@
 package flightrec
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,7 +48,7 @@ func TestQError(t *testing.T) {
 }
 
 func TestDisabledRecorderRecordsNothing(t *testing.T) {
-	r := New(0)
+	r := New(0, nil)
 	if r.Enabled() || r.Capacity() != 0 {
 		t.Fatal("a zero-capacity recorder should be disabled")
 	}
@@ -56,7 +60,7 @@ func TestDisabledRecorderRecordsNothing(t *testing.T) {
 	if r.Len() != 0 || r.Total() != 0 || len(r.Last(0)) != 0 || len(r.PostMortems()) != 0 {
 		t.Fatalf("disabled recorder retained state: len=%d total=%d", r.Len(), r.Total())
 	}
-	if !New(-1).Enabled() || New(-1).Capacity() != DefaultCapacity {
+	if !New(-1, nil).Enabled() || New(-1, nil).Capacity() != DefaultCapacity {
 		t.Fatal("a negative capacity should select an enabled DefaultCapacity ring")
 	}
 	var nilRec *Recorder
@@ -70,7 +74,7 @@ func TestDisabledRecorderRecordsNothing(t *testing.T) {
 }
 
 func TestRingWrapKeepsNewestOldestFirst(t *testing.T) {
-	r := New(4)
+	r := New(4, nil)
 	for qid := int64(1); qid <= 10; qid++ {
 		rec := r.Begin(qid, fmt.Sprintf("SELECT %d", qid))
 		r.Commit(rec)
@@ -101,7 +105,7 @@ func TestRingWrapKeepsNewestOldestFirst(t *testing.T) {
 }
 
 func TestGetFindsLiveAndMissesWrapped(t *testing.T) {
-	r := New(4)
+	r := New(4, nil)
 	for qid := int64(1); qid <= 6; qid++ {
 		r.Commit(r.Begin(qid, "SELECT 1"))
 	}
@@ -115,7 +119,7 @@ func TestGetFindsLiveAndMissesWrapped(t *testing.T) {
 }
 
 func TestPostMortemCapture(t *testing.T) {
-	r := New(4)
+	r := New(4, nil)
 	ok1 := r.Begin(1, "SELECT 1")
 	r.Commit(ok1)
 	bad := r.Begin(2, "SELECT broken")
@@ -146,7 +150,7 @@ func TestPostMortemCapture(t *testing.T) {
 }
 
 func TestPostMortemRingBounded(t *testing.T) {
-	r := New(4)
+	r := New(4, nil)
 	n := DefaultPostMortemCapacity + 5
 	for qid := int64(1); qid <= int64(n); qid++ {
 		rec := r.Begin(qid, "SELECT broken")
@@ -163,7 +167,7 @@ func TestPostMortemRingBounded(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	r := New(4)
+	r := New(4, nil)
 	bad := r.Begin(1, "SELECT broken")
 	bad.Err = "boom"
 	r.Commit(bad)
@@ -181,11 +185,136 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestCommitWritesRecordAsJSONLine: with a trace writer, Commit writes the
+// record it stores as one newline-terminated JSON line, the encoding
+// /debug/queries serves; a record encoding/json refuses still leaves a line.
+func TestCommitWritesRecordAsJSONLine(t *testing.T) {
+	var buf bytes.Buffer
+	r := New(4, &buf)
+	rec := r.Begin(7, "SELECT 1")
+	rec.Kind = "select"
+	rec.AddPhase(PhaseParse, 3*time.Microsecond)
+	rec.Tables = []TableSample{{Table: "car", Collected: true, S1: 0.75, S2: 1, Draw: time.Millisecond}}
+	rec.Feedback = []Feedback{{Stat: "car(make)", EstSel: 0.1, ActualSel: 0.2, ErrorFactor: 0.5, StatList: []string{"car(make)"}}}
+	r.Commit(rec)
+	want, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want)+"\n" {
+		t.Fatalf("trace = %q, want %q", got, string(want)+"\n")
+	}
+	var back Record
+	if err := json.Unmarshal(want, &back); err != nil || back.QID != 7 || back.Tables[0].S1 != 0.75 ||
+		back.Tables[0].Draw != time.Millisecond || back.Feedback[0].ErrorFactor != 0.5 || back.Phases[0].Phase != PhaseParse {
+		t.Fatalf("decoded %+v (%v), want the committed record", back, err)
+	}
+
+	buf.Reset()
+	bad := r.Begin(8, "SELECT 2")
+	bad.WorstQError = math.Inf(1)
+	r.Commit(bad)
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil || back.QID != 8 || !strings.HasPrefix(back.Err, "flightrec: ") {
+		t.Fatalf("unencodable record wrote %q (%v), want its qid and the reason", buf.String(), err)
+	}
+	if r.Len() != 2 {
+		t.Fatalf("Len = %d, want 2: the writer does not replace the ring", r.Len())
+	}
+}
+
+// TestCommitsAppendOneLineEach: successive commits append their records to
+// the writer in commit order, each as exactly one newline-terminated line.
+func TestCommitsAppendOneLineEach(t *testing.T) {
+	var buf bytes.Buffer
+	r := New(4, &buf)
+	var want strings.Builder
+	for qid := int64(1); qid <= 2; qid++ {
+		rec := r.Begin(qid, fmt.Sprintf("SELECT %d", qid))
+		rec.AddPhase(PhaseExecute, time.Duration(qid)*time.Microsecond)
+		r.Commit(rec)
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(line)
+		want.WriteByte('\n')
+	}
+	if got := buf.String(); got != want.String() {
+		t.Fatalf("trace = %q, want %q", got, want.String())
+	}
+}
+
+// TestWriterOnlyRecorderKeepsNoRing: a recorder with a trace writer and no
+// ring records — Begin returns a record and Commit writes it — but keeps
+// nothing for the ring's readers, which report it off. Without either sink,
+// and on a nil recorder, every probe is inert.
+func TestWriterOnlyRecorderKeepsNoRing(t *testing.T) {
+	var buf bytes.Buffer
+	r := New(0, &buf)
+	if !r.Recording() || r.Enabled() || r.Capacity() != 0 {
+		t.Fatalf("writer-only recorder: recording=%v enabled=%v capacity=%d", r.Recording(), r.Enabled(), r.Capacity())
+	}
+	for qid := int64(1); qid <= 3; qid++ {
+		rec := r.Begin(qid, "SELECT 1")
+		if rec == nil {
+			t.Fatal("Begin with a writer returned nil")
+		}
+		rec.Err = "boom" // a post-mortem candidate, with no ring to keep it in
+		r.Commit(rec)
+	}
+	if n := strings.Count(buf.String(), "\n"); n != 3 {
+		t.Fatalf("%d lines written, want 3", n)
+	}
+	if r.Len() != 0 || r.Total() != 0 || len(r.Last(0)) != 0 || len(r.PostMortems()) != 0 {
+		t.Fatalf("writer-only recorder kept state: len=%d total=%d", r.Len(), r.Total())
+	}
+	if _, ok := r.Get(2); ok {
+		t.Fatal("Get found a record with no ring")
+	}
+	if New(0, nil).Recording() || (*Recorder)(nil).Recording() {
+		t.Fatal("a recorder without sinks reports recording")
+	}
+}
+
+// TestConcurrentWritesAreLineAtomic drives many goroutines committing
+// records through one recorder into one bytes.Buffer. Run under -race; every
+// line must decode as a whole record, one per commit.
+func TestConcurrentWritesAreLineAtomic(t *testing.T) {
+	var buf bytes.Buffer
+	r := New(0, &buf)
+	var wg sync.WaitGroup
+	const workers, commits = 8, 200
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < commits; i++ {
+				rec := r.Begin(int64(w*commits+i+1), fmt.Sprintf("SELECT %d FROM worker_%d", i, w))
+				rec.AddPhase(PhaseExecute, time.Duration(i))
+				r.Commit(rec)
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := map[int64]bool{}
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var rec Record
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("torn or malformed line %q: %v", sc.Text(), err)
+		}
+		seen[rec.QID] = true
+	}
+	if len(seen) != workers*commits {
+		t.Fatalf("%d distinct records written, want %d", len(seen), workers*commits)
+	}
+}
+
 // TestConcurrentReadersAndWriters hammers the recorder from writer and
 // reader goroutines; correctness is checked by the race detector plus the
 // invariant that every read snapshot is internally consistent.
 func TestConcurrentReadersAndWriters(t *testing.T) {
-	r := New(16)
+	r := New(16, nil)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	// Writers commit from disjoint qid spaces, each filling in its own record
@@ -233,10 +362,11 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkDisabledRecorderBegin proves the disabled path is one length
-// check with zero allocations — the telemetry-free-when-disabled contract.
+// BenchmarkDisabledRecorderBegin proves the path with neither ring nor writer
+// is two checks with zero allocations — the telemetry-free-when-disabled
+// contract.
 func BenchmarkDisabledRecorderBegin(b *testing.B) {
-	r := New(0)
+	r := New(0, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if rec := r.Begin(int64(i), "SELECT 1"); rec != nil {
@@ -247,7 +377,7 @@ func BenchmarkDisabledRecorderBegin(b *testing.B) {
 
 // BenchmarkEnabledCommit is the O(1) ring-append cost when recording.
 func BenchmarkEnabledCommit(b *testing.B) {
-	r := New(DefaultCapacity)
+	r := New(DefaultCapacity, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

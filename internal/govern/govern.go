@@ -5,11 +5,11 @@
 // under sustained overload.
 //
 // The package deliberately sits below the engine: it knows nothing about SQL,
-// plans, or sampling. Operators call Reservation.Grow before buffering,
-// ExecWithContext calls Gate.Acquire before parsing, and the JITS pipeline
-// asks Breaker.Allow before paying compile-time sampling cost. Every entry
-// point is nil-receiver safe so an ungoverned engine (the zero Config) pays
-// one nil check and nothing else.
+// plans, or sampling. Operators call Reservation.Grow before buffering, the
+// engine's ExecUnboxed admits through Gate.Acquire before parsing, and the
+// JITS pipeline asks Breaker.Allow before paying compile-time sampling cost.
+// Every entry point is nil-receiver safe so an ungoverned engine (the zero
+// Config) pays one nil check and nothing else.
 //
 // Failure semantics are typed, never implicit: memory exhaustion surfaces as
 // ErrMemoryBudget and shed statements as ErrOverloaded, both matchable with

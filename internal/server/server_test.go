@@ -18,6 +18,7 @@ import (
 	"repro/internal/debugserver"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
+	"repro/internal/flightrec"
 	"repro/internal/qgm"
 	"repro/internal/server"
 	"repro/internal/value"
@@ -736,35 +737,14 @@ func TestServedDegradationNotesAgree(t *testing.T) {
 	}
 }
 
-// lockedWriter serializes a trace sink the server's goroutines write and the
-// test's reads.
-type lockedWriter struct {
-	mu sync.Mutex
-	sb strings.Builder
-}
-
-func (w *lockedWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sb.Write(p)
-}
-
-func (w *lockedWriter) String() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sb.String()
-}
-
 // TestServedRowCountsAgree: the served path never boxes a result, so nothing
 // on it may count rows off Result.Rows. One statement run embedded and served
-// files the same Rows in its flight record and the same rows attribute on its
-// execute span — the count the client then decodes.
+// files the same Rows in its flight record — the count the client then
+// decodes — and an execute phase exactly when it ran a plan.
 func TestServedRowCountsAgree(t *testing.T) {
-	var trace lockedWriter
 	cfg := serveConfig(0)
 	cfg.JITS.SampleSize = 200
 	cfg.FlightRecorderCapacity = -1
-	cfg.Trace = &trace
 	eng, _ := loadedEngine(t, cfg, 0.002)
 	_, addr := startServer(t, eng)
 	conn, err := client.Dial(addr)
@@ -773,31 +753,23 @@ func TestServedRowCountsAgree(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// counts returns what the engine's latest statement recorded: the flight
-	// record's Rows and, for a statement that executed a plan, its execute
-	// span's rows attribute (-1 when it has no such span).
-	counts := func() (recorded, span int) {
+	// latest returns what the engine's latest statement recorded: its Rows
+	// and whether it has an execute phase.
+	latest := func() (rows int, executed bool) {
 		t.Helper()
 		qid := eng.Now()
 		rec, ok := eng.Recorder().Get(qid)
 		if !ok {
 			t.Fatalf("no flight record for q%d", qid)
 		}
-		span = -1
-		for _, line := range strings.Split(trace.String(), "\n") {
-			if rest, ok := strings.CutPrefix(line, fmt.Sprintf("q%d span execute ", qid)); ok {
-				for _, attr := range strings.Fields(rest) {
-					if v, ok := strings.CutPrefix(attr, "rows="); ok {
-						fmt.Sscan(v, &span)
-					}
-				}
-			}
+		for _, p := range rec.Phases {
+			executed = executed || p.Phase == flightrec.PhaseExecute
 		}
-		return rec.Rows, span
+		return rec.Rows, executed
 	}
 	for _, tc := range []struct {
 		sql      string
-		executes bool // runs a plan, so it has an execute span
+		executes bool // runs a plan, so it has an execute phase
 	}{
 		{`SELECT c.id, c.make, c.price FROM car c WHERE c.id BETWEEN 10 AND 400`, true},
 		{`SELECT c.make, COUNT(*) AS n FROM car c GROUP BY c.make ORDER BY n DESC`, true},
@@ -812,12 +784,12 @@ func TestServedRowCountsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
-		recDirect, spanDirect := counts()
+		recDirect, execDirect := latest()
 		served, err := conn.Query(tc.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
-		recServed, spanServed := counts()
+		recServed, execServed := latest()
 		if recDirect != len(direct.Rows) || recServed != len(served.Rows) || direct.Len() != len(direct.Rows) {
 			t.Errorf("%s: flight records say %d embedded / %d served rows; results have %d / %d (Len %d)",
 				tc.sql, recDirect, recServed, len(direct.Rows), len(served.Rows), direct.Len())
@@ -825,11 +797,8 @@ func TestServedRowCountsAgree(t *testing.T) {
 		if strings.HasPrefix(tc.sql, "SELECT") && recDirect != recServed {
 			t.Errorf("%s: %d rows recorded embedded, %d served", tc.sql, recDirect, recServed)
 		}
-		if (spanDirect >= 0) != tc.executes || (spanServed >= 0) != tc.executes {
-			t.Errorf("%s: execute span rows = %d embedded, %d served; executes = %v", tc.sql, spanDirect, spanServed, tc.executes)
-		}
-		if spanDirect != spanServed {
-			t.Errorf("%s: execute span counted %d rows embedded, %d served", tc.sql, spanDirect, spanServed)
+		if execDirect != tc.executes || execServed != tc.executes {
+			t.Errorf("%s: execute phase recorded embedded %v, served %v; executes = %v", tc.sql, execDirect, execServed, tc.executes)
 		}
 	}
 }

@@ -64,10 +64,16 @@ bench-pairs:
 # around rebuildLimit, and run at 10k rows too under `-bench IndexAdvance`)
 # and a point probe with a native and with a fallback bound. Then JITS collection, one table's worth per layer: the
 # columnar draw (2000 of 43k rows, 8 columns), bitmap group evaluation (7
-# groups over 3 predicates), the NDV counter per column kind (0 allocs/op
-# once warm), and one archive merge at the shape measured on collect_all
-# (164 cells, 35 constraints, 20 of them re-observed boxes) and at the budget
-# ceiling (4096 cells, 48 constraints, 16 re-observed). Last, the
+# groups over 3 predicates), the NDV counter per column kind, one archive
+# merge at the shape measured on collect_all (164 cells, 35 constraints, 20
+# of them re-observed boxes) and at the budget ceiling (4096 cells, 48
+# constraints, 16 re-observed), and one sampled table's whole collect pass
+# on a warm engine (draw, evaluate, domains, NDV, materialize). Once warm,
+# SampleDraw, EvaluateGroups and CollectTable allocate nothing that grows
+# with the sample — the sample, its positions, the bitmaps and the fit's cell
+# lists are reused; what is left is the table snapshot, the runner's closures
+# and the compiled matchers, a few hundred bytes — and ColumnNDV allocates
+# nothing at all. Last, the
 # executor's own row: the six paper templates at scale 0.01 under the join
 # methods the optimizer picks among (bytes and allocations per execution are
 # what late materialization is held to; forced nested loops take 0.4 s an
@@ -91,6 +97,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'IndexAdvance/rows=(43000|430000)|Lookup10k' -benchmem -benchtime 0.3s ./internal/index/
 	$(GO) test -run '^$$' -bench 'SampleDraw|EvaluateGroups|ColumnNDV' -benchmem -benchtime 0.3s ./internal/sampling/
 	$(GO) test -run '^$$' -bench 'AddConstraintSteady' -benchmem -benchtime 0.3s ./internal/histogram/
+	$(GO) test -run '^$$' -bench 'CollectTable' -benchmem -benchtime 0.3s ./internal/core/
 	$(GO) test -run '^$$' -bench 'ExecuteTemplates/.*/(scan|HashJoin|MergeJoin|IndexNLJoin)|Finish' -benchmem -benchtime 20x ./internal/executor/
 	$(GO) test -run '^$$' -bench 'BenchmarkDML' -benchmem -benchtime 30x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'Compare|AppendMatches' -benchmem -benchtime 0.3s ./internal/value/ ./internal/qgm/

@@ -239,7 +239,7 @@ func (c *collection) sample(tw *tableWork, size int, start time.Time) (err error
 		// Prototype-faithful costing: each further group pays its own query.
 		c.meter.Add(c.w.SampleRow * float64(rows) * float64(len(groups)-1))
 	}
-	sels, err := sampling.EvaluateColumns(sample, groups, c.meter, c.w, cfg.Parallelism)
+	sels, err := j.sampler.EvaluateColumns(sample, groups, c.meter, c.w, cfg.Parallelism)
 	if err != nil {
 		return err
 	}
@@ -317,7 +317,7 @@ func (c *collection) report(tw *tableWork, deg degradation) {
 func WorkloadStatistics(db *storage.Database, queries []*qgm.Query, ts int64) (*Archive, error) {
 	archive := NewArchive(0, 0)
 	var setup costmodel.Meter
-	counter := sampling.New(0) // for its distinct-value scratch; nothing is drawn
+	counter := sampling.New(0) // for its evaluation and distinct-value scratch; nothing is drawn
 	type exactTable struct {
 		rows    *storage.Chunk
 		domains map[string]ColumnDomain
@@ -343,7 +343,7 @@ func WorkloadStatistics(db *storage.Database, queries []*qgm.Query, ts int64) (*
 			if x == nil || x.rows.Rows() == 0 {
 				continue
 			}
-			sels, err := sampling.EvaluateColumns(x.rows, tc.Groups, &setup, costmodel.Weights{}, 1)
+			sels, err := counter.EvaluateColumns(x.rows, tc.Groups, &setup, costmodel.Weights{}, 1)
 			if err != nil {
 				return nil, err
 			}

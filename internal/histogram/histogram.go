@@ -28,6 +28,7 @@ package histogram
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -113,6 +114,12 @@ type Histogram struct {
 	lastUsed    int64 // archive LRU bookkeeping
 	merges      int   // constraints ever merged in (introspection only, not persisted)
 	updatedAt   int64 // logical time of the last merge (introspection only, not persisted)
+
+	// runIPF's scratch: every constraint's box cells, constraint ci's at
+	// ipfCells[ipfStart[ci]:ipfStart[ci+1]]. Kept so a refit allocates
+	// nothing once the lists have grown; never cloned or persisted.
+	ipfCells []cellWeight
+	ipfStart []int
 
 	maxCutsPerDim  int
 	maxCells       int
@@ -559,14 +566,16 @@ func (h *Histogram) runIPF() float64 {
 	}
 	// Each constraint's box cells, listed once; cuts no longer change.
 	// Constraint ci owns cells[start[ci]:start[ci+1]].
-	var cells []cellWeight
-	start := make([]int, len(h.constraints)+1)
+	cells := h.ipfCells[:0]
+	start := slices.Grow(h.ipfStart[:0], len(h.constraints)+1)[:len(h.constraints)+1]
+	start[0] = 0
 	for ci, c := range h.constraints {
 		h.forEachBoxCell(c.box, func(idx int, w float64) {
 			cells = append(cells, cellWeight{idx, w})
 		})
 		start[ci+1] = len(cells)
 	}
+	h.ipfCells, h.ipfStart = cells, start
 	insideOf := func(ci int) float64 {
 		inside := 0.0
 		for _, c := range cells[start[ci]:start[ci+1]] {

@@ -157,7 +157,7 @@ func TestCompiledFilterMatchesRowByRow(t *testing.T) {
 		for _, p := range preds {
 			groups = append(groups, []qgm.Predicate{p})
 		}
-		got, err := sampling.EvaluateColumns(sample, groups, &m, costmodel.DefaultWeights(), 1+int(seed%2))
+		got, err := sampling.New(seed).EvaluateColumns(sample, groups, &m, costmodel.DefaultWeights(), 1+int(seed%2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -15,9 +16,13 @@ import (
 
 // ---------------------------------------------------------------------------
 // Row reference. These are the bodies RowsParallel, EvaluateGroupsParallel
-// and EstimateNDV had while a sample was [][]value.Datum: kept verbatim as
-// the oracle the columnar sample must equal — same rows in the same order,
-// same selectivities, same NDVs, same meter units to the last bit.
+// and EstimateNDV had while a sample was [][]value.Datum, kept as the oracle
+// the columnar sample must equal — same rows in the same order, same
+// selectivities, same NDVs, same meter units to the last bit. Two changes
+// since: a drawn sample's rows are emitted in row order (the picks sorted),
+// and Duj1's sampling fraction and exactness test count the sample's rows,
+// NULLs included, with the estimate clamped to the table's estimated
+// non-NULL rows.
 
 // mustFanOut is fanOut for the reference bodies, which predate its error.
 func mustFanOut(n, dop, size int, fn func(lo, hi int)) {
@@ -65,6 +70,7 @@ func refRowsParallel(rng *rand.Rand, tbl *storage.Table, size int, meter *costmo
 		picked[idx] = true
 		positions = append(positions, idx)
 	}
+	sort.Ints(positions)
 	out := make([][]value.Datum, len(positions))
 	mustFanOut(len(positions), dop, evalMorselSize, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -165,11 +171,11 @@ func refEstimateNDV(column []value.Datum, tableCard int) int64 {
 		counts[d]++
 		n++
 	}
-	d := int64(len(counts))
+	d, rows := int64(len(counts)), len(column)
 	if d == 0 || tableCard <= 0 {
 		return 0
 	}
-	if n >= tableCard {
+	if rows >= tableCard {
 		return d // full scan: exact
 	}
 	f1 := 0
@@ -178,17 +184,18 @@ func refEstimateNDV(column []value.Datum, tableCard int) int64 {
 			f1++
 		}
 	}
-	q := float64(n) / float64(tableCard)
+	nonNull := int64(tableCard) * int64(n) / int64(rows)
+	q := float64(rows) / float64(tableCard)
 	denom := 1 - (1-q)*float64(f1)/float64(n)
 	if denom <= 0 {
-		return int64(tableCard) // everything distinct in the sample: key-like
+		return nonNull // everything distinct in the sample: key-like
 	}
 	est := int64(float64(d) / denom)
 	if est < d {
 		est = d
 	}
-	if est > int64(tableCard) {
-		est = int64(tableCard)
+	if est > nonNull {
+		est = nonNull
 	}
 	return est
 }
@@ -392,7 +399,7 @@ func TestColumnarSampleMatchesRowReference(t *testing.T) {
 						}
 
 						groups := adversarialGroups(rng)
-						got, err := EvaluateColumns(sample, groups, &gotMeter, w, dop)
+						got, err := s.EvaluateColumns(sample, groups, &gotMeter, w, dop)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -9,12 +9,18 @@
 // groups as one unit: "once a table is sampled, it is relatively cheap to
 // collect the selectivities of all predicate groups that belong to this
 // table".
+//
+// A sample comes back in row order — the rows the rng picked, read chunk by
+// chunk — and belongs to the Sampler that drew it: it is scratch the next
+// draw overwrites, as are the selectivities Sampler.EvaluateColumns returns,
+// so collecting one table after another allocates nothing once warm.
 package sampling
 
 import (
 	"context"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/costmodel"
 	"repro/internal/faultinject"
@@ -41,11 +47,15 @@ func fanOut(n, dop, size int, fn func(m, lo, hi int) error) error {
 }
 
 // Sampler draws deterministic pseudo-random samples; a fixed seed makes
-// whole experiment runs reproducible. It owns the scratch its draws and NDV
-// counts reuse, so like its rng it serves one caller at a time.
+// whole experiment runs reproducible. It owns the scratch its draws,
+// evaluations and NDV counts reuse — the sample itself among them — so like
+// its rng it serves one caller at a time.
 type Sampler struct {
 	rng      *rand.Rand
-	seen     []uint64 // one bit per table row; all clear between draws
+	seen     []uint64       // one bit per table row; all clear between draws
+	picks    []int32        // the last draw's positions, ascending
+	sample   *storage.Chunk // the last draw; the next one resets it in place
+	eval     evaluator
 	distinct distinctCounter
 }
 
@@ -70,7 +80,8 @@ func EffectiveSampleRows(tableRows, size int) int {
 }
 
 // Sample is SampleColumns transposed into rows, for callers that want
-// row-shaped data; an empty sample is nil.
+// row-shaped data; an empty sample is nil. The rows are boxed at once, so
+// they are the caller's and outlive the next draw.
 func (s *Sampler) Sample(ctx context.Context, tbl *storage.Table, size int, meter *costmodel.Meter, w costmodel.Weights, dop int) ([][]value.Datum, error) {
 	sample, err := s.SampleColumns(ctx, tbl, size, meter, w, dop)
 	if err != nil || sample.Rows() == 0 {
@@ -85,20 +96,27 @@ func (s *Sampler) Sample(ctx context.Context, tbl *storage.Table, size int, mete
 
 // SampleColumns draws up to size rows of the table into a detached columnar
 // chunk: typed arrays plus null bitmaps, one per schema column. Tables
-// smaller than twice the sample size are copied whole, in storage order
-// (cheaper than distinct-pick bookkeeping); larger tables are sampled
-// uniformly without replacement, in draw order. The meter is charged per
-// sampled row — page-level sampling cost is proportional to the sample, not
-// the table, mirroring the paper's observation that collection cost is
-// independent of table size.
+// smaller than twice the sample size are copied whole (cheaper than
+// distinct-pick bookkeeping); larger tables are sampled uniformly without
+// replacement. Either way the rows come in row order: a drawn sample is the
+// set of rows the rng picked, not the order it picked them in, and nothing
+// computed from a sample — match counts, min/max, Duj1's n, d and f1 —
+// depends on its order. The meter is charged per sampled row — page-level
+// sampling cost is proportional to the sample, not the table, mirroring the
+// paper's observation that collection cost is independent of table size.
+//
+// The chunk is the sampler's: the next draw resets it in place, so it is
+// valid until then and its caller must neither keep nor write it (Sample
+// boxes its rows at once). What it retains between draws is bounded by one
+// sample: at most twice size rows of the widest schema drawn.
 //
 // It honors cancellation and the sampling.rows fault point before touching
 // the table: a returned error means no sample and no RNG consumption, so
 // the caller can degrade to catalog statistics without perturbing later
 // draws. Pick positions are drawn serially from the sampler's rng — the
-// sample, its order and the meter charge are identical at any dop; only the
-// gather fans out. All reads go through one table snapshot: workers gather
-// from the same consistent image lock-free, the sample never aliases live
+// sample and the meter charge are identical at any dop; only the gather
+// fans out. All reads go through one table snapshot: workers gather from
+// the same consistent image lock-free, the sample never aliases live
 // storage, and concurrent DML cannot shrink the table out from under a
 // drawn position.
 func (s *Sampler) SampleColumns(ctx context.Context, tbl *storage.Table, size int, meter *costmodel.Meter, w costmodel.Weights, dop int) (*storage.Chunk, error) {
@@ -113,11 +131,12 @@ func (s *Sampler) SampleColumns(ctx context.Context, tbl *storage.Table, size in
 	snap := tbl.Snapshot()
 	n := snap.NumRows()
 	rows := EffectiveSampleRows(n, size)
-	var positions []int // nil gathers the whole table
+	var positions []int32 // nil gathers the whole table
 	if rows < n {
 		positions = s.draw(n, rows)
 	}
-	out := storage.NewDetachedChunk(snap.Schema(), rows)
+	s.sample = storage.ResetDetachedChunk(s.sample, snap.Schema(), rows)
+	out := s.sample
 	// evalMorselSize is a multiple of 64, as concurrent Gather ranges need.
 	if err := fanOut(rows, dop, evalMorselSize, func(_, lo, hi int) error {
 		snap.Gather(out, positions, lo, hi)
@@ -129,30 +148,39 @@ func (s *Sampler) SampleColumns(ctx context.Context, tbl *storage.Table, size in
 	return out, nil
 }
 
-// draw picks size distinct positions in [0, n), in rng order.
-func (s *Sampler) draw(n, size int) []int {
-	if words := (n + 63) / 64; len(s.seen) < words {
+// draw picks size distinct positions in [0, n) from the rng into the seen
+// bitmap, then returns them in ascending order by walking the bitmap, which
+// clears it. The rng is consumed exactly as by a draw that kept pick order.
+// The positions are the sampler's, valid until its next draw.
+func (s *Sampler) draw(n, size int) []int32 {
+	words := (n + 63) / 64
+	if len(s.seen) < words {
 		s.seen = make([]uint64, words)
 	}
-	positions := make([]int, 0, size)
-	for len(positions) < size {
+	for picked := 0; picked < size; {
 		idx := s.rng.Intn(n)
 		if s.seen[idx>>6]&(1<<(uint(idx)&63)) != 0 {
 			continue
 		}
 		s.seen[idx>>6] |= 1 << (uint(idx) & 63)
-		positions = append(positions, idx)
+		picked++
 	}
-	for _, idx := range positions {
-		s.seen[idx>>6] = 0
+	positions := slices.Grow(s.picks[:0], size)
+	for w, word := range s.seen[:words] {
+		for ; word != 0; word &= word - 1 {
+			positions = append(positions, int32(w<<6|bits.TrailingZeros64(word)))
+		}
+		s.seen[w] = 0
 	}
+	s.picks = positions
 	return positions
 }
 
-// EvaluateGroups is EvaluateColumns over row-shaped data, serially; having no
-// error to return, it re-raises a recovered morsel panic.
+// EvaluateGroups is EvaluateColumns over row-shaped data, serially, on
+// scratch of its own; having no error to return, it re-raises a recovered
+// morsel panic.
 func EvaluateGroups(sample [][]value.Datum, groups [][]qgm.Predicate, meter *costmodel.Meter, w costmodel.Weights) []float64 {
-	sels, err := EvaluateColumns(storage.ChunkFromRows(sample), groups, meter, w, 1)
+	sels, err := new(evaluator).evaluate(storage.ChunkFromRows(sample), groups, meter, w, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -172,40 +200,88 @@ func EvaluateGroups(sample [][]value.Datum, groups [][]qgm.Predicate, meter *cos
 // worker charges a local sub-meter, merged once), so compile-time
 // statistics — and therefore plans — do not depend on the degree of
 // parallelism. The only error is a morsel panic (*morsel.PanicError).
-func EvaluateColumns(sample *storage.Chunk, groups [][]qgm.Predicate, meter *costmodel.Meter, w costmodel.Weights, dop int) ([]float64, error) {
-	out := make([]float64, len(groups))
+//
+// It runs on the sampler's scratch, which allocates nothing once it has grown
+// to the largest sample and predicate count seen, and the selectivities are
+// the sampler's too: valid until its next evaluation.
+func (s *Sampler) EvaluateColumns(sample *storage.Chunk, groups [][]qgm.Predicate, meter *costmodel.Meter, w costmodel.Weights, dop int) ([]float64, error) {
+	return s.eval.evaluate(sample, groups, meter, w, dop)
+}
+
+// evaluator is Sampler.EvaluateColumns' scratch: the distinct predicates and
+// their texts, each group's members, one selection vector and one match
+// bitmap per predicate, and the selectivities.
+type evaluator struct {
+	keys    []byte // the distinct predicates' texts, back to back
+	ends    []int  // predicate pi's text is keys[ends[pi-1]:ends[pi]]
+	preds   []qgm.Predicate
+	members [][]int // group gi's predicates, by index into preds
+	sel     []int32 // predicate pi owns [pi*n, (pi+1)*n)
+	matches []uint64
+	out     []float64
+}
+
+// index returns the index of the distinct predicate with text key, or -1. A
+// table has a handful of distinct predicates, so a scan beats a map, and it
+// allocates no key.
+func (e *evaluator) index(key []byte) int {
+	from := 0
+	for pi, to := range e.ends {
+		if string(e.keys[from:to]) == string(key) {
+			return pi
+		}
+		from = to
+	}
+	return -1
+}
+
+func (e *evaluator) evaluate(sample *storage.Chunk, groups [][]qgm.Predicate, meter *costmodel.Meter, w costmodel.Weights, dop int) ([]float64, error) {
+	out := slices.Grow(e.out[:0], len(groups))[:len(groups)]
+	e.out = out
 	n := sample.Rows()
 	if n == 0 {
+		clear(out)
 		return out, nil
 	}
 
 	// Distinct predicates across all groups, in deterministic first-use
-	// order; members[gi] lists group gi's predicates by that index.
-	index := make(map[string]int)
-	var preds []qgm.Predicate
-	members := make([][]int, len(groups))
-	for gi, group := range groups {
-		for _, p := range group {
-			k := p.String()
-			pi, ok := index[k]
-			if !ok {
-				pi = len(preds)
-				index[k] = pi
-				preds = append(preds, p)
-			}
-			members[gi] = append(members[gi], pi)
-		}
+	// order, keyed by their text; members[gi] lists group gi's predicates by
+	// that index.
+	e.keys, e.ends, e.preds = e.keys[:0], e.ends[:0], e.preds[:0]
+	if len(e.members) < len(groups) {
+		e.members = append(e.members, make([][]int, len(groups)-len(e.members))...)
 	}
+	members := e.members[:len(groups)]
+	for gi, group := range groups {
+		m := members[gi][:0]
+		for _, p := range group {
+			from := len(e.keys)
+			e.keys = p.AppendText(e.keys)
+			pi := e.index(e.keys[from:])
+			if pi < 0 {
+				pi = len(e.preds)
+				e.preds = append(e.preds, p)
+				e.ends = append(e.ends, len(e.keys))
+			} else {
+				e.keys = e.keys[:from]
+			}
+			m = append(m, pi)
+		}
+		members[gi] = m
+	}
+	preds := e.preds
 	words := (n + 63) / 64
-	matches := make([]uint64, len(preds)*words) // predicate pi owns [pi*words, (pi+1)*words)
+	e.matches = slices.Grow(e.matches[:0], len(preds)*words)[:len(preds)*words]
+	matches := e.matches // predicate pi owns [pi*words, (pi+1)*words)
+	clear(matches)
+	e.sel = slices.Grow(e.sel[:0], len(preds)*n)[:len(preds)*n]
 
 	// Phase 1: match bitmaps, one predicate per chunk.
 	if err := fanOut(len(preds), dop, 1, func(_, lo, hi int) error {
 		sub := meter.Worker()
-		sel := make([]int32, 0, n)
 		for pi := lo; pi < hi; pi++ {
 			bm := matches[pi*words:]
-			sel = qgm.AppendMatches(sel[:0], preds[pi:pi+1], sample, 0, n, 0)
+			sel := qgm.AppendMatches(e.sel[pi*n:pi*n:(pi+1)*n], preds[pi:pi+1], sample, 0, n, 0)
 			for _, i := range sel {
 				bm[i>>6] |= 1 << (uint(i) & 63)
 			}
@@ -329,30 +405,26 @@ func (s *Sampler) ExactNDV(vec *storage.ColumnVec) int64 {
 //	d̂ = d / (1 − (1−q)·f1/n)
 //
 // where n counts the sample's non-NULL values, d the distinct ones, f1
-// those appearing exactly once, and q = n/N is the sampling fraction. The
-// result is clamped to [d, N].
+// those appearing exactly once, and q = r/N is the sampling fraction: the
+// sample's r rows, NULL or not, over the table's N. A sample of every row
+// (r ≥ N) is exact. The result is clamped to [d, N·n/r], the table's
+// estimated non-NULL rows.
 func (s *Sampler) EstimateNDV(vec *storage.ColumnVec, tableCard int) int64 {
 	n, distinct, f1 := s.distinctIn(vec)
-	d := int64(distinct)
+	d, rows := int64(distinct), vec.Len()
 	if d == 0 || tableCard <= 0 {
 		return 0
 	}
-	if n >= tableCard {
+	if rows >= tableCard {
 		return d // full scan: exact
 	}
-	q := float64(n) / float64(tableCard)
+	nonNull := int64(tableCard) * int64(n) / int64(rows) // ≥ n ≥ d, as N > r
+	q := float64(rows) / float64(tableCard)
 	denom := 1 - (1-q)*float64(f1)/float64(n)
 	if denom <= 0 {
-		return int64(tableCard) // everything distinct in the sample: key-like
+		return nonNull // everything distinct in the sample: key-like
 	}
-	est := int64(float64(d) / denom)
-	if est < d {
-		est = d
-	}
-	if est > int64(tableCard) {
-		est = int64(tableCard)
-	}
-	return est
+	return min(max(int64(float64(d)/denom), d), nonNull)
 }
 
 // SelectivityFloor is the smallest selectivity a sample of the given size

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -169,6 +170,103 @@ func TestSelectivityFloor(t *testing.T) {
 
 // benchTable is the shape of the benchmark's car table: 43k rows, 8
 // columns (three ints, two floats, three strings of varying cardinality).
+// pickOrderDraw is the draw as it was while a sample came in pick order: size
+// distinct positions in [0, n), in the order the rng picked them.
+func pickOrderDraw(rng *rand.Rand, n, size int) []int {
+	seen := make([]uint64, (n+63)/64)
+	positions := make([]int, 0, size)
+	for len(positions) < size {
+		idx := rng.Intn(n)
+		if seen[idx>>6]&(1<<(uint(idx)&63)) != 0 {
+			continue
+		}
+		seen[idx>>6] |= 1 << (uint(idx) & 63)
+		positions = append(positions, idx)
+	}
+	return positions
+}
+
+// TestDrawIsTheSameSample: the row-ordered draw picks exactly the positions
+// the pick-order draw did, sorted, and leaves the rng where that draw left
+// it — over one sampler's successive draws on tables of different sizes
+// (its bitmap and positions are reused, and must come back clean).
+func TestDrawIsTheSameSample(t *testing.T) {
+	draws := []struct{ n, size int }{
+		{100000, 2000}, {43000, 2000}, {6000, 2999}, {65, 32}, {64, 1}, {1, 1}, {4001, 2000}, {200, 100},
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		s := New(seed)
+		ref := rand.New(rand.NewSource(seed))
+		for _, d := range draws {
+			want := pickOrderDraw(ref, d.n, d.size)
+			slices.Sort(want)
+			got := s.draw(d.n, d.size)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d n=%d size=%d: %d positions, want %d", seed, d.n, d.size, len(got), len(want))
+			}
+			for i := range want {
+				if int(got[i]) != want[i] {
+					t.Fatalf("seed %d n=%d size=%d: position %d is %d, want %d", seed, d.n, d.size, i, got[i], want[i])
+				}
+			}
+			for w, word := range s.seen {
+				if word != 0 {
+					t.Fatalf("seed %d n=%d size=%d: seen word %d left %#x", seed, d.n, d.size, w, word)
+				}
+			}
+			if a, b := s.rng.Int63(), ref.Int63(); a != b {
+				t.Fatalf("seed %d n=%d size=%d: rng moved on to %d, want %d", seed, d.n, d.size, a, b)
+			}
+		}
+	}
+}
+
+// TestEstimateNDVCountsNullRows: Duj1's sampling fraction and its exactness
+// test count the sample's rows, not its non-NULL values. A 3000-row table
+// sampled at 2000 is copied whole, so a unique column that is 10 % NULL has
+// exactly 2700 distinct values; drawn from a 20000-row table, the same
+// column estimates to the table's estimated non-NULL rows, not to the table.
+func TestEstimateNDVCountsNullRows(t *testing.T) {
+	uniqueWithNulls := func(n int) *storage.Table {
+		tbl := storage.NewTable("t", storage.MustSchema(storage.Column{Name: "u", Kind: value.KindInt}))
+		rows := make([][]value.Datum, n)
+		for i := range rows {
+			rows[i] = []value.Datum{value.NewInt(int64(i))}
+			if i%10 == 0 {
+				rows[i][0] = value.Null
+			}
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	var m costmodel.Meter
+	w := costmodel.DefaultWeights()
+	s := New(1)
+
+	sample, err := s.SampleColumns(context.Background(), uniqueWithNulls(3000), 2000, &m, w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sample.Rows() != 3000 {
+		t.Fatalf("sample of %d rows, want the whole table", sample.Rows())
+	}
+	if got := s.EstimateNDV(sample.Col(0), 3000); got != 2700 {
+		t.Errorf("whole-table NDV = %d, want 2700", got)
+	}
+
+	sample, err = s.SampleColumns(context.Background(), uniqueWithNulls(20000), 2000, &m, w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := sample.Col(0)
+	nonNull := int64(20000 * (vec.Len() - vec.NullCount()) / vec.Len())
+	if got := s.EstimateNDV(vec, 20000); got != nonNull {
+		t.Errorf("sampled NDV = %d, want the %d estimated non-NULL rows", got, nonNull)
+	}
+}
+
 func benchTable(b *testing.B) *storage.Table {
 	b.Helper()
 	tbl := storage.NewTable("car", storage.MustSchema(
@@ -224,7 +322,7 @@ func BenchmarkSampleDraw(b *testing.B) {
 }
 
 // BenchmarkEvaluateGroups: the 7 candidate groups of 3 predicates over one
-// 2000-row sample.
+// 2000-row sample, on a sampler's scratch as JITS collection runs it.
 func BenchmarkEvaluateGroups(b *testing.B) {
 	sample := benchSample(b, benchTable(b))
 	preds := []qgm.Predicate{
@@ -242,12 +340,13 @@ func BenchmarkEvaluateGroups(b *testing.B) {
 		}
 		groups = append(groups, g)
 	}
+	s := New(1)
 	var m costmodel.Meter
 	w := costmodel.DefaultWeights()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = EvaluateColumns(sample, groups, &m, w, 1)
+		_, _ = s.EvaluateColumns(sample, groups, &m, w, 1)
 	}
 }
 

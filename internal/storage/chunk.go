@@ -126,20 +126,22 @@ func (v *ColumnVec) Datum(i int) value.Datum {
 func (v *ColumnVec) MinMax() (min, max value.Datum) {
 	switch v.kind {
 	case value.KindInt:
-		return minMax(v, v.ints, value.NewInt)
+		return minMax(v, v.ints, value.NewInt, nil)
 	case value.KindFloat:
-		return minMax(v, v.floats, value.NewFloat)
+		return minMax(v, v.floats, value.NewFloat, func(x float64) bool { return x-x == 0 })
 	default:
-		return minMax(v, v.strs, value.NewString)
+		return minMax(v, v.strs, value.NewString, nil)
 	}
 }
 
-func minMax[T value.Ordered](v *ColumnVec, vals []T, datum func(T) value.Datum) (min, max value.Datum) {
+// minMax is MinMax over one typed array; finite is nil for a kind whose
+// values are all finite (only a float can be NaN or ±Inf).
+func minMax[T value.Ordered](v *ColumnVec, vals []T, datum func(T) value.Datum, finite func(T) bool) (min, max value.Datum) {
 	var lo, hi T
 	seen, nulls := false, v.HasNulls()
 	for i, x := range vals {
 		switch {
-		case nulls && v.Null(i) || !datum(x).Finite():
+		case nulls && v.Null(i) || finite != nil && !finite(x):
 		case !seen:
 			lo, hi, seen = x, x, true
 		case value.Order(x, lo) < 0:
@@ -373,6 +375,32 @@ func NewDetachedChunk(schema *Schema, n int) *Chunk {
 	c := newChunk(schema, n)
 	for i := range c.cols {
 		c.cols[i].resize(n)
+	}
+	c.n = n
+	return c
+}
+
+// ResetDetachedChunk turns c, a detached chunk its caller owns, into one of n
+// non-NULL rows of schema, keeping every array it already has, and returns
+// it; a nil c is NewDetachedChunk. Its rows hold whatever they held:
+// Snapshot.Gather writes every one. A column slot keeps its arrays of every
+// kind it has held, so once a chunk has carried the widest schema at the
+// largest n, resetting it allocates nothing.
+func ResetDetachedChunk(c *Chunk, schema *Schema, n int) *Chunk {
+	if c == nil {
+		return NewDetachedChunk(schema, n)
+	}
+	cols := schema.NumColumns()
+	if cols > cap(c.cols) {
+		c.cols = append(c.cols[:cap(c.cols)], make([]*ColumnVec, cols-cap(c.cols))...)
+	}
+	c.cols = c.cols[:cols]
+	for i, v := range c.cols {
+		if v == nil {
+			v = &ColumnVec{}
+			c.cols[i] = v
+		}
+		v.reset(schema.cols[i].Kind, n)
 	}
 	c.n = n
 	return c

@@ -92,10 +92,14 @@ func (s *Snapshot) Range(lo, hi int, fn func(ch *Chunk, base, clo, chi int) bool
 // Gather fills rows [lo, hi) of the detached chunk dst: row i takes the
 // snapshot row positions[i], or snapshot row i itself when positions is nil
 // — a straight concatenation of the chunk vectors. This is the columnar
-// sampling primitive: a drawn sample stays typed arrays end to end. Calls
-// over disjoint ranges of one dst may run concurrently when every lo is a
-// multiple of 64 (two ranges must not share a null-bitmap word).
-func (s *Snapshot) Gather(dst *Chunk, positions []int, lo, hi int) {
+// sampling primitive: a drawn sample stays typed arrays end to end. Each
+// column is read by GatherColumn's kernel, which holds one chunk's arrays
+// while the positions stay inside it, so ascending positions (a sampler's
+// draw) read each chunk in one run. The rows of dst it fills must be
+// non-NULL on entry (fresh or reset ones are). Calls over disjoint ranges of
+// one dst may run concurrently when every lo is a multiple of 64 (two ranges
+// must not share a null-bitmap word).
+func (s *Snapshot) Gather(dst *Chunk, positions []int32, lo, hi int) {
 	if positions == nil {
 		s.Range(lo, hi, func(ch *Chunk, base, clo, chi int) bool {
 			for c := range dst.cols {
@@ -105,34 +109,8 @@ func (s *Snapshot) Gather(dst *Chunk, positions []int, lo, hi int) {
 		})
 		return
 	}
-	// Column by column, so each loop is one typed array read per row and the
-	// cache misses of a random draw overlap instead of queueing.
-	srcs := make([]*Chunk, hi-lo)
-	offs := make([]int, hi-lo)
-	for i, p := range positions[lo:hi] {
-		srcs[i], offs[i] = s.chunks[p/s.chunkSize], p%s.chunkSize
-	}
-	for c := range dst.cols {
-		out := dst.cols[c]
-		switch out.kind {
-		case value.KindInt:
-			for i, ch := range srcs {
-				out.ints[lo+i] = ch.cols[c].ints[offs[i]]
-			}
-		case value.KindFloat:
-			for i, ch := range srcs {
-				out.floats[lo+i] = ch.cols[c].floats[offs[i]]
-			}
-		default:
-			for i, ch := range srcs {
-				out.strs[lo+i] = ch.cols[c].strs[offs[i]]
-			}
-		}
-		for i, ch := range srcs {
-			if ch.cols[c].Null(offs[i]) {
-				out.setNull(lo + i)
-			}
-		}
+	for c, out := range dst.cols {
+		s.gather(out, c, positions[lo:hi], lo)
 	}
 }
 
@@ -152,36 +130,45 @@ func (s *Snapshot) GatherColumn(dst *ColumnVec, ordinal int, positions []int32) 
 	} else {
 		dst.reset(kind, len(positions))
 	}
-	switch kind {
-	case value.KindInt:
-		gatherColumn(s, ordinal, positions, dst, dst.ints, func(v *ColumnVec) []int64 { return v.ints })
-	case value.KindFloat:
-		gatherColumn(s, ordinal, positions, dst, dst.floats, func(v *ColumnVec) []float64 { return v.floats })
-	default:
-		gatherColumn(s, ordinal, positions, dst, dst.strs, func(v *ColumnVec) []string { return v.strs })
-	}
+	s.gather(dst, ordinal, positions, 0)
 	return dst
 }
 
-func gatherColumn[T any](s *Snapshot, ordinal int, positions []int32, out *ColumnVec, dst []T, arr func(*ColumnVec) []T) {
+// gather writes column ordinal at the given positions over out's rows
+// [at, at+len(positions)), which must be non-NULL.
+func (s *Snapshot) gather(out *ColumnVec, ordinal int, positions []int32, at int) {
+	switch out.kind {
+	case value.KindInt:
+		gatherColumn(s, ordinal, positions, out, at, out.ints[at:], func(v *ColumnVec) []int64 { return v.ints })
+	case value.KindFloat:
+		gatherColumn(s, ordinal, positions, out, at, out.floats[at:], func(v *ColumnVec) []float64 { return v.floats })
+	default:
+		gatherColumn(s, ordinal, positions, out, at, out.strs[at:], func(v *ColumnVec) []string { return v.strs })
+	}
+}
+
+// gatherColumn is the one gather kernel: dst[i] takes the value of snapshot
+// row positions[i], and out's row at+i its NULL bit. It keeps the arrays of
+// the chunk it last read and moves on only when a position leaves it.
+func gatherColumn[T any](s *Snapshot, ordinal int, positions []int32, out *ColumnVec, at int, dst []T, arr func(*ColumnVec) []T) {
 	var (
 		src    []T
 		nulls  []uint64
 		lo, hi int // src holds snapshot rows [lo, hi)
 	)
 	for i, p := range positions {
-		at := int(p)
-		if at < lo || at >= hi {
-			ci := at / s.chunkSize
+		row := int(p)
+		if row < lo || row >= hi {
+			ci := row / s.chunkSize
 			vec := s.chunks[ci].cols[ordinal]
 			src, nulls = arr(vec), vec.nulls
 			lo = ci * s.chunkSize
 			hi = lo + len(src)
 		}
-		at -= lo
-		dst[i] = src[at]
-		if nulls[at>>6]&(1<<(uint(at)&63)) != 0 {
-			out.setNull(i)
+		row -= lo
+		dst[i] = src[row]
+		if nulls[row>>6]&(1<<(uint(row)&63)) != 0 {
+			out.setNull(at + i)
 		}
 	}
 }

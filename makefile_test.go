@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,8 +16,11 @@ var (
 	runFlag = regexp.MustCompile(`-run\s+(?:'([^']*)'|(\S+))`)
 	// fuzzFlag matches a `go test -fuzz=` selector.
 	fuzzFlag = regexp.MustCompile(`-fuzz=(\S+)`)
-	// testFunc matches the declarations -run selects among.
-	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
+	// benchFlag matches a `go test -bench` selector, quoted or bare (not
+	// -benchmem or -benchtime).
+	benchFlag = regexp.MustCompile(`-bench\s+(?:'([^']*)'|(\S+))`)
+	// testFunc matches the declarations -run and -bench select among.
+	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example|Benchmark)\w*)\(`)
 )
 
 // TestMakefileRunSelectorsMatch keeps the Makefile's name selectors from
@@ -25,28 +29,51 @@ var (
 // Each alternative of each selector must still match at least one test
 // function in the packages the recipe lists. A `-fuzz=Name` must match exactly one fuzz function there:
 // `go test` exits 0 without fuzzing anything when it matches none, and
-// refuses to fuzz when it matches several.
+// refuses to fuzz when it matches several. A `-bench` selector is held to
+// the same rule at its top level: each `|` alternative's first `/` element
+// must match a benchmark function there (go test runs none, and says
+// nothing, when it matches no benchmark).
 func TestMakefileRunSelectorsMatch(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
 	}
 	recipes := strings.Split(strings.ReplaceAll(string(mk), "\\\n", " "), "\n")
-	selectors, fuzzers := 0, 0
+	selectors, fuzzers, benches := 0, 0, 0
 	for _, line := range recipes {
 		m := runFlag.FindStringSubmatch(line)
 		if m == nil || !strings.HasPrefix(line, "\t") {
 			continue
 		}
+		var names, benchNames []string
+		for _, field := range strings.Fields(line) {
+			if strings.HasPrefix(field, "./") {
+				for _, name := range testNames(t, field) {
+					if strings.HasPrefix(name, "Benchmark") {
+						benchNames = append(benchNames, name)
+					} else {
+						names = append(names, name)
+					}
+				}
+			}
+		}
+		if b := benchFlag.FindStringSubmatch(line); b != nil {
+			for _, alt := range splitTopLevel(b[1]+b[2], '|') {
+				benches++
+				first := splitTopLevel(alt, '/')[0]
+				re, err := regexp.Compile(first)
+				if err != nil {
+					t.Errorf("-bench alternative %q does not compile: %v", first, err)
+					continue
+				}
+				if !slices.ContainsFunc(benchNames, re.MatchString) {
+					t.Errorf("Makefile recipe %q: -bench alternative %q matches no benchmark in the listed packages", strings.TrimSpace(line), alt)
+				}
+			}
+		}
 		selector := strings.ReplaceAll(m[1]+m[2], "$$", "$") // make's escape for a literal $
 		if selector == "^$" {
 			continue // benchmark-only recipes deliberately select no test
-		}
-		var names []string
-		for _, field := range strings.Fields(line) {
-			if strings.HasPrefix(field, "./") {
-				names = append(names, testNames(t, field)...)
-			}
 		}
 		if fz := fuzzFlag.FindStringSubmatch(line); fz != nil {
 			fuzzers++
@@ -84,14 +111,35 @@ func TestMakefileRunSelectorsMatch(t *testing.T) {
 			}
 		}
 	}
-	if selectors == 0 || fuzzers == 0 {
-		t.Fatal("found no -run or no -fuzz selectors in the Makefile — the parser has rotted")
+	if selectors == 0 || fuzzers == 0 || benches == 0 {
+		t.Fatal("found no -run, -fuzz or -bench selectors in the Makefile — the parser has rotted")
 	}
-	t.Logf("%d -run alternatives and %d -fuzz names checked", selectors, fuzzers)
+	t.Logf("%d -run alternatives, %d -fuzz names and %d -bench alternatives checked", selectors, fuzzers, benches)
 }
 
-// testNames lists the test functions declared in a package directory, or in
-// every package of this module for the "./..." pattern.
+// splitTopLevel splits a go test name pattern at every sep outside
+// parentheses and brackets, as go test reads `|` and `/` in -run and -bench.
+func splitTopLevel(pattern string, sep byte) []string {
+	var parts []string
+	depth, from := 0, 0
+	for i := 0; i < len(pattern); i++ {
+		switch c := pattern[i]; {
+		case c == '\\':
+			i++
+		case c == '(' || c == '[':
+			depth++
+		case c == ')' || c == ']':
+			depth--
+		case c == sep && depth == 0:
+			parts = append(parts, pattern[from:i])
+			from = i + 1
+		}
+	}
+	return append(parts, pattern[from:])
+}
+
+// testNames lists the test and benchmark functions declared in a package
+// directory, or in every package of this module for the "./..." pattern.
 func testNames(t *testing.T, pattern string) []string {
 	t.Helper()
 	var names []string

@@ -117,7 +117,12 @@ bench-smoke:
 # statistical invariants (AddConstraint scripts: masses finite, ≥ 0, summing to
 # 1, retained constraints met; a script again, so a second) and predicate
 # text (AppendText and predicate-group names equal the fmt renderers they
-# replaced, byte for byte: archive files store those names). The seed corpora alone are replayed by
+# replaced, byte for byte: archive files store those names) and the range a
+# predicate selects (qgm.Predicate.Range: the index probe built from it
+# returns exactly the rows MatchesDatum accepts, the histogram box derived
+# from it holds every accepted value up to the coordinate resolution, exactly
+# on an int column, and a NULL operand probes nothing and has no box). The
+# seed corpora alone are replayed by
 # every plain `make test`. `go test -fuzz=Name` exits 0 when Name matches
 # nothing; TestMakefileRunSelectorsMatch resolves every name below.
 fuzz:
@@ -131,6 +136,7 @@ fuzz:
 	$(GO) test -run FuzzLoadArchive -fuzz=FuzzLoadArchive -fuzztime=20s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -run FuzzAddConstraint -fuzz=FuzzAddConstraint -fuzztime=20s -fuzzminimizetime=1s ./internal/histogram/
 	$(GO) test -run FuzzPredicateText -fuzz=FuzzPredicateText -fuzztime=20s ./internal/qgm/
+	$(GO) test -run FuzzPredicateRange -fuzz=FuzzPredicateRange -fuzztime=20s ./internal/executor/
 
 # Chaos differential replay: the workload under deterministic injected
 # faults (scan errors, sampling failures, worker panics, latency+deadlines,

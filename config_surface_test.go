@@ -26,7 +26,6 @@ var configSurface = map[string][]string{
 		"Governor.StatementMemBudgetBytes",
 		"JITS.Enabled",
 		"JITS.ForceCollect",
-		"JITS.MemBudgetBytes",
 		"JITS.Parallelism",
 		"JITS.PerGroupSampling",
 		"JITS.SMax",

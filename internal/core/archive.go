@@ -177,54 +177,41 @@ func (a *Archive) HasStatistic(table string, cols []string) bool {
 	return ok
 }
 
-// boxForPreds converts a conjunctive predicate group into a half-open box
-// over the given canonical column order, intersecting multiple predicates
-// on the same column. Returns ok=false if any predicate is non-boxable
-// (NE, IN) or the intersection is empty.
+// boxForPreds returns the half-open box a conjunctive predicate group covers
+// over cols, the grid's canonical column order: per column, the intersection
+// of the coordinate ranges its predicates select. ok is false when a
+// predicate is not a range (NE, IN) or names a column outside cols, or when
+// the box is empty.
 func boxForPreds(cols []string, preds []qgm.Predicate, units map[string]float64) (histogram.Box, bool) {
-	lo := make([]float64, len(cols))
-	hi := make([]float64, len(cols))
-	for d := range cols {
-		lo[d], hi[d] = histogram.FullRange()
-	}
+	box := histogram.FullBox(len(cols))
 	for _, p := range preds {
 		d := slices.Index(cols, p.Column)
-		if d < 0 {
-			return histogram.Box{}, false
-		}
-		unit := units[p.Column]
-		if unit <= 0 {
-			unit = 1
-		}
-		var plo, phi float64
-		switch p.Op {
-		case qgm.OpEQ:
-			c := p.Value.Coord()
-			plo, phi = c, c+unit
-		case qgm.OpLT:
-			plo, phi = math.Inf(-1), p.Value.Coord()
-		case qgm.OpLE:
-			plo, phi = math.Inf(-1), p.Value.Coord()+unit
-		case qgm.OpGT:
-			plo, phi = p.Value.Coord()+unit, math.Inf(1)
-		case qgm.OpGE:
-			plo, phi = p.Value.Coord(), math.Inf(1)
-		case qgm.OpBetween:
-			plo, phi = p.Lo.Coord(), p.Hi.Coord()+unit
-		default:
-			return histogram.Box{}, false
-		}
-		if plo > lo[d] {
-			lo[d] = plo
-		}
-		if phi < hi[d] {
-			hi[d] = phi
-		}
-		if !(lo[d] < hi[d]) {
+		if d < 0 || !narrow(&box.Lo[d], &box.Hi[d], p, units[p.Column]) {
 			return histogram.Box{}, false
 		}
 	}
-	return histogram.Box{Lo: lo, Hi: hi}, true
+	return box, true
+}
+
+// narrow intersects [*lo, *hi) with the coordinate interval p selects on a
+// column whose values lie unit apart (qgm.Range.Coords). It reports false
+// when p is not a range or the intersection is empty.
+func narrow(lo, hi *float64, p qgm.Predicate, unit float64) bool {
+	if unit <= 0 {
+		unit = 1
+	}
+	r, isRange := p.Range()
+	plo, phi, ok := r.Coords(unit)
+	if !isRange || !ok {
+		return false
+	}
+	if plo > *lo {
+		*lo = plo
+	}
+	if phi < *hi {
+		*hi = phi
+	}
+	return *lo < *hi
 }
 
 // GroupSelectivity answers the optimizer: first from the exact-match memo,
@@ -287,14 +274,11 @@ func (g *gridEntry) canAnswer(preds []qgm.Predicate) bool {
 		if d < 0 {
 			return false
 		}
-		unit := g.units[p.Column]
-		if unit <= 0 {
-			unit = 1
-		}
-		c := p.Value.Coord()
+		plo, phi := histogram.FullRange()
+		narrow(&plo, &phi, p, g.units[p.Column]) // an equality's box: [c, c+unit)
 		lo, hi := g.hist.Domain(d)
-		outside := c+unit <= lo || c >= hi
-		if !outside && (!g.hist.HasCut(d, c) || !g.hist.HasCut(d, c+unit)) {
+		outside := phi <= lo || plo >= hi
+		if !outside && (!g.hist.HasCut(d, plo) || !g.hist.HasCut(d, phi)) {
 			return false
 		}
 	}

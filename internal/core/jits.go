@@ -63,12 +63,6 @@ type Config struct {
 	// charge to the compilation meter before further collection degrades
 	// to catalog statistics; 0 means unlimited.
 	SampleBudgetUnits float64
-	// MemBudgetBytes caps the accounted bytes one statement may hold at
-	// once (sampling buffers and buffering executor operators alike); 0
-	// means unlimited. Sampling shrinks its sample to fit; operators that
-	// cannot shrink fail with the typed govern.ErrMemoryBudget. The engine
-	// copies this into the governor's per-statement budget.
-	MemBudgetBytes int64
 }
 
 // withDefaults fills zero-valued knobs. SMax stays as given: an explicit

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/catalog"
 	"repro/internal/feedback"
+	"repro/internal/histogram"
 	"repro/internal/qgm"
 )
 
@@ -104,10 +103,13 @@ func (s *Sensitivity) statAccuracy(stat qgm.StatName, table string, g []qgm.Pred
 		col := stat.Body()
 		if ts, ok := s.Cat.TableStats(table); ok {
 			if cs, ok := ts.Columns[col]; ok && cs.Hist != nil {
-				units := map[string]float64{col: cs.Unit()}
-				onCol := slices.DeleteFunc(slices.Clone(g), func(p qgm.Predicate) bool { return p.Column != col })
-				if box, ok := boxForPreds([]string{col}, onCol, units); ok {
-					if acc, err := cs.Hist.Accuracy(box); err == nil {
+				lo, hi := histogram.FullRange()
+				ok := true
+				for _, p := range g {
+					ok = ok && (p.Column != col || narrow(&lo, &hi, p, cs.Unit()))
+				}
+				if ok {
+					if acc, err := cs.Hist.Accuracy(histogram.Box{Lo: []float64{lo}, Hi: []float64{hi}}); err == nil {
 						return acc
 					}
 				}

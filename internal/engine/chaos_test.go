@@ -316,7 +316,7 @@ func TestChaosGovernPressure(t *testing.T) {
 	cfg.JITS.Seed = 7
 	// Roomy enough that fault-free statements fit comfortably — failures in
 	// the storm then come from the injected pressure, not the baseline budget.
-	cfg.JITS.MemBudgetBytes = 32 << 20
+	cfg.Governor.StatementMemBudgetBytes = 32 << 20
 	cfg.Governor.GlobalMemBudgetBytes = 256 << 20
 	e := engine.New(cfg)
 	d, err := workload.Load(e, workload.Spec{Scale: 0.004, Seed: 42})

@@ -94,9 +94,8 @@ type Config struct {
 	// Governor configures the resource governor: admission control
 	// (MaxConcurrent/QueueDepth), the engine-global memory pool, and the
 	// JITS sampling circuit breaker. The zero value disables all three.
-	// Its per-statement memory budget defaults to JITS.MemBudgetBytes, so
-	// setting only the JITS knob budget-bounds both sampling buffers and
-	// buffering executor operators.
+	// Its per-statement memory budget (StatementMemBudgetBytes) bounds
+	// JITS sampling buffers and buffering executor operators alike.
 	Governor govern.Config
 	// PlanCacheSize enables the compiled-plan cache with at most that many
 	// entries: repeated SELECTs (keyed on sqlparser.Normalize of their text
@@ -217,9 +216,6 @@ func New(cfg Config) *Engine {
 	ixs := index.NewSet()
 	if cfg.JITS.Parallelism == 0 {
 		cfg.JITS.Parallelism = cfg.Parallelism
-	}
-	if cfg.Governor.StatementMemBudgetBytes == 0 {
-		cfg.Governor.StatementMemBudgetBytes = cfg.JITS.MemBudgetBytes
 	}
 	governor := govern.New(cfg.Governor)
 	// The accuracy ledger always exists; while disabled every probe on it is

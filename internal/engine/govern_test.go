@@ -90,7 +90,7 @@ func TestSamplingShrinksToBudget(t *testing.T) {
 	cfg := Config{FlightRecorderCapacity: -1}
 	cfg.JITS = core.DefaultConfig()
 	cfg.JITS.SampleSize = 1000 // the full car table: ~288 KiB of sample buffer
-	cfg.JITS.MemBudgetBytes = 200 << 10
+	cfg.Governor.StatementMemBudgetBytes = 200 << 10
 	e := seedEngine(t, cfg)
 
 	res, err := e.Exec(`SELECT id FROM car WHERE make = 'Toyota' AND year > 1998`)

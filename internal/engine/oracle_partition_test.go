@@ -70,7 +70,7 @@ func TestPredicatesPartitionAColumn(t *testing.T) {
 				blk := q.Blocks[0]
 				scan := &optimizer.Scan{Slot: 0, Alias: table, Table: table, Preds: blk.LocalPreds[0]}
 				paths := []*optimizer.Scan{scan}
-				if _, boxable := scan.Preds[0].Region(); boxable {
+				if _, ok := scan.Preds[0].Range(); ok {
 					if _, ok := e.Indexes().Find(table, column); ok {
 						ix := *scan
 						ix.IndexColumn, ix.IndexPred = column, &scan.Preds[0]

@@ -485,27 +485,19 @@ func (ex *executor) seqScan(snap *storage.Snapshot, preds []qgm.Predicate, estRo
 	return flatten(buckets), float64(examined.Load()), err
 }
 
-// indexPositions converts a sargable predicate into an index range scan of
-// snap, the table image the scan reads its rows from.
+// indexPositions probes the index for the rows of snap, the table image the
+// scan reads, whose key lies in the range the predicate selects — equality's
+// range [v,v] is a point lookup — and probes nothing for a range that
+// selects nothing.
 func indexPositions(ix *index.Index, snap *storage.Snapshot, p qgm.Predicate) ([]int32, error) {
-	lo, hi := index.Unbounded(), index.Unbounded()
-	switch p.Op {
-	case qgm.OpEQ:
-		return ix.AppendLookupAt(nil, snap, p.Value), nil
-	case qgm.OpLT:
-		hi = index.Bound{Value: p.Value}
-	case qgm.OpLE:
-		hi = index.Bound{Value: p.Value, Inclusive: true}
-	case qgm.OpGT:
-		lo = index.Bound{Value: p.Value}
-	case qgm.OpGE:
-		lo = index.Bound{Value: p.Value, Inclusive: true}
-	case qgm.OpBetween:
-		lo, hi = index.Bound{Value: p.Lo, Inclusive: true}, index.Bound{Value: p.Hi, Inclusive: true}
-	default:
+	r, ok := p.Range()
+	switch {
+	case !ok:
 		return nil, fmt.Errorf("executor: predicate %s is not sargable", p)
+	case r.Empty():
+		return nil, nil
 	}
-	return ix.AppendRangeAt(nil, snap, lo, hi), nil
+	return ix.AppendRangeAt(nil, snap, r.Lo, r.Hi), nil
 }
 
 func (ex *executor) runJoin(n *optimizer.Join) (*relation, error) {

@@ -1,0 +1,230 @@
+package executor
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/index"
+	"repro/internal/qgm"
+	"repro/internal/storage"
+	"repro/internal/value"
+)
+
+// rangeStrings are the string column's values: the empty string, prefixes
+// of one another, a trailing NUL byte, and pairs that share their first six
+// bytes and so one coordinate (value.StringCoord).
+var rangeStrings = []string{"", "a", "a\x00", "ab", "abc", "abcdef", "abcdefg", "abcdefh", "b", "zz"}
+
+// FuzzPredicateRange holds everything built from qgm.Predicate.Range to the
+// row semantics of MatchesDatum, for every operator (and one past them) over
+// int, finite float, string and NULL operands, against int, float and string
+// columns with NULLs in them:
+//
+//   - the index probe (indexPositions) returns exactly the rows MatchesDatum
+//     accepts;
+//   - on the int column, for int operands, a value's coordinate lies inside
+//     the half-open box Range.Coords derives exactly when MatchesDatum
+//     accepts the value;
+//   - on every column, an accepted value whose operands are of its class
+//     (numbers, or strings) lies inside the box, unless its coordinate is
+//     within one unit of an end the range excludes — the coordinate line's
+//     resolution: floats closer than the column's unit, strings that agree
+//     in their first six bytes, an int just above a fractional bound;
+//   - a NULL operand probes nothing and yields no box.
+func FuzzPredicateRange(f *testing.F) {
+	type operand struct {
+		k uint8
+		i int64
+		f float64
+		s string
+	}
+	operands := []operand{
+		{0, 0, 0, ""},
+		{1, 3, 0, ""},
+		{1, -20, 0, ""},
+		{1, 1 << 60, 0, ""},
+		{2, 0, 2.5, ""},
+		{2, 0, -0.25, ""},
+		{2, 0, 4.4999999999, ""},
+		{2, 0, 1e300, ""},
+		{3, 0, 0, "ab"},
+		{3, 0, 0, "abcdefg"},
+		{3, 0, 0, ""},
+		{3, 0, 0, "a\x00"},
+	}
+	for op := range uint8(qgm.OpIn + 2) {
+		for j, a := range operands {
+			b := operands[(j*5+int(op)+1)%len(operands)]
+			f.Add(op, a.k, a.i, a.f, a.s, b.k, b.i, b.f, b.s, int64(j))
+		}
+	}
+	f.Fuzz(func(t *testing.T, op uint8, k1 uint8, i1 int64, f1 float64, s1 string, k2 uint8, i2 int64, f2 float64, s2 string, seed int64) {
+		a, b := rangeOperand(k1, i1, f1, s1), rangeOperand(k2, i2, f2, s2)
+		tbl, ixs := rangeTable(t, seed)
+		snap := tbl.Snapshot()
+		for ord, col := range []string{"i", "f", "s"} {
+			p := qgm.Predicate{Column: col, Ordinal: ord, Op: qgm.PredOp(op % uint8(qgm.OpIn+2)), Value: a, Lo: a, Hi: b, Values: []value.Datum{a, b}}
+			var want []int32
+			var vals []value.Datum
+			for pos := range snap.NumRows() {
+				d := snap.Datum(pos, ord)
+				vals = append(vals, d)
+				if p.MatchesDatum(d) {
+					want = append(want, int32(pos))
+				}
+			}
+			r, ok := p.Range()
+			got, err := indexPositions(ixs[ord], snap, p)
+			if !ok {
+				if err == nil {
+					t.Fatalf("%s: not a range, yet the index probe ran", p)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: index probe %v, MatchesDatum accepts %v", p, got, want)
+			}
+
+			unit := catalog.UnitFor(tbl.Schema().Column(ord).Kind, snapMin(vals), snapMax(vals))
+			lo, hi, boxed := r.Coords(unit)
+			if nullEnd(r.Lo) || nullEnd(r.Hi) {
+				if len(got) != 0 || boxed {
+					t.Fatalf("%s: a NULL operand probed %d rows, box %v", p, len(got), boxed)
+				}
+				continue
+			}
+			if !boxed {
+				if len(want) != 0 {
+					t.Fatalf("%s: empty range, yet %d rows match", p, len(want))
+				}
+				continue
+			}
+			if !sameClass(r, tbl.Schema().Column(ord).Kind) {
+				continue
+			}
+			exact := col == "i" && endsOfKind(r, value.KindInt)
+			for _, d := range vals {
+				if d.IsNull() {
+					continue
+				}
+				c := d.Coord()
+				inside, accepted := lo <= c && c < hi, p.MatchesDatum(d)
+				switch {
+				case exact && inside != accepted:
+					t.Fatalf("%s: %v accepted %v, coordinate %g inside [%g, %g) %v", p, d, accepted, c, lo, hi, inside)
+				case accepted && !inside && !nearExcluded(r, c, unit):
+					t.Fatalf("%s: accepted %v has coordinate %g outside [%g, %g)", p, d, c, lo, hi)
+				}
+			}
+		}
+	})
+}
+
+// rangeOperand decodes a fuzzed operand: NULL, an int, a finite float (a NaN
+// or an infinity becomes 0) or a string.
+func rangeOperand(k uint8, i int64, f float64, s string) value.Datum {
+	switch k % 4 {
+	case 1:
+		return value.NewInt(i)
+	case 2:
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			f = 0
+		}
+		return value.NewFloat(f)
+	case 3:
+		return value.NewString(s)
+	}
+	return value.Null
+}
+
+// rangeTable is 40 rows of small ints, quarter-step floats and rangeStrings,
+// one value in five NULL, in 8-row chunks, with an index on every column.
+func rangeTable(t *testing.T, seed int64) (*storage.Table, []*index.Index) {
+	rng := rand.New(rand.NewSource(seed))
+	tbl := storage.NewTableWithChunkSize("t", storage.MustSchema(
+		storage.Column{Name: "i", Kind: value.KindInt},
+		storage.Column{Name: "f", Kind: value.KindFloat},
+		storage.Column{Name: "s", Kind: value.KindString},
+	), 8)
+	rows := make([][]value.Datum, 40)
+	for r := range rows {
+		rows[r] = []value.Datum{
+			value.NewInt(int64(rng.Intn(41) - 20)),
+			value.NewFloat(float64(rng.Intn(129)-64) / 4),
+			value.NewString(rangeStrings[rng.Intn(len(rangeStrings))]),
+		}
+		for c := range rows[r] {
+			if rng.Intn(5) == 0 {
+				rows[r][c] = value.Null
+			}
+		}
+	}
+	if err := tbl.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	var ixs []*index.Index
+	for _, col := range []string{"i", "f", "s"} {
+		ix, err := index.New("ix_"+col, tbl, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixs = append(ixs, ix)
+	}
+	return tbl, ixs
+}
+
+func nullEnd(b value.Bound) bool { return !b.IsUnbounded() && b.Value.IsNull() }
+
+// sameClass reports whether every end of r is a number on a numeric column
+// or a string on a string column: the coordinate line orders numbers and
+// strings each among themselves, not one against the other.
+func sameClass(r qgm.Range, col value.Kind) bool {
+	for _, b := range []value.Bound{r.Lo, r.Hi} {
+		if !b.IsUnbounded() && (b.Value.Kind() == value.KindString) != (col == value.KindString) {
+			return false
+		}
+	}
+	return true
+}
+
+func endsOfKind(r qgm.Range, k value.Kind) bool {
+	return (r.Lo.IsUnbounded() || r.Lo.Value.Kind() == k) && (r.Hi.IsUnbounded() || r.Hi.Value.Kind() == k)
+}
+
+// nearExcluded reports whether coordinate c lies within one unit of an end
+// the range excludes.
+func nearExcluded(r qgm.Range, c, unit float64) bool {
+	for _, b := range []value.Bound{r.Lo, r.Hi} {
+		if !b.IsUnbounded() && !b.Inclusive && math.Abs(c-b.Value.Coord()) < unit {
+			return true
+		}
+	}
+	return false
+}
+
+func snapMin(vals []value.Datum) value.Datum {
+	var m value.Datum
+	for _, v := range vals {
+		if !v.IsNull() && (m.IsNull() || v.Compare(m) < 0) {
+			m = v
+		}
+	}
+	return m
+}
+
+func snapMax(vals []value.Datum) value.Datum {
+	var m value.Datum
+	for _, v := range vals {
+		if !v.IsNull() && (m.IsNull() || v.Compare(m) > 0) {
+			m = v
+		}
+	}
+	return m
+}

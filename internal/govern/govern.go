@@ -51,8 +51,10 @@ type Config struct {
 	// GlobalMemBudgetBytes caps the sum of all live reservations across the
 	// engine. Zero means unlimited (usage is still tracked for /debug/health).
 	GlobalMemBudgetBytes int64
-	// StatementMemBudgetBytes caps each statement's reservation. Zero means
-	// unlimited. The engine fills this from core.Config.MemBudgetBytes.
+	// StatementMemBudgetBytes caps the accounted bytes one statement may
+	// hold at once, JITS sampling buffers and buffering executor operators
+	// alike. Zero means unlimited. Sampling shrinks its sample to fit;
+	// operators that cannot shrink fail with ErrMemoryBudget.
 	StatementMemBudgetBytes int64
 	// Breaker configures the JITS sampling circuit breaker; the zero value
 	// disables it.

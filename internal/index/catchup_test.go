@@ -211,14 +211,14 @@ func (m *model) check(where string) {
 		for n := 0; n < 3; n++ {
 			v := candidates[m.s.intn(len(candidates))]
 			w := candidates[m.s.intn(len(candidates))]
-			for _, r := range [][2]Bound{
-				{Bound{Value: v, Inclusive: true}, Bound{Value: v, Inclusive: true}},
-				{Unbounded(), Bound{Value: v}},
-				{Unbounded(), Bound{Value: v, Inclusive: true}},
-				{Bound{Value: v}, Unbounded()},
-				{Bound{Value: v, Inclusive: true}, Unbounded()},
-				{Bound{Value: v, Inclusive: true}, Bound{Value: w, Inclusive: true}},
-				{Bound{Value: v}, Bound{Value: w}},
+			for _, r := range [][2]value.Bound{
+				{value.Bound{Value: v, Inclusive: true}, value.Bound{Value: v, Inclusive: true}},
+				{value.Unbounded(), value.Bound{Value: v}},
+				{value.Unbounded(), value.Bound{Value: v, Inclusive: true}},
+				{value.Bound{Value: v}, value.Unbounded()},
+				{value.Bound{Value: v, Inclusive: true}, value.Unbounded()},
+				{value.Bound{Value: v, Inclusive: true}, value.Bound{Value: w, Inclusive: true}},
+				{value.Bound{Value: v}, value.Bound{Value: w}},
 			} {
 				got, want := m.ix.RangeAt(snap, r[0], r[1]), naiveRange(keys, r[0], r[1])
 				if !slices.Equal(got, want) {
@@ -229,7 +229,7 @@ func (m *model) check(where string) {
 				m.tb.Fatalf("%s: LookupAt(v%d, %s) = %v, naive scan %v", where, snap.Version(), v, got, want)
 			}
 		}
-		if got, want := m.ix.RangeAt(snap, Unbounded(), Unbounded()), naiveRange(keys, Unbounded(), Unbounded()); !slices.Equal(got, want) {
+		if got, want := m.ix.RangeAt(snap, value.Unbounded(), value.Unbounded()), naiveRange(keys, value.Unbounded(), value.Unbounded()); !slices.Equal(got, want) {
 			m.tb.Fatalf("%s: full range of v%d = %v, naive scan %v", where, snap.Version(), got, want)
 		}
 	}
@@ -238,7 +238,7 @@ func (m *model) check(where string) {
 	}
 }
 
-func boundString(b Bound) string {
+func boundString(b value.Bound) string {
 	switch {
 	case b.IsUnbounded():
 		return "unbounded"
@@ -251,7 +251,7 @@ func boundString(b Bound) string {
 
 // naiveRange is Range by definition: the positions of the non-NULL keys
 // inside the bounds under Datum.Compare, in key order, ties by position.
-func naiveRange(keys []value.Datum, lo, hi Bound) []int {
+func naiveRange(keys []value.Datum, lo, hi value.Bound) []int {
 	var out []int
 	for pos, k := range keys {
 		if k.IsNull() {
@@ -277,7 +277,7 @@ func naiveLookup(keys []value.Datum, key value.Datum) []int {
 	if key.IsNull() {
 		return nil
 	}
-	return naiveRange(keys, Bound{Value: key, Inclusive: true}, Bound{Value: key, Inclusive: true})
+	return naiveRange(keys, value.Bound{Value: key, Inclusive: true}, value.Bound{Value: key, Inclusive: true})
 }
 
 // TestCatchUpMatchesScan runs random scripts for every key kind and both
@@ -368,7 +368,7 @@ func TestCatchUpIsThePathTaken(t *testing.T) {
 		use := func(what string, wantFull bool, wantMoved int) {
 			t.Helper()
 			before := ix.Stats()
-			if got, want := ix.Range(Unbounded(), Unbounded()), naiveRange(tbl.ColumnValues(1), Unbounded(), Unbounded()); !slices.Equal(got, want) {
+			if got, want := ix.RangeAt(ix.Table().Snapshot(), value.Unbounded(), value.Unbounded()), naiveRange(tbl.ColumnValues(1), value.Unbounded(), value.Unbounded()); !slices.Equal(got, want) {
 				t.Fatalf("%v after %s: index and scan disagree", kind, what)
 			}
 			after := ix.Stats()
@@ -473,8 +473,8 @@ func TestConcurrentProbesUnderDML(t *testing.T) {
 				snap := tbl.Snapshot()
 				keys := snap.ColumnValues(1)
 				for p := 0; p < 4; p++ { // an index-NL join: several probes of one snapshot
-					lo := Bound{Value: value.NewInt(int64((r*97 + i*13 + p*7) % 1000)), Inclusive: true}
-					hi := Bound{Value: value.NewInt(lo.Value.Int() + 5)}
+					lo := value.Bound{Value: value.NewInt(int64((r*97 + i*13 + p*7) % 1000)), Inclusive: true}
+					hi := value.Bound{Value: value.NewInt(lo.Value.Int() + 5)}
 					if got, want := ix.RangeAt(snap, lo, hi), naiveRange(keys, lo, hi); !slices.Equal(got, want) {
 						t.Errorf("reader %d: RangeAt(v%d, %s, %s) = %v, naive scan %v", r, snap.Version(), boundString(lo), boundString(hi), got, want)
 						return

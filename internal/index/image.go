@@ -33,7 +33,7 @@ type image interface {
 	advance(to *storage.Snapshot) (moved, read int, full bool)
 	// search appends to dst the positions of rows with lo ≤/< key ≤/< hi in
 	// key order, ties by position; NULL keys never match.
-	search(dst []int32, lo, hi Bound) []int32
+	search(dst []int32, lo, hi value.Bound) []int32
 	// size counts the entries, NULL keys included.
 	size() int
 }
@@ -248,7 +248,7 @@ func seek[T any](s []T, from int, x T, compare func(a, b T) int) int {
 	return lo + i
 }
 
-func (im *typed[K]) search(dst []int32, lo, hi Bound) []int32 {
+func (im *typed[K]) search(dst []int32, lo, hi value.Bound) []int32 {
 	ents := im.ents
 	if !lo.IsUnbounded() {
 		ents = ents[im.seekBound(ents, lo.Value, !lo.Inclusive):]

@@ -148,7 +148,7 @@ func (ix *Index) LookupAt(snap *storage.Snapshot, key value.Datum) []int {
 	if key.IsNull() {
 		return nil
 	}
-	return ix.RangeAt(snap, Bound{Value: key, Inclusive: true}, Bound{Value: key, Inclusive: true})
+	return ix.RangeAt(snap, value.Bound{Value: key, Inclusive: true}, value.Bound{Value: key, Inclusive: true})
 }
 
 // AppendLookupAt is LookupAt into the caller's buffer: the positions are
@@ -157,29 +157,13 @@ func (ix *Index) AppendLookupAt(dst []int32, snap *storage.Snapshot, key value.D
 	if key.IsNull() {
 		return dst
 	}
-	return ix.AppendRangeAt(dst, snap, Bound{Value: key, Inclusive: true}, Bound{Value: key, Inclusive: true})
+	return ix.AppendRangeAt(dst, snap, value.Bound{Value: key, Inclusive: true}, value.Bound{Value: key, Inclusive: true})
 }
 
-// Bound is one end of a range scan. Unbounded ends use Unbounded().
-type Bound struct {
-	Value     value.Datum
-	Inclusive bool
-	open      bool
-}
-
-// Unbounded returns a bound that does not constrain the scan.
-func Unbounded() Bound { return Bound{open: true} }
-
-// IsUnbounded reports whether the bound is absent.
-func (b Bound) IsUnbounded() bool { return b.open }
-
-// Range returns positions of rows with lo ≤/< key ≤/< hi, in key order, in
-// the table as it is now, rows of equal key in position order. NULL keys are
-// indexed but never returned: SQL comparisons with NULL are not true.
-func (ix *Index) Range(lo, hi Bound) []int { return ix.RangeAt(ix.table.Snapshot(), lo, hi) }
-
-// RangeAt is Range in the table image snap holds.
-func (ix *Index) RangeAt(snap *storage.Snapshot, lo, hi Bound) []int {
+// RangeAt returns positions of rows with lo ≤/< key ≤/< hi, in key order, in
+// the table image snap holds, rows of equal key in position order. NULL keys
+// are indexed but never returned: SQL comparisons with NULL are not true.
+func (ix *Index) RangeAt(snap *storage.Snapshot, lo, hi value.Bound) []int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.scratch = ix.imageAt(snap).search(ix.scratch[:0], lo, hi)
@@ -195,7 +179,7 @@ func (ix *Index) RangeAt(snap *storage.Snapshot, lo, hi Bound) []int {
 
 // AppendRangeAt is RangeAt into the caller's buffer, as the int32 positions
 // the image stores and the executor's relations carry.
-func (ix *Index) AppendRangeAt(dst []int32, snap *storage.Snapshot, lo, hi Bound) []int32 {
+func (ix *Index) AppendRangeAt(dst []int32, snap *storage.Snapshot, lo, hi value.Bound) []int32 {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	return ix.imageAt(snap).search(dst, lo, hi)

@@ -76,21 +76,21 @@ func TestRangeVariants(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		lo, hi Bound
+		lo, hi value.Bound
 		want   []int64
 	}{
-		{"closed", Bound{Value: value.NewInt(3), Inclusive: true}, Bound{Value: value.NewInt(5), Inclusive: true}, []int64{3, 4, 5}},
-		{"open-lo", Bound{Value: value.NewInt(3)}, Bound{Value: value.NewInt(5), Inclusive: true}, []int64{4, 5}},
-		{"open-hi", Bound{Value: value.NewInt(3), Inclusive: true}, Bound{Value: value.NewInt(5)}, []int64{3, 4}},
-		{"open-both", Bound{Value: value.NewInt(3)}, Bound{Value: value.NewInt(5)}, []int64{4}},
-		{"unbounded-lo", Unbounded(), Bound{Value: value.NewInt(2), Inclusive: true}, []int64{1, 2}},
-		{"unbounded-hi", Bound{Value: value.NewInt(9), Inclusive: true}, Unbounded(), []int64{9, 10}},
-		{"unbounded-both", Unbounded(), Unbounded(), []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
-		{"empty", Bound{Value: value.NewInt(7)}, Bound{Value: value.NewInt(7)}, nil},
-		{"inverted", Bound{Value: value.NewInt(9), Inclusive: true}, Bound{Value: value.NewInt(3), Inclusive: true}, nil},
+		{"closed", value.Bound{Value: value.NewInt(3), Inclusive: true}, value.Bound{Value: value.NewInt(5), Inclusive: true}, []int64{3, 4, 5}},
+		{"open-lo", value.Bound{Value: value.NewInt(3)}, value.Bound{Value: value.NewInt(5), Inclusive: true}, []int64{4, 5}},
+		{"open-hi", value.Bound{Value: value.NewInt(3), Inclusive: true}, value.Bound{Value: value.NewInt(5)}, []int64{3, 4}},
+		{"open-both", value.Bound{Value: value.NewInt(3)}, value.Bound{Value: value.NewInt(5)}, []int64{4}},
+		{"unbounded-lo", value.Unbounded(), value.Bound{Value: value.NewInt(2), Inclusive: true}, []int64{1, 2}},
+		{"unbounded-hi", value.Bound{Value: value.NewInt(9), Inclusive: true}, value.Unbounded(), []int64{9, 10}},
+		{"unbounded-both", value.Unbounded(), value.Unbounded(), []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+		{"empty", value.Bound{Value: value.NewInt(7)}, value.Bound{Value: value.NewInt(7)}, nil},
+		{"inverted", value.Bound{Value: value.NewInt(9), Inclusive: true}, value.Bound{Value: value.NewInt(3), Inclusive: true}, nil},
 	}
 	for _, c := range cases {
-		got := keysOf(ix.Range(c.lo, c.hi))
+		got := keysOf(ix.RangeAt(ix.Table().Snapshot(), c.lo, c.hi))
 		if len(got) != len(c.want) {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
 			continue
@@ -119,7 +119,7 @@ func TestNullKeysExcluded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Range(Unbounded(), Unbounded()); len(got) != 1 {
+	if got := ix.RangeAt(ix.Table().Snapshot(), value.Unbounded(), value.Unbounded()); len(got) != 1 {
 		t.Errorf("unbounded range returned %d rows, want 1 (NULLs excluded)", len(got))
 	}
 	if ix.Len() != 3 {
@@ -173,7 +173,7 @@ func TestStringKeys(t *testing.T) {
 	if got := len(ix.Lookup(value.NewString("Toyota"))); got != 2 {
 		t.Errorf("Lookup(Toyota) = %d rows, want 2", got)
 	}
-	got := ix.Range(Bound{Value: value.NewString("B"), Inclusive: true}, Bound{Value: value.NewString("I"), Inclusive: true})
+	got := ix.RangeAt(ix.Table().Snapshot(), value.Bound{Value: value.NewString("B"), Inclusive: true}, value.Bound{Value: value.NewString("I"), Inclusive: true})
 	if len(got) != 2 { // BMW, Honda
 		t.Errorf("range B..I = %d rows, want 2", len(got))
 	}
@@ -227,9 +227,9 @@ func TestRangeMatchesScanProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := ix.Range(
-			Bound{Value: value.NewInt(lo), Inclusive: true},
-			Bound{Value: value.NewInt(hi), Inclusive: true},
+		got := ix.RangeAt(ix.Table().Snapshot(),
+			value.Bound{Value: value.NewInt(lo), Inclusive: true},
+			value.Bound{Value: value.NewInt(hi), Inclusive: true},
 		)
 		var want []int64
 		tbl.Scan(func(_ int, r []value.Datum) bool {

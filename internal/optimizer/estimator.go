@@ -219,9 +219,8 @@ func (e *Estimator) singleSelectivity(table string, p qgm.Predicate) (float64, q
 	case qgm.OpEQ:
 		return e.equalitySelectivity(cs, card, p.Value), key
 	case qgm.OpNE:
-		eq := e.equalitySelectivity(cs, card, p.Value)
-		s := notNull - eq
-		if s < 0 {
+		s := notNull - e.equalitySelectivity(cs, card, p.Value)
+		if s < 0 || p.Value.IsNull() { // a comparison with NULL is never true
 			s = 0
 		}
 		return s, key
@@ -236,15 +235,15 @@ func (e *Estimator) singleSelectivity(table string, p qgm.Predicate) (float64, q
 		return s, key
 	default:
 		// Range / BETWEEN via the distribution histogram.
+		r, _ := p.Range()
+		if r.Empty() {
+			return 0, key
+		}
 		if cs.Hist == nil {
 			return defaultSelectivity(p), defaultKey
 		}
-		iv, ok := p.Region()
-		if !ok {
-			return defaultSelectivity(p), defaultKey
-		}
-		box := regionToBox(iv, cs)
-		frac, err := cs.Hist.EstimateBox(box)
+		lo, hi, _ := r.Coords(cs.Unit())
+		frac, err := cs.Hist.EstimateBox(histogram.Box{Lo: []float64{lo}, Hi: []float64{hi}})
 		if err != nil {
 			return defaultSelectivity(p), defaultKey
 		}
@@ -279,21 +278,6 @@ func (e *Estimator) equalitySelectivity(cs *catalog.ColumnStats, card int64, v v
 		return 0.5 / float64(card)
 	}
 	return float64(restRows) / float64(restNDV) / float64(card)
-}
-
-// regionToBox converts a predicate interval into a histogram box, widening
-// half-open integer/string bounds by the column's value unit so that
-// inclusive ends cover their value ("year <= 2005" covers all of 2005).
-func regionToBox(iv qgm.Interval, cs *catalog.ColumnStats) histogram.Box {
-	unit := cs.Unit()
-	lo, hi := iv.Lo, iv.Hi
-	if iv.LoOpen {
-		lo += unit
-	}
-	if !iv.HiOpen {
-		hi += unit
-	}
-	return histogram.Box{Lo: []float64{lo}, Hi: []float64{hi}}
 }
 
 func defaultSelectivity(p qgm.Predicate) float64 {

@@ -84,7 +84,7 @@ func (ctx *Context) bestAccessPath(blk *qgm.Block, slot int) *Scan {
 	}
 	for i := range preds {
 		p := preds[i]
-		if _, boxable := p.Region(); !boxable && p.Op != qgm.OpEQ {
+		if _, ok := p.Range(); !ok {
 			continue
 		}
 		if _, ok := ctx.Indexes.Find(ti.Table, p.Column); !ok {

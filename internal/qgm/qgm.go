@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -168,36 +169,94 @@ func (p Predicate) MatchesDatum(d value.Datum) bool {
 	}
 }
 
-// Interval is the coordinate-space region a predicate constrains, used to
-// form histogram constraint boxes. Unbounded ends are ±Inf. HasEq marks an
-// equality point-interval.
+// Range is the set of values a predicate selects when that set is one
+// interval in the order of values: index probes, catalog estimates and
+// archive boxes all derive from it, and MatchesDatum states the same
+// semantics row by row.
+type Range struct{ Lo, Hi value.Bound }
+
+// Range returns the interval p selects: EQ [v,v]; LT, LE, GT and GE
+// one-sided; BETWEEN [lo,hi]. ok is false for NE and IN, whose selected
+// values are not one interval. A range with a NULL operand selects nothing
+// (see Empty).
+func (p Predicate) Range() (r Range, ok bool) {
+	at, past := value.Bound{Value: p.Value, Inclusive: true}, value.Bound{Value: p.Value}
+	r = Range{Lo: value.Unbounded(), Hi: value.Unbounded()}
+	switch p.Op {
+	case OpEQ:
+		r.Lo, r.Hi = at, at
+	case OpLT:
+		r.Hi = past
+	case OpLE:
+		r.Hi = at
+	case OpGT:
+		r.Lo = past
+	case OpGE:
+		r.Lo = at
+	case OpBetween:
+		r.Lo, r.Hi = value.Bound{Value: p.Lo, Inclusive: true}, value.Bound{Value: p.Hi, Inclusive: true}
+	default:
+		return Range{}, false
+	}
+	return r, true
+}
+
+// Empty reports whether r selects no value: an end is NULL — a comparison
+// with NULL is never true — or the ends are out of order (BETWEEN 9 AND 1).
+func (r Range) Empty() bool {
+	for _, b := range [2]value.Bound{r.Lo, r.Hi} {
+		if !b.IsUnbounded() && b.Value.IsNull() {
+			return true
+		}
+	}
+	c := r.Lo.Value.Compare(r.Hi.Value)
+	return !r.Lo.IsUnbounded() && !r.Hi.IsUnbounded() && (c > 0 || c == 0 && !(r.Lo.Inclusive && r.Hi.Inclusive))
+}
+
+// Coords returns the half-open coordinate interval [lo, hi) that r covers on
+// a column whose distinct values lie unit apart on the coordinate line
+// (value.Datum.Coord): an end included at the top or excluded at the bottom
+// moves up one unit, so "year <= 2005" covers all of 2005 and "year > 2005"
+// none of it, and an absent end is ±Inf. ok is false when r is empty — it
+// covers nothing, and no box stands for it.
+func (r Range) Coords(unit float64) (lo, hi float64, ok bool) {
+	if r.Empty() {
+		return 0, 0, false
+	}
+	lo, hi = math.Inf(-1), math.Inf(1)
+	if !r.Lo.IsUnbounded() {
+		lo = r.Lo.Value.Coord()
+		if !r.Lo.Inclusive {
+			lo += unit
+		}
+	}
+	if !r.Hi.IsUnbounded() {
+		hi = r.Hi.Value.Coord()
+		if r.Hi.Inclusive {
+			hi += unit
+		}
+	}
+	return lo, hi, true
+}
+
+// Interval is a predicate's Range on the coordinate line, its ends closed
+// unless marked open and absent ones at ±1e308. Nothing in the engine reads
+// it; the repo benchmark's archive probe (bench/probes.go) builds its
+// constraint boxes from it.
 type Interval struct {
 	Lo, Hi         float64
 	LoOpen, HiOpen bool
 }
 
-// Region returns the predicate's coordinate interval and whether the
-// predicate is representable as a single interval (boxable). NE and IN are
-// not boxable — NE excludes a point, IN is a union of points.
+// Region returns p's Range as an Interval; ok is false when p is not a
+// range or selects nothing.
 func (p Predicate) Region() (Interval, bool) {
-	const inf = 1e308 // effectively unbounded; avoids Inf arithmetic in histograms
-	switch p.Op {
-	case OpEQ:
-		c := p.Value.Coord()
-		return Interval{Lo: c, Hi: c}, true
-	case OpLT:
-		return Interval{Lo: -inf, Hi: p.Value.Coord(), HiOpen: true}, true
-	case OpLE:
-		return Interval{Lo: -inf, Hi: p.Value.Coord()}, true
-	case OpGT:
-		return Interval{Lo: p.Value.Coord(), Hi: inf, LoOpen: true}, true
-	case OpGE:
-		return Interval{Lo: p.Value.Coord(), Hi: inf}, true
-	case OpBetween:
-		return Interval{Lo: p.Lo.Coord(), Hi: p.Hi.Coord()}, true
-	default:
-		return Interval{}, false
-	}
+	r, isRange := p.Range()
+	lo, hi, ok := r.Coords(0)
+	return Interval{
+		Lo: max(lo, -1e308), Hi: min(hi, 1e308),
+		LoOpen: !r.Lo.IsUnbounded() && !r.Lo.Inclusive, HiOpen: !r.Hi.IsUnbounded() && !r.Hi.Inclusive,
+	}, isRange && ok
 }
 
 // JoinPredicate is an equality join between two table instances.

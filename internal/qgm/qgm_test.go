@@ -1,6 +1,7 @@
 package qgm
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -207,6 +208,61 @@ func TestPredicateRegion(t *testing.T) {
 	in := Predicate{Op: OpIn, Values: []value.Datum{value.NewInt(1)}}
 	if _, ok := in.Region(); ok {
 		t.Error("IN must not be boxable")
+	}
+	null := Predicate{Op: OpGT, Value: value.Null}
+	if _, ok := null.Region(); ok {
+		t.Error("a NULL operand selects nothing and must not be boxable")
+	}
+}
+
+// Range is the one statement of the values a predicate selects: its ends,
+// whether it is empty, and the half-open coordinates a box takes from it.
+func TestPredicateRange(t *testing.T) {
+	v, w := value.NewInt(5), value.NewInt(9)
+	incl := func(d value.Datum) value.Bound { return value.Bound{Value: d, Inclusive: true} }
+	excl := func(d value.Datum) value.Bound { return value.Bound{Value: d} }
+	open := value.Unbounded()
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		p          Predicate
+		lo, hi     value.Bound
+		empty      bool
+		coLo, coHi float64 // Coords at unit 1 when not empty
+	}{
+		{Predicate{Op: OpEQ, Value: v}, incl(v), incl(v), false, 5, 6},
+		{Predicate{Op: OpLT, Value: v}, open, excl(v), false, -inf, 5},
+		{Predicate{Op: OpLE, Value: v}, open, incl(v), false, -inf, 6},
+		{Predicate{Op: OpGT, Value: v}, excl(v), open, false, 6, inf},
+		{Predicate{Op: OpGE, Value: v}, incl(v), open, false, 5, inf},
+		{Predicate{Op: OpBetween, Lo: v, Hi: w}, incl(v), incl(w), false, 5, 10},
+		{Predicate{Op: OpBetween, Lo: v, Hi: v}, incl(v), incl(v), false, 5, 6},
+		{Predicate{Op: OpBetween, Lo: w, Hi: v}, incl(w), incl(v), true, 0, 0},
+		{Predicate{Op: OpEQ, Value: value.Null}, incl(value.Null), incl(value.Null), true, 0, 0},
+		{Predicate{Op: OpGT, Value: value.Null}, excl(value.Null), open, true, 0, 0},
+		{Predicate{Op: OpLE, Value: value.Null}, open, incl(value.Null), true, 0, 0},
+		{Predicate{Op: OpBetween, Lo: value.Null, Hi: w}, incl(value.Null), incl(w), true, 0, 0},
+		{Predicate{Op: OpBetween, Lo: v, Hi: value.Null}, incl(v), incl(value.Null), true, 0, 0},
+	} {
+		r, ok := c.p.Range()
+		if !ok || r.Lo != c.lo || r.Hi != c.hi {
+			t.Errorf("%s: Range = %+v, %v", c.p, r, ok)
+			continue
+		}
+		if r.Empty() != c.empty {
+			t.Errorf("%s: Empty = %v, want %v", c.p, r.Empty(), c.empty)
+		}
+		lo, hi, ok := r.Coords(1)
+		if ok == c.empty || ok && (lo != c.coLo || hi != c.coHi) {
+			t.Errorf("%s: Coords(1) = [%g, %g) %v, want [%g, %g) %v", c.p, lo, hi, ok, c.coLo, c.coHi, !c.empty)
+		}
+	}
+	for _, p := range []Predicate{
+		{Op: OpNE, Value: v},
+		{Op: OpIn, Values: []value.Datum{v, w}},
+	} {
+		if _, ok := p.Range(); ok {
+			t.Errorf("%s must not be a range", p)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@
 // speaks the internal/wire frame protocol, and multiplexes any number of
 // client sessions onto one embedded engine via engine.ExecUnboxed.
 //
-// A session is one logical client conversation. It owns its per-session
+// A session is one logical client conversation, opened by the HELLO that
+// must be a connection's first frame (anything else is refused with a
+// bad_request error and the connection closes). It owns its per-session
 // execution options (parallelism, statement timeout), its prepared-statement
 // table, its request-deduplication cache, and — for each statement it runs —
 // the governor admission ticket and memory reservation the engine leases on
@@ -16,7 +18,7 @@
 //     Config.FrameTimeout mid-frame and for response writes) reap a stalled
 //     or vanished peer instead of parking a goroutine on it forever; reaps
 //     are metered as server_sessions_reaped_total.
-//   - A session opened with HELLO gets a resume token. When its connection
+//   - Every session gets a resume token in its welcome. When its connection
 //     dies — reset, torn frame, reaped stall — the session state is parked
 //     for Config.ResumeWindow, and a new connection saying HELLO with the
 //     token reattaches to it: options, prepared statements, and the dedup
@@ -155,7 +157,7 @@ type dedupEntry struct {
 // server's Sessions() snapshot reads concurrently with the owner.
 type session struct {
 	id     int64
-	token  string // empty for implicit (pre-HELLO protocol) sessions: not resumable
+	token  string // the resume token its HELLO was welcomed with
 	remote string
 	start  time.Time
 
@@ -441,9 +443,9 @@ func newToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// handleConn reads the connection's first frame and routes it: a HELLO
-// opens or resumes a session, anything else opens an implicit
-// (non-resumable) session and is dispatched as its first request.
+// handleConn reads the connection's first frame, which must be a HELLO: it
+// opens or resumes a session. Any other first frame is answered with a
+// bad_request error and the connection closes.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	var req wire.Request
@@ -454,62 +456,54 @@ func (s *Server) handleConn(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
+	mRequests.With(req.Type).Inc()
+	if req.Type != wire.ReqHello {
+		s.refuse(conn, wire.CodeBadRequest, "server: a session opens with HELLO, got "+req.Type)
+		return
+	}
+	if s.draining.Load() {
+		s.refuse(conn, wire.CodeDraining, "server: draining, not accepting sessions")
+		return
+	}
 	var sess *session
-	var first *wire.Request
-	if req.Type == wire.ReqHello {
-		mRequests.With(req.Type).Inc()
-		if s.draining.Load() {
-			mErrors.With(wire.CodeDraining).Inc()
-			_ = wire.WriteFrameDeadline(conn, &wire.Response{Type: wire.RespError, Error: &wire.Error{
-				Code: wire.CodeDraining, Message: "server: draining, not accepting sessions",
-			}}, s.cfg.FrameTimeout)
-			_ = conn.Close()
-			return
-		}
-		if req.Token == "" {
-			sess = s.register(conn, newToken())
-			if sess == nil {
-				_ = conn.Close()
-				return
-			}
-			if err := wire.WriteFrameDeadline(conn, &wire.Response{Type: wire.RespWelcome, Token: sess.token}, s.cfg.FrameTimeout); err != nil {
-				s.release(sess, false)
-				return
-			}
-		} else {
-			sess = s.resume(conn, req.Token)
-			if sess == nil {
-				mErrors.With(wire.CodeResumeExpired).Inc()
-				_ = wire.WriteFrameDeadline(conn, &wire.Response{Type: wire.RespError, Error: &wire.Error{
-					Code: wire.CodeResumeExpired, Message: "server: unknown or expired resume token",
-				}}, s.cfg.FrameTimeout)
-				_ = conn.Close()
-				return
-			}
-			mSessionsResumed.Inc()
-			if err := wire.WriteFrameDeadline(conn, &wire.Response{Type: wire.RespWelcome, Token: sess.token, Resumed: true}, s.cfg.FrameTimeout); err != nil {
-				s.release(sess, true)
-				return
-			}
-		}
-	} else {
-		// Pre-HELLO protocol: the first frame is a regular request on an
-		// implicit session with no resume token.
-		sess = s.register(conn, "")
+	if req.Token == "" {
+		sess = s.register(conn)
 		if sess == nil {
 			_ = conn.Close()
 			return
 		}
-		first = &req
+		if err := wire.WriteFrameDeadline(conn, &wire.Response{Type: wire.RespWelcome, Token: sess.token}, s.cfg.FrameTimeout); err != nil {
+			s.release(sess, false)
+			return
+		}
+	} else {
+		sess = s.resume(conn, req.Token)
+		if sess == nil {
+			s.refuse(conn, wire.CodeResumeExpired, "server: unknown or expired resume token")
+			return
+		}
+		mSessionsResumed.Inc()
+		if err := wire.WriteFrameDeadline(conn, &wire.Response{Type: wire.RespWelcome, Token: sess.token, Resumed: true}, s.cfg.FrameTimeout); err != nil {
+			s.release(sess, true)
+			return
+		}
 	}
-	s.handleSession(sess, conn, first)
+	s.handleSession(sess, conn)
 }
 
-// register creates and registers a fresh session for conn, or returns nil
-// when the server is closing.
-func (s *Server) register(conn net.Conn, token string) *session {
+// refuse answers a connection's first frame with a typed error and closes
+// the connection.
+func (s *Server) refuse(conn net.Conn, code, msg string) {
+	mErrors.With(code).Inc()
+	_ = wire.WriteFrameDeadline(conn, &wire.Response{Type: wire.RespError, Error: &wire.Error{Code: code, Message: msg}}, s.cfg.FrameTimeout)
+	_ = conn.Close()
+}
+
+// register creates and registers a fresh session for conn under a new
+// resume token, or returns nil when the server is closing.
+func (s *Server) register(conn net.Conn) *session {
 	sess := &session{
-		token:  token,
+		token:  newToken(),
 		conn:   conn,
 		remote: conn.RemoteAddr().String(),
 		start:  time.Now(),
@@ -523,9 +517,7 @@ func (s *Server) register(conn net.Conn, token string) *session {
 	s.nextSess++
 	sess.id = s.nextSess
 	s.sessions[sess.id] = sess
-	if token != "" {
-		s.tokens[token] = sess
-	}
+	s.tokens[sess.token] = sess
 	s.mu.Unlock()
 	mSessionsTotal.Inc()
 	mSessionsActive.Add(1)
@@ -573,16 +565,14 @@ func (s *Server) resume(conn net.Conn, token string) *session {
 }
 
 // release detaches a session whose connection is gone. When park is true
-// (and the session is resumable, and the server is not shutting down) the
+// (and resumption is on, and the server is not shutting down) the
 // state moves to the parked map for ResumeWindow; otherwise it is dropped.
 func (s *Server) release(sess *session, park bool) {
 	sess.closeConn()
 	s.mu.Lock()
 	delete(s.sessions, sess.id)
-	if sess.token != "" {
-		delete(s.tokens, sess.token)
-	}
-	if park && sess.token != "" && s.cfg.ResumeWindow > 0 && !s.closed.Load() && !s.draining.Load() {
+	delete(s.tokens, sess.token)
+	if park && s.cfg.ResumeWindow > 0 && !s.closed.Load() && !s.draining.Load() {
 		sess.expires = time.Now().Add(s.cfg.ResumeWindow)
 		s.parked[sess.token] = sess
 	}
@@ -598,21 +588,16 @@ func isTimeout(err error) bool {
 
 // handleSession is a session's request loop: one frame in, one frame out,
 // until the peer closes, errs, stalls past a deadline, or the server
-// drains. first carries an implicit session's already-read opening request.
-func (s *Server) handleSession(sess *session, conn net.Conn, first *wire.Request) {
+// drains.
+func (s *Server) handleSession(sess *session, conn net.Conn) {
 	for {
 		var req wire.Request
-		if first != nil {
-			req = *first
-			first = nil
-		} else {
-			if err := wire.ReadFrameDeadline(conn, &req, s.cfg.IdleTimeout, s.cfg.FrameTimeout); err != nil {
-				if isTimeout(err) {
-					mSessionsReaped.Inc()
-				}
-				s.release(sess, true)
-				return
+		if err := wire.ReadFrameDeadline(conn, &req, s.cfg.IdleTimeout, s.cfg.FrameTimeout); err != nil {
+			if isTimeout(err) {
+				mSessionsReaped.Inc()
 			}
+			s.release(sess, true)
+			return
 		}
 		mRequests.With(req.Type).Inc()
 		sess.busy.Store(true)

@@ -205,24 +205,52 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
-// TestServeRawFrames drives the wire protocol without the client package:
-// unknown frame types and unknown prepared-statement handles get
-// bad_request, and a clean close frame is ack'd.
+// TestServeRawFrames drives the wire protocol without the client package: a
+// first frame that is not HELLO is refused and the connection closed, and
+// within a session unknown frame types and unknown prepared-statement
+// handles get bad_request, and a clean close frame is ack'd.
 func TestServeRawFrames(t *testing.T) {
 	cfg := serveConfig(0)
 	cfg.JITS.Enabled = false
 	eng, _ := loadedEngine(t, cfg, 0.002)
 	_, addr := startServer(t, eng)
 
+	// A first frame that is not HELLO opens nothing: bad_request, then the
+	// server closes the connection.
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := wire.WriteFrame(nc, &wire.Request{Type: "gibberish"}); err != nil {
+	if err := wire.WriteFrame(nc, &wire.Request{Type: wire.ReqQuery, SQL: "SELECT COUNT(*) FROM car"}); err != nil {
 		t.Fatal(err)
 	}
 	var resp wire.Response
+	if err := wire.ReadFrame(nc, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Type != wire.RespError || resp.Error.Code != wire.CodeBadRequest {
+		t.Fatalf("query before HELLO: %+v", resp)
+	}
+	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.ReadFrame(nc, &resp); err == nil {
+		t.Fatalf("connection stayed open after a refused first frame: %+v", resp)
+	}
+
+	nc, err = net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := wire.WriteFrame(nc, &wire.Request{Type: wire.ReqHello}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.ReadFrame(nc, &resp); err != nil || resp.Type != wire.RespWelcome {
+		t.Fatalf("hello: %+v, %v", resp, err)
+	}
+	if err := wire.WriteFrame(nc, &wire.Request{Type: "gibberish"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := wire.ReadFrame(nc, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +318,13 @@ func TestServeOversizeResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	if err := wire.WriteFrame(nc, &wire.Request{Type: wire.ReqHello}); err != nil {
+		t.Fatal(err)
+	}
+	var welcome wire.Response
+	if err := wire.ReadFrame(nc, &welcome); err != nil || welcome.Type != wire.RespWelcome {
+		t.Fatalf("hello: %+v, %v", welcome, err)
+	}
 	for attempt := 0; attempt < 2; attempt++ {
 		req := &wire.Request{Type: wire.ReqQuery, ID: 1, Retry: attempt, SQL: `SELECT c.id, c.make FROM car c`}
 		if err := wire.WriteFrame(nc, req); err != nil {

@@ -147,3 +147,19 @@ func (k Key) Hash() uint64 {
 }
 
 var hashSeed = maphash.MakeSeed()
+
+// Bound is one end of an interval in the order above: a value and whether
+// the interval includes it, or no end at all (Unbounded). A predicate's
+// selected range (qgm.Predicate.Range) and an index range scan are both
+// stated with it.
+type Bound struct {
+	Value     Datum
+	Inclusive bool
+	open      bool
+}
+
+// Unbounded returns the end that does not constrain the interval.
+func Unbounded() Bound { return Bound{open: true} }
+
+// IsUnbounded reports whether the end is absent.
+func (b Bound) IsUnbounded() bool { return b.open }

@@ -48,11 +48,12 @@ bench-pairs:
 	$(GO) run ./cmd/benchpairs -ref '$(REF)' -workload '$(WORKLOAD)' -n '$(N)' -seed '$(SEED)'
 
 # Telemetry must be free when nobody is looking: the disabled-path
-# benchmarks for the metrics registry, the flight recorder (its ring and its
-# trace writer both off) and the accuracy ledger next to the bare atomic-load
-# baseline, plus the end-to-end
-# statement benchmark with the recorder on/off, all with -benchmem so an
-# unexpected allocation on a disabled path fails review at a glance. Then
+# benchmarks for the flight recorder (its ring and its trace writer both
+# off) and the accuracy ledger, the always-on metrics histogram's Observe
+# (the counts themselves are plain atomics of their owners), plus the
+# end-to-end statement benchmark with the recorder on/off, all with
+# -benchmem so an unexpected allocation on a disabled path fails review at a
+# glance. Then
 # the result-frame codec (encode, decode, whole-frame round trip at 50, 500
 # and 5000 rows): its allocations per frame must not grow with the rows;
 # result/… is what the server runs, an unboxed scan result of an int-heavy
@@ -91,7 +92,7 @@ bench-pairs:
 # ExecUnboxed on a plan-cache hit (the entry's text reused) and on a miss
 # (parse, QGM, JITS, optimize, one render). CI runs this target.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Disabled|AtomicLoadBaseline' -benchmem ./internal/metrics/ ./internal/flightrec/ ./internal/accuracy/
+	$(GO) test -run '^$$' -bench 'Disabled|HistogramObserve' -benchmem ./internal/metrics/ ./internal/flightrec/ ./internal/accuracy/
 	$(GO) test -run '^$$' -bench 'StatementRecorder|StatementLedger' -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'ResultFrame' -benchmem ./internal/wire/
 	$(GO) test -run '^$$' -bench 'IndexAdvance/rows=(43000|430000)|Lookup10k' -benchmem -benchtime 0.3s ./internal/index/

@@ -6,7 +6,7 @@
 //	jitsbench [-exp all|table2|table3|fig3|fig4|fig5|fig6|oltp|parallel|drift|reopt]
 //	          [-scale 0.01] [-queries 840] [-seed 42] [-smax 0.5]
 //	          [-sample 2000] [-csv dir] [-pergroup] [-parallelism 1]
-//	          [-trace file|-] [-metrics] [-debug-addr host:port]
+//	          [-trace file|-] [-debug-addr host:port]
 //	          [-debug-linger 0s] [-chunks 64,4096]
 //	jitsbench -serve host:port   [-scale ...] [-plan-cache ...] [-debug-addr ...]
 //	                             [-net-faults spec] [-drain 30s]
@@ -35,10 +35,8 @@
 // jits.sample/jits.prepare → optimize → execute → feedback →
 // archive.merge), the JITS decisions with their s1/s2 scores and sample
 // laps, the plan with per-operator actuals and the feedback observed — the
-// record /debug/queries serves. -metrics enables the process-wide metrics
-// registry and prints its Prometheus-style text exposition after the
-// experiments finish. Both are off by default and cost a check or an atomic
-// load per probe when off.
+// record /debug/queries serves. It is off by default and costs a check per
+// statement when off.
 //
 // -serve starts the multi-session SQL service (internal/server) on the
 // given address over a freshly loaded workload dataset and blocks until
@@ -59,10 +57,11 @@
 //
 // -debug-addr starts the embedded debug HTTP server (see
 // internal/debugserver) on the given address (port 0 picks a free port; the
-// bound address is printed as "debug server listening on ..."). It implies
-// -metrics and enables every experiment engine's flight recorder, so
-// /metrics, /debug/archive and /debug/queries have live content while the
-// experiments run. -debug-linger keeps the process (and the server) alive
+// bound address is printed as "debug server listening on ..."). It enables
+// every experiment engine's flight recorder and serves the engine the
+// experiment is running, so /metrics, /debug/archive and /debug/queries have
+// live content while the experiments run; under -serve, /metrics adds the
+// SQL service's series. -debug-linger keeps the process (and the server) alive
 // for that long after the experiments finish, for interactive poking.
 //
 // A flag that acts only in one mode (-debug-linger, -plan-cache,
@@ -87,7 +86,6 @@ import (
 	"repro/internal/debugserver"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
-	"repro/internal/metrics"
 )
 
 func main() {
@@ -102,7 +100,6 @@ func main() {
 		csvDirF  = flag.String("csv", "", "directory to also write figure data as CSV (created if missing)")
 		par      = flag.Int("parallelism", 1, "intra-query degree of parallelism (1 = serial: every operator runs inline)")
 		traceF   = flag.String("trace", "", `write every statement's flight record, one JSON line each, to this file ("-" for stderr)`)
-		metricsF = flag.Bool("metrics", false, "enable the metrics registry and print its exposition on exit")
 		debugF   = flag.String("debug-addr", "", "start the embedded debug HTTP server on this address (port 0 picks a free port)")
 		lingerF  = flag.Duration("debug-linger", 0, "keep the process alive this long after the experiments finish (requires -debug-addr)")
 		serveF   = flag.String("serve", "", "serve SQL sessions on this address (port 0 picks a free port) instead of running experiments")
@@ -159,25 +156,14 @@ func main() {
 			}()
 		}
 	}
-	if *metricsF {
-		metrics.Enable()
-		defer func() {
-			fmt.Println("Metrics exposition")
-			fmt.Println("==================")
-			_ = metrics.WriteText(os.Stdout)
-		}()
-	}
-
 	opts := experiments.Options{
 		Scale: *scale, Queries: *queries, Seed: *seed, SMax: *smax, SampleSize: *sample,
 		PerGroupSampling: *perGroup, Parallelism: *par, Trace: traceW,
 	}
 
 	if *debugF != "" {
-		// The debug server needs live instruments and flight-recorder
-		// content to expose; each experiment attaches its current engine as
-		// it is constructed.
-		metrics.Enable()
+		// The debug server needs flight-recorder content to expose; each
+		// experiment attaches its current engine as it is constructed.
 		srv := debugserver.New(nil)
 		addr, err := srv.Start(*debugF)
 		if err != nil {

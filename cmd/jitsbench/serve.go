@@ -63,6 +63,7 @@ func serveMode(opts experiments.Options, addr string, planCache int, netFaults s
 	if dbgSrv != nil {
 		sv := srv
 		dbgSrv.SetSessionSource(func() any { return sv.Sessions() })
+		dbgSrv.SetMetricsSource(sv.Scrape)
 		dbgSrv.SetDrainingSource(sv.Draining)
 	}
 	fmt.Printf("jitsbench: serving SQL on %s (scale=%g, plan cache %s)\n",
@@ -98,7 +99,7 @@ func planCacheDesc(n int) string {
 }
 
 // dbgSrv is set by main when -debug-addr is active, so -serve can attach
-// its session snapshots to the /debug/sessions endpoint.
+// its session snapshots to /debug/sessions and its series to /metrics.
 var dbgSrv *debugserver.Server
 
 // connectMode (-connect) is a minimal interactive client: one SQL statement

@@ -156,6 +156,10 @@ type Ledger struct {
 
 	mu    sync.Mutex
 	stats map[string]*statEntry
+	// Totals since construction, under mu: feedback observations, merge
+	// events, DML rows charged, and state transitions by destination state.
+	observations, merges, churnRows int64
+	transitions                     [StateDrifted + 1]int64
 }
 
 // New constructs a ledger that records when cfg.Enabled. It is usable (and
@@ -189,7 +193,6 @@ func (l *Ledger) entry(ts int64, table, key string) *statEntry {
 		hist:         make([]uint64, len(l.bounds)+1),
 	}
 	l.stats[key] = e
-	mTracked.Set(float64(len(l.stats)))
 	return e
 }
 
@@ -199,28 +202,11 @@ func (l *Ledger) transition(ts int64, key string, e *statEntry, to State) Transi
 	tr := Transition{Key: key, Table: e.table, From: e.state, To: to,
 		CUSUM: e.cusum, Observations: e.obs, ChurnRows: e.churnSinceMerge}
 	e.state = to
-	switch to {
-	case StateFresh:
-		mTransFresh.Inc()
-	case StateAging:
-		mTransAging.Inc()
-	case StateDrifted:
-		mTransDrifted.Inc()
+	l.transitions[to]++
+	if to == StateDrifted {
 		e.driftedAt = ts
 	}
-	l.recountDrifted()
 	return tr
-}
-
-// recountDrifted refreshes the drifted-stats gauge. Caller holds l.mu.
-func (l *Ledger) recountDrifted() {
-	n := 0
-	for _, e := range l.stats {
-		if e.state == StateDrifted {
-			n++
-		}
-	}
-	mDrifted.Set(float64(n))
 }
 
 // ageCheck applies the fresh → aging edges (clock age, DML churn). Caller
@@ -261,7 +247,7 @@ func (l *Ledger) ObserveFeedback(ts int64, table, key string, ef float64, baseCa
 	if e == nil {
 		return Transition{}, false
 	}
-	mObservations.Inc()
+	l.observations++
 	if baseCard > 0 {
 		e.baseCard = baseCard
 	}
@@ -283,7 +269,7 @@ func (l *Ledger) ObserveFeedback(ts int64, table, key string, ef float64, baseCa
 	e.obs++
 	e.lastObserved = ts
 
-	// Error-factor histogram (same bounds as the metrics registry family).
+	// Error-factor histogram (the bounds of feedback_error_factor).
 	i := sort.SearchFloat64s(l.bounds, ef)
 	e.hist[i]++
 
@@ -321,7 +307,7 @@ func (l *Ledger) ObserveMerge(ts int64, table, key string) {
 	if e == nil {
 		return
 	}
-	mMerges.Inc()
+	l.merges++
 	e.merges++
 	e.lastMerge = ts
 	e.churnSinceMerge = 0
@@ -343,7 +329,7 @@ func (l *Ledger) RecordChurn(ts int64, table string, rows int64) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	mChurnRows.Add(float64(rows))
+	l.churnRows += rows
 	for key, e := range l.stats {
 		if e.table != table {
 			continue
@@ -433,4 +419,23 @@ func (l *Ledger) Counts() (tracked, fresh, aging, drifted int) {
 		}
 	}
 	return
+}
+
+// Scrape appends the ledger's accuracy_* and drift_* series to set: its
+// totals, and the tracked and drifted statistics counted from its map.
+func (l *Ledger) Scrape(set *metrics.Set) {
+	tracked, _, _, drifted := l.Counts()
+	l.mu.Lock()
+	observations, merges, churn, transitions := l.observations, l.merges, l.churnRows, l.transitions
+	l.mu.Unlock()
+	to := make([]metrics.Series, len(transitions))
+	for st, n := range transitions {
+		to[st] = metrics.Series{LabelValue: State(st).String(), Value: float64(n)}
+	}
+	set.Counter("accuracy_observations_total", "Feedback observations recorded by the accuracy ledger.", float64(observations))
+	set.Counter("accuracy_merges_total", "Archive merge events recorded by the accuracy ledger.", float64(merges))
+	set.Counter("accuracy_churn_rows_total", "DML rows charged against tracked statistics.", float64(churn))
+	set.Gauge("accuracy_tracked_stats", "Statistics currently tracked by the accuracy ledger.", float64(tracked))
+	set.CounterBy("drift_transitions_total", "Ledger state-machine transitions by destination state.", "to", to)
+	set.Gauge("drift_drifted_stats", "Statistics currently in the drifted state.", float64(drifted))
 }

@@ -5,9 +5,11 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/histogram"
+	"repro/internal/metrics"
 	"repro/internal/qgm"
 	"repro/internal/value"
 )
@@ -71,6 +73,18 @@ type Archive struct {
 	ndvs         map[string]ndvEntry // "table.column" → distinct-value estimate
 	budget       int                 // total grid buckets allowed
 	memoCapacity int
+	tally        *archiveTally
+}
+
+// archiveTally is an archive's cumulative totals: the selectivity lookups it
+// answered from archived statistics and those it could not, and the
+// iterative proportional fitting its histogram merges ran (fits, their
+// rounds, and the fits that never met every constraint to tolerance). It is
+// shared by pointer so an archive restored in place of another continues its
+// totals.
+type archiveTally struct {
+	hits, misses              atomic.Int64
+	fits, rounds, unconverged atomic.Int64
 }
 
 // NewArchive creates an empty archive. budgetBuckets ≤ 0 and memoCapacity
@@ -89,7 +103,34 @@ func NewArchive(budgetBuckets, memoCapacity int) *Archive {
 		ndvs:         make(map[string]ndvEntry),
 		budget:       budgetBuckets,
 		memoCapacity: memoCapacity,
+		tally:        new(archiveTally),
 	}
+}
+
+// ScrapeArchives appends the qss_archive_* and histogram_ipf_* series to
+// set: the totals of every given archive, nil ones skipped.
+func ScrapeArchives(set *metrics.Set, archives ...*Archive) {
+	var hits, misses, fits, rounds, unconverged int64
+	for _, a := range archives {
+		if a == nil {
+			continue
+		}
+		hits += a.tally.hits.Load()
+		misses += a.tally.misses.Load()
+		fits += a.tally.fits.Load()
+		rounds += a.tally.rounds.Load()
+		unconverged += a.tally.unconverged.Load()
+	}
+	set.Counter("qss_archive_hits_total",
+		"QSS archive selectivity lookups answered from archived statistics.", float64(hits))
+	set.Counter("qss_archive_misses_total",
+		"QSS archive selectivity lookups that found no usable statistics.", float64(misses))
+	set.Counter("histogram_ipf_fits_total",
+		"Iterative proportional fitting passes run by histogram updates.", float64(fits))
+	set.Counter("histogram_ipf_rounds_total",
+		"Rounds run by iterative proportional fitting, over all fits.", float64(rounds))
+	set.Counter("histogram_ipf_unconverged_total",
+		"Fits that ran every round without meeting every constraint to tolerance.", float64(unconverged))
 }
 
 // SetCardinality stores a freshly observed table cardinality.
@@ -228,7 +269,7 @@ func (a *Archive) GroupSelectivity(table string, preds []qgm.Predicate, ts int64
 
 	if m, ok := a.memo[pk.String()]; ok {
 		m.lastUsed = ts
-		mArchiveHits.Inc()
+		a.tally.hits.Add(1)
 		return m.sel, pk, true
 	}
 
@@ -249,12 +290,12 @@ func (a *Archive) GroupSelectivity(table string, preds []qgm.Predicate, ts int64
 		if box, ok := boxForPreds(best.cols, preds, best.units); ok {
 			if sel, err := best.hist.EstimateBox(box); err == nil {
 				best.hist.Touch(ts)
-				mArchiveHits.Inc()
+				a.tally.hits.Add(1)
 				return sel, bestName, true
 			}
 		}
 	}
-	mArchiveMisses.Inc()
+	a.tally.misses.Add(1)
 	return 0, qgm.StatName{}, false
 }
 
@@ -347,6 +388,10 @@ func (a *Archive) Materialize(table string, preds []qgm.Predicate, sel float64, 
 		if g != nil {
 			if box, ok := boxForPreds(g.cols, preds, g.units); ok {
 				if err := g.hist.AddConstraint(box, clamp01(sel), ts); err == nil {
+					fit := g.hist.LastFit()
+					a.tally.fits.Add(int64(fit.Fits))
+					a.tally.rounds.Add(int64(fit.Rounds))
+					a.tally.unconverged.Add(int64(fit.Unconverged))
 					a.enforceBudgetLocked(name)
 					return g.hist.Buckets()
 				}

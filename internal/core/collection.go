@@ -171,7 +171,7 @@ func (c *collection) admit(tw *tableWork) (size int, reserved int64, deg degrada
 		err := c.res.Grow(want)
 		if err == nil {
 			if shrunk {
-				mSampleMemShrinks.Inc()
+				c.j.memShrinks.Add(1)
 			}
 			return size, want, degradation{}
 		}
@@ -284,8 +284,9 @@ func (c *collection) sample(tw *tableWork, size int, start time.Time) (err error
 }
 
 // report closes the table's TableReport. A degradation is counted here and
-// nowhere else: its cause indexes the always-on counts, labels the metric and
-// stamps the report; UDI stays, so the next statement reconsiders the table.
+// nowhere else: its cause indexes the always-on counts (which the metric
+// reads) and stamps the report; UDI stays, so the next statement reconsiders
+// the table.
 // A collected table's sample is charged to the row budget and its UDI
 // activity, now absorbed into fresh statistics, is reset.
 func (c *collection) report(tw *tableWork, deg degradation) {
@@ -297,11 +298,10 @@ func (c *collection) report(tw *tableWork, deg degradation) {
 		c.prep.Degraded = true
 		c.prep.FallbackTables = append(c.prep.FallbackTables, tr.Table)
 		c.j.degrade.Record(deg.cause)
-		mDegradation.With(deg.cause.String()).Inc()
 	case tr.Collected:
 		c.rowsUsed += tr.SampleRows
-		mSampleRows.Add(float64(tr.SampleRows))
-		mTablesCollected.Inc()
+		c.j.sampleRows.Add(int64(tr.SampleRows))
+		c.j.tablesCollected.Add(1)
 		tw.tbl.ResetUDI()
 	}
 	c.prep.Tables = append(c.prep.Tables, *tr)

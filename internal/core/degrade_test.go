@@ -269,7 +269,8 @@ func trippedBreaker(t *testing.T) *govern.Breaker {
 
 // TestDegradationIsOneEvent drives each cause a table can degrade for and
 // holds every place the event shows to the same count, cause and words: the
-// always-on DegradationCounts, the jits_degradation_total{cause} series, the
+// always-on DegradationCounts, the jits_degradation_total{cause} series the
+// coordinator's Scrape reads from them (labelled with the cause's name), the
 // PrepareReport's fallback list and each TableReport's cause, reason and
 // "table: reason" note (the line engine.capture files in the flight record and
 // server.encodeResult sends as wire.Result.DegradedTables — the server's
@@ -317,8 +318,6 @@ func TestDegradationIsOneEvent(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			faultinject.Reset()
 			t.Cleanup(faultinject.Reset)
-			metrics.Enable()
-			t.Cleanup(metrics.Disable)
 			var breaker *govern.Breaker
 			if tc.tripped {
 				breaker = trippedBreaker(t)
@@ -335,9 +334,6 @@ func TestDegradationIsOneEvent(t *testing.T) {
 			if tc.memBytes > 0 {
 				res = govern.New(govern.Config{StatementMemBudgetBytes: tc.memBytes}).NewReservation()
 			}
-			series := mDegradation.With(tc.cause.String())
-			before := series.Value()
-
 			db := twoTableDB(t)
 			var m costmodel.Meter
 			_, rep, err := j.PrepareBudgeted(ctx, buildQuery(t, db, twoTableSQL), db, 1, &m, costmodel.DefaultWeights(), res)
@@ -350,8 +346,16 @@ func TestDegradationIsOneEvent(t *testing.T) {
 			if counts.Of(tc.cause) != n || counts.Total() != n {
 				t.Errorf("DegradationCounts = %+v, want %d under %s and in total", counts, n, tc.cause)
 			}
-			if got := series.Value() - before; got != float64(n) {
-				t.Errorf("jits_degradation_total{cause=%q} moved by %v, want %d", tc.cause, got, n)
+			var set metrics.Set
+			j.Scrape(&set)
+			label, got := `cause="`+tc.cause.String()+`"`, -1.0
+			for _, sm := range set.Samples() {
+				if sm.Name == "jits_degradation_total" && sm.Label == label {
+					got = sm.Value
+				}
+			}
+			if got != float64(n) {
+				t.Errorf("jits_degradation_total{%s} = %v, want %d", label, got, n)
 			}
 			if !rep.Degraded || !slices.Equal(rep.FallbackTables, tc.tables) {
 				t.Errorf("report: degraded=%v fallback=%v, want %v", rep.Degraded, rep.FallbackTables, tc.tables)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/govern"
 	"repro/internal/index"
+	"repro/internal/metrics"
 	"repro/internal/qgm"
 	"repro/internal/sampling"
 	"repro/internal/storage"
@@ -100,6 +101,14 @@ type JITS struct {
 	degrade costmodel.Degradation
 	breaker *govern.Breaker // nil never trips
 	merges  MergeObserver   // nil: no merge events
+
+	// Collection totals: rows drawn by compile-time sampling, tables
+	// sampled, and sampling passes that shrank their sample to fit the
+	// statement's memory budget. errorFactors is the feedback loop's.
+	sampleRows      atomic.Int64
+	tablesCollected atomic.Int64
+	memShrinks      atomic.Int64
+	errorFactors    *metrics.Histogram
 }
 
 // MergeObserver is notified whenever a quantified statistic is merged
@@ -127,7 +136,29 @@ func New(cfg Config, history *feedback.History, cat *catalog.Catalog, ixs *index
 		indexes: ixs,
 		breaker: breaker,
 		merges:  merges,
+
+		errorFactors: metrics.NewHistogram(metrics.ErrorFactorBuckets()),
 	}
+}
+
+// Scrape appends the coordinator's jits_* series and the feedback loop's
+// error-factor distribution to set. Every degradation cause's series is
+// present from the start, labelled with the cause's own name, and reads
+// DegradationCounts, so the two cannot disagree.
+func (j *JITS) Scrape(set *metrics.Set) {
+	deg := j.DegradationCounts()
+	causes := costmodel.DegradeCauses()
+	byCause := make([]metrics.Series, len(causes))
+	for i, cause := range causes {
+		byCause[i] = metrics.Series{LabelValue: cause.String(), Value: float64(deg.Of(cause))}
+	}
+	set.Counter("jits_sample_rows_total", "Rows drawn by JITS compile-time sampling.", float64(j.sampleRows.Load()))
+	set.Counter("jits_tables_collected_total", "Tables successfully sampled by JITS Prepare.", float64(j.tablesCollected.Load()))
+	set.CounterBy("jits_degradation_total", "Tables that fell back to catalog statistics, by cause.", "cause", byCause)
+	set.Counter("jits_sampling_mem_shrinks_total",
+		"Sampling passes that shrank their sample to fit the memory budget.", float64(j.memShrinks.Load()))
+	set.Histogram("feedback_error_factor",
+		"Estimated/actual selectivity error factors observed by the feedback loop.", j.errorFactors)
 }
 
 // DegradationCounts snapshots the cumulative graceful-degradation counters:
@@ -344,7 +375,7 @@ func (j *JITS) Feedback(obs []Observation) {
 			continue
 		}
 		ef := feedback.ErrorFactor(o.EstSel, o.ActualSel, o.BaseCard)
-		mErrorFactor.Observe(ef)
+		j.errorFactors.Observe(ef)
 		j.history.Record(o.Table, o.ColGrp, o.StatList, ef)
 	}
 }

@@ -226,9 +226,11 @@ func (j *JITS) SaveArchive(w io.Writer) error {
 
 // RestoreArchive replaces the coordinator's archive with a previously saved
 // one — statistics materialized in an earlier session become reusable
-// immediately.
+// immediately. The restored archive continues the replaced one's lookup and
+// fitting totals, so the engine's counters never run backwards.
 func (j *JITS) RestoreArchive(a *Archive) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	a.tally = j.archive.tally
 	j.archive = a
 }

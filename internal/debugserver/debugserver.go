@@ -5,7 +5,7 @@
 // depends on it; jitsbench (or any embedder) starts one explicitly with
 // -debug-addr, and a process that never starts it pays nothing.
 //
-//	GET /metrics         Prometheus text exposition of the default registry
+//	GET /metrics         Prometheus text exposition of the attached engine and server
 //	GET /debug/pprof/    net/http/pprof index (profile, heap, goroutine, …)
 //	GET /debug/archive   QSS archive histograms as JSON
 //	GET /debug/queries   flight-recorder records + post-mortems as JSON
@@ -43,6 +43,9 @@ type Server struct {
 	// attachment is race-free against in-flight requests, and typed as a
 	// closure so this package needs no dependency on internal/server.
 	sessions atomic.Pointer[func() any]
+	// serverMetrics supplies the attached SQL service's series for /metrics,
+	// next to the engine's; nil until a server is attached.
+	serverMetrics atomic.Pointer[func() metrics.Set]
 	// draining reports whether the attached SQL service is in graceful
 	// shutdown; /debug/health turns it into a 503 so load balancers stop
 	// routing to this node while in-flight statements finish.
@@ -93,6 +96,16 @@ func (s *Server) SetSessionSource(fn func() any) {
 	s.sessions.Store(&fn)
 }
 
+// SetMetricsSource attaches the SQL service's series (typically
+// server.Scrape) to /metrics; nil detaches it.
+func (s *Server) SetMetricsSource(fn func() metrics.Set) {
+	if fn == nil {
+		s.serverMetrics.Store(nil)
+		return
+	}
+	s.serverMetrics.Store(&fn)
+}
+
 // SetDrainingSource attaches the SQL service's draining probe (typically
 // server.Draining); nil detaches it.
 func (s *Server) SetDrainingSource(fn func() bool) {
@@ -141,9 +154,18 @@ func (s *Server) Close() error {
 	return err
 }
 
+// handleMetrics renders the attached engine's Scrape and the attached
+// server's series; with neither attached the exposition is empty.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	var set metrics.Set
+	if eng := s.eng.Load(); eng != nil {
+		set = eng.Scrape()
+	}
+	if fn := s.serverMetrics.Load(); fn != nil {
+		set = append(set, (*fn)()...)
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = metrics.WriteText(w)
+	_ = set.WriteText(w)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

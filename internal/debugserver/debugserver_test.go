@@ -62,11 +62,12 @@ func get(t *testing.T, url string) (int, string, []byte) {
 	return resp.StatusCode, resp.Header.Get("Content-Type"), body
 }
 
+// TestMetricsEndpointServesExposition: /metrics renders the attached
+// engine's own counts — the test engine's one SELECT, with nothing switched
+// on first — and, once a server's series are attached, those too.
 func TestMetricsEndpointServesExposition(t *testing.T) {
-	metrics.Enable()
-	defer metrics.Disable()
 	e := testEngine(t)
-	_, base := startedServer(t, e)
+	srv, base := startedServer(t, e)
 	code, ctype, body := get(t, base+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -74,10 +75,22 @@ func TestMetricsEndpointServesExposition(t *testing.T) {
 	if !strings.HasPrefix(ctype, "text/plain") {
 		t.Fatalf("content type %q", ctype)
 	}
-	for _, want := range []string{"# TYPE engine_statements_total counter", "# HELP "} {
+	for _, want := range []string{"# TYPE engine_statements_total counter", "# HELP ", `engine_statements_total{kind="select"} 1` + "\n"} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)
 		}
+	}
+	if strings.Contains(string(body), "server_") {
+		t.Fatalf("server series with no server attached:\n%s", body)
+	}
+	srv.SetMetricsSource(func() metrics.Set {
+		var set metrics.Set
+		set.Gauge("server_sessions_active", "Currently open client sessions.", 3)
+		return set
+	})
+	_, _, body = get(t, base+"/metrics")
+	if !strings.Contains(string(body), "\nserver_sessions_active 3\n") || !strings.Contains(string(body), "engine_statements_total") {
+		t.Fatalf("exposition with a server attached:\n%s", body)
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -10,8 +11,9 @@ import (
 )
 
 // TestConcurrentQueries runs read-only queries from many goroutines against
-// one engine with JITS enabled: results must stay correct and no data race
-// may fire (run under -race in CI).
+// one engine with JITS enabled, while another reads the engine's metric
+// series: results and the select count must stay exact and no data race may
+// fire (run under -race in CI).
 func TestConcurrentQueries(t *testing.T) {
 	e := seedEngine(t, Config{JITS: core.DefaultConfig()})
 	queries := []string{
@@ -20,6 +22,21 @@ func TestConcurrentQueries(t *testing.T) {
 		`SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND o.city = 'Boston' LIMIT 5`,
 		`SELECT make, COUNT(*) FROM car GROUP BY make`,
 	}
+	// A scraper reads the engine's series while the statements write them,
+	// as SHOW METRICS and /metrics may at any moment.
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = e.Scrape().WriteText(io.Discard)
+			}
+		}
+	}()
+	selectsBefore := e.counts.statements[kindSelect].Load()
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 8; w++ {
@@ -35,9 +52,14 @@ func TestConcurrentQueries(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-scraped
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if got := e.counts.statements[kindSelect].Load() - selectsBefore; got != 64 {
+		t.Errorf("engine_statements_total{kind=\"select\"} moved by %d, want 64", got)
 	}
 	// Counting queries must still be exact afterwards.
 	res := mustExec(t, e, `SELECT COUNT(*) FROM car WHERE make = 'Toyota'`)

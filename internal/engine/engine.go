@@ -193,6 +193,7 @@ type Engine struct {
 	governor     *govern.Governor
 	parallelism  int
 	reoptCfg     ReoptConfig
+	counts       *counts
 	closed       atomic.Bool
 	// planCache is nil when Config.PlanCacheSize is 0 (cache disabled).
 	planCache *plancache.Cache
@@ -235,6 +236,7 @@ func New(cfg Config) *Engine {
 		governor:     governor,
 		parallelism:  cfg.Parallelism,
 		reoptCfg:     cfg.Reopt.withDefaults(),
+		counts:       newCounts(),
 		planCache:    plancache.New(cfg.PlanCacheSize),
 	}
 	if cfg.ReactiveCorrections {
@@ -378,7 +380,7 @@ func (e *Engine) ExecUnboxed(ctx context.Context, sql string, opts ExecOptions) 
 	// queued returns ctx.Err() and gives any concurrently granted slot back.
 	ticket, err := e.governor.Admit(ctx)
 	if err != nil {
-		stmtErrors.Inc()
+		e.counts.errors.Add(1)
 		return nil, err
 	}
 	defer ticket.Release()
@@ -404,7 +406,7 @@ func (e *Engine) ExecUnboxed(ctx context.Context, sql string, opts ExecOptions) 
 		}
 		stmt, err = sqlparser.Parse(sql)
 		if err != nil {
-			stmtErrors.Inc()
+			e.counts.errors.Add(1)
 			return nil, err
 		}
 		if !parseStart.IsZero() {
@@ -426,12 +428,12 @@ func (e *Engine) ExecUnboxed(ctx context.Context, sql string, opts ExecOptions) 
 	return e.finish(s, res, err)
 }
 
-// dispatch classifies the statement (kind label + counter) and runs it. A
+// dispatch classifies the statement (its kind, counted) and runs it. A
 // plan-cache hit carries no AST: probeCache already filled the compiled
 // fields, and only executable SELECTs are ever cached.
 func (e *Engine) dispatch(s *statement, stmt sqlparser.Statement) (*Result, error) {
 	if s.hit {
-		s.classify("select", stmtSelect)
+		e.classify(s, kindSelect)
 		return e.execSelect(s, nil)
 	}
 	var res *Result
@@ -439,56 +441,56 @@ func (e *Engine) dispatch(s *statement, stmt sqlparser.Statement) (*Result, erro
 	var dmlTable string
 	switch st := stmt.(type) {
 	case *sqlparser.SelectStmt:
-		s.classify("select", stmtSelect)
+		e.classify(s, kindSelect)
 		return e.execSelect(s, st)
 	case *sqlparser.ExplainStmt:
 		if st.Analyze {
 			s.mode = modeExplainAnalyze
-			s.classify("explain_analyze", stmtExplainAnalyze)
+			e.classify(s, kindExplainAnalyze)
 		} else {
 			s.mode = modeExplain
-			s.classify("explain", stmtExplain)
+			e.classify(s, kindExplain)
 		}
 		return e.execSelect(s, st.Select)
 	case *sqlparser.ShowStmt:
 		switch st.Kind {
 		case sqlparser.ShowStats:
-			s.classify("show_stats", stmtShowStats)
+			e.classify(s, kindShowStats)
 			return e.execShowStats(s.ts)
 		case sqlparser.ShowQueries:
-			s.classify("show_queries", stmtShowQueries)
+			e.classify(s, kindShowQueries)
 			return e.execShowQueries(st.Last)
 		case sqlparser.ShowMetrics:
-			s.classify("show_metrics", stmtShowMetrics)
+			e.classify(s, kindShowMetrics)
 			return e.execShowMetrics()
 		case sqlparser.ShowAccuracy:
-			s.classify("show_accuracy", stmtShowAccuracy)
+			e.classify(s, kindShowAccuracy)
 			return e.execShowAccuracy(s.ts, st.Table)
 		case sqlparser.ShowDrift:
-			s.classify("show_drift", stmtShowDrift)
+			e.classify(s, kindShowDrift)
 			return e.execShowDrift(s.ts)
 		}
 		return nil, fmt.Errorf("engine: unsupported SHOW %v", st.Kind)
 	case *sqlparser.ExplainHistoryStmt:
-		s.classify("explain_history", stmtExplainHistory)
+		e.classify(s, kindExplainHistory)
 		return e.execExplainHistory(st.QID)
 	case *sqlparser.InsertStmt:
-		s.classify("dml", stmtDML)
+		e.classify(s, kindDML)
 		dmlTable = st.Table
 		res, err = e.execInsert(s, st)
 	case *sqlparser.UpdateStmt:
-		s.classify("dml", stmtDML)
+		e.classify(s, kindDML)
 		dmlTable = st.Table
 		res, err = e.execUpdate(s, st)
 	case *sqlparser.DeleteStmt:
-		s.classify("dml", stmtDML)
+		e.classify(s, kindDML)
 		dmlTable = st.Table
 		res, err = e.execDelete(s, st)
 	case *sqlparser.CreateTableStmt:
-		s.classify("ddl", stmtDDL)
+		e.classify(s, kindDDL)
 		res, err = e.execCreateTable(st)
 	case *sqlparser.CreateIndexStmt:
-		s.classify("ddl", stmtDDL)
+		e.classify(s, kindDDL)
 		res, err = e.execCreateIndex(st)
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
@@ -512,10 +514,10 @@ func (e *Engine) dispatch(s *statement, stmt sqlparser.Statement) (*Result, erro
 // it, then settles the error and latency instruments.
 func (e *Engine) finish(s *statement, res *Result, err error) (*Result, error) {
 	wall := time.Since(s.start)
-	govern.ObserveStatementPeak(s.mem.Peak())
+	e.governor.ObserveStatementPeak(s.mem.Peak())
 	if rec := s.rec; rec != nil {
 		e.capture(s)
-		rec.Kind = s.kind
+		rec.Kind = s.kind.String()
 		rec.Wall = wall
 		rec.QueueWait = s.ticket.Wait()
 		rec.MemPeakBytes = s.mem.Peak()
@@ -530,10 +532,10 @@ func (e *Engine) finish(s *statement, res *Result, err error) (*Result, error) {
 		e.recorder.Commit(rec)
 	}
 	if err != nil {
-		stmtErrors.Inc()
+		e.counts.errors.Add(1)
 		return nil, err
 	}
-	stmtWall.Observe(wall.Seconds())
+	e.counts.wall.Observe(wall.Seconds())
 	return res, nil
 }
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/govern"
-	"repro/internal/metrics"
 )
 
 // waitSnapshot polls the governor snapshot until cond holds; the admission
@@ -254,8 +253,6 @@ func TestAdmissionAccountsEveryStatement(t *testing.T) {
 func TestBreakerTripsEndToEnd(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
-	metrics.Enable()
-	defer metrics.Disable()
 
 	cfg := Config{}
 	cfg.JITS = core.DefaultConfig()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/accuracy"
-	"repro/internal/metrics"
 	"repro/internal/qgm"
 	"repro/internal/value"
 )
@@ -100,13 +99,11 @@ func (e *Engine) execShowQueries(last int) (*Result, error) {
 	return rowsResult(cols, rows), nil
 }
 
-// execShowMetrics snapshots the process-wide metrics registry as rows —
-// counters and gauges one row each, histograms as their _count and _sum
-// series. The registry must be enabled for values to be non-zero, exactly
-// as with the /metrics exposition.
+// execShowMetrics renders this engine's Scrape as rows — counters and
+// gauges one row each, histograms as their _count and _sum series.
 func (e *Engine) execShowMetrics() (*Result, error) {
 	cols := []string{"name", "label", "value"}
-	samples := metrics.Samples()
+	samples := e.Scrape().Samples()
 	rows := make([][]value.Datum, 0, len(samples))
 	for _, s := range samples {
 		rows = append(rows, []value.Datum{

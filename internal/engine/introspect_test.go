@@ -11,7 +11,6 @@ import (
 	"repro/internal/accuracy"
 	"repro/internal/core"
 	"repro/internal/flightrec"
-	"repro/internal/metrics"
 )
 
 // recorderEngine is seedEngine with the flight recorder on at default
@@ -148,11 +147,9 @@ func TestShowQueriesDisabledRecorder(t *testing.T) {
 	}
 }
 
-// TestShowMetricsThroughExec: the registry snapshot comes back as rows, and
+// TestShowMetricsThroughExec: the engine's series come back as rows, and
 // the statement-kind counters appear with their labels.
 func TestShowMetricsThroughExec(t *testing.T) {
-	metrics.Enable()
-	defer metrics.Disable()
 	e := recorderEngine(t)
 	if _, err := e.Exec(`SELECT id FROM car WHERE make = 'Toyota'`); err != nil {
 		t.Fatal(err)
@@ -181,6 +178,53 @@ func TestShowMetricsThroughExec(t *testing.T) {
 		if !names[name] {
 			t.Errorf("%s missing from SHOW METRICS", name)
 		}
+	}
+}
+
+// metricValues runs SHOW METRICS on e and returns its rows by name and label.
+func metricValues(t *testing.T, e *Engine) map[string]float64 {
+	t.Helper()
+	res, err := e.Exec(`SHOW METRICS`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64, len(res.Rows))
+	for _, row := range res.Rows {
+		v, _ := row[2].AsFloat()
+		out[row[0].Str()+row[1].Str()] = v
+	}
+	return out
+}
+
+// TestShowMetricsReadsItsOwnEngine: SHOW METRICS describes the engine it
+// runs on, with nothing to switch on first — an engine built from a default
+// Config with JITS on counts its one SELECT and the rows that SELECT's
+// preparation sampled, and a second engine in the same process reads zero
+// for both.
+func TestShowMetricsReadsItsOwnEngine(t *testing.T) {
+	cfg := Config{}
+	cfg.JITS.Enabled = true
+	e, other := seedEngine(t, cfg), seedEngine(t, cfg)
+	res, err := e.Exec(`SELECT id FROM car WHERE make = 'Toyota' AND year > 1995`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled := 0
+	for _, tr := range res.Prepare.Tables {
+		sampled += tr.SampleRows
+	}
+	if sampled == 0 {
+		t.Fatal("the SELECT sampled nothing; the test needs a collecting statement")
+	}
+	const selects, rows = `engine_statements_total` + `kind="select"`, "jits_sample_rows_total"
+	got := metricValues(t, e)
+	if got[selects] != 1 || got[rows] != float64(sampled) {
+		t.Errorf("engine: %s = %v, %s = %v; want 1 and the statement's %d sampled rows",
+			selects, got[selects], rows, got[rows], sampled)
+	}
+	got = metricValues(t, other)
+	if v, ok := got[selects]; !ok || v != 0 || got[rows] != 0 {
+		t.Errorf("second engine: %s = %v (present %v), %s = %v; want 0 for both", selects, v, ok, rows, got[rows])
 	}
 }
 
@@ -226,27 +270,12 @@ func TestExplainHistoryThroughExec(t *testing.T) {
 // TestStatementKindMetricLabels pins the metric label each statement kind
 // increments: exactly its own child of engine_statements_total, nothing else.
 func TestStatementKindMetricLabels(t *testing.T) {
-	metrics.Enable()
-	defer metrics.Disable()
 	e := recorderEngine(t)
 	if _, err := e.Exec(`SELECT id FROM car WHERE make = 'Lada'`); err != nil {
 		t.Fatal(err) // warm a qid for EXPLAIN HISTORY below
 	}
 	histQID := e.Recorder().Last(1)[0].QID
 
-	counters := map[string]*metrics.Counter{
-		"select":          stmtSelect,
-		"explain":         stmtExplain,
-		"explain_analyze": stmtExplainAnalyze,
-		"explain_history": stmtExplainHistory,
-		"show_stats":      stmtShowStats,
-		"show_queries":    stmtShowQueries,
-		"show_metrics":    stmtShowMetrics,
-		"show_accuracy":   stmtShowAccuracy,
-		"show_drift":      stmtShowDrift,
-		"dml":             stmtDML,
-		"ddl":             stmtDDL,
-	}
 	cases := []struct {
 		sql, kind string
 	}{
@@ -266,21 +295,24 @@ func TestStatementKindMetricLabels(t *testing.T) {
 		{`CREATE INDEX ix_mlabels ON mlabels (id)`, "ddl"},
 	}
 	for _, c := range cases {
-		before := map[string]float64{}
-		for kind, ctr := range counters {
-			before[kind] = ctr.Value()
+		var before [numKinds]int64
+		for k := range before {
+			before[k] = e.counts.statements[k].Load()
 		}
 		if _, err := e.Exec(c.sql); err != nil {
 			t.Fatalf("%q: %v", c.sql, err)
 		}
-		for kind, ctr := range counters {
-			delta := ctr.Value() - before[kind]
-			want := 0.0
-			if kind == c.kind {
+		if rec := e.Recorder().Last(1)[0]; rec.Kind != c.kind {
+			t.Errorf("%q: flight record kind %q, want %q", c.sql, rec.Kind, c.kind)
+		}
+		for k := kindNone + 1; k < numKinds; k++ {
+			delta := e.counts.statements[k].Load() - before[k]
+			want := int64(0)
+			if k.String() == c.kind {
 				want = 1
 			}
 			if delta != want {
-				t.Errorf("%q: engine_statements_total{kind=%q} delta = %v, want %v", c.sql, kind, delta, want)
+				t.Errorf("%q: engine_statements_total{kind=%q} delta = %v, want %v", c.sql, k, delta, want)
 			}
 		}
 	}

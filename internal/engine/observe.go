@@ -5,75 +5,10 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/executor"
 	"repro/internal/feedback"
 	"repro/internal/flightrec"
-	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/qgm"
-)
-
-// Statement-level instruments on the process-wide default registry. They are
-// resolved once at package init so the per-statement path touches only the
-// instruments themselves (one atomic load each while the registry is
-// disabled — see the metrics package doc).
-var (
-	stmtWall = metrics.Default().Histogram(
-		"engine_statement_wall_seconds",
-		"Wall-clock latency of one statement, parse through result.",
-		metrics.LatencyBuckets())
-	stmtCount = metrics.Default().CounterVec(
-		"engine_statements_total",
-		"Statements executed, by statement kind.",
-		"kind")
-	stmtSelect         = stmtCount.With("select")
-	stmtExplain        = stmtCount.With("explain")
-	stmtExplainAnalyze = stmtCount.With("explain_analyze")
-	stmtExplainHistory = stmtCount.With("explain_history")
-	stmtShowStats      = stmtCount.With("show_stats")
-	stmtShowQueries    = stmtCount.With("show_queries")
-	stmtShowMetrics    = stmtCount.With("show_metrics")
-	stmtShowAccuracy   = stmtCount.With("show_accuracy")
-	stmtShowDrift      = stmtCount.With("show_drift")
-	stmtDML            = stmtCount.With("dml")
-	stmtDDL            = stmtCount.With("ddl")
-	stmtErrors         = metrics.Default().Counter(
-		"engine_statement_errors_total",
-		"Statements that returned an error.")
-
-	// Per-operator q-error as an aggregable distribution (the flight
-	// recorder keeps the same numbers per statement). Observed wherever
-	// per-operator actuals are captured — which rides the recorder being
-	// enabled, like the actuals themselves. "agg" is the estimate at the
-	// aggregation input boundary: the engine does not model group counts,
-	// so the plan root's estimate/actual pair is what the aggregation
-	// stage was fed.
-	qerrorHist = metrics.Default().HistogramVec(
-		"engine_qerror",
-		"Per-operator q-error (max(est,act)/min(est,act) of cardinalities), by operator kind.",
-		"op",
-		metrics.QErrorBuckets())
-	qerrorScan = qerrorHist.With("scan")
-	qerrorJoin = qerrorHist.With("join")
-	qerrorAgg  = qerrorHist.With("agg")
-
-	// Mid-query re-optimization instruments: how many pipeline-breaker
-	// checkpoints statements evaluated, how often one tripped a re-plan (by
-	// the operator kind whose estimate was wrong), and how long re-entrant
-	// planning took.
-	reoptCheckpoints = metrics.Default().Counter(
-		"engine_reopt_checkpoints_total",
-		"Pipeline-breaker checkpoints evaluated for mid-query re-optimization.")
-	reoptTriggerCount = metrics.Default().CounterVec(
-		"engine_reopt_triggers_total",
-		"Mid-query re-optimizations triggered, by the misestimated operator kind.",
-		"cause")
-	reoptTriggerScan = reoptTriggerCount.With("scan")
-	reoptTriggerJoin = reoptTriggerCount.With("join")
-	reoptWall        = metrics.Default().Histogram(
-		"engine_reopt_wall_seconds",
-		"Wall-clock time of one mid-query re-planning pass.",
-		metrics.LatencyBuckets())
 )
 
 // observe is the pipeline's feedback stage and the only place an executed
@@ -227,25 +162,20 @@ func (e *Engine) capture(s *statement) {
 				}
 				switch n.(type) {
 				case *optimizer.Scan:
-					qerrorScan.Observe(op.QError)
+					e.counts.qerror[opScan].Observe(op.QError)
 				case *optimizer.Join:
-					qerrorJoin.Observe(op.QError)
+					e.counts.qerror[opJoin].Observe(op.QError)
 				}
 			}
 			rec.Operators = append(rec.Operators, op)
 		})
 	}
-	observeAggQError(s.blk, s.plan, s.stats)
-}
-
-// observeAggQError records the "agg" q-error sample for aggregated blocks:
-// the plan root's estimated vs. actual cardinality, i.e. the estimate the
-// executor's aggregation stage (which has no plan node of its own) was fed.
-func observeAggQError(blk *qgm.Block, plan optimizer.Node, stats *executor.ExecStats) {
-	if blk == nil || !blk.Aggregated() {
-		return
-	}
-	if st, ok := stats.Lookup(plan); ok {
-		qerrorAgg.Observe(flightrec.QError(plan.Rows(), st.Rows))
+	// The "agg" q-error of an aggregated block: the plan root's estimated vs.
+	// actual cardinality, i.e. the estimate the executor's aggregation stage
+	// (which has no plan node of its own) was fed.
+	if s.blk != nil && s.blk.Aggregated() {
+		if st, ok := s.stats.Lookup(s.plan); ok {
+			e.counts.qerror[opAgg].Observe(flightrec.QError(s.plan.Rows(), st.Rows))
+		}
 	}
 }

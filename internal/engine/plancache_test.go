@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 )
 
 // cacheEngine is seedEngine with the plan cache on, JITS enabled with a
@@ -64,10 +63,9 @@ func TestPlanCacheEndToEnd(t *testing.T) {
 
 // TestPlanCacheDMLInvalidation: DML bumps the archive epoch, so a plan
 // compiled before the update is never reused after it — and the re-compiled
-// plan sees the new rows. SHOW METRICS must expose the invalidation.
+// plan sees the new rows. SHOW METRICS must expose the invalidation: its
+// plan-cache series read the cache's own Stats.
 func TestPlanCacheDMLInvalidation(t *testing.T) {
-	metrics.Enable()
-	defer metrics.Disable()
 	e := cacheEngine(t)
 	const q = `SELECT c.id FROM car c WHERE c.id = 777000`
 
@@ -107,27 +105,31 @@ func TestPlanCacheDMLInvalidation(t *testing.T) {
 		t.Fatalf("no invalidation recorded: %+v", st)
 	}
 
-	// The acceptance surface: all four plan-cache series in SHOW METRICS.
+	// The acceptance surface: the plan-cache series in SHOW METRICS, each the
+	// cache's own count (SHOW METRICS probed the cache before it read them).
 	mres, err := e.Exec(`SHOW METRICS`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{
-		"plan_cache_hits_total":          false,
-		"plan_cache_misses_total":        false,
-		"plan_cache_evictions_total":     false,
-		"plan_cache_invalidations_total": false,
+	st := e.PlanCache().Stats()
+	want := map[string]float64{
+		"plan_cache_hits_total":          float64(st.Hits),
+		"plan_cache_misses_total":        float64(st.Misses),
+		"plan_cache_evictions_total":     float64(st.Evictions),
+		"plan_cache_invalidations_total": float64(st.Invalidations),
+		"plan_cache_entries":             float64(st.Entries),
 	}
 	for _, row := range mres.Rows {
 		name := row[0].Str()
-		if _, ok := want[name]; ok {
-			want[name] = true
+		if v, ok := want[name]; ok {
+			if got, _ := row[2].AsFloat(); got != v {
+				t.Errorf("%s = %v, want the cache's %v", name, got, v)
+			}
+			delete(want, name)
 		}
 	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("%s missing from SHOW METRICS", name)
-		}
+	for name := range want {
+		t.Errorf("%s missing from SHOW METRICS", name)
 	}
 }
 

@@ -93,7 +93,7 @@ func (e *Engine) execute(s *statement) error {
 		var trig *executor.ReoptTriggered
 		if err == nil || s.reopt == nil || !errors.As(err, &trig) {
 			if s.reopt != nil {
-				reoptCheckpoints.Add(float64(s.reopt.Checkpoints()))
+				e.counts.reoptCheckpoints.Add(int64(s.reopt.Checkpoints()))
 			}
 			if err == nil {
 				s.out = res
@@ -103,12 +103,11 @@ func (e *Engine) execute(s *statement) error {
 		}
 
 		s.reopts++
-		switch trig.Cause {
-		case "scan":
-			reoptTriggerScan.Inc()
-		default:
-			reoptTriggerJoin.Inc()
+		op := opJoin
+		if trig.Cause == "scan" {
+			op = opScan
 		}
+		e.counts.reoptTriggers[op].Add(1)
 		if s.hit && s.reopts == 1 {
 			e.planCache.Remove(s.cacheKey)
 			s.octx = e.optimizerContext(s, nil)
@@ -123,7 +122,7 @@ func (e *Engine) execute(s *statement) error {
 		replan := phase(s, flightrec.PhaseReoptPlan)
 		newPlan, rerr := optimizer.ReOptimize(s.blk, s.octx, s.reopt.Leaves())
 		replan.end()
-		reoptWall.Observe(time.Since(start).Seconds())
+		e.counts.reoptWall.Observe(time.Since(start).Seconds())
 		if rerr != nil {
 			// Re-planning failed — run the current plan to completion rather
 			// than failing a statement whose only problem is a bad estimate.

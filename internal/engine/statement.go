@@ -10,7 +10,6 @@ import (
 	"repro/internal/executor"
 	"repro/internal/flightrec"
 	"repro/internal/govern"
-	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/qgm"
 	"repro/internal/sqlparser"
@@ -65,10 +64,10 @@ type statement struct {
 	hit      bool
 
 	// Identity: the logical-clock tick (also the qid), the flight record (nil
-	// while the recorder is off), the statement-kind label and SELECT mode.
+	// while the recorder is off), the statement kind and SELECT mode.
 	ts   int64
 	rec  *flightrec.Record
-	kind string
+	kind stmtKind
 	mode execMode
 
 	// Compiled form — written by compile, or by probeCache on a hit.
@@ -122,10 +121,10 @@ func (p *phaseTimer) end() {
 	}
 }
 
-// classify stamps the statement-kind label and counts it.
-func (s *statement) classify(kind string, counter *metrics.Counter) {
-	s.kind = kind
-	counter.Inc()
+// classify stamps the statement's kind and counts it.
+func (e *Engine) classify(s *statement, k stmtKind) {
+	s.kind = k
+	e.counts.statements[k].Add(1)
 }
 
 // execSelect runs the SELECT stages for s.mode. modeExplain compiles —

@@ -17,7 +17,7 @@ const (
 	BreakerOpen
 )
 
-// String renders the state for health endpoints and SHOW METRICS labels.
+// String renders the state for health endpoints.
 func (s BreakerState) String() string {
 	switch s {
 	case BreakerClosed:
@@ -73,6 +73,8 @@ type Breaker struct {
 	probes    int // successful half-open probes so far
 	inProbe   int // probe permits handed out and not yet reported
 	latencies ring
+	tripped   int64 // times the breaker opened
+	probed    int64 // half-open probe permits handed out
 
 	// now is injectable for deterministic state-machine tests.
 	now func() time.Time
@@ -158,7 +160,7 @@ func (b *Breaker) Allow() bool {
 	case BreakerHalfOpen:
 		if b.inProbe+b.probes < breakerHalfOpenProbes {
 			b.inProbe++
-			mBreakerProbes.Inc()
+			b.probed++
 			return true
 		}
 		return false
@@ -171,7 +173,7 @@ func (b *Breaker) Allow() bool {
 // breakerOpenFor has elapsed. Caller holds b.mu.
 func (b *Breaker) maybeHalfOpenLocked() {
 	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= breakerOpenFor {
-		b.setStateLocked(BreakerHalfOpen)
+		b.state = BreakerHalfOpen
 		b.probes = 0
 		b.inProbe = 0
 	}
@@ -207,7 +209,7 @@ func (b *Breaker) RecordSampling(d time.Duration) {
 		if d <= b.threshold {
 			b.probes++
 			if b.probes >= breakerHalfOpenProbes {
-				b.setStateLocked(BreakerClosed)
+				b.state = BreakerClosed
 				b.latencies.reset()
 			}
 		} else {
@@ -218,28 +220,20 @@ func (b *Breaker) RecordSampling(d time.Duration) {
 
 // tripLocked moves to open and stamps the open time. Caller holds b.mu.
 func (b *Breaker) tripLocked() {
-	b.setStateLocked(BreakerOpen)
+	b.state = BreakerOpen
 	b.openedAt = b.now()
 	b.probes = 0
 	b.inProbe = 0
-	mBreakerTrips.Inc()
+	b.tripped++
 }
 
-// setStateLocked updates the state and its gauge. Caller holds b.mu.
-func (b *Breaker) setStateLocked(s BreakerState) {
-	b.state = s
-	mBreakerState.Set(float64(stateGauge(s)))
-}
-
-// stateGauge maps states to the exported gauge values: 0 closed,
-// 1 half-open, 2 open.
-func stateGauge(s BreakerState) int {
-	switch s {
-	case BreakerHalfOpen:
-		return 1
-	case BreakerOpen:
-		return 2
-	default:
-		return 0
+// counts returns the current state and the trip and probe totals.
+func (b *Breaker) counts() (state BreakerState, tripped, probed int64) {
+	if b == nil {
+		return BreakerClosed, 0, 0
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.maybeHalfOpenLocked()
+	return b.state, b.tripped, b.probed
 }

@@ -155,7 +155,7 @@ func TestBreakerStateStrings(t *testing.T) {
 			t.Fatalf("%d.String()=%q, want %q", int(s), got, want)
 		}
 	}
-	if stateGauge(BreakerClosed) != 0 || stateGauge(BreakerHalfOpen) != 1 || stateGauge(BreakerOpen) != 2 {
-		t.Fatal("stateGauge mapping changed; SHOW METRICS consumers depend on 0/1/2")
+	if BreakerClosed != 0 || BreakerHalfOpen != 1 || BreakerOpen != 2 {
+		t.Fatal("state values changed; the govern_breaker_state gauge reads them and SHOW METRICS consumers depend on 0/1/2")
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Gate is a bounded-concurrency admission gate with a deadline-aware FIFO
@@ -25,12 +27,25 @@ type Gate struct {
 	// new arrival would wait behind the current queue. Guarded by mu.
 	avgService time.Duration
 
-	admitted atomic.Int64
-	shed     atomic.Int64
+	admitted  atomic.Int64
+	shed      [len(shedReasons)]atomic.Int64
+	cancelled atomic.Int64 // by the caller while queued
+	wait      *metrics.Histogram
 
 	// now is injectable for deterministic tests.
 	now func() time.Time
 }
+
+// shedReasons name why admission shed a statement, the govern_shed_total
+// labels: the queue was full, the predicted wait would pass the deadline, or
+// the deadline passed while queued. Gate.shed counts each by index.
+var shedReasons = [...]string{"queue_full", "deadline_predicted", "deadline_queue"}
+
+const (
+	shedQueueFull = iota
+	shedDeadlinePredicted
+	shedDeadlineQueue
+)
 
 type waiter struct {
 	ready chan struct{}
@@ -58,7 +73,7 @@ func NewGate(max, queueCap int) *Gate {
 	if queueCap < 0 {
 		queueCap = 0
 	}
-	return &Gate{max: max, queueCap: queueCap, now: time.Now}
+	return &Gate{max: max, queueCap: queueCap, wait: metrics.NewHistogram(metrics.LatencyBuckets()), now: time.Now}
 }
 
 // Acquire admits the calling statement, blocking in FIFO order behind
@@ -78,14 +93,13 @@ func (g *Gate) Acquire(ctx context.Context) (*Ticket, error) {
 	g.mu.Lock()
 	if g.inFlight < g.max && len(g.queue) == 0 {
 		g.inFlight++
-		mInFlight.Set(float64(g.inFlight))
 		g.mu.Unlock()
 		g.observeAdmit(0)
 		return &Ticket{gate: g, start: start}, nil
 	}
 	if len(g.queue) >= g.queueCap {
 		g.mu.Unlock()
-		g.observeShed("queue_full")
+		g.shed[shedQueueFull].Add(1)
 		return nil, wrapOverloaded("admission queue full")
 	}
 	// Deadline-aware early shed: predict the wait as (queue position + 1)
@@ -97,13 +111,12 @@ func (g *Gate) Acquire(ctx context.Context) (*Ticket, error) {
 		predicted := g.avgService * time.Duration(ahead+1) / time.Duration(g.max)
 		if g.now().Add(predicted).After(deadline) {
 			g.mu.Unlock()
-			g.observeShed("deadline_predicted")
+			g.shed[shedDeadlinePredicted].Add(1)
 			return nil, wrapOverloaded("predicted queue wait exceeds deadline")
 		}
 	}
 	w := &waiter{ready: make(chan struct{})}
 	g.queue = append(g.queue, w)
-	g.observeQueueDepth(len(g.queue))
 	g.mu.Unlock()
 
 	select {
@@ -121,14 +134,13 @@ func (g *Gate) Acquire(ctx context.Context) (*Ticket, error) {
 			g.mu.Unlock()
 		} else {
 			g.removeWaiter(w)
-			g.observeQueueDepth(len(g.queue))
 			g.mu.Unlock()
 		}
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			g.observeShed("deadline_queue")
+			g.shed[shedDeadlineQueue].Add(1)
 			return nil, wrapOverloaded("deadline expired while queued")
 		}
-		mQueueCancelled.Inc()
+		g.cancelled.Add(1)
 		return nil, ctx.Err()
 	}
 }
@@ -152,8 +164,6 @@ func (g *Gate) grantLocked() {
 		w.granted = true
 		close(w.ready)
 	}
-	mInFlight.Set(float64(g.inFlight))
-	g.observeQueueDepth(len(g.queue))
 }
 
 // depths returns (inFlight, queued, queueCap, max) for snapshots.
@@ -163,21 +173,19 @@ func (g *Gate) depths() (int64, int64, int64, int64) {
 	return int64(g.inFlight), int64(len(g.queue)), int64(g.queueCap), int64(g.max)
 }
 
-// observeAdmit records one admission; gauge updates stay under g.mu at the
-// sites that mutate inFlight.
+// observeAdmit records one admission and how long it queued.
 func (g *Gate) observeAdmit(wait time.Duration) {
 	g.admitted.Add(1)
-	mAdmitted.Inc()
-	mQueueWait.Observe(wait.Seconds())
+	g.wait.Observe(wait.Seconds())
 }
 
-func (g *Gate) observeShed(reason string) {
-	g.shed.Add(1)
-	mShed.With(reason).Inc()
-}
-
-func (g *Gate) observeQueueDepth(depth int) {
-	mQueueDepth.Set(float64(depth))
+// shedTotal sums the shed statements over every reason.
+func (g *Gate) shedTotal() int64 {
+	n := int64(0)
+	for i := range g.shed {
+		n += g.shed[i].Load()
+	}
+	return n
 }
 
 // Release returns the slot and wakes the next FIFO waiter. Idempotent and
@@ -198,7 +206,6 @@ func (t *Ticket) Release() {
 		g.avgService += (service - g.avgService) / 4
 	}
 	g.grantLocked()
-	mInFlight.Set(float64(g.inFlight))
 	g.mu.Unlock()
 }
 

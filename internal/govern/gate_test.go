@@ -109,8 +109,8 @@ func TestGateQueueFullShed(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("queue-full acquire: err=%v, want ErrOverloaded", err)
 	}
-	if got := g.shed.Load(); got != 1 {
-		t.Fatalf("shed=%d, want 1", got)
+	if got := g.shed[shedQueueFull].Load(); got != 1 || g.shedTotal() != 1 {
+		t.Fatalf("shed as queue_full=%d of %d, want 1 of 1", got, g.shedTotal())
 	}
 	holder.Release()
 	wg.Wait()
@@ -184,8 +184,11 @@ func TestGateCancelWhileQueued(t *testing.T) {
 	if errors.Is(err, ErrOverloaded) {
 		t.Fatalf("cancelled acquire misreported as overload: %v", err)
 	}
-	if got := g.shed.Load(); got != 0 {
+	if got := g.shedTotal(); got != 0 {
 		t.Fatalf("cancel counted as shed: shed=%d", got)
+	}
+	if got := g.cancelled.Load(); got != 1 {
+		t.Fatalf("cancelled=%d, want 1", got)
 	}
 
 	// No leak: the slot still flows to the next arrival.

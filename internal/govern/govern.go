@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/metrics"
 )
 
 // ErrMemoryBudget is returned (wrapped) when a reservation cannot grow
@@ -67,12 +68,19 @@ type Governor struct {
 	gate    *Gate
 	pool    *Pool
 	breaker *Breaker
+
+	// Reservation outcomes: growths denied by the statement budget or the
+	// pool, budget shrinks injected by the govern.pressure fault, and each
+	// statement's peak.
+	memDenied       atomic.Int64
+	pressureShrinks atomic.Int64
+	memPeak         *metrics.Histogram
 }
 
 // New builds a governor from cfg. Disabled layers are nil internally and
 // every method tolerates that, so New(Config{}) is a valid, free governor.
 func New(cfg Config) *Governor {
-	g := &Governor{cfg: cfg}
+	g := &Governor{cfg: cfg, memPeak: metrics.NewHistogram(memBuckets())}
 	if cfg.MaxConcurrent > 0 {
 		depth := cfg.QueueDepth
 		if depth <= 0 {
@@ -105,7 +113,23 @@ func (g *Governor) NewReservation() *Reservation {
 	if g == nil {
 		return nil
 	}
-	return &Reservation{pool: g.pool, budget: g.cfg.StatementMemBudgetBytes}
+	return &Reservation{g: g, budget: g.cfg.StatementMemBudgetBytes}
+}
+
+// ObserveStatementPeak records a finished statement's peak reservation.
+func (g *Governor) ObserveStatementPeak(peak int64) {
+	if g != nil && peak > 0 {
+		g.memPeak.Observe(float64(peak))
+	}
+}
+
+// memBuckets spans 1 KiB .. 256 MiB in powers of four.
+func memBuckets() []float64 {
+	out := make([]float64, 0, 10)
+	for b := float64(1024); b <= 256<<20; b *= 4 {
+		out = append(out, b)
+	}
+	return out
 }
 
 // SamplingBreaker returns the JITS sampling breaker, or nil when disabled.
@@ -116,9 +140,8 @@ func (g *Governor) SamplingBreaker() *Breaker {
 	return g.breaker
 }
 
-// Snapshot is a point-in-time view of governor state for /debug/health and
-// tests. Counters are governor-owned atomics, so they are meaningful even
-// when the metrics registry is disabled.
+// Snapshot is a point-in-time view of governor state for /debug/health, the
+// govern_* metrics and tests.
 type Snapshot struct {
 	AdmissionEnabled bool   `json:"admission_enabled"`
 	InFlight         int64  `json:"in_flight"`
@@ -143,7 +166,7 @@ func (g *Governor) Snapshot() Snapshot {
 		s.AdmissionEnabled = true
 		s.InFlight, s.Queued, s.QueueCap, s.MaxConcurrent = g.gate.depths()
 		s.Admitted = g.gate.admitted.Load()
-		s.Shed = g.gate.shed.Load()
+		s.Shed = g.gate.shedTotal()
 	}
 	if g.breaker != nil {
 		s.BreakerState = g.breaker.State().String()
@@ -153,6 +176,45 @@ func (g *Governor) Snapshot() Snapshot {
 	s.GlobalMemUsed = g.pool.Used()
 	s.GlobalMemBudget = g.pool.Cap()
 	return s
+}
+
+// Scrape appends the governor's govern_* series to set: the admission gate's
+// counts and depths, the memory pool's usage, the reservation outcomes and
+// the sampling breaker's state, trips and probes. A disabled layer reads as
+// zero.
+func (g *Governor) Scrape(set *metrics.Set) {
+	snap := g.Snapshot()
+	shed := make([]metrics.Series, len(shedReasons))
+	for i, reason := range shedReasons {
+		shed[i].LabelValue = reason
+	}
+	cancelled, wait := int64(0), metrics.NewHistogram(metrics.LatencyBuckets()) // a disabled gate's
+	if gt := g.gate; gt != nil {
+		for i := range shed {
+			shed[i].Value = float64(gt.shed[i].Load())
+		}
+		cancelled, wait = gt.cancelled.Load(), gt.wait
+	}
+	state, tripped, probed := g.breaker.counts()
+
+	set.Counter("govern_admitted_total", "Statements admitted through the admission gate.", float64(snap.Admitted))
+	set.CounterBy("govern_shed_total", "Statements shed by admission control, by reason.", "reason", shed)
+	set.Counter("govern_queue_cancelled_total",
+		"Statements cancelled by their caller while waiting in the admission queue.", float64(cancelled))
+	set.Histogram("govern_queue_wait_seconds", "Time statements spent waiting in the admission queue.", wait)
+	set.Gauge("govern_queue_depth", "Current admission queue depth.", float64(snap.Queued))
+	set.Gauge("govern_in_flight", "Statements currently holding an admission slot.", float64(snap.InFlight))
+	set.Gauge("govern_global_mem_used_bytes",
+		"Bytes currently reserved from the engine-global memory pool.", float64(snap.GlobalMemUsed))
+	set.Histogram("govern_statement_mem_peak_bytes", "Per-statement peak reserved bytes.", g.memPeak)
+	set.Counter("govern_mem_denied_total",
+		"Reservation growths denied by the statement budget or global pool.", float64(g.memDenied.Load()))
+	set.Counter("govern_pressure_shrinks_total",
+		"Mid-statement budget shrinks injected by the govern.pressure fault.", float64(g.pressureShrinks.Load()))
+	set.Gauge("govern_breaker_state", "JITS sampling breaker state: 0 closed, 1 half-open, 2 open.", float64(state))
+	set.Counter("govern_breaker_trips_total", "Times the JITS sampling breaker tripped open.", float64(tripped))
+	set.Counter("govern_breaker_probes_total",
+		"Half-open probe statements admitted to test sampling recovery.", float64(probed))
 }
 
 // WaitIdle blocks until no statement holds or waits for an admission slot —
@@ -196,7 +258,8 @@ func (g *Governor) Saturated() bool {
 }
 
 // Pool is the engine-global memory pool. A zero capacity means unlimited;
-// usage is tracked either way so health endpoints can report it.
+// usage is tracked either way so health endpoints and the
+// govern_global_mem_used_bytes gauge can read it.
 type Pool struct {
 	cap  int64
 	used atomic.Int64
@@ -230,11 +293,9 @@ func (p *Pool) grow(n int64) error {
 	for {
 		cur := p.used.Load()
 		if p.cap > 0 && cur+n > p.cap {
-			mMemDenied.Inc()
 			return errGlobalPool
 		}
 		if p.used.CompareAndSwap(cur, cur+n) {
-			mGlobalMemUsed.Set(float64(cur + n))
 			return nil
 		}
 	}
@@ -245,7 +306,7 @@ func (p *Pool) shrink(n int64) {
 	if p == nil || n == 0 {
 		return
 	}
-	mGlobalMemUsed.Set(float64(p.used.Add(-n)))
+	p.used.Add(-n)
 }
 
 var errGlobalPool = wrapBudget("global pool exhausted")
@@ -256,7 +317,7 @@ var errGlobalPool = wrapBudget("global pool exhausted")
 // on a nil receiver (ungoverned runtime) and safe for concurrent use, though
 // in practice operators charge from the driver goroutine only.
 type Reservation struct {
-	pool   *Pool
+	g      *Governor
 	budget int64 // statement cap; 0 = unlimited
 	// shrunk, when non-zero, replaces budget: the govern.pressure fault
 	// shrinks the effective budget mid-statement. An atomic keeps Grow
@@ -293,21 +354,22 @@ func (r *Reservation) Grow(n int64) error {
 				cur = 1
 			}
 			r.shrunk.Store(cur)
-			mPressureShrinks.Inc()
+			r.g.pressureShrinks.Add(1)
 		}
 	}
 	budget := r.effectiveBudget()
 	for {
 		cur := r.used.Load()
 		if budget > 0 && cur+n > budget {
-			mMemDenied.Inc()
+			r.g.memDenied.Add(1)
 			return wrapBudget("statement budget exhausted")
 		}
 		if !r.used.CompareAndSwap(cur, cur+n) {
 			continue
 		}
-		if err := r.pool.grow(n); err != nil {
+		if err := r.g.pool.grow(n); err != nil {
 			r.used.Add(-n)
+			r.g.memDenied.Add(1)
 			return err
 		}
 		if now := cur + n; now > r.peak.Load() {
@@ -331,7 +393,7 @@ func (r *Reservation) Shrink(n int64) {
 			give = cur
 		}
 		if r.used.CompareAndSwap(cur, cur-give) {
-			r.pool.shrink(give)
+			r.g.pool.shrink(give)
 			return
 		}
 	}
@@ -348,7 +410,7 @@ func (r *Reservation) Release() {
 			return
 		}
 		if r.used.CompareAndSwap(cur, 0) {
-			r.pool.shrink(cur)
+			r.g.pool.shrink(cur)
 			return
 		}
 	}

@@ -2,10 +2,64 @@ package govern
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/metrics"
 )
+
+// sample reads one unlabelled series of the governor's Scrape.
+func sample(t *testing.T, g *Governor, name string) float64 {
+	t.Helper()
+	var set metrics.Set
+	g.Scrape(&set)
+	for _, s := range set.Samples() {
+		if s.Name == name && s.Label == "" {
+			return s.Value
+		}
+	}
+	t.Fatalf("%s missing from the governor's series", name)
+	return 0
+}
+
+// TestMemGaugeReadsThePool hammers one pool with goroutines that grow,
+// shrink and release reservations against its capacity. Once every one has
+// released, govern_global_mem_used_bytes reads 0: the gauge is Pool.used
+// itself, read at scrape time, so no interleaving of two reservations can
+// leave it at a value the pool no longer holds. make race runs it under the
+// detector.
+func TestMemGaugeReadsThePool(t *testing.T) {
+	g := New(Config{GlobalMemBudgetBytes: 64 << 10})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := g.NewReservation()
+			defer r.Release()
+			for i := 0; i < 2000; i++ {
+				n := int64(1 + (w*31+i*17)%4096)
+				if r.Grow(n) == nil && i%3 == 0 {
+					r.Shrink(n / 2)
+				}
+				if i%64 == 63 {
+					r.Release()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := sample(t, g, "govern_global_mem_used_bytes"); got != 0 {
+		t.Fatalf("govern_global_mem_used_bytes = %v after every reservation released, want 0", got)
+	}
+	if got := g.Snapshot().GlobalMemUsed; got != 0 {
+		t.Fatalf("pool holds %d bytes after every reservation released", got)
+	}
+	if got := sample(t, g, "govern_mem_denied_total"); got == 0 {
+		t.Fatal("no growth was denied: the hammer never reached the pool's capacity")
+	}
+}
 
 func TestReservationStatementBudget(t *testing.T) {
 	g := New(Config{StatementMemBudgetBytes: 1000})

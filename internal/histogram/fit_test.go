@@ -3,10 +3,7 @@ package histogram
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 // Statistical invariants of a fit. Whatever sequence of observations
@@ -175,35 +172,41 @@ func TestEmptyObservationWidensNothing(t *testing.T) {
 // TestIPFReportsConvergence: a consistent constraint set converges below the
 // round cap and is not counted as unconverged; two disagreeing observations
 // of one box (inside the conflict tolerance, so both stay) cannot converge
-// and are. The counters are on the default registry, so SHOW METRICS and
-// /metrics carry them.
+// and are. Each AddConstraint reports its fitting in LastFit, which the
+// archive adds to the histogram_ipf_* series.
 func TestIPFReportsConvergence(t *testing.T) {
-	metrics.Enable()
-	defer metrics.Disable()
-	fit := func(fracs ...float64) (fits, rounds, unconverged float64) {
-		f0, r0, u0 := mIPFFits.Value(), mIPFRounds.Value(), mIPFUnconverged.Value()
+	fit := func(fracs ...float64) (total FitStats) {
 		h := mustGrid(t, []string{"a"}, []float64{0}, []float64{100})
 		for i, frac := range fracs {
 			box := Box{Lo: []float64{float64(10 * (i % 2))}, Hi: []float64{50}}
 			if err := h.AddConstraint(box, frac, int64(i+1)); err != nil {
 				t.Fatal(err)
 			}
+			last := h.LastFit()
+			total.Fits += last.Fits
+			total.Rounds += last.Rounds
+			total.Unconverged += last.Unconverged
 		}
-		return mIPFFits.Value() - f0, mIPFRounds.Value() - r0, mIPFUnconverged.Value() - u0
+		return total
 	}
 	// [0,50) holds 0.5 and [10,50) holds 0.4: consistent.
-	if fits, rounds, unconverged := fit(0.5, 0.4); fits != 2 || rounds >= 2*ipfMaxRounds || unconverged != 0 {
-		t.Errorf("consistent set: %v fits, %v rounds, %v unconverged; want 2 fits under the cap, 0 unconverged", fits, rounds, unconverged)
+	if got := fit(0.5, 0.4); got.Fits != 2 || got.Rounds >= 2*ipfMaxRounds || got.Unconverged != 0 {
+		t.Errorf("consistent set: %+v; want 2 fits under the cap, 0 unconverged", got)
 	}
 	// [0,50) holds 0.5, [10,50) 0.4, and [0,50) again 0.52.
-	if fits, rounds, unconverged := fit(0.5, 0.4, 0.52); fits != 3 || unconverged != 1 || rounds < ipfMaxRounds {
-		t.Errorf("disagreeing re-observation: %v fits, %v rounds, %v unconverged; want 3 fits, 1 unconverged", fits, rounds, unconverged)
+	if got := fit(0.5, 0.4, 0.52); got.Fits != 3 || got.Unconverged != 1 || got.Rounds < ipfMaxRounds {
+		t.Errorf("disagreeing re-observation: %+v; want 3 fits, 1 unconverged", got)
 	}
-	exposition := metrics.Default().String()
-	for _, name := range []string{"histogram_ipf_fits_total", "histogram_ipf_rounds_total", "histogram_ipf_unconverged_total"} {
-		if !strings.Contains(exposition, "\n"+name+" ") {
-			t.Errorf("%s missing from the /metrics exposition", name)
-		}
+	// An observation that merges nothing (an empty region) ran no fit.
+	h := mustGrid(t, []string{"a"}, []float64{0}, []float64{100})
+	if err := h.AddConstraint(Box{Lo: []float64{0}, Hi: []float64{50}}, 0.5, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.AddConstraint(Box{Lo: []float64{60}, Hi: []float64{60}}, 0.1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.LastFit(); got != (FitStats{}) {
+		t.Errorf("an empty observation reports fitting %+v", got)
 	}
 }
 

@@ -31,8 +31,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-
-	"repro/internal/metrics"
 )
 
 // Defaults bounding histogram growth; callers can override per histogram.
@@ -49,20 +47,6 @@ const (
 	// oldest constraints are forgotten until the system is consistent —
 	// ISOMER's approach to inconsistent feedback.
 	ipfConflictTolerance = 0.05
-)
-
-// IPF instruments on the process-wide default registry. A fit is one
-// bounded IPF pass; refit runs one more for every constraint it drops.
-var (
-	mIPFFits = metrics.Default().Counter(
-		"histogram_ipf_fits_total",
-		"Iterative proportional fitting passes run by histogram updates.")
-	mIPFRounds = metrics.Default().Counter(
-		"histogram_ipf_rounds_total",
-		"Rounds run by iterative proportional fitting, over all fits.")
-	mIPFUnconverged = metrics.Default().Counter(
-		"histogram_ipf_unconverged_total",
-		"Fits that ran every round without meeting every constraint to tolerance.")
 )
 
 // Box is an axis-aligned half-open region [Lo[d], Hi[d]) per dimension.
@@ -114,6 +98,7 @@ type Histogram struct {
 	lastUsed    int64 // archive LRU bookkeeping
 	merges      int   // constraints ever merged in (introspection only, not persisted)
 	updatedAt   int64 // logical time of the last merge (introspection only, not persisted)
+	lastFit     FitStats
 
 	// runIPF's scratch: every constraint's box cells, constraint ci's at
 	// ipfCells[ipfStart[ci]:ipfStart[ci+1]]. Kept so a refit allocates
@@ -454,6 +439,7 @@ func linIdx(coord, strides []int) int {
 // all retained constraints hold — the maximum-entropy update. Cells the box
 // touches (and cells created by the split) receive the new timestamp.
 func (h *Histogram) AddConstraint(b Box, frac float64, ts int64) error {
+	h.lastFit = FitStats{}
 	if b.Dims() != h.Dims() {
 		return fmt.Errorf("histogram: constraint box has %d dims, histogram has %d", b.Dims(), h.Dims())
 	}
@@ -487,6 +473,18 @@ func (h *Histogram) AddConstraint(b Box, frac float64, ts int64) error {
 	}
 	return nil
 }
+
+// FitStats counts the iterative proportional fitting one AddConstraint ran.
+// A fit is one bounded IPF pass; refit runs one more for every constraint it
+// drops. Unconverged counts the fits that ran every round without meeting
+// every constraint to tolerance.
+type FitStats struct {
+	Fits, Rounds, Unconverged int
+}
+
+// LastFit returns the fitting the most recent AddConstraint ran; zero when
+// it merged nothing.
+func (h *Histogram) LastFit() FitStats { return h.lastFit }
 
 // Merges returns how many constraints have ever been merged into this
 // histogram (in memory; the counter is not persisted with snapshots).
@@ -670,10 +668,10 @@ func (h *Histogram) runIPF() float64 {
 		h.fold(g)
 		converged = maxErr <= ipfTolerance
 	}
-	mIPFFits.Inc()
-	mIPFRounds.Add(float64(rounds))
+	h.lastFit.Fits++
+	h.lastFit.Rounds += rounds
 	if !converged {
-		mIPFUnconverged.Inc()
+		h.lastFit.Unconverged++
 	}
 	// Guard against drift: renormalize total mass to 1.
 	total := 0.0

@@ -1,18 +1,12 @@
-// Package metrics is the engine's process-wide metrics registry: counters,
-// gauges and bounded histograms with Prometheus-style text exposition.
+// Package metrics describes the engine's counts for a scraper: a family of
+// series with its name, help text, Prometheus type and label key, the
+// Prometheus text writer, and an always-on fixed-bucket Histogram.
 //
-// The registry follows the same discipline as faultinject: telemetry must be
-// free when nobody is looking. Every instrument holds a pointer to its
-// registry's enabled flag, and the hot-path methods (Counter.Add,
-// Gauge.Set, Histogram.Observe) return after ONE atomic load when the
-// registry is disabled — no map lookups, no mutexes, no allocation.
-// BenchmarkDisabledCounterInc next to BenchmarkAtomicLoadBaseline
-// demonstrates the equivalence; `make bench-smoke` runs both.
-//
-// Instruments are registered once (typically in package var initializers of
-// the instrumented package) and live for the process lifetime, so the
-// registration path may take locks freely. All value updates are lock-free
-// atomics, safe for concurrent statements at any degree of parallelism.
+// The package keeps no counts of its own. Every count lives as a field of
+// the struct that owns it (the engine, the JITS coordinator, the archive,
+// the plan cache, the governor, the ledger, the server), and a scrape reads
+// those fields into a Set. Whoever is asked — SHOW METRICS on one engine,
+// /metrics on the debug server — describes exactly the instance it reads.
 package metrics
 
 import (
@@ -22,233 +16,147 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// kind enumerates the instrument families for TYPE exposition lines.
-type kind uint8
+// Type is a family's Prometheus TYPE.
+type Type uint8
 
+// The family types.
 const (
-	kindCounter kind = iota
-	kindGauge
-	kindHistogram
+	TypeCounter Type = iota
+	TypeGauge
+	TypeHistogram
 )
 
-func (k kind) String() string {
-	switch k {
-	case kindCounter:
+func (t Type) String() string {
+	switch t {
+	case TypeCounter:
 		return "counter"
-	case kindGauge:
+	case TypeGauge:
 		return "gauge"
-	case kindHistogram:
+	case TypeHistogram:
 		return "histogram"
 	default:
 		return "untyped"
 	}
 }
 
-// Registry holds a set of named instruments. The zero value is not usable;
-// call NewRegistry. A registry starts disabled: instruments accept updates
-// only after Enable, and cost one atomic load per update until then.
-type Registry struct {
-	enabled atomic.Bool
-	mu      sync.Mutex
-	byName  map[string]*family
+// Family is one named metric as a scrape reads it: a single series, or one
+// series per value of its label.
+type Family struct {
+	Name, Help string
+	Type       Type
+	Label      string // the label key; empty for a family of one series
+	Series     []Series
 }
 
-// family is one named metric: a bare instrument or a set of labeled children.
-type family struct {
-	name, help string
-	kind       kind
-	labelKey   string // non-empty for vectors
-	single     exposable
-	mu         sync.Mutex
-	children   map[string]exposable // label value → instrument
+// Series is one reading of a family: a counter or gauge value, or a
+// histogram.
+type Series struct {
+	LabelValue string
+	Value      float64
+	Hist       *Histogram
 }
 
-// exposable is anything that can write its sample lines.
-type exposable interface {
-	expose(w io.Writer, name, labels string)
-	reset()
+// Set is one scrape's families. Its builders append in call order; the
+// writers sort by name.
+type Set []Family
+
+// Counter appends a counter of one series.
+func (s *Set) Counter(name, help string, v float64) {
+	*s = append(*s, Family{Name: name, Help: help, Type: TypeCounter, Series: []Series{{Value: v}}})
 }
 
-// NewRegistry returns an empty, disabled registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*family)}
+// Gauge appends a gauge of one series.
+func (s *Set) Gauge(name, help string, v float64) {
+	*s = append(*s, Family{Name: name, Help: help, Type: TypeGauge, Series: []Series{{Value: v}}})
 }
 
-var defaultRegistry = NewRegistry()
+// Histogram appends a histogram of one series.
+func (s *Set) Histogram(name, help string, h *Histogram) {
+	*s = append(*s, Family{Name: name, Help: help, Type: TypeHistogram, Series: []Series{{Hist: h}}})
+}
 
-// Default returns the package-level registry the engine's instruments
-// register with.
-func Default() *Registry { return defaultRegistry }
+// CounterBy appends a counter partitioned by the label key, one series per
+// label value.
+func (s *Set) CounterBy(name, help, key string, series []Series) {
+	*s = append(*s, Family{Name: name, Help: help, Type: TypeCounter, Label: key, Series: series})
+}
 
-// Enable turns value collection on.
-func (r *Registry) Enable() { r.enabled.Store(true) }
+// HistogramBy appends a histogram partitioned by the label key.
+func (s *Set) HistogramBy(name, help, key string, series []Series) {
+	*s = append(*s, Family{Name: name, Help: help, Type: TypeHistogram, Label: key, Series: series})
+}
 
-// Disable turns value collection off; instruments keep their current values
-// but stop accepting updates.
-func (r *Registry) Disable() { r.enabled.Store(false) }
-
-// Enabled reports whether the registry is collecting.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
-
-// Reset zeroes every registered instrument (labeled children are dropped).
-// Meant for tests and between benchmark runs; instruments stay registered.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, f := range r.byName {
-		if f.single != nil {
-			f.single.reset()
-		}
-		f.mu.Lock()
-		f.children = make(map[string]exposable)
-		f.mu.Unlock()
+// sorted returns the families ordered by name and each family's series by
+// label value — the exposition's order, stable for diffs and tests.
+func (s Set) sorted() Set {
+	out := make(Set, len(s))
+	copy(out, s)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	for i := range out {
+		series := append([]Series(nil), out[i].Series...)
+		sort.SliceStable(series, func(a, b int) bool { return series[a].LabelValue < series[b].LabelValue })
+		out[i].Series = series
 	}
+	return out
 }
 
-// register returns the family for name, creating it on first use. Re-using a
-// name with a different kind or label key is a programming error and panics.
-func (r *Registry) register(name, help string, k kind, labelKey string) *family {
-	if name == "" {
-		panic("metrics: empty metric name")
+// labelPair renders a series' label, e.g. `kind="select"`; empty for a
+// family of one series.
+func (f *Family) labelPair(sr Series) string {
+	if f.Label == "" {
+		return ""
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.byName[name]; ok {
-		if f.kind != k || f.labelKey != labelKey {
-			panic(fmt.Sprintf("metrics: %q re-registered as %s/label=%q (was %s/label=%q)",
-				name, k, labelKey, f.kind, f.labelKey))
-		}
-		return f
-	}
-	f := &family{name: name, help: help, kind: k, labelKey: labelKey,
-		children: make(map[string]exposable)}
-	r.byName[name] = f
-	return f
+	return fmt.Sprintf(`%s=%q`, f.Label, sr.LabelValue)
 }
 
-// Counter returns the monotonically increasing counter registered under
-// name, creating it on first use.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, kindCounter, "")
-	if f.single == nil {
-		f.single = &Counter{on: &r.enabled}
-	}
-	return f.single.(*Counter)
-}
-
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, kindGauge, "")
-	if f.single == nil {
-		f.single = &Gauge{on: &r.enabled}
-	}
-	return f.single.(*Gauge)
-}
-
-// Histogram returns the histogram registered under name, creating it on
-// first use with the given ascending bucket upper bounds (an implicit +Inf
-// bucket is always appended).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, kindHistogram, "")
-	if f.single == nil {
-		f.single = newHistogram(&r.enabled, buckets)
-	}
-	return f.single.(*Histogram)
-}
-
-// CounterVec returns a counter family partitioned by one label, creating it
-// on first use.
-func (r *Registry) CounterVec(name, help, labelKey string) *CounterVec {
-	f := r.register(name, help, kindCounter, labelKey)
-	return &CounterVec{on: &r.enabled, fam: f}
-}
-
-// HistogramVec returns a histogram family partitioned by one label.
-func (r *Registry) HistogramVec(name, help, labelKey string, buckets []float64) *HistogramVec {
-	f := r.register(name, help, kindHistogram, labelKey)
-	return &HistogramVec{on: &r.enabled, fam: f, buckets: append([]float64(nil), buckets...)}
-}
-
-// WriteText writes every registered metric in the Prometheus text exposition
-// format (HELP/TYPE headers, families sorted by name, children sorted by
-// label value).
-func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.byName))
-	for _, f := range r.byName {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
+// WriteText writes the set in the Prometheus text exposition format: HELP
+// and TYPE headers, families sorted by name, series by label value,
+// histograms as cumulative _bucket{le=...} lines plus _sum and _count.
+func (s Set) WriteText(w io.Writer) error {
 	var sb strings.Builder
-	for _, f := range fams {
-		fmt.Fprintf(&sb, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(&sb, "# TYPE %s %s\n", f.name, f.kind)
-		if f.single != nil {
-			f.single.expose(&sb, f.name, "")
-			continue
+	for _, f := range s.sorted() {
+		fmt.Fprintf(&sb, "# HELP %s %s\n", f.Name, f.Help)
+		fmt.Fprintf(&sb, "# TYPE %s %s\n", f.Name, f.Type)
+		for _, sr := range f.Series {
+			labels := f.labelPair(sr)
+			if f.Type == TypeHistogram {
+				sr.Hist.expose(&sb, f.Name, labels)
+				continue
+			}
+			fmt.Fprintf(&sb, "%s %s\n", withLabels(f.Name, labels), formatFloat(sr.Value))
 		}
-		f.mu.Lock()
-		vals := make([]string, 0, len(f.children))
-		for v := range f.children {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		for _, v := range vals {
-			f.children[v].expose(&sb, f.name, fmt.Sprintf(`%s=%q`, f.labelKey, v))
-		}
-		f.mu.Unlock()
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
 }
 
-// Sample is one scalar reading from the registry: a counter or gauge value,
-// or a histogram's _count/_sum aggregate. SHOW METRICS renders these as rows.
+// Sample is one scalar reading: a counter or gauge value, or a histogram's
+// _count or _sum. SHOW METRICS renders these as rows.
 type Sample struct {
-	Name  string // metric name, with _count/_sum suffix for histograms
+	Name  string // metric name, with the _count/_sum suffix for histograms
 	Label string // rendered label pair, e.g. `kind="select"`; empty if unlabeled
 	Value float64
 }
 
-// Samples returns a point-in-time scalar snapshot of every registered
-// instrument, sorted by (Name, Label). Histograms contribute their _count
-// and _sum series (per-bucket detail stays on the /metrics exposition).
-func (r *Registry) Samples() []Sample {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.byName))
-	for _, f := range r.byName {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-
+// Samples flattens the set into scalar readings sorted by (Name, Label).
+// Histograms contribute their _count and _sum series; the per-bucket detail
+// stays on the text exposition.
+func (s Set) Samples() []Sample {
 	var out []Sample
-	emit := func(name, label string, inst exposable) {
-		switch v := inst.(type) {
-		case *Counter:
-			out = append(out, Sample{Name: name, Label: label, Value: v.Value()})
-		case *Gauge:
-			out = append(out, Sample{Name: name, Label: label, Value: v.Value()})
-		case *Histogram:
-			out = append(out, Sample{Name: name + "_count", Label: label, Value: float64(v.Count())})
-			out = append(out, Sample{Name: name + "_sum", Label: label, Value: v.Sum()})
+	for _, f := range s {
+		for _, sr := range f.Series {
+			label := f.labelPair(sr)
+			if f.Type == TypeHistogram {
+				out = append(out,
+					Sample{Name: f.Name + "_count", Label: label, Value: float64(sr.Hist.Count())},
+					Sample{Name: f.Name + "_sum", Label: label, Value: sr.Hist.Sum()})
+				continue
+			}
+			out = append(out, Sample{Name: f.Name, Label: label, Value: sr.Value})
 		}
-	}
-	for _, f := range fams {
-		if f.single != nil {
-			emit(f.name, "", f.single)
-			continue
-		}
-		f.mu.Lock()
-		for lv, child := range f.children {
-			emit(f.name, fmt.Sprintf(`%s=%q`, f.labelKey, lv), child)
-		}
-		f.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
@@ -259,145 +167,44 @@ func (r *Registry) Samples() []Sample {
 	return out
 }
 
-// Samples returns the default registry's scalar snapshot.
-func Samples() []Sample { return defaultRegistry.Samples() }
-
-// String renders the registry as exposition text (for logs and tests).
-func (r *Registry) String() string {
-	var sb strings.Builder
-	_ = r.WriteText(&sb)
-	return sb.String()
-}
-
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// withLabels joins a metric name and an optional label pair.
-func withLabels(name, labels string, extra ...string) string {
-	all := make([]string, 0, 2)
-	if labels != "" {
-		all = append(all, labels)
+// withLabels joins a metric name and its label pairs.
+func withLabels(name string, labels ...string) string {
+	all := make([]string, 0, len(labels))
+	for _, l := range labels {
+		if l != "" {
+			all = append(all, l)
+		}
 	}
-	all = append(all, extra...)
 	if len(all) == 0 {
 		return name
 	}
 	return name + "{" + strings.Join(all, ",") + "}"
 }
 
-// ---- Counter -------------------------------------------------------------
-
-// Counter is a monotonically increasing value. The zero value is inert (nil
-// receiver and zero struct both no-op); obtain one from a Registry.
-type Counter struct {
-	on   *atomic.Bool
-	bits atomic.Uint64 // float64 bit pattern
-}
-
-// Add accrues v (negative deltas are ignored — counters are monotonic).
-// When the registry is disabled this is one atomic load.
-func (c *Counter) Add(v float64) {
-	if c == nil || c.on == nil || !c.on.Load() {
-		return
-	}
-	if v < 0 || math.IsNaN(v) {
-		return
-	}
-	addBits(&c.bits, v)
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current total.
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return math.Float64frombits(c.bits.Load())
-}
-
-func (c *Counter) expose(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s %s\n", withLabels(name, labels), formatFloat(c.Value()))
-}
-
-func (c *Counter) reset() { c.bits.Store(0) }
-
-// addBits adds v to a float64 stored as atomic bits (lock-free CAS loop,
-// the same technique as costmodel.Meter).
-func addBits(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// ---- Gauge ---------------------------------------------------------------
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	on   *atomic.Bool
-	bits atomic.Uint64
-}
-
-// Set stores v. One atomic load when the registry is disabled.
-func (g *Gauge) Set(v float64) {
-	if g == nil || g.on == nil || !g.on.Load() {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add accrues a (possibly negative) delta.
-func (g *Gauge) Add(v float64) {
-	if g == nil || g.on == nil || !g.on.Load() {
-		return
-	}
-	addBits(&g.bits, v)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-func (g *Gauge) expose(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s %s\n", withLabels(name, labels), formatFloat(g.Value()))
-}
-
-func (g *Gauge) reset() { g.bits.Store(0) }
-
-// ---- Histogram -----------------------------------------------------------
-
 // Histogram counts observations into a fixed set of cumulative buckets —
-// bounded memory, lock-free observation. Non-finite observations are
-// dropped rather than poisoning the sum (see feedback.ErrorFactor hardening
-// for where that matters).
+// bounded memory, lock-free observation, always on. Non-finite observations
+// are dropped rather than poisoning the sum (see feedback.ErrorFactor
+// hardening for where that matters).
 type Histogram struct {
-	on      *atomic.Bool
 	bounds  []float64 // ascending upper bounds, excluding +Inf
 	counts  []atomic.Uint64
 	inf     atomic.Uint64
-	sumBits atomic.Uint64
+	sumBits atomic.Uint64 // float64 bit pattern
 	count   atomic.Uint64
 }
 
-func newHistogram(on *atomic.Bool, buckets []float64) *Histogram {
+// NewHistogram returns an empty histogram over the given bucket upper bounds
+// (an implicit +Inf bucket is always appended).
+func NewHistogram(buckets []float64) *Histogram {
 	bounds := append([]float64(nil), buckets...)
 	sort.Float64s(bounds)
-	return &Histogram{on: on, bounds: bounds, counts: make([]atomic.Uint64, len(bounds))}
+	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds))}
 }
 
-// Observe records one sample. One atomic load when the registry is disabled.
+// Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || h.on == nil || !h.on.Load() {
-		return
-	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
@@ -407,25 +214,20 @@ func (h *Histogram) Observe(v float64) {
 	} else {
 		h.inf.Add(1)
 	}
-	addBits(&h.sumBits, v)
+	for { // lock-free float add, the technique of costmodel.Meter
+		old := h.sumBits.Load()
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			break
+		}
+	}
 	h.count.Add(1)
 }
 
 // Count returns the number of recorded observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
+func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of recorded observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 func (h *Histogram) expose(w io.Writer, name, labels string) {
 	cum := uint64(0)
@@ -436,78 +238,11 @@ func (h *Histogram) expose(w io.Writer, name, labels string) {
 	cum += h.inf.Load()
 	fmt.Fprintf(w, "%s %d\n", withLabels(name+"_bucket", labels, `le="+Inf"`), cum)
 	fmt.Fprintf(w, "%s %s\n", withLabels(name+"_sum", labels), formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s %d\n", withLabels(name+"_count", labels), h.count.Load())
+	fmt.Fprintf(w, "%s %d\n", withLabels(name+"_count", labels), h.Count())
 }
 
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.inf.Store(0)
-	h.sumBits.Store(0)
-	h.count.Store(0)
-}
-
-// ---- Vectors -------------------------------------------------------------
-
-// CounterVec is a counter family partitioned by one label.
-type CounterVec struct {
-	on  *atomic.Bool
-	fam *family
-}
-
-// With returns the child counter for the given label value, creating it on
-// first use. Hot paths that increment a fixed cause should hold on to the
-// child; With itself takes the family lock.
-func (v *CounterVec) With(labelValue string) *Counter {
-	v.fam.mu.Lock()
-	defer v.fam.mu.Unlock()
-	if c, ok := v.fam.children[labelValue]; ok {
-		return c.(*Counter)
-	}
-	c := &Counter{on: v.on}
-	v.fam.children[labelValue] = c
-	return c
-}
-
-// HistogramVec is a histogram family partitioned by one label.
-type HistogramVec struct {
-	on      *atomic.Bool
-	fam     *family
-	buckets []float64
-}
-
-// With returns the child histogram for the given label value.
-func (v *HistogramVec) With(labelValue string) *Histogram {
-	v.fam.mu.Lock()
-	defer v.fam.mu.Unlock()
-	if h, ok := v.fam.children[labelValue]; ok {
-		return h.(*Histogram)
-	}
-	h := newHistogram(v.on, v.buckets)
-	v.fam.children[labelValue] = h
-	return h
-}
-
-// ---- Package-level conveniences over the default registry ---------------
-
-// Enable turns on the default registry.
-func Enable() { defaultRegistry.Enable() }
-
-// Disable turns off the default registry.
-func Disable() { defaultRegistry.Disable() }
-
-// Enabled reports whether the default registry is collecting.
-func Enabled() bool { return defaultRegistry.Enabled() }
-
-// WriteText writes the default registry's exposition text.
-func WriteText(w io.Writer) error { return defaultRegistry.WriteText(w) }
-
-// Reset zeroes the default registry's instruments (tests).
-func Reset() { defaultRegistry.Reset() }
-
-// LatencyBuckets are the default upper bounds for wall-clock statement
-// latency histograms, in seconds: 100µs to 10s, roughly ×2.5 per step.
+// LatencyBuckets are the default upper bounds for wall-clock latency
+// histograms, in seconds: 100µs to 10s, roughly ×2.5 per step.
 func LatencyBuckets() []float64 {
 	return []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 		0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}

@@ -4,57 +4,27 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
-func TestCounterDisabledIsInert(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test_total", "help")
-	c.Inc()
-	c.Add(5)
-	if got := c.Value(); got != 0 {
-		t.Fatalf("disabled counter accumulated %v", got)
-	}
-	r.Enable()
-	c.Inc()
-	c.Add(2.5)
-	if got := c.Value(); got != 3.5 {
-		t.Fatalf("enabled counter = %v, want 3.5", got)
-	}
-	c.Add(-1) // counters are monotonic: negative deltas dropped
-	if got := c.Value(); got != 3.5 {
-		t.Fatalf("counter after negative add = %v, want 3.5", got)
-	}
-	r.Disable()
-	c.Inc()
-	if got := c.Value(); got != 3.5 {
-		t.Fatalf("re-disabled counter = %v, want 3.5", got)
-	}
-}
-
-func TestGauge(t *testing.T) {
-	r := NewRegistry()
-	r.Enable()
-	g := r.Gauge("test_gauge", "help")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %v, want 5", got)
-	}
+// text renders s as exposition text.
+func text(s Set) string {
+	var sb strings.Builder
+	_ = s.WriteText(&sb)
+	return sb.String()
 }
 
 func TestHistogramBucketsAndExposition(t *testing.T) {
-	r := NewRegistry()
-	r.Enable()
-	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1, 10})
+	h := NewHistogram([]float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
 	if h.Count() != 5 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	out := r.String()
+	var s Set
+	s.Histogram("lat_seconds", "latency", h)
+	out := text(s)
 	for _, want := range []string{
 		`# TYPE lat_seconds histogram`,
 		`lat_seconds_bucket{le="0.1"} 1`,
@@ -71,9 +41,7 @@ func TestHistogramBucketsAndExposition(t *testing.T) {
 }
 
 func TestHistogramDropsNonFinite(t *testing.T) {
-	r := NewRegistry()
-	r.Enable()
-	h := r.Histogram("h", "help", []float64{1})
+	h := NewHistogram([]float64{1})
 	h.Observe(math.NaN())
 	h.Observe(math.Inf(1))
 	h.Observe(math.Inf(-1))
@@ -82,18 +50,23 @@ func TestHistogramDropsNonFinite(t *testing.T) {
 	}
 }
 
-func TestCounterVecExposition(t *testing.T) {
-	r := NewRegistry()
-	r.Enable()
-	v := r.CounterVec("deg_total", "degradations by cause", "cause")
-	v.With("budget").Add(2)
-	v.With("panic").Inc()
-	out := r.String()
+func TestLabelledExposition(t *testing.T) {
+	var s Set
+	s.CounterBy("deg_total", "degradations by cause", "cause", []Series{
+		{LabelValue: "panic", Value: 1},
+		{LabelValue: "budget", Value: 2},
+	})
+	h := NewHistogram([]float64{2})
+	h.Observe(1.5)
+	s.HistogramBy("q", "q-error", "op", []Series{{LabelValue: "scan", Hist: h}})
+	out := text(s)
 	for _, want := range []string{
 		"# HELP deg_total degradations by cause",
 		"# TYPE deg_total counter",
 		`deg_total{cause="budget"} 2`,
 		`deg_total{cause="panic"} 1`,
+		`q_bucket{op="scan",le="2"} 1`,
+		`q_count{op="scan"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -106,129 +79,78 @@ func TestCounterVecExposition(t *testing.T) {
 }
 
 func TestExpositionSortedByName(t *testing.T) {
-	r := NewRegistry()
-	r.Enable()
-	r.Counter("zzz_total", "z").Inc()
-	r.Counter("aaa_total", "a").Inc()
-	out := r.String()
-	if strings.Index(out, "aaa_total") > strings.Index(out, "zzz_total") {
+	var s Set
+	s.Counter("zzz_total", "z", 1)
+	s.Gauge("aaa", "a", 1)
+	out := text(s)
+	if strings.Index(out, "aaa") > strings.Index(out, "zzz_total") {
 		t.Errorf("families not sorted by name:\n%s", out)
 	}
 }
 
-func TestGetOrCreateReturnsSameInstrument(t *testing.T) {
-	r := NewRegistry()
-	if r.Counter("c", "h") != r.Counter("c", "h") {
-		t.Error("Counter not idempotent")
+func TestGauge(t *testing.T) {
+	var s Set
+	s.Gauge("depth", "queue depth", -2.5)
+	if out := text(s); !strings.Contains(out, "# HELP depth queue depth\n# TYPE depth gauge\ndepth -2.5\n") {
+		t.Errorf("gauge exposition:\n%s", out)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("kind mismatch must panic")
-		}
-	}()
-	r.Gauge("c", "h")
 }
 
-func TestResetZeroesEverything(t *testing.T) {
-	r := NewRegistry()
-	r.Enable()
-	c := r.Counter("c_total", "h")
-	c.Add(9)
-	h := r.Histogram("h_seconds", "h", []float64{1})
+// TestSamplesFlatten: SHOW METRICS rows are one per counter or gauge series
+// and a _count/_sum pair per histogram series, sorted by name then label.
+func TestSamplesFlatten(t *testing.T) {
+	h := NewHistogram([]float64{1})
+	h.Observe(0.25)
 	h.Observe(0.5)
-	v := r.CounterVec("v_total", "h", "k")
-	v.With("x").Inc()
-	r.Reset()
-	if c.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("reset left values: c=%v h=%d", c.Value(), h.Count())
+	var s Set
+	s.Histogram("wall_seconds", "w", h)
+	s.CounterBy("stmts_total", "s", "kind", []Series{{LabelValue: "select", Value: 3}, {LabelValue: "dml", Value: 1}})
+	s.Gauge("depth", "d", 2)
+	got := s.Samples()
+	want := []Sample{
+		{Name: "depth", Value: 2},
+		{Name: "stmts_total", Label: `kind="dml"`, Value: 1},
+		{Name: "stmts_total", Label: `kind="select"`, Value: 3},
+		{Name: "wall_seconds_count", Value: 2},
+		{Name: "wall_seconds_sum", Value: 0.75},
 	}
-	if strings.Contains(r.String(), `v_total{`) {
-		t.Fatalf("reset kept labeled children:\n%s", r.String())
+	if len(got) != len(want) {
+		t.Fatalf("samples = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("sample %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 
 func TestConcurrentUpdates(t *testing.T) {
-	r := NewRegistry()
-	r.Enable()
-	c := r.Counter("c_total", "h")
-	h := r.Histogram("h_vals", "h", []float64{10, 100})
-	v := r.CounterVec("v_total", "h", "k")
+	h := NewHistogram([]float64{10, 100})
 	var wg sync.WaitGroup
 	const workers, iters = 8, 1000
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				c.Inc()
 				h.Observe(float64(i % 200))
-				v.With("a").Inc()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if got := c.Value(); got != workers*iters {
-		t.Errorf("counter = %v, want %d", got, workers*iters)
-	}
 	if got := h.Count(); got != workers*iters {
 		t.Errorf("histogram count = %d, want %d", got, workers*iters)
 	}
-	if got := v.With("a").Value(); got != workers*iters {
-		t.Errorf("vec counter = %v, want %d", got, workers*iters)
+	if got, want := h.Sum(), float64(workers*iters/200)*(199*200/2); got != want {
+		t.Errorf("histogram sum = %v, want %v", got, want)
 	}
 }
 
-// ---- disabled-overhead benchmarks (make bench-smoke) ---------------------
-
-// BenchmarkAtomicLoadBaseline measures the floor: one atomic bool load.
-// BenchmarkDisabledCounterInc and BenchmarkDisabledHistogramObserve must be
-// within noise of it — the disabled hot path is exactly that load.
-func BenchmarkAtomicLoadBaseline(b *testing.B) {
-	var on atomic.Bool
-	n := 0
-	for i := 0; i < b.N; i++ {
-		if on.Load() {
-			n++
-		}
-	}
-	if n != 0 {
-		b.Fatal("flag flipped")
-	}
-}
-
-func BenchmarkDisabledCounterInc(b *testing.B) {
-	r := NewRegistry()
-	c := r.Counter("bench_total", "h")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkDisabledHistogramObserve(b *testing.B) {
-	r := NewRegistry()
-	h := r.Histogram("bench_seconds", "h", LatencyBuckets())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(0.001)
-	}
-}
-
-func BenchmarkEnabledCounterInc(b *testing.B) {
-	r := NewRegistry()
-	r.Enable()
-	c := r.Counter("bench_total", "h")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkEnabledHistogramObserve(b *testing.B) {
-	r := NewRegistry()
-	r.Enable()
-	h := r.Histogram("bench_seconds", "h", LatencyBuckets())
-	b.ResetTimer()
+// BenchmarkHistogramObserve prices one always-on observation (make
+// bench-smoke): a bucket search and three atomic updates, no allocation.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewHistogram(LatencyBuckets())
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(0.001)
 	}

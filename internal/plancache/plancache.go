@@ -13,10 +13,9 @@
 // the next unlucky reader.
 //
 // All operations are safe for concurrent use; hits and puts take one short
-// mutex. Counters are cache-owned atomics mirrored to the process-wide
-// metrics registry (plan_cache_{hits,misses,evictions,invalidations}_total
-// and the plan_cache_entries gauge), so SHOW METRICS and /metrics expose
-// them without extra wiring.
+// mutex. Counters are cache-owned atomics; Scrape reports them as
+// plan_cache_{hits,misses,evictions,invalidations}_total and the
+// plan_cache_entries gauge.
 package plancache
 
 import (
@@ -29,24 +28,6 @@ import (
 
 // DefaultSize is the entry bound selected by a negative capacity.
 const DefaultSize = 256
-
-var (
-	mHits = metrics.Default().Counter(
-		"plan_cache_hits_total",
-		"Statements served from the compiled-plan cache.")
-	mMisses = metrics.Default().Counter(
-		"plan_cache_misses_total",
-		"Plan-cache lookups that found no live entry.")
-	mEvictions = metrics.Default().Counter(
-		"plan_cache_evictions_total",
-		"Entries evicted by the LRU size bound.")
-	mInvalidations = metrics.Default().Counter(
-		"plan_cache_invalidations_total",
-		"Entries dropped because the archive epoch moved past them.")
-	mEntries = metrics.Default().Gauge(
-		"plan_cache_entries",
-		"Live entries in the compiled-plan cache.")
-)
 
 type entry struct {
 	key   string
@@ -98,20 +79,16 @@ func (c *Cache) Get(key string, epoch uint64) (any, bool) {
 	e, ok := c.entries[key]
 	if !ok {
 		c.misses.Add(1)
-		mMisses.Inc()
 		return nil, false
 	}
 	if e.epoch != epoch {
 		c.removeLocked(e)
 		c.invalidations.Add(1)
-		mInvalidations.Inc()
 		c.misses.Add(1)
-		mMisses.Inc()
 		return nil, false
 	}
 	c.lru.MoveToFront(e.elem)
 	c.hits.Add(1)
-	mHits.Inc()
 	return e.value, true
 }
 
@@ -139,9 +116,7 @@ func (c *Cache) Put(key string, epoch uint64, value any) {
 		}
 		c.removeLocked(oldest.Value.(*entry))
 		c.evictions.Add(1)
-		mEvictions.Inc()
 	}
-	mEntries.Set(float64(len(c.entries)))
 }
 
 // Invalidate removes every entry whose epoch differs from current and
@@ -162,7 +137,6 @@ func (c *Cache) Invalidate(current uint64) int {
 	}
 	if n > 0 {
 		c.invalidations.Add(uint64(n))
-		mInvalidations.Add(float64(n))
 	}
 	return n
 }
@@ -184,7 +158,6 @@ func (c *Cache) Remove(key string) bool {
 	}
 	c.removeLocked(e)
 	c.invalidations.Add(1)
-	mInvalidations.Inc()
 	return true
 }
 
@@ -192,7 +165,6 @@ func (c *Cache) Remove(key string) bool {
 func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.key)
 	c.lru.Remove(e.elem)
-	mEntries.Set(float64(len(c.entries)))
 }
 
 // Len returns the number of live entries.
@@ -228,4 +200,16 @@ func (c *Cache) Stats() Stats {
 		Entries:       c.Len(),
 		Capacity:      c.cap,
 	}
+}
+
+// Scrape appends the cache's plan_cache_* series to set; a nil (disabled)
+// cache reads as zero.
+func (c *Cache) Scrape(set *metrics.Set) {
+	st := c.Stats()
+	set.Counter("plan_cache_hits_total", "Statements served from the compiled-plan cache.", float64(st.Hits))
+	set.Counter("plan_cache_misses_total", "Plan-cache lookups that found no live entry.", float64(st.Misses))
+	set.Counter("plan_cache_evictions_total", "Entries evicted by the LRU size bound.", float64(st.Evictions))
+	set.Counter("plan_cache_invalidations_total",
+		"Entries dropped because the archive epoch moved past them.", float64(st.Invalidations))
+	set.Gauge("plan_cache_entries", "Live entries in the compiled-plan cache.", float64(st.Entries))
 }

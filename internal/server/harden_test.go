@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"runtime"
@@ -13,16 +14,21 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/debugserver"
+	"repro/internal/engine"
 	"repro/internal/faultinject"
-	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
 
-// counterValue fetches a named counter off the default metrics registry
-// (registration is idempotent, so this reaches the server's own instrument).
-func counterValue(name string) float64 {
-	return metrics.Default().Counter(name, "").Value()
+// counterValue reads one series of the server's own Scrape; label is the
+// rendered pair (`type="hello"`), empty for an unlabelled family.
+func counterValue(srv *server.Server, name, label string) float64 {
+	for _, s := range srv.Scrape().Samples() {
+		if s.Name == name && s.Label == label {
+			return s.Value
+		}
+	}
+	return -1
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -164,9 +170,6 @@ func TestShutdownDeadlineFallsBack(t *testing.T) {
 // past IdleTimeout is reaped — metered, its goroutine released — yet stays
 // resumable inside the resume window.
 func TestStalledPeerReaped(t *testing.T) {
-	metrics.Enable()
-	t.Cleanup(metrics.Disable)
-
 	cfg := serveConfig(0)
 	cfg.JITS.Enabled = false
 	eng, _ := loadedEngine(t, cfg, 0.002)
@@ -181,7 +184,7 @@ func TestStalledPeerReaped(t *testing.T) {
 	t.Cleanup(func() { _ = srv.Close() })
 
 	baseline := runtime.NumGoroutine()
-	reapedBefore := counterValue("server_sessions_reaped_total")
+	reapedBefore := counterValue(srv, "server_sessions_reaped_total", "")
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -199,7 +202,7 @@ func TestStalledPeerReaped(t *testing.T) {
 	// Go silent. The reaper must fire, count itself, and release the
 	// session's goroutine — not leak it parked on a dead read forever.
 	waitFor(t, 5*time.Second, "reap counter", func() bool {
-		return counterValue("server_sessions_reaped_total") > reapedBefore
+		return counterValue(srv, "server_sessions_reaped_total", "") > reapedBefore
 	})
 	waitFor(t, 5*time.Second, "handler goroutine release", func() bool {
 		return runtime.NumGoroutine() <= baseline
@@ -230,9 +233,6 @@ func TestStalledPeerReaped(t *testing.T) {
 // arrives. The server must drop the connection (mid-frame deadline) rather
 // than wait forever or misparse later bytes as a fresh length prefix.
 func TestTornFrameDropsSession(t *testing.T) {
-	metrics.Enable()
-	t.Cleanup(metrics.Disable)
-
 	cfg := serveConfig(0)
 	cfg.JITS.Enabled = false
 	eng, _ := loadedEngine(t, cfg, 0.002)
@@ -259,7 +259,7 @@ func TestTornFrameDropsSession(t *testing.T) {
 		t.Fatalf("hello: %+v, %v", welcome, err)
 	}
 
-	reapedBefore := counterValue("server_sessions_reaped_total")
+	reapedBefore := counterValue(srv, "server_sessions_reaped_total", "")
 	// Header promises 64 payload bytes; send only 8, then stall. If the
 	// server tried to re-synchronize instead of dropping, the NEXT frame's
 	// length prefix would be read as payload and the stream would desync.
@@ -270,7 +270,7 @@ func TestTornFrameDropsSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "torn-frame reap", func() bool {
-		return counterValue("server_sessions_reaped_total") > reapedBefore
+		return counterValue(srv, "server_sessions_reaped_total", "") > reapedBefore
 	})
 
 	// The connection is dead from the server side: completing the "frame"
@@ -380,9 +380,6 @@ func (t *tearConn) Write(p []byte) (int, error) {
 // with the already-computed response instead of re-executing. Exactly one
 // row exists afterwards.
 func TestExactlyOnceInDoubtResend(t *testing.T) {
-	metrics.Enable()
-	t.Cleanup(metrics.Disable)
-
 	cfg := serveConfig(0)
 	cfg.JITS.Enabled = false
 	eng, _ := loadedEngine(t, cfg, 0.002)
@@ -405,7 +402,7 @@ func TestExactlyOnceInDoubtResend(t *testing.T) {
 	}
 	defer conn.Close()
 
-	dedupBefore := counterValue("server_dedup_hits_total")
+	dedupBefore := counterValue(srv, "server_dedup_hits_total", "")
 	res, err := conn.Query(`INSERT INTO car VALUES (7700001, 1, 'Toyota', 'Camry', 2003, 9500.0, 'green')`)
 	if err != nil {
 		t.Fatalf("in-doubt INSERT did not recover: %v", err)
@@ -416,7 +413,7 @@ func TestExactlyOnceInDoubtResend(t *testing.T) {
 	if writes.Load() < 3 {
 		t.Fatalf("tear never happened (only %d writes)", writes.Load())
 	}
-	if got := counterValue("server_dedup_hits_total"); got != dedupBefore+1 {
+	if got := counterValue(srv, "server_dedup_hits_total", ""); got != dedupBefore+1 {
 		t.Fatalf("dedup hits %g -> %g, want exactly one cache-served re-send", dedupBefore, got)
 	}
 	stats := conn.Stats()
@@ -481,5 +478,46 @@ func TestDrainingHealth(t *testing.T) {
 	}
 	if code, body := get(); code != http.StatusServiceUnavailable || !strings.Contains(body, `"status": "draining"`) {
 		t.Fatalf("draining probe: %d %s", code, body)
+	}
+}
+
+// TestUnknownRequestTypesShareOneSeries: a peer cannot grow the server's
+// series set. 2000 connections each open with a request type the protocol
+// does not define, a different one every time; each is refused, and
+// server_requests_total keeps its fixed labels — every wire.Req* type and
+// "other" — with all 2000 frames counted under "other".
+func TestUnknownRequestTypesShareOneSeries(t *testing.T) {
+	srv, addr := startServer(t, engine.New(engine.Config{}))
+	const conns = 2000
+	for i := 0; i < conns; i++ {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(nc, &wire.Request{Type: fmt.Sprintf("junk-%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+		var resp wire.Response
+		if err := wire.ReadFrame(nc, &resp); err != nil || resp.Type != wire.RespError || resp.Error.Code != wire.CodeBadRequest {
+			t.Fatalf("junk frame %d: %+v, %v; want a bad_request refusal", i, resp, err)
+		}
+		_ = nc.Close()
+	}
+	var labels []string
+	for _, s := range srv.Scrape().Samples() {
+		if s.Name == "server_requests_total" {
+			labels = append(labels, s.Label)
+		}
+	}
+	want := []string{`type="close"`, `type="execute"`, `type="hello"`, `type="options"`,
+		`type="other"`, `type="ping"`, `type="prepare"`, `type="query"`}
+	if strings.Join(labels, " ") != strings.Join(want, " ") {
+		t.Fatalf("server_requests_total labels = %v, want %v", labels, want)
+	}
+	if got := counterValue(srv, "server_requests_total", `type="other"`); got != conns {
+		t.Fatalf(`server_requests_total{type="other"} = %v, want %d`, got, conns)
+	}
+	if got := counterValue(srv, "server_errors_total", `code="bad_request"`); got != conns {
+		t.Fatalf(`server_errors_total{code="bad_request"} = %v, want %d`, got, conns)
 	}
 }

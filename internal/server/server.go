@@ -61,24 +61,27 @@ import (
 	"repro/internal/wire"
 )
 
-// Service-level metrics, registered on the default registry next to the
-// engine's own instruments.
+// The server_requests_total and server_errors_total labels: every request
+// type and error code the protocol defines, and "other" for anything else a
+// peer sends, so a client cannot grow the series set.
 var (
-	mSessionsActive = metrics.Default().Gauge("server_sessions_active",
-		"Currently open client sessions.")
-	mSessionsTotal = metrics.Default().Counter("server_sessions_total",
-		"Client sessions ever accepted.")
-	mSessionsReaped = metrics.Default().Counter("server_sessions_reaped_total",
-		"Sessions dropped because a frame read or write deadline expired.")
-	mSessionsResumed = metrics.Default().Counter("server_sessions_resumed_total",
-		"Parked sessions reattached by a HELLO with their resume token.")
-	mDedupHits = metrics.Default().Counter("server_dedup_hits_total",
-		"Requests answered from the per-session dedup cache instead of re-executing.")
-	mRequests = metrics.Default().CounterVec("server_requests_total",
-		"Request frames handled, by frame type.", "type")
-	mErrors = metrics.Default().CounterVec("server_errors_total",
-		"Error frames sent, by wire error code.", "code")
+	requestTypes = [...]string{wire.ReqHello, wire.ReqQuery, wire.ReqPrepare, wire.ReqExecute,
+		wire.ReqOptions, wire.ReqPing, wire.ReqClose, "other"}
+	errorCodes = [...]string{wire.CodeOverloaded, wire.CodeMemoryBudget, wire.CodeClosed,
+		wire.CodeDraining, wire.CodeTimeout, wire.CodeBadRequest, wire.CodeResumeExpired,
+		wire.CodeDedupMiss, wire.CodeError, "other"}
 )
+
+// labelIndex returns v's index in labels, or the last ("other") when v is
+// not one of them.
+func labelIndex(labels []string, v string) int {
+	for i, l := range labels[:len(labels)-1] {
+		if l == v {
+			return i
+		}
+	}
+	return len(labels) - 1
+}
 
 // Session defaults.
 const (
@@ -141,6 +144,13 @@ type Server struct {
 	tokens   map[string]*session // active sessions by resume token
 	parked   map[string]*session // resumable sessions by token
 	nextSess int64
+
+	// Totals for Scrape: sessions accepted, reaped by a deadline and
+	// resumed, requests answered from a dedup cache, request frames by
+	// type and error frames by code.
+	sessionsTotal, reaped, resumed, dedupHits atomic.Int64
+	requests                                  [len(requestTypes)]atomic.Int64
+	errorFrames                               [len(errorCodes)]atomic.Int64
 }
 
 // dedupEntry is one remembered (request ID → response) pair.
@@ -399,6 +409,36 @@ func (s *Server) Sessions() []SessionInfo {
 	return out
 }
 
+// Scrape returns the server's server_* series: its session, dedup, request
+// and error-frame totals, and the active sessions read from the live session
+// map. The debug server appends them to the engine's on /metrics.
+func (s *Server) Scrape() metrics.Set {
+	s.mu.Lock()
+	active := len(s.sessions)
+	s.mu.Unlock()
+	byLabel := func(labels []string, counts []atomic.Int64) []metrics.Series {
+		out := make([]metrics.Series, len(labels))
+		for i, l := range labels {
+			out[i] = metrics.Series{LabelValue: l, Value: float64(counts[i].Load())}
+		}
+		return out
+	}
+	var set metrics.Set
+	set.Gauge("server_sessions_active", "Currently open client sessions.", float64(active))
+	set.Counter("server_sessions_total", "Client sessions ever accepted.", float64(s.sessionsTotal.Load()))
+	set.Counter("server_sessions_reaped_total",
+		"Sessions dropped because a frame read or write deadline expired.", float64(s.reaped.Load()))
+	set.Counter("server_sessions_resumed_total",
+		"Parked sessions reattached by a HELLO with their resume token.", float64(s.resumed.Load()))
+	set.Counter("server_dedup_hits_total",
+		"Requests answered from the per-session dedup cache instead of re-executing.", float64(s.dedupHits.Load()))
+	set.CounterBy("server_requests_total", "Request frames handled, by frame type.", "type",
+		byLabel(requestTypes[:], s.requests[:]))
+	set.CounterBy("server_errors_total", "Error frames sent, by wire error code.", "code",
+		byLabel(errorCodes[:], s.errorFrames[:]))
+	return set
+}
+
 // sweepParkedLocked drops parked sessions whose resume window has passed.
 // Callers hold s.mu.
 func (s *Server) sweepParkedLocked() {
@@ -451,12 +491,12 @@ func (s *Server) handleConn(conn net.Conn) {
 	var req wire.Request
 	if err := wire.ReadFrameDeadline(conn, &req, s.cfg.IdleTimeout, s.cfg.FrameTimeout); err != nil {
 		if isTimeout(err) {
-			mSessionsReaped.Inc()
+			s.reaped.Add(1)
 		}
 		_ = conn.Close()
 		return
 	}
-	mRequests.With(req.Type).Inc()
+	s.requests[labelIndex(requestTypes[:], req.Type)].Add(1)
 	if req.Type != wire.ReqHello {
 		s.refuse(conn, wire.CodeBadRequest, "server: a session opens with HELLO, got "+req.Type)
 		return
@@ -482,7 +522,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.refuse(conn, wire.CodeResumeExpired, "server: unknown or expired resume token")
 			return
 		}
-		mSessionsResumed.Inc()
+		s.resumed.Add(1)
 		if err := wire.WriteFrameDeadline(conn, &wire.Response{Type: wire.RespWelcome, Token: sess.token, Resumed: true}, s.cfg.FrameTimeout); err != nil {
 			s.release(sess, true)
 			return
@@ -494,7 +534,7 @@ func (s *Server) handleConn(conn net.Conn) {
 // refuse answers a connection's first frame with a typed error and closes
 // the connection.
 func (s *Server) refuse(conn net.Conn, code, msg string) {
-	mErrors.With(code).Inc()
+	s.errorFrames[labelIndex(errorCodes[:], code)].Add(1)
 	_ = wire.WriteFrameDeadline(conn, &wire.Response{Type: wire.RespError, Error: &wire.Error{Code: code, Message: msg}}, s.cfg.FrameTimeout)
 	_ = conn.Close()
 }
@@ -519,8 +559,7 @@ func (s *Server) register(conn net.Conn) *session {
 	s.sessions[sess.id] = sess
 	s.tokens[sess.token] = sess
 	s.mu.Unlock()
-	mSessionsTotal.Inc()
-	mSessionsActive.Add(1)
+	s.sessionsTotal.Add(1)
 	return sess
 }
 
@@ -546,7 +585,6 @@ func (s *Server) resume(conn net.Conn, token string) *session {
 			sess.setConn(conn, conn.RemoteAddr().String())
 			sess.resumes.Add(1)
 			sess.justResumed = true
-			mSessionsActive.Add(1)
 			return sess
 		}
 		active, live := s.tokens[token]
@@ -577,7 +615,6 @@ func (s *Server) release(sess *session, park bool) {
 		s.parked[sess.token] = sess
 	}
 	s.mu.Unlock()
-	mSessionsActive.Add(-1)
 }
 
 // isTimeout reports whether a frame I/O error was a deadline expiry.
@@ -594,22 +631,22 @@ func (s *Server) handleSession(sess *session, conn net.Conn) {
 		var req wire.Request
 		if err := wire.ReadFrameDeadline(conn, &req, s.cfg.IdleTimeout, s.cfg.FrameTimeout); err != nil {
 			if isTimeout(err) {
-				mSessionsReaped.Inc()
+				s.reaped.Add(1)
 			}
 			s.release(sess, true)
 			return
 		}
-		mRequests.With(req.Type).Inc()
+		s.requests[labelIndex(requestTypes[:], req.Type)].Add(1)
 		sess.busy.Store(true)
 		resp := s.dispatchDedup(sess, &req)
 		if resp.Type == wire.RespError {
-			mErrors.With(resp.Error.Code).Inc()
+			s.errorFrames[labelIndex(errorCodes[:], resp.Error.Code)].Add(1)
 		}
 		err := wire.WriteFrameDeadline(conn, resp, s.cfg.FrameTimeout)
 		sess.busy.Store(false)
 		if err != nil {
 			if isTimeout(err) {
-				mSessionsReaped.Inc()
+				s.reaped.Add(1)
 			}
 			s.release(sess, true)
 			return
@@ -635,7 +672,7 @@ func (s *Server) handleSession(sess *session, conn net.Conn) {
 func (s *Server) dispatchDedup(sess *session, req *wire.Request) *wire.Response {
 	if req.ID != 0 {
 		if resp := sess.cached(req.ID); resp != nil {
-			mDedupHits.Inc()
+			s.dedupHits.Add(1)
 			return resp
 		}
 		if req.ID <= sess.lastReqID {

@@ -264,7 +264,7 @@ type ShowKind uint8
 const (
 	ShowStats    ShowKind = iota // SHOW STATS: archived histograms
 	ShowQueries                  // SHOW QUERIES [LAST n]: flight-recorder contents
-	ShowMetrics                  // SHOW METRICS: metrics-registry snapshot
+	ShowMetrics                  // SHOW METRICS: the engine's metric series
 	ShowAccuracy                 // SHOW ACCURACY [FOR <table>]: accuracy-ledger rows
 	ShowDrift                    // SHOW DRIFT: ledger rows currently drifted
 )

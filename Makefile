@@ -60,10 +60,12 @@ bench-pairs:
 # and a string-heavy shape written from its columns, next to boxing the same
 # result and encoding the rows.
 # Last, the index layer: one image advance per kind of DML at 43k and 430k
-# rows (a catch-up allocates nothing once warm; only first-build and the
-# 40 % rewrite sort everything; the delta-* pairs price merge against sort
-# around rebuildLimit, and run at 10k rows too under `-bench IndexAdvance`)
-# and a point probe with a native and with a fallback bound. Then JITS collection, one table's worth per layer: the
+# rows, int and string keys, and float keys at 43k (a catch-up allocates
+# nothing once warm; only first-build and the 40 % rewrite sort everything;
+# the delta-* pairs price merge against sort around rebuildLimit, and run at
+# 10k rows too under `-bench IndexAdvance`) and a point probe of an int, a
+# float and a string column, and with a fallback bound. Then JITS
+# collection, one table's worth per layer: the
 # columnar draw (2000 of 43k rows, 8 columns), bitmap group evaluation (7
 # groups over 3 predicates), the NDV counter per column kind, one archive
 # merge at the shape measured on collect_all (164 cells, 35 constraints, 20

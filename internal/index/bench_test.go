@@ -13,8 +13,11 @@ import (
 // foreign-key column: every key a few times, neighbours far apart.
 func benchKey(kind value.Kind, id int64, n int) value.Datum {
 	k := id * 2654435761 % int64(max(n/4, 1))
-	if kind == value.KindString {
+	switch kind {
+	case value.KindString:
 		return value.NewString(fmt.Sprintf("k%08d", k))
+	case value.KindFloat:
+		return value.NewFloat(float64(k) / 8)
 	}
 	return value.NewInt(k)
 }
@@ -43,7 +46,9 @@ func benchTable(b *testing.B, kind value.Kind, n int) *storage.Table {
 
 // BenchmarkIndexAdvance prices one move of an index image to a newer
 // snapshot, by what the DML in between did: 43k rows is the benchmark
-// dataset's largest table, 430k ten times that, 10k its owner table. Each
+// dataset's largest table, 430k ten times that, 10k its owner table; float
+// keys, whose order key has the special cases, run at the two smaller sizes
+// only. Each
 // iteration starts from the same built image (restored off the clock into
 // buffers a warm index would be reusing) and advances it to the same
 // snapshot, so the DML runs once, in setup.
@@ -55,6 +60,9 @@ func benchTable(b *testing.B, kind value.Kind, n int) *storage.Table {
 func BenchmarkIndexAdvance(b *testing.B) {
 	for _, n := range []int{10_000, 43_000, 430_000} {
 		b.Run(fmt.Sprintf("rows=%d/key=int", n), func(b *testing.B) { benchAdvance[int64](b, value.KindInt, n) })
+		if n <= 43_000 {
+			b.Run(fmt.Sprintf("rows=%d/key=float", n), func(b *testing.B) { benchAdvance[float64](b, value.KindFloat, n) })
+		}
 		b.Run(fmt.Sprintf("rows=%d/key=string", n), func(b *testing.B) { benchAdvance[string](b, value.KindString, n) })
 	}
 }
@@ -102,10 +110,11 @@ func benchAdvance[K value.Ordered](b *testing.B, kind value.Kind, n int) {
 
 	b.Run("first-build", func(b *testing.B) {
 		snap := benchTable(b, kind, n).Snapshot()
+		var paths sortPaths
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			newImage(kind, 1).advance(snap)
+			newImage(kind, 1, &paths).advance(snap)
 		}
 	})
 	// run times move(im, after) from the image built before dml ran; move
@@ -113,20 +122,21 @@ func benchAdvance[K value.Ordered](b *testing.B, kind value.Kind, n int) {
 	// restored (off the clock) for the next iteration.
 	run := func(b *testing.B, dml func(tbl *storage.Table) error, move func(im *typed[K], after *storage.Snapshot) bool) {
 		tbl := benchTable(b, kind, n)
-		built := newImage(kind, 1).(*typed[K])
+		built := newImage(kind, 1, new(sortPaths)).(*typed[K])
 		built.build(tbl.Snapshot())
 		if err := dml(tbl); err != nil {
 			b.Fatal(err)
 		}
 		after := tbl.Snapshot()
-		im := newImage(kind, 1).(*typed[K])
+		im := newImage(kind, 1, new(sortPaths)).(*typed[K])
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i, changed := 0, true; i < b.N; i++ {
 			if changed {
 				b.StopTimer()
 				im.nulls = append(im.nulls[:0], built.nulls...)
-				im.ents = append(im.ents[:0], built.ents...)
+				im.ents.truncate()
+				im.ents.appendRange(&built.ents, 0, built.ents.len())
 				b.StartTimer()
 			}
 			im.snap = built.snap
@@ -172,12 +182,14 @@ var lookupSink []int
 func BenchmarkLookup10k(b *testing.B) {
 	intCell := func(i int) value.Datum { return value.NewInt(int64(i)) }
 	strCell := func(i int) value.Datum { return value.NewString(fmt.Sprintf("k%08d", i)) }
+	floatCell := func(i int) value.Datum { return value.NewFloat(float64(i) / 8) }
 	for _, c := range []struct {
 		name        string
 		kind        value.Kind
 		cell, probe func(i int) value.Datum // the key stored for, and looked up as, i in [0, 500)
 	}{
 		{"int", value.KindInt, intCell, intCell},
+		{"float", value.KindFloat, floatCell, floatCell},
 		{"string", value.KindString, strCell, strCell},
 		{"float-bound-on-int", value.KindInt, intCell, func(i int) value.Datum { return value.NewFloat(float64(i)) }},
 	} {

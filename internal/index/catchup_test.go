@@ -40,8 +40,10 @@ func (s *script) intn(n int) int { return int(s.byte()) % n }
 func (s *script) spent() bool { return s.pos >= len(s.data) }
 
 // Key domains: few distinct values so duplicates are the rule, plus the
-// values where orders could disagree — −0/+0 and ±Inf for floats, the
-// extremes and an int that float64 rounds for ints, the empty string.
+// values where orders could disagree — −0/+0, ±Inf and NaN under two
+// payloads for floats, the extremes and an int that float64 rounds for ints,
+// the empty string — and where order keys tie: strings longer than 8 bytes
+// that share their first 8, "a" beside "a\x00".
 var keyDomains = map[value.Kind][]value.Datum{
 	value.KindInt: {
 		value.NewInt(0), value.NewInt(1), value.NewInt(2), value.NewInt(3), value.NewInt(7),
@@ -50,18 +52,23 @@ var keyDomains = map[value.Kind][]value.Datum{
 	value.KindFloat: {
 		value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)), value.NewFloat(1), value.NewFloat(2.5),
 		value.NewFloat(-1.5), value.NewFloat(math.Inf(1)), value.NewFloat(math.Inf(-1)), value.NewFloat(1e18),
+		value.NewFloat(math.NaN()), value.NewFloat(math.Float64frombits(0xFFF0000000000F00)),
 	},
 	value.KindString: {
 		value.NewString(""), value.NewString("a"), value.NewString("ab"), value.NewString("b"),
-		value.NewString("Toyota"), value.NewString("é"),
+		value.NewString("Toyota"), value.NewString("é"), value.NewString("Toyota Camry"),
+		value.NewString("Toyota Corolla"), value.NewString("a\x00"),
 	},
 }
 
 // foreignBounds probe every column kind with bounds of the other kinds: an
-// int column with float bounds, numbers against strings, NULL.
+// int column with float bounds (NaN among them), numbers against strings,
+// NULL — and a string column with strings no row holds whose order keys tie
+// with some that rows do.
 var foreignBounds = []value.Datum{
 	value.NewFloat(2.5), value.NewFloat(math.Copysign(0, -1)), value.NewFloat(1 << 53), value.NewFloat(math.Inf(-1)),
-	value.NewInt(2), value.NewInt(-4), value.NewString("b"), value.Null,
+	value.NewFloat(math.NaN()), value.NewFloat(math.Float64frombits(0x7FF0000000000001)),
+	value.NewInt(2), value.NewInt(-4), value.NewString("b"), value.NewString("Toyota Co"), value.NewString("a\x00\x00"), value.Null,
 }
 
 const (
@@ -281,11 +288,15 @@ func naiveLookup(keys []value.Datum, key value.Datum) []int {
 }
 
 // TestCatchUpMatchesScan runs random scripts for every key kind and both
-// chunk sizes, and requires that the run exercised both ways an image moves.
+// chunk sizes, and requires that the run exercised both ways an image moves
+// and, for every kind, the sorts past the small-input one: delta lists
+// scattered on a digit and buckets partitioned in place — and for strings,
+// runs of one order key sorted on their next bytes.
 func TestCatchUpMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	var total ImageStats
 	for kind := 0; kind < 3; kind++ {
+		var sorts ImageStats
 		for chunk := 0; chunk < 2; chunk++ {
 			for run := 0; run < 6; run++ {
 				data := make([]byte, 2+rng.Intn(3000))
@@ -295,13 +306,86 @@ func TestCatchUpMatchesScan(t *testing.T) {
 				total.Advances += st.Advances
 				total.Full += st.Full
 				total.Aside += st.Aside
+				sorts.Scattered += st.Scattered
+				sorts.InPlace += st.InPlace
+				sorts.StringTies += st.StringTies
 			}
+		}
+		t.Logf("kind %d: %d delta lists scattered, %d buckets partitioned in place, %d string tie runs", kind, sorts.Scattered, sorts.InPlace, sorts.StringTies)
+		if sorts.Scattered == 0 || sorts.InPlace == 0 || kind == 2 && sorts.StringTies == 0 {
+			t.Errorf("kind %d: the scripts should take every sort path, not only the small-input one: %+v", kind, sorts)
 		}
 	}
 	t.Logf("%d advances, %d of them full sorts, %d aside images", total.Advances, total.Full, total.Aside)
 	if total.Full == 0 || total.Full*2 > total.Advances || total.Aside == 0 {
 		t.Errorf("the scripts should mostly catch up, sometimes re-sort, sometimes serve an old snapshot: %+v", total)
 	}
+}
+
+// TestDeltaListsArriveInRowOrder states the precondition the delta sort is
+// stable on: diff appends what changed in ascending position order, so a
+// sort stable on the order key alone yields (key, row) order. It runs every
+// shape of DML between two diffs and checks the lists as diff leaves them,
+// then that sortList refuses a list out of row order.
+func TestDeltaListsArriveInRowOrder(t *testing.T) {
+	for _, kind := range []value.Kind{value.KindInt, value.KindFloat, value.KindString} {
+		tbl := seqTable(t, kind, 700, 64)
+		im := newImage(kind, 1, new(sortPaths))
+		im.advance(tbl.Snapshot())
+		for i, dml := range []func(){
+			func() {
+				tbl.DeleteWhere(storage.MatchRows(func(row []value.Datum) bool { return row[0].Int()%7 == 3 }))
+			},
+			func() {
+				if err := tbl.InsertBatch(seqRows(kind, 700, 90)); err != nil {
+					t.Fatal(err)
+				}
+			},
+			func() {
+				if _, err := tbl.UpdateWhere(storage.MatchRows(func(row []value.Datum) bool { return row[0].Int()%5 == 1 }),
+					[]storage.Assignment{{Ordinal: 1, Value: seqKey(kind, 11)}}); err != nil {
+					t.Fatal(err)
+				}
+			},
+		} {
+			dml()
+			to := tbl.Snapshot()
+			var removed, added []int32
+			switch im := im.(type) {
+			case *typed[int64]:
+				im.diff(to, math.MaxInt)
+				removed, added = im.removed.rows, im.added.rows
+			case *typed[float64]:
+				im.diff(to, math.MaxInt)
+				removed, added = im.removed.rows, im.added.rows
+			case *typed[string]:
+				im.diff(to, math.MaxInt)
+				removed, added = im.removed.rows, im.added.rows
+			}
+			if len(added) == 0 {
+				t.Fatalf("%v, statement %d: no entries added, which proves nothing", kind, i)
+			}
+			for _, l := range []struct {
+				what string
+				rows []int32
+			}{{"removed", removed}, {"added", added}} {
+				for j := 1; j < len(l.rows); j++ {
+					if l.rows[j] <= l.rows[j-1] {
+						t.Fatalf("%v, statement %d: %s rows out of order: %v", kind, i, l.what, l.rows)
+					}
+				}
+			}
+			im.advance(to)
+		}
+	}
+
+	im := newImage(value.KindInt, 1, new(sortPaths)).(*typed[int64])
+	defer func() {
+		if recover() == nil {
+			t.Error("sortList accepted a list out of row order")
+		}
+	}()
+	im.sortList(entries[int64]{keys: []uint64{3, 1}, rows: []int32{5, 2}}, im.resize(entries[int64]{}, 2))
 }
 
 // FuzzIndexCatchUp drives the same model from the fuzzer's bytes.

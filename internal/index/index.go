@@ -6,10 +6,13 @@
 // optimizer's selectivity estimates are inaccurate, and exactly the decision
 // JITS improves by supplying fresh query-specific statistics.
 //
-// An index is a typed sorted image of one column of one table snapshot: an
-// array of (key, row position) pairs in (key, position) order — keys as
-// int64, float64 or string, whichever the column stores, positions as int32
-// — with the positions of NULL keys kept apart, since no probe returns them.
+// An index is a typed sorted image of one column of one table snapshot:
+// entries in (key, position) order, held as parallel arrays of 64-bit order
+// keys (value.IntKey, FloatKey or StringKey of whatever the column stores)
+// and int32 row positions — plus, for a string column, the strings, since
+// a string's key is only its first 8 bytes — with the positions of NULL keys
+// kept apart, since no probe returns them. Sorts, merges and probes compare
+// the keys as integers; a string image goes to its strings on a tie only.
 // The image remembers the snapshot it describes. When a caller arrives with a
 // newer one, the image catches up instead of re-sorting: storage never
 // writes a column vector a snapshot has captured (copy-on-write, per column),
@@ -32,8 +35,8 @@
 // kept until the shared one next advances, so a statement one version behind
 // neither moves the image back for everyone else nor sorts once per probe.
 //
-// What an index pins in memory: its entries (16 bytes a row for numeric
-// keys, 24 for strings, whose bytes stay shared with the chunks), a spare of
+// What an index pins in memory: its entries (12 bytes a row for numeric
+// keys, 28 for strings, whose bytes stay shared with the chunks), a spare of
 // the same size once a first catch-up has moved entries, and the snapshot
 // the image describes — so chunks the table has since replaced stay alive
 // until the index is next used, when it advances and lets them go.
@@ -63,9 +66,10 @@ type Index struct {
 	shared image // follows the newest snapshot any caller has brought
 	aside  image // at the last older snapshot asked for; nil once shared advances
 
-	// Counters of how images came to be; only Rebuilds is public, the split
-	// is for tests.
+	// Counters of how images came to be and how they were sorted; only
+	// Rebuilds is public, the rest is for tests.
 	rebuilds, fullBuilds, asideBuilds, lastMoved, lastRead int
+	sorts                                                  sortPaths
 
 	scratch []int32 // Range's positions before they are widened
 }
@@ -83,7 +87,7 @@ func New(name string, table *storage.Table, column string) (*Index, error) {
 }
 
 func (ix *Index) newImage() image {
-	return newImage(ix.table.Schema().Column(ix.ordinal).Kind, ix.ordinal)
+	return newImage(ix.table.Schema().Column(ix.ordinal).Kind, ix.ordinal, &ix.sorts)
 }
 
 // Name returns the index name.
@@ -183,13 +187,6 @@ func (ix *Index) AppendRangeAt(dst []int32, snap *storage.Snapshot, lo, hi value
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	return ix.imageAt(snap).search(dst, lo, hi)
-}
-
-// Len returns the number of indexed entries (including NULL keys).
-func (ix *Index) Len() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.imageAt(ix.table.Snapshot()).size()
 }
 
 // Set is the database's index registry: table name → column name → index.

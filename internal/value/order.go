@@ -8,11 +8,12 @@
 //	equals itself and sorts after every other number;
 //	strings bytewise.
 //
-// Three things are built on the rule and nothing else is: Order and
+// Four things are built on the rule and nothing else is: Order and
 // OrderIntFloat over bare payloads (what loops over dense arrays call),
-// Datum.Compare, and Datum.Key, the equality key. SQL's "a comparison with
-// NULL is not true" is the callers' business (Equal states it once); the
-// order itself puts NULLs together, first.
+// Datum.Compare, Datum.Key, the equality key, and the order keys (IntKey,
+// FloatKey, StringKey), a payload as an integer that sorts like it. SQL's
+// "a comparison with NULL is not true" is the callers' business (Equal
+// states it once); the order itself puts NULLs together, first.
 package value
 
 import (
@@ -60,6 +61,60 @@ func OrderIntFloat(i int64, f float64) int {
 		return -1
 	}
 	return Order(i, int64(f))
+}
+
+// The order key: a payload as a uint64 whose unsigned order is Order's, what
+// an index image sorts, merges and searches on. For two ints, or two floats,
+// the keys compare exactly as Order does. A string's key is only monotone: a
+// smaller key means a smaller string, and equal keys decide nothing.
+
+// IntKey is an int's order key: the sign bit flipped.
+func IntKey(x int64) uint64 { return uint64(x) ^ 1<<63 }
+
+// KeyInt is the int whose key IntKey returned.
+func KeyInt(k uint64) int64 { return int64(k ^ 1<<63) }
+
+// floatNaNKey is every NaN's key, one above +Inf's.
+const floatNaNKey = 0xFFF0000000000001
+
+// FloatKey is a float's order key. −0 becomes +0 and every NaN one key above
+// +Inf; then a negative float's bits are all flipped and any other's sign
+// bit is set, which puts the negatives below the rest and in reverse.
+func FloatKey(f float64) uint64 {
+	switch {
+	case f != f:
+		return floatNaNKey
+	case f == 0:
+		return 1 << 63
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// KeyFloat is a float FloatKey maps to k: the float itself, +0 for −0, a
+// NaN for a NaN.
+func KeyFloat(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
+// StringKey is a string's order key: its first 8 bytes, big-endian,
+// zero-padded. "a" and "a\x00" share a key, and so does every string with a
+// common 8-byte prefix.
+func StringKey(s string) uint64 {
+	if len(s) >= 8 {
+		return binary.BigEndian.Uint64([]byte(s[:8]))
+	}
+	var k uint64
+	for i := 0; i < len(s); i++ {
+		k |= uint64(s[i]) << (56 - 8*i)
+	}
+	return k
 }
 
 // Compare returns -1, 0 or +1 ordering d before, equal to, or after other

@@ -14,7 +14,8 @@ import (
 // zeros, the infinities, NaN under two payloads, the integers around 2^53
 // where float64 runs out of them — as ints and as floats — the int64 extremes
 // beside the floats they round to, a fraction next to zero, and strings down
-// to the empty and the non-UTF-8.
+// to the empty and the non-UTF-8, and strings whose order keys tie: a
+// common 8-byte prefix, a trailing zero byte.
 var orderCorpus = []Datum{
 	Null,
 	NewInt(0), NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(0.1), NewFloat(-0.1),
@@ -27,6 +28,7 @@ var orderCorpus = []Datum{
 	NewInt(math.MaxInt64), NewInt(math.MaxInt64 - 1), NewInt(math.MinInt64), NewInt(math.MinInt64 + 1),
 	NewFloat(1 << 63), NewFloat(-(1 << 63)), NewFloat(math.Nextafter(1<<63, 0)), NewFloat(1e300),
 	NewString(""), NewString("a"), NewString("ab"), NewString("b"), NewString("\xff\xfe"), NewString("\x00"), NewString("5"),
+	NewString("a\x00"), NewString("Toyota Camry"), NewString("Toyota Corolla"),
 }
 
 // refCompare is the order restated with no code in common with Compare:
@@ -66,7 +68,7 @@ func refCompare(a, b Datum) int {
 // checkOrder holds three datums to everything the package promises: Compare
 // agrees with the reference and is reflexive, antisymmetric and transitive;
 // the key — as a comparable value, as bytes, as a hash — is equal exactly when
-// Compare is 0; the typed compares say what Compare says.
+// Compare is 0; the typed compares and the order keys say what Compare says.
 func checkOrder(t testing.TB, a, b, c Datum) {
 	t.Helper()
 	ab, bc, ac := a.Compare(b), b.Compare(c), a.Compare(c)
@@ -117,6 +119,39 @@ func checkOrder(t testing.TB, a, b, c Datum) {
 	if typed != ab {
 		t.Fatalf("typed compare of %v and %v = %d, Compare %d", a, b, typed, ab)
 	}
+	checkOrderKey(t, a, b, ab)
+}
+
+// checkOrderKey holds the order keys of two payloads of one kind to Compare's
+// verdict ab: exactly for ints and floats, which also decode back to a datum
+// Compare calls equal; for strings only where the keys differ.
+func checkOrderKey(t testing.TB, a, b Datum, ab int) {
+	t.Helper()
+	var ka, kb uint64
+	switch {
+	case a.Kind() != b.Kind():
+		return
+	case a.Kind() == KindInt:
+		ka, kb = IntKey(a.Int()), IntKey(b.Int())
+		if KeyInt(ka) != a.Int() {
+			t.Fatalf("KeyInt(IntKey(%v)) = %d", a, KeyInt(ka))
+		}
+	case a.Kind() == KindFloat:
+		ka, kb = FloatKey(a.Float()), FloatKey(b.Float())
+		if back := NewFloat(KeyFloat(ka)); back.Compare(a) != 0 {
+			t.Fatalf("KeyFloat(FloatKey(%v)) = %v", a, back)
+		}
+	case a.Kind() == KindString:
+		ka, kb = StringKey(a.Str()), StringKey(b.Str())
+		if ka == kb {
+			return // equal string keys decide nothing
+		}
+	default:
+		return
+	}
+	if got := cmp.Compare(ka, kb); got != ab {
+		t.Fatalf("order keys of %v and %v (%#x, %#x) compare %d, Compare %d", a, b, ka, kb, got, ab)
+	}
 }
 
 func TestOrderIsAnOrder(t *testing.T) {
@@ -160,12 +195,20 @@ func TestOrderIsAnOrder(t *testing.T) {
 	}
 }
 
-// FuzzValueOrder: three arbitrary datums are held to checkOrder.
+// FuzzValueOrder: three arbitrary datums are held to checkOrder, order keys
+// included.
 func FuzzValueOrder(f *testing.F) {
 	f.Add(byte(1), int64(1<<53+1), 0.0, "", byte(2), int64(0), float64(1<<53), "", byte(2), int64(0), math.NaN(), "")
 	f.Add(byte(3), int64(0), 0.0, "a", byte(3), int64(0), 0.0, "", byte(0), int64(0), 0.0, "")
 	f.Add(byte(2), int64(0), math.Copysign(0, -1), "", byte(1), int64(0), 0.0, "", byte(2), int64(0), 0.1, "")
 	f.Add(byte(1), int64(math.MaxInt64), 0.0, "", byte(2), int64(0), float64(1<<63), "", byte(2), int64(0), math.Inf(1), "")
+	// Where the order keys have special cases: −0 beside +0, two NaN
+	// payloads, the infinities, the int64 extremes, strings whose keys tie.
+	f.Add(byte(2), int64(0), math.Copysign(0, -1), "", byte(2), int64(0), 0.0, "", byte(2), int64(0), math.Inf(-1), "")
+	f.Add(byte(2), int64(0), math.NaN(), "", byte(2), int64(0), math.Float64frombits(0xFFF0000000000F00), "", byte(2), int64(0), math.Inf(1), "")
+	f.Add(byte(1), int64(math.MinInt64), 0.0, "", byte(1), int64(math.MaxInt64), 0.0, "", byte(1), int64(-1), 0.0, "")
+	f.Add(byte(3), int64(0), 0.0, "Toyota Camry", byte(3), int64(0), 0.0, "Toyota Corolla", byte(3), int64(0), 0.0, "Toyota")
+	f.Add(byte(3), int64(0), 0.0, "a", byte(3), int64(0), 0.0, "a\x00", byte(3), int64(0), 0.0, "a\x00b")
 	datum := func(kind byte, i int64, f float64, s string) Datum {
 		switch Kind(kind % 4) {
 		case KindInt:

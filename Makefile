@@ -80,8 +80,10 @@ bench-pairs:
 # executor's own row: the six paper templates at scale 0.01 under the join
 # methods the optimizer picks among (bytes and allocations per execution are
 # what late materialization is held to; forced nested loops take 0.4 s an
-# execution and run under `go test -bench ExecuteTemplates` by hand), and the
-# two exits of one 5000-row scan: rows (boxed, Execute) and columns (Run). Then the
+# execution and run under `go test -bench ExecuteTemplates` by hand), the
+# two exits of one 5000-row scan: rows (boxed, Execute) and columns (Run),
+# and one small hash join end to end (its build table's bytes and
+# allocations). Then the
 # write path through Engine.Exec on the 43k-row table, a snapshot taken before
 # every statement: UPDATE of one column of a sixth of the rows (bytes per
 # statement are one vector a touched chunk), DELETE of 5 %, and the multi-row
@@ -101,7 +103,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'SampleDraw|EvaluateGroups|ColumnNDV' -benchmem -benchtime 0.3s ./internal/sampling/
 	$(GO) test -run '^$$' -bench 'AddConstraintSteady' -benchmem -benchtime 0.3s ./internal/histogram/
 	$(GO) test -run '^$$' -bench 'CollectTable' -benchmem -benchtime 0.3s ./internal/core/
-	$(GO) test -run '^$$' -bench 'ExecuteTemplates/.*/(scan|HashJoin|MergeJoin|IndexNLJoin)|Finish' -benchmem -benchtime 20x ./internal/executor/
+	$(GO) test -run '^$$' -bench 'ExecuteTemplates/.*/(scan|HashJoin|MergeJoin|IndexNLJoin)|Finish|HashJoinExecution' -benchmem -benchtime 20x ./internal/executor/
 	$(GO) test -run '^$$' -bench 'BenchmarkDML' -benchmem -benchtime 30x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'Compare|AppendMatches' -benchmem -benchtime 0.3s ./internal/value/ ./internal/qgm/
 	$(GO) test -run '^$$' -bench 'PredicateGroup|Explain' -benchmem -benchtime 0.3s ./internal/qgm/ ./internal/optimizer/

@@ -119,7 +119,8 @@ func (rt *Runtime) shrink(bytes int64) {
 // Accounted sizes of what operators hold. A row position is an int32; a
 // gathered key is one typed array slot (a string column's wider headers are
 // under-counted — budgets bound accounted bytes, see govern.EstimateRowBytes);
-// a build-table entry is a map slot plus its chain link.
+// a build-table entry bounds what the hash join holds per left row: 2–4 head
+// slots of 4 B (the table is at most half full) plus its 4 B chain link.
 const (
 	posBytes       = 4
 	keyBytes       = 8
@@ -610,67 +611,120 @@ func (ex *executor) runHashJoin(n *optimizer.Join) (*relation, error) {
 		}
 	}
 
-	// Build: the table is split by key hash into one partition per worker
-	// the build side can keep busy (a single partition computes no hash), one
-	// morsel per partition. A partition maps a key to its first left row;
-	// next chains the rest. Walking the left side backwards leaves every
-	// chain in left-row order.
-	parts := min(ex.rt.morselCount(nL), ex.rt.dop())
-	partOf := func(k int64) int {
-		if parts == 1 {
-			return 0
-		}
-		return int(uint64(k) * 0x9E3779B97F4A7C15 >> 33 % uint64(parts))
-	}
-	next := make([]int32, nL)
-	heads := make([]map[int64]int32, parts)
-	if err := ex.rt.runMorsels(parts, 1, func(p, _, _ int) error {
-		head := make(map[int64]int32, nL/parts)
-		for i := nL - 1; i >= 0; i-- {
-			k := lk.k[i]
-			if lk.isNull(i) || partOf(k) != p {
-				continue
-			}
-			if h, ok := head[k]; ok {
-				next[i] = h
-			} else {
-				next[i] = -1
-			}
-			head[k] = int32(i)
-		}
-		heads[p] = head
-		return nil
-	}); err != nil {
+	li, ri, err := ex.rt.hashMatch(lk, rk)
+	if err != nil {
 		return nil, err
 	}
-
-	// Probe: right-side morsels look keys up in the now read-only partitions
-	// and emit (left row, right row) pairs.
-	lb := make([][]int32, ex.rt.morselCount(nR))
-	rb := make([][]int32, len(lb))
-	if err := ex.rt.forMorsels(nR, func(m, lo, hi int) error {
-		var li, ri []int32
-		for j := lo; j < hi; j++ {
-			if rk.isNull(j) {
-				continue
-			}
-			if h, ok := heads[partOf(rk.k[j])][rk.k[j]]; ok {
-				for ; h >= 0; h = next[h] {
-					li, ri = append(li, h), append(ri, int32(j))
-				}
-			}
-		}
-		lb[m], rb[m] = li, ri
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	li, ri := flatten(lb), flatten(rb)
 
 	ex.rt.charge(w.HashBuild * float64(nL))
 	ex.rt.charge(w.HashProbe * float64(nR))
 	ex.rt.charge(w.RowOut * float64(len(li)))
 	return ex.joined("hash join", left, right, li, ri)
+}
+
+// headLoad is the build table's least slots per row: a partition of n rows
+// gets the least power of two ≥ 2n slots, so a table is at most half full
+// and a probe that misses stops within a few slots. Four slots a row was
+// within noise of two on BenchmarkExecuteTemplates' hash joins and
+// allocated 3–20 % more bytes.
+const headLoad = 2
+
+// hashMatch joins the key sequences: every (left row, right row) pair with
+// equal non-null keys, right rows in order and, under each, its left rows in
+// order. Build: the left keys are split by hash into one partition per
+// worker the build side can keep busy, one morsel per partition. A
+// partition is an open-addressing table (linear probing) whose slots hold a
+// key's first left row plus one, 0 being empty — no copy of the key, which is
+// lk.k[row]; next chains the rest. Walking the left side backwards leaves
+// every chain in left-row order. Probe: right-side morsels look keys up in
+// the now read-only partitions.
+func (rt *Runtime) hashMatch(lk, rk joinKeys) (li, ri []int32, err error) {
+	nL, nR := len(lk.k), len(rk.k)
+	parts := min(rt.morselCount(nL), rt.dop())
+	partOf := func(h uint64) int {
+		if parts == 1 {
+			return 0
+		}
+		return int(h >> 33 % uint64(parts))
+	}
+	next := make([]int32, nL)
+	heads := make([]headTable, parts)
+	if err := rt.runMorsels(parts, 1, func(p, _, _ int) error {
+		rows := 0
+		for i, k := range lk.k {
+			if !lk.isNull(i) && partOf(keyHash(k)) == p {
+				rows++
+			}
+		}
+		t := newHeadTable(rows)
+		for i := nL - 1; i >= 0; i-- {
+			k := lk.k[i]
+			h := keyHash(k)
+			if lk.isNull(i) || partOf(h) != p {
+				continue
+			}
+			s := t.slot(lk.k, k, h)
+			next[i] = t.slots[s] - 1
+			t.slots[s] = int32(i) + 1
+		}
+		heads[p] = t
+		return nil
+	}); err != nil {
+		return nil, nil, err
+	}
+
+	lb := make([][]int32, rt.morselCount(nR))
+	rb := make([][]int32, len(lb))
+	if err := rt.forMorsels(nR, func(m, lo, hi int) error {
+		var li, ri []int32
+		for j := lo; j < hi; j++ {
+			if rk.isNull(j) {
+				continue
+			}
+			k := rk.k[j]
+			h := keyHash(k)
+			t := &heads[partOf(h)]
+			for l := t.slots[t.slot(lk.k, k, h)] - 1; l >= 0; l = next[l] {
+				li, ri = append(li, l), append(ri, int32(j))
+			}
+		}
+		lb[m], rb[m] = li, ri
+		return nil
+	}); err != nil {
+		return nil, nil, err
+	}
+	return flatten(lb), flatten(rb), nil
+}
+
+// keyHash spreads a join key over the top bits, which partitions and slots
+// are taken from: a key's high half is folded into its low half first, so
+// keys that differ only there do not share a slot.
+func keyHash(k int64) uint64 { return (uint64(k) ^ uint64(k)>>32) * 0x9E3779B97F4A7C15 }
+
+// headTable is one build partition: a power-of-two slot array, each slot a
+// left row plus one or 0.
+type headTable struct {
+	slots []int32
+	shift uint
+}
+
+func newHeadTable(rows int) headTable {
+	bits := uint(1)
+	for 1<<bits < headLoad*rows {
+		bits++
+	}
+	return headTable{slots: make([]int32, 1<<bits), shift: 64 - bits}
+}
+
+// slot returns the slot of key k (hash h): the one holding k's first row,
+// or the empty slot where it would go.
+func (t *headTable) slot(keys []int64, k int64, h uint64) uint64 {
+	mask := uint64(len(t.slots) - 1)
+	s := h >> t.shift
+	for t.slots[s] != 0 && keys[t.slots[s]-1] != k {
+		s = (s + 1) & mask
+	}
+	return s
 }
 
 func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {

@@ -503,6 +503,7 @@ func TestIndexNLJoinActualsConditioned(t *testing.T) {
 
 func BenchmarkHashJoinExecution(b *testing.B) {
 	e := newEnv(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runSQL(b, e, `SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND o.city = 'Ottawa'`)

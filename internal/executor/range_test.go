@@ -20,9 +20,12 @@ var rangeStrings = []string{"", "a", "a\x00", "ab", "abc", "abcdef", "abcdefg", 
 
 // FuzzPredicateRange holds everything built from qgm.Predicate.Range to the
 // row semantics of MatchesDatum, for every operator (and one past them) over
-// int, finite float, string and NULL operands, against int, float and string
-// columns with NULLs in them:
+// int, float, string and NULL operands, against int, float and string
+// columns with NULLs and the order keys' extremes in them:
 //
+//   - the scan kernels (qgm.AppendMatches chunk by chunk, qgm.RowMatcher
+//     position by position) select exactly the rows MatchesDatum accepts,
+//     for every operator;
 //   - the index probe (indexPositions) returns exactly the rows MatchesDatum
 //     accepts;
 //   - on the int column, for int operands, a value's coordinate lies inside
@@ -34,6 +37,11 @@ var rangeStrings = []string{"", "a", "a\x00", "ab", "abc", "abcdef", "abcdefg", 
 //     resolution: floats closer than the column's unit, strings that agree
 //     in their first six bytes, an int just above a fractional bound;
 //   - a NULL operand probes nothing and yields no box.
+//
+// The boxes are only held for finite operands and for the column values
+// the coordinate line resolves exactly (plainValue): the extremes are there
+// for the order keys, whose ±1-key steps at excluded ends and wrap of
+// key − lo they exercise.
 func FuzzPredicateRange(f *testing.F) {
 	type operand struct {
 		k uint8
@@ -54,6 +62,19 @@ func FuzzPredicateRange(f *testing.F) {
 		{3, 0, 0, "abcdefg"},
 		{3, 0, 0, ""},
 		{3, 0, 0, "a\x00"},
+		{1, math.MinInt64, 0, ""},
+		{1, math.MaxInt64, 0, ""},
+		{1, 1<<53 + 1, 0, ""},
+		{2, 0, math.Copysign(0, -1), ""},
+		{2, 0, 5e-324, ""},
+		{2, 0, -5e-324, ""},
+		{2, 0, math.MaxFloat64, ""},
+		{2, 0, -math.MaxFloat64, ""},
+		{2, 0, math.Inf(1), ""},
+		{2, 0, math.Inf(-1), ""},
+		{2, 0, math.NaN(), ""},
+		{2, 0, math.Float64frombits(0xFFF0000000000F00), ""},
+		{2, 0, 1 << 63, ""},
 	}
 	for op := range uint8(qgm.OpIn + 2) {
 		for j, a := range operands {
@@ -71,9 +92,26 @@ func FuzzPredicateRange(f *testing.F) {
 			var vals []value.Datum
 			for pos := range snap.NumRows() {
 				d := snap.Datum(pos, ord)
-				vals = append(vals, d)
+				if plainValue(d) {
+					vals = append(vals, d)
+				}
 				if p.MatchesDatum(d) {
 					want = append(want, int32(pos))
+				}
+			}
+			preds := []qgm.Predicate{p}
+			var scanned []int32
+			snap.Range(0, snap.NumRows(), func(ch *storage.Chunk, base, clo, chi int) bool {
+				scanned = qgm.AppendMatches(scanned, preds, ch, clo, chi, base)
+				return true
+			})
+			if !slices.Equal(scanned, want) {
+				t.Fatalf("%s: scan kernel selects %v, MatchesDatum accepts %v", p, scanned, want)
+			}
+			rowMatches := qgm.RowMatcher(preds, snap)
+			for pos := range snap.NumRows() {
+				if got := rowMatches(pos); got != slices.Contains(want, int32(pos)) {
+					t.Fatalf("%s: RowMatcher says %v at row %d (%v)", p, got, pos, snap.Datum(pos, ord))
 				}
 			}
 			r, ok := p.Range()
@@ -106,7 +144,7 @@ func FuzzPredicateRange(f *testing.F) {
 				}
 				continue
 			}
-			if !sameClass(r, tbl.Schema().Column(ord).Kind) {
+			if !sameClass(r, tbl.Schema().Column(ord).Kind) || !a.Finite() || !b.Finite() {
 				continue
 			}
 			exact := col == "i" && endsOfKind(r, value.KindInt)
@@ -127,16 +165,12 @@ func FuzzPredicateRange(f *testing.F) {
 	})
 }
 
-// rangeOperand decodes a fuzzed operand: NULL, an int, a finite float (a NaN
-// or an infinity becomes 0) or a string.
+// rangeOperand decodes a fuzzed operand: NULL, an int, a float or a string.
 func rangeOperand(k uint8, i int64, f float64, s string) value.Datum {
 	switch k % 4 {
 	case 1:
 		return value.NewInt(i)
 	case 2:
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			f = 0
-		}
 		return value.NewFloat(f)
 	case 3:
 		return value.NewString(s)
@@ -144,8 +178,35 @@ func rangeOperand(k uint8, i int64, f float64, s string) value.Datum {
 	return value.Null
 }
 
+// rangeExtremes are the int and float column values at the ends of the
+// order keys' range and beside their special cases: the int64 extremes, both
+// zeros, the smallest and largest floats of each sign, the infinities, NaN
+// under two payloads, and the floats either side of 2^53+1, which no float64
+// holds.
+var rangeExtremes = [][2]value.Datum{
+	{value.NewInt(math.MinInt64), value.NewFloat(math.Copysign(0, -1))},
+	{value.NewInt(math.MaxInt64), value.NewFloat(0)},
+	{value.NewInt(math.MinInt64 + 1), value.NewFloat(5e-324)},
+	{value.NewInt(math.MaxInt64 - 1), value.NewFloat(-5e-324)},
+	{value.NewInt(1<<53 + 1), value.NewFloat(math.MaxFloat64)},
+	{value.NewInt(-1), value.NewFloat(-math.MaxFloat64)},
+	{value.NewInt(0), value.NewFloat(math.Inf(1))},
+	{value.NewInt(1), value.NewFloat(math.Inf(-1))},
+	{value.Null, value.NewFloat(math.NaN())},
+	{value.NewInt(1 << 62), value.NewFloat(math.Float64frombits(0xFFF0000000000F00))},
+	{value.NewInt(-(1 << 62)), value.NewFloat(1 << 53)},
+	{value.NewInt(3), value.NewFloat(1<<53 + 2)},
+}
+
+// plainValue reports whether the coordinate line resolves d exactly: a
+// string, or a finite number nearer to zero than 2^53.
+func plainValue(d value.Datum) bool {
+	return d.Kind() == value.KindString || d.Finite() && math.Abs(d.Coord()) < 1<<53
+}
+
 // rangeTable is 40 rows of small ints, quarter-step floats and rangeStrings,
-// one value in five NULL, in 8-row chunks, with an index on every column.
+// one value in five NULL, then a row per rangeExtremes pair, shuffled, in
+// 8-row chunks, with an index on every column.
 func rangeTable(t *testing.T, seed int64) (*storage.Table, []*index.Index) {
 	rng := rand.New(rand.NewSource(seed))
 	tbl := storage.NewTableWithChunkSize("t", storage.MustSchema(
@@ -166,6 +227,10 @@ func rangeTable(t *testing.T, seed int64) (*storage.Table, []*index.Index) {
 			}
 		}
 	}
+	for _, x := range rangeExtremes {
+		rows = append(rows, []value.Datum{x[0], x[1], value.NewString(rangeStrings[rng.Intn(len(rangeStrings))])})
+	}
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 	if err := tbl.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}

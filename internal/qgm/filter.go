@@ -2,127 +2,211 @@
 // dense column vectors: chunk by chunk into matching row positions (the
 // executor's scan), at single snapshot positions (index fetches), or over a
 // detached sample chunk (JITS group evaluation). Each predicate compiles
-// against the column vector it meets into a typed loop for the common
-// column-kind/operand-kind pairings; any other pairing (kind mismatches,
-// NULL operands, IN lists) falls back to Predicate.MatchesDatum on the
-// decoded datum. Both are the order of internal/value — the typed loops call
-// value.Order on the bare payloads where MatchesDatum calls Datum.Compare —
-// so the fast paths only skip the per-row Datum boxing, never change the
-// answer. Reads and writes share it: a DML WHERE finds its rows through
+// against the column vector it meets into a kernel: the range it selects
+// (Predicate.Range, what index probes use too) as one closed interval of
+// order keys on an int or float column — a row matches when key(x) − lo ≤
+// hi − lo as unsigned integers, NE being the complement of EQ's interval —
+// and one string compare per row on a string column. Any other pairing (IN
+// lists, a number against a string column or a string against a number
+// column) falls back to Predicate.MatchesDatum on the decoded datum. Keys
+// and compares are the order of internal/value, so a kernel only skips the
+// per-row Datum boxing, never changes the answer. A kernel filters a list of
+// row positions in place with one typed loop per column kind and no call per
+// row. Reads and writes share it: a DML WHERE finds its rows through
 // AppendMatches, chunk by chunk under the table's write lock.
 package qgm
 
 import (
+	"strings"
+
 	"repro/internal/storage"
 	"repro/internal/value"
 )
 
+// loop names the typed loop a kernel runs.
+type loop uint8
+
+const (
+	loopNone       loop = iota // nothing matches: the range is empty or an operand NULL
+	loopInt                    // IntKey(x) − lo ≤ w
+	loopFloat                  // FloatKey(x) − lo ≤ w
+	loopStrEQ                  // x == s
+	loopStrNE                  // x != s
+	loopStrCmp                 // the outcome of strings.Compare(x, s) is in mask
+	loopStrBetween             // s ≤ x ≤ t
+	loopDatum                  // MatchesDatum on the decoded value
+)
+
+// kernel is one predicate compiled against one column vector.
+type kernel struct {
+	loop  loop
+	nulls bool  // the vector has NULLs, which never match
+	mask  uint8 // loopStrCmp's outcomes
+	vec   *storage.ColumnVec
+	lo, w uint64     // the numeric loops' interval of keys, [lo, lo+w] modulo 2^64
+	s, t  string     // the string loops' operands
+	p     *Predicate // loopDatum's predicate
+}
+
 // cmpMask maps a comparison operator to a bitmask over the three-way
 // compare outcome: bit 0 ⇒ matches when cmp < 0, bit 1 ⇒ when cmp == 0,
-// bit 2 ⇒ when cmp > 0. Equal/NotEqual piggyback on the same outcome
-// because Datum.Equal is defined as Compare()==0 for non-null operands.
-// BETWEEN is two compares, so it has no mask of its own.
-func cmpMask(op PredOp) (uint8, bool) {
-	switch op {
-	case OpEQ:
-		return 0b010, true
-	case OpNE:
-		return 0b101, true
-	case OpLT:
-		return 0b001, true
-	case OpLE:
-		return 0b011, true
-	case OpGT:
-		return 0b100, true
-	case OpGE:
-		return 0b110, true
-	default:
-		return 0, false
-	}
+// bit 2 ⇒ when cmp > 0.
+func cmpMask(op PredOp) uint8 {
+	return [...]uint8{OpLT: 0b001, OpLE: 0b011, OpGT: 0b100, OpGE: 0b110}[op]
 }
 
-func maskHit(mask uint8, c int) bool { return mask&(1<<uint(c+1)) != 0 }
+// compileHook, when set, sees every kernel compiled; tests count with it.
+var compileHook func(loop)
 
-// typedMatcher returns the predicate over one typed array when every operand
-// converts to the array's element type — a compare through the operator's
-// mask, or BETWEEN as two compares — and nil otherwise.
-func typedMatcher[T value.Ordered](p Predicate, xs []T, operand func(value.Datum) (T, bool)) func(i int) bool {
-	if mask, ok := cmpMask(p.Op); ok {
-		if v, ok := operand(p.Value); ok {
-			return func(i int) bool { return maskHit(mask, value.Order(xs[i], v)) }
-		}
-	} else if p.Op == OpBetween {
-		lo, okLo := operand(p.Lo)
-		hi, okHi := operand(p.Hi)
-		if okLo && okHi {
-			return func(i int) bool { return value.Order(xs[i], lo) >= 0 && value.Order(xs[i], hi) <= 0 }
+// compile builds p's kernel over vec, choosing the loop from the vector's
+// own kind and the operand kinds (so table chunks and detached sample chunks
+// are served alike). NE compiles from EQ's range.
+func compile(p *Predicate, vec *storage.ColumnVec) kernel {
+	k := kernel{loop: loopDatum, vec: vec, p: p}
+	op := p.Op
+	if op == OpNE {
+		op = OpEQ
+	}
+	r, ok := Predicate{Op: op, Value: p.Value, Lo: p.Lo, Hi: p.Hi}.Range()
+	str := vec.Kind() == value.KindString
+	for _, b := range [2]value.Bound{r.Lo, r.Hi} {
+		switch {
+		case !ok || b.IsUnbounded():
+		case b.Value.IsNull():
+			k.loop = loopNone
+		case (b.Value.Kind() == value.KindString) != str:
+			ok = false // a number against strings, or a string against numbers
 		}
 	}
-	return nil
+	switch kind := vec.Kind(); {
+	case !ok || k.loop == loopNone:
+	case str:
+		k.onStrings(p)
+	case kind == value.KindInt || kind == value.KindFloat:
+		k.onNumbers(r, p.Op == OpNE, kind)
+	}
+	k.nulls = k.loop != loopNone && k.loop != loopDatum && vec.HasNulls()
+	if compileHook != nil {
+		compileHook(k.loop)
+	}
+	return k
 }
 
-// intFloatMatcher is an int column against float operands, compared exactly.
-func intFloatMatcher(p Predicate, xs []int64) func(i int) bool {
-	if mask, ok := cmpMask(p.Op); ok && p.Value.Kind() == value.KindFloat {
-		v := p.Value.Float()
-		return func(i int) bool { return maskHit(mask, value.OrderIntFloat(xs[i], v)) }
+// onNumbers compiles a range of numbers, or its complement, on an int or
+// float column to an interval of keys.
+func (k *kernel) onNumbers(r Range, complement bool, col value.Kind) {
+	k.loop = loopInt
+	if col == value.KindFloat {
+		k.loop = loopFloat
 	}
-	if p.Op == OpBetween && p.Lo.Kind() == value.KindFloat && p.Hi.Kind() == value.KindFloat {
-		lo, hi := p.Lo.Float(), p.Hi.Float()
-		return func(i int) bool { return value.OrderIntFloat(xs[i], lo) >= 0 && value.OrderIntFloat(xs[i], hi) <= 0 }
-	}
-	return nil
-}
-
-func intOperand(d value.Datum) (int64, bool) {
-	if d.Kind() == value.KindInt {
-		return d.Int(), true
-	}
-	return 0, false
-}
-
-// floatOperand is a float operand, or an int one that some float64 holds
-// exactly — the rest compare with no float as they do with the int.
-func floatOperand(d value.Datum) (float64, bool) {
-	f, ok := d.AsFloat()
-	return f, ok && d.Compare(value.NewFloat(f)) == 0
-}
-
-func strOperand(d value.Datum) (string, bool) {
-	if d.Kind() == value.KindString {
-		return d.Str(), true
-	}
-	return "", false
-}
-
-// matcher compiles the predicate against one column vector, choosing the
-// loop from the vector's own kind and the operand kinds (so table chunks and
-// detached sample chunks are served alike). The closure reads the
-// typed backing array directly; NULL rows never match (SQL comparison
-// semantics), checked only when the vector has nulls. An int column has a
-// loop for int operands and one for float operands, a float column for
-// numeric operands a float64 holds, a string column for strings; every other
-// pairing is MatchesDatum.
-func (p Predicate) matcher(vec *storage.ColumnVec) func(i int) bool {
-	var m func(i int) bool
-	switch vec.Kind() {
-	case value.KindInt:
-		if m = typedMatcher(p, vec.Ints(), intOperand); m == nil {
-			m = intFloatMatcher(p, vec.Ints())
-		}
-	case value.KindFloat:
-		m = typedMatcher(p, vec.Floats(), floatOperand)
-	case value.KindString:
-		m = typedMatcher(p, vec.Strs(), strOperand)
-	}
+	lo, hi, some := value.KeyRange(r.Lo, r.Hi, col)
 	switch {
-	case m == nil:
-		return func(i int) bool { return p.MatchesDatum(vec.Datum(i)) }
-	case vec.HasNulls():
-		return func(i int) bool { return !vec.Null(i) && m(i) }
+	case complement && !some: // x <> v where no x equals v: every row
+		k.lo, k.w = 0, ^uint64(0)
+	case complement: // [hi+1, lo−1], wrapping past the top key
+		k.lo, k.w = hi+1, lo-hi-2
+	case some:
+		k.lo, k.w = lo, hi-lo
+	default:
+		k.loop = loopNone
 	}
-	return m
 }
+
+// onStrings compiles a comparison of strings on a string column.
+func (k *kernel) onStrings(p *Predicate) {
+	switch p.Op {
+	case OpEQ:
+		k.loop, k.s = loopStrEQ, p.Value.Str()
+	case OpNE:
+		k.loop, k.s = loopStrNE, p.Value.Str()
+	case OpBetween:
+		k.loop, k.s, k.t = loopStrBetween, p.Lo.Str(), p.Hi.Str()
+	default:
+		k.loop, k.s, k.mask = loopStrCmp, p.Value.Str(), cmpMask(p.Op)
+	}
+}
+
+// filter compacts pos — row offsets into the kernel's vector — to those
+// whose rows match, in order, and returns how many there are. Each loop
+// writes every position and advances past the ones that match, so a match
+// costs no branch.
+func (k *kernel) filter(pos []int32) int {
+	n := 0
+	switch k.loop {
+	case loopInt:
+		xs, lo, w := k.vec.Ints(), k.lo, k.w
+		for _, i := range pos {
+			pos[n] = i
+			if value.IntKey(xs[i])-lo <= w {
+				n++
+			}
+		}
+	case loopFloat:
+		xs, lo, w := k.vec.Floats(), k.lo, k.w
+		for _, i := range pos {
+			pos[n] = i
+			if value.FloatKey(xs[i])-lo <= w {
+				n++
+			}
+		}
+	case loopStrEQ:
+		xs, s := k.vec.Strs(), k.s
+		for _, i := range pos {
+			pos[n] = i
+			if xs[i] == s {
+				n++
+			}
+		}
+	case loopStrNE:
+		xs, s := k.vec.Strs(), k.s
+		for _, i := range pos {
+			pos[n] = i
+			if xs[i] != s {
+				n++
+			}
+		}
+	case loopStrCmp:
+		xs, s, mask := k.vec.Strs(), k.s, k.mask
+		for _, i := range pos {
+			pos[n] = i
+			if mask>>uint(strings.Compare(xs[i], s)+1)&1 != 0 {
+				n++
+			}
+		}
+	case loopStrBetween:
+		xs, s, t := k.vec.Strs(), k.s, k.t
+		for _, i := range pos {
+			pos[n] = i
+			if x := xs[i]; x >= s && x <= t {
+				n++
+			}
+		}
+	case loopDatum:
+		for _, i := range pos {
+			pos[n] = i
+			if k.p.matches(k.vec.Datum(int(i))) {
+				n++
+			}
+		}
+	}
+	if k.nulls {
+		m := 0
+		for _, i := range pos[:n] {
+			pos[m] = i
+			if !k.vec.Null(int(i)) {
+				m++
+			}
+		}
+		n = m
+	}
+	return n
+}
+
+// filterBlock is how many row offsets AppendMatches gives the first
+// predicate's kernel at once, from a buffer on the stack. Blocks of 64,
+// 256 and 1024 offsets were within noise of one another on
+// BenchmarkAppendMatches.
+const filterBlock = 256
 
 // AppendMatches evaluates the conjunction of preds over chunk rows [lo, hi)
 // and appends base plus the offset of each matching row to dst. The first
@@ -137,29 +221,22 @@ func AppendMatches(dst []int32, preds []Predicate, ch *storage.Chunk, lo, hi, ba
 		}
 		return dst
 	}
-	m := preds[0].matcher(ch.Col(preds[0].Ordinal))
-	for i := lo; i < hi; i++ {
-		if m(i) {
-			dst = append(dst, int32(i))
+	k := compile(&preds[0], ch.Col(preds[0].Ordinal))
+	var block [filterBlock]int32
+	for b := lo; b < hi; b += filterBlock {
+		pos := block[:min(filterBlock, hi-b)]
+		for j := range pos {
+			pos[j] = int32(b + j)
 		}
+		dst = append(dst, pos[:k.filter(pos)]...)
 	}
-	for _, p := range preds[1:] {
-		if len(dst) == start {
-			break
-		}
-		m := p.matcher(ch.Col(p.Ordinal))
-		k := start
-		for _, i := range dst[start:] {
-			if m(int(i)) {
-				dst[k] = i
-				k++
-			}
-		}
-		dst = dst[:k]
+	for pi := 1; pi < len(preds) && len(dst) > start; pi++ {
+		k := compile(&preds[pi], ch.Col(preds[pi].Ordinal))
+		dst = dst[:start+k.filter(dst[start:])]
 	}
 	if base != 0 {
-		for k := start; k < len(dst); k++ {
-			dst[k] += int32(base)
+		for j := start; j < len(dst); j++ {
+			dst[j] += int32(base)
 		}
 	}
 	return dst
@@ -167,24 +244,28 @@ func AppendMatches(dst []int32, preds []Predicate, ch *storage.Chunk, lo, hi, ba
 
 // RowMatcher returns the conjunction of preds as a test of one row position
 // of snap, for access paths that arrive at rows one at a time (index
-// fetches). A chunk's matchers are compiled the first time a position lands
-// in it. The returned function is for one goroutine.
+// fetches). A chunk's kernels are compiled the first time a position lands
+// in it, and only the chunks a probe touches hold any. The returned function
+// is for one goroutine.
 func RowMatcher(preds []Predicate, snap *storage.Snapshot) func(pos int) bool {
 	if len(preds) == 0 {
 		return func(int) bool { return true }
 	}
-	size := snap.ChunkSize()
-	bound := make([]func(int) bool, snap.NumChunks()*len(preds)) // chunk ci's matchers start at ci*len(preds)
+	size, np := snap.ChunkSize(), len(preds)
+	var ks []kernel
+	at := make([]int32, snap.NumChunks()) // chunk ci's kernels are ks[(at[ci]-1)*np:][:np]; 0 until compiled
 	return func(pos int) bool {
 		ci := pos / size
-		ms := bound[ci*len(preds) : (ci+1)*len(preds)]
-		if ms[0] == nil {
-			for k, p := range preds {
-				ms[k] = p.matcher(snap.Chunk(ci).Col(p.Ordinal))
+		if at[ci] == 0 {
+			ch := snap.Chunk(ci)
+			for pi := range preds {
+				ks = append(ks, compile(&preds[pi], ch.Col(preds[pi].Ordinal)))
 			}
+			at[ci] = int32(len(ks) / np)
 		}
-		for _, m := range ms {
-			if !m(pos - ci*size) {
+		one := [1]int32{int32(pos - ci*size)}
+		for k := (int(at[ci]) - 1) * np; k < int(at[ci])*np; k++ {
+			if ks[k].filter(one[:]) == 0 {
 				return false
 			}
 		}

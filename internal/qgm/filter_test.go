@@ -94,13 +94,21 @@ func randPredicate(rng *rand.Rand, schema *storage.Schema) qgm.Predicate {
 
 // Property: for every random chunk × random predicate conjunction, the
 // compiled predicates must select exactly the offsets whose datums satisfy
-// MatchesDatum row by row — the typed fast paths may only skip boxing, never
-// change the answer. Both consumers are held to it: the executor's scan
+// MatchesDatum row by row — the kernels may only skip boxing, never change
+// the answer. Both consumers are held to it: the executor's scan
 // (AppendMatches chunk by chunk, RowMatcher position by position) and JITS
 // group evaluation, whose selectivity of a group over a sample must be the
-// row-by-row match count exactly.
+// row-by-row match count exactly. Both paths must have run: typed kernels,
+// and the MatchesDatum fallback the random kind mismatches and IN lists take.
 func TestCompiledFilterMatchesRowByRow(t *testing.T) {
 	schema := vecSchema(t)
+	compiled, fallbacks, stop := qgm.CountKernels()
+	defer stop()
+	defer func() {
+		if compiled.Load() == 0 || fallbacks.Load() == 0 {
+			t.Errorf("%d kernels compiled, %d of them fallbacks: both paths must run", compiled.Load(), fallbacks.Load())
+		}
+	}()
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := storage.NewTableWithChunkSize("t", schema, 8)
@@ -182,43 +190,97 @@ func TestCompiledFilterMatchesRowByRow(t *testing.T) {
 	}
 }
 
+// TestKernelsCoverEveryComparison: every comparison of an int, float or
+// string column with an operand of its class — the six operators and
+// BETWEEN — compiles to a typed kernel, never the MatchesDatum fallback, and
+// selects what MatchesDatum does.
+func TestKernelsCoverEveryComparison(t *testing.T) {
+	schema := vecSchema(t)
+	tbl := storage.NewTableWithChunkSize("t", schema, 16)
+	rng := rand.New(rand.NewSource(1))
+	for r := 0; r < 40; r++ {
+		if err := tbl.Insert([]value.Datum{randDatum(rng, 0), randDatum(rng, 1), randDatum(rng, 2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := tbl.Snapshot()
+	operands := map[int][]value.Datum{
+		0: {value.NewInt(3), value.NewFloat(2.5), value.NewFloat(math.NaN())},
+		1: {value.NewInt(-2), value.NewFloat(1.25), value.NewInt(1<<53 + 1)},
+		2: {value.NewString("cc"), value.NewString("")},
+	}
+	for ord, ops := range operands {
+		for _, v := range ops {
+			for op := qgm.OpEQ; op <= qgm.OpBetween; op++ {
+				p := qgm.Predicate{Column: schema.Column(ord).Name, Ordinal: ord, Op: op, Value: v, Lo: v, Hi: ops[0]}
+				compiled, fallbacks, stop := qgm.CountKernels()
+				var got, want []int32
+				snap.Range(0, snap.NumRows(), func(ch *storage.Chunk, base, clo, chi int) bool {
+					got = qgm.AppendMatches(got, []qgm.Predicate{p}, ch, clo, chi, base)
+					for i := clo; i < chi; i++ {
+						if p.MatchesDatum(ch.Col(ord).Datum(i)) {
+							want = append(want, int32(base+i))
+						}
+					}
+					return true
+				})
+				stop()
+				if compiled.Load() == 0 || fallbacks.Load() != 0 {
+					t.Errorf("%s: %d kernels, %d fallbacks", p, compiled.Load(), fallbacks.Load())
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s: kernel selects %v, MatchesDatum %v", p, got, want)
+				}
+			}
+		}
+	}
+}
+
 var matchSink []int32
 
-// BenchmarkAppendMatches prices the typed kernels per row: one predicate
-// over one 4096-row chunk for each column kind × operand kind with a loop of
-// its own, plus the pairing that has none (a string column against a number,
-// through MatchesDatum). The float and int-vs-float rows are where the
-// order's totality — NaN placed, an int against a float compared exactly —
-// costs its extra branch.
+// BenchmarkAppendMatches prices the kernels per row: one predicate over one
+// 4096-row chunk for each column kind × operand kind, the operators whose
+// intervals differ in shape (BETWEEN's two ends, NE's complement), a string
+// range's three-way compare, an int column with NULLs in it, and the pairing
+// that has no kernel (a string column against a number, through
+// MatchesDatum). Every kernel row allocates nothing.
 func BenchmarkAppendMatches(b *testing.B) {
 	schema := vecSchema(b)
 	rng := rand.New(rand.NewSource(1))
-	rows := make([][]value.Datum, storage.DefaultChunkSize)
+	rows := make([][]value.Datum, 2*storage.DefaultChunkSize)
 	for i := range rows {
 		rows[i] = []value.Datum{
 			value.NewInt(int64(rng.Intn(1000))), value.NewFloat(float64(rng.Intn(4000)) / 4),
 			value.NewString([]string{"Toyota", "Honda", "BMW", "Audi", "Ford"}[rng.Intn(5)]),
+		}
+		if i >= storage.DefaultChunkSize && rng.Intn(8) == 0 {
+			rows[i][0] = value.Null // the second chunk's int column has NULLs
 		}
 	}
 	tbl := storage.NewTable("t", schema)
 	if err := tbl.InsertBatch(rows); err != nil {
 		b.Fatal(err)
 	}
-	ch := tbl.Snapshot().Chunk(0)
+	chunks := []*storage.Chunk{tbl.Snapshot().Chunk(0), tbl.Snapshot().Chunk(1)}
 	for _, c := range []struct {
-		name string
-		pred qgm.Predicate
+		name  string
+		chunk int
+		pred  qgm.Predicate
 	}{
-		{"int-col/int", qgm.Predicate{Ordinal: 0, Op: qgm.OpLT, Value: value.NewInt(500)}},
-		{"int-col/float", qgm.Predicate{Ordinal: 0, Op: qgm.OpLT, Value: value.NewFloat(499.5)}},
-		{"float-col/float", qgm.Predicate{Ordinal: 1, Op: qgm.OpLT, Value: value.NewFloat(499.5)}},
-		{"float-col/int", qgm.Predicate{Ordinal: 1, Op: qgm.OpLT, Value: value.NewInt(500)}},
-		{"float-col/between", qgm.Predicate{Ordinal: 1, Op: qgm.OpBetween, Lo: value.NewFloat(250), Hi: value.NewFloat(750)}},
-		{"string-col/eq", qgm.Predicate{Ordinal: 2, Op: qgm.OpEQ, Value: value.NewString("Honda")}},
-		{"string-col/int-fallback", qgm.Predicate{Ordinal: 2, Op: qgm.OpGT, Value: value.NewInt(3)}},
+		{"int-col/int", 0, qgm.Predicate{Ordinal: 0, Op: qgm.OpLT, Value: value.NewInt(500)}},
+		{"int-col/float", 0, qgm.Predicate{Ordinal: 0, Op: qgm.OpLT, Value: value.NewFloat(499.5)}},
+		{"int-col/between", 0, qgm.Predicate{Ordinal: 0, Op: qgm.OpBetween, Lo: value.NewInt(250), Hi: value.NewInt(750)}},
+		{"int-col/ne", 0, qgm.Predicate{Ordinal: 0, Op: qgm.OpNE, Value: value.NewInt(500)}},
+		{"int-col/int-nulls", 1, qgm.Predicate{Ordinal: 0, Op: qgm.OpLT, Value: value.NewInt(500)}},
+		{"float-col/float", 0, qgm.Predicate{Ordinal: 1, Op: qgm.OpLT, Value: value.NewFloat(499.5)}},
+		{"float-col/int", 0, qgm.Predicate{Ordinal: 1, Op: qgm.OpLT, Value: value.NewInt(500)}},
+		{"float-col/between", 0, qgm.Predicate{Ordinal: 1, Op: qgm.OpBetween, Lo: value.NewFloat(250), Hi: value.NewFloat(750)}},
+		{"string-col/eq", 0, qgm.Predicate{Ordinal: 2, Op: qgm.OpEQ, Value: value.NewString("Honda")}},
+		{"string-col/lt", 0, qgm.Predicate{Ordinal: 2, Op: qgm.OpLT, Value: value.NewString("Ford")}},
+		{"string-col/int-fallback", 0, qgm.Predicate{Ordinal: 2, Op: qgm.OpGT, Value: value.NewInt(3)}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			preds := []qgm.Predicate{c.pred}
+			preds, ch := []qgm.Predicate{c.pred}, chunks[c.chunk]
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				matchSink = qgm.AppendMatches(matchSink[:0], preds, ch, 0, ch.Rows(), 0)

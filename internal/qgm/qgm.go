@@ -133,11 +133,14 @@ func (p Predicate) SameText(o Predicate) bool {
 }
 
 // MatchesDatum evaluates the predicate against the value of its column —
-// the scalar kernel the compiled form (filter.go) calls per row when no
-// typed fast path applies. Comparisons with NULL are false, per SQL. It is
-// the single source of truth for predicate semantics; any specialized loop
-// must agree with it exactly.
-func (p Predicate) MatchesDatum(d value.Datum) bool {
+// what the compiled form (filter.go) calls per row when no kernel applies.
+// Comparisons with NULL are false, per SQL. It is the single source of truth
+// for predicate semantics; any specialized loop must agree with it exactly.
+func (p Predicate) MatchesDatum(d value.Datum) bool { return p.matches(d) }
+
+// matches is MatchesDatum without the copy of the predicate a call with a
+// value receiver makes.
+func (p *Predicate) matches(d value.Datum) bool {
 	if d.IsNull() {
 		return false
 	}

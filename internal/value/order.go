@@ -11,7 +11,8 @@
 // Four things are built on the rule and nothing else is: Order and
 // OrderIntFloat over bare payloads (what loops over dense arrays call),
 // Datum.Compare, Datum.Key, the equality key, and the order keys (IntKey,
-// FloatKey, StringKey), a payload as an integer that sorts like it. SQL's
+// FloatKey, StringKey), a payload as an integer that sorts like it, with
+// KeyRange, a range of numbers as an interval of keys. SQL's
 // "a comparison with NULL is not true" is the callers' business (Equal
 // states it once); the order itself puts NULLs together, first.
 package value
@@ -79,19 +80,18 @@ const floatNaNKey = 0xFFF0000000000001
 
 // FloatKey is a float's order key. −0 becomes +0 and every NaN one key above
 // +Inf; then a negative float's bits are all flipped and any other's sign
-// bit is set, which puts the negatives below the rest and in reverse.
+// bit is set, which puts the negatives below the rest and in reverse. It has
+// no branch a compiler must keep, so a loop over a column of mixed signs
+// does not mispredict.
 func FloatKey(f float64) uint64 {
-	switch {
-	case f != f:
-		return floatNaNKey
-	case f == 0:
-		return 1 << 63
-	}
 	b := math.Float64bits(f)
-	if b>>63 != 0 {
-		return ^b
+	if f == 0 {
+		b = 0
 	}
-	return b | 1<<63
+	if f != f {
+		b = floatNaNKey &^ (1 << 63)
+	}
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
 // KeyFloat is a float FloatKey maps to k: the float itself, +0 for −0, a
@@ -218,3 +218,81 @@ func Unbounded() Bound { return Bound{open: true} }
 
 // IsUnbounded reports whether the end is absent.
 func (b Bound) IsUnbounded() bool { return b.open }
+
+// KeyRange returns the closed interval [klo, khi] of order keys held by the
+// values of kind col — KindInt or KindFloat — that lie between lo and hi,
+// whose values are numbers: a value of that kind lies between the ends
+// exactly when its IntKey or FloatKey lies in the interval. Every end
+// converts exactly. An excluded end moves one key inward; on an int column a
+// float end rounds inward as OrderIntFloat orders; on a float column an int
+// end that no float64 holds becomes the nearest float inside it; a NaN end
+// sits above every number. ok is false when no value of kind col lies
+// between the ends.
+func KeyRange(lo, hi Bound, col Kind) (klo, khi uint64, ok bool) {
+	end := floatEnd
+	if col == KindInt {
+		end = intEnd
+	}
+	klo, khi, okLo, okHi := uint64(0), uint64(math.MaxUint64), true, true
+	if !lo.open {
+		klo, okLo = end(lo, false)
+	}
+	if !hi.open {
+		khi, okHi = end(hi, true)
+	}
+	return klo, khi, okLo && okHi && klo <= khi
+}
+
+// intEnd is the key of the least int a bounded end admits — the greatest,
+// for an upper end; ok is false when it admits none.
+func intEnd(b Bound, upper bool) (uint64, bool) {
+	x, exact := b.Value.i, true
+	if b.Value.kind == KindFloat {
+		switch f := b.Value.f; {
+		case f != f || f >= 1<<63: // above every int
+			return math.MaxUint64, upper
+		case f < -1<<63: // below every int
+			return 0, !upper
+		case upper:
+			x = int64(math.Floor(f))
+		default:
+			x = int64(math.Ceil(f))
+		}
+		exact = float64(x) == b.Value.f
+	}
+	if exact && !b.Inclusive {
+		switch {
+		case upper && x == math.MinInt64, !upper && x == math.MaxInt64:
+			return 0, false
+		case upper:
+			x--
+		default:
+			x++
+		}
+	}
+	return IntKey(x), true
+}
+
+// floatEnd is the key of the least float a bounded end admits — the
+// greatest, for an upper end; ok is false when it admits none. The float f
+// nearest the end is the answer when it is the end and the end is included,
+// or when it lies on the side the end admits; otherwise the answer is the
+// float one key further in.
+func floatEnd(b Bound, upper bool) (uint64, bool) {
+	f, c := b.Value.f, 0 // c is the sign of end − f
+	if b.Value.kind == KindInt {
+		f = float64(b.Value.i)
+		c = OrderIntFloat(b.Value.i, f)
+	}
+	k := FloatKey(f)
+	if upper {
+		if c < 0 || c == 0 && !b.Inclusive {
+			k--
+		}
+		return k, k >= FloatKey(math.Inf(-1))
+	}
+	if c > 0 || c == 0 && !b.Inclusive {
+		k++
+	}
+	return k, k <= floatNaNKey
+}

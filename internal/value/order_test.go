@@ -27,6 +27,7 @@ var orderCorpus = []Datum{
 	NewInt(-(1 << 53)), NewInt(-(1<<53 + 1)), NewFloat(-(1 << 53)),
 	NewInt(math.MaxInt64), NewInt(math.MaxInt64 - 1), NewInt(math.MinInt64), NewInt(math.MinInt64 + 1),
 	NewFloat(1 << 63), NewFloat(-(1 << 63)), NewFloat(math.Nextafter(1<<63, 0)), NewFloat(1e300),
+	NewFloat(5e-324), NewFloat(-5e-324), NewFloat(math.MaxFloat64), NewFloat(-math.MaxFloat64), NewFloat(2.5), NewFloat(-2.5),
 	NewString(""), NewString("a"), NewString("ab"), NewString("b"), NewString("\xff\xfe"), NewString("\x00"), NewString("5"),
 	NewString("a\x00"), NewString("Toyota Camry"), NewString("Toyota Corolla"),
 }
@@ -120,6 +121,35 @@ func checkOrder(t testing.TB, a, b, c Datum) {
 		t.Fatalf("typed compare of %v and %v = %d, Compare %d", a, b, typed, ab)
 	}
 	checkOrderKey(t, a, b, ab)
+	checkKeyRange(t, a, b, c)
+}
+
+// checkKeyRange holds KeyRange to the reference order: with numbers a and b
+// as the ends — each included, excluded or absent — a number c of either
+// kind lies between them exactly when its order key lies in the interval.
+func checkKeyRange(t testing.TB, a, b, c Datum) {
+	t.Helper()
+	number := func(d Datum) bool { return d.Kind() == KindInt || d.Kind() == KindFloat }
+	if !number(a) || !number(b) || !number(c) {
+		return
+	}
+	key := IntKey(c.i)
+	if c.Kind() == KindFloat {
+		key = FloatKey(c.f)
+	}
+	ends := func(d Datum) []Bound { return []Bound{Unbounded(), {Value: d, Inclusive: true}, {Value: d}} }
+	admits := func(e Bound, sign int) bool {
+		o := refCompare(c, e.Value) * sign
+		return e.IsUnbounded() || o > 0 || o == 0 && e.Inclusive
+	}
+	for _, lo := range ends(a) {
+		for _, hi := range ends(b) {
+			klo, khi, ok := KeyRange(lo, hi, c.Kind())
+			if in, want := ok && klo <= key && key <= khi, admits(lo, 1) && admits(hi, -1); in != want {
+				t.Fatalf("%v between %+v and %+v: want %v, key %#x in [%#x, %#x] (ok %v)", c, lo, hi, want, key, klo, khi, ok)
+			}
+		}
+	}
 }
 
 // checkOrderKey holds the order keys of two payloads of one kind to Compare's

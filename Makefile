@@ -67,11 +67,12 @@ bench-pairs:
 # float and a string column, and with a fallback bound. Then JITS
 # collection, one table's worth per layer: the
 # columnar draw (2000 of 43k rows, 8 columns), bitmap group evaluation (7
-# groups over 3 predicates), the NDV counter per column kind, one archive
+# groups over 3 predicates), the NDV counter per column kind (strings of up
+# to 8, 16 and 17 bytes, the last with its domain tracked too), one archive
 # merge at the shape measured on collect_all (164 cells, 35 constraints, 20
 # of them re-observed boxes) and at the budget ceiling (4096 cells, 48
 # constraints, 16 re-observed), and one sampled table's whole collect pass
-# on a warm engine (draw, evaluate, domains, NDV, materialize). Once warm,
+# on a warm engine (draw, evaluate, count, materialize). Once warm,
 # SampleDraw, EvaluateGroups and CollectTable allocate nothing that grows
 # with the sample — the sample, its positions, the bitmaps and the fit's cell
 # lists are reused; what is left is the table snapshot, the runner's closures
@@ -126,8 +127,10 @@ bench-smoke:
 # predicate selects (qgm.Predicate.Range: the index probe built from it
 # returns exactly the rows MatchesDatum accepts, the histogram box derived
 # from it holds every accepted value up to the coordinate resolution, exactly
-# on an int column, and a NULL operand probes nothing and has no box). The
-# seed corpora alone are replayed by
+# on an int column, and a NULL operand probes nothing and has no box) and the
+# Duj1 counter (a column's counts equal a Go map's over its equality keys, its
+# domain the min/max walk it replaced; a column is up to 4096 rows, so it too
+# shrinks for a second). The seed corpora alone are replayed by
 # every plain `make test`. `go test -fuzz=Name` exits 0 when Name matches
 # nothing; TestMakefileRunSelectorsMatch resolves every name below.
 fuzz:
@@ -142,6 +145,7 @@ fuzz:
 	$(GO) test -run FuzzAddConstraint -fuzz=FuzzAddConstraint -fuzztime=20s -fuzzminimizetime=1s ./internal/histogram/
 	$(GO) test -run FuzzPredicateText -fuzz=FuzzPredicateText -fuzztime=20s ./internal/qgm/
 	$(GO) test -run FuzzPredicateRange -fuzz=FuzzPredicateRange -fuzztime=20s ./internal/executor/
+	$(GO) test -run FuzzDistinctCounter -fuzz=FuzzDistinctCounter -fuzztime=20s -fuzzminimizetime=1s ./internal/sampling/
 
 # Chaos differential replay: the workload under deterministic injected
 # faults (scan errors, sampling failures, worker panics, latency+deadlines,

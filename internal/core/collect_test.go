@@ -152,10 +152,11 @@ func heapProfile() map[[32]uintptr]int64 {
 
 // BenchmarkCollectTable prices one sampled table's full collect pass on a warm
 // engine at scale 0.01: a 2000-row draw of car's 14 308 rows, the three
-// predicates' seven candidate groups evaluated, domains, NDV of every column,
-// and the groups Algorithm 4 picks merged into the archive — PrepareBudgeted
-// at s_max 0 on a one-table query, so around it only the survey and the
-// sensitivity analysis of that one table.
+// predicates' seven candidate groups evaluated, one counting pass per column
+// (its NDV, and the domains of the three referenced columns), and the groups
+// Algorithm 4 picks merged into the archive — PrepareBudgeted at s_max 0 on a
+// one-table query, so around it only the survey and the sensitivity analysis
+// of that one table.
 func BenchmarkCollectTable(b *testing.B) {
 	e := collectAllEngine(b, 0.01)
 	prepare := preparer(b, e, buildQuery(b, e, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry' AND year > 1995`))

@@ -210,8 +210,8 @@ func (c *collection) collect(tw *tableWork, size int, reserved int64) degradatio
 	return degradation{costmodel.DegradeSamplingError, fmt.Sprintf("sampling error: %v", err)}
 }
 
-// sample is collect's body — draw → evaluate → domains → NDV → materialize,
-// each timed into the report's Laps from start on, so the laps add up to the
+// sample is collect's body — draw → evaluate → count → materialize, each
+// timed into the report's Laps from start on, so the laps add up to the
 // pass. A panic anywhere in it is an error (the morsel runner hands back its
 // workers', this recovers the rest), so the table degrades instead of
 // crashing the statement.
@@ -246,19 +246,22 @@ func (c *collection) sample(tw *tableWork, size int, start time.Time) (err error
 	floor := sampling.SelectivityFloor(rows)
 	lap(&tr.Laps.Eval)
 
-	// Only the columns some candidate group references are ever looked up.
-	domains := columnDomains(schema, sample, qgm.GroupColumns(slices.Concat(groups...)))
-	lap(&tr.Laps.Domains)
-
 	card := int64(tw.tbl.RowCount())
 	j.archive.SetCardinality(name, card, c.ts)
 	c.qs.cards[name] = card
 
-	// Per-column distinct-value estimates (Duj1), for join estimation.
+	// One pass per column: its distinct-value estimate (Duj1), for join
+	// estimation, and the domain of each column some candidate group
+	// references — the only ones ever looked up — for archive grid creation.
+	referenced := qgm.GroupColumns(slices.Concat(groups...))
+	domains := make(map[string]ColumnDomain, len(referenced))
 	for col := 0; col < schema.NumColumns(); col++ {
-		if ndv := j.sampler.EstimateNDV(sample.Col(col), int(card)); ndv > 0 {
-			j.archive.SetColumnNDV(name, schema.Column(col).Name, ndv, c.ts)
+		column := schema.Column(col)
+		count := j.sampler.CountColumn(sample.Col(col), slices.Contains(referenced, column.Name))
+		if ndv := count.EstimateNDV(int(card)); ndv > 0 {
+			j.archive.SetColumnNDV(name, column.Name, ndv, c.ts)
 		}
+		addDomain(domains, column, count)
 	}
 	lap(&tr.Laps.NDV)
 
@@ -308,8 +311,8 @@ func (c *collection) report(tw *tableWork, deg degradation) {
 }
 
 // WorkloadStatistics builds the paper's "workload statistics" baseline with
-// the collect stage's kernels over whole tables: a table's cardinality, exact
-// NDVs and domains once, then every candidate group of every query, in
+// the collect stage's kernels over whole tables: a table's cardinality, and
+// its exact NDVs and domains from one counting pass per column, once, then every candidate group of every query, in
 // workload order, materialized at its exact selectivity (a recurring group is
 // merged again, as a per-query pass would). The work is setup cost, charged to
 // no query; tables db does not hold are skipped; the only error is a
@@ -331,12 +334,15 @@ func WorkloadStatistics(db *storage.Database, queries []*qgm.Query, ts int64) (*
 				n, schema := snap.NumRows(), snap.Schema()
 				x = &exactTable{rows: storage.NewDetachedChunk(schema, n)}
 				snap.Gather(x.rows, nil, 0, n)
-				x.domains = columnDomains(schema, x.rows, nil)
+				x.domains = make(map[string]ColumnDomain, schema.NumColumns())
 				archive.SetCardinality(tc.Table, int64(n), ts)
 				for col := 0; col < schema.NumColumns(); col++ {
-					if ndv := counter.ExactNDV(x.rows.Col(col)); ndv > 0 {
-						archive.SetColumnNDV(tc.Table, schema.Column(col).Name, ndv, ts)
+					column := schema.Column(col)
+					count := counter.CountColumn(x.rows.Col(col), true)
+					if count.D > 0 {
+						archive.SetColumnNDV(tc.Table, column.Name, int64(count.D), ts)
 					}
+					addDomain(x.domains, column, count)
 				}
 				tables[tc.Table] = x
 			}
@@ -355,35 +361,31 @@ func WorkloadStatistics(db *storage.Database, queries []*qgm.Query, ts int64) (*
 	return archive, nil
 }
 
-// SampleDomains is columnDomains over row-shaped data, for every column of
-// the schema.
+// SampleDomains is the domain of every column of a row-shaped sample, from
+// the collect stage's pass.
 func SampleDomains(schema *storage.Schema, sample [][]value.Datum) map[string]ColumnDomain {
-	return columnDomains(schema, storage.ChunkFromRows(sample), nil)
-}
-
-// columnDomains derives the domains (coordinate range + unit) of the named
-// columns — of every schema column when cols is nil — from a columnar sample,
-// for archive grid creation. A column with no observed value has none.
-func columnDomains(schema *storage.Schema, sample *storage.Chunk, cols []string) map[string]ColumnDomain {
-	out := make(map[string]ColumnDomain, len(cols))
-	if sample.Rows() == 0 {
+	out := make(map[string]ColumnDomain, schema.NumColumns())
+	if len(sample) == 0 {
 		return out
 	}
+	chunk, counter := storage.ChunkFromRows(sample), sampling.New(0)
 	for c := 0; c < schema.NumColumns(); c++ {
-		col := schema.Column(c)
-		if cols != nil && !slices.Contains(cols, col.Name) {
-			continue
-		}
-		min, max := sample.Col(c).MinMax()
-		if min.IsNull() {
-			continue
-		}
-		out[col.Name] = ColumnDomain{
-			Lo:   min.Coord(),
-			Hi:   max.Coord(),
-			Unit: catalog.UnitFor(col.Kind, min, max),
-			Kind: col.Kind,
-		}
+		addDomain(out, schema.Column(c), counter.CountColumn(chunk.Col(c), true))
 	}
 	return out
+}
+
+// addDomain records in out the domain (coordinate range + unit) of a column
+// whose counting pass found its finite values' Min and Max; a column with no
+// such value, or whose domain was not tracked, has none.
+func addDomain(out map[string]ColumnDomain, col storage.Column, count sampling.ColumnCount) {
+	if count.Min.IsNull() {
+		return
+	}
+	out[col.Name] = ColumnDomain{
+		Lo:   count.Min.Coord(),
+		Hi:   count.Max.Coord(),
+		Unit: catalog.UnitFor(col.Kind, count.Min, count.Max),
+		Kind: col.Kind,
+	}
 }

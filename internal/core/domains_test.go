@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -67,8 +68,21 @@ func sameDomains(got, want map[string]ColumnDomain) error {
 	return nil
 }
 
-// TestColumnDomainsMatchRowReference: typed min/max over the columnar sample
-// gives every ColumnDomain the Datum.Compare scan gives — with NaN and ±Inf
+// passDomains is the domains the collect stage's counting pass finds over a
+// columnar sample: of the named columns, or of every column when cols is nil.
+func passDomains(schema *storage.Schema, sample *storage.Chunk, cols []string) map[string]ColumnDomain {
+	out := make(map[string]ColumnDomain)
+	counter := sampling.New(0)
+	for c := 0; c < schema.NumColumns(); c++ {
+		col := schema.Column(c)
+		addDomain(out, col, counter.CountColumn(sample.Col(c), cols == nil || slices.Contains(cols, col.Name)))
+	}
+	return out
+}
+
+// TestColumnDomainsMatchRowReference: the min/max the counting pass keeps
+// over the columnar sample gives every ColumnDomain the Datum.Compare scan
+// gives — with NaN and ±Inf
 // (counted nowhere in a domain), −0 beside +0, empty strings, NULLs and an
 // all-NULL column, on the
 // whole-table and the picked path at dop 1 and 4 — and restricting to group
@@ -116,13 +130,13 @@ func TestColumnDomainsMatchRowReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := refSampleDomains(schema, rows)
-			if err := sameDomains(columnDomains(schema, sample, nil), want); err != nil {
+			if err := sameDomains(passDomains(schema, sample, nil), want); err != nil {
 				t.Fatalf("seed %d dop %d: %v", seed, dop, err)
 			}
 			if err := sameDomains(SampleDomains(schema, rows), want); err != nil {
 				t.Fatalf("seed %d dop %d: row adapter: %v", seed, dop, err)
 			}
-			only := columnDomains(schema, sample, []string{"f", "nosuch"})
+			only := passDomains(schema, sample, []string{"f", "nosuch"})
 			delete(want, "i")
 			delete(want, "s")
 			if err := sameDomains(only, want); err != nil {
@@ -150,7 +164,7 @@ func TestDomainsIgnoreRowOrder(t *testing.T) {
 		rows[i] = []value.Datum{value.NewFloat(f), value.NewFloat(math.NaN()), value.NewInt(int64(i) - 3), value.NewString(string(rune('a' + i)))}
 	}
 	rows[3][2], rows[5][3] = value.Null, value.Null
-	want := columnDomains(schema, storage.ChunkFromRows(rows), nil)
+	want := passDomains(schema, storage.ChunkFromRows(rows), nil)
 	if d, ok := want["f"]; !ok || d.Lo != -2.5 || d.Hi != 2.5 || want["i"].Lo != -3 || want["i"].Hi != 4 {
 		t.Fatalf("domains %+v: f must span the finite values [-2.5, 2.5], i [-3, 4]", want)
 	}
@@ -160,13 +174,13 @@ func TestDomainsIgnoreRowOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-		if err := sameDomains(columnDomains(schema, storage.ChunkFromRows(rows), nil), want); err != nil {
+		if err := sameDomains(passDomains(schema, storage.ChunkFromRows(rows), nil), want); err != nil {
 			t.Fatalf("rows %v: %v", rows, err)
 		}
 	}
 }
 
-// TestSampleSpanLapsSumToSpan: every sampled table's report carries the five
+// TestSampleSpanLapsSumToSpan: every sampled table's report carries the four
 // laps of its sampling pass, and they account for the pass's SampleWall
 // (within 10 %; what is left is the pass's own start and end).
 func TestSampleSpanLapsSumToSpan(t *testing.T) {
@@ -187,12 +201,12 @@ func TestSampleSpanLapsSumToSpan(t *testing.T) {
 		}
 		tr := rep.Tables[0]
 		l := tr.Laps
-		for name, d := range map[string]time.Duration{"draw": l.Draw, "eval": l.Eval, "domains": l.Domains, "ndv": l.NDV, "materialize": l.Materialize} {
+		for name, d := range map[string]time.Duration{"draw": l.Draw, "eval": l.Eval, "ndv": l.NDV, "materialize": l.Materialize} {
 			if d <= 0 {
 				t.Fatalf("lap %s = %v, want positive: %+v", name, d, l)
 			}
 		}
-		sum, wall = l.Draw+l.Eval+l.Domains+l.NDV+l.Materialize, tr.SampleWall
+		sum, wall = l.Draw+l.Eval+l.NDV+l.Materialize, tr.SampleWall
 		if math.Abs(float64(sum-wall)) <= 0.1*float64(wall) {
 			break
 		}

@@ -274,10 +274,12 @@ type TableReport struct {
 }
 
 // SampleLaps are the wall times of one sampling pass's steps: draw the
-// sample, evaluate the candidate groups on it, derive the column domains,
-// estimate the NDVs, and materialize into the archive.
+// sample, evaluate the candidate groups on it, count every column, and
+// materialize into the archive. NDV times the whole counting pass: each
+// column's distinct values for its NDV estimate and, in the same pass, the
+// domains of the columns the candidate groups reference.
 type SampleLaps struct {
-	Draw, Eval, Domains, NDV, Materialize time.Duration
+	Draw, Eval, NDV, Materialize time.Duration
 }
 
 // DegradeNote renders a degraded table's "table: reason" note — the line the

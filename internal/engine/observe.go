@@ -124,7 +124,6 @@ func (e *Engine) capture(s *statement) {
 				Reason:             tr.DegradeReason,
 				Draw:               tr.Laps.Draw,
 				Eval:               tr.Laps.Eval,
-				Domains:            tr.Laps.Domains,
 				NDV:                tr.Laps.NDV,
 				Materialize:        tr.Laps.Materialize,
 			})

@@ -79,7 +79,6 @@ type TableSample struct {
 
 	Draw        time.Duration `json:"draw_ns,omitempty"`
 	Eval        time.Duration `json:"eval_ns,omitempty"`
-	Domains     time.Duration `json:"domains_ns,omitempty"`
 	NDV         time.Duration `json:"ndv_ns,omitempty"`
 	Materialize time.Duration `json:"materialize_ns,omitempty"`
 }

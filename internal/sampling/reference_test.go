@@ -420,7 +420,7 @@ func TestColumnarSampleMatchesRowReference(t *testing.T) {
 								column[i] = row[c]
 							}
 							for _, tableCard := range []int{card, card * 50, len(want) / 2, 0} {
-								if got, want := s.EstimateNDV(sample.Col(c), tableCard), refEstimateNDV(column, tableCard); got != want {
+								if got, want := s.CountColumn(sample.Col(c), false).EstimateNDV(tableCard), refEstimateNDV(column, tableCard); got != want {
 									t.Fatalf("%s: column %d NDV at card %d = %d, reference %d", name, c, tableCard, got, want)
 								}
 							}

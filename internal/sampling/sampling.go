@@ -18,6 +18,9 @@ package sampling
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/maphash"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -315,20 +318,91 @@ func (e *evaluator) evaluate(sample *storage.Chunk, groups [][]qgm.Predicate, me
 	return out, err
 }
 
-// distinctCounter counts the distinct values and the singletons of one
-// column vector in a reusable open-addressing table: no per-column copy and,
-// once the table has grown to the sample size, no allocation.
+// ColumnCount is one pass's account of a column vector: its rows, NULL or
+// not (Rows), the non-NULL values among them (N), the distinct ones (D) and
+// those that occur exactly once (F1) — Duj1's inputs — and, when the pass
+// tracked the column's domain, its smallest and largest finite value
+// (value.Datum.Finite), each the first row that holds it. Min and Max are
+// NULL when the domain was not tracked or the column has no finite value.
+type ColumnCount struct {
+	Rows, N, D, F1 int
+	Min, Max       value.Datum
+}
+
+// CountColumn counts vec in one pass over its rows; with domain it also
+// finds the column's Min and Max, which costs a compare or two per distinct
+// value, not per row. Two values are the same when their equality keys are
+// (value.Key): −0 is +0 and NaN is one value.
+//
+// Each value is identified by 64 bits. A number's is its order key
+// (value.IntKey, value.FloatKey), and a string of at most 8 bytes is its
+// bytes, taken together with its length; both are exact, so a hit is
+// decided without reading the value back. A longer string's is a hash of
+// its bytes, and a hit is confirmed with == against the first row holding
+// it.
+//
+// It runs on the sampler's scratch and allocates nothing once that has grown
+// to the longest vector counted. A vector holds fewer than 2^31 rows.
+func (s *Sampler) CountColumn(vec *storage.ColumnVec, domain bool) ColumnCount {
+	t := &s.distinct
+	t.reset(vec.Len())
+	var c ColumnCount
+	switch vec.Kind() {
+	case value.KindInt:
+		c = countNumbers(t, vec, vec.Ints(), domain, 0, math.MaxUint64)
+	case value.KindFloat:
+		c = countNumbers(t, vec, vec.Floats(), domain, value.FloatKey(-math.MaxFloat64), value.FloatKey(math.MaxFloat64))
+	default:
+		c = t.countStrings(vec, vec.Strs(), domain)
+	}
+	c.Rows = vec.Len()
+	return c
+}
+
+// EstimateNDV estimates the number of distinct values of a column of a
+// tableCard-row table from its sampled count, using the Duj1 estimator of
+// Haas et al. (the one RUNSTATS-style sampled statistics collection uses):
+//
+//	d̂ = d / (1 − (1−q)·f1/n)
+//
+// where n counts the sample's non-NULL values, d the distinct ones, f1
+// those appearing exactly once, and q = r/N is the sampling fraction: the
+// sample's r rows, NULL or not, over the table's N. A sample of every row
+// (r ≥ N) is exact. The result is clamped to [d, N·n/r], the table's
+// estimated non-NULL rows.
+func (c ColumnCount) EstimateNDV(tableCard int) int64 {
+	d := int64(c.D)
+	if d == 0 || tableCard <= 0 {
+		return 0
+	}
+	if c.Rows >= tableCard {
+		return d // full scan: exact
+	}
+	nonNull := int64(tableCard) * int64(c.N) / int64(c.Rows) // ≥ n ≥ d, as N > r
+	q := float64(c.Rows) / float64(tableCard)
+	denom := 1 - (1-q)*float64(c.F1)/float64(c.N)
+	if denom <= 0 {
+		return nonNull // everything distinct in the sample: key-like
+	}
+	return min(max(int64(float64(d)/denom), d), nonNull)
+}
+
+// distinctCounter is CountColumn's scratch: a reusable open-addressing table
+// of value identities.
 type distinctCounter struct {
 	slots []distinctSlot
-	shift uint // 64 − log2(len(slots)): the top bits of a hash pick a slot
-	d, f1 int
+	shift uint // 64 − log2(len(slots)): the top bits of a mixed identity pick a slot
 }
 
 type distinctSlot struct {
-	hash  uint64 // of the value's equality key
-	row   uint32 // first row holding the value
-	count uint32 // 0 marks an empty slot
+	id    uint64 // the value's identity
+	aux   uint32 // 0 for a number; shortString|length for a string of at most 8 bytes; a longer string's first row
+	count uint32 // rows holding the value; 0 marks an empty slot
 }
+
+// shortString marks the aux of a slot that holds a string of at most 8
+// bytes; a longer string's aux is a row, below it.
+const shortString = 1 << 31
 
 // reset empties the table and sizes it for up to rows values at load ≤ 1/2.
 func (t *distinctCounter) reset(rows int) {
@@ -338,94 +412,151 @@ func (t *distinctCounter) reset(rows int) {
 	}
 	t.slots = t.slots[:size]
 	clear(t.slots)
-	t.shift, t.d, t.f1 = uint(64-bits.TrailingZeros(uint(size))), 0, 0
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 }
 
-// countDistinct counts the non-NULL values of vec, vals being its dense array,
-// and returns how many there were. A value is hashed through its equality key
-// and confirmed against the slot's first row with the typed order: within one
-// kind both say the same.
-func countDistinct[T value.Ordered](t *distinctCounter, vec *storage.ColumnVec, vals []T, hash func(T) uint64) (n int) {
+// slot is where the probe for identity id starts. The high half is folded
+// down before the multiply: a short fraction's float varies in its high bits
+// only.
+func (t *distinctCounter) slot(id uint64) uint64 {
+	return (id ^ id>>32) * 0x9E3779B97F4A7C15 >> t.shift
+}
+
+// orderKey is a number's order key, its identity.
+func orderKey[T int64 | float64](x T) uint64 {
+	if f, ok := any(x).(float64); ok {
+		return value.FloatKey(f)
+	}
+	return value.IntKey(int64(x))
+}
+
+// countNumbers counts a number column, vals being its dense array. With
+// track, it follows the smallest and largest key in [lo, hi] — the finite
+// values — as new distinct values arrive; the order key orders as the
+// numbers do.
+func countNumbers[T int64 | float64](t *distinctCounter, vec *storage.ColumnVec, vals []T, track bool, lo, hi uint64) (c ColumnCount) {
 	nulls, mask := vec.HasNulls(), uint64(len(t.slots)-1)
+	minRow, maxRow := -1, -1
+	var kmin, kmax uint64
 	for row, x := range vals {
 		if nulls && vec.Null(row) {
 			continue
 		}
-		n++
-		h := hash(x)
-		for i := h >> t.shift; ; i = (i + 1) & mask {
+		k := orderKey(x)
+		c.N++
+		for i := t.slot(k); ; i = (i + 1) & mask {
 			sl := &t.slots[i]
 			if sl.count == 0 {
-				*sl = distinctSlot{hash: h, row: uint32(row), count: 1}
-				t.d++
-				t.f1++
+				*sl = distinctSlot{id: k, count: 1}
+				c.D++
+				c.F1++
+				if track && k-lo <= hi-lo {
+					switch {
+					case minRow < 0:
+						kmin, kmax, minRow, maxRow = k, k, row, row
+					case k < kmin:
+						kmin, minRow = k, row
+					case k > kmax:
+						kmax, maxRow = k, row
+					}
+				}
 				break
 			}
-			if sl.hash == h && value.Order(vals[sl.row], x) == 0 {
+			if sl.id == k {
 				if sl.count == 1 {
-					t.f1--
+					c.F1--
 				}
 				sl.count++
 				break
 			}
 		}
 	}
-	return n
+	if minRow >= 0 {
+		c.Min, c.Max = vec.Datum(minRow), vec.Datum(maxRow)
+	}
+	return c
 }
 
-// distinctIn counts vec's non-NULL values (n), the distinct ones among them
-// (d) and those appearing exactly once (f1). Two values are the same when
-// their equality keys are (value.Key): −0 is +0 and NaN is one value.
-func (s *Sampler) distinctIn(vec *storage.ColumnVec) (n, d, f1 int) {
-	t := &s.distinct
-	t.reset(vec.Len())
-	switch vec.Kind() {
-	case value.KindInt:
-		n = countDistinct(t, vec, vec.Ints(), func(x int64) uint64 { return value.NewInt(x).Key().Hash() })
-	case value.KindFloat:
-		n = countDistinct(t, vec, vec.Floats(), func(x float64) uint64 { return value.NewFloat(x).Key().Hash() })
-	default:
-		n = countDistinct(t, vec, vec.Strs(), func(x string) uint64 { return value.NewString(x).Key().Hash() })
+// countStrings counts a string column, vals being its dense array. With
+// track, it follows the smallest and largest string as new distinct values
+// arrive, comparing their order keys (value.StringKey) first and their bytes
+// only when those tie.
+func (t *distinctCounter) countStrings(vec *storage.ColumnVec, vals []string, track bool) (c ColumnCount) {
+	nulls, mask := vec.HasNulls(), uint64(len(t.slots)-1)
+	minRow, maxRow := -1, -1
+	var lo, hi string
+	var klo, khi uint64
+	for row, x := range vals {
+		if nulls && vec.Null(row) {
+			continue
+		}
+		c.N++
+		var id uint64
+		aux := uint32(row)
+		switch n := len(x); {
+		case n <= 8:
+			id, aux = shortIdentity(x), shortString|uint32(n)
+		case n <= 16:
+			id = midIdentity(x)
+		default:
+			id = maphash.String(stringSeed, x)
+		}
+		for i := t.slot(id); ; i = (i + 1) & mask {
+			sl := &t.slots[i]
+			if sl.count == 0 {
+				*sl = distinctSlot{id: id, aux: aux, count: 1}
+				c.D++
+				c.F1++
+				if track {
+					switch k := value.StringKey(x); {
+					case minRow < 0:
+						lo, hi, klo, khi, minRow, maxRow = x, x, k, k, row, row
+					case k < klo || k == klo && x < lo:
+						lo, klo, minRow = x, k, row
+					case k > khi || k == khi && x > hi:
+						hi, khi, maxRow = x, k, row
+					}
+				}
+				break
+			}
+			// A short string's aux is fixed by its length; a longer one's
+			// (its row) never equals an earlier slot's.
+			if sl.id == id && (sl.aux == aux || aux < shortString && sl.aux < shortString && vals[sl.aux] == x) {
+				if sl.count == 1 {
+					c.F1--
+				}
+				sl.count++
+				break
+			}
+		}
 	}
-	return n, t.d, t.f1
+	if minRow >= 0 {
+		c.Min, c.Max = vec.Datum(minRow), vec.Datum(maxRow)
+	}
+	return c
 }
 
-// ExactNDV counts the distinct non-NULL values of a vector that holds its
-// whole column.
-func (s *Sampler) ExactNDV(vec *storage.ColumnVec) int64 {
-	_, d, _ := s.distinctIn(vec)
-	return int64(d)
+// shortIdentity is a string of at most 8 bytes as 8 bytes; with its length
+// it is the string, exactly. From 4 bytes on they are its first and last 4
+// (overlapping below 8), under 4 its first, middle and last byte.
+func shortIdentity(x string) uint64 {
+	if n := len(x); n >= 4 {
+		return uint64(binary.LittleEndian.Uint32([]byte(x[:4]))) | uint64(binary.LittleEndian.Uint32([]byte(x[n-4:])))<<32
+	} else if n > 0 {
+		return uint64(x[0]) | uint64(x[n>>1])<<8 | uint64(x[n-1])<<16
+	}
+	return 0
 }
 
-// EstimateNDV estimates a column's number of distinct values from its
-// sampled vector out of a table of tableCard rows, using the Duj1 estimator
-// of Haas et al. (the one RUNSTATS-style sampled statistics collection
-// uses):
-//
-//	d̂ = d / (1 − (1−q)·f1/n)
-//
-// where n counts the sample's non-NULL values, d the distinct ones, f1
-// those appearing exactly once, and q = r/N is the sampling fraction: the
-// sample's r rows, NULL or not, over the table's N. A sample of every row
-// (r ≥ N) is exact. The result is clamped to [d, N·n/r], the table's
-// estimated non-NULL rows.
-func (s *Sampler) EstimateNDV(vec *storage.ColumnVec, tableCard int) int64 {
-	n, distinct, f1 := s.distinctIn(vec)
-	d, rows := int64(distinct), vec.Len()
-	if d == 0 || tableCard <= 0 {
-		return 0
-	}
-	if rows >= tableCard {
-		return d // full scan: exact
-	}
-	nonNull := int64(tableCard) * int64(n) / int64(rows) // ≥ n ≥ d, as N > r
-	q := float64(rows) / float64(tableCard)
-	denom := 1 - (1-q)*float64(f1)/float64(n)
-	if denom <= 0 {
-		return nonNull // everything distinct in the sample: key-like
-	}
-	return min(max(int64(float64(d)/denom), d), nonNull)
+// midIdentity hashes a string of 9 to 16 bytes from two overlapping 8-byte
+// loads.
+func midIdentity(x string) uint64 {
+	a := binary.LittleEndian.Uint64([]byte(x[:8]))
+	b := binary.LittleEndian.Uint64([]byte(x[len(x)-8:]))
+	return a*0x9E3779B97F4A7C15 ^ bits.RotateLeft64(b*0xC2B2AE3D27D4EB4F, 31)
 }
+
+var stringSeed = maphash.MakeSeed()
 
 // SelectivityFloor is the smallest selectivity a sample of the given size
 // can credibly assert; observed-zero groups are floored to half a row to

@@ -252,7 +252,7 @@ func TestEstimateNDVCountsNullRows(t *testing.T) {
 	if sample.Rows() != 3000 {
 		t.Fatalf("sample of %d rows, want the whole table", sample.Rows())
 	}
-	if got := s.EstimateNDV(sample.Col(0), 3000); got != 2700 {
+	if got := s.CountColumn(sample.Col(0), false).EstimateNDV(3000); got != 2700 {
 		t.Errorf("whole-table NDV = %d, want 2700", got)
 	}
 
@@ -262,7 +262,7 @@ func TestEstimateNDVCountsNullRows(t *testing.T) {
 	}
 	vec := sample.Col(0)
 	nonNull := int64(20000 * (vec.Len() - vec.NullCount()) / vec.Len())
-	if got := s.EstimateNDV(vec, 20000); got != nonNull {
+	if got := s.CountColumn(vec, false).EstimateNDV(20000); got != nonNull {
 		t.Errorf("sampled NDV = %d, want the %d estimated non-NULL rows", got, nonNull)
 	}
 }
@@ -352,22 +352,26 @@ func BenchmarkEvaluateGroups(b *testing.B) {
 
 var ndvSink int64 // keeps the measured call from being optimized away
 
-// BenchmarkColumnNDV: Duj1 over one 2000-row vector of each kind. Once the
-// counter's table has grown to the sample size it allocates nothing.
+// BenchmarkColumnNDV: Duj1's count over one 2000-row vector of each kind —
+// int, float, strings of at most 8 bytes with few distinct values
+// ("make07"), of 9 to 16 ("model07-3") and of 17, all distinct (VINs) — and
+// the last once more with its domain tracked. Once the counter's table has
+// grown to the sample size it allocates nothing.
 func BenchmarkColumnNDV(b *testing.B) {
 	sample := benchSample(b, benchTable(b))
 	for _, c := range []struct {
-		name string
-		ord  int
-	}{{"int", 1}, {"float", 3}, {"string", 6}, {"string-key", 7}} {
+		name   string
+		ord    int
+		domain bool
+	}{{"int", 1, false}, {"float", 3, false}, {"string-short", 5, false}, {"string-16", 6, false}, {"string-key", 7, false}, {"string-key-domain", 7, true}} {
 		b.Run(c.name, func(b *testing.B) {
 			s := New(1)
 			vec := sample.Col(c.ord)
-			s.EstimateNDV(vec, 43000)
+			s.CountColumn(vec, c.domain)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ndvSink = s.EstimateNDV(vec, 43000)
+				ndvSink = s.CountColumn(vec, c.domain).EstimateNDV(43000)
 			}
 		})
 	}

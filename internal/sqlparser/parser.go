@@ -568,17 +568,21 @@ func (p *parser) parseInsert() (*InsertStmt, error) {
 	if err := p.expectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
+	// Each row's values are read into vals, then copied into a row of
+	// exactly their number: one allocation a row.
+	var buf [16]value.Datum
+	vals := buf[:0]
 	for {
 		if err := p.expectSymbol("("); err != nil {
 			return nil, err
 		}
-		var row []value.Datum
+		vals = vals[:0]
 		for {
 			v, err := p.parseLiteral()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, v)
+			vals = append(vals, v)
 			if !p.acceptSymbol(",") {
 				break
 			}
@@ -586,6 +590,8 @@ func (p *parser) parseInsert() (*InsertStmt, error) {
 		if err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
+		row := make([]value.Datum, len(vals))
+		copy(row, vals)
 		stmt.Rows = append(stmt.Rows, row)
 		if !p.acceptSymbol(",") {
 			break

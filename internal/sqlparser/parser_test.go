@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -194,6 +195,55 @@ func TestParseInsertWithoutColumns(t *testing.T) {
 	ins := stmt.(*InsertStmt)
 	if len(ins.Columns) != 0 || len(ins.Rows) != 1 {
 		t.Errorf("insert = %+v", ins)
+	}
+}
+
+// TestParseInsertSizesRowsOnce: every parsed row is allocated once, at its
+// width — with a column list, without one, and wider than the parser's
+// stack buffer — so cap == len == width.
+func TestParseInsertSizesRowsOnce(t *testing.T) {
+	wide := strings.Repeat("1, ", 19) + "1"
+	for _, tc := range []struct {
+		sql   string
+		width int
+	}{
+		{`INSERT INTO car (id, make, price) VALUES (1, 'Toyota', 25000.5), (2, 'BMW', NULL), (3, 'Kia', 1)`, 3},
+		{`INSERT INTO t VALUES (1, 2, 3, 4, 5, 6, 7, 8, 9), (9, 8, 7, 6, 5, 4, 3, 2, 1)`, 9},
+		{`INSERT INTO t VALUES (1)`, 1},
+		{`INSERT INTO t VALUES (` + wide + `), (` + wide + `)`, 20},
+	} {
+		stmt, err := Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range stmt.(*InsertStmt).Rows {
+			if len(row) != tc.width || cap(row) != tc.width {
+				t.Errorf("%q row %d: len %d cap %d, want %d", tc.sql, i, len(row), cap(row), tc.width)
+			}
+		}
+	}
+}
+
+// TestParseInsertAllocs bounds a 100-row, 7-column INSERT's allocations: one
+// per row, eight for the growth of the row list, four for the column list
+// and a few for the statement.
+func TestParseInsertAllocs(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO accidents (id, carid, driver, damage, year, severity, location) VALUES ")
+	for i := 0; i < 100; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d, 'driver%05d', %d, 2004, 3, 'Ottawa')", i, i*7, i*13, 1000+i)
+	}
+	sql := sb.String()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Parse(sql); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100+16 {
+		t.Errorf("a 100-row INSERT parses in %.0f allocations, want at most %d", allocs, 100+16)
 	}
 }
 

@@ -120,42 +120,6 @@ func (v *ColumnVec) Datum(i int) value.Datum {
 	}
 }
 
-// MinMax returns the vector's smallest and largest finite value
-// (value.Datum.Finite: NULL, NaN and ±Inf have no place in a domain), NULL
-// for both when it has none.
-func (v *ColumnVec) MinMax() (min, max value.Datum) {
-	switch v.kind {
-	case value.KindInt:
-		return minMax(v, v.ints, value.NewInt, nil)
-	case value.KindFloat:
-		return minMax(v, v.floats, value.NewFloat, func(x float64) bool { return x-x == 0 })
-	default:
-		return minMax(v, v.strs, value.NewString, nil)
-	}
-}
-
-// minMax is MinMax over one typed array; finite is nil for a kind whose
-// values are all finite (only a float can be NaN or ±Inf).
-func minMax[T value.Ordered](v *ColumnVec, vals []T, datum func(T) value.Datum, finite func(T) bool) (min, max value.Datum) {
-	var lo, hi T
-	seen, nulls := false, v.HasNulls()
-	for i, x := range vals {
-		switch {
-		case nulls && v.Null(i) || finite != nil && !finite(x):
-		case !seen:
-			lo, hi, seen = x, x, true
-		case value.Order(x, lo) < 0:
-			lo = x
-		case value.Order(x, hi) > 0:
-			hi = x
-		}
-	}
-	if !seen {
-		return value.Null, value.Null
-	}
-	return datum(lo), datum(hi)
-}
-
 // SizeBytes returns the exact accounted size of the vector's column arrays:
 // the typed array, string payloads, and the null bitmap. This is the number
 // chunk-level reservations charge in place of per-row estimates.

@@ -20,7 +20,6 @@ package value
 import (
 	"cmp"
 	"encoding/binary"
-	"hash/maphash"
 	"math"
 )
 
@@ -190,18 +189,6 @@ func (k Key) AppendTo(buf []byte) []byte {
 	}
 	return buf
 }
-
-// Hash returns 64 bits of the key whose top bits are well mixed, for callers
-// that keep their own hash table. It is stable within a process only.
-func (k Key) Hash() uint64 {
-	if k.kind == KindString {
-		return maphash.String(hashSeed, k.str)
-	}
-	// A short fraction's float64 varies in its high bits only: fold them down.
-	return (k.bits ^ k.bits>>32) * 0x9E3779B97F4A7C15
-}
-
-var hashSeed = maphash.MakeSeed()
 
 // Bound is one end of an interval in the order above: a value and whether
 // the interval includes it, or no end at all (Unbounded). A predicate's

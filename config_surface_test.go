@@ -30,7 +30,6 @@ var configSurface = map[string][]string{
 		"JITS.PerGroupSampling",
 		"JITS.SMax",
 		"JITS.SampleBudgetRows",
-		"JITS.SampleBudgetUnits",
 		"JITS.SampleSize",
 		"JITS.Seed",
 		"JITS.SpaceBudgetBuckets",

@@ -339,20 +339,6 @@ func (l *Ledger) RecordChurn(ts int64, table string, rows int64) {
 	}
 }
 
-// Tick runs the pure clock-age check against every tracked statistic —
-// called occasionally (it takes the lock) so statistics age out even on a
-// read-only workload. One field load when disabled.
-func (l *Ledger) Tick(ts int64) {
-	if l == nil || !l.enabled {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for key, e := range l.stats {
-		l.ageCheck(ts, key, e)
-	}
-}
-
 // Snapshot returns a copy of every ledger row, sorted by key. Optional
 // table filters to one table's statistics; empty means all.
 func (l *Ledger) Snapshot(table string) []StatAccuracy {

@@ -101,20 +101,6 @@ func (c *Catalog) SetTableStats(ts *TableStats) {
 	c.tables[ts.Table] = ts
 }
 
-// Drop removes a table's statistics.
-func (c *Catalog) Drop(table string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.tables, table)
-}
-
-// Clear removes all statistics, returning the catalog to the cold state.
-func (c *Catalog) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tables = make(map[string]*TableStats)
-}
-
 // Tables lists the tables with statistics, sorted.
 func (c *Catalog) Tables() []string {
 	c.mu.RLock()

@@ -497,34 +497,11 @@ func (c *Conn) Query(sql string) (*Result, error) {
 	return resultOrError(resp)
 }
 
-// Ping round-trips an empty frame, verifying the session is alive.
-func (c *Conn) Ping() error {
-	resp, err := c.call(&wire.Request{Type: wire.ReqPing}, false, 0)
-	if err != nil {
-		return err
-	}
-	if resp.Type == wire.RespError {
-		return &Error{Code: resp.Error.Code, Message: resp.Error.Message}
-	}
-	if resp.Type != wire.RespPong {
-		return fmt.Errorf("client: unexpected ping response type %q", resp.Type)
-	}
-	return nil
-}
-
 // Stats returns a snapshot of the connection's recovery counters.
 func (c *Conn) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Token returns the session resume token issued at HELLO (empty before the
-// handshake completes).
-func (c *Conn) Token() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.token
 }
 
 // Stmt is a prepared statement handle. It survives reconnects: the client

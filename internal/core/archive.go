@@ -457,30 +457,6 @@ func (a *Archive) pruneMemoLocked() {
 	}
 }
 
-// OldestTimestampFor returns the minimum bucket timestamp of the archived
-// statistic covering the group's region, or 0 when nothing covers it — the
-// recentness signal available to the sensitivity analysis.
-func (a *Archive) OldestTimestampFor(table string, preds []qgm.Predicate) int64 {
-	if len(preds) == 0 {
-		return 0
-	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if m, ok := a.memo[qgm.PredicateGroupKey(table, preds)]; ok {
-		return m.ts
-	}
-	cols := qgm.GroupColumns(preds)
-	g, ok := a.grids[table][qgm.ColumnGroup(table, cols)]
-	if !ok {
-		return 0
-	}
-	box, ok := boxForPreds(g.cols, preds, g.units)
-	if !ok {
-		return 0
-	}
-	return g.hist.OldestTimestampIn(box)
-}
-
 // AccuracyFor evaluates the paper's histogram-accuracy metric of the
 // archived statistic with the given column-group name against a predicate
 // group, for the sensitivity analysis. ok=false when the archive holds no

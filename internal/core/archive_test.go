@@ -218,15 +218,9 @@ func TestHasStatisticAndTimestamps(t *testing.T) {
 	if a.HasStatistic("car", []string{"year"}) {
 		t.Error("empty archive claims a statistic")
 	}
-	if ts := a.OldestTimestampFor("car", g); ts != 0 {
-		t.Errorf("ts = %d on empty archive", ts)
-	}
 	a.Materialize("car", g, 0.4, 7, domains)
 	if !a.HasStatistic("car", []string{"year"}) {
 		t.Error("statistic not found after materialize")
-	}
-	if ts := a.OldestTimestampFor("car", g); ts != 7 {
-		t.Errorf("ts = %d, want 7", ts)
 	}
 }
 

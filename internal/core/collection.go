@@ -153,7 +153,7 @@ func (c *collection) admit(tw *tableWork) (size int, reserved int64, deg degrada
 		return 0, 0, degradation{costmodel.DegradeCancelled, fmt.Sprintf("cancelled: %v", c.ctx.Err())}
 	case c.breakerOpen:
 		return 0, 0, degradation{costmodel.DegradeBreakerOpen, "sampling circuit breaker open (catalog-only mode)"}
-	case cfg.SampleBudgetUnits > 0 && c.meter.Units()-c.startUnits >= cfg.SampleBudgetUnits:
+	case cfg.sampleBudgetUnits > 0 && c.meter.Units()-c.startUnits >= cfg.sampleBudgetUnits:
 		return 0, 0, degradation{costmodel.DegradeBudgetExhausted, "cost budget exhausted"}
 	case cfg.SampleBudgetRows > 0 && c.rowsUsed >= cfg.SampleBudgetRows:
 		return 0, 0, degradation{costmodel.DegradeBudgetExhausted, "sample-row budget exhausted"}

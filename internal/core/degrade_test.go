@@ -132,7 +132,7 @@ func TestPrepareRowBudgetTruncatesSample(t *testing.T) {
 
 func TestPrepareUnitsBudgetDegradesLaterTables(t *testing.T) {
 	db := twoTableDB(t)
-	j := forcedJITS(Config{SampleBudgetUnits: 1e-9}, nil)
+	j := forcedJITS(Config{sampleBudgetUnits: 1e-9}, nil)
 	_, rep := prepare(t, context.Background(), j, db)
 	// The first table always runs (nothing is spent yet); the second trips
 	// the cost cap.
@@ -300,7 +300,7 @@ func TestDegradationIsOneEvent(t *testing.T) {
 			tables: []string{"car", "owner"}, reason: "cancelled: context canceled"},
 		{name: "row budget", cause: costmodel.DegradeBudgetExhausted, cfg: Config{SampleBudgetRows: 200},
 			tables: []string{"owner"}, reason: "sample-row budget exhausted"},
-		{name: "cost budget", cause: costmodel.DegradeBudgetExhausted, cfg: Config{SampleBudgetUnits: 1e-9},
+		{name: "cost budget", cause: costmodel.DegradeBudgetExhausted, cfg: Config{sampleBudgetUnits: 1e-9},
 			tables: []string{"owner"}, reason: "cost budget exhausted"},
 		{name: "sampling error", cause: costmodel.DegradeSamplingError, setup: arm(faultinject.SamplingRows),
 			tables: []string{"car", "owner"}, reason: "sampling error: "},
@@ -343,7 +343,7 @@ func TestDegradationIsOneEvent(t *testing.T) {
 
 			n := int64(len(tc.tables))
 			counts := j.DegradationCounts()
-			if counts.Of(tc.cause) != n || counts.Total() != n {
+			if counts.Of(tc.cause) != n || counts.FallbackTables != n {
 				t.Errorf("DegradationCounts = %+v, want %d under %s and in total", counts, n, tc.cause)
 			}
 			var set metrics.Set

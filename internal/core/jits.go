@@ -60,10 +60,11 @@ type Config struct {
 	// later tables degrade to catalog statistics — the statement always
 	// compiles.
 	SampleBudgetRows int
-	// SampleBudgetUnits caps the simulated-cost units one PrepareBudgeted may
+	// sampleBudgetUnits caps the simulated-cost units one PrepareBudgeted may
 	// charge to the compilation meter before further collection degrades
-	// to catalog statistics; 0 means unlimited.
-	SampleBudgetUnits float64
+	// to catalog statistics; 0 means unlimited. No program sets it; the
+	// package's tests do, to reach the cost-budget degradation.
+	sampleBudgetUnits float64
 }
 
 // withDefaults fills zero-valued knobs. SMax stays as given: an explicit
@@ -165,9 +166,6 @@ func (j *JITS) Scrape(set *metrics.Set) {
 // how many tables fell back to catalog statistics, by cause.
 func (j *JITS) DegradationCounts() costmodel.DegradationCounts { return j.degrade.Counts() }
 
-// Config returns the active configuration.
-func (j *JITS) Config() Config { return j.cfg }
-
 // SetSMax adjusts the sensitivity threshold (used by the Figure 6 sweep).
 func (j *JITS) SetSMax(smax float64) {
 	j.mu.Lock()
@@ -242,10 +240,6 @@ func (qs *QueryStats) Cardinality(table string) (int64, bool) {
 func (qs *QueryStats) ColumnNDV(table, column string) (int64, bool) {
 	return qs.archive.ColumnNDV(table, column)
 }
-
-// FreshGroups reports how many predicate-group selectivities this query's
-// compilation collected.
-func (qs *QueryStats) FreshGroups() int { return len(qs.fresh) }
 
 // TableReport records the sensitivity decision and collection work for one
 // table of one prepared query.

@@ -157,7 +157,6 @@ func FuzzLoadArchive(f *testing.F) {
 				group = append(group, gtPred(col, 0))
 			}
 			a.GroupSelectivity(s.Table, group, 2)
-			a.OldestTimestampFor(s.Table, group)
 			a.AccuracyFor(qgm.ColumnGroup(s.Table, s.Columns), group)
 			a.HasStatistic(s.Table, s.Columns)
 		}

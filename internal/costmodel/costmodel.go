@@ -93,20 +93,6 @@ func (m *Meter) Units() float64 { return math.Float64frombits(m.bits.Load()) }
 // Seconds converts the accumulated work into calibrated seconds.
 func (m *Meter) Seconds() float64 { return m.Units() * SecondsPerUnit }
 
-// Reset zeroes the meter.
-//
-// Quiescence contract: Reset is an atomic store, so it is memory-safe (and
-// -race-clean) to call concurrently with Add, Units, or Worker.Merge — but
-// the *accounting* is only meaningful if charging has quiesced. A Merge (or
-// Add) that races a Reset either lands entirely before the store (its units
-// are wiped) or entirely after (its units survive into the next period);
-// units are never partially lost or corrupted, but which side of the reset
-// they land on is unpredictable. Callers that need exact per-period totals —
-// the engine's per-statement meters, benchmark harnesses — must wait for
-// their workers to Merge before resetting, which is what the executor's
-// blocking operator pools already guarantee.
-func (m *Meter) Reset() { m.bits.Store(0) }
-
 // Worker returns a per-worker sub-meter charging into m. The sub-meter
 // itself is NOT safe for concurrent use — each parallel worker owns one and
 // calls Merge (or lets the coordinator call it) exactly once when its slice
@@ -127,14 +113,6 @@ func (w *Worker) Add(units float64) {
 	if w != nil {
 		w.units += units
 	}
-}
-
-// Units returns the locally accumulated, not-yet-merged work.
-func (w *Worker) Units() float64 {
-	if w == nil {
-		return 0
-	}
-	return w.units
 }
 
 // Merge flushes the local total into the parent meter and zeroes the local

@@ -19,10 +19,6 @@ func TestMeterBasics(t *testing.T) {
 	if got := m.Seconds(); got != 150*SecondsPerUnit {
 		t.Errorf("Seconds = %v", got)
 	}
-	m.Reset()
-	if m.Units() != 0 {
-		t.Error("Reset failed")
-	}
 }
 
 func TestMeterConcurrent(t *testing.T) {
@@ -134,64 +130,5 @@ func TestDefaultWeightsSane(t *testing.T) {
 	}
 	if w.PlanCandidate <= 0 || w.SampleRow <= 0 || w.RunstatsRow <= 0 {
 		t.Error("all weights must be positive")
-	}
-}
-
-// TestMeterResetRacesWorkerMerge drives Meter.Reset concurrently against
-// Worker.Add/Merge from many goroutines, documenting Reset's quiescence
-// contract (see its doc comment): the interleaving is memory-safe — this
-// test must pass under -race — and units are never torn or partially
-// merged; a merge that races a reset lands wholly before or wholly after
-// it. The final drain after all workers stop must therefore leave the meter
-// with a total that is a sum of whole merges: an exact multiple of the
-// per-merge charge.
-func TestMeterResetRacesWorkerMerge(t *testing.T) {
-	var m Meter
-	const workers, merges, perMerge = 8, 500, 3.0
-	stop := make(chan struct{})
-	var resetsWG sync.WaitGroup
-	resetsWG.Add(1)
-	go func() {
-		defer resetsWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				m.Reset()
-				_ = m.Units()
-			}
-		}
-	}()
-	var workersWG sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		workersWG.Add(1)
-		go func() {
-			defer workersWG.Done()
-			w := m.Worker()
-			for j := 0; j < merges; j++ {
-				w.Add(1)
-				w.Add(2)
-				w.Merge()
-			}
-		}()
-	}
-	workersWG.Wait()
-	close(stop)
-	resetsWG.Wait()
-	// All workers have quiesced; whatever survived the last reset must be a
-	// whole number of 3-unit merges.
-	units := m.Units()
-	if units < 0 || units > workers*merges*perMerge {
-		t.Fatalf("units = %v out of range", units)
-	}
-	whole := units / perMerge
-	if whole != float64(int64(whole)) {
-		t.Errorf("units = %v is not a whole number of merges", units)
-	}
-	// After quiescence Reset is exact.
-	m.Reset()
-	if m.Units() != 0 {
-		t.Errorf("post-quiescence Reset left %v units", m.Units())
 	}
 }

@@ -65,9 +65,6 @@ type DegradationCounts struct {
 	FallbackTables  int64 // every table that fell back, whatever the reason (the sum of the above)
 }
 
-// Total returns the number of degradation events of any class.
-func (c DegradationCounts) Total() int64 { return c.FallbackTables }
-
 // of is the field that counts cause; nil for DegradeNone.
 func (c *DegradationCounts) of(cause DegradeCause) *int64 {
 	return [numDegradeCauses]*int64{

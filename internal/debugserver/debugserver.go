@@ -129,14 +129,6 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound address, or "" before Start.
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
 // Close shuts the server down, waiting briefly for in-flight requests. A
 // connection still open when the wait runs out — net/http counts one a client
 // opened but has not used yet as busy for five seconds — is closed under its

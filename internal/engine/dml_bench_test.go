@@ -56,7 +56,7 @@ func BenchmarkDML(b *testing.B) {
 	insertSQL := func(tbl *storage.Table, lo, hi int) string {
 		var sb strings.Builder
 		sb.WriteString(`INSERT INTO accidents VALUES `)
-		tbl.Scan(func(_ int, row []value.Datum) bool {
+		tbl.Snapshot().Scan(func(_ int, row []value.Datum) bool {
 			if id := row[0].Int(); id >= int64(lo) && id <= int64(hi) {
 				if sb.Len() > 40 {
 					sb.WriteString(", ")

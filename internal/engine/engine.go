@@ -289,10 +289,6 @@ func (e *Engine) Closed() bool { return e.closed.Load() }
 // disabled). The debug server's health endpoint and tests read it.
 func (e *Engine) Governor() *govern.Governor { return e.governor }
 
-// PlanCache exposes the compiled-plan cache; nil when Config.PlanCacheSize
-// is 0. Tests and the serve experiment read its Stats.
-func (e *Engine) PlanCache() *plancache.Cache { return e.planCache }
-
 // ArchiveEpoch returns the current statistics/data epoch. Cached plans are
 // keyed on it; see bumpArchiveEpoch for what advances it.
 func (e *Engine) ArchiveEpoch() uint64 { return e.archiveEpoch.Load() }
@@ -646,10 +642,6 @@ func (e *Engine) CollectWorkloadStats(sqls []string) error {
 	e.bumpArchiveEpoch()
 	return nil
 }
-
-// WorkloadStatsArchive exposes the static baseline archive (nil unless
-// CollectWorkloadStats ran).
-func (e *Engine) WorkloadStatsArchive() *core.Archive { return e.staticQSS }
 
 // MigrateStats pushes archived 1-D QSS histograms into the catalog — the
 // periodic statistics-migration step.

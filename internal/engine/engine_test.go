@@ -133,7 +133,7 @@ func TestUpdateDelete(t *testing.T) {
 func TestUpdateTypeErrorDoesNotDependOnData(t *testing.T) {
 	e := seedEngine(t, Config{})
 	tbl, _ := e.DB().Table("car")
-	version, udi := tbl.Version(), tbl.UDICounter()
+	version, udi := tbl.Snapshot().Version(), tbl.UDICounter()
 	var msgs []string
 	for _, where := range []string{` WHERE id = -5`, ` WHERE id = 7`, ` WHERE make = 'BMW'`, ``} {
 		_, err := e.Exec(`UPDATE car SET price = 1, year = 'x'` + where)
@@ -147,8 +147,8 @@ func TestUpdateTypeErrorDoesNotDependOnData(t *testing.T) {
 			t.Errorf("the error depends on the rows matched: %q vs %q", msgs[0], m)
 		}
 	}
-	if tbl.Version() != version || tbl.UDICounter() != udi {
-		t.Errorf("failed UPDATEs moved version %d → %d, UDI %+v → %+v", version, tbl.Version(), udi, tbl.UDICounter())
+	if tbl.Snapshot().Version() != version || tbl.UDICounter() != udi {
+		t.Errorf("failed UPDATEs moved version %d → %d, UDI %+v → %+v", version, tbl.Snapshot().Version(), udi, tbl.UDICounter())
 	}
 	if res := mustExec(t, e, `SELECT COUNT(*) FROM car WHERE price = 1`); res.Rows[0][0].Int() != 0 {
 		t.Errorf("%v rows took the price assigned before the bad value", res.Rows[0][0])

@@ -43,7 +43,7 @@ func TestRandomizedQueriesMatchReference(t *testing.T) {
 			var cars []carRow
 			var owners []ownerRow
 			carT, _ := e.DB().Table("car")
-			carT.Scan(func(_ int, r []value.Datum) bool {
+			carT.Snapshot().Scan(func(_ int, r []value.Datum) bool {
 				cars = append(cars, carRow{
 					id: r[0].Int(), ownerid: r[1].Int(), make_: r[2].Str(),
 					model: r[3].Str(), year: r[4].Int(), price: r[5].Float(),
@@ -51,7 +51,7 @@ func TestRandomizedQueriesMatchReference(t *testing.T) {
 				return true
 			})
 			ownerT, _ := e.DB().Table("owner")
-			ownerT.Scan(func(_ int, r []value.Datum) bool {
+			ownerT.Snapshot().Scan(func(_ int, r []value.Datum) bool {
 				owners = append(owners, ownerRow{
 					id: r[0].Int(), city: r[2].Str(), country: r[3].Str(), salary: r[4].Float(),
 				})
@@ -147,7 +147,7 @@ func TestRandomizedAggregatesMatchReference(t *testing.T) {
 		sql := fmt.Sprintf(`SELECT make, COUNT(*), SUM(price), MIN(year), MAX(year) FROM car WHERE year >= %d GROUP BY make ORDER BY make`, yr)
 
 		ref := map[string]*agg{}
-		carT.Scan(func(_ int, r []value.Datum) bool {
+		carT.Snapshot().Scan(func(_ int, r []value.Datum) bool {
 			if r[4].Int() < int64(yr) {
 				return true
 			}

@@ -117,8 +117,8 @@ type oracleSource func(table string) (names []string, rows [][]value.Datum)
 func engineTables(e *engine.Engine) oracleSource {
 	return func(table string) (names []string, rows [][]value.Datum) {
 		tbl, _ := e.DB().Table(table)
-		for _, c := range tbl.Schema().Columns() {
-			names = append(names, c.Name)
+		for i := 0; i < tbl.Schema().NumColumns(); i++ {
+			names = append(names, tbl.Schema().Column(i).Name)
 		}
 		tbl.Snapshot().Scan(func(_ int, row []value.Datum) bool {
 			rows = append(rows, row)

@@ -34,7 +34,8 @@ func newOracleModel(e *engine.Engine, tables ...string) *oracleModel {
 	m := &oracleModel{names: map[string][]string{}, kinds: map[string][]value.Kind{}, rows: map[string][][]value.Datum{}}
 	for _, name := range tables {
 		tbl, _ := e.DB().Table(name)
-		for _, c := range tbl.Schema().Columns() {
+		for i := 0; i < tbl.Schema().NumColumns(); i++ {
+			c := tbl.Schema().Column(i)
 			m.names[name] = append(m.names[name], c.Name)
 			m.kinds[name] = append(m.kinds[name], c.Kind)
 		}
@@ -311,7 +312,7 @@ func TestEngineWritesMatchOracle(t *testing.T) {
 			}
 			table := oracleWriteTable(t, sql)
 			tbl, _ := e.DB().Table(table)
-			version, udi := tbl.Version(), tbl.UDICounter()
+			version, udi := tbl.Snapshot().Version(), tbl.UDICounter()
 			want, wantErr := m.apply(t, sql)
 			res, err := e.Exec(sql)
 			if (err != nil) != (wantErr != nil) {
@@ -319,7 +320,7 @@ func TestEngineWritesMatchOracle(t *testing.T) {
 			}
 			if err != nil {
 				failed++
-				if tbl.Version() != version || tbl.UDICounter() != udi {
+				if tbl.Snapshot().Version() != version || tbl.UDICounter() != udi {
 					t.Fatalf("%s: %s failed (%v) but moved the table's version or UDI counter", label, sql, err)
 				}
 			} else if applied++; res.RowsAffected != want {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/qgm"
 	"repro/internal/sqlparser"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -17,12 +18,14 @@ func TestIndexPositionsAllOps(t *testing.T) {
 	if !ok {
 		t.Fatal("missing index")
 	}
+	car, _ := e.db.Table("car")
+	snap := car.Snapshot()
 	mk := func(op qgm.PredOp) qgm.Predicate {
 		return qgm.Predicate{Column: "year", Ordinal: 3, Op: op, Value: value.NewInt(1999)}
 	}
 	counts := map[qgm.PredOp]int{}
 	for _, op := range []qgm.PredOp{qgm.OpEQ, qgm.OpLT, qgm.OpLE, qgm.OpGT, qgm.OpGE} {
-		pos, err := indexPositions(ix, ix.Table().Snapshot(), mk(op))
+		pos, err := indexPositions(ix, snap, mk(op))
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
@@ -39,7 +42,7 @@ func TestIndexPositionsAllOps(t *testing.T) {
 		t.Errorf("partition: %v", counts)
 	}
 	// BETWEEN.
-	pos, err := indexPositions(ix, ix.Table().Snapshot(), qgm.Predicate{
+	pos, err := indexPositions(ix, snap, qgm.Predicate{
 		Column: "year", Ordinal: 3, Op: qgm.OpBetween,
 		Lo: value.NewInt(1995), Hi: value.NewInt(1999),
 	})
@@ -47,7 +50,7 @@ func TestIndexPositionsAllOps(t *testing.T) {
 		t.Errorf("BETWEEN = %d, %v", len(pos), err)
 	}
 	// Non-sargable op errors.
-	if _, err := indexPositions(ix, ix.Table().Snapshot(), qgm.Predicate{Column: "year", Op: qgm.OpNE, Value: value.NewInt(1999)}); err == nil {
+	if _, err := indexPositions(ix, snap, qgm.Predicate{Column: "year", Op: qgm.OpNE, Value: value.NewInt(1999)}); err == nil {
 		t.Error("NE must not be sargable")
 	}
 }
@@ -68,13 +71,10 @@ func TestExecuteMissingTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage: drop the table between planning and execution.
-	if err := e.db.DropTable("car"); err != nil {
-		t.Fatal(err)
-	}
+	// Execute against a database without the planned table.
 	var m costmodel.Meter
-	if _, err := Execute(q.Blocks[0], plan, &Runtime{DB: e.db, Indexes: e.indexes, Weights: costmodel.DefaultWeights(), Meter: &m}); err == nil {
-		t.Error("execution against a dropped table must fail")
+	if _, err := Execute(q.Blocks[0], plan, &Runtime{DB: storage.NewDatabase(0), Indexes: e.indexes, Weights: costmodel.DefaultWeights(), Meter: &m}); err == nil {
+		t.Error("execution against a missing table must fail")
 	}
 }
 

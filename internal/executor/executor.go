@@ -1300,13 +1300,13 @@ func (ex *executor) orderRows(out *Columnar, keys []column) ([]int32, error) {
 		return nil, fmt.Errorf("executor: ORDER BY sort: %w", err)
 	}
 	orderBy := ex.blk.OrderBy
-	err := parallelStableSort(ex.rt, rows, func(a, b int32) bool {
+	sort.SliceStable(rows, func(i, j int) bool {
 		for k, key := range keys {
-			if c := key.Datum(int(a)).Compare(key.Datum(int(b))); c != 0 {
+			if c := key.Datum(int(rows[i])).Compare(key.Datum(int(rows[j]))); c != 0 {
 				return (c > 0) == orderBy[k].Desc
 			}
 		}
 		return false
 	})
-	return rows, err
+	return rows, nil
 }

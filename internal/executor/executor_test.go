@@ -176,7 +176,7 @@ func TestIndexScanMatchesFullScan(t *testing.T) {
 	res, _ := runSQL(t, e, `SELECT id FROM car WHERE year = 1990 AND make = 'Toyota'`)
 	want := 0
 	tbl, _ := e.db.Table("car")
-	tbl.Scan(func(_ int, row []value.Datum) bool {
+	tbl.Snapshot().Scan(func(_ int, row []value.Datum) bool {
 		if row[3].Int() == 1990 && row[2].Str() == "Toyota" {
 			want++
 		}
@@ -241,16 +241,16 @@ func TestThreeWayJoinCorrectness(t *testing.T) {
 	carT, _ := e.db.Table("car")
 	ownerT, _ := e.db.Table("owner")
 	ownerCity := map[int64]string{}
-	ownerT.Scan(func(_ int, r []value.Datum) bool {
+	ownerT.Snapshot().Scan(func(_ int, r []value.Datum) bool {
 		ownerCity[r[0].Int()] = r[2].Str()
 		return true
 	})
 	carOwner := map[int64]int64{}
-	carT.Scan(func(_ int, r []value.Datum) bool {
+	carT.Snapshot().Scan(func(_ int, r []value.Datum) bool {
 		carOwner[r[0].Int()] = r[1].Int()
 		return true
 	})
-	acc.Scan(func(_ int, r []value.Datum) bool {
+	acc.Snapshot().Scan(func(_ int, r []value.Datum) bool {
 		if r[2].Float() <= 2500 {
 			return true
 		}

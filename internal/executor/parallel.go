@@ -14,7 +14,6 @@ package executor
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/morsel"
 )
@@ -73,73 +72,4 @@ func flatten(buckets [][]int32) []int32 {
 		out = append(out, b...)
 	}
 	return out
-}
-
-// parallelStableSort sorts rows (row numbers, in practice) in place with a
-// parallel stable merge sort: up to dop contiguous chunks are stable-sorted
-// concurrently, then merged pairwise (ties take the earlier chunk first,
-// preserving stability), each round one morsel per chunk or pair on the
-// statement's runner. The result is the unique stable order, byte-identical
-// to sort.SliceStable. A comparator panic (malformed plan) inside a worker
-// comes back as the runner's error; on the serial path it reaches Execute's
-// own recover.
-func parallelStableSort[T any](rt *Runtime, rows []T, less func(a, b T) bool) error {
-	n, dop := len(rows), rt.dop()
-	if dop > n/1024+1 {
-		dop = n/1024 + 1 // keep chunks big enough to beat the merge overhead
-	}
-	if dop <= 1 || n < 2 {
-		sort.SliceStable(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
-		return nil
-	}
-	bounds := make([]int, dop+1)
-	for i := range bounds {
-		bounds[i] = i * n / dop
-	}
-	if err := rt.runMorsels(dop, 1, func(c, _, _ int) error {
-		s := rows[bounds[c]:bounds[c+1]]
-		sort.SliceStable(s, func(i, j int) bool { return less(s[i], s[j]) })
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	src, dst := rows, make([]T, n)
-	for len(bounds) > 2 {
-		runs := len(bounds) - 1
-		if err := rt.runMorsels(runs/2, 1, func(p, _, _ int) error {
-			mergeRuns(dst, src, bounds[2*p], bounds[2*p+1], bounds[2*p+2], less)
-			return nil
-		}); err != nil {
-			return err
-		}
-		merged := make([]int, 0, runs/2+2)
-		for i := 0; i <= runs; i += 2 {
-			merged = append(merged, bounds[i])
-		}
-		if runs%2 == 1 { // odd run count: carry the last run through
-			lo, hi := bounds[runs-1], bounds[runs]
-			copy(dst[lo:hi], src[lo:hi])
-			merged = append(merged, hi)
-		}
-		src, dst, bounds = dst, src, merged
-	}
-	if &src[0] != &rows[0] {
-		copy(rows, src)
-	}
-	return nil
-}
-
-// mergeRuns stable-merges src[lo:mid] and src[mid:hi] into dst[lo:hi].
-func mergeRuns[T any](dst, src []T, lo, mid, hi int, less func(a, b T) bool) {
-	i, j := lo, mid
-	for k := lo; k < hi; k++ {
-		if i < mid && (j >= hi || !less(src[j], src[i])) {
-			dst[k] = src[i]
-			i++
-		} else {
-			dst[k] = src[j]
-			j++
-		}
-	}
 }

@@ -2,9 +2,6 @@ package executor
 
 import (
 	"fmt"
-	"slices"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -158,34 +155,5 @@ func TestParallelAggregateGroupOrder(t *testing.T) {
 			t.Fatalf("group order diverged at %d: %v vs %v (serial %v, parallel %v)",
 				i, serial.Rows[i][0], par.Rows[i][0], serial.Rows, par.Rows)
 		}
-	}
-}
-
-// TestParallelStableSortMatchesSliceStable: for chunk counts even and odd
-// (an odd run is carried through a merge round), the parallel sort yields the
-// unique stable order, and a comparator panic in a worker is an error.
-func TestParallelStableSortMatchesSliceStable(t *testing.T) {
-	type row struct{ key, seq int }
-	for _, n := range []int{0, 1, 1023, 1024, 3000, 5 * 1024, 7*1024 + 13} {
-		for _, dop := range []int{1, 2, 3, 5, 8} {
-			rows := make([]row, n)
-			for i := range rows {
-				rows[i] = row{key: (i * 7919) % 97, seq: i}
-			}
-			want := append([]row(nil), rows...)
-			sort.SliceStable(want, func(i, j int) bool { return want[i].key < want[j].key })
-			rt := &Runtime{Parallelism: dop}
-			if err := parallelStableSort(rt, rows, func(a, b row) bool { return a.key < b.key }); err != nil {
-				t.Fatalf("n=%d dop=%d: %v", n, dop, err)
-			}
-			if !slices.Equal(rows, want) {
-				t.Fatalf("n=%d dop=%d: order differs from sort.SliceStable", n, dop)
-			}
-		}
-	}
-	rows := make([]int, 4096)
-	err := parallelStableSort(&Runtime{Parallelism: 4}, rows, func(a, b int) bool { panic("bad comparator") })
-	if err == nil || !strings.Contains(err.Error(), "worker panic: bad comparator") {
-		t.Fatalf("err = %v, want the comparator's panic as an error", err)
 	}
 }

@@ -15,7 +15,6 @@ package faultinject
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -156,9 +155,6 @@ func NewRegistry() *Registry {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the package-level registry the engine probes consult.
-func Default() *Registry { return defaultRegistry }
-
 func knownPoint(p Point) bool {
 	for _, k := range Points() {
 		if k == p {
@@ -289,28 +285,6 @@ func (r *Registry) Fired(p Point) int64 {
 		return st.fires
 	}
 	return 0
-}
-
-// Checks returns how many times p has been probed since it was armed.
-func (r *Registry) Checks(p Point) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st, ok := r.points[p]; ok {
-		return st.checks
-	}
-	return 0
-}
-
-// Armed lists the currently armed points in deterministic order.
-func (r *Registry) Armed() []Point {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Point, 0, len(r.points))
-	for p := range r.points {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ArmFromSpec parses and arms a semicolon-separated list of point specs:

@@ -184,14 +184,6 @@ func (h *History) Len() int {
 	return len(h.entries)
 }
 
-// Reset clears the history.
-func (h *History) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.entries = make(map[entryKey]*Entry)
-	h.total = 0
-}
-
 func cloneEntry(e *Entry) Entry {
 	c := *e
 	c.StatList = slices.Clone(e.StatList)

@@ -122,15 +122,6 @@ func TestEntriesAreCopies(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	h := NewHistory()
-	h.Record("t", name("t(a)"), names("t(a)"), 1.0)
-	h.Reset()
-	if h.Len() != 0 || h.TotalCount() != 0 {
-		t.Error("Reset failed")
-	}
-}
-
 func TestErrorFactor(t *testing.T) {
 	// Paper example: estimated 0.2, actual 0.5 → ef 0.4.
 	if got := ErrorFactor(0.2, 0.5, 1000); math.Abs(got-0.4) > 1e-12 {

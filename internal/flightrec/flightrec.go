@@ -301,16 +301,6 @@ func (r *Recorder) Total() uint64 {
 	return r.total
 }
 
-// Len returns the number of live records in the ring.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.filled
-}
-
 // Last returns shallow copies of the most recent n records in ascending
 // qid (logical time) order. n ≤ 0 returns everything live. Safe to call
 // concurrently with writers.

@@ -57,8 +57,8 @@ func TestDisabledRecorderRecordsNothing(t *testing.T) {
 	}
 	r.Commit(nil)
 	r.Commit(&Record{QID: 2}) // a record from elsewhere is not kept either
-	if r.Len() != 0 || r.Total() != 0 || len(r.Last(0)) != 0 || len(r.PostMortems()) != 0 {
-		t.Fatalf("disabled recorder retained state: len=%d total=%d", r.Len(), r.Total())
+	if len(r.Last(0)) != 0 || r.Total() != 0 || len(r.PostMortems()) != 0 {
+		t.Fatalf("disabled recorder retained state: len=%d total=%d", len(r.Last(0)), r.Total())
 	}
 	if !New(-1, nil).Enabled() || New(-1, nil).Capacity() != DefaultCapacity {
 		t.Fatal("a negative capacity should select an enabled DefaultCapacity ring")
@@ -79,8 +79,8 @@ func TestRingWrapKeepsNewestOldestFirst(t *testing.T) {
 		rec := r.Begin(qid, fmt.Sprintf("SELECT %d", qid))
 		r.Commit(rec)
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
+	if len(r.Last(0)) != 4 {
+		t.Fatalf("%d live records, want 4", len(r.Last(0)))
 	}
 	if r.Total() != 10 {
 		t.Fatalf("Total = %d, want 10", r.Total())
@@ -173,15 +173,15 @@ func TestReset(t *testing.T) {
 	r.Commit(bad)
 	pending := r.Begin(2, "SELECT pending")
 	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 || len(r.PostMortems()) != 0 {
+	if len(r.Last(0)) != 0 || r.Total() != 0 || len(r.PostMortems()) != 0 {
 		t.Fatal("Reset left state behind")
 	}
 	if !r.Enabled() {
 		t.Fatal("Reset must preserve the enabled flag")
 	}
 	r.Commit(pending) // committing a pre-reset record is harmless
-	if r.Len() != 1 {
-		t.Fatalf("Len after post-reset commit = %d, want 1", r.Len())
+	if len(r.Last(0)) != 1 {
+		t.Fatalf("%d live records after a post-reset commit, want 1", len(r.Last(0)))
 	}
 }
 
@@ -217,8 +217,8 @@ func TestCommitWritesRecordAsJSONLine(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil || back.QID != 8 || !strings.HasPrefix(back.Err, "flightrec: ") {
 		t.Fatalf("unencodable record wrote %q (%v), want its qid and the reason", buf.String(), err)
 	}
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2: the writer does not replace the ring", r.Len())
+	if len(r.Last(0)) != 2 {
+		t.Fatalf("%d live records, want 2: the writer does not replace the ring", len(r.Last(0)))
 	}
 }
 
@@ -265,8 +265,8 @@ func TestWriterOnlyRecorderKeepsNoRing(t *testing.T) {
 	if n := strings.Count(buf.String(), "\n"); n != 3 {
 		t.Fatalf("%d lines written, want 3", n)
 	}
-	if r.Len() != 0 || r.Total() != 0 || len(r.Last(0)) != 0 || len(r.PostMortems()) != 0 {
-		t.Fatalf("writer-only recorder kept state: len=%d total=%d", r.Len(), r.Total())
+	if len(r.Last(0)) != 0 || r.Total() != 0 || len(r.PostMortems()) != 0 {
+		t.Fatalf("writer-only recorder kept state: len=%d total=%d", len(r.Last(0)), r.Total())
 	}
 	if _, ok := r.Get(2); ok {
 		t.Fatal("Get found a record with no ring")

@@ -140,9 +140,6 @@ func NewGrid(cols []string, lo, hi []float64, ts int64) (*Histogram, error) {
 	return h, nil
 }
 
-// Cols returns the dimension names in canonical order.
-func (h *Histogram) Cols() []string { return append([]string(nil), h.cols...) }
-
 // Dims returns the dimensionality.
 func (h *Histogram) Dims() int { return len(h.cols) }
 
@@ -304,26 +301,6 @@ func (h *Histogram) EstimateBox(b Box) (float64, error) {
 		total = 1
 	}
 	return total, nil
-}
-
-// OldestTimestampIn returns the minimum bucket timestamp among cells
-// overlapping the box — the recentness signal the sensitivity analysis uses.
-// A box outside the domain returns 0 ("never refreshed").
-func (h *Histogram) OldestTimestampIn(b Box) int64 {
-	cb, ok := h.clamp(b)
-	if !ok {
-		return 0
-	}
-	oldest := int64(math.MaxInt64)
-	h.forEachBoxCell(cb, func(idx int, w float64) {
-		if w > 0 && h.ts[idx] < oldest {
-			oldest = h.ts[idx]
-		}
-	})
-	if oldest == math.MaxInt64 {
-		return 0
-	}
-	return oldest
 }
 
 // extendDomain widens each dimension's domain to include the box's finite

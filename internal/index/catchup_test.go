@@ -141,7 +141,7 @@ func (m *model) update(pred func(row []value.Datum) bool, ordinal int, v value.D
 }
 
 func (m *model) mutate() {
-	chunk := m.tbl.ChunkSize()
+	chunk := m.tbl.Snapshot().ChunkSize()
 	rows := m.tbl.RowCount()
 	// Emptying the table and rewriting half of it are drawn half as often as
 	// the rest: both end in a full sort, and so does every delta on the small
@@ -452,7 +452,7 @@ func TestCatchUpIsThePathTaken(t *testing.T) {
 		use := func(what string, wantFull bool, wantMoved int) {
 			t.Helper()
 			before := ix.Stats()
-			if got, want := ix.RangeAt(ix.Table().Snapshot(), value.Unbounded(), value.Unbounded()), naiveRange(tbl.ColumnValues(1), value.Unbounded(), value.Unbounded()); !slices.Equal(got, want) {
+			if got, want := ix.RangeAt(ix.table.Snapshot(), value.Unbounded(), value.Unbounded()), naiveRange(tbl.Snapshot().ColumnValues(1), value.Unbounded(), value.Unbounded()); !slices.Equal(got, want) {
 				t.Fatalf("%v after %s: index and scan disagree", kind, what)
 			}
 			after := ix.Stats()
@@ -509,7 +509,7 @@ func TestCatchUpIsThePathTaken(t *testing.T) {
 		// the limit.
 		rewrite := func(under int64) (changed int) {
 			key := seqKey(kind, under)
-			tbl.Scan(func(_ int, row []value.Datum) bool {
+			tbl.Snapshot().Scan(func(_ int, row []value.Datum) bool {
 				if row[0].Int()%10 < under && row[1] != key {
 					changed++
 				}

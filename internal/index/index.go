@@ -90,12 +90,6 @@ func (ix *Index) newImage() image {
 	return newImage(ix.table.Schema().Column(ix.ordinal).Kind, ix.ordinal, &ix.sorts)
 }
 
-// Name returns the index name.
-func (ix *Index) Name() string { return ix.name }
-
-// Table returns the indexed table.
-func (ix *Index) Table() *storage.Table { return ix.table }
-
 // Column returns the indexed column name.
 func (ix *Index) Column() string { return ix.column }
 

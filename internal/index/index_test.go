@@ -41,7 +41,7 @@ func TestLookup(t *testing.T) {
 		t.Fatalf("Lookup(5) = %v, want 3 rows", rows)
 	}
 	for _, r := range rows {
-		row, err := tbl.Row(r)
+		row, err := tbl.Snapshot().Row(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestRangeVariants(t *testing.T) {
 	keysOf := func(rows []int) []int64 {
 		out := make([]int64, len(rows))
 		for i, r := range rows {
-			row, err := tbl.Row(r)
+			row, err := tbl.Snapshot().Row(r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestRangeVariants(t *testing.T) {
 		{"inverted", value.Bound{Value: value.NewInt(9), Inclusive: true}, value.Bound{Value: value.NewInt(3), Inclusive: true}, nil},
 	}
 	for _, c := range cases {
-		got := keysOf(ix.RangeAt(ix.Table().Snapshot(), c.lo, c.hi))
+		got := keysOf(ix.RangeAt(ix.table.Snapshot(), c.lo, c.hi))
 		if len(got) != len(c.want) {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
 			continue
@@ -119,7 +119,7 @@ func TestNullKeysExcluded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.RangeAt(ix.Table().Snapshot(), value.Unbounded(), value.Unbounded()); len(got) != 1 {
+	if got := ix.RangeAt(ix.table.Snapshot(), value.Unbounded(), value.Unbounded()); len(got) != 1 {
 		t.Errorf("unbounded range returned %d rows, want 1 (NULLs excluded)", len(got))
 	}
 	if ix.Len() != 3 {
@@ -173,7 +173,7 @@ func TestStringKeys(t *testing.T) {
 	if got := len(ix.Lookup(value.NewString("Toyota"))); got != 2 {
 		t.Errorf("Lookup(Toyota) = %d rows, want 2", got)
 	}
-	got := ix.RangeAt(ix.Table().Snapshot(), value.Bound{Value: value.NewString("B"), Inclusive: true}, value.Bound{Value: value.NewString("I"), Inclusive: true})
+	got := ix.RangeAt(ix.table.Snapshot(), value.Bound{Value: value.NewString("B"), Inclusive: true}, value.Bound{Value: value.NewString("I"), Inclusive: true})
 	if len(got) != 2 { // BMW, Honda
 		t.Errorf("range B..I = %d rows, want 2", len(got))
 	}
@@ -227,12 +227,12 @@ func TestRangeMatchesScanProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := ix.RangeAt(ix.Table().Snapshot(),
+		got := ix.RangeAt(ix.table.Snapshot(),
 			value.Bound{Value: value.NewInt(lo), Inclusive: true},
 			value.Bound{Value: value.NewInt(hi), Inclusive: true},
 		)
 		var want []int64
-		tbl.Scan(func(_ int, r []value.Datum) bool {
+		tbl.Snapshot().Scan(func(_ int, r []value.Datum) bool {
 			if v := r[0].Int(); v >= lo && v <= hi {
 				want = append(want, v)
 			}
@@ -243,7 +243,7 @@ func TestRangeMatchesScanProperty(t *testing.T) {
 			return false
 		}
 		for i, pos := range got {
-			row, err := tbl.Row(pos)
+			row, err := tbl.Snapshot().Row(pos)
 			if err != nil || row[0].Int() != want[i] {
 				return false
 			}
@@ -284,7 +284,7 @@ func TestBatchInsertTriggersStalenessRebuild(t *testing.T) {
 		if len(rows) != 1 {
 			t.Fatalf("Lookup(%d) after batch = %v, want 1 row", 100+i, rows)
 		}
-		row, err := tbl.Row(rows[0])
+		row, err := tbl.Snapshot().Row(rows[0])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -383,7 +383,7 @@ func TestOptimizeTwoTableJoin(t *testing.T) {
 	}
 	join, ok := plan.(*Join)
 	if !ok {
-		t.Fatalf("plan = %T\n%s", plan, Explain(plan))
+		t.Fatalf("plan = %T\n%s", plan, ExplainAnnotated(plan, 1, nil))
 	}
 	if len(join.Preds) != 1 {
 		t.Errorf("join preds = %d", len(join.Preds))
@@ -442,7 +442,7 @@ func TestOptimizeFourTableConnectedPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := len(plan.Slots()); got != 4 {
-		t.Fatalf("slots = %d\n%s", got, Explain(plan))
+		t.Fatalf("slots = %d\n%s", got, ExplainAnnotated(plan, 1, nil))
 	}
 	// No cartesian products in a fully connected query.
 	var check func(Node) bool
@@ -457,7 +457,7 @@ func TestOptimizeFourTableConnectedPlan(t *testing.T) {
 		return check(j.Left) && check(j.Right)
 	}
 	if !check(plan) {
-		t.Errorf("plan contains cartesian join:\n%s", Explain(plan))
+		t.Errorf("plan contains cartesian join:\n%s", ExplainAnnotated(plan, 1, nil))
 	}
 	scans := CollectScans(plan)
 	if len(scans) != 4 {
@@ -525,7 +525,7 @@ func TestExplainRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Explain(plan)
+	out := ExplainAnnotated(plan, 1, nil)
 	for _, want := range []string{"Join", "car", "owner", "rows="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q:\n%s", want, out)
@@ -605,7 +605,7 @@ func BenchmarkExplain(b *testing.B) {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchPlanText = ExplainParallel(plan, workers)
+				benchPlanText = ExplainAnnotated(plan, workers, nil)
 			}
 		})
 	}

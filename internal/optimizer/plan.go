@@ -310,25 +310,11 @@ func Walk(n Node, fn func(Node)) {
 	}
 }
 
-// Explain renders the join tree as an indented EXPLAIN string.
-func Explain(n Node) string {
-	return ExplainAnnotated(n, 1, nil)
-}
-
-// ExplainParallel renders the join tree under a Gather header naming the
-// worker count, the shape the executor's morsel-driven operators run in
-// when the degree of parallelism exceeds one. workers <= 1 renders the
-// plain serial plan, so golden EXPLAIN output diffs cleanly between the
-// two modes.
-func ExplainParallel(n Node, workers int) string {
-	return ExplainAnnotated(n, workers, nil)
-}
-
 // ExplainAnnotated renders the join tree with per-operator runtime actuals
 // supplied by ann — the EXPLAIN ANALYZE rendering. A nil ann yields the
-// plain EXPLAIN text; workers > 1 adds the Gather header exactly as
-// ExplainParallel does, so estimated columns stay byte-identical between
-// the annotated and plain forms.
+// plain EXPLAIN text, so estimated columns stay byte-identical between the
+// annotated and plain forms; workers > 1 adds a Gather header naming the
+// worker count, the shape the executor's morsel-driven operators run in.
 func ExplainAnnotated(n Node, workers int, ann AnnotateFunc) string {
 	var sb strings.Builder
 	indent := 0

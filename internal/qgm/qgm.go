@@ -714,14 +714,3 @@ func GroupColumns(preds []Predicate) []string {
 	sort.Strings(cols)
 	return cols
 }
-
-// JoinGraph summarizes which slots are connected by join predicates;
-// the optimizer's enumerator uses it to stay in the connected subgraph.
-func (b *Block) JoinGraph() [][]int {
-	adj := make([][]int, len(b.Tables))
-	for _, jp := range b.JoinPreds {
-		adj[jp.LeftSlot] = append(adj[jp.LeftSlot], jp.RightSlot)
-		adj[jp.RightSlot] = append(adj[jp.RightSlot], jp.LeftSlot)
-	}
-	return adj
-}

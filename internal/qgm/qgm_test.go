@@ -362,18 +362,6 @@ func TestPredicateGroupKeyOrderInsensitive(t *testing.T) {
 	}
 }
 
-func TestJoinGraph(t *testing.T) {
-	b := build(t, `SELECT c.make FROM car c, owner o, accidents a
-		WHERE c.ownerid = o.id AND a.carid = c.id`)
-	adj := b.JoinGraph()
-	if len(adj[0]) != 2 { // car joins owner and accidents
-		t.Errorf("adj[0] = %v", adj[0])
-	}
-	if len(adj[1]) != 1 || len(adj[2]) != 1 {
-		t.Errorf("adj = %v", adj)
-	}
-}
-
 func TestLimitAndDistinctCarryThrough(t *testing.T) {
 	b := build(t, `SELECT DISTINCT make FROM car LIMIT 5`)
 	if !b.Distinct || b.Limit != 5 {

@@ -292,17 +292,6 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound address, or "" before Start.
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// Engine returns the engine this server fronts.
-func (s *Server) Engine() *engine.Engine { return s.eng }
-
 // Draining reports whether a graceful Shutdown is in progress (the debug
 // server's health endpoint turns this into a 503).
 func (s *Server) Draining() bool { return s.draining.Load() }

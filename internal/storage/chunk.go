@@ -120,25 +120,6 @@ func (v *ColumnVec) Datum(i int) value.Datum {
 	}
 }
 
-// SizeBytes returns the exact accounted size of the vector's column arrays:
-// the typed array, string payloads, and the null bitmap. This is the number
-// chunk-level reservations charge in place of per-row estimates.
-func (v *ColumnVec) SizeBytes() int64 {
-	b := int64(len(v.nulls)) * 8
-	switch v.kind {
-	case value.KindInt:
-		b += int64(len(v.ints)) * 8
-	case value.KindFloat:
-		b += int64(len(v.floats)) * 8
-	default:
-		b += int64(len(v.strs)) * 16
-		for _, s := range v.strs {
-			b += int64(len(s))
-		}
-	}
-	return b
-}
-
 func (v *ColumnVec) append(d value.Datum) {
 	i := v.Len()
 	if w := i >> 6; w >= len(v.nulls) {
@@ -428,15 +409,6 @@ func MatchRows(pred func(row []value.Datum) bool) Matcher {
 		}
 		return dst
 	}
-}
-
-// SizeBytes returns the exact accounted size of the chunk's column arrays.
-func (c *Chunk) SizeBytes() int64 {
-	var b int64
-	for i := range c.cols {
-		b += c.cols[i].SizeBytes()
-	}
-	return b
 }
 
 // The mutators below write vectors in place: the caller must own them (see

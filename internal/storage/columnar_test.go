@@ -36,7 +36,7 @@ func TestScanCallbackReentrantInsert(t *testing.T) {
 	go func() {
 		defer close(done)
 		seen := 0
-		tbl.Scan(func(_ int, row []value.Datum) bool {
+		tbl.Snapshot().Scan(func(_ int, row []value.Datum) bool {
 			seen++
 			// Reentrant write from inside the callback.
 			if err := tbl.Insert(mkRow(1000 + seen)); err != nil {
@@ -72,7 +72,7 @@ func TestConcurrentDMLDuringSlowScan(t *testing.T) {
 	go func() {
 		defer close(scanDone)
 		first := true
-		tbl.Scan(func(_ int, row []value.Datum) bool {
+		tbl.Snapshot().Scan(func(_ int, row []value.Datum) bool {
 			if first {
 				first = false
 				close(scanEntered)
@@ -121,7 +121,7 @@ func TestRetainedScanRowsImmutableAfterDML(t *testing.T) {
 	fillTable(t, tbl, 10)
 
 	var retained [][]value.Datum
-	tbl.Scan(func(_ int, row []value.Datum) bool {
+	tbl.Snapshot().Scan(func(_ int, row []value.Datum) bool {
 		retained = append(retained, row) // deliberately no copy
 		return true
 	})
@@ -313,15 +313,15 @@ func TestDeleteThenScanRangesKeepInvariant(t *testing.T) {
 func TestVersionStalenessTokenSemantics(t *testing.T) {
 	tbl := NewTableWithChunkSize("t", testSchema(t), 4)
 
-	v0 := tbl.Version()
+	v0 := tbl.Snapshot().Version()
 	if err := tbl.Insert(mkRow(0)); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Version() != v0+1 {
-		t.Fatalf("Insert: version %d -> %d, want +1", v0, tbl.Version())
+	if tbl.Snapshot().Version() != v0+1 {
+		t.Fatalf("Insert: version %d -> %d, want +1", v0, tbl.Snapshot().Version())
 	}
 
-	v1 := tbl.Version()
+	v1 := tbl.Snapshot().Version()
 	batch := make([][]value.Datum, 10)
 	for i := range batch {
 		batch[i] = mkRow(i + 1)
@@ -329,19 +329,19 @@ func TestVersionStalenessTokenSemantics(t *testing.T) {
 	if err := tbl.InsertBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Version() != v1+1 {
-		t.Fatalf("InsertBatch(10 rows): version %d -> %d, want exactly +1 (staleness token, not a row count)", v1, tbl.Version())
+	if tbl.Snapshot().Version() != v1+1 {
+		t.Fatalf("InsertBatch(10 rows): version %d -> %d, want exactly +1 (staleness token, not a row count)", v1, tbl.Snapshot().Version())
 	}
 	if got := tbl.UDICounter().Inserts; got != 11 {
 		t.Fatalf("UDI.Inserts = %d, want 11 (UDI counts per-row activity)", got)
 	}
 
 	// Empty batch is a no-op: no version bump, no staleness signal.
-	v2 := tbl.Version()
+	v2 := tbl.Snapshot().Version()
 	if err := tbl.InsertBatch(nil); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Version() != v2 {
+	if tbl.Snapshot().Version() != v2 {
 		t.Fatal("empty InsertBatch must not bump the version")
 	}
 }
@@ -409,7 +409,7 @@ func TestChunkedStorageMatchesReferenceModel(t *testing.T) {
 			t.Fatalf("seed %d: RowCount %d vs model %d", seed, tbl.RowCount(), len(model))
 		}
 		var got [][]value.Datum
-		tbl.Scan(func(_ int, row []value.Datum) bool {
+		tbl.Snapshot().Scan(func(_ int, row []value.Datum) bool {
 			got = append(got, row)
 			return true
 		})

@@ -32,17 +32,6 @@ func (db *Database) CreateTable(name string, schema *Schema) (*Table, error) {
 	return t, nil
 }
 
-// DropTable removes a table; dropping a missing table is an error.
-func (db *Database) DropTable(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, exists := db.tables[name]; !exists {
-		return fmt.Errorf("storage: table %q does not exist", name)
-	}
-	delete(db.tables, name)
-	return nil
-}
-
 // Table looks up a table by name.
 func (db *Database) Table(name string) (*Table, bool) {
 	db.mu.RLock()

@@ -116,7 +116,7 @@ func TestDMLMatchesRowLoopReference(t *testing.T) {
 		if err := tbl.InsertBatch(initial); err != nil {
 			t.Fatal(err)
 		}
-		ref := &refTable{version: tbl.Version(), udi: tbl.UDICounter()}
+		ref := &refTable{version: tbl.Snapshot().Version(), udi: tbl.UDICounter()}
 		for _, row := range initial {
 			ref.rows = append(ref.rows, append([]value.Datum(nil), row...))
 		}
@@ -189,7 +189,7 @@ func TestDMLMatchesRowLoopReference(t *testing.T) {
 			if got != want {
 				t.Fatalf("%s: %d rows affected, the row loop affects %d", where, got, want)
 			}
-			if v, u := tbl.Version(), tbl.UDICounter(); v != ref.version || u != ref.udi {
+			if v, u := tbl.Snapshot().Version(), tbl.UDICounter(); v != ref.version || u != ref.udi {
 				t.Fatalf("%s: version %d UDI %+v, the row loop leaves version %d UDI %+v", where, v, u, ref.version, ref.udi)
 			}
 			now := tbl.Snapshot()

@@ -213,14 +213,3 @@ func (s *Snapshot) ColumnValues(ordinal int) []value.Datum {
 	}
 	return out
 }
-
-// SizeBytes returns the exact accounted size of every chunk's column
-// arrays — what a whole-table materialization (e.g. a full-table sample)
-// costs in memory.
-func (s *Snapshot) SizeBytes() int64 {
-	var b int64
-	for _, ch := range s.chunks {
-		b += ch.SizeBytes()
-	}
-	return b
-}

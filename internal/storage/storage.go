@@ -71,9 +71,6 @@ func (s *Schema) NumColumns() int { return len(s.cols) }
 // Column returns the i-th column.
 func (s *Schema) Column(i int) Column { return s.cols[i] }
 
-// Columns returns a copy of the column list.
-func (s *Schema) Columns() []Column { return append([]Column(nil), s.cols...) }
-
 // Ordinal resolves a column name to its position.
 func (s *Schema) Ordinal(name string) (int, bool) {
 	i, ok := s.byName[name]
@@ -143,22 +140,11 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the table schema.
 func (t *Table) Schema() *Schema { return t.schema }
 
-// ChunkSize returns the table's rows-per-chunk capacity.
-func (t *Table) ChunkSize() int { return t.chunkSize }
-
 // RowCount returns the current cardinality.
 func (t *Table) RowCount() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.nrows
-}
-
-// Version returns the mutation counter; see the Table doc for its
-// (inequality-only) semantics.
-func (t *Table) Version() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.version
 }
 
 // UDICounter returns the activity accumulated since the last ResetUDI.
@@ -312,27 +298,6 @@ func (t *Table) InsertBatch(rows [][]value.Datum) error {
 	return nil
 }
 
-// Scan invokes fn for every row in storage order until fn returns false.
-// The scan runs over a snapshot: no lock is held during fn (a callback may
-// mutate the table, including this one, without deadlocking), and every row
-// is freshly materialized, so callers may retain rows without copying.
-func (t *Table) Scan(fn func(rowIdx int, row []value.Datum) bool) {
-	t.Snapshot().Scan(fn)
-}
-
-// ScanRange invokes fn for rows [lo, hi) in storage order until fn returns
-// false; the bounds are clamped to the snapshot's row count, so a morsel
-// issued against a since-shrunk table simply sees fewer rows. Like Scan it
-// is snapshot-based: lock-free during fn, rows safe to retain.
-func (t *Table) ScanRange(lo, hi int, fn func(rowIdx int, row []value.Datum) bool) {
-	t.Snapshot().ScanRange(lo, hi, fn)
-}
-
-// Row returns a copy of the row at position idx.
-func (t *Table) Row(idx int) ([]value.Datum, error) {
-	return t.Snapshot().Row(idx)
-}
-
 // Matcher finds the rows of one chunk a DML statement targets: it appends
 // their offsets within ch, ascending, to dst and returns the extended slice.
 // It runs under the table's write lock — it must only read ch, and must not
@@ -422,10 +387,4 @@ func (t *Table) DeleteWhere(match Matcher) int {
 		t.udi.Deletes += int64(n)
 	}
 	return n
-}
-
-// ColumnValues returns a copy of one column's datums; used by RUNSTATS-style
-// full statistics collection.
-func (t *Table) ColumnValues(ordinal int) []value.Datum {
-	return t.Snapshot().ColumnValues(ordinal)
 }

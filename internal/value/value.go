@@ -74,14 +74,6 @@ func NewFloat(v float64) Datum { return Datum{kind: KindFloat, f: v} }
 // NewString returns a string datum.
 func NewString(v string) Datum { return Datum{kind: KindString, s: v} }
 
-// NewBool returns the engine's boolean encoding: integers 0 and 1.
-func NewBool(v bool) Datum {
-	if v {
-		return NewInt(1)
-	}
-	return NewInt(0)
-}
-
 // Kind reports the datum's kind.
 func (d Datum) Kind() Kind { return d.kind }
 

@@ -35,9 +35,6 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	if !Null.IsNull() || Null.Kind() != KindNull {
 		t.Errorf("Null is not null: %v", Null)
 	}
-	if NewBool(true).Int() != 1 || NewBool(false).Int() != 0 {
-		t.Error("NewBool encoding wrong")
-	}
 }
 
 func TestAccessorPanics(t *testing.T) {

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -26,62 +27,123 @@ var (
 // TestMakefileRunSelectorsMatch keeps the Makefile's name selectors from
 // rotting: a `go test -run <a|b|c>` recipe (the fuzz and chaos targets)
 // selects tests by name, so a renamed test silently drops out of its target.
-// Each alternative of each selector must still match at least one test
-// function in the packages the recipe lists. A `-fuzz=Name` must match exactly one fuzz function there:
-// `go test` exits 0 without fuzzing anything when it matches none, and
-// refuses to fuzz when it matches several. A `-bench` selector is held to
-// the same rule at its top level: each `|` alternative's first `/` element
-// must match a benchmark function there (go test runs none, and says
-// nothing, when it matches no benchmark).
+// Each recipe is held to checkSelectors.
 func TestMakefileRunSelectorsMatch(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
 	}
 	recipes := strings.Split(strings.ReplaceAll(string(mk), "\\\n", " "), "\n")
-	selectors, fuzzers, benches := 0, 0, 0
+	var n selectorCounts
 	for _, line := range recipes {
-		m := runFlag.FindStringSubmatch(line)
-		if m == nil || !strings.HasPrefix(line, "\t") {
-			continue
+		if runFlag.MatchString(line) && strings.HasPrefix(line, "\t") {
+			checkSelectors(t, "Makefile recipe", strings.ReplaceAll(line, "$$", "$"), &n) // make's escape for a literal $
 		}
-		var names, benchNames []string
-		for _, field := range strings.Fields(line) {
-			if strings.HasPrefix(field, "./") {
-				for _, name := range testNames(t, field) {
-					if strings.HasPrefix(name, "Benchmark") {
-						benchNames = append(benchNames, name)
-					} else {
-						names = append(names, name)
-					}
+	}
+	if n.runs == 0 || n.fuzzers == 0 || n.benches == 0 {
+		t.Fatal("found no -run, -fuzz or -bench selectors in the Makefile — the parser has rotted")
+	}
+	t.Logf("%d -run alternatives, %d -fuzz names and %d -bench alternatives checked", n.runs, n.fuzzers, n.benches)
+}
+
+// skillFile is the build-and-drive recipe book kept for this repository.
+const skillFile = ".claude/skills/verify/SKILL.md"
+
+// TestSkillRunSelectorsMatch holds every `go test` command of the recipe
+// book that names its packages, in a code block or inline, to
+// checkSelectors: a recipe whose selector matches nothing runs nothing and
+// still passes.
+func TestSkillRunSelectorsMatch(t *testing.T) {
+	src, err := os.ReadFile(skillFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n selectorCounts
+	commands := 0
+	for i, line := range strings.Split(string(src), "\n") {
+		for _, cmd := range goTestCommands(line) {
+			commands++
+			checkSelectors(t, fmt.Sprintf("%s:%d", skillFile, i+1), cmd, &n)
+		}
+	}
+	if n.runs == 0 || n.fuzzers == 0 || n.benches == 0 {
+		t.Fatalf("found no -run, -fuzz or -bench selectors in %s — the parser has rotted", skillFile)
+	}
+	t.Logf("%d commands: %d -run alternatives, %d -fuzz names and %d -bench alternatives checked", commands, n.runs, n.fuzzers, n.benches)
+}
+
+// goTestCommands returns each `go test` command in a line that selects by
+// name and lists its packages: from "go test" to the end of the command (a
+// closing backtick, `&&`, `;` or a shell comment).
+func goTestCommands(line string) []string {
+	var cmds []string
+	for rest := line; ; {
+		i := strings.Index(rest, "go test ")
+		if i < 0 {
+			return cmds
+		}
+		cmd := rest[i:]
+		for _, end := range []string{"`", "&&", ";", " #"} {
+			if j := strings.Index(cmd, end); j >= 0 {
+				cmd = cmd[:j]
+			}
+		}
+		rest = rest[i+len(cmd):]
+		listsPackages := slices.ContainsFunc(strings.Fields(cmd), isPackageArg)
+		if listsPackages && (runFlag.MatchString(cmd) || benchFlag.MatchString(cmd) || fuzzFlag.MatchString(cmd)) {
+			cmds = append(cmds, cmd)
+		}
+	}
+}
+
+func isPackageArg(field string) bool { return field == "." || strings.HasPrefix(field, "./") }
+
+type selectorCounts struct{ runs, fuzzers, benches int }
+
+// checkSelectors holds one go test command's name selectors to the test
+// functions of the packages it lists. Each alternative of its -run selector
+// must match at least one test function there. A `-fuzz=Name` must match
+// exactly one fuzz function there: `go test` exits 0 without fuzzing
+// anything when it matches none, and refuses to fuzz when it matches
+// several. A `-bench` selector is held to the same rule at its top level:
+// each `|` alternative's first `/` element must match a benchmark function
+// there (go test runs none, and says nothing, when it matches no
+// benchmark).
+func checkSelectors(t *testing.T, where, cmd string, n *selectorCounts) {
+	t.Helper()
+	var names, benchNames []string
+	for _, field := range strings.Fields(cmd) {
+		if isPackageArg(field) {
+			for _, name := range testNames(t, field) {
+				if strings.HasPrefix(name, "Benchmark") {
+					benchNames = append(benchNames, name)
+				} else {
+					names = append(names, name)
 				}
 			}
 		}
-		if b := benchFlag.FindStringSubmatch(line); b != nil {
-			for _, alt := range splitTopLevel(b[1]+b[2], '|') {
-				benches++
-				first := splitTopLevel(alt, '/')[0]
-				re, err := regexp.Compile(first)
-				if err != nil {
-					t.Errorf("-bench alternative %q does not compile: %v", first, err)
-					continue
-				}
-				if !slices.ContainsFunc(benchNames, re.MatchString) {
-					t.Errorf("Makefile recipe %q: -bench alternative %q matches no benchmark in the listed packages", strings.TrimSpace(line), alt)
-				}
-			}
-		}
-		selector := strings.ReplaceAll(m[1]+m[2], "$$", "$") // make's escape for a literal $
-		if selector == "^$" {
-			continue // benchmark-only recipes deliberately select no test
-		}
-		if fz := fuzzFlag.FindStringSubmatch(line); fz != nil {
-			fuzzers++
-			re, err := regexp.Compile(fz[1])
+	}
+	cmd = strings.TrimSpace(cmd)
+	if b := benchFlag.FindStringSubmatch(cmd); b != nil {
+		for _, alt := range splitTopLevel(b[1]+b[2], '|') {
+			n.benches++
+			first := splitTopLevel(alt, '/')[0]
+			re, err := regexp.Compile(first)
 			if err != nil {
-				t.Errorf("-fuzz=%s does not compile: %v", fz[1], err)
+				t.Errorf("-bench alternative %q does not compile: %v", first, err)
 				continue
 			}
+			if !slices.ContainsFunc(benchNames, re.MatchString) {
+				t.Errorf("%s %q: -bench alternative %q matches no benchmark in the listed packages", where, cmd, alt)
+			}
+		}
+	}
+	if fz := fuzzFlag.FindStringSubmatch(cmd); fz != nil {
+		n.fuzzers++
+		re, err := regexp.Compile(fz[1])
+		if err != nil {
+			t.Errorf("-fuzz=%s does not compile: %v", fz[1], err)
+		} else {
 			matches := 0
 			for _, name := range names {
 				if strings.HasPrefix(name, "Fuzz") && re.MatchString(name) {
@@ -89,32 +151,26 @@ func TestMakefileRunSelectorsMatch(t *testing.T) {
 				}
 			}
 			if matches != 1 {
-				t.Errorf("Makefile recipe %q: -fuzz=%s matches %d fuzz functions in the listed packages, want exactly 1", strings.TrimSpace(line), fz[1], matches)
-			}
-		}
-		for _, alt := range strings.Split(selector, "|") {
-			selectors++
-			re, err := regexp.Compile(alt)
-			if err != nil {
-				t.Errorf("-run '%s': alternative %q does not compile: %v", selector, alt, err)
-				continue
-			}
-			matched := false
-			for _, name := range names {
-				if re.MatchString(name) {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				t.Errorf("Makefile recipe %q: -run alternative %q matches no test in the listed packages", strings.TrimSpace(line), alt)
+				t.Errorf("%s %q: -fuzz=%s matches %d fuzz functions in the listed packages, want exactly 1", where, cmd, fz[1], matches)
 			}
 		}
 	}
-	if selectors == 0 || fuzzers == 0 || benches == 0 {
-		t.Fatal("found no -run, -fuzz or -bench selectors in the Makefile — the parser has rotted")
+	m := runFlag.FindStringSubmatch(cmd)
+	if m == nil || m[1]+m[2] == "^$" {
+		return // benchmark-only commands deliberately select no test
 	}
-	t.Logf("%d -run alternatives, %d -fuzz names and %d -bench alternatives checked", selectors, fuzzers, benches)
+	selector := m[1] + m[2]
+	for _, alt := range strings.Split(selector, "|") {
+		n.runs++
+		re, err := regexp.Compile(alt)
+		if err != nil {
+			t.Errorf("-run '%s': alternative %q does not compile: %v", selector, alt, err)
+			continue
+		}
+		if !slices.ContainsFunc(names, re.MatchString) {
+			t.Errorf("%s %q: -run alternative %q matches no test in the listed packages", where, cmd, alt)
+		}
+	}
 }
 
 // splitTopLevel splits a go test name pattern at every sep outside

@@ -67,8 +67,8 @@ bench-pairs:
 # float and a string column, and with a fallback bound. Then JITS
 # collection, one table's worth per layer: the
 # columnar draw (2000 of 43k rows, 8 columns), bitmap group evaluation (7
-# groups over 3 predicates), the NDV counter per column kind (strings of up
-# to 8, 16 and 17 bytes, the last with its domain tracked too), one archive
+# groups over 3 predicates), the NDV counter and the min/max walk per column
+# kind (strings of up to 8, 16 and 17 bytes), one archive
 # merge at the shape measured on collect_all (164 cells, 35 constraints, 20
 # of them re-observed boxes) and at the budget ceiling (4096 cells, 48
 # constraints, 16 re-observed), and one sampled table's whole collect pass
@@ -76,8 +76,8 @@ bench-pairs:
 # SampleDraw, EvaluateGroups and CollectTable allocate nothing that grows
 # with the sample — the sample, its positions, the bitmaps and the fit's cell
 # lists are reused; what is left is the table snapshot, the runner's closures
-# and the compiled matchers, a few hundred bytes — and ColumnNDV allocates
-# nothing at all. Last, the
+# and the compiled matchers, a few hundred bytes — and ColumnNDV and
+# ColumnMinMax allocate nothing at all. Last, the
 # executor's own row: the six paper templates at scale 0.01 under the join
 # methods the optimizer picks among (bytes and allocations per execution are
 # what late materialization is held to; forced nested loops take 0.4 s an
@@ -101,7 +101,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'StatementRecorder|StatementLedger' -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'ResultFrame' -benchmem ./internal/wire/
 	$(GO) test -run '^$$' -bench 'IndexAdvance/rows=(43000|430000)|Lookup10k' -benchmem -benchtime 0.3s ./internal/index/
-	$(GO) test -run '^$$' -bench 'SampleDraw|EvaluateGroups|ColumnNDV' -benchmem -benchtime 0.3s ./internal/sampling/
+	$(GO) test -run '^$$' -bench 'SampleDraw|EvaluateGroups|ColumnNDV|ColumnMinMax' -benchmem -benchtime 0.3s ./internal/sampling/
 	$(GO) test -run '^$$' -bench 'AddConstraintSteady' -benchmem -benchtime 0.3s ./internal/histogram/
 	$(GO) test -run '^$$' -bench 'CollectTable' -benchmem -benchtime 0.3s ./internal/core/
 	$(GO) test -run '^$$' -bench 'ExecuteTemplates/.*/(scan|HashJoin|MergeJoin|IndexNLJoin)|Finish|HashJoinExecution' -benchmem -benchtime 20x ./internal/executor/
@@ -128,9 +128,9 @@ bench-smoke:
 # returns exactly the rows MatchesDatum accepts, the histogram box derived
 # from it holds every accepted value up to the coordinate resolution, exactly
 # on an int column, and a NULL operand probes nothing and has no box) and the
-# Duj1 counter (a column's counts equal a Go map's over its equality keys, its
-# domain the min/max walk it replaced; a column is up to 4096 rows, so it too
-# shrinks for a second). The seed corpora alone are replayed by
+# Duj1 counter (a column's counts equal a Go map's over its equality keys, the
+# min/max pass's domain the Order walk it replaced; a column is up to 4096
+# rows, so it too shrinks for a second). The seed corpora alone are replayed by
 # every plain `make test`. `go test -fuzz=Name` exits 0 when Name matches
 # nothing; TestMakefileRunSelectorsMatch resolves every name below.
 fuzz:

@@ -149,7 +149,7 @@ func (a *Archive) Cardinality(table string) (int64, bool) {
 }
 
 // SetColumnNDV stores a distinct-value estimate for table.column, refreshed
-// whenever the table is sampled.
+// whenever a statement that joins on the column samples the table.
 func (a *Archive) SetColumnNDV(table, column string, ndv int64, ts int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

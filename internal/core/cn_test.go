@@ -17,7 +17,7 @@ func cnJITS(t *testing.T, db *storage.Database, cfg Config) *JITS {
 	cfg.Strategy = StrategyCN
 	ixs := index.NewSet()
 	if car, ok := db.Table("car"); ok {
-		if _, err := ixs.Create("ix_car_make", car, "make"); err != nil {
+		if _, err := ixs.Create(car, "make"); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,7 +11,9 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/qgm"
+	"repro/internal/sampling"
 	"repro/internal/sqlparser"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -151,12 +154,12 @@ func heapProfile() map[[32]uintptr]int64 {
 }
 
 // BenchmarkCollectTable prices one sampled table's full collect pass on a warm
-// engine at scale 0.01: a 2000-row draw of car's 14 308 rows, the three
-// predicates' seven candidate groups evaluated, one counting pass per column
-// (its NDV, and the domains of the three referenced columns), and the groups
-// Algorithm 4 picks merged into the archive — PrepareBudgeted at s_max 0 on a
-// one-table query, so around it only the survey and the sensitivity analysis
-// of that one table.
+// engine at scale 0.01: a 2000-row draw of car's 14 308 rows, gathering the
+// three referenced columns, the three predicates' seven candidate groups
+// evaluated, the three columns' domains (the query joins on nothing, so no
+// NDV is counted), and the groups Algorithm 4 picks merged into the archive —
+// PrepareBudgeted at s_max 0 on a one-table query, so around it only the
+// survey and the sensitivity analysis of that one table.
 func BenchmarkCollectTable(b *testing.B) {
 	e := collectAllEngine(b, 0.01)
 	prepare := preparer(b, e, buildQuery(b, e, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry' AND year > 1995`))
@@ -169,5 +172,128 @@ func BenchmarkCollectTable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prepare()
+	}
+}
+
+// everyColumnNDV is the counting loop the collect stage ran before it was
+// scoped to the statement — every column of a full-width draw counted, its
+// Duj1 estimate kept when positive — kept as the oracle a join column's
+// archived NDV is held to.
+func everyColumnNDV(s *sampling.Sampler, schema *storage.Schema, sample *storage.Chunk, card int) map[string]int64 {
+	out := make(map[string]int64)
+	for col := 0; col < schema.NumColumns(); col++ {
+		if ndv := s.CountColumn(sample.Col(col)).EstimateNDV(card); ndv > 0 {
+			out[schema.Column(col).Name] = ndv
+		}
+	}
+	return out
+}
+
+// TestCollectionReadsWhatTheOptimizerReads replays the paper workload,
+// updates included, at s_max 0 and seed 1, so every statement samples every
+// table it filters, then a subquery whose block joins and a self join. For
+// each sampled table: the draw gathers exactly the columns a local predicate
+// of an instance of the table references and those an equi-join of any
+// block compares on one, worked out here from the query; only a column some
+// statement has joined on has an archived NDV; and each column the statement
+// joins on holds the NDV the old every-column loop counts over a full-width
+// twin of the same draw (a second sampler of the same seed, drawing the same
+// tables in the same order).
+func TestCollectionReadsWhatTheOptimizerReads(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.SMax = 0
+	e := engine.New(engine.Config{JITS: cfg, Parallelism: 1})
+	d, err := workload.Load(e, workload.Spec{Scale: 0.004, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, w, j, db := context.Background(), costmodel.DefaultWeights(), e.JITS(), e.DB()
+	twin := sampling.New(cfg.Seed)
+	joinedOn := map[string]bool{} // "table.column" a sampling statement joined on
+	ts := int64(1 << 20)
+	sampled, joins := 0, 0
+	// The paper's stream has neither a subquery nor a self join: two
+	// statements that do close it.
+	stream := append(d.Workload(120, 1, true),
+		workload.Statement{IsQuery: true, SQL: `SELECT c.id FROM car c WHERE c.make = 'Honda' AND c.ownerid IN (SELECT o.id FROM owner o, demographics d WHERE d.ownerid = o.id AND o.city = 'Boston' AND d.age > 30)`},
+		workload.Statement{IsQuery: true, SQL: `SELECT COUNT(*) FROM car a, car b WHERE a.ownerid = b.id AND a.make = 'Toyota' AND b.year > 2000`})
+	for _, st := range stream {
+		if !st.IsQuery {
+			if _, err := e.Exec(st.SQL); err != nil {
+				t.Fatalf("%s: %v", st.SQL, err)
+			}
+			continue
+		}
+		q := buildQuery(t, e, st.SQL)
+		groupCols, joinCols, gathered := map[string][]int{}, map[string][]int{}, map[string][]int{}
+		add := func(sets map[string][]int, table string, ord int) {
+			for _, set := range []map[string][]int{sets, gathered} {
+				if !slices.Contains(set[table], ord) {
+					set[table] = append(set[table], ord)
+					slices.Sort(set[table])
+				}
+			}
+		}
+		for _, blk := range q.Blocks {
+			for slot, ti := range blk.Tables {
+				for _, p := range blk.LocalPreds[slot] {
+					add(groupCols, ti.Table, p.Ordinal)
+				}
+			}
+			for _, jp := range blk.JoinPreds {
+				add(joinCols, blk.Tables[jp.LeftSlot].Table, jp.LeftOrd)
+				add(joinCols, blk.Tables[jp.RightSlot].Table, jp.RightOrd)
+			}
+		}
+
+		ts++
+		scopes, err := j.SampleScopes(q, db, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m costmodel.Meter
+		_, rep, err := j.PrepareBudgeted(ctx, q, db, ts, &m, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range rep.Tables {
+			if tr.Degraded || !tr.Collected {
+				t.Fatalf("%s: %s not sampled at s_max 0 (%s)", st.SQL, tr.Table, tr.DegradeReason)
+			}
+			sampled++
+			scope := scopes[tr.Table]
+			if !slices.Equal(scope.Groups, groupCols[tr.Table]) || !slices.Equal(scope.Joins, joinCols[tr.Table]) || !slices.Equal(scope.Gathered, gathered[tr.Table]) {
+				t.Fatalf("%s: %s scope %+v, want groups %v joins %v gathered %v", st.SQL, tr.Table, scope, groupCols[tr.Table], joinCols[tr.Table], gathered[tr.Table])
+			}
+
+			tbl, _ := db.Table(tr.Table)
+			var twinMeter costmodel.Meter
+			sample, err := twin.SampleColumns(ctx, tbl, tr.SampleRows, &twinMeter, w, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := everyColumnNDV(twin, tbl.Schema(), sample, tbl.RowCount())
+			for _, ord := range scope.Joins {
+				col := tbl.Schema().Column(ord).Name
+				joinedOn[tr.Table+"."+col] = true
+				joins++
+				if got, ok := j.Archive().ColumnNDV(tr.Table, col); !ok || got != oracle[col] {
+					t.Fatalf("%s: %s.%s NDV %d (archived %v), the full-width count of the draw %d", st.SQL, tr.Table, col, got, ok, oracle[col])
+				}
+			}
+		}
+		for _, name := range db.TableNames() {
+			tbl, _ := db.Table(name)
+			for c := 0; c < tbl.Schema().NumColumns(); c++ {
+				col := tbl.Schema().Column(c).Name
+				if _, ok := j.Archive().ColumnNDV(name, col); ok != joinedOn[name+"."+col] {
+					t.Fatalf("after %s: %s.%s has an archived NDV: %v, was joined on by a sampling statement: %v", st.SQL, name, col, ok, joinedOn[name+"."+col])
+				}
+			}
+		}
+	}
+	t.Logf("%d sampled tables, %d join-column NDVs checked, %d columns joined on", sampled, joins, len(joinedOn))
+	if sampled == 0 || joins == 0 {
+		t.Fatal("the replay sampled nothing or joined on nothing")
 	}
 }

@@ -51,7 +51,13 @@ type collection struct {
 type tableWork struct {
 	tbl    *storage.Table
 	groups [][]qgm.Predicate // candidate groups of every instance, deduplicated
-	report TableReport
+	// The columns a sample of the table is read for, as ascending ordinals:
+	// those a candidate group references (their domains grid the archive),
+	// those an equi-join of any block compares on an instance of the table
+	// (their NDVs price the join), and the union of the two, which is all a
+	// draw gathers.
+	groupCols, joinCols, gathered []int
+	report                        TableReport
 }
 
 // degradation is the one event that ends a table's collection without
@@ -63,7 +69,8 @@ type degradation struct {
 
 // survey refreshes cardinalities, lets the CN baseline probe plans, and
 // returns the statement's tables that have local predicates, in name order,
-// each with the candidate groups of all its instances (they share one sample).
+// each with the candidate groups of all its instances (they share one sample)
+// and the columns its sample is read for.
 func (c *collection) survey(q *qgm.Query, db *storage.Database) ([]*tableWork, error) {
 	// Row counts are needed for *every* table of the query (§3.2), not only
 	// those with local predicates: a metadata read, free in the cost model.
@@ -109,6 +116,42 @@ func (c *collection) survey(q *qgm.Query, db *storage.Database) ([]*tableWork, e
 		}
 	}
 	sort.Slice(work, func(i, k int) bool { return work[i].report.Table < work[k].report.Table })
+
+	// A table's three column sets are thirds of its share of one array the
+	// JITS keeps from statement to statement (PrepareBudgeted holds j.mu):
+	// no set holds more ordinals than the table has columns.
+	width := 0
+	for _, tw := range work {
+		width += tw.tbl.Schema().NumColumns()
+	}
+	c.j.colSets = slices.Grow(c.j.colSets[:0], 3*width)
+	free := c.j.colSets[:3*width]
+	for _, tw := range work {
+		n := tw.tbl.Schema().NumColumns()
+		tw.groupCols, tw.joinCols, tw.gathered = free[:0:n], free[n:n:2*n], free[2*n:2*n:3*n]
+		free = free[3*n:]
+		for _, g := range tw.groups {
+			for _, p := range g {
+				tw.groupCols = addOrdinal(tw.groupCols, p.Ordinal)
+			}
+		}
+	}
+	for _, blk := range q.Blocks {
+		for _, jp := range blk.JoinPreds {
+			if tw := byTable[blk.Tables[jp.LeftSlot].Table]; tw != nil {
+				tw.joinCols = addOrdinal(tw.joinCols, jp.LeftOrd)
+			}
+			if tw := byTable[blk.Tables[jp.RightSlot].Table]; tw != nil {
+				tw.joinCols = addOrdinal(tw.joinCols, jp.RightOrd)
+			}
+		}
+	}
+	for _, tw := range work {
+		tw.gathered = append(tw.gathered, tw.groupCols...)
+		for _, col := range tw.joinCols {
+			tw.gathered = addOrdinal(tw.gathered, col)
+		}
+	}
 
 	// The cost budget meters collection only, not the CN probes above.
 	c.startUnits = c.meter.Units()
@@ -228,7 +271,7 @@ func (c *collection) sample(tw *tableWork, size int, start time.Time) (err error
 		*d, start = now.Sub(start), now
 	}
 
-	sample, err := j.sampler.SampleColumns(c.ctx, tw.tbl, size, c.meter, c.w, cfg.Parallelism)
+	sample, err := j.sampler.SampleColumns(c.ctx, tw.tbl, size, c.meter, c.w, cfg.Parallelism, tw.gathered)
 	if err != nil {
 		return err
 	}
@@ -250,18 +293,17 @@ func (c *collection) sample(tw *tableWork, size int, start time.Time) (err error
 	j.archive.SetCardinality(name, card, c.ts)
 	c.qs.cards[name] = card
 
-	// One pass per column: its distinct-value estimate (Duj1), for join
-	// estimation, and the domain of each column some candidate group
-	// references — the only ones ever looked up — for archive grid creation.
-	referenced := qgm.GroupColumns(slices.Concat(groups...))
-	domains := make(map[string]ColumnDomain, len(referenced))
-	for col := 0; col < schema.NumColumns(); col++ {
-		column := schema.Column(col)
-		count := j.sampler.CountColumn(sample.Col(col), slices.Contains(referenced, column.Name))
-		if ndv := count.EstimateNDV(int(card)); ndv > 0 {
-			j.archive.SetColumnNDV(name, column.Name, ndv, c.ts)
+	// What the optimizer reads of a sampled column: a join column's
+	// distinct-value estimate (Duj1), to price its equi-joins, and a group
+	// column's domain, to grid the archive.
+	for _, col := range tw.joinCols {
+		if ndv := j.sampler.CountColumn(sample.Col(col)).EstimateNDV(int(card)); ndv > 0 {
+			j.archive.SetColumnNDV(name, schema.Column(col).Name, ndv, c.ts)
 		}
-		addDomain(domains, column, count)
+	}
+	domains := make(map[string]ColumnDomain, len(tw.groupCols))
+	for _, col := range tw.groupCols {
+		addDomain(domains, schema.Column(col), sample.Col(col))
 	}
 	lap(&tr.Laps.NDV)
 
@@ -311,12 +353,13 @@ func (c *collection) report(tw *tableWork, deg degradation) {
 }
 
 // WorkloadStatistics builds the paper's "workload statistics" baseline with
-// the collect stage's kernels over whole tables: a table's cardinality, and
-// its exact NDVs and domains from one counting pass per column, once, then every candidate group of every query, in
-// workload order, materialized at its exact selectivity (a recurring group is
-// merged again, as a per-query pass would). The work is setup cost, charged to
-// no query; tables db does not hold are skipped; the only error is a
-// recovered morsel panic.
+// the collect stage's kernels over whole tables: once per table, its
+// cardinality and the exact NDV and domain of every column, then every
+// candidate group of every query, in workload order, materialized at its
+// exact selectivity (a recurring group is merged again, as a per-query pass
+// would). Unlike a JITS collection it counts every column, not only the ones
+// the workload joins on. The work is setup cost, charged to no query; tables
+// db does not hold are skipped; the only error is a recovered morsel panic.
 func WorkloadStatistics(db *storage.Database, queries []*qgm.Query, ts int64) (*Archive, error) {
 	archive := NewArchive(0, 0)
 	var setup costmodel.Meter
@@ -338,11 +381,10 @@ func WorkloadStatistics(db *storage.Database, queries []*qgm.Query, ts int64) (*
 				archive.SetCardinality(tc.Table, int64(n), ts)
 				for col := 0; col < schema.NumColumns(); col++ {
 					column := schema.Column(col)
-					count := counter.CountColumn(x.rows.Col(col), true)
-					if count.D > 0 {
-						archive.SetColumnNDV(tc.Table, column.Name, int64(count.D), ts)
+					if d := counter.CountColumn(x.rows.Col(col)).D; d > 0 {
+						archive.SetColumnNDV(tc.Table, column.Name, int64(d), ts)
 					}
-					addDomain(x.domains, column, count)
+					addDomain(x.domains, column, x.rows.Col(col))
 				}
 				tables[tc.Table] = x
 			}
@@ -362,30 +404,39 @@ func WorkloadStatistics(db *storage.Database, queries []*qgm.Query, ts int64) (*
 }
 
 // SampleDomains is the domain of every column of a row-shaped sample, from
-// the collect stage's pass.
+// the collect stage's min/max pass.
 func SampleDomains(schema *storage.Schema, sample [][]value.Datum) map[string]ColumnDomain {
 	out := make(map[string]ColumnDomain, schema.NumColumns())
 	if len(sample) == 0 {
 		return out
 	}
-	chunk, counter := storage.ChunkFromRows(sample), sampling.New(0)
+	chunk := storage.ChunkFromRows(sample)
 	for c := 0; c < schema.NumColumns(); c++ {
-		addDomain(out, schema.Column(c), counter.CountColumn(chunk.Col(c), true))
+		addDomain(out, schema.Column(c), chunk.Col(c))
 	}
 	return out
 }
 
-// addDomain records in out the domain (coordinate range + unit) of a column
-// whose counting pass found its finite values' Min and Max; a column with no
-// such value, or whose domain was not tracked, has none.
-func addDomain(out map[string]ColumnDomain, col storage.Column, count sampling.ColumnCount) {
-	if count.Min.IsNull() {
+// addDomain records in out the domain (coordinate range + unit) of column
+// col, whose values vec holds, from their finite Min and Max
+// (sampling.MinMax); a column with no finite value has none.
+func addDomain(out map[string]ColumnDomain, col storage.Column, vec *storage.ColumnVec) {
+	lo, hi := sampling.MinMax(vec)
+	if lo.IsNull() {
 		return
 	}
 	out[col.Name] = ColumnDomain{
-		Lo:   count.Min.Coord(),
-		Hi:   count.Max.Coord(),
-		Unit: catalog.UnitFor(col.Kind, count.Min, count.Max),
+		Lo:   lo.Coord(),
+		Hi:   hi.Coord(),
+		Unit: catalog.UnitFor(col.Kind, lo, hi),
 		Kind: col.Kind,
 	}
+}
+
+// addOrdinal inserts ord into cols, an ascending set of column ordinals.
+func addOrdinal(cols []int, ord int) []int {
+	if i, found := slices.BinarySearch(cols, ord); !found {
+		cols = slices.Insert(cols, i, ord)
+	}
+	return cols
 }

@@ -68,14 +68,14 @@ func sameDomains(got, want map[string]ColumnDomain) error {
 	return nil
 }
 
-// passDomains is the domains the collect stage's counting pass finds over a
+// passDomains is the domains the collect stage's min/max pass finds over a
 // columnar sample: of the named columns, or of every column when cols is nil.
 func passDomains(schema *storage.Schema, sample *storage.Chunk, cols []string) map[string]ColumnDomain {
 	out := make(map[string]ColumnDomain)
-	counter := sampling.New(0)
 	for c := 0; c < schema.NumColumns(); c++ {
-		col := schema.Column(c)
-		addDomain(out, col, counter.CountColumn(sample.Col(c), cols == nil || slices.Contains(cols, col.Name)))
+		if col := schema.Column(c); cols == nil || slices.Contains(cols, col.Name) {
+			addDomain(out, col, sample.Col(c))
+		}
 	}
 	return out
 }
@@ -86,7 +86,8 @@ func passDomains(schema *storage.Schema, sample *storage.Chunk, cols []string) m
 // (counted nowhere in a domain), −0 beside +0, empty strings, NULLs and an
 // all-NULL column, on the
 // whole-table and the picked path at dop 1 and 4 — and restricting to group
-// columns only drops entries, never changes one.
+// columns only drops entries, never changes one, also when the draw gathers
+// only those columns.
 func TestColumnDomainsMatchRowReference(t *testing.T) {
 	schema := storage.MustSchema(
 		storage.Column{Name: "i", Kind: value.KindInt},
@@ -121,7 +122,11 @@ func TestColumnDomainsMatchRowReference(t *testing.T) {
 		}
 		for _, dop := range []int{1, 4} {
 			var m costmodel.Meter
-			sample, err := sampling.New(seed).SampleColumns(context.Background(), tbl, 600, &m, w, dop)
+			sample, err := sampling.New(seed).SampleColumns(context.Background(), tbl, 600, &m, w, dop, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			narrow, err := sampling.New(seed).SampleColumns(context.Background(), tbl, 600, &m, w, dop, []int{1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,6 +146,9 @@ func TestColumnDomainsMatchRowReference(t *testing.T) {
 			delete(want, "s")
 			if err := sameDomains(only, want); err != nil {
 				t.Fatalf("seed %d dop %d: group columns only: %v", seed, dop, err)
+			}
+			if err := sameDomains(passDomains(schema, narrow, []string{"f"}), want); err != nil {
+				t.Fatalf("seed %d dop %d: drawn group column only: %v", seed, dop, err)
 			}
 		}
 	}

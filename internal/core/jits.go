@@ -98,6 +98,7 @@ type JITS struct {
 	history *feedback.History
 	cat     *catalog.Catalog
 	sampler *sampling.Sampler
+	colSets []int      // the survey's column sets, reused by every statement
 	indexes *index.Set // StrategyCN plan probes enumerate over it
 	degrade costmodel.Degradation
 	breaker *govern.Breaker // nil never trips
@@ -262,16 +263,17 @@ type TableReport struct {
 	// not it succeeded; zero when the table was not sampled. The engine
 	// records it as the statement's jits.sample phase.
 	SampleWall time.Duration
-	// Laps split SampleWall into the pass's steps, in order; a step the pass
-	// did not reach (it failed first) stays zero.
+	// Laps split SampleWall into the pass's four steps (SampleLaps), in
+	// order; a step the pass did not reach (it failed first) stays zero.
 	Laps SampleLaps
 }
 
 // SampleLaps are the wall times of one sampling pass's steps: draw the
-// sample, evaluate the candidate groups on it, count every column, and
-// materialize into the archive. NDV times the whole counting pass: each
-// column's distinct values for its NDV estimate and, in the same pass, the
-// domains of the columns the candidate groups reference.
+// columns the statement reads, evaluate the candidate groups on them, read
+// off the column statistics the optimizer uses, and materialize into the
+// archive. NDV times that third step whole: the distinct values of each
+// column the statement joins on, for its NDV estimate, and the min/max of
+// each column a candidate group references, for its domain.
 type SampleLaps struct {
 	Draw, Eval, NDV, Materialize time.Duration
 }

@@ -142,7 +142,7 @@ func (e *Engine) execCreateIndex(stmt *sqlparser.CreateIndexStmt) (*Result, erro
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", stmt.Table)
 	}
-	if _, err := e.indexes.Create(stmt.Name, tbl, stmt.Column); err != nil {
+	if _, err := e.indexes.Create(tbl, stmt.Column); err != nil {
 		return nil, err
 	}
 	return &Result{}, nil

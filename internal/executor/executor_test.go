@@ -93,10 +93,10 @@ func newEnv(t testing.TB) *env {
 		cat.SetTableStats(st)
 	}
 	ixs := index.NewSet()
-	if _, err := ixs.Create("ix_owner_id", owner, "id"); err != nil {
+	if _, err := ixs.Create(owner, "id"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ixs.Create("ix_car_year", car, "year"); err != nil {
+	if _, err := ixs.Create(car, "year"); err != nil {
 		t.Fatal(err)
 	}
 	return &env{db: db, cat: cat, indexes: ixs}

@@ -86,7 +86,7 @@ func addJoinTable(t *testing.T, e *env, name string, keyKinds []value.Kind, keys
 		t.Fatal(err)
 	}
 	e.cat.SetTableStats(st)
-	if _, err := e.indexes.Create("ix_"+name, tbl, "a"); err != nil {
+	if _, err := e.indexes.Create(tbl, "a"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -236,7 +236,7 @@ func rangeTable(t *testing.T, seed int64) (*storage.Table, []*index.Index) {
 	}
 	var ixs []*index.Index
 	for _, col := range []string{"i", "f", "s"} {
-		ix, err := index.New("ix_"+col, tbl, col)
+		ix, err := index.New(tbl, col)
 		if err != nil {
 			t.Fatal(err)
 		}

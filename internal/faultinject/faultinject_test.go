@@ -229,10 +229,10 @@ func TestArmFromSpec(t *testing.T) {
 		t.Fatalf("empty spec: %v", err)
 	}
 	for _, bad := range []string{
-		"nope:every=1",           // unknown point
-		"sampling.rows:every=x",  // bad int
-		"sampling.rows:bogus=1",  // unknown key
-		"sampling.rows:latency",  // malformed kv
+		"nope:every=1",            // unknown point
+		"sampling.rows:every=x",   // bad int
+		"sampling.rows:bogus=1",   // unknown key
+		"sampling.rows:latency",   // malformed kv
 		"sampling.rows:latency=q", // bad duration
 	} {
 		if err := NewRegistry().ArmFromSpec(bad); err == nil {

@@ -204,7 +204,7 @@ func BenchmarkLookup10k(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			ix, err := New("ix", tbl, "k")
+			ix, err := New(tbl, "k")
 			if err != nil {
 				b.Fatal(err)
 			}

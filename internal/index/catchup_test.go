@@ -98,7 +98,7 @@ func runModel(tb testing.TB, data []byte) ImageStats {
 		storage.Column{Name: "k", Kind: kind},
 		storage.Column{Name: "other", Kind: value.KindInt},
 	), chunk)
-	ix, err := New("ix", tbl, "k")
+	ix, err := New(tbl, "k")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func seqKey(kind value.Kind, id int64) value.Datum {
 func TestCatchUpIsThePathTaken(t *testing.T) {
 	for _, kind := range []value.Kind{value.KindInt, value.KindFloat, value.KindString} {
 		tbl := seqTable(t, kind, 1000, 64)
-		ix, err := New("ix", tbl, "k")
+		ix, err := New(tbl, "k")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,7 +534,7 @@ func TestCatchUpIsThePathTaken(t *testing.T) {
 // fall behind it; every probe must still describe the prober's own snapshot.
 func TestConcurrentProbesUnderDML(t *testing.T) {
 	tbl := seqTable(t, value.KindInt, 2000, 64)
-	ix, err := New("ix", tbl, "k")
+	ix, err := New(tbl, "k")
 	if err != nil {
 		t.Fatal(err)
 	}

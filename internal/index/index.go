@@ -58,7 +58,6 @@ const maxRows = math.MaxInt32
 // Index is a sorted secondary index over one column of one table.
 type Index struct {
 	mu      sync.Mutex
-	name    string
 	table   *storage.Table
 	column  string
 	ordinal int
@@ -76,12 +75,12 @@ type Index struct {
 
 // New creates an index on table.column. The index is built lazily on first
 // use.
-func New(name string, table *storage.Table, column string) (*Index, error) {
+func New(table *storage.Table, column string) (*Index, error) {
 	ord, ok := table.Schema().Ordinal(column)
 	if !ok {
 		return nil, fmt.Errorf("index: table %s has no column %q", table.Name(), column)
 	}
-	ix := &Index{name: name, table: table, column: column, ordinal: ord}
+	ix := &Index{table: table, column: column, ordinal: ord}
 	ix.shared = ix.newImage()
 	return ix, nil
 }
@@ -196,8 +195,8 @@ func NewSet() *Set {
 
 // Create builds and registers an index for table.column. Creating a second
 // index on the same column is an error.
-func (s *Set) Create(name string, table *storage.Table, column string) (*Index, error) {
-	ix, err := New(name, table, column)
+func (s *Set) Create(table *storage.Table, column string) (*Index, error) {
+	ix, err := New(table, column)
 	if err != nil {
 		return nil, err
 	}

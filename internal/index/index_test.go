@@ -25,14 +25,14 @@ func intTable(t *testing.T, vals ...int64) *storage.Table {
 
 func TestNewUnknownColumn(t *testing.T) {
 	tbl := intTable(t, 1)
-	if _, err := New("ix", tbl, "ghost"); err == nil {
+	if _, err := New(tbl, "ghost"); err == nil {
 		t.Error("index on unknown column must fail")
 	}
 }
 
 func TestLookup(t *testing.T) {
 	tbl := intTable(t, 5, 3, 5, 1, 5, 9)
-	ix, err := New("ix", tbl, "k")
+	ix, err := New(tbl, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestLookup(t *testing.T) {
 
 func TestRangeVariants(t *testing.T) {
 	tbl := intTable(t, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-	ix, err := New("ix", tbl, "k")
+	ix, err := New(tbl, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestNullKeysExcluded(t *testing.T) {
 	if err := tbl.Insert([]value.Datum{value.Null}); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := New("ix", tbl, "k")
+	ix, err := New(tbl, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestNullKeysExcluded(t *testing.T) {
 
 func TestLazyRebuildOnMutation(t *testing.T) {
 	tbl := intTable(t, 1, 2, 3)
-	ix, err := New("ix", tbl, "k")
+	ix, err := New(tbl, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestStringKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix, err := New("ix", tbl, "make")
+	ix, err := New(tbl, "make")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +182,13 @@ func TestStringKeys(t *testing.T) {
 func TestSetRegistry(t *testing.T) {
 	tbl := intTable(t, 1)
 	s := NewSet()
-	if _, err := s.Create("ix_k", tbl, "k"); err != nil {
+	if _, err := s.Create(tbl, "k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Create("dup", tbl, "k"); err == nil {
+	if _, err := s.Create(tbl, "k"); err == nil {
 		t.Error("duplicate index on same column must fail")
 	}
-	if _, err := s.Create("ix_p", tbl, "payload"); err != nil {
+	if _, err := s.Create(tbl, "payload"); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Find("t", "k"); !ok {
@@ -223,7 +223,7 @@ func TestRangeMatchesScanProperty(t *testing.T) {
 				return false
 			}
 		}
-		ix, err := New("ix", tbl, "k")
+		ix, err := New(tbl, "k")
 		if err != nil {
 			return false
 		}
@@ -261,7 +261,7 @@ func TestRangeMatchesScanProperty(t *testing.T) {
 // enough to trigger exactly one rebuild that sees every new row.
 func TestBatchInsertTriggersStalenessRebuild(t *testing.T) {
 	tbl := intTable(t, 1, 2, 3)
-	ix, err := New("ix", tbl, "k")
+	ix, err := New(tbl, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestBatchInsertTriggersStalenessRebuild(t *testing.T) {
 // cached index back for everyone else.
 func TestLookupAtStaleSnapshot(t *testing.T) {
 	tbl := intTable(t, 5, 3, 5, 1)
-	ix, err := New("ix", tbl, "k")
+	ix, err := New(tbl, "k")
 	if err != nil {
 		t.Fatal(err)
 	}

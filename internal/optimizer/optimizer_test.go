@@ -88,13 +88,13 @@ func newTestDB(t testing.TB) *testDB {
 		cat.SetTableStats(st)
 	}
 	ixs := index.NewSet()
-	if _, err := ixs.Create("ix_car_ownerid", car, "ownerid"); err != nil {
+	if _, err := ixs.Create(car, "ownerid"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ixs.Create("ix_owner_id", owner, "id"); err != nil {
+	if _, err := ixs.Create(owner, "id"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ixs.Create("ix_car_year", car, "year"); err != nil {
+	if _, err := ixs.Create(car, "year"); err != nil {
 		t.Fatal(err)
 	}
 	return &testDB{db: db, cat: cat, indexes: ixs}

@@ -23,7 +23,7 @@ func estimateNDV(column []value.Datum, tableCard int) int64 {
 	if len(rows) == 0 {
 		sample = storage.NewDetachedChunk(storage.MustSchema(storage.Column{Name: "c", Kind: value.KindInt}), 0)
 	}
-	return New(1).CountColumn(sample.Col(0), false).EstimateNDV(tableCard)
+	return New(1).CountColumn(sample.Col(0)).EstimateNDV(tableCard)
 }
 
 func intColumn(vals ...int64) []value.Datum {
@@ -119,10 +119,11 @@ func TestEstimateNDVClampedToSampleDistinct(t *testing.T) {
 	}
 }
 
-// refMinMax is the body ColumnVec.MinMax had before the counting pass found
-// the domain: one walk over the typed array, the smallest and largest finite
-// value (NULL, NaN and ±Inf have no place in a domain), each the first row
-// holding it; NULL for both when there is none.
+// refMinMax is the body ColumnVec.MinMax had before the domain was found by
+// a pass over order keys: one walk over the typed array with value.Order,
+// the smallest and largest finite value (NULL, NaN and ±Inf have no place in
+// a domain), each the first row holding it; NULL for both when there is
+// none.
 func refMinMax(v *storage.ColumnVec) (min, max value.Datum) {
 	switch v.Kind() {
 	case value.KindInt:
@@ -229,9 +230,10 @@ func encodeColumn(col ...value.Datum) []byte {
 }
 
 // FuzzDistinctCounter holds CountColumn to a Go map of equality keys (N, D
-// and F1) and to refMinMax (Min and Max, the representative's bits
-// included), with and without the domain, three times on one sampler's
-// scratch — and the Duj1 estimate to refEstimateNDV at four table sizes.
+// and F1), three times on one sampler's scratch, and the Duj1 estimate to
+// refEstimateNDV at four table sizes; and MinMax, the domain pass, to
+// refMinMax (Min and Max, the representative's bits included: the first
+// row that holds the extreme, −0 or +0).
 func FuzzDistinctCounter(f *testing.F) {
 	const kInt, kFloat, kString = 0, 1, 2
 	ints := func(xs ...int64) []byte {
@@ -314,16 +316,13 @@ func FuzzDistinctCounter(f *testing.F) {
 			}
 		}
 		wantMin, wantMax := refMinMax(vec)
-		for _, domain := range []bool{false, true, false} {
-			got := s.CountColumn(vec, domain)
+		if gotMin, gotMax := MinMax(vec); !sameDatum(gotMin, wantMin) || !sameDatum(gotMax, wantMax) {
+			t.Fatalf("%v: domain [%v, %v], want [%v, %v]", column, gotMin, gotMax, wantMin, wantMax)
+		}
+		for range 3 {
+			got := s.CountColumn(vec)
 			if got.Rows != len(column) || got.N != n || got.D != len(counts) || got.F1 != f1 {
 				t.Fatalf("%v: counted rows %d n %d d %d f1 %d, want %d %d %d %d", column, got.Rows, got.N, got.D, got.F1, len(column), n, len(counts), f1)
-			}
-			if !domain && (!got.Min.IsNull() || !got.Max.IsNull()) {
-				t.Fatalf("%v: untracked domain [%v, %v]", column, got.Min, got.Max)
-			}
-			if domain && (!sameDatum(got.Min, wantMin) || !sameDatum(got.Max, wantMax)) {
-				t.Fatalf("%v: domain [%v, %v], want [%v, %v]", column, got.Min, got.Max, wantMin, wantMax)
 			}
 			for _, card := range []int{len(column), len(column) * 50, len(column) / 2, 0} {
 				if got, want := got.EstimateNDV(card), refEstimateNDV(column, card); got != want {
@@ -358,8 +357,10 @@ func TestCountColumnConfirmsLongStrings(t *testing.T) {
 	for i, d := range col {
 		rows[i] = []value.Datum{d}
 	}
-	got := New(1).CountColumn(storage.ChunkFromRows(rows).Col(0), true)
-	if got.D != 2 || got.F1 != 0 || got.Min.Str() != min(x, y) || got.Max.Str() != max(x, y) {
-		t.Fatalf("count %+v, want 2 distinct values, no singleton, domain [%q, %q]", got, min(x, y), max(x, y))
+	vec := storage.ChunkFromRows(rows).Col(0)
+	got := New(1).CountColumn(vec)
+	lo, hi := MinMax(vec)
+	if got.D != 2 || got.F1 != 0 || lo.Str() != min(x, y) || hi.Str() != max(x, y) {
+		t.Fatalf("count %+v domain [%v, %v], want 2 distinct values, no singleton, domain [%q, %q]", got, lo, hi, min(x, y), max(x, y))
 	}
 }

@@ -379,7 +379,7 @@ func TestColumnarSampleMatchesRowReference(t *testing.T) {
 					// Two draws in a row: the second proves the draw scratch
 					// was left clean and the rng advanced exactly as before.
 					for round := 0; round < 2; round++ {
-						sample, err := s.SampleColumns(ctx, tbl, tc.size, &gotMeter, w, dop)
+						sample, err := s.SampleColumns(ctx, tbl, tc.size, &gotMeter, w, dop, nil)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -420,7 +420,7 @@ func TestColumnarSampleMatchesRowReference(t *testing.T) {
 								column[i] = row[c]
 							}
 							for _, tableCard := range []int{card, card * 50, len(want) / 2, 0} {
-								if got, want := s.CountColumn(sample.Col(c), false).EstimateNDV(tableCard), refEstimateNDV(column, tableCard); got != want {
+								if got, want := s.CountColumn(sample.Col(c)).EstimateNDV(tableCard), refEstimateNDV(column, tableCard); got != want {
 									t.Fatalf("%s: column %d NDV at card %d = %d, reference %d", name, c, tableCard, got, want)
 								}
 							}

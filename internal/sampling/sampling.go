@@ -20,7 +20,6 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/maphash"
-	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -82,11 +81,11 @@ func EffectiveSampleRows(tableRows, size int) int {
 	return size
 }
 
-// Sample is SampleColumns transposed into rows, for callers that want
-// row-shaped data; an empty sample is nil. The rows are boxed at once, so
-// they are the caller's and outlive the next draw.
+// Sample is SampleColumns of every column transposed into rows, for callers
+// that want row-shaped data; an empty sample is nil. The rows are boxed at
+// once, so they are the caller's and outlive the next draw.
 func (s *Sampler) Sample(ctx context.Context, tbl *storage.Table, size int, meter *costmodel.Meter, w costmodel.Weights, dop int) ([][]value.Datum, error) {
-	sample, err := s.SampleColumns(ctx, tbl, size, meter, w, dop)
+	sample, err := s.SampleColumns(ctx, tbl, size, meter, w, dop, nil)
 	if err != nil || sample.Rows() == 0 {
 		return nil, err
 	}
@@ -98,15 +97,18 @@ func (s *Sampler) Sample(ctx context.Context, tbl *storage.Table, size int, mete
 }
 
 // SampleColumns draws up to size rows of the table into a detached columnar
-// chunk: typed arrays plus null bitmaps, one per schema column. Tables
-// smaller than twice the sample size are copied whole (cheaper than
-// distinct-pick bookkeeping); larger tables are sampled uniformly without
-// replacement. Either way the rows come in row order: a drawn sample is the
-// set of rows the rng picked, not the order it picked them in, and nothing
-// computed from a sample — match counts, min/max, Duj1's n, d and f1 —
-// depends on its order. The meter is charged per sampled row — page-level
-// sampling cost is proportional to the sample, not the table, mirroring the
-// paper's observation that collection cost is independent of table size.
+// chunk: typed arrays plus null bitmaps, one per schema column. It gathers
+// the columns whose ordinals cols lists, every column when cols is nil; any
+// other column of the chunk is empty (length 0). Which columns are gathered
+// changes neither the rows drawn nor the rng or the meter. Tables smaller
+// than twice the sample size are copied whole (cheaper than distinct-pick
+// bookkeeping); larger tables are sampled uniformly without replacement.
+// Either way the rows come in row order: a drawn sample is the set of rows
+// the rng picked, not the order it picked them in, and nothing computed
+// from a sample — match counts, min/max, Duj1's n, d and f1 — depends on
+// its order. The meter is charged per sampled row — page-level sampling
+// cost is proportional to the sample, not the table, mirroring the paper's
+// observation that collection cost is independent of table size.
 //
 // The chunk is the sampler's: the next draw resets it in place, so it is
 // valid until then and its caller must neither keep nor write it (Sample
@@ -122,7 +124,7 @@ func (s *Sampler) Sample(ctx context.Context, tbl *storage.Table, size int, mete
 // the same consistent image lock-free, the sample never aliases live
 // storage, and concurrent DML cannot shrink the table out from under a
 // drawn position.
-func (s *Sampler) SampleColumns(ctx context.Context, tbl *storage.Table, size int, meter *costmodel.Meter, w costmodel.Weights, dop int) (*storage.Chunk, error) {
+func (s *Sampler) SampleColumns(ctx context.Context, tbl *storage.Table, size int, meter *costmodel.Meter, w costmodel.Weights, dop int, cols []int) (*storage.Chunk, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -138,7 +140,7 @@ func (s *Sampler) SampleColumns(ctx context.Context, tbl *storage.Table, size in
 	if rows < n {
 		positions = s.draw(n, rows)
 	}
-	s.sample = storage.ResetDetachedChunk(s.sample, snap.Schema(), rows)
+	s.sample = storage.ResetDetachedChunk(s.sample, snap.Schema(), rows, cols)
 	out := s.sample
 	// evalMorselSize is a multiple of 64, as concurrent Gather ranges need.
 	if err := fanOut(rows, dop, evalMorselSize, func(_, lo, hi int) error {
@@ -320,19 +322,14 @@ func (e *evaluator) evaluate(sample *storage.Chunk, groups [][]qgm.Predicate, me
 
 // ColumnCount is one pass's account of a column vector: its rows, NULL or
 // not (Rows), the non-NULL values among them (N), the distinct ones (D) and
-// those that occur exactly once (F1) — Duj1's inputs — and, when the pass
-// tracked the column's domain, its smallest and largest finite value
-// (value.Datum.Finite), each the first row that holds it. Min and Max are
-// NULL when the domain was not tracked or the column has no finite value.
+// those that occur exactly once (F1) — Duj1's inputs.
 type ColumnCount struct {
 	Rows, N, D, F1 int
-	Min, Max       value.Datum
 }
 
-// CountColumn counts vec in one pass over its rows; with domain it also
-// finds the column's Min and Max, which costs a compare or two per distinct
-// value, not per row. Two values are the same when their equality keys are
-// (value.Key): −0 is +0 and NaN is one value.
+// CountColumn counts vec's distinct values in one pass over its rows. Two
+// values are the same when their equality keys are (value.Key): −0 is +0
+// and NaN is one value.
 //
 // Each value is identified by 64 bits. A number's is its order key
 // (value.IntKey, value.FloatKey), and a string of at most 8 bytes is its
@@ -343,20 +340,69 @@ type ColumnCount struct {
 //
 // It runs on the sampler's scratch and allocates nothing once that has grown
 // to the longest vector counted. A vector holds fewer than 2^31 rows.
-func (s *Sampler) CountColumn(vec *storage.ColumnVec, domain bool) ColumnCount {
+func (s *Sampler) CountColumn(vec *storage.ColumnVec) ColumnCount {
 	t := &s.distinct
 	t.reset(vec.Len())
 	var c ColumnCount
 	switch vec.Kind() {
 	case value.KindInt:
-		c = countNumbers(t, vec, vec.Ints(), domain, 0, math.MaxUint64)
+		c = countNumbers(t, vec, vec.Ints())
 	case value.KindFloat:
-		c = countNumbers(t, vec, vec.Floats(), domain, value.FloatKey(-math.MaxFloat64), value.FloatKey(math.MaxFloat64))
+		c = countNumbers(t, vec, vec.Floats())
 	default:
-		c = t.countStrings(vec, vec.Strs(), domain)
+		c = t.countStrings(vec, vec.Strs())
 	}
 	c.Rows = vec.Len()
 	return c
+}
+
+// MinMax returns vec's smallest and largest finite value
+// (value.Datum.Finite), each the first row that holds it, from one walk over
+// its typed array with no table; both are NULL when it has none. It orders
+// as value.Order does: −0 and +0 are one value, strings compare by their
+// bytes.
+func MinMax(vec *storage.ColumnVec) (lo, hi value.Datum) {
+	var minRow, maxRow int
+	switch vec.Kind() {
+	case value.KindInt:
+		minRow, maxRow = extremes(vec, vec.Ints())
+	case value.KindFloat:
+		minRow, maxRow = extremes(vec, vec.Floats())
+	default:
+		minRow, maxRow = extremes(vec, vec.Strs())
+	}
+	if minRow < 0 {
+		return value.Null, value.Null
+	}
+	return vec.Datum(minRow), vec.Datum(maxRow)
+}
+
+// finite is whether x has a place in a domain: not NaN or ±Inf.
+func finite[T int64 | float64 | string](x T) bool {
+	f, ok := any(x).(float64)
+	return !ok || f-f == 0
+}
+
+// extremes is the first rows holding the smallest and largest finite value
+// of a column, vals being its dense array; −1 for both when there is none.
+func extremes[T int64 | float64 | string](vec *storage.ColumnVec, vals []T) (minRow, maxRow int) {
+	nulls := vec.HasNulls()
+	minRow, maxRow = -1, -1
+	var lo, hi T
+	for row, x := range vals {
+		if !finite(x) || nulls && vec.Null(row) {
+			continue
+		}
+		switch {
+		case minRow < 0:
+			lo, hi, minRow, maxRow = x, x, row, row
+		case x < lo:
+			lo, minRow = x, row
+		case x > hi:
+			hi, maxRow = x, row
+		}
+	}
+	return minRow, maxRow
 }
 
 // EstimateNDV estimates the number of distinct values of a column of a
@@ -430,14 +476,9 @@ func orderKey[T int64 | float64](x T) uint64 {
 	return value.IntKey(int64(x))
 }
 
-// countNumbers counts a number column, vals being its dense array. With
-// track, it follows the smallest and largest key in [lo, hi] — the finite
-// values — as new distinct values arrive; the order key orders as the
-// numbers do.
-func countNumbers[T int64 | float64](t *distinctCounter, vec *storage.ColumnVec, vals []T, track bool, lo, hi uint64) (c ColumnCount) {
+// countNumbers counts a number column, vals being its dense array.
+func countNumbers[T int64 | float64](t *distinctCounter, vec *storage.ColumnVec, vals []T) (c ColumnCount) {
 	nulls, mask := vec.HasNulls(), uint64(len(t.slots)-1)
-	minRow, maxRow := -1, -1
-	var kmin, kmax uint64
 	for row, x := range vals {
 		if nulls && vec.Null(row) {
 			continue
@@ -450,16 +491,6 @@ func countNumbers[T int64 | float64](t *distinctCounter, vec *storage.ColumnVec,
 				*sl = distinctSlot{id: k, count: 1}
 				c.D++
 				c.F1++
-				if track && k-lo <= hi-lo {
-					switch {
-					case minRow < 0:
-						kmin, kmax, minRow, maxRow = k, k, row, row
-					case k < kmin:
-						kmin, minRow = k, row
-					case k > kmax:
-						kmax, maxRow = k, row
-					}
-				}
 				break
 			}
 			if sl.id == k {
@@ -471,21 +502,12 @@ func countNumbers[T int64 | float64](t *distinctCounter, vec *storage.ColumnVec,
 			}
 		}
 	}
-	if minRow >= 0 {
-		c.Min, c.Max = vec.Datum(minRow), vec.Datum(maxRow)
-	}
 	return c
 }
 
-// countStrings counts a string column, vals being its dense array. With
-// track, it follows the smallest and largest string as new distinct values
-// arrive, comparing their order keys (value.StringKey) first and their bytes
-// only when those tie.
-func (t *distinctCounter) countStrings(vec *storage.ColumnVec, vals []string, track bool) (c ColumnCount) {
+// countStrings counts a string column, vals being its dense array.
+func (t *distinctCounter) countStrings(vec *storage.ColumnVec, vals []string) (c ColumnCount) {
 	nulls, mask := vec.HasNulls(), uint64(len(t.slots)-1)
-	minRow, maxRow := -1, -1
-	var lo, hi string
-	var klo, khi uint64
 	for row, x := range vals {
 		if nulls && vec.Null(row) {
 			continue
@@ -507,16 +529,6 @@ func (t *distinctCounter) countStrings(vec *storage.ColumnVec, vals []string, tr
 				*sl = distinctSlot{id: id, aux: aux, count: 1}
 				c.D++
 				c.F1++
-				if track {
-					switch k := value.StringKey(x); {
-					case minRow < 0:
-						lo, hi, klo, khi, minRow, maxRow = x, x, k, k, row, row
-					case k < klo || k == klo && x < lo:
-						lo, klo, minRow = x, k, row
-					case k > khi || k == khi && x > hi:
-						hi, khi, maxRow = x, k, row
-					}
-				}
 				break
 			}
 			// A short string's aux is fixed by its length; a longer one's
@@ -529,9 +541,6 @@ func (t *distinctCounter) countStrings(vec *storage.ColumnVec, vals []string, tr
 				break
 			}
 		}
-	}
-	if minRow >= 0 {
-		c.Min, c.Max = vec.Datum(minRow), vec.Datum(maxRow)
 	}
 	return c
 }

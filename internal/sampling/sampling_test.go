@@ -245,24 +245,24 @@ func TestEstimateNDVCountsNullRows(t *testing.T) {
 	w := costmodel.DefaultWeights()
 	s := New(1)
 
-	sample, err := s.SampleColumns(context.Background(), uniqueWithNulls(3000), 2000, &m, w, 1)
+	sample, err := s.SampleColumns(context.Background(), uniqueWithNulls(3000), 2000, &m, w, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sample.Rows() != 3000 {
 		t.Fatalf("sample of %d rows, want the whole table", sample.Rows())
 	}
-	if got := s.CountColumn(sample.Col(0), false).EstimateNDV(3000); got != 2700 {
+	if got := s.CountColumn(sample.Col(0)).EstimateNDV(3000); got != 2700 {
 		t.Errorf("whole-table NDV = %d, want 2700", got)
 	}
 
-	sample, err = s.SampleColumns(context.Background(), uniqueWithNulls(20000), 2000, &m, w, 1)
+	sample, err = s.SampleColumns(context.Background(), uniqueWithNulls(20000), 2000, &m, w, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vec := sample.Col(0)
 	nonNull := int64(20000 * (vec.Len() - vec.NullCount()) / vec.Len())
-	if got := s.CountColumn(vec, false).EstimateNDV(20000); got != nonNull {
+	if got := s.CountColumn(vec).EstimateNDV(20000); got != nonNull {
 		t.Errorf("sampled NDV = %d, want the %d estimated non-NULL rows", got, nonNull)
 	}
 }
@@ -299,7 +299,7 @@ func benchTable(b *testing.B) *storage.Table {
 func benchSample(b *testing.B, tbl *storage.Table) *storage.Chunk {
 	b.Helper()
 	var m costmodel.Meter
-	sample, err := New(1).SampleColumns(context.Background(), tbl, 2000, &m, costmodel.DefaultWeights(), 1)
+	sample, err := New(1).SampleColumns(context.Background(), tbl, 2000, &m, costmodel.DefaultWeights(), 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func BenchmarkSampleDraw(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.SampleColumns(context.Background(), tbl, 2000, &m, w, 1); err != nil {
+		if _, err := s.SampleColumns(context.Background(), tbl, 2000, &m, w, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -352,26 +352,45 @@ func BenchmarkEvaluateGroups(b *testing.B) {
 
 var ndvSink int64 // keeps the measured call from being optimized away
 
-// BenchmarkColumnNDV: Duj1's count over one 2000-row vector of each kind —
+// benchColumns are the sample columns the per-column benchmarks run over:
 // int, float, strings of at most 8 bytes with few distinct values
-// ("make07"), of 9 to 16 ("model07-3") and of 17, all distinct (VINs) — and
-// the last once more with its domain tracked. Once the counter's table has
-// grown to the sample size it allocates nothing.
+// ("make07"), of 9 to 16 ("model07-3") and of 17, all distinct (VINs).
+var benchColumns = []struct {
+	name string
+	ord  int
+}{{"int", 1}, {"float", 3}, {"string-short", 5}, {"string-16", 6}, {"string-key", 7}}
+
+// BenchmarkColumnNDV: Duj1's count over one 2000-row vector of each kind.
+// Once the counter's table has grown to the sample size it allocates
+// nothing.
 func BenchmarkColumnNDV(b *testing.B) {
 	sample := benchSample(b, benchTable(b))
-	for _, c := range []struct {
-		name   string
-		ord    int
-		domain bool
-	}{{"int", 1, false}, {"float", 3, false}, {"string-short", 5, false}, {"string-16", 6, false}, {"string-key", 7, false}, {"string-key-domain", 7, true}} {
+	for _, c := range benchColumns {
 		b.Run(c.name, func(b *testing.B) {
 			s := New(1)
 			vec := sample.Col(c.ord)
-			s.CountColumn(vec, c.domain)
+			s.CountColumn(vec)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ndvSink = s.CountColumn(vec, c.domain).EstimateNDV(43000)
+				ndvSink = s.CountColumn(vec).EstimateNDV(43000)
+			}
+		})
+	}
+}
+
+var minMaxSink value.Datum
+
+// BenchmarkColumnMinMax: the domain pass of a group column over the same
+// vectors, a walk with no table; it allocates nothing.
+func BenchmarkColumnMinMax(b *testing.B) {
+	sample := benchSample(b, benchTable(b))
+	for _, c := range benchColumns {
+		b.Run(c.name, func(b *testing.B) {
+			vec := sample.Col(c.ord)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				minMaxSink, _ = MinMax(vec)
 			}
 		})
 	}

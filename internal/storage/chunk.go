@@ -327,25 +327,32 @@ func NewDetachedChunk(schema *Schema, n int) *Chunk {
 
 // ResetDetachedChunk turns c, a detached chunk its caller owns, into one of n
 // non-NULL rows of schema, keeping every array it already has, and returns
-// it; a nil c is NewDetachedChunk. Its rows hold whatever they held:
+// it; a nil c is a new chunk. Only the columns whose ordinals cols lists get
+// the n rows, every column when cols is nil; any other column is left empty
+// (length 0), so Snapshot.Gather skips it and a read of it fails instead of
+// returning an earlier gather's values. The rows hold whatever they held:
 // Snapshot.Gather writes every one. A column slot keeps its arrays of every
 // kind it has held, so once a chunk has carried the widest schema at the
 // largest n, resetting it allocates nothing.
-func ResetDetachedChunk(c *Chunk, schema *Schema, n int) *Chunk {
+func ResetDetachedChunk(c *Chunk, schema *Schema, n int, cols []int) *Chunk {
 	if c == nil {
-		return NewDetachedChunk(schema, n)
+		c = &Chunk{}
 	}
-	cols := schema.NumColumns()
-	if cols > cap(c.cols) {
-		c.cols = append(c.cols[:cap(c.cols)], make([]*ColumnVec, cols-cap(c.cols))...)
+	width := schema.NumColumns()
+	if width > cap(c.cols) {
+		c.cols = append(c.cols[:cap(c.cols)], make([]*ColumnVec, width-cap(c.cols))...)
 	}
-	c.cols = c.cols[:cols]
+	c.cols = c.cols[:width]
 	for i, v := range c.cols {
 		if v == nil {
 			v = &ColumnVec{}
 			c.cols[i] = v
 		}
-		v.reset(schema.cols[i].Kind, n)
+		rows := n
+		if cols != nil && !slices.Contains(cols, i) {
+			rows = 0
+		}
+		v.reset(schema.cols[i].Kind, rows)
 	}
 	c.n = n
 	return c

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -487,8 +488,10 @@ func TestSnapshotReadersUnderConcurrentDML(t *testing.T) {
 
 // TestResetDetachedChunkGathersLikeFresh: one detached chunk reset and
 // gathered into over and over — tables of other widths and column kinds,
-// NULLs in every kind, whole copies and ascending picks, sizes up and down —
-// holds exactly what a fresh chunk gathered from the same positions holds.
+// NULLs in every kind, whole copies and ascending picks, sizes up and down,
+// every column or a subset — holds in each column it was reset to gather
+// exactly what a fresh chunk gathered from the same positions holds, and
+// leaves every other column empty.
 func TestResetDetachedChunkGathersLikeFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	kinds := []value.Kind{value.KindInt, value.KindFloat, value.KindString}
@@ -537,7 +540,16 @@ func TestResetDetachedChunkGathersLikeFresh(t *testing.T) {
 		}
 		fresh := NewDetachedChunk(schema, n)
 		snap.Gather(fresh, positions, 0, n)
-		reused = ResetDetachedChunk(reused, schema, n)
+		var gathered []int // nil: every column
+		if round%2 == 1 {
+			gathered = []int{}
+			for c := range cols {
+				if rng.Intn(2) == 0 {
+					gathered = append(gathered, c)
+				}
+			}
+		}
+		reused = ResetDetachedChunk(reused, schema, n, gathered)
 		for lo := 0; lo < n; lo += 64 {
 			snap.Gather(reused, positions, lo, min(lo+64, n))
 		}
@@ -545,6 +557,12 @@ func TestResetDetachedChunkGathersLikeFresh(t *testing.T) {
 			t.Fatalf("round %d: reused chunk is %d×%d, want %d×%d", round, reused.Rows(), reused.NumCols(), n, len(cols))
 		}
 		for c := range cols {
+			if gathered != nil && !slices.Contains(gathered, c) {
+				if got := reused.Col(c).Len(); got != 0 {
+					t.Fatalf("round %d column %d: not gathered, yet %d rows", round, c, got)
+				}
+				continue
+			}
 			if got, want := reused.Col(c).Len(), n; got != want {
 				t.Fatalf("round %d column %d: %d rows, want %d", round, c, got, want)
 			}

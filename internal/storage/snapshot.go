@@ -92,25 +92,30 @@ func (s *Snapshot) Range(lo, hi int, fn func(ch *Chunk, base, clo, chi int) bool
 // Gather fills rows [lo, hi) of the detached chunk dst: row i takes the
 // snapshot row positions[i], or snapshot row i itself when positions is nil
 // — a straight concatenation of the chunk vectors. This is the columnar
-// sampling primitive: a drawn sample stays typed arrays end to end. Each
-// column is read by GatherColumn's kernel, which holds one chunk's arrays
-// while the positions stay inside it, so ascending positions (a sampler's
-// draw) read each chunk in one run. The rows of dst it fills must be
-// non-NULL on entry (fresh or reset ones are). Calls over disjoint ranges of
-// one dst may run concurrently when every lo is a multiple of 64 (two ranges
-// must not share a null-bitmap word).
+// sampling primitive: a drawn sample stays typed arrays end to end. It fills
+// the columns dst has rows in and skips the ones ResetDetachedChunk left
+// empty. Each column is read by GatherColumn's kernel, which holds one
+// chunk's arrays while the positions stay inside it, so ascending positions
+// (a sampler's draw) read each chunk in one run. The rows of dst it fills
+// must be non-NULL on entry (fresh or reset ones are). Calls over disjoint
+// ranges of one dst may run concurrently when every lo is a multiple of 64
+// (two ranges must not share a null-bitmap word).
 func (s *Snapshot) Gather(dst *Chunk, positions []int32, lo, hi int) {
 	if positions == nil {
 		s.Range(lo, hi, func(ch *Chunk, base, clo, chi int) bool {
-			for c := range dst.cols {
-				dst.cols[c].copyFrom(base+clo, ch.cols[c], clo, chi)
+			for c, out := range dst.cols {
+				if out.Len() > 0 {
+					out.copyFrom(base+clo, ch.cols[c], clo, chi)
+				}
 			}
 			return true
 		})
 		return
 	}
 	for c, out := range dst.cols {
-		s.gather(out, c, positions[lo:hi], lo)
+		if out.Len() > 0 {
+			s.gather(out, c, positions[lo:hi], lo)
+		}
 	}
 }
 

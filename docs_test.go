@@ -94,3 +94,32 @@ func TestDocReferencesResolve(t *testing.T) {
 	}
 	t.Logf("%d DESIGN references to %d chapters checked", refs, len(chapters))
 }
+
+// docSizes holds the byte counts of the three documents a reader starts
+// from. A change may shrink one (and lowers its number here); none may grow,
+// so a new section has to be paid for by cutting an old one.
+var docSizes = map[string]int{
+	"DESIGN.md":      126548,
+	"EXPERIMENTS.md": 146914,
+	"README.md":      32782,
+}
+
+// TestDocSizes holds DESIGN.md, EXPERIMENTS.md and README.md to docSizes:
+// it fails when one grows, and when one shrinks without its number being
+// lowered.
+func TestDocSizes(t *testing.T) {
+	for name, want := range docSizes {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch got := len(src); {
+		case got > want:
+			t.Errorf("%s grew from %d to %d bytes: cut as much elsewhere", name, want, got)
+		case got < want:
+			t.Errorf("%s shrank from %d to %d bytes: lower its count in docSizes", name, want, got)
+		default:
+			t.Logf("%s: %d bytes", name, got)
+		}
+	}
+}

@@ -318,17 +318,12 @@ var benchCallees = map[string]string{
 	"storage.Snapshot.Row":          "probes.go: the storage probes read a row",
 	"storage.Table.Insert":          "probes.go: the storage.insert_us_per_row probe",
 	"wire.EncodeRows":               "probes.go: the wire.encode_us probe",
-	"wire.ReadFrame":                "probes.go: the wire.decode_us probe",
 }
 
 // testHelpers are exported functions that only tests call, tests of packages
 // other than their own, which an export_test.go file cannot serve. Each
 // reason names those packages.
 var testHelpers = map[string]string{
-	"client.Conn.Prepare":        "server: the prepared-statement and chaos replays drive the server through a client",
-	"client.Conn.SetOptions":     "server: the session-options replay",
-	"client.Conn.Stats":          "server: the chaos and hardening tests read the client's reconnect counts",
-	"client.Stmt.Execute":        "server: the prepared-statement replays",
 	"faultinject.Arm":            "core, engine, experiments, govern, morsel, server: arm one fault point by value",
 	"faultinject.Disarm":         "core, engine: disarm one point mid-test",
 	"faultinject.Fired":          "engine, morsel, server: assert a fault point fired",

@@ -1,7 +1,6 @@
 package client_test
 
 import (
-	"context"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -11,9 +10,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/govern"
-	"repro/internal/server"
 	"repro/internal/wire"
-	"repro/internal/workload"
 )
 
 // startScript runs a scripted wire server: script is invoked once per
@@ -56,84 +53,48 @@ func writeResp(t *testing.T, conn net.Conn, resp *wire.Response) {
 	}
 }
 
-// expectHello consumes the HELLO and issues a welcome with token.
-func expectHello(t *testing.T, conn net.Conn, token string) bool {
+// expectHello consumes the HELLO and issues a welcome.
+func expectHello(t *testing.T, conn net.Conn) bool {
 	req, ok := readReq(t, conn)
 	if !ok || req.Type != wire.ReqHello {
 		t.Errorf("expected hello, got %+v (ok=%v)", req, ok)
 		return false
 	}
-	writeResp(t, conn, &wire.Response{Type: wire.RespWelcome, Token: token})
+	writeResp(t, conn, &wire.Response{Type: wire.RespWelcome})
 	return true
 }
 
-var retryCfg = client.Config{Retry: client.RetryPolicy{
-	MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond, Seed: 11,
-}}
-
-// TestRetryOverloadedUsesFreshID: an overload shed never ran the statement,
-// so the policy retry is a fresh attempt — it must carry a NEW request ID
-// (re-using the old one would dedup against the cached error) and an
-// incremented retry ordinal.
-func TestRetryOverloadedUsesFreshID(t *testing.T) {
-	ids := make(chan uint64, 2)
-	retries := make(chan int, 2)
+// TestDialRefusedIsTyped: a server that refuses the HELLO (here: draining)
+// fails Dial with the typed error, which matches the engine sentinel the
+// code stands for, and the refused connection is not kept.
+func TestDialRefusedIsTyped(t *testing.T) {
 	addr := startScript(t, func(n int, conn net.Conn) {
-		if !expectHello(t, conn, "tok") {
+		if _, ok := readReq(t, conn); !ok {
 			return
 		}
-		for {
-			req, ok := readReq(t, conn)
-			if !ok {
-				return
-			}
-			if req.Type != wire.ReqQuery {
-				continue
-			}
-			ids <- req.ID
-			retries <- req.Retry
-			if len(ids) == 1 {
-				writeResp(t, conn, &wire.Response{Type: wire.RespError, ID: req.ID, Error: &wire.Error{
-					Code: wire.CodeOverloaded, Message: "shed",
-				}})
-				continue
-			}
-			writeResp(t, conn, &wire.Response{Type: wire.RespResult, ID: req.ID, Result: &wire.Result{}})
-			return
-		}
+		writeResp(t, conn, &wire.Response{Type: wire.RespError, Error: &wire.Error{
+			Code: wire.CodeDraining, Message: "draining",
+		}})
 	})
-	c, err := client.DialWith(addr, retryCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Query("SELECT 1"); err != nil {
-		t.Fatalf("retried query failed: %v", err)
-	}
-	first, second := <-ids, <-ids
-	if second <= first {
-		t.Fatalf("retry reused request ID: %d then %d", first, second)
-	}
-	if r0, r1 := <-retries, <-retries; r0 != 0 || r1 != 1 {
-		t.Fatalf("retry ordinals = %d, %d, want 0, 1", r0, r1)
-	}
-	if s := c.Stats(); s.Retries != 1 {
-		t.Fatalf("stats = %+v, want one retry", s)
+	c, err := client.Dial(addr)
+	var se *client.Error
+	if c != nil || !errors.As(err, &se) || se.Code != wire.CodeDraining || !errors.Is(err, engine.ErrClosed) {
+		t.Fatalf("Dial = %v, %v; want a typed draining refusal", c, err)
 	}
 }
 
-// TestOverloadedPassesThroughWithoutPolicy: with no retry policy the typed
-// overload error surfaces unchanged and matches the engine sentinel.
+// TestOverloadedPassesThroughWithoutPolicy: the typed overload error
+// surfaces unchanged and matches the engine sentinel; the client does not
+// retry it.
 func TestOverloadedPassesThroughWithoutPolicy(t *testing.T) {
 	addr := startScript(t, func(n int, conn net.Conn) {
-		if !expectHello(t, conn, "tok") {
+		if !expectHello(t, conn) {
 			return
 		}
-		req, ok := readReq(t, conn)
-		if !ok {
+		if _, ok := readReq(t, conn); !ok {
 			return
 		}
-		writeResp(t, conn, &wire.Response{Type: wire.RespError, ID: req.ID, Error: &wire.Error{
+		writeResp(t, conn, &wire.Response{Type: wire.RespError, Error: &wire.Error{
 			Code: wire.CodeOverloaded, Message: "shed",
 		}})
 	})
@@ -148,12 +109,12 @@ func TestOverloadedPassesThroughWithoutPolicy(t *testing.T) {
 	}
 }
 
-// TestNonRetryableNotRetried: semantic errors are not retryable — the server
-// must see exactly one query frame even with the policy armed.
+// TestNonRetryableNotRetried: a typed error comes back after exactly one
+// query frame, and the session stays usable for the next statement.
 func TestNonRetryableNotRetried(t *testing.T) {
 	var queries atomic.Int64
 	addr := startScript(t, func(n int, conn net.Conn) {
-		if !expectHello(t, conn, "tok") {
+		if !expectHello(t, conn) {
 			return
 		}
 		for {
@@ -163,33 +124,38 @@ func TestNonRetryableNotRetried(t *testing.T) {
 			}
 			if req.Type == wire.ReqQuery {
 				queries.Add(1)
-				writeResp(t, conn, &wire.Response{Type: wire.RespError, ID: req.ID, Error: &wire.Error{
+				writeResp(t, conn, &wire.Response{Type: wire.RespError, Error: &wire.Error{
 					Code: wire.CodeError, Message: "unknown table",
 				}})
 			}
+			if req.Type == wire.ReqClose {
+				writeResp(t, conn, &wire.Response{Type: wire.RespOK})
+				return
+			}
 		}
 	})
-	c, err := client.DialWith(addr, retryCfg)
+	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var se *client.Error
-	if _, err := c.Query("SELECT 1"); !errors.As(err, &se) || se.Code != wire.CodeError {
-		t.Fatalf("err = %v, want typed server error", err)
-	}
-	if n := queries.Load(); n != 1 {
-		t.Fatalf("server saw %d query frames, want 1", n)
+	for want := int64(1); want <= 2; want++ {
+		var se *client.Error
+		if _, err := c.Query("SELECT 1"); !errors.As(err, &se) || se.Code != wire.CodeError {
+			t.Fatalf("err = %v, want typed server error", err)
+		}
+		if n := queries.Load(); n != want {
+			t.Fatalf("server saw %d query frames, want %d", n, want)
+		}
 	}
 }
 
 // TestPoisonedConnFailsFast pins the frame-desync fix: after a
-// mid-round-trip I/O failure with no retry policy, the connection is
-// poisoned — the failing call and every later call wrap ErrBroken instead
+// mid-round-trip I/O failure the connection is poisoned — the failing call and every later call wrap ErrBroken instead
 // of reading a desynced stream, and Close flips the state to ErrClosed.
 func TestPoisonedConnFailsFast(t *testing.T) {
 	addr := startScript(t, func(n int, conn net.Conn) {
-		if !expectHello(t, conn, "tok") {
+		if !expectHello(t, conn) {
 			return
 		}
 		// Read the query, answer nothing, sever: the client is now mid-frame.
@@ -217,190 +183,5 @@ func TestPoisonedConnFailsFast(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("double Close: %v", err)
-	}
-}
-
-// TestDedupMissIsSessionLost: a dedup_miss answer means the in-doubt
-// request's outcome is unknowable; the client must surface ErrSessionLost,
-// not retry.
-func TestDedupMissIsSessionLost(t *testing.T) {
-	addr := startScript(t, func(n int, conn net.Conn) {
-		if !expectHello(t, conn, "tok") {
-			return
-		}
-		req, ok := readReq(t, conn)
-		if !ok {
-			return
-		}
-		writeResp(t, conn, &wire.Response{Type: wire.RespError, ID: req.ID, Error: &wire.Error{
-			Code: wire.CodeDedupMiss, Message: "window passed",
-		}})
-	})
-	c, err := client.DialWith(addr, retryCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Query("SELECT 1"); !errors.Is(err, client.ErrSessionLost) {
-		t.Fatalf("err = %v, want ErrSessionLost", err)
-	}
-}
-
-// TestResumeExpiredInDoubtIsSessionLost: the connection dies with a query in
-// doubt and the server no longer holds the session — re-sending into a fresh
-// session could double-apply, so the client must refuse with ErrSessionLost.
-func TestResumeExpiredInDoubtIsSessionLost(t *testing.T) {
-	addr := startScript(t, func(n int, conn net.Conn) {
-		switch n {
-		case 0:
-			if !expectHello(t, conn, "tok") {
-				return
-			}
-			_, _ = readReq(t, conn) // swallow the query, sever: in-doubt
-		default:
-			req, ok := readReq(t, conn)
-			if !ok || req.Type != wire.ReqHello || req.Token != "tok" {
-				t.Errorf("reconnect hello = %+v", req)
-				return
-			}
-			writeResp(t, conn, &wire.Response{Type: wire.RespError, Error: &wire.Error{
-				Code: wire.CodeResumeExpired, Message: "expired",
-			}})
-		}
-	})
-	c, err := client.DialWith(addr, retryCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Query("SELECT 1"); !errors.Is(err, client.ErrSessionLost) {
-		t.Fatalf("err = %v, want ErrSessionLost", err)
-	}
-}
-
-// TestDialContextCancelled: a dead context fails the dial immediately.
-func TestDialContextCancelled(t *testing.T) {
-	addr := startScript(t, func(n int, conn net.Conn) { expectHello(t, conn, "tok") })
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := client.DialContext(ctx, addr, client.Config{}); err == nil {
-		t.Fatal("dial with cancelled context succeeded")
-	}
-}
-
-// realServer boots a real engine + server for end-to-end client tests.
-func realServer(t *testing.T, scfg server.Config) (string, *server.Server) {
-	t.Helper()
-	cfg := engine.Config{PlanCacheSize: 64}
-	eng := engine.New(cfg)
-	if _, err := workload.Load(eng, workload.Spec{Scale: 0.002, Seed: 42}); err != nil {
-		t.Fatal(err)
-	}
-	srv := server.NewWith(eng, scfg)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	return addr, srv
-}
-
-// connGrabber captures the latest raw dialed connection so tests can sever
-// it out from under the client.
-func connGrabber() (func(net.Conn) net.Conn, func() net.Conn) {
-	var cur atomic.Pointer[net.Conn]
-	return func(c net.Conn) net.Conn {
-			cur.Store(&c)
-			return c
-		}, func() net.Conn {
-			p := cur.Load()
-			if p == nil {
-				return nil
-			}
-			return *p
-		}
-}
-
-// TestReconnectResumeKeepsSession: severing the transport between calls is
-// invisible — the client reconnects, resumes the same server-side session
-// (prepared statements intact, no replay), and the interrupted query runs
-// exactly once.
-func TestReconnectResumeKeepsSession(t *testing.T) {
-	addr, _ := realServer(t, server.Config{})
-	wrap, raw := connGrabber()
-	cfg := retryCfg
-	cfg.ConnWrapper = wrap
-	c, err := client.DialWith(addr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	stmt, err := c.Prepare(`SELECT o.id FROM owner o WHERE o.city = 'Ottawa'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := stmt.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	_ = raw().Close() // sever the transport behind the client's back
-
-	got, err := stmt.Execute()
-	if err != nil {
-		t.Fatalf("execute across severed transport: %v", err)
-	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("resumed execute: %d rows, want %d", len(got.Rows), len(want.Rows))
-	}
-	s := c.Stats()
-	if s.Reconnects != 1 || s.Resumes != 1 {
-		t.Fatalf("stats = %+v, want one resumed reconnect", s)
-	}
-}
-
-// TestFreshSessionReplaysState: with server-side resume disabled, a
-// reconnect lands in a brand-new session — the client must replay its
-// options and re-prepare its statements (under new server handles) before
-// the call proceeds.
-func TestFreshSessionReplaysState(t *testing.T) {
-	addr, _ := realServer(t, server.Config{ResumeWindow: -1})
-	wrap, raw := connGrabber()
-	cfg := retryCfg
-	cfg.ConnWrapper = wrap
-	c, err := client.DialWith(addr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.SetOptions(1, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	stmt, err := c.Prepare(`SELECT o.id FROM owner o WHERE o.city = 'Ottawa'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := stmt.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	_ = raw().Close()
-
-	// Setting options is idempotent (ID 0): its failure is not in-doubt, so
-	// the client may safely fall back to a fresh session and replay.
-	if err := c.SetOptions(1, time.Second); err != nil {
-		t.Fatalf("options across severed transport: %v", err)
-	}
-	got, err := stmt.Execute()
-	if err != nil {
-		t.Fatalf("execute after fresh-session replay: %v", err)
-	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("replayed execute: %d rows, want %d", len(got.Rows), len(want.Rows))
-	}
-	s := c.Stats()
-	if s.Reconnects != 1 || s.Resumes != 0 {
-		t.Fatalf("stats = %+v, want one fresh-session reconnect", s)
 	}
 }

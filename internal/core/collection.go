@@ -198,15 +198,16 @@ func (c *collection) admit(tw *tableWork) (size int, reserved int64, deg degrada
 		return 0, 0, degradation{costmodel.DegradeBreakerOpen, "sampling circuit breaker open (catalog-only mode)"}
 	case cfg.sampleBudgetUnits > 0 && c.meter.Units()-c.startUnits >= cfg.sampleBudgetUnits:
 		return 0, 0, degradation{costmodel.DegradeBudgetExhausted, "cost budget exhausted"}
-	case cfg.SampleBudgetRows > 0 && c.rowsUsed >= cfg.SampleBudgetRows:
+	case cfg.sampleBudgetRows > 0 && c.rowsUsed >= cfg.sampleBudgetRows:
 		return 0, 0, degradation{costmodel.DegradeBudgetExhausted, "sample-row budget exhausted"}
 	}
 	size = cfg.SampleSize
-	if cfg.SampleBudgetRows > 0 && c.rowsUsed+size > cfg.SampleBudgetRows {
-		size = cfg.SampleBudgetRows - c.rowsUsed
+	if cfg.sampleBudgetRows > 0 && c.rowsUsed+size > cfg.sampleBudgetRows {
+		size = cfg.sampleBudgetRows - c.rowsUsed
 	}
 
-	rowBytes := govern.EstimateRowBytes(tw.tbl.Schema().NumColumns())
+	// A draw materializes only the gathered columns; the others stay empty.
+	rowBytes := govern.EstimateRowBytes(len(tw.gathered))
 	for shrunk := false; ; shrunk = true {
 		// Reserve for what the sampler will really materialize: small
 		// tables are copied whole whatever the nominal size.

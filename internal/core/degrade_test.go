@@ -94,7 +94,7 @@ func degradedReasons(rep *PrepareReport) map[string]string {
 
 func TestPrepareRowBudgetDegradesLaterTables(t *testing.T) {
 	db := twoTableDB(t)
-	j := forcedJITS(Config{SampleSize: 200, SampleBudgetRows: 200}, nil)
+	j := forcedJITS(Config{SampleSize: 200, sampleBudgetRows: 200}, nil)
 	_, rep := prepare(t, context.Background(), j, db)
 	if rep.CollectedTables() != 1 {
 		t.Fatalf("collected = %d, want the first table only (report %+v)", rep.CollectedTables(), rep)
@@ -120,13 +120,48 @@ func TestPrepareRowBudgetTruncatesSample(t *testing.T) {
 	db := twoTableDB(t)
 	// Budget of 250 rows: the first table gets the full 200, the second
 	// gets the truncated remainder of 50 — partial statistics beat none.
-	j := forcedJITS(Config{SampleSize: 200, SampleBudgetRows: 250}, nil)
+	j := forcedJITS(Config{SampleSize: 200, sampleBudgetRows: 250}, nil)
 	_, rep := prepare(t, context.Background(), j, db)
 	if rep.Degraded || rep.CollectedTables() != 2 {
 		t.Fatalf("report = %+v, want both tables collected", rep)
 	}
 	if rep.Tables[1].SampleRows != 50 {
 		t.Errorf("second sample = %d rows, want the 50 left in budget", rep.Tables[1].SampleRows)
+	}
+}
+
+// TestReservationCoversGatheredColumns: a draw materializes only the columns
+// the statement references, so the memory it reserves is sized by them, not
+// by the table's width. car's sample gathers make and ownerid, two of its
+// three columns; a statement budget that holds 200 such rows but not 200
+// full-width ones samples car at full size instead of halving it.
+func TestReservationCoversGatheredColumns(t *testing.T) {
+	db := twoTableDB(t)
+	const size = 200
+	j := forcedJITS(Config{SampleSize: size}, nil)
+	budget := govern.EstimateRowBytes(3)*size - 1
+	if govern.EstimateRowBytes(2)*size > budget {
+		t.Fatalf("a budget of %d bytes does not hold %d two-column rows", budget, size)
+	}
+	res := govern.New(govern.Config{StatementMemBudgetBytes: budget}).NewReservation()
+	var m costmodel.Meter
+	_, rep, err := j.PrepareBudgeted(context.Background(), buildQuery(t, db, twoTableSQL), db, 1, &m, costmodel.DefaultWeights(), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Degraded || rep.CollectedTables() != 2 {
+		t.Fatalf("report = %+v, want both tables collected", rep)
+	}
+	for _, tr := range rep.Tables {
+		if tr.SampleRows != size {
+			t.Errorf("%s sampled %d rows, want %d", tr.Table, tr.SampleRows, size)
+		}
+	}
+	if n := j.memShrinks.Load(); n != 0 {
+		t.Errorf("%d samples shrank to fit the reservation, want none", n)
+	}
+	if res.Used() != 0 {
+		t.Errorf("reservation still holds %d bytes", res.Used())
 	}
 }
 
@@ -298,7 +333,7 @@ func TestDegradationIsOneEvent(t *testing.T) {
 	}{
 		{name: "cancelled", cause: costmodel.DegradeCancelled, ctx: cancelled,
 			tables: []string{"car", "owner"}, reason: "cancelled: context canceled"},
-		{name: "row budget", cause: costmodel.DegradeBudgetExhausted, cfg: Config{SampleBudgetRows: 200},
+		{name: "row budget", cause: costmodel.DegradeBudgetExhausted, cfg: Config{sampleBudgetRows: 200},
 			tables: []string{"owner"}, reason: "sample-row budget exhausted"},
 		{name: "cost budget", cause: costmodel.DegradeBudgetExhausted, cfg: Config{sampleBudgetUnits: 1e-9},
 			tables: []string{"owner"}, reason: "cost budget exhausted"},

@@ -52,18 +52,17 @@ type Config struct {
 	// evaluation out across this many workers. Statistics, meter charges
 	// and therefore plans are identical at any setting; values <= 1 run
 	// serially. The engine fills it from its Config.Parallelism; a
-	// statement's ExecOptions.Parallelism does not reach it.
+	// statement executed at another degree keeps this one.
 	Parallelism int
-	// SampleBudgetRows caps the total rows sampled during one PrepareBudgeted
-	// across all of the statement's tables; 0 means unlimited. When the
-	// budget runs low the last table's sample shrinks to the remainder and
-	// later tables degrade to catalog statistics — the statement always
-	// compiles.
-	SampleBudgetRows int
-	// sampleBudgetUnits caps the simulated-cost units one PrepareBudgeted may
-	// charge to the compilation meter before further collection degrades
-	// to catalog statistics; 0 means unlimited. No program sets it; the
-	// package's tests do, to reach the cost-budget degradation.
+	// sampleBudgetRows caps the total rows sampled during one
+	// PrepareBudgeted across all of the statement's tables; 0 means
+	// unlimited. When the budget runs low the last table's sample shrinks to
+	// the remainder and later tables degrade to catalog statistics — the
+	// statement always compiles. sampleBudgetUnits caps the simulated-cost
+	// units one PrepareBudgeted may charge to the compilation meter before
+	// further collection degrades; 0 means unlimited. No program sets
+	// either; the package's tests do, to reach the budget degradations.
+	sampleBudgetRows  int
 	sampleBudgetUnits float64
 }
 

@@ -129,8 +129,9 @@ func baselineOutcomes(t *testing.T) []chaosOutcome {
 // active and checks the differential contract statement by statement. It
 // returns the number of cleanly failed statements, the number of degraded
 // (catalog-fallback) compilations, and the engine for class-specific
-// assertions. The engine is probed for liveness after the storm.
-func runChaosClass(t *testing.T, opts engine.ExecOptions, arm func()) (faultErrs, degradedStmts int, fired map[faultinject.Point]int64, e *engine.Engine) {
+// assertions. A positive timeout bounds each statement's context. The engine
+// is probed for liveness after the storm.
+func runChaosClass(t *testing.T, timeout time.Duration, arm func()) (faultErrs, degradedStmts int, fired map[faultinject.Point]int64, e *engine.Engine) {
 	t.Helper()
 	base := baselineOutcomes(t)
 	faultinject.Reset()
@@ -138,7 +139,12 @@ func runChaosClass(t *testing.T, opts engine.ExecOptions, arm func()) (faultErrs
 	e, d := mkChaosEngine(t, engine.ReoptConfig{})
 	arm() // arm only after the data load so the dataset matches the baseline
 	for i, st := range d.Workload(chaosStmts, chaosSeed, true) {
-		res, err := e.ExecUnboxed(context.Background(), st.SQL, opts)
+		ctx, cancel := context.Background(), context.CancelFunc(func() {})
+		if timeout > 0 {
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+		}
+		res, err := e.ExecUnboxed(ctx, st.SQL)
+		cancel()
 		b := base[i]
 		if err != nil {
 			if !st.IsQuery {
@@ -191,7 +197,7 @@ func TestChaosStorageScanFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos replay is slow")
 	}
-	errs, _, fired, _ := runChaosClass(t, engine.ExecOptions{}, func() {
+	errs, _, fired, _ := runChaosClass(t, 0, func() {
 		if err := faultinject.Arm(faultinject.StorageScan, faultinject.SeedSpec(chaosSeed, 7)); err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +219,7 @@ func TestChaosSamplingDegradesNotFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos replay is slow")
 	}
-	errs, degraded, _, e := runChaosClass(t, engine.ExecOptions{}, func() {
+	errs, degraded, _, e := runChaosClass(t, 0, func() {
 		if err := faultinject.Arm(faultinject.SamplingRows, faultinject.SeedSpec(chaosSeed, 2)); err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +243,7 @@ func TestChaosWorkerPanics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos replay is slow")
 	}
-	_, _, fired, _ := runChaosClass(t, engine.ExecOptions{}, func() {
+	_, _, fired, _ := runChaosClass(t, 0, func() {
 		if err := faultinject.Arm(faultinject.WorkerPanic, faultinject.Spec{Every: 40, Offset: 11}); err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +261,7 @@ func TestChaosLatencyWithDeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos replay is slow")
 	}
-	errs, _, fired, _ := runChaosClass(t, engine.ExecOptions{Timeout: 4 * time.Millisecond}, func() {
+	errs, _, fired, _ := runChaosClass(t, 4*time.Millisecond, func() {
 		if err := faultinject.Arm(faultinject.MorselLatency, faultinject.Spec{Every: 1, Latency: time.Millisecond}); err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +281,7 @@ func TestChaosAllPointsArmed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos replay is slow")
 	}
-	_, _, fired, _ := runChaosClass(t, engine.ExecOptions{}, func() {
+	_, _, fired, _ := runChaosClass(t, 0, func() {
 		for p, spec := range map[faultinject.Point]faultinject.Spec{
 			faultinject.StorageScan:   {Every: 9, Offset: 4},
 			faultinject.SamplingRows:  {Every: 3, Offset: 1},

@@ -92,7 +92,7 @@ func TestConcurrentParallelQueriesAndDML(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, err := e.ExecUnboxed(context.Background(), queries[(w+i)%len(queries)], ExecOptions{Parallelism: 2 + w%3}); err != nil {
+				if _, err := e.ExecAt(context.Background(), queries[(w+i)%len(queries)], 2+w%3); err != nil {
 					errs <- err
 					return
 				}
@@ -138,9 +138,10 @@ func TestConcurrentParallelQueriesAndDML(t *testing.T) {
 }
 
 func TestAutoMigration(t *testing.T) {
-	cfg := Config{JITS: core.DefaultConfig(), MigrateEvery: 3}
+	cfg := Config{JITS: core.DefaultConfig()}
 	cfg.JITS.ForceCollect = true
 	e := seedEngine(t, cfg)
+	e.SetMigrateEvery(3)
 	for i := 0; i < 2; i++ {
 		mustExec(t, e, `SELECT id FROM car WHERE year > 2000`)
 	}

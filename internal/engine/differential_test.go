@@ -203,8 +203,8 @@ func FuzzParallelSerial(f *testing.F) {
 		serialE, parallelE, d := fuzzEngines(t)
 		n := int(dop%7) + 2 // clamp to [2, 8]
 		for _, st := range d.Queries(3, int64(qseed)) {
-			sres, serr := serialE.ExecUnboxed(context.Background(), st.SQL, engine.ExecOptions{Parallelism: 1})
-			pres, perr := parallelE.ExecUnboxed(context.Background(), st.SQL, engine.ExecOptions{Parallelism: n})
+			sres, serr := serialE.ExecAt(context.Background(), st.SQL, 1)
+			pres, perr := parallelE.ExecAt(context.Background(), st.SQL, n)
 			if (serr == nil) != (perr == nil) {
 				t.Fatalf("%q: serial err %v, parallel err %v", st.SQL, serr, perr)
 			}

@@ -56,11 +56,6 @@ type Config struct {
 	// JITS configures the just-in-time statistics framework; the zero
 	// value disables it (traditional processing).
 	JITS core.Config
-	// MigrateEvery, when positive, runs the statistics-migration module
-	// automatically after every N SELECT statements — the paper's
-	// "information in the QSS archive can be used to periodically update
-	// the system catalog".
-	MigrateEvery int
 	// ReactiveCorrections enables a LEO-style *reactive* baseline (the
 	// related-work family of the paper's §5.1): after each query, observed
 	// actual selectivities are stored as exact-match corrections that
@@ -82,8 +77,7 @@ type Config struct {
 	// (copied into JITS.Parallelism when that is 0). Values <= 1 run every
 	// operator inline as a single morsel, which reproduces the paper's cost
 	// accounting exactly; higher values dispatch morsels to a worker pool
-	// without changing results or metered work. ExecOptions.Parallelism
-	// overrides execution only; sampling keeps the engine's degree.
+	// without changing results or metered work.
 	Parallelism int
 	// FlightRecorderCapacity enables the statement flight recorder with a
 	// ring of that many records (SHOW QUERIES / EXPLAIN HISTORY read it);
@@ -122,25 +116,6 @@ type Config struct {
 	// leaves the ledger disabled for the engine's life; statements then pay
 	// one field load per probe.
 	Accuracy accuracy.Config
-}
-
-// ExecOptions tune one Exec call — the per-query session knobs.
-type ExecOptions struct {
-	// Parallelism overrides the engine's default degree of parallelism for
-	// this statement's execution; 0 keeps the engine default, 1 forces
-	// serial. JITS sampling keeps the engine's degree (Config.Parallelism).
-	Parallelism int
-	// Timeout bounds this statement's wall-clock time; 0 means no deadline.
-	// Expiry cancels JITS sampling at the next table boundary (the statement
-	// still compiles, degraded to catalog statistics) and execution at the
-	// next morsel boundary (the statement errors with
-	// context.DeadlineExceeded).
-	Timeout time.Duration
-	// Annotations are free-form labels attached to the statement's
-	// flight-recorder record (the SQL service tags statements that arrived
-	// through a retry or on a resumed session). Ignored while the recorder
-	// is disabled.
-	Annotations []string
 }
 
 // Metrics reports the simulated timing split of one statement.
@@ -224,20 +199,19 @@ func New(cfg Config) *Engine {
 	// coordinator.
 	ledger := accuracy.New(cfg.Accuracy)
 	e := &Engine{
-		db:           storage.NewDatabase(cfg.StorageChunkSize),
-		cat:          cat,
-		indexes:      ixs,
-		history:      hist,
-		jits:         core.New(cfg.JITS, hist, cat, ixs, governor.SamplingBreaker(), ledger),
-		weights:      costmodel.DefaultWeights(),
-		migrateEvery: cfg.MigrateEvery,
-		recorder:     flightrec.New(cfg.FlightRecorderCapacity, cfg.Trace),
-		accuracy:     ledger,
-		governor:     governor,
-		parallelism:  cfg.Parallelism,
-		reoptCfg:     cfg.Reopt.withDefaults(),
-		counts:       newCounts(),
-		planCache:    plancache.New(cfg.PlanCacheSize),
+		db:          storage.NewDatabase(cfg.StorageChunkSize),
+		cat:         cat,
+		indexes:     ixs,
+		history:     hist,
+		jits:        core.New(cfg.JITS, hist, cat, ixs, governor.SamplingBreaker(), ledger),
+		weights:     costmodel.DefaultWeights(),
+		recorder:    flightrec.New(cfg.FlightRecorderCapacity, cfg.Trace),
+		accuracy:    ledger,
+		governor:    governor,
+		parallelism: cfg.Parallelism,
+		reoptCfg:    cfg.Reopt.withDefaults(),
+		counts:      newCounts(),
+		planCache:   plancache.New(cfg.PlanCacheSize),
 	}
 	if cfg.ReactiveCorrections {
 		e.reactiveQSS = core.NewArchive(0, 0)
@@ -341,7 +315,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 // parallelism and boxes its result set into Result.Rows: ExecUnboxed plus the
 // one boxing an embedded caller asked for by calling it.
 func (e *Engine) Exec(sql string) (*Result, error) {
-	res, err := e.ExecUnboxed(context.Background(), sql, ExecOptions{})
+	res, err := e.ExecUnboxed(context.Background(), sql)
 	if err != nil {
 		return nil, err
 	}
@@ -349,23 +323,25 @@ func (e *Engine) Exec(sql string) (*Result, error) {
 	return res, nil
 }
 
-// ExecUnboxed parses and runs one SQL statement with per-query session
-// options under ctx, leaving the result set as columns (Result.Out;
-// Result.Rows stays nil). A statement timeout (ExecOptions.Timeout) is
-// layered onto ctx as a deadline. It is the spine of the statement pipeline
-// (see statement.go): admit → probe cache → parse → begin → dispatch →
-// finish.
-func (e *Engine) ExecUnboxed(ctx context.Context, sql string, opts ExecOptions) (*Result, error) {
+// ExecUnboxed parses and runs one SQL statement under ctx at the engine's
+// degree of parallelism, leaving the result set as columns (Result.Out;
+// Result.Rows stays nil). A deadline on ctx cancels JITS sampling at the next
+// table boundary (the statement still compiles, degraded to catalog
+// statistics) and execution at the next morsel boundary (the statement errors
+// with context.DeadlineExceeded).
+func (e *Engine) ExecUnboxed(ctx context.Context, sql string) (*Result, error) {
+	return e.execAt(ctx, sql, e.parallelism)
+}
+
+// execAt is ExecUnboxed executing at degree dop (JITS sampling keeps the
+// engine's). It is the spine of the statement pipeline (see statement.go):
+// admit → probe cache → parse → begin → dispatch → finish.
+func (e *Engine) execAt(ctx context.Context, sql string, dop int) (*Result, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -385,10 +361,7 @@ func (e *Engine) ExecUnboxed(ctx context.Context, sql string, opts ExecOptions) 
 	// statement's outstanding charges) to the global pool.
 	mem := e.governor.NewReservation()
 	defer mem.Release()
-	s := &statement{ctx: ctx, sql: sql, dop: opts.Parallelism, ticket: ticket, mem: mem, start: time.Now(), meters: new(meters)}
-	if s.dop == 0 {
-		s.dop = e.parallelism
-	}
+	s := &statement{ctx: ctx, sql: sql, dop: dop, ticket: ticket, mem: mem, start: time.Now(), meters: new(meters)}
 	e.probeCache(s)
 	var stmt sqlparser.Statement
 	var parseWall time.Duration
@@ -414,7 +387,6 @@ func (e *Engine) ExecUnboxed(ctx context.Context, sql string, opts ExecOptions) 
 	// errors returned above, so they consume no tick and leave no record.
 	s.ts = e.tick()
 	if s.rec = e.recorder.Begin(s.ts, sql); s.rec != nil {
-		s.rec.Annotations = opts.Annotations
 		s.rec.ArchiveEpoch = s.epoch
 		if !s.hit {
 			s.rec.AddPhase(flightrec.PhaseParse, parseWall)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 )
 
 // wallRe matches the wall-clock attribute of an EXPLAIN ANALYZE annotation.
@@ -54,7 +55,7 @@ func TestGoldenExplainAnalyze(t *testing.T) {
 			dop  int
 			want string
 		}{{1, c.serial}, {4, c.parallel}} {
-			res, err := e.ExecUnboxed(context.Background(), c.sql, ExecOptions{Parallelism: mode.dop})
+			res, err := e.ExecAt(context.Background(), c.sql, mode.dop)
 			if err != nil {
 				t.Fatalf("%q at dop %d: %v", c.sql, mode.dop, err)
 			}
@@ -139,14 +140,19 @@ func TestMetricsUnifiedAcrossStatementPaths(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeDegradedFlag forces JITS collection to degrade via the
-// sample-row budget and asserts the fallback is flagged on the affected
-// scan. Tables are collected in name order, so with a one-row budget "car"
-// consumes it and "owner" degrades.
+// TestExplainAnalyzeDegradedFlag forces JITS collection to degrade on one
+// table and asserts the fallback is flagged on the affected scan only. Tables
+// are collected in name order, so a sampling fault that skips its first check
+// lets "car" collect and degrades "owner".
 func TestExplainAnalyzeDegradedFlag(t *testing.T) {
 	e := seedEngine(t, Config{JITS: core.Config{
-		Enabled: true, ForceCollect: true, SampleSize: 50, SampleBudgetRows: 1, Seed: 1,
+		Enabled: true, ForceCollect: true, SampleSize: 50, Seed: 1,
 	}})
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	if err := faultinject.Arm(faultinject.SamplingRows, faultinject.Spec{Offset: 1, Limit: 1}); err != nil {
+		t.Fatal(err)
+	}
 	res, err := e.Exec(`EXPLAIN ANALYZE SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND o.city = 'Ottawa' AND c.make = 'Toyota'`)
 	if err != nil {
 		t.Fatal(err)
@@ -160,14 +166,14 @@ func TestExplainAnalyzeDegradedFlag(t *testing.T) {
 			ownerLine = line
 		}
 	}
-	if !strings.Contains(ownerLine, "[degraded: sample-row budget exhausted]") {
+	if !strings.Contains(ownerLine, "[degraded: sampling error: faultinject: injected fault at sampling.rows (fire 1)]") {
 		t.Errorf("owner scan not flagged degraded:\n%s", res.Plan)
 	}
 	if !strings.Contains(ownerLine, "(actual rows=") {
 		t.Errorf("owner scan missing actuals:\n%s", res.Plan)
 	}
-	// car's collection succeeded (it consumed the budget), so its scan must
-	// not carry a degradation flag.
+	// car's collection succeeded, so its scan must not carry a degradation
+	// flag.
 	for _, line := range strings.Split(res.Plan, "\n") {
 		if strings.Contains(line, "car as c") && strings.Contains(line, "[degraded") {
 			t.Errorf("car scan wrongly flagged:\n%s", res.Plan)

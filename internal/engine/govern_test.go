@@ -88,8 +88,9 @@ func TestStatementMemoryBudgetBounded(t *testing.T) {
 func TestSamplingShrinksToBudget(t *testing.T) {
 	cfg := Config{FlightRecorderCapacity: -1}
 	cfg.JITS = core.DefaultConfig()
-	cfg.JITS.SampleSize = 1000 // the full car table: ~288 KiB of sample buffer
-	cfg.Governor.StatementMemBudgetBytes = 200 << 10
+	// The full car table, gathering make and year: ~125 KiB of sample buffer.
+	cfg.JITS.SampleSize = 1000
+	cfg.Governor.StatementMemBudgetBytes = 100 << 10
 	e := seedEngine(t, cfg)
 
 	res, err := e.Exec(`SELECT id FROM car WHERE make = 'Toyota' AND year > 1998`)
@@ -101,7 +102,7 @@ func TestSamplingShrinksToBudget(t *testing.T) {
 	}
 	for _, tr := range res.Prepare.Tables {
 		if tr.Collected && tr.SampleRows >= 1000 {
-			t.Fatalf("sample of %d rows cannot have fit the 200 KiB budget", tr.SampleRows)
+			t.Fatalf("sample of %d rows cannot have fit the 100 KiB budget", tr.SampleRows)
 		}
 	}
 }
@@ -168,7 +169,7 @@ func TestCancelWhileQueuedIsNotOverload(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	queuedErr := make(chan error, 1)
 	go func() {
-		_, err := e.ExecUnboxed(ctx, `SELECT id FROM car WHERE make = 'Honda'`, ExecOptions{})
+		_, err := e.ExecUnboxed(ctx, `SELECT id FROM car WHERE make = 'Honda'`)
 		queuedErr <- err
 	}()
 	waitSnapshot(t, e, "one queued statement", func(s govern.Snapshot) bool { return s.Queued == 1 })

@@ -105,7 +105,7 @@ func TestPlanCacheHitEqualsCold(t *testing.T) {
 					if !dopWalked {
 						dopWalked = true
 						for _, at := range []int{1, 4, 1} {
-							res, err := e.ExecUnboxed(context.Background(), q.SQL, engine.ExecOptions{Parallelism: at})
+							res, err := e.ExecAt(context.Background(), q.SQL, at)
 							if err != nil {
 								t.Fatalf("query %d %q at dop %d: %v", i, q.SQL, at, err)
 							}

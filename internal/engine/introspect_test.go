@@ -339,7 +339,7 @@ func TestQErrorPropertyMatchesExplainAnalyze(t *testing.T) {
 	}
 	for _, dop := range []int{1, 4} {
 		for _, sql := range queries {
-			res, err := e.ExecUnboxed(context.Background(), sql, ExecOptions{Parallelism: dop})
+			res, err := e.ExecAt(context.Background(), sql, dop)
 			if err != nil {
 				t.Fatalf("dop %d %q: %v", dop, sql, err)
 			}

@@ -30,7 +30,7 @@ func TestCloseRejectsExec(t *testing.T) {
 	if _, err := e.Exec(`SELECT 1 FROM t`); !errors.Is(err, engine.ErrClosed) {
 		t.Fatalf("Exec after Close: %v, want ErrClosed", err)
 	}
-	if _, err := e.ExecUnboxed(context.Background(), `SELECT 1 FROM t`, engine.ExecOptions{}); !errors.Is(err, engine.ErrClosed) {
+	if _, err := e.ExecUnboxed(context.Background(), `SELECT 1 FROM t`); !errors.Is(err, engine.ErrClosed) {
 		t.Fatalf("ExecUnboxed after Close: %v, want ErrClosed", err)
 	}
 }
@@ -161,7 +161,7 @@ func TestCancelledParallelQueryLeaksNoGoroutines(t *testing.T) {
 	cancelled := 0
 	for _, st := range stmts {
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
-		if _, err := e.ExecUnboxed(ctx, st.SQL, engine.ExecOptions{}); err != nil {
+		if _, err := e.ExecUnboxed(ctx, st.SQL); err != nil {
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("%q: %v, want deadline exceeded", st.SQL, err)
 			}

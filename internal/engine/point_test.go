@@ -45,13 +45,13 @@ func BenchmarkPointLookup(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		e, _ := pointEngine(b, 0.02, 256)
 		sql := pointSQL(17)
-		if _, err := e.ExecUnboxed(ctx, sql, engine.ExecOptions{}); err != nil {
+		if _, err := e.ExecUnboxed(ctx, sql); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.ExecUnboxed(ctx, sql, engine.ExecOptions{}); err != nil {
+			if _, err := e.ExecUnboxed(ctx, sql); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -61,7 +61,7 @@ func BenchmarkPointLookup(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.ExecUnboxed(ctx, pointSQL(i%owners), engine.ExecOptions{}); err != nil {
+			if _, err := e.ExecUnboxed(ctx, pointSQL(i%owners)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -86,7 +86,7 @@ func TestWarmPointLookupFormatsNothing(t *testing.T) {
 	ctx := context.Background()
 	sql := pointSQL(17)
 	hit := func() {
-		res, err := e.ExecUnboxed(ctx, sql, engine.ExecOptions{})
+		res, err := e.ExecUnboxed(ctx, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestWarmPointLookupFormatsNothing(t *testing.T) {
 			t.Fatal("repeat missed the plan cache")
 		}
 	}
-	if _, err := e.ExecUnboxed(ctx, sql, engine.ExecOptions{}); err != nil {
+	if _, err := e.ExecUnboxed(ctx, sql); err != nil {
 		t.Fatal(err)
 	}
 	hit()

@@ -61,15 +61,15 @@ const (
 	// ConnStall sleeps long before a wrapped connection's Read/Write —
 	// a stalled peer. The sleep is meant to outlast the other side's frame
 	// deadline, so the op that finally runs finds its deadline expired:
-	// servers must reap the session, clients must reconnect and resume.
+	// the server must reap the session; the client sees its conn broken.
 	ConnStall Point = "conn.stall"
 	// ConnTornWrite writes only half of a wrapped connection's Write payload
 	// and then severs the connection — a frame torn mid-flight. The peer
 	// must drop the session (never try to re-synchronize the length-prefixed
-	// stream) and the writer must treat the statement as in-doubt.
+	// stream); a statement whose response was torn may or may not have run.
 	ConnTornWrite Point = "conn.torn-write"
 	// ConnReset severs a wrapped connection before a Read/Write — the moral
-	// equivalent of ECONNRESET. In-flight statements become in-doubt.
+	// equivalent of ECONNRESET. An in-flight statement may have run or not.
 	ConnReset Point = "conn.reset"
 	// EstimatorMisestimate skews optimizer cardinality estimates by a
 	// seeded multiplicative factor (alternating over- and under-estimation

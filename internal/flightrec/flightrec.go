@@ -153,10 +153,7 @@ type Record struct {
 	// to see how many stats-changing mutations the plan survived.
 	ArchiveEpoch uint64 `json:"archive_epoch"`
 
-	// Annotations are caller-supplied labels (engine.ExecOptions.Annotations)
-	// followed by the notes the statement adds itself. The SQL service tags
-	// statements that arrived through a client retry ("wire: retry attempt
-	// N") or on a resumed session ("wire: resumed session"); the engine notes
+	// Annotations are the notes the statement adds itself: the engine notes
 	// each re-optimization and a failed re-plan ("reopt: ..."), a statistic
 	// the statement's feedback moved to drifted ("accuracy: ..."), and the
 	// histograms a migration moved into the catalog ("migrate: ...").

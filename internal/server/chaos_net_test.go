@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,18 +13,25 @@ import (
 )
 
 // netChaosWire is the wire-level chaos harness: the full paper workload (DML
-// included) is replayed through a real TCP server whose connections — on
-// BOTH the server accept path and the client dial path — are wrapped in the
-// fault-injected conn, while a fault-free embedded engine with identical
-// configuration replays the same statements directly.
+// included) is replayed through a real TCP server whose accepted
+// connections are wrapped in the fault-injected conn, while a fault-free
+// embedded engine with identical configuration replays the same statements
+// directly. The client neither retries nor resumes; a session is one
+// connection. The contract:
 //
-// The contract is stricter than the engine-level chaos suite's: with the
-// client's retry policy enabled, network faults must be INVISIBLE. Every
-// statement must succeed exactly once, byte-identical to the direct engine —
-// rows, plans, degradation flags, plan-cache-hit flags, simulated timings —
-// and no DML may double-apply (per-statement RowsAffected equality plus
-// whole-table canary scans at the end). A fault class that leaks through as
-// an error, a duplicate apply, or a diverging result fails the test.
+//   - every statement that returns is byte-identical to the direct engine —
+//     rows, plans, degradation flags, plan-cache-hit flags, simulated
+//     timings;
+//   - every failure wraps client.ErrBroken (a statement error the direct
+//     engine returns too is an answer, compared like a result), and a
+//     statement that broke may
+//     or may not have run: the served engine's logical clock, which ticks
+//     once per statement begun, says which, and the direct engine runs it
+//     only if the served one did, so the two stay in lockstep (whole-table
+//     canaries at the end catch a DML applied twice or lost);
+//   - a re-dial serves the next statement;
+//   - after the storm no server goroutine and no governor slot or memory
+//     reservation is left behind.
 func netChaosWire(t *testing.T, point faultinject.Point, spec faultinject.Spec) {
 	t.Helper()
 	faultinject.Reset()
@@ -30,13 +39,14 @@ func netChaosWire(t *testing.T, point faultinject.Point, spec faultinject.Spec) 
 
 	cfg := serveConfig(0)
 	cfg.JITS.SampleSize = 200
+	cfg.Governor.MaxConcurrent = 2
+	cfg.Governor.QueueDepth = 8
 	served, d := loadedEngine(t, cfg, 0.002)
 	direct, _ := loadedEngine(t, cfg, 0.002)
 
 	// Deadlines tight enough that a stall (150ms sleep) trips them, loose
-	// enough that honest slowness (engine exec under -race) never does. The
-	// idle reaper parking a slow session is fine — the client resumes — but
-	// gratuitous reaps just add noise.
+	// enough that honest slowness (engine exec under -race) never does.
+	baseline := runtime.NumGoroutine()
 	srv := server.NewWith(served, server.Config{
 		IdleTimeout:  2 * time.Second,
 		FrameTimeout: 100 * time.Millisecond,
@@ -54,34 +64,49 @@ func netChaosWire(t *testing.T, point faultinject.Point, spec faultinject.Spec) 
 		t.Fatal(err)
 	}
 
-	conn, err := client.DialWith(addr, client.Config{
-		FrameTimeout: 100 * time.Millisecond,
-		ConnWrapper:  faultinject.WrapConn,
-		Retry: client.RetryPolicy{
-			MaxAttempts: 10,
-			BaseBackoff: 2 * time.Millisecond,
-			MaxBackoff:  50 * time.Millisecond,
-			Seed:        7,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
+	var conn *client.Conn
+	dials, broken := 0, 0
+	defer func() {
+		if conn != nil {
+			_ = conn.Close()
+		}
+	}()
 	run := func(sql string) {
 		t.Helper()
-		dres, derr := direct.Exec(sql)
+		// A fault may strike the HELLO exchange too; dial until a session
+		// opens.
+		for conn == nil {
+			if dials++; dials > 1000 {
+				t.Fatalf("%q: no session after %d dials", sql, dials)
+			}
+			conn, _ = client.Dial(addr)
+		}
+		before := served.Now()
 		cres, cerr := conn.Query(sql)
+		if errors.Is(cerr, client.ErrBroken) {
+			broken++
+			_ = conn.Close()
+			conn = nil
+			if served.Now() != before {
+				// The served engine ran it and the response was lost.
+				_, _ = direct.Exec(sql)
+			}
+			return
+		}
+		dres, derr := direct.Exec(sql)
 		if (derr == nil) != (cerr == nil) {
 			t.Fatalf("%q: direct err %v, served err %v", sql, derr, cerr)
 		}
 		if derr != nil {
-			return // both failed identically often enough; text compared below is overkill here
+			// A statement error is an answer, not a failure: the same one.
+			var se *client.Error
+			if !errors.As(cerr, &se) || se.Message != derr.Error() {
+				t.Fatalf("%q: served err %v, direct err %v", sql, cerr, derr)
+			}
+			return
 		}
 		if dres.RowsAffected != cres.RowsAffected {
-			t.Fatalf("%q: rows affected %d served vs %d direct (double-applied DML?)",
-				sql, cres.RowsAffected, dres.RowsAffected)
+			t.Fatalf("%q: rows affected %d served vs %d direct", sql, cres.RowsAffected, dres.RowsAffected)
 		}
 		if diff := diffWire(dres, cres); diff != "" {
 			t.Fatalf("%q: %s", sql, diff)
@@ -91,22 +116,43 @@ func netChaosWire(t *testing.T, point faultinject.Point, spec faultinject.Spec) 
 	for _, st := range d.Workload(220, 99, true) {
 		run(st.SQL)
 	}
-
-	// Whole-table canaries: if any DML double-applied (or got lost) on the
-	// served side, the table contents diverge even though every per-statement
-	// comparison passed.
+	// Whole-table canaries: if any DML applied twice (or got lost) on one
+	// side, the table contents diverge even though every per-statement
+	// comparison passed. They run until one answers.
 	for _, canary := range []string{
 		`SELECT c.id FROM car c WHERE c.id > 0`,
 		`SELECT o.id FROM owner o WHERE o.id > 0`,
 	} {
-		run(canary)
+		for {
+			b := broken
+			run(canary)
+			if broken == b {
+				break
+			}
+		}
 	}
 
-	if fired := faultinject.Fired(point); fired == 0 {
+	fired := faultinject.Fired(point)
+	if fired == 0 {
 		t.Fatalf("fault %s never fired — the chaos run tested nothing", point)
-	} else {
-		t.Logf("%s fired %d times; client stats %+v", point, fired, conn.Stats())
 	}
+	t.Logf("%s fired %d times; %d statements broke, %d dials", point, fired, broken, dials)
+
+	faultinject.Reset()
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	conn = nil
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := served.Governor().Snapshot()
+	if snap.InFlight != 0 || snap.Queued != 0 || snap.GlobalMemUsed != 0 {
+		t.Fatalf("governor not drained after the storm: %+v", snap)
+	}
+	waitFor(t, 5*time.Second, "server goroutines drained", func() bool {
+		return runtime.NumGoroutine() <= baseline
+	})
 }
 
 func TestNetChaosLatency(t *testing.T) {
@@ -122,7 +168,8 @@ func TestNetChaosStall(t *testing.T) {
 		t.Skip("network chaos replay is slow")
 	}
 	// Sleeps chosen to outlast the 100ms frame deadlines: the stalled op
-	// finds its deadline expired, the server reaps/parks, the client resumes.
+	// finds its deadline expired, the server reaps the session, the client
+	// sees ErrBroken and dials again.
 	netChaosWire(t, faultinject.ConnStall, faultinject.Spec{Every: 47, Offset: 11, Latency: 150 * time.Millisecond})
 }
 

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,8 +166,8 @@ func TestShutdownDeadlineFallsBack(t *testing.T) {
 }
 
 // TestStalledPeerReaped proves the idle reaper: a session that goes silent
-// past IdleTimeout is reaped — metered, its goroutine released — yet stays
-// resumable inside the resume window.
+// past IdleTimeout is reaped — metered, its goroutine released — and the
+// server goes on opening sessions.
 func TestStalledPeerReaped(t *testing.T) {
 	cfg := serveConfig(0)
 	cfg.JITS.Enabled = false
@@ -211,21 +210,13 @@ func TestStalledPeerReaped(t *testing.T) {
 		t.Fatalf("%d active sessions after reap", n)
 	}
 
-	// The reaped session was parked, not destroyed: its token still resumes.
-	nc2, err := net.Dial("tcp", addr)
+	c, err := client.Dial(addr)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("dial after a reap: %v", err)
 	}
-	defer nc2.Close()
-	if err := wire.WriteFrame(nc2, &wire.Request{Type: wire.ReqHello, Token: welcome.Token}); err != nil {
-		t.Fatal(err)
-	}
-	var resumed wire.Response
-	if err := wire.ReadFrame(nc2, &resumed); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Type != wire.RespWelcome || !resumed.Resumed || resumed.Token != welcome.Token {
-		t.Fatalf("resume after reap: %+v", resumed)
+	defer c.Close()
+	if _, err := c.Query(`SELECT c.id FROM car c WHERE c.id = 1`); err != nil {
+		t.Fatalf("query after a reap: %v", err)
 	}
 }
 
@@ -277,7 +268,7 @@ func TestTornFrameDropsSession(t *testing.T) {
 	// and appending a valid one gets no response, just EOF/reset.
 	rest := make([]byte, 56)
 	_, _ = nc.Write(rest)
-	_ = wire.WriteFrame(nc, &wire.Request{Type: wire.ReqPing})
+	_ = wire.WriteFrame(nc, &wire.Request{Type: wire.ReqQuery, SQL: "SELECT COUNT(*) FROM car"})
 	_ = nc.SetReadDeadline(time.Now().Add(time.Second))
 	var resp wire.Response
 	if err := wire.ReadFrame(nc, &resp); err == nil {
@@ -346,89 +337,6 @@ func TestCloseMidRoundTripPoisonsClient(t *testing.T) {
 	waitFor(t, 5*time.Second, "server goroutines drained", func() bool {
 		return runtime.NumGoroutine() <= baseline
 	})
-}
-
-// tearNthWrite wraps server-side connections and severs the connection on
-// exactly the Nth write across all of them. Aimed at a response frame, it
-// manufactures the worst in-doubt case: the statement HAS executed but the
-// client cannot know.
-func tearNthWrite(n int64) (func(net.Conn) net.Conn, *atomic.Int64) {
-	var writes atomic.Int64
-	return func(c net.Conn) net.Conn {
-		return &tearConn{Conn: c, writes: &writes, tearAt: n}
-	}, &writes
-}
-
-type tearConn struct {
-	net.Conn
-	writes *atomic.Int64
-	tearAt int64
-}
-
-func (t *tearConn) Write(p []byte) (int, error) {
-	if t.writes.Add(1) == t.tearAt {
-		_ = t.Conn.Close()
-		return 0, errors.New("tearconn: injected response tear")
-	}
-	return t.Conn.Write(p)
-}
-
-// TestExactlyOnceInDoubtResend is the exactly-once DML proof. The server
-// executes an INSERT and then the response frame is torn, so the client is
-// in doubt. With retries enabled it reconnects, resumes the session, and
-// re-sends under the ORIGINAL request ID; the server's dedup cache answers
-// with the already-computed response instead of re-executing. Exactly one
-// row exists afterwards.
-func TestExactlyOnceInDoubtResend(t *testing.T) {
-	cfg := serveConfig(0)
-	cfg.JITS.Enabled = false
-	eng, _ := loadedEngine(t, cfg, 0.002)
-	// Each frame is one write: write 1 is the first session's welcome,
-	// write 2 is the INSERT response — torn after the engine has applied
-	// the row.
-	wrapper, writes := tearNthWrite(2)
-	srv := server.NewWith(eng, server.Config{ConnWrapper: wrapper})
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-
-	conn, err := client.DialWith(addr, client.Config{
-		Retry: client.RetryPolicy{MaxAttempts: 5, BaseBackoff: 2 * time.Millisecond, Seed: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	dedupBefore := counterValue(srv, "server_dedup_hits_total", "")
-	res, err := conn.Query(`INSERT INTO car VALUES (7700001, 1, 'Toyota', 'Camry', 2003, 9500.0, 'green')`)
-	if err != nil {
-		t.Fatalf("in-doubt INSERT did not recover: %v", err)
-	}
-	if res.RowsAffected != 1 {
-		t.Fatalf("RowsAffected = %d, want 1", res.RowsAffected)
-	}
-	if writes.Load() < 3 {
-		t.Fatalf("tear never happened (only %d writes)", writes.Load())
-	}
-	if got := counterValue(srv, "server_dedup_hits_total", ""); got != dedupBefore+1 {
-		t.Fatalf("dedup hits %g -> %g, want exactly one cache-served re-send", dedupBefore, got)
-	}
-	stats := conn.Stats()
-	if stats.Reconnects != 1 || stats.Resumes != 1 || stats.Retries < 1 {
-		t.Fatalf("client stats = %+v, want one resume-reconnect", stats)
-	}
-
-	// The canonical double-apply check: exactly one row carries the key.
-	chk, err := conn.Query(`SELECT c.id FROM car c WHERE c.id = 7700001`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chk.Rows) != 1 {
-		t.Fatalf("%d rows with the canary key, want exactly 1 (double apply?)", len(chk.Rows))
-	}
 }
 
 // TestDrainingHealth wires Server.Draining into the debug server's health
@@ -509,8 +417,7 @@ func TestUnknownRequestTypesShareOneSeries(t *testing.T) {
 			labels = append(labels, s.Label)
 		}
 	}
-	want := []string{`type="close"`, `type="execute"`, `type="hello"`, `type="options"`,
-		`type="other"`, `type="ping"`, `type="prepare"`, `type="query"`}
+	want := []string{`type="close"`, `type="hello"`, `type="other"`, `type="query"`}
 	if strings.Join(labels, " ") != strings.Join(want, " ") {
 		t.Fatalf("server_requests_total labels = %v, want %v", labels, want)
 	}
@@ -519,5 +426,73 @@ func TestUnknownRequestTypesShareOneSeries(t *testing.T) {
 	}
 	if got := counterValue(srv, "server_errors_total", `code="bad_request"`); got != conns {
 		t.Fatalf(`server_errors_total{code="bad_request"} = %v, want %d`, got, conns)
+	}
+}
+
+// TestRetiredFramesAreRefused: the frames of the session-recovery protocol
+// the server no longer speaks — prepare, execute, options and ping, with the
+// fields they carried — are unknown request types now: each is answered
+// bad_request on a session that lives on and counted under "other". A HELLO
+// that still carries a resume token opens a fresh session (the field is not
+// read), and the server goes on serving new sessions.
+func TestRetiredFramesAreRefused(t *testing.T) {
+	cfg := serveConfig(0)
+	cfg.JITS.Enabled = false
+	eng, _ := loadedEngine(t, cfg, 0.002)
+	srv, addr := startServer(t, eng)
+
+	roundTrip := func(nc net.Conn, frame any) wire.Response {
+		t.Helper()
+		if err := wire.WriteFrame(nc, frame); err != nil {
+			t.Fatal(err)
+		}
+		var resp wire.Response
+		if err := wire.ReadFrame(nc, &resp); err != nil {
+			t.Fatalf("%v: %v", frame, err)
+		}
+		return resp
+	}
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if resp := roundTrip(nc, map[string]any{"type": "hello", "token": "0123456789abcdef"}); resp.Type != wire.RespWelcome {
+		t.Fatalf("hello with a token: %+v", resp)
+	}
+	if n := counterValue(srv, "server_sessions_total", ""); n != 1 {
+		t.Fatalf("server_sessions_total = %v after one hello, want 1", n)
+	}
+	otherBefore := counterValue(srv, "server_requests_total", `type="other"`)
+	retired := []map[string]any{
+		{"type": "prepare", "sql": "SELECT COUNT(*) FROM car"},
+		{"type": "execute", "id": 1, "stmt_id": 1, "retry": 1},
+		{"type": "options", "parallelism": 4, "timeout_ms": 250},
+		{"type": "ping"},
+	}
+	for _, frame := range retired {
+		resp := roundTrip(nc, frame)
+		if resp.Type != wire.RespError || resp.Error.Code != wire.CodeBadRequest ||
+			resp.Error.Message != fmt.Sprintf("unknown request type %q", frame["type"]) {
+			t.Fatalf("%v: %+v, want a bad_request refusal", frame, resp)
+		}
+	}
+	if got := counterValue(srv, "server_requests_total", `type="other"`); got != otherBefore+float64(len(retired)) {
+		t.Fatalf(`server_requests_total{type="other"} = %v, want %v`, got, otherBefore+float64(len(retired)))
+	}
+	if resp := roundTrip(nc, &wire.Request{Type: wire.ReqQuery, SQL: "SELECT COUNT(*) FROM car"}); resp.Type != wire.RespResult {
+		t.Fatalf("query after the refusals: %+v", resp)
+	}
+
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Query(`SELECT c.id FROM car c WHERE c.id = 1`); err != nil {
+		t.Fatal(err)
+	}
+	if n := counterValue(srv, "server_sessions_total", ""); n != 2 {
+		t.Fatalf("server_sessions_total = %v, want 2", n)
 	}
 }

@@ -62,7 +62,7 @@ func startServer(t testing.TB, eng *engine.Engine) (*server.Server, string) {
 }
 
 // TestServeSmoke exercises the full service surface over one session:
-// queries, prepared statements, session options, typed errors, the session
+// queries, the plan cache across them, typed errors, the session
 // introspection snapshot and the /debug/sessions endpoint.
 func TestServeSmoke(t *testing.T) {
 	cfg := serveConfig(0)
@@ -88,26 +88,18 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatal("no Toyota rows in the seeded dataset")
 	}
 
-	// Session options round-trip.
-	if err := conn.SetOptions(2, time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	// Prepared statement: second execution must come from the plan cache.
-	stmt, err := conn.Prepare(`SELECT o.id FROM owner o WHERE o.city = 'Ottawa'`)
+	// A repeated statement: the second run must come from the plan cache.
+	const ottawa = `SELECT o.id FROM owner o WHERE o.city = 'Ottawa'`
+	first, err := conn.Query(ottawa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := stmt.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := stmt.Execute()
+	second, err := conn.Query(ottawa)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !second.PlanCacheHit {
-		t.Fatal("second Execute missed the plan cache")
+		t.Fatal("second run missed the plan cache")
 	}
 	if len(first.Rows) != len(second.Rows) {
 		t.Fatalf("executions disagree: %d vs %d rows", len(first.Rows), len(second.Rows))
@@ -121,7 +113,7 @@ func TestServeSmoke(t *testing.T) {
 	if ins.RowsAffected != 1 {
 		t.Fatalf("INSERT affected %d rows", ins.RowsAffected)
 	}
-	third, err := stmt.Execute()
+	third, err := conn.Query(ottawa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +124,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("inserted row not visible: %d rows, want %d", len(third.Rows), len(second.Rows)+1)
 	}
 
-	// Typed errors: bad SQL and unknown prepared handles.
+	// Typed errors: bad SQL.
 	if _, err := conn.Query(`SELECT id FROM nonexistent`); err == nil {
 		t.Fatal("query on missing table succeeded")
 	} else {
@@ -155,20 +147,20 @@ func TestServeSmoke(t *testing.T) {
 			t.Fatalf("unexpected error %v", err)
 		}
 	}
-	if _, err := conn.Prepare(`SELECT 'unterminated`); err == nil {
-		t.Fatal("unlexable prepare succeeded")
+	if _, err := conn.Query(`SELECT 'unterminated`); err == nil {
+		t.Fatal("unlexable query succeeded")
 	} else {
 		var se *client.Error
-		if !errors.As(err, &se) || se.Code != wire.CodeBadRequest {
-			t.Fatalf("unexpected prepare error %v", err)
+		if !errors.As(err, &se) || se.Code != wire.CodeError {
+			t.Fatalf("unexpected error %v", err)
 		}
 	}
-	// Session introspection: our session is visible with its prepared stmt.
+	// Session introspection: our session is visible with its statements.
 	infos := srv.Sessions()
 	if len(infos) != 1 {
 		t.Fatalf("%d sessions, want 1", len(infos))
 	}
-	if infos[0].PreparedStmts != 1 || infos[0].Statements < 5 {
+	if infos[0].Statements != 8 {
 		t.Fatalf("session info = %+v", infos[0])
 	}
 
@@ -188,7 +180,7 @@ func TestServeSmoke(t *testing.T) {
 	n, _ := httpRes.Body.Read(body)
 	httpRes.Body.Close()
 	if !strings.Contains(string(body[:n]), `"serving": true`) ||
-		!strings.Contains(string(body[:n]), `"prepared_stmts": 1`) {
+		!strings.Contains(string(body[:n]), `"statements": 8`) {
 		t.Fatalf("/debug/sessions = %s", body[:n])
 	}
 
@@ -207,8 +199,8 @@ func TestServeSmoke(t *testing.T) {
 
 // TestServeRawFrames drives the wire protocol without the client package: a
 // first frame that is not HELLO is refused and the connection closed, and
-// within a session unknown frame types and unknown prepared-statement
-// handles get bad_request, and a clean close frame is ack'd.
+// within a session an unknown frame type and a second HELLO get bad_request,
+// and a clean close frame is ack'd.
 func TestServeRawFrames(t *testing.T) {
 	cfg := serveConfig(0)
 	cfg.JITS.Enabled = false
@@ -257,14 +249,14 @@ func TestServeRawFrames(t *testing.T) {
 	if resp.Type != wire.RespError || resp.Error.Code != wire.CodeBadRequest {
 		t.Fatalf("unknown frame type: %+v", resp)
 	}
-	if err := wire.WriteFrame(nc, &wire.Request{Type: wire.ReqExecute, StmtID: 99999}); err != nil {
+	if err := wire.WriteFrame(nc, &wire.Request{Type: wire.ReqHello}); err != nil {
 		t.Fatal(err)
 	}
 	if err := wire.ReadFrame(nc, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Type != wire.RespError || resp.Error.Code != wire.CodeBadRequest {
-		t.Fatalf("unknown stmt_id: %+v", resp)
+		t.Fatalf("second hello: %+v", resp)
 	}
 	if err := wire.WriteFrame(nc, &wire.Request{Type: wire.ReqClose}); err != nil {
 		t.Fatal(err)
@@ -285,8 +277,8 @@ func sameBits(a, b value.Datum) bool {
 
 // TestServeOversizeResult: a result too large for one frame is answered
 // with a typed error on a session that stays usable — not a dropped
-// connection after the statement already ran — and a retry of the same
-// request hears the same answer from the dedup ring.
+// connection after the statement already ran — and the same request sent
+// again hears the same answer.
 func TestServeOversizeResult(t *testing.T) {
 	cfg := serveConfig(0)
 	cfg.JITS.SampleSize = 200
@@ -308,11 +300,9 @@ func TestServeOversizeResult(t *testing.T) {
 	if err != nil || len(small.Rows) != 1 {
 		t.Fatalf("session unusable after an oversize result: %v", err)
 	}
-	if st := conn.Stats(); st.Reconnects != 0 {
-		t.Fatalf("client reconnected %d times; the session should have survived", st.Reconnects)
-	}
 
-	// The raw protocol: the refusal is remembered under the request's ID.
+	// The raw protocol: the refusal is an error frame, twice over, on a
+	// connection that stays open.
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +316,7 @@ func TestServeOversizeResult(t *testing.T) {
 		t.Fatalf("hello: %+v, %v", welcome, err)
 	}
 	for attempt := 0; attempt < 2; attempt++ {
-		req := &wire.Request{Type: wire.ReqQuery, ID: 1, Retry: attempt, SQL: `SELECT c.id, c.make FROM car c`}
+		req := &wire.Request{Type: wire.ReqQuery, SQL: `SELECT c.id, c.make FROM car c`}
 		if err := wire.WriteFrame(nc, req); err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +324,7 @@ func TestServeOversizeResult(t *testing.T) {
 		if err := wire.ReadFrame(nc, &resp); err != nil {
 			t.Fatalf("attempt %d: connection dropped: %v", attempt, err)
 		}
-		if resp.Type != wire.RespError || resp.ID != 1 || resp.Error.Code != wire.CodeError {
+		if resp.Type != wire.RespError || resp.Error.Code != wire.CodeError {
 			t.Fatalf("attempt %d: %+v", attempt, resp)
 		}
 	}
@@ -538,8 +528,8 @@ func TestWireDifferentialWorkload(t *testing.T) {
 	}
 }
 
-// TestSessionStressRace runs concurrent sessions mixing ad-hoc queries,
-// prepared statements and DML against one served engine (run under -race).
+// TestSessionStressRace runs concurrent sessions mixing repeated queries,
+// ad-hoc queries and DML against one served engine (run under -race).
 // Afterwards a canary session proves no stale plan survived the DML churn,
 // and Close drains every governor slot and memory reservation.
 func TestSessionStressRace(t *testing.T) {
@@ -566,17 +556,12 @@ func TestSessionStressRace(t *testing.T) {
 			defer conn.Close()
 			r := rand.New(rand.NewSource(int64(g)))
 			qs := d.Queries(8, int64(100+g))
-			stmt, err := conn.Prepare(qs[0].SQL)
-			if err != nil {
-				errs <- err
-				return
-			}
 			nextID := 2000000 + g*1000
 			for i := 0; i < ops; i++ {
 				switch r.Intn(5) {
-				case 0: // prepared execution
-					if _, err := stmt.Execute(); err != nil {
-						errs <- fmt.Errorf("session %d execute: %w", g, err)
+				case 0: // the session's repeated statement
+					if _, err := conn.Query(qs[0].SQL); err != nil {
+						errs <- fmt.Errorf("session %d repeat: %w", g, err)
 						return
 					}
 				case 1: // DML with a session-unique key, then read it back
@@ -710,7 +695,7 @@ func TestServerCloseReleasesSlots(t *testing.T) {
 }
 
 // TestServedDegradationNotesAgree: a degradation is one event with one
-// rendering. For a budget refusal and an injected sampling fault, the notes a
+// rendering. For an injected sampling fault on one table and on both, the notes a
 // remote caller receives (wire.Result.DegradedTables), the notes the flight
 // record files (DegradeCauses) and the PrepareReport's own DegradeNote are
 // the same strings, and the scan line's EXPLAIN ANALYZE flag carries the same
@@ -718,14 +703,15 @@ func TestServerCloseReleasesSlots(t *testing.T) {
 func TestServedDegradationNotesAgree(t *testing.T) {
 	const sql = `SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND c.make = 'Toyota' AND o.city = 'Ottawa'`
 	for _, tc := range []struct {
-		name  string
-		tune  func(*engine.Config)
-		fault faultinject.Point
-		want  []string // nil: compare the three renderings to each other only
+		name string
+		spec faultinject.Spec
+		want []string // nil: compare the three renderings to each other only
 	}{
-		{name: "row budget", tune: func(c *engine.Config) { c.JITS.SampleBudgetRows = c.JITS.SampleSize },
-			want: []string{"owner: sample-row budget exhausted"}},
-		{name: "sampling fault", tune: func(*engine.Config) {}, fault: faultinject.SamplingRows},
+		// Tables are collected in name order: skipping the first check
+		// lets car collect and degrades owner.
+		{name: "one table", spec: faultinject.Spec{Offset: 1, Limit: 1},
+			want: []string{"owner: sampling error: faultinject: injected fault at sampling.rows (fire 1)"}},
+		{name: "sampling fault", spec: faultinject.Spec{Every: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			faultinject.Reset()
@@ -735,7 +721,6 @@ func TestServedDegradationNotesAgree(t *testing.T) {
 			cfg.FlightRecorderCapacity = -1
 			cfg.JITS.SampleSize = 200
 			cfg.JITS.ForceCollect = true
-			tc.tune(&cfg)
 			eng, _ := loadedEngine(t, cfg, 0.002)
 			_, addr := startServer(t, eng)
 			conn, err := client.Dial(addr)
@@ -743,10 +728,8 @@ func TestServedDegradationNotesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			if tc.fault != "" {
-				if err := faultinject.Arm(tc.fault, faultinject.Spec{Every: 1}); err != nil {
-					t.Fatal(err)
-				}
+			if err := faultinject.Arm(faultinject.SamplingRows, tc.spec); err != nil {
+				t.Fatal(err)
 			}
 
 			served, err := conn.Query("EXPLAIN ANALYZE " + sql)

@@ -87,7 +87,7 @@ func BenchmarkResultFrame(b *testing.B) {
 		res := &Result{Columns: []string{"id", "year", "price", "name", "score"}, Plan: "Scan(owner)"}
 		res.Rows = EncodeRows(rows)
 		var frame bytes.Buffer
-		if err := WriteFrame(&frame, &Response{Type: RespResult, ID: 1, Result: res}); err != nil {
+		if err := WriteFrame(&frame, &Response{Type: RespResult, Result: res}); err != nil {
 			b.Fatal(err)
 		}
 		size := int64(frame.Len())
@@ -115,7 +115,7 @@ func BenchmarkResultFrame(b *testing.B) {
 				buf.Reset()
 				out := *res
 				out.Rows = EncodeRows(rows)
-				if err := WriteFrame(&buf, &Response{Type: RespResult, ID: 1, Result: &out}); err != nil {
+				if err := WriteFrame(&buf, &Response{Type: RespResult, Result: &out}); err != nil {
 					b.Fatal(err)
 				}
 				var resp Response

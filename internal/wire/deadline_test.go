@@ -55,7 +55,7 @@ func TestFrameDeadlineZeroIsUnbounded(t *testing.T) {
 	defer cli.Close()
 	defer srv.Close()
 	go func() {
-		if err := WriteFrameDeadline(cli, &Request{Type: ReqPing}, 0); err != nil {
+		if err := WriteFrameDeadline(cli, &Request{Type: ReqClose}, 0); err != nil {
 			t.Errorf("write: %v", err)
 		}
 	}()
@@ -63,7 +63,7 @@ func TestFrameDeadlineZeroIsUnbounded(t *testing.T) {
 	if err := ReadFrameDeadline(srv, &req, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if req.Type != ReqPing {
+	if req.Type != ReqClose {
 		t.Fatalf("decoded %+v", req)
 	}
 }
@@ -74,7 +74,7 @@ func TestWriteFrameDeadline(t *testing.T) {
 	cli, srv := net.Pipe()
 	defer cli.Close()
 	defer srv.Close()
-	err := WriteFrameDeadline(cli, &Request{Type: ReqPing}, 20*time.Millisecond)
+	err := WriteFrameDeadline(cli, &Request{Type: ReqClose}, 20*time.Millisecond)
 	if !isTimeout(err) {
 		t.Fatalf("err = %v, want write timeout", err)
 	}

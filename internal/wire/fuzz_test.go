@@ -69,11 +69,11 @@ func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
 	for _, b := range seedBlocks() {
 		buf.Reset()
-		_ = WriteFrame(&buf, &Response{Type: RespResult, ID: 7, Result: &Result{Columns: []string{"a"}, Rows: b}})
+		_ = WriteFrame(&buf, &Response{Type: RespResult, Result: &Result{Columns: []string{"a"}, Rows: b}})
 		f.Add(buf.Bytes())
 	}
 	buf.Reset()
-	_ = WriteFrame(&buf, &Request{Type: ReqQuery, ID: 1, SQL: "SELECT 1"})
+	_ = WriteFrame(&buf, &Request{Type: ReqQuery, SQL: "SELECT 1"})
 	f.Add(buf.Bytes())
 	f.Add([]byte{0, 0, 0, 3, '{', '}', '\n'})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})

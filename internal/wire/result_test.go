@@ -145,7 +145,7 @@ func tableResults(t testing.TB, rows [][]value.Datum, chunk int, queries ...stri
 		t.Fatal(err)
 	}
 	for _, q := range queries {
-		res, err := e.ExecUnboxed(context.Background(), q, engine.ExecOptions{})
+		res, err := e.ExecUnboxed(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -183,7 +183,7 @@ func TestColumnWriterMatchesRowEncoder(t *testing.T) {
 		corpus = append(corpus, workload.Statement{SQL: sql, IsQuery: true})
 	}
 	for i, st := range corpus {
-		res, err := e.ExecUnboxed(context.Background(), st.SQL, engine.ExecOptions{})
+		res, err := e.ExecUnboxed(context.Background(), st.SQL)
 		if err != nil {
 			t.Fatalf("stmt %d %q: %v", i, st.SQL, err)
 		}

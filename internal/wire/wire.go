@@ -9,41 +9,28 @@
 //	             |<----------- length bytes ------->|
 //
 // Every other frame is the JSON alone. encoding/json never emits a raw line
-// feed, so the first one in a payload ends the header. A session is a
-// sequence of request frames answered in order by exactly one response
-// frame each — there is no pipelining, interleaving, or server push, which
-// keeps both ends trivially correct and makes the protocol easy to test
-// byte-for-byte.
+// feed, so the first one in a payload ends the header. Each request frame is
+// answered in order by exactly one response frame — there is no pipelining,
+// interleaving, or server push, which keeps both ends trivially correct and
+// makes the protocol easy to test byte-for-byte.
 //
-// Request types:
+// A session is one connection. Its first frame is a hello; then the client
+// sends query frames until it closes the session or the connection:
 //
-//	hello    {type, token?}              open a session, or resume one by token
-//	query    {type, id, sql}             run one statement
-//	prepare  {type, sql}                 register a prepared statement
-//	execute  {type, id, stmt_id}         run a prepared statement
-//	options  {type, parallelism, timeout_ms}  set per-session exec options
-//	ping     {type}                      liveness / keepalive probe
+//	hello    {type}                      open the session
+//	query    {type, sql}                 run one statement
 //	close    {type}                      end the session
 //
 // Response types:
 //
-//	welcome   {type, token, resumed}     hello acknowledgement + resume token
-//	result    {type, id, result} + block  plan/metrics of a statement, rows behind
-//	prepared  {type, stmt_id}            prepared-statement handle
-//	ok        {type}                     options/close acknowledgement
-//	pong      {type}                     ping acknowledgement
-//	error     {type, id, error{code, message}}  typed failure
+//	welcome  {type}                      hello acknowledgement
+//	result   {type, result} + block      plan/metrics of a statement, rows behind
+//	ok       {type}                      close acknowledgement
+//	error    {type, error{code, message}}  typed failure
 //
-// Exactly-once retries ride on the id field: a client numbers its query/
-// execute requests monotonically, the server remembers recent (id →
-// response) pairs per session, and every response echoes the request's id.
-// A client that loses its connection mid-round-trip reconnects, resumes its
-// session by token, and re-sends the in-doubt request under its ORIGINAL
-// id: if the statement already ran, the cached response comes back instead
-// of a second execution (a DML can never double-apply); if it never ran, it
-// runs now. Requests with id 0 opt out of deduplication — hello, options,
-// prepare, ping and close are idempotent, so clients replay them freely
-// after a reconnect.
+// Nothing survives the connection: a client whose connection fails
+// mid-statement cannot tell whether the statement ran, and dials a new
+// session for the next one.
 //
 // Error frames carry a machine-readable code so clients can reconstruct
 // the engine's sentinel errors: govern.ErrOverloaded and
@@ -104,76 +91,41 @@ const MaxBlockBytes = MaxFrameBytes - 1<<20
 
 // Request frame types.
 const (
-	ReqHello   = "hello"
-	ReqQuery   = "query"
-	ReqPrepare = "prepare"
-	ReqExecute = "execute"
-	ReqOptions = "options"
-	ReqPing    = "ping"
-	ReqClose   = "close"
+	ReqHello = "hello"
+	ReqQuery = "query"
+	ReqClose = "close"
 )
 
 // Response frame types.
 const (
-	RespWelcome  = "welcome"
-	RespResult   = "result"
-	RespPrepared = "prepared"
-	RespOK       = "ok"
-	RespPong     = "pong"
-	RespError    = "error"
+	RespWelcome = "welcome"
+	RespResult  = "result"
+	RespOK      = "ok"
+	RespError   = "error"
 )
 
 // Error codes carried by error frames.
 const (
-	CodeOverloaded    = "overloaded"     // govern.ErrOverloaded: shed by admission control
-	CodeMemoryBudget  = "memory_budget"  // govern.ErrMemoryBudget: budget exhausted
-	CodeClosed        = "engine_closed"  // engine.ErrClosed: engine shut down
-	CodeDraining      = "draining"       // server refusing new sessions during graceful drain
-	CodeTimeout       = "timeout"        // statement deadline expired
-	CodeBadRequest    = "bad_request"    // malformed frame or unknown stmt_id
-	CodeResumeExpired = "resume_expired" // hello named a token the server no longer holds
-	CodeDedupMiss     = "dedup_miss"     // re-sent id fell out of the dedup window: outcome unknowable
-	CodeError         = "error"          // anything else (parse errors, unknown tables, …)
+	CodeOverloaded   = "overloaded"    // govern.ErrOverloaded: shed by admission control
+	CodeMemoryBudget = "memory_budget" // govern.ErrMemoryBudget: budget exhausted
+	CodeClosed       = "engine_closed" // engine.ErrClosed: engine shut down
+	CodeDraining     = "draining"      // server refusing new sessions during graceful drain
+	CodeTimeout      = "timeout"       // statement cancelled or its deadline expired
+	CodeBadRequest   = "bad_request"   // a frame the protocol does not take where it came
+	CodeError        = "error"         // anything else (parse errors, unknown tables, …)
 )
 
 // Request is one client→server frame.
 type Request struct {
 	Type string `json:"type"`
-	// ID deduplicates query/execute requests: a client numbers them
-	// monotonically per session, and a re-sent in-doubt request reuses its
-	// original ID so the server can return the cached response instead of
-	// executing twice. 0 opts out (idempotent frame types).
-	ID uint64 `json:"id,omitempty"`
-	// Token, on ReqHello, resumes the parked session it names; empty opens
-	// a fresh session.
-	Token string `json:"token,omitempty"`
-	// Retry is the client's retry ordinal for this request (0 = first
-	// attempt); the server forwards it to the flight recorder, so a
-	// post-mortem shows which statements arrived through the retry path.
-	Retry int    `json:"retry,omitempty"`
-	SQL   string `json:"sql,omitempty"`
-	// StmtID names a prepared statement for ReqExecute.
-	StmtID int64 `json:"stmt_id,omitempty"`
-	// Parallelism and TimeoutMS set the session's exec options (ReqOptions);
-	// zero keeps the engine default.
-	Parallelism int   `json:"parallelism,omitempty"`
-	TimeoutMS   int64 `json:"timeout_ms,omitempty"`
+	SQL  string `json:"sql,omitempty"`
 }
 
 // Response is one server→client frame.
 type Response struct {
-	Type string `json:"type"`
-	// ID echoes the request's ID, so a client can detect a desynchronized
-	// stream (a response for a different request) instead of silently
-	// mis-attributing results.
-	ID uint64 `json:"id,omitempty"`
-	// Token, on RespWelcome, is the session's resume token; Resumed reports
-	// whether hello reattached a parked session rather than opening a new one.
-	Token   string  `json:"token,omitempty"`
-	Resumed bool    `json:"resumed,omitempty"`
-	StmtID  int64   `json:"stmt_id,omitempty"`
-	Result  *Result `json:"result,omitempty"`
-	Error   *Error  `json:"error,omitempty"`
+	Type   string  `json:"type"`
+	Result *Result `json:"result,omitempty"`
+	Error  *Error  `json:"error,omitempty"`
 }
 
 // Error is the typed failure payload of an error frame.

@@ -21,9 +21,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	reqs := []Request{
 		{Type: ReqQuery, SQL: "SELECT * FROM car"},
-		{Type: ReqPrepare, SQL: "SELECT 1"},
-		{Type: ReqExecute, StmtID: 7},
-		{Type: ReqOptions, Parallelism: 4, TimeoutMS: 250},
+		{Type: ReqHello},
 		{Type: ReqClose},
 	}
 	for _, r := range reqs {
@@ -172,14 +170,14 @@ func TestWireRowsProperty(t *testing.T) {
 		requireSameRows(t, dec, rows)
 		// The same rows through a whole frame.
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, &Response{Type: RespResult, ID: uint64(iter), Result: &Result{Rows: block}}); err != nil {
+		if err := WriteFrame(&buf, &Response{Type: RespResult, Result: &Result{RowsAffected: iter, Rows: block}}); err != nil {
 			t.Fatal(err)
 		}
 		var resp Response
 		if err := ReadFrame(&buf, &resp); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		if resp.ID != uint64(iter) || !bytes.Equal(resp.Result.Rows, block) {
+		if resp.Result.RowsAffected != iter || !bytes.Equal(resp.Result.Rows, block) {
 			t.Fatalf("iter %d: block changed in the frame", iter)
 		}
 	}
@@ -248,7 +246,7 @@ func TestWireFrameBlock(t *testing.T) {
 	rows := [][]value.Datum{{value.NewInt(1), value.NewString("line\nfeed")}}
 	var buf bytes.Buffer
 	res := &Result{Columns: []string{"a", "b"}, Rows: EncodeRows(rows), Plan: "Scan\n  Filter"}
-	if err := WriteFrame(&buf, &Response{Type: RespResult, ID: 3, Result: res}); err != nil {
+	if err := WriteFrame(&buf, &Response{Type: RespResult, Result: res}); err != nil {
 		t.Fatal(err)
 	}
 	frame := append([]byte(nil), buf.Bytes()...)
@@ -269,11 +267,11 @@ func TestWireFrameBlock(t *testing.T) {
 	if err := ReadFrame(bytes.NewReader(frame), &req); err == nil {
 		t.Fatal("request frame with a column block accepted")
 	}
-	var pong bytes.Buffer
-	pong.Write([]byte{0, 0, 0, 17})
-	pong.WriteString(`{"type":"pong"}` + "\nx")
-	if err := ReadFrame(&pong, new(Response)); err == nil {
-		t.Fatal("column block behind a pong accepted")
+	var ok bytes.Buffer
+	ok.Write([]byte{0, 0, 0, 15})
+	ok.WriteString(`{"type":"ok"}` + "\nx")
+	if err := ReadFrame(&ok, new(Response)); err == nil {
+		t.Fatal("column block behind an ok accepted")
 	}
 	// A reused Response must not keep the previous frame's rows.
 	if err := WriteFrame(&buf, &Response{Type: RespResult, Result: &Result{RowsAffected: 1}}); err != nil {
@@ -294,7 +292,7 @@ func (w *oneWrite) Write(p []byte) (int, error) { w.calls++; return len(p), nil 
 func TestWireFrameSingleWrite(t *testing.T) {
 	var w oneWrite
 	for _, v := range []any{
-		&Request{Type: ReqPing},
+		&Request{Type: ReqClose},
 		&Response{Type: RespResult, Result: &Result{Rows: EncodeRows([][]value.Datum{{value.NewInt(1)}})}},
 	} {
 		w.calls = 0

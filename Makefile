@@ -12,9 +12,9 @@ test:
 
 # The whole suite under the race detector. The concurrency proofs only prove
 # anything here: the morsel runner (shared meters, parallel scans, joins,
-# aggregation, sampling), concurrent DML, the governor (admission, breaker,
-# memory budget), the SQL service and plan cache, network chaos against the
-# server, and the re-optimization differential. CI runs this target once.
+# aggregation, sampling), concurrent DML, memory accounting, the SQL service
+# and plan cache, network chaos against the server, and the re-optimization
+# differential. CI runs this target once.
 race:
 	$(GO) test -race ./...
 

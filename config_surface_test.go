@@ -16,11 +16,6 @@ var configSurface = map[string][]string{
 	"engine.Config": {
 		"Accuracy.Enabled",
 		"FlightRecorderCapacity",
-		"Governor.Breaker.LatencyThreshold",
-		"Governor.GlobalMemBudgetBytes",
-		"Governor.MaxConcurrent",
-		"Governor.QueueDepth",
-		"Governor.StatementMemBudgetBytes",
 		"JITS.Enabled",
 		"JITS.ForceCollect",
 		"JITS.Parallelism",
@@ -63,14 +58,9 @@ var configSurface = map[string][]string{
 // testHelpers does for exports. A knob that a program sets only through a
 // constructor names the constructor.
 var unsetKnobs = map[string]string{
-	"engine.Config.Accuracy.Enabled":                  "set through accuracy.DefaultConfig (cmd/jitsql, internal/experiments)",
-	"engine.Config.Governor.Breaker.LatencyThreshold": "ROADMAP item 4 deletes the gate, breaker and budgets; accounting stays",
-	"engine.Config.Governor.GlobalMemBudgetBytes":     "ROADMAP item 4 deletes the gate, breaker and budgets; accounting stays",
-	"engine.Config.Governor.MaxConcurrent":            "ROADMAP item 4 deletes the gate, breaker and budgets; accounting stays",
-	"engine.Config.Governor.QueueDepth":               "ROADMAP item 4 deletes the gate, breaker and budgets; accounting stays",
-	"engine.Config.Governor.StatementMemBudgetBytes":  "ROADMAP item 4 deletes the gate, breaker and budgets; accounting stays",
-	"engine.Config.JITS.SpaceBudgetBuckets":           "the root ablation benchmarks (bench_test.go) set it",
-	"engine.Config.JITS.Strategy":                     "the root ablation benchmarks (bench_test.go) set it",
+	"engine.Config.Accuracy.Enabled":        "set through accuracy.DefaultConfig (cmd/jitsql, internal/experiments)",
+	"engine.Config.JITS.SpaceBudgetBuckets": "the root ablation benchmarks (bench_test.go) set it",
+	"engine.Config.JITS.Strategy":           "the root ablation benchmarks (bench_test.go) set it",
 }
 
 // configLeaf is one settable value: its path and the field it ends in.

@@ -324,14 +324,13 @@ var benchCallees = map[string]string{
 // other than their own, which an export_test.go file cannot serve. Each
 // reason names those packages.
 var testHelpers = map[string]string{
-	"faultinject.Arm":            "core, engine, experiments, govern, morsel, server: arm one fault point by value",
+	"faultinject.Arm":            "core, engine, experiments, morsel, server: arm one fault point by value",
 	"faultinject.Disarm":         "core, engine: disarm one point mid-test",
 	"faultinject.Fired":          "engine, morsel, server: assert a fault point fired",
-	"faultinject.Reset":          "core, engine, experiments, govern, morsel, server: clear the process-wide registry between tests",
+	"faultinject.Reset":          "core, engine, experiments, morsel, server: clear the process-wide registry between tests",
 	"faultinject.SeedSpec":       "engine: the seeded chaos replays draw their fault specs",
 	"flightrec.Recorder.Reset":   "engine: drop the seeding statements before observing qids",
-	"govern.Breaker.SetClock":    "engine: the breaker tests step a fake clock",
-	"govern.Reservation.Used":    "core: a degraded collection releases its reservation",
+	"govern.Reservation.Used":    "core: a collection, degraded or not, returns every byte it reserved",
 	"qgm.Predicate.MatchesDatum": "executor, sampling: the row-at-a-time reference the kernels are held to",
 	"storage.MatchRows":          "core, executor, index, sampling: DML by a row predicate",
 	"storage.MustSchema":         "catalog, core, executor, index, optimizer, qgm, sampling: schemas in table literals",

@@ -7,7 +7,7 @@
 // caller's error handling is identical to an embedded caller's:
 //
 //	_, err := conn.Query("SELECT ...")
-//	if errors.Is(err, govern.ErrOverloaded) { backoff() }
+//	if errors.Is(err, context.DeadlineExceeded) { retryLater() }
 //
 // A Conn is one session on one TCP connection; nothing is re-sent. A frame
 // I/O failure mid-round-trip leaves the stream unusable (the next length
@@ -60,8 +60,8 @@ type Result struct {
 }
 
 // Error is a typed failure from the server. Unwrap exposes the sentinel
-// the wire code stands for (govern.ErrOverloaded, govern.ErrMemoryBudget,
-// engine.ErrClosed, context.DeadlineExceeded), when there is one.
+// the wire code stands for (engine.ErrClosed, context.DeadlineExceeded),
+// when there is one.
 type Error struct {
 	Code    string
 	Message string

@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -9,7 +10,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/engine"
-	"repro/internal/govern"
 	"repro/internal/wire"
 )
 
@@ -83,29 +83,32 @@ func TestDialRefusedIsTyped(t *testing.T) {
 	}
 }
 
-// TestOverloadedPassesThroughWithoutPolicy: the typed overload error
-// surfaces unchanged and matches the engine sentinel; the client does not
-// retry it.
-func TestOverloadedPassesThroughWithoutPolicy(t *testing.T) {
+// TestTypedErrorsPassThrough: each typed query error surfaces unchanged
+// and matches the engine sentinel its code stands for — engine closed and
+// statement timed out — on the same session; the client re-sends neither.
+func TestTypedErrorsPassThrough(t *testing.T) {
+	codes := []string{wire.CodeClosed, wire.CodeTimeout}
 	addr := startScript(t, func(n int, conn net.Conn) {
 		if !expectHello(t, conn) {
 			return
 		}
-		if _, ok := readReq(t, conn); !ok {
-			return
+		for _, code := range codes {
+			if _, ok := readReq(t, conn); !ok {
+				return
+			}
+			writeResp(t, conn, &wire.Response{Type: wire.RespError, Error: &wire.Error{Code: code, Message: code}})
 		}
-		writeResp(t, conn, &wire.Response{Type: wire.RespError, Error: &wire.Error{
-			Code: wire.CodeOverloaded, Message: "shed",
-		}})
 	})
 	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Query("SELECT 1")
-	if !errors.Is(err, govern.ErrOverloaded) {
-		t.Fatalf("err = %v, want govern.ErrOverloaded", err)
+	for i, sentinel := range []error{engine.ErrClosed, context.DeadlineExceeded} {
+		var se *client.Error
+		if _, err := c.Query("SELECT 1"); !errors.As(err, &se) || se.Code != codes[i] || !errors.Is(err, sentinel) {
+			t.Fatalf("query %d: err = %v, want code %s matching %v", i, err, codes[i], sentinel)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ func cnJITS(t *testing.T, db *storage.Database, cfg Config) *JITS {
 			t.Fatal(err)
 		}
 	}
-	return New(cfg, feedback.NewHistory(), catalog.New(), ixs, nil, nil)
+	return New(cfg, feedback.NewHistory(), catalog.New(), ixs, nil)
 }
 
 func TestCNCollectsWhenPlansDiverge(t *testing.T) {
@@ -70,7 +70,7 @@ func TestCNChargesOptimizerProbes(t *testing.T) {
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
 
 	// Lightweight strategy compile charge for the same decision.
-	jLight := New(DefaultConfig(), feedback.NewHistory(), catalog.New(), nil, nil, nil)
+	jLight := New(DefaultConfig(), feedback.NewHistory(), catalog.New(), nil, nil)
 	var mLight costmodel.Meter
 	if _, _, err := jLight.PrepareBudgeted(context.Background(), q, db, 1, &mLight, w, nil); err != nil {
 		t.Fatal(err)

@@ -39,12 +39,10 @@ type collection struct {
 	sens *Sensitivity
 	cn   map[string]bool // tables the CN baseline chose; nil under the lightweight analysis
 
-	// admit's accounts: the meter reading collection started at, the rows
-	// drawn since, and the breaker's one verdict.
-	startUnits   float64
-	rowsUsed     int
-	breakerAsked bool
-	breakerOpen  bool
+	// admit's accounts: the meter reading collection started at and the
+	// rows drawn since.
+	startUnits float64
+	rowsUsed   int
 }
 
 // tableWork is one base table's share of the statement.
@@ -173,29 +171,16 @@ func (c *collection) decide(tw *tableWork) {
 	}
 }
 
-// minSampleRows is the smallest sample the memory shrink-to-fit loop offers:
-// below it estimates are noise and catalog statistics the better fallback.
-const minSampleRows = 64
-
 // admit answers whether a marked table may be sampled now: the rows the
 // sampler may draw and the bytes reserved for them (returned when the sample
 // is released), or the degradation that refuses it — in order cancellation,
-// the breaker, the cost budget, the row budget (which also truncates the last
-// admitted sample to what is left), and the memory reservation, against which
-// the sample halves until it fits. The breaker is asked once per statement,
-// lazily: under overload a statement compiles catalog-only rather than
-// half-sampled, and one that would not sample consumes no half-open permit.
+// the cost budget and the row budget, which also truncates the last admitted
+// sample to what is left.
 func (c *collection) admit(tw *tableWork) (size int, reserved int64, deg degradation) {
 	cfg := &c.j.cfg
-	if !c.breakerAsked {
-		c.breakerAsked = true
-		c.breakerOpen = !c.j.breaker.Allow()
-	}
 	switch {
 	case c.ctx.Err() != nil:
 		return 0, 0, degradation{costmodel.DegradeCancelled, fmt.Sprintf("cancelled: %v", c.ctx.Err())}
-	case c.breakerOpen:
-		return 0, 0, degradation{costmodel.DegradeBreakerOpen, "sampling circuit breaker open (catalog-only mode)"}
 	case cfg.sampleBudgetUnits > 0 && c.meter.Units()-c.startUnits >= cfg.sampleBudgetUnits:
 		return 0, 0, degradation{costmodel.DegradeBudgetExhausted, "cost budget exhausted"}
 	case cfg.sampleBudgetRows > 0 && c.rowsUsed >= cfg.sampleBudgetRows:
@@ -205,29 +190,12 @@ func (c *collection) admit(tw *tableWork) (size int, reserved int64, deg degrada
 	if cfg.sampleBudgetRows > 0 && c.rowsUsed+size > cfg.sampleBudgetRows {
 		size = cfg.sampleBudgetRows - c.rowsUsed
 	}
-
-	// A draw materializes only the gathered columns; the others stay empty.
-	rowBytes := govern.EstimateRowBytes(len(tw.gathered))
-	for shrunk := false; ; shrunk = true {
-		// Reserve for what the sampler will really materialize: small
-		// tables are copied whole whatever the nominal size.
-		want := int64(sampling.EffectiveSampleRows(tw.tbl.RowCount(), size)) * rowBytes
-		err := c.res.Grow(want)
-		if err == nil {
-			if shrunk {
-				c.j.memShrinks.Add(1)
-			}
-			return size, want, degradation{}
-		}
-		if size/2 < minSampleRows {
-			// Report the pass the breaker allowed back as an instant one,
-			// so a half-open probe permit is not left outstanding.
-			c.j.breaker.RecordSampling(0)
-			return 0, 0, degradation{costmodel.DegradeMemoryBudget,
-				fmt.Sprintf("memory budget: sample of %d rows does not fit reservation: %v", size, err)}
-		}
-		size /= 2
-	}
+	// Reserve for what the sampler will really materialize: small tables are
+	// copied whole whatever the nominal size, and a draw fills only the
+	// gathered columns.
+	reserved = int64(sampling.EffectiveSampleRows(tw.tbl.RowCount(), size)) * govern.EstimateRowBytes(len(tw.gathered))
+	c.res.Grow(reserved)
+	return size, reserved, degradation{}
 }
 
 // collect samples the admitted table, timing the pass, and releases the
@@ -239,8 +207,6 @@ func (c *collection) collect(tw *tableWork, size int, reserved int64) degradatio
 	err := c.sample(tw, size, start)
 	c.res.Shrink(reserved)
 	tr.SampleWall = time.Since(start)
-	// Success or not: a probe that errors slowly is still a slow probe.
-	c.j.breaker.RecordSampling(tr.SampleWall)
 
 	if err == nil {
 		return degradation{}

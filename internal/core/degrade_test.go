@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/costmodel"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/govern"
 	"repro/internal/metrics"
+	"repro/internal/sampling"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -62,13 +62,13 @@ func twoTableDB(t testing.TB) *storage.Database {
 
 const twoTableSQL = `SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND c.make = 'Toyota' AND o.city = 'Ottawa'`
 
-func forcedJITS(cfg Config, breaker *govern.Breaker) *JITS {
+func forcedJITS(cfg Config) *JITS {
 	cfg.Enabled = true
 	cfg.ForceCollect = true
 	if cfg.SampleSize == 0 {
 		cfg.SampleSize = 200
 	}
-	return New(cfg, feedback.NewHistory(), catalog.New(), nil, breaker, nil)
+	return New(cfg, feedback.NewHistory(), catalog.New(), nil, nil)
 }
 
 func prepare(t *testing.T, ctx context.Context, j *JITS, db *storage.Database) (*QueryStats, *PrepareReport) {
@@ -94,7 +94,7 @@ func degradedReasons(rep *PrepareReport) map[string]string {
 
 func TestPrepareRowBudgetDegradesLaterTables(t *testing.T) {
 	db := twoTableDB(t)
-	j := forcedJITS(Config{SampleSize: 200, sampleBudgetRows: 200}, nil)
+	j := forcedJITS(Config{SampleSize: 200, sampleBudgetRows: 200})
 	_, rep := prepare(t, context.Background(), j, db)
 	if rep.CollectedTables() != 1 {
 		t.Fatalf("collected = %d, want the first table only (report %+v)", rep.CollectedTables(), rep)
@@ -120,7 +120,7 @@ func TestPrepareRowBudgetTruncatesSample(t *testing.T) {
 	db := twoTableDB(t)
 	// Budget of 250 rows: the first table gets the full 200, the second
 	// gets the truncated remainder of 50 — partial statistics beat none.
-	j := forcedJITS(Config{SampleSize: 200, sampleBudgetRows: 250}, nil)
+	j := forcedJITS(Config{SampleSize: 200, sampleBudgetRows: 250})
 	_, rep := prepare(t, context.Background(), j, db)
 	if rep.Degraded || rep.CollectedTables() != 2 {
 		t.Fatalf("report = %+v, want both tables collected", rep)
@@ -131,34 +131,30 @@ func TestPrepareRowBudgetTruncatesSample(t *testing.T) {
 }
 
 // TestReservationCoversGatheredColumns: a draw materializes only the columns
-// the statement references, so the memory it reserves is sized by them, not
-// by the table's width. car's sample gathers make and ownerid, two of its
-// three columns; a statement budget that holds 200 such rows but not 200
-// full-width ones samples car at full size instead of halving it.
+// the statement references, so the memory a collection reserves is sized by
+// them, not by the table's width. car is the one table with a local
+// predicate; its sample gathers make and ownerid, two of its three columns,
+// and the reservation's peak is that sample at that width.
 func TestReservationCoversGatheredColumns(t *testing.T) {
 	db := twoTableDB(t)
 	const size = 200
-	j := forcedJITS(Config{SampleSize: size}, nil)
-	budget := govern.EstimateRowBytes(3)*size - 1
-	if govern.EstimateRowBytes(2)*size > budget {
-		t.Fatalf("a budget of %d bytes does not hold %d two-column rows", budget, size)
-	}
-	res := govern.New(govern.Config{StatementMemBudgetBytes: budget}).NewReservation()
+	j := forcedJITS(Config{SampleSize: size})
+	res := govern.New().NewReservation()
+	defer res.Release()
+	q := buildQuery(t, db, `SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND c.make = 'Toyota'`)
 	var m costmodel.Meter
-	_, rep, err := j.PrepareBudgeted(context.Background(), buildQuery(t, db, twoTableSQL), db, 1, &m, costmodel.DefaultWeights(), res)
+	_, rep, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Degraded || rep.CollectedTables() != 2 {
-		t.Fatalf("report = %+v, want both tables collected", rep)
+	if rep.Degraded || rep.CollectedTables() != 1 || rep.Tables[0].Table != "car" || rep.Tables[0].SampleRows != size {
+		t.Fatalf("report = %+v, want car alone sampled at %d rows", rep, size)
 	}
-	for _, tr := range rep.Tables {
-		if tr.SampleRows != size {
-			t.Errorf("%s sampled %d rows, want %d", tr.Table, tr.SampleRows, size)
-		}
-	}
-	if n := j.memShrinks.Load(); n != 0 {
-		t.Errorf("%d samples shrank to fit the reservation, want none", n)
+	car, _ := db.Table("car")
+	rows := int64(sampling.EffectiveSampleRows(car.RowCount(), size))
+	if want := rows * govern.EstimateRowBytes(2); res.Peak() != want {
+		t.Errorf("reservation peak %d, want %d rows × the 2 gathered columns = %d (the schema's 3 would be %d)",
+			res.Peak(), rows, want, rows*govern.EstimateRowBytes(3))
 	}
 	if res.Used() != 0 {
 		t.Errorf("reservation still holds %d bytes", res.Used())
@@ -167,7 +163,7 @@ func TestReservationCoversGatheredColumns(t *testing.T) {
 
 func TestPrepareUnitsBudgetDegradesLaterTables(t *testing.T) {
 	db := twoTableDB(t)
-	j := forcedJITS(Config{sampleBudgetUnits: 1e-9}, nil)
+	j := forcedJITS(Config{sampleBudgetUnits: 1e-9})
 	_, rep := prepare(t, context.Background(), j, db)
 	// The first table always runs (nothing is spent yet); the second trips
 	// the cost cap.
@@ -191,7 +187,7 @@ func TestPrepareSamplingFaultDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := twoTableDB(t)
-	j := forcedJITS(Config{}, nil)
+	j := forcedJITS(Config{})
 	qs, rep := prepare(t, context.Background(), j, db)
 	if rep.CollectedTables() != 0 || rep.DegradedTables() != 2 {
 		t.Fatalf("report = %+v, want both tables degraded", rep)
@@ -213,7 +209,7 @@ func TestPrepareCancelledContextDegrades(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	db := twoTableDB(t)
-	j := forcedJITS(Config{}, nil)
+	j := forcedJITS(Config{})
 	_, rep := prepare(t, ctx, j, db)
 	if rep.CollectedTables() != 0 || rep.DegradedTables() != 2 {
 		t.Fatalf("report = %+v, want both tables degraded", rep)
@@ -235,7 +231,7 @@ func TestPrepareWorkerPanicDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := twoTableDB(t)
-	j := forcedJITS(Config{Parallelism: 4}, nil)
+	j := forcedJITS(Config{Parallelism: 4})
 	_, rep := prepare(t, context.Background(), j, db)
 	if rep.CollectedTables() != 0 || rep.DegradedTables() != 2 {
 		t.Fatalf("report = %+v, want both tables degraded", rep)
@@ -270,7 +266,7 @@ func TestPrepareDegradedKeepsUDI(t *testing.T) {
 	if err := faultinject.Arm(faultinject.SamplingRows, faultinject.Spec{Every: 1, Limit: 1}); err != nil {
 		t.Fatal(err)
 	}
-	j := forcedJITS(Config{}, nil)
+	j := forcedJITS(Config{})
 	_, rep := prepare(t, context.Background(), j, db)
 	if rep.DegradedTables() == 0 {
 		t.Fatal("expected at least one degraded table")
@@ -286,20 +282,6 @@ func TestPrepareDegradedKeepsUDI(t *testing.T) {
 	if car.UDICounter().Total() != 0 {
 		t.Error("UDI not reset after successful recollection")
 	}
-}
-
-// trippedBreaker returns a breaker opened the way production opens one: slow
-// sampling passes until its window trips it.
-func trippedBreaker(t *testing.T) *govern.Breaker {
-	t.Helper()
-	b := govern.NewBreaker(govern.BreakerConfig{LatencyThreshold: time.Hour})
-	for i := 0; b.State() != govern.BreakerOpen; i++ {
-		if i == 64 {
-			t.Fatal("slow sampling never tripped the breaker")
-		}
-		b.RecordSampling(2 * time.Hour)
-	}
-	return b
 }
 
 // TestDegradationIsOneEvent drives each cause a table can degrade for and
@@ -321,15 +303,13 @@ func TestDegradationIsOneEvent(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name     string
-		cause    costmodel.DegradeCause
-		cfg      Config
-		ctx      context.Context
-		setup    func(*testing.T)
-		tripped  bool  // the sampling circuit breaker starts open
-		memBytes int64 // statement memory budget; 0 = no reservation
-		tables   []string
-		reason   string
+		name   string
+		cause  costmodel.DegradeCause
+		cfg    Config
+		ctx    context.Context
+		setup  func(*testing.T)
+		tables []string
+		reason string
 	}{
 		{name: "cancelled", cause: costmodel.DegradeCancelled, ctx: cancelled,
 			tables: []string{"car", "owner"}, reason: "cancelled: context canceled"},
@@ -341,11 +321,6 @@ func TestDegradationIsOneEvent(t *testing.T) {
 			tables: []string{"car", "owner"}, reason: "sampling error: "},
 		{name: "worker panic", cause: costmodel.DegradePanic, cfg: Config{Parallelism: 4}, setup: arm(faultinject.WorkerPanic),
 			tables: []string{"car", "owner"}, reason: "recovered panic: "},
-		{name: "memory budget", cause: costmodel.DegradeMemoryBudget, memBytes: 1024,
-			tables: []string{"car", "owner"}, reason: "memory budget: sample of 100 rows does not fit reservation: "},
-		{name: "breaker open", cause: costmodel.DegradeBreakerOpen,
-			tripped: true,
-			tables:  []string{"car", "owner"}, reason: "sampling circuit breaker open (catalog-only mode)"},
 	}
 	seen := make(map[costmodel.DegradeCause]bool)
 	for _, tc := range cases {
@@ -353,11 +328,7 @@ func TestDegradationIsOneEvent(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			faultinject.Reset()
 			t.Cleanup(faultinject.Reset)
-			var breaker *govern.Breaker
-			if tc.tripped {
-				breaker = trippedBreaker(t)
-			}
-			j := forcedJITS(tc.cfg, breaker)
+			j := forcedJITS(tc.cfg)
 			if tc.setup != nil {
 				tc.setup(t)
 			}
@@ -365,10 +336,8 @@ func TestDegradationIsOneEvent(t *testing.T) {
 			if ctx == nil {
 				ctx = context.Background()
 			}
-			var res *govern.Reservation
-			if tc.memBytes > 0 {
-				res = govern.New(govern.Config{StatementMemBudgetBytes: tc.memBytes}).NewReservation()
-			}
+			res := govern.New().NewReservation()
+			defer res.Release()
 			db := twoTableDB(t)
 			var m costmodel.Meter
 			_, rep, err := j.PrepareBudgeted(ctx, buildQuery(t, db, twoTableSQL), db, 1, &m, costmodel.DefaultWeights(), res)

@@ -100,15 +100,12 @@ type JITS struct {
 	colSets []int      // the survey's column sets, reused by every statement
 	indexes *index.Set // StrategyCN plan probes enumerate over it
 	degrade costmodel.Degradation
-	breaker *govern.Breaker // nil never trips
-	merges  MergeObserver   // nil: no merge events
+	merges  MergeObserver // nil: no merge events
 
-	// Collection totals: rows drawn by compile-time sampling, tables
-	// sampled, and sampling passes that shrank their sample to fit the
-	// statement's memory budget. errorFactors is the feedback loop's.
+	// Collection totals: rows drawn by compile-time sampling and tables
+	// sampled. errorFactors is the feedback loop's.
 	sampleRows      atomic.Int64
 	tablesCollected atomic.Int64
-	memShrinks      atomic.Int64
 	errorFactors    *metrics.Histogram
 }
 
@@ -122,11 +119,9 @@ type MergeObserver interface {
 
 // New builds a JITS coordinator sharing the engine's catalog, feedback
 // history and index registry (the CN strategy's plan enumerations need it).
-// While breaker is open, PrepareBudgeted skips compile-time sampling
-// (catalog-only mode) and counts each skipped table as a breaker degradation;
-// a nil breaker never trips. merges subscribes to archive merges (the
-// engine's accuracy ledger); nil disables the events.
-func New(cfg Config, history *feedback.History, cat *catalog.Catalog, ixs *index.Set, breaker *govern.Breaker, merges MergeObserver) *JITS {
+// merges subscribes to archive merges (the engine's accuracy ledger); nil
+// disables the events.
+func New(cfg Config, history *feedback.History, cat *catalog.Catalog, ixs *index.Set, merges MergeObserver) *JITS {
 	cfg = cfg.withDefaults()
 	return &JITS{
 		cfg:     cfg,
@@ -135,7 +130,6 @@ func New(cfg Config, history *feedback.History, cat *catalog.Catalog, ixs *index
 		cat:     cat,
 		sampler: sampling.New(cfg.Seed),
 		indexes: ixs,
-		breaker: breaker,
 		merges:  merges,
 
 		errorFactors: metrics.NewHistogram(metrics.ErrorFactorBuckets()),
@@ -156,8 +150,6 @@ func (j *JITS) Scrape(set *metrics.Set) {
 	set.Counter("jits_sample_rows_total", "Rows drawn by JITS compile-time sampling.", float64(j.sampleRows.Load()))
 	set.Counter("jits_tables_collected_total", "Tables successfully sampled by JITS Prepare.", float64(j.tablesCollected.Load()))
 	set.CounterBy("jits_degradation_total", "Tables that fell back to catalog statistics, by cause.", "cause", byCause)
-	set.Counter("jits_sampling_mem_shrinks_total",
-		"Sampling passes that shrank their sample to fit the memory budget.", float64(j.memShrinks.Load()))
 	set.Histogram("feedback_error_factor",
 		"Estimated/actual selectivity error factors observed by the feedback loop.", j.errorFactors)
 }

@@ -15,8 +15,6 @@ const (
 	DegradeBudgetExhausted                     // the statement's row or cost budget for sampling was already spent
 	DegradeSamplingError                       // the sampling pass returned an error
 	DegradePanic                               // collection panicked and was recovered
-	DegradeMemoryBudget                        // the sample did not fit the memory reservation even after shrinking
-	DegradeBreakerOpen                         // the sampling circuit breaker was open (catalog-only mode under overload)
 
 	numDegradeCauses
 )
@@ -26,8 +24,6 @@ var degradeCauseLabels = [numDegradeCauses]string{
 	DegradeBudgetExhausted: "budget_exhausted",
 	DegradeSamplingError:   "sampling_error",
 	DegradePanic:           "panic",
-	DegradeMemoryBudget:    "memory_budget",
-	DegradeBreakerOpen:     "breaker_open",
 }
 
 // String returns the cause's metric label.
@@ -60,8 +56,6 @@ type DegradationCounts struct {
 	BudgetExhausted int64 // the statement's row or cost budget was already spent
 	Cancellations   int64 // the statement's context was cancelled or its deadline expired
 	Panics          int64 // collection panicked and was recovered
-	MemoryBudget    int64 // the sample could not fit the memory reservation even after shrinking
-	BreakerOpen     int64 // the sampling circuit breaker was open
 	FallbackTables  int64 // every table that fell back, whatever the reason (the sum of the above)
 }
 
@@ -72,8 +66,6 @@ func (c *DegradationCounts) of(cause DegradeCause) *int64 {
 		DegradeBudgetExhausted: &c.BudgetExhausted,
 		DegradeSamplingError:   &c.SamplingErrors,
 		DegradePanic:           &c.Panics,
-		DegradeMemoryBudget:    &c.MemoryBudget,
-		DegradeBreakerOpen:     &c.BreakerOpen,
 	}[cause]
 }
 

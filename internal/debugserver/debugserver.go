@@ -257,15 +257,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if eng.Closed() {
 		status = "closed"
 	}
-	gov := eng.Governor()
-	// A saturated governor — breaker open (sampling tripped off) or the
-	// admission queue full — makes the health probe fail, so a load balancer
-	// backs off before the engine starts shedding.
-	if gov.Saturated() {
-		status = "overloaded"
-		code = http.StatusServiceUnavailable
-	}
-	// A draining SQL service outranks both: the node is going away, stop
+	// A draining SQL service fails the probe: the node is going away, stop
 	// routing to it even though in-flight statements are still finishing.
 	if fn := s.draining.Load(); fn != nil && (*fn)() {
 		status = "draining"
@@ -284,7 +276,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSONStatus(w, code, map[string]any{
 		"status":      status,
 		"degradation": degradation,
-		"governor":    gov.Snapshot(),
+		"governor":    eng.Governor().Snapshot(),
 		"drift": map[string]any{
 			"enabled": eng.Accuracy().Enabled(),
 			"tracked": tracked,

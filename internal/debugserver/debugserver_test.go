@@ -3,16 +3,15 @@ package debugserver_test
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/accuracy"
 	"repro/internal/debugserver"
 	"repro/internal/engine"
-	"repro/internal/govern"
 	"repro/internal/metrics"
 )
 
@@ -189,58 +188,40 @@ func TestHealthEndpointTransitions(t *testing.T) {
 }
 
 // TestHealthGovernorSection: the health payload carries the governor
-// snapshot, and an open sampling breaker flips the endpoint to 503 so load
-// balancers back off before the engine starts shedding.
+// snapshot — the live reservations and the bytes they hold, nothing else —
+// and a statement's held memory never fails the probe.
 func TestHealthGovernorSection(t *testing.T) {
-	cfg := engine.Config{}
-	cfg.Governor.Breaker = govern.BreakerConfig{LatencyThreshold: time.Millisecond}
-	e := engine.New(cfg)
+	e := engine.New(engine.Config{})
 	if _, err := e.Exec(`CREATE TABLE t (id INT)`); err != nil {
 		t.Fatal(err)
 	}
 	_, base := startedServer(t, e)
-
-	var got struct {
-		Status      string           `json:"status"`
-		Degradation map[string]int64 `json:"degradation"`
-		Governor    struct {
-			BreakerState  string `json:"breaker_state"`
-			GlobalMemUsed int64  `json:"global_mem_used_bytes"`
-		} `json:"governor"`
-	}
-	code, _, body := get(t, base+"/debug/health")
-	if code != http.StatusOK {
-		t.Fatalf("healthy status %d, want 200", code)
-	}
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, body)
-	}
-	if got.Governor.BreakerState != "closed" {
-		t.Fatalf("breaker_state %q, want closed", got.Governor.BreakerState)
-	}
-	for _, key := range []string{"memory_budget", "breaker_open"} {
-		if _, present := got.Degradation[key]; !present {
-			t.Fatalf("degradation counter %q missing: %s", key, body)
+	health := func() map[string]int64 {
+		t.Helper()
+		var got struct {
+			Governor map[string]int64 `json:"governor"`
 		}
+		code, _, body := get(t, base+"/debug/health")
+		if code != http.StatusOK {
+			t.Fatalf("status %d, want 200: %s", code, body)
+		}
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("invalid JSON: %v\n%s", err, body)
+		}
+		return got.Governor
 	}
 
-	// Slow sampling passes trip the breaker once its window holds enough.
-	br := e.Governor().SamplingBreaker()
-	for i := 0; br.State() != govern.BreakerOpen; i++ {
-		if i == 64 {
-			t.Fatal("slow sampling never tripped the breaker")
-		}
-		br.RecordSampling(time.Hour)
+	if got := health(); !maps.Equal(got, map[string]int64{"in_flight": 0, "global_mem_used_bytes": 0}) {
+		t.Fatalf("idle governor section %v", got)
 	}
-	code, _, body = get(t, base+"/debug/health")
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("open-breaker status %d, want 503", code)
+	r := e.Governor().NewReservation()
+	r.Grow(4096)
+	if got := health(); !maps.Equal(got, map[string]int64{"in_flight": 1, "global_mem_used_bytes": 4096}) {
+		t.Fatalf("governor section with one reservation of 4096 bytes: %v", got)
 	}
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Status != "overloaded" || got.Governor.BreakerState != "open" {
-		t.Fatalf("open-breaker payload: status=%q breaker=%q", got.Status, got.Governor.BreakerState)
+	r.Release()
+	if got := health(); !maps.Equal(got, map[string]int64{"in_flight": 0, "global_mem_used_bytes": 0}) {
+		t.Fatalf("governor section after Release: %v", got)
 	}
 }
 

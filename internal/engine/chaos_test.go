@@ -3,7 +3,6 @@ package engine_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -13,7 +12,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faultinject"
-	"repro/internal/govern"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -299,76 +297,6 @@ func TestChaosAllPointsArmed(t *testing.T) {
 		if fired[p] == 0 {
 			t.Fatalf("%s never fired under the all-armed schedule", p)
 		}
-	}
-}
-
-// TestChaosGovernPressure arms the govern.pressure fault, which shrinks a
-// statement's effective memory budget to its current usage mid-flight —
-// modelling a neighbour stealing the remaining memory. The contract: every
-// statement completes, degrades (counted, catalog fallback), or fails with
-// the typed govern.ErrMemoryBudget — never a panic, never unbounded growth —
-// and every reservation drains back to the global pool.
-func TestChaosGovernPressure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos replay is slow")
-	}
-	faultinject.Reset()
-	t.Cleanup(faultinject.Reset)
-
-	cfg := engine.Config{Parallelism: 4}
-	cfg.JITS.Enabled = true
-	cfg.JITS.SMax = 0.5
-	cfg.JITS.SampleSize = 800
-	cfg.JITS.Seed = 7
-	// Roomy enough that fault-free statements fit comfortably — failures in
-	// the storm then come from the injected pressure, not the baseline budget.
-	cfg.Governor.StatementMemBudgetBytes = 32 << 20
-	cfg.Governor.GlobalMemBudgetBytes = 256 << 20
-	e := engine.New(cfg)
-	d, err := workload.Load(e, workload.Spec{Scale: 0.004, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Arm after the load so table building is undisturbed; every 7th
-	// reservation growth then hits the pressure fault.
-	if err := faultinject.Arm(faultinject.GovernPressure, faultinject.Spec{Every: 7}); err != nil {
-		t.Fatal(err)
-	}
-
-	var okStmts, degradedStmts, typedFails int
-	for i, st := range d.Queries(60, chaosSeed) {
-		res, err := e.Exec(st.SQL)
-		switch {
-		case err == nil:
-			if res.Prepare != nil && res.Prepare.Degraded {
-				degradedStmts++
-			} else {
-				okStmts++
-			}
-		case errors.Is(err, govern.ErrMemoryBudget):
-			typedFails++
-		default:
-			t.Fatalf("stmt %d %q: untyped failure under govern.pressure: %v", i, st.SQL, err)
-		}
-	}
-	if fired := faultinject.Fired(faultinject.GovernPressure); fired == 0 {
-		t.Fatal("govern.pressure never fired — the schedule tested nothing")
-	}
-	if typedFails == 0 {
-		t.Fatal("no statement failed typed although budgets were shrunk mid-flight")
-	}
-	if okStmts+degradedStmts == 0 {
-		t.Fatal("no statement survived the pressure storm")
-	}
-	t.Logf("govern.pressure: %d ok, %d degraded, %d typed failures", okStmts, degradedStmts, typedFails)
-
-	// The storm must leak nothing and leave the engine usable.
-	if used := e.Governor().Snapshot().GlobalMemUsed; used != 0 {
-		t.Fatalf("global pool holds %d bytes after the storm", used)
-	}
-	faultinject.Reset()
-	if _, err := e.Exec(`SELECT COUNT(*) FROM car`); err != nil {
-		t.Fatalf("engine unusable after govern.pressure storm: %v", err)
 	}
 }
 

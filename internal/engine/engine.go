@@ -6,7 +6,7 @@
 // Every statement is one statement value threaded through one pipeline of
 // explicit stages (statement.go; DESIGN.md §21):
 //
-//	admit       governor gate + per-statement memory reservation
+//	reserve     the per-statement memory reservation
 //	probe cache normalized SQL + archive epoch → compiled plan, on a hit
 //	parse       SQL text → AST                        (skipped on a hit)
 //	begin       one logical-clock tick (the qid), flight record opened
@@ -85,12 +85,6 @@ type Config struct {
 	// the engine's life; with no Trace either, statements then pay two
 	// checks.
 	FlightRecorderCapacity int
-	// Governor configures the resource governor: admission control
-	// (MaxConcurrent/QueueDepth), the engine-global memory pool, and the
-	// JITS sampling circuit breaker. The zero value disables all three.
-	// Its per-statement memory budget (StatementMemBudgetBytes) bounds
-	// JITS sampling buffers and buffering executor operators alike.
-	Governor govern.Config
 	// PlanCacheSize enables the compiled-plan cache with at most that many
 	// entries: repeated SELECTs (keyed on sqlparser.Normalize of their text
 	// and the engine's archive epoch) skip parse, JITS preparation and
@@ -193,7 +187,6 @@ func New(cfg Config) *Engine {
 	if cfg.JITS.Parallelism == 0 {
 		cfg.JITS.Parallelism = cfg.Parallelism
 	}
-	governor := govern.New(cfg.Governor)
 	// The accuracy ledger always exists; while disabled every probe on it is
 	// one field load. It subscribes to archive merges through the JITS
 	// coordinator.
@@ -203,11 +196,11 @@ func New(cfg Config) *Engine {
 		cat:         cat,
 		indexes:     ixs,
 		history:     hist,
-		jits:        core.New(cfg.JITS, hist, cat, ixs, governor.SamplingBreaker(), ledger),
+		jits:        core.New(cfg.JITS, hist, cat, ixs, ledger),
 		weights:     costmodel.DefaultWeights(),
 		recorder:    flightrec.New(cfg.FlightRecorderCapacity, cfg.Trace),
 		accuracy:    ledger,
-		governor:    governor,
+		governor:    govern.New(),
 		parallelism: cfg.Parallelism,
 		reoptCfg:    cfg.Reopt.withDefaults(),
 		counts:      newCounts(),
@@ -258,9 +251,9 @@ func (e *Engine) Accuracy() *accuracy.Ledger { return e.accuracy }
 // endpoint reads this).
 func (e *Engine) Closed() bool { return e.closed.Load() }
 
-// Governor exposes the resource governor (always non-nil; with the zero
-// Config.Governor it is a no-op governor whose snapshot reports everything
-// disabled). The debug server's health endpoint and tests read it.
+// Governor exposes the memory accounting: the live statements' reservations
+// and the bytes they hold. The debug server's health endpoint and tests read
+// it.
 func (e *Engine) Governor() *govern.Governor { return e.governor }
 
 // ArchiveEpoch returns the current statistics/data epoch. Cached plans are
@@ -300,17 +293,6 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// Drain waits until every admitted statement has released its governor slot
-// and the admission queue is empty — the engine's graceful-drain hook.
-// Callers that want a true drain must stop feeding the engine first (the SQL
-// service stops accepting and quiesces its sessions before calling this);
-// Drain itself rejects nothing. It returns ctx.Err() if the context expires
-// while statements are still in flight, and immediately when admission
-// control is disabled (there are no slots to account for).
-func (e *Engine) Drain(ctx context.Context) error {
-	return e.governor.WaitIdle(ctx)
-}
-
 // Exec parses and runs one SQL statement at the engine's default degree of
 // parallelism and boxes its result set into Result.Rows: ExecUnboxed plus the
 // one boxing an embedded caller asked for by calling it.
@@ -335,7 +317,7 @@ func (e *Engine) ExecUnboxed(ctx context.Context, sql string) (*Result, error) {
 
 // execAt is ExecUnboxed executing at degree dop (JITS sampling keeps the
 // engine's). It is the spine of the statement pipeline (see statement.go):
-// admit → probe cache → parse → begin → dispatch → finish.
+// reserve → probe cache → parse → begin → dispatch → finish.
 func (e *Engine) execAt(ctx context.Context, sql string, dop int) (*Result, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -346,22 +328,12 @@ func (e *Engine) execAt(ctx context.Context, sql string, dop int) (*Result, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Admission control: the statement queues (FIFO) for an execution slot
-	// before any work — parsing included — happens on its behalf. Shed
-	// statements fail with govern.ErrOverloaded; a statement cancelled while
-	// queued returns ctx.Err() and gives any concurrently granted slot back.
-	ticket, err := e.governor.Admit(ctx)
-	if err != nil {
-		e.counts.errors.Add(1)
-		return nil, err
-	}
-	defer ticket.Release()
 	// Per-statement memory reservation: sampling buffers and buffering
-	// executor operators charge it; Release returns any leak (an errored
-	// statement's outstanding charges) to the global pool.
+	// executor operators charge it; Release returns what an errored
+	// statement still holds and records the statement's peak.
 	mem := e.governor.NewReservation()
 	defer mem.Release()
-	s := &statement{ctx: ctx, sql: sql, dop: dop, ticket: ticket, mem: mem, start: time.Now(), meters: new(meters)}
+	s := &statement{ctx: ctx, sql: sql, dop: dop, mem: mem, start: time.Now(), meters: new(meters)}
 	e.probeCache(s)
 	var stmt sqlparser.Statement
 	var parseWall time.Duration
@@ -373,8 +345,8 @@ func (e *Engine) execAt(ctx context.Context, sql string, dop int) (*Result, erro
 		if e.recorder.Recording() {
 			parseStart = time.Now()
 		}
-		stmt, err = sqlparser.Parse(sql)
-		if err != nil {
+		var err error
+		if stmt, err = sqlparser.Parse(sql); err != nil {
 			e.counts.errors.Add(1)
 			return nil, err
 		}
@@ -477,17 +449,15 @@ func (e *Engine) dispatch(s *statement, stmt sqlparser.Statement) (*Result, erro
 }
 
 // finish is every statement's single exit: it stamps the flight record
-// (kind, wall, queue wait, memory peak, row counts, the simulated
-// compile/exec split from the very Metrics the caller receives) and commits
-// it, then settles the error and latency instruments.
+// (kind, wall, memory peak, row counts, the simulated compile/exec split
+// from the very Metrics the caller receives) and commits it, then settles
+// the error and latency instruments.
 func (e *Engine) finish(s *statement, res *Result, err error) (*Result, error) {
 	wall := time.Since(s.start)
-	e.governor.ObserveStatementPeak(s.mem.Peak())
 	if rec := s.rec; rec != nil {
 		e.capture(s)
 		rec.Kind = s.kind.String()
 		rec.Wall = wall
-		rec.QueueWait = s.ticket.Wait()
 		rec.MemPeakBytes = s.mem.Peak()
 		if err != nil {
 			rec.Err = err.Error()

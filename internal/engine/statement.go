@@ -19,7 +19,7 @@ import (
 // The statement pipeline. Every statement is one statement value threaded
 // through explicit stages:
 //
-//	admit → probe cache → parse → begin (tick, record) → dispatch → finish
+//	reserve → probe cache → parse → begin (tick, record) → dispatch → finish
 //
 // and a SELECT's dispatch is
 //
@@ -48,13 +48,12 @@ const (
 
 // statement is one SQL statement's state as it moves through the pipeline.
 type statement struct {
-	// Fixed at admission.
-	ctx    context.Context
-	sql    string
-	dop    int
-	start  time.Time
-	ticket *govern.Ticket
-	mem    *govern.Reservation
+	// Fixed when the statement starts.
+	ctx   context.Context
+	sql   string
+	dop   int
+	start time.Time
+	mem   *govern.Reservation
 
 	// Plan-cache probe: the normalized key ("" when the cache is off or the
 	// text does not lex), the archive epoch the statement runs under, and

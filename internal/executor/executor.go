@@ -62,8 +62,8 @@ type Runtime struct {
 	// Mem is the statement's memory reservation. Operators charge it what
 	// they hold — position vectors, a join's gathered key vectors and build
 	// table for the join's lifetime, aggregation state, ORDER BY scratch,
-	// the result cells — and fail with a wrapped govern.ErrMemoryBudget when
-	// the budget is exhausted. Nil (the default) disables accounting.
+	// the result cells. It counts, and refuses nothing. Nil (the default)
+	// disables accounting.
 	Mem *govern.Reservation
 	// Reopt, when non-nil, arms mid-query re-optimization: join-input
 	// materializations become checkpoints that register their relations in
@@ -103,22 +103,9 @@ func (rt *Runtime) charge(units float64) {
 	}
 }
 
-// grow charges bytes against the statement's memory reservation. Charges are
-// enforced at operator boundaries — an operator reserves its output before
-// (or immediately after) materializing it, so accounted growth is bounded to
-// one operator's output beyond the budget check. A nil reservation is free.
-func (rt *Runtime) grow(bytes int64) error {
-	return rt.Mem.Grow(bytes)
-}
-
-// shrink returns transient scratch bytes (sort buffers) to the reservation.
-func (rt *Runtime) shrink(bytes int64) {
-	rt.Mem.Shrink(bytes)
-}
-
 // Accounted sizes of what operators hold. A row position is an int32; a
 // gathered key is one typed array slot (a string column's wider headers are
-// under-counted — budgets bound accounted bytes, see govern.EstimateRowBytes);
+// under-counted, as govern.EstimateRowBytes says);
 // a build-table entry bounds what the hash join holds per left row: 2–4 head
 // slots of 4 B (the table is at most half full) plus its 4 B chain link.
 const (
@@ -241,9 +228,9 @@ func take(src, idx []int32) []int32 {
 }
 
 // joined builds a join's output and charges its position vectors to the
-// reservation under the operator's label: output row i is row li[i] of left
-// beside row ri[i] of right (a nil ri: right's rows are already lined up).
-func (ex *executor) joined(label string, left, right *relation, li, ri []int32) (*relation, error) {
+// reservation: output row i is row li[i] of left beside row ri[i] of right
+// (a nil ri: right's rows are already lined up).
+func (ex *executor) joined(left, right *relation, li, ri []int32) *relation {
 	n := len(li)
 	out := ex.newRelation(n)
 	slots := 0
@@ -257,10 +244,8 @@ func (ex *executor) joined(label string, left, right *relation, li, ri []int32) 
 	}
 	add(left, li)
 	add(right, ri)
-	if err := ex.rt.grow(posBytes * int64(n) * int64(slots)); err != nil {
-		return nil, fmt.Errorf("executor: %s output: %w", label, err)
-	}
-	return out, nil
+	ex.rt.Mem.Grow(posBytes * int64(n) * int64(slots))
+	return out
 }
 
 // Execute is Run with the result boxed into rows: the exit for callers that
@@ -418,9 +403,7 @@ func (ex *executor) runScan(n *optimizer.Scan) (*relation, error) {
 			}
 		}
 		ex.rt.charge(w.IndexRow * examined)
-		if err := ex.rt.grow(posBytes * int64(len(pos))); err != nil {
-			return nil, fmt.Errorf("executor: scan %s output: %w", n.Table, err)
-		}
+		ex.rt.Mem.Grow(posBytes * int64(len(pos)))
 	} else {
 		var scanErr error
 		pos, examined, scanErr = ex.seqScan(snap, n.Preds, n.Rows())
@@ -474,10 +457,8 @@ func (ex *executor) seqScan(snap *storage.Snapshot, preds []qgm.Predicate, estRo
 			cnt += chi - clo
 			before := len(out)
 			out = qgm.AppendMatches(out, preds, ch, clo, chi, base)
-			if err = ex.rt.grow(posBytes * int64(len(out)-before)); err != nil {
-				err = fmt.Errorf("executor: scan %s output: %w", snap.Name(), err)
-			}
-			return err == nil
+			ex.rt.Mem.Grow(posBytes * int64(len(out)-before))
+			return true
 		})
 		buckets[m] = out
 		examined.Add(int64(cnt))
@@ -519,16 +500,14 @@ func (ex *executor) runJoin(n *optimizer.Join) (*relation, error) {
 // keyColumns gathers both sides' join-key columns, one vector per join
 // predicate and side, and charges them to the reservation; the caller
 // returns held bytes when the join is done.
-func (ex *executor) keyColumns(n *optimizer.Join, left, right *relation) (lv, rv []*storage.ColumnVec, held int64, err error) {
+func (ex *executor) keyColumns(n *optimizer.Join, left, right *relation) (lv, rv []*storage.ColumnVec, held int64) {
 	held = keyBytes * int64(len(n.Preds)) * int64(left.n+right.n)
-	if err := ex.rt.grow(held); err != nil {
-		return nil, nil, 0, fmt.Errorf("executor: %v keys: %w", n.Method, err)
-	}
+	ex.rt.Mem.Grow(held)
 	for _, jp := range n.Preds {
 		lv = append(lv, left.column(jp.LeftSlot, jp.LeftOrd, 0, left.n))
 		rv = append(rv, right.column(jp.RightSlot, jp.RightOrd, 0, right.n))
 	}
-	return lv, rv, held, nil
+	return lv, rv, held
 }
 
 // joinKeys is one side's join keys as int64s that are equal exactly when the
@@ -577,16 +556,11 @@ func (ex *executor) runHashJoin(n *optimizer.Join) (*relation, error) {
 	w := ex.rt.Weights
 	nL, nR := left.n, right.n
 	// The build table is per-entry overhead over the gathered keys — charged
-	// before building, which is where an under-budgeted join must stop, and
-	// returned with the keys when the output positions are all that is left.
-	lv, rv, held, err := ex.keyColumns(n, left, right)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { ex.rt.shrink(held) }()
-	if err := ex.rt.grow(hashEntryBytes * int64(nL)); err != nil {
-		return nil, fmt.Errorf("executor: hash join build: %w", err)
-	}
+	// before building, and returned with the keys when the output positions
+	// are all that is left.
+	lv, rv, held := ex.keyColumns(n, left, right)
+	defer func() { ex.rt.Mem.Shrink(held) }()
+	ex.rt.Mem.Grow(hashEntryBytes * int64(nL))
 	held += hashEntryBytes * int64(nL)
 
 	var lk, rk joinKeys
@@ -619,7 +593,7 @@ func (ex *executor) runHashJoin(n *optimizer.Join) (*relation, error) {
 	ex.rt.charge(w.HashBuild * float64(nL))
 	ex.rt.charge(w.HashProbe * float64(nR))
 	ex.rt.charge(w.RowOut * float64(len(li)))
-	return ex.joined("hash join", left, right, li, ri)
+	return ex.joined(left, right, li, ri), nil
 }
 
 // headLoad is the build table's least slots per row: a partition of n rows
@@ -761,10 +735,8 @@ func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {
 		return nil, fmt.Errorf("executor: no usable index for NL join into %s", inner.Table)
 	}
 	held := keyBytes * int64(len(n.Preds)) * int64(left.n)
-	if err := ex.rt.grow(held); err != nil {
-		return nil, fmt.Errorf("executor: index NL join keys: %w", err)
-	}
-	defer ex.rt.shrink(held)
+	ex.rt.Mem.Grow(held)
+	defer ex.rt.Mem.Shrink(held)
 	lv := make([]*storage.ColumnVec, len(n.Preds))
 	for i, jp := range n.Preds {
 		lv[i] = left.column(jp.LeftSlot, jp.LeftOrd, 0, left.n)
@@ -822,7 +794,7 @@ func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {
 			Trace:       inner.Tr,
 		})
 	}
-	return ex.joined("index NL join", left, fetched, li, nil)
+	return ex.joined(left, fetched, li, nil), nil
 }
 
 // compareKeys orders row i of a against row j of b by their key columns.
@@ -857,19 +829,14 @@ func (ex *executor) runMergeJoin(n *optimizer.Join) (*relation, error) {
 		return nil, err
 	}
 	w := ex.rt.Weights
-	lv, rv, held, err := ex.keyColumns(n, left, right)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { ex.rt.shrink(held) }()
+	lv, rv, held := ex.keyColumns(n, left, right)
+	defer func() { ex.rt.Mem.Shrink(held) }()
 
 	// Drop NULL-key rows, then sort both sides' row lists; they are charged
 	// before sorting and stay charged while the merge reads them.
 	lRows, rRows := keyedRows(lv, left.n), keyedRows(rv, right.n)
 	sorted := posBytes * int64(len(lRows)+len(rRows))
-	if err := ex.rt.grow(sorted); err != nil {
-		return nil, fmt.Errorf("executor: merge join sort: %w", err)
-	}
+	ex.rt.Mem.Grow(sorted)
 	held += sorted
 	sortCharge := func(n int) {
 		if n > 1 {
@@ -911,7 +878,7 @@ func (ex *executor) runMergeJoin(n *optimizer.Join) (*relation, error) {
 	}
 	ex.rt.charge(w.SeqRow * float64(len(lRows)+len(rRows)))
 	ex.rt.charge(w.RowOut * float64(len(li)))
-	return ex.joined("merge join", left, right, li, ri)
+	return ex.joined(left, right, li, ri), nil
 }
 
 func (ex *executor) runNestedLoop(n *optimizer.Join) (*relation, error) {
@@ -920,11 +887,8 @@ func (ex *executor) runNestedLoop(n *optimizer.Join) (*relation, error) {
 		return nil, err
 	}
 	w := ex.rt.Weights
-	lv, rv, held, err := ex.keyColumns(n, left, right)
-	if err != nil {
-		return nil, err
-	}
-	defer ex.rt.shrink(held)
+	lv, rv, held := ex.keyColumns(n, left, right)
+	defer ex.rt.Mem.Shrink(held)
 	var li, ri []int32
 	lkey := make([]value.Datum, len(lv))
 	for i := 0; i < left.n; i++ {
@@ -943,7 +907,7 @@ func (ex *executor) runNestedLoop(n *optimizer.Join) (*relation, error) {
 	}
 	ex.rt.charge(w.HashProbe * float64(left.n) * float64(right.n))
 	ex.rt.charge(w.RowOut * float64(len(li)))
-	return ex.joined("nested loop", left, right, li, ri)
+	return ex.joined(left, right, li, ri), nil
 }
 
 // --- finishing: aggregation, distinct, order, limit, projection ----------
@@ -970,8 +934,8 @@ func (c rowsColumn) Datum(i int) value.Datum { return c.snap.Datum(int(c.pos[i])
 // BY entries; DISTINCT, ORDER BY and LIMIT then work on row numbers alone.
 // The result is those columns and the rows that survived: its cells are
 // reserved here, at what they cost boxed, whether or not the caller ever
-// boxes them — a memory budget refuses the same statements whichever way the
-// result leaves.
+// boxes them — a statement's peak is the same whichever way the result
+// leaves.
 func (ex *executor) finish(rel *relation) (*Columnar, error) {
 	blk := ex.blk
 	var out *Columnar
@@ -999,9 +963,7 @@ func (ex *executor) finish(rel *relation) (*Columnar, error) {
 	if blk.Limit >= 0 && out.n > blk.Limit {
 		out.n = blk.Limit
 	}
-	if err := ex.rt.grow(int64(out.n) * govern.EstimateRowBytes(len(out.cols))); err != nil {
-		return nil, fmt.Errorf("executor: result: %w", err)
-	}
+	ex.rt.Mem.Grow(int64(out.n) * govern.EstimateRowBytes(len(out.cols)))
 	return out, nil
 }
 
@@ -1201,12 +1163,9 @@ func (ex *executor) aggregate(rel *relation) (*Columnar, []column, error) {
 	}
 	groups := mergePartials(partials).groups
 	ex.rt.charge(ex.rt.Weights.HashBuild * float64(rel.n))
-	// Aggregation state is charged after accumulation (operator-boundary
-	// enforcement: growth past the budget is bounded to this operator's
-	// grouped state, which is what the statement materializes from here on).
-	if err := ex.rt.grow(int64(len(groups)) * (64 + 96*int64(len(blk.Projections)))); err != nil {
-		return nil, nil, fmt.Errorf("executor: aggregation state: %w", err)
-	}
+	// Aggregation state is charged after accumulation: the grouped state is
+	// what the statement materializes from here on.
+	ex.rt.Mem.Grow(int64(len(groups)) * (64 + 96*int64(len(blk.Projections))))
 	// Global aggregate over empty input still yields one row.
 	if len(groups) == 0 && len(blk.GroupBy) == 0 {
 		groups = []group{{aggs: make([]aggState, len(blk.Projections))}}
@@ -1296,9 +1255,7 @@ func (ex *executor) orderRows(out *Columnar, keys []column) ([]int32, error) {
 		ex.rt.charge(ex.rt.Weights.SortRow * float64(n) * math.Log2(float64(n)))
 	}
 	// The row list is what the sort holds; it is the statement's from here on.
-	if err := ex.rt.grow(posBytes * int64(len(rows))); err != nil {
-		return nil, fmt.Errorf("executor: ORDER BY sort: %w", err)
-	}
+	ex.rt.Mem.Grow(posBytes * int64(len(rows)))
 	orderBy := ex.blk.OrderBy
 	sort.SliceStable(rows, func(i, j int) bool {
 		for k, key := range keys {

@@ -48,12 +48,6 @@ const (
 	// ArchiveLoad corrupts the payload read back during LoadArchive before
 	// checksum verification, simulating media corruption at rest.
 	ArchiveLoad Point = "archive.load"
-	// GovernPressure shrinks a statement's effective memory budget
-	// mid-statement (the resource governor probes it on every reservation
-	// growth): the moral equivalent of a neighbouring workload stealing the
-	// buffer pool. Statements must respond by degrading or failing with the
-	// typed govern.ErrMemoryBudget — never by panicking or growing anyway.
-	GovernPressure Point = "govern.pressure"
 	// ConnLatency sleeps before a wrapped connection's Read/Write — network
 	// jitter that must never change results (deadlines permitting, nothing
 	// times out; the protocol just runs late).
@@ -81,7 +75,7 @@ const (
 
 // Points returns all registered fault points in deterministic order.
 func Points() []Point {
-	return []Point{StorageScan, SamplingRows, WorkerPanic, MorselLatency, ArchiveSave, ArchiveLoad, GovernPressure,
+	return []Point{StorageScan, SamplingRows, WorkerPanic, MorselLatency, ArchiveSave, ArchiveLoad,
 		ConnLatency, ConnStall, ConnTornWrite, ConnReset, EstimatorMisestimate}
 }
 
@@ -365,9 +359,6 @@ func Disarm(p Point) { defaultRegistry.Disarm(p) }
 
 // Reset clears the default registry.
 func Reset() { defaultRegistry.Reset() }
-
-// Enabled reports whether the default registry has any point armed.
-func Enabled() bool { return defaultRegistry.Enabled() }
 
 // Hit probes a point on the default registry.
 func Hit(p Point) error { return defaultRegistry.Hit(p) }

@@ -230,6 +230,7 @@ func TestArmFromSpec(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"nope:every=1",            // unknown point
+		"govern.pressure:every=1", // retired with the memory budgets it shrank
 		"sampling.rows:every=x",   // bad int
 		"sampling.rows:bogus=1",   // unknown key
 		"sampling.rows:latency",   // malformed kv
@@ -244,7 +245,7 @@ func TestArmFromSpec(t *testing.T) {
 func TestDefaultRegistryHelpers(t *testing.T) {
 	t.Cleanup(Reset)
 	Reset()
-	if Enabled() {
+	if defaultRegistry.Enabled() {
 		t.Fatal("default registry starts enabled")
 	}
 	if err := Arm(WorkerPanic, Spec{Every: 1, Limit: 1}); err != nil {
@@ -257,7 +258,7 @@ func TestDefaultRegistryHelpers(t *testing.T) {
 		t.Fatal("Fired != 1")
 	}
 	Disarm(WorkerPanic)
-	if Enabled() {
+	if defaultRegistry.Enabled() {
 		t.Fatal("default registry enabled after disarm")
 	}
 }

@@ -105,11 +105,8 @@ type Record struct {
 	Start time.Time     `json:"start"`
 	Wall  time.Duration `json:"wall_ns"`
 
-	// QueueWait is how long the statement waited in the admission queue
-	// before execution began; zero when admission control is disabled.
-	QueueWait time.Duration `json:"queue_wait_ns,omitempty"`
 	// MemPeakBytes is the statement's peak accounted memory reservation;
-	// zero when the governor has no budgets configured and nothing charged.
+	// zero when nothing was charged.
 	MemPeakBytes int64 `json:"mem_peak_bytes,omitempty"`
 
 	// Simulated cost-model split (engine.Metrics).

@@ -1,11 +1,9 @@
 package govern
 
 import (
-	"errors"
 	"sync"
 	"testing"
 
-	"repro/internal/faultinject"
 	"repro/internal/metrics"
 )
 
@@ -23,14 +21,14 @@ func sample(t *testing.T, g *Governor, name string) float64 {
 	return 0
 }
 
-// TestMemGaugeReadsThePool hammers one pool with goroutines that grow,
-// shrink and release reservations against its capacity. Once every one has
-// released, govern_global_mem_used_bytes reads 0: the gauge is Pool.used
-// itself, read at scrape time, so no interleaving of two reservations can
-// leave it at a value the pool no longer holds. make race runs it under the
-// detector.
+// TestMemGaugeReadsThePool hammers one governor with goroutines that grow,
+// shrink and release reservations. Once every one has released,
+// govern_global_mem_used_bytes and govern_in_flight read 0: the gauges are
+// the governor's sums themselves, read at scrape time, so no interleaving of
+// two reservations can leave them at a value no reservation holds. make race
+// runs it under the detector.
 func TestMemGaugeReadsThePool(t *testing.T) {
-	g := New(Config{GlobalMemBudgetBytes: 64 << 10})
+	g := New()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -40,7 +38,8 @@ func TestMemGaugeReadsThePool(t *testing.T) {
 			defer r.Release()
 			for i := 0; i < 2000; i++ {
 				n := int64(1 + (w*31+i*17)%4096)
-				if r.Grow(n) == nil && i%3 == 0 {
+				r.Grow(n)
+				if i%3 == 0 {
 					r.Shrink(n / 2)
 				}
 				if i%64 == 63 {
@@ -50,169 +49,92 @@ func TestMemGaugeReadsThePool(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := sample(t, g, "govern_global_mem_used_bytes"); got != 0 {
-		t.Fatalf("govern_global_mem_used_bytes = %v after every reservation released, want 0", got)
+	for _, name := range []string{"govern_global_mem_used_bytes", "govern_in_flight"} {
+		if got := sample(t, g, name); got != 0 {
+			t.Fatalf("%s = %v after every reservation released, want 0", name, got)
+		}
 	}
-	if got := g.Snapshot().GlobalMemUsed; got != 0 {
-		t.Fatalf("pool holds %d bytes after every reservation released", got)
-	}
-	if got := sample(t, g, "govern_mem_denied_total"); got == 0 {
-		t.Fatal("no growth was denied: the hammer never reached the pool's capacity")
+	if got := sample(t, g, "govern_statement_mem_peak_bytes_count"); got != 8 {
+		t.Fatalf("peak histogram holds %v statements, want 8 (one per first Release)", got)
 	}
 }
 
-func TestReservationStatementBudget(t *testing.T) {
-	g := New(Config{StatementMemBudgetBytes: 1000})
-	r := g.NewReservation()
+// TestReservationCountsAndPeaks: Grow and Shrink move the count, the peak is
+// the high-water mark, nothing is refused however large, and Release drains
+// to zero and keeps the peak.
+func TestReservationCountsAndPeaks(t *testing.T) {
+	r := New().NewReservation()
 	defer r.Release()
 
-	if err := r.Grow(600); err != nil {
-		t.Fatalf("Grow(600) under budget: %v", err)
-	}
-	err := r.Grow(500)
-	if err == nil {
-		t.Fatal("Grow(500) past the 1000-byte budget succeeded")
-	}
-	if !errors.Is(err, ErrMemoryBudget) {
-		t.Fatalf("budget error not typed: %v", err)
-	}
-	if got := r.Used(); got != 600 {
-		t.Fatalf("failed Grow changed usage: used=%d, want 600", got)
-	}
-	if err := r.Grow(400); err != nil {
-		t.Fatalf("Grow(400) exactly to budget: %v", err)
-	}
+	r.Grow(600)
+	r.Grow(400)
 	r.Shrink(300)
 	if got := r.Used(); got != 700 {
-		t.Fatalf("after Shrink(300): used=%d, want 700", got)
+		t.Fatalf("after Grow(600), Grow(400), Shrink(300): used=%d, want 700", got)
 	}
 	if got := r.Peak(); got != 1000 {
 		t.Fatalf("peak=%d, want 1000", got)
+	}
+	r.Grow(1 << 40)
+	if got := r.Used(); got != 700+1<<40 {
+		t.Fatalf("a terabyte Grow was not counted: used=%d", got)
 	}
 	r.Release()
 	r.Release() // idempotent
 	if got := r.Used(); got != 0 {
 		t.Fatalf("after Release: used=%d, want 0", got)
 	}
-	if got := r.Peak(); got != 1000 {
-		t.Fatalf("Release cleared the peak: got %d, want 1000", got)
+	if got := r.Peak(); got != 700+1<<40 {
+		t.Fatalf("Release cleared the peak: got %d", got)
 	}
 }
 
+// TestReservationGlobalPool: the governor's snapshot sums the live
+// reservations, and a Release takes back only its own share.
 func TestReservationGlobalPool(t *testing.T) {
-	g := New(Config{GlobalMemBudgetBytes: 1000})
+	g := New()
 	r1, r2 := g.NewReservation(), g.NewReservation()
-	defer r1.Release()
 	defer r2.Release()
 
-	if err := r1.Grow(800); err != nil {
-		t.Fatalf("r1.Grow(800): %v", err)
-	}
-	err := r2.Grow(300)
-	if !errors.Is(err, ErrMemoryBudget) {
-		t.Fatalf("pool-exceeding grow: err=%v, want ErrMemoryBudget", err)
-	}
-	if got := r2.Used(); got != 0 {
-		t.Fatalf("failed pool grow left r2 charged: used=%d", got)
-	}
-	if got := g.Snapshot().GlobalMemUsed; got != 800 {
-		t.Fatalf("pool used=%d, want 800", got)
+	r1.Grow(800)
+	r2.Grow(300)
+	if got := g.Snapshot(); got != (Snapshot{InFlight: 2, GlobalMemUsed: 1100}) {
+		t.Fatalf("two live reservations: %+v, want 2 in flight holding 1100", got)
 	}
 	r1.Release()
-	if err := r2.Grow(300); err != nil {
-		t.Fatalf("r2.Grow(300) after r1 released: %v", err)
+	if got := g.Snapshot(); got != (Snapshot{InFlight: 1, GlobalMemUsed: 300}) {
+		t.Fatalf("after r1 released: %+v, want 1 in flight holding 300", got)
 	}
-	if got := g.Snapshot().GlobalMemUsed; got != 300 {
-		t.Fatalf("pool used=%d, want 300", got)
+	// Growth after a Release is counted and drained by the next one, but the
+	// reservation left flight on its first Release.
+	r1.Grow(50)
+	r1.Release()
+	if got := g.Snapshot(); got != (Snapshot{InFlight: 1, GlobalMemUsed: 300}) {
+		t.Fatalf("after r1 grew and released again: %+v, want 1 in flight holding 300", got)
 	}
 }
 
 func TestReservationShrinkClamps(t *testing.T) {
-	g := New(Config{GlobalMemBudgetBytes: 1000})
+	g := New()
 	r := g.NewReservation()
 	defer r.Release()
-	if err := r.Grow(100); err != nil {
-		t.Fatal(err)
-	}
+	r.Grow(100)
 	r.Shrink(500) // more than reserved: clamps, never goes negative
 	if got := r.Used(); got != 0 {
 		t.Fatalf("used=%d after over-shrink, want 0", got)
 	}
 	if got := g.Snapshot().GlobalMemUsed; got != 0 {
-		t.Fatalf("pool used=%d after over-shrink, want 0", got)
-	}
-}
-
-func TestReservationPressureFault(t *testing.T) {
-	faultinject.Reset()
-	t.Cleanup(faultinject.Reset)
-
-	g := New(Config{StatementMemBudgetBytes: 1 << 20})
-	r := g.NewReservation()
-	defer r.Release()
-	if err := r.Grow(1024); err != nil {
-		t.Fatalf("pre-fault Grow: %v", err)
-	}
-
-	if err := faultinject.Arm(faultinject.GovernPressure, faultinject.Spec{Every: 1}); err != nil {
-		t.Fatal(err)
-	}
-	err := r.Grow(1)
-	if !errors.Is(err, ErrMemoryBudget) {
-		t.Fatalf("Grow under govern.pressure: err=%v, want ErrMemoryBudget", err)
-	}
-	// The shrink is sticky: the budget stays at what was in use, so further
-	// growth keeps failing even after the fault is disarmed.
-	faultinject.Reset()
-	if err := r.Grow(1); !errors.Is(err, ErrMemoryBudget) {
-		t.Fatalf("Grow after pressure shrink: err=%v, want ErrMemoryBudget", err)
-	}
-	if got := r.Used(); got != 1024 {
-		t.Fatalf("used=%d after pressure, want 1024", got)
+		t.Fatalf("governor holds %d after over-shrink, want 0", got)
 	}
 }
 
 func TestNilGovernorAndReservation(t *testing.T) {
-	var g *Governor
-	if tk, err := g.Admit(nil); tk != nil || err != nil {
-		t.Fatalf("nil governor Admit = (%v, %v)", tk, err)
-	}
-	if g.Saturated() {
-		t.Fatal("nil governor reports saturated")
-	}
-	if s := g.Snapshot(); s.BreakerState != "disabled" {
-		t.Fatalf("nil governor snapshot breaker=%q", s.BreakerState)
-	}
-
 	var r *Reservation
-	if err := r.Grow(1 << 30); err != nil {
-		t.Fatalf("nil reservation Grow: %v", err)
-	}
+	r.Grow(1 << 30)
 	r.Shrink(1)
 	r.Release()
 	if r.Used() != 0 || r.Peak() != 0 {
 		t.Fatal("nil reservation reports usage")
-	}
-}
-
-func TestUngovernedConfigIsFree(t *testing.T) {
-	g := New(Config{})
-	tk, err := g.Admit(nil)
-	if tk != nil || err != nil {
-		t.Fatalf("ungoverned Admit = (%v, %v)", tk, err)
-	}
-	tk.Release() // nil ticket must be safe
-	r := g.NewReservation()
-	defer r.Release()
-	if err := r.Grow(1 << 40); err != nil {
-		t.Fatalf("unbudgeted Grow: %v", err)
-	}
-	if g.SamplingBreaker() != nil {
-		t.Fatal("ungoverned config built a breaker")
-	}
-	s := g.Snapshot()
-	if s.AdmissionEnabled || s.BreakerState != "disabled" {
-		t.Fatalf("ungoverned snapshot: %+v", s)
 	}
 }
 

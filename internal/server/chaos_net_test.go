@@ -3,7 +3,9 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,27 +32,31 @@ import (
 //     only if the served one did, so the two stay in lockstep (whole-table
 //     canaries at the end catch a DML applied twice or lost);
 //   - a re-dial serves the next statement;
-//   - after the storm no server goroutine and no governor slot or memory
-//     reservation is left behind.
-func netChaosWire(t *testing.T, point faultinject.Point, spec faultinject.Spec) {
+//   - after the storm no server goroutine and no memory reservation is left
+//     behind.
+//
+// It returns how many of the point's fires landed in each kind of server
+// conn op.
+func netChaosWire(t *testing.T, point faultinject.Point, spec faultinject.Spec) opCounts {
 	t.Helper()
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 
 	cfg := serveConfig(0)
 	cfg.JITS.SampleSize = 200
-	cfg.Governor.MaxConcurrent = 2
-	cfg.Governor.QueueDepth = 8
 	served, d := loadedEngine(t, cfg, 0.002)
 	direct, _ := loadedEngine(t, cfg, 0.002)
 
 	// Deadlines tight enough that a stall (150ms sleep) trips them, loose
 	// enough that honest slowness (engine exec under -race) never does.
 	baseline := runtime.NumGoroutine()
+	var fires opFires
 	srv := server.NewWith(served, server.Config{
 		IdleTimeout:  2 * time.Second,
 		FrameTimeout: 100 * time.Millisecond,
-		ConnWrapper:  faultinject.WrapConn,
+		ConnWrapper: func(c net.Conn) net.Conn {
+			return &firesByOp{Conn: faultinject.WrapConn(c), point: point, fires: &fires}
+		},
 	})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -136,7 +142,10 @@ func netChaosWire(t *testing.T, point faultinject.Point, spec faultinject.Spec) 
 	if fired == 0 {
 		t.Fatalf("fault %s never fired — the chaos run tested nothing", point)
 	}
-	t.Logf("%s fired %d times; %d statements broke, %d dials", point, fired, broken, dials)
+	// Read the attribution before the reset below rewinds the fire count
+	// under the ops still blocked in a read.
+	byOp := opCounts{fires.header.Load(), fires.payload.Load(), fires.write.Load()}
+	t.Logf("%s fired %d times (%v); %d statements broke, %d dials", point, fired, byOp, broken, dials)
 
 	faultinject.Reset()
 	if err := conn.Close(); err != nil {
@@ -146,13 +155,52 @@ func netChaosWire(t *testing.T, point faultinject.Point, spec faultinject.Spec) 
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap := served.Governor().Snapshot()
-	if snap.InFlight != 0 || snap.Queued != 0 || snap.GlobalMemUsed != 0 {
-		t.Fatalf("governor not drained after the storm: %+v", snap)
-	}
+	requireDrained(t, served, "the storm")
 	waitFor(t, 5*time.Second, "server goroutines drained", func() bool {
 		return runtime.NumGoroutine() <= baseline
 	})
+	return byOp
+}
+
+// opFires counts a fault point's fires by the server conn op they landed
+// in: a frame's 4-byte length prefix (the idle read between frames), the
+// rest of a frame, and a response write.
+type opFires struct{ header, payload, write atomic.Int64 }
+
+// opCounts is a reading of opFires.
+type opCounts struct{ header, payload, write int64 }
+
+func (o opCounts) String() string {
+	return fmt.Sprintf("%d header reads, %d payload reads, %d writes", o.header, o.payload, o.write)
+}
+
+// firesByOp attributes the point's fires to the op they landed in: a fire
+// is counted against a Read or Write when the point's fire count moved
+// while the op ran. Sessions overlap only while a reaped one winds down, so
+// a fire may rarely count twice; one in an op still blocked when the counts
+// are read is not counted yet.
+type firesByOp struct {
+	net.Conn
+	point faultinject.Point
+	fires *opFires
+}
+
+func (f *firesByOp) Read(p []byte) (int, error) {
+	before := faultinject.Fired(f.point)
+	n, err := f.Conn.Read(p)
+	if len(p) == 4 {
+		f.fires.header.Add(faultinject.Fired(f.point) - before)
+	} else {
+		f.fires.payload.Add(faultinject.Fired(f.point) - before)
+	}
+	return n, err
+}
+
+func (f *firesByOp) Write(p []byte) (int, error) {
+	before := faultinject.Fired(f.point)
+	n, err := f.Conn.Write(p)
+	f.fires.write.Add(faultinject.Fired(f.point) - before)
+	return n, err
 }
 
 func TestNetChaosLatency(t *testing.T) {
@@ -167,10 +215,21 @@ func TestNetChaosStall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network chaos replay is slow")
 	}
-	// Sleeps chosen to outlast the 100ms frame deadlines: the stalled op
-	// finds its deadline expired, the server reaps the session, the client
-	// sees ErrBroken and dials again.
-	netChaosWire(t, faultinject.ConnStall, faultinject.Spec{Every: 47, Offset: 11, Latency: 150 * time.Millisecond})
+	// Sleeps chosen to outlast the 100ms frame deadlines: a stalled payload
+	// read or response write finds its deadline expired, the server reaps
+	// the session, the client sees ErrBroken and dials again. A stalled
+	// header read sits inside the 2s idle deadline and breaks nothing.
+	//
+	// A statement is three server conn ops (header read, payload read,
+	// response write), and a stall on a payload read cuts its statement to
+	// two. A period ≡ 2 (mod 3) therefore locks onto payload reads once one
+	// is hit, and ≡ 0 onto whatever op it first hits; 46 ≡ 1 alternates
+	// header and payload reads, and the offset puts the first fire on a
+	// response write.
+	got := netChaosWire(t, faultinject.ConnStall, faultinject.Spec{Every: 46, Offset: 11, Latency: 150 * time.Millisecond})
+	if got.header == 0 || got.payload == 0 || got.write == 0 {
+		t.Fatalf("stall fires landed on %v: the schedule must reach all three ops", got)
+	}
 }
 
 func TestNetChaosTornWrite(t *testing.T) {

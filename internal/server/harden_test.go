@@ -42,6 +42,24 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
+// statementStarted returns a condition that holds once more statements are
+// in flight than when it was made: the engine opens a statement's memory
+// reservation as it starts and releases it as it returns. Counting from a
+// baseline keeps the wait honest on an engine that leaks reservations.
+func statementStarted(eng *engine.Engine) func() bool {
+	before := eng.Governor().Snapshot().InFlight
+	return func() bool { return eng.Governor().Snapshot().InFlight > before }
+}
+
+// requireDrained fails unless the engine holds no live reservation and no
+// reserved byte: every statement a session ran released what it charged.
+func requireDrained(t *testing.T, eng *engine.Engine, after string) {
+	t.Helper()
+	if snap := eng.Governor().Snapshot(); snap.InFlight != 0 || snap.GlobalMemUsed != 0 {
+		t.Fatalf("governor not drained after %s: %+v", after, snap)
+	}
+}
+
 // slowQueries arms the morsel-latency fault so every statement takes real
 // wall time — long enough that shutdown/close provably races in-flight work.
 func slowQueries(t *testing.T, latency time.Duration) {
@@ -56,12 +74,11 @@ func slowQueries(t *testing.T, latency time.Duration) {
 
 // TestShutdownDrainsInFlight is the graceful-drain proof: Shutdown with a
 // generous deadline must let the in-flight statement finish AND deliver its
-// response, refuse new sessions, and leave every governor slot released.
+// response, refuse new sessions, and leave every memory reservation
+// released.
 func TestShutdownDrainsInFlight(t *testing.T) {
 	cfg := serveConfig(0)
 	cfg.JITS.SampleSize = 200
-	cfg.Governor.MaxConcurrent = 2
-	cfg.Governor.QueueDepth = 8
 	eng, d := loadedEngine(t, cfg, 0.002)
 	srv := server.NewWith(eng, server.Config{})
 	addr, err := srv.Start("127.0.0.1:0")
@@ -83,13 +100,12 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		err error
 	}
 	done := make(chan outcome, 1)
+	started := statementStarted(eng)
 	go func() {
 		res, err := conn.Query(sql)
 		done <- outcome{res, err}
 	}()
-	waitFor(t, 5*time.Second, "statement in flight", func() bool {
-		return eng.Governor().Snapshot().InFlight > 0
-	})
+	waitFor(t, 5*time.Second, "statement in flight", started)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -100,10 +116,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if out.err != nil {
 		t.Fatalf("in-flight statement did not survive graceful drain: %v", out.err)
 	}
-	snap := eng.Governor().Snapshot()
-	if snap.InFlight != 0 || snap.Queued != 0 || snap.GlobalMemUsed != 0 {
-		t.Fatalf("governor not drained after Shutdown: %+v", snap)
-	}
+	requireDrained(t, eng, "Shutdown")
 	if len(srv.Sessions()) != 0 {
 		t.Fatalf("sessions survived Shutdown: %+v", srv.Sessions())
 	}
@@ -120,13 +133,11 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 
 // TestShutdownDeadlineFallsBack pins the other half of the contract: when
 // the context expires before in-flight statements finish, Shutdown falls
-// back to the hard cancel, returns the context error, and still leaves the
-// governor fully drained.
+// back to the hard cancel, returns the context error, and still leaves every
+// memory reservation released.
 func TestShutdownDeadlineFallsBack(t *testing.T) {
 	cfg := serveConfig(0)
 	cfg.JITS.SampleSize = 200
-	cfg.Governor.MaxConcurrent = 2
-	cfg.Governor.QueueDepth = 8
 	eng, d := loadedEngine(t, cfg, 0.002)
 	srv := server.NewWith(eng, server.Config{})
 	addr, err := srv.Start("127.0.0.1:0")
@@ -143,13 +154,12 @@ func TestShutdownDeadlineFallsBack(t *testing.T) {
 
 	slowQueries(t, 50*time.Millisecond) // far slower than the shutdown budget
 	errCh := make(chan error, 1)
+	started := statementStarted(eng)
 	go func() {
 		_, err := conn.Query(d.Queries(1, 7)[0].SQL)
 		errCh <- err
 	}()
-	waitFor(t, 5*time.Second, "statement in flight", func() bool {
-		return eng.Governor().Snapshot().InFlight > 0
-	})
+	waitFor(t, 5*time.Second, "statement in flight", started)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -159,10 +169,7 @@ func TestShutdownDeadlineFallsBack(t *testing.T) {
 	if err := <-errCh; err == nil {
 		t.Fatal("statement survived a hard-cancelled shutdown")
 	}
-	snap := eng.Governor().Snapshot()
-	if snap.InFlight != 0 || snap.Queued != 0 || snap.GlobalMemUsed != 0 {
-		t.Fatalf("governor not drained after hard shutdown: %+v", snap)
-	}
+	requireDrained(t, eng, "hard shutdown")
 }
 
 // TestStalledPeerReaped proves the idle reaper: a session that goes silent
@@ -278,12 +285,11 @@ func TestTornFrameDropsSession(t *testing.T) {
 
 // TestCloseMidRoundTripPoisonsClient: Close while a client is mid-round-trip
 // must surface a typed error (ErrBroken after the poison), drain the accept
-// loop and every handler, and leak no goroutines.
+// loop and every handler, release every memory reservation, and leak no
+// goroutines.
 func TestCloseMidRoundTripPoisonsClient(t *testing.T) {
 	cfg := serveConfig(0)
 	cfg.JITS.SampleSize = 200
-	cfg.Governor.MaxConcurrent = 2
-	cfg.Governor.QueueDepth = 8
 	eng, d := loadedEngine(t, cfg, 0.002)
 
 	baseline := runtime.NumGoroutine()
@@ -301,16 +307,16 @@ func TestCloseMidRoundTripPoisonsClient(t *testing.T) {
 
 	slowQueries(t, 20*time.Millisecond)
 	errCh := make(chan error, 1)
+	started := statementStarted(eng)
 	go func() {
 		_, err := conn.Query(d.Queries(1, 7)[0].SQL)
 		errCh <- err
 	}()
-	waitFor(t, 5*time.Second, "statement in flight", func() bool {
-		return eng.Governor().Snapshot().InFlight > 0
-	})
+	waitFor(t, 5*time.Second, "statement in flight", started)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	requireDrained(t, eng, "Close")
 	if err := <-errCh; err == nil {
 		t.Fatal("round-trip across Close succeeded")
 	}

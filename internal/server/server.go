@@ -6,11 +6,10 @@
 // connection's first frame (anything else is refused with a bad_request
 // error and the connection closes), runs query frames one at a time, and
 // ends when the client closes it or the connection fails; nothing of it
-// outlives the connection. For each statement it runs, the engine leases
-// the governor admission ticket and memory reservation on its behalf. The
-// engine's plan cache sits below all sessions, so a statement compiled by
-// one session is reused by every other (subject to archive-epoch
-// invalidation on DML).
+// outlives the connection. For each statement it runs, the engine opens a
+// memory reservation on its behalf. The engine's plan cache sits below all
+// sessions, so a statement compiled by one session is reused by every other
+// (subject to archive-epoch invalidation on DML).
 //
 // The wire path is defended against misbehaving networks and peers:
 //
@@ -32,12 +31,13 @@
 // the statement it is executing (responses included), then close. If the
 // context expires first it falls back to Close's hard cancel — the base
 // context is cancelled, which aborts in-flight statements at the next
-// morsel boundary, and every governor slot still drains to zero.
+// morsel boundary, and every statement's memory reservation still drains to
+// zero.
 //
-// Errors cross the wire typed: govern.ErrOverloaded, govern.ErrMemoryBudget
-// and engine.ErrClosed map to distinct codes (wire.CodeFor), which the
-// client resurrects as wrapped sentinels — a remote caller's errors.Is
-// checks behave exactly like an embedded caller's.
+// Errors cross the wire typed: engine.ErrClosed and a cancelled or expired
+// statement map to distinct codes (wire.CodeFor), which the client
+// resurrects as wrapped sentinels — a remote caller's errors.Is checks
+// behave exactly like an embedded caller's.
 package server
 
 import (
@@ -59,8 +59,8 @@ import (
 // peer sends, so a client cannot grow the series set.
 var (
 	requestTypes = [...]string{wire.ReqHello, wire.ReqQuery, wire.ReqClose, "other"}
-	errorCodes   = [...]string{wire.CodeOverloaded, wire.CodeMemoryBudget, wire.CodeClosed,
-		wire.CodeDraining, wire.CodeTimeout, wire.CodeBadRequest, wire.CodeError, "other"}
+	errorCodes   = [...]string{wire.CodeClosed, wire.CodeDraining, wire.CodeTimeout,
+		wire.CodeBadRequest, wire.CodeError, "other"}
 )
 
 // labelIndex returns v's index in labels, or the last ("other") when v is
@@ -180,8 +180,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // response. If ctx expires first, it falls back to the hard path — cancel
 // the base context (aborting in-flight statements at the next morsel
 // boundary) and sever everything — and returns ctx.Err(). Either way, when
-// Shutdown returns no session goroutine is running and every governor slot
-// and memory reservation leased for a session statement has been released.
+// Shutdown returns no session goroutine is running and every memory
+// reservation opened for a session statement has been released.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.closed.Load() {
 		return nil
@@ -214,19 +214,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.closed.Store(true)
 	s.cancel()
-	// Engine drain hook: by now every handler has returned and released its
-	// ticket, so this is a cheap proof that the governor is back to zero —
-	// bounded separately in case another embedder still runs statements.
-	drainCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_ = s.eng.Drain(drainCtx)
 	return hardErr
 }
 
 // Close stops accepting, cancels every in-flight statement, closes all
 // session connections, and waits for the handlers to drain. After Close
-// returns, no session goroutine is running and every governor slot and
-// memory reservation leased for a session statement has been released.
+// returns, no session goroutine is running and every memory reservation
+// opened for a session statement has been released.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil

@@ -531,12 +531,10 @@ func TestWireDifferentialWorkload(t *testing.T) {
 // TestSessionStressRace runs concurrent sessions mixing repeated queries,
 // ad-hoc queries and DML against one served engine (run under -race).
 // Afterwards a canary session proves no stale plan survived the DML churn,
-// and Close drains every governor slot and memory reservation.
+// and Close drains every memory reservation.
 func TestSessionStressRace(t *testing.T) {
 	cfg := serveConfig(0)
 	cfg.JITS.SampleSize = 200
-	cfg.Governor.MaxConcurrent = 4
-	cfg.Governor.QueueDepth = 64
 	eng, d := loadedEngine(t, cfg, 0.002)
 	srv, addr := startServer(t, eng)
 
@@ -627,17 +625,11 @@ func TestSessionStressRace(t *testing.T) {
 		t.Fatalf("inserted canary row not visible: %d rows", len(res.Rows))
 	}
 
-	// Shutdown: every admission slot and memory reservation drains.
+	// Shutdown: every memory reservation drains.
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap := eng.Governor().Snapshot()
-	if snap.InFlight != 0 || snap.Queued != 0 {
-		t.Fatalf("governor slots leaked after Close: %+v", snap)
-	}
-	if snap.GlobalMemUsed != 0 {
-		t.Fatalf("memory reservations leaked after Close: %+v", snap)
-	}
+	requireDrained(t, eng, "Close")
 	// The engine itself stays open: the server owns sessions, not the engine.
 	if _, err := eng.Exec(`SELECT id FROM owner WHERE city = 'Ottawa'`); err != nil {
 		t.Fatalf("engine unusable after server close: %v", err)
@@ -649,13 +641,11 @@ func TestSessionStressRace(t *testing.T) {
 }
 
 // TestServerCloseReleasesSlots closes the server while sessions are
-// mid-stream and requires a clean drain: no leaked governor state, handlers
-// stopped, double Close harmless.
+// mid-stream and requires a clean drain: no live memory reservation,
+// handlers stopped, double Close harmless.
 func TestServerCloseReleasesSlots(t *testing.T) {
 	cfg := serveConfig(0)
 	cfg.JITS.SampleSize = 200
-	cfg.Governor.MaxConcurrent = 2
-	cfg.Governor.QueueDepth = 32
 	eng, d := loadedEngine(t, cfg, 0.002)
 	srv, addr := startServer(t, eng)
 
@@ -685,10 +675,7 @@ func TestServerCloseReleasesSlots(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap := eng.Governor().Snapshot()
-	if snap.InFlight != 0 || snap.Queued != 0 || snap.GlobalMemUsed != 0 {
-		t.Fatalf("governor not drained after Close: %+v", snap)
-	}
+	requireDrained(t, eng, "Close")
 	if len(srv.Sessions()) != 0 {
 		t.Fatalf("sessions survived Close: %+v", srv.Sessions())
 	}

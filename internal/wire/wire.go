@@ -33,10 +33,8 @@
 // session for the next one.
 //
 // Error frames carry a machine-readable code so clients can reconstruct
-// the engine's sentinel errors: govern.ErrOverloaded and
-// govern.ErrMemoryBudget survive the wire distinctly (errors.Is works on
-// the client side), as do engine-closed, server-draining and deadline
-// expiry.
+// the engine's sentinel errors: engine-closed, server-draining and deadline
+// expiry survive the wire distinctly (errors.Is works on the client side).
 //
 // Result rows travel column by column, all integers big-endian:
 //
@@ -75,7 +73,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/executor"
-	"repro/internal/govern"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -106,13 +103,11 @@ const (
 
 // Error codes carried by error frames.
 const (
-	CodeOverloaded   = "overloaded"    // govern.ErrOverloaded: shed by admission control
-	CodeMemoryBudget = "memory_budget" // govern.ErrMemoryBudget: budget exhausted
-	CodeClosed       = "engine_closed" // engine.ErrClosed: engine shut down
-	CodeDraining     = "draining"      // server refusing new sessions during graceful drain
-	CodeTimeout      = "timeout"       // statement cancelled or its deadline expired
-	CodeBadRequest   = "bad_request"   // a frame the protocol does not take where it came
-	CodeError        = "error"         // anything else (parse errors, unknown tables, …)
+	CodeClosed     = "engine_closed" // engine.ErrClosed: engine shut down
+	CodeDraining   = "draining"      // server refusing new sessions during graceful drain
+	CodeTimeout    = "timeout"       // statement cancelled or its deadline expired
+	CodeBadRequest = "bad_request"   // a frame the protocol does not take where it came
+	CodeError      = "error"         // anything else (parse errors, unknown tables, …)
 )
 
 // Request is one client→server frame.
@@ -531,10 +526,6 @@ func readFrame(r io.Reader, v any, headerRead func()) error {
 // typed-error contract.
 func CodeFor(err error) string {
 	switch {
-	case errors.Is(err, govern.ErrOverloaded):
-		return CodeOverloaded
-	case errors.Is(err, govern.ErrMemoryBudget):
-		return CodeMemoryBudget
 	case errors.Is(err, engine.ErrClosed):
 		return CodeClosed
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -550,10 +541,6 @@ func CodeFor(err error) string {
 // a closed engine mean the same thing — take the statement elsewhere.
 func BaseError(code string) error {
 	switch code {
-	case CodeOverloaded:
-		return govern.ErrOverloaded
-	case CodeMemoryBudget:
-		return govern.ErrMemoryBudget
 	case CodeClosed, CodeDraining:
 		return engine.ErrClosed
 	case CodeTimeout:

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/govern"
 	"repro/internal/value"
 )
 
@@ -317,11 +316,10 @@ func TestWireErrorCodes(t *testing.T) {
 		err  error
 		code string
 	}{
-		{govern.ErrOverloaded, CodeOverloaded},
-		{fmt.Errorf("admission: %w", govern.ErrOverloaded), CodeOverloaded},
-		{govern.ErrMemoryBudget, CodeMemoryBudget},
 		{engine.ErrClosed, CodeClosed},
+		{fmt.Errorf("exec: %w", engine.ErrClosed), CodeClosed},
 		{context.DeadlineExceeded, CodeTimeout},
+		{context.Canceled, CodeTimeout},
 		{errors.New("no such table"), CodeError},
 	}
 	for _, c := range cases {
@@ -335,9 +333,8 @@ func TestWireErrorCodes(t *testing.T) {
 		code     string
 		sentinel error
 	}{
-		{CodeOverloaded, govern.ErrOverloaded},
-		{CodeMemoryBudget, govern.ErrMemoryBudget},
 		{CodeClosed, engine.ErrClosed},
+		{CodeDraining, engine.ErrClosed},
 		{CodeTimeout, context.DeadlineExceeded},
 	}
 	for _, rt := range roundTrips {

@@ -99,7 +99,7 @@ func TestDocReferencesResolve(t *testing.T) {
 // from. A change may shrink one (and lowers its number here); none may grow,
 // so a new section has to be paid for by cutting an old one.
 var docSizes = map[string]int{
-	"DESIGN.md":      121951,
+	"DESIGN.md":      121943,
 	"EXPERIMENTS.md": 146914,
 	"README.md":      30948,
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/histogram"
@@ -77,14 +78,14 @@ type Archive struct {
 }
 
 // archiveTally is an archive's cumulative totals: the selectivity lookups it
-// answered from archived statistics and those it could not, and the
-// iterative proportional fitting its histogram merges ran (fits, their
-// rounds, and the fits that never met every constraint to tolerance). It is
-// shared by pointer so an archive restored in place of another continues its
-// totals.
+// answered from archived statistics and those it could not, and the owner of
+// its histograms' fits, which counts the fitting they ran (fits, their
+// rounds, the fits that never met every constraint to tolerance, their wall
+// time) as each ends and waits for those still running. It is shared by
+// pointer so an archive restored in place of another continues its totals.
 type archiveTally struct {
-	hits, misses              atomic.Int64
-	fits, rounds, unconverged atomic.Int64
+	hits, misses atomic.Int64
+	fits         histogram.Owner
 }
 
 // NewArchive creates an empty archive. budgetBuckets ≤ 0 and memoCapacity
@@ -107,30 +108,41 @@ func NewArchive(budgetBuckets, memoCapacity int) *Archive {
 	}
 }
 
+// Wait returns when every histogram fit the archive's merges started has
+// ended; a fit runs beside the statement that merged its constraint.
+func (a *Archive) Wait() { a.tally.fits.Wait() }
+
 // ScrapeArchives appends the qss_archive_* and histogram_ipf_* series to
-// set: the totals of every given archive, nil ones skipped.
+// set: the totals of every given archive, nil ones skipped. A fit counts
+// once it has ended.
 func ScrapeArchives(set *metrics.Set, archives ...*Archive) {
-	var hits, misses, fits, rounds, unconverged int64
+	var hits, misses int64
+	var fits histogram.FitStats
+	var wall time.Duration
 	for _, a := range archives {
 		if a == nil {
 			continue
 		}
 		hits += a.tally.hits.Load()
 		misses += a.tally.misses.Load()
-		fits += a.tally.fits.Load()
-		rounds += a.tally.rounds.Load()
-		unconverged += a.tally.unconverged.Load()
+		f, d := a.tally.fits.Totals()
+		fits.Fits += f.Fits
+		fits.Rounds += f.Rounds
+		fits.Unconverged += f.Unconverged
+		wall += d
 	}
 	set.Counter("qss_archive_hits_total",
 		"QSS archive selectivity lookups answered from archived statistics.", float64(hits))
 	set.Counter("qss_archive_misses_total",
 		"QSS archive selectivity lookups that found no usable statistics.", float64(misses))
 	set.Counter("histogram_ipf_fits_total",
-		"Iterative proportional fitting passes run by histogram updates.", float64(fits))
+		"Iterative proportional fitting passes run by histogram updates.", float64(fits.Fits))
 	set.Counter("histogram_ipf_rounds_total",
-		"Rounds run by iterative proportional fitting, over all fits.", float64(rounds))
+		"Rounds run by iterative proportional fitting, over all fits.", float64(fits.Rounds))
 	set.Counter("histogram_ipf_unconverged_total",
-		"Fits that ran every round without meeting every constraint to tolerance.", float64(unconverged))
+		"Fits that ran every round without meeting every constraint to tolerance.", float64(fits.Unconverged))
+	set.Counter("histogram_ipf_seconds_total",
+		"Wall-clock seconds histogram updates spent fitting, beside the statements that merged them.", wall.Seconds())
 }
 
 // SetCardinality stores a freshly observed table cardinality.
@@ -387,11 +399,8 @@ func (a *Archive) Materialize(table string, preds []qgm.Predicate, sel float64, 
 		}
 		if g != nil {
 			if box, ok := boxForPreds(g.cols, preds, g.units); ok {
+				g.hist.SetOwner(&a.tally.fits) // a restored archive's tally is its predecessor's
 				if err := g.hist.AddConstraint(box, clamp01(sel), ts); err == nil {
-					fit := g.hist.LastFit()
-					a.tally.fits.Add(int64(fit.Fits))
-					a.tally.rounds.Add(int64(fit.Rounds))
-					a.tally.unconverged.Add(int64(fit.Unconverged))
 					a.enforceBudgetLocked(name)
 					return g.hist.Buckets()
 				}

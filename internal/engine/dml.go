@@ -66,6 +66,7 @@ func (e *Engine) execInsert(s *statement, stmt *sqlparser.InsertStmt) (*Result, 
 	if err := tbl.InsertBatch(rows); err != nil {
 		return nil, err
 	}
+	e.catchUpBeside(tbl, len(rows))
 	s.meters.exec.Add(e.weights.RowOut * float64(len(rows)))
 	return s.dmlResult(len(rows)), nil
 }
@@ -105,6 +106,7 @@ func (e *Engine) execUpdate(s *statement, stmt *sqlparser.UpdateStmt) (*Result, 
 	if err != nil {
 		return nil, err
 	}
+	e.catchUpBeside(tbl, n)
 	return s.dmlResult(n), nil
 }
 
@@ -119,7 +121,24 @@ func (e *Engine) execDelete(s *statement, stmt *sqlparser.DeleteStmt) (*Result, 
 	}
 	s.meters.exec.Add(e.weights.SeqRow * float64(tbl.RowCount()))
 	n := tbl.DeleteWhere(match)
+	e.catchUpBeside(tbl, n)
 	return s.dmlResult(n), nil
+}
+
+// catchUpBeside starts bringing tbl's built indexes to the rows a write that
+// changed n of them left, on a goroutine of its own, so the statement after
+// the write does not pay for it unless it probes one of them first — a probe
+// then catches the index up itself, as it does any index behind its snapshot,
+// and the goroutine finds it done. Close waits for these goroutines.
+func (e *Engine) catchUpBeside(tbl *storage.Table, n int) {
+	if n == 0 {
+		return
+	}
+	e.maintenance.Add(1)
+	go func() {
+		defer e.maintenance.Done()
+		e.indexes.CatchUp(tbl)
+	}()
 }
 
 func (e *Engine) execCreateTable(stmt *sqlparser.CreateTableStmt) (*Result, error) {

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -77,7 +78,10 @@ type Config struct {
 	// (copied into JITS.Parallelism when that is 0). Values <= 1 run every
 	// operator inline as a single morsel, which reproduces the paper's cost
 	// accounting exactly; higher values dispatch morsels to a worker pool
-	// without changing results or metered work.
+	// without changing results or metered work. At every setting the
+	// maintenance a statement leaves for later readers — its archive merges'
+	// histogram fits and its write's index catch-up — runs on a goroutine of
+	// its own, beside the next statement.
 	Parallelism int
 	// FlightRecorderCapacity enables the statement flight recorder with a
 	// ring of that many records (SHOW QUERIES / EXPLAIN HISTORY read it);
@@ -164,6 +168,8 @@ type Engine struct {
 	reoptCfg     ReoptConfig
 	counts       *counts
 	closed       atomic.Bool
+	// maintenance counts the index catch-ups writes started (catchUpBeside).
+	maintenance sync.WaitGroup
 	// planCache is nil when Config.PlanCacheSize is 0 (cache disabled).
 	planCache *plancache.Cache
 	// archiveEpoch versions the statistics/data state cached plans were
@@ -284,12 +290,20 @@ func (e *Engine) TableSchema(name string) (*storage.Schema, bool) {
 var ErrClosed = errors.New("engine: closed")
 
 // Close marks the engine closed: subsequent Exec calls fail with ErrClosed.
-// In-flight statements finish normally (the engine has no background
-// goroutines of its own — parallel worker pools live only for the duration
-// of one operator call and always drain before it returns). Close is
-// idempotent.
+// In-flight statements finish normally. Close returns once the maintenance
+// finished statements left running beside them has ended: the index
+// catch-ups their writes started and the histogram fits their archive merges
+// started, one wait per owner. (Parallel worker pools live only for the
+// duration of one operator call and always drain before it returns.) Close
+// is idempotent.
 func (e *Engine) Close() error {
 	e.closed.Store(true)
+	e.maintenance.Wait()
+	for _, a := range []*core.Archive{e.jits.Archive(), e.staticQSS, e.reactiveQSS} {
+		if a != nil {
+			a.Wait()
+		}
+	}
 	return nil
 }
 

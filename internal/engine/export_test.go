@@ -35,3 +35,7 @@ func (e *Engine) WorkloadStatsArchive() *core.Archive { return e.staticQSS }
 // PlanCache exposes the compiled-plan cache to tests; nil when
 // Config.PlanCacheSize is 0.
 func (e *Engine) PlanCache() *plancache.Cache { return e.planCache }
+
+// WaitMaintenance returns when the index catch-ups the engine's writes
+// started have ended, so a test can see what one did.
+func (e *Engine) WaitMaintenance() { e.maintenance.Wait() }

@@ -21,3 +21,10 @@ func (h *Histogram) OldestTimestampIn(b Box) int64 {
 	}
 	return oldest
 }
+
+// LastFit returns the fitting the most recent AddConstraint ran, once it has
+// ended; zero when it merged nothing.
+func (h *Histogram) LastFit() FitStats {
+	h.wait()
+	return h.lastFit
+}

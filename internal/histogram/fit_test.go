@@ -87,6 +87,7 @@ func fitScript(t *testing.T, data []byte) (lone int) {
 // one out, or a fraction of 1 — and that case is counted.
 func checkFit(t *testing.T, h *Histogram, step int, probes []Box) (lone int) {
 	t.Helper()
+	h.wait()
 	total := 0.0
 	for i, m := range h.mass {
 		if !(m >= 0) || math.IsInf(m, 0) {
@@ -172,8 +173,9 @@ func TestEmptyObservationWidensNothing(t *testing.T) {
 // TestIPFReportsConvergence: a consistent constraint set converges below the
 // round cap and is not counted as unconverged; two disagreeing observations
 // of one box (inside the conflict tolerance, so both stay) cannot converge
-// and are. Each AddConstraint reports its fitting in LastFit, which the
-// archive adds to the histogram_ipf_* series.
+// and are. Each AddConstraint reports its fitting in LastFit once its fit has
+// ended, which is when the histogram's owner counts it into the
+// histogram_ipf_* series.
 func TestIPFReportsConvergence(t *testing.T) {
 	fit := func(fracs ...float64) (total FitStats) {
 		h := mustGrid(t, []string{"a"}, []float64{0}, []float64{100})

@@ -31,6 +31,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // Defaults bounding histogram growth; callers can override per histogram.
@@ -88,7 +91,18 @@ type constraint struct {
 
 // Histogram is an adaptive N-dimensional grid histogram. Total mass is
 // normalized to 1; callers convert to row counts with the table cardinality.
+//
+// A histogram is not safe for concurrent use, with one exception: the fit an
+// AddConstraint starts runs on a goroutine of its own, beside the caller, and
+// every method that reads what it writes — masses, retained constraints, fit
+// counts — waits for it first. The others read only what AddConstraint
+// settled before the fit began (cuts, timestamps, counters) and never wait.
 type Histogram struct {
+	// fitting is held from the start of an AddConstraint that merges a
+	// constraint until the end of its fit, on the fit's goroutine.
+	fitting sync.Mutex
+	owner   *Owner // counts and waits for the fits; nil counts nowhere
+
 	cols []string    // dimension names, canonical (sorted) order
 	cuts [][]float64 // per-dim sorted cuts; domain = [cuts[d][0], cuts[d][last])
 	mass []float64   // dense cells, row-major, dim 0 outermost
@@ -138,6 +152,35 @@ func NewGrid(cols []string, lo, hi []float64, ts int64) (*Histogram, error) {
 		h.cuts[d] = []float64{lo[d], hi[d]}
 	}
 	return h, nil
+}
+
+// Owner keeps what the histograms it owns fit beside their callers: the
+// totals of every fit, counted when each ends, and a wait for those still
+// running. The zero Owner is ready to use; it must not be copied.
+type Owner struct {
+	running                   sync.WaitGroup
+	fits, rounds, unconverged atomic.Int64
+	nanos                     atomic.Int64
+}
+
+// Wait returns when every fit started by a histogram the owner owns has
+// ended.
+func (o *Owner) Wait() { o.running.Wait() }
+
+// Totals returns the fitting of every ended fit and the wall time they took.
+func (o *Owner) Totals() (FitStats, time.Duration) {
+	return FitStats{Fits: int(o.fits.Load()), Rounds: int(o.rounds.Load()), Unconverged: int(o.unconverged.Load())},
+		time.Duration(o.nanos.Load())
+}
+
+// SetOwner makes o count and wait for this histogram's fits from its next
+// AddConstraint on; nil counts them nowhere.
+func (h *Histogram) SetOwner(o *Owner) { h.owner = o }
+
+// wait returns when the fit the last AddConstraint started has ended.
+func (h *Histogram) wait() {
+	h.fitting.Lock()
+	h.fitting.Unlock()
 }
 
 // Dims returns the dimensionality.
@@ -284,6 +327,7 @@ func (h *Histogram) forEachBoxCell(b Box, fn func(idx int, w float64)) {
 // interpolating uniformly within cells. A box outside the domain estimates
 // to 0.
 func (h *Histogram) EstimateBox(b Box) (float64, error) {
+	h.wait()
 	if b.Dims() != h.Dims() {
 		return 0, fmt.Errorf("histogram: box has %d dims, histogram has %d", b.Dims(), h.Dims())
 	}
@@ -415,16 +459,38 @@ func linIdx(coord, strides []int) int {
 // (uniform split), then iterative proportional fitting rescales masses so
 // all retained constraints hold — the maximum-entropy update. Cells the box
 // touches (and cells created by the split) receive the new timestamp.
+//
+// It waits for the previous fit, places the constraint and returns; the fit
+// runs on a goroutine of its own, and the methods that read masses wait for
+// it. Nothing in the placement reads a mass.
 func (h *Histogram) AddConstraint(b Box, frac float64, ts int64) error {
+	h.fitting.Lock()
+	placed, err := h.place(b, frac, ts)
+	if !placed {
+		h.fitting.Unlock()
+		return err
+	}
+	if h.owner != nil {
+		h.owner.running.Add(1)
+	}
+	go h.fitBeside(h.owner)
+	return nil
+}
+
+// place is AddConstraint up to the fit: it extends the domain, inserts the
+// box's cuts, retains the constraint, stamps the cells the box covers and
+// counts the merge. It reports whether it placed the constraint, the fit
+// then being owed.
+func (h *Histogram) place(b Box, frac float64, ts int64) (bool, error) {
 	h.lastFit = FitStats{}
 	if b.Dims() != h.Dims() {
-		return fmt.Errorf("histogram: constraint box has %d dims, histogram has %d", b.Dims(), h.Dims())
+		return false, fmt.Errorf("histogram: constraint box has %d dims, histogram has %d", b.Dims(), h.Dims())
 	}
 	if frac < 0 || frac > 1 || math.IsNaN(frac) {
-		return fmt.Errorf("histogram: constraint fraction %g out of [0,1]", frac)
+		return false, fmt.Errorf("histogram: constraint fraction %g out of [0,1]", frac)
 	}
 	if !h.extendDomain(b) {
-		return nil // empty region carries no information
+		return false, nil // empty region carries no information
 	}
 	cb, _ := h.clamp(b) // not empty: extendDomain checked
 	for d := 0; d < h.Dims(); d++ {
@@ -435,8 +501,6 @@ func (h *Histogram) AddConstraint(b Box, frac float64, ts int64) error {
 	if len(h.constraints) > h.maxConstraints {
 		h.constraints = h.constraints[len(h.constraints)-h.maxConstraints:]
 	}
-	h.refit()
-
 	// Stamp refreshed cells.
 	h.forEachBoxCell(cb, func(idx int, w float64) {
 		if w > 0 && ts > h.ts[idx] {
@@ -448,7 +512,24 @@ func (h *Histogram) AddConstraint(b Box, frac float64, ts int64) error {
 	if ts > h.updatedAt {
 		h.updatedAt = ts
 	}
-	return nil
+	return true, nil
+}
+
+// fitBeside runs the fit AddConstraint placed, then counts it with o, the
+// owner when it started, and lets the waiting readers in.
+func (h *Histogram) fitBeside(o *Owner) {
+	start := time.Now()
+	h.refit()
+	if o != nil {
+		o.fits.Add(int64(h.lastFit.Fits))
+		o.rounds.Add(int64(h.lastFit.Rounds))
+		o.unconverged.Add(int64(h.lastFit.Unconverged))
+		o.nanos.Add(int64(time.Since(start)))
+	}
+	h.fitting.Unlock()
+	if o != nil {
+		o.running.Done()
+	}
 }
 
 // FitStats counts the iterative proportional fitting one AddConstraint ran.
@@ -458,10 +539,6 @@ func (h *Histogram) AddConstraint(b Box, frac float64, ts int64) error {
 type FitStats struct {
 	Fits, Rounds, Unconverged int
 }
-
-// LastFit returns the fitting the most recent AddConstraint ran; zero when
-// it merged nothing.
-func (h *Histogram) LastFit() FitStats { return h.lastFit }
 
 // Merges returns how many constraints have ever been merged into this
 // histogram (in memory; the counter is not persisted with snapshots).
@@ -591,9 +668,15 @@ func (h *Histogram) runIPF() float64 {
 					break
 				}
 				// Every cell takes sOut, carried in g; a box cell also takes
-				// the rest of its own factor, which is exactly 1 at weight 0.
+				// the rest of its own factor, which is exactly 1 at weight 0
+				// and exactly sIn/sOut at weight 1 (1·sIn + 0·sOut is sIn).
+				whole := sIn / sOut
 				for _, bc := range box {
-					h.mass[bc.idx] *= (bc.w*sIn + (1-bc.w)*sOut) / sOut
+					if bc.w == 1 {
+						h.mass[bc.idx] *= whole
+					} else {
+						h.mass[bc.idx] *= (bc.w*sIn + (1-bc.w)*sOut) / sOut
+					}
 				}
 				if g *= sOut; g < pendingMin || g > pendingMax {
 					g = h.fold(g)
@@ -763,6 +846,7 @@ func (h *Histogram) endpointAccuracy(d int, v float64) float64 {
 // uniformity assumption and is the cheapest to evict), values near 0 mean
 // highly skewed.
 func (h *Histogram) Uniformity() float64 {
+	h.wait()
 	vols := h.cellVolumes()
 	totalVol := 0.0
 	for _, v := range vols {
@@ -780,6 +864,7 @@ func (h *Histogram) Uniformity() float64 {
 
 // Clone returns a deep copy (used by statistics migration snapshots).
 func (h *Histogram) Clone() *Histogram {
+	h.wait()
 	c := &Histogram{
 		cols:           append([]string(nil), h.cols...),
 		cuts:           make([][]float64, len(h.cuts)),
@@ -801,6 +886,7 @@ func (h *Histogram) Clone() *Histogram {
 
 // String renders a compact dump for debugging and the maxent example.
 func (h *Histogram) String() string {
+	h.wait()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "histogram(%s) %d cells\n", strings.Join(h.cols, ","), len(h.mass))
 	strides, parts := h.strides(), make([]string, h.Dims())

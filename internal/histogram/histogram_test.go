@@ -314,6 +314,7 @@ func TestInconsistentConstraintsPruned(t *testing.T) {
 	if err := h2.AddConstraint(Box{Lo: []float64{0}, Hi: []float64{25}}, 0.5, 2); err != nil {
 		t.Fatal(err)
 	}
+	h2.wait()
 	if len(h2.constraints) != 2 {
 		t.Errorf("consistent constraints pruned: %d left", len(h2.constraints))
 	}
@@ -349,6 +350,7 @@ func TestConstraintListCapped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	h.wait()
 	if len(h.constraints) != 4 {
 		t.Errorf("constraints = %d, want 4", len(h.constraints))
 	}
@@ -678,12 +680,15 @@ func (s steadyShape) run(b *testing.B) {
 	for k := 0; k < s.reobserved; k++ {
 		add(base, kept[k%len(kept)])
 	}
+	base.wait()
 	if base.Buckets() != s.cells || len(base.constraints) != s.constraints {
 		b.Fatalf("shape is %d cells, %d constraints; want %d, %d", base.Buckets(), len(base.constraints), s.cells, s.constraints)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		add(base.Clone(), kept[i%len(kept)])
+		h := base.Clone()
+		add(h, kept[i%len(kept)])
+		h.wait() // the merge is its fit too, wherever that runs
 	}
 }

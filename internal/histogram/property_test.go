@@ -574,6 +574,7 @@ func TestBoxLocalIPFMatchesDense(t *testing.T) {
 				t.Fatalf("seed %d: AddConstraint %d: %v", seed, k, err)
 			}
 			want.denseAddConstraint(b, frac, ts, &br)
+			got.wait()
 
 			if len(got.mass) != len(want.mass) || len(got.constraints) != len(want.constraints) {
 				t.Fatalf("seed %d step %d: %d cells / %d constraints, dense has %d / %d",

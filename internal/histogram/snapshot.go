@@ -32,6 +32,7 @@ type Snapshot struct {
 
 // Snapshot captures the histogram state for serialization.
 func (h *Histogram) Snapshot() Snapshot {
+	h.wait()
 	s := Snapshot{
 		Cols:           append([]string(nil), h.cols...),
 		Cuts:           make([][]float64, len(h.cuts)),

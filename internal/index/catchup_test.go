@@ -584,3 +584,65 @@ func TestConcurrentProbesUnderDML(t *testing.T) {
 		}
 	}
 }
+
+// TestSetCatchUpBuildsNothing: the catch-up a write starts beside its
+// statement only moves images a probe built. An index nobody has probed
+// stays unbuilt, an aside image is never built or moved, a shared image
+// already at the table's version is left as it is, and one behind it
+// advances once — to rows every later probe then finds equal to a scan.
+func TestSetCatchUpBuildsNothing(t *testing.T) {
+	tbl := seqTable(t, value.KindInt, 5000, 512)
+	set := NewSet()
+	probed, err := set.Create(tbl, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unprobed, err := set.Create(tbl, "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := tbl.Snapshot()
+	probed.LookupAt(old, seqKey(value.KindInt, 7))
+
+	set.CatchUp(tbl) // nothing written: the image is at the table's version
+	if got := probed.Stats(); got.Advances != 1 || got.Aside != 0 {
+		t.Fatalf("a catch-up with nothing written moved the image: %+v", got)
+	}
+	if err := tbl.InsertBatch(seqRows(value.KindInt, 5000, 300)); err != nil {
+		t.Fatal(err)
+	}
+	set.CatchUp(tbl)
+	if got := probed.Stats(); got.Advances != 2 || got.Full != 1 || got.Aside != 0 {
+		t.Fatalf("after a write the catch-up ran %+v; want one advance, no sort, no aside image", got)
+	}
+	if got := unprobed.Stats(); got != (ImageStats{}) {
+		t.Fatalf("the catch-up built an index nobody probed: %+v", got)
+	}
+	// A statement still on the old snapshot gets its aside image; the next
+	// write's catch-up moves the shared image and leaves the aside alone.
+	probed.LookupAt(old, seqKey(value.KindInt, 7))
+	if _, err := tbl.UpdateWhere(storage.MatchRows(func(row []value.Datum) bool { return row[0].Int()%7 == 0 }),
+		[]storage.Assignment{{Ordinal: 1, Value: value.NewInt(-1)}}); err != nil {
+		t.Fatal(err)
+	}
+	set.CatchUp(tbl)
+	if got := probed.Stats(); got.Advances != 3 || got.Aside != 1 {
+		t.Fatalf("after a stale probe and a write: %+v; want 3 advances, 1 aside build (the probe's)", got)
+	}
+	now := tbl.Snapshot()
+	for _, key := range []int64{-1, 7, 14, 5100} {
+		var want []int
+		now.Scan(func(pos int, row []value.Datum) bool {
+			if row[1].Int() == key {
+				want = append(want, pos)
+			}
+			return true
+		})
+		if got := probed.LookupAt(now, value.NewInt(key)); !slices.Equal(got, want) {
+			t.Fatalf("Lookup(%d) after the catch-up = %v, a scan finds %v", key, got, want)
+		}
+	}
+	if got := probed.Stats(); got.Advances != 3 {
+		t.Fatalf("probes after the catch-up moved the image again: %+v", got)
+	}
+}

@@ -135,6 +135,16 @@ func (ix *Index) imageAt(snap *storage.Snapshot) image {
 	return ix.shared
 }
 
+// catchUp advances the shared image to snap when a probe has built it and it
+// is behind snap; it builds no image and never moves the aside one.
+func (ix *Index) catchUp(snap *storage.Snapshot) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if held := ix.shared.snapshot(); held != nil && held.Version() < snap.Version() {
+		ix.imageAt(snap)
+	}
+}
+
 // Lookup returns the positions of all rows whose key equals key, in row
 // order, in the table as it is now. NULL keys never match (SQL equality
 // semantics).
@@ -220,6 +230,26 @@ func (s *Set) Find(table, column string) (*Index, bool) {
 	defer s.mu.RUnlock()
 	ix, ok := s.byTable[table][column]
 	return ix, ok
+}
+
+// CatchUp brings every index of table that a probe has built to the table
+// as it is now: the catch-up a write owes its next reader, run by the writer
+// beside that reader. An index nobody has probed stays unbuilt, and one a
+// probe has already brought this far is left as it is.
+func (s *Set) CatchUp(table *storage.Table) {
+	s.mu.RLock()
+	ixs := make([]*Index, 0, len(s.byTable[table.Name()]))
+	for _, ix := range s.byTable[table.Name()] {
+		ixs = append(ixs, ix)
+	}
+	s.mu.RUnlock()
+	if len(ixs) == 0 {
+		return
+	}
+	snap := table.Snapshot()
+	for _, ix := range ixs {
+		ix.catchUp(snap)
+	}
 }
 
 // ForTable returns the indexed column names of a table, sorted.

@@ -275,6 +275,17 @@ func FuzzDistinctCounter(f *testing.F) {
 	}
 	f.Add(byte(kString), strs(lengths...))
 	f.Add(byte(kString), strs("VIN00000000000001", "VIN00000000000002", "VIN00000000000001", "prefix00suffix00", "prefix01suffix00", "prefix00suffix01"))
+	// MinMax skips the compares of a string whose first byte lies strictly
+	// between the extremes' first bytes: many strings of one first byte,
+	// extremes that share it with the rows between, and the empty string
+	// (no first byte) first, last, repeated and alone.
+	f.Add(byte(kString), strs("m5", "m1", "a", "m9", "z", "m0", "mz", "a", "z", "m", "ma", "z\x00", "a"))
+	f.Add(byte(kString), strs("k", "ka", "kb", "k", "kab", "kaa", "kzz", "kz", "kzz"))
+	f.Add(byte(kString), strs("k5", "z", "k1", "a5", "k0", "a1", "z9", "zz", "y", "a"))
+	f.Add(byte(kString), strs("b", "", "c", "", "a", "bb", "\x00", "\xff", "\xfe", "\xff\x00", ""))
+	f.Add(byte(kString), strs("q", "p", "r", ""))
+	f.Add(byte(kString), strs("", "", ""))
+	f.Add(byte(kString), encodeColumn(value.NewString(""), value.Null, value.NewString("x"), value.NewString(""), value.Null))
 	f.Add(byte(kInt), encodeColumn(value.Null, value.Null, value.Null))
 	f.Add(byte(kString), encodeColumn(value.Null, value.NewString("b"), value.Null, value.NewString("b")))
 	f.Add(byte(kInt), ints(42))

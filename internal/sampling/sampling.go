@@ -369,7 +369,7 @@ func MinMax(vec *storage.ColumnVec) (lo, hi value.Datum) {
 	case value.KindFloat:
 		minRow, maxRow = extremes(vec, vec.Floats())
 	default:
-		minRow, maxRow = extremes(vec, vec.Strs())
+		minRow, maxRow = stringExtremes(vec, vec.Strs())
 	}
 	if minRow < 0 {
 		return value.Null, value.Null
@@ -378,14 +378,15 @@ func MinMax(vec *storage.ColumnVec) (lo, hi value.Datum) {
 }
 
 // finite is whether x has a place in a domain: not NaN or ±Inf.
-func finite[T int64 | float64 | string](x T) bool {
+func finite[T int64 | float64](x T) bool {
 	f, ok := any(x).(float64)
 	return !ok || f-f == 0
 }
 
 // extremes is the first rows holding the smallest and largest finite value
-// of a column, vals being its dense array; −1 for both when there is none.
-func extremes[T int64 | float64 | string](vec *storage.ColumnVec, vals []T) (minRow, maxRow int) {
+// of a numeric column, vals being its dense array; −1 for both when there is
+// none.
+func extremes[T int64 | float64](vec *storage.ColumnVec, vals []T) (minRow, maxRow int) {
 	nulls := vec.HasNulls()
 	minRow, maxRow = -1, -1
 	var lo, hi T
@@ -400,6 +401,36 @@ func extremes[T int64 | float64 | string](vec *storage.ColumnVec, vals []T) (min
 			lo, minRow = x, row
 		case x > hi:
 			hi, maxRow = x, row
+		}
+	}
+	return minRow, maxRow
+}
+
+// stringExtremes is extremes for a string column. A row whose first byte
+// lies strictly between the first bytes of the current minimum and maximum
+// sorts between them by that byte alone, so it is not compared; an empty
+// string's first byte counts as below every byte.
+func stringExtremes(vec *storage.ColumnVec, vals []string) (minRow, maxRow int) {
+	nulls := vec.HasNulls()
+	minRow, maxRow = -1, -1
+	var lo, hi string
+	loByte, hiByte := -1, -1 // first bytes of lo and hi
+	for row, x := range vals {
+		if nulls && vec.Null(row) {
+			continue
+		}
+		b := -1
+		if len(x) > 0 {
+			b = int(x[0])
+		}
+		switch {
+		case loByte < b && b < hiByte: // neither extreme
+		case minRow < 0:
+			lo, hi, minRow, maxRow, loByte, hiByte = x, x, row, row, b, b
+		case x < lo:
+			lo, minRow, loByte = x, row, b
+		case x > hi:
+			hi, maxRow, hiByte = x, row, b
 		}
 	}
 	return minRow, maxRow

@@ -243,7 +243,21 @@ func TestNetChaosReset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network chaos replay is slow")
 	}
-	netChaosWire(t, faultinject.ConnReset, faultinject.Spec{Every: 29, Offset: 5})
+	// Every reset ends its session, and the client's next one starts on a
+	// frame boundary: a HELLO and then each statement are three conn ops
+	// (header read, payload read, response write) counted from the reset. So
+	// after the first fire, which the offset places, the period alone picks
+	// the op of every later one — ≡ 1 (mod 3) the header read, the reset of
+	// an idle session between frames; ≡ 2 the payload read; ≡ 0 the write —
+	// and no one period reaches all three. Two replays do.
+	var got opCounts
+	for _, spec := range []faultinject.Spec{{Every: 28, Offset: 5}, {Every: 29, Offset: 5}} {
+		n := netChaosWire(t, faultinject.ConnReset, spec)
+		got.header, got.payload, got.write = got.header+n.header, got.payload+n.payload, got.write+n.write
+	}
+	if got.header == 0 || got.payload == 0 || got.write == 0 {
+		t.Fatalf("reset fires landed on %v: the schedules must reach all three ops", got)
+	}
 }
 
 // TestNetChaosAllPoints keeps the conn fault-point list and Points() in sync

@@ -36,10 +36,13 @@ bench-test:
 # Interleaved parent/change pairs of the repo benchmark, the protocol behind
 # every performance claim: REF (a git ref, extracted into a temporary tree)
 # against the working tree, N pairs of BENCHMARK.json's run length on one
-# WORKLOAD and SEED, which side runs first flipping every pair; prints both
-# medians with quartiles, their ratio and the pairs won per end-to-end
-# metric, and every run's value. An unknown workload or ref exits non-zero
-# before anything runs. About N × 1 min.
+# WORKLOAD and SEED, which side runs first flipping every pair. The record
+# goes to stdout as JSON: the parent commit, nproc and GOMAXPROCS, and per
+# end-to-end metric every run's value, both medians with quartiles, their
+# ratio and the pairs won. A change commits its records, a JSON list, as
+# BENCH_<n>.json at the root (TestBenchRecordsNameTheBenchmark reads them).
+# An unknown workload or ref exits non-zero before anything runs. About
+# N × 1 min.
 #
 #   make bench-pairs REF=HEAD~1 WORKLOAD=paper_mixed N=10
 N ?= 10

@@ -3,14 +3,17 @@
 // extracts a git ref into a temporary tree, then alternates N
 // `bash bench/run.sh --workload W --seed S --seconds T --trace 0` runs of
 // that tree and of the working tree (which side goes first flips every
-// pair, so slow drift of the host hits both alike) and prints, per
-// end-to-end metric of BENCHMARK.json, both medians with their quartiles,
-// the ratio of the medians and how many pairs the working tree won.
+// pair, so slow drift of the host hits both alike) and prints one JSON
+// record: the parent commit, the workload, seed, N, the host's CPUs and
+// GOMAXPROCS, and per end-to-end metric of BENCHMARK.json every run's value
+// on both sides, both medians with their quartiles, the ratio of the
+// medians and how many pairs the working tree won.
 //
 //	go run ./cmd/benchpairs -ref HEAD~1 -workload paper_mixed -n 10
 //
-// The run length is BENCHMARK.json's run_seconds. Every run's value is
-// printed under its metric, so the output is the complete record.
+// The run length is BENCHMARK.json's run_seconds. Progress goes to stderr,
+// the record to stdout; a change commits its records as BENCH_<n>.json, a
+// JSON list of them.
 package main
 
 import (
@@ -20,6 +23,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 )
@@ -33,6 +37,35 @@ type benchmark struct {
 	EndToEnd []struct {
 		Name, Unit, Better string
 	} `json:"end_to_end"`
+}
+
+// record is what the tool prints: one set of pairs.
+type record struct {
+	Parent     string   `json:"parent"` // the commit -ref names
+	Workload   string   `json:"workload"`
+	Seed       int      `json:"seed"`
+	N          int      `json:"n"`
+	RunSeconds float64  `json:"run_seconds"`
+	NProc      int      `json:"nproc"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
+	Metrics    []metric `json:"metrics"`
+}
+
+// metric is one end-to-end metric over the pairs: parent and change hold
+// each side's runs in pair order; wins counts the pairs the change won.
+type metric struct {
+	Name         string    `json:"name"`
+	Unit         string    `json:"unit"`
+	Better       string    `json:"better"`
+	Parent       []float64 `json:"parent"`
+	Change       []float64 `json:"change"`
+	ParentMedian float64   `json:"parent_median"`
+	ParentQuarts []float64 `json:"parent_quartiles"`
+	ChangeMedian float64   `json:"change_median"`
+	ChangeQuarts []float64 `json:"change_quartiles"`
+	Ratio        float64   `json:"ratio"` // change median / parent median; 0 when the parent's is 0
+	Wins         int       `json:"wins"`
+	Ties         int       `json:"ties"`
 }
 
 // result is the last line bench/run.sh prints.
@@ -114,25 +147,35 @@ func run(ref, workload string, n, seed int) error {
 		}
 	}
 
-	fmt.Printf("%s seed %d: %d pairs of %gs runs, %s vs worktree (median [q1, q3])\n", workload, seed, n, bm.RunSeconds, ref)
+	rec := record{
+		Parent: strings.TrimSpace(string(commit)), Workload: workload, Seed: seed, N: n,
+		RunSeconds: bm.RunSeconds, NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
 	for _, m := range bm.EndToEnd {
-		var a, b []float64
-		wins, ties := 0, 0
+		row := metric{Name: m.Name, Unit: m.Unit, Better: m.Better}
 		for i := range sides[0].runs {
 			x, y := sides[0].runs[i].Metrics[m.Name].Value, sides[1].runs[i].Metrics[m.Name].Value
-			a, b = append(a, x), append(b, y)
+			row.Parent, row.Change = append(row.Parent, x), append(row.Change, y)
 			switch {
 			case x == y:
-				ties++
+				row.Ties++
 			case (y > x) == (m.Better == "higher"):
-				wins++
+				row.Wins++
 			}
 		}
-		ma, mb := quantile(a, 0.5), quantile(b, 0.5)
-		fmt.Printf("%-18s %-6s %12.6g [%.6g, %.6g] -> %12.6g [%.6g, %.6g]  x%.3f  wins %d ties %d of %d\n",
-			m.Name, m.Unit, ma, quantile(a, 0.25), quantile(a, 0.75), mb, quantile(b, 0.25), quantile(b, 0.75), mb/ma, wins, ties, n)
-		fmt.Printf("    %s: %v\n    worktree: %v\n", ref, a, b)
+		row.ParentMedian, row.ChangeMedian = quantile(row.Parent, 0.5), quantile(row.Change, 0.5)
+		row.ParentQuarts = []float64{quantile(row.Parent, 0.25), quantile(row.Parent, 0.75)}
+		row.ChangeQuarts = []float64{quantile(row.Change, 0.25), quantile(row.Change, 0.75)}
+		if row.ParentMedian != 0 {
+			row.Ratio = row.ChangeMedian / row.ParentMedian
+		}
+		rec.Metrics = append(rec.Metrics, row)
 	}
+	out, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return err
+	}
+	fmt.Println(string(out))
 	for _, side := range sides {
 		for i, r := range side.runs {
 			if !r.Correct || r.Failed != 0 {

@@ -314,6 +314,7 @@ var benchCallees = map[string]string{
 	"sampling.EvaluateGroups":       "probes.go: the sampling.evalgroups_us probe",
 	"sampling.Sampler.Sample":       "probes.go: the sampling.sample_us probe draws a row sample",
 	"server.New":                    "measure.go and probes.go: the served_fetch workload and the server probes",
+	"sqlparser.Normalize":           "staged.go: the staged pipeline keys its plan cache on the normalized text",
 	"storage.Snapshot.ColumnValues": "probes.go: the index and histogram probes read a column",
 	"storage.Snapshot.Row":          "probes.go: the storage probes read a row",
 	"storage.Table.Insert":          "probes.go: the storage.insert_us_per_row probe",
@@ -324,6 +325,7 @@ var benchCallees = map[string]string{
 // other than their own, which an export_test.go file cannot serve. Each
 // reason names those packages.
 var testHelpers = map[string]string{
+	"core.Archive.Wait":          "core, engine: wait mid-test for the fits merges started beside their statements",
 	"faultinject.Arm":            "core, engine, experiments, morsel, server: arm one fault point by value",
 	"faultinject.Disarm":         "core, engine: disarm one point mid-test",
 	"faultinject.Fired":          "engine, morsel, server: assert a fault point fired",

@@ -112,6 +112,11 @@ func NewArchive(budgetBuckets, memoCapacity int) *Archive {
 // ended; a fit runs beside the statement that merged its constraint.
 func (a *Archive) Wait() { a.tally.fits.Wait() }
 
+// Close waits like Wait, and from then on a merge runs its fit itself,
+// counted nowhere: no fit runs beside a statement, and the fit totals are
+// final.
+func (a *Archive) Close() { a.tally.fits.Close() }
+
 // ScrapeArchives appends the qss_archive_* and histogram_ipf_* series to
 // set: the totals of every given archive, nil ones skipped. A fit counts
 // once it has ended.

@@ -1,12 +1,14 @@
 package engine_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -200,6 +202,101 @@ func TestCloseWaitsForMaintenance(t *testing.T) {
 		e.JITS().Archive().Wait()
 		if after := e.Scrape().Samples(); !slices.Equal(before, after) {
 			t.Fatalf("round %d: the metrics moved after Close", round)
+		}
+	}
+}
+
+// TestCloseRacesStatements: Close in the middle of running writers and
+// readers. Each round starts two writers (UPDATEs and DELETEs that move
+// indexed rows, INSERTs that put rows back) and two readers (index probes,
+// and two-column range SELECTs that, at s_max 0, sample and merge into the
+// archive) on a fresh engine, and closes it at a random moment. Every
+// statement returns or fails with ErrClosed; once they all have, no index
+// catch-up and no histogram fit may be running, nor start: a statement that
+// finished its write or merge after Close returned must have left the
+// catch-up to the next probe and run its fit itself. Under -race, an owner
+// that counted a goroutine after Close had begun its wait also fails as a
+// data race on the owner's wait group.
+func TestCloseRacesStatements(t *testing.T) {
+	rounds := 40
+	if testing.Short() {
+		rounds = 8
+	}
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < rounds; round++ {
+		cfg := core.DefaultConfig()
+		cfg.SMax = 0
+		cfg.SampleSize = 100
+		e := engine.New(engine.Config{JITS: cfg, Parallelism: 1, StorageChunkSize: 64})
+		var rows strings.Builder
+		for i := 0; i < 600; i++ {
+			if i > 0 {
+				rows.WriteString(", ")
+			}
+			fmt.Fprintf(&rows, "(%d, %d, %d)", i, i%97, i%13)
+		}
+		for _, sql := range []string{
+			`CREATE TABLE t (id INT, a INT, b INT)`,
+			`INSERT INTO t VALUES ` + rows.String(),
+			`CREATE INDEX ix_t_id ON t (id)`,
+			`CREATE INDEX ix_t_a ON t (a)`,
+			`SELECT id FROM t WHERE id = 1`, // builds ix_t_id
+			`SELECT id FROM t WHERE a = 1`,  // builds ix_t_a
+		} {
+			if _, err := e.Exec(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seed := rng.Int63()
+		statements := []func(r *rand.Rand) string{
+			func(r *rand.Rand) string {
+				return fmt.Sprintf(`UPDATE t SET a = %d WHERE id > %d`, r.Intn(97), r.Intn(600))
+			},
+			func(r *rand.Rand) string { return fmt.Sprintf(`DELETE FROM t WHERE b = %d`, r.Intn(13)) },
+			func(r *rand.Rand) string {
+				return fmt.Sprintf(`SELECT id FROM t WHERE a > %d AND b < %d`, r.Intn(97), r.Intn(13))
+			},
+			func(r *rand.Rand) string { return fmt.Sprintf(`SELECT b FROM t WHERE id = %d`, r.Intn(600)) },
+		}
+		errs := make(chan error, len(statements))
+		for w, stmt := range statements {
+			go func(r *rand.Rand) {
+				for i := 0; ; i++ {
+					sql := stmt(r)
+					if w == 1 && i%2 == 1 {
+						sql = fmt.Sprintf(`INSERT INTO t VALUES (%d, %d, %d)`, 600+i, r.Intn(97), r.Intn(13))
+					}
+					if _, err := e.Exec(sql); err != nil {
+						if errors.Is(err, engine.ErrClosed) {
+							err = nil
+						}
+						errs <- err
+						return
+					}
+				}
+			}(rand.New(rand.NewSource(seed + int64(w))))
+		}
+		time.Sleep(time.Duration(rng.Intn(3000)) * time.Microsecond)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for range statements {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		before := e.Scrape().Samples()
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, fn := range []string{"histogram.(*Histogram).refit", "index.(*Set).CatchUp"} {
+			if strings.Contains(stacks, fn) {
+				t.Fatalf("round %d: %s ran after Close and every statement had returned:\n%s", round, fn, stacks)
+			}
+		}
+		e.JITS().Archive().Wait()
+		e.WaitMaintenance()
+		if after := e.Scrape().Samples(); !slices.Equal(before, after) {
+			t.Fatalf("round %d: the metrics moved after Close and every statement had returned", round)
 		}
 	}
 }

@@ -129,14 +129,15 @@ func (e *Engine) execDelete(s *statement, stmt *sqlparser.DeleteStmt) (*Result, 
 // changed n of them left, on a goroutine of its own, so the statement after
 // the write does not pay for it unless it probes one of them first — a probe
 // then catches the index up itself, as it does any index behind its snapshot,
-// and the goroutine finds it done. Close waits for these goroutines.
+// and the goroutine finds it done. Close waits for these goroutines; a write
+// that finishes after Close starts none, and leaves the catch-up to the next
+// probe.
 func (e *Engine) catchUpBeside(tbl *storage.Table, n int) {
-	if n == 0 {
+	if n == 0 || !e.maintenance.Begin() {
 		return
 	}
-	e.maintenance.Add(1)
 	go func() {
-		defer e.maintenance.Done()
+		defer e.maintenance.End()
 		e.indexes.CatchUp(tbl)
 	}()
 }

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,6 +43,7 @@ import (
 	"repro/internal/flightrec"
 	"repro/internal/govern"
 	"repro/internal/index"
+	"repro/internal/morsel"
 	"repro/internal/optimizer"
 	"repro/internal/plancache"
 	"repro/internal/qgm"
@@ -168,8 +168,8 @@ type Engine struct {
 	reoptCfg     ReoptConfig
 	counts       *counts
 	closed       atomic.Bool
-	// maintenance counts the index catch-ups writes started (catchUpBeside).
-	maintenance sync.WaitGroup
+	// maintenance owns the index catch-ups writes start (catchUpBeside).
+	maintenance morsel.Beside
 	// planCache is nil when Config.PlanCacheSize is 0 (cache disabled).
 	planCache *plancache.Cache
 	// archiveEpoch versions the statistics/data state cached plans were
@@ -293,15 +293,16 @@ var ErrClosed = errors.New("engine: closed")
 // In-flight statements finish normally. Close returns once the maintenance
 // finished statements left running beside them has ended: the index
 // catch-ups their writes started and the histogram fits their archive merges
-// started, one wait per owner. (Parallel worker pools live only for the
-// duration of one operator call and always drain before it returns.) Close
-// is idempotent.
+// started, one close per owner. A closed owner starts nothing more, so a
+// statement still in flight catches no index up beside it and runs its fits
+// itself. (Parallel worker pools live only for the duration of one operator
+// call and always drain before it returns.) Close is idempotent.
 func (e *Engine) Close() error {
 	e.closed.Store(true)
-	e.maintenance.Wait()
+	e.maintenance.Close()
 	for _, a := range []*core.Archive{e.jits.Archive(), e.staticQSS, e.reactiveQSS} {
 		if a != nil {
-			a.Wait()
+			a.Close()
 		}
 	}
 	return nil
@@ -360,7 +361,7 @@ func (e *Engine) execAt(ctx context.Context, sql string, dop int) (*Result, erro
 			parseStart = time.Now()
 		}
 		var err error
-		if stmt, err = sqlparser.Parse(sql); err != nil {
+		if stmt, err = s.parse(); err != nil {
 			e.counts.errors.Add(1)
 			return nil, err
 		}

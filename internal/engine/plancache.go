@@ -26,21 +26,22 @@ type cachedPlan struct {
 	dop  int
 }
 
-// probeCache looks the statement up in the plan cache. On a hit it sets s.hit
-// and fills the statement's compiled fields from the entry, so parse and
-// compile are skipped and everything downstream runs unchanged. Only
-// executable SELECTs
-// are ever stored, so SHOW/EXPLAIN/DML statements simply miss (their texts
-// normalize to keys no store writes). The epoch pins the statistics and data
-// state a plan was compiled against; it is read here, once, for cached and
-// uncached engines alike.
+// probeCache looks the statement up in the plan cache. Only executable
+// SELECTs are ever stored, so only a text that starts with SELECT is probed:
+// it is lexed once into s.lexed, which writes the probe's key and keeps the
+// tokens parse reads on a miss; any other statement is neither lexed here
+// nor counted as a miss. On a hit it sets s.hit and fills the statement's compiled
+// fields from the entry, so parse and compile are skipped and everything
+// downstream runs unchanged. The epoch pins the statistics and data state a
+// plan was compiled against; it is read here, once, for cached and uncached
+// engines alike.
 func (e *Engine) probeCache(s *statement) {
 	s.epoch = e.archiveEpoch.Load()
 	if e.planCache == nil {
 		return
 	}
-	key, err := sqlparser.Normalize(s.sql)
-	if err != nil {
+	key, ok := s.lexed.LexSelect(s.sql)
+	if !ok {
 		return
 	}
 	s.cacheKey = key
@@ -53,6 +54,15 @@ func (e *Engine) probeCache(s *statement) {
 	if ent.dop == s.dop {
 		s.planText = ent.text
 	}
+}
+
+// parse parses the statement's text, through s.lexed when probeCache
+// lexed it.
+func (s *statement) parse() (sqlparser.Statement, error) {
+	if s.cacheKey != "" {
+		return s.lexed.Parse()
+	}
+	return sqlparser.Parse(s.sql)
 }
 
 // cachePlan stores a freshly compiled plan for reuse at the statement's

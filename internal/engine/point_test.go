@@ -69,9 +69,16 @@ func BenchmarkPointLookup(b *testing.B) {
 }
 
 // warmHitAllocs is what one warm-cache point lookup allocates with the plan
-// text kept in the cache entry (25 on linux/amd64, go1.24). A new allocation
-// on the hit path — a Sprintf, a rendered plan — fails here.
-const warmHitAllocs = 25
+// text kept in the cache entry and the text lexed once, on the statement's
+// stack (22 on linux/amd64, go1.24). A new allocation on the hit path — a
+// Sprintf, a rendered plan — fails here.
+const warmHitAllocs = 22
+
+// coldMissAllocs bounds what one point lookup that misses the plan cache
+// allocates, its text included: BenchmarkPointLookup/miss's statement
+// (84 on linux/amd64, go1.24, with the parse reading the probe's tokens and
+// the index answering its own predicate).
+const coldMissAllocs = 84
 
 // TestWarmPointLookupFormatsNothing holds the hit path to formatting nothing
 // while nobody looks: with the flight recorder and the trace off, no
@@ -130,6 +137,34 @@ func TestWarmPointLookupFormatsNothing(t *testing.T) {
 	t.Logf("warm hit: %.0f allocations", allocs)
 	if !raceBuild && allocs > warmHitAllocs {
 		t.Errorf("warm hit allocated %.0f times, bound %d", allocs, warmHitAllocs)
+	}
+}
+
+// TestColdPointLookupAllocs holds the miss path — lex once, parse from the
+// tokens, QGM, JITS sensitivity analysis, optimize, one render, an index
+// probe with nothing left to re-check — to coldMissAllocs: every statement
+// is a key the cache has not seen.
+func TestColdPointLookupAllocs(t *testing.T) {
+	e, owners := pointEngine(t, 0.004, 64)
+	ctx := context.Background()
+	i := 0
+	miss := func() {
+		i++
+		res, err := e.ExecUnboxed(ctx, pointSQL(i%owners))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PlanCacheHit {
+			t.Fatal("a new key hit the plan cache")
+		}
+	}
+	for range 100 { // the engine's buffers reach their size
+		miss()
+	}
+	allocs := testing.AllocsPerRun(100, miss)
+	t.Logf("cold miss: %.1f allocations", allocs)
+	if !raceBuild && allocs > coldMissAllocs {
+		t.Errorf("cold miss allocated %.1f times, bound %d", allocs, coldMissAllocs)
 	}
 }
 

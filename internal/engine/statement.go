@@ -55,9 +55,11 @@ type statement struct {
 	start time.Time
 	mem   *govern.Reservation
 
-	// Plan-cache probe: the normalized key ("" when the cache is off or the
-	// text does not lex), the archive epoch the statement runs under, and
-	// whether the compiled fields below came from a cache entry.
+	// Plan-cache probe: a SELECT's tokens and its normalized key ("" when
+	// the cache is off, the statement is no SELECT or its text does not
+	// lex), the archive epoch the statement runs under, and whether the
+	// compiled fields below came from a cache entry.
+	lexed    sqlparser.Lexed
 	cacheKey string
 	epoch    uint64
 	hit      bool

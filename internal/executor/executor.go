@@ -395,11 +395,14 @@ func (ex *executor) runScan(n *optimizer.Scan) (*relation, error) {
 		}
 		ex.rt.charge(w.IndexProbe)
 		examined = float64(len(fetched))
-		matches := qgm.RowMatcher(n.Preds, snap)
-		pos = fetched[:0] // the survivors, compacted in place
-		for _, p := range fetched {
-			if matches(int(p)) {
-				pos = append(pos, p)
+		pos = fetched
+		if residual := residualPreds(n); len(residual) > 0 {
+			matches := qgm.RowMatcher(residual, snap)
+			pos = fetched[:0] // the survivors, compacted in place
+			for _, p := range fetched {
+				if matches(int(p)) {
+					pos = append(pos, p)
+				}
 			}
 		}
 		ex.rt.charge(w.IndexRow * examined)
@@ -465,6 +468,27 @@ func (ex *executor) seqScan(snap *storage.Snapshot, preds []qgm.Predicate, estRo
 		return err
 	})
 	return flatten(buckets), float64(examined.Load()), err
+}
+
+// residualPreds returns the predicates an index scan still checks its
+// fetched rows against: its predicates less IndexPred, the one the probe
+// answered — the index returns exactly the rows that predicate's kernel
+// matches, NULL keys excluded (TestIndexRangeIsTheKernelMatchSet). A scan
+// whose IndexPred is not one of its own predicates checks all of them.
+func residualPreds(n *optimizer.Scan) []qgm.Predicate {
+	for i := range n.Preds {
+		if &n.Preds[i] != n.IndexPred {
+			continue
+		}
+		switch i {
+		case 0:
+			return n.Preds[1:]
+		case len(n.Preds) - 1:
+			return n.Preds[:i]
+		}
+		return append(slices.Clip(n.Preds[:i]), n.Preds[i+1:]...)
+	}
+	return n.Preds
 }
 
 // indexPositions probes the index for the rows of snap, the table image the

@@ -293,3 +293,69 @@ func snapMax(vals []value.Datum) value.Datum {
 	}
 	return m
 }
+
+// TestIndexRangeIsTheKernelMatchSet is the rule an index scan leans on to
+// check nothing twice: for every sargable operator, the index probe built
+// from a predicate's Range returns exactly the rows the predicate's
+// compiled kernel matches, so runScan re-checks only the other predicates.
+// The columns hold NULLs, NaN, both zeros, infinities and the int64 and
+// float extremes; the operands are NULL, ints, floats and strings — a
+// literal of the other kind on every column — and BETWEEN runs every
+// ordered pair of them, empty ranges (9 AND 1) included.
+func TestIndexRangeIsTheKernelMatchSet(t *testing.T) {
+	operands := []value.Datum{
+		value.Null,
+		value.NewInt(-20), value.NewInt(0), value.NewInt(3), value.NewInt(9), value.NewInt(1),
+		value.NewInt(1<<53 + 1), value.NewInt(math.MinInt64), value.NewInt(math.MaxInt64),
+		value.NewFloat(2.5), value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)),
+		value.NewFloat(math.NaN()), value.NewFloat(math.Inf(1)), value.NewFloat(math.Inf(-1)),
+		value.NewFloat(-4.25), value.NewFloat(1e300),
+		value.NewString(""), value.NewString("ab"), value.NewString("abcdefg"), value.NewString("zz"),
+	}
+	ops := []qgm.PredOp{qgm.OpEQ, qgm.OpLT, qgm.OpLE, qgm.OpGT, qgm.OpGE, qgm.OpBetween}
+	var cases, matched, empty int
+	for seed := int64(0); seed < 3; seed++ {
+		tbl, ixs := rangeTable(t, seed)
+		snap := tbl.Snapshot()
+		for ord, col := range []string{"i", "f", "s"} {
+			for _, op := range ops {
+				for _, a := range operands {
+					his := []value.Datum{a}
+					if op == qgm.OpBetween {
+						his = operands
+					}
+					for _, b := range his {
+						p := qgm.Predicate{Column: col, Ordinal: ord, Op: op, Value: a, Lo: a, Hi: b}
+						preds := []qgm.Predicate{p}
+						var want []int32
+						snap.Range(0, snap.NumRows(), func(ch *storage.Chunk, base, clo, chi int) bool {
+							want = qgm.AppendMatches(want, preds, ch, clo, chi, base)
+							return true
+						})
+						got, err := indexPositions(ixs[ord], snap, p)
+						if err != nil {
+							t.Fatalf("%s: %v", p, err)
+						}
+						slices.Sort(got)
+						if !slices.Equal(got, want) {
+							t.Fatalf("seed %d, %s: the index returns %v, the kernel matches %v", seed, p, got, want)
+						}
+						if r, _ := p.Range(); r.Empty() {
+							empty++
+						} else if direct := ixs[ord].AppendRangeAt(nil, snap, r.Lo, r.Hi); len(direct) != len(want) {
+							t.Fatalf("seed %d, %s: AppendRangeAt returns %d rows, the kernel matches %d", seed, p, len(direct), len(want))
+						}
+						cases++
+						if len(want) > 0 {
+							matched++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d predicates, %d matching some row, %d empty ranges", cases, matched, empty)
+	if matched == 0 || empty == 0 || matched == cases-empty {
+		t.Fatalf("the operands reach too little: %d of %d match, %d empty", matched, cases, empty)
+	}
+}

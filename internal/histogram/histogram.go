@@ -34,6 +34,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/morsel"
 )
 
 // Defaults bounding histogram growth; callers can override per histogram.
@@ -158,7 +160,7 @@ func NewGrid(cols []string, lo, hi []float64, ts int64) (*Histogram, error) {
 // totals of every fit, counted when each ends, and a wait for those still
 // running. The zero Owner is ready to use; it must not be copied.
 type Owner struct {
-	running                   sync.WaitGroup
+	running                   morsel.Beside
 	fits, rounds, unconverged atomic.Int64
 	nanos                     atomic.Int64
 }
@@ -166,6 +168,10 @@ type Owner struct {
 // Wait returns when every fit started by a histogram the owner owns has
 // ended.
 func (o *Owner) Wait() { o.running.Wait() }
+
+// Close waits like Wait and from then on starts no fit beside anything: an
+// AddConstraint runs its fit itself and counts it nowhere.
+func (o *Owner) Close() { o.running.Close() }
 
 // Totals returns the fitting of every ended fit and the wall time they took.
 func (o *Owner) Totals() (FitStats, time.Duration) {
@@ -470,8 +476,9 @@ func (h *Histogram) AddConstraint(b Box, frac float64, ts int64) error {
 		h.fitting.Unlock()
 		return err
 	}
-	if h.owner != nil {
-		h.owner.running.Add(1)
+	if o := h.owner; o != nil && !o.running.Begin() {
+		h.fitBeside(nil) // the owner is closed
+		return nil
 	}
 	go h.fitBeside(h.owner)
 	return nil
@@ -528,7 +535,7 @@ func (h *Histogram) fitBeside(o *Owner) {
 	}
 	h.fitting.Unlock()
 	if o != nil {
-		o.running.Done()
+		o.running.End()
 	}
 }
 

@@ -3,6 +3,8 @@
 // cursor (Leis et al., "Morsel-Driven Parallelism"). The executor's operators
 // and JITS sampling both run on it, so the two fault points every morsel
 // passes, the stop-on-first-failure rule and the panic capture exist once.
+// Beside owns the other goroutines: the maintenance left running beside the
+// next statement.
 package morsel
 
 import (
@@ -90,4 +92,43 @@ func Run(ctx context.Context, n, dop, size int, fn func(m, lo, hi int) error) er
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// Beside owns the maintenance statements leave running on goroutines of
+// their own when they return (an index catch-up, a histogram fit): Begin
+// counts one more unless Close has run, and Close refuses every later Begin
+// before it waits, under one mutex, so no work starts once Close has
+// returned. The zero Beside is ready to use; it must not be copied.
+type Beside struct {
+	mu      sync.Mutex
+	closed  bool
+	running sync.WaitGroup
+}
+
+// Begin counts one more goroutine of maintenance, whose End the caller owes,
+// and reports true; after Close it counts nothing and reports false, and
+// the caller does the work itself or leaves it.
+func (b *Beside) Begin() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return false
+	}
+	b.running.Add(1)
+	return true
+}
+
+// End ends one goroutine Begin counted.
+func (b *Beside) End() { b.running.Done() }
+
+// Wait returns when every goroutine counted so far has ended.
+func (b *Beside) Wait() { b.running.Wait() }
+
+// Close refuses every later Begin, then waits for the goroutines counted.
+// It is idempotent.
+func (b *Beside) Close() {
+	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
+	b.running.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/costmodel"
@@ -19,11 +20,42 @@ const dpMaxTables = 10
 // Context carries everything Optimize needs. Meter is the *compilation*
 // meter: every plan alternative costed charges PlanCandidate units, so
 // optimization effort shows up in compilation time as it does in the paper.
+// A Context is one statement's: it estimates each predicate group once.
 type Context struct {
 	Est     *Estimator
 	Indexes *index.Set
 	Weights costmodel.Weights
 	Meter   *costmodel.Meter
+
+	estimates []groupEstimate // every group estimated so far, in order
+}
+
+// groupEstimate is one predicate group's estimate on one table.
+type groupEstimate struct {
+	table string
+	preds []qgm.Predicate
+	est   Estimate
+}
+
+// estimate returns Est.EstimateGroup(table, preds), estimating a group the
+// context has seen before only once. preds is kept, not copied: it is a
+// block's predicate list or a window of one, which nothing rewrites.
+func (c *Context) estimate(table string, preds []qgm.Predicate) Estimate {
+	for _, g := range c.estimates {
+		if g.table == table && slices.EqualFunc(g.preds, preds, samePredicate) {
+			return g.est
+		}
+	}
+	est := c.Est.EstimateGroup(table, preds)
+	c.estimates = append(c.estimates, groupEstimate{table, preds, est})
+	return est
+}
+
+// samePredicate reports whether a and b are the same predicate, field for
+// field; a NaN operand never matches, which only costs a second estimate.
+func samePredicate(a, b qgm.Predicate) bool {
+	return a.Slot == b.Slot && a.Column == b.Column && a.Op == b.Op &&
+		a.Value == b.Value && a.Lo == b.Lo && a.Hi == b.Hi && slices.Equal(a.Values, b.Values)
 }
 
 func (c *Context) charge() {
@@ -49,12 +81,15 @@ func Optimize(blk *qgm.Block, ctx *Context) (Node, error) {
 
 // bestAccessPath picks the cheaper of a full table scan and the best index
 // range scan for one table instance, estimating the output with the *full*
-// local predicate group.
+// local predicate group. An index candidate's own group is the one
+// predicate it probes with; when that is the full group, or a group an
+// earlier candidate estimated, its estimate is reused, but every candidate
+// is still charged.
 func (ctx *Context) bestAccessPath(blk *qgm.Block, slot int) *Scan {
 	ti := blk.Tables[slot]
 	preds := blk.LocalPreds[slot]
 	card, _ := ctx.Est.TableCard(ti.Table)
-	est := ctx.Est.EstimateGroup(ti.Table, preds)
+	est := ctx.estimate(ti.Table, preds)
 	outRows := card * est.Sel
 	// Chaos probe: skew only the plan's output estimate, never the trace's
 	// EstSel — the feedback archive must keep learning true selectivities
@@ -83,22 +118,21 @@ func (ctx *Context) bestAccessPath(blk *qgm.Block, slot int) *Scan {
 		return best
 	}
 	for i := range preds {
-		p := preds[i]
+		p := &preds[i]
 		if _, ok := p.Range(); !ok {
 			continue
 		}
 		if _, ok := ctx.Indexes.Find(ti.Table, p.Column); !ok {
 			continue
 		}
-		single := ctx.Est.EstimateGroup(ti.Table, []qgm.Predicate{p})
+		single := ctx.estimate(ti.Table, preds[i:i+1])
 		fetched := card * single.Sel
 		cost := w.IndexProbe + fetched*w.IndexRow + outRows*w.RowOut
 		ctx.charge()
 		if cost < best.EstCost {
-			pc := p
 			best = &Scan{
 				Slot: slot, Alias: ti.Alias, Table: ti.Table, Preds: preds,
-				IndexColumn: p.Column, IndexPred: &pc, IndexSel: single.Sel,
+				IndexColumn: p.Column, IndexPred: p, IndexSel: single.Sel,
 				EstRows: outRows, Card: card, Tr: trace,
 				EstCost: cost,
 			}

@@ -128,7 +128,8 @@ type Trace struct {
 
 // Scan reads one base table, applying all local predicates. When
 // IndexColumn is non-empty the scan drives through the index using
-// IndexPred and filters the remaining predicates afterwards.
+// IndexPred, which points into Preds, and filters the remaining predicates
+// afterwards.
 type Scan struct {
 	Slot        int
 	Alias       string

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -701,16 +700,12 @@ func BuildLocalPredicates(schema *storage.Schema, exprs []sqlparser.Expr) ([]Pre
 }
 
 // GroupColumns extracts the distinct sorted column names of a predicate
-// group.
+// group: one slice of the group's columns, sorted and compacted in place.
 func GroupColumns(preds []Predicate) []string {
-	set := make(map[string]bool, len(preds))
-	for _, p := range preds {
-		set[p.Column] = true
+	cols := make([]string, len(preds))
+	for i := range preds {
+		cols[i] = preds[i].Column
 	}
-	cols := make([]string, 0, len(set))
-	for c := range set {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	return cols
+	slices.Sort(cols)
+	return slices.Compact(cols)
 }

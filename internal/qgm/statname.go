@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -35,9 +34,27 @@ type StatName struct {
 // "colgrp". The columns are sorted, so {make, model} and {model, make} are
 // the same group.
 func ColumnGroup(table string, columns []string) StatName {
-	cols := slices.Clone(columns)
-	sort.Strings(cols)
-	return StatName{table + "(" + strings.Join(cols, ",") + ")", StatColumnGroup, int32(len(table))}
+	cols := columns
+	if !slices.IsSorted(cols) {
+		cols = slices.Clone(columns)
+		slices.Sort(cols)
+	}
+	n := len(table) + len(cols) + 2 // the parentheses and the commas, one spare
+	for _, c := range cols {
+		n += len(c)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	sb.WriteString(table)
+	sb.WriteByte('(')
+	for i, c := range cols {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(c)
+	}
+	sb.WriteByte(')')
+	return StatName{sb.String(), StatColumnGroup, int32(len(table))}
 }
 
 // PredicateGroup names one specific predicate group — columns, operators

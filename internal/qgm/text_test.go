@@ -149,7 +149,9 @@ func FuzzPredicateText(f *testing.F) {
 
 // BenchmarkPredicateGroup names a three-predicate group — the shape of a
 // memo or fresh-selectivity lookup on a paper query — and one point
-// predicate, the oltp_point shape.
+// predicate, the oltp_point shape; then, as columns/…, the same groups'
+// column group, GroupColumns into ColumnGroup, as an access path and an
+// archive lookup name it.
 func BenchmarkPredicateGroup(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -166,6 +168,12 @@ func BenchmarkPredicateGroup(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				benchName = PredicateGroup("car", c.preds)
+			}
+		})
+		b.Run("columns/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchName = ColumnGroup("car", GroupColumns(c.preds))
 			}
 		})
 	}

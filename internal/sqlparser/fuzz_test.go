@@ -1,7 +1,9 @@
 package sqlparser
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -46,6 +48,7 @@ func FuzzNormalizeRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		norm, err := Normalize(sql)
+		checkLexedOnce(t, sql, norm, err)
 		if err != nil {
 			// Unlexable input: the parser must agree it is garbage.
 			if _, perr := Parse(sql); perr == nil {
@@ -76,4 +79,27 @@ func FuzzNormalizeRoundTrip(f *testing.F) {
 				sql, ast, norm, nast)
 		}
 	})
+}
+
+// checkLexedOnce holds the lexed-once path to the streaming one on sql,
+// whose Normalize returned norm, nerr: LexSelect takes exactly the texts
+// that lex and start with the keyword SELECT, its key is Normalize's byte for
+// byte, and its parse is Parse's — the same AST, or the same error.
+func checkLexedOnce(t *testing.T, sql, norm string, nerr error) {
+	t.Helper()
+	var l Lexed
+	key, ok := l.LexSelect(sql)
+	if ok != (nerr == nil && strings.HasPrefix(norm, "SELECT")) {
+		t.Fatalf("%q: LexSelect %v, Normalize %q (%v)", sql, ok, norm, nerr)
+	} else if !ok {
+		return
+	}
+	if key != norm {
+		t.Fatalf("%q: key from the tokens %q, Normalize %q", sql, key, norm)
+	}
+	ast, err := l.Parse()
+	want, werr := Parse(sql)
+	if fmt.Sprint(err) != fmt.Sprint(werr) || !reflect.DeepEqual(ast, want) {
+		t.Fatalf("%q: parse of the tokens %#v (%v), Parse %#v (%v)", sql, ast, err, want, werr)
+	}
 }

@@ -24,45 +24,64 @@ const (
 	tokOp     // = <> != < <= > >=
 )
 
+// token is a span with its canonical text, what the parser reads.
 type token struct {
 	kind tokenKind
 	text string // keywords are uppercased, identifiers lowercased
 	pos  int    // byte offset in the input, for error messages
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"NOT": true, "AS": true, "BETWEEN": true, "IN": true, "GROUP": true,
-	"BY": true, "ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true, "SET": true,
-	"DELETE": true, "CREATE": true, "TABLE": true, "INDEX": true, "ON": true,
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"INT": true, "FLOAT": true, "STRING": true, "NULL": true, "DISTINCT": true,
-	"EXPLAIN": true, "ANALYZE": true,
-	"SHOW": true, "STATS": true, "QUERIES": true, "METRICS": true,
-	"HISTORY": true, "LAST": true,
-	"ACCURACY": true, "DRIFT": true, "FOR": true,
+// span is one token as offsets into the input: the text it was lexed from
+// is input[start:end] (a string literal's with its quotes). kw indexes
+// keywordText for a keyword.
+type span struct {
+	start, end int
+	kind       tokenKind
+	kw         uint8
 }
 
-// isKeyword reports whether word, uppercased, is a keyword, without building
-// the uppercase string for the common word that is not one.
-func isKeyword(word string) bool {
-	const longest = len("DISTINCT")
-	var buf [longest]byte
-	for i := 0; i < len(word); i++ {
-		c := word[i]
-		if c >= utf8.RuneSelf { // let strings.ToUpper decide what ſelect spells
-			return keywords[strings.ToUpper(word)]
-		}
-		if i == longest {
-			return false
-		}
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		buf[i] = c
+// keywordText is every keyword in its canonical spelling; index 0 is no
+// keyword.
+var keywordText = [...]string{"",
+	"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "AS", "BETWEEN", "IN", "GROUP",
+	"BY", "ORDER", "ASC", "DESC", "LIMIT", "INSERT", "INTO", "VALUES", "UPDATE", "SET",
+	"DELETE", "CREATE", "TABLE", "INDEX", "ON", "COUNT", "SUM", "AVG", "MIN", "MAX",
+	"INT", "FLOAT", "STRING", "NULL", "DISTINCT", "EXPLAIN", "ANALYZE",
+	"SHOW", "STATS", "QUERIES", "METRICS", "HISTORY", "LAST", "ACCURACY", "DRIFT", "FOR",
+}
+
+// keywordsOfLen lists the keywordText indexes of the keywords of each length.
+var keywordsOfLen = func() (byLen [len("DISTINCT") + 1][]uint8) {
+	for k := 1; k < len(keywordText); k++ {
+		n := len(keywordText[k])
+		byLen[n] = append(byLen[n], uint8(k))
 	}
-	return keywords[string(buf[:len(word)])]
+	return byLen
+}()
+
+// keyword returns the keywordText index of word read in any case, 0 when it
+// is no keyword. The keywords of word's length are compared byte by byte,
+// each byte of word uppercased by clearing its case bit (exact: keywords are
+// letters only), so no uppercase string is built. A word that is not ASCII
+// is uppercased first: strings.ToUpper decides what ſelect spells.
+func keyword(word string, ascii bool) uint8 {
+	if !ascii {
+		word = strings.ToUpper(word)
+	}
+	if len(word) >= len(keywordsOfLen) {
+		return 0
+	}
+next:
+	for _, k := range keywordsOfLen[len(word)] {
+		kw := keywordText[k]
+		for i := 0; i < len(word); i++ {
+			if word[i]&^0x20 != kw[i] {
+				continue next
+			}
+		}
+		return k
+	}
+	return 0
 }
 
 // lexError reports a scanning problem with its byte offset.
@@ -80,21 +99,70 @@ func (e *lexError) Error() string {
 // 100 KB INSERT is never held as a token slice, and token text is a slice of
 // the input wherever the two are byte-identical (numbers, symbols, operators,
 // string literals without an escaped quote, words already in canonical case).
+// A probed SELECT is scanned once into spans instead (Lexed).
 type lexer struct {
 	input string
 	i     int
-	prev  token // the token before the one being scanned; the zero token at the start
+	prev  span // the span before the one being scanned; the zero span (EOF) at the start
 }
 
-// emit records t as the latest token and returns it.
-func (lx *lexer) emit(kind tokenKind, text string, pos int) (token, error) {
-	lx.prev = token{kind: kind, text: text, pos: pos}
-	return lx.prev, nil
+// lexHook, when set, sees every text that is lexed: the counter seam of the
+// package's tests. Nothing else sets it.
+var lexHook func(input string)
+
+// newLexer returns a lexer at the start of input.
+func newLexer(input string) lexer {
+	if lexHook != nil {
+		lexHook(input)
+	}
+	return lexer{input: input}
 }
 
 // next returns the next token; at the end of the input, tokEOF, again and
 // again. After an error the lexer must not be used further.
 func (lx *lexer) next() (token, error) {
+	sp, err := lx.scan()
+	if err != nil {
+		return token{}, err
+	}
+	return sp.token(lx.input), nil
+}
+
+// token returns the span's canonical text as the parser reads it.
+func (sp span) token(input string) token {
+	t := token{kind: sp.kind, pos: sp.start}
+	raw := input[sp.start:sp.end]
+	switch sp.kind {
+	case tokKeyword:
+		t.text = keywordText[sp.kw]
+	case tokIdent:
+		t.text = strings.ToLower(raw)
+	case tokString:
+		t.text = raw[1 : len(raw)-1]
+		if strings.IndexByte(t.text, '\'') >= 0 { // every quote inside is an escaped pair
+			t.text = strings.ReplaceAll(t.text, "''", "'")
+		}
+	case tokOp:
+		t.text = raw
+		if raw == "!=" {
+			t.text = "<>"
+		}
+	default:
+		t.text = raw
+	}
+	return t
+}
+
+// emit records the token input[start:end] as the latest and returns it.
+func (lx *lexer) emit(kind tokenKind, start, end int) (span, error) {
+	lx.i = end
+	lx.prev = span{start: start, end: end, kind: kind}
+	return lx.prev, nil
+}
+
+// scan returns the next span; at the end of the input, tokEOF, again and
+// again. After an error the lexer must not be used further.
+func (lx *lexer) scan() (span, error) {
 	input, n := lx.input, len(lx.input)
 	for lx.i < n {
 		i := lx.i
@@ -109,29 +177,21 @@ func (lx *lexer) next() (token, error) {
 			lx.i = i
 		case c == '\'':
 			start := i
-			i++
-			escaped := false
-			for ; ; i++ {
+			for i++; ; i++ {
 				if i >= n {
-					return token{}, &lexError{pos: start, msg: "unterminated string literal"}
+					return span{}, &lexError{pos: start, msg: "unterminated string literal"}
 				}
 				if input[i] != '\'' {
 					continue
 				}
 				if i+1 < n && input[i+1] == '\'' { // escaped quote
-					escaped = true
 					i++
 					continue
 				}
 				break
 			}
-			lx.i = i + 1
-			text := input[start+1 : i]
-			if escaped {
-				text = strings.ReplaceAll(text, "''", "'")
-			}
-			return lx.emit(tokString, text, start)
-		case c >= '0' && c <= '9' || (c == '-' && i+1 < n && input[i+1] >= '0' && input[i+1] <= '9' && startsValue(lx.prev)):
+			return lx.emit(tokString, start, i+1)
+		case c >= '0' && c <= '9' || (c == '-' && i+1 < n && input[i+1] >= '0' && input[i+1] <= '9' && startsValue(lx.prev, input)):
 			start := i
 			if c == '-' {
 				i++
@@ -158,81 +218,91 @@ func (lx *lexer) next() (token, error) {
 				}
 				break
 			}
-			lx.i = i
-			return lx.emit(tokNumber, input[start:i], start)
+			return lx.emit(tokNumber, start, i)
 		case c >= utf8.RuneSelf || isIdentStart(rune(c)):
 			start := i
-			r, size := utf8.DecodeRuneInString(input[i:])
-			if !isIdentStart(r) {
-				return token{}, &lexError{pos: start, msg: fmt.Sprintf("unexpected character %q", r)}
+			// An ASCII run needs no rune decoding; the first byte that is
+			// not ASCII sends the rest of the word down the rune loop.
+			for i < n && identASCII[input[i]] {
+				i++
 			}
-			i += size
-			for i < n {
-				r, size = utf8.DecodeRuneInString(input[i:])
-				if !isIdentPart(r) {
-					break
+			ascii := i == n || input[i] < utf8.RuneSelf
+			if !ascii {
+				if i == start {
+					r, size := utf8.DecodeRuneInString(input[i:])
+					if !isIdentStart(r) {
+						return span{}, &lexError{pos: start, msg: fmt.Sprintf("unexpected character %q", r)}
+					}
+					i += size
 				}
-				i += size
+				for i < n {
+					r, size := utf8.DecodeRuneInString(input[i:])
+					if !isIdentPart(r) {
+						break
+					}
+					i += size
+				}
 			}
-			lx.i = i
-			word := input[start:i]
-			if isKeyword(word) {
-				return lx.emit(tokKeyword, strings.ToUpper(word), start)
+			if kw := keyword(input[start:i], ascii); kw != 0 {
+				lx.i = i
+				lx.prev = span{start: start, end: i, kind: tokKeyword, kw: kw}
+				return lx.prev, nil
 			}
-			return lx.emit(tokIdent, strings.ToLower(word), start)
+			return lx.emit(tokIdent, start, i)
 		default:
 			start := i
 			switch c {
 			case '(', ')', ',', '.', ';', '*':
-				lx.i++
-				return lx.emit(tokSymbol, input[i:i+1], start)
+				return lx.emit(tokSymbol, start, i+1)
 			case '=':
-				lx.i++
-				return lx.emit(tokOp, "=", start)
+				return lx.emit(tokOp, start, i+1)
 			case '<':
 				if i+1 < n && (input[i+1] == '=' || input[i+1] == '>') {
-					lx.i += 2
-					return lx.emit(tokOp, input[i:i+2], start)
+					return lx.emit(tokOp, start, i+2)
 				}
-				lx.i++
-				return lx.emit(tokOp, "<", start)
+				return lx.emit(tokOp, start, i+1)
 			case '>':
 				if i+1 < n && input[i+1] == '=' {
-					lx.i += 2
-					return lx.emit(tokOp, ">=", start)
+					return lx.emit(tokOp, start, i+2)
 				}
-				lx.i++
-				return lx.emit(tokOp, ">", start)
+				return lx.emit(tokOp, start, i+1)
 			case '!':
 				if i+1 < n && input[i+1] == '=' {
-					lx.i += 2
-					return lx.emit(tokOp, "<>", start)
+					return lx.emit(tokOp, start, i+2)
 				}
-				return token{}, &lexError{pos: start, msg: "unexpected '!'"}
+				return span{}, &lexError{pos: start, msg: "unexpected '!'"}
 			case '-':
 				// A '-' that is not a numeric sign: unsupported arithmetic.
-				return token{}, &lexError{pos: start, msg: "unexpected '-' (arithmetic expressions are not supported)"}
+				return span{}, &lexError{pos: start, msg: "unexpected '-' (arithmetic expressions are not supported)"}
 			default:
-				return token{}, &lexError{pos: start, msg: fmt.Sprintf("unexpected character %q", c)}
+				return span{}, &lexError{pos: start, msg: fmt.Sprintf("unexpected character %q", c)}
 			}
 		}
 	}
-	return lx.emit(tokEOF, "", n)
+	return lx.emit(tokEOF, n, n)
 }
+
+// identASCII marks the ASCII bytes an identifier may continue with.
+var identASCII = func() (t [256]bool) {
+	for c := 0; c < utf8.RuneSelf; c++ {
+		t[c] = isIdentPart(rune(c))
+	}
+	return t
+}()
 
 // startsValue reports whether a '-' after prev begins a negative numeric
 // literal: true at the start of the input, after operators, commas, opening
 // parens, and the value-introducing keywords.
-func startsValue(prev token) bool {
+func startsValue(prev span, input string) bool {
 	switch prev.kind {
 	case tokEOF: // nothing scanned yet
 		return true
 	case tokOp:
 		return true
 	case tokSymbol:
-		return prev.text == "(" || prev.text == ","
+		return input[prev.start] == '(' || input[prev.start] == ','
 	case tokKeyword:
-		switch prev.text {
+		switch keywordText[prev.kw] {
 		case "BETWEEN", "AND", "IN", "VALUES", "SET", "LIMIT", "WHERE":
 			return true
 		}

@@ -16,9 +16,16 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("sql: parse error at offset %d: %s", e.Pos, e.Msg)
 }
 
-// parser pulls tokens from the lexer with one token of lookahead.
+// parser pulls tokens from the lexer with one token of lookahead, or, for a
+// statement lexed once (Lexed), from its spans.
+//
+// The lexed tokens are the parser's own copy: a parser's fields leak to the
+// AST as one, and a pointer to its caller's Lexed would move that to the
+// heap.
 type parser struct {
 	lx     lexer
+	lexed  Lexed // the statement's tokens when it was lexed once (lexed.n > 0)
+	at     int   // lexed's next token
 	tok    token // the lookahead
 	lexErr error // the lexer's error, once it has one; tok reads as EOF from then on
 }
@@ -26,7 +33,11 @@ type parser struct {
 // Parse parses a single SQL statement (trailing semicolons are allowed, as
 // Normalize drops them all).
 func Parse(input string) (Statement, error) {
-	p := &parser{lx: lexer{input: input}}
+	return parse(&parser{lx: newLexer(input)})
+}
+
+// parse parses the statement p reads.
+func parse(p *parser) (Statement, error) {
 	p.advance()
 	stmt, err := p.parseStatement()
 	if err == nil {
@@ -52,6 +63,13 @@ func Parse(input string) (Statement, error) {
 }
 
 func (p *parser) advance() {
+	if p.lexed.n > 0 {
+		p.tok = p.lexed.tokens[p.at].token(p.lexed.input)
+		if p.at < p.lexed.n-1 { // EOF, the last token, repeats
+			p.at++
+		}
+		return
+	}
 	if p.lexErr != nil {
 		return
 	}

@@ -410,6 +410,8 @@ func FuzzParseNeverPanics(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input string) {
 		// Must never panic; errors are fine.
 		_, _ = Parse(input)
+		norm, err := Normalize(input)
+		checkLexedOnce(t, input, norm, err)
 	})
 }
 

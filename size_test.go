@@ -15,7 +15,7 @@ import (
 // the number, so the next growth has to be argued from there.
 var nonTestLines = map[string]int{
 	".":                    15,
-	"cmd/benchpairs":       174,
+	"cmd/benchpairs":       217,
 	"cmd/datagen":          57,
 	"cmd/jitsbench":        722,
 	"cmd/jitsql":           202,
@@ -26,26 +26,26 @@ var nonTestLines = map[string]int{
 	"internal/accuracy":    427,
 	"internal/catalog":     221,
 	"internal/client":      180,
-	"internal/core":        2007,
+	"internal/core":        2012,
 	"internal/costmodel":   218,
 	"internal/debugserver": 288,
-	"internal/engine":      1805,
-	"internal/executor":    1792,
+	"internal/engine":      1819,
+	"internal/executor":    1816,
 	"internal/experiments": 890,
 	"internal/faultinject": 463,
 	"internal/feedback":    231,
 	"internal/flightrec":   376,
 	"internal/govern":      153,
-	"internal/histogram":   1132,
+	"internal/histogram":   1139,
 	"internal/index":       980,
 	"internal/metrics":     262,
-	"internal/morsel":      93,
-	"internal/optimizer":   1056,
+	"internal/morsel":      134,
+	"internal/optimizer":   1091,
 	"internal/plancache":   215,
-	"internal/qgm":         1132,
+	"internal/qgm":         1144,
 	"internal/sampling":    609,
 	"internal/server":      485,
-	"internal/sqlparser":   1350,
+	"internal/sqlparser":   1498,
 	"internal/storage":     1133,
 	"internal/value":       505,
 	"internal/wire":        580,

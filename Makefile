@@ -52,10 +52,11 @@ bench-pairs:
 
 # Telemetry must be free when nobody is looking: the disabled-path
 # benchmarks for the flight recorder (its ring and its trace writer both
-# off) and the accuracy ledger, the always-on metrics histogram's Observe
-# (the counts themselves are plain atomics of their owners), plus the
-# end-to-end statement benchmark with the recorder on/off, all with
-# -benchmem so an unexpected allocation on a disabled path fails review at a
+# off), the always-on metrics histogram's Observe (the counts themselves are
+# plain atomics of their owners), the always-on feedback store's Observe of
+# a column group it holds (both accounts and the error-factor histogram, no
+# allocation), plus the end-to-end statement benchmark with the recorder
+# on/off, all with -benchmem so an unexpected allocation fails review at a
 # glance. Then
 # the result-frame codec (encode, decode, whole-frame round trip at 50, 500
 # and 5000 rows): its allocations per frame must not grow with the rows;
@@ -100,8 +101,9 @@ bench-pairs:
 # ExecUnboxed on a plan-cache hit (the entry's text reused) and on a miss
 # (parse, QGM, JITS, optimize, one render). CI runs this target.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Disabled|HistogramObserve' -benchmem ./internal/metrics/ ./internal/flightrec/ ./internal/accuracy/
-	$(GO) test -run '^$$' -bench 'StatementRecorder|StatementLedger' -benchmem ./internal/engine/
+	$(GO) test -run '^$$' -bench 'Disabled|HistogramObserve' -benchmem ./internal/metrics/ ./internal/flightrec/
+	$(GO) test -run '^$$' -bench 'Observe' -benchmem ./internal/feedback/
+	$(GO) test -run '^$$' -bench 'StatementRecorder' -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'ResultFrame' -benchmem ./internal/wire/
 	$(GO) test -run '^$$' -bench 'IndexAdvance/rows=(43000|430000)|Lookup10k' -benchmem -benchtime 0.3s ./internal/index/
 	$(GO) test -run '^$$' -bench 'SampleDraw|EvaluateGroups|ColumnNDV|ColumnMinMax' -benchmem -benchtime 0.3s ./internal/sampling/

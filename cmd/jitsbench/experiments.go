@@ -34,7 +34,7 @@ var experimentTable = []experiment{
 	{"fig6", false, "Figure 6: sensitivity-analysis threshold sweep (avg time per query)", fig6},
 	{"oltp", false, "OLTP applicability check (§3.5): indexed point lookups", oltp},
 	{"parallel", true, "Parallel execution: wall-clock speedup of the morsel-driven executor", func(o experiments.Options) error { return parallelSpeedup(o, *chunksF) }},
-	{"drift", true, "Drift: accuracy ledger vs. a mid-run distribution shift", drift},
+	{"drift", true, "Drift: the feedback store vs. a mid-run distribution shift", drift},
 	{"reopt", true, "Re-optimization: recovering from bad plans at pipeline breakers", reopt},
 }
 

@@ -23,7 +23,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/accuracy"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/workload"
@@ -39,10 +38,9 @@ func main() {
 	flag.Parse()
 
 	// The shell always records statements so SHOW QUERIES / EXPLAIN HISTORY
-	// have something to show, and runs the accuracy ledger so SHOW ACCURACY
-	// and SHOW DRIFT do too.
+	// have something to show; SHOW ACCURACY and SHOW DRIFT read the engine's
+	// feedback store, which every engine keeps.
 	cfg := engine.Config{FlightRecorderCapacity: -1}
-	cfg.Accuracy = accuracy.DefaultConfig()
 	if *jits {
 		cfg.JITS = core.DefaultConfig()
 	}

@@ -14,7 +14,6 @@ import (
 // edit here: it has to be argued for, not just added.
 var configSurface = map[string][]string{
 	"engine.Config": {
-		"Accuracy.Enabled",
 		"FlightRecorderCapacity",
 		"JITS.Enabled",
 		"JITS.ForceCollect",
@@ -58,7 +57,6 @@ var configSurface = map[string][]string{
 // testHelpers does for exports. A knob that a program sets only through a
 // constructor names the constructor.
 var unsetKnobs = map[string]string{
-	"engine.Config.Accuracy.Enabled":        "set through accuracy.DefaultConfig (cmd/jitsql, internal/experiments)",
 	"engine.Config.JITS.SpaceBudgetBuckets": "the root ablation benchmarks (bench_test.go) set it",
 	"engine.Config.JITS.Strategy":           "the root ablation benchmarks (bench_test.go) set it",
 }

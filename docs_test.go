@@ -99,9 +99,9 @@ func TestDocReferencesResolve(t *testing.T) {
 // from. A change may shrink one (and lowers its number here); none may grow,
 // so a new section has to be paid for by cutting an old one.
 var docSizes = map[string]int{
-	"DESIGN.md":      121929,
-	"EXPERIMENTS.md": 146914,
-	"README.md":      30939,
+	"DESIGN.md":      120094,
+	"EXPERIMENTS.md": 146906,
+	"README.md":      30931,
 }
 
 // TestDocSizes holds DESIGN.md, EXPERIMENTS.md and README.md to docSizes:

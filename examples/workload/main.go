@@ -50,7 +50,7 @@ func main() {
 		if qi%window == 0 {
 			fmt.Printf("%4d-%-5d %12.4f %12.4f %10d %12d %10d\n",
 				qi-window+1, qi, sumC/window, sumX/window, samples,
-				e.JITS().Archive().Histograms(), e.History().Len())
+				e.JITS().Archive().Histograms(), e.Feedback().Len())
 			sumC, sumX, samples = 0, 0, 0
 		}
 	}

@@ -300,6 +300,7 @@ func exportKey(fn *types.Func) string {
 // calls. Each one leaves this list when bench/ is next brought up to the
 // engine: it moves to a test export or goes.
 var benchCallees = map[string]string{
+	"core.JITS.Feedback":            "staged.go: the staged pipeline files its scans' feedback through the coordinator",
 	"core.SampleDomains":            "probes.go: the core.materialize_us probe builds the archive's column domains",
 	"engine.Engine.ArchiveEpoch":    "staged.go: the staged pipeline invalidates its plan cache by the archive epoch",
 	"engine.Engine.Indexes":         "staged.go and probes.go: the staged pipeline's optimizer and executor contexts",
@@ -310,6 +311,7 @@ var benchCallees = map[string]string{
 	"index.Index.Lookup":            "probes.go: the index.lookup_ns probe",
 	"index.Index.Rebuilds":          "probes.go: the index.rebuilds per-layer count",
 	"index.Set.ForTable":            "probes.go: the index probes list a table's indexes",
+	"qgm.ColumnGroupKey":            "probes.go: the histogram probes key their targets by column group",
 	"qgm.Predicate.Region":          "probes.go: the histogram probes turn predicates into boxes",
 	"sampling.EvaluateGroups":       "probes.go: the sampling.evalgroups_us probe",
 	"sampling.Sampler.Sample":       "probes.go: the sampling.sample_us probe draws a row sample",

@@ -285,9 +285,7 @@ func (c *collection) sample(tw *tableWork, size int, start time.Time) (err error
 			touched := j.archive.Materialize(name, g, sel, c.ts, domains)
 			c.meter.Add(c.w.HistUpdate * float64(touched))
 			tr.GroupsMaterialized++
-			if j.merges != nil {
-				j.merges.ObserveMerge(c.ts, name, qgm.ColumnGroupKey(name, qgm.GroupColumns(g)))
-			}
+			j.history.ObserveMerge(c.ts, qgm.ColumnGroup(name, qgm.GroupColumns(g)))
 		}
 	}
 	tr.SampleRows = rows

@@ -68,7 +68,7 @@ func forcedJITS(cfg Config) *JITS {
 	if cfg.SampleSize == 0 {
 		cfg.SampleSize = 200
 	}
-	return New(cfg, feedback.NewHistory(), catalog.New(), nil, nil)
+	return New(cfg, feedback.NewStore(), catalog.New(), nil)
 }
 
 func prepare(t *testing.T, ctx context.Context, j *JITS, db *storage.Database) (*QueryStats, *PrepareReport) {

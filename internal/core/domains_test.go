@@ -194,7 +194,7 @@ func TestDomainsIgnoreRowOrder(t *testing.T) {
 func TestSampleSpanLapsSumToSpan(t *testing.T) {
 	db, _ := correlatedDB(t)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry' AND year > 1995`)
-	j := New(Config{Enabled: true, ForceCollect: true, SampleSize: 2000, Seed: 1}, feedback.NewHistory(), catalog.New(), nil, nil)
+	j := New(Config{Enabled: true, ForceCollect: true, SampleSize: 2000, Seed: 1}, feedback.NewStore(), catalog.New(), nil)
 	var m costmodel.Meter
 	// Best of a few: one scheduler hiccup between the last lap and the
 	// pass's closing clock read must not fail the build.

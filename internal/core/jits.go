@@ -94,34 +94,24 @@ type JITS struct {
 	mu      sync.Mutex
 	cfg     Config
 	archive *Archive
-	history *feedback.History
+	history *feedback.Store
 	cat     *catalog.Catalog
 	sampler *sampling.Sampler
 	colSets []int      // the survey's column sets, reused by every statement
 	indexes *index.Set // StrategyCN plan probes enumerate over it
 	degrade costmodel.Degradation
-	merges  MergeObserver // nil: no merge events
 
 	// Collection totals: rows drawn by compile-time sampling and tables
-	// sampled. errorFactors is the feedback loop's.
+	// sampled.
 	sampleRows      atomic.Int64
 	tablesCollected atomic.Int64
-	errorFactors    *metrics.Histogram
 }
 
-// MergeObserver is notified whenever a quantified statistic is merged
-// (materialized) into the archive — the accuracy ledger subscribes through
-// it. Implementations must be cheap when disabled; the call sits on the
-// compilation path.
-type MergeObserver interface {
-	ObserveMerge(ts int64, table, key string)
-}
-
-// New builds a JITS coordinator sharing the engine's catalog, feedback
-// history and index registry (the CN strategy's plan enumerations need it).
-// merges subscribes to archive merges (the engine's accuracy ledger); nil
-// disables the events.
-func New(cfg Config, history *feedback.History, cat *catalog.Catalog, ixs *index.Set, merges MergeObserver) *JITS {
+// New builds a JITS coordinator sharing the engine's catalog, feedback store
+// and index registry (the CN strategy's plan enumerations need it). The
+// sensitivity analysis reads the store's StatHistory, and every archive
+// merge is reported to it.
+func New(cfg Config, history *feedback.Store, cat *catalog.Catalog, ixs *index.Set) *JITS {
 	cfg = cfg.withDefaults()
 	return &JITS{
 		cfg:     cfg,
@@ -130,16 +120,12 @@ func New(cfg Config, history *feedback.History, cat *catalog.Catalog, ixs *index
 		cat:     cat,
 		sampler: sampling.New(cfg.Seed),
 		indexes: ixs,
-		merges:  merges,
-
-		errorFactors: metrics.NewHistogram(metrics.ErrorFactorBuckets()),
 	}
 }
 
-// Scrape appends the coordinator's jits_* series and the feedback loop's
-// error-factor distribution to set. Every degradation cause's series is
-// present from the start, labelled with the cause's own name, and reads
-// DegradationCounts, so the two cannot disagree.
+// Scrape appends the coordinator's jits_* series to set. Every degradation
+// cause's series is present from the start, labelled with the cause's own
+// name, and reads DegradationCounts, so the two cannot disagree.
 func (j *JITS) Scrape(set *metrics.Set) {
 	deg := j.DegradationCounts()
 	causes := costmodel.DegradeCauses()
@@ -150,8 +136,6 @@ func (j *JITS) Scrape(set *metrics.Set) {
 	set.Counter("jits_sample_rows_total", "Rows drawn by JITS compile-time sampling.", float64(j.sampleRows.Load()))
 	set.Counter("jits_tables_collected_total", "Tables successfully sampled by JITS Prepare.", float64(j.tablesCollected.Load()))
 	set.CounterBy("jits_degradation_total", "Tables that fell back to catalog statistics, by cause.", "cause", byCause)
-	set.Histogram("feedback_error_factor",
-		"Estimated/actual selectivity error factors observed by the feedback loop.", j.errorFactors)
 }
 
 // DegradationCounts snapshots the cumulative graceful-degradation counters:
@@ -344,30 +328,13 @@ func (j *JITS) PrepareBudgeted(ctx context.Context, q *qgm.Query, db *storage.Da
 }
 
 // Observation is one post-execution comparison of estimated and actual
-// selectivity for a table's local predicate group — what LEO's monitoring
-// delivers.
-type Observation struct {
-	Table     string
-	ColGrp    qgm.StatName
-	StatList  []qgm.StatName
-	EstSel    float64
-	ActualSel float64
-	BaseCard  int64
-}
+// selectivity for a table's local predicate group.
+type Observation = feedback.Observation
 
-// Feedback records execution observations into the StatHistory. It runs
-// regardless of whether JITS collection is enabled — the feedback loop is
-// the engine's (LEO's), and JITS merely consumes it.
-func (j *JITS) Feedback(obs []Observation) {
-	for _, o := range obs {
-		if o.ColGrp.IsZero() {
-			continue
-		}
-		ef := feedback.ErrorFactor(o.EstSel, o.ActualSel, o.BaseCard)
-		j.errorFactors.Observe(ef)
-		j.history.Record(o.Table, o.ColGrp, o.StatList, ef)
-	}
-}
+// Feedback records execution observations into the feedback store at
+// logical time 0, for a caller that keeps no clock (bench/staged.go); the
+// engine observes through the store with the statement's own time.
+func (j *JITS) Feedback(obs []Observation) { j.history.Observe(0, obs) }
 
 // MigrateToCatalog periodically pushes archived 1-D histograms and fresh
 // cardinalities into the system catalog (Figure 1's statistics-migration

@@ -74,7 +74,7 @@ func buildQuery(t testing.TB, db *storage.Database, sql string) *qgm.Query {
 
 func TestPrepareDisabled(t *testing.T) {
 	db, _ := correlatedDB(t)
-	j := New(Config{Enabled: false}, feedback.NewHistory(), catalog.New(), nil, nil)
+	j := New(Config{Enabled: false}, feedback.NewStore(), catalog.New(), nil)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota'`)
 	var m costmodel.Meter
 	qs, rep, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil)
@@ -96,7 +96,7 @@ func TestPrepareCollectsExactJointSelectivity(t *testing.T) {
 	db, _ := correlatedDB(t)
 	cfg := DefaultConfig()
 	cfg.ForceCollect = true
-	j := New(cfg, feedback.NewHistory(), catalog.New(), nil, nil)
+	j := New(cfg, feedback.NewStore(), catalog.New(), nil)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
 	var m costmodel.Meter
 	qs, rep, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil)
@@ -146,7 +146,7 @@ func TestPrepareResetsUDIAndFillsArchive(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.ForceCollect = true
-	j := New(cfg, feedback.NewHistory(), catalog.New(), nil, nil)
+	j := New(cfg, feedback.NewStore(), catalog.New(), nil)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND year > 2000`)
 	var m costmodel.Meter
 	_, rep, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil)
@@ -169,7 +169,7 @@ func TestArchiveReusedAcrossQueries(t *testing.T) {
 	db, _ := correlatedDB(t)
 	cfg := DefaultConfig()
 	cfg.ForceCollect = true
-	j := New(cfg, feedback.NewHistory(), catalog.New(), nil, nil)
+	j := New(cfg, feedback.NewStore(), catalog.New(), nil)
 
 	// Query 1 materializes (make, model) stats.
 	q1 := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
@@ -203,8 +203,8 @@ func TestSensitivitySkipsFreshTables(t *testing.T) {
 	db, _ := correlatedDB(t)
 	cfg := DefaultConfig()
 	cfg.SMax = 0.5
-	hist := feedback.NewHistory()
-	j := New(cfg, hist, catalog.New(), nil, nil)
+	hist := feedback.NewStore()
+	j := New(cfg, hist, catalog.New(), nil)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
 	var m costmodel.Meter
 	w := costmodel.DefaultWeights()
@@ -261,7 +261,7 @@ func TestSelfJoinSharesOneSample(t *testing.T) {
 	db, _ := correlatedDB(t)
 	cfg := DefaultConfig()
 	cfg.ForceCollect = true
-	j := New(cfg, feedback.NewHistory(), catalog.New(), nil, nil)
+	j := New(cfg, feedback.NewStore(), catalog.New(), nil)
 	q := buildQuery(t, db, `SELECT c1.id FROM car c1, car c2
 		WHERE c1.id = c2.id AND c1.make = 'Toyota' AND c2.make = 'Honda'`)
 	var m costmodel.Meter
@@ -279,8 +279,8 @@ func TestSelfJoinSharesOneSample(t *testing.T) {
 }
 
 func TestFeedbackRecordsHistory(t *testing.T) {
-	hist := feedback.NewHistory()
-	j := New(DefaultConfig(), hist, catalog.New(), nil, nil)
+	hist := feedback.NewStore()
+	j := New(DefaultConfig(), hist, catalog.New(), nil)
 	j.Feedback([]Observation{
 		{Table: "car", ColGrp: name("car(make)"), StatList: names("car(make)"), EstSel: 0.2, ActualSel: 0.4, BaseCard: 1000},
 		{Table: "car", StatList: nil, EstSel: 0.2, ActualSel: 0.4, BaseCard: 1000}, // skipped
@@ -288,7 +288,7 @@ func TestFeedbackRecordsHistory(t *testing.T) {
 	if hist.Len() != 1 {
 		t.Fatalf("history = %d entries", hist.Len())
 	}
-	entries := hist.EntriesFor("car", name("car(make)"))
+	entries := hist.For(name("car(make)"))
 	if math.Abs(entries[0].ErrorFactor-0.5) > 1e-9 {
 		t.Errorf("ef = %v, want 0.5", entries[0].ErrorFactor)
 	}
@@ -299,7 +299,7 @@ func TestMigrateToCatalogViaCoordinator(t *testing.T) {
 	cat := catalog.New()
 	cfg := DefaultConfig()
 	cfg.ForceCollect = true
-	j := New(cfg, feedback.NewHistory(), cat, nil, nil)
+	j := New(cfg, feedback.NewStore(), cat, nil)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE year > 2000`)
 	var m costmodel.Meter
 	if _, _, err := j.PrepareBudgeted(context.Background(), q, db, 1, &m, costmodel.DefaultWeights(), nil); err != nil {
@@ -319,7 +319,7 @@ func TestMigrateToCatalogViaCoordinator(t *testing.T) {
 }
 
 func TestSetSMax(t *testing.T) {
-	j := New(DefaultConfig(), feedback.NewHistory(), catalog.New(), nil, nil)
+	j := New(DefaultConfig(), feedback.NewStore(), catalog.New(), nil)
 	j.SetSMax(0.7)
 	if j.cfg.SMax != 0.7 {
 		t.Errorf("SMax = %v", j.cfg.SMax)
@@ -328,7 +328,7 @@ func TestSetSMax(t *testing.T) {
 
 func TestPrepareUnknownTable(t *testing.T) {
 	db, _ := correlatedDB(t)
-	j := New(DefaultConfig(), feedback.NewHistory(), catalog.New(), nil, nil)
+	j := New(DefaultConfig(), feedback.NewStore(), catalog.New(), nil)
 	q := buildQuery(t, db, `SELECT id FROM car WHERE make = 'Toyota'`)
 	// Prepare against a database without the rewritten query's table.
 	var m costmodel.Meter

@@ -194,7 +194,7 @@ func FuzzLoadArchive(f *testing.F) {
 }
 
 func TestJITSRestoreArchive(t *testing.T) {
-	j := New(DefaultConfig(), nil, nil, nil, nil)
+	j := New(DefaultConfig(), nil, nil, nil)
 	a := populatedArchive(t)
 	j.RestoreArchive(a)
 	if j.Archive() != a {

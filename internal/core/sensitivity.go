@@ -43,7 +43,7 @@ type Scores struct {
 // Sensitivity implements Algorithms 2–4. The zero value is not usable;
 // construct with the JITS coordinator.
 type Sensitivity struct {
-	History *feedback.History
+	History *feedback.Store
 	Archive *Archive
 	Cat     *catalog.Catalog
 	SMax    float64
@@ -60,7 +60,7 @@ func (s *Sensitivity) ShouldCollectStats(act TableActivity, groups [][]qgm.Predi
 	colgrp := qgm.ColumnGroup(act.Table, qgm.GroupColumns(g))
 
 	maxAcc := 0.0
-	for _, h := range s.History.EntriesFor(act.Table, colgrp) {
+	for _, h := range s.History.For(colgrp) {
 		accu := feedback.Accuracy(h.ErrorFactor)
 		for _, stat := range h.StatList {
 			accu *= s.statAccuracy(stat, act.Table, g)
@@ -148,7 +148,7 @@ func (s *Sensitivity) ShouldMaterialize(table string, g []qgm.Predicate) bool {
 		return true
 	}
 	statKey := qgm.ColumnGroup(table, cols)
-	if len(s.History.EntriesFor(table, statKey)) > 0 {
+	if s.History.Observed(statKey) {
 		return true // recurring target: bootstrap it into the archive
 	}
 	f := s.History.TotalCount()
@@ -156,7 +156,7 @@ func (s *Sensitivity) ShouldMaterialize(table string, g []qgm.Predicate) bool {
 		return false
 	}
 	score := 0.0
-	for _, h := range s.History.EntriesUsing(statKey) {
+	for _, h := range s.History.Using(statKey) {
 		score += feedback.Accuracy(h.ErrorFactor) * float64(h.Count) / float64(f)
 	}
 	return score >= s.SMax

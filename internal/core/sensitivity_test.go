@@ -13,11 +13,19 @@ import (
 
 func newSensitivity(smax float64) *Sensitivity {
 	return &Sensitivity{
-		History: feedback.NewHistory(),
+		History: feedback.NewStore(),
 		Archive: NewArchive(0, 0),
 		Cat:     catalog.New(),
 		SMax:    smax,
 	}
+}
+
+// record files one observation whose error factor is ef: the actual
+// selectivity is 2^-10 of a 2^20-row table, so est/actual is exactly ef.
+func record(h *feedback.Store, colgrp qgm.StatName, statlist []qgm.StatName, ef float64) {
+	const act = 1.0 / 1024
+	h.Observe(0, []feedback.Observation{{Table: colgrp.Table(), ColGrp: colgrp, StatList: statlist,
+		EstSel: ef * act, ActualSel: act, BaseCard: 1 << 20}})
 }
 
 func TestShouldCollectColdTable(t *testing.T) {
@@ -57,7 +65,7 @@ func TestAccurateHistorySuppressesCollection(t *testing.T) {
 	// group exactly, and history says estimates from it were perfect.
 	domains := map[string]ColumnDomain{"year": intDomain(1990, 2010)}
 	s.Archive.Materialize("car", g, 0.4, 1, domains)
-	s.History.Record("car", colgrp, names("car(year)"), 1.0)
+	record(s.History, colgrp, names("car(year)"), 1.0)
 
 	act := TableActivity{Table: "car", Cardinality: 1000, UDI: 0}
 	collect, scores := s.ShouldCollectStats(act, [][]qgm.Predicate{g})
@@ -79,7 +87,7 @@ func TestBadErrorFactorTriggersCollection(t *testing.T) {
 	domains := map[string]ColumnDomain{"year": intDomain(1990, 2010)}
 	s.Archive.Materialize("car", g, 0.4, 1, domains)
 	// History: estimates from this stat were off by 5x.
-	s.History.Record("car", colgrp, names("car(year)"), 5.0)
+	record(s.History, colgrp, names("car(year)"), 5.0)
 	act := TableActivity{Table: "car", Cardinality: 1000, UDI: 0}
 	collect, scores := s.ShouldCollectStats(act, [][]qgm.Predicate{g})
 	if !collect {
@@ -94,7 +102,7 @@ func TestUDIActivityTriggersCollection(t *testing.T) {
 	colgrp := qgm.ColumnGroup("car", []string{"year"})
 	domains := map[string]ColumnDomain{"year": intDomain(1990, 2010)}
 	s.Archive.Materialize("car", g, 0.4, 1, domains)
-	s.History.Record("car", colgrp, names("car(year)"), 1.0)
+	record(s.History, colgrp, names("car(year)"), 1.0)
 	// Now 90% of the table churned.
 	act := TableActivity{Table: "car", Cardinality: 1000, UDI: 900}
 	collect, scores := s.ShouldCollectStats(act, [][]qgm.Predicate{g})
@@ -175,9 +183,9 @@ func TestShouldMaterializeFromUsefulness(t *testing.T) {
 	// The statistic car(year) has been used for most estimates, accurately.
 	statKey := "car(year)"
 	for i := 0; i < 9; i++ {
-		s.History.Record("car", name("car(make,year)"), names(statKey, "car(make)"), 1.0)
+		record(s.History, name("car(make,year)"), names(statKey, "car(make)"), 1.0)
 	}
-	s.History.Record("car", name("car(id)"), names("car(id)"), 1.0)
+	record(s.History, name("car(id)"), names("car(id)"), 1.0)
 	if !s.ShouldMaterialize("car", g) {
 		t.Error("frequently-useful statistic must be materialized")
 	}
@@ -189,13 +197,13 @@ func TestShouldMaterializeFromUsefulness(t *testing.T) {
 
 func TestShouldMaterializeThresholdScaling(t *testing.T) {
 	// The same history that passes s_max = 0.3 fails s_max = 0.9.
-	histories := feedback.NewHistory()
+	histories := feedback.NewStore()
 	statKey := "car(year)"
 	for i := 0; i < 5; i++ {
-		histories.Record("car", name("car(make,year)"), names(statKey), 1.0)
+		record(histories, name("car(make,year)"), names(statKey), 1.0)
 	}
 	for i := 0; i < 5; i++ {
-		histories.Record("car", name("car(id)"), names("car(id)"), 1.0)
+		record(histories, name("car(id)"), names("car(id)"), 1.0)
 	}
 	g := []qgm.Predicate{gtPred("year", 2000)}
 	low := &Sensitivity{History: histories, Archive: NewArchive(0, 0), SMax: 0.3}

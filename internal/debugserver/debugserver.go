@@ -9,7 +9,7 @@
 //	GET /debug/pprof/    net/http/pprof index (profile, heap, goroutine, …)
 //	GET /debug/archive   QSS archive histograms as JSON
 //	GET /debug/queries   flight-recorder records + post-mortems as JSON
-//	GET /debug/accuracy  accuracy-ledger rows + drift states as JSON
+//	GET /debug/accuracy  the feedback store's drift accounts as JSON
 //	GET /debug/health    engine open/closed + degradation + drift as JSON
 //	GET /debug/sessions  live SQL-service sessions as JSON (when serving)
 //
@@ -217,23 +217,22 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleAccuracy serves the estimator-accuracy ledger: every tracked
-// statistic with its freshness state and drift evidence, plus the per-state
-// totals. ?table=t filters to one table's statistics.
+// handleAccuracy serves the feedback store's drift accounts: every column
+// group with its freshness state and drift evidence, plus the per-state
+// totals. ?table=t filters to one table's groups.
 func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
 	eng := s.engineOr503(w)
 	if eng == nil {
 		return
 	}
-	led := eng.Accuracy()
-	tracked, fresh, aging, drifted := led.Counts()
+	store := eng.Feedback()
+	tracked, fresh, aging, drifted := store.Counts()
 	writeJSON(w, map[string]any{
-		"enabled": led.Enabled(),
 		"tracked": tracked,
 		"fresh":   fresh,
 		"aging":   aging,
 		"drifted": drifted,
-		"stats":   led.Snapshot(r.URL.Query().Get("table")),
+		"stats":   store.Snapshot(r.URL.Query().Get("table")),
 	})
 }
 
@@ -272,13 +271,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	// rows) so a fleet dashboard sees stale statistics without another
 	// scrape target — but drifted stats alone never fail the probe: the
 	// node still serves correctly, just possibly with worse plans.
-	tracked, fresh, aging, drifted := eng.Accuracy().Counts()
+	tracked, fresh, aging, drifted := eng.Feedback().Counts()
 	writeJSONStatus(w, code, map[string]any{
 		"status":      status,
 		"degradation": degradation,
 		"governor":    eng.Governor().Snapshot(),
 		"drift": map[string]any{
-			"enabled": eng.Accuracy().Enabled(),
 			"tracked": tracked,
 			"fresh":   fresh,
 			"aging":   aging,

@@ -206,6 +206,74 @@ func TestCloseWaitsForMaintenance(t *testing.T) {
 	}
 }
 
+// TestOneCatchUpPerTable: over a stream of one-row INSERTs into an indexed
+// table, at most one catch-up goroutine runs for the table at a time — a
+// write that finds one running marks it dirty, and the running one goes
+// round again. The stream comes in bursts; after each, the catch-ups alone
+// have brought the index to the table's last write: a probe then advances
+// nothing, and finds what a scan finds. The table is large enough that a
+// pass takes longer than an INSERT, so writes land during passes.
+func TestOneCatchUpPerTable(t *testing.T) {
+	e := engine.New(engine.Config{StorageChunkSize: 128, Parallelism: 1})
+	var rows strings.Builder
+	for i := 0; i < 20000; i++ {
+		if i > 0 {
+			rows.WriteString(", ")
+		}
+		fmt.Fprintf(&rows, "(%d, %d)", -i, i%50)
+	}
+	for _, sql := range []string{
+		`CREATE TABLE t (id INT, k INT)`,
+		`CREATE INDEX ix_t_k ON t (k)`,
+		`INSERT INTO t VALUES ` + rows.String(),
+		`SELECT id FROM t WHERE k = 0`, // builds the index
+	} {
+		if _, err := e.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, _ := e.DB().Table("t")
+	ix, _ := e.Indexes().Find("t", "k")
+	lookup := func(key int64) {
+		snap := tbl.Snapshot()
+		var want []int
+		snap.Scan(func(pos int, row []value.Datum) bool {
+			if row[1].Int() == key {
+				want = append(want, pos)
+			}
+			return true
+		})
+		before := ix.Rebuilds()
+		if got := ix.LookupAt(snap, value.NewInt(key)); !slices.Equal(got, want) {
+			t.Fatalf("LookupAt(%d) = %v, a scan finds %v", key, got, want)
+		}
+		if after := ix.Rebuilds(); after != before {
+			t.Fatalf("the probe advanced the index %d times: the catch-ups stopped short of the last write", after-before)
+		}
+	}
+	peak := 0
+	for i := 1; i <= 1000; i++ {
+		if _, err := e.Exec(fmt.Sprintf(`INSERT INTO t VALUES (%d, %d)`, i, i%50)); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, e.CatchUpsRunning())
+		if i%50 == 0 {
+			e.WaitMaintenance()
+			if n := e.CatchUpsRunning(); n != 0 {
+				t.Fatalf("%d catch-up goroutines left after the wait", n)
+			}
+			lookup(int64(i % 50))
+		}
+	}
+	t.Logf("peak catch-up goroutines over 1000 INSERTs: %d", peak)
+	if peak > 1 {
+		t.Fatalf("%d catch-up goroutines ran at once for one table, want at most 1", peak)
+	}
+	for key := int64(0); key < 50; key++ {
+		lookup(key)
+	}
+}
+
 // TestCloseRacesStatements: Close in the middle of running writers and
 // readers. Each round starts two writers (UPDATEs and DELETEs that move
 // indexed rows, INSERTs that put rows back) and two readers (index probes,

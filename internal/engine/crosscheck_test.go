@@ -5,21 +5,20 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/accuracy"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/workload"
 )
 
-// Cross-check property: the flight recorder and the estimator-accuracy
-// ledger are two consumers of the same feedback stream (the engine's observe
-// stage feeds both in one loop), so over any workload they must agree — every
-// feedback observation the recorder logged as an error factor is exactly
-// one ledger observation, and every ledger EWMA q-error lies inside the
-// range of symmetric q-errors the recorder saw. Re-optimization is armed so
-// the merged-actuals path (captured actuals from superseded execution
-// attempts, unioned with the final attempt's) is covered too: a divergence
-// there would double- or under-count one consumer.
+// Cross-check property: the flight recorder and the feedback store are two
+// consumers of the same feedback stream (the engine's observe stage feeds
+// both from one Observe call), so over any workload they must agree — every
+// feedback observation the recorder logged as an error factor is exactly one
+// observation in each of the store's accounts, and every drift account's
+// EWMA q-error lies inside the range of symmetric q-errors the recorder saw.
+// Re-optimization is armed so the merged-actuals path (captured actuals from
+// superseded execution attempts, unioned with the final attempt's) is covered
+// too: a divergence there would double- or under-count one consumer.
 func TestFeedbackCrossCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed replay is slow")
@@ -30,7 +29,6 @@ func TestFeedbackCrossCheck(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			cfg := engine.Config{
 				FlightRecorderCapacity: 4096,
-				Accuracy:               accuracy.Config{Enabled: true},
 				Reopt:                  engine.ReoptConfig{Enabled: true, QErrorThreshold: 2, MaxReopts: 3},
 			}
 			cfg.JITS.Enabled = true
@@ -63,10 +61,10 @@ func TestFeedbackCrossCheck(t *testing.T) {
 				t.Fatal("recorder saw no feedback error factors — the cross-check tested nothing")
 			}
 
-			// The ledger must have consumed exactly the same stream.
-			ledgerObs := uint64(0)
-			for _, s := range e.Accuracy().Snapshot("") {
-				ledgerObs += s.Observations
+			// The store must have consumed exactly the same stream.
+			driftObs := uint64(0)
+			for _, s := range e.Feedback().Snapshot("") {
+				driftObs += s.Observations
 				if s.EWMAQError < minQ-1e-9 || s.EWMAQError > maxQ+1e-9 {
 					t.Errorf("stat %s: EWMA q-error %.4f outside observed range [%.4f, %.4f]",
 						s.Key, s.EWMAQError, minQ, maxQ)
@@ -75,9 +73,9 @@ func TestFeedbackCrossCheck(t *testing.T) {
 					t.Errorf("stat %s: non-finite EWMA q-error %v", s.Key, s.EWMAQError)
 				}
 			}
-			if uint64(recObs) != ledgerObs {
-				t.Fatalf("feedback consumers diverged: recorder logged %d error factors, ledger observed %d",
-					recObs, ledgerObs)
+			if uint64(recObs) != driftObs || int64(recObs) != e.Feedback().TotalCount() {
+				t.Fatalf("feedback consumers diverged: recorder logged %d error factors, drift accounts observed %d, StatHistory counted %d",
+					recObs, driftObs, e.Feedback().TotalCount())
 			}
 		})
 	}

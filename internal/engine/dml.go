@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/qgm"
 	"repro/internal/sqlparser"
@@ -125,21 +126,60 @@ func (e *Engine) execDelete(s *statement, stmt *sqlparser.DeleteStmt) (*Result, 
 	return s.dmlResult(n), nil
 }
 
+// catchUps holds, for each table with an index catch-up running, whether a
+// write changed its rows after that catch-up took its snapshot. A table has
+// at most one catch-up goroutine however many writes land while it runs.
+type catchUps struct {
+	mu      sync.Mutex
+	pending map[*storage.Table]bool // true: dirty, the running catch-up goes round again
+	running int                     // catch-up goroutines, read by a test seam
+}
+
 // catchUpBeside starts bringing tbl's built indexes to the rows a write that
 // changed n of them left, on a goroutine of its own, so the statement after
 // the write does not pay for it unless it probes one of them first — a probe
 // then catches the index up itself, as it does any index behind its snapshot,
-// and the goroutine finds it done. Close waits for these goroutines; a write
-// that finishes after Close starts none, and leaves the catch-up to the next
-// probe.
+// and the goroutine finds it done. A write that finds tbl's catch-up running
+// marks it dirty instead of starting another. Close waits for these
+// goroutines; a write that finishes after Close starts none, and leaves the
+// catch-up to the next probe.
 func (e *Engine) catchUpBeside(tbl *storage.Table, n int) {
-	if n == 0 || !e.maintenance.Begin() {
+	if n == 0 {
 		return
 	}
-	go func() {
-		defer e.maintenance.End()
+	c := &e.catchUps
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, running := c.pending[tbl]; running {
+		c.pending[tbl] = true
+		return
+	}
+	if !e.maintenance.Begin() {
+		return
+	}
+	if c.pending == nil {
+		c.pending = make(map[*storage.Table]bool)
+	}
+	c.pending[tbl] = false
+	c.running++
+	go e.catchUp(tbl)
+}
+
+// catchUp catches tbl's indexes up until no write landed during a pass.
+func (e *Engine) catchUp(tbl *storage.Table) {
+	defer e.maintenance.End()
+	c := &e.catchUps
+	for dirty := true; dirty; {
 		e.indexes.CatchUp(tbl)
-	}()
+		c.mu.Lock()
+		if dirty = c.pending[tbl]; dirty {
+			c.pending[tbl] = false
+		} else {
+			delete(c.pending, tbl)
+			c.running--
+		}
+		c.mu.Unlock()
+	}
 }
 
 func (e *Engine) execCreateTable(stmt *sqlparser.CreateTableStmt) (*Result, error) {

@@ -14,8 +14,8 @@
 //	  compile   rewrite (QGM) → JITS Prepare (sensitivity analysis +
 //	            sampling) → optimize                  (skipped on a hit)
 //	  execute   metered physical operators, re-planning at checkpoints
-//	  observe   actual vs. estimated selectivities → StatHistory/archive,
-//	            accuracy ledger, flight record, corrections, migration
+//	  observe   actual vs. estimated selectivities → feedback store,
+//	            flight record, corrections, migration
 //	finish      flight record captured, stamped and committed; instruments
 //
 // A plan-cache hit, EXPLAIN and EXPLAIN ANALYZE are this same pipeline
@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/accuracy"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -108,12 +107,6 @@ type Config struct {
 	// materialized intermediates as exact-cardinality leaves. The zero value
 	// disables it.
 	Reopt ReoptConfig
-	// Accuracy configures the estimator-accuracy ledger (SHOW ACCURACY /
-	// SHOW DRIFT, /debug/accuracy): per-statistic EWMA q-error, DML churn
-	// and CUSUM drift detection over the feedback stream. The zero value
-	// leaves the ledger disabled for the engine's life; statements then pay
-	// one field load per probe.
-	Accuracy accuracy.Config
 }
 
 // Metrics reports the simulated timing split of one statement.
@@ -155,21 +148,22 @@ type Engine struct {
 	db           *storage.Database
 	cat          *catalog.Catalog
 	indexes      *index.Set
-	history      *feedback.History
+	feedback     *feedback.Store
 	jits         *core.JITS
 	weights      costmodel.Weights
 	clock        atomic.Int64 // the logical clock; tick advances it
 	migrateEvery int
 	selectCount  atomic.Int64
 	recorder     *flightrec.Recorder
-	accuracy     *accuracy.Ledger
 	governor     *govern.Governor
 	parallelism  int
 	reoptCfg     ReoptConfig
 	counts       *counts
 	closed       atomic.Bool
-	// maintenance owns the index catch-ups writes start (catchUpBeside).
+	// maintenance owns the index catch-ups writes start (catchUpBeside), at
+	// most one a table (catchUps).
 	maintenance morsel.Beside
+	catchUps    catchUps
 	// planCache is nil when Config.PlanCacheSize is 0 (cache disabled).
 	planCache *plancache.Cache
 	// archiveEpoch versions the statistics/data state cached plans were
@@ -188,24 +182,19 @@ type Engine struct {
 // New creates an empty engine.
 func New(cfg Config) *Engine {
 	cat := catalog.New()
-	hist := feedback.NewHistory()
+	fb := feedback.NewStore()
 	ixs := index.NewSet()
 	if cfg.JITS.Parallelism == 0 {
 		cfg.JITS.Parallelism = cfg.Parallelism
 	}
-	// The accuracy ledger always exists; while disabled every probe on it is
-	// one field load. It subscribes to archive merges through the JITS
-	// coordinator.
-	ledger := accuracy.New(cfg.Accuracy)
 	e := &Engine{
 		db:          storage.NewDatabase(cfg.StorageChunkSize),
 		cat:         cat,
 		indexes:     ixs,
-		history:     hist,
-		jits:        core.New(cfg.JITS, hist, cat, ixs, ledger),
+		feedback:    fb,
+		jits:        core.New(cfg.JITS, fb, cat, ixs),
 		weights:     costmodel.DefaultWeights(),
 		recorder:    flightrec.New(cfg.FlightRecorderCapacity, cfg.Trace),
-		accuracy:    ledger,
 		governor:    govern.New(),
 		parallelism: cfg.Parallelism,
 		reoptCfg:    cfg.Reopt.withDefaults(),
@@ -227,8 +216,10 @@ func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 // Indexes exposes the index registry.
 func (e *Engine) Indexes() *index.Set { return e.indexes }
 
-// History exposes the feedback StatHistory.
-func (e *Engine) History() *feedback.History { return e.history }
+// Feedback exposes the feedback store: the StatHistory the sensitivity
+// analysis reads and the drift accounts SHOW ACCURACY and SHOW DRIFT read.
+// Safe to read concurrently with statements.
+func (e *Engine) Feedback() *feedback.Store { return e.feedback }
 
 // JITS exposes the framework coordinator (experiments tune s_max on it).
 func (e *Engine) JITS() *core.JITS { return e.jits }
@@ -247,11 +238,6 @@ func (e *Engine) Now() int64 { return e.clock.Load() }
 // holds records only when Config.FlightRecorderCapacity is non-zero. Safe to
 // read concurrently with statements and across Close.
 func (e *Engine) Recorder() *flightrec.Recorder { return e.recorder }
-
-// Accuracy exposes the estimator-accuracy ledger. Always non-nil; it
-// records only when Config.Accuracy.Enabled. Safe to read concurrently with
-// statements.
-func (e *Engine) Accuracy() *accuracy.Ledger { return e.accuracy }
 
 // Closed reports whether Close has been called (the debug server's health
 // endpoint reads this).
@@ -456,9 +442,9 @@ func (e *Engine) dispatch(s *statement, stmt sqlparser.Statement) (*Result, erro
 	// Data- or statistics-changing statements move the archive epoch, so no
 	// later statement can reuse a plan compiled against the old state.
 	e.bumpArchiveEpoch()
-	// DML churn ages the accuracy ledger's view of the table's statistics.
-	if dmlTable != "" && res.RowsAffected > 0 && e.accuracy.Enabled() {
-		e.accuracy.RecordChurn(s.ts, dmlTable, int64(res.RowsAffected))
+	// DML churn ages the drift accounts of the table's column groups.
+	if dmlTable != "" {
+		e.feedback.RecordChurn(s.ts, dmlTable, int64(res.RowsAffected))
 	}
 	return res, nil
 }

@@ -207,7 +207,7 @@ func TestJITSEnabledCollectsAndHelps(t *testing.T) {
 func TestFeedbackLoopFillsHistory(t *testing.T) {
 	e := seedEngine(t, Config{JITS: core.DefaultConfig()})
 	mustExec(t, e, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
-	if e.History().Len() == 0 {
+	if e.Feedback().Len() == 0 {
 		t.Error("history empty after query with local predicates")
 	}
 }

@@ -39,3 +39,10 @@ func (e *Engine) PlanCache() *plancache.Cache { return e.planCache }
 // WaitMaintenance returns when the index catch-ups the engine's writes
 // started have ended, so a test can see what one did.
 func (e *Engine) WaitMaintenance() { e.maintenance.Wait() }
+
+// CatchUpsRunning returns how many index catch-up goroutines are running.
+func (e *Engine) CatchUpsRunning() int {
+	e.catchUps.mu.Lock()
+	defer e.catchUps.mu.Unlock()
+	return e.catchUps.running
+}

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/accuracy"
+	"repro/internal/feedback"
 	"repro/internal/qgm"
 	"repro/internal/value"
 )
@@ -37,7 +37,7 @@ func (e *Engine) execShowStats(ts int64) (*Result, error) {
 			staleness = 0
 		}
 		ef := value.Null
-		if f, ok := e.history.LastErrorFactorFor(qgm.ColumnGroup(s.Table, s.Columns)); ok {
+		if f, ok := e.feedback.LastErrorFactorFor(qgm.ColumnGroup(s.Table, s.Columns)); ok {
 			ef = value.NewFloat(f)
 		}
 		rows = append(rows, []value.Datum{
@@ -115,10 +115,10 @@ func (e *Engine) execShowMetrics() (*Result, error) {
 	return rowsResult(cols, rows), nil
 }
 
-// accuracyRows renders ledger snapshot rows for SHOW ACCURACY / SHOW DRIFT.
+// accuracyRows renders drift accounts for SHOW ACCURACY / SHOW DRIFT.
 // Staleness-style ages (merge_age, churn) are relative to the statement's
 // own timestamp, matching SHOW STATS.
-func accuracyRows(ts int64, snaps []accuracy.StatAccuracy) [][]value.Datum {
+func accuracyRows(ts int64, snaps []feedback.StatAccuracy) [][]value.Datum {
 	rows := make([][]value.Datum, 0, len(snaps))
 	for _, s := range snaps {
 		age := ts - s.LastMerge
@@ -149,17 +149,17 @@ func accuracyRows(ts int64, snaps []accuracy.StatAccuracy) [][]value.Datum {
 var accuracyCols = []string{"stat", "table", "state", "observations", "ewma_qerror",
 	"cusum", "churn_rows", "merge_age", "merges", "last_observed", "drifted_at"}
 
-// execShowAccuracy lists the accuracy ledger: one row per tracked statistic
+// execShowAccuracy lists the drift accounts: one row per column group
 // with its freshness state, decayed q-error, drift evidence and churn.
 // table filters to one table's statistics; empty lists all.
 func (e *Engine) execShowAccuracy(ts int64, table string) (*Result, error) {
-	return rowsResult(accuracyCols, accuracyRows(ts, e.accuracy.Snapshot(table))), nil
+	return rowsResult(accuracyCols, accuracyRows(ts, e.feedback.Snapshot(table))), nil
 }
 
 // execShowDrift lists only the statistics currently in the drifted state —
 // the operator's "what went stale" view.
 func (e *Engine) execShowDrift(ts int64) (*Result, error) {
-	return rowsResult(accuracyCols, accuracyRows(ts, e.accuracy.Drifted())), nil
+	return rowsResult(accuracyCols, accuracyRows(ts, e.feedback.Drifted())), nil
 }
 
 // execExplainHistory replays the flight-recorded plan of statement qid with

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/accuracy"
 	"repro/internal/core"
 	"repro/internal/flightrec"
 )
@@ -458,21 +457,20 @@ func benchmarkStatement(b *testing.B, recorderCap int) {
 	}
 }
 
-// ledgerEngine is recorderEngine with the accuracy ledger enabled — the
-// configuration SHOW ACCURACY and SHOW DRIFT are interesting under.
-func ledgerEngine(t testing.TB) *Engine {
+// accuracyEngine is recorderEngine at a small sample size — the configuration
+// SHOW ACCURACY and SHOW DRIFT are interesting under.
+func accuracyEngine(t testing.TB) *Engine {
 	t.Helper()
 	cfg := Config{FlightRecorderCapacity: -1}
 	cfg.JITS = core.DefaultConfig()
 	cfg.JITS.SampleSize = 200
-	cfg.Accuracy = accuracy.DefaultConfig()
 	return seedEngine(t, cfg)
 }
 
 // TestShowAccuracyThroughExec runs SHOW ACCURACY through the ordinary Exec
-// path after a few queries have fed the ledger, and pins the column shape.
+// path after a few queries have fed the store, and pins the column shape.
 func TestShowAccuracyThroughExec(t *testing.T) {
-	e := ledgerEngine(t)
+	e := accuracyEngine(t)
 	for _, sql := range []string{
 		`SELECT id FROM car WHERE make = 'Toyota'`,
 		`SELECT id FROM owner WHERE city = 'Ottawa'`,
@@ -492,7 +490,7 @@ func TestShowAccuracyThroughExec(t *testing.T) {
 		t.Fatalf("SHOW ACCURACY columns = %s", got)
 	}
 	if len(res.Rows) == 0 {
-		t.Fatal("SHOW ACCURACY returned no rows although queries ran with the ledger on")
+		t.Fatal("SHOW ACCURACY returned no rows although queries ran")
 	}
 	for _, row := range res.Rows {
 		stat, table, state := row[0].Str(), row[1].Str(), row[2].Str()
@@ -531,7 +529,7 @@ func TestShowAccuracyThroughExec(t *testing.T) {
 // TestShowDriftThroughExec: the drifted subset is empty on a healthy engine
 // and carries the same columns as SHOW ACCURACY.
 func TestShowDriftThroughExec(t *testing.T) {
-	e := ledgerEngine(t)
+	e := accuracyEngine(t)
 	if _, err := e.Exec(`SELECT id FROM car WHERE make = 'Toyota'`); err != nil {
 		t.Fatal(err)
 	}
@@ -547,21 +545,23 @@ func TestShowDriftThroughExec(t *testing.T) {
 	}
 }
 
-// TestShowAccuracyDisabledLedger: with the ledger off the statements still
-// work and report nothing.
-func TestShowAccuracyDisabledLedger(t *testing.T) {
+// TestShowAccuracyAlwaysOn: an engine built from the zero Config, JITS off,
+// keeps the feedback store all the same: one query gives SHOW ACCURACY its
+// column group and leaves SHOW DRIFT empty.
+func TestShowAccuracyAlwaysOn(t *testing.T) {
 	e := seedEngine(t, Config{})
 	if _, err := e.Exec(`SELECT id FROM car WHERE make = 'BMW'`); err != nil {
 		t.Fatal(err)
 	}
-	for _, sql := range []string{`SHOW ACCURACY`, `SHOW DRIFT`} {
-		res, err := e.Exec(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 0 {
-			t.Fatalf("%s on a disabled ledger returned %d rows", sql, len(res.Rows))
-		}
+	res, err := e.Exec(`SHOW ACCURACY`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "car(make)" || res.Rows[0][3].Int() != 1 {
+		t.Fatalf("SHOW ACCURACY on a zero-Config engine = %v, want car(make) with one observation", res.Rows)
+	}
+	if res, err = e.Exec(`SHOW DRIFT`); err != nil || len(res.Rows) != 0 {
+		t.Fatalf("SHOW DRIFT = %v, %v; want no rows", res.Rows, err)
 	}
 }
 
@@ -600,36 +600,5 @@ func TestShowQueriesEpochColumn(t *testing.T) {
 	}
 	if after := res.Rows[0][epochIdx].Int(); after <= before {
 		t.Fatalf("epoch did not advance across DML: before=%d after=%d", before, after)
-	}
-}
-
-// BenchmarkStatementLedger measures the end-to-end statement cost with the
-// accuracy ledger off vs. on — the same <5% overhead budget the flight
-// recorder honors. `make bench-smoke` runs both; compare the two numbers.
-func BenchmarkStatementLedgerOff(b *testing.B) {
-	benchmarkStatementLedger(b, false)
-}
-
-func BenchmarkStatementLedgerOn(b *testing.B) {
-	benchmarkStatementLedger(b, true)
-}
-
-func benchmarkStatementLedger(b *testing.B, enabled bool) {
-	cfg := Config{}
-	cfg.JITS = core.DefaultConfig()
-	cfg.JITS.SampleSize = 200
-	cfg.Accuracy = accuracy.DefaultConfig()
-	cfg.Accuracy.Enabled = enabled
-	e := seedEngine(b, cfg)
-	sql := `SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND o.city = 'Ottawa'`
-	if _, err := e.Exec(sql); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Exec(sql); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -74,7 +74,7 @@ func newCounts() *counts {
 
 // Scrape reads this engine's series from the structs that own each count:
 // the engine's statement totals, the JITS coordinator, its archives, the
-// governor, the accuracy ledger and the plan cache. SHOW METRICS renders it
+// governor, the feedback store and the plan cache. SHOW METRICS renders it
 // as rows and the debug server's /metrics as text; nothing else in the
 // process contributes to it.
 func (e *Engine) Scrape() metrics.Set {
@@ -106,7 +106,7 @@ func (e *Engine) Scrape() metrics.Set {
 	e.jits.Scrape(&set)
 	core.ScrapeArchives(&set, e.jits.Archive(), e.staticQSS, e.reactiveQSS)
 	e.governor.Scrape(&set)
-	e.accuracy.Scrape(&set)
+	e.feedback.Scrape(&set)
 	e.planCache.Scrape(&set)
 	return set
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/feedback"
 	"repro/internal/flightrec"
 	"repro/internal/optimizer"
@@ -12,11 +11,11 @@ import (
 )
 
 // observe is the pipeline's feedback stage and the only place an executed
-// SELECT's actuals reach their consumers: the LEO-style feedback loop
-// (StatHistory → JITS archive), the accuracy ledger, the flight record's
-// feedback, reactive corrections when that baseline is enabled, and the
-// periodic statistics-migration cadence. Each scan's error factor is computed
-// once and handed to both the record and the ledger, so the two cannot
+// SELECT's actuals reach their consumers: the feedback store (the StatHistory
+// the JITS sensitivity analysis reads, and the drift accounts), the flight
+// record's feedback, reactive corrections when that baseline is enabled, and
+// the periodic statistics-migration cadence. The store computes each scan's
+// error factor once and the record reports that value, so the two cannot
 // disagree. Superseded reopt attempts' scan feedback (captured at their
 // trigger points) merges with the final attempt's: the subtrees that produced
 // it never re-executed, so the union double-counts nothing.
@@ -28,12 +27,12 @@ func (e *Engine) observe(s *statement) {
 		allActuals = append(s.subActuals, mainActuals...)
 	}
 	fb := phase(s, flightrec.PhaseFeedback)
-	var obs []core.Observation
+	var obs []feedback.Observation
 	for _, a := range allActuals {
 		if a.Trace == nil || a.Conditioned {
 			continue
 		}
-		obs = append(obs, core.Observation{
+		obs = append(obs, feedback.Observation{
 			Table:     a.Trace.Table,
 			ColGrp:    a.Trace.ColGrp,
 			StatList:  a.Trace.StatList,
@@ -41,24 +40,25 @@ func (e *Engine) observe(s *statement) {
 			ActualSel: a.ActualSelectivity(),
 			BaseCard:  int64(a.BaseRows),
 		})
-		ef := feedback.ErrorFactor(a.Trace.EstSel, a.ActualSelectivity(), int64(a.BaseRows))
-		if rec != nil {
+	}
+	drifted := e.feedback.Observe(ts, obs)
+	if rec != nil {
+		for _, o := range obs {
 			rec.Feedback = append(rec.Feedback, flightrec.Feedback{
-				Stat:        a.Trace.ColGrp.String(),
-				EstSel:      a.Trace.EstSel,
-				ActualSel:   a.ActualSelectivity(),
-				ErrorFactor: ef,
-				StatList:    statNames(a.Trace.StatList),
+				Stat:        o.ColGrp.String(),
+				EstSel:      o.EstSel,
+				ActualSel:   o.ActualSel,
+				ErrorFactor: o.ErrorFactor,
+				StatList:    statNames(o.StatList),
 			})
 		}
-		// A statistic crossing into drifted annotates the statement that
-		// tripped the detector. (A disabled ledger is one atomic load.)
-		if tr, ok := e.accuracy.ObserveFeedback(ts, a.Trace.Table, a.Trace.ColGrp.String(), ef, int64(a.BaseRows)); ok && rec != nil {
+		// A column group crossing into drifted annotates the statement that
+		// tripped the detector.
+		for _, tr := range drifted {
 			rec.Annotations = append(rec.Annotations, fmt.Sprintf("accuracy: %s %s -> %s cusum=%.2f obs=%d churn=%d",
-				tr.Key, tr.From, tr.To, tr.CUSUM, tr.Observations, tr.ChurnRows))
+				tr.Stat, tr.From, tr.To, tr.CUSUM, tr.Observations, tr.ChurnRows))
 		}
 	}
-	e.jits.Feedback(obs)
 	fb.end()
 
 	// Reactive corrections (LEO baseline): record the *observed*

@@ -70,15 +70,17 @@ func BenchmarkPointLookup(b *testing.B) {
 
 // warmHitAllocs is what one warm-cache point lookup allocates with the plan
 // text kept in the cache entry and the text lexed once, on the statement's
-// stack (22 on linux/amd64, go1.24). A new allocation on the hit path — a
-// Sprintf, a rendered plan — fails here.
-const warmHitAllocs = 22
+// stack, and its feedback filed under a statlist the store already holds
+// (20 on linux/amd64, go1.24). A new allocation on the hit path — a Sprintf,
+// a rendered plan — fails here.
+const warmHitAllocs = 20
 
 // coldMissAllocs bounds what one point lookup that misses the plan cache
 // allocates, its text included: BenchmarkPointLookup/miss's statement
-// (84 on linux/amd64, go1.24, with the parse reading the probe's tokens and
-// the index answering its own predicate).
-const coldMissAllocs = 84
+// (81 on linux/amd64, go1.24, with the parse reading the probe's tokens, the
+// index answering its own predicate and Algorithm 3 reading its column
+// group's StatHistory rows by one lookup).
+const coldMissAllocs = 81
 
 // TestWarmPointLookupFormatsNothing holds the hit path to formatting nothing
 // while nobody looks: with the flight recorder and the trace off, no

@@ -3,7 +3,6 @@ package experiments
 import (
 	"sort"
 
-	"repro/internal/accuracy"
 	"repro/internal/engine"
 	"repro/internal/workload"
 )
@@ -13,18 +12,18 @@ import (
 // freeze collection (s_max = 1, the paper's never-collect setting — the
 // stand-in for a static RUNSTATS-style catalog) and shift the data
 // distribution of exactly one table with a massive city-boom UPDATE. The
-// replayed workload now estimates from stale histograms; the accuracy
-// ledger's CUSUM detector must flag the shifted table's statistics as
+// replayed workload now estimates from stale histograms; the feedback
+// store's CUSUM detector must flag the shifted table's statistics as
 // drifted while every untouched table stays out of the drifted set.
 //
-// Everything is deterministic — seeded data, seeded queries, and a ledger
+// Everything is deterministic — seeded data, seeded queries, and a store
 // clocked by the engine's logical ticks — so the drifted-table set is a
 // stable assertion, not a tendency (TestDriftQuick pins it).
 
 // driftShiftFraction is the fraction of owner rows the city boom relocates.
 const driftShiftFraction = 0.5
 
-// DriftStatRow is one ledger row sampled at a phase boundary — the CSV the
+// DriftStatRow is one drift account sampled at a phase boundary — the CSV the
 // experiment commits is these rows for both phases.
 type DriftStatRow struct {
 	Phase        string // "warm" (pre-shift) or "shifted" (end of run)
@@ -49,16 +48,13 @@ type DriftReport struct {
 	ShiftSQL string
 }
 
-// Drift runs the drifting-workload experiment and reports the ledger's
-// verdict. The warm phase runs with s_max = 0 (collect everything) so the
-// archive — and therefore the ledger — tracks every predicate group the
+// Drift runs the drifting-workload experiment and reports the feedback
+// store's verdict. The warm phase runs with s_max = 0 (collect everything) so
+// the archive — and therefore the store — tracks every predicate group the
 // workload exercises before the freeze. Half of opts.Queries run before the
 // shift and the other half after it.
 func Drift(opts Options) (*DriftReport, error) {
-	cfg := engine.Config{
-		JITS:     opts.jitsConfig(),
-		Accuracy: accuracy.DefaultConfig(),
-	}
+	cfg := engine.Config{JITS: opts.jitsConfig()}
 	cfg.JITS.SMax = 0 // warm phase: archive every exercised predicate group
 	e := opts.newEngine(cfg)
 	d, err := workload.Load(e, workload.Spec{Scale: opts.Scale, Seed: opts.Seed})
@@ -87,7 +83,7 @@ func Drift(opts Options) (*DriftReport, error) {
 	e.JITS().SetSMax(1)
 
 	// The shift: relocate half the owner table. The UPDATE's churn is the
-	// ledger's first signal (fresh → aging); the stale estimates that
+	// store's first signal (fresh → aging); the stale estimates that
 	// follow are the second (→ drifted).
 	shift := d.CityBoom(driftShiftFraction)
 	rep.ShiftSQL = shift.SQL
@@ -103,7 +99,7 @@ func Drift(opts Options) (*DriftReport, error) {
 	rep.Rows = appendDriftRows(rep.Rows, "shifted", e)
 
 	drifted := map[string]bool{}
-	for _, s := range e.Accuracy().Drifted() {
+	for _, s := range e.Feedback().Drifted() {
 		drifted[s.Table] = true
 	}
 	for t := range drifted {
@@ -114,7 +110,7 @@ func Drift(opts Options) (*DriftReport, error) {
 }
 
 func appendDriftRows(rows []DriftStatRow, phase string, e *engine.Engine) []DriftStatRow {
-	for _, s := range e.Accuracy().Snapshot("") {
+	for _, s := range e.Feedback().Snapshot("") {
 		rows = append(rows, DriftStatRow{
 			Phase:        phase,
 			Stat:         s.Key,

@@ -5,7 +5,7 @@ import (
 )
 
 // TestDriftQuick is the clock-injected fast drift run CI executes
-// (`make test`): after the mid-run city boom, the accuracy ledger must
+// (`make test`): after the mid-run city boom, the feedback store must
 // flag the shifted table — and only the shifted table — as drifted. The
 // run is fully deterministic (seeded data and queries, logical-tick clock),
 // so the asserted set is exact, not probabilistic.

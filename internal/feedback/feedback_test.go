@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -57,38 +58,46 @@ func TestAccuracySymmetryProperty(t *testing.T) {
 	}
 }
 
-func TestRecordAndLookup(t *testing.T) {
-	h := NewHistory()
-	// Mirror the paper's Table 1.
-	h.Record("t1", name("t1(a,b,c)"), names("t1(a,b)", "t1(c)"), 0.4)
-	h.Record("t1", name("t1(a,b,c)"), names("t1(a)", "t1(b,c)"), 0.7)
-	h.Record("t1", name("t1(a,b,c)"), names("t1(a,b,c)"), 1.0)
-	h.Record("t1", name("t1(a,b,d)"), names("t1(a,b)", "t1(d)"), 0.6)
+// record observes one estimate of colgrp from statlist whose error factor is
+// exactly ef: the actual selectivity is 2^-10 of a 2^20-row table.
+func record(s *Store, colgrp string, statlist []qgm.StatName, ef float64) {
+	const act = 1.0 / 1024
+	s.Observe(0, []Observation{{Table: name(colgrp).Table(), ColGrp: name(colgrp), StatList: statlist,
+		EstSel: ef * act, ActualSel: act, BaseCard: 1 << 20}})
+}
 
-	got := h.EntriesFor("t1", name("t1(a,b,c)"))
+func TestRecordAndLookup(t *testing.T) {
+	h := NewStore()
+	// Mirror the paper's Table 1.
+	record(h, "t1(a,b,c)", names("t1(a,b)", "t1(c)"), 0.4)
+	record(h, "t1(a,b,c)", names("t1(a)", "t1(b,c)"), 0.7)
+	record(h, "t1(a,b,c)", names("t1(a,b,c)"), 1.0)
+	record(h, "t1(a,b,d)", names("t1(a,b)", "t1(d)"), 0.6)
+
+	got := h.For(name("t1(a,b,c)"))
 	if len(got) != 3 {
-		t.Fatalf("EntriesFor = %d entries, want 3", len(got))
+		t.Fatalf("For = %d entries, want 3", len(got))
 	}
 	if h.TotalCount() != 4 || h.Len() != 4 {
 		t.Errorf("TotalCount=%d Len=%d", h.TotalCount(), h.Len())
 	}
-	using := h.EntriesUsing(name("t1(a,b)"))
+	using := h.Using(name("t1(a,b)"))
 	if len(using) != 2 {
-		t.Fatalf("EntriesUsing(t1(a,b)) = %d entries, want 2", len(using))
+		t.Fatalf("Using(t1(a,b)) = %d entries, want 2", len(using))
 	}
-	if len(h.EntriesUsing(name("t1(z)"))) != 0 {
-		t.Error("EntriesUsing of unknown stat must be empty")
+	if len(h.Using(name("t1(z)"))) != 0 {
+		t.Error("Using of unknown stat must be empty")
 	}
-	if len(h.EntriesFor("t9", name("t9(a)"))) != 0 {
-		t.Error("EntriesFor of unknown table must be empty")
+	if len(h.For(name("t9(a)"))) != 0 {
+		t.Error("For of unknown group must be empty")
 	}
 }
 
 func TestRecordMergesAndEWMA(t *testing.T) {
-	h := NewHistory()
-	h.Record("t", name("t(a)"), names("t(a)"), 1.0)
-	h.Record("t", name("t(a)"), names("t(a)"), 0.5)
-	got := h.EntriesFor("t", name("t(a)"))
+	h := NewStore()
+	record(h, "t(a)", names("t(a)"), 1.0)
+	record(h, "t(a)", names("t(a)"), 0.5)
+	got := h.For(name("t(a)"))
 	if len(got) != 1 {
 		t.Fatalf("entries = %d, want 1 merged", len(got))
 	}
@@ -102,23 +111,45 @@ func TestRecordMergesAndEWMA(t *testing.T) {
 }
 
 func TestStatListOrderInsensitive(t *testing.T) {
-	h := NewHistory()
-	h.Record("t", name("t(a,b)"), names("t(a)", "t(b)"), 1.0)
-	h.Record("t", name("t(a,b)"), names("t(b)", "t(a)"), 1.0)
+	h := NewStore()
+	record(h, "t(a,b)", names("t(a)", "t(b)"), 1.0)
+	record(h, "t(a,b)", names("t(b)", "t(a)"), 1.0)
 	if h.Len() != 1 {
 		t.Errorf("Len = %d, statlist order must not split entries", h.Len())
 	}
 }
 
 func TestEntriesAreCopies(t *testing.T) {
-	h := NewHistory()
-	h.Record("t", name("t(a)"), names("t(a)"), 1.0)
-	got := h.EntriesFor("t", name("t(a)"))
+	h := NewStore()
+	record(h, "t(a)", names("t(a)"), 1.0)
+	got := h.For(name("t(a)"))
 	got[0].ErrorFactor = 99
 	got[0].StatList[0] = name("t(mutated)")
-	again := h.EntriesFor("t", name("t(a)"))
+	again := h.For(name("t(a)"))
 	if again[0].ErrorFactor == 99 || again[0].StatList[0] == name("t(mutated)") {
 		t.Error("lookup must return copies")
+	}
+}
+
+// TestMergedOnlyGroupHasNoRows: a column group the archive merged but no
+// estimate ever targeted has a drift account and no StatHistory rows. It is
+// no recurring target for Algorithm 4's bootstrap rule, gives Algorithm 3
+// nothing to take the max over, and adds nothing to Algorithm 4's F.
+func TestMergedOnlyGroupHasNoRows(t *testing.T) {
+	h := NewStore()
+	h.ObserveMerge(1, name("t(a)"))
+	record(h, "t(b)", names("t(b)"), 1.0)
+	if tracked, _, _, _ := h.Counts(); tracked != 2 {
+		t.Fatalf("tracked = %d, want the merged and the observed group", tracked)
+	}
+	if h.Observed(name("t(a)")) || len(h.For(name("t(a)"))) != 0 {
+		t.Errorf("merged-only group: Observed = %v, For = %+v", h.Observed(name("t(a)")), h.For(name("t(a)")))
+	}
+	if !h.Observed(name("t(b)")) {
+		t.Error("observed group reports no rows")
+	}
+	if h.Len() != 1 || h.TotalCount() != 1 {
+		t.Errorf("Len = %d, TotalCount = %d, want 1 and 1", h.Len(), h.TotalCount())
 	}
 }
 
@@ -187,29 +218,54 @@ func TestErrorFactorBoundedProperty(t *testing.T) {
 }
 
 // TestRecordIgnoresNonFinite: a non-finite error factor must not enter the
-// history — once mixed into the EWMA it would never decay out.
+// store — once mixed into an EWMA it would never decay out. Whatever
+// selectivities an observation carries, the factor Observe files is finite.
 func TestRecordIgnoresNonFinite(t *testing.T) {
-	h := NewHistory()
-	h.Record("t", name("t(a)"), names("t(a)"), math.NaN())
-	h.Record("t", name("t(a)"), names("t(a)"), math.Inf(1))
-	if h.Len() != 0 || h.TotalCount() != 0 {
-		t.Fatalf("non-finite records entered history: len=%d total=%d", h.Len(), h.TotalCount())
+	h := NewStore()
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, est := range bad {
+		for _, act := range append(bad, 0.5) {
+			obs := []Observation{{Table: "t", ColGrp: name("t(a)"), StatList: names("t(a)"), EstSel: est, ActualSel: act, BaseCard: 1000}}
+			h.Observe(1, obs)
+			if ef := obs[0].ErrorFactor; math.IsNaN(ef) || math.IsInf(ef, 0) {
+				t.Fatalf("Observe(%v, %v) filed error factor %v", est, act, ef)
+			}
+		}
 	}
-	h.Record("t", name("t(a)"), names("t(a)"), 0.5)
-	h.Record("t", name("t(a)"), names("t(a)"), math.NaN())
-	got := h.EntriesFor("t", name("t(a)"))
-	if len(got) != 1 || got[0].Count != 1 || got[0].ErrorFactor != 0.5 {
-		t.Errorf("entry corrupted by non-finite record: %+v", got)
+	got := h.For(name("t(a)"))
+	if len(got) != 1 || got[0].Count != 12 || math.IsNaN(got[0].ErrorFactor) || math.IsInf(got[0].ErrorFactor, 0) {
+		t.Errorf("entry corrupted by non-finite selectivities: %+v", got)
+	}
+	s := h.Snapshot("")[0]
+	if math.IsNaN(s.EWMAQError) || math.IsInf(s.EWMAQError, 0) || math.IsNaN(s.CUSUM) || math.IsInf(s.CUSUM, 0) {
+		t.Errorf("drift account corrupted by non-finite selectivities: %+v", s)
 	}
 }
 
 func TestDeterministicOrdering(t *testing.T) {
-	h := NewHistory()
-	h.Record("t", name("t(a)"), names("t(b)"), 1)
-	h.Record("t", name("t(a)"), names("t(a)"), 1)
-	h.Record("t", name("t(a)"), names("t(c)"), 1)
-	got := h.EntriesFor("t", name("t(a)"))
+	h := NewStore()
+	record(h, "t(a)", names("t(b)"), 1)
+	record(h, "t(a)", names("t(a)"), 1)
+	record(h, "t(a)", names("t(c)"), 1)
+	got := h.For(name("t(a)"))
 	if got[0].StatList[0] != name("t(a)") || got[1].StatList[0] != name("t(b)") || got[2].StatList[0] != name("t(c)") {
 		t.Errorf("entries not deterministically sorted: %+v", got)
+	}
+}
+
+// TestUsingOrder: Using orders by table, column group, then statlist text —
+// the order Algorithm 4 sums its usefulness score in.
+func TestUsingOrder(t *testing.T) {
+	h := NewStore()
+	record(h, "u(x)", names("s(k)", "u(x)"), 0.125)
+	record(h, "t(b)", names("s(k)", "t(b)"), 0.25)
+	record(h, "t(a)", names("s(k)", "t(z)"), 0.375)
+	record(h, "t(a)", names("s(k)", "t(a)"), 0.5)
+	var got []float64
+	for _, e := range h.Using(name("s(k)")) {
+		got = append(got, e.ErrorFactor)
+	}
+	if want := []float64{0.5, 0.375, 0.25, 0.125}; !slices.Equal(got, want) {
+		t.Errorf("Using order by error factor = %v, want %v", got, want)
 	}
 }

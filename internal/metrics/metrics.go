@@ -4,7 +4,7 @@
 //
 // The package keeps no counts of its own. Every count lives as a field of
 // the struct that owns it (the engine, the JITS coordinator, the archive,
-// the plan cache, the governor, the ledger, the server), and a scrape reads
+// the plan cache, the governor, the feedback store, the server), and a scrape reads
 // those fields into a Set. Whoever is asked — SHOW METRICS on one engine,
 // /metrics on the debug server — describes exactly the instance it reads.
 package metrics

@@ -265,8 +265,8 @@ const (
 	ShowStats    ShowKind = iota // SHOW STATS: archived histograms
 	ShowQueries                  // SHOW QUERIES [LAST n]: flight-recorder contents
 	ShowMetrics                  // SHOW METRICS: the engine's metric series
-	ShowAccuracy                 // SHOW ACCURACY [FOR <table>]: accuracy-ledger rows
-	ShowDrift                    // SHOW DRIFT: ledger rows currently drifted
+	ShowAccuracy                 // SHOW ACCURACY [FOR <table>]: drift accounts
+	ShowDrift                    // SHOW DRIFT: drift accounts currently drifted
 )
 
 // String returns the SQL spelling of the SHOW target.

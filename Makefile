@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-test bench-pairs bench-smoke fuzz chaos check
+.PHONY: all build test race vet bench bench-test bench-pairs bench-gate bench-smoke fuzz chaos check
 
 all: build
 
@@ -49,6 +49,20 @@ N ?= 10
 SEED ?= 1
 bench-pairs:
 	$(GO) run ./cmd/benchpairs -ref '$(REF)' -workload '$(WORKLOAD)' -n '$(N)' -seed '$(SEED)'
+
+# The regression gate: bench-pairs over every workload of BENCHMARK.json, REF
+# against the working tree, N pairs each. The records go to stdout as one
+# JSON list, the BENCH_<n>.json a change commits. It exits non-zero when any
+# workload fails cmd/benchpairs' gate: a run not correct or with failed
+# operations, an end-to-end metric missing from a run, or a change median
+# worse than the parent's by more than the metric's bound. About N × 4 min.
+#
+#   make -s bench-gate REF=HEAD~1 N=3 > BENCH_<n>.json
+WORKLOADS = $(shell sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' BENCHMARK.json)
+bench-gate:
+	@status=0; sep='['; for w in $(WORKLOADS); do echo "$$sep"; sep=','; \
+		$(GO) run ./cmd/benchpairs -ref '$(REF)' -workload $$w -n '$(N)' -seed '$(SEED)' || status=1; \
+	done; echo ']'; exit $$status
 
 # Telemetry must be free when nobody is looking: the disabled-path
 # benchmarks for the flight recorder (its ring and its trace writer both

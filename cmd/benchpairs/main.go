@@ -13,11 +13,14 @@
 //
 // The run length is BENCHMARK.json's run_seconds. Progress goes to stderr,
 // the record to stdout; a change commits its records as BENCH_<n>.json, a
-// JSON list of them.
+// JSON list of them. After the record, the tool exits non-zero when the
+// change fails the gate (see gate); `make bench-gate` runs it over every
+// workload.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,6 +39,7 @@ type benchmark struct {
 	} `json:"workloads"`
 	EndToEnd []struct {
 		Name, Unit, Better string
+		Bound              float64 // the change median may be worse than the parent's by this fraction
 	} `json:"end_to_end"`
 }
 
@@ -70,11 +74,14 @@ type metric struct {
 
 // result is the last line bench/run.sh prints.
 type result struct {
-	Correct bool `json:"correct"`
-	Failed  int  `json:"failed"`
-	Metrics map[string]struct {
-		Value float64 `json:"value"`
-	} `json:"metrics"`
+	Correct bool               `json:"correct"`
+	Failed  int                `json:"failed"`
+	Metrics map[string]reading `json:"metrics"`
+}
+
+// reading is one metric's value in a result.
+type reading struct {
+	Value float64 `json:"value"`
 }
 
 func main() {
@@ -152,11 +159,10 @@ func run(ref, workload string, n, seed int) error {
 		RunSeconds: bm.RunSeconds, NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	for _, m := range bm.EndToEnd {
-		row := metric{Name: m.Name, Unit: m.Unit, Better: m.Better}
-		for i := range sides[0].runs {
-			x, y := sides[0].runs[i].Metrics[m.Name].Value, sides[1].runs[i].Metrics[m.Name].Value
-			row.Parent, row.Change = append(row.Parent, x), append(row.Change, y)
-			switch {
+		row := metric{Name: m.Name, Unit: m.Unit, Better: m.Better,
+			Parent: values(sides[0].runs, m.Name), Change: values(sides[1].runs, m.Name)}
+		for i, x := range row.Parent {
+			switch y := row.Change[i]; {
 			case x == y:
 				row.Ties++
 			case (y > x) == (m.Better == "higher"):
@@ -176,14 +182,53 @@ func run(ref, workload string, n, seed int) error {
 		return err
 	}
 	fmt.Println(string(out))
-	for _, side := range sides {
+	return gate(bm, sides[0].runs, sides[1].runs)
+}
+
+// gate is the decision the tool exits on: the change fails when a run on
+// either side is not correct or has failed operations, when a run lacks an
+// end-to-end metric of BENCHMARK.json, or when a metric's change median is
+// worse than the parent's by more than the metric's bound, relative to the
+// parent's median in the metric's better direction.
+func gate(bm benchmark, parent, change []result) error {
+	var errs []error
+	for _, side := range []struct {
+		name string
+		runs []result
+	}{{"parent", parent}, {"change", change}} {
 		for i, r := range side.runs {
 			if !r.Correct || r.Failed != 0 {
-				return fmt.Errorf("%s run %d: correct=%v failed=%d", side.name, i+1, r.Correct, r.Failed)
+				errs = append(errs, fmt.Errorf("%s run %d: correct=%v failed=%d", side.name, i+1, r.Correct, r.Failed))
+			}
+			for _, m := range bm.EndToEnd {
+				if _, ok := r.Metrics[m.Name]; !ok {
+					errs = append(errs, fmt.Errorf("%s run %d: no %s", side.name, i+1, m.Name))
+				}
 			}
 		}
 	}
-	return nil
+	for _, m := range bm.EndToEnd {
+		p, c := quantile(values(parent, m.Name), 0.5), quantile(values(change, m.Name), 0.5)
+		worse := (c - p) / p
+		if m.Better == "higher" {
+			worse = -worse
+		}
+		if worse > m.Bound {
+			errs = append(errs, fmt.Errorf("%s: change median %g is %.1f%% worse than the parent's %g (bound %g%%)",
+				m.Name, c, 100*worse, p, 100*m.Bound))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// values are one metric's values over runs, in run order; a run without the
+// metric reads 0.
+func values(runs []result, name string) []float64 {
+	out := make([]float64, len(runs))
+	for i, r := range runs {
+		out[i] = r.Metrics[name].Value
+	}
+	return out
 }
 
 // measure runs the benchmark once in dir and decodes its last output line.

@@ -32,10 +32,10 @@
 //
 // -trace writes every statement's flight record, one JSON line each, to a
 // file, or to stderr with "-": its phase wall times (parse →
-// jits.sample/jits.prepare → optimize → execute → feedback →
-// archive.merge), the JITS decisions with their s1/s2 scores and sample
-// laps, the plan with per-operator actuals and the feedback observed — the
-// record /debug/queries serves. It is off by default and costs a check per
+// jits.sample/jits.prepare → optimize → execute → feedback), the JITS
+// decisions with their s1/s2 scores and sample laps, the plan with
+// per-operator actuals and the feedback observed — the record
+// /debug/queries serves. It is off by default and costs a check per
 // statement when off.
 //
 // -serve starts the multi-session SQL service (internal/server) on the

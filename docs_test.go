@@ -99,9 +99,9 @@ func TestDocReferencesResolve(t *testing.T) {
 // from. A change may shrink one (and lowers its number here); none may grow,
 // so a new section has to be paid for by cutting an old one.
 var docSizes = map[string]int{
-	"DESIGN.md":      120094,
+	"DESIGN.md":      119668,
 	"EXPERIMENTS.md": 146906,
-	"README.md":      30931,
+	"README.md":      30711,
 }
 
 // TestDocSizes holds DESIGN.md, EXPERIMENTS.md and README.md to docSizes:

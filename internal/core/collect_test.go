@@ -62,7 +62,7 @@ func preparer(tb testing.TB, e *engine.Engine, q *qgm.Query) func() int {
 		}
 		sampled := 0
 		for _, tr := range rep.Tables {
-			if tr.Degraded {
+			if tr.Degraded() {
 				tb.Fatalf("%s degraded: %s", tr.Table, tr.DegradeReason)
 			}
 			if tr.Collected {
@@ -257,7 +257,7 @@ func TestCollectionReadsWhatTheOptimizerReads(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tr := range rep.Tables {
-			if tr.Degraded || !tr.Collected {
+			if tr.Degraded() || !tr.Collected {
 				t.Fatalf("%s: %s not sampled at s_max 0 (%s)", st.SQL, tr.Table, tr.DegradeReason)
 			}
 			sampled++

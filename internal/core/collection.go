@@ -21,7 +21,7 @@ import (
 // collection is one statement's pass through the JITS compile-time pipeline
 // (DESIGN.md §5):
 //
-//	survey → per base table, in name order: decide → admit → collect → report
+//	survey → per base table, in name order: decide → collect → report
 //
 // The stages interleave per table because a decision reads the archive the
 // previous table's collection just wrote (a materialization can evict another
@@ -38,11 +38,6 @@ type collection struct {
 	prep *PrepareReport
 	sens *Sensitivity
 	cn   map[string]bool // tables the CN baseline chose; nil under the lightweight analysis
-
-	// admit's accounts: the meter reading collection started at and the
-	// rows drawn since.
-	startUnits float64
-	rowsUsed   int
 }
 
 // tableWork is one base table's share of the statement.
@@ -150,9 +145,6 @@ func (c *collection) survey(q *qgm.Query, db *storage.Database) ([]*tableWork, e
 			tw.gathered = addOrdinal(tw.gathered, col)
 		}
 	}
-
-	// The cost budget meters collection only, not the CN probes above.
-	c.startUnits = c.meter.Units()
 	return work, nil
 }
 
@@ -171,40 +163,21 @@ func (c *collection) decide(tw *tableWork) {
 	}
 }
 
-// admit answers whether a marked table may be sampled now: the rows the
-// sampler may draw and the bytes reserved for them (returned when the sample
-// is released), or the degradation that refuses it — in order cancellation,
-// the cost budget and the row budget, which also truncates the last admitted
-// sample to what is left.
-func (c *collection) admit(tw *tableWork) (size int, reserved int64, deg degradation) {
-	cfg := &c.j.cfg
-	switch {
-	case c.ctx.Err() != nil:
-		return 0, 0, degradation{costmodel.DegradeCancelled, fmt.Sprintf("cancelled: %v", c.ctx.Err())}
-	case cfg.sampleBudgetUnits > 0 && c.meter.Units()-c.startUnits >= cfg.sampleBudgetUnits:
-		return 0, 0, degradation{costmodel.DegradeBudgetExhausted, "cost budget exhausted"}
-	case cfg.sampleBudgetRows > 0 && c.rowsUsed >= cfg.sampleBudgetRows:
-		return 0, 0, degradation{costmodel.DegradeBudgetExhausted, "sample-row budget exhausted"}
+// collect samples a marked table, timing the pass, under a reservation for
+// what the sampler will really materialize — small tables are copied whole
+// whatever the nominal size, and a draw fills only the gathered columns —
+// which it releases after (QSS live in the archive, the sample is
+// transient). A cancelled statement samples nothing; a failed pass comes
+// back as the degradation it amounts to.
+func (c *collection) collect(tw *tableWork) degradation {
+	if err := c.ctx.Err(); err != nil {
+		return degradation{costmodel.DegradeCancelled, fmt.Sprintf("cancelled: %v", err)}
 	}
-	size = cfg.SampleSize
-	if cfg.sampleBudgetRows > 0 && c.rowsUsed+size > cfg.sampleBudgetRows {
-		size = cfg.sampleBudgetRows - c.rowsUsed
-	}
-	// Reserve for what the sampler will really materialize: small tables are
-	// copied whole whatever the nominal size, and a draw fills only the
-	// gathered columns.
-	reserved = int64(sampling.EffectiveSampleRows(tw.tbl.RowCount(), size)) * govern.EstimateRowBytes(len(tw.gathered))
-	c.res.Grow(reserved)
-	return size, reserved, degradation{}
-}
-
-// collect samples the admitted table, timing the pass, and releases the
-// reservation (QSS live in the archive, the sample is transient); a failed
-// pass comes back as the degradation it amounts to.
-func (c *collection) collect(tw *tableWork, size int, reserved int64) degradation {
 	tr := &tw.report
+	reserved := int64(sampling.EffectiveSampleRows(tw.tbl.RowCount(), c.j.cfg.SampleSize)) * govern.EstimateRowBytes(len(tw.gathered))
+	c.res.Grow(reserved)
 	start := time.Now()
-	err := c.sample(tw, size, start)
+	err := c.sample(tw, start)
 	c.res.Shrink(reserved)
 	tr.SampleWall = time.Since(start)
 
@@ -225,7 +198,7 @@ func (c *collection) collect(tw *tableWork, size int, reserved int64) degradatio
 // pass. A panic anywhere in it is an error (the morsel runner hands back its
 // workers', this recovers the rest), so the table degrades instead of
 // crashing the statement.
-func (c *collection) sample(tw *tableWork, size int, start time.Time) (err error) {
+func (c *collection) sample(tw *tableWork, start time.Time) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &morsel.PanicError{Val: p}
@@ -238,7 +211,7 @@ func (c *collection) sample(tw *tableWork, size int, start time.Time) (err error
 		*d, start = now.Sub(start), now
 	}
 
-	sample, err := j.sampler.SampleColumns(c.ctx, tw.tbl, size, c.meter, c.w, cfg.Parallelism, tw.gathered)
+	sample, err := j.sampler.SampleColumns(c.ctx, tw.tbl, cfg.SampleSize, c.meter, c.w, cfg.Parallelism, tw.gathered)
 	if err != nil {
 		return err
 	}
@@ -296,20 +269,16 @@ func (c *collection) sample(tw *tableWork, size int, start time.Time) (err error
 // report closes the table's TableReport. A degradation is counted here and
 // nowhere else: its cause indexes the always-on counts (which the metric
 // reads) and stamps the report; UDI stays, so the next statement reconsiders
-// the table.
-// A collected table's sample is charged to the row budget and its UDI
-// activity, now absorbed into fresh statistics, is reset.
+// the table. A collected table's UDI activity, now absorbed into fresh
+// statistics, is reset.
 func (c *collection) report(tw *tableWork, deg degradation) {
 	tr := &tw.report
 	switch {
 	case deg.cause != costmodel.DegradeNone:
 		tr.Collected = false
-		tr.Degraded, tr.DegradeCause, tr.DegradeReason = true, deg.cause, deg.reason
-		c.prep.Degraded = true
-		c.prep.FallbackTables = append(c.prep.FallbackTables, tr.Table)
+		tr.DegradeCause, tr.DegradeReason = deg.cause, deg.reason
 		c.j.degrade.Record(deg.cause)
 	case tr.Collected:
-		c.rowsUsed += tr.SampleRows
 		c.j.sampleRows.Add(int64(tr.SampleRows))
 		c.j.tablesCollected.Add(1)
 		tw.tbl.ResetUDI()

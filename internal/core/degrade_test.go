@@ -18,8 +18,7 @@ import (
 )
 
 // twoTableDB builds car ⋈ owner with local predicates on both sides, so one
-// Prepare wants to collect on two tables and the budget checks have a
-// boundary to trip between them.
+// Prepare wants to collect on two tables.
 func twoTableDB(t testing.TB) *storage.Database {
 	t.Helper()
 	db := storage.NewDatabase(0)
@@ -85,49 +84,11 @@ func prepare(t *testing.T, ctx context.Context, j *JITS, db *storage.Database) (
 func degradedReasons(rep *PrepareReport) map[string]string {
 	out := make(map[string]string)
 	for _, tr := range rep.Tables {
-		if tr.Degraded {
+		if tr.Degraded() {
 			out[tr.Table] = tr.DegradeReason
 		}
 	}
 	return out
-}
-
-func TestPrepareRowBudgetDegradesLaterTables(t *testing.T) {
-	db := twoTableDB(t)
-	j := forcedJITS(Config{SampleSize: 200, sampleBudgetRows: 200})
-	_, rep := prepare(t, context.Background(), j, db)
-	if rep.CollectedTables() != 1 {
-		t.Fatalf("collected = %d, want the first table only (report %+v)", rep.CollectedTables(), rep)
-	}
-	if !rep.Degraded || rep.DegradedTables() != 1 {
-		t.Fatalf("report = %+v, want exactly one fallback table", rep)
-	}
-	reasons := degradedReasons(rep)
-	if len(reasons) != 1 {
-		t.Fatalf("degraded tables = %v", reasons)
-	}
-	for _, reason := range reasons {
-		if !strings.Contains(reason, "budget") {
-			t.Errorf("reason = %q, want a budget reason", reason)
-		}
-	}
-	if c := j.DegradationCounts(); c.BudgetExhausted != 1 || c.FallbackTables != 1 {
-		t.Errorf("counters = %+v", c)
-	}
-}
-
-func TestPrepareRowBudgetTruncatesSample(t *testing.T) {
-	db := twoTableDB(t)
-	// Budget of 250 rows: the first table gets the full 200, the second
-	// gets the truncated remainder of 50 — partial statistics beat none.
-	j := forcedJITS(Config{SampleSize: 200, sampleBudgetRows: 250})
-	_, rep := prepare(t, context.Background(), j, db)
-	if rep.Degraded || rep.CollectedTables() != 2 {
-		t.Fatalf("report = %+v, want both tables collected", rep)
-	}
-	if rep.Tables[1].SampleRows != 50 {
-		t.Errorf("second sample = %d rows, want the 50 left in budget", rep.Tables[1].SampleRows)
-	}
 }
 
 // TestReservationCoversGatheredColumns: a draw materializes only the columns
@@ -147,7 +108,7 @@ func TestReservationCoversGatheredColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Degraded || rep.CollectedTables() != 1 || rep.Tables[0].Table != "car" || rep.Tables[0].SampleRows != size {
+	if rep.Degraded() || rep.CollectedTables() != 1 || rep.Tables[0].Table != "car" || rep.Tables[0].SampleRows != size {
 		t.Fatalf("report = %+v, want car alone sampled at %d rows", rep, size)
 	}
 	car, _ := db.Table("car")
@@ -158,25 +119,6 @@ func TestReservationCoversGatheredColumns(t *testing.T) {
 	}
 	if res.Used() != 0 {
 		t.Errorf("reservation still holds %d bytes", res.Used())
-	}
-}
-
-func TestPrepareUnitsBudgetDegradesLaterTables(t *testing.T) {
-	db := twoTableDB(t)
-	j := forcedJITS(Config{sampleBudgetUnits: 1e-9})
-	_, rep := prepare(t, context.Background(), j, db)
-	// The first table always runs (nothing is spent yet); the second trips
-	// the cost cap.
-	if rep.CollectedTables() != 1 || rep.DegradedTables() != 1 {
-		t.Fatalf("report = %+v", rep)
-	}
-	for _, reason := range degradedReasons(rep) {
-		if !strings.Contains(reason, "cost budget") {
-			t.Errorf("reason = %q", reason)
-		}
-	}
-	if c := j.DegradationCounts(); c.BudgetExhausted != 1 {
-		t.Errorf("counters = %+v", c)
 	}
 }
 
@@ -200,7 +142,7 @@ func TestPrepareSamplingFaultDegrades(t *testing.T) {
 			t.Errorf("reason = %q", reason)
 		}
 	}
-	if c := j.DegradationCounts(); c.SamplingErrors != 2 || c.FallbackTables != 2 {
+	if c := j.DegradationCounts(); c.Of(costmodel.DegradeSamplingError) != 2 || c.Total != 2 {
 		t.Errorf("counters = %+v", c)
 	}
 }
@@ -219,7 +161,7 @@ func TestPrepareCancelledContextDegrades(t *testing.T) {
 			t.Errorf("reason = %q", reason)
 		}
 	}
-	if c := j.DegradationCounts(); c.Cancellations != 2 {
+	if c := j.DegradationCounts(); c.Of(costmodel.DegradeCancelled) != 2 {
 		t.Errorf("counters = %+v", c)
 	}
 }
@@ -241,7 +183,7 @@ func TestPrepareWorkerPanicDegrades(t *testing.T) {
 			t.Errorf("reason = %q", reason)
 		}
 	}
-	if c := j.DegradationCounts(); c.Panics != 2 {
+	if c := j.DegradationCounts(); c.Of(costmodel.DegradePanic) != 2 {
 		t.Errorf("counters = %+v", c)
 	}
 }
@@ -271,12 +213,12 @@ func TestPrepareDegradedKeepsUDI(t *testing.T) {
 	if rep.DegradedTables() == 0 {
 		t.Fatal("expected at least one degraded table")
 	}
-	if rep.Tables[0].Degraded && car.UDICounter().Total() != udi {
+	if rep.Tables[0].Degraded() && car.UDICounter().Total() != udi {
 		t.Errorf("UDI reset on a degraded table: %d, want %d", car.UDICounter().Total(), udi)
 	}
 	// The fault was limited to one fire: a retry collects and resets UDI.
 	_, rep2 := prepare(t, context.Background(), j, db)
-	if rep2.Tables[0].Degraded {
+	if rep2.Tables[0].Degraded() {
 		t.Fatalf("second prepare still degraded: %+v", rep2)
 	}
 	if car.UDICounter().Total() != 0 {
@@ -295,9 +237,9 @@ func TestPrepareDegradedKeepsUDI(t *testing.T) {
 func TestDegradationIsOneEvent(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	arm := func(p faultinject.Point) func(*testing.T) {
+	arm := func(p faultinject.Point, spec faultinject.Spec) func(*testing.T) {
 		return func(t *testing.T) {
-			if err := faultinject.Arm(p, faultinject.Spec{Every: 1}); err != nil {
+			if err := faultinject.Arm(p, spec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -313,13 +255,11 @@ func TestDegradationIsOneEvent(t *testing.T) {
 	}{
 		{name: "cancelled", cause: costmodel.DegradeCancelled, ctx: cancelled,
 			tables: []string{"car", "owner"}, reason: "cancelled: context canceled"},
-		{name: "row budget", cause: costmodel.DegradeBudgetExhausted, cfg: Config{sampleBudgetRows: 200},
-			tables: []string{"owner"}, reason: "sample-row budget exhausted"},
-		{name: "cost budget", cause: costmodel.DegradeBudgetExhausted, cfg: Config{sampleBudgetUnits: 1e-9},
-			tables: []string{"owner"}, reason: "cost budget exhausted"},
-		{name: "sampling error", cause: costmodel.DegradeSamplingError, setup: arm(faultinject.SamplingRows),
+		{name: "sampling error", cause: costmodel.DegradeSamplingError, setup: arm(faultinject.SamplingRows, faultinject.Spec{Every: 1}),
 			tables: []string{"car", "owner"}, reason: "sampling error: "},
-		{name: "worker panic", cause: costmodel.DegradePanic, cfg: Config{Parallelism: 4}, setup: arm(faultinject.WorkerPanic),
+		{name: "one table", cause: costmodel.DegradeSamplingError, setup: arm(faultinject.SamplingRows, faultinject.Spec{Offset: 1, Limit: 1}),
+			tables: []string{"owner"}, reason: "sampling error: "},
+		{name: "worker panic", cause: costmodel.DegradePanic, cfg: Config{Parallelism: 4}, setup: arm(faultinject.WorkerPanic, faultinject.Spec{Every: 1}),
 			tables: []string{"car", "owner"}, reason: "recovered panic: "},
 	}
 	seen := make(map[costmodel.DegradeCause]bool)
@@ -347,7 +287,7 @@ func TestDegradationIsOneEvent(t *testing.T) {
 
 			n := int64(len(tc.tables))
 			counts := j.DegradationCounts()
-			if counts.Of(tc.cause) != n || counts.FallbackTables != n {
+			if counts.Of(tc.cause) != n || counts.Total != n {
 				t.Errorf("DegradationCounts = %+v, want %d under %s and in total", counts, n, tc.cause)
 			}
 			var set metrics.Set
@@ -361,17 +301,17 @@ func TestDegradationIsOneEvent(t *testing.T) {
 			if got != float64(n) {
 				t.Errorf("jits_degradation_total{%s} = %v, want %d", label, got, n)
 			}
-			if !rep.Degraded || !slices.Equal(rep.FallbackTables, tc.tables) {
-				t.Errorf("report: degraded=%v fallback=%v, want %v", rep.Degraded, rep.FallbackTables, tc.tables)
+			if !rep.Degraded() || !slices.Equal(rep.FallbackTables(), tc.tables) {
+				t.Errorf("report: degraded=%v fallback=%v, want %v", rep.Degraded(), rep.FallbackTables(), tc.tables)
 			}
 			for _, tr := range rep.Tables {
 				if !slices.Contains(tc.tables, tr.Table) {
-					if tr.Degraded || tr.DegradeCause != costmodel.DegradeNone || !tr.Collected {
+					if tr.Degraded() || tr.DegradeCause != costmodel.DegradeNone || !tr.Collected {
 						t.Errorf("%s should have been collected: %+v", tr.Table, tr)
 					}
 					continue
 				}
-				if !tr.Degraded || tr.Collected || tr.DegradeCause != tc.cause || !strings.HasPrefix(tr.DegradeReason, tc.reason) {
+				if !tr.Degraded() || tr.Collected || tr.DegradeCause != tc.cause || !strings.HasPrefix(tr.DegradeReason, tc.reason) {
 					t.Errorf("%s: report %+v, want cause %s and reason %q…", tr.Table, tr, tc.cause, tc.reason)
 				}
 				if note := tr.DegradeNote(); note != tr.Table+": "+tr.DegradeReason {

@@ -51,19 +51,8 @@ type Config struct {
 	// Parallelism fans the sampling row fetches and predicate-group
 	// evaluation out across this many workers. Statistics, meter charges
 	// and therefore plans are identical at any setting; values <= 1 run
-	// serially. The engine fills it from its Config.Parallelism; a
-	// statement executed at another degree keeps this one.
+	// serially. The engine fills it from its Config.Parallelism.
 	Parallelism int
-	// sampleBudgetRows caps the total rows sampled during one
-	// PrepareBudgeted across all of the statement's tables; 0 means
-	// unlimited. When the budget runs low the last table's sample shrinks to
-	// the remainder and later tables degrade to catalog statistics — the
-	// statement always compiles. sampleBudgetUnits caps the simulated-cost
-	// units one PrepareBudgeted may charge to the compilation meter before
-	// further collection degrades; 0 means unlimited. No program sets
-	// either; the package's tests do, to reach the budget degradations.
-	sampleBudgetRows  int
-	sampleBudgetUnits float64
 }
 
 // withDefaults fills zero-valued knobs. SMax stays as given: an explicit
@@ -227,11 +216,10 @@ type TableReport struct {
 	SampleRows         int
 	GroupsEvaluated    int
 	GroupsMaterialized int
-	// Degraded is set when the sensitivity analysis wanted to collect
-	// statistics for this table but collection was refused or abandoned and
-	// the optimizer fell back to catalog statistics. DegradeCause classifies
-	// why (it is DegradeNone otherwise), DegradeReason says it in words.
-	Degraded      bool
+	// DegradeCause is set when the sensitivity analysis wanted to collect
+	// statistics for this table but collection was abandoned and the
+	// optimizer fell back to catalog statistics (it is DegradeNone
+	// otherwise); DegradeReason says why in words.
 	DegradeCause  costmodel.DegradeCause
 	DegradeReason string
 	// SampleWall is the wall time of the table's sampling pass, whether or
@@ -253,17 +241,16 @@ type SampleLaps struct {
 	Draw, Eval, NDV, Materialize time.Duration
 }
 
+// Degraded reports whether the table fell back to catalog statistics.
+func (tr *TableReport) Degraded() bool { return tr.DegradeCause != costmodel.DegradeNone }
+
 // DegradeNote renders a degraded table's "table: reason" note — the line the
 // flight record and the wire result carry.
 func (tr *TableReport) DegradeNote() string { return tr.Table + ": " + tr.DegradeReason }
 
 // PrepareReport summarizes one PrepareBudgeted call for experiments and logging.
 type PrepareReport struct {
-	Tables []TableReport
-	// Degraded is set when at least one table fell back to catalog
-	// statistics; FallbackTables lists them in collection order.
-	Degraded       bool
-	FallbackTables []string
+	Tables []TableReport // in collection order
 }
 
 // CollectedTables counts tables that were sampled.
@@ -277,8 +264,24 @@ func (r *PrepareReport) CollectedTables() int {
 	return n
 }
 
+// FallbackTables lists the tables that fell back to catalog statistics, in
+// collection order.
+func (r *PrepareReport) FallbackTables() []string {
+	var out []string
+	for i := range r.Tables {
+		if r.Tables[i].Degraded() {
+			out = append(out, r.Tables[i].Table)
+		}
+	}
+	return out
+}
+
 // DegradedTables counts tables that fell back to catalog statistics.
-func (r *PrepareReport) DegradedTables() int { return len(r.FallbackTables) }
+func (r *PrepareReport) DegradedTables() int { return len(r.FallbackTables()) }
+
+// Degraded reports whether at least one table fell back to catalog
+// statistics.
+func (r *PrepareReport) Degraded() bool { return r.DegradedTables() > 0 }
 
 // PrepareBudgeted runs the JITS compile-time pipeline for a query
 // (collection.go): Algorithm 1 (candidate groups), Algorithm 2/3 (which
@@ -288,7 +291,9 @@ func (r *PrepareReport) DegradedTables() int { return len(r.FallbackTables) }
 // "JITS overhead" — and res the statement's memory reservation (nil disables
 // the accounting).
 //
-// It degrades instead of failing: a table whose collection is refused or cut
+// There is no budget: what collection costs is decided by the sensitivity
+// analysis over a fixed-size sample (§3), and the name is kept for its
+// callers. It degrades instead of failing: a table whose collection is cut
 // short is reported in PrepareReport.FallbackTables, and the QueryStats simply
 // lacks its fresh entries — the paper's rule that DB2 reverts to traditional
 // processing whenever QSS cannot be collected. The only errors are structural
@@ -317,10 +322,7 @@ func (j *JITS) PrepareBudgeted(ctx context.Context, q *qgm.Query, db *storage.Da
 		c.decide(tw)
 		var deg degradation
 		if tw.report.Collected {
-			size, reserved, refused := c.admit(tw)
-			if deg = refused; deg.cause == costmodel.DegradeNone {
-				deg = c.collect(tw, size, reserved)
-			}
+			deg = c.collect(tw)
 		}
 		c.report(tw, deg)
 	}
@@ -336,7 +338,7 @@ type Observation = feedback.Observation
 // engine observes through the store with the statement's own time.
 func (j *JITS) Feedback(obs []Observation) { j.history.Observe(0, obs) }
 
-// MigrateToCatalog periodically pushes archived 1-D histograms and fresh
+// MigrateToCatalog pushes archived 1-D histograms and fresh
 // cardinalities into the system catalog (Figure 1's statistics-migration
 // module). Returns the number of histograms migrated.
 func (j *JITS) MigrateToCatalog(ts int64) int {

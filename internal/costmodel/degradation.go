@@ -10,20 +10,18 @@ import "sync/atomic"
 type DegradeCause uint8
 
 const (
-	DegradeNone            DegradeCause = iota // the table did not degrade
-	DegradeCancelled                           // the statement's context was cancelled or its deadline expired
-	DegradeBudgetExhausted                     // the statement's row or cost budget for sampling was already spent
-	DegradeSamplingError                       // the sampling pass returned an error
-	DegradePanic                               // collection panicked and was recovered
+	DegradeNone          DegradeCause = iota // the table did not degrade
+	DegradeCancelled                         // the statement's context was cancelled or its deadline expired
+	DegradeSamplingError                     // the sampling pass returned an error
+	DegradePanic                             // collection panicked and was recovered
 
 	numDegradeCauses
 )
 
 var degradeCauseLabels = [numDegradeCauses]string{
-	DegradeCancelled:       "cancelled",
-	DegradeBudgetExhausted: "budget_exhausted",
-	DegradeSamplingError:   "sampling_error",
-	DegradePanic:           "panic",
+	DegradeCancelled:     "cancelled",
+	DegradeSamplingError: "sampling_error",
+	DegradePanic:         "panic",
 }
 
 // String returns the cause's metric label.
@@ -49,33 +47,15 @@ type Degradation struct {
 // Record counts one table degraded for the given cause.
 func (d *Degradation) Record(c DegradeCause) { d.byCause[c].Add(1) }
 
-// DegradationCounts is a point-in-time snapshot of a Degradation: tables that
-// fell back to catalog statistics, per cause, and FallbackTables, their sum.
+// DegradationCounts is a point-in-time snapshot of a Degradation: the tables
+// that fell back to catalog statistics, by cause and in total.
 type DegradationCounts struct {
-	SamplingErrors  int64 // the sampling pass returned an error
-	BudgetExhausted int64 // the statement's row or cost budget was already spent
-	Cancellations   int64 // the statement's context was cancelled or its deadline expired
-	Panics          int64 // collection panicked and was recovered
-	FallbackTables  int64 // every table that fell back, whatever the reason (the sum of the above)
-}
-
-// of is the field that counts cause; nil for DegradeNone.
-func (c *DegradationCounts) of(cause DegradeCause) *int64 {
-	return [numDegradeCauses]*int64{
-		DegradeCancelled:       &c.Cancellations,
-		DegradeBudgetExhausted: &c.BudgetExhausted,
-		DegradeSamplingError:   &c.SamplingErrors,
-		DegradePanic:           &c.Panics,
-	}[cause]
+	byCause [numDegradeCauses]int64 // DegradeNone's slot stays zero
+	Total   int64                   // every table that fell back, whatever the cause
 }
 
 // Of returns the count recorded for one cause.
-func (c DegradationCounts) Of(cause DegradeCause) int64 {
-	if n := c.of(cause); n != nil {
-		return *n
-	}
-	return 0
-}
+func (c DegradationCounts) Of(cause DegradeCause) int64 { return c.byCause[cause] }
 
 // Counts returns a snapshot of the counters. Safe to call concurrently with
 // Record; a nil receiver snapshots to zero.
@@ -83,10 +63,9 @@ func (d *Degradation) Counts() (c DegradationCounts) {
 	if d == nil {
 		return c
 	}
-	for cause := DegradeNone + 1; cause < numDegradeCauses; cause++ {
-		n := d.byCause[cause].Load()
-		*c.of(cause) = n
-		c.FallbackTables += n
+	for cause := range d.byCause {
+		c.byCause[cause] = d.byCause[cause].Load()
+		c.Total += c.byCause[cause]
 	}
 	return c
 }

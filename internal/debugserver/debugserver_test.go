@@ -168,7 +168,7 @@ func TestHealthEndpointTransitions(t *testing.T) {
 	if got.Status != "ok" {
 		t.Fatalf("status %q, want ok", got.Status)
 	}
-	for _, key := range []string{"cancelled", "budget_exhausted", "sampling_error", "panic"} {
+	for _, key := range []string{"cancelled", "sampling_error", "panic"} {
 		if _, present := got.Degradation[key]; !present {
 			t.Fatalf("degradation counter %q missing: %s", key, body)
 		}

@@ -92,7 +92,7 @@ func TestConcurrentParallelQueriesAndDML(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, err := e.ExecAt(context.Background(), queries[(w+i)%len(queries)], 2+w%3); err != nil {
+				if _, err := e.ExecUnboxed(context.Background(), queries[(w+i)%len(queries)]); err != nil {
 					errs <- err
 					return
 				}
@@ -134,23 +134,5 @@ func TestConcurrentParallelQueriesAndDML(t *testing.T) {
 	res = mustExec(t, e, `SELECT COUNT(*) FROM car WHERE make = 'Toyota'`)
 	if res.Rows[0][0].Int() != 600 {
 		t.Errorf("Toyota count = %v, want 600", res.Rows[0][0])
-	}
-}
-
-func TestAutoMigration(t *testing.T) {
-	cfg := Config{JITS: core.DefaultConfig()}
-	cfg.JITS.ForceCollect = true
-	e := seedEngine(t, cfg)
-	e.SetMigrateEvery(3)
-	for i := 0; i < 2; i++ {
-		mustExec(t, e, `SELECT id FROM car WHERE year > 2000`)
-	}
-	if ts, ok := e.Catalog().TableStats("car"); ok && ts.Columns["year"] != nil && ts.Columns["year"].Hist != nil {
-		t.Fatal("migration ran before the interval elapsed")
-	}
-	mustExec(t, e, `SELECT id FROM car WHERE year > 2000`) // third SELECT triggers it
-	ts, ok := e.Catalog().TableStats("car")
-	if !ok || ts.Columns["year"] == nil || ts.Columns["year"].Hist == nil {
-		t.Fatal("auto-migration did not populate the catalog")
 	}
 }

@@ -148,48 +148,51 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 	}
 }
 
-// fuzzEnv lazily builds the pair of engines the fuzzer reuses across
-// inputs: both see the exact same statement stream, so their states stay in
-// lockstep as long as the dop-invariance holds.
+// fuzzEnv lazily builds the pairs of engines the fuzzer reuses across
+// inputs, one per parallel degree: a serial engine on default-size chunks and
+// one built at the degree on 64-row chunks. A pair sees the exact same
+// statement stream, so its states stay in lockstep as long as the
+// dop-invariance holds.
 var fuzzEnv struct {
-	once     sync.Once
-	serial   *engine.Engine
-	parallel *engine.Engine
-	data     *workload.Dataset
-	err      error
+	mu    sync.Mutex
+	pairs map[int]*fuzzPair
 }
 
-func fuzzEngines(t testing.TB) (*engine.Engine, *engine.Engine, *workload.Dataset) {
-	fuzzEnv.once.Do(func() {
-		build := func(chunkSize int) (*engine.Engine, *workload.Dataset, error) {
-			e := engine.New(engine.Config{StorageChunkSize: chunkSize})
-			d, err := workload.Load(e, workload.Spec{Scale: 0.002, Seed: 42})
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := e.RunstatsAll(); err != nil {
-				return nil, nil, err
-			}
-			return e, d, nil
-		}
-		var err1, err2 error
-		fuzzEnv.serial, fuzzEnv.data, err1 = build(0)
-		fuzzEnv.parallel, _, err2 = build(64)
-		if err1 != nil {
-			fuzzEnv.err = err1
-		} else if err2 != nil {
-			fuzzEnv.err = err2
-		}
-	})
-	if fuzzEnv.err != nil {
-		t.Fatal(fuzzEnv.err)
+type fuzzPair struct {
+	serial, parallel *engine.Engine
+	data             *workload.Dataset
+}
+
+func fuzzEngines(t testing.TB, dop int) *fuzzPair {
+	fuzzEnv.mu.Lock()
+	defer fuzzEnv.mu.Unlock()
+	if p := fuzzEnv.pairs[dop]; p != nil {
+		return p
 	}
-	return fuzzEnv.serial, fuzzEnv.parallel, fuzzEnv.data
+	build := func(dop, chunkSize int) (*engine.Engine, *workload.Dataset) {
+		e := engine.New(engine.Config{Parallelism: dop, StorageChunkSize: chunkSize})
+		d, err := workload.Load(e, workload.Spec{Scale: 0.002, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RunstatsAll(); err != nil {
+			t.Fatal(err)
+		}
+		return e, d
+	}
+	p := new(fuzzPair)
+	p.serial, p.data = build(1, 0)
+	p.parallel, _ = build(dop, 64)
+	if fuzzEnv.pairs == nil {
+		fuzzEnv.pairs = make(map[int]*fuzzPair)
+	}
+	fuzzEnv.pairs[dop] = p
+	return p
 }
 
 // FuzzParallelSerial generates workload queries from the fuzzed seed and
-// cross-checks the serial engine on default-size chunks against execution
-// at a fuzzed dop on 64-row chunks.
+// cross-checks a serial engine on default-size chunks against an engine
+// built at a fuzzed dop on 64-row chunks.
 // Run with: go test -run TestDifferential -fuzz=FuzzParallelSerial ./internal/engine/
 func FuzzParallelSerial(f *testing.F) {
 	// Seed corpus: a spread of query seeds and dops, including the
@@ -200,11 +203,11 @@ func FuzzParallelSerial(f *testing.F) {
 		f.Add(c[0], c[1])
 	}
 	f.Fuzz(func(t *testing.T, qseed, dop uint64) {
-		serialE, parallelE, d := fuzzEngines(t)
 		n := int(dop%7) + 2 // clamp to [2, 8]
-		for _, st := range d.Queries(3, int64(qseed)) {
-			sres, serr := serialE.ExecAt(context.Background(), st.SQL, 1)
-			pres, perr := parallelE.ExecAt(context.Background(), st.SQL, n)
+		p := fuzzEngines(t, n)
+		for _, st := range p.data.Queries(3, int64(qseed)) {
+			sres, serr := p.serial.ExecUnboxed(context.Background(), st.SQL)
+			pres, perr := p.parallel.ExecUnboxed(context.Background(), st.SQL)
 			if (serr == nil) != (perr == nil) {
 				t.Fatalf("%q: serial err %v, parallel err %v", st.SQL, serr, perr)
 			}

@@ -15,7 +15,7 @@
 //	            sampling) → optimize                  (skipped on a hit)
 //	  execute   metered physical operators, re-planning at checkpoints
 //	  observe   actual vs. estimated selectivities → feedback store,
-//	            flight record, corrections, migration
+//	            flight record, corrections
 //	finish      flight record captured, stamped and committed; instruments
 //
 // A plan-cache hit, EXPLAIN and EXPLAIN ANALYZE are this same pipeline
@@ -145,21 +145,19 @@ func (r *Result) Len() int { return r.Out.Len() }
 
 // Engine is the database instance.
 type Engine struct {
-	db           *storage.Database
-	cat          *catalog.Catalog
-	indexes      *index.Set
-	feedback     *feedback.Store
-	jits         *core.JITS
-	weights      costmodel.Weights
-	clock        atomic.Int64 // the logical clock; tick advances it
-	migrateEvery int
-	selectCount  atomic.Int64
-	recorder     *flightrec.Recorder
-	governor     *govern.Governor
-	parallelism  int
-	reoptCfg     ReoptConfig
-	counts       *counts
-	closed       atomic.Bool
+	db          *storage.Database
+	cat         *catalog.Catalog
+	indexes     *index.Set
+	feedback    *feedback.Store
+	jits        *core.JITS
+	weights     costmodel.Weights
+	clock       atomic.Int64 // the logical clock; tick advances it
+	recorder    *flightrec.Recorder
+	governor    *govern.Governor
+	parallelism int
+	reoptCfg    ReoptConfig
+	counts      *counts
+	closed      atomic.Bool
 	// maintenance owns the index catch-ups writes start (catchUpBeside), at
 	// most one a table (catchUps).
 	maintenance morsel.Beside
@@ -311,15 +309,10 @@ func (e *Engine) Exec(sql string) (*Result, error) {
 // Result.Rows stays nil). A deadline on ctx cancels JITS sampling at the next
 // table boundary (the statement still compiles, degraded to catalog
 // statistics) and execution at the next morsel boundary (the statement errors
-// with context.DeadlineExceeded).
+// with context.DeadlineExceeded). It is the spine of the statement pipeline
+// (see statement.go): reserve → probe cache → parse → begin → dispatch →
+// finish.
 func (e *Engine) ExecUnboxed(ctx context.Context, sql string) (*Result, error) {
-	return e.execAt(ctx, sql, e.parallelism)
-}
-
-// execAt is ExecUnboxed executing at degree dop (JITS sampling keeps the
-// engine's). It is the spine of the statement pipeline (see statement.go):
-// reserve → probe cache → parse → begin → dispatch → finish.
-func (e *Engine) execAt(ctx context.Context, sql string, dop int) (*Result, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -334,7 +327,7 @@ func (e *Engine) execAt(ctx context.Context, sql string, dop int) (*Result, erro
 	// statement still holds and records the statement's peak.
 	mem := e.governor.NewReservation()
 	defer mem.Release()
-	s := &statement{ctx: ctx, sql: sql, dop: dop, mem: mem, start: time.Now(), meters: new(meters)}
+	s := &statement{ctx: ctx, sql: sql, mem: mem, start: time.Now(), meters: new(meters)}
 	e.probeCache(s)
 	var stmt sqlparser.Statement
 	var parseWall time.Duration
@@ -529,7 +522,7 @@ func analyzeAnnotator(stats *executor.ExecStats, prep *core.PrepareReport) optim
 		a := optimizer.Annotation{ActualRows: st.Rows, Units: st.Units, Wall: st.Wall}
 		if sc, isScan := n.(*optimizer.Scan); isScan && prep != nil {
 			for _, tr := range prep.Tables {
-				if tr.Degraded && tr.Table == sc.Table {
+				if tr.Degraded() && tr.Table == sc.Table {
 					a.Flags = "degraded: " + tr.DegradeReason
 				}
 			}
@@ -587,14 +580,11 @@ func (e *Engine) CollectWorkloadStats(sqls []string) error {
 }
 
 // MigrateStats pushes archived 1-D QSS histograms into the catalog — the
-// periodic statistics-migration step.
-func (e *Engine) MigrateStats() int { return e.migrate(e.tick()) }
-
-// migrate runs the migration module at ts. Migrated histograms change the
-// catalog statistics future compilations cost against, so cached plans are
-// stale afterwards.
-func (e *Engine) migrate(ts int64) int {
-	n := e.jits.MigrateToCatalog(ts)
+// statistics-migration module. Migrated histograms change the catalog
+// statistics future compilations cost against, so cached plans are stale
+// afterwards.
+func (e *Engine) MigrateStats() int {
+	n := e.jits.MigrateToCatalog(e.tick())
 	if n > 0 {
 		e.bumpArchiveEpoch()
 	}

@@ -22,10 +22,11 @@ func normalizeWall(s string) string { return wallRe.ReplaceAllString(s, "wall=<d
 // times) for representative plan shapes at parallelism 1 and 4. Estimated
 // columns must stay byte-identical to plain EXPLAIN; actual rows and metered
 // units are deterministic because the cost model is simulated. The parallel
-// rendering must differ only by the Gather header and indentation — morsel
-// execution charges the meter identical totals at any dop.
+// rendering, from an engine built at dop 4, must differ only by the Gather
+// header and indentation — morsel execution charges the meter identical
+// totals at any dop.
 func TestGoldenExplainAnalyze(t *testing.T) {
-	e := seedEngine(t, Config{})
+	serial, parallel := seedEngine(t, Config{}), seedEngine(t, Config{Parallelism: 4})
 	cases := []struct {
 		sql      string
 		serial   string
@@ -52,10 +53,11 @@ func TestGoldenExplainAnalyze(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, mode := range []struct {
+			e    *Engine
 			dop  int
 			want string
-		}{{1, c.serial}, {4, c.parallel}} {
-			res, err := e.ExecAt(context.Background(), c.sql, mode.dop)
+		}{{serial, 1, c.serial}, {parallel, 4, c.parallel}} {
+			res, err := mode.e.ExecUnboxed(context.Background(), c.sql)
 			if err != nil {
 				t.Fatalf("%q at dop %d: %v", c.sql, mode.dop, err)
 			}
@@ -157,7 +159,7 @@ func TestExplainAnalyzeDegradedFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Prepare == nil || !res.Prepare.Degraded {
+	if res.Prepare == nil || !res.Prepare.Degraded() {
 		t.Fatalf("expected degraded prepare, got %+v", res.Prepare)
 	}
 	var ownerLine string

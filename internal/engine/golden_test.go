@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -200,9 +199,10 @@ func TestRandomizedAggregatesMatchReference(t *testing.T) {
 // naming the worker count and indent the operator tree one level; the tree
 // itself — access paths, join methods, estimates, costs — must be
 // byte-identical to the serial rendering, because the degree of parallelism
-// never feeds back into optimization.
+// never feeds back into optimization. The two renderings come from two
+// engines, built at each degree.
 func TestGoldenParallelExplain(t *testing.T) {
-	e := seedEngine(t, Config{})
+	serial, parallel := seedEngine(t, Config{}), seedEngine(t, Config{Parallelism: 4})
 	cases := []struct {
 		sql      string
 		serial   string
@@ -243,10 +243,11 @@ func TestGoldenParallelExplain(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, mode := range []struct {
+			e    *Engine
 			dop  int
 			want string
-		}{{1, c.serial}, {4, c.parallel}} {
-			res, err := e.ExecAt(context.Background(), c.sql, mode.dop)
+		}{{serial, 1, c.serial}, {parallel, 4, c.parallel}} {
+			res, err := mode.e.Exec(c.sql)
 			if err != nil {
 				t.Fatalf("%q at dop %d: %v", c.sql, mode.dop, err)
 			}

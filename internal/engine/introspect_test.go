@@ -326,10 +326,10 @@ var actualLine = regexp.MustCompile(`rows=([0-9]+\.[0-9]) cost=\S+ \(actual rows
 // test: for every operator the flight recorder captured, recomputing
 // max(est, act) / max(1, min(est, act)) from the EXPLAIN ANALYZE text of the
 // very same statement must agree with the recorded value — serial and
-// parallel. Tolerance: the plan prints estimates rounded to one decimal, so
-// the recomputed value can drift by the rounding.
+// parallel, on an engine built at each degree. Tolerance: the plan prints
+// estimates rounded to one decimal, so the recomputed value can drift by the
+// rounding.
 func TestQErrorPropertyMatchesExplainAnalyze(t *testing.T) {
-	e := recorderEngine(t)
 	queries := []string{
 		`EXPLAIN ANALYZE SELECT id FROM car WHERE make = 'Toyota'`,
 		`EXPLAIN ANALYZE SELECT id FROM car WHERE make = 'Honda' AND year > 1995`,
@@ -337,8 +337,11 @@ func TestQErrorPropertyMatchesExplainAnalyze(t *testing.T) {
 		`EXPLAIN ANALYZE SELECT COUNT(*) FROM car c, owner o WHERE c.price = o.salary`,
 	}
 	for _, dop := range []int{1, 4} {
+		cfg := Config{FlightRecorderCapacity: -1, Parallelism: dop, JITS: core.DefaultConfig()}
+		cfg.JITS.SampleSize = 200
+		e := seedEngine(t, cfg)
 		for _, sql := range queries {
-			res, err := e.ExecAt(context.Background(), sql, dop)
+			res, err := e.ExecUnboxed(context.Background(), sql)
 			if err != nil {
 				t.Fatalf("dop %d %q: %v", dop, sql, err)
 			}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/feedback"
 	"repro/internal/flightrec"
@@ -13,12 +12,12 @@ import (
 // observe is the pipeline's feedback stage and the only place an executed
 // SELECT's actuals reach their consumers: the feedback store (the StatHistory
 // the JITS sensitivity analysis reads, and the drift accounts), the flight
-// record's feedback, reactive corrections when that baseline is enabled, and
-// the periodic statistics-migration cadence. The store computes each scan's
-// error factor once and the record reports that value, so the two cannot
-// disagree. Superseded reopt attempts' scan feedback (captured at their
-// trigger points) merges with the final attempt's: the subtrees that produced
-// it never re-executed, so the union double-counts nothing.
+// record's feedback, and reactive corrections when that baseline is enabled.
+// The store computes each scan's error factor once and the record reports
+// that value, so the two cannot disagree. Superseded reopt attempts' scan
+// feedback (captured at their trigger points) merges with the final
+// attempt's: the subtrees that produced it never re-executed, so the union
+// double-counts nothing.
 func (e *Engine) observe(s *statement) {
 	ts, rec := s.ts, s.rec
 	mainActuals := mergedActuals(s.reopt, s.out.Actuals)
@@ -78,16 +77,6 @@ func (e *Engine) observe(s *statement) {
 			}
 		}
 	}
-
-	// Periodic statistics migration into the catalog.
-	if e.migrateEvery > 0 && e.selectCount.Add(1)%int64(e.migrateEvery) == 0 {
-		merge := phase(s, flightrec.PhaseArchiveMerge)
-		migrated := e.migrate(ts)
-		merge.end()
-		if rec != nil {
-			rec.Annotations = append(rec.Annotations, "migrate: "+strconv.Itoa(migrated)+" histograms into the catalog")
-		}
-	}
 }
 
 // statNames renders a statlist for the flight record.
@@ -110,7 +99,7 @@ func (e *Engine) capture(s *statement) {
 	rec.PlanCacheHit = s.hit
 	rec.Reopts = s.reopts
 	if s.prep != nil {
-		rec.Degraded = s.prep.Degraded
+		rec.Degraded = s.prep.Degraded()
 		for _, tr := range s.prep.Tables {
 			rec.Tables = append(rec.Tables, flightrec.TableSample{
 				Table:              tr.Table,
@@ -120,14 +109,14 @@ func (e *Engine) capture(s *statement) {
 				SampleRows:         tr.SampleRows,
 				GroupsEvaluated:    tr.GroupsEvaluated,
 				GroupsMaterialized: tr.GroupsMaterialized,
-				Degraded:           tr.Degraded,
+				Degraded:           tr.Degraded(),
 				Reason:             tr.DegradeReason,
 				Draw:               tr.Laps.Draw,
 				Eval:               tr.Laps.Eval,
 				NDV:                tr.Laps.NDV,
 				Materialize:        tr.Laps.Materialize,
 			})
-			if tr.Degraded {
+			if tr.Degraded() {
 				rec.DegradeCauses = append(rec.DegradeCauses, tr.DegradeNote())
 			}
 		}
@@ -140,13 +129,13 @@ func (e *Engine) capture(s *statement) {
 		rec.ArchiveMisses = s.qstats.ArchiveMisses()
 	}
 	if s.mode == modeExplain {
-		rec.Plan = s.renderPlan(nil)
+		rec.Plan = e.renderPlan(s, nil)
 		return
 	}
 	// The annotated plan (the same rendering EXPLAIN ANALYZE produces,
 	// replayed later by EXPLAIN HISTORY) and the per-operator estimate/actual
 	// pairs with their q-error.
-	rec.Plan = s.renderPlan(analyzeAnnotator(s.stats, s.prep))
+	rec.Plan = e.renderPlan(s, analyzeAnnotator(s.stats, s.prep))
 	for _, root := range append([]optimizer.Node{s.plan}, s.subPlans...) {
 		optimizer.Walk(root, func(n optimizer.Node) {
 			op := flightrec.OperatorStats{EstRows: n.Rows()}

@@ -51,7 +51,6 @@ type statement struct {
 	// Fixed when the statement starts.
 	ctx   context.Context
 	sql   string
-	dop   int
 	start time.Time
 	mem   *govern.Reservation
 
@@ -78,8 +77,8 @@ type statement struct {
 	prep     *core.PrepareReport // JITS decisions of the compiling statement
 	qstats   *core.QueryStats    // this statement's QSS; nil on a hit
 	octx     *optimizer.Context  // nil on a hit until a reopt trigger needs it
-	// planText is s.plan's EXPLAIN text at s.dop once rendered: by cachePlan,
-	// or by probeCache from an entry rendered at the same dop. A re-planned
+	// planText is s.plan's EXPLAIN text at the engine's degree once
+	// rendered: by cachePlan, or by probeCache from the entry. A re-planned
 	// s.plan clears it.
 	planText string
 
@@ -131,7 +130,7 @@ func (e *Engine) classify(s *statement, k stmtKind) {
 // execSelect runs the SELECT stages for s.mode. modeExplain compiles —
 // including any JITS statistics collection, whose cost shows up in the
 // metrics — but does not execute. modeExplainAnalyze runs the full pipeline
-// (execution, feedback, reactive corrections, migration) like modeExecute.
+// (execution, feedback, reactive corrections) like modeExecute.
 func (e *Engine) execSelect(s *statement, sel *sqlparser.SelectStmt) (*Result, error) {
 	// EXPLAIN ANALYZE — and any executing statement the flight recorder is
 	// capturing — collects per-plan-node actuals from the executor; stats
@@ -152,7 +151,7 @@ func (e *Engine) execSelect(s *statement, sel *sqlparser.SelectStmt) (*Result, e
 		e.observe(s)
 		e.cachePlan(s)
 	}
-	return s.result(), nil
+	return e.result(s), nil
 }
 
 // compile is the stage a plan-cache hit skips: QGM rewrite, JITS Prepare
@@ -166,7 +165,7 @@ func (e *Engine) compile(s *statement, sel *sqlparser.SelectStmt) error {
 	s.blk = q.Blocks[0]
 
 	// JITS compile-time statistics collection. Prepare degrades rather than
-	// fails: on budget exhaustion, sampling faults or cancellation it
+	// fails: on sampling faults, panics or cancellation it
 	// reports fallback tables and the optimizer below transparently uses
 	// catalog statistics for them.
 	prepare := phase(s, flightrec.PhasePrepare)
@@ -258,20 +257,21 @@ func (e *Engine) optimize(s *statement, q *qgm.Query) error {
 func (e *Engine) runtime(s *statement) *executor.Runtime {
 	return &executor.Runtime{
 		DB: e.db, Indexes: e.indexes, Weights: e.weights,
-		Meter: &s.meters.exec, Ctx: s.ctx, Parallelism: s.dop,
+		Meter: &s.meters.exec, Ctx: s.ctx, Parallelism: e.parallelism,
 		Stats: s.stats, Mem: s.mem, Reopt: s.reopt,
 	}
 }
 
-// renderPlan assembles the outer plan plus subquery sections, annotated when
-// ann is non-nil. The plain text, once rendered, is s.planText.
-func (s *statement) renderPlan(ann optimizer.AnnotateFunc) string {
+// renderPlan assembles s's outer plan plus subquery sections at the engine's
+// degree, annotated when ann is non-nil. The plain text, once rendered, is
+// s.planText.
+func (e *Engine) renderPlan(s *statement, ann optimizer.AnnotateFunc) string {
 	if ann == nil && s.planText != "" {
 		return s.planText
 	}
-	text := optimizer.ExplainAnnotated(s.plan, s.dop, ann)
+	text := optimizer.ExplainAnnotated(s.plan, e.parallelism, ann)
 	for i, sp := range s.subPlans {
-		text += "Subquery " + strconv.Itoa(i+1) + ":\n" + optimizer.ExplainAnnotated(sp, s.dop, ann)
+		text += "Subquery " + strconv.Itoa(i+1) + ":\n" + optimizer.ExplainAnnotated(sp, e.parallelism, ann)
 	}
 	return text
 }
@@ -282,13 +282,13 @@ func (s *statement) renderPlan(ann optimizer.AnnotateFunc) string {
 // reports zero compile cost (the amortization the cache buys; re-planning
 // after a trigger is the exception) and carries the compiling statement's
 // PrepareReport, so degradation flags are stable across reuse.
-func (s *statement) result() *Result {
+func (e *Engine) result(s *statement) *Result {
 	var ann optimizer.AnnotateFunc
 	if s.mode == modeExplainAnalyze {
 		ann = analyzeAnnotator(s.stats, s.prep)
 	}
 	res := &Result{
-		Plan:         s.renderPlan(ann),
+		Plan:         e.renderPlan(s, ann),
 		Metrics:      buildMetrics(&s.meters.compile, &s.meters.exec),
 		Prepare:      s.prep,
 		PlanCacheHit: s.hit,

@@ -121,11 +121,10 @@ func TestTracerSpansInPipelineOrder(t *testing.T) {
 
 // TestTraceLinesAreRingRecords: the trace writer and the ring are two sinks
 // of one record. Over a stream that covers sampling (jits.sample),
-// hair-trigger re-optimization (reopt.plan), statistics migration
-// (archive.merge), an EXPLAIN and a DML statement, each trace line is,
-// byte for byte, the record the ring holds for that qid; every pipeline
-// phase occurs somewhere in the stream; and an engine without a writer
-// records the same phases.
+// hair-trigger re-optimization (reopt.plan), an EXPLAIN and a DML
+// statement, each trace line is, byte for byte, the record the ring holds
+// for that qid; every pipeline phase occurs somewhere in the stream; and an
+// engine without a writer records the same phases.
 func TestTraceLinesAreRingRecords(t *testing.T) {
 	stream := []string{
 		`SELECT id FROM car WHERE make = 'Toyota' AND year > 1995`,
@@ -143,7 +142,6 @@ func TestTraceLinesAreRingRecords(t *testing.T) {
 			cfg.Trace = trace
 		}
 		e := seedEngine(t, cfg)
-		e.SetMigrateEvery(2)
 		first := e.Now() + 1
 		if trace != nil {
 			trace.Reset()
@@ -185,7 +183,7 @@ func TestTraceLinesAreRingRecords(t *testing.T) {
 	}
 	t.Logf("phases recorded over the stream: %v", seen)
 	for _, phase := range []string{flightrec.PhaseParse, flightrec.PhaseSample, flightrec.PhasePrepare, flightrec.PhaseOptimize,
-		flightrec.PhaseExecute, flightrec.PhaseReoptPlan, flightrec.PhaseFeedback, flightrec.PhaseArchiveMerge} {
+		flightrec.PhaseExecute, flightrec.PhaseReoptPlan, flightrec.PhaseFeedback} {
 		if seen[phase] == 0 {
 			t.Errorf("no statement recorded phase %s: %v", phase, seen)
 		}

@@ -216,7 +216,7 @@ type QueryTiming struct {
 	Exec    float64
 	Total   float64
 	// Degraded counts the JITS tables that fell back to catalog statistics
-	// while compiling this query (sampling budget/fault/cancellation); 0 in
+	// while compiling this query (sampling fault/panic/cancellation); 0 in
 	// non-JITS settings and on healthy runs.
 	Degraded int
 }

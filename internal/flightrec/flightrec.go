@@ -37,14 +37,13 @@ const (
 
 // Phase names of the statement pipeline, in execution order.
 const (
-	PhaseParse        = "parse"
-	PhasePrepare      = "jits.prepare"
-	PhaseSample       = "jits.sample"
-	PhaseOptimize     = "optimize"
-	PhaseExecute      = "execute"
-	PhaseFeedback     = "feedback"
-	PhaseArchiveMerge = "archive.merge"
-	PhaseReoptPlan    = "reopt.plan"
+	PhaseParse     = "parse"
+	PhasePrepare   = "jits.prepare"
+	PhaseSample    = "jits.sample"
+	PhaseOptimize  = "optimize"
+	PhaseExecute   = "execute"
+	PhaseFeedback  = "feedback"
+	PhaseReoptPlan = "reopt.plan"
 )
 
 // OperatorStats is one plan operator's estimated vs. actual cardinality.

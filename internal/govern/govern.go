@@ -7,8 +7,8 @@
 // call Reservation.Grow before buffering and Shrink when a transient buffer
 // is dropped; the engine opens one reservation per statement and Releases it
 // at the statement's end. Nothing is refused: what compile-time collection
-// may cost is bounded by the JITS sensitivity analysis and its sampling
-// budgets, not here. Every Reservation method is nil-receiver safe.
+// may cost is bounded by the JITS sensitivity analysis over a fixed-size
+// sample, not here. Every Reservation method is nil-receiver safe.
 package govern
 
 import (

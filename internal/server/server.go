@@ -474,9 +474,9 @@ func encodeResult(res *engine.Result, maxBlock int) (*wire.Result, error) {
 		PlanCacheHit:   res.PlanCacheHit,
 	}
 	if res.Prepare != nil {
-		wr.Degraded = res.Prepare.Degraded
+		wr.Degraded = res.Prepare.Degraded()
 		for _, tr := range res.Prepare.Tables {
-			if tr.Degraded {
+			if tr.Degraded() {
 				wr.DegradedTables = append(wr.DegradedTables, tr.DegradeNote())
 			}
 		}

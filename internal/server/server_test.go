@@ -414,7 +414,7 @@ func diffWire(direct *engine.Result, served *client.Result) string {
 	if served.Plan != direct.Plan {
 		return fmt.Sprintf("plans diverged:\nserved:\n%s\ndirect:\n%s", served.Plan, direct.Plan)
 	}
-	directDegraded := direct.Prepare != nil && direct.Prepare.Degraded
+	directDegraded := direct.Prepare != nil && direct.Prepare.Degraded()
 	if served.Degraded != directDegraded {
 		return fmt.Sprintf("degraded %v vs %v", served.Degraded, directDegraded)
 	}

@@ -15,7 +15,7 @@ import (
 // the number, so the next growth has to be argued from there.
 var nonTestLines = map[string]int{
 	".":                    15,
-	"cmd/benchpairs":       217,
+	"cmd/benchpairs":       262,
 	"cmd/datagen":          57,
 	"cmd/jitsbench":        722,
 	"cmd/jitsql":           200,
@@ -25,15 +25,15 @@ var nonTestLines = map[string]int{
 	"examples/workload":    88,
 	"internal/catalog":     221,
 	"internal/client":      180,
-	"internal/core":        1977,
-	"internal/costmodel":   218,
+	"internal/core":        1948,
+	"internal/costmodel":   197,
 	"internal/debugserver": 286,
-	"internal/engine":      1845,
+	"internal/engine":      1820,
 	"internal/executor":    1816,
 	"internal/experiments": 886,
 	"internal/faultinject": 463,
 	"internal/feedback":    609,
-	"internal/flightrec":   376,
+	"internal/flightrec":   375,
 	"internal/govern":      153,
 	"internal/histogram":   1139,
 	"internal/index":       980,

@@ -179,8 +179,9 @@ func BenchmarkExtensionReactiveVsJITS(b *testing.B) {
 // --- Ablations (design choices called out in DESIGN.md §9) ---------------
 
 // runJITSWorkload executes the standard workload with a tweaked JITS config
-// and returns total simulated compile and exec seconds.
-func runJITSWorkload(b *testing.B, mutate func(*core.Config)) (compile, exec float64) {
+// and returns total simulated compile and exec seconds. archive, when
+// non-nil, replaces the engine's empty archive before the workload runs.
+func runJITSWorkload(b *testing.B, mutate func(*core.Config), archive *core.Archive) (compile, exec float64) {
 	b.Helper()
 	opts := benchOptions()
 	cfg := engine.Config{JITS: core.DefaultConfig()}
@@ -191,6 +192,9 @@ func runJITSWorkload(b *testing.B, mutate func(*core.Config)) (compile, exec flo
 		mutate(&cfg.JITS)
 	}
 	e := engine.New(cfg)
+	if archive != nil {
+		e.JITS().RestoreArchive(archive)
+	}
 	d, err := workload.Load(e, workload.Spec{Scale: opts.Scale, Seed: opts.Seed})
 	if err != nil {
 		b.Fatal(err)
@@ -215,7 +219,7 @@ func BenchmarkAblationSampleSize(b *testing.B) {
 	for _, size := range []int{200, 800, 3200} {
 		b.Run(map[int]string{200: "sample200", 800: "sample800", 3200: "sample3200"}[size], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c, x := runJITSWorkload(b, func(cfg *core.Config) { cfg.SampleSize = size })
+				c, x := runJITSWorkload(b, func(cfg *core.Config) { cfg.SampleSize = size }, nil)
 				if i == 0 {
 					b.ReportMetric(c, "compile_total_s")
 					b.ReportMetric(x, "exec_total_s")
@@ -235,11 +239,11 @@ func BenchmarkAblationArchiveBudget(b *testing.B) {
 	}{{"budget64", 64}, {"budgetDefault", 0}} {
 		b.Run(bench.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c, x := runJITSWorkload(b, func(cfg *core.Config) {
-					if bench.budget > 0 {
-						cfg.SpaceBudgetBuckets = bench.budget
-					}
-				})
+				var archive *core.Archive
+				if bench.budget > 0 {
+					archive = core.NewArchive(bench.budget, 0)
+				}
+				c, x := runJITSWorkload(b, nil, archive)
 				if i == 0 {
 					b.ReportMetric(c, "compile_total_s")
 					b.ReportMetric(x, "exec_total_s")
@@ -265,29 +269,7 @@ func BenchmarkAblationSamplingStrategy(b *testing.B) {
 				c, x := runJITSWorkload(b, func(cfg *core.Config) {
 					cfg.PerGroupSampling = bench.perGroup
 					cfg.SMax = 0 // collect everything: the regime Figure 6 contrasts
-				})
-				if i == 0 {
-					b.ReportMetric(c, "compile_total_s")
-					b.ReportMetric(x, "exec_total_s")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSensitivityStrategy compares the paper's lightweight
-// sensitivity analysis against the Chaudhuri–Narasayya magic-number
-// analysis it cites as closest related work: CN invokes the optimizer
-// several times per decision, so its compilation cost is higher for
-// comparable execution quality — the overhead argument of the paper's §5.
-func BenchmarkAblationSensitivityStrategy(b *testing.B) {
-	for _, bench := range []struct {
-		name     string
-		strategy core.Strategy
-	}{{"lightweight", core.StrategyLightweight}, {"cnMagicNumbers", core.StrategyCN}} {
-		b.Run(bench.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c, x := runJITSWorkload(b, func(cfg *core.Config) { cfg.Strategy = bench.strategy })
+				}, nil)
 				if i == 0 {
 					b.ReportMetric(c, "compile_total_s")
 					b.ReportMetric(x, "exec_total_s")

@@ -17,19 +17,14 @@ var configSurface = map[string][]string{
 		"FlightRecorderCapacity",
 		"JITS.Enabled",
 		"JITS.ForceCollect",
-		"JITS.Parallelism",
 		"JITS.PerGroupSampling",
 		"JITS.SMax",
 		"JITS.SampleSize",
 		"JITS.Seed",
-		"JITS.SpaceBudgetBuckets",
-		"JITS.Strategy",
 		"Parallelism",
 		"PlanCacheSize",
 		"ReactiveCorrections",
-		"Reopt.Enabled",
-		"Reopt.MaxReopts",
-		"Reopt.QErrorThreshold",
+		"Reopt",
 		"StorageChunkSize",
 		"Trace",
 	},
@@ -56,10 +51,7 @@ var configSurface = map[string][]string{
 // from outside the package that declares them, each with its reason, as
 // testHelpers does for exports. A knob that a program sets only through a
 // constructor names the constructor.
-var unsetKnobs = map[string]string{
-	"engine.Config.JITS.SpaceBudgetBuckets": "the root ablation benchmarks (bench_test.go) set it",
-	"engine.Config.JITS.Strategy":           "the root ablation benchmarks (bench_test.go) set it",
-}
+var unsetKnobs = map[string]string{}
 
 // configLeaf is one settable value: its path and the field it ends in.
 type configLeaf struct {

@@ -335,6 +335,7 @@ var testHelpers = map[string]string{
 	"faultinject.SeedSpec":       "engine: the seeded chaos replays draw their fault specs",
 	"flightrec.Recorder.Reset":   "engine: drop the seeding statements before observing qids",
 	"govern.Reservation.Used":    "core: a collection, degraded or not, returns every byte it reserved",
+	"optimizer.CollectScans":     "executor, optimizer: tests pick a plan's scans in slot order",
 	"qgm.Predicate.MatchesDatum": "executor, sampling: the row-at-a-time reference the kernels are held to",
 	"storage.MatchRows":          "core, executor, index, sampling: DML by a row predicate",
 	"storage.MustSchema":         "catalog, core, executor, index, optimizer, qgm, sampling: schemas in table literals",

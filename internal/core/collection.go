@@ -37,7 +37,6 @@ type collection struct {
 	qs   *QueryStats
 	prep *PrepareReport
 	sens *Sensitivity
-	cn   map[string]bool // tables the CN baseline chose; nil under the lightweight analysis
 }
 
 // tableWork is one base table's share of the statement.
@@ -60,10 +59,10 @@ type degradation struct {
 	reason string
 }
 
-// survey refreshes cardinalities, lets the CN baseline probe plans, and
-// returns the statement's tables that have local predicates, in name order,
-// each with the candidate groups of all its instances (they share one sample)
-// and the columns its sample is read for.
+// survey refreshes cardinalities and returns the statement's tables that
+// have local predicates, in name order, each with the candidate groups of all
+// its instances (they share one sample) and the columns its sample is read
+// for.
 func (c *collection) survey(q *qgm.Query, db *storage.Database) ([]*tableWork, error) {
 	// Row counts are needed for *every* table of the query (§3.2), not only
 	// those with local predicates: a metadata read, free in the cost model.
@@ -76,17 +75,6 @@ func (c *collection) survey(q *qgm.Query, db *storage.Database) ([]*tableWork, e
 			card := int64(tbl.RowCount())
 			c.qs.cards[ti.Table] = card
 			c.j.archive.SetCardinality(ti.Table, card, c.ts)
-		}
-	}
-
-	// The CN baseline decides up front by probing plans, whose costing
-	// consumes the cardinalities just refreshed.
-	if c.j.cfg.Strategy == StrategyCN && !c.j.cfg.ForceCollect {
-		c.cn = make(map[string]bool)
-		for _, blk := range q.Blocks {
-			for _, name := range c.j.cnDecide(blk, c.qs, c.meter, c.w) {
-				c.cn[name] = true
-			}
 		}
 	}
 
@@ -155,8 +143,6 @@ func (c *collection) decide(tw *tableWork) {
 	switch {
 	case c.j.cfg.ForceCollect:
 		tr.Collected = true
-	case c.cn != nil:
-		tr.Collected = c.cn[tr.Table]
 	default:
 		act := TableActivity{Table: tr.Table, Cardinality: int64(tw.tbl.RowCount()), UDI: tw.tbl.UDICounter().Total()}
 		tr.Collected, tr.Scores = c.sens.ShouldCollectStats(act, tw.groups)
@@ -211,7 +197,7 @@ func (c *collection) sample(tw *tableWork, start time.Time) (err error) {
 		*d, start = now.Sub(start), now
 	}
 
-	sample, err := j.sampler.SampleColumns(c.ctx, tw.tbl, cfg.SampleSize, c.meter, c.w, cfg.Parallelism, tw.gathered)
+	sample, err := j.sampler.SampleColumns(c.ctx, tw.tbl, cfg.SampleSize, c.meter, c.w, j.dop, tw.gathered)
 	if err != nil {
 		return err
 	}
@@ -222,7 +208,7 @@ func (c *collection) sample(tw *tableWork, start time.Time) (err error) {
 		// Prototype-faithful costing: each further group pays its own query.
 		c.meter.Add(c.w.SampleRow * float64(rows) * float64(len(groups)-1))
 	}
-	sels, err := j.sampler.EvaluateColumns(sample, groups, c.meter, c.w, cfg.Parallelism)
+	sels, err := j.sampler.EvaluateColumns(sample, groups, c.meter, c.w, j.dop)
 	if err != nil {
 		return err
 	}

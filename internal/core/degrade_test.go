@@ -61,13 +61,13 @@ func twoTableDB(t testing.TB) *storage.Database {
 
 const twoTableSQL = `SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND c.make = 'Toyota' AND o.city = 'Ottawa'`
 
-func forcedJITS(cfg Config) *JITS {
+func forcedJITS(cfg Config, dop int) *JITS {
 	cfg.Enabled = true
 	cfg.ForceCollect = true
 	if cfg.SampleSize == 0 {
 		cfg.SampleSize = 200
 	}
-	return New(cfg, feedback.NewStore(), catalog.New(), nil)
+	return New(cfg, dop, feedback.NewStore(), catalog.New())
 }
 
 func prepare(t *testing.T, ctx context.Context, j *JITS, db *storage.Database) (*QueryStats, *PrepareReport) {
@@ -99,7 +99,7 @@ func degradedReasons(rep *PrepareReport) map[string]string {
 func TestReservationCoversGatheredColumns(t *testing.T) {
 	db := twoTableDB(t)
 	const size = 200
-	j := forcedJITS(Config{SampleSize: size})
+	j := forcedJITS(Config{SampleSize: size}, 0)
 	res := govern.New().NewReservation()
 	defer res.Release()
 	q := buildQuery(t, db, `SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND c.make = 'Toyota'`)
@@ -129,7 +129,7 @@ func TestPrepareSamplingFaultDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := twoTableDB(t)
-	j := forcedJITS(Config{})
+	j := forcedJITS(Config{}, 0)
 	qs, rep := prepare(t, context.Background(), j, db)
 	if rep.CollectedTables() != 0 || rep.DegradedTables() != 2 {
 		t.Fatalf("report = %+v, want both tables degraded", rep)
@@ -151,7 +151,7 @@ func TestPrepareCancelledContextDegrades(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	db := twoTableDB(t)
-	j := forcedJITS(Config{})
+	j := forcedJITS(Config{}, 0)
 	_, rep := prepare(t, ctx, j, db)
 	if rep.CollectedTables() != 0 || rep.DegradedTables() != 2 {
 		t.Fatalf("report = %+v, want both tables degraded", rep)
@@ -173,7 +173,7 @@ func TestPrepareWorkerPanicDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := twoTableDB(t)
-	j := forcedJITS(Config{Parallelism: 4})
+	j := forcedJITS(Config{}, 4)
 	_, rep := prepare(t, context.Background(), j, db)
 	if rep.CollectedTables() != 0 || rep.DegradedTables() != 2 {
 		t.Fatalf("report = %+v, want both tables degraded", rep)
@@ -208,7 +208,7 @@ func TestPrepareDegradedKeepsUDI(t *testing.T) {
 	if err := faultinject.Arm(faultinject.SamplingRows, faultinject.Spec{Every: 1, Limit: 1}); err != nil {
 		t.Fatal(err)
 	}
-	j := forcedJITS(Config{})
+	j := forcedJITS(Config{}, 0)
 	_, rep := prepare(t, context.Background(), j, db)
 	if rep.DegradedTables() == 0 {
 		t.Fatal("expected at least one degraded table")
@@ -247,7 +247,7 @@ func TestDegradationIsOneEvent(t *testing.T) {
 	cases := []struct {
 		name   string
 		cause  costmodel.DegradeCause
-		cfg    Config
+		dop    int
 		ctx    context.Context
 		setup  func(*testing.T)
 		tables []string
@@ -259,7 +259,7 @@ func TestDegradationIsOneEvent(t *testing.T) {
 			tables: []string{"car", "owner"}, reason: "sampling error: "},
 		{name: "one table", cause: costmodel.DegradeSamplingError, setup: arm(faultinject.SamplingRows, faultinject.Spec{Offset: 1, Limit: 1}),
 			tables: []string{"owner"}, reason: "sampling error: "},
-		{name: "worker panic", cause: costmodel.DegradePanic, cfg: Config{Parallelism: 4}, setup: arm(faultinject.WorkerPanic, faultinject.Spec{Every: 1}),
+		{name: "worker panic", cause: costmodel.DegradePanic, dop: 4, setup: arm(faultinject.WorkerPanic, faultinject.Spec{Every: 1}),
 			tables: []string{"car", "owner"}, reason: "recovered panic: "},
 	}
 	seen := make(map[costmodel.DegradeCause]bool)
@@ -268,7 +268,7 @@ func TestDegradationIsOneEvent(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			faultinject.Reset()
 			t.Cleanup(faultinject.Reset)
-			j := forcedJITS(tc.cfg)
+			j := forcedJITS(Config{}, tc.dop)
 			if tc.setup != nil {
 				tc.setup(t)
 			}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/feedback"
 	"repro/internal/govern"
-	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/qgm"
 	"repro/internal/sampling"
@@ -28,17 +27,11 @@ type Config struct {
 	// SampleSize is the fixed number of rows sampled per marked table
 	// (independent of table size, per the paper). Default 2000.
 	SampleSize int
-	// SpaceBudgetBuckets bounds total archive histogram buckets.
-	SpaceBudgetBuckets int
 	// ForceCollect bypasses the sensitivity analysis: every table with
 	// local predicates is sampled and every group materialized — the
 	// "sensitivity analysis turned off" mode of the paper's §4.1
 	// experiment, equivalent to s_max = 0.
 	ForceCollect bool
-	// Strategy selects the sensitivity-analysis algorithm: the paper's
-	// lightweight Algorithms 2–3 (default) or the Chaudhuri–Narasayya
-	// magic-number analysis (StrategyCN) as a comparison baseline.
-	Strategy Strategy
 	// PerGroupSampling emulates the paper's prototype, which "constructed
 	// and invoked sampling queries on-the-fly" per statistic: collection
 	// cost is charged once per candidate predicate group instead of once
@@ -48,11 +41,6 @@ type Config struct {
 	PerGroupSampling bool
 	// Seed makes sampling reproducible.
 	Seed int64
-	// Parallelism fans the sampling row fetches and predicate-group
-	// evaluation out across this many workers. Statistics, meter charges
-	// and therefore plans are identical at any setting; values <= 1 run
-	// serially. The engine fills it from its Config.Parallelism.
-	Parallelism int
 }
 
 // withDefaults fills zero-valued knobs. SMax stays as given: an explicit
@@ -68,11 +56,10 @@ func (c Config) withDefaults() Config {
 // suggested workload threshold (s_max = 0.5).
 func DefaultConfig() Config {
 	return Config{
-		Enabled:            true,
-		SMax:               0.5,
-		SampleSize:         2000,
-		SpaceBudgetBuckets: DefaultSpaceBudgetBuckets,
-		Seed:               1,
+		Enabled:    true,
+		SMax:       0.5,
+		SampleSize: 2000,
+		Seed:       1,
 	}
 }
 
@@ -82,12 +69,12 @@ func DefaultConfig() Config {
 type JITS struct {
 	mu      sync.Mutex
 	cfg     Config
+	dop     int // sampling workers; <= 1 runs serially
 	archive *Archive
 	history *feedback.Store
 	cat     *catalog.Catalog
 	sampler *sampling.Sampler
-	colSets []int      // the survey's column sets, reused by every statement
-	indexes *index.Set // StrategyCN plan probes enumerate over it
+	colSets []int // the survey's column sets, reused by every statement
 	degrade costmodel.Degradation
 
 	// Collection totals: rows drawn by compile-time sampling and tables
@@ -96,19 +83,22 @@ type JITS struct {
 	tablesCollected atomic.Int64
 }
 
-// New builds a JITS coordinator sharing the engine's catalog, feedback store
-// and index registry (the CN strategy's plan enumerations need it). The
-// sensitivity analysis reads the store's StatHistory, and every archive
-// merge is reported to it.
-func New(cfg Config, history *feedback.Store, cat *catalog.Catalog, ixs *index.Set) *JITS {
+// New builds a JITS coordinator sharing the engine's catalog and feedback
+// store, with an archive of the default budget. The sensitivity analysis
+// reads the store's StatHistory, and every archive merge is reported to it.
+// dop, the engine's degree of parallelism, fans the sampling row fetches and
+// predicate-group evaluation out across that many workers; statistics, meter
+// charges and therefore plans are identical at any degree, and values <= 1
+// run serially.
+func New(cfg Config, dop int, history *feedback.Store, cat *catalog.Catalog) *JITS {
 	cfg = cfg.withDefaults()
 	return &JITS{
 		cfg:     cfg,
-		archive: NewArchive(cfg.SpaceBudgetBuckets, DefaultMemoCapacity),
+		dop:     dop,
+		archive: NewArchive(DefaultSpaceBudgetBuckets, DefaultMemoCapacity),
 		history: history,
 		cat:     cat,
 		sampler: sampling.New(cfg.Seed),
-		indexes: ixs,
 	}
 }
 

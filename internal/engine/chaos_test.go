@@ -38,9 +38,9 @@ const (
 	chaosSeed  = 99
 )
 
-func mkChaosEngine(t testing.TB, reopt engine.ReoptConfig) (*engine.Engine, *workload.Dataset) {
+func mkChaosEngine(t testing.TB) (*engine.Engine, *workload.Dataset) {
 	t.Helper()
-	cfg := engine.Config{Parallelism: 4, Reopt: reopt}
+	cfg := engine.Config{Parallelism: 4}
 	cfg.JITS.Enabled = true
 	cfg.JITS.SMax = 0.5
 	cfg.JITS.SampleSize = 800
@@ -103,7 +103,7 @@ func baselineOutcomes(t *testing.T) []chaosOutcome {
 	t.Helper()
 	chaosBaseline.once.Do(func() {
 		faultinject.Reset()
-		e, d := mkChaosEngine(t, engine.ReoptConfig{})
+		e, d := mkChaosEngine(t)
 		for _, st := range d.Workload(chaosStmts, chaosSeed, true) {
 			res, err := e.Exec(st.SQL)
 			o := chaosOutcome{isQuery: st.IsQuery, countOnly: limitWithoutOrderBy(st.SQL)}
@@ -135,7 +135,7 @@ func runChaosClass(t *testing.T, timeout time.Duration, arm func()) (faultErrs, 
 	base := baselineOutcomes(t)
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
-	e, d := mkChaosEngine(t, engine.ReoptConfig{})
+	e, d := mkChaosEngine(t)
 	arm() // arm only after the data load so the dataset matches the baseline
 	for i, st := range d.Workload(chaosStmts, chaosSeed, true) {
 		ctx, cancel := context.Background(), context.CancelFunc(func() {})
@@ -306,7 +306,7 @@ func TestChaosArchiveCorruption(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 
-	e, d := mkChaosEngine(t, engine.ReoptConfig{})
+	e, d := mkChaosEngine(t)
 	for _, st := range d.Queries(8, 5) {
 		if _, err := e.Exec(st.SQL); err != nil {
 			t.Fatal(err)

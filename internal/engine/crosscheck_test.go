@@ -27,15 +27,13 @@ func TestFeedbackCrossCheck(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			cfg := engine.Config{
-				FlightRecorderCapacity: 4096,
-				Reopt:                  engine.ReoptConfig{Enabled: true, QErrorThreshold: 2, MaxReopts: 3},
-			}
+			cfg := engine.Config{FlightRecorderCapacity: 4096}
 			cfg.JITS.Enabled = true
 			cfg.JITS.SMax = 0.5
 			cfg.JITS.SampleSize = 800
 			cfg.JITS.Seed = 7
 			e := engine.New(cfg)
+			e.SetReopt(2, 3)
 			d, err := workload.Load(e, workload.Spec{Scale: 0.004, Seed: 42})
 			if err != nil {
 				t.Fatal(err)

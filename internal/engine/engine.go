@@ -72,9 +72,8 @@ type Config struct {
 	// mutex, so the writer may be shared by concurrent statements without
 	// external locking.
 	Trace io.Writer
-	// Parallelism is the default degree of intra-query parallelism for
-	// SELECT execution, and the fixed degree of JITS sample evaluation
-	// (copied into JITS.Parallelism when that is 0). Values <= 1 run every
+	// Parallelism is the degree of intra-query parallelism for SELECT
+	// execution and for JITS sample evaluation. Values <= 1 run every
 	// operator inline as a single morsel, which reproduces the paper's cost
 	// accounting exactly; higher values dispatch morsels to a worker pool
 	// without changing results or metered work. At every setting the
@@ -103,10 +102,10 @@ type Config struct {
 	// Reopt arms checkpointed mid-query re-optimization: at pipeline
 	// breakers (join-input materializations) the executor compares observed
 	// cardinality against the plan's estimate, and when the q-error exceeds
-	// the threshold the engine re-plans the unexecuted remainder with the
-	// materialized intermediates as exact-cardinality leaves. The zero value
-	// disables it.
-	Reopt ReoptConfig
+	// reoptQErrorThreshold the engine re-plans the unexecuted remainder with
+	// the materialized intermediates as exact-cardinality leaves, at most
+	// maxReopts times a statement (reopt.go).
+	Reopt bool
 }
 
 // Metrics reports the simulated timing split of one statement.
@@ -155,7 +154,11 @@ type Engine struct {
 	recorder    *flightrec.Recorder
 	governor    *govern.Governor
 	parallelism int
-	reoptCfg    ReoptConfig
+	// reopt arms re-optimization; a checkpoint re-plans above reoptQError,
+	// at most maxReopts times a statement.
+	reopt       bool
+	reoptQError float64
+	maxReopts   int
 	counts      *counts
 	closed      atomic.Bool
 	// maintenance owns the index catch-ups writes start (catchUpBeside), at
@@ -181,21 +184,19 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	cat := catalog.New()
 	fb := feedback.NewStore()
-	ixs := index.NewSet()
-	if cfg.JITS.Parallelism == 0 {
-		cfg.JITS.Parallelism = cfg.Parallelism
-	}
 	e := &Engine{
 		db:          storage.NewDatabase(cfg.StorageChunkSize),
 		cat:         cat,
-		indexes:     ixs,
+		indexes:     index.NewSet(),
 		feedback:    fb,
-		jits:        core.New(cfg.JITS, fb, cat, ixs),
+		jits:        core.New(cfg.JITS, cfg.Parallelism, fb, cat),
 		weights:     costmodel.DefaultWeights(),
 		recorder:    flightrec.New(cfg.FlightRecorderCapacity, cfg.Trace),
 		governor:    govern.New(),
 		parallelism: cfg.Parallelism,
-		reoptCfg:    cfg.Reopt.withDefaults(),
+		reopt:       cfg.Reopt,
+		reoptQError: reoptQErrorThreshold,
+		maxReopts:   maxReopts,
 		counts:      newCounts(),
 		planCache:   plancache.New(cfg.PlanCacheSize),
 	}

@@ -5,11 +5,14 @@ import (
 	"repro/internal/plancache"
 )
 
-// SetReopt replaces the engine's re-optimization configuration between
-// statements, so a test can cache a plan with re-optimization off and then
-// run the cached plan with it armed. No program changes it after New; it is
-// not safe while statements run.
-func (e *Engine) SetReopt(cfg ReoptConfig) { e.reoptCfg = cfg.withDefaults() }
+// SetReopt arms re-optimization between statements with its own q-error
+// threshold and per-statement cap, so a test can cache a plan with
+// re-optimization off and then run the cached plan with it armed, or hold
+// the loop to a trigger other than the engine's. No program changes it
+// after New; it is not safe while statements run.
+func (e *Engine) SetReopt(qErrorThreshold float64, maxReopts int) {
+	e.reopt, e.reoptQError, e.maxReopts = true, qErrorThreshold, maxReopts
+}
 
 // WorkloadStatsArchive exposes the static baseline archive (nil unless
 // CollectWorkloadStats ran).

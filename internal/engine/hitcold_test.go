@@ -26,14 +26,17 @@ func TestPlanCacheHitEqualsCold(t *testing.T) {
 	faultinject.Reset()
 	const minPairs = 40
 	for _, dop := range []int{1, 4} {
-		for _, reopt := range []engine.ReoptConfig{{}, {Enabled: true}} {
-			t.Run(fmt.Sprintf("dop%d_reopt%v", dop, reopt.Enabled), func(t *testing.T) {
-				cfg := engine.Config{Parallelism: dop, Reopt: reopt, PlanCacheSize: 256, FlightRecorderCapacity: 8}
+		for _, reopt := range []bool{false, true} {
+			t.Run(fmt.Sprintf("dop%d_reopt%v", dop, reopt), func(t *testing.T) {
+				cfg := engine.Config{Parallelism: dop, PlanCacheSize: 256, FlightRecorderCapacity: 8}
 				cfg.JITS.Enabled = true
 				cfg.JITS.SMax = 0.5
 				cfg.JITS.SampleSize = 800
 				cfg.JITS.Seed = 7
 				e := engine.New(cfg)
+				if reopt {
+					e.SetReopt(10, 2) // only a tenfold misestimate re-plans
+				}
 				d, err := workload.Load(e, workload.Spec{Scale: 0.004, Seed: 42})
 				if err != nil {
 					t.Fatal(err)
@@ -136,7 +139,7 @@ func TestPlanCacheHitReoptReportsCompletedPlan(t *testing.T) {
 	if !hit.PlanCacheHit {
 		t.Fatal("repeat missed the cache")
 	}
-	e.SetReopt(engine.ReoptConfig{Enabled: true, QErrorThreshold: 2})
+	e.SetReopt(2, 2)
 	trig, err := e.Exec(q)
 	if err != nil {
 		t.Fatal(err)

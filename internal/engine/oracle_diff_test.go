@@ -231,9 +231,10 @@ func TestEngineMatchesOracle(t *testing.T) {
 
 	for _, dop := range []int{1, 4} {
 		for _, reopt := range []bool{false, true} {
-			cfg := engine.Config{Parallelism: dop, StorageChunkSize: 64}
-			cfg.Reopt = engine.ReoptConfig{Enabled: reopt, QErrorThreshold: 1.05, MaxReopts: 3}
-			e := oracleEngine(t, cfg)
+			e := oracleEngine(t, engine.Config{Parallelism: dop, StorageChunkSize: 64})
+			if reopt {
+				e.SetReopt(1.05, 3)
+			}
 			reopts := 0
 			for i, sql := range stmts {
 				res, err := e.Exec(sql)

@@ -21,41 +21,17 @@ import (
 // plan. Results are identical by construction: only the join order and
 // operator choices of nodes that have not produced output yet may change.
 
-// Reopt defaults selected by zero/negative ReoptConfig fields.
+// Re-optimization's trigger and cap (Config.Reopt arms it).
 const (
-	// DefaultReoptQErrorThreshold is the q-error a checkpoint must exceed to
-	// trigger re-planning. 10 is far above the noise of healthy estimates
-	// (the paper's JITS plans sit near 1) but well below the 100x-1000x
-	// blowups of correlated-predicate misestimates.
-	DefaultReoptQErrorThreshold = 10.0
-	// DefaultMaxReopts caps re-planning attempts per statement.
-	DefaultMaxReopts = 2
+	// reoptQErrorThreshold is the q-error a checkpoint must exceed to
+	// trigger re-planning: above the noise of healthy estimates (the paper's
+	// JITS plans sit near 1), and eager enough to recover from a bad plan,
+	// not only to insure against the 100x-1000x blowups of
+	// correlated-predicate misestimates.
+	reoptQErrorThreshold = 3.0
+	// maxReopts caps re-planning attempts per statement.
+	maxReopts = 3
 )
-
-// ReoptConfig arms checkpointed mid-query re-optimization.
-type ReoptConfig struct {
-	// Enabled arms checkpoints at pipeline breakers (join-input
-	// materializations). Statements with LIMIT but no deterministic total
-	// order are exempt: which rows survive such a limit is plan-dependent,
-	// and re-optimization guarantees identical results.
-	Enabled bool
-	// QErrorThreshold is the q-error above which a checkpoint re-plans;
-	// values <= 0 select DefaultReoptQErrorThreshold.
-	QErrorThreshold float64
-	// MaxReopts caps re-planning attempts per statement; values <= 0 select
-	// DefaultMaxReopts.
-	MaxReopts int
-}
-
-func (c ReoptConfig) withDefaults() ReoptConfig {
-	if c.QErrorThreshold <= 0 {
-		c.QErrorThreshold = DefaultReoptQErrorThreshold
-	}
-	if c.MaxReopts <= 0 {
-		c.MaxReopts = DefaultMaxReopts
-	}
-	return c
-}
 
 // newReoptState returns a fresh per-statement checkpoint state, or nil when
 // re-optimization is off or the block's LIMIT makes row identity
@@ -63,10 +39,10 @@ func (c ReoptConfig) withDefaults() ReoptConfig {
 // reached first — re-planning mid-query would change the answer; LIMIT with
 // ORDER BY still breaks ties by plan-produced row order).
 func (e *Engine) newReoptState(blk *qgm.Block) *executor.ReoptState {
-	if !e.reoptCfg.Enabled || blk.Limit >= 0 {
+	if !e.reopt || blk.Limit >= 0 {
 		return nil
 	}
-	return executor.NewReoptState(e.reoptCfg.QErrorThreshold, e.reoptCfg.MaxReopts)
+	return executor.NewReoptState(e.reoptQError, e.maxReopts)
 }
 
 // execute is the pipeline's execution stage: it runs s.plan to completion

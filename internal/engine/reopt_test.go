@@ -19,14 +19,20 @@ import (
 // engine exempts those from re-optimization, but their *baseline* rows
 // already differ across dop, so the comparison stays count-based).
 
-func mkReoptEngine(t testing.TB, dop int, reopt engine.ReoptConfig) (*engine.Engine, *workload.Dataset) {
+func mkReoptEngine(t testing.TB, dop int, reopt bool) (*engine.Engine, *workload.Dataset) {
 	t.Helper()
-	cfg := engine.Config{Parallelism: dop, Reopt: reopt}
+	cfg := engine.Config{Parallelism: dop}
 	cfg.JITS.Enabled = true
 	cfg.JITS.SMax = 0.5
 	cfg.JITS.SampleSize = 800
 	cfg.JITS.Seed = 7
 	e := engine.New(cfg)
+	if reopt {
+		// Re-plan on any q-error above 1.5 — far below the engine's
+		// threshold, so the differential exercises many re-planning paths
+		// rather than the rare catastrophic ones.
+		e.SetReopt(1.5, 3)
+	}
 	d, err := workload.Load(e, workload.Spec{Scale: 0.004, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -39,11 +45,6 @@ const (
 	reoptDiffSeed  = 99
 )
 
-// aggressiveReopt re-plans on any q-error above 1.5 — far below the
-// production default, so the differential exercises many re-planning paths
-// rather than the rare catastrophic ones.
-var aggressiveReopt = engine.ReoptConfig{Enabled: true, QErrorThreshold: 1.5, MaxReopts: 3}
-
 func TestReoptDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential replay is slow")
@@ -51,7 +52,7 @@ func TestReoptDifferential(t *testing.T) {
 	faultinject.Reset()
 
 	// Serial fault-free baseline, re-optimization off.
-	eBase, dBase := mkReoptEngine(t, 1, engine.ReoptConfig{})
+	eBase, dBase := mkReoptEngine(t, 1, false)
 	stmts := dBase.Workload(reoptDiffStmts, reoptDiffSeed, true)
 	type outcome struct {
 		countOnly bool
@@ -77,11 +78,11 @@ func TestReoptDifferential(t *testing.T) {
 	arms := []struct {
 		name  string
 		dop   int
-		reopt engine.ReoptConfig
+		reopt bool
 	}{
-		{"reopt_dop1", 1, aggressiveReopt},
-		{"off_dop4", 4, engine.ReoptConfig{}},
-		{"reopt_dop4", 4, aggressiveReopt},
+		{"reopt_dop1", 1, true},
+		{"off_dop4", 4, false},
+		{"reopt_dop4", 4, true},
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
@@ -114,10 +115,10 @@ func TestReoptDifferential(t *testing.T) {
 						i, st.SQL, res.Reopts, got, b.fp)
 				}
 			}
-			if arm.reopt.Enabled && totalReopts == 0 {
+			if arm.reopt && totalReopts == 0 {
 				t.Fatal("no statement re-optimized at threshold 1.5 — the differential tested nothing")
 			}
-			if !arm.reopt.Enabled && totalReopts != 0 {
+			if !arm.reopt && totalReopts != 0 {
 				t.Fatalf("re-optimization disabled but %d reopts reported", totalReopts)
 			}
 			t.Logf("%s: %d re-optimizations over %d statements", arm.name, totalReopts, reoptDiffStmts)
@@ -140,7 +141,8 @@ func TestChaosMisestimateReopt(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 
-	e, d := mkChaosEngine(t, engine.ReoptConfig{Enabled: true}) // production defaults
+	e, d := mkChaosEngine(t)
+	e.SetReopt(10, 2) // catastrophe insurance: only a tenfold misestimate re-plans
 	if err := faultinject.Arm(faultinject.EstimatorMisestimate, faultinject.SeedSpec(chaosSeed, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +226,7 @@ func TestReoptPlanCacheCanary(t *testing.T) {
 
 	// Arm re-optimization; the next hit executes the (now provably bad)
 	// cached plan, triggers, and must evict the entry.
-	e.SetReopt(engine.ReoptConfig{Enabled: true, QErrorThreshold: 2})
+	e.SetReopt(2, 2)
 	trig, err := e.Exec(q)
 	if err != nil {
 		t.Fatal(err)
@@ -279,8 +281,8 @@ func TestReoptPlanCacheCanary(t *testing.T) {
 // count there.
 func TestReoptShowQueries(t *testing.T) {
 	faultinject.Reset()
-	cfg := engine.Config{FlightRecorderCapacity: 64, Reopt: engine.ReoptConfig{Enabled: true, QErrorThreshold: 2}}
-	e := engine.New(cfg)
+	e := engine.New(engine.Config{FlightRecorderCapacity: 64})
+	e.SetReopt(2, 2)
 	if _, err := workload.Load(e, workload.Spec{Scale: 0.004, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}

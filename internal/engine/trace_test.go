@@ -135,13 +135,13 @@ func TestTraceLinesAreRingRecords(t *testing.T) {
 		`SELECT c.id FROM car c, owner o WHERE c.ownerid = o.id AND o.city = 'Toronto' AND c.model = 'Civic'`,
 	}
 	run := func(trace *bytes.Buffer) (*Engine, int64) {
-		cfg := Config{JITS: core.DefaultConfig(), FlightRecorderCapacity: -1,
-			Reopt: ReoptConfig{Enabled: true, QErrorThreshold: 1.01}}
+		cfg := Config{JITS: core.DefaultConfig(), FlightRecorderCapacity: -1}
 		cfg.JITS.SampleSize = 50
 		if trace != nil {
 			cfg.Trace = trace
 		}
 		e := seedEngine(t, cfg)
+		e.SetReopt(1.01, 2)
 		first := e.Now() + 1
 		if trace != nil {
 			trace.Reset()

@@ -25,16 +25,6 @@ import (
 // per-statement worst plan-node q-error, i.e. how wrong the plan that
 // actually completed still was.
 
-// The reopt mode's re-optimization settings.
-const (
-	// reoptQErrorThreshold is the checkpoint trigger threshold: more eager
-	// than the engine default — the experiment wants to show recovery, not
-	// just catastrophe insurance.
-	reoptQErrorThreshold = 3
-	// reoptMaxReopts caps re-planning attempts per statement.
-	reoptMaxReopts = 3
-)
-
 // ReoptModeResult is one mode's totals over the workload stream.
 type ReoptModeResult struct {
 	Mode            string
@@ -75,16 +65,9 @@ func Reopt(opts Options) (*ReoptReport, error) {
 	rep := &ReoptReport{}
 	var baseRows []int
 	for _, mode := range modes {
-		cfg := engine.Config{}
+		cfg := engine.Config{Reopt: mode.reopt}
 		if mode.jits {
 			cfg.JITS = opts.jitsConfig()
-		}
-		if mode.reopt {
-			cfg.Reopt = engine.ReoptConfig{
-				Enabled:         true,
-				QErrorThreshold: reoptQErrorThreshold,
-				MaxReopts:       reoptMaxReopts,
-			}
 		}
 		e := opts.newEngine(cfg)
 		d, err := workload.Load(e, workload.Spec{Scale: opts.Scale, Seed: opts.Seed})

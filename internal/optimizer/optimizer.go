@@ -359,7 +359,7 @@ func (ctx *Context) greedyEnumerate(blk *qgm.Block, leaves []Node) (Node, error)
 }
 
 // CollectScans returns the scan leaves of a plan in deterministic
-// (slot-sorted) order; the engine uses it to wire feedback.
+// (slot-sorted) order, so a test can pick a plan's scan by its slot.
 func CollectScans(n Node) []*Scan {
 	var out []*Scan
 	var walk func(Node)

@@ -6,9 +6,10 @@ import (
 	"repro/internal/value"
 )
 
-// Snapshot is an immutable view of a table at one version. Taking a
-// snapshot briefly holds the table's read lock to copy the chunk pointer
-// list and mark every chunk shared; from then on all reads are lock-free —
+// Snapshot is an immutable view of a table at one version, shared by every
+// reader until the next write. Building one briefly holds the table's read
+// lock to copy the chunk pointer list and mark every chunk shared; from then
+// on all reads are lock-free —
 // mutations replace a shared chunk and copy the column vectors they write
 // before touching them, so the snapshot keeps seeing exactly the rows it
 // captured. This is what lets a scan run arbitrary user callbacks (including

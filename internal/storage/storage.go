@@ -24,6 +24,7 @@ package storage
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/value"
 )
@@ -117,6 +118,11 @@ type Table struct {
 	nrows     int
 	version   uint64
 	udi       UDI
+	// snap is the snapshot of the current version, built by the first
+	// Snapshot after a write and handed to every reader until the next one;
+	// nil when none is built. Writers clear it under the write lock
+	// (changedLocked).
+	snap atomic.Pointer[Snapshot]
 }
 
 // NewTable creates an empty table with the default chunk size.
@@ -162,11 +168,15 @@ func (t *Table) ResetUDI() {
 	t.udi = UDI{}
 }
 
-// Snapshot captures an immutable view of the table. The read lock is held
-// only long enough to copy the chunk pointer list and mark the chunks
-// shared; everything after that — chunk iteration, row materialization,
-// vectorized filtering — is lock-free.
+// Snapshot returns an immutable view of the table. Readers between two
+// writes share one: the first after a write builds it under the read lock,
+// copying the chunk pointer list and marking the chunks shared, and the rest
+// load it without a lock. Everything after that — chunk iteration, row
+// materialization, vectorized filtering — is lock-free.
 func (t *Table) Snapshot() *Snapshot {
+	if s := t.snap.Load(); s != nil {
+		return s
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	chunks := append([]*Chunk(nil), t.chunks...)
@@ -175,10 +185,22 @@ func (t *Table) Snapshot() *Snapshot {
 			c.shared.Store(true)
 		}
 	}
-	return &Snapshot{
+	s := &Snapshot{
 		name: t.name, schema: t.schema, chunkSize: t.chunkSize,
 		chunks: chunks, nrows: t.nrows, version: t.version,
 	}
+	if !t.snap.CompareAndSwap(nil, s) {
+		return t.snap.Load() // a concurrent reader built it first; no writer can clear it under the read lock
+	}
+	return s
+}
+
+// changedLocked closes a write that changed rows: the version moves on and
+// the current snapshot is dropped, so the next Snapshot sees the write.
+// Caller must hold the write lock.
+func (t *Table) changedLocked() {
+	t.version++
+	t.snap.Store(nil)
 }
 
 func (t *Table) checkRow(row []value.Datum) error {
@@ -273,7 +295,7 @@ func (t *Table) Insert(row []value.Datum) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.appendLocked([][]value.Datum{row})
-	t.version++
+	t.changedLocked()
 	t.udi.Inserts++
 	return nil
 }
@@ -293,7 +315,7 @@ func (t *Table) InsertBatch(rows [][]value.Datum) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.appendLocked(rows)
-	t.version++
+	t.changedLocked()
 	t.udi.Inserts += int64(len(rows))
 	return nil
 }
@@ -340,7 +362,7 @@ func (t *Table) UpdateWhere(match Matcher, sets []Assignment) (int, error) {
 		n += len(offs)
 	}
 	if n > 0 {
-		t.version++
+		t.changedLocked()
 		t.udi.Updates += int64(n)
 	}
 	return n, nil
@@ -383,7 +405,7 @@ func (t *Table) DeleteWhere(match Matcher) int {
 	n := len(doomed)
 	if n > 0 {
 		t.truncateLocked(end)
-		t.version++
+		t.changedLocked()
 		t.udi.Deletes += int64(n)
 	}
 	return n

@@ -244,6 +244,67 @@ func TestNoOpMutationsDoNotBumpVersion(t *testing.T) {
 	}
 }
 
+// TestSnapshotSharedUntilWrite holds the snapshot cache to the table's
+// writes: two snapshots with no write between them are one pointer, a no-op
+// write keeps it, and a snapshot taken after each kind of write is a new one
+// that sees the write while the one before it does not.
+func TestSnapshotSharedUntilWrite(t *testing.T) {
+	tbl := NewTableWithChunkSize("t", testSchema(t), 2)
+	row := func(id int) []value.Datum {
+		return []value.Datum{value.NewInt(int64(id)), value.NewString("x"), value.NewFloat(0)}
+	}
+	ids := func(s *Snapshot) []int64 {
+		var out []int64
+		s.Scan(func(_ int, r []value.Datum) bool {
+			out = append(out, r[0].Int())
+			return true
+		})
+		return out
+	}
+	byID := func(id int64) Matcher { return MatchRows(func(r []value.Datum) bool { return r[0].Int() == id }) }
+	writes := []struct {
+		name  string
+		write func() error
+		want  string // the ids after the write
+	}{
+		{"insert", func() error { return tbl.Insert(row(1)) }, "[1]"},
+		{"insert batch", func() error { return tbl.InsertBatch([][]value.Datum{row(2), row(3), row(4)}) }, "[1 2 3 4]"},
+		{"update", func() error {
+			_, err := tbl.UpdateWhere(byID(2), []Assignment{{Ordinal: 0, Value: value.NewInt(20)}})
+			return err
+		}, "[1 20 3 4]"},
+		{"delete", func() error { tbl.DeleteWhere(byID(1)); return nil }, "[4 20 3]"},
+	}
+	for _, w := range writes {
+		before := tbl.Snapshot()
+		if again := tbl.Snapshot(); again != before {
+			t.Fatalf("before %s: two snapshots with no write between them differ", w.name)
+		}
+		old := fmt.Sprint(ids(before))
+		if err := w.write(); err != nil {
+			t.Fatal(err)
+		}
+		after := tbl.Snapshot()
+		if after == before {
+			t.Fatalf("%s: the snapshot after the write is the one before it", w.name)
+		}
+		if got := fmt.Sprint(ids(after)); got != w.want {
+			t.Errorf("%s: snapshot after sees %s, want %s", w.name, got, w.want)
+		}
+		if got := fmt.Sprint(ids(before)); got != old {
+			t.Errorf("%s: snapshot before changed from %s to %s", w.name, old, got)
+		}
+	}
+	s := tbl.Snapshot()
+	if _, err := tbl.UpdateWhere(byID(99), []Assignment{{Ordinal: 2, Value: value.NewFloat(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	tbl.DeleteWhere(byID(99))
+	if tbl.Snapshot() != s {
+		t.Error("a write that changed no row dropped the snapshot")
+	}
+}
+
 func TestColumnValues(t *testing.T) {
 	tbl := NewTable("t", testSchema(t))
 	for i := 0; i < 3; i++ {

@@ -83,6 +83,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/debugserver"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
@@ -95,7 +96,7 @@ func main() {
 		queries  = flag.Int("queries", 840, "workload query count")
 		seed     = flag.Int64("seed", 42, "random seed")
 		smax     = flag.Float64("smax", 0.5, "JITS sensitivity threshold")
-		sample   = flag.Int("sample", 2000, "JITS sample size")
+		sample   = flag.Int("sample", core.DefaultSampleSize, "JITS sample size")
 		perGroup = flag.Bool("pergroup", false, "charge sampling per candidate group (the paper prototype's cost profile)")
 		csvDirF  = flag.String("csv", "", "directory to also write figure data as CSV (created if missing)")
 		par      = flag.Int("parallelism", 1, "intra-query degree of parallelism (1 = serial: every operator runs inline)")

@@ -99,9 +99,9 @@ func TestDocReferencesResolve(t *testing.T) {
 // from. A change may shrink one (and lowers its number here); none may grow,
 // so a new section has to be paid for by cutting an old one.
 var docSizes = map[string]int{
-	"DESIGN.md":      119216,
-	"EXPERIMENTS.md": 146906,
-	"README.md":      30478,
+	"DESIGN.md":      119198,
+	"EXPERIMENTS.md": 146891,
+	"README.md":      30471,
 }
 
 // TestDocSizes holds DESIGN.md, EXPERIMENTS.md and README.md to docSizes:

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/histogram"
@@ -117,29 +116,14 @@ func (a *Archive) Wait() { a.tally.fits.Wait() }
 // final.
 func (a *Archive) Close() { a.tally.fits.Close() }
 
-// ScrapeArchives appends the qss_archive_* and histogram_ipf_* series to
-// set: the totals of every given archive, nil ones skipped. A fit counts
-// once it has ended.
-func ScrapeArchives(set *metrics.Set, archives ...*Archive) {
-	var hits, misses int64
-	var fits histogram.FitStats
-	var wall time.Duration
-	for _, a := range archives {
-		if a == nil {
-			continue
-		}
-		hits += a.tally.hits.Load()
-		misses += a.tally.misses.Load()
-		f, d := a.tally.fits.Totals()
-		fits.Fits += f.Fits
-		fits.Rounds += f.Rounds
-		fits.Unconverged += f.Unconverged
-		wall += d
-	}
+// Scrape appends the archive's qss_archive_* and histogram_ipf_* series to
+// set. A fit counts once it has ended.
+func (a *Archive) Scrape(set *metrics.Set) {
+	fits, wall := a.tally.fits.Totals()
 	set.Counter("qss_archive_hits_total",
-		"QSS archive selectivity lookups answered from archived statistics.", float64(hits))
+		"QSS archive selectivity lookups answered from archived statistics.", float64(a.tally.hits.Load()))
 	set.Counter("qss_archive_misses_total",
-		"QSS archive selectivity lookups that found no usable statistics.", float64(misses))
+		"QSS archive selectivity lookups that found no usable statistics.", float64(a.tally.misses.Load()))
 	set.Counter("histogram_ipf_fits_total",
 		"Iterative proportional fitting passes run by histogram updates.", float64(fits.Fits))
 	set.Counter("histogram_ipf_rounds_total",

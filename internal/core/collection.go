@@ -74,7 +74,7 @@ func (c *collection) survey(q *qgm.Query, db *storage.Database) ([]*tableWork, e
 			}
 			card := int64(tbl.RowCount())
 			c.qs.cards[ti.Table] = card
-			c.j.archive.SetCardinality(ti.Table, card, c.ts)
+			c.qs.archive.SetCardinality(ti.Table, card, c.ts)
 		}
 	}
 
@@ -216,7 +216,7 @@ func (c *collection) sample(tw *tableWork, start time.Time) (err error) {
 	lap(&tr.Laps.Eval)
 
 	card := int64(tw.tbl.RowCount())
-	j.archive.SetCardinality(name, card, c.ts)
+	c.qs.archive.SetCardinality(name, card, c.ts)
 	c.qs.cards[name] = card
 
 	// What the optimizer reads of a sampled column: a join column's
@@ -224,7 +224,7 @@ func (c *collection) sample(tw *tableWork, start time.Time) (err error) {
 	// column's domain, to grid the archive.
 	for _, col := range tw.joinCols {
 		if ndv := j.sampler.CountColumn(sample.Col(col)).EstimateNDV(int(card)); ndv > 0 {
-			j.archive.SetColumnNDV(name, schema.Column(col).Name, ndv, c.ts)
+			c.qs.archive.SetColumnNDV(name, schema.Column(col).Name, ndv, c.ts)
 		}
 	}
 	domains := make(map[string]ColumnDomain, len(tw.groupCols))
@@ -241,7 +241,7 @@ func (c *collection) sample(tw *tableWork, start time.Time) (err error) {
 		c.qs.fresh[qgm.PredicateGroupKey(name, g)] = sel
 
 		if cfg.ForceCollect || c.sens.ShouldMaterialize(name, g) {
-			touched := j.archive.Materialize(name, g, sel, c.ts, domains)
+			touched := c.qs.archive.Materialize(name, g, sel, c.ts, domains)
 			c.meter.Add(c.w.HistUpdate * float64(touched))
 			tr.GroupsMaterialized++
 			j.history.ObserveMerge(c.ts, qgm.ColumnGroup(name, qgm.GroupColumns(g)))
@@ -272,16 +272,16 @@ func (c *collection) report(tw *tableWork, deg degradation) {
 	c.prep.Tables = append(c.prep.Tables, *tr)
 }
 
-// WorkloadStatistics builds the paper's "workload statistics" baseline with
-// the collect stage's kernels over whole tables: once per table, its
-// cardinality and the exact NDV and domain of every column, then every
-// candidate group of every query, in workload order, materialized at its
-// exact selectivity (a recurring group is merged again, as a per-query pass
-// would). Unlike a JITS collection it counts every column, not only the ones
-// the workload joins on. The work is setup cost, charged to no query; tables
-// db does not hold are skipped; the only error is a recovered morsel panic.
-func WorkloadStatistics(db *storage.Database, queries []*qgm.Query, ts int64) (*Archive, error) {
-	archive := NewArchive(0, 0)
+// WorkloadStatistics fills archive with the paper's "workload statistics"
+// baseline, built with the collect stage's kernels over whole tables: once
+// per table, its cardinality and the exact NDV and domain of every column,
+// then every candidate group of every query, in workload order, materialized
+// at its exact selectivity (a recurring group is merged again, as a per-query
+// pass would). Unlike a JITS collection it counts every column, not only the
+// ones the workload joins on. The work is setup cost, charged to no query;
+// tables db does not hold are skipped; the only error is a recovered morsel
+// panic.
+func WorkloadStatistics(archive *Archive, db *storage.Database, queries []*qgm.Query, ts int64) error {
 	var setup costmodel.Meter
 	counter := sampling.New(0) // for its evaluation and distinct-value scratch; nothing is drawn
 	type exactTable struct {
@@ -313,14 +313,14 @@ func WorkloadStatistics(db *storage.Database, queries []*qgm.Query, ts int64) (*
 			}
 			sels, err := counter.EvaluateColumns(x.rows, tc.Groups, &setup, costmodel.Weights{}, 1)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			for gi, g := range tc.Groups {
 				archive.Materialize(tc.Table, g, sels[gi], ts, x.domains)
 			}
 		}
 	}
-	return archive, nil
+	return nil
 }
 
 // SampleDomains is the domain of every column of a row-shaped sample, from

@@ -27,7 +27,7 @@ func (j *JITS) SampleScopes(q *qgm.Query, db *storage.Database, ts int64) (map[s
 	defer j.mu.Unlock()
 	c := &collection{
 		j: j, ts: ts, meter: new(costmodel.Meter),
-		qs: &QueryStats{fresh: map[string]float64{}, cards: map[string]int64{}, archive: j.archive, ts: ts},
+		qs: &QueryStats{fresh: map[string]float64{}, cards: map[string]int64{}, archive: j.archive.Load(), ts: ts},
 	}
 	work, err := c.survey(q, db)
 	if err != nil {

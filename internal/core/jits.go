@@ -16,16 +16,22 @@ import (
 	"repro/internal/storage"
 )
 
+// DefaultSampleSize is the number of rows sampled per marked table when
+// Config.SampleSize is zero: the paper's configuration.
+const DefaultSampleSize = 2000
+
 // Config tunes the JITS framework.
 type Config struct {
-	// Enabled switches the whole framework; when false, PrepareBudgeted returns a
-	// nil QueryStats and the optimizer runs on general statistics alone.
+	// Enabled switches the whole framework; when false, PrepareBudgeted
+	// collects nothing and returns the archive-only QueryStats: the optimizer
+	// plans from what the archive holds (workload statistics, reactive
+	// corrections, a loaded archive) and from general statistics.
 	Enabled bool
 	// SMax is the sensitivity-analysis threshold of §3.3: 0 collects all
 	// possible QSS on every query, 1 never collects. Default 0.5.
 	SMax float64
 	// SampleSize is the fixed number of rows sampled per marked table
-	// (independent of table size, per the paper). Default 2000.
+	// (independent of table size, per the paper). Default DefaultSampleSize.
 	SampleSize int
 	// ForceCollect bypasses the sensitivity analysis: every table with
 	// local predicates is sampled and every group materialized — the
@@ -47,7 +53,7 @@ type Config struct {
 // zero is meaningful (collect everything).
 func (c Config) withDefaults() Config {
 	if c.SampleSize <= 0 {
-		c.SampleSize = 2000
+		c.SampleSize = DefaultSampleSize
 	}
 	return c
 }
@@ -58,7 +64,7 @@ func DefaultConfig() Config {
 	return Config{
 		Enabled:    true,
 		SMax:       0.5,
-		SampleSize: 2000,
+		SampleSize: DefaultSampleSize,
 		Seed:       1,
 	}
 }
@@ -67,10 +73,13 @@ func DefaultConfig() Config {
 // lives inside the engine; its archive and history persist across the
 // workload, which is where the amortization the paper reports comes from.
 type JITS struct {
-	mu      sync.Mutex
-	cfg     Config
-	dop     int // sampling workers; <= 1 runs serially
-	archive *Archive
+	mu  sync.Mutex
+	cfg Config
+	dop int // sampling workers; <= 1 runs serially
+	// archive is the engine's one QSS archive. RestoreArchive replaces it
+	// under mu, so a collection works on one archive throughout; a reader
+	// outside mu loads it whole.
+	archive atomic.Pointer[Archive]
 	history *feedback.Store
 	cat     *catalog.Catalog
 	sampler *sampling.Sampler
@@ -92,14 +101,15 @@ type JITS struct {
 // run serially.
 func New(cfg Config, dop int, history *feedback.Store, cat *catalog.Catalog) *JITS {
 	cfg = cfg.withDefaults()
-	return &JITS{
+	j := &JITS{
 		cfg:     cfg,
 		dop:     dop,
-		archive: NewArchive(DefaultSpaceBudgetBuckets, DefaultMemoCapacity),
 		history: history,
 		cat:     cat,
 		sampler: sampling.New(cfg.Seed),
 	}
+	j.archive.Store(NewArchive(DefaultSpaceBudgetBuckets, DefaultMemoCapacity))
+	return j
 }
 
 // Scrape appends the coordinator's jits_* series to set. Every degradation
@@ -128,9 +138,9 @@ func (j *JITS) SetSMax(smax float64) {
 	j.cfg.SMax = smax
 }
 
-// Archive exposes the QSS archive (read-mostly; examples and experiments
-// inspect it).
-func (j *JITS) Archive() *Archive { return j.archive }
+// Archive exposes the QSS archive: the one every compilation reads, JITS
+// collection enabled or not.
+func (j *JITS) Archive() *Archive { return j.archive.Load() }
 
 // QueryStats carries the statistics available to one query's optimization:
 // selectivities freshly collected during this compilation, plus the shared
@@ -146,13 +156,6 @@ type QueryStats struct {
 	// selectivities count as neither — they never touched the archive.
 	archiveHits   atomic.Int64
 	archiveMisses atomic.Int64
-}
-
-// ArchiveStats is the statistics source of a query that collects nothing
-// itself: the archive alone, read at logical time ts (the workload-statistics
-// and reactive baselines).
-func ArchiveStats(archive *Archive, ts int64) *QueryStats {
-	return &QueryStats{archive: archive, ts: ts}
 }
 
 // GroupSelectivity implements optimizer.StatsSource.
@@ -287,10 +290,11 @@ func (r *PrepareReport) Degraded() bool { return r.DegradedTables() > 0 }
 // short is reported in PrepareReport.FallbackTables, and the QueryStats simply
 // lacks its fresh entries — the paper's rule that DB2 reverts to traditional
 // processing whenever QSS cannot be collected. The only errors are structural
-// (unknown table).
+// (unknown table). With the framework disabled it collects nothing and
+// returns the archive alone, read at ts, with an empty report.
 func (j *JITS) PrepareBudgeted(ctx context.Context, q *qgm.Query, db *storage.Database, ts int64, meter *costmodel.Meter, w costmodel.Weights, res *govern.Reservation) (*QueryStats, *PrepareReport, error) {
 	if !j.cfg.Enabled {
-		return nil, &PrepareReport{}, nil
+		return &QueryStats{archive: j.archive.Load(), ts: ts}, &PrepareReport{}, nil
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -298,11 +302,12 @@ func (j *JITS) PrepareBudgeted(ctx context.Context, q *qgm.Query, db *storage.Da
 	j.mu.Lock()
 	defer j.mu.Unlock()
 
+	archive := j.archive.Load()
 	c := &collection{
 		j: j, ctx: ctx, ts: ts, meter: meter, w: w, res: res,
-		qs:   &QueryStats{fresh: map[string]float64{}, cards: map[string]int64{}, archive: j.archive, ts: ts},
+		qs:   &QueryStats{fresh: map[string]float64{}, cards: map[string]int64{}, archive: archive, ts: ts},
 		prep: &PrepareReport{},
-		sens: &Sensitivity{History: j.history, Archive: j.archive, Cat: j.cat, SMax: j.cfg.SMax},
+		sens: &Sensitivity{History: j.history, Archive: archive, Cat: j.cat, SMax: j.cfg.SMax},
 	}
 	work, err := c.survey(q, db)
 	if err != nil {
@@ -334,5 +339,5 @@ func (j *JITS) Feedback(obs []Observation) { j.history.Observe(0, obs) }
 func (j *JITS) MigrateToCatalog(ts int64) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.archive.MigrateToCatalog(j.cat, ts)
+	return j.archive.Load().MigrateToCatalog(j.cat, ts)
 }

@@ -81,14 +81,20 @@ func TestPrepareDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qs != nil {
-		t.Error("disabled JITS must return nil stats")
-	}
 	if len(rep.Tables) != 0 {
 		t.Error("disabled JITS must not analyze")
 	}
 	if m.Units() != 0 {
 		t.Error("disabled JITS must not charge")
+	}
+	// The stats are the archive alone: they answer what it holds.
+	preds := q.Blocks[0].LocalPreds[0]
+	if _, _, ok := qs.GroupSelectivity("car", preds); ok {
+		t.Error("disabled JITS answered from an empty archive")
+	}
+	j.Archive().Materialize("car", preds, 0.25, 1, nil)
+	if sel, _, ok := qs.GroupSelectivity("car", preds); !ok || sel != 0.25 {
+		t.Errorf("disabled JITS read %v (found %v), want the archived 0.25", sel, ok)
 	}
 }
 

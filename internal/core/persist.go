@@ -219,11 +219,6 @@ func gridName(gs gridSnapshot, h *histogram.Histogram) (qgm.StatName, error) {
 	return name, nil
 }
 
-// SaveArchive writes the coordinator's archive (engine-facing convenience).
-func (j *JITS) SaveArchive(w io.Writer) error {
-	return j.archive.Save(w)
-}
-
 // RestoreArchive replaces the coordinator's archive with a previously saved
 // one — statistics materialized in an earlier session become reusable
 // immediately. The restored archive continues the replaced one's lookup and
@@ -231,6 +226,6 @@ func (j *JITS) SaveArchive(w io.Writer) error {
 func (j *JITS) RestoreArchive(a *Archive) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	a.tally = j.archive.tally
-	j.archive = a
+	a.tally = j.archive.Load().tally
+	j.archive.Store(a)
 }

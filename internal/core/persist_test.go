@@ -201,10 +201,10 @@ func TestJITSRestoreArchive(t *testing.T) {
 		t.Error("RestoreArchive did not swap the archive")
 	}
 	var buf bytes.Buffer
-	if err := j.SaveArchive(&buf); err != nil {
+	if err := j.Archive().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
-		t.Error("SaveArchive wrote nothing")
+		t.Error("Save wrote nothing")
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -134,5 +135,52 @@ func TestConcurrentParallelQueriesAndDML(t *testing.T) {
 	res = mustExec(t, e, `SELECT COUNT(*) FROM car WHERE make = 'Toyota'`)
 	if res.Rows[0][0].Int() != 600 {
 		t.Errorf("Toyota count = %v, want 600", res.Rows[0][0])
+	}
+}
+
+// TestLoadStatisticsRacesReaders replaces the archive while every reader of
+// it runs: a reactive engine's SELECTs (compile reads it, observe merges
+// corrections into it), SHOW STATS, the metric scrape and SaveStatistics. No
+// data race may fire (run under -race in CI).
+func TestLoadStatisticsRacesReaders(t *testing.T) {
+	cfg := Config{JITS: core.DefaultConfig()}
+	cfg.JITS.ForceCollect = true
+	collector := seedEngine(t, cfg)
+	mustExec(t, collector, `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`)
+	var saved bytes.Buffer
+	if err := collector.SaveStatistics(&saved); err != nil {
+		t.Fatal(err)
+	}
+
+	e := seedEngine(t, Config{ReactiveCorrections: true})
+	readers := []func() error{
+		func() error {
+			_, err := e.Exec(`SELECT id FROM car WHERE make = 'Honda' AND model = 'Civic'`)
+			return err
+		},
+		func() error { _, err := e.Exec(`SHOW STATS`); return err },
+		func() error { return e.Scrape().WriteText(io.Discard) },
+		func() error { return e.SaveStatistics(io.Discard) },
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(readers)+1)
+	run := func(f func() error) {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			if err := f(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}
+	wg.Add(len(readers) + 1)
+	go run(func() error { return e.LoadStatistics(bytes.NewReader(saved.Bytes())) })
+	for _, f := range readers {
+		go run(f)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

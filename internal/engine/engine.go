@@ -58,10 +58,10 @@ type Config struct {
 	JITS core.Config
 	// ReactiveCorrections enables a LEO-style *reactive* baseline (the
 	// related-work family of the paper's §5.1): after each query, observed
-	// actual selectivities are stored as exact-match corrections that
-	// benefit future queries with the same predicate groups. The current
-	// query still suffers from the wrong estimate — the paper's critique.
-	// Only consulted when JITS collection is disabled.
+	// actual selectivities are stored in the engine's archive as exact-match
+	// corrections that benefit future queries with the same predicate
+	// groups. The current query still suffers from the wrong estimate — the
+	// paper's critique. Only armed when JITS collection is disabled.
 	ReactiveCorrections bool
 	// Trace, when non-nil, receives every statement's flight record as one
 	// JSON line when the statement finishes — the record /debug/queries
@@ -130,7 +130,9 @@ type Result struct {
 	RowsAffected int
 	Plan         string // EXPLAIN rendering of the chosen join tree
 	Metrics      Metrics
-	Prepare      *core.PrepareReport // JITS decisions, nil when disabled
+	// Prepare is the statement's JITS decisions: empty when JITS is disabled,
+	// nil for a statement that never compiles (DML, DDL, SHOW).
+	Prepare *core.PrepareReport
 	// PlanCacheHit reports that this statement reused a compiled plan from
 	// the plan cache, skipping parse/JITS-prepare/optimize entirely.
 	PlanCacheHit bool
@@ -154,6 +156,10 @@ type Engine struct {
 	recorder    *flightrec.Recorder
 	governor    *govern.Governor
 	parallelism int
+	// reactive arms the reactive corrections (Config.ReactiveCorrections,
+	// JITS disabled): observe merges each scan's actual selectivity into the
+	// archive.
+	reactive bool
 	// reopt arms re-optimization; a checkpoint re-plans above reoptQError,
 	// at most maxReopts times a statement.
 	reopt       bool
@@ -170,21 +176,13 @@ type Engine struct {
 	// archiveEpoch versions the statistics/data state cached plans were
 	// compiled against; bumpArchiveEpoch documents what moves it.
 	archiveEpoch atomic.Uint64
-
-	// staticQSS holds the "workload statistics" baseline: column-group
-	// statistics precollected from the workload text and never refreshed.
-	// Consulted only when JITS collection is disabled.
-	staticQSS *core.Archive
-	// reactiveQSS holds the LEO-style corrections store when
-	// ReactiveCorrections is enabled.
-	reactiveQSS *core.Archive
 }
 
 // New creates an empty engine.
 func New(cfg Config) *Engine {
 	cat := catalog.New()
 	fb := feedback.NewStore()
-	e := &Engine{
+	return &Engine{
 		db:          storage.NewDatabase(cfg.StorageChunkSize),
 		cat:         cat,
 		indexes:     index.NewSet(),
@@ -194,16 +192,13 @@ func New(cfg Config) *Engine {
 		recorder:    flightrec.New(cfg.FlightRecorderCapacity, cfg.Trace),
 		governor:    govern.New(),
 		parallelism: cfg.Parallelism,
+		reactive:    cfg.ReactiveCorrections && !cfg.JITS.Enabled,
 		reopt:       cfg.Reopt,
 		reoptQError: reoptQErrorThreshold,
 		maxReopts:   maxReopts,
 		counts:      newCounts(),
 		planCache:   plancache.New(cfg.PlanCacheSize),
 	}
-	if cfg.ReactiveCorrections {
-		e.reactiveQSS = core.NewArchive(0, 0)
-	}
-	return e
 }
 
 // DB exposes the storage layer (the data generator loads tables directly).
@@ -220,7 +215,9 @@ func (e *Engine) Indexes() *index.Set { return e.indexes }
 // Safe to read concurrently with statements.
 func (e *Engine) Feedback() *feedback.Store { return e.feedback }
 
-// JITS exposes the framework coordinator (experiments tune s_max on it).
+// JITS exposes the framework coordinator (experiments tune s_max on it) and,
+// through it, the engine's one statistics archive: the one every setting
+// fills and the optimizer, SHOW STATS and SaveStatistics read.
 func (e *Engine) JITS() *core.JITS { return e.jits }
 
 // Weights returns the cost-model weights, costmodel.DefaultWeights.
@@ -285,11 +282,7 @@ var ErrClosed = errors.New("engine: closed")
 func (e *Engine) Close() error {
 	e.closed.Store(true)
 	e.maintenance.Close()
-	for _, a := range []*core.Archive{e.jits.Archive(), e.staticQSS, e.reactiveQSS} {
-		if a != nil {
-			a.Close()
-		}
-	}
+	e.jits.Archive().Close()
 	return nil
 }
 
@@ -554,8 +547,8 @@ func (e *Engine) RunstatsAll() error {
 // statistics" baseline: "if the workload information is available, it can
 // be analyzed and all the needed statistics can be collected beforehand".
 // The statistics are computed from the *current* data, exactly
-// (core.WorkloadStatistics), and never refreshed, so subsequent updates
-// silently stale them.
+// (core.WorkloadStatistics), into the engine's archive, and never refreshed,
+// so subsequent updates silently stale them.
 func (e *Engine) CollectWorkloadStats(sqls []string) error {
 	ts := e.tick()
 	var queries []*qgm.Query
@@ -571,11 +564,9 @@ func (e *Engine) CollectWorkloadStats(sqls []string) error {
 			}
 		}
 	}
-	archive, err := core.WorkloadStatistics(e.db, queries, ts)
-	if err != nil {
+	if err := core.WorkloadStatistics(e.jits.Archive(), e.db, queries, ts); err != nil {
 		return err
 	}
-	e.staticQSS = archive
 	e.bumpArchiveEpoch()
 	return nil
 }
@@ -596,11 +587,12 @@ func (e *Engine) MigrateStats() int {
 // restore it (the archive persists inside the catalog in the paper's DB2
 // prototype).
 func (e *Engine) SaveStatistics(w io.Writer) error {
-	return e.jits.SaveArchive(w)
+	return e.jits.Archive().Save(w)
 }
 
 // LoadStatistics restores a QSS archive previously written by
-// SaveStatistics, replacing the current one.
+// SaveStatistics, replacing the current one. The next compilation plans from
+// it, whether or not JITS collection is enabled.
 func (e *Engine) LoadStatistics(r io.Reader) error {
 	a, err := core.LoadArchive(r)
 	if err != nil {

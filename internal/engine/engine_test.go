@@ -222,8 +222,8 @@ func TestWorkloadStatsBaseline(t *testing.T) {
 	if err := e.CollectWorkloadStats(sqls); err != nil {
 		t.Fatal(err)
 	}
-	a := e.WorkloadStatsArchive()
-	if a == nil || (a.Histograms() == 0 && a.MemoEntries() == 0) {
+	a := e.JITS().Archive()
+	if a.Histograms() == 0 && a.MemoEntries() == 0 {
 		t.Fatal("workload stats archive empty")
 	}
 	// The exact joint selectivity is available to the optimizer: compare

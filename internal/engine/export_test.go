@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"repro/internal/core"
-	"repro/internal/plancache"
-)
+import "repro/internal/plancache"
 
 // SetReopt arms re-optimization between statements with its own q-error
 // threshold and per-statement cap, so a test can cache a plan with
@@ -13,10 +10,6 @@ import (
 func (e *Engine) SetReopt(qErrorThreshold float64, maxReopts int) {
 	e.reopt, e.reoptQError, e.maxReopts = true, qErrorThreshold, maxReopts
 }
-
-// WorkloadStatsArchive exposes the static baseline archive (nil unless
-// CollectWorkloadStats ran).
-func (e *Engine) WorkloadStatsArchive() *core.Archive { return e.staticQSS }
 
 // PlanCache exposes the compiled-plan cache to tests; nil when
 // Config.PlanCacheSize is 0.

@@ -3,7 +3,6 @@ package engine
 import (
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -104,7 +103,7 @@ func (e *Engine) Scrape() metrics.Set {
 	set.Histogram("engine_reopt_wall_seconds", "Wall-clock time of one mid-query re-planning pass.", c.reoptWall)
 
 	e.jits.Scrape(&set)
-	core.ScrapeArchives(&set, e.jits.Archive(), e.staticQSS, e.reactiveQSS)
+	e.jits.Archive().Scrape(&set)
 	e.governor.Scrape(&set)
 	e.feedback.Scrape(&set)
 	e.planCache.Scrape(&set)

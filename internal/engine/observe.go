@@ -61,18 +61,19 @@ func (e *Engine) observe(s *statement) {
 	fb.end()
 
 	// Reactive corrections (LEO baseline): record the *observed*
-	// selectivity of each local predicate group for future queries. Without
-	// sample domains these land in the exact-match memo — precisely LEO's
-	// granularity of adjustment.
-	if e.reactiveQSS != nil {
+	// selectivity of each local predicate group in the archive for future
+	// queries. Without sample domains these land in the exact-match memo —
+	// precisely LEO's granularity of adjustment.
+	if e.reactive {
+		archive := e.jits.Archive()
 		for slot, preds := range s.blk.LocalPreds {
 			if len(preds) == 0 {
 				continue
 			}
 			for _, a := range mainActuals {
 				if a.Slot == slot && !a.Conditioned {
-					e.reactiveQSS.Materialize(s.blk.Tables[slot].Table, preds, a.ActualSelectivity(), ts, nil)
-					e.reactiveQSS.SetCardinality(s.blk.Tables[slot].Table, int64(a.BaseRows), ts)
+					archive.Materialize(s.blk.Tables[slot].Table, preds, a.ActualSelectivity(), ts, nil)
+					archive.SetCardinality(s.blk.Tables[slot].Table, int64(a.BaseRows), ts)
 				}
 			}
 		}

@@ -42,3 +42,61 @@ func TestLoadStatisticsRejectsGarbage(t *testing.T) {
 		t.Error("garbage must be rejected")
 	}
 }
+
+// TestOneArchiveForEveryReader: the engine keeps one statistics archive. The
+// workload-statistics baseline fills the archive SHOW STATS lists and
+// SaveStatistics writes, and an engine with JITS collection off plans from
+// an archive it loaded.
+func TestOneArchiveForEveryReader(t *testing.T) {
+	const q = `SELECT id FROM car WHERE make = 'Toyota' AND model = 'Camry'`
+	t.Run("workload stats are listed and saved", func(t *testing.T) {
+		e := seedEngine(t, Config{})
+		if err := e.CollectWorkloadStats([]string{q}); err != nil {
+			t.Fatal(err)
+		}
+		show := mustExec(t, e, `SHOW STATS`)
+		listed := false
+		for _, row := range show.Rows {
+			listed = listed || (row[1].Str() == "car" && row[2].Str() == "make,model")
+		}
+		if !listed {
+			t.Fatalf("SHOW STATS lists %d grids, none of them car(make,model)", show.Len())
+		}
+		var buf bytes.Buffer
+		if err := e.SaveStatistics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		a, err := core.LoadArchive(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Histograms() != show.Len() {
+			t.Errorf("SaveStatistics wrote %d grids, SHOW STATS lists %d", a.Histograms(), show.Len())
+		}
+	})
+	t.Run("a loaded archive informs a JITS-off plan", func(t *testing.T) {
+		cfg := Config{JITS: core.DefaultConfig()}
+		cfg.JITS.ForceCollect = true
+		collector := seedEngine(t, cfg)
+		mustExec(t, collector, q)
+		var buf bytes.Buffer
+		if err := collector.SaveStatistics(&buf); err != nil {
+			t.Fatal(err)
+		}
+
+		e := seedEngine(t, Config{})
+		if err := e.RunstatsAll(); err != nil {
+			t.Fatal(err)
+		}
+		// General statistics under independence: 0.6 × 0.4 × 1000 = 240.
+		if res := mustExec(t, e, "EXPLAIN "+q); !strings.Contains(res.Plan, "rows=240") {
+			t.Fatalf("before the load, want the independence estimate rows=240:\n%s", res.Plan)
+		}
+		if err := e.LoadStatistics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if res := mustExec(t, e, "EXPLAIN "+q); !strings.Contains(res.Plan, "rows=400") {
+			t.Errorf("after the load, want the archived estimate rows=400:\n%s", res.Plan)
+		}
+	})
+}

@@ -183,16 +183,7 @@ func (e *Engine) compile(s *statement, sel *sqlparser.SelectStmt) error {
 		return err
 	}
 	s.qstats, s.prep = qstats, prep
-	var source optimizer.StatsSource
-	switch {
-	case qstats != nil:
-		source = qstats
-	case e.staticQSS != nil:
-		source = core.ArchiveStats(e.staticQSS, s.ts)
-	case e.reactiveQSS != nil:
-		source = core.ArchiveStats(e.reactiveQSS, s.ts)
-	}
-	s.octx = e.optimizerContext(s, source)
+	s.octx = e.optimizerContext(s, qstats)
 
 	optimize := phase(s, flightrec.PhaseOptimize)
 	err = e.optimize(s, q)

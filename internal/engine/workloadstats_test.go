@@ -93,7 +93,7 @@ func TestWorkloadStatsMatchRowReference(t *testing.T) {
 	if err := e.CollectWorkloadStats(sqls); err != nil {
 		t.Fatal(err)
 	}
-	got := e.WorkloadStatsArchive()
+	got := e.JITS().Archive()
 	want := refWorkloadStats(e, sqls, e.Now())
 	if got.Histograms() == 0 || got.MemoEntries() == 0 {
 		t.Fatalf("workload archive holds %d histograms and %d memo entries; the comparison needs both", got.Histograms(), got.MemoEntries())

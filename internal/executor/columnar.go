@@ -120,15 +120,35 @@ func (c *Columnar) Rows() [][]value.Datum {
 // arrays are reused (nil allocates) — and nil when its cells exist only
 // boxed: an aggregate's, or a FromRows result's.
 func (c *Columnar) Vector(j int, dst *storage.ColumnVec) *storage.ColumnVec {
-	if c.boxed != nil {
+	col, ok := c.tableColumn(j)
+	if !ok {
 		return nil
 	}
-	if _, ok := c.cols[j].(rowsColumn); !ok {
-		return nil
-	}
-	c.settle()
-	col := c.cols[j].(rowsColumn)
 	return col.snap.GatherColumn(dst, col.ordinal, col.pos[:c.n])
+}
+
+// Measure sizes column j as Vector would return it, without gathering it:
+// the column's kind, how many of its Len cells are NULL and the bytes of its
+// strings that are not. ok is false where Vector returns nil.
+func (c *Columnar) Measure(j int) (kind value.Kind, nulls, strBytes int, ok bool) {
+	col, ok := c.tableColumn(j)
+	if !ok {
+		return 0, 0, 0, false
+	}
+	nulls, strBytes = col.snap.MeasureColumn(col.ordinal, col.pos[:c.n])
+	return col.snap.Schema().Column(col.ordinal).Kind, nulls, strBytes, true
+}
+
+// tableColumn returns column j with its row list settled into its
+// positions, or false when its cells exist only boxed.
+func (c *Columnar) tableColumn(j int) (col rowsColumn, ok bool) {
+	if c.boxed == nil {
+		if _, ok = c.cols[j].(rowsColumn); ok {
+			c.settle()
+			col = c.cols[j].(rowsColumn)
+		}
+	}
+	return col, ok
 }
 
 // settle folds the row list into the columns, so that cell i of every column

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/debugserver"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
@@ -128,6 +129,38 @@ func TestWorkloadShapesQuick(t *testing.T) {
 	}
 	if !(jitsExec < genExec) {
 		t.Errorf("JITS total exec %v should beat general stats %v", jitsExec, genExec)
+	}
+}
+
+// TestReactiveSettingFillsTheArchive runs the reactive extension's workload
+// end to end: its corrections land in the engine's one archive, the one the
+// optimizer plans from and SHOW STATS and SaveStatistics read.
+func TestReactiveSettingFillsTheArchive(t *testing.T) {
+	opts := QuickOptions()
+	opts.Queries = 20
+	var e *engine.Engine
+	opts.OnEngine = func(got *engine.Engine) { e = got }
+	timings, err := RunWorkload(SettingReactive, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(timings) != opts.Queries {
+		t.Fatalf("timings = %d, want %d", len(timings), opts.Queries)
+	}
+	n := e.JITS().Archive().MemoEntries()
+	if n == 0 {
+		t.Fatal("the reactive run left no correction in the engine's archive")
+	}
+	var buf bytes.Buffer
+	if err := e.SaveStatistics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := core.LoadArchive(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved.MemoEntries() != n {
+		t.Errorf("SaveStatistics wrote %d corrections, the archive holds %d", saved.MemoEntries(), n)
 	}
 }
 

@@ -10,7 +10,6 @@
 package storage
 
 import (
-	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -94,15 +93,6 @@ func (v *ColumnVec) HasNulls() bool {
 		}
 	}
 	return false
-}
-
-// NullCount returns the number of NULL rows.
-func (v *ColumnVec) NullCount() int {
-	n := 0
-	for _, w := range v.nulls {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // Datum decodes row i into a value.Datum (no allocation: Datum is a value).

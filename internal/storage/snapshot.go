@@ -140,6 +140,33 @@ func (s *Snapshot) GatherColumn(dst *ColumnVec, ordinal int, positions []int32) 
 	return dst
 }
 
+// MeasureColumn sizes what GatherColumn would return without gathering it:
+// how many of the rows at positions are NULL in column ordinal and, for a
+// string column, the bytes of the strings that are not.
+func (s *Snapshot) MeasureColumn(ordinal int, positions []int32) (nulls, strBytes int) {
+	strs := s.schema.cols[ordinal].Kind == value.KindString
+	var (
+		vec    *ColumnVec
+		lo, hi int // vec holds snapshot rows [lo, hi)
+	)
+	for _, p := range positions {
+		row := int(p)
+		if row < lo || row >= hi {
+			ci := row / s.chunkSize
+			vec = s.chunks[ci].cols[ordinal]
+			lo = ci * s.chunkSize
+			hi = lo + vec.Len()
+		}
+		switch row -= lo; {
+		case vec.Null(row):
+			nulls++
+		case strs:
+			strBytes += len(vec.strs[row])
+		}
+	}
+	return nulls, strBytes
+}
+
 // gather writes column ordinal at the given positions over out's rows
 // [at, at+len(positions)), which must be non-NULL.
 func (s *Snapshot) gather(out *ColumnVec, ordinal int, positions []int32, at int) {

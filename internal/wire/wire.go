@@ -159,10 +159,11 @@ const tagPerCell = byte(value.KindNull)
 // vector, and its numbers, string lengths and string bytes are written from
 // the typed arrays; kind bytes are spent only on a column with a NULL in it.
 // A column that exists only boxed — an aggregate's, EXPLAIN's and SHOW's —
-// is written from its cells. The block's exact size is computed first: a
-// result whose block would pass limit is refused, (nil, size), before a byte
-// of it is allocated, and any other block is allocated once. No rows is no
-// block.
+// is written from its cells. The block's exact size is computed first, a
+// table column's from its row positions without gathering it: a result
+// whose block would pass limit is refused, (nil, size), before a byte of it
+// is gathered or allocated, and any other block is allocated once. No rows
+// is no block.
 func EncodeResult(res *executor.Columnar, limit int) (block Rows, size int) {
 	n, ncols := res.Len(), res.NumCols()
 	if n == 0 {
@@ -175,8 +176,8 @@ func EncodeResult(res *executor.Columnar, limit int) (block Rows, size int) {
 		size += n
 	}
 	for j := 0; j < ncols; j++ {
-		if v := res.Vector(j, &vec); v != nil {
-			size += vectorShape(v).size(n)
+		if kind, nulls, strBytes, ok := res.Measure(j); ok {
+			size += typedShape(kind, n, nulls, strBytes).size(n)
 		} else {
 			cells = res.Cells(j, cells)
 			size += cellsShape(cells).size(n)
@@ -234,24 +235,19 @@ func (s shape) size(n int) int {
 	return size
 }
 
-// vectorShape sizes a typed column: every cell is of the vector's kind or
-// NULL, and a NULL takes the tag away.
-func vectorShape(v *storage.ColumnVec) shape {
-	sh := shape{tag: byte(v.Kind())}
-	live := v.Len()
-	if nulls := v.NullCount(); nulls > 0 {
-		sh.tag, live = tagPerCell, live-nulls
+// typedShape sizes a typed column of n cells, nulls of them NULL, whose
+// other strings hold strBytes: every cell is of the column's kind or NULL,
+// and a NULL takes the tag away.
+func typedShape(kind value.Kind, n, nulls, strBytes int) shape {
+	sh := shape{tag: byte(kind)}
+	if nulls > 0 {
+		sh.tag = tagPerCell
 	}
-	if v.Kind() != value.KindString {
-		sh.nums = live
+	if kind != value.KindString {
+		sh.nums = n - nulls
 		return sh
 	}
-	sh.strs = live
-	for i, s := range v.Strs() {
-		if sh.tag != tagPerCell || !v.Null(i) {
-			sh.strBytes += len(s)
-		}
-	}
+	sh.strs, sh.strBytes = n-nulls, strBytes
 	return sh
 }
 
